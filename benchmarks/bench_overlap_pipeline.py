@@ -1,7 +1,7 @@
 """Overlap-pipeline benchmark: measured §6.1 planning overlap.
 
-Drives :class:`repro.pipeline.OverlapPipeline` over the Fig. 18 sweep
-configuration (32768 tokens, 512-token blocks, causal mask, 2x4
+Drives :class:`repro.pipeline.StreamingOverlapPipeline` over the Fig.
+18 sweep configuration (32768 tokens, 512-token blocks, causal mask, 2x4
 devices) and *measures* — with real planner workers racing real wall
 time — the fraction of planning hidden behind execution for lookahead
 ``kappa`` in {1, 2, 4} and several worker counts, on both thread and
@@ -15,9 +15,9 @@ report shows measurement and model side by side.
 
 ``--streaming`` measures the online mode instead: the same Fig. 18
 sweep point planned over a *generator* feeding the pipeline as the
-packer emits (:class:`repro.pipeline.StreamingOverlapPipeline`), side
-by side with the fixed-stream cell so the report records hidden
-fraction *parity* between the two; three mid-stream device-removal
+packer emits, side by side with the list-fed (``fixed``) cell so the
+report records hidden fraction *parity* between the two feedings;
+three mid-stream device-removal
 cells comparing how the prefetch window re-plans (``scratch`` = whole
 window cold, the pre-delta behavior; ``delta`` = only affected jobs,
 warm-started — the report's ``replan_cost_ratio`` and the acceptance
@@ -29,11 +29,13 @@ republish/re-fetch savings (``refetch_saved_bytes``).  The streaming
 report merges into ``BENCH_overlap.json`` under ``"streaming"``.
 
 ``--transport`` measures plan transport instead: the same batches
-planned on the process backend once per transport (``pickle`` = the
-historical object-graph round-trip, ``wire`` = columnar bytes over the
-result pipe, ``shm`` = columnar bytes through the shared-memory plan
-ring), recording per-transport payload bytes and encode/move/decode
-seconds, the wire-vs-pickle compaction ratio, and the headline
+planned on the process backend once per route (``shm`` = columnar
+bytes through the shared-memory plan ring; ``wire`` = the same bytes
+over the result pipe, forced by a ring slot no plan fits), plus a
+``pickle`` baseline row — the object-graph round trip the columnar
+format replaced, measured parent-side on the delivered plans —
+recording per-row payload bytes and encode/move/decode seconds, the
+wire-vs-pickle compaction ratio, and the headline
 ``overhead_ratio`` — (encode + move + decode) / planning time on the
 zero-copy path, the §6.1 "shipping plans must not erase parallel
 planning" bound (acceptance: ≤ 0.05 at the Fig. 18 sweep point).  The
@@ -151,14 +153,14 @@ def _measure_cell(
     """One (kappa, workers, backend) pipeline run, fresh planner+cache."""
     from repro.core import DCPPlanner, PlanCache, simulate_planning_overlap
     from repro.pipeline import (
-        OverlapPipeline,
         PipelineRunner,
+        StreamingOverlapPipeline,
         cost_model_executor,
     )
 
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
     cache = PlanCache(planner, capacity=64)
-    pipeline = OverlapPipeline(
+    pipeline = StreamingOverlapPipeline(
         batches,
         planner,
         lookahead=kappa,
@@ -346,10 +348,10 @@ def _measure_streaming_cell(
     fingerprints: Optional[List] = None,
     use_cache: bool = True,
 ) -> Dict:
-    """One streaming-pipeline run, fed by a generator (no upfront length).
+    """One pipeline run, fed by a generator (no upfront length).
 
-    ``mode="fixed"`` runs the same config through the fixed-list
-    pipeline for the parity comparison; ``remove_machine_at`` fires a
+    ``mode="fixed"`` feeds the same config a materialized list instead,
+    for the parity comparison; ``remove_machine_at`` fires a
     device-removal event after that iteration's execution (the replan
     cells), with ``replan_mode`` selecting how the window responds
     (``"delta"`` / ``"window"`` / ``"scratch"``).  ``fingerprints``, if
@@ -361,7 +363,6 @@ def _measure_streaming_cell(
     """
     from repro.core import DCPPlanner, PlanCache
     from repro.pipeline import (
-        OverlapPipeline,
         PipelineRunner,
         StreamingOverlapPipeline,
         cost_model_executor,
@@ -372,20 +373,14 @@ def _measure_streaming_cell(
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
     cache = PlanCache(planner, capacity=64) if use_cache else None
     events = None
-    if mode == "fixed":
-        pipeline = OverlapPipeline(
-            list(batches), planner, lookahead=kappa, max_workers=workers,
-            backend="thread", cache=cache,
-        )
-    else:
-        if remove_machine_at is not None:
-            events = ClusterEventSource(scale.cluster)
-        pipeline = StreamingOverlapPipeline(
-            (batch for batch in batches),  # generator: the online path
-            planner, lookahead=kappa, max_workers=workers,
-            backend="thread", cache=cache, events=events,
-            replan_mode=replan_mode,
-        )
+    if remove_machine_at is not None:
+        events = ClusterEventSource(scale.cluster)
+    pipeline = StreamingOverlapPipeline(
+        list(batches) if mode == "fixed" else (b for b in batches),
+        planner, lookahead=kappa, max_workers=workers,
+        backend="thread", cache=cache, events=events,
+        replan_mode=replan_mode,
+    )
 
     def fire(index: int, _info: dict) -> None:
         if events is not None and index == remove_machine_at:
@@ -693,27 +688,36 @@ def run_streaming_bench(
     return report
 
 
-def _measure_transport_cell(scale, batches, workers: int,
-                            transport: str) -> Dict:
-    """Plan ``batches`` on the process backend via one transport.
+#: Ring slot size of the ``wire`` transport cell: smaller than any
+#: encoded plan, so every plan takes the backend's result-pipe fallback.
+WIRE_CELL_SLOT_BYTES = 1024
 
-    Plans are submitted all at once (the pipeline's dispatch pattern)
-    and every result is consumed, so the backend's ``transport_stats``
-    cover exactly these plans.  ``plan_s`` sums the workers' pure
-    planning intervals; ``move_s`` is everything transport adds on top
-    (columnar encode + ring write in the worker, decode in the parent).
-    The pickle cell's transport work happens inside the pool's result
-    pipe where it cannot be instrumented, so its ``move_s`` is measured
-    equivalently parent-side: one ``pickle.dumps`` + ``loads`` round
-    trip per plan — the serialization the pipe performs.
+
+def _measure_transport_cell(scale, batches, workers: int,
+                            transport: str) -> tuple:
+    """Plan ``batches`` on the process backend over one route.
+
+    ``transport="shm"`` is the backend as shipped; ``"wire"`` shrinks
+    the ring's slots below any plan so every plan takes the pipe
+    fallback.  Plans are submitted all at once (the pipeline's dispatch
+    pattern) and every result is consumed, so the backend's
+    ``transport.*`` counters cover exactly these plans.  ``plan_s`` sums
+    the workers' pure planning intervals; ``move_s`` is everything
+    transport adds on top (columnar encode + ring write in the worker,
+    decode in the parent).
+
+    Returns ``(row, pickle_row)``: each delivered plan also takes one
+    parent-side ``pickle.dumps`` + ``loads`` round trip — the
+    serialization a process pool's result pipe performs on an object
+    graph — which is the ``pickle`` baseline row's payload, ``move_s``
+    and fingerprints.
     """
     from repro.core import DCPPlanner
     from repro.pipeline import ProcessPlannerBackend, plan_fingerprint
 
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
-    backend = ProcessPlannerBackend(
-        planner, max_workers=workers, transport=transport
-    )
+    ring = {"slot_bytes": WIRE_CELL_SLOT_BYTES} if transport == "wire" else {}
+    backend = ProcessPlannerBackend(planner, max_workers=workers, **ring)
     try:
         tickets = [
             backend.submit(index, batch)
@@ -723,36 +727,37 @@ def _measure_transport_cell(scale, batches, workers: int,
         pickle_bytes = 0
         pickle_move_s = 0.0
         fingerprints = []
+        pickle_fingerprints = []
         for ticket in tickets:
             plan, start, end = ticket.result()
             plan_s += end - start
             fingerprints.append(plan_fingerprint(plan))
             stamp = time.perf_counter()
             blob = pickle.dumps(plan)
-            pickle.loads(blob)
+            unpickled = pickle.loads(blob)
             pickle_move_s += time.perf_counter() - stamp
             pickle_bytes += len(blob)
-        stats = dict(backend.transport_stats)
+            pickle_fingerprints.append(plan_fingerprint(unpickled))
+        snapshot = backend.metrics.snapshot()
+        stats = {
+            key: snapshot[f"transport.{key}"]["value"]
+            for key in ("plans", "shm_plans", "wire_plans", "payload_bytes",
+                        "encode_s", "write_s", "decode_s")
+        }
         job_payload_bytes = backend.last_job_payload_bytes
         planner_payload_bytes = backend.planner_payload_bytes
-        effective = backend.transport
     finally:
         backend.close()
 
-    if transport == "pickle":
-        payload_bytes = pickle_bytes
-        move_s = pickle_move_s
-    else:
-        payload_bytes = stats["payload_bytes"]
-        move_s = stats["encode_s"] + stats["write_s"] + stats["decode_s"]
+    move_s = stats["encode_s"] + stats["write_s"] + stats["decode_s"]
     row = {
         "transport": transport,
-        "effective_transport": effective,
+        "effective_transport": "shm" if stats["shm_plans"] else "wire",
         "plans": stats["plans"],
         "shm_plans": stats["shm_plans"],
         "wire_plans": stats["wire_plans"],
-        "pickle_plans": stats["pickle_plans"],
-        "payload_bytes": payload_bytes,
+        "pickle_plans": 0,
+        "payload_bytes": stats["payload_bytes"],
         "pickle_bytes": pickle_bytes,
         "plan_s": round(plan_s, 4),
         "encode_s": round(stats["encode_s"], 4),
@@ -764,12 +769,24 @@ def _measure_transport_cell(scale, batches, workers: int,
         "planner_payload_bytes": planner_payload_bytes,
         "fingerprints": fingerprints,
     }
-    print(
-        f"transport={transport:<7} plans={row['plans']} "
-        f"payload={payload_bytes} plan_s={row['plan_s']:.2f} "
-        f"move_s={row['move_s']:.4f} overhead={row['overhead_ratio']}"
-    )
-    return row
+    pickle_row = {
+        **row,
+        "transport": "pickle",
+        "effective_transport": "pickle",
+        "shm_plans": 0,
+        "wire_plans": 0,
+        "pickle_plans": stats["plans"],
+        "payload_bytes": pickle_bytes,
+        "encode_s": 0.0,
+        "write_s": 0.0,
+        "decode_s": 0.0,
+        "move_s": round(pickle_move_s, 4),
+        "overhead_ratio": (
+            round(pickle_move_s / plan_s, 4) if plan_s else None
+        ),
+        "fingerprints": pickle_fingerprints,
+    }
+    return row, pickle_row
 
 
 def run_transport_bench(
@@ -780,12 +797,13 @@ def run_transport_bench(
     workers: int = 4,
     batches=None,
 ) -> Dict:
-    """Pickle vs columnar-wire vs shared-memory plan transport.
+    """Shared-memory ring vs pipe fallback vs the pickle baseline.
 
-    The same batch list is planned through the process backend three
-    times, once per transport, and the plans are checked
-    ``plan_fingerprint``-identical across all three — the transport may
-    only change how bytes move, never what arrives.
+    The same batch list is planned through the process backend twice —
+    once with the default ring, once with a slot no plan fits — and the
+    plans are checked ``plan_fingerprint``-identical across both routes
+    and the pickled round trip: the route may only change how bytes
+    move, never what arrives.
     """
     from repro.bench import BenchScale, PAPER_MASKS, make_batches
 
@@ -801,15 +819,19 @@ def run_transport_bench(
         )[:num_batches]
     batches = list(batches)
 
-    rows = [
-        _measure_transport_cell(scale, batches, workers, transport)
-        for transport in ("pickle", "wire", "shm")
-    ]
+    wire_row, pickle_row = _measure_transport_cell(
+        scale, batches, workers, "wire"
+    )
+    shm_row, _ = _measure_transport_cell(scale, batches, workers, "shm")
+    rows = [pickle_row, wire_row, shm_row]
+    for row in rows:
+        print(
+            f"transport={row['transport']:<7} plans={row['plans']} "
+            f"payload={row['payload_bytes']} plan_s={row['plan_s']:.2f} "
+            f"move_s={row['move_s']:.4f} overhead={row['overhead_ratio']}"
+        )
     prints = [row.pop("fingerprints") for row in rows]
     fingerprints_identical = all(p == prints[0] for p in prints[1:])
-    shm_row = rows[-1]
-    wire_row = rows[1]
-    pickle_row = rows[0]
     wire_vs_pickle = (
         round(wire_row["payload_bytes"] / pickle_row["payload_bytes"], 4)
         if pickle_row["payload_bytes"]
@@ -1026,8 +1048,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--transport",
         action="store_true",
-        help="measure plan transport (pickle vs columnar wire vs shared "
-        "memory) on the process backend; the full run merges into "
+        help="measure plan transport (shared-memory ring vs pipe "
+        "fallback vs a pickle baseline) on the process backend; the "
+        "full run merges into "
         "BENCH_overlap.json under 'transport'",
     )
     parser.add_argument(

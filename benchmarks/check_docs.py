@@ -1,6 +1,6 @@
 """CI gate: the docs tree must track the code and benchmark surface.
 
-Three checks, all cheap and dependency-free:
+Four checks, all cheap and dependency-free:
 
 * every *tracked* benchmark report at the repo root (``BENCH_*.json``,
   excluding ``*.smoke.json`` scratch outputs) is mentioned somewhere
@@ -12,7 +12,11 @@ Three checks, all cheap and dependency-free:
 * every relative markdown link in ``docs/*.md`` and ``README.md``
   resolves to an existing file, so the docs tree cannot silently rot as
   files move (links that escape the repo root — e.g. GitHub badge
-  URLs relative to the hosted repo — are skipped).
+  URLs relative to the hosted repo — are skipped);
+* every backticked symbol reference in ``docs/*.md`` and ``README.md``
+  — a dotted ``repro.…`` name, or a CamelCase name with optional
+  ``.attribute`` — still resolves against the importable ``repro``
+  package, so a deleted or renamed class cannot linger in the docs.
 
 Usage::
 
@@ -22,10 +26,13 @@ Usage::
 from __future__ import annotations
 
 import glob
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS_DIR = os.path.join(REPO_ROOT, "docs")
@@ -34,6 +41,13 @@ DOCS_DIR = os.path.join(REPO_ROOT, "docs")
 #: and external schemes are filtered by the caller.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+
+#: Backticked spans that claim a symbol: ``repro.a.b`` dotted names, and
+#: CamelCase names (two humps or more) with optional ``.attr`` parts; a
+#: trailing call ``(...)`` is ignored.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+DOTTED_RE = re.compile(r"^repro(?:\.\w+)+$")
+CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+(?:\.\w+)*$")
 
 
 def _doc_files() -> List[str]:
@@ -103,6 +117,87 @@ def broken_links() -> List[str]:
     return broken
 
 
+def _repro_names() -> Dict[str, object]:
+    """Every name bound at the top level of any ``repro`` module."""
+    src = os.path.join(REPO_ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    import repro
+
+    names: Dict[str, object] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue  # entry points run on import
+        for name, value in vars(importlib.import_module(info.name)).items():
+            names.setdefault(name, value)
+    return names
+
+
+def _resolves(obj, parts: Sequence[str]) -> bool:
+    """Whether ``obj.<parts...>`` names something that exists.
+
+    An attribute counts when it is set on the module/class, declared
+    as a dataclass field, or assigned as ``self.<name>`` in the class
+    body (instance attributes are not reachable without an instance —
+    resolution stops there).
+    """
+    for part in parts:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        return inspect.isclass(obj) and (
+            part in getattr(obj, "__annotations__", {})
+            or f"self.{part}" in inspect.getsource(obj)
+        )
+    return True
+
+
+def stale_symbols(text: str, names: Optional[Dict[str, object]] = None):
+    """Backticked symbol references in ``text`` that no longer resolve."""
+    if names is None:
+        names = _repro_names()
+    stale: List[str] = []
+    for span in sorted(set(CODE_SPAN_RE.findall(text))):
+        symbol = re.sub(r"\(.*\)$", "", span)
+        parts = symbol.split(".")
+        if DOTTED_RE.match(symbol):
+            # Longest importable module prefix, then attributes.
+            for cut in range(len(parts), 0, -1):
+                try:
+                    module = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                if not _resolves(module, parts[cut:]):
+                    stale.append(span)
+                break
+            else:
+                stale.append(span)
+        elif CAMEL_RE.match(symbol):
+            if parts[0] not in names or not _resolves(
+                names[parts[0]], parts[1:]
+            ):
+                stale.append(span)
+    return stale
+
+
+def stale_symbol_references() -> List[str]:
+    """Stale symbols per file across docs/ and README.md."""
+    names = _repro_names()
+    failures: List[str] = []
+    for path in _doc_files() + [os.path.join(REPO_ROOT, "README.md")]:
+        if not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        rel = os.path.relpath(path, REPO_ROOT)
+        for span in stale_symbols(text, names):
+            failures.append(
+                f"{rel}: `{span}` does not resolve against the repro "
+                f"package (deleted or renamed?)"
+            )
+    return failures
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = []
     if not os.path.isdir(DOCS_DIR) or not _doc_files():
@@ -122,6 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"under docs/ (add it to docs/architecture.md)"
             )
     failures.extend(broken_links())
+    failures.extend(stale_symbol_references())
 
     if failures:
         print(f"{len(failures)} docs freshness check(s) FAILED:")
@@ -131,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"docs ok: {len(tracked_bench_files())} tracked benchmark files "
         f"and {len(repro_packages())} repro packages documented, all "
-        f"relative links resolve"
+        f"relative links and symbol references resolve"
     )
     return 0
 

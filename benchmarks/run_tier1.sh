@@ -128,6 +128,6 @@ fi
 
 echo "== docs freshness =="
 # Every tracked BENCH_*.json and every src/repro/* package must be
-# documented under docs/, and every relative link in docs/ and
-# README.md must resolve.
+# documented under docs/, and every relative link and backticked repro
+# symbol in docs/ and README.md must resolve.
 python benchmarks/check_docs.py

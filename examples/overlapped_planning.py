@@ -1,7 +1,7 @@
 """Hide planning behind execution with the overlap pipeline (§6.1).
 
-Drives :class:`repro.pipeline.OverlapPipeline` over the Fig. 18 sweep
-configuration — background planner workers plan batch ``i + kappa``
+Drives :class:`repro.pipeline.StreamingOverlapPipeline` over the Fig.
+18 sweep configuration — background planner workers plan batch ``i + kappa``
 while batch ``i`` "executes" (the 8B-GPT cost-model iteration time) —
 and prints the *measured* overlap: how much planning was hidden, where
 the stalls were, how often the plan cache short-circuited a worker.
@@ -20,8 +20,8 @@ import os
 from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.core import DCPPlanner, PlanCache, simulate_planning_overlap
 from repro.pipeline import (
-    OverlapPipeline,
     PipelineRunner,
+    StreamingOverlapPipeline,
     cost_model_executor,
 )
 from repro.sim import overlap_chrome_trace
@@ -52,7 +52,7 @@ def main() -> None:
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
     cache = PlanCache(planner, capacity=32)
 
-    pipeline = OverlapPipeline(
+    pipeline = StreamingOverlapPipeline(
         batches,
         planner,
         lookahead=args.kappa,

@@ -33,7 +33,7 @@ from .core import (
 )
 from .masks import make_mask
 from .obs import MetricsRegistry, enable_tracing, get_tracer, span
-from .pipeline import OverlapPipeline, OverlapStats, PipelineRunner
+from .pipeline import OverlapStats, PipelineRunner
 from .sim import ClusterSpec
 
 __version__ = "1.2.0"
@@ -53,7 +53,6 @@ __all__ = [
     "get_tracer",
     "span",
     "ClusterSpec",
-    "OverlapPipeline",
     "OverlapStats",
     "PipelineRunner",
     "__version__",

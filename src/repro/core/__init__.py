@@ -3,7 +3,7 @@
 from .autotune import AutotuneResult, BlockSizeScore, autotune_block_size
 from .cache import PlanAbandoned, PlanCache, batch_signature
 from .config import DCPConfig
-from .dataloader import DCPDataloader, LocalData
+from .dataloader import DCPDataloader, DistributedDataloader, LocalData
 from .groups import GroupedPlan, plan_with_groups, split_batch_by_workload
 from .kvstore import KVClient, KVStore
 from .planner import DCPPlanner, PlanningStats
@@ -16,7 +16,6 @@ from .planwire import (
     encode_plan,
 )
 from .pool import (
-    DistributedDataloader,
     PlannerPool,
     PlanningTimeline,
     min_cores_to_hide_planning,

@@ -7,26 +7,24 @@ planning overlaps with model execution.  Iterating yields
 ``local_data`` maps each device to the token slices it will feed its
 model replica.
 
-Since PR 2 this is a thin wrapper over the overlap pipeline, which owns
-the prefetch window, the worker backends, the plan-cache consult, and
-the measured overlap accounting; :meth:`DCPDataloader.stats` exposes
-the measurement.  Since PR 3 both materialized batch lists and
-unbounded generators (a packer still emitting) route through
-:class:`repro.pipeline.StreamingOverlapPipeline`, which also re-plans
-online when a :class:`~repro.sim.ClusterEventSource` reports device
-add/remove events mid-stream.
+Both dataloader names are the overlap pipeline
+(:class:`repro.pipeline.StreamingOverlapPipeline`), which owns the
+prefetch window, the worker backends, the plan-cache consult, online
+re-planning on :class:`~repro.sim.ClusterEventSource` events and the
+measured overlap accounting (``stats()``): :data:`DCPDataloader` *is*
+that class under the paper's name, so every pipeline keyword applies;
+:func:`DistributedDataloader` builds one whose plans travel through a
+:class:`~repro.core.pool.PlannerPool`'s KV store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, List
 
-from ..blocks import BatchSpec
 from ..scheduling import ExecutionPlan
-from .planner import DCPPlanner
 
-__all__ = ["LocalData", "DCPDataloader"]
+__all__ = ["LocalData", "DCPDataloader", "DistributedDataloader"]
 
 
 @dataclass
@@ -48,71 +46,38 @@ def _local_data(plan: ExecutionPlan) -> Dict[int, LocalData]:
     }
 
 
-class DCPDataloader:
-    """Iterate batches with asynchronously pre-planned configurations.
+# The pipeline yields LocalData, so it imports this module; its import
+# has to follow the definitions above.
+from ..pipeline import KVPlannerBackend, StreamingOverlapPipeline  # noqa: E402
 
-    Parameters
-    ----------
-    batches:
-        Iterable of :class:`BatchSpec` — a materialized list (a dataset
-        already packed into batches; see :mod:`repro.data.batching`) or
-        a generator that is still emitting (a streaming packer; see
-        :func:`repro.data.stream_packed_specs`).  Both route through
-        the streaming pipeline, which never needs an upfront length.
-    planner:
-        A :class:`DCPPlanner` (or any object with ``plan_batch``).
-    lookahead:
-        Number of iterations planned ahead (paper's ``kappa``); 0 plans
-        synchronously.
-    max_workers:
-        Planning parallelism (the paper parallelizes planning across
-        CPU cores).
-    backend:
-        Worker backend: ``"thread"`` (default) or ``"process"``; see
-        :mod:`repro.pipeline.backends`.
-    cache:
-        Optional :class:`~repro.core.cache.PlanCache` consulted before
-        dispatching planner workers.
-    events:
-        Optional :class:`~repro.sim.ClusterEventSource`; device
-        add/remove events invalidate stale cache entries and re-plan
-        the in-flight prefetch window against the new cluster shape.
-    replan_mode:
-        How the window responds to a shape change — ``"delta"``
-        (default: re-plan only the affected jobs, warm-started),
-        ``"window"`` or ``"scratch"``; see
-        :class:`~repro.pipeline.StreamingOverlapPipeline`.
+DCPDataloader = StreamingOverlapPipeline
+
+
+def DistributedDataloader(
+    batches, pool, lookahead: int = 2, per_device_fetch: bool = False, **kwargs
+) -> StreamingOverlapPipeline:
+    """§6.1 dataloader on top of a :class:`~repro.core.pool.PlannerPool`.
+
+    The pipeline with the KV backend: it keeps planning ``lookahead``
+    iterations ahead of execution and yields ``(local_data, plan)``
+    like :data:`DCPDataloader`, but every plan travels through the
+    pool's KV store — the full distribution path
+    (``per_device_fetch``: see
+    :class:`~repro.pipeline.backends.KVPlannerBackend`).  ``kwargs``
+    are the pipeline's own (``events``, ``replan_mode``, ``cache``,
+    ``plan_timeout``, ...).
+
+    ``lookahead == 0`` must still go through the store (the planner
+    lives on a planning machine, not on the devices), so the window is
+    pinned to at least one in-flight KV job; the returned pipeline's
+    ``lookahead`` reports the effective kappa.
     """
-
-    def __init__(
-        self,
-        batches: Iterable[BatchSpec],
-        planner: DCPPlanner,
-        lookahead: int = 2,
-        max_workers: int = 2,
-        backend: str = "thread",
-        cache=None,
-        events=None,
-        replan_mode: str = "delta",
-    ) -> None:
-        from ..pipeline import StreamingOverlapPipeline
-
-        self.planner = planner
-        self.lookahead = lookahead
-        self._pipeline = StreamingOverlapPipeline(
-            batches,
-            planner,
-            lookahead=lookahead,
-            max_workers=max_workers,
-            backend=backend,
-            cache=cache,
-            events=events,
-            replan_mode=replan_mode,
-        )
-
-    def __iter__(self) -> Iterator[Tuple[Dict[int, LocalData], ExecutionPlan]]:
-        return iter(self._pipeline)
-
-    def stats(self):
-        """Measured :class:`~repro.pipeline.OverlapStats` of the run."""
-        return self._pipeline.stats()
+    if lookahead < 0:
+        raise ValueError("lookahead must be non-negative")
+    return StreamingOverlapPipeline(
+        batches,
+        pool.planner,
+        lookahead=max(lookahead, 1),
+        backend=KVPlannerBackend(pool, per_device_fetch=per_device_fetch),
+        **kwargs,
+    )

@@ -6,8 +6,8 @@ Two complementary pieces:
   iterations are assigned round-robin to machines, run on a bounded
   worker pool per machine, and published to the cluster through a
   :class:`~repro.core.kvstore.KVStore` exactly as the paper distributes
-  plans via Redis.  :class:`DistributedDataloader` iterates
-  ``(local_data, plan)`` pairs against the store.
+  plans via Redis.  :func:`~repro.core.dataloader.DistributedDataloader`
+  iterates ``(local_data, plan)`` pairs against the store.
 
 * :func:`simulate_planning_overlap` — the analytic model behind the
   paper's Fig. 18 claim: planning of up to 10 s per batch "can
@@ -25,19 +25,17 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..blocks import BatchSpec
 from ..obs.metrics import MetricsRegistry
 from ..scheduling import ExecutionPlan
-from .dataloader import LocalData
 from .kvstore import KVClient, KVStore
 from .planner import DCPPlanner
 from .planwire import decode_device_payload, encode_device_payload
 
 __all__ = [
     "PlannerPool",
-    "DistributedDataloader",
     "PlanningTimeline",
     "simulate_planning_overlap",
     "min_cores_to_hide_planning",
@@ -59,10 +57,8 @@ def device_key(iteration: int, device: int) -> str:
 
 
 def _device_value(value):
-    """A fetched per-device entry, decoded if stored in wire format."""
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return decode_device_payload(value)[1]
-    return value
+    """Decode a fetched per-device entry (a columnar wire payload)."""
+    return decode_device_payload(value)[1]
 
 
 class PlannerPool:
@@ -84,15 +80,13 @@ class PlannerPool:
         device instead of a single monolithic value, so a consumer can
         pull only its own instruction stream (§6.1 wire accounting:
         every device must receive its plan; per-device fetches charge
-        ``skeleton + own stream`` rather than the whole plan).
-    wire_format:
-        Store per-device streams as columnar wire payloads
-        (:mod:`repro.core.planwire`) instead of pickled
-        :class:`~repro.scheduling.DevicePlan` objects — fewer bytes per
-        stream, and the canonical encoding makes the store's
-        byte-compare delta detection identity-exact.  Defaults to
-        ``partial_plans`` (the monolithic layout keeps the historical
-        pickle).  Fetches decode transparently either way.
+        ``skeleton + own stream`` rather than the whole plan).  The
+        per-device streams are stored as columnar wire payloads
+        (:mod:`repro.core.planwire`) — fewer bytes per stream than a
+        pickled :class:`~repro.scheduling.DevicePlan`, and the
+        canonical encoding makes the store's byte-compare delta
+        detection identity-exact; the monolithic layout keeps the
+        historical pickle.
     retain_iterations:
         Keep at most this many published iterations resident in the
         store: publishing iteration ``i`` deletes every key of
@@ -114,7 +108,6 @@ class PlannerPool:
         num_machines: int = 1,
         cores_per_machine: int = 2,
         partial_plans: bool = False,
-        wire_format: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         retain_iterations: Optional[int] = None,
     ) -> None:
@@ -127,9 +120,6 @@ class PlannerPool:
         self.store = store
         self.num_machines = num_machines
         self.partial_plans = partial_plans
-        self.wire_format = (
-            partial_plans if wire_format is None else bool(wire_format)
-        )
         self.clients = [
             KVClient(store=store, machine=m) for m in range(num_machines)
         ]
@@ -247,18 +237,14 @@ class PlannerPool:
         # Conditional per-device writes: a republication (the delta
         # re-plan path) only moves the streams the re-plan changed;
         # untouched devices keep their version, so consumers holding a
-        # cursor skip them on re-fetch too.  In wire format the stored
-        # value is the canonical columnar payload, so the store's
-        # byte-compare sees exactly what plan_diff sees.
+        # cursor skip them on re-fetch too.  The stored value is the
+        # canonical columnar payload, so the store's byte-compare sees
+        # exactly what plan_diff sees.
         written = unchanged = 0
         for device, device_plan in plan.device_plans.items():
-            value = (
-                encode_device_payload(device, device_plan)
-                if self.wire_format
-                else device_plan
-            )
             _version, changed = client.put_if_changed(
-                device_key(iteration, device), value
+                device_key(iteration, device),
+                encode_device_payload(device, device_plan),
             )
             written += int(changed)
             unchanged += int(not changed)
@@ -454,59 +440,6 @@ class PlannerPool:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
-
-
-class DistributedDataloader:
-    """§6.1 dataloader on top of a :class:`PlannerPool`.
-
-    A thin wrapper over the streaming pipeline
-    (:class:`repro.pipeline.StreamingOverlapPipeline`) with the KV
-    backend: ``batches`` may be a materialized list or an unbounded
-    generator (a packer still emitting); the pipeline keeps planning
-    ``lookahead`` iterations ahead of execution and yields
-    ``(local_data, plan)`` like
-    :class:`~repro.core.dataloader.DCPDataloader`, but every plan
-    travels through the KV store — the full distribution path.  With
-    ``events`` (a :class:`~repro.sim.ClusterEventSource`) mid-stream
-    device add/remove re-plans the prefetch window online.  Overlap
-    measurements are available as :meth:`stats`.
-    """
-
-    def __init__(
-        self,
-        batches: Iterable[BatchSpec],
-        pool: PlannerPool,
-        lookahead: int = 2,
-        events=None,
-        per_device_fetch: bool = False,
-        replan_mode: str = "delta",
-    ) -> None:
-        from ..pipeline import KVPlannerBackend, StreamingOverlapPipeline
-
-        if lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
-        self.pool = pool
-        # lookahead == 0 must still go through the store (the planner
-        # lives on a planning machine, not on the devices), so the
-        # window is pinned to at least one in-flight KV job — matching
-        # the historical loop, which always submitted the next job
-        # before yielding.  The attribute reports the effective kappa.
-        self.lookahead = max(lookahead, 1)
-        self._pipeline = StreamingOverlapPipeline(
-            batches,
-            pool.planner,
-            lookahead=self.lookahead,
-            backend=KVPlannerBackend(pool, per_device_fetch=per_device_fetch),
-            events=events,
-            replan_mode=replan_mode,
-        )
-
-    def __iter__(self) -> Iterator[Tuple[Dict[int, LocalData], object]]:
-        return iter(self._pipeline)
-
-    def stats(self):
-        """Measured :class:`~repro.pipeline.OverlapStats` of the run."""
-        return self._pipeline.stats()
 
 
 # -- analytic overlap model ---------------------------------------------------

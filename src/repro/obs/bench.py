@@ -264,9 +264,9 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
     """
     from repro.core import DCPPlanner, KVStore, PlanCache
     from repro.pipeline import (
-        OverlapPipeline,
         PipelineRunner,
         ProcessPlannerBackend,
+        StreamingOverlapPipeline,
         cost_model_executor,
     )
     from repro.sim import (
@@ -300,7 +300,7 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
             metrics=registry,
         )
         cache = PlanCache(planner, capacity=64, metrics=registry)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             list(batches) * max(cycles, 1), planner, lookahead=2,
             max_workers=2, backend="thread", cache=cache, metrics=registry,
         )
@@ -313,7 +313,7 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
         )
 
         backend = ProcessPlannerBackend(
-            planner, max_workers=2, transport="shm", metrics=registry
+            planner, max_workers=2, metrics=registry
         )
         try:
             tickets = [

@@ -4,31 +4,30 @@ The subsystem that turns the paper's "planning can perfectly overlap
 model execution" claim from an analytic replay
 (:func:`repro.core.pool.simulate_planning_overlap`) into a measurement:
 
-* :class:`OverlapPipeline` — plans batch ``i + kappa`` on background
-  workers while batch ``i`` executes, consulting the thread-safe
+* :class:`StreamingOverlapPipeline` — the one pipeline.  Plans batch
+  ``i + kappa`` on background workers while batch ``i`` executes, over
+  any batch iterable (a list is a finite stream; a packer still
+  emitting is an unbounded one), consulting the thread-safe
   :class:`~repro.core.cache.PlanCache` (through exactly-one-owner
   reservations) before dispatching any worker, respawning workers that
-  raise or hang, and measuring per-iteration hidden vs exposed
-  planning time.
-* :class:`StreamingOverlapPipeline` — the online variant: plans over
-  an unbounded batch iterator (a packer still emitting) and re-plans
-  the prefetch window when a
+  raise or hang, measuring per-iteration hidden vs exposed planning
+  time, and re-planning the prefetch window when a
   :class:`~repro.sim.ClusterEventSource` reports device add/remove
-  events mid-stream.
-* :mod:`~repro.pipeline.backends` — thread-pool (with an optional
-  ``max_concurrent_plans`` GIL-contention throttle), process-pool, and
-  KV-store (:class:`~repro.core.pool.PlannerPool`) planner workers;
-  the KV backend optionally accounts per-device partial plan fetches.
-  Process workers return plans zero-copy: columnar wire bytes
+  events mid-stream (``events=None``: a cluster that never changes).
+* :mod:`~repro.pipeline.backends` — where planning runs: thread-pool,
+  process-pool, KV-store (:class:`~repro.core.pool.PlannerPool`, with
+  optional per-device partial plan fetches) and plan-service workers.
+  Process workers return plans one way: columnar wire bytes
   (:mod:`repro.core.planwire`) deposited in a shared-memory
-  :class:`~repro.pipeline.shm.PlanRing`, with transparent pipe and
-  pickle fallbacks.
+  :class:`~repro.pipeline.shm.PlanRing`, the same bytes over the result
+  pipe when a plan cannot take the ring.
 * :class:`~repro.pipeline.driver.PipelineRunner` — drains a pipeline
   through :class:`~repro.runtime.SimExecutor` (or a cost-model stand-in)
   and reports the measured :class:`OverlapStats` + timeline.
 
-``repro.core.DCPDataloader`` and ``repro.core.DistributedDataloader``
-are thin wrappers over this package.
+``repro.core.DCPDataloader`` is this package's pipeline class under the
+paper's name, and ``repro.core.DistributedDataloader`` builds one over
+the KV backend.
 """
 
 from .backends import (
@@ -37,27 +36,21 @@ from .backends import (
     ProcessPlannerBackend,
     ServicePlannerBackend,
     ThreadPlannerBackend,
-    make_backend,
 )
 from .driver import OverlapReport, PipelineRunner, cost_model_executor
-from .shm import DEFAULT_SLOT_BYTES, PlanRing, ShmUnavailable, \
-    leaked_maps, reclaim_leaked
 from .pipeline import (
+    REPLAN_MODES,
+    ClusterPinnedPlanner,
     IterationRecord,
-    OverlapPipeline,
     OverlapStats,
+    StreamingOverlapPipeline,
     device_payload,
     plan_diff,
     plan_fingerprint,
 )
-from .streaming import (
-    REPLAN_MODES,
-    ClusterPinnedPlanner,
-    StreamingOverlapPipeline,
-)
+from .shm import PlanRing, ShmUnavailable, leaked_maps
 
 __all__ = [
-    "OverlapPipeline",
     "StreamingOverlapPipeline",
     "ClusterPinnedPlanner",
     "REPLAN_MODES",
@@ -71,12 +64,9 @@ __all__ = [
     "ProcessPlannerBackend",
     "KVPlannerBackend",
     "ServicePlannerBackend",
-    "make_backend",
     "PlanRing",
     "ShmUnavailable",
-    "DEFAULT_SLOT_BYTES",
     "leaked_maps",
-    "reclaim_leaked",
     "OverlapReport",
     "PipelineRunner",
     "cost_model_executor",

@@ -10,17 +10,14 @@ parent's).  Three implementations:
 * :class:`ThreadPlannerBackend` — planner workers on a thread pool in
   this process.  The planner releases the GIL inside numpy, so real
   overlap with (simulated) execution is achieved in practice; this is
-  the default.  ``max_concurrent_plans`` bounds how many plans run at
-  once: with many workers, pure-Python planner phases contend on the
-  GIL and a plan's wall time can ~2x, so capping concurrency below the
-  worker count trades queueing for per-plan latency.
+  the default.
 * :class:`ProcessPlannerBackend` — planner workers in separate
   processes, the paper's "parallelized with more than 10 CPU cores"
   configuration.  The planner ships to each worker once (fork
   inheritance or the pool initializer), never per job, and finished
   plans return through a zero-copy shared-memory ring in the columnar
-  wire format (:mod:`repro.core.planwire`), falling back to
-  wire-bytes-over-pipe and plain pickle transparently.
+  wire format (:mod:`repro.core.planwire`), falling back per plan to
+  the same bytes over the result pipe.
 * :class:`KVPlannerBackend` — planning through a
   :class:`~repro.core.pool.PlannerPool`: jobs fan out round-robin
   across (simulated) machines and plans return via the KV store,
@@ -122,60 +119,28 @@ def _timed_plan(planner, batch) -> Tuple:
 
 
 class ThreadPlannerBackend:
-    """Planner workers on an in-process thread pool.
+    """Planner workers on an in-process thread pool."""
 
-    ``max_concurrent_plans`` (optional) is a semaphore over the plan
-    bodies: at most that many plans make progress at once even when
-    more workers are available, bounding GIL contention between
-    concurrent planner phases.  ``None`` leaves the historical
-    behavior (every worker plans freely).
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        planner,
-        max_workers: int = 2,
-        max_concurrent_plans: Optional[int] = None,
-    ) -> None:
+    def __init__(self, planner, max_workers: int = 2) -> None:
         if max_workers < 1:
             raise ValueError("need at least one planner worker")
-        if max_concurrent_plans is not None and max_concurrent_plans < 1:
-            raise ValueError("max_concurrent_plans must be positive")
         self.planner = planner
-        self.max_workers = max_workers
-        self.max_concurrent_plans = max_concurrent_plans
-        self._throttle = (
-            threading.BoundedSemaphore(max_concurrent_plans)
-            if max_concurrent_plans is not None
-            else None
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="dcp-plan"
         )
 
-    def _job(self, planner, batch) -> Tuple:
-        if self._throttle is None:
-            return _timed_plan(planner, batch)
-        with self._throttle:
-            return _timed_plan(planner, batch)
-
     def submit(self, index: int, batch, planner=None) -> PlanTicket:
         job_planner = planner if planner is not None else self.planner
-        return PlanTicket(self._pool.submit(self._job, job_planner, batch))
+        return PlanTicket(self._pool.submit(_timed_plan, job_planner, batch))
 
     def resubmit(self, index: int, batch, planner=None) -> PlanTicket:
         """Respawn a job whose previous worker raised or hung.
 
         Runs on a dedicated daemon thread rather than the pool: a hung
         worker cannot be killed, so it permanently occupies its pool
-        thread (and its ``max_concurrent_plans`` slot) — a respawn
-        queued behind it would hang exactly the same way.  The escape
-        thread bypasses both, so recovery works even with every pool
-        worker wedged; the throttle is intentionally not honored here
-        (bounded-contention is a performance preference, recovery is
-        correctness).
+        thread — a respawn queued behind it would hang exactly the same
+        way.  The escape thread bypasses the pool, so recovery works
+        even with every pool worker wedged.
         """
         job_planner = planner if planner is not None else self.planner
         future: Future = Future()
@@ -198,14 +163,13 @@ class ThreadPlannerBackend:
 
 
 #: Per-worker state installed by :func:`_plan_worker_init`: the planner
-#: (shipped once per worker, never per job), the transport mode, and
-#: the attached plan ring (``None`` outside shm transport).
+#: (shipped once per worker, never per job) and the attached plan ring
+#: (``None`` when shared memory is unavailable).
 _WORKER_STATE: dict = {}
 
 
-def _plan_worker_init(planner, ring_spec, transport: str) -> None:
+def _plan_worker_init(planner, ring_spec) -> None:
     _WORKER_STATE["planner"] = planner
-    _WORKER_STATE["transport"] = transport
     ring = None
     if ring_spec is not None:
         try:
@@ -216,31 +180,27 @@ def _plan_worker_init(planner, ring_spec, transport: str) -> None:
 
 
 def _transport_plan(batch, slot, override=None) -> Tuple:
-    """Worker-side job: plan, then move the plan by the cheapest path.
+    """Worker-side job: plan, encode, move the bytes by the cheapest path.
 
     Returns ``(kind, payload, start, end, encode_s, write_s, nbytes)``
-    where ``kind`` is ``"shm"`` (payload = slot index, bytes already in
-    the ring), ``"wire"`` (payload = columnar bytes over the result
-    pipe), or ``"pickle"`` (payload = the plan object itself; the pipe
-    pickles it).  ``start``/``end`` bracket pure planning time only, so
-    plan intervals stay comparable across transports.
+    where ``kind`` is ``"shm"`` (the bytes sit in ring slot ``slot``;
+    payload is ``None``) or ``"wire"`` (payload = the columnar bytes,
+    travelling over the result pipe).  ``start``/``end`` bracket pure
+    planning time only, so plan intervals stay comparable across both
+    routes.
     """
     planner = override if override is not None else _WORKER_STATE["planner"]
-    transport = _WORKER_STATE.get("transport", "pickle")
     start = time.perf_counter()
     plan = planner.plan_batch(batch)
     end = time.perf_counter()
-    if transport == "pickle":
-        return "pickle", plan, start, end, 0.0, 0.0, 0
-    stamp = time.perf_counter()
     blob = encode_plan(plan).to_bytes()
-    encode_s = time.perf_counter() - stamp
+    encode_s = time.perf_counter() - end
     ring = _WORKER_STATE.get("ring")
     if slot is not None and ring is not None:
         stamp = time.perf_counter()
         if ring.write(slot, blob):
             write_s = time.perf_counter() - stamp
-            return "shm", slot, start, end, encode_s, write_s, len(blob)
+            return "shm", None, start, end, encode_s, write_s, len(blob)
     return "wire", blob, start, end, encode_s, 0.0, len(blob)
 
 
@@ -248,74 +208,51 @@ class ProcessPlannerBackend:
     """Planner workers in separate processes (no GIL sharing at all).
 
     The planner ships to each worker exactly once — inherited by
-    ``fork`` or pickled through the pool initializer under
-    ``forkserver``/``spawn`` — so a job carries only its batch (plus a
-    slot index); :attr:`last_job_payload_bytes` tracks that and the
-    regression tests pin it.  Finished plans come back per
-    ``transport``:
+    ``fork`` where the platform has it (planners defined anywhere, in
+    tests or scripts, keep working), pickled through the pool
+    initializer under ``spawn`` otherwise — so a job carries only its
+    batch (plus a slot index); :attr:`last_job_payload_bytes` tracks
+    that and the regression tests pin it.
 
-    * ``"shm"`` (default) — columnar wire bytes deposited in a
-      :class:`~repro.pipeline.shm.PlanRing` slot reserved by the parent
-      at submit time; the parent decodes straight out of shared memory.
-      Falls back per plan to ``"wire"`` when the ring is full or a plan
-      outgrows its slot, and at construction when shm is unavailable.
-    * ``"wire"`` — columnar bytes over the result pipe (one extra
-      copy, no shared memory).
-    * ``"pickle"`` — the historical object-graph round-trip.
+    Finished plans come back one way: columnar wire bytes
+    (:mod:`repro.core.planwire`) deposited in a
+    :class:`~repro.pipeline.shm.PlanRing` slot reserved by the parent
+    at submit time; the parent decodes straight out of shared memory.
+    The same bytes travel over the result pipe instead (one extra copy)
+    when shared memory is unavailable, the ring is full at submit time,
+    or a plan outgrows its slot.
 
-    :attr:`transport_stats` accumulates per-plan payload bytes and
-    encode/write/decode seconds — the transport-overhead numbers the
-    ``--transport`` benchmark cell and its floor gate.  The numbers
-    live in ``transport.*`` registry counters (:attr:`metrics`);
-    :attr:`transport_stats` is a dict-shaped view over them.  With
-    tracing enabled the encode/write/decode intervals also land on the
-    Perfetto timeline: decode is measured in the parent, encode/write
-    are synthesized from the worker-reported durations anchored at the
-    plan-end stamp (``perf_counter`` is process-shared on Linux, which
-    the transport's latency stamps already rely on).
+    Per-plan payload bytes and encode/write/decode seconds accumulate
+    in ``transport.*`` registry counters (:attr:`metrics`:
+    ``plans``, ``shm_plans``, ``wire_plans``, ``payload_bytes``,
+    ``encode_s``, ``write_s``, ``decode_s``) — the transport-overhead
+    numbers the ``--transport`` benchmark cell and its floor gate.
+    With tracing enabled the encode/write/decode intervals also land on
+    the Perfetto timeline: decode is measured in the parent,
+    encode/write are synthesized from the worker-reported durations
+    anchored at the plan-end stamp (``perf_counter`` is process-shared
+    on Linux, which the transport's latency stamps already rely on).
     """
-
-    name = "process"
-
-    TRANSPORTS = ("shm", "wire", "pickle")
 
     def __init__(
         self,
         planner,
         max_workers: int = 2,
-        transport: str = "shm",
-        mp_start: str = "auto",
         ring_slots: Optional[int] = None,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("need at least one planner worker")
-        if transport not in self.TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; use one of "
-                f"{self.TRANSPORTS}"
-            )
         self.planner = planner
-        self.max_workers = max_workers
-        self.requested_transport = transport
-        if mp_start == "auto":
-            # ``fork`` keeps planners defined anywhere (tests, scripts)
-            # workable and ships the planner by page sharing;
-            # ``forkserver``/``spawn`` need an importable planner.
-            methods = multiprocessing.get_all_start_methods()
-            mp_start = "fork" if "fork" in methods else "spawn"
-        self.mp_start = mp_start
         self._ring: Optional[PlanRing] = None
-        if transport == "shm":
-            try:
-                self._ring = PlanRing.create(
-                    slots=ring_slots or max(2 * max_workers + 2, 4),
-                    slot_bytes=slot_bytes,
-                )
-            except ShmUnavailable:
-                transport = "wire"
-        self.transport = transport
+        try:
+            self._ring = PlanRing.create(
+                slots=ring_slots or max(2 * max_workers + 2, 4),
+                slot_bytes=slot_bytes,
+            )
+        except ShmUnavailable:
+            pass  # every plan takes the pipe route
         try:
             #: One-time cost of shipping the planner (what the old
             #: backend paid per job; ``fork`` does not even pay it once).
@@ -333,28 +270,24 @@ class ProcessPlannerBackend:
                 "plans",
                 "shm_plans",
                 "wire_plans",
-                "pickle_plans",
                 "payload_bytes",
                 "encode_s",
                 "write_s",
                 "decode_s",
             )
         }
-        ring_spec = self._ring.spec() if self._ring is not None else None
+        methods = multiprocessing.get_all_start_methods()
         self._pool = ProcessPoolExecutor(
             max_workers=max_workers,
-            mp_context=multiprocessing.get_context(self.mp_start),
+            mp_context=multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            ),
             initializer=_plan_worker_init,
-            initargs=(planner, ring_spec, self.transport),
+            initargs=(
+                planner,
+                self._ring.spec() if self._ring is not None else None,
+            ),
         )
-
-    @property
-    def transport_stats(self) -> dict:
-        """Historical dict shape, served from the ``transport.*`` counters."""
-        return {
-            key: counter.value
-            for key, counter in self._transport_counters.items()
-        }
 
     def _account_submit(self, batch, slot, override) -> None:
         try:
@@ -373,34 +306,25 @@ class ProcessPlannerBackend:
                 kind, payload, start, end, encode_s, write_s, nbytes = (
                     done.result()
                 )
-            except BaseException as exc:
-                if slot is not None and self._ring is not None:
-                    self._ring.free(slot)
-                wrapper.set_exception(exc)
-                return
-            decode_s = 0.0
-            decode_start = 0.0
-            try:
+                decode_start = time.perf_counter()
                 if kind == "shm":
-                    stamp = decode_start = time.perf_counter()
-                    view = self._ring.read(payload)
+                    view = self._ring.read(slot)
                     try:
                         plan = decode_plan(view)
                     finally:
                         view.release()
-                    self._ring.free(payload)
-                    decode_s = time.perf_counter() - stamp
-                elif kind == "wire":
-                    if slot is not None and self._ring is not None:
-                        self._ring.free(slot)
-                    stamp = decode_start = time.perf_counter()
-                    plan = decode_plan(payload)
-                    decode_s = time.perf_counter() - stamp
                 else:
-                    plan = payload
+                    plan = decode_plan(payload)
+                decode_s = time.perf_counter() - decode_start
             except BaseException as exc:
                 wrapper.set_exception(exc)
                 return
+            finally:
+                # Whatever happened — worker raised, torn read, decode
+                # error — the slot goes back, or it is lost for the life
+                # of the backend.
+                if slot is not None:
+                    self._ring.free(slot)
             counters = self._transport_counters
             counters["plans"].inc()
             counters[f"{kind}_plans"].inc()
@@ -435,7 +359,12 @@ class ProcessPlannerBackend:
 
     def submit(self, index: int, batch, planner=None) -> PlanTicket:
         slot = self._ring.reserve() if self._ring is not None else None
-        inner = self._pool.submit(_transport_plan, batch, slot, planner)
+        try:
+            inner = self._pool.submit(_transport_plan, batch, slot, planner)
+        except BaseException:
+            if slot is not None:
+                self._ring.free(slot)  # broken/closed pool: no job owns it
+            raise
         self._account_submit(batch, slot, planner)
         return PlanTicket(self._wrap(inner, slot))
 
@@ -462,8 +391,6 @@ class KVPlannerBackend:
     and accumulates the §6.1 consumer wire bytes in
     :attr:`consumer_wire_bytes`.
     """
-
-    name = "kv"
 
     #: Per-iteration consumer fetch cursors retained for delta
     #: re-fetches.  A re-dispatched job re-publishes its iteration and
@@ -588,15 +515,12 @@ class ServicePlannerBackend:
     other tenants' cache entries for the same signature.
     """
 
-    name = "service"
-
     def __init__(self, service, tenant: str = "pipeline",
-                 own_service: bool = False, max_workers: int = 2) -> None:
+                 max_workers: int = 2) -> None:
         if max_workers < 1:
             raise ValueError("need at least one fetch worker")
         self.service = service
         self.tenant = tenant
-        self.own_service = own_service
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="dcp-svc-fetch"
         )
@@ -616,21 +540,14 @@ class ServicePlannerBackend:
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
-        if self.own_service:
-            self.service.close()
 
 
-def make_backend(backend, planner, max_workers: int = 2,
-                 max_concurrent_plans: Optional[int] = None):
+def make_backend(backend, planner, max_workers: int = 2):
     """Resolve a backend spec: a name, a backend object, or ``None``."""
     if backend is None or not isinstance(backend, str):
         return backend
     if backend == "thread":
-        return ThreadPlannerBackend(
-            planner,
-            max_workers=max_workers,
-            max_concurrent_plans=max_concurrent_plans,
-        )
+        return ThreadPlannerBackend(planner, max_workers=max_workers)
     if backend == "process":
         return ProcessPlannerBackend(planner, max_workers=max_workers)
     raise ValueError(

@@ -1,4 +1,4 @@
-"""Drive an :class:`OverlapPipeline` through real or modelled execution.
+"""Drive the overlap pipeline through real or modelled execution.
 
 The pipeline measures execution as "time the consumer spends between
 yields"; this module supplies the consumers:
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..core.pool import PlanningTimeline
-from .pipeline import OverlapPipeline, OverlapStats
+from .pipeline import OverlapStats, StreamingOverlapPipeline
 
 __all__ = ["OverlapReport", "PipelineRunner", "cost_model_executor"]
 
@@ -45,7 +45,7 @@ class PipelineRunner:
     Parameters
     ----------
     pipeline:
-        The :class:`OverlapPipeline` to drain.
+        The :class:`StreamingOverlapPipeline` to drain.
     execute:
         ``execute(local_data, plan) -> dict`` callback doing the
         iteration's work; defaults to a full
@@ -64,7 +64,7 @@ class PipelineRunner:
 
     def __init__(
         self,
-        pipeline: OverlapPipeline,
+        pipeline: StreamingOverlapPipeline,
         execute: Optional[Callable] = None,
         seed: int = 0,
         on_iteration: Optional[Callable[[int, dict], None]] = None,

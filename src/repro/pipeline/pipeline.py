@@ -1,15 +1,25 @@
 """Background planning pipeline that hides planner latency (§6.1).
 
-:class:`OverlapPipeline` is the measured counterpart of
+:class:`StreamingOverlapPipeline` is the measured counterpart of
 :func:`repro.core.pool.simulate_planning_overlap`: instead of replaying
 an analytic model, it actually plans batch ``i + kappa`` on background
 planner workers while batch ``i`` executes, and records what fraction
-of planning time was genuinely hidden behind execution.
+of planning time was genuinely hidden behind execution.  It is the one
+pipeline: the batch source is any iterable — a materialized list is a
+finite stream, a packer still emitting
+(:func:`repro.data.stream_packed_specs`, optionally driven by one of
+the bounded-reordering-buffer streaming packers in
+:data:`repro.data.STREAM_PACKERS`) an unbounded one — and the cluster
+shape is either fixed (``events=None``) or a live feed of device
+add/remove events (:class:`~repro.sim.ClusterEventSource`).
 
 Mechanics
 ---------
 A bounded prefetch window of ``lookahead + 1`` planning jobs runs ahead
-of the consumer.  Each iteration the pipeline
+of the consumer, pulling the source lazily — an unbounded generator is
+consumed exactly ``kappa + 1`` batches ahead of execution, so planning
+overlaps both execution *and* the packer's own emission.  Each
+iteration the pipeline
 
 1. notes when the consumer comes back for the next batch (everything
    since the previous yield was *execution* time),
@@ -32,30 +42,77 @@ a last resort, so a flaky worker costs a stall, never a deadlocked
 prefetch window.  Retries are counted in ``OverlapStats.plan_retries``.
 
 Every yielded plan carries ``plan.meta["overlap"]`` (the iteration's
-measured record plus running stats) and :meth:`OverlapPipeline.stats`
-returns the aggregate :class:`OverlapStats`; the per-iteration timeline
-is exposed as a :class:`~repro.core.pool.PlanningTimeline`, the same
-shape the analytic model produces, so measurement and model plot on one
-axis.
+measured record plus running stats) and
+:meth:`StreamingOverlapPipeline.stats` returns the aggregate
+:class:`OverlapStats`; the per-iteration timeline is exposed as a
+:class:`~repro.core.pool.PlanningTimeline`, the same shape the analytic
+model produces, so measurement and model plot on one axis.
 
 Cached plans are shared objects: when the same plan is yielded for
 several iterations (cache hits, deduplicated signatures), its
 ``meta["overlap"]`` reflects the *latest* of those iterations — the
 same latest-wins convention ``meta["plan_cache"]`` already follows.
 The authoritative per-iteration history is
-:attr:`OverlapPipeline.records` / :meth:`OverlapPipeline.stats`, which
-record every iteration regardless of plan identity.
+:attr:`StreamingOverlapPipeline.records` /
+:meth:`StreamingOverlapPipeline.stats`, which record every iteration
+regardless of plan identity.
 
-The streaming/online variant (unbounded batch iterators, mid-stream
-cluster-shape changes) lives in
-:class:`~repro.pipeline.streaming.StreamingOverlapPipeline`, which
-specializes the ``_signature`` / ``_plan_inline`` / ``_job_planner`` /
-``_poll_events`` hooks this class defines.
+Cluster events
+--------------
+With an event source:
+
+* Plan-cache signatures are extended with the cluster shape the plan
+  targets, so a plan for yesterday's cluster can never satisfy today's
+  lookup.  Without one the shape cannot change and the base keyspace is
+  kept — a cache warmed through ``plan_batch`` keeps hitting.
+* Between iterations the pipeline observes the event source.  On a
+  shape change it invalidates every cached entry (and releases every
+  in-flight reservation) for a stale shape and then responds according
+  to ``replan_mode`` (below).  Events are observed at iteration
+  granularity — the §6.1 pipeline only ever consumes plans between
+  iterations, so that is exactly when a shape change can take effect.
+* Worker jobs (and inline fallbacks) ship a
+  :class:`ClusterPinnedPlanner` so a re-planned job targets the event's
+  shape even though the shared planner object keeps its configured
+  cluster.  Re-planning therefore requires a planner whose
+  ``plan_batch`` accepts a ``cluster`` keyword
+  (:class:`~repro.core.planner.DCPPlanner` does); without an event
+  source any ``plan_batch`` object works.
+
+Delta re-planning (``replan_mode``)
+-----------------------------------
+Re-dispatching the *whole* prefetch window on every cluster event — the
+original behavior, kept as ``replan_mode="scratch"`` — breaks the §6.1
+promise exactly when it matters: a device loss causes ``kappa + 1``
+cold plans in a burst.  The default ``"delta"`` mode instead classifies
+every window job against the new shape:
+
+* a job whose plan has already settled and is *compatible* with the
+  new cluster (places nothing on vanished devices; see
+  :func:`~repro.scheduling.plan_compatible`) is **reused**: the plan is
+  rebound onto the new shape in O(devices) dictionary work
+  (:func:`~repro.scheduling.rebind_plan`), its cache entry survives
+  under the new-shape signature, and no planner runs at all
+  (``OverlapStats.replan_jobs_reused``);
+* an affected job is re-dispatched **warm**: the previous placement
+  labels ride along (``plan.meta["placement"]``) and the placement
+  stage repairs + refines them instead of partitioning from scratch
+  (``OverlapStats.partial_replans``);
+* a job still in flight (no settled plan to classify or warm-start
+  from) is re-dispatched cold.
+
+``replan_mode="window"`` re-dispatches every window job through the
+same warm primitive — the brute-force baseline that the delta property
+tests compare against: delta and window runs must yield
+fingerprint-identical plans, proving the reuse shortcut sound.
+``"scratch"`` re-plans everything cold (pre-delta semantics; also the
+cost baseline the delta-vs-whole-window benchmark measures against).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from collections import deque
 from concurrent.futures import CancelledError
@@ -64,14 +121,20 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.cache import PlanCache, batch_signature
 from ..core.dataloader import LocalData, _local_data
+from ..core.planwire import encode_device_payload
 from ..core.pool import PlanningTimeline
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import add_span as _add_span
 from ..obs.trace import tracing_enabled as _tracing
+from ..scheduling import plan_compatible, rebind_plan
+from ..sim.cluster import ClusterEventSource, ClusterSpec
 from .backends import CompletedTicket, PlanTicket, SharedPlanTicket, make_backend
 
-__all__ = ["OverlapPipeline", "OverlapStats", "IterationRecord",
+__all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner", "REPLAN_MODES",
+           "OverlapStats", "IterationRecord",
            "plan_fingerprint", "plan_diff", "device_payload"]
+
+REPLAN_MODES = ("delta", "window", "scratch")
 
 #: Waits shorter than this (seconds) are queue bookkeeping, not stalls.
 #: Overridable for environments whose bookkeeping is artificially slow
@@ -101,13 +164,16 @@ class IterationRecord:
 
     @property
     def plan_s(self) -> float:
+        """Planner seconds attributed to this iteration."""
         return self.plan_end - self.plan_start
 
     @property
     def exec_s(self) -> float:
+        """Seconds the consumer held this iteration's plan."""
         return self.exec_end - self.exec_start
 
     def as_dict(self) -> dict:
+        """The ``plan.meta["overlap"]`` view of this record."""
         return {
             "index": self.index,
             "plan_s": self.plan_s,
@@ -131,8 +197,8 @@ class OverlapStats:
     claim is about steady state.
 
     ``replans`` counts prefetch-window jobs re-dispatched because a
-    cluster-shape event invalidated their target shape (streaming
-    mode); ``cluster_events`` counts the events themselves and
+    cluster-shape event invalidated their target shape;
+    ``cluster_events`` counts the events themselves and
     ``plan_retries`` the worker respawns after failures or hangs.
 
     Delta re-planning splits the event response further:
@@ -167,12 +233,14 @@ class OverlapStats:
 
     @property
     def hidden_fraction(self) -> float:
+        """Share of planner time execution absorbed (1.0: all hidden)."""
         if self.total_plan_s <= 0.0:
             return 1.0
         return max(1.0 - self.total_stall_s / self.total_plan_s, 0.0)
 
     @property
     def steady_hidden_fraction(self) -> float:
+        """:attr:`hidden_fraction` without the cold first iteration."""
         if self.steady_plan_s <= 0.0:
             return 1.0
         return max(1.0 - self.steady_stall_s / self.steady_plan_s, 0.0)
@@ -188,6 +256,7 @@ class OverlapStats:
         )
 
     def as_dict(self) -> dict:
+        """JSON-ready aggregates (no per-iteration records)."""
         return {
             "iterations": self.iterations,
             "total_plan_s": self.total_plan_s,
@@ -233,7 +302,33 @@ class _Pending:
     epoch: int = 0
 
 
-class OverlapPipeline:
+@dataclass(frozen=True)
+class ClusterPinnedPlanner:
+    """Planner façade that targets one specific cluster shape.
+
+    Shipped with worker jobs (it pickles, so the process backend works)
+    so that plans dispatched after a cluster event target the event's
+    shape while the wrapped planner keeps its own configured cluster.
+    ``warm`` optionally carries the previous placement's
+    ``(slice_device, comp_device)`` labels: re-planned jobs start from
+    the placement they had before the event instead of partitioning
+    from scratch.
+    """
+
+    planner: object
+    cluster: ClusterSpec
+    warm: Optional[Tuple] = field(default=None, compare=False)
+
+    def plan_batch(self, batch):
+        """Plan ``batch`` against the pinned cluster (warm if labels ride)."""
+        if self.warm is not None:
+            return self.planner.plan_batch(
+                batch, cluster=self.cluster, warm=self.warm
+            )
+        return self.planner.plan_batch(batch, cluster=self.cluster)
+
+
+class StreamingOverlapPipeline:
     """Iterate ``(local_data, plan)`` with background look-ahead planning.
 
     Parameters
@@ -258,6 +353,21 @@ class OverlapPipeline:
         Optional :class:`~repro.core.cache.PlanCache` consulted before
         any worker is dispatched; planned misses are inserted back.
         The cache's planner is ignored — supply the same planner here.
+    events:
+        Optional :class:`~repro.sim.ClusterEventSource`.  When given,
+        the pipeline observes it between iterations; device add/remove
+        events invalidate stale :class:`~repro.core.cache.PlanCache`
+        entries and re-plan the in-flight prefetch window against the
+        new shape.
+    replan_mode:
+        How the prefetch window responds to a shape change:
+        ``"delta"`` (default) re-dispatches only the jobs the event
+        actually affects, reusing compatible plans and warm-starting
+        the rest from their previous placement; ``"window"``
+        re-dispatches every window job through the same warm primitive
+        (the brute-force baseline delta must match fingerprint for
+        fingerprint); ``"scratch"`` re-plans the whole window cold (the
+        pre-delta behavior).
     plan_timeout:
         Seconds to wait on a single planning attempt before treating
         the worker as hung and respawning the job (``None``: wait
@@ -265,17 +375,14 @@ class OverlapPipeline:
     max_plan_retries:
         Worker respawns per job before the pipeline gives up on the
         backend and plans the batch inline.
-    max_concurrent_plans:
-        Thread-backend throttle; see
-        :class:`~repro.pipeline.backends.ThreadPlannerBackend`.
     records_limit:
         Keep only the most recent N :class:`IterationRecord` objects
-        (``None``: keep all, the fixed-stream default).  Aggregate
-        statistics stay exact either way — they are maintained
-        incrementally — so an unbounded serving stream can run forever
-        in O(1) memory while :meth:`stats` still reports true totals;
-        only the per-record history (and hence ``stats().timeline()``)
-        is truncated to the retained tail.
+        (``None``: keep all).  Aggregate statistics stay exact either
+        way — they are maintained incrementally — so an unbounded
+        serving stream can run forever in O(1) memory while
+        :meth:`stats` still reports true totals; only the per-record
+        history (and hence ``stats().timeline()``) is truncated to the
+        retained tail.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         the pipeline's plan-fetch latency histograms
@@ -293,31 +400,39 @@ class OverlapPipeline:
         max_workers: int = 2,
         backend="thread",
         cache: Optional[PlanCache] = None,
+        events: Optional[ClusterEventSource] = None,
+        replan_mode: str = "delta",
         plan_timeout: Optional[float] = None,
         max_plan_retries: int = 2,
-        max_concurrent_plans: Optional[int] = None,
         records_limit: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        """See the class docstring for every parameter."""
         if lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         if max_plan_retries < 0:
             raise ValueError("max_plan_retries must be non-negative")
         if records_limit is not None and records_limit < 1:
             raise ValueError("records_limit must be positive")
+        if replan_mode not in REPLAN_MODES:
+            raise ValueError(
+                f"unknown replan_mode {replan_mode!r}; use one of "
+                f"{REPLAN_MODES}"
+            )
         self.planner = planner
         self.lookahead = lookahead
         self.cache = cache
+        self.events = events
+        self.replan_mode = replan_mode
         self.plan_timeout = plan_timeout
         self.max_plan_retries = max_plan_retries
+        self._cluster: Optional[ClusterSpec] = (
+            events.current if events is not None else None
+        )
+        self._events_seen = events.version if events is not None else 0
         self._batches = iter(batches)
         self._backend = (
-            make_backend(
-                backend,
-                planner,
-                max_workers=max_workers,
-                max_concurrent_plans=max_concurrent_plans,
-            )
+            make_backend(backend, planner, max_workers=max_workers)
             if lookahead > 0
             else None
         )
@@ -368,24 +483,24 @@ class OverlapPipeline:
         epoch (:func:`repro.sim.merge_chrome_traces`)."""
         return self._origin
 
-    # -- hooks (specialized by the streaming pipeline) ---------------------
-
-    def _signature(self, batch) -> Tuple:
-        """Cache identity of ``batch`` for this pipeline's plans."""
-        return batch_signature(batch)
-
-    def _plan_inline(self, batch):
-        """Synchronous planning in the consumer thread."""
-        return self.planner.plan_batch(batch)
-
-    def _job_planner(self):
-        """Planner override shipped with worker jobs (None: backend's)."""
-        return None
-
-    def _poll_events(self) -> None:
-        """Apply externally observed state changes (streaming mode)."""
-
     # -- submission --------------------------------------------------------
+
+    def _cache_key(self, batch) -> Tuple:
+        """Cache identity of ``batch`` for this pipeline's plans."""
+        base = batch_signature(batch)
+        if self.events is None:
+            # Without an event source the shape cannot change, so keep
+            # the base keyspace — a cache warmed through plan_batch or
+            # shared with another event-less pipeline keeps hitting.
+            return base
+        return (self._cluster, base)
+
+    def _pinned(self, warm=None) -> Optional[ClusterPinnedPlanner]:
+        """Planner shipped with jobs: pinned to the live cluster shape
+        under an event source, ``None`` (the backend's own) without."""
+        if self.events is None:
+            return None
+        return ClusterPinnedPlanner(self.planner, self._cluster, warm=warm)
 
     def _submit(
         self,
@@ -396,16 +511,15 @@ class OverlapPipeline:
     ) -> _Pending:
         """Reserve/dispatch planning of ``batch`` for window slot ``index``.
 
-        ``planner`` overrides :meth:`_job_planner` for this dispatch
-        only — the delta re-planner ships re-dispatched jobs a
-        cluster-pinned planner carrying the previous placement as a
-        warm start.
+        ``planner`` overrides :meth:`_pinned` for this dispatch only —
+        the delta re-planner ships re-dispatched jobs a cluster-pinned
+        planner carrying the previous placement as a warm start.
         """
         now = self._now()
         signature = None
         epoch = 0
         if self.cache is not None:
-            signature = self._signature(batch)
+            signature = self._cache_key(batch)
             # The epoch comes from the same lock acquisition as the
             # claim, so this cohort's publish/abandon always matches.
             status, payload, epoch = self.cache.reserve(signature)
@@ -432,7 +546,7 @@ class OverlapPipeline:
         dispatch = (
             self._backend.resubmit if redispatch else self._backend.submit
         )
-        job_planner = planner if planner is not None else self._job_planner()
+        job_planner = planner if planner is not None else self._pinned()
         ticket = dispatch(index, batch, planner=job_planner)
         if signature is not None:
             self._bridge_reservation(ticket, signature, epoch)
@@ -477,7 +591,7 @@ class OverlapPipeline:
         if item.ticket is None:  # synchronous path (lookahead == 0)
             start_abs = time.perf_counter()
             try:
-                plan = self._plan_inline(item.batch)
+                plan = (self._pinned() or self.planner).plan_batch(item.batch)
             except BaseException as exc:
                 if item.signature is not None:
                     self.cache.abandon(item.signature, exc, epoch=item.epoch)
@@ -501,7 +615,7 @@ class OverlapPipeline:
                 self.plan_retries += 1
                 if attempts <= self.max_plan_retries and self._backend is not None:
                     item.ticket = self._backend.resubmit(
-                        item.index, item.batch, planner=self._job_planner()
+                        item.index, item.batch, planner=self._pinned()
                     )
                     item.joined = False
                     continue
@@ -511,7 +625,7 @@ class OverlapPipeline:
                 # had joined someone else's (now failed) job.
                 item.joined = False
                 start = time.perf_counter()
-                plan = self._plan_inline(item.batch)
+                plan = (self._pinned() or self.planner).plan_batch(item.batch)
                 end = time.perf_counter()
                 break
         start -= self._origin
@@ -530,12 +644,158 @@ class OverlapPipeline:
             self.cache.publish(item.signature, plan, item.epoch)
         return plan, start, end
 
+    # -- cluster events ----------------------------------------------------
+
+    def _observe_events(self) -> None:
+        """Apply shape changes the event source reported since last look."""
+        if self.events is None:
+            return
+        # Observe via the version cursor, not the destructive poll():
+        # several pipelines may share one event source, and each must
+        # see every shape change.
+        version = self.events.version
+        if version == self._events_seen:
+            return
+        self.cluster_events += version - self._events_seen
+        self._events_seen = version
+        current = self.events.current
+        if current == self._cluster:
+            return  # net no-op (e.g. an add immediately undone)
+        self._cluster = current
+        if self.cache is not None:
+            remap = (
+                self._remap_cache_entry
+                if self.replan_mode == "delta"
+                else None
+            )
+            self.cache.invalidate(self._is_stale_key, remap=remap)
+        for item in self._pending:
+            plan = (
+                None
+                if self.replan_mode == "scratch"
+                else self._settled_plan(item)
+            )
+            if (
+                self.replan_mode == "delta"
+                and plan is not None
+                and plan_compatible(plan, current)
+            ):
+                self._reuse(item, plan)
+            else:
+                self._redispatch(item, warm=self._warm_labels(plan))
+
+    def _is_stale_key(self, key) -> bool:
+        """Cache keys carrying any cluster shape but the current one."""
+        return (
+            isinstance(key, tuple)
+            and len(key) == 2
+            and isinstance(key[0], ClusterSpec)
+            and key[0] != self._cluster
+        )
+
+    def _remap_cache_entry(self, key, plan):
+        """Rescue a stale-shape cache entry whose plan survives the event.
+
+        Recurring batch signatures are the cache's whole value; delta
+        re-planning extends the same reasoning to invalidation — an
+        entry compatible with the new shape is rebound and re-keyed
+        instead of dropped, so post-event repeats still hit.
+        """
+        if not self._is_stale_key(key):
+            return None
+        if not plan_compatible(plan, self._cluster):
+            return None
+        return (self._cluster, key[1]), rebind_plan(plan, self._cluster)
+
+    def _settled_plan(self, item: _Pending):
+        """The item's plan if its job already finished, else ``None``.
+
+        Classification never blocks: an unfinished (or failed) job has
+        nothing to classify or warm-start from and is re-dispatched
+        cold, exactly as the whole-window mode would.
+        """
+        ticket = item.ticket
+        if ticket is None or not ticket.ready():
+            return None
+        try:
+            plan, _start, _end = ticket.result(timeout=0)
+        except BaseException:
+            return None
+        return plan
+
+    def _warm_labels(self, plan) -> Optional[Tuple]:
+        """Previous placement labels to warm-start a re-plan from.
+
+        Labels are device ids, and their meaning depends on the
+        device -> machine map: after a ``devices_per_machine`` change
+        every device is remapped (``ClusterSpec.affected_devices``
+        names them all), so the old placement is not a valid start —
+        adopting it verbatim would pin a layout optimized for the
+        wrong topology.  Those re-plans go cold instead.
+        """
+        if plan is None:
+            return None
+        if (
+            plan.cluster.devices_per_machine
+            != self._cluster.devices_per_machine
+        ):
+            return None
+        return plan.meta.get("placement")
+
+    def _reuse(self, item: _Pending, plan) -> None:
+        """Keep a window job's plan across the event: rebind, no planner.
+
+        The rebound plan is handed back through a
+        :class:`~repro.pipeline.backends.CompletedTicket` (zero-width
+        planning interval — no planner ran) and published under the
+        new-shape signature via the normal resolve path, so concurrent
+        pipelines sharing the cache see it immediately.
+        """
+        self.replan_jobs_reused += 1
+        rebound = rebind_plan(plan, self._cluster)
+        item.ticket = CompletedTicket(rebound, time.perf_counter())
+        item.joined = False
+        item.cache_hit = False
+        item.replanned = False
+        item.reused = True
+        if self.cache is not None:
+            item.signature = self._cache_key(item.batch)
+            item.epoch = self.cache.epoch
+
+    def _redispatch(self, item: _Pending, warm=None) -> None:
+        """Replace a window entry's job with one targeting the new shape.
+
+        The superseded job is left to finish in the background (workers
+        cannot be preempted); its reservation was already released by
+        the invalidation above, so nothing stale is ever published.
+        ``warm`` carries the previous placement labels when the old
+        plan had settled — the re-plan then repairs that placement for
+        the new shape instead of partitioning from scratch.
+        """
+        self.replans += 1
+        if self.replan_mode == "delta":
+            self.partial_replans += 1
+        fresh = self._submit(
+            item.index,
+            item.batch,
+            redispatch=True,
+            planner=self._pinned(warm=warm),
+        )
+        item.ticket = fresh.ticket
+        item.signature = fresh.signature
+        item.cache_hit = fresh.cache_hit
+        item.joined = fresh.joined
+        item.epoch = fresh.epoch  # post-invalidation: publications valid
+        item.replanned = True
+        item.reused = False
+
     # -- iteration ---------------------------------------------------------
 
     def _now(self) -> float:
         return time.perf_counter() - self._origin
 
     def __iter__(self) -> Iterator[Tuple[Dict[int, LocalData], object]]:
+        """Yield ``(local_data, plan)`` per batch, planning ahead."""
         if self._started:
             return iter(())  # single-use, like any dataloader iterator
         self._started = True
@@ -577,7 +837,7 @@ class OverlapPipeline:
         try:
             self._refill()
             while self._pending:
-                self._poll_events()
+                self._observe_events()
                 item = self._pending.popleft()
                 requested = self._now()
                 if previous is not None:
@@ -690,6 +950,7 @@ class OverlapPipeline:
         return stats
 
     def close(self) -> None:
+        """Release owned cache reservations and shut the backend down."""
         if self._closed:
             return
         self._closed = True
@@ -705,10 +966,12 @@ class OverlapPipeline:
         if self._backend is not None:
             self._backend.close()
 
-    def __enter__(self) -> "OverlapPipeline":
+    def __enter__(self) -> "StreamingOverlapPipeline":
+        """Context manager: :meth:`close` on exit."""
         return self
 
     def __exit__(self, *exc) -> None:
+        """Close the pipeline (see :meth:`close`)."""
         self.close()
 
 
@@ -724,8 +987,6 @@ def device_payload(device: int, device_plan) -> bytes:
     :func:`plan_fingerprint` and :func:`plan_diff` alike, and exactly
     what the KV store holds per device in partial-plan mode.
     """
-    from ..core.planwire import encode_device_payload
-
     return encode_device_payload(device, device_plan)
 
 
@@ -740,8 +1001,6 @@ def plan_fingerprint(plan) -> bytes:
     synchronous planner's plans, and the delta re-planning tests to
     prove a delta re-plan equals a whole-window re-plan.
     """
-    import pickle
-
     payload = [
         device_payload(device, dp)
         for device, dp in sorted(plan.device_plans.items())

@@ -168,6 +168,9 @@ class PlanService:
         self._prewarm_submitted = self.metrics.counter(
             "service.prewarm_submitted"
         )
+        self._prewarm_promoted = self.metrics.counter(
+            "service.prewarm_promoted"
+        )
         self._prewarm_hits = self.metrics.counter("service.prewarm_hits")
         self._degraded_served = self.metrics.counter(
             "service.degraded_served"
@@ -559,9 +562,12 @@ class PlanService:
 
         Signatures already cached, already in flight (someone is
         planning them right now), or without a recorded exemplar batch
-        are skipped; the rest dispatch under the pre-warm tenant.
-        Pre-warm reservations do not count into cache hit/miss stats
-        (they are speculation, not demand).
+        are skipped; the rest are promoted from the warm store when it
+        still holds their bytes (``service.prewarm_promoted``) or
+        dispatched to a planner under the pre-warm tenant
+        (``service.prewarm_submitted``, the return value).  Pre-warm
+        reservations do not count into cache hit/miss stats (they are
+        speculation, not demand).
         """
         submitted = 0
         with _span("service.prewarm", "service", count=len(signatures)):
@@ -584,6 +590,7 @@ class PlanService:
                     # planning (still a pre-warmed cache entry).
                     self._publish(signature, decode_plan(blob), epoch,
                                   prewarm=True)
+                    self._prewarm_promoted.inc()
                     continue
                 try:
                     self.scheduler.submit(
@@ -611,6 +618,7 @@ class PlanService:
             "planned": self._planned.value,
             "cache_hit_rate": cache_hits / requests if requests else 0.0,
             "prewarm_submitted": self._prewarm_submitted.value,
+            "prewarm_promoted": self._prewarm_promoted.value,
             "prewarm_hits": self._prewarm_hits.value,
             "prewarm_hit_fraction": (
                 self._prewarm_hits.value / requests if requests else 0.0

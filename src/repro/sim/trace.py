@@ -103,9 +103,9 @@ def overlap_chrome_trace(
     exposed planning the pipeline failed to hide.
 
     Measured timelines are relative to the pipeline's start; pass that
-    start's ``time.perf_counter()`` value (``OverlapPipeline.clock_origin``)
-    as ``clock_origin`` and the trace can be aligned with tracer spans
-    from the same run via :func:`merge_chrome_traces`.
+    start's ``time.perf_counter()`` value (the pipeline's
+    ``clock_origin``) as ``clock_origin`` and the trace can be aligned
+    with tracer spans from the same run via :func:`merge_chrome_traces`.
     """
     events: List[Dict] = [
         {

@@ -26,7 +26,6 @@ from repro.core import DCPConfig, DCPPlanner, KVStore, PlanCache, PlannerPool
 from repro.masks import CausalMask
 from repro.pipeline import (
     KVPlannerBackend,
-    OverlapPipeline,
     StreamingOverlapPipeline,
     plan_fingerprint,
 )
@@ -247,7 +246,7 @@ class TestPlannerWorkerFaults:
         reference = _pipeline_planner()
         flaky = CrashingPlanner(_pipeline_planner(), failures=2)
         batches = _pipeline_batches(4)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, flaky, lookahead=2, max_workers=2
         )
         stats = self._check_all_plans(pipeline, batches, reference)
@@ -257,22 +256,21 @@ class TestPlannerWorkerFaults:
         reference = _pipeline_planner()
         hangy = HangingPlanner(_pipeline_planner(), hangs=1)
         batches = _pipeline_batches(4)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, hangy, lookahead=1, max_workers=2, plan_timeout=0.1
         )
         stats = self._check_all_plans(pipeline, batches, reference)
         assert stats.plan_retries >= 1
 
-    def test_hang_recovery_with_saturated_pool_and_throttle(self):
-        """A hung worker permanently owns its pool thread and throttle
-        slot; respawns must escape both (dedicated threads), or one
-        hang would wedge background planning for the rest of the run."""
+    def test_hang_recovery_with_saturated_pool(self):
+        """A hung worker permanently owns its pool thread; respawns
+        must escape the pool (dedicated threads), or one hang would
+        wedge background planning for the rest of the run."""
         reference = _pipeline_planner()
         hangy = HangingPlanner(_pipeline_planner(), hangs=1, delay=5.0)
         batches = _pipeline_batches(4)
-        pipeline = OverlapPipeline(
-            batches, hangy, lookahead=1, max_workers=1,
-            max_concurrent_plans=1, plan_timeout=0.15,
+        pipeline = StreamingOverlapPipeline(
+            batches, hangy, lookahead=1, max_workers=1, plan_timeout=0.15,
         )
         import time as _time
 
@@ -291,7 +289,7 @@ class TestPlannerWorkerFaults:
         reference = _pipeline_planner()
         flaky = WorkerOnlyCrashPlanner(_pipeline_planner())
         batches = _pipeline_batches(3)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, flaky, lookahead=1, max_workers=2,
             backend="process", max_plan_retries=1,
         )
@@ -304,7 +302,7 @@ class TestPlannerWorkerFaults:
         flaky = CrashingPlanner(_pipeline_planner(), failures=2)
         batches = _pipeline_batches(4)
         with PlannerPool(flaky, KVStore(), num_machines=2) as pool:
-            pipeline = OverlapPipeline(
+            pipeline = StreamingOverlapPipeline(
                 batches, flaky, lookahead=1,
                 backend=KVPlannerBackend(pool),
             )
@@ -316,7 +314,7 @@ class TestPlannerWorkerFaults:
         hangy = HangingPlanner(_pipeline_planner(), hangs=1)
         batches = _pipeline_batches(3)
         with PlannerPool(hangy, KVStore(), cores_per_machine=2) as pool:
-            pipeline = OverlapPipeline(
+            pipeline = StreamingOverlapPipeline(
                 batches, hangy, lookahead=1,
                 backend=KVPlannerBackend(pool), plan_timeout=0.15,
             )
@@ -329,7 +327,7 @@ class TestPlannerWorkerFaults:
         cache = PlanCache(flaky, capacity=8)
         mask = CausalMask()
         batches = [BatchSpec.build([48, 32], mask) for _ in range(3)]
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, flaky, lookahead=2, max_workers=2, cache=cache
         )
         plans = [plan for _, plan in pipeline]

@@ -332,7 +332,7 @@ class TestInstrumentation:
         assert store.traffic["get_misses"] == 1
 
     def test_pipeline_plan_fetch_split(self):
-        from repro.pipeline import OverlapPipeline, PipelineRunner
+        from repro.pipeline import PipelineRunner, StreamingOverlapPipeline
 
         planner = make_planner()
         cache = PlanCache(planner, capacity=8)
@@ -340,7 +340,7 @@ class TestInstrumentation:
             BatchSpec.build([256, 128], CausalMask()),
             BatchSpec.build([192, 64], CausalMask()),
         ]
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches * 2, planner, lookahead=1, max_workers=1,
             backend="thread", cache=cache,
         )

@@ -1,4 +1,9 @@
-"""Tests for the overlap pipeline (repro.pipeline, §6.1 measured)."""
+"""Tests for the overlap pipeline (repro.pipeline, §6.1 measured).
+
+The batch source is any iterable; the determinism and lookahead-edge
+tests run once per feeding (``feed``): a materialized list and a
+generator with no upfront length.
+"""
 
 import time
 
@@ -16,8 +21,8 @@ from repro import (
 from repro.core import DCPDataloader, KVStore, PlanCache, PlannerPool
 from repro.pipeline import (
     KVPlannerBackend,
-    OverlapPipeline,
     PipelineRunner,
+    StreamingOverlapPipeline,
     ThreadPlannerBackend,
     cost_model_executor,
     plan_fingerprint,
@@ -40,6 +45,12 @@ def make_batches(count=4, base=48):
     ]
 
 
+#: The two ways a batch source reaches the pipeline.
+FEEDS = pytest.mark.parametrize(
+    "feed", [list, iter], ids=["list", "generator"]
+)
+
+
 class SlowPlanner:
     """Planner wrapper injecting a fixed delay per plan."""
 
@@ -55,14 +66,15 @@ class SlowPlanner:
 
 
 class TestDeterminism:
-    def test_pipeline_plans_byte_identical_to_synchronous(self):
+    @FEEDS
+    def test_pipeline_plans_byte_identical_to_synchronous(self, feed):
         """Same batch_signature => same plan: the pipeline's background
         workers yield exactly what the synchronous path computes."""
         planner = make_planner()
         batches = make_batches(5)
         synchronous = [planner.plan_batch(batch) for batch in batches]
-        pipeline = OverlapPipeline(
-            batches, planner, lookahead=2, max_workers=2
+        pipeline = StreamingOverlapPipeline(
+            feed(batches), planner, lookahead=2, max_workers=2
         )
         overlapped = [plan for _, plan in pipeline]
         assert len(overlapped) == len(synchronous)
@@ -77,11 +89,13 @@ class TestDeterminism:
         for a, b in zip(loader_plans, direct):
             assert plan_fingerprint(a) == plan_fingerprint(b)
 
-    def test_process_backend_plans_byte_identical(self):
+    @FEEDS
+    def test_process_backend_plans_byte_identical(self, feed):
         planner = make_planner()
         batches = make_batches(3)
-        pipeline = OverlapPipeline(
-            batches, planner, lookahead=2, max_workers=2, backend="process"
+        pipeline = StreamingOverlapPipeline(
+            feed(batches), planner, lookahead=2, max_workers=2,
+            backend="process",
         )
         plans = [plan for _, plan in pipeline]
         for plan, batch in zip(plans, batches):
@@ -89,12 +103,13 @@ class TestDeterminism:
                 planner.plan_batch(batch)
             )
 
-    def test_kv_backend_round_trips_identical_plans(self):
+    @FEEDS
+    def test_kv_backend_round_trips_identical_plans(self, feed):
         planner = make_planner()
         batches = make_batches(3)
         with PlannerPool(planner, KVStore(), num_machines=2) as pool:
-            pipeline = OverlapPipeline(
-                batches, planner, lookahead=1,
+            pipeline = StreamingOverlapPipeline(
+                feed(batches), planner, lookahead=1,
                 backend=KVPlannerBackend(pool),
             )
             plans = [plan for _, plan in pipeline]
@@ -112,10 +127,13 @@ class TestDeterminism:
 
 
 class TestLookaheadEdgeCases:
-    def test_zero_lookahead_is_synchronous(self):
+    @FEEDS
+    def test_zero_lookahead_is_synchronous(self, feed):
         planner = make_planner()
         batches = make_batches(3)
-        pipeline = OverlapPipeline(batches, planner, lookahead=0)
+        pipeline = StreamingOverlapPipeline(
+            feed(batches), planner, lookahead=0
+        )
         plans = [plan for _, plan in pipeline]
         stats = pipeline.stats()
         assert len(plans) == 3
@@ -124,30 +142,41 @@ class TestLookaheadEdgeCases:
         assert stats.hidden_fraction < 0.2
         assert stats.total_stall_s >= stats.total_plan_s * 0.8
 
-    def test_lookahead_beyond_stream_length(self):
+    @FEEDS
+    def test_lookahead_beyond_stream_length(self, feed):
         planner = make_planner()
         batches = make_batches(3)
-        pipeline = OverlapPipeline(batches, planner, lookahead=16)
+        pipeline = StreamingOverlapPipeline(
+            feed(batches), planner, lookahead=16
+        )
         plans = [plan for _, plan in pipeline]
         assert len(plans) == 3
         assert [r.index for r in pipeline.stats().records] == [0, 1, 2]
 
-    def test_empty_batch_stream(self):
-        pipeline = OverlapPipeline([], make_planner(), lookahead=2)
+    @FEEDS
+    def test_empty_batch_stream(self, feed):
+        pipeline = StreamingOverlapPipeline(
+            feed([]), make_planner(), lookahead=2
+        )
         assert list(pipeline) == []
         assert pipeline.stats().iterations == 0
 
     def test_negative_lookahead_rejected(self):
         with pytest.raises(ValueError):
-            OverlapPipeline([], make_planner(), lookahead=-1)
+            StreamingOverlapPipeline([], make_planner(), lookahead=-1)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            OverlapPipeline([], make_planner(), lookahead=1, backend="gpu")
+            StreamingOverlapPipeline(
+                [], make_planner(), lookahead=1, backend="gpu"
+            )
 
-    def test_iterator_is_single_use(self):
+    @FEEDS
+    def test_iterator_is_single_use(self, feed):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(2), planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(
+            feed(make_batches(2)), planner, lookahead=1
+        )
         assert len(list(pipeline)) == 2
         assert list(pipeline) == []
         assert pipeline.stats().iterations == 2
@@ -159,7 +188,7 @@ class TestOverlapMeasurement:
         steady state and the hidden fraction drops below 1."""
         planner = SlowPlanner(make_planner(), delay=0.08)
         batches = make_batches(4)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, planner, lookahead=1, max_workers=1
         )
         for _, _plan in pipeline:
@@ -173,7 +202,7 @@ class TestOverlapMeasurement:
     def test_slow_execution_hides_planning(self):
         planner = SlowPlanner(make_planner(), delay=0.02)
         batches = make_batches(5)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, planner, lookahead=2, max_workers=2
         )
         for _, _plan in pipeline:
@@ -188,7 +217,9 @@ class TestOverlapMeasurement:
 
     def test_meta_carries_overlap_record(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(2), planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(2), planner, lookahead=1
+        )
         plans = [plan for _, plan in pipeline]
         for i, plan in enumerate(plans):
             overlap = plan.meta["overlap"]
@@ -199,7 +230,9 @@ class TestOverlapMeasurement:
 
     def test_timeline_matches_analytic_shape(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(3), planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(3), planner, lookahead=1
+        )
         for _, _plan in pipeline:
             time.sleep(0.01)
         timeline = pipeline.stats().timeline()
@@ -213,7 +246,9 @@ class TestOverlapMeasurement:
 
     def test_queue_depth_reported(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(4), planner, lookahead=3)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(4), planner, lookahead=3
+        )
         for _, _plan in pipeline:
             time.sleep(0.05)
         stats = pipeline.stats()
@@ -227,12 +262,12 @@ class TestCacheIntegration:
         cache = PlanCache(planner, capacity=8)
         mask = make_mask("causal")
         batches = [BatchSpec.build([48, 32], mask) for _ in range(3)]
-        warm = OverlapPipeline(
+        warm = StreamingOverlapPipeline(
             [batches[0]], planner, lookahead=1, cache=cache
         )
         list(warm)
         assert planner.calls == 1
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, planner, lookahead=2, cache=cache
         )
         plans = [plan for _, plan in pipeline]
@@ -248,7 +283,7 @@ class TestCacheIntegration:
         cache = PlanCache(planner, capacity=8)
         mask = make_mask("causal")
         batches = [BatchSpec.build([48, 32], mask) for _ in range(4)]
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, planner, lookahead=3, max_workers=2, cache=cache
         )
         plans = [plan for _, plan in pipeline]
@@ -259,7 +294,7 @@ class TestCacheIntegration:
     def test_cache_stats_land_in_stats(self):
         planner = make_planner()
         cache = PlanCache(planner, capacity=4)
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             make_batches(3), planner, lookahead=1, cache=cache
         )
         list(pipeline)
@@ -268,9 +303,9 @@ class TestCacheIntegration:
         assert stats.plan_cache["misses"] >= 1
 
 
-class TestThrottle:
-    """max_concurrent_plans bounds concurrency; observed via the
-    semaphore's effect on entry counts, never via wall-clock timing."""
+class TestThreadBackend:
+    """Pool concurrency, observed via entry counts, never wall-clock
+    timing."""
 
     class GatedPlanner:
         """Blocks every plan on an event, recording who got in."""
@@ -299,26 +334,6 @@ class TestThrottle:
             _time.sleep(0.005)
         return True
 
-    def test_throttle_caps_concurrent_plan_bodies(self):
-        gated = self.GatedPlanner(make_planner())
-        backend = ThreadPlannerBackend(
-            gated, max_workers=4, max_concurrent_plans=2
-        )
-        batches = make_batches(4)
-        tickets = [backend.submit(i, b) for i, b in enumerate(batches)]
-        # Exactly the throttle's worth of plan bodies start...
-        assert self._wait_for(lambda: len(gated.entered) == 2)
-        # ...and the other two stay parked in the semaphore, even though
-        # four workers are available.  (No sleep-based assertion: the
-        # claim is that entry count *cannot* pass 2 while the gate
-        # holds, which the final count after release confirms.)
-        assert len(gated.entered) == 2
-        gated.release.set()
-        for ticket in tickets:
-            ticket.result(timeout=10)
-        assert len(gated.entered) == 4
-        backend.close()
-
     def test_unthrottled_backend_uses_all_workers(self):
         gated = self.GatedPlanner(make_planner())
         backend = ThreadPlannerBackend(gated, max_workers=4)
@@ -328,20 +343,6 @@ class TestThrottle:
         for ticket in tickets:
             ticket.result(timeout=10)
         backend.close()
-
-    def test_throttle_reaches_pipeline_kwarg(self):
-        planner = make_planner()
-        pipeline = OverlapPipeline(
-            make_batches(3), planner, lookahead=2, max_workers=4,
-            max_concurrent_plans=1,
-        )
-        assert pipeline._backend.max_concurrent_plans == 1
-        plans = [plan for _, plan in pipeline]
-        assert len(plans) == 3
-
-    def test_invalid_throttle_rejected(self):
-        with pytest.raises(ValueError):
-            ThreadPlannerBackend(make_planner(), max_concurrent_plans=0)
 
 
 class TestWorkerRetries:
@@ -363,7 +364,7 @@ class TestWorkerRetries:
                 return self.planner.plan_batch(batch)
 
         flaky = FlakyOnce(make_planner())
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             make_batches(3), flaky, lookahead=1, max_workers=2
         )
         plans = [plan for _, plan in pipeline]
@@ -374,7 +375,7 @@ class TestWorkerRetries:
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
-            OverlapPipeline([], make_planner(), max_plan_retries=-1)
+            StreamingOverlapPipeline([], make_planner(), max_plan_retries=-1)
 
     def test_joined_item_inline_fallback_records_real_interval(self):
         """A joined item forced to the inline fallback did real blocking
@@ -396,7 +397,7 @@ class TestWorkerRetries:
         cache = PlanCache(flaky, capacity=8)
         mask = make_mask("causal")
         batches = [BatchSpec.build([48, 32], mask) for _ in range(2)]
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, flaky, lookahead=1, max_workers=1,
             cache=cache, max_plan_retries=0,
         )
@@ -439,7 +440,7 @@ class TestWorkerRetries:
         mask = make_mask("causal")
         # Same signature: batch 1+ joins batch 0's reservation.
         batches = [BatchSpec.build([48, 32], mask) for _ in range(3)]
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, hangy, lookahead=2, max_workers=2,
             cache=cache, plan_timeout=0.15,
         )
@@ -459,7 +460,7 @@ class TestEarlyExit:
         cache = PlanCache(planner, capacity=8)
         mask = make_mask("causal")
         batches = [BatchSpec.build([48, 32], mask) for _ in range(3)]
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             batches, planner, lookahead=0, cache=cache
         )
         iterator = iter(pipeline)
@@ -467,7 +468,7 @@ class TestEarlyExit:
         pipeline.close()
         # A second pipeline on the same cache must not hang: the
         # reservation was abandoned, so it can claim and plan freely.
-        second = OverlapPipeline(
+        second = StreamingOverlapPipeline(
             [BatchSpec.build([48, 32], mask)], planner,
             lookahead=1, cache=cache, plan_timeout=5.0,
         )
@@ -478,7 +479,7 @@ class TestEarlyExit:
 class TestBoundedRecords:
     def test_records_limit_keeps_totals_exact(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(
+        pipeline = StreamingOverlapPipeline(
             make_batches(5), planner, lookahead=1, records_limit=2
         )
         plans = [plan for _, plan in pipeline]
@@ -494,11 +495,13 @@ class TestBoundedRecords:
 
     def test_records_limit_validated(self):
         with pytest.raises(ValueError):
-            OverlapPipeline([], make_planner(), records_limit=0)
+            StreamingOverlapPipeline([], make_planner(), records_limit=0)
 
     def test_unbounded_default_keeps_everything(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(4), planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(4), planner, lookahead=1
+        )
         list(pipeline)
         assert len(pipeline.stats().records) == 4
 
@@ -512,7 +515,7 @@ class TestPipelineRunner:
 
         planner = make_planner()
         batches = make_batches(2)
-        pipeline = OverlapPipeline(batches, planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(batches, planner, lookahead=1)
         outputs = []
 
         def execute(local_data, plan):
@@ -537,14 +540,18 @@ class TestPipelineRunner:
 
     def test_default_executor_runs(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(2), planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(2), planner, lookahead=1
+        )
         report = PipelineRunner(pipeline).run()
         assert len(report.executions) == 2
         assert all(e["executor_wall_s"] > 0 for e in report.executions)
 
     def test_cost_model_executor_occupies_time(self):
         planner = make_planner()
-        pipeline = OverlapPipeline(make_batches(2), planner, lookahead=1)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(2), planner, lookahead=1
+        )
         execute = cost_model_executor(time_scale=0.01)
         report = PipelineRunner(pipeline, execute=execute).run()
         assert len(report.executions) == 2

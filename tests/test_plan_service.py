@@ -376,6 +376,10 @@ class TestPlanService:
             service.fetch_plan("t", hot, timeout=30.0)
             stats = service.stats()
             assert stats["prewarm_hits"] == 1
+            # A pre-warm hit has a pre-warm behind it — here a promotion
+            # from the store, not a planner dispatch.
+            assert stats["prewarm_submitted"] + stats["prewarm_promoted"] >= 1
+            assert stats["prewarm_submitted"] == 0
             assert planner.calls == planned_once + len(fillers)
 
     def test_prewarm_reservations_do_not_skew_demand_hit_rate(self):
@@ -399,13 +403,13 @@ class TestPlanService:
 
 class TestServicePlannerBackend:
     def test_pipeline_plans_through_the_service(self):
-        from repro.pipeline import OverlapPipeline
+        from repro.pipeline import StreamingOverlapPipeline
 
         planner = CountingPlanner()
         batches = [batch([64, 32]), batch([48, 16]), batch([64, 32])]
         with PlanService(planner, workers=2) as service:
             backend = ServicePlannerBackend(service, tenant="pipeline")
-            pipeline = OverlapPipeline(
+            pipeline = StreamingOverlapPipeline(
                 batches, planner, lookahead=1, backend=backend
             )
             plans = [plan for _data, plan in pipeline]

@@ -12,8 +12,8 @@ from repro.blocks import BatchSpec
 from repro.core import DCPConfig, DCPPlanner, KVClient, KVStore
 from repro.masks import make_mask
 from repro.pipeline import (
-    OverlapPipeline,
     ProcessPlannerBackend,
+    StreamingOverlapPipeline,
     plan_fingerprint,
 )
 from repro.pipeline.shm import PlanRing, ShmUnavailable
@@ -172,17 +172,30 @@ class TestPlanRing:
             PlanRing.create(slots=1, slot_bytes=0)
 
 
-# -- process backend transports ----------------------------------------------
+# -- process backend transport -----------------------------------------------
+
+
+def transport_counters(backend):
+    """The backend's ``transport.*`` registry counters, by short name."""
+    return {
+        name.split(".", 1)[1]: entry["value"]
+        for name, entry in backend.metrics.snapshot().items()
+        if name.startswith("transport.")
+    }
 
 
 class TestProcessTransport:
-    @pytest.mark.parametrize("transport", ["shm", "wire", "pickle"])
-    def test_plans_identical_to_synchronous(self, transport):
+    @pytest.mark.parametrize(
+        "route, slot_bytes", [("shm", 32 << 20), ("wire", 1024)]
+    )
+    def test_plans_identical_to_synchronous(self, route, slot_bytes):
+        """Ring route and pipe fallback (a slot no plan fits) both
+        deliver exactly the synchronous planner's plans."""
         planner = make_planner()
         batches = make_batches()
         expected = [plan_fingerprint(planner.plan_batch(b)) for b in batches]
         backend = ProcessPlannerBackend(
-            planner, max_workers=2, transport=transport
+            planner, max_workers=2, slot_bytes=slot_bytes
         )
         try:
             tickets = [backend.submit(i, b) for i, b in enumerate(batches)]
@@ -190,22 +203,21 @@ class TestProcessTransport:
                 plan_fingerprint(t.result(timeout=120)[0]) for t in tickets
             ]
             assert got == expected
-            stats = backend.transport_stats
+            stats = transport_counters(backend)
             assert stats["plans"] == len(batches)
-            assert stats[f"{backend.transport}_plans"] == len(batches)
+            assert stats[f"{route}_plans"] == len(batches)
         finally:
             backend.close()
 
     def test_shm_transport_accounts_payloads(self):
         backend = ProcessPlannerBackend(make_planner(), max_workers=2)
         try:
-            assert backend.transport == "shm"
             tickets = [
                 backend.submit(i, b) for i, b in enumerate(make_batches(2))
             ]
             for t in tickets:
                 t.result(timeout=120)
-            stats = backend.transport_stats
+            stats = transport_counters(backend)
             assert stats["shm_plans"] == 2
             assert stats["payload_bytes"] > 0
             assert stats["encode_s"] >= 0.0
@@ -222,12 +234,11 @@ class TestProcessTransport:
         monkeypatch.setattr(backends.PlanRing, "create", refuse)
         backend = ProcessPlannerBackend(make_planner(), max_workers=1)
         try:
-            assert backend.transport == "wire"
             plan, _, _ = backend.submit(0, make_batches(1)[0]).result(
                 timeout=120
             )
             assert plan.num_devices == CLUSTER.num_devices
-            assert backend.transport_stats["wire_plans"] == 1
+            assert transport_counters(backend)["wire_plans"] == 1
         finally:
             backend.close()
 
@@ -236,14 +247,14 @@ class TestProcessTransport:
             make_planner(), max_workers=1, slot_bytes=1024
         )
         try:
-            assert backend.transport == "shm"
             plan, _, _ = backend.submit(0, make_batches(1)[0]).result(
                 timeout=120
             )
             assert plan.num_devices == CLUSTER.num_devices
             # The plan cannot fit a 1 KB slot: per-plan pipe fallback.
-            assert backend.transport_stats["wire_plans"] == 1
-            assert backend.transport_stats["shm_plans"] == 0
+            stats = transport_counters(backend)
+            assert stats["wire_plans"] == 1
+            assert stats["shm_plans"] == 0
         finally:
             backend.close()
 
@@ -258,11 +269,59 @@ class TestProcessTransport:
                 plan_fingerprint(t.result(timeout=120)[0]) for t in tickets
             ]
             assert len(fps) == 3
-            stats = backend.transport_stats
+            stats = transport_counters(backend)
             assert stats["shm_plans"] + stats["wire_plans"] == 3
             # Only one slot exists, so at least two jobs were dispatched
             # slotless and came back over the pipe.
             assert stats["wire_plans"] >= 2
+        finally:
+            backend.close()
+
+    def test_decode_failure_returns_the_slot(self, monkeypatch):
+        """A plan that fails to decode must not take its ring slot with
+        it: after one forced decode error, ``ring_slots`` further plans
+        all still travel through shared memory."""
+        import repro.pipeline.backends as backends
+
+        real_decode = backends.decode_plan
+        failures = [ValueError("test: corrupt plan bytes")]
+
+        def decode_once_broken(payload):
+            if failures:
+                raise failures.pop()
+            return real_decode(payload)
+
+        monkeypatch.setattr(backends, "decode_plan", decode_once_broken)
+        ring_slots = 2
+        backend = ProcessPlannerBackend(
+            make_planner(), max_workers=1, ring_slots=ring_slots
+        )
+        try:
+            batch = make_batches(1)[0]
+            with pytest.raises(ValueError, match="corrupt plan bytes"):
+                backend.submit(0, batch).result(timeout=120)
+            # One at a time, so ring exhaustion cannot explain a pipe
+            # fallback — only a leaked slot can.
+            for index in range(ring_slots):
+                backend.submit(index + 1, batch).result(timeout=120)
+            stats = transport_counters(backend)
+            assert stats["shm_plans"] == ring_slots
+            assert stats["wire_plans"] == 0
+            assert backend._ring.free_slots() == ring_slots
+        finally:
+            backend.close()
+
+    def test_failed_submit_returns_the_slot(self):
+        """A pool that refuses the job (broken or shut down) never runs
+        it, so nobody else would free the slot reserved for it."""
+        backend = ProcessPlannerBackend(
+            make_planner(), max_workers=1, ring_slots=2
+        )
+        try:
+            backend._pool.shutdown(wait=True)
+            with pytest.raises(RuntimeError):
+                backend.submit(0, make_batches(1)[0])
+            assert backend._ring.free_slots() == 2
         finally:
             backend.close()
 
@@ -279,8 +338,8 @@ class TestProcessTransport:
         batches = make_batches(4)
         expected = [plan_fingerprint(planner.plan_batch(b)) for b in batches]
         backend = ProcessPlannerBackend(planner, max_workers=2)
-        with OverlapPipeline(batches, planner, lookahead=2,
-                             backend=backend) as pipeline:
+        with StreamingOverlapPipeline(batches, planner, lookahead=2,
+                                      backend=backend) as pipeline:
             got = [plan_fingerprint(plan) for _data, plan in pipeline]
         assert got == expected
 

@@ -1,10 +1,11 @@
-"""Tests for the streaming overlap pipeline (online §6.1).
+"""Tests for the overlap pipeline's online behaviors (§6.1).
 
-Covers the serving-shaped behaviors the fixed-stream tests cannot:
-generator-fed batch sources with no upfront length, mid-stream
-cluster-shape events (invalidation + re-dispatch + ``replans``
-accounting), the dataloaders' streaming routing, the streaming packer,
-and the KV backend's per-device partial plan fetches.
+Covers the serving-shaped behaviors: unbounded generator-fed batch
+sources, mid-stream cluster-shape events (invalidation + re-dispatch +
+``replans`` accounting), the dataloader names, the streaming packer,
+and the KV backend's per-device partial plan fetches.  (List- vs
+generator-fed determinism and lookahead edges: the ``feed``-parametrized
+tests in ``test_overlap_pipeline.py``.)
 """
 
 import itertools
@@ -110,19 +111,6 @@ class TestEventSource:
 
 
 class TestGeneratorStream:
-    def test_generator_fed_plans_byte_identical(self):
-        """An unbounded-looking source yields exactly the sync plans."""
-        planner = make_planner()
-        batches = make_batches(5)
-        sync = [planner.plan_batch(b) for b in batches]
-        pipeline = StreamingOverlapPipeline(
-            (b for b in batches), planner, lookahead=2, max_workers=2
-        )
-        streamed = [plan for _, plan in pipeline]
-        assert len(streamed) == len(sync)
-        for fast, slow in zip(streamed, sync):
-            assert plan_fingerprint(fast) == plan_fingerprint(slow)
-
     def test_window_never_overruns_the_stream(self):
         """The pipeline pulls at most lookahead+1 batches ahead."""
         planner = make_planner()
@@ -386,14 +374,13 @@ class TestClusterEvents:
             cache=PlanCache(planner),
         )
         batch = make_batches(1)[0]
-        key = pipeline._signature(batch)
+        key = pipeline._cache_key(batch)
         assert key == (CLUSTER, batch_signature(batch))
         assert list(pipeline) == []
 
     def test_no_events_keeps_base_keyspace(self):
         """Without an event source the shape cannot change, so a cache
-        warmed through plan_batch (base signatures) must keep hitting —
-        the dataloaders route everything through the streaming path."""
+        warmed through plan_batch (base signatures) must keep hitting."""
         planner = make_planner()
         cache = PlanCache(planner, capacity=8)
         mask = make_mask("causal")
@@ -409,6 +396,38 @@ class TestClusterEvents:
 
 
 class TestDataloaderRouting:
+    def test_dataloaders_honour_every_pipeline_keyword(self):
+        """The dataloader names are the pipeline, not narrower copies of
+        its parameter list: no keyword is dropped on the floor."""
+        from repro.obs import MetricsRegistry
+
+        planner = make_planner()
+        registry = MetricsRegistry()
+        tuning = dict(
+            plan_timeout=7.5, max_plan_retries=5, records_limit=2,
+            metrics=registry,
+        )
+        with PlannerPool(planner, KVStore()) as pool:
+            loaders = [
+                DCPDataloader(make_batches(3), planner, **tuning),
+                DistributedDataloader(make_batches(3), pool, **tuning),
+            ]
+            for loader in loaders:
+                assert isinstance(loader, StreamingOverlapPipeline)
+                assert loader.plan_timeout == 7.5
+                assert loader.max_plan_retries == 5
+                assert loader.metrics is registry
+                assert len(list(loader)) == 3
+                assert len(loader.stats().records) == 2  # records_limit
+        snapshot = registry.snapshot()
+        assert snapshot["pipeline.iterations"]["value"] == 6
+
+    def test_distributed_dataloader_pins_one_kv_job_in_flight(self):
+        with PlannerPool(make_planner(), KVStore()) as pool:
+            loader = DistributedDataloader(make_batches(2), pool, lookahead=0)
+            assert loader.lookahead == 1
+            assert len(list(loader)) == 2
+
     def test_dcp_dataloader_accepts_generator(self):
         planner = make_planner()
         batches = make_batches(3)
