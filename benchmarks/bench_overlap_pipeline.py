@@ -22,11 +22,13 @@ cells comparing how the prefetch window re-plans (``scratch`` = whole
 window cold, the pre-delta behavior; ``delta`` = only affected jobs,
 warm-started — the report's ``replan_cost_ratio`` and the acceptance
 target ≤0.5; ``window`` = every job through the same warm primitive,
-proven ``plan_fingerprint``-identical to delta); a KV-backend pair
-comparing consumer wire bytes with monolithic vs per-device partial
-plan fetches; and a KV delta-replan cell measuring the conditional
-republish/re-fetch savings (``refetch_saved_bytes``).  The streaming
-report merges into ``BENCH_overlap.json`` under ``"streaming"``.
+proven ``plan_fingerprint``-identical to delta); a KV-backend run
+whose consumer wire bytes (skeleton + own stream per device) are
+compared with every device pulling the whole pickled plan, priced on
+the same served plans; and a KV delta-replan cell measuring the
+conditional republish/re-fetch savings (``refetch_saved_bytes``).  The
+streaming report merges into ``BENCH_overlap.json`` under
+``"streaming"``.
 
 ``--transport`` measures plan transport instead: the same batches
 planned on the process backend once per route (``shm`` = columnar
@@ -423,16 +425,18 @@ def _measure_streaming_cell(
 
 def _measure_kv_consumer_bytes(
     scale, batches, kappa: int, workers: int, time_scale: float,
-    partial: bool,
-) -> Dict:
+) -> tuple:
     """KV-backend cell: every device pulls its plan from the store.
 
-    With ``partial=False`` each device pulls the monolithic plan; with
-    ``partial=True`` only the shared skeleton plus its own instruction
-    stream — the per-device partial fetch whose wire-byte saving the
-    §6.1 accounting is after.
+    Returns ``(kv_partial, kv_full)``.  ``kv_partial`` is the run as
+    measured: each device pulls the shared skeleton plus its own
+    instruction stream.  ``kv_full`` is the monolithic baseline the
+    §6.1 accounting compares against, priced on the same run's served
+    plans: every device off the store's host machine pulling the whole
+    pickled plan (what a one-value-per-plan layout moves), with the
+    store traffic such a layout writes and serves.
     """
-    from repro.core import DCPPlanner, KVStore, PlannerPool
+    from repro.core import DCPPlanner, KVStore
     from repro.pipeline import (
         KVPlannerBackend,
         PipelineRunner,
@@ -442,21 +446,24 @@ def _measure_kv_consumer_bytes(
 
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
     store = KVStore()
-    pool = PlannerPool(
-        planner, store, num_machines=2, cores_per_machine=workers,
-        partial_plans=partial,
+    backend = KVPlannerBackend(
+        planner, store, num_machines=2, cores_per_machine=workers
     )
-    backend = KVPlannerBackend(pool, own_pool=True, per_device_fetch=True)
     pipeline = StreamingOverlapPipeline(
         (batch for batch in batches), planner, lookahead=kappa,
         backend=backend,
     )
-    runner = PipelineRunner(
-        pipeline, execute=cost_model_executor(time_scale=time_scale)
-    )
-    stats = runner.run().stats
+    timed = cost_model_executor(time_scale=time_scale)
+    plans = []
+
+    def execute(local_data, plan):
+        plans.append(plan)
+        return timed(local_data, plan)
+
+    stats = PipelineRunner(pipeline, execute=execute).run().stats
+    traffic = store.metrics.snapshot()
     row = {
-        "mode": "kv_partial" if partial else "kv_full",
+        "mode": "kv_partial",
         "kappa": kappa,
         "iterations": stats.iterations,
         "steady_hidden_fraction": round(stats.steady_hidden_fraction, 4),
@@ -464,15 +471,44 @@ def _measure_kv_consumer_bytes(
         "consumer_wire_bytes_per_iteration": int(
             backend.consumer_wire_bytes / max(stats.iterations, 1)
         ),
-        "store_traffic": store.traffic,
+        "store_traffic": {
+            "in": traffic["kv.bytes_in"]["value"],
+            "out": traffic["kv.bytes_out"]["value"],
+            "get_misses": traffic["kv.get_misses"]["value"],
+        },
         "wall_s": round(stats.wall_s, 3),
     }
-    print(
-        f"mode={row['mode']:<10} kappa={kappa} "
-        f"consumer_bytes={row['consumer_wire_bytes']} "
-        f"wall={row['wall_s']:.1f}s"
+    pickled = [len(pickle.dumps(plan)) for plan in plans]
+    full_wire_bytes = sum(
+        nbytes * sum(
+            plan.cluster.machine_of(device) != store.host_machine
+            for device in plan.device_plans
+        )
+        for nbytes, plan in zip(pickled, plans)
     )
-    return row
+    full_row = {
+        **row,
+        "mode": "kv_full",
+        "consumer_wire_bytes": full_wire_bytes,
+        "consumer_wire_bytes_per_iteration": int(
+            full_wire_bytes / max(stats.iterations, 1)
+        ),
+        "store_traffic": {
+            "in": sum(pickled),
+            "out": sum(
+                nbytes * plan.num_devices
+                for nbytes, plan in zip(pickled, plans)
+            ),
+            "get_misses": 0,
+        },
+    }
+    for cell in (full_row, row):
+        print(
+            f"mode={cell['mode']:<10} kappa={kappa} "
+            f"consumer_bytes={cell['consumer_wire_bytes']} "
+            f"wall={cell['wall_s']:.1f}s"
+        )
+    return row, full_row
 
 
 def _measure_kv_replan_cell(
@@ -485,7 +521,7 @@ def _measure_kv_replan_cell(
     re-dispatches the window — the plans are shape-compatible but were
     optimized under stale link costs, so the conservative delta policy
     re-plans them warm.  The warm re-plans adopt the previous placement
-    and serialize to byte-identical streams; the pool's conditional
+    and serialize to byte-identical streams; the backend's conditional
     per-device writes then republish *nothing* per device and consumers
     re-fetching with version cursors move only the skeleton — the §6.1
     wire win of delta re-planning, measured end to end
@@ -493,7 +529,7 @@ def _measure_kv_replan_cell(
     removal, by contrast, genuinely changes every stream; its re-plan
     cost is what the thread-backend replan cells compare.
     """
-    from repro.core import DCPPlanner, KVStore, PlannerPool
+    from repro.core import DCPPlanner, KVStore
     from repro.pipeline import (
         KVPlannerBackend,
         PipelineRunner,
@@ -503,12 +539,9 @@ def _measure_kv_replan_cell(
     from repro.sim import ClusterEventSource
 
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
-    store = KVStore()
-    pool = PlannerPool(
-        planner, store, num_machines=2, cores_per_machine=workers,
-        partial_plans=True,
+    backend = KVPlannerBackend(
+        planner, KVStore(), num_machines=2, cores_per_machine=workers
     )
-    backend = KVPlannerBackend(pool, own_pool=True, per_device_fetch=True)
     events = ClusterEventSource(scale.cluster)
     pipeline = StreamingOverlapPipeline(
         (batch for batch in batches), planner, lookahead=kappa,
@@ -528,6 +561,14 @@ def _measure_kv_replan_cell(
         on_iteration=fire,
     )
     stats = runner.run().stats
+    pool = {
+        name: backend.metrics.counter(f"pool.{name}").value
+        for name in (
+            "refetch_saved_bytes",
+            "device_entries_written",
+            "device_entries_unchanged",
+        )
+    }
     row = {
         "mode": "kv_replan_delta",
         "kappa": kappa,
@@ -536,9 +577,7 @@ def _measure_kv_replan_cell(
         "partial_replans": stats.partial_replans,
         "replan_jobs_reused": stats.replan_jobs_reused,
         "consumer_wire_bytes": backend.consumer_wire_bytes,
-        "refetch_saved_bytes": pool.refetch_saved_bytes,
-        "device_entries_written": pool.device_entries_written,
-        "device_entries_unchanged": pool.device_entries_unchanged,
+        **pool,
         "event_at": event_at,
         "wall_s": round(stats.wall_s, 3),
     }
@@ -614,11 +653,8 @@ def run_streaming_bench(
         fingerprints=window_prints, use_cache=False,
     )
     kv_stream = batches[:kv_batches]
-    kv_full = _measure_kv_consumer_bytes(
-        scale, kv_stream, kappa, workers, time_scale, partial=False
-    )
-    kv_partial = _measure_kv_consumer_bytes(
-        scale, kv_stream, kappa, workers, time_scale, partial=True
+    kv_partial, kv_full = _measure_kv_consumer_bytes(
+        scale, kv_stream, kappa, workers, time_scale
     )
     kv_replan = _measure_kv_replan_cell(
         scale, kv_stream, kappa, workers, time_scale,

@@ -1,6 +1,6 @@
 """CI gate: the docs tree must track the code and benchmark surface.
 
-Four checks, all cheap and dependency-free:
+Five checks, all cheap and dependency-free:
 
 * every *tracked* benchmark report at the repo root (``BENCH_*.json``,
   excluding ``*.smoke.json`` scratch outputs) is mentioned somewhere
@@ -16,7 +16,11 @@ Four checks, all cheap and dependency-free:
 * every backticked symbol reference in ``docs/*.md`` and ``README.md``
   — a dotted ``repro.…`` name, or a CamelCase name with optional
   ``.attribute`` — still resolves against the importable ``repro``
-  package, so a deleted or renamed class cannot linger in the docs.
+  package, so a deleted or renamed class cannot linger in the docs;
+* every keyword in a backticked call — ``Name(…, kw=…)`` whose callee
+  resolves to a ``repro`` callable without ``**kwargs`` — is a
+  parameter that callable accepts, so a deleted option cannot linger
+  either.
 
 Usage::
 
@@ -48,6 +52,11 @@ EXTERNAL = ("http://", "https://", "mailto:")
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 DOTTED_RE = re.compile(r"^repro(?:\.\w+)+$")
 CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+(?:\.\w+)*$")
+#: A span that is one call, ``callee(args)``; a keyword is a ``name=``
+#: in its own argument list (nested calls are stripped first).
+CALL_RE = re.compile(r"^([\w.]+)\((.*)\)$")
+NESTED_CALL_RE = re.compile(r"\([^()]*\)")
+KEYWORD_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
 
 
 def _doc_files() -> List[str]:
@@ -152,6 +161,17 @@ def _resolves(obj, parts: Sequence[str]) -> bool:
     return True
 
 
+def _module_prefix(parts: Sequence[str]):
+    """``(module, remaining parts)`` for the longest importable prefix
+    of a dotted name, or ``None`` when not even its head imports."""
+    for cut in range(len(parts), 0, -1):
+        try:
+            return importlib.import_module(".".join(parts[:cut])), parts[cut:]
+        except ImportError:
+            continue
+    return None
+
+
 def stale_symbols(text: str, names: Optional[Dict[str, object]] = None):
     """Backticked symbol references in ``text`` that no longer resolve."""
     if names is None:
@@ -161,16 +181,8 @@ def stale_symbols(text: str, names: Optional[Dict[str, object]] = None):
         symbol = re.sub(r"\(.*\)$", "", span)
         parts = symbol.split(".")
         if DOTTED_RE.match(symbol):
-            # Longest importable module prefix, then attributes.
-            for cut in range(len(parts), 0, -1):
-                try:
-                    module = importlib.import_module(".".join(parts[:cut]))
-                except ImportError:
-                    continue
-                if not _resolves(module, parts[cut:]):
-                    stale.append(span)
-                break
-            else:
+            found = _module_prefix(parts)
+            if found is None or not _resolves(*found):
                 stale.append(span)
         elif CAMEL_RE.match(symbol):
             if parts[0] not in names or not _resolves(
@@ -180,8 +192,51 @@ def stale_symbols(text: str, names: Optional[Dict[str, object]] = None):
     return stale
 
 
+def _callee(symbol: str, names: Dict[str, object]):
+    """The ``repro`` callable ``symbol`` names, or ``None``."""
+    parts = symbol.split(".")
+    if DOTTED_RE.match(symbol):
+        obj, parts = _module_prefix(parts) or (None, ())
+    else:
+        obj, parts = names.get(parts[0]), parts[1:]
+    for part in parts:
+        obj = getattr(obj, part, None)
+    module = getattr(obj, "__module__", None) or ""
+    if not callable(obj) or not module.startswith("repro"):
+        return None
+    return obj
+
+
+def stale_keywords(text: str, names: Optional[Dict[str, object]] = None):
+    """``(span, keyword)`` for call keywords the callee does not accept."""
+    if names is None:
+        names = _repro_names()
+    stale: List[str] = []
+    for span in sorted(set(CODE_SPAN_RE.findall(text))):
+        call = CALL_RE.match(span)
+        callee = _callee(call.group(1), names) if call else None
+        if callee is None:
+            continue
+        try:
+            parameters = inspect.signature(callee).parameters
+        except (TypeError, ValueError):
+            continue
+        if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+            continue
+        arguments = call.group(2)
+        while NESTED_CALL_RE.search(arguments):
+            arguments = NESTED_CALL_RE.sub("", arguments)
+        stale.extend(
+            (span, keyword)
+            for keyword in KEYWORD_RE.findall(arguments)
+            if keyword not in parameters
+        )
+    return stale
+
+
 def stale_symbol_references() -> List[str]:
-    """Stale symbols per file across docs/ and README.md."""
+    """Stale symbols and call keywords per file across docs/ and
+    README.md."""
     names = _repro_names()
     failures: List[str] = []
     for path in _doc_files() + [os.path.join(REPO_ROOT, "README.md")]:
@@ -194,6 +249,11 @@ def stale_symbol_references() -> List[str]:
             failures.append(
                 f"{rel}: `{span}` does not resolve against the repro "
                 f"package (deleted or renamed?)"
+            )
+        for span, keyword in stale_keywords(text, names):
+            failures.append(
+                f"{rel}: `{span}` passes `{keyword}=`, which its callee "
+                f"does not accept (deleted or renamed option?)"
             )
     return failures
 
@@ -227,7 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"docs ok: {len(tracked_bench_files())} tracked benchmark files "
         f"and {len(repro_packages())} repro packages documented, all "
-        f"relative links and symbol references resolve"
+        f"relative links, symbol references and call keywords resolve"
     )
     return 0
 

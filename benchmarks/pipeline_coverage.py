@@ -42,6 +42,8 @@ TEST_MODULES = [
     "tests/test_plan_cache.py",
     "tests/test_plan_transport.py",
     "tests/test_obs.py",
+    "tests/test_pool_kvstore.py",
+    "tests/test_delta_replan.py",
 ]
 
 

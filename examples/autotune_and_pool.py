@@ -2,9 +2,9 @@
 
 First runs the paper's block-size search (512..4096, automated against
 the timing simulator) on a stream of packed batches, then trains
-through a :class:`DistributedDataloader`: plans are produced by a
-planner pool spread over two "machines" and distributed through the
-in-memory KV store, exactly the paper's Redis pipeline.
+through a :class:`DistributedDataloader`: plans are produced by
+planner instances spread over two "machines" and distributed through
+the in-memory KV store, exactly the paper's Redis pipeline.
 
 Run:  python examples/autotune_and_pool.py
 """
@@ -17,8 +17,9 @@ from repro import (
     autotune_block_size,
     make_mask,
 )
-from repro.core import DistributedDataloader, KVStore, PlannerPool
+from repro.core import DistributedDataloader, KVStore
 from repro.data import batches_to_specs, pack_batches, sample_lengths
+from repro.pipeline import KVPlannerBackend
 from repro.sim import simulate_plan
 
 
@@ -49,22 +50,22 @@ def main() -> None:
         cluster, attention, DCPConfig(block_size=result.best, restarts=1)
     )
     store = KVStore(host_machine=0)
-    with PlannerPool(
+    backend = KVPlannerBackend(
         planner, store, num_machines=2, cores_per_machine=2
-    ) as pool:
-        loader = DistributedDataloader(batches[:4], pool, lookahead=2)
-        for iteration, (local_data, plan) in enumerate(loader):
-            timing = simulate_plan(plan)
-            tokens = [data.tokens for data in local_data.values()]
-            print(
-                f"iteration {iteration}: tokens/device {tokens}, "
-                f"attention fw {timing.iteration_time * 1e3:.3f} ms"
-            )
-    wire = sum(client.wire_bytes() for client in pool.clients)
+    )
+    loader = DistributedDataloader(batches[:4], backend, lookahead=2)
+    for iteration, (local_data, plan) in enumerate(loader):
+        timing = simulate_plan(plan)
+        tokens = [data.tokens for data in local_data.values()]
+        print(
+            f"iteration {iteration}: tokens/device {tokens}, "
+            f"attention fw {timing.iteration_time * 1e3:.3f} ms"
+        )
     print(
-        f"\nplan distribution: {len(store.keys())} plans in the store, "
+        f"\nplan distribution: {len(store.keys())} entries in the store "
+        f"(a skeleton plus one stream per device for every plan), "
         f"{store.size_bytes() / 1e6:.2f} MB resident, "
-        f"{wire / 1e6:.2f} MB over the wire"
+        f"{backend.consumer_wire_bytes / 1e6:.2f} MB pulled over the wire"
     )
 
 

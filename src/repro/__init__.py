@@ -2,8 +2,8 @@
 
 Top-level convenience re-exports; see subpackages for the full API:
 
-* :mod:`repro.core` — DCPConfig, DCPPlanner, DCPDataloader, distributed
-  planner pool + KV store, plan cache, block-size autotuner
+* :mod:`repro.core` — DCPConfig, DCPPlanner, DCPDataloader, KV store,
+  plan cache, block-size autotuner
 * :mod:`repro.masks` — attention-mask specifications (2-range paper
   masks plus arbitrary multi-range masks)
 * :mod:`repro.blocks` — data/computation block representation

@@ -16,7 +16,6 @@ from .planwire import (
     encode_plan,
 )
 from .pool import (
-    PlannerPool,
     PlanningTimeline,
     min_cores_to_hide_planning,
     simulate_planning_overlap,
@@ -45,7 +44,6 @@ __all__ = [
     "decode_plan",
     "encode_device_payload",
     "decode_device_payload",
-    "PlannerPool",
     "DistributedDataloader",
     "PlanningTimeline",
     "simulate_planning_overlap",

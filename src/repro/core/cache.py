@@ -17,7 +17,7 @@ whether the signature is cached (``"hit"``), already being planned by
 someone else (``"wait"``, with a future resolving to the plan), or its
 own to plan (``"own"``).  Exactly one caller per signature owns the
 dispatch, no matter how many threads or pipelines race on it; owners
-publish through :meth:`PlanCache.fulfill` or release waiters with
+publish through :meth:`PlanCache.publish` or release waiters with
 :meth:`PlanCache.abandon`.  Streaming pipelines additionally
 :meth:`PlanCache.invalidate` entries whose cluster shape went stale.
 """
@@ -61,9 +61,8 @@ class PlanCache:
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._inflight: dict = {}
         self._lock = threading.RLock()
-        #: Accounting lives in a metrics registry (``cache.*``); the
-        #: historical ``hits``/``misses``/... attributes are read-only
-        #: views over it (one accounting truth; see ``repro.obs``).
+        #: Accounting lives in a metrics registry (``cache.*``; one
+        #: accounting truth, see ``repro.obs``).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hits = self.metrics.counter("cache.hits")
         self._misses = self.metrics.counter("cache.misses")
@@ -72,22 +71,6 @@ class PlanCache:
         self._reserve_wait = self.metrics.counter("cache.reserve_wait")
         self._reserve_own = self.metrics.counter("cache.reserve_own")
         self._epoch = 0
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value
-
-    @property
-    def remapped(self) -> int:
-        return self._remapped.value
 
     @property
     def epoch(self) -> int:
@@ -143,8 +126,8 @@ class PlanCache:
         * ``"wait"`` — someone else is planning it; payload is a future
           resolving to the plan.  Counts a miss.
         * ``"own"`` — the caller now owns the dispatch (payload is the
-          reservation future) and must eventually :meth:`fulfill`,
-          :meth:`publish` or :meth:`abandon` it.  Counts a miss.
+          reservation future) and must eventually :meth:`publish` or
+          :meth:`abandon` it.  Counts a miss.
 
         ``count=False`` suppresses the hit/miss/reserve accounting (not
         the claim itself): pre-warm reservations are speculative work
@@ -186,29 +169,12 @@ class PlanCache:
             self._inflight[key] = (future, self._epoch)
             return ("own", future, self._epoch)
 
-    def fulfill(self, key: Tuple, plan) -> bool:
-        """Publish an owned reservation: insert + wake the waiters.
-
-        Returns False (and inserts nothing) if the reservation was
-        invalidated or abandoned in the meantime — a stale plan must not
-        re-enter the cache behind an invalidation.
-        """
-        with self._lock:
-            reservation = self._inflight.pop(key, None)
-            if reservation is None:
-                return False
-            self._insert(key, plan)
-        future = reservation[0]
-        if not future.done():
-            future.set_result(plan)
-        return True
-
     def publish(self, key: Tuple, plan, epoch: int) -> bool:
         """Insert ``plan`` only if no invalidation happened since ``epoch``.
 
-        The retry path's publication primitive: a pipeline captures
-        ``cache.epoch`` before reserving, and a plan computed across a
-        worker respawn may only enter the cache if no
+        The one publication primitive: an owner presents the epoch its
+        :meth:`reserve` returned, and a plan (possibly computed across
+        a worker respawn) may only enter the cache if no
         :meth:`invalidate`/:meth:`clear` ran in between — otherwise a
         stale-shape plan would resurrect behind the invalidation.
 

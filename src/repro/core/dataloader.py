@@ -14,7 +14,7 @@ re-planning on :class:`~repro.sim.ClusterEventSource` events and the
 measured overlap accounting (``stats()``): :data:`DCPDataloader` *is*
 that class under the paper's name, so every pipeline keyword applies;
 :func:`DistributedDataloader` builds one whose plans travel through a
-:class:`~repro.core.pool.PlannerPool`'s KV store.
+:class:`~repro.pipeline.KVPlannerBackend`'s KV store.
 """
 
 from __future__ import annotations
@@ -48,23 +48,21 @@ def _local_data(plan: ExecutionPlan) -> Dict[int, LocalData]:
 
 # The pipeline yields LocalData, so it imports this module; its import
 # has to follow the definitions above.
-from ..pipeline import KVPlannerBackend, StreamingOverlapPipeline  # noqa: E402
+from ..pipeline import StreamingOverlapPipeline  # noqa: E402
 
 DCPDataloader = StreamingOverlapPipeline
 
 
 def DistributedDataloader(
-    batches, pool, lookahead: int = 2, per_device_fetch: bool = False, **kwargs
+    batches, backend, lookahead: int = 2, **kwargs
 ) -> StreamingOverlapPipeline:
-    """§6.1 dataloader on top of a :class:`~repro.core.pool.PlannerPool`.
+    """§6.1 dataloader on a :class:`~repro.pipeline.KVPlannerBackend`.
 
     The pipeline with the KV backend: it keeps planning ``lookahead``
     iterations ahead of execution and yields ``(local_data, plan)``
     like :data:`DCPDataloader`, but every plan travels through the
-    pool's KV store — the full distribution path
-    (``per_device_fetch``: see
-    :class:`~repro.pipeline.backends.KVPlannerBackend`).  ``kwargs``
-    are the pipeline's own (``events``, ``replan_mode``, ``cache``,
+    backend's KV store — the full distribution path.  ``kwargs`` are
+    the pipeline's own (``events``, ``replan_mode``, ``cache``,
     ``plan_timeout``, ...).
 
     ``lookahead == 0`` must still go through the store (the planner
@@ -76,8 +74,8 @@ def DistributedDataloader(
         raise ValueError("lookahead must be non-negative")
     return StreamingOverlapPipeline(
         batches,
-        pool.planner,
+        backend.planner,
         lookahead=max(lookahead, 1),
-        backend=KVPlannerBackend(pool, per_device_fetch=per_device_fetch),
+        backend=backend,
         **kwargs,
     )

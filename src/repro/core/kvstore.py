@@ -34,6 +34,7 @@ never a re-serialization.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 import threading
@@ -99,15 +100,19 @@ class KVStore:
         self.ttl_s = ttl_s
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._size = 0
+        #: Store-wide write counter: a version is never reused, so a
+        #: cursor taken before a key was deleted or evicted cannot match
+        #: whatever is written under that key afterwards.
+        self._versions = itertools.count(1)
         #: Keys with a blocked ``get``/``get_unless`` registered on
         #: them (key -> waiter count); eviction skips these.
         self._waiters: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         #: Byte accounting and op-latency histograms (``kv.*``) live in
-        #: a metrics registry; :attr:`traffic` is a view over it.  Get
-        #: latency includes any blocking wait — that *is* the latency a
-        #: consumer stalled on a not-yet-published plan experiences.
+        #: a metrics registry.  Get latency includes any blocking wait —
+        #: that *is* the latency a consumer stalled on a
+        #: not-yet-published plan experiences.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._bytes_in = self.metrics.counter("kv.bytes_in")
         self._bytes_out = self.metrics.counter("kv.bytes_out")
@@ -200,8 +205,7 @@ class KVStore:
         with _span("kv.put", "kv", key=key):
             payload, raw = _encode(value)
             with self._changed:
-                previous = self._entries.get(key)
-                version = previous.version + 1 if previous else 1
+                version = next(self._versions)
                 self._insert(key, _Entry(payload=payload, version=version,
                                          raw=raw, stamp=time.monotonic()))
                 self._bytes_in.inc(len(payload))
@@ -240,7 +244,7 @@ class KVStore:
                     self._entries.move_to_end(key)
                     result = previous.version, False, len(payload)
                 else:
-                    version = previous.version + 1 if previous else 1
+                    version = next(self._versions)
                     self._insert(key, _Entry(
                         payload=payload, version=version, raw=raw,
                         stamp=time.monotonic(),
@@ -409,30 +413,6 @@ class KVStore:
         """Resident bytes on the host machine."""
         with self._lock:
             return self._size
-
-    @property
-    def eviction_stats(self) -> Dict[str, int]:
-        """Entries/bytes reclaimed by the ``max_bytes``/TTL policies."""
-        return {
-            "evictions": self._evictions.value,
-            "evicted_bytes": self._evicted_bytes.value,
-        }
-
-    @property
-    def traffic(self) -> Dict[str, int]:
-        """Total bytes written to / read from the store, plus misses.
-
-        A view over the ``kv.bytes_in``/``kv.bytes_out``/
-        ``kv.get_misses`` registry counters (see
-        :mod:`repro.obs.metrics`).  ``get_misses`` counts lookups —
-        :meth:`try_get` on an absent key, blocking gets that timed out
-        — not bytes.
-        """
-        return {
-            "in": self._bytes_in.value,
-            "out": self._bytes_out.value,
-            "get_misses": self._get_misses.value,
-        }
 
 
 @dataclass

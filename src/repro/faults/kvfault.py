@@ -64,7 +64,7 @@ class FaultyKVStore:
             raise KVOpDropped(self.target, op)
 
     def __getattr__(self, name: str):
-        # Unguarded surface (metrics, traffic, host_machine, ...).
+        # Unguarded surface (metrics, host_machine, ...).
         return getattr(self._store, name)
 
     @property

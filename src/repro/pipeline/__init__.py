@@ -15,8 +15,9 @@ model execution" claim from an analytic replay
   :class:`~repro.sim.ClusterEventSource` reports device add/remove
   events mid-stream (``events=None``: a cluster that never changes).
 * :mod:`~repro.pipeline.backends` — where planning runs: thread-pool,
-  process-pool, KV-store (:class:`~repro.core.pool.PlannerPool`, with
-  optional per-device partial plan fetches) and plan-service workers.
+  process-pool, KV-store (:class:`KVPlannerBackend`: publish to a
+  :class:`~repro.core.kvstore.KVStore`, every device pulls its own
+  slice) and plan-service workers.
   Process workers return plans one way: columnar wire bytes
   (:mod:`repro.core.planwire`) deposited in a shared-memory
   :class:`~repro.pipeline.shm.PlanRing`, the same bytes over the result

@@ -18,13 +18,12 @@ parent's).  Three implementations:
   plans return through a zero-copy shared-memory ring in the columnar
   wire format (:mod:`repro.core.planwire`), falling back per plan to
   the same bytes over the result pipe.
-* :class:`KVPlannerBackend` — planning through a
-  :class:`~repro.core.pool.PlannerPool`: jobs fan out round-robin
-  across (simulated) machines and plans return via the KV store,
-  the paper's full §6.1 distribution path.  With ``per_device_fetch``
-  the consumer side pulls per-device plan slices (skeleton + own
-  instruction stream) instead of re-reading whole plans, and the wire
-  bytes it would move accumulate in ``consumer_wire_bytes``.
+* :class:`KVPlannerBackend` — the paper's full §6.1 distribution
+  route: jobs fan out round-robin across (simulated) machines, each
+  plan is published to a :class:`~repro.core.kvstore.KVStore` as a
+  skeleton plus one columnar entry per device, and every device pulls
+  its own slice back; the wire bytes the consumers would move
+  accumulate in ``consumer_wire_bytes``.
 
 All backends accept a per-job ``planner`` override on
 :meth:`submit`/:meth:`resubmit` — the streaming pipeline pins a cluster
@@ -34,15 +33,21 @@ retry/respawn entry point for jobs whose worker raised or hung.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import pickle
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Optional, Tuple
+from concurrent.futures import (
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from typing import Callable, Dict, Optional, Tuple
 
-from ..core.planwire import decode_plan, encode_plan
+from ..core.kvstore import KVClient
+from ..core.planwire import PlanWire, decode_plan, encode_plan
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import add_span as _add_span
 from ..obs.trace import tracing_enabled as _tracing
@@ -378,121 +383,254 @@ class ProcessPlannerBackend:
             self._ring.close()
 
 
+def skeleton_key(iteration: int) -> str:
+    """Store key of an iteration's shared plan context."""
+    return f"plan/{iteration}/skeleton"
+
+
+def device_key(iteration: int, device: int) -> str:
+    """Store key of one device's instruction stream."""
+    return f"plan/{iteration}/device/{device}"
+
+
 class KVPlannerBackend:
-    """Planning via a :class:`~repro.core.pool.PlannerPool` + KV store.
+    """The §6.1 distribution route: plan on a machine, publish, pull.
 
-    The pool publishes each plan under ``plan/<iteration>``;
-    :meth:`PlanTicket.result` re-reads it from the store so the yielded
-    plan is the genuine round-tripped article every device would see.
+    Iteration ``i`` plans on machine ``i % num_machines`` (the paper
+    assigns different iterations to different machines), each machine
+    running at most ``cores_per_machine`` planner instances, and one
+    job carries a dispatch the whole way: plan → publish to the
+    :class:`~repro.core.kvstore.KVStore` → every device pulls its slice
+    → ``(plan, start, end)``.  The yielded plan is reassembled from
+    exactly the fetched bytes, so it is the genuine round-tripped
+    article every device would see.
 
-    With ``per_device_fetch=True`` the consumer side instead simulates
-    every device pulling its own slice (skeleton + instruction stream
-    when the pool publishes partial plans, the whole plan otherwise)
-    and accumulates the §6.1 consumer wire bytes in
-    :attr:`consumer_wire_bytes`.
+    **Stored layout.**  The plan is encoded once
+    (:func:`~repro.core.planwire.encode_plan`) and published as a
+    skeleton entry — ``plan/<i>/skeleton``: the
+    :class:`~repro.core.planwire.PlanWire` header and context with an
+    empty payload, whose span table *is* the device list — plus one
+    entry per device (``plan/<i>/device/<d>``:
+    ``PlanWire.device_bytes(d)``).  Device entries are conditional
+    writes: a re-plan that leaves a device's stream byte-identical
+    rewrites nothing for it and keeps its version
+    (``pool.device_entries_written`` / ``pool.device_entries_unchanged``
+    in :attr:`metrics`); the canonical columnar encoding makes that
+    byte-compare identity-exact.
+
+    **Fetch.**  Each device, from its own machine, reads the skeleton
+    and its own entry.  Reads from the store's host machine are local
+    and free (the :class:`~repro.core.kvstore.KVClient` convention);
+    the rest accumulate in :attr:`consumer_wire_bytes`.  The pull of a
+    re-dispatched iteration presents the previous pull's version
+    cursors, so streams the re-plan left untouched do not move again
+    (``pool.refetch_saved_bytes``).
+
+    **Supersession.**  Every dispatch takes a fresh generation for its
+    iteration.  A job whose generation is no longer current — a
+    :meth:`resubmit` replaced it while its worker ran or hung — never
+    publishes over the replacement and accounts no pull; its ticket
+    (which nobody consumes) is cancelled.
+
+    **Retention.**  Re-plans only ever target the live prefetch window,
+    so published iterations more than :attr:`MAX_FETCH_CURSORS` behind
+    the newest are reclaimed — store keys and fetch cursors together
+    (``pool.pruned_iterations``) — and an unbounded stream holds
+    O(window) plans no matter their size.
     """
 
-    #: Per-iteration consumer fetch cursors retained for delta
-    #: re-fetches.  A re-dispatched job re-publishes its iteration and
-    #: the consumer pulls again; with the previous pull's cursors only
-    #: the changed per-device slices move.  Each cursor pins the full
-    #: per-device payloads of its iteration (that is what a cursor hit
-    #: reuses), so the bound is kept tight: re-plans only ever target
-    #: the live prefetch window (``lookahead + 1``, typically 2-5
-    #: iterations), and older cursors can never be re-pulled.
+    #: Published iterations kept resident (store entries plus the
+    #: consumer's fetch cursors, which pin the per-device payloads a
+    #: cursor hit reuses).  Kept tight: re-plans target the live
+    #: prefetch window (``lookahead + 1``, typically 2-5 iterations)
+    #: and nothing older is ever pulled again.
     MAX_FETCH_CURSORS = 8
+
+    #: How long a consumer waits for a published entry.  Only reached
+    #: when the store reclaimed it (``max_bytes``/TTL) under the pull.
+    FETCH_TIMEOUT_S = 60.0
 
     def __init__(
         self,
-        pool,
-        own_pool: bool = False,
-        per_device_fetch: bool = False,
+        planner,
+        store,
+        num_machines: int = 1,
+        cores_per_machine: int = 2,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.pool = pool
-        self.own_pool = own_pool
-        self.per_device_fetch = per_device_fetch
+        if num_machines < 1 or cores_per_machine < 1:
+            raise ValueError("need at least one machine and one core")
+        self.planner = planner
+        self.store = store
+        self.num_machines = num_machines
+        self._clients = [
+            KVClient(store=store, machine=m) for m in range(num_machines)
+        ]
+        self._executors = [
+            ThreadPoolExecutor(
+                max_workers=cores_per_machine,
+                thread_name_prefix=f"dcp-kv-m{m}",
+            )
+            for m in range(num_machines)
+        ]
+        # Every job of an iteration runs on the same machine, so one
+        # publication at a time per machine orders a superseded job
+        # against its replacement while machines still publish in
+        # parallel.
+        self._publishing = [threading.Lock() for _ in range(num_machines)]
         self.consumer_wire_bytes = 0
-        self._latest: dict = {}
-        self._fetched: "OrderedDict[int, dict]" = OrderedDict()
+        self._dispatches = itertools.count(1)
+        #: iteration -> generation of its in-flight job (empty once
+        #: every dispatched job settled).
+        self._generation: Dict[int, int] = {}
+        #: iteration -> {device: (version, payload)} of its last pull;
+        #: exactly the iterations resident in the store.
+        self._cursors: Dict[int, Dict[int, Tuple[int, bytes]]] = {}
         self._lock = threading.Lock()
-
-    def _ticket(self, inner: Future, index: int) -> PlanTicket:
-        pool = self.pool
-        wrapper: Future = Future()
-        with self._lock:
-            self._latest[index] = inner
-
-        def _relay(done: Future) -> None:
-            with self._lock:
-                superseded = self._latest.get(index) is not inner
-            if superseded:
-                # A resubmission replaced this job; its (orphaned)
-                # wrapper is never consumed, and accounting a consumer
-                # pull for a plan nobody consumes would inflate the
-                # §6.1 wire bytes.
-                wrapper.cancel()
-                return
-            try:
-                done.result()
-                if self.per_device_fetch:
-                    with self._lock:
-                        known = self._fetched.get(index)
-                    plan, wire_bytes, fetched = pool.device_pull(
-                        index, known=known
-                    )
-                    with self._lock:
-                        self.consumer_wire_bytes += wire_bytes
-                        self._fetched[index] = fetched
-                        self._fetched.move_to_end(index)
-                        while len(self._fetched) > self.MAX_FETCH_CURSORS:
-                            self._fetched.popitem(last=False)
-                else:
-                    plan = pool.fetch(index)
-                start, end = pool.plan_interval(index)
-                # Consumed: drop the per-iteration bookkeeping (and the
-                # future pinning the plan) so unbounded streams run in
-                # O(1) backend/pool memory.
-                self._prune(index, inner)
-                wrapper.set_result((plan, start, end))
-            except BaseException as exc:
-                # Failure path prunes too: a permanently failed job that
-                # ends in the pipeline's inline fallback would otherwise
-                # leak its bookkeeping forever.  A subsequent resubmit
-                # recreates fresh entries (replace starts a new
-                # generation regardless).
-                self._prune(index, inner)
-                wrapper.set_exception(exc)
-
-        inner.add_done_callback(_relay)
-        return PlanTicket(wrapper)
-
-    def _prune(self, index: int, inner: Future) -> None:
-        with self._lock:
-            if self._latest.get(index) is not inner:
-                # Superseded while this relay ran: the replacement owns
-                # the bookkeeping now and will prune it itself.
-                return
-            del self._latest[index]
-        self.pool.release(index)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._entries_written = self.metrics.counter(
+            "pool.device_entries_written"
+        )
+        self._entries_unchanged = self.metrics.counter(
+            "pool.device_entries_unchanged"
+        )
+        self._refetch_saved = self.metrics.counter("pool.refetch_saved_bytes")
+        self._pruned = self.metrics.counter("pool.pruned_iterations")
 
     def submit(self, index: int, batch, planner=None) -> PlanTicket:
-        inner = self.pool.submit(index, batch, planner=planner)
-        return self._ticket(inner, index)
+        """Dispatch iteration ``index`` on its machine.
+
+        The dispatch supersedes any earlier job for the iteration;
+        ``planner`` overrides the backend's planner for this job only.
+        """
+        with self._lock:
+            generation = next(self._dispatches)
+            self._generation[index] = generation
+        return PlanTicket(
+            self._executors[index % self.num_machines].submit(
+                self._job,
+                index,
+                batch,
+                planner if planner is not None else self.planner,
+                generation,
+            )
+        )
 
     def resubmit(self, index: int, batch, planner=None) -> PlanTicket:
-        """Respawn: replace the pool's memoized job for this iteration."""
+        """Respawn: the new generation supersedes the old job."""
+        return self.submit(index, batch, planner=planner)
+
+    def _job(self, index: int, batch, planner, generation: int) -> Tuple:
+        machine = index % self.num_machines
+        try:
+            start = time.perf_counter()
+            plan = planner.plan_batch(batch)
+            end = time.perf_counter()
+            with self._publishing[machine]:
+                with self._lock:
+                    if self._generation.get(index) != generation:
+                        raise CancelledError()
+                self._publish(self._clients[machine], index, plan)
+            served, wire_bytes, cursors = self._pull(index, plan.cluster)
+            with self._lock:
+                if self._generation.get(index) != generation:
+                    raise CancelledError()  # superseded while it pulled
+                del self._generation[index]  # settled: reclaimable now
+                self.consumer_wire_bytes += wire_bytes
+                self._cursors[index] = cursors
+                self._reclaim()
+            return served, start, end
+        finally:
+            # However the job ends, its in-flight entry goes with it: a
+            # failed job that ends in the pipeline's inline fallback
+            # would otherwise leak the entry forever.
+            with self._lock:
+                if self._generation.get(index) == generation:
+                    del self._generation[index]
+
+    def _publish(self, client: KVClient, index: int, plan) -> None:
+        wire = encode_plan(plan)
+        client.put(
+            skeleton_key(index),
+            PlanWire(wire.context, wire.spans, b"").to_bytes(),
+        )
+        written = 0
+        for device in wire.spans:
+            _version, changed = client.put_if_changed(
+                device_key(index, device), wire.device_bytes(device)
+            )
+            written += changed
+        self._entries_written.inc(written)
+        self._entries_unchanged.inc(len(wire.spans) - written)
+
+    def _pull(self, index: int, cluster) -> Tuple:
+        """Every device pulls its slice: ``(plan, wire_bytes, cursors)``.
+
+        ``cluster`` places each device on its machine; everything else
+        comes out of the store.  Devices whose entry still carries the
+        version of the previous pull's cursor are not re-read — their
+        cached payload is reused and the bytes that did not cross a
+        NIC count into ``pool.refetch_saved_bytes``.
+        """
+        timeout = self.FETCH_TIMEOUT_S
         with self._lock:
-            # Supersede the old job *before* the replacement exists, so
-            # a late relay firing in the submission window cannot pass
-            # the _latest identity checks and release the replacement's
-            # bookkeeping.
-            self._latest[index] = None
-        inner = self.pool.submit(index, batch, planner=planner, replace=True)
-        return self._ticket(inner, index)
+            known = self._cursors.get(index, {})
+        # Uncharged probe for the device list; every device below
+        # re-reads the skeleton through its own accounted client.
+        skeleton = PlanWire.from_bytes(
+            self.store.get(skeleton_key(index), timeout=timeout)
+        )
+        consumers: Dict[int, KVClient] = {}
+        cursors: Dict[int, Tuple[int, bytes]] = {}
+        spans: Dict[int, Tuple[int, int]] = {}
+        offset = saved = 0
+        for device in sorted(skeleton.spans):
+            machine = cluster.machine_of(device)
+            if machine not in consumers:
+                consumers[machine] = KVClient(store=self.store, machine=machine)
+            client = consumers[machine]
+            client.get(skeleton_key(index), timeout=timeout)
+            version, payload = known.get(device, (None, None))
+            value, version, fetched = client.get_unless(
+                device_key(index, device), version=version, timeout=timeout
+            )
+            if fetched:
+                payload = value
+            elif not client.is_local:
+                saved += len(payload)
+            cursors[device] = (version, payload)
+            spans[device] = (offset, len(payload))
+            offset += len(payload)
+        self._refetch_saved.inc(saved)
+        plan = decode_plan(PlanWire(
+            skeleton.context,
+            spans,
+            b"".join(payload for _version, payload in cursors.values()),
+        ))
+        wire_bytes = sum(c.wire_bytes() for c in consumers.values())
+        return plan, wire_bytes, cursors
+
+    def _reclaim(self) -> None:
+        """Drop iterations behind the retention horizon (lock held).
+
+        An iteration with a job in flight is being republished and
+        stays; once that job settles a later horizon sweeps it out, as
+        it does a straggler that published out of order.
+        """
+        horizon = max(self._cursors) - self.MAX_FETCH_CURSORS
+        stale = [
+            i for i in self._cursors
+            if i <= horizon and i not in self._generation
+        ]
+        for iteration in stale:
+            del self._cursors[iteration]
+            for key in self.store.keys(prefix=f"plan/{iteration}/"):
+                self.store.delete(key)
+        self._pruned.inc(len(stale))
 
     def close(self) -> None:
-        if self.own_pool:
-            self.pool.shutdown()
+        for executor in self._executors:
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 class ServicePlannerBackend:

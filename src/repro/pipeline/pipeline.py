@@ -540,9 +540,9 @@ class StreamingOverlapPipeline:
         if self._backend is None:
             return _Pending(index, batch, None, now, signature, False,
                             epoch=epoch)
-        # A re-dispatch must *replace* any job the backend memoized for
-        # this index (the KV pool keys jobs by iteration), or the stale
-        # in-flight plan would be served right back.
+        # A re-dispatch must *supersede* the job the backend already
+        # runs for this index (the KV backend publishes by iteration),
+        # or the stale in-flight plan would be served right back.
         dispatch = (
             self._backend.resubmit if redispatch else self._backend.submit
         )

@@ -347,8 +347,8 @@ class PlanService:
                     # the earlier upgrade dispatch was shed, retry it.
                     self._ensure_upgrade(signature, batch)
             elif status == "wait":
-                plan = self._await_shared(signature, payload, timeout,
-                                          deadline, deadline_at)
+                plan = self._await_shared(batch, payload, timeout,
+                                          deadline_at)
             else:
                 plan = self._serve_miss(tenant, signature, batch, payload,
                                         epoch, timeout, deadline_at)
@@ -362,8 +362,7 @@ class PlanService:
             return None
         return max(0.0, deadline_at - time.monotonic())
 
-    def _await_shared(self, signature, future, timeout: Optional[float],
-                      deadline: Optional[float],
+    def _await_shared(self, batch, future, timeout: Optional[float],
                       deadline_at: Optional[float]):
         """Waiter path: join someone else's in-flight reservation.
 
@@ -387,7 +386,7 @@ class PlanService:
         except (PlanRejected, PlanAbandoned, TransientServiceError):
             if deadline_at is None:
                 raise
-        return self._degrade(signature)
+        return self._degrade(batch)
 
     def _planner_available(self) -> bool:
         return (not self._closed
@@ -449,10 +448,13 @@ class PlanService:
 
     # -- degraded-mode serving ------------------------------------------
 
-    def _degrade(self, signature):
-        """Synthesize + account a degraded plan (no cache publication)."""
-        with self._lock:
-            batch = self._exemplars[signature]
+    def _degrade(self, batch):
+        """Synthesize + account a degraded plan (no cache publication).
+
+        ``batch`` is the one the fetch holds: the exemplar table is
+        pruned by every epoch roll and cannot be trusted to still carry
+        a waiting request's signature.
+        """
         with _span("service.degrade", "service"):
             plan = degraded_plan(self.planner, batch)
         self._degraded_served.inc()
@@ -469,7 +471,7 @@ class PlanService:
         its epoch-checked publication replaces the cache entry
         atomically.
         """
-        plan = self._degrade(signature)
+        plan = self._degrade(batch)
         with self._lock:
             self._degraded[signature] = "pending"
         self.cache.publish(signature, plan, epoch)

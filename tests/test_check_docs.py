@@ -1,4 +1,5 @@
-"""The docs gate's stale-symbol check (benchmarks/check_docs.py)."""
+"""The docs gate's stale-symbol and stale-keyword checks
+(benchmarks/check_docs.py)."""
 
 import importlib.util
 import os
@@ -34,6 +35,31 @@ def test_live_names_resolve():
         "not symbols: `BENCH_overlap.json`, `lookahead + 1`, `shm`."
     )
     assert check_docs.stale_symbols(text) == []
+
+
+def test_deleted_keywords_are_flagged():
+    text = (
+        "`KVPlannerBackend(planner, KVStore(max_bytes=1), monolithic=True)`"
+        " and `repro.core.KVStore(retain=2, ttl_s=1.0)`; "
+        "`PlanService.fetch_plan(tenant, batch, dead_line=0.3)`."
+    )
+    assert check_docs.stale_keywords(text) == [
+        ("KVPlannerBackend(planner, KVStore(max_bytes=1), monolithic=True)",
+         "monolithic"),
+        ("PlanService.fetch_plan(tenant, batch, dead_line=0.3)", "dead_line"),
+        ("repro.core.KVStore(retain=2, ttl_s=1.0)", "retain"),
+    ]
+
+
+def test_accepted_keywords_pass():
+    text = (
+        "`KVPlannerBackend(planner, KVStore(), num_machines=2)`, "
+        "`PlanService.fetch_plan(deadline=0.3)`, "
+        # **kwargs callee: anything goes; not a repro callable; not a call.
+        "`DistributedDataloader(batches, backend, whatever=1)`, "
+        "`dict(a=1)`, `lookahead = 2`, `a == b`."
+    )
+    assert check_docs.stale_keywords(text) == []
 
 
 def test_tracked_docs_have_no_stale_symbols():

@@ -29,9 +29,10 @@ from repro import (
     DCPPlanner,
     make_mask,
 )
-from repro.core import PlanCache
+from repro.core import KVStore, PlanCache
 from repro.hypergraph import BalanceConstraint, repair_labels
 from repro.pipeline import (
+    KVPlannerBackend,
     StreamingOverlapPipeline,
     plan_diff,
     plan_fingerprint,
@@ -413,6 +414,43 @@ class TestDeltaPipeline:
         assert len(plans) == 4
         for plan in plans[1:]:
             assert plan.cluster.num_machines == 1
+            validate_plan(plan)
+
+    def test_delta_on_kv_backend(self):
+        """A link degradation re-plans the settled window warm; the
+        streams come out byte-identical, so the KV route rewrites no
+        device entry and the consumers' cursor re-pull moves only the
+        skeleton."""
+        planner = make_planner()
+        events = ClusterEventSource(CLUSTER)
+        backend = KVPlannerBackend(planner, KVStore(), num_machines=2)
+        pipeline = StreamingOverlapPipeline(
+            iter(make_batches(4)),
+            planner,
+            lookahead=1,
+            backend=backend,
+            events=events,
+        )
+        plans = []
+        for index, (_, plan) in enumerate(pipeline):
+            plans.append(plan)
+            if index == 0:
+                settle(pipeline)
+                events.resize(inter_bandwidth=CLUSTER.inter_bandwidth / 2)
+        replans = pipeline.stats().replans
+        assert replans >= 1
+        assert plans[1].cluster.inter_bandwidth == CLUSTER.inter_bandwidth / 2
+        counters = backend.metrics.snapshot()
+        # Every iteration's first publication wrote all its streams;
+        # the re-plans' republications wrote none.
+        assert counters["pool.device_entries_written"]["value"] == sum(
+            plan.num_devices for plan in plans
+        )
+        assert counters["pool.device_entries_unchanged"]["value"] == (
+            replans * CLUSTER.num_devices
+        )
+        assert counters["pool.refetch_saved_bytes"]["value"] > 0
+        for plan in plans:
             validate_plan(plan)
 
 

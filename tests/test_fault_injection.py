@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import AttentionSpec, BatchSpec, ClusterSpec, generate_blocks
-from repro.core import DCPConfig, DCPPlanner, KVStore, PlanCache, PlannerPool
+from repro.core import DCPConfig, DCPPlanner, KVStore, PlanCache
 from repro.masks import CausalMask
 from repro.pipeline import (
     KVPlannerBackend,
@@ -301,24 +301,23 @@ class TestPlannerWorkerFaults:
         reference = _pipeline_planner()
         flaky = CrashingPlanner(_pipeline_planner(), failures=2)
         batches = _pipeline_batches(4)
-        with PlannerPool(flaky, KVStore(), num_machines=2) as pool:
-            pipeline = StreamingOverlapPipeline(
-                batches, flaky, lookahead=1,
-                backend=KVPlannerBackend(pool),
-            )
-            stats = self._check_all_plans(pipeline, batches, reference)
+        pipeline = StreamingOverlapPipeline(
+            batches, flaky, lookahead=1,
+            backend=KVPlannerBackend(flaky, KVStore(), num_machines=2),
+        )
+        stats = self._check_all_plans(pipeline, batches, reference)
         assert stats.plan_retries >= 2
 
     def test_kv_worker_hang_respawned(self):
         reference = _pipeline_planner()
         hangy = HangingPlanner(_pipeline_planner(), hangs=1)
         batches = _pipeline_batches(3)
-        with PlannerPool(hangy, KVStore(), cores_per_machine=2) as pool:
-            pipeline = StreamingOverlapPipeline(
-                batches, hangy, lookahead=1,
-                backend=KVPlannerBackend(pool), plan_timeout=0.15,
-            )
-            stats = self._check_all_plans(pipeline, batches, reference)
+        pipeline = StreamingOverlapPipeline(
+            batches, hangy, lookahead=1,
+            backend=KVPlannerBackend(hangy, KVStore(), cores_per_machine=2),
+            plan_timeout=0.15,
+        )
+        stats = self._check_all_plans(pipeline, batches, reference)
         assert stats.plan_retries >= 1
 
     def test_crash_with_cache_releases_reservation(self):

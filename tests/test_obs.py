@@ -302,21 +302,24 @@ class TestInstrumentation:
         batch = BatchSpec.build([256, 128], CausalMask())
         cache.plan_batch(batch)
         cache.plan_batch(batch)
-        assert cache.hits == 1 and cache.misses == 1
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
         snap = cache.metrics.snapshot()
         assert snap["cache.hits"]["value"] == 1
         cache.clear()
-        assert cache.hits == 0 and cache.misses == 0
+        snap = cache.metrics.snapshot()
+        assert snap["cache.hits"]["value"] == 0
+        assert snap["cache.misses"]["value"] == 0
 
     def test_kvstore_traffic_view_and_latency(self):
         store = KVStore()
         store.put("k", b"payload")
         assert store.get("k") == b"payload"
-        assert store.traffic == {"in": 7, "out": 7, "get_misses": 0}
         snap = store.metrics.snapshot()
+        assert snap["kv.bytes_in"]["value"] == 7
+        assert snap["kv.bytes_out"]["value"] == 7
+        assert snap["kv.get_misses"]["value"] == 0
         assert snap["kv.puts"]["value"] == 1
         assert snap["kv.gets"]["value"] == 1
         assert snap["kv.put_s"]["count"] == 1
@@ -329,7 +332,6 @@ class TestInstrumentation:
         assert snap["kv.gets"]["value"] == 2
         assert snap["kv.get_misses"]["value"] == 1
         assert snap["kv.get_s"]["count"] == 2
-        assert store.traffic["get_misses"] == 1
 
     def test_pipeline_plan_fetch_split(self):
         from repro.pipeline import PipelineRunner, StreamingOverlapPipeline

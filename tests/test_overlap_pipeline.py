@@ -18,7 +18,7 @@ from repro import (
     DCPPlanner,
     make_mask,
 )
-from repro.core import DCPDataloader, KVStore, PlanCache, PlannerPool
+from repro.core import DCPDataloader, KVStore, PlanCache
 from repro.pipeline import (
     KVPlannerBackend,
     PipelineRunner,
@@ -27,7 +27,7 @@ from repro.pipeline import (
     cost_model_executor,
     plan_fingerprint,
 )
-from repro.sim import overlap_chrome_trace
+from repro.sim import ClusterEventSource, overlap_chrome_trace
 
 
 def make_planner(devices=2, block_size=16):
@@ -103,20 +103,31 @@ class TestDeterminism:
                 planner.plan_batch(batch)
             )
 
-    @FEEDS
-    def test_kv_backend_round_trips_identical_plans(self, feed):
+    def _kv_round_trip(self, feed, **pipeline_kwargs):
         planner = make_planner()
         batches = make_batches(3)
-        with PlannerPool(planner, KVStore(), num_machines=2) as pool:
-            pipeline = StreamingOverlapPipeline(
-                feed(batches), planner, lookahead=1,
-                backend=KVPlannerBackend(pool),
-            )
-            plans = [plan for _, plan in pipeline]
+        pipeline = StreamingOverlapPipeline(
+            feed(batches), planner, lookahead=1,
+            backend=KVPlannerBackend(planner, KVStore(), num_machines=2),
+            **pipeline_kwargs,
+        )
+        plans = [plan for _, plan in pipeline]
         for plan, batch in zip(plans, batches):
             assert plan_fingerprint(plan) == plan_fingerprint(
                 planner.plan_batch(batch)
             )
+
+    @FEEDS
+    def test_kv_backend_round_trips_identical_plans(self, feed):
+        self._kv_round_trip(feed)
+
+    @FEEDS
+    def test_kv_backend_identical_under_event_source(self, feed):
+        """A (quiet) event source ships cluster-pinned planners with
+        every job; the published plans must not change."""
+        self._kv_round_trip(
+            feed, events=ClusterEventSource(make_planner().cluster)
+        )
 
     def test_fingerprint_distinguishes_different_batches(self):
         planner = make_planner()

@@ -48,13 +48,15 @@ class TestPlanCache:
         first = cache.plan_batch(batch([48, 32]))
         second = cache.plan_batch(batch([48, 32]))
         assert first is second
-        assert cache.hits == 1 and cache.misses == 1
+        stats = cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_different_batches_miss(self):
         cache = make_cache()
         cache.plan_batch(batch([48, 32]))
         cache.plan_batch(batch([48, 16]))
-        assert cache.misses == 2 and cache.hits == 0
+        stats = cache.stats()
+        assert stats["misses"] == 2 and stats["hits"] == 0
 
     def test_lru_eviction(self):
         cache = make_cache(capacity=2)
@@ -64,15 +66,16 @@ class TestPlanCache:
         cache.plan_batch(a)  # refresh a; b is now least recent
         cache.plan_batch(c)  # evicts b
         assert len(cache) == 2
-        misses_before = cache.misses
+        misses_before = cache.stats()["misses"]
         cache.plan_batch(b)
-        assert cache.misses == misses_before + 1
+        assert cache.stats()["misses"] == misses_before + 1
 
     def test_clear(self):
         cache = make_cache()
         cache.plan_batch(batch([16]))
         cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+        stats = cache.stats()
+        assert len(cache) == 0 and stats["hits"] == 0 and stats["misses"] == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -168,10 +171,10 @@ class TestThreadSafety:
         def worker():
             try:
                 barrier.wait()
-                status, payload, _epoch = cache.reserve(key)
+                status, payload, epoch = cache.reserve(key)
                 if status == "own":
                     plan = stub.dispatch()
-                    cache.fulfill(key, plan)
+                    cache.publish(key, plan, epoch)
                 elif status == "wait":
                     plan = payload.result(timeout=5)
                 else:
@@ -211,11 +214,11 @@ class TestThreadSafety:
             try:
                 for round_index in range(10):
                     key = keys[(seed + round_index) % len(keys)]
-                    status, payload, _epoch = cache.reserve(key)
+                    status, payload, epoch = cache.reserve(key)
                     if status == "own":
                         with lock:
                             dispatches[key] += 1
-                        cache.fulfill(key, plans[key])
+                        cache.publish(key, plans[key], epoch)
                     elif status == "wait":
                         assert payload.result(timeout=5) is plans[key]
                     else:
@@ -232,7 +235,7 @@ class TestThreadSafety:
             thread.join()
         assert not errors
         # Every key is planned exactly once, ever: after the first
-        # fulfill it is cached, so later rounds are hits.
+        # publication it is cached, so later rounds are hits.
         assert all(count == 1 for count in dispatches.values())
 
     def test_abandoned_reservation_releases_waiters(self):
@@ -379,11 +382,11 @@ class TestThreadSafety:
 
         cache = make_cache()
         key = batch_signature(batch([48, 32]))
-        status, _future, _epoch = cache.reserve(key)
+        status, _future, epoch = cache.reserve(key)
         assert status == "own"
         plan = cache.planner.plan_batch(batch([48, 32]))
         cache.invalidate(lambda k: k == key)
-        assert not cache.fulfill(key, plan)
+        assert not cache.publish(key, plan, epoch)
         assert key not in cache
 
     def test_concurrent_get_put_consistency(self):

@@ -1,7 +1,10 @@
-"""Tests for the KV store and the distributed planner pool (§6.1)."""
+"""Tests for the KV store and the KV distribution route (§6.1)."""
 
+import re
+import sys
 import threading
 import time
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -15,12 +18,21 @@ from repro.core import (
     DistributedDataloader,
     KVClient,
     KVStore,
-    PlannerPool,
     min_cores_to_hide_planning,
     simulate_planning_overlap,
 )
 from repro.masks import CausalMask
+from repro.pipeline import (
+    ClusterPinnedPlanner,
+    KVPlannerBackend,
+    plan_fingerprint,
+)
 from repro.sim import ClusterSpec
+
+
+def _count(component, name):
+    """Value of a counter in ``component.metrics``."""
+    return component.metrics.counter(name).value
 
 
 # -- KVStore -----------------------------------------------------------------
@@ -71,9 +83,8 @@ class TestKVStore:
         store.put("k", np.zeros(100))
         assert store.size_bytes() > 0
         store.get("k")
-        traffic = store.traffic
-        assert traffic["in"] > 0
-        assert traffic["out"] > 0
+        assert _count(store, "kv.bytes_in") > 0
+        assert _count(store, "kv.bytes_out") > 0
 
     def test_numpy_round_trip(self):
         store = KVStore()
@@ -85,10 +96,10 @@ class TestKVStore:
         store = KVStore()
         version, changed = store.put_if_changed("k", [1, 2, 3])
         assert (version, changed) == (1, True)
-        before = store.traffic["in"]
+        before = _count(store, "kv.bytes_in")
         version, changed = store.put_if_changed("k", [1, 2, 3])
         assert (version, changed) == (1, False)
-        assert store.traffic["in"] == before  # no bytes moved
+        assert _count(store, "kv.bytes_in") == before  # no bytes moved
         version, changed = store.put_if_changed("k", [1, 2, 4])
         assert (version, changed) == (2, True)
 
@@ -97,11 +108,11 @@ class TestKVStore:
         store.put("k", "payload")
         value, version, fetched = store.get_unless("k")
         assert (value, version, fetched) == ("payload", 1, True)
-        before = store.traffic["out"]
+        before = _count(store, "kv.bytes_out")
         value, version, fetched = store.get_unless("k", version=1)
         assert (value, fetched) == (None, False)
         assert version == 1
-        assert store.traffic["out"] == before  # cursor hit: free
+        assert _count(store, "kv.bytes_out") == before  # cursor hit: free
         store.put("k", "fresh")
         value, version, fetched = store.get_unless("k", version=1)
         assert (value, version, fetched) == ("fresh", 2, True)
@@ -110,6 +121,25 @@ class TestKVStore:
         store = KVStore()
         with pytest.raises(KeyError):
             store.get_unless("missing", timeout=0.01)
+
+    def test_version_not_reused_after_delete(self):
+        """A cursor from before a removal must not match what is
+        written under the key afterwards (version ABA)."""
+        store = KVStore()
+        cursor = store.put("k", b"old")
+        store.delete("k")
+        assert store.put("k", b"new") != cursor
+        value, _version, fetched = store.get_unless("k", version=cursor)
+        assert (value, fetched) == (b"new", True)
+
+    def test_version_not_reused_after_eviction(self):
+        store = KVStore(max_bytes=150)
+        cursor, _changed = store.put_if_changed("k", b"a" * 100)
+        store.put("filler", b"f" * 100)  # evicts k (the LRU entry)
+        assert not store.contains("k")
+        store.put_if_changed("k", b"b" * 100)
+        value, _version, fetched = store.get_unless("k", version=cursor)
+        assert (value, fetched) == (b"b" * 100, True)
 
 
 class TestKVClient:
@@ -145,11 +175,10 @@ class TestKVClient:
         assert client.bytes_received == received
 
 
-# -- PlannerPool / DistributedDataloader --------------------------------------
+# -- KVPlannerBackend / DistributedDataloader ---------------------------------
 
 
-def _planner():
-    cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
+def _planner(cluster=ClusterSpec(num_machines=1, devices_per_machine=2)):
     spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(cluster, spec, DCPConfig(block_size=32, restarts=1))
 
@@ -160,87 +189,188 @@ def _batches(count=3):
     ]
 
 
-class TestPlannerPool:
-    def test_submit_and_fetch(self):
-        store = KVStore()
-        with PlannerPool(_planner(), store, num_machines=2) as pool:
-            batch = _batches(1)[0]
-            pool.submit(0, batch)
-            plan = pool.fetch(0, timeout=30.0)
-        assert plan.num_devices == 2
-        assert store.contains("plan/0")
+@pytest.fixture
+def make_backend():
+    """``KVPlannerBackend`` factory; closes what it built."""
+    built = []
 
-    def test_duplicate_submit_is_single_job(self):
-        store = KVStore()
-        with PlannerPool(_planner(), store) as pool:
-            batch = _batches(1)[0]
-            f1 = pool.submit(0, batch)
-            f2 = pool.submit(0, batch)
-            assert f1 is f2
-            f1.result(timeout=30.0)
+    def factory(planner=None, store=None, **kwargs):
+        backend = KVPlannerBackend(
+            planner if planner is not None else _planner(),
+            store if store is not None else KVStore(),
+            **kwargs,
+        )
+        built.append(backend)
+        return backend
+
+    yield factory
+    for backend in built:
+        backend.close()
+
+
+def _plan(ticket):
+    plan, _start, _end = ticket.result(timeout=30.0)
+    return plan
+
+
+PLAN_KEY = re.compile(r"plan/\d+/(skeleton|device/\d+)")
+
+
+class TestKVPlannerBackend:
+    def test_submit_and_fetch(self, make_backend):
+        backend = make_backend(num_machines=2)
+        batch = _batches(1)[0]
+        plan = _plan(backend.submit(0, batch))
+        assert plan_fingerprint(plan) == plan_fingerprint(
+            _planner().plan_batch(batch)
+        )
+        # One layout: a skeleton plus one entry per device.
+        assert backend.store.keys() == [
+            "plan/0/device/0", "plan/0/device/1", "plan/0/skeleton",
+        ]
 
     def test_rejects_zero_machines(self):
         with pytest.raises(ValueError):
-            PlannerPool(_planner(), KVStore(), num_machines=0)
+            KVPlannerBackend(_planner(), KVStore(), num_machines=0)
+        with pytest.raises(ValueError):
+            KVPlannerBackend(_planner(), KVStore(), cores_per_machine=0)
 
-    def test_partial_republish_skips_unchanged_device_slices(self):
+    def test_partial_republish_skips_unchanged_device_slices(
+        self, make_backend
+    ):
         """Re-publishing an identical plan (a re-plan that changed
-        nothing for a device) writes no per-device bytes, and a
-        consumer re-fetch presenting its version cursors moves only the
+        nothing for a device) writes no per-device bytes, and the
+        consumer re-pull presenting its version cursors moves only the
         skeleton."""
-        store = KVStore()
         batch = _batches(1)[0]
         # Two machines so one consumer is remote from the store host —
         # the saved re-fetch bytes are NIC bytes, not local reads.
-        cluster = ClusterSpec(num_machines=2, devices_per_machine=1)
-        spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
-        planner = DCPPlanner(cluster, spec, DCPConfig(block_size=32,
-                                                      restarts=1))
-        with PlannerPool(planner, store, partial_plans=True) as pool:
-            pool.submit(0, batch).result(timeout=30.0)
-            plan, _wire, fetched = pool.device_pull(0)
-            assert sorted(fetched) == sorted(plan.device_plans)
-            written = pool.device_entries_written
-            assert written == plan.num_devices
-            assert pool.device_entries_unchanged == 0
-            # Replace-resubmit the same batch: the fresh worker plans an
-            # identical plan and republishes — every device entry is
-            # byte-identical, so nothing is rewritten.
-            pool.submit(0, batch, replace=True).result(timeout=30.0)
-            assert pool.device_entries_written == written
-            assert pool.device_entries_unchanged == plan.num_devices
-            # Consumer re-fetch with cursors: unchanged slices are free.
-            replan, _wire2, refetched = pool.device_pull(0, known=fetched)
-            assert pool.refetch_saved_bytes > 0
-            for device, (version, _payload) in refetched.items():
-                assert version == fetched[device][0]  # nothing re-versioned
-            from repro.pipeline import plan_fingerprint
+        backend = make_backend(
+            _planner(ClusterSpec(num_machines=2, devices_per_machine=1))
+        )
+        plan = _plan(backend.submit(0, batch))
+        assert _count(backend, "pool.device_entries_written") == (
+            plan.num_devices
+        )
+        assert _count(backend, "pool.device_entries_unchanged") == 0
+        versions = {
+            device: version
+            for device, (version, _payload) in backend._cursors[0].items()
+        }
+        first_pull = backend.consumer_wire_bytes
+        # Resubmit the same batch: the fresh worker plans an identical
+        # plan and republishes — every device entry is byte-identical,
+        # so nothing is rewritten or re-versioned.
+        replan = _plan(backend.resubmit(0, batch))
+        assert _count(backend, "pool.device_entries_written") == (
+            plan.num_devices
+        )
+        assert _count(backend, "pool.device_entries_unchanged") == (
+            plan.num_devices
+        )
+        assert {
+            device: version
+            for device, (version, _payload) in backend._cursors[0].items()
+        } == versions
+        # The re-pull moved the skeleton only: what it did not move is
+        # exactly what the first pull paid for the remote stream.
+        saved = _count(backend, "pool.refetch_saved_bytes")
+        assert saved > 0
+        assert backend.consumer_wire_bytes == 2 * first_pull - saved
+        assert plan_fingerprint(replan) == plan_fingerprint(plan)
 
-            assert plan_fingerprint(replan) == plan_fingerprint(plan)
+    def test_evicted_iteration_resubmitted_serves_the_new_plan(
+        self, make_backend
+    ):
+        """Version ABA through the backend: an iteration evicted from
+        the store and re-planned against a changed cluster must not be
+        served from cursors taken before the eviction."""
+        wide = ClusterSpec(num_machines=2, devices_per_machine=2)
+        narrow = ClusterSpec(num_machines=2, devices_per_machine=1)
+        planner = _planner(wide)
+        batch = _batches(1)[0]
+        backend = make_backend(planner)
+        _plan(backend.submit(0, batch))
+        for key in backend.store.keys(prefix="plan/0/"):
+            backend.store.delete(key)
+        pinned = ClusterPinnedPlanner(planner, narrow)
+        served = _plan(backend.resubmit(0, batch, planner=pinned))
+        assert plan_fingerprint(served) == plan_fingerprint(
+            pinned.plan_batch(batch)
+        )
 
-    def test_plans_survive_pickling(self):
-        """Plans cross the store as pickles; instruction streams survive."""
-        store = KVStore()
-        with PlannerPool(_planner(), store) as pool:
-            batch = _batches(1)[0]
-            pool.submit(0, batch)
-            fetched = pool.fetch(0, timeout=30.0)
-        direct = _planner().plan_batch(batch)
-        assert fetched.total_comm_bytes() == direct.total_comm_bytes()
-        for device in range(fetched.num_devices):
-            assert (
-                len(fetched.plan_for(device).instructions)
-                == len(direct.plan_for(device).instructions)
-            )
+    def test_superseded_job_neither_publishes_nor_accounts(
+        self, make_backend
+    ):
+        """A job replaced while its worker ran is cancelled: the store
+        and the wire accounting only ever see the replacement."""
+        release = threading.Event()
+        started = threading.Event()
+        planner = _planner()
+
+        class Gated:
+            def plan_batch(self, batch):
+                started.set()
+                assert release.wait(timeout=30.0)
+                return planner.plan_batch(batch)
+
+        stale_batch, fresh_batch = _batches(2)
+        backend = make_backend(planner)
+        stale = backend.submit(0, stale_batch, planner=Gated())
+        assert started.wait(timeout=30.0)
+        fresh = _plan(backend.resubmit(0, fresh_batch))
+        accounted = backend.consumer_wire_bytes
+        written = _count(backend, "pool.device_entries_written")
+        release.set()
+        with pytest.raises(CancelledError):
+            stale.result(timeout=30.0)
+        assert backend.consumer_wire_bytes == accounted
+        assert _count(backend, "pool.device_entries_written") == written
+        assert plan_fingerprint(fresh) == plan_fingerprint(
+            planner.plan_batch(fresh_batch)
+        )
+        assert backend._generation == {}
+
+    def test_racing_resubmits_serve_only_the_latest(self, make_backend):
+        """Stress: many dispatches of one iteration on more workers
+        than cores; whichever settles last, exactly the newest
+        generation is served and the bookkeeping drains."""
+        planner = _planner()
+        batches = _batches(3)
+        backend = make_backend(planner, cores_per_machine=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            tickets = [
+                backend.submit(0, batches[i % 3]) for i in range(24)
+            ]
+            outcomes = []
+            for ticket in tickets:
+                try:
+                    outcomes.append(_plan(ticket))
+                except CancelledError:
+                    outcomes.append(None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[-1] is not None
+        assert plan_fingerprint(outcomes[-1]) == plan_fingerprint(
+            planner.plan_batch(batches[23 % 3])
+        )
+        assert backend._generation == {}
+        # What the store holds is the newest generation's plan, whole:
+        # republishing it rewrites no device entry.
+        written = _count(backend, "pool.device_entries_written")
+        _plan(backend.resubmit(0, batches[23 % 3]))
+        assert _count(backend, "pool.device_entries_written") == written
 
 
 class TestDistributedDataloader:
-    def test_yields_every_batch_in_order(self):
-        store = KVStore()
+    def test_yields_every_batch_in_order(self, make_backend):
         batches = _batches(4)
-        with PlannerPool(_planner(), store, num_machines=2) as pool:
-            loader = DistributedDataloader(batches, pool, lookahead=2)
-            plans = [plan for _, plan in loader]
+        loader = DistributedDataloader(
+            batches, make_backend(num_machines=2), lookahead=2
+        )
+        plans = [plan for _, plan in loader]
         assert len(plans) == 4
         for batch, plan in zip(batches, plans):
             planned_tokens = sum(
@@ -249,16 +379,16 @@ class TestDistributedDataloader:
             )
             assert planned_tokens == batch.total_tokens
 
-    def test_local_data_covers_devices(self):
-        store = KVStore()
-        with PlannerPool(_planner(), store) as pool:
-            loader = DistributedDataloader(_batches(1), pool, lookahead=1)
-            local_data, _ = next(iter(loader))
+    def test_local_data_covers_devices(self, make_backend):
+        loader = DistributedDataloader(
+            _batches(1), make_backend(), lookahead=1
+        )
+        local_data, _ = next(iter(loader))
         assert set(local_data) == {0, 1}
 
-    def test_rejects_negative_lookahead(self):
+    def test_rejects_negative_lookahead(self, make_backend):
         with pytest.raises(ValueError):
-            DistributedDataloader([], PlannerPool(_planner(), KVStore()), -1)
+            DistributedDataloader([], make_backend(), -1)
 
 
 # -- analytic overlap model ---------------------------------------------------
@@ -374,7 +504,8 @@ class TestKVStoreEviction:
         assert not store.contains("a")
         assert store.contains("b") and store.contains("c")
         assert store.size_bytes() <= 220
-        assert store.eviction_stats == {"evictions": 1, "evicted_bytes": 100}
+        assert _count(store, "kv.evictions") == 1
+        assert _count(store, "kv.evicted_bytes") == 100
 
     def test_reads_refresh_recency(self):
         store = KVStore(max_bytes=220)
@@ -397,7 +528,7 @@ class TestKVStoreEviction:
         time.sleep(0.1)
         assert store.expire() == 1
         assert not store.contains("stale")
-        assert store.eviction_stats["evicted_bytes"] == 10
+        assert _count(store, "kv.evicted_bytes") == 10
 
     def test_write_activity_refreshes_ttl(self):
         store = KVStore(ttl_s=0.2)
@@ -439,28 +570,34 @@ class TestKVStoreEviction:
             KVStore(ttl_s=0.0)
 
 
-class TestPlannerPoolRetention:
-    def test_retain_iterations_prunes_old_plans(self):
-        store = KVStore()
-        with PlannerPool(_planner(), store, retain_iterations=2) as pool:
-            for i, batch in enumerate(_batches(5)):
-                pool.submit(i, batch).result(timeout=30.0)
-        # Iterations 0..2 fell behind the window; 3 and 4 remain.
-        assert not store.contains("plan/0")
-        assert not store.contains("plan/2")
-        assert store.contains("plan/3") and store.contains("plan/4")
-        assert pool.pruned_iterations == 3
+class TestKVRetention:
+    """Retention is a constant: iterations more than
+    ``MAX_FETCH_CURSORS`` behind the newest are reclaimed."""
 
-    def test_retain_prunes_partial_plan_keys_too(self):
-        store = KVStore()
-        with PlannerPool(_planner(), store, partial_plans=True,
-                         retain_iterations=1) as pool:
-            for i, batch in enumerate(_batches(3)):
-                pool.submit(i, batch).result(timeout=30.0)
-        assert store.keys(prefix="plan/0") == []
-        assert store.keys(prefix="plan/1") == []
-        assert any(key.startswith("plan/2/") for key in store.keys())
+    def _run(self, backend, count):
+        for i, batch in enumerate(_batches(count)):
+            _plan(backend.submit(i, batch))
 
-    def test_retain_validation(self):
-        with pytest.raises(ValueError):
-            PlannerPool(_planner(), KVStore(), retain_iterations=0)
+    def test_retention_prunes_old_plans(self, make_backend):
+        backend = make_backend()
+        window = KVPlannerBackend.MAX_FETCH_CURSORS
+        self._run(backend, window + 3)
+        store = backend.store
+        # Iterations 0..2 fell behind the window; the newest 8 remain.
+        assert not store.contains("plan/0/skeleton")
+        assert not store.contains("plan/2/skeleton")
+        assert store.contains("plan/3/skeleton")
+        assert store.contains(f"plan/{window + 2}/skeleton")
+        assert _count(backend, "pool.pruned_iterations") == 3
+        assert sorted(backend._cursors) == list(range(3, window + 3))
+
+    def test_retain_prunes_partial_plan_keys_too(self, make_backend):
+        backend = make_backend()
+        self._run(backend, KVPlannerBackend.MAX_FETCH_CURSORS + 2)
+        store = backend.store
+        assert store.keys(prefix="plan/0/") == []
+        assert store.keys(prefix="plan/1/") == []
+        assert store.keys(prefix="plan/2/") == [
+            "plan/2/device/0", "plan/2/device/1", "plan/2/skeleton",
+        ]
+        assert all(PLAN_KEY.fullmatch(key) for key in store.keys())

@@ -282,6 +282,43 @@ class TestDeadlineDegradedServing:
             # joined it (reservation waiters) or hit the cached entry.
             assert service.stats()["requests"] == 3
 
+    def test_deadline_degrades_after_epoch_roll_pruned_the_exemplar(self):
+        """A cold signature's deadline expiring after another tenant's
+        traffic rolled the epoch (pruning exemplars to the hot set)
+        must still degrade from the batch the fetch holds, not raise
+        ``KeyError`` from the exemplar table."""
+        entered = threading.Event()
+
+        class SignallingPlanner(GatedPlanner):
+            def plan_batch(self, spec):
+                entered.set()
+                return super().plan_batch(spec)
+
+        planner = SignallingPlanner()
+        with PlanService(planner, workers=1, prewarm_top_k=2) as service:
+            cold = batch([64, 48])
+            outcome = []
+
+            def fetch():
+                try:
+                    outcome.append(
+                        service.fetch_plan("cold", cold, deadline=0.5)
+                    )
+                except BaseException as exc:
+                    outcome.append(exc)
+
+            fetcher = threading.Thread(target=fetch)
+            fetcher.start()
+            assert entered.wait(timeout=30.0)  # the fetch now waits
+            for hot in (batch([32, 32]), batch([96, 16])):
+                service.forecast.record(batch_signature(hot), count=5)
+            service.roll_epoch()
+            assert batch_signature(cold) not in service._exemplars
+            fetcher.join(timeout=30.0)
+            assert not fetcher.is_alive()
+            planner.gate.set()
+            assert len(outcome) == 1 and is_degraded(outcome[0])
+
     def test_fast_path_with_deadline_stays_optimal(self):
         with PlanService(make_planner(), workers=2,
                          replication=2) as service:

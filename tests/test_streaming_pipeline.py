@@ -9,6 +9,8 @@ tests in ``test_overlap_pipeline.py``.)
 """
 
 import itertools
+import pickle
+import re
 import threading
 
 import pytest
@@ -26,7 +28,6 @@ from repro.core import (
     DistributedDataloader,
     KVStore,
     PlanCache,
-    PlannerPool,
     batch_signature,
 )
 from repro.data import pack_batches, stream_pack, stream_packed_specs
@@ -342,21 +343,25 @@ class TestClusterEvents:
         assert events.version == 0
 
     def test_kv_pool_bookkeeping_pruned_after_consumption(self):
-        """Consumed iterations must not pin plans in pool/backend maps
-        — the KV path's half of the O(1)-memory streaming story."""
+        """Consumed iterations must not pin plans in the backend's maps
+        nor pile up in the store — the KV path's half of the
+        O(1)-memory streaming story."""
         planner = make_planner()
-        batches = make_batches(4)
-        with PlannerPool(planner, KVStore(), num_machines=2) as pool:
-            backend = KVPlannerBackend(pool)
-            pipeline = StreamingOverlapPipeline(
-                iter(batches), planner, lookahead=1, backend=backend
-            )
-            plans = [plan for _, plan in pipeline]
-            assert len(plans) == 4
-            assert pool._submitted == {}
-            assert pool._generations == {}
-            assert pool._publish_locks == {}
-            assert backend._latest == {}
+        window = KVPlannerBackend.MAX_FETCH_CURSORS
+        store = KVStore()
+        backend = KVPlannerBackend(planner, store, num_machines=2)
+        pipeline = StreamingOverlapPipeline(
+            iter(make_batches(window + 4)), planner, lookahead=1,
+            backend=backend,
+        )
+        assert len(list(pipeline)) == window + 4
+        assert backend._generation == {}
+        layout = re.compile(r"plan/(\d+)/(skeleton|device/\d+)")
+        resident = {
+            int(layout.fullmatch(key).group(1)) for key in store.keys()
+        }
+        assert resident == set(backend._cursors)
+        assert len(resident) <= window
 
     def test_event_buffer_is_bounded(self):
         events = ClusterEventSource(CLUSTER)
@@ -407,26 +412,28 @@ class TestDataloaderRouting:
             plan_timeout=7.5, max_plan_retries=5, records_limit=2,
             metrics=registry,
         )
-        with PlannerPool(planner, KVStore()) as pool:
-            loaders = [
-                DCPDataloader(make_batches(3), planner, **tuning),
-                DistributedDataloader(make_batches(3), pool, **tuning),
-            ]
-            for loader in loaders:
-                assert isinstance(loader, StreamingOverlapPipeline)
-                assert loader.plan_timeout == 7.5
-                assert loader.max_plan_retries == 5
-                assert loader.metrics is registry
-                assert len(list(loader)) == 3
-                assert len(loader.stats().records) == 2  # records_limit
+        loaders = [
+            DCPDataloader(make_batches(3), planner, **tuning),
+            DistributedDataloader(
+                make_batches(3), KVPlannerBackend(planner, KVStore()),
+                **tuning,
+            ),
+        ]
+        for loader in loaders:
+            assert isinstance(loader, StreamingOverlapPipeline)
+            assert loader.plan_timeout == 7.5
+            assert loader.max_plan_retries == 5
+            assert loader.metrics is registry
+            assert len(list(loader)) == 3
+            assert len(loader.stats().records) == 2  # records_limit
         snapshot = registry.snapshot()
         assert snapshot["pipeline.iterations"]["value"] == 6
 
     def test_distributed_dataloader_pins_one_kv_job_in_flight(self):
-        with PlannerPool(make_planner(), KVStore()) as pool:
-            loader = DistributedDataloader(make_batches(2), pool, lookahead=0)
-            assert loader.lookahead == 1
-            assert len(list(loader)) == 2
+        backend = KVPlannerBackend(make_planner(), KVStore())
+        loader = DistributedDataloader(make_batches(2), backend, lookahead=0)
+        assert loader.lookahead == 1
+        assert len(list(loader)) == 2
 
     def test_dcp_dataloader_accepts_generator(self):
         planner = make_planner()
@@ -457,50 +464,48 @@ class TestDataloaderRouting:
         planner = make_planner()
         events = ClusterEventSource(CLUSTER)
         batches = make_batches(4)
-        with PlannerPool(planner, KVStore(), num_machines=2) as pool:
-            loader = DistributedDataloader(
-                (b for b in batches), pool, lookahead=1, events=events
-            )
-            plans = []
-            for i, (_, plan) in enumerate(loader):
-                plans.append(plan)
-                if i == 0:
-                    events.remove_machines(1)
+        loader = DistributedDataloader(
+            (b for b in batches),
+            KVPlannerBackend(planner, KVStore(), num_machines=2),
+            lookahead=1, events=events,
+        )
+        plans = []
+        for i, (_, plan) in enumerate(loader):
+            plans.append(plan)
+            if i == 0:
+                events.remove_machines(1)
         assert len(plans) == 4
         stats = loader.stats()
         assert stats.replans + stats.replan_jobs_reused >= 1
         assert plans[0].cluster.num_machines == 2
         # Every plan yielded after the event targets the new shape —
-        # including the in-window jobs the KV pool had already memoized
-        # (a replace-resubmission, not a stale-future re-read).
+        # including the in-window jobs the KV backend had already
+        # published (a superseding resubmission, not a stale re-read).
         for plan in plans[1:]:
             assert plan.cluster.num_machines == 1
 
 
 class TestPerDevicePartialFetch:
-    def _round_trip(self, partial):
+    def _round_trip(self):
         planner = make_planner()
         batches = make_batches(3)
         store = KVStore()
-        with PlannerPool(
-            planner, store, num_machines=2, partial_plans=partial
-        ) as pool:
-            backend = KVPlannerBackend(pool, per_device_fetch=True)
-            pipeline = StreamingOverlapPipeline(
-                iter(batches), planner, lookahead=1, backend=backend
-            )
-            plans = [plan for _, plan in pipeline]
+        backend = KVPlannerBackend(planner, store, num_machines=2)
+        pipeline = StreamingOverlapPipeline(
+            iter(batches), planner, lookahead=1, backend=backend
+        )
+        plans = [plan for _, plan in pipeline]
         return planner, batches, store, backend, plans
 
     def test_partial_fetch_round_trips_identical_plans(self):
-        planner, batches, _store, _backend, plans = self._round_trip(True)
+        planner, batches, _store, _backend, plans = self._round_trip()
         for plan, batch in zip(plans, batches):
             assert plan_fingerprint(plan) == plan_fingerprint(
                 planner.plan_batch(batch)
             )
 
     def test_partial_layout_in_store(self):
-        _planner, _batches, store, _backend, plans = self._round_trip(True)
+        _planner, _batches, store, _backend, plans = self._round_trip()
         assert store.keys("plan/0/skeleton") == ["plan/0/skeleton"]
         device_keys = store.keys("plan/0/device/")
         assert len(device_keys) == plans[0].num_devices
@@ -511,44 +516,17 @@ class TestPerDevicePartialFetch:
         assert store.entry_bytes("plan/0") is None  # no monolithic copy
 
     def test_partial_fetch_cuts_consumer_wire_bytes(self):
-        *_rest, full_backend, _plans = self._round_trip(False)
-        *_rest, partial_backend, _plans2 = self._round_trip(True)
-        assert full_backend.consumer_wire_bytes > 0
-        assert partial_backend.consumer_wire_bytes > 0
-        assert (
-            partial_backend.consumer_wire_bytes
-            < full_backend.consumer_wire_bytes
-        )
-
-    def test_fetch_device_returns_single_stream(self):
-        planner = make_planner()
-        batches = make_batches(1)
-        with PlannerPool(
-            planner, KVStore(), partial_plans=True
-        ) as pool:
-            pool.submit(0, batches[0]).result()
-            full = pool.fetch(0)
-            stream = pool.fetch_device(0, device=1)
-            assert stream.device == 1
-            assert stream.instructions == full.device_plans[1].instructions
-
-    def test_fetch_device_requires_partial_mode(self):
-        planner = make_planner()
-        with PlannerPool(planner, KVStore()) as pool:
-            with pytest.raises(ValueError):
-                pool.fetch_device(0, device=0)
-
-    def test_legacy_full_fetch_unchanged(self):
-        planner = make_planner()
-        batches = make_batches(2)
-        with PlannerPool(planner, KVStore(), num_machines=2) as pool:
-            backend = KVPlannerBackend(pool)
-            pipeline = StreamingOverlapPipeline(
-                iter(batches), planner, lookahead=1, backend=backend
+        """Skeleton + own stream per device moves fewer bytes than every
+        device off the store's host pulling the whole pickled plan."""
+        *_rest, store, backend, plans = self._round_trip()
+        whole_plan_bytes = sum(
+            len(pickle.dumps(plan)) * sum(
+                plan.cluster.machine_of(device) != store.host_machine
+                for device in plan.device_plans
             )
-            plans = [plan for _, plan in pipeline]
-        assert backend.consumer_wire_bytes == 0
-        assert len(plans) == 2
+            for plan in plans
+        )
+        assert 0 < backend.consumer_wire_bytes < whole_plan_bytes
 
 
 class TestRunnerIntegration:
