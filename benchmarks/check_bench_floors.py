@@ -10,7 +10,10 @@ run one) still fails the workflow.
 Checked metrics:
 
 * planner hot path — smoke ``total_s`` must stay under the budget
-  recorded in ``BENCH_planner.json["smoke"]["total_s_max"]``;
+  recorded in ``BENCH_planner.json["smoke"]["total_s_max"]``, and the
+  smoke point's ``refine_moves`` / ``gain_evals`` / ``comm_bytes`` must
+  equal the counts pinned beside it (the search trajectory is
+  deterministic: a changed count is a changed search);
 * overlap pipeline — smoke steady-state hidden fraction must clear
   ``BENCH_overlap.json["smoke_floor"]``;
 * streaming overlap — fixed and streaming smoke cells clear the same
@@ -137,6 +140,11 @@ class Gate:
             self.failures.append(message)
 
 
+#: Work counts of the planner smoke point that must equal the tracked
+#: file's ``smoke`` block exactly (bench_planner_hotpath.py records them).
+PLANNER_PINNED_COUNTS = ("refine_moves", "gain_evals", "comm_bytes")
+
+
 def check_planner(gate: Gate, strict: bool) -> None:
     tracked = _load("BENCH_planner.json")
     smoke = _load("BENCH_planner.smoke.json")
@@ -155,6 +163,15 @@ def check_planner(gate: Gate, strict: bool) -> None:
         total <= budget,
         f"planner smoke total {total:.3f}s <= budget {budget:.3f}s",
     )
+    if tracked:
+        pinned = tracked.get("smoke", {})
+        row = smoke["rows"][0]
+        for key in PLANNER_PINNED_COUNTS:
+            gate.check(
+                row.get(key) == pinned.get(key),
+                f"planner smoke {key} {row.get(key)} == pinned "
+                f"{pinned.get(key)}",
+            )
 
 
 def check_overlap(gate: Gate, strict: bool) -> None:

@@ -31,8 +31,8 @@ class PlanningStats:
 
     Besides the per-stage timings, per-stage work counters make perf
     regressions visible in the fig18/fig22 benchmark output: the size
-    of the placement hypergraph and how many moves / batched gain
-    evaluations refinement spent on it.
+    of the placement hypergraph and how many moves refinement made /
+    gains it consulted on it (counted per planning thread).
     """
 
     block_generation: float = 0.0

@@ -12,12 +12,6 @@ from .refine import (
     greedy_refine,
     rebalance,
 )
-from .reference import (
-    ScalarRefinementState,
-    scalar_fm_refine,
-    scalar_greedy_refine,
-    scalar_rebalance,
-)
 
 __all__ = [
     "Hypergraph",
@@ -36,8 +30,4 @@ __all__ = [
     "fm_refine",
     "greedy_refine",
     "rebalance",
-    "ScalarRefinementState",
-    "scalar_fm_refine",
-    "scalar_greedy_refine",
-    "scalar_rebalance",
 ]

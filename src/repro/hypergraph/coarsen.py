@@ -6,10 +6,10 @@ score between two vertices is the classic heavy-edge rating
 ``sum_{e shared} w_e / (|pins_e| - 1)`` used by hMETIS/KaHyPar-style
 partitioners.
 
-Matching scores one vertex's whole neighbourhood per numpy pass
-(concatenated CSR pin slices + a bincount reduction) and contraction
-deduplicates coarse pins with one global lexsort instead of per-edge
-Python loops.
+Matching walks the graph's cached incidence lists and accumulates one
+vertex's neighbourhood scores in a dict (first-encounter order is the
+tie-break); contraction deduplicates coarse pins with one global
+lexsort instead of per-edge Python loops.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .graph import Hypergraph, concat_csr_slices
+from .graph import Hypergraph, fits_under
 
 __all__ = ["contract", "coarsen_once", "coarsen"]
 
@@ -100,60 +100,51 @@ def coarsen_once(
     contraction is possible.
     """
     n = graph.num_vertices
-    vindptr, vedges = graph.vertex_csr()
+    incidence, pins = graph.incidence(), graph.pin_lists()
+    weights = graph.weights.tolist()
+    cap = max_vertex_weight.tolist()
     sizes = graph.edge_sizes
     scannable = (sizes <= _MAX_SCAN_PINS) & (sizes >= 2)
     rating = np.where(
         scannable, graph.edge_weights / np.maximum(sizes - 1, 1), 0.0
-    )
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
+    ).tolist()
+    scannable = scannable.tolist()
+    match = [-1] * n
 
-    for u in order.tolist():
+    for u in rng.permutation(n).tolist():
         if match[u] >= 0:
             continue
-        edges = vedges[vindptr[u] : vindptr[u + 1]]
-        edges = edges[scannable[edges]]
-        if len(edges) == 0:
-            continue
-        neighbours, lens = concat_csr_slices(
-            graph.edge_indptr, graph.edge_pins, edges
-        )
-        ratings = np.repeat(rating[edges], lens)
-        usable = (match[neighbours] < 0) & (neighbours != u)
-        neighbours = neighbours[usable]
-        if len(neighbours) == 0:
-            continue
-        candidates, first_pos, inverse = np.unique(
-            neighbours, return_index=True, return_inverse=True
-        )
-        scores = np.bincount(inverse, weights=ratings[usable])
-        fits = np.all(
-            graph.weights[u] + graph.weights[candidates]
-            <= max_vertex_weight[None, :],
-            axis=1,
-        )
-        scores = np.where(fits, scores, 0.0)
-        best_score = scores.max()
-        if best_score <= 0.0:
-            continue
-        # Tie-break toward the first-encountered neighbour, matching the
-        # scalar accumulation order (edge order, then pin order).
-        tied = np.nonzero(scores == best_score)[0]
-        best = int(candidates[tied[np.argmin(first_pos[tied])]])
-        match[u] = best
-        match[best] = u
+        # Scores accumulate in edge order, then pin order; the dict
+        # keeps candidates in first-encounter order, which breaks ties.
+        scores: Dict[int, float] = {}
+        for edge in incidence[u]:
+            if not scannable[edge]:
+                continue
+            edge_rating = rating[edge]
+            for neighbour in pins[edge]:
+                if neighbour != u and match[neighbour] < 0:
+                    scores[neighbour] = scores.get(neighbour, 0.0) + edge_rating
+        weight = weights[u]
+        best, best_score = -1, 0.0
+        for neighbour, score in scores.items():
+            if score > best_score and fits_under(
+                weight, weights[neighbour], cap
+            ):
+                best, best_score = neighbour, score
+        if best >= 0:
+            match[u] = best
+            match[best] = u
 
-    mapping = np.full(n, -1, dtype=np.int64)
+    coarse_ids = [-1] * n
     next_id = 0
     for u in range(n):
-        if mapping[u] >= 0:
+        if coarse_ids[u] >= 0:
             continue
-        mapping[u] = next_id
-        partner = match[u]
-        if partner >= 0:
-            mapping[partner] = next_id
+        coarse_ids[u] = next_id
+        if match[u] >= 0:
+            coarse_ids[match[u]] = next_id
         next_id += 1
+    mapping = np.array(coarse_ids, dtype=np.int64)
 
     if next_id >= n:  # nothing contracted
         return None

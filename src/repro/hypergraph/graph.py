@@ -7,15 +7,17 @@ vertices weigh ``[0, s]``.  The partitioning objective is the
 total communication volume of the induced placement.
 
 The incidence structure is stored as two CSR (compressed sparse row)
-arrays so every hot loop in coarsening and refinement works on flat
-``int64`` slices instead of Python lists:
+arrays, which the vectorized builders (block-hypergraph construction,
+contraction, metrics) work on as flat ``int64`` slices:
 
 * edge -> pin: ``edge_indptr`` / ``edge_pins`` (pins of edge ``e`` are
   ``edge_pins[edge_indptr[e]:edge_indptr[e+1]]``, unique and sorted);
 * vertex -> edge: ``vertex_indptr`` / ``vertex_edges`` (built lazily).
 
-``pins`` and ``incidence()`` remain available as views for existing
-callers.
+The per-vertex search loops (matching, initial assignment, refinement)
+walk the same structure as cached Python lists, ``incidence()`` and
+``pin_lists()``: on graphs of a few hundred vertices a list walk is
+cheaper than any per-vertex numpy call.
 """
 
 from __future__ import annotations
@@ -29,26 +31,23 @@ __all__ = [
     "Hypergraph",
     "BalanceConstraint",
     "PartitionResult",
-    "concat_csr_slices",
+    "fits_under",
 ]
 
 
-def concat_csr_slices(indptr, data, items):
-    """Gather CSR slices ``data[indptr[i]:indptr[i+1]]`` for many ``items``.
+def fits_under(held, extra, caps) -> bool:
+    """Whether ``held + extra`` stays within ``caps`` in every dimension
+    (three equally long sequences of plain numbers)."""
+    for have, more, cap in zip(held, extra, caps):
+        if have + more > cap:
+            return False
+    return True
 
-    Returns ``(values, seg_lens)`` where ``values`` concatenates the
-    slices in order and ``seg_lens`` holds each slice's length
-    (zero-length slices simply contribute nothing).
-    """
-    starts = indptr[items]
-    lens = indptr[items + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=data.dtype), lens
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    return data[np.repeat(starts, lens) + offsets], lens
+
+def _csr_lists(indptr: np.ndarray, data: np.ndarray) -> List[List[int]]:
+    """CSR rows ``data[indptr[i]:indptr[i+1]]`` as Python lists."""
+    bounds, flat = indptr.tolist(), data.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class Hypergraph:
@@ -134,6 +133,7 @@ class Hypergraph:
         )
         self._pins: Optional[List[np.ndarray]] = None
         self._incidence: Optional[List[List[int]]] = None
+        self._pin_lists: Optional[List[List[int]]] = None
         self._vertex_indptr: Optional[np.ndarray] = None
         self._vertex_edges: Optional[np.ndarray] = None
 
@@ -188,14 +188,21 @@ class Hypergraph:
         return edges[indptr[vertex] : indptr[vertex + 1]]
 
     def incidence(self) -> List[List[int]]:
-        """Edges incident to each vertex as Python lists (legacy view)."""
+        """Edges incident to each vertex, ascending, as Python lists.
+
+        With :meth:`pin_lists` this is the representation the search
+        hot loops walk; built once per graph and shared by every
+        refinement state on it.
+        """
         if self._incidence is None:
-            indptr, edges = self.vertex_csr()
-            self._incidence = [
-                edges[indptr[v] : indptr[v + 1]].tolist()
-                for v in range(self.num_vertices)
-            ]
+            self._incidence = _csr_lists(*self.vertex_csr())
         return self._incidence
+
+    def pin_lists(self) -> List[List[int]]:
+        """Pins of each edge, ascending, as Python lists (lazy, cached)."""
+        if self._pin_lists is None:
+            self._pin_lists = _csr_lists(self.edge_indptr, self.edge_pins)
+        return self._pin_lists
 
     # -- metrics ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Hypergraph
+from .graph import Hypergraph, fits_under
 
 __all__ = ["greedy_initial", "random_initial", "repair_labels"]
 
@@ -37,43 +37,55 @@ def greedy_initial(
     it increases connectivity least, breaking ties by least load.
     Balance caps are respected where possible.
     """
-    n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
     totals = np.maximum(graph.total_weight, 1).astype(np.float64)
     norm = (graph.weights / totals[None, :]).sum(axis=1)
     order = np.argsort(-norm, kind="stable")
 
-    part_weights = np.zeros((k, graph.weight_dims), dtype=np.int64)
-    # counts[e, p] = assigned pins of edge e in part p so far
-    counts = np.zeros((graph.num_edges, k), dtype=np.int64)
-    vindptr, vedges = graph.vertex_csr()
-    edge_weights = graph.edge_weights
+    incidence = graph.incidence()
+    weights = graph.weights.tolist()
+    edge_weights = graph.edge_weights.tolist()
+    totals = totals.tolist()
+    caps = caps.tolist()
+    labels = [-1] * graph.num_vertices
+    part_weights = [[0] * graph.weight_dims for _ in range(k)]
+    # counts[e][p] = assigned pins of edge e in part p so far
+    counts = [[0] * k for _ in range(graph.num_edges)]
+    assigned = [0] * graph.num_edges
 
     for vertex in order.tolist():
         # Connectivity increase of each candidate part: an edge whose
         # span does not yet include the part gains (weight) cost, unless
         # the edge has no assigned pins at all yet.
-        edges = vedges[vindptr[vertex] : vindptr[vertex + 1]]
-        edge_counts = counts[edges]
-        active = edge_counts.sum(axis=1) > 0
-        increase = (
-            (edge_counts[active] == 0) * edge_weights[edges][active, None]
-        ).sum(axis=0)
-        fits = np.all(
-            part_weights + graph.weights[vertex][None, :] <= caps[None, :], axis=1
-        )
-        candidates = np.nonzero(fits)[0]
-        if len(candidates) == 0:
-            candidates = np.arange(k)
-        load = (part_weights[candidates] / totals[None, :]).sum(axis=1)
-        score = increase[candidates].astype(np.float64) + 1e-9 * load
+        increase = [0] * k
+        for edge in incidence[vertex]:
+            if assigned[edge]:
+                edge_weight = edge_weights[edge]
+                for part, count in enumerate(counts[edge]):
+                    if count == 0:
+                        increase[part] += edge_weight
+        weight = weights[vertex]
+        candidates = [
+            part
+            for part in range(k)
+            if fits_under(part_weights[part], weight, caps)
+        ] or list(range(k))
         # Randomized tie-break keeps restarts diverse.
-        score += rng.random(len(candidates)) * 1e-12
-        choice = int(candidates[np.argmin(score)])
+        jitter = rng.random(len(candidates)).tolist()
+        choice, best_score = -1, float("inf")
+        for part, noise in zip(candidates, jitter):
+            load = 0.0
+            for held, total in zip(part_weights[part], totals):
+                load += held / total
+            score = float(increase[part]) + 1e-9 * load + noise * 1e-12
+            if score < best_score:
+                choice, best_score = part, score
         labels[vertex] = choice
-        part_weights[choice] += graph.weights[vertex]
-        counts[edges, choice] += 1
-    return labels
+        for dim, own in enumerate(weight):
+            part_weights[choice][dim] += own
+        for edge in incidence[vertex]:
+            counts[edge][choice] += 1
+            assigned[edge] += 1
+    return np.array(labels, dtype=np.int64)
 
 
 def repair_labels(

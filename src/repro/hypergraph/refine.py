@@ -1,23 +1,24 @@
 """Partition refinement: greedy move-based local search (FM-style).
 
-Pin-part counts are maintained incrementally so each move's gain is
-O(incident edges).  Moves are accepted when they reduce the
-connectivity cost without violating the balance caps; a dedicated
-rebalancing pass repairs infeasible partitions by relocating vertices
-out of overloaded parts at minimal cost increase.
+Moves are accepted when they reduce the connectivity cost without
+violating the balance caps; a dedicated rebalancing pass repairs
+infeasible partitions by relocating vertices out of overloaded parts at
+minimal cost increase.
 
-All inner loops are vectorized over the CSR incidence arrays:
+The placement graphs are small (a few hundred vertices), so the cost of
+a search is interpreter and numpy *call* overhead, not arithmetic.
+:class:`RefinementState` therefore keeps the classic FM gain tables
+(Fiduccia & Mattheyses; KaHyPar's gain cache) as plain Python lists
+beside the pin counts: a gain or an adjacency test is a table read, and
+a move applies delta updates only where a pin count crosses 0, 1 or 2.
+The tables are built once per state in one vectorized pass; after that
+no numpy call sits on the per-move path.  A per-vertex staleness stamp
+still lets FM trust heap entries whose incident pin counts are
+untouched since the push.
 
-* gains are evaluated for whole *batches* of (vertex, candidate part)
-  pairs in one segmented numpy pass — the FM heap is (re)filled one
-  batch per move, and rebalancing scores its entire eviction sample at
-  once — instead of per-(vertex, part) Python loops;
-* a per-vertex staleness stamp lets FM trust heap entries whose
-  incident pin counts are untouched since the push, skipping the
-  pop-time gain recomputation entirely.
-
-Move-acceptance semantics are identical to the scalar reference in
-:mod:`repro.hypergraph.reference`, which the parity tests enforce; ties
+Move-acceptance semantics — the whole search trajectory, not only its
+result — are identical to the scalar reference in
+``tests/hypergraph_reference.py``, which the parity tests enforce; ties
 break toward the lowest part index.
 """
 
@@ -25,12 +26,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+import threading
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .graph import Hypergraph, concat_csr_slices as _concat_slices
+from .graph import Hypergraph, fits_under
 
 __all__ = [
     "RefinementState",
@@ -41,13 +42,23 @@ __all__ = [
     "rebalance",
 ]
 
+#: FM refreshes the heap entries of a moved vertex's neighbours only
+#: along edges of at most this many pins (larger edges contribute
+#: little per pin and would flood the heap).
+_MAX_REFRESH_PINS = 64
 
-@dataclass
-class RefineCounters:
-    """Global counters of refinement work (reported in PlanningStats)."""
 
-    gain_evals: int = 0
-    moves: int = 0
+class RefineCounters(threading.local):
+    """Counters of refinement work (reported in PlanningStats).
+
+    Thread-local: every thread reads and resets its own counts, so
+    plans made concurrently on the pipeline's planner threads do not
+    zero or inflate each other's stats.
+    """
+
+    def __init__(self) -> None:
+        self.gain_evals = 0
+        self.moves = 0
 
     def reset(self) -> None:
         self.gain_evals = 0
@@ -60,24 +71,26 @@ class RefineCounters:
 #: Module-level counters; the planner resets them per planning run.
 COUNTERS = RefineCounters()
 
-#: Graphs at or below this many vertices/edges take the scalar gain
-#: path: the batched ``reduceat`` machinery has fixed numpy overhead
-#: (index concatenation, segment bookkeeping, 2-D temporaries) that
-#: plain Python loops undercut when the whole gain matrix is tiny.
-#: Coarsened levels of small placement instances hit this constantly,
-#: and FM (re)fills its heap once per move — the scalar path cuts that
-#: churn without changing a single gain value.
-SMALL_GRAPH_VERTICES = 64
-SMALL_GRAPH_EDGES = 256
-
 
 class RefinementState:
     """Incremental bookkeeping for move-based refinement.
 
-    ``counters`` defaults to the module-level :data:`COUNTERS`
-    singleton, which is fine for today's single-threaded planner; a
-    concurrent/overlapped planner should pass its own
-    :class:`RefineCounters` so per-run stats don't cross-contaminate.
+    Beside the pin counts ``counts[e][p]`` it maintains, per vertex,
+
+    * ``leave[v]`` — total weight of incident edges on which ``v`` is
+      the only pin of its part (the part leaves their span if ``v``
+      moves away),
+    * ``join[v][p]`` — total weight of incident edges with no pin in
+      ``p`` (``p`` joins their span if ``v`` moves there),
+    * ``present[v][p]`` — number of incident edges with a pin in ``p``,
+
+    so ``gain(v, t) = leave[v] - join[v][t]`` and "``t`` is adjacent to
+    ``v``" is ``present[v][t] > 0``.  ``labels``, ``pin_counts`` and
+    ``part_weights`` are numpy snapshots built on demand.
+
+    ``counters`` defaults to the module-level :data:`COUNTERS`, which is
+    thread-local: a state counts into the stats of the thread that
+    drives it.
     """
 
     def __init__(
@@ -89,186 +102,145 @@ class RefinementState:
     ) -> None:
         self.graph = graph
         self.k = k
-        self.labels = labels.astype(np.int64).copy()
-        self.pin_counts = graph.pin_part_counts(self.labels, k)
-        self.part_weights = graph.part_weights(self.labels, k)
         self.counters = COUNTERS if counters is None else counters
-        self._vindptr, self._vedges = graph.vertex_csr()
-        self._scalar_gains = (
-            graph.num_vertices <= SMALL_GRAPH_VERTICES
-            and graph.num_edges <= SMALL_GRAPH_EDGES
-        )
+        labels = np.asarray(labels, dtype=np.int64)
+        counts = graph.pin_part_counts(labels, k)
+        vindptr, vedges = graph.vertex_csr()
+        # One row per (vertex, incident edge) entry of the vertex CSR.
+        weights = graph.edge_weights[vedges]
+        rows = counts[vedges]
+        own = rows[np.arange(len(vedges)), np.repeat(labels, np.diff(vindptr))]
 
-    def incident_edges(self, vertex: int) -> np.ndarray:
-        return self._vedges[self._vindptr[vertex] : self._vindptr[vertex + 1]]
+        def per_vertex(values: np.ndarray) -> list:
+            # Segment sums as differences of a running total: exact on
+            # integers and indifferent to vertices without edges.
+            total = np.zeros((len(values) + 1,) + values.shape[1:], np.int64)
+            np.cumsum(values, axis=0, out=total[1:])
+            return (total[vindptr[1:]] - total[vindptr[:-1]]).tolist()
+
+        self.leave: List[int] = per_vertex(weights * (own == 1))
+        self.join: List[List[int]] = per_vertex((rows == 0) * weights[:, None])
+        self.present: List[List[int]] = per_vertex(rows > 0)
+        self._labels: List[int] = labels.tolist()
+        self._counts: List[List[int]] = counts.tolist()
+        self._part_weights: List[List[int]] = graph.part_weights(
+            labels, k
+        ).tolist()
+        self._incidence = graph.incidence()
+        self._pins = graph.pin_lists()
+        self._edge_weights: List[int] = graph.edge_weights.tolist()
+        self._weights: List[List[int]] = graph.weights.tolist()
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.array(self._labels, dtype=np.int64)
+
+    @property
+    def pin_counts(self) -> np.ndarray:
+        return np.array(self._counts, dtype=np.int64).reshape(-1, self.k)
+
+    @property
+    def part_weights(self) -> np.ndarray:
+        return np.array(self._part_weights, dtype=np.int64)
 
     def gain(self, vertex: int, target: int) -> int:
         """Connectivity reduction if ``vertex`` moves to ``target``."""
-        source = int(self.labels[vertex])
-        if source == target:
+        if self._labels[vertex] == target:
             return 0
-        edges = self.incident_edges(vertex)
-        weights = self.graph.edge_weights[edges]
         self.counters.gain_evals += 1
-        # Source part leaves edges where the vertex is its only pin;
-        # target part joins edges where it has no pin yet.
-        return int(
-            weights @ (self.pin_counts[edges, source] == 1)
-            - weights @ (self.pin_counts[edges, target] == 0)
-        )
+        return self.leave[vertex] - self.join[vertex][target]
 
     def gain_vector(self, vertex: int) -> np.ndarray:
         """Gains of moving ``vertex`` to every part at once (0 at source)."""
-        source = int(self.labels[vertex])
-        edges = self.incident_edges(vertex)
-        weights = self.graph.edge_weights[edges]
-        counts = self.pin_counts[edges]
-        leave = int(weights @ (counts[:, source] == 1))
-        join = weights @ (counts == 0)
-        gains = leave - join
-        gains[source] = 0
+        gains = self.leave[vertex] - np.array(self.join[vertex], dtype=np.int64)
+        gains[self._labels[vertex]] = 0
         self.counters.gain_evals += self.k
         return gains
 
-    def batch_gains(self, vertices: np.ndarray, mode: Optional[str] = None):
-        """Gains and adjacency for a batch of vertices in one pass.
+    def batch_gains(self, vertices: Sequence[int]):
+        """Gains and adjacency of a batch of vertices, as arrays.
 
         Returns ``(gains, adjacent)`` of shape ``[len(vertices), k]``:
         ``gains[i, t]`` is the connectivity reduction of moving
         ``vertices[i]`` to part ``t`` and ``adjacent[i, t]`` marks parts
-        reachable through incident edges (source part excluded).  One
-        segmented reduction replaces ``len(vertices) * k`` scalar gain
-        calls; duplicates in ``vertices`` are evaluated independently.
-
-        ``mode`` selects the implementation: ``"batched"`` (segmented
-        numpy reductions), ``"scalar"`` (plain loops — faster below
-        :data:`SMALL_GRAPH_VERTICES`/:data:`SMALL_GRAPH_EDGES`, where
-        numpy's fixed per-call overhead dominates), or ``None`` to
-        dispatch on graph size.  Both paths compute identical integer
-        arrays; the parity tests assert it.
+        reachable through incident edges (source part excluded).
+        Duplicates in ``vertices`` are evaluated independently.
         """
-        if mode is None:
-            mode = "scalar" if self._scalar_gains else "batched"
-        if mode == "scalar":
-            return self._batch_gains_scalar(vertices)
+        vertices = np.asarray(vertices, dtype=np.int64)
         n, k = len(vertices), self.k
         self.counters.gain_evals += n * k
-        edges, lens = _concat_slices(self._vindptr, self._vedges, vertices)
-        if len(edges) == 0:
-            return (
-                np.zeros((n, k), dtype=np.int64),
-                np.zeros((n, k), dtype=bool),
-            )
-        if lens.min() > 0:  # common case: every vertex has edges
-            kept = None
-            klens = lens
-            sources = self.labels[vertices]
-        else:
-            kept = np.nonzero(lens > 0)[0]
-            klens = lens[kept]
-            sources = self.labels[vertices[kept]]
-        seg_starts = np.cumsum(klens) - klens
-        counts = self.pin_counts[edges]
-        weights = self.graph.edge_weights[edges]
-        own = counts[np.arange(len(edges)), np.repeat(sources, klens)]
-        leave = np.add.reduceat(weights * (own == 1), seg_starts)
-        join = np.add.reduceat((counts == 0) * weights[:, None], seg_starts, axis=0)
-        present = np.bitwise_or.reduceat(counts != 0, seg_starts, axis=0)
-        rows = np.arange(len(klens))
-        dense_gains = leave[:, None] - join
-        dense_gains[rows, sources] = 0
-        present[rows, sources] = False
-        if kept is None:
-            return dense_gains, present
-        gains = np.zeros((n, k), dtype=np.int64)
-        adjacent = np.zeros((n, k), dtype=bool)
-        gains[kept] = dense_gains
-        adjacent[kept] = present
-        return gains, adjacent
-
-    def _batch_gains_scalar(self, vertices: np.ndarray):
-        """Scalar mirror of :meth:`batch_gains` for small graphs.
-
-        Same (leave − join, adjacency) arithmetic over the same CSR
-        slices, in plain Python: no index concatenation, no segment
-        starts, no 2-D temporaries.  Exact integer arithmetic keeps the
-        outputs bit-identical to the batched path.
-        """
-        n, k = len(vertices), self.k
-        self.counters.gain_evals += n * k
-        gains = np.zeros((n, k), dtype=np.int64)
-        adjacent = np.zeros((n, k), dtype=bool)
-        indptr = self._vindptr
-        vedges = self._vedges
-        labels = self.labels
-        pin_counts = self.pin_counts
-        edge_weights = self.graph.edge_weights
-        for row, vertex in enumerate(np.asarray(vertices).tolist()):
-            lo, hi = int(indptr[vertex]), int(indptr[vertex + 1])
-            if lo == hi:
-                continue
-            source = int(labels[vertex])
-            leave = 0
-            join = [0] * k
-            present = [False] * k
-            for edge in vedges[lo:hi].tolist():
-                weight = int(edge_weights[edge])
-                counts = pin_counts[edge].tolist()
-                if counts[source] == 1:
-                    leave += weight
-                for part in range(k):
-                    if counts[part] == 0:
-                        join[part] += weight
-                    else:
-                        present[part] = True
-            row_gains = gains[row]
-            for part in range(k):
-                row_gains[part] = leave - join[part]
-            row_gains[source] = 0
-            present[source] = False
-            adjacent[row] = present
+        rows = np.arange(n)
+        sources = self.labels[vertices]
+        leave = np.array(self.leave, dtype=np.int64)[vertices]
+        join = np.array(self.join, dtype=np.int64).reshape(-1, k)[vertices]
+        present = np.array(self.present, dtype=np.int64).reshape(-1, k)
+        gains = leave[:, None] - join
+        adjacent = present[vertices] > 0
+        gains[rows, sources] = 0
+        adjacent[rows, sources] = False
         return gains, adjacent
 
     def move(self, vertex: int, target: int) -> None:
-        source = int(self.labels[vertex])
+        labels = self._labels
+        source = labels[vertex]
         if source == target:
             return
-        edges = self.incident_edges(vertex)
-        self.pin_counts[edges, source] -= 1
-        self.pin_counts[edges, target] += 1
-        self.part_weights[source] -= self.graph.weights[vertex]
-        self.part_weights[target] += self.graph.weights[vertex]
-        self.labels[vertex] = target
+        counts, pins = self._counts, self._pins
+        edge_weights = self._edge_weights
+        leave, join, present = self.leave, self.join, self.present
+        alone = 0  # becomes leave[vertex]: edges where it is target's only pin
+        for edge in self._incidence[vertex]:
+            weight = edge_weights[edge]
+            row = counts[edge]
+            row[source] = left = row[source] - 1
+            if left == 0:
+                for pin in pins[edge]:
+                    join[pin][source] += weight
+                    present[pin][source] -= 1
+            elif left == 1:
+                for pin in pins[edge]:
+                    if labels[pin] == source and pin != vertex:
+                        leave[pin] += weight
+                        break
+            row[target] = arrived = row[target] + 1
+            if arrived == 1:
+                alone += weight
+                for pin in pins[edge]:
+                    join[pin][target] -= weight
+                    present[pin][target] += 1
+            elif arrived == 2:
+                for pin in pins[edge]:
+                    if labels[pin] == target:
+                        leave[pin] -= weight
+                        break
+        leave[vertex] = alone
+        labels[vertex] = target
+        source_weight = self._part_weights[source]
+        target_weight = self._part_weights[target]
+        for dim, weight in enumerate(self._weights[vertex]):
+            source_weight[dim] -= weight
+            target_weight[dim] += weight
         self.counters.moves += 1
 
-    def fits(self, vertex: int, target: int, caps: np.ndarray) -> bool:
-        new_weight = self.part_weights[target] + self.graph.weights[vertex]
-        return bool((new_weight <= caps).all())
-
-    def fits_mask(self, vertex: int, caps: np.ndarray) -> np.ndarray:
-        """Feasibility of moving ``vertex`` into each part, bool ``[k]``."""
-        new_weight = self.part_weights + self.graph.weights[vertex][None, :]
-        return (new_weight <= caps[None, :]).all(axis=1)
-
-    def cost(self) -> int:
-        spans = (self.pin_counts > 0).sum(axis=1)
-        active = spans > 0
-        return int(
-            (self.graph.edge_weights[active] * (spans[active] - 1)).sum()
+    def fits(self, vertex: int, target: int, caps: Sequence[int]) -> bool:
+        return fits_under(
+            self._part_weights[target], self._weights[vertex], caps
         )
 
-    def is_feasible(self, caps: np.ndarray) -> bool:
-        return bool(np.all(self.part_weights <= caps[None, :]))
+    def cost(self) -> int:
+        total = 0
+        for weight, row in zip(self._edge_weights, self._counts):
+            span = self.k - row.count(0)
+            if span > 1:
+                total += weight * (span - 1)
+        return total
 
-    def boundary_vertices(self) -> np.ndarray:
-        """Vertices incident to an edge spanning >= 2 parts (ascending)."""
-        graph = self.graph
-        spans = (self.pin_counts > 0).sum(axis=1)
-        cut = spans >= 2
-        if not cut.any():
-            return np.zeros(0, dtype=np.int64)
-        pin_on_cut = cut[graph.pin_edge_ids]
-        return np.unique(graph.edge_pins[pin_on_cut])
+    def is_feasible(self, caps: Sequence[int]) -> bool:
+        return all(
+            held <= cap
+            for part in self._part_weights
+            for held, cap in zip(part, caps)
+        )
 
 
 def greedy_refine(
@@ -282,40 +254,40 @@ def greedy_refine(
     Each pass visits vertices in random order and applies the best
     strictly-positive-gain move that keeps the partition feasible.
     Candidate targets are restricted to parts adjacent through incident
-    edges (moving elsewhere can never reduce connectivity); all
-    candidate gains of one vertex are evaluated in a single batched
-    pass, ties broken toward the lowest part index.
+    edges (moving elsewhere can never reduce connectivity); ties break
+    toward the lowest part index.
     """
-    graph = state.graph
-    edge_weights = graph.edge_weights
+    k = state.k
+    caps_list = caps.tolist()
+    labels, leave, join, present = (
+        state._labels, state.leave, state.join, state.present
+    )
     moves = 0
     for _ in range(max_passes):
         improved = False
-        for vertex in rng.permutation(graph.num_vertices):
-            source = int(state.labels[vertex])
-            edges = state.incident_edges(vertex)
-            if len(edges) == 0:
+        gain_evals = 0
+        for vertex in rng.permutation(state.graph.num_vertices).tolist():
+            adjacent = present[vertex]
+            # Its own part is present on every incident edge, so fewer
+            # than two present parts means no candidate target.
+            if k - adjacent.count(0) < 2:
                 continue
-            counts = state.pin_counts[edges]
-            candidates = counts.any(axis=0)
-            candidates[source] = False
-            if not candidates.any():
-                continue
-            weights = edge_weights[edges]
-            leave = int(weights @ (counts[:, source] == 1))
-            join = weights @ (counts == 0)
-            gains = leave - join
-            state.counters.gain_evals += state.k
-            viable = candidates & (gains > 0)
-            if not viable.any():
-                continue
-            viable &= state.fits_mask(vertex, caps)
-            if not viable.any():
-                continue
-            target = int(np.argmax(np.where(viable, gains, -1)))
-            state.move(vertex, target)
-            moves += 1
-            improved = True
+            gain_evals += k
+            source = labels[vertex]
+            vertex_leave = leave[vertex]
+            vertex_join = join[vertex]
+            best_target, best_gain = -1, 0
+            for target in range(k):
+                if target == source or not adjacent[target]:
+                    continue
+                gain = vertex_leave - vertex_join[target]
+                if gain > best_gain and state.fits(vertex, target, caps_list):
+                    best_target, best_gain = target, gain
+            if best_target >= 0:
+                state.move(vertex, best_target)
+                moves += 1
+                improved = True
+        state.counters.gain_evals += gain_evals
         if not improved:
             break
     return moves
@@ -345,63 +317,66 @@ def fm_refine(
 
     Returns the number of net (kept) moves.
     """
-    graph = state.graph
-    num_vertices = graph.num_vertices
+    num_vertices = state.graph.num_vertices
     k = state.k
     if move_cap is None:
         move_cap = min(num_vertices, 4000)
     counter = itertools.count()
     kept_moves = 0
-    weight_list = graph.weights.tolist()
     caps_list = caps.tolist()
-    dims = range(len(caps_list))
+    parts = range(k)
+    labels, leave, join, present = (
+        state._labels, state.leave, state.join, state.present
+    )
+    incidence, pins = state._incidence, state._pins
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     for _ in range(max_passes):
         heap: list = []
         # vertex_stamp[v] = index of the last move that touched a pin
         # count v's gains depend on; entries carry the stamp at push
         # time, so a pop whose stamp is still current needs no gain
-        # recomputation.  version[v*k+t] identifies the newest push of
-        # each (vertex, target) candidate: older duplicates are
-        # discarded on pop without any gain or feasibility work.
+        # re-read.  version[v*k+t] identifies the newest push of each
+        # (vertex, target) candidate: older duplicates are discarded on
+        # pop without any gain or feasibility work.
         vertex_stamp = [0] * num_vertices
         version = [0] * (num_vertices * k)
         move_index = 0
-        # Python mirrors of the labels and part weights keep the pop
-        # loop free of numpy scalar overhead.
-        label_list = state.labels.tolist()
-        pw_list = state.part_weights.tolist()
+        gain_evals = 0
 
-        def push_batch(vertices: np.ndarray) -> None:
-            gains, adjacent = state.batch_gains(vertices)
-            rows, targets = np.nonzero(adjacent)
-            if len(rows) == 0:
-                return
-            entries = zip(
-                (-gains[rows, targets]).tolist(),
-                vertices[rows].tolist(),
-                targets.tolist(),
-            )
-            for neg_gain, vertex, target in entries:
-                key = vertex * k + target
-                version[key] = entry_version = version[key] + 1
-                heapq.heappush(
-                    heap,
-                    (
-                        neg_gain,
-                        next(counter),
-                        vertex,
-                        target,
-                        move_index,
-                        entry_version,
-                    ),
-                )
+        def push(vertex: int) -> None:
+            adjacent = present[vertex]
+            source = labels[vertex]
+            vertex_leave = leave[vertex]
+            vertex_join = join[vertex]
+            for target in parts:
+                if adjacent[target] and target != source:
+                    key = vertex * k + target
+                    version[key] = entry_version = version[key] + 1
+                    heappush(
+                        heap,
+                        (
+                            vertex_join[target] - vertex_leave,
+                            next(counter),
+                            vertex,
+                            target,
+                            move_index,
+                            entry_version,
+                        ),
+                    )
 
-        boundary = state.boundary_vertices()
+        # Boundary vertices: at least one part besides their own is
+        # present on an incident edge.
+        boundary = np.array(
+            [v for v in range(num_vertices) if k - present[v].count(0) >= 2],
+            dtype=np.int64,
+        )
         rng.shuffle(boundary)
-        push_batch(boundary)
+        for vertex in boundary.tolist():
+            push(vertex)
+        gain_evals += len(boundary) * k
 
-        moved = np.zeros(num_vertices, dtype=bool)
+        moved = [False] * num_vertices
         history = []  # (vertex, source_part)
         current_cost = state.cost()
         best_cost = current_cost
@@ -410,23 +385,22 @@ def fm_refine(
         while heap and len(history) < move_cap:
             if len(history) - best_length >= patience:
                 break
-            neg_gain, _, vertex, target, stamp, entry_version = heapq.heappop(
-                heap
-            )
+            neg_gain, _, vertex, target, stamp, entry_version = heappop(heap)
             if (
                 version[vertex * k + target] != entry_version
                 or moved[vertex]
-                or target == label_list[vertex]
+                or target == labels[vertex]
             ):
                 continue
             if vertex_stamp[vertex] <= stamp:
                 actual = -neg_gain  # untouched since push: still exact
             else:
-                actual = state.gain(vertex, target)
+                gain_evals += 1
+                actual = leave[vertex] - join[vertex][target]
                 if actual < -neg_gain:  # stale entry: requeue, real gain
                     key = vertex * k + target
                     version[key] = entry_version = version[key] + 1
-                    heapq.heappush(
+                    heappush(
                         heap,
                         (
                             -actual,
@@ -438,49 +412,33 @@ def fm_refine(
                         ),
                     )
                     continue
-            part_weight = pw_list[target]
-            vertex_weight = weight_list[vertex]
-            if any(
-                part_weight[d] + vertex_weight[d] > caps_list[d] for d in dims
-            ):
+            if not state.fits(vertex, target, caps_list):
                 continue
-            source = label_list[vertex]
+            history.append((vertex, labels[vertex]))
             state.move(vertex, target)
-            label_list[vertex] = target
-            for d in dims:
-                pw_list[source][d] -= vertex_weight[d]
-                part_weight[d] += vertex_weight[d]
             moved[vertex] = True
-            history.append((vertex, source))
             current_cost -= actual
             if current_cost < best_cost:
                 best_cost = current_cost
                 best_length = len(history)
             move_index += 1
             # Everything sharing an edge with the moved vertex now sees
-            # different pin counts.
-            edges = state.incident_edges(vertex)
-            all_pins, _ = _concat_slices(
-                graph.edge_indptr, graph.edge_pins, edges
-            )
-            for pin in all_pins.tolist():
-                vertex_stamp[pin] = move_index
-            # Refresh candidates of neighbours along small edges (large
-            # edges contribute little per pin and would flood the heap).
-            small = edges[
-                (graph.edge_indptr[edges + 1] - graph.edge_indptr[edges]) <= 64
-            ]
-            if len(small):
-                neighbours, _ = _concat_slices(
-                    graph.edge_indptr, graph.edge_pins, small
-                )
-                neighbours = neighbours[~moved[neighbours]]
-                if len(neighbours):
-                    push_batch(neighbours)
+            # different pin counts; along small edges its candidates
+            # are pushed afresh (once per shared edge, in edge then pin
+            # order — the newest entry is the live one).
+            for edge in incidence[vertex]:
+                edge_pins = pins[edge]
+                refresh = len(edge_pins) <= _MAX_REFRESH_PINS
+                for pin in edge_pins:
+                    vertex_stamp[pin] = move_index
+                    if refresh and not moved[pin]:
+                        gain_evals += k
+                        push(pin)
 
         for vertex, source in reversed(history[best_length:]):
             state.move(vertex, source)
         kept_moves += best_length
+        state.counters.gain_evals += gain_evals
         if best_length == 0:
             break
     return kept_moves
@@ -496,12 +454,11 @@ def rebalance(
 
     Vertices are evicted from overloaded parts into the least-loaded
     feasible part, preferring moves with the smallest cost increase.
-    Each scan scores one random eviction sample in a single batched
-    pass, then drains it in ascending-loss order (re-checking the caps
-    before every move) until the overloaded part fits or the sample is
-    exhausted; pin-count deltas of a scan are applied in one batched
-    update at its end, so a scan costs O(sample + moved degrees) numpy
-    work regardless of how many evictions it performs.
+    Each scan scores one random eviction sample from the gain tables
+    (losses and cap feasibility snapshotted at scan start), then drains
+    it in ascending (loss, sample position, part) order — re-checking
+    the caps before every move — until the overloaded part fits or the
+    sample is exhausted.
 
     Infeasible instances (integral weights can make the caps plainly
     unsatisfiable) are detected by stagnation: when three consecutive
@@ -512,82 +469,66 @@ def rebalance(
     k = state.k
     if max_moves is None:
         max_moves = 4 * graph.num_vertices
-    part_weights = state.part_weights
-    weights = graph.weights
+    caps_list = caps.tolist()
+    leave, join = state.leave, state.join
+
+    def total_overload() -> int:
+        return sum(
+            max(held - cap, 0)
+            for part in state._part_weights
+            for held, cap in zip(part, caps_list)
+        )
+
     moves = 0
-    best_overload = int(
-        np.maximum(part_weights - caps[None, :], 0).sum()
-    )
+    best_overload = total_overload()
     stalled = 0
     while moves < max_moves:
+        part_weights = state.part_weights
         overload = part_weights.astype(np.float64) / caps[None, :]
         worst_part = int(np.argmax(overload.max(axis=1)))
         if np.all(part_weights[worst_part] <= caps):
             return True
         over_dim = int(np.argmax(overload[worst_part]))
         members = np.nonzero(state.labels == worst_part)[0]
-        movable = members[weights[members, over_dim] > 0]
+        movable = members[graph.weights[members, over_dim] > 0]
         if len(movable) == 0:
             return False
         # Prefer evicting small vertices with the least connectivity loss.
-        sample = rng.permutation(movable)[: min(len(movable), 64)]
+        sample = rng.permutation(movable)[: min(len(movable), 64)].tolist()
 
-        gains, _ = state.batch_gains(sample)
-        loss = (-gains).astype(np.float64)
-        fits = (
-            part_weights[None, :, :] + weights[sample][:, None, :]
-            <= caps[None, None, :]
-        ).all(axis=2)
-        fits[:, worst_part] = False
-        loss[~fits] = np.inf
-        flat_loss = loss.ravel()
-        order = np.argsort(flat_loss, kind="stable")
-
-        taken = np.zeros(len(sample), dtype=bool)
-        scan_moves: list = []  # (vertex, target)
-        for flat in order.tolist():
-            if moves + len(scan_moves) >= max_moves:
+        state.counters.gain_evals += len(sample) * k
+        entries = sorted(
+            (join[vertex][target] - leave[vertex], row, target)
+            for row, vertex in enumerate(sample)
+            for target in range(k)
+            if target != worst_part and state.fits(vertex, target, caps_list)
+        )
+        taken = set()
+        worst_weight = state._part_weights[worst_part]
+        for _, row, target in entries:
+            if moves >= max_moves:
                 break
-            if not np.isfinite(flat_loss[flat]):
-                break
-            row, target = divmod(flat, k)
-            if taken[row]:
+            if row in taken:
                 continue
-            vertex = int(sample[row])
-            new_weight = part_weights[target] + weights[vertex]
-            if not (new_weight <= caps).all():
+            vertex = sample[row]
+            if not state.fits(vertex, target, caps_list):
                 continue  # an earlier eviction filled this part up
-            taken[row] = True
-            scan_moves.append((vertex, target))
-            part_weights[target] = new_weight
-            part_weights[worst_part] -= weights[vertex]
-            state.labels[vertex] = target
-            if (part_weights[worst_part] <= caps).all():
+            taken.add(row)
+            state.move(vertex, target)
+            moves += 1
+            if all(h <= cap for h, cap in zip(worst_weight, caps_list)):
                 break
 
-        if scan_moves:
-            moved = np.fromiter(
-                (v for v, _ in scan_moves), dtype=np.int64, count=len(scan_moves)
-            )
-            targets = np.fromiter(
-                (t for _, t in scan_moves), dtype=np.int64, count=len(scan_moves)
-            )
-            edges, lens = _concat_slices(state._vindptr, state._vedges, moved)
-            np.subtract.at(state.pin_counts, (edges, worst_part), 1)
-            np.add.at(state.pin_counts, (edges, np.repeat(targets, lens)), 1)
-            moves += len(scan_moves)
-            state.counters.moves += len(scan_moves)
-        else:
+        if not taken:
             # No target has room for any sampled vertex: move one to the
             # globally least-loaded part anyway so progress continues
             # (the cap is re-checked at the end).
-            vertex = int(sample[0])
             target = int(np.argmin(part_weights[:, over_dim]))
             if target == worst_part:
                 return False
-            state.move(vertex, target)
+            state.move(sample[0], target)
             moves += 1
-        overload_now = int(np.maximum(part_weights - caps[None, :], 0).sum())
+        overload_now = total_overload()
         if overload_now < best_overload:
             best_overload = overload_now
             stalled = 0
@@ -595,4 +536,4 @@ def rebalance(
             stalled += 1
             if stalled >= 3:
                 return False
-    return state.is_feasible(caps)
+    return state.is_feasible(caps_list)

@@ -1,10 +1,12 @@
 """Scalar reference implementations of partition refinement.
 
 This module implements the *same algorithms* as
-:mod:`repro.hypergraph.refine` with per-vertex, per-edge Python loops
-instead of batched numpy passes.  It exists so property tests can
-prove the vectorized refinement makes exactly the same decisions:
-identical labels, costs and move counts under the same RNG seed.
+:mod:`repro.hypergraph.refine`, recomputing every gain from the pin
+counts with per-edge Python loops instead of reading incremental gain
+tables.  It exists so property tests can prove the table-driven
+refinement makes exactly the same decisions: identical labels, costs
+and move counts under the same RNG seed.  It lives beside the tests
+because nothing else may reach it.
 
 It is a reference for the **current** semantics, not a museum copy of
 the pre-vectorization code.  Relative to the historic implementation,
@@ -19,7 +21,7 @@ both sides deliberately share these changes (disclosed in CHANGES.md):
   before every move) and gives up once the total overload stagnates
   for three consecutive scans instead of thrashing to ``max_moves``.
 
-Do not use this in the planner hot path — it is deliberately slow.
+It is deliberately slow.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Hypergraph
+from repro.hypergraph import Hypergraph
 
 __all__ = [
     "ScalarRefinementState",

@@ -18,6 +18,12 @@ stats, planning-stats counters).
 import numpy as np
 import pytest
 
+from hypergraph_reference import (
+    ScalarRefinementState,
+    scalar_fm_refine,
+    scalar_greedy_refine,
+    scalar_rebalance,
+)
 from repro.blocks import (
     AttentionSpec,
     BatchSpec,
@@ -29,14 +35,10 @@ from repro.hypergraph import (
     BalanceConstraint,
     Hypergraph,
     RefinementState,
-    ScalarRefinementState,
     fm_refine,
     greedy_refine,
     partition_hypergraph,
     rebalance,
-    scalar_fm_refine,
-    scalar_greedy_refine,
-    scalar_rebalance,
 )
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
 
@@ -325,67 +327,27 @@ class TestPlannerSatellites:
 
 
 class TestScalarFastPath:
-    """The small-graph scalar gain path mirrors the batched path exactly."""
-
-    @pytest.mark.parametrize("trial", range(8))
-    def test_batch_gains_modes_identical(self, trial):
-        rng = np.random.default_rng(500 + trial)
-        g = random_hypergraph(rng, 10 + 5 * trial, 20 + 10 * trial)
-        k = 2 + trial % 4
-        state = RefinementState(g, rng.integers(0, k, g.num_vertices), k)
-        vertices = rng.choice(
-            g.num_vertices, size=min(g.num_vertices, 3 + trial), replace=False
-        )
-        scalar_gains, scalar_adj = state.batch_gains(vertices, mode="scalar")
-        batched_gains, batched_adj = state.batch_gains(vertices, mode="batched")
-        assert np.array_equal(scalar_gains, batched_gains)
-        assert np.array_equal(scalar_adj, batched_adj)
-        assert scalar_gains.dtype == batched_gains.dtype
+    """Degenerate inputs of the gain tables against the scalar reference."""
 
     def test_isolated_vertices_identical(self):
-        # A vertex with no incident edges exercises the empty-slice path.
+        # A vertex with no incident edges has empty table rows: no gain,
+        # no adjacent part, and it never becomes a move candidate.
         weights = np.array([[1, 0], [2, 1], [3, 0]])
         g = Hypergraph(weights, [[0, 1]], np.array([5]))
-        state = RefinementState(g, np.array([0, 1, 0]), 3)
+        labels = np.array([0, 1, 0])
+        state = RefinementState(g, labels, 3)
+        ref = ScalarRefinementState(g, labels, 3)
+        assert state.leave[2] == 0
+        assert state.join[2] == [0, 0, 0]
+        assert state.present[2] == [0, 0, 0]
         vertices = np.array([2, 0, 2])
-        scalar = state.batch_gains(vertices, mode="scalar")
-        batched = state.batch_gains(vertices, mode="batched")
-        assert np.array_equal(scalar[0], batched[0])
-        assert np.array_equal(scalar[1], batched[1])
-
-    def test_small_graphs_auto_dispatch_to_scalar(self):
-        from repro.hypergraph.refine import SMALL_GRAPH_VERTICES
-
-        rng = np.random.default_rng(3)
-        small = random_hypergraph(rng, 20, 40)
-        state = RefinementState(small, rng.integers(0, 2, 20), 2)
-        assert state._scalar_gains
-        assert small.num_vertices <= SMALL_GRAPH_VERTICES
-        big = random_hypergraph(rng, SMALL_GRAPH_VERTICES + 10, 80)
-        state = RefinementState(
-            big, rng.integers(0, 2, big.num_vertices), 2
-        )
-        assert not state._scalar_gains
-
-    @pytest.mark.parametrize("trial", range(6))
-    def test_fm_refine_identical_under_either_path(self, trial):
-        """Full FM runs, one forced scalar and one forced batched, make
-        identical move decisions — the heap sees identical gains."""
-        rng = np.random.default_rng(700 + trial)
-        g = random_hypergraph(rng, 24 + 4 * trial, 50 + 8 * trial)
-        k = 2 + trial % 3
-        labels = rng.integers(0, k, g.num_vertices)
-        caps = BalanceConstraint((0.25, 0.35)).caps(g, k)
-        scalar_state = RefinementState(g, labels.copy(), k)
-        scalar_state._scalar_gains = True
-        batched_state = RefinementState(g, labels.copy(), k)
-        batched_state._scalar_gains = False
-        scalar_moves = fm_refine(
-            scalar_state, caps, np.random.default_rng(trial)
-        )
-        batched_moves = fm_refine(
-            batched_state, caps, np.random.default_rng(trial)
-        )
-        assert scalar_moves == batched_moves
-        assert np.array_equal(scalar_state.labels, batched_state.labels)
-        assert scalar_state.cost() == batched_state.cost()
+        gains, adjacent = state.batch_gains(vertices)
+        for row, vertex in enumerate(vertices.tolist()):
+            for target in range(3):
+                assert gains[row, target] == ref.gain(vertex, target)
+        assert not adjacent[0].any() and not adjacent[2].any()
+        assert adjacent[1].tolist() == [False, True, False]
+        caps = np.array([10, 10])
+        assert greedy_refine(state, caps, np.random.default_rng(0)) == 1
+        assert fm_refine(state, caps, np.random.default_rng(0)) == 0
+        assert state.labels[2] == 0
