@@ -18,7 +18,7 @@ from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
 from repro.blocks import generate_blocks
 from repro.placement import PlacementConfig, place_blocks
 from repro.scheduling import (
-    build_schedule,
+    fill_divisions,
     serialize_backward_schedule,
     serialize_schedule,
 )
@@ -47,7 +47,7 @@ def test_ablation_backward_model(benchmark, results_dir):
                     block_set, scale.cluster,
                     PlacementConfig(seed=0, restarts=1),
                 )
-                schedule = build_schedule(block_set, placement, 4)
+                schedule = fill_divisions(block_set, placement, 4)
                 forward_plan = serialize_schedule(schedule)
                 backward_plan = serialize_backward_schedule(schedule)
                 analytic.append(

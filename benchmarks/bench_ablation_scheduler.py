@@ -19,7 +19,7 @@ from conftest import run_once
 from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
 from repro.blocks import generate_blocks
 from repro.placement import PlacementConfig, place_blocks
-from repro.scheduling import build_schedule, serialize_schedule
+from repro.scheduling import fill_divisions, serialize_schedule
 from repro.sim import simulate_plan
 
 
@@ -53,7 +53,7 @@ def test_ablation_scheduler_strategy(benchmark, results_dir):
                 times, exposed, overlap = [], [], []
                 for block_set, placement in plans:
                     plan = serialize_schedule(
-                        build_schedule(
+                        fill_divisions(
                             block_set, placement, num_divisions=4,
                             strategy=strategy,
                         )

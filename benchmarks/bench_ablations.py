@@ -14,7 +14,11 @@ from repro.bench import BenchScale, Table, make_batches, PAPER_MASKS
 from repro.blocks import generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.placement import PlacementConfig, place_blocks
-from repro.scheduling import build_schedule, serialize_schedule
+from repro.scheduling import (
+    build_schedule,
+    fill_divisions,
+    serialize_schedule,
+)
 from repro.sim import simulate_plan
 
 
@@ -29,7 +33,9 @@ def test_ablation_num_divisions(benchmark, results_dir):
 
     Run with 4x-scaled lengths so communication matters: with tiny
     batches every division only adds kernel-launch overhead and T=1
-    trivially wins.
+    trivially wins.  The fixed-T rows come from ``fill_divisions``; the
+    "chosen" row is ``build_schedule`` pricing T in {1, 2, 4, 8} per
+    plan, which may lose to no fixed row.
     """
     scale = BenchScale.sweep(num_batches=2)
 
@@ -38,21 +44,26 @@ def test_ablation_num_divisions(benchmark, results_dir):
             "Ablation: number of divisions T",
             ["T", "fw_ms", "exposed_comm_ms"],
         )
-        batches = _batches(scale, length_scale=4.0)
-        for num_divisions in (1, 2, 4, 8):
+        placed = []
+        for batch in _batches(scale, length_scale=4.0):
+            block_set = generate_blocks(
+                batch, scale.attention, scale.block_size
+            )
+            placement = place_blocks(
+                block_set, scale.cluster,
+                PlacementConfig(seed=0, restarts=1),
+            )
+            placed.append((block_set, placement))
+        for num_divisions in (1, 2, 4, 8, "chosen"):
             times, exposed = [], []
-            for batch in batches:
-                block_set = generate_blocks(
-                    batch, scale.attention, scale.block_size
-                )
-                placement = place_blocks(
-                    block_set, scale.cluster,
-                    PlacementConfig(seed=0, restarts=1),
-                )
-                plan = serialize_schedule(
-                    build_schedule(block_set, placement, num_divisions)
-                )
-                timing = simulate_plan(plan)
+            for block_set, placement in placed:
+                if num_divisions == "chosen":
+                    schedule = build_schedule(block_set, placement, 8)
+                else:
+                    schedule = fill_divisions(
+                        block_set, placement, num_divisions
+                    )
+                timing = simulate_plan(serialize_schedule(schedule))
                 times.append(timing.iteration_time)
                 exposed.append(timing.critical_device.exposed_comm)
             table.add(num_divisions, 1e3 * float(np.mean(times)),
@@ -66,6 +77,8 @@ def test_ablation_num_divisions(benchmark, results_dir):
     exposed = dict(zip(table.column("T"), table.column("exposed_comm_ms")))
     assert times[4] <= times[1] * 1.05, "T=4 should not lose to T=1"
     assert exposed[4] <= exposed[1], "overlap must hide communication"
+    # The choice prices forward + backward, the table forward alone.
+    assert times["chosen"] <= min(times[t] for t in (1, 2, 4, 8)) * 1.05
 
 
 def test_ablation_warm_starts(benchmark, results_dir):

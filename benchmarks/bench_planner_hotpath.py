@@ -47,9 +47,17 @@ SMOKE_TOTAL_S_MAX = 0.15
 
 #: Deterministic work counts of the smoke point, pinned next to the
 #: budget: they are machine-independent, and any change to the search
-#: trajectory moves them.  A PR that changes the search on purpose
-#: re-records them by regenerating BENCH_planner.json.
-SMOKE_PINNED_COUNTS = ("refine_moves", "gain_evals", "comm_bytes")
+#: trajectory moves the first three, any change to the scheduler's
+#: priced division choice the last two (the chosen count and the plan's
+#: simulated forward + backward attention).  A PR that changes either on
+#: purpose re-records them by regenerating BENCH_planner.json.
+SMOKE_PINNED_COUNTS = (
+    "refine_moves",
+    "gain_evals",
+    "comm_bytes",
+    "num_divisions",
+    "attn_ms",
+)
 
 
 def _git_revision() -> Optional[str]:
@@ -75,6 +83,7 @@ def run_hotpath_bench(
     """Time planner stages for every (token budget, block size) point."""
     from repro.bench.harness import BenchScale, PAPER_MASKS, make_batches
     from repro.core import DCPPlanner
+    from repro.sim import simulate_plan
 
     rows: List[Dict] = []
     for token_budget in token_budgets:
@@ -94,12 +103,16 @@ def run_hotpath_bench(
             for _ in range(max(repeats, 1)):
                 start = time.perf_counter()
                 for batch in batches:
-                    planner.plan_batch(batch)
+                    plan = planner.plan_batch(batch)
                 elapsed = time.perf_counter() - start
                 if best is None or elapsed < best[0]:
                     best = (elapsed, planner.last_stats)
             elapsed, stats = best
             comm = planner.last_placement.comm_report().total_bytes
+            attn_s = sum(
+                simulate_plan(plan, backward=backward).iteration_time
+                for backward in (False, True)
+            )
             rows.append(
                 {
                     "token_budget": int(token_budget),
@@ -114,13 +127,16 @@ def run_hotpath_bench(
                     "refine_moves": stats.refine_moves,
                     "gain_evals": stats.gain_evals,
                     "comm_bytes": int(comm),
+                    "num_divisions": stats.num_divisions,
+                    "attn_ms": round(1e3 * attn_s, 6),
                 }
             )
             print(
                 f"tokens={token_budget:>6} block={block_size:>5} "
                 f"total={elapsed:.3f}s gen={stats.block_generation:.3f}s "
                 f"place={stats.placement:.3f}s sched={stats.scheduling:.3f}s "
-                f"moves={stats.refine_moves} comm={comm / 1e6:.1f}MB"
+                f"moves={stats.refine_moves} comm={comm / 1e6:.1f}MB "
+                f"T={stats.num_divisions} attn={1e3 * attn_s:.3f}ms"
             )
     return {
         "benchmark": "planner_hotpath",

@@ -142,7 +142,13 @@ class Gate:
 
 #: Work counts of the planner smoke point that must equal the tracked
 #: file's ``smoke`` block exactly (bench_planner_hotpath.py records them).
-PLANNER_PINNED_COUNTS = ("refine_moves", "gain_evals", "comm_bytes")
+PLANNER_PINNED_COUNTS = (
+    "refine_moves",
+    "gain_evals",
+    "comm_bytes",
+    "num_divisions",
+    "attn_ms",
+)
 
 
 def check_planner(gate: Gate, strict: bool) -> None:

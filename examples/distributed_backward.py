@@ -20,7 +20,7 @@ from repro import (
 from repro.model.attention import attention_forward_backward
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import BatchInputs, run_forward_backward
-from repro.scheduling import build_schedule
+from repro.scheduling import fill_divisions
 from repro.sim import simulate_plan
 from repro.scheduling import serialize_backward_schedule, serialize_schedule
 
@@ -32,7 +32,7 @@ def main() -> None:
     block_set = generate_blocks(batch, attention, block_size=32)
     cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
     placement = place_blocks(block_set, cluster, PlacementConfig(seed=0))
-    schedule = build_schedule(block_set, placement, num_divisions=4)
+    schedule = fill_divisions(block_set, placement, num_divisions=4)
 
     inputs = BatchInputs.random(block_set, seed=0)
     rng = np.random.default_rng(1)

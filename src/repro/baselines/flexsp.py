@@ -36,7 +36,7 @@ import numpy as np
 from ..blocks import BlockSet
 from ..placement.hierarchical import Placement
 from ..placement.heuristics import zigzag_chunk_device
-from ..scheduling import build_schedule, serialize_schedule
+from ..scheduling import fill_divisions, serialize_schedule
 from ..sim.cluster import ClusterSpec
 
 __all__ = ["FlexSPPlanner"]
@@ -59,7 +59,7 @@ class FlexSPPlanner:
 
     def plan(self, block_set: BlockSet, cluster: ClusterSpec):
         placement = self.place(block_set, cluster)
-        schedule = build_schedule(block_set, placement, num_divisions=4)
+        schedule = fill_divisions(block_set, placement, num_divisions=4)
         plan = serialize_schedule(schedule)
         plan.meta["planner"] = self.name
         return plan

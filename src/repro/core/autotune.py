@@ -19,7 +19,6 @@ import numpy as np
 
 from ..blocks import AttentionSpec, BatchSpec
 from ..sim.cluster import ClusterSpec
-from ..sim.timing import simulate_plan
 from .config import DCPConfig
 from .planner import DCPPlanner
 
@@ -116,9 +115,9 @@ def autotune_block_size(
         for batch in probes:
             plan = planner.plan_batch(batch)
             plan_wall.append(planner.last_stats.total)
-            forward = simulate_plan(plan, cluster, backward=False)
-            backward = simulate_plan(plan, cluster, backward=True)
-            attn.append(forward.iteration_time + backward.iteration_time)
+            # The scheduler's price of its choice is the simulated
+            # forward + backward time of this plan.
+            attn.append(min(plan.meta["division_prices"].values()))
             comm.append(plan.total_comm_bytes())
         scores.append(
             BlockSizeScore(

@@ -19,8 +19,13 @@ class DCPConfig:
         Token granularity ``B`` of block partitioning (the paper
         searches {512, 1024, 2048, 4096}).
     num_divisions:
-        Number of computation/communication divisions ``T`` per batch
-        (the paper fixes 4).
+        Upper bound on the computation/communication divisions ``T`` of
+        a batch: the scheduler prices ``T = 1, 2, 4, ...`` up to it per
+        plan and keeps the cheapest
+        (:func:`repro.scheduling.build_schedule`).  The default is the
+        paper's fixed 4 (§7.1), which stays the best choice at its own
+        geometry — 131072 tokens on 4x8 devices — and so must stay a
+        candidate.
     eps_inter, eps_intra:
         Computation-imbalance tolerance between machines / between
         devices of one machine (paper: 0.4 and 0.1).

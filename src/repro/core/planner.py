@@ -32,7 +32,9 @@ class PlanningStats:
     Besides the per-stage timings, per-stage work counters make perf
     regressions visible in the fig18/fig22 benchmark output: the size
     of the placement hypergraph and how many moves refinement made /
-    gains it consulted on it (counted per planning thread).
+    gains it consulted on it (counted per planning thread), and the
+    division count the scheduler chose (``DCPConfig.num_divisions`` is
+    its upper bound).
     """
 
     block_generation: float = 0.0
@@ -42,6 +44,7 @@ class PlanningStats:
     num_edges: int = 0
     refine_moves: int = 0
     gain_evals: int = 0
+    num_divisions: int = 0
 
     @property
     def total(self) -> float:
@@ -57,6 +60,7 @@ class PlanningStats:
             "num_edges": self.num_edges,
             "refine_moves": self.refine_moves,
             "gain_evals": self.gain_evals,
+            "num_divisions": self.num_divisions,
         }
 
 
@@ -162,6 +166,7 @@ class DCPPlanner:
             )
             plan = serialize_schedule(schedule)
         stats.scheduling = time.perf_counter() - start
+        stats.num_divisions = schedule.num_divisions
 
         plan.meta["planning_stats"] = stats
         # The placement labels ride with the plan so a later delta
@@ -180,6 +185,7 @@ class DCPPlanner:
         )
         metrics.histogram("planner.placement_s").observe(stats.placement)
         metrics.histogram("planner.scheduling_s").observe(stats.scheduling)
+        metrics.histogram("planner.num_divisions").observe(stats.num_divisions)
         metrics.counter("planner.refine_moves").inc(stats.refine_moves)
         metrics.counter("planner.gain_evals").inc(stats.gain_evals)
         self.last_stats = stats

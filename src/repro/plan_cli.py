@@ -63,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--devices", type=int, default=4,
                         help="devices per machine")
     parser.add_argument("--block-size", type=int, default=1024)
-    parser.add_argument("--divisions", type=int, default=4)
+    parser.add_argument("--divisions", type=int, default=4,
+                        help="at most this many computation/communication"
+                             " divisions; the scheduler picks the cheapest")
     parser.add_argument("--q-heads", type=int, default=8)
     parser.add_argument("--kv-groups", type=int, default=2)
     parser.add_argument("--head-dim", type=int, default=128)
@@ -135,6 +137,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"(blocks {stats.block_generation:.3f}, "
         f"placement {stats.placement:.3f}, "
         f"scheduling {stats.scheduling:.3f})"
+    )
+    prices = ", ".join(
+        f"T={count} {1e3 * seconds:.3f}"
+        for count, seconds in sorted(plan.meta["division_prices"].items())
+    )
+    print(
+        f"divisions: T={stats.num_divisions} chosen "
+        f"(priced fw+bw ms: {prices})"
     )
     dcp_time = _report("dcp", plan, cluster, args.gantt_width)
 

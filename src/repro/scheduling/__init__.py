@@ -1,7 +1,12 @@
 """Division scheduling, DCP instructions and plan serialization."""
 
 from .buffers import BufferManager
-from .divisions import DeviceSchedule, Schedule, build_schedule
+from .divisions import (
+    DeviceSchedule,
+    Schedule,
+    build_schedule,
+    fill_divisions,
+)
 from .instructions import (
     BlockwiseAttention,
     BlockwiseCopy,
@@ -31,6 +36,7 @@ __all__ = [
     "DeviceSchedule",
     "Schedule",
     "build_schedule",
+    "fill_divisions",
     "BlockwiseAttention",
     "BlockwiseCopy",
     "BlockwiseReduction",

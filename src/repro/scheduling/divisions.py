@@ -15,17 +15,35 @@ computation of division ``t``:
 Communication is accounted *marginally*: a remote input block is paid
 for once, in the division where the first computation block using it is
 scheduled; later users on the same device reuse the fetched copy.
+
+The paper fixes ``T = 4`` (§7.1), which pays where a division's
+computation dwarfs the ~5 kernel launches it adds and loses elsewhere.
+:func:`fill_divisions` is that fixed-``T`` scheduler;
+:func:`build_schedule` runs it for ``T = 1, 2, 4, ...`` up to its
+``num_divisions``, prices each candidate with :mod:`.pricing` and keeps
+the cheapest.  Everything that does not depend on ``T`` — block homes,
+per-device block lists, remote inputs, bytes and FLOPs — is derived
+once per (block set, placement), on integer ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
+import numpy as np
 
-from ..blocks import BlockSet, CompBlock, DataBlockId
+from ..blocks import BlockKind, BlockSet, CompBlock, DataBlockId
+from .pricing import price_divisions
 
-__all__ = ["DeviceSchedule", "Schedule", "build_schedule"]
+__all__ = ["DeviceSchedule", "Schedule", "build_schedule", "fill_divisions"]
+
+_STRATEGIES = ("paper", "balanced")
+
+#: A remote input as the fill and the pricer see it: (block id, bytes,
+#: home device).  Id ``2 * (slice * head_groups + head_group)`` is the Q
+#: block of that slice and group, ``+ 1`` its KV block.
+_Need = Tuple[int, int, int]
 
 
 @dataclass
@@ -46,9 +64,6 @@ class DeviceSchedule:
     def all_blocks(self) -> List[CompBlock]:
         return [comp for division in self.divisions for comp in division]
 
-    def comp_pairs(self) -> int:
-        return sum(c.pairs for c in self.all_blocks())
-
 
 @dataclass
 class Schedule:
@@ -58,129 +73,245 @@ class Schedule:
     placement: object  # repro.placement.Placement (kept loose: no cycle)
     device_schedules: Dict[int, DeviceSchedule]
     num_divisions: int
+    #: Priced forward + backward seconds of every division count
+    #: :func:`build_schedule` tried (empty for :func:`fill_divisions`).
+    division_prices: Dict[int, float] = field(default_factory=dict)
 
-    def schedule_for(self, device: int) -> DeviceSchedule:
-        return self.device_schedules[device]
 
+class _Prep:
+    """What scheduling needs of (block set, placement), independent of T."""
 
-class _BlockPool:
-    """Insertion-ordered block set with O(1) removal.
+    def __init__(self, block_set: BlockSet, placement) -> None:
+        self.block_set = block_set
+        self.placement = placement
+        self.cluster = cluster = placement.cluster
+        attention = block_set.attention
+        self.groups = groups = attention.head_groups
+        comps = block_set.comp_array
+        slice_device = np.asarray(placement.slice_device, dtype=np.int64)
+        q_slice = block_set.slice_indices(comps.seq_index, comps.q_block)
+        kv_slice = block_set.slice_indices(comps.seq_index, comps.kv_block)
+        tokens = block_set.slice_tokens
+        q_block = q_slice * groups + comps.head_group
+        kv_block = kv_slice * groups + comps.head_group
 
-    Replaces the ``list.remove`` scans the scheduler used to run per
-    scheduled block (O(n²) across a device's stream): membership is an
-    ``id()``-keyed index map, removal flips a liveness flag, and
-    iteration walks the original order skipping dead entries — so a
-    full greedy fill is O(blocks) per scan instead of O(blocks²).
-    """
-
-    def __init__(self, blocks: List[CompBlock]) -> None:
-        self._blocks = list(blocks)
-        self._slot = {id(block): i for i, block in enumerate(self._blocks)}
-        self._live = [True] * len(self._blocks)
-        self._count = len(self._blocks)
-
-    def _compact(self) -> None:
-        """Drop dead slots once they outnumber live ones.
-
-        Amortized O(1) per removal; keeps every scan O(live blocks)
-        rather than O(original blocks).  Callers snapshot the pool
-        (``list(pool)``) before removing during iteration, so
-        compacting inside :meth:`remove` is safe.
-        """
-        self._blocks = [
-            block for block, live in zip(self._blocks, self._live) if live
+        self.pairs: List[int] = comps.pairs.tolist()
+        self.flops: List[int] = attention.tile_flops(comps.pairs).tolist()
+        #: Remote inputs of every computation block (Q first, as
+        #: ``CompBlock.inputs`` orders them).
+        self.needs: List[Tuple[_Need, ...]] = []
+        devices = range(cluster.num_devices)
+        self.blocks: List[List[int]] = [[] for _ in devices]
+        remote: List[set] = [set() for _ in devices]
+        outputs: List[set] = [set() for _ in devices]
+        for comp, (device, q, q_home, q_bytes, kv, kv_home, kv_bytes) in enumerate(
+            zip(
+                np.asarray(placement.comp_device, dtype=np.int64).tolist(),
+                q_block.tolist(),
+                slice_device[q_slice].tolist(),
+                attention.q_block_bytes(tokens[q_slice]).tolist(),
+                kv_block.tolist(),
+                slice_device[kv_slice].tolist(),
+                attention.kv_block_bytes(tokens[kv_slice]).tolist(),
+            )
+        ):
+            needs: Tuple[_Need, ...] = ()
+            if q_home != device:
+                needs = ((2 * q, q_bytes, q_home),)
+                # O shares Q's slice, shape and so home and bytes.
+                outputs[device].add((q, q_bytes, q_home))
+            if kv_home != device:
+                needs += ((2 * kv + 1, kv_bytes, kv_home),)
+            self.needs.append(needs)
+            self.blocks[device].append(comp)
+            remote[device].update(needs)
+        #: Partial outputs every device ships home, as (O block id
+        #: ``slice * head_groups + head_group``, bytes, home), sorted.
+        self.output_sends: List[List[_Need]] = [sorted(o) for o in outputs]
+        self.total_comm: List[int] = [
+            sum(need[1] for need in remote[device])
+            + sum(need[1] for need in self.output_sends[device])
+            for device in devices
         ]
-        self._slot = {id(block): i for i, block in enumerate(self._blocks)}
-        self._live = [True] * len(self._blocks)
+        #: Output blocks every device finalizes: its slices x head groups.
+        self.finalizes: List[int] = (
+            np.bincount(slice_device, minlength=cluster.num_devices) * groups
+        ).tolist()
 
-    def remove(self, block: CompBlock) -> None:
-        slot = self._slot.get(id(block))
-        if slot is None or not self._live[slot]:
-            raise ValueError("block already scheduled")
-        self._live[slot] = False
-        self._count -= 1
-        if self._count * 2 < len(self._blocks):
-            self._compact()
-
-    def __iter__(self):
-        return (
-            block
-            for block, live in zip(self._blocks, self._live)
-            if live
+    def data_block(self, kind: str, block: int) -> DataBlockId:
+        token_slice = self.block_set.token_slices[block // self.groups]
+        return DataBlockId(
+            kind,
+            token_slice.seq_index,
+            token_slice.block_index,
+            block % self.groups,
         )
 
-    def __len__(self) -> int:
-        return self._count
+    def materialise(self, fills: List["_DeviceFill"]) -> Schedule:
+        """The object view (CompBlock / DataBlockId) of integer fills."""
+        comp_blocks = self.block_set.comp_blocks
+        kinds = (BlockKind.Q, BlockKind.KV)
+        device_schedules = {
+            device: DeviceSchedule(
+                device=device,
+                divisions=[
+                    [comp_blocks[comp] for comp in division]
+                    for division in fill.divisions
+                ],
+                fetches=[
+                    [self.data_block(kinds[b % 2], b // 2) for b, _, _ in fetch]
+                    for fetch in fill.fetches
+                ],
+                output_sends=[
+                    self.data_block(BlockKind.O, b)
+                    for b, _, _ in self.output_sends[device]
+                ],
+            )
+            for device, fill in enumerate(fills)
+        }
+        return Schedule(
+            block_set=self.block_set,
+            placement=self.placement,
+            device_schedules=device_schedules,
+            num_divisions=len(fills[0].divisions),
+        )
 
-    def __bool__(self) -> bool:
-        return self._count > 0
 
+class _DeviceFill:
+    """Mutable bookkeeping while one device's divisions fill."""
 
-class _DeviceState:
-    """Mutable bookkeeping while Listing 3 runs for one device."""
-
-    def __init__(
-        self,
-        device: int,
-        blocks: List[CompBlock],
-        home_of: Dict[DataBlockId, int],
-        block_bytes,
-        num_divisions: int,
-    ) -> None:
-        self.device = device
-        self.remaining = _BlockPool(blocks)
-        self.home_of = home_of
-        self.block_bytes = block_bytes
-        self.fetched: Set[DataBlockId] = set()
-        self.divisions: List[List[CompBlock]] = [[] for _ in range(num_divisions)]
-        self.fetches: List[List[DataBlockId]] = [[] for _ in range(num_divisions)]
+    def __init__(self, prep: _Prep, device: int, num_divisions: int) -> None:
+        self.needs = prep.needs
+        self.pairs = prep.pairs
+        self.remaining: List[int] = list(prep.blocks[device])  # block order
+        self.fetched: set = set()
+        self.divisions: List[List[int]] = [[] for _ in range(num_divisions)]
+        self.fetches: List[List[_Need]] = [[] for _ in range(num_divisions)]
         self.comp_scheduled = 0  # total pairs scheduled so far
         self.div_comm = 0  # bytes charged to the division being built
+        self.per_div_limit = prep.total_comm[device] / num_divisions
 
-        remote_inputs: Set[DataBlockId] = set()
-        output_sends: Set[DataBlockId] = set()
-        for comp in blocks:
-            for block in comp.inputs:
-                if home_of[block] != device:
-                    remote_inputs.add(block)
-            if home_of[comp.output] != device:
-                output_sends.add(comp.output)
-        self.output_sends = sorted(output_sends)
-        input_bytes = sum(block_bytes(b) for b in remote_inputs)
-        output_bytes = sum(block_bytes(b) for b in self.output_sends)
-        self.total_comm = input_bytes + output_bytes
-        self.per_div_limit = self.total_comm / num_divisions if num_divisions else 0.0
-
-    def marginal_blocks(self, comp: CompBlock) -> List[DataBlockId]:
-        """Remote inputs of ``comp`` not yet fetched on this device."""
-        return [
-            block
-            for block in comp.inputs
-            if self.home_of[block] != self.device and block not in self.fetched
-        ]
-
-    def marginal_bytes(self, comp: CompBlock) -> int:
-        return sum(self.block_bytes(b) for b in self.marginal_blocks(comp))
-
-    def schedule(self, comp: CompBlock, division: int) -> None:
-        for block in self.marginal_blocks(comp):
-            self.fetched.add(block)
-            self.fetches[division].append(block)
-            self.div_comm += self.block_bytes(block)
+    def take(self, comp: int, division: int) -> None:
+        """Book ``comp`` (already off ``remaining``) into ``division``."""
+        for need in self.needs[comp]:
+            if need[0] not in self.fetched:
+                self.fetched.add(need[0])
+                self.fetches[division].append(need)
+                self.div_comm += need[1]
         self.divisions[division].append(comp)
-        self.comp_scheduled += comp.pairs
-        self.remaining.remove(comp)
+        self.comp_scheduled += self.pairs[comp]
+
+    def take_rest(self) -> None:
+        """Final division: everything left (Listing 3 lines 21-26)."""
+        last = len(self.divisions) - 1
+        for comp in self.remaining:
+            self.take(comp, last)
+        self.remaining = []
+
+    def first_fit(self, division: int, skip_free: bool = False) -> bool:
+        """Schedule the first remaining block whose not-yet-fetched
+        inputs fit what is left of ``division``'s budget."""
+        fetched, limit = self.fetched, self.per_div_limit
+        for position, comp in enumerate(self.remaining):
+            needs = self.needs[comp]
+            if skip_free and not needs:
+                continue
+            marginal = sum(n[1] for n in needs if n[0] not in fetched)
+            if self.div_comm + marginal <= limit:
+                del self.remaining[position]
+                self.take(comp, division)
+                return True
+        return False
 
 
-def build_schedule(
+def _fill_paper(fills: List[_DeviceFill], num_divisions: int) -> None:
+    # Division 0: communication-free blocks (Listing 3 lines 16-20).
+    for fill in fills:
+        for comp in fill.remaining:
+            if not fill.needs[comp]:
+                fill.take(comp, 0)
+        fill.remaining = [c for c in fill.remaining if fill.needs[c]]
+
+    # Middle divisions (lines 28-35): greedily extend the device with the
+    # least scheduled computation, respecting the per-division budget.
+    for division in range(1, max(num_divisions - 1, 1)):
+        for fill in fills:
+            fill.div_comm = 0
+        open_fills = [fill for fill in fills if fill.remaining]
+        while open_fills:
+            fill = min(open_fills, key=lambda f: f.comp_scheduled)
+            if not fill.first_fit(division) or not fill.remaining:
+                open_fills.remove(fill)
+
+    for fill in fills:
+        fill.take_rest()
+
+
+def _fill_balanced(fill: _DeviceFill, num_divisions: int) -> None:
+    """Per-device compute-balanced division filling.
+
+    Every division targets ``1/T`` of the device's computation as well
+    as ``1/T`` of its communication.  Division 0 stays communication-
+    free (its fetches would be exposed at stream start), but takes only
+    its compute share of the free blocks; the rest pad later divisions
+    so transfers always have compute to hide behind.
+    """
+    pairs = fill.pairs
+    free = [comp for comp in fill.remaining if not fill.needs[comp]]
+    free.sort(key=pairs.__getitem__, reverse=True)
+    comp_budget = sum(pairs[comp] for comp in fill.remaining) / num_divisions
+
+    def fill_free(division: int) -> None:
+        scheduled = sum(pairs[comp] for comp in fill.divisions[division])
+        while free and scheduled < comp_budget:
+            comp = free.pop(0)
+            fill.remaining.remove(comp)
+            fill.take(comp, division)
+            scheduled += pairs[comp]
+
+    # Division 0: compute share only, all of it communication-free.
+    fill_free(0)
+    # Middle divisions: communication under the budget first, then pad
+    # with free blocks up to the compute share.
+    for division in range(1, max(num_divisions - 1, 1)):
+        fill.div_comm = 0
+        while fill.first_fit(division, skip_free=True):
+            pass
+        fill_free(division)
+    fill.take_rest()
+
+
+def _fill(prep: _Prep, num_divisions: int, strategy: str) -> List[_DeviceFill]:
+    fills = [
+        _DeviceFill(prep, device, num_divisions)
+        for device in range(prep.cluster.num_devices)
+    ]
+    if strategy == "balanced":
+        for fill in fills:
+            _fill_balanced(fill, num_divisions)
+    else:
+        _fill_paper(fills, num_divisions)
+    return fills
+
+
+def _check(num_divisions: int, strategy: str) -> None:
+    if num_divisions < 1:
+        raise ValueError("need at least one division")
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown scheduling strategy {strategy!r}")
+
+
+def fill_divisions(
     block_set: BlockSet,
     placement,
     num_divisions: int = 4,
     strategy: str = "paper",
 ) -> Schedule:
-    """Group computation blocks into divisions for one batch.
+    """Group computation blocks into exactly ``num_divisions`` divisions.
 
-    ``strategy`` selects the heuristic:
+    The paper's fixed-``T`` scheduler, for ablations, static baselines
+    and anything that asserts on division structure.  ``strategy``
+    selects the heuristic:
 
     * ``"paper"`` — Listing 3 verbatim: all communication-free blocks
       into division 0, then greedy filling under a per-division
@@ -192,153 +323,40 @@ def build_schedule(
       transfers behind, while the same per-division communication
       budget is respected.
     """
-    if num_divisions < 1:
-        raise ValueError("need at least one division")
-    if strategy not in ("paper", "balanced"):
-        raise ValueError(f"unknown scheduling strategy {strategy!r}")
-
-    slice_index = {
-        (ts.seq_index, ts.block_index): i
-        for i, ts in enumerate(block_set.token_slices)
-    }
-
-    def home_lookup() -> Dict[DataBlockId, int]:
-        home: Dict[DataBlockId, int] = {}
-        for comp in block_set.comp_blocks:
-            for block in comp.inputs + (comp.output,):
-                if block not in home:
-                    key = (block.seq_index, block.block_index)
-                    home[block] = int(placement.slice_device[slice_index[key]])
-        return home
-
-    home_of = home_lookup()
-    blocks_of_device: Dict[int, List[CompBlock]] = {
-        d: [] for d in range(placement.cluster.num_devices)
-    }
-    for comp, device in zip(block_set.comp_blocks, placement.comp_device):
-        blocks_of_device[int(device)].append(comp)
-
-    states = {
-        device: _DeviceState(
-            device, blocks, home_of, block_set.block_bytes, num_divisions
-        )
-        for device, blocks in blocks_of_device.items()
-    }
-
-    if strategy == "balanced":
-        for state in states.values():
-            _schedule_balanced(state, home_of, num_divisions)
-        return _collect(block_set, placement, states, num_divisions)
-
-    # Division 0: communication-free blocks (Listing 3 lines 16-20).
-    for state in states.values():
-        for comp in list(state.remaining):
-            if state.marginal_bytes(comp) == 0 and all(
-                home_of[block] == state.device for block in comp.inputs
-            ):
-                state.schedule(comp, 0)
-
-    # Middle divisions (lines 28-35): greedily extend the device with the
-    # least scheduled computation, respecting the per-division budget.
-    for division in range(1, max(num_divisions - 1, 1)):
-        for state in states.values():
-            state.div_comm = 0
-        open_devices = {d for d, s in states.items() if s.remaining}
-        while open_devices:
-            device = min(open_devices, key=lambda d: states[d].comp_scheduled)
-            state = states[device]
-            progressed = False
-            for comp in list(state.remaining):
-                if (
-                    state.div_comm + state.marginal_bytes(comp)
-                    <= state.per_div_limit
-                ):
-                    state.schedule(comp, division)
-                    progressed = True
-                    break
-            if not progressed or not state.remaining:
-                open_devices.discard(device)
-
-    # Final division: everything left (lines 21-26).
-    last = num_divisions - 1
-    for state in states.values():
-        for comp in list(state.remaining):
-            state.schedule(comp, last)
-
-    return _collect(block_set, placement, states, num_divisions)
+    _check(num_divisions, strategy)
+    prep = _Prep(block_set, placement)
+    return prep.materialise(_fill(prep, num_divisions, strategy))
 
 
-def _schedule_balanced(
-    state: _DeviceState,
-    home_of: Dict[DataBlockId, int],
-    num_divisions: int,
-) -> None:
-    """Per-device compute-balanced division filling.
+def build_schedule(
+    block_set: BlockSet,
+    placement,
+    num_divisions: int = 4,
+    strategy: str = "paper",
+) -> Schedule:
+    """The cheapest division schedule with at most ``num_divisions``.
 
-    Every division targets ``1/T`` of the device's computation as well
-    as ``1/T`` of its communication.  Division 0 stays communication-
-    free (its fetches would be exposed at stream start), but takes only
-    its compute share of the free blocks; the rest pad later divisions
-    so transfers always have compute to hide behind.
+    Fills ``T = 1, 2, 4, ...`` (powers of two below ``num_divisions``,
+    and ``num_divisions`` itself) as :func:`fill_divisions` would, prices
+    each from the placement's cluster parameters
+    (:func:`~repro.scheduling.pricing.price_divisions`: simulated forward
+    + backward seconds) and returns the cheapest, the smaller ``T`` on a
+    tie — a pure function of its arguments, so every route to a plan
+    agrees.  ``Schedule.division_prices`` records every candidate.
     """
-    free = [
-        comp
-        for comp in state.remaining
-        if state.marginal_bytes(comp) == 0
-        and all(home_of[block] == state.device for block in comp.inputs)
-    ]
-    free.sort(key=lambda comp: comp.pairs, reverse=True)
-    free_set = set(id(comp) for comp in free)
-    total_pairs = sum(comp.pairs for comp in state.remaining)
-    comp_budget = total_pairs / num_divisions if num_divisions else 0.0
-
-    def fill_free(division: int, budget: float) -> None:
-        scheduled = sum(c.pairs for c in state.divisions[division])
-        while free and scheduled < budget:
-            comp = free.pop(0)
-            free_set.discard(id(comp))
-            state.schedule(comp, division)
-            scheduled += comp.pairs
-
-    # Division 0: compute share only, all of it communication-free.
-    fill_free(0, comp_budget)
-
-    # Middle divisions: communication under the budget first, then pad
-    # with free blocks up to the compute share.
-    for division in range(1, max(num_divisions - 1, 1)):
-        state.div_comm = 0
-        progressed = True
-        while progressed:
-            progressed = False
-            for comp in list(state.remaining):
-                if id(comp) in free_set:
-                    continue
-                marginal = state.marginal_bytes(comp)
-                if state.div_comm + marginal <= state.per_div_limit:
-                    state.schedule(comp, division)
-                    progressed = True
-                    break
-        fill_free(division, comp_budget)
-
-    # Last division: everything left.
-    last = num_divisions - 1
-    for comp in list(state.remaining):
-        state.schedule(comp, last)
-
-
-def _collect(block_set, placement, states, num_divisions: int) -> Schedule:
-    device_schedules = {
-        device: DeviceSchedule(
-            device=device,
-            divisions=state.divisions,
-            fetches=state.fetches,
-            output_sends=state.output_sends,
-        )
-        for device, state in states.items()
+    _check(num_divisions, strategy)
+    prep = _Prep(block_set, placement)
+    candidates: Dict[int, List[_DeviceFill]] = {}
+    count = 1
+    while count < num_divisions:
+        candidates[count] = _fill(prep, count, strategy)
+        count *= 2
+    candidates[num_divisions] = _fill(prep, num_divisions, strategy)
+    prices = {
+        count: price_divisions(prep, fills)
+        for count, fills in candidates.items()
     }
-    return Schedule(
-        block_set=block_set,
-        placement=placement,
-        device_schedules=device_schedules,
-        num_divisions=num_divisions,
-    )
+    best = min(prices, key=lambda count: (prices[count], count))
+    schedule = prep.materialise(candidates[best])
+    schedule.division_prices = prices
+    return schedule

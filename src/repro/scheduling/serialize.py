@@ -350,7 +350,11 @@ def serialize_schedule(schedule: Schedule) -> ExecutionPlan:
         block_set=block_set,
         cluster=cluster,
         device_plans=device_plans,
-        meta={"num_divisions": num_divisions, "planner": "dcp"},
+        meta={
+            "num_divisions": num_divisions,
+            "division_prices": dict(schedule.division_prices),
+            "planner": "dcp",
+        },
     )
 
 

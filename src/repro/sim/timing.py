@@ -2,7 +2,8 @@
 
 This is the performance substitute for the paper's A100 testbed: the
 simulator replays each device's instruction stream against per-device
-clocks, modelling
+clocks (:func:`repro.scheduling.pricing.replay`, the model the
+scheduler prices division counts with), modelling
 
 * computation as ``flops / effective_flops`` plus per-kernel and
   per-tile overheads,
@@ -36,15 +37,18 @@ from ..scheduling.instructions import (
     CommWait,
     ExecutionPlan,
 )
+from ..scheduling.pricing import (
+    BACKWARD_COMM_FACTOR as _BW_COMM_FACTOR,
+    BACKWARD_FLOPS_FACTOR as _BW_FLOPS_FACTOR,
+    COMPUTE,
+    LAUNCH,
+    REDUCE,
+    WAIT,
+    replay,
+)
 from .cluster import ClusterSpec
 
 __all__ = ["DeviceTiming", "TimingResult", "simulate_plan"]
-
-#: Backward-over-forward multipliers: attention backward recomputes the
-#: tile and produces dQ/dK/dV (~2.5x FLOPs); communication moves KV in
-#: and dKV back out (~2x bytes).
-_BW_FLOPS_FACTOR = 2.5
-_BW_COMM_FACTOR = 2.0
 
 
 def _union_length(intervals: List[Tuple[float, float]]) -> float:
@@ -155,175 +159,69 @@ class TimingResult:
         return float(np.mean([d.compute_time for d in self.devices.values()]))
 
 
-class _TimingRunner:
-    """Clock-based interpreter of one device's instruction stream."""
+def _streams(plan: ExecutionPlan):
+    """``plan``'s instruction streams as :func:`replay` steps, one step
+    per instruction, and the transfer count of every receive group (one
+    group per ``CommLaunch`` that receives)."""
+    block_set = plan.block_set
+    attention = block_set.attention
+    memory_bytes = attention.o_block_bytes(block_set.block_size) * 2
+    expected: List[int] = []
+    group_of_recv: Dict[Tuple[int, int, Tuple], int] = {}
+    group_of_op: Dict[Tuple[int, int], int] = {}
+    for device, device_plan in plan.device_plans.items():
+        for instruction in device_plan.instructions:
+            if isinstance(instruction, CommLaunch) and instruction.recvs:
+                group_of_op[(device, instruction.op_id)] = len(expected)
+                for recv in instruction.recvs:
+                    group_of_recv[(recv.peer, device, recv.tag)] = len(expected)
+                expected.append(len(instruction.recvs))
+    # Sends nobody receives and waits on nothing land in one spare group.
+    spare = len(expected)
+    expected.append(0)
 
-    def __init__(self, device, plan, sim) -> None:
-        self.device = device
-        self.instructions = plan.instructions
-        self.sim = sim
-        self.pc = 0
-        self.clock = 0.0
-        self.timing = DeviceTiming(device=device, total=0.0)
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.instructions)
-
-    def step(self) -> bool:
-        progressed = False
-        while not self.done:
-            instruction = self.instructions[self.pc]
-            if isinstance(instruction, CommWait):
-                arrival = self.sim.wait_time(self.device, instruction.op_id)
-                if arrival is None:
-                    return progressed  # sender has not launched yet
-                if arrival > self.clock:
-                    self.timing.stall += arrival - self.clock
-                    self.timing.events.append(
-                        (f"wait op{instruction.op_id}", "stall",
-                         self.clock, arrival)
+    streams: List[list] = [[] for _ in range(max(plan.device_plans, default=-1) + 1)]
+    for device, device_plan in plan.device_plans.items():
+        steps = streams[device]
+        for instruction in device_plan.instructions:
+            if isinstance(instruction, CommLaunch):
+                payload = [
+                    (
+                        send.peer,
+                        send.nbytes,
+                        group_of_recv.get((device, send.peer, send.tag), spare),
                     )
-                    self.clock = arrival
-            elif isinstance(instruction, CommLaunch):
-                self.clock += self.sim.cluster.kernel_overhead
-                self.sim.launch(self.device, instruction, self.clock)
+                    for send in instruction.sends
+                ]
+                steps.append((LAUNCH, payload))
+            elif isinstance(instruction, CommWait):
+                group = group_of_op.get((device, instruction.op_id), spare)
+                steps.append((WAIT, group))
             elif isinstance(
                 instruction, (BlockwiseAttention, BlockwiseAttentionBackward)
             ):
-                duration = self.sim.attention_time(instruction)
-                self.timing.compute_intervals.append(
-                    (self.clock, self.clock + duration)
-                )
-                self.timing.events.append(
-                    (
-                        f"{instruction.kind}[{len(instruction.tiles)} tiles]",
-                        "compute",
-                        self.clock,
-                        self.clock + duration,
+                flops = sum(
+                    attention.tile_flops(
+                        block_set.tile_pairs(
+                            tile.seq_index, tile.q_block, tile.kv_block
+                        )
                     )
+                    for tile in instruction.tiles
                 )
-                self.clock += duration
-            elif isinstance(
-                instruction,
-                (BlockwiseReduction, BlockwiseCopy, BlockwiseGradReduce),
-            ):
-                duration = self.sim.memory_op_time(instruction)
-                self.timing.compute_intervals.append(
-                    (self.clock, self.clock + duration)
-                )
-                self.timing.events.append(
-                    (instruction.kind, "compute", self.clock,
-                     self.clock + duration)
-                )
-                self.clock += duration
+                if instruction.kind == "attention_backward":
+                    # Recompute + dQ/dK/dV: ~2.5x the forward tile FLOPs.
+                    flops *= _BW_FLOPS_FACTOR
+                steps.append((COMPUTE, (len(instruction.tiles), flops)))
+            elif isinstance(instruction, BlockwiseReduction):
+                ops = len(instruction.merges) + len(instruction.finalizes)
+                steps.append((REDUCE, ops * memory_bytes))
+            elif isinstance(instruction, BlockwiseGradReduce):
+                steps.append((REDUCE, len(instruction.adds) * memory_bytes))
+            elif isinstance(instruction, BlockwiseCopy):
+                steps.append((REDUCE, len(instruction.copies) * memory_bytes))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown instruction {instruction!r}")
-            self.pc += 1
-            progressed = True
-        self.timing.total = self.clock
-        return progressed
-
-
-class _TimingSim:
-    """Shared state: link contention and message arrival times."""
-
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        cluster: ClusterSpec,
-        flops_factor: float,
-        comm_factor: float,
-    ) -> None:
-        self.plan = plan
-        self.cluster = cluster
-        self.flops_factor = flops_factor
-        self.comm_factor = comm_factor
-        self.block_set = plan.block_set
-        self.resource_free: Dict[Tuple, float] = {}
-        self.arrivals: Dict[Tuple[int, int, Tuple], float] = {}
-        # op_id -> list of (peer, tag) a device waits on
-        self.recv_specs: Dict[Tuple[int, int], List[Tuple[int, Tuple]]] = {}
-        self.comm_intervals: Dict[int, List[Tuple[float, float]]] = {}
-        self.comm_events: Dict[int, List[Tuple[str, str, float, float]]] = {}
-
-    # -- communication -----------------------------------------------------
-
-    def launch(self, device: int, instruction: CommLaunch, now: float) -> None:
-        cluster = self.cluster
-        for send in instruction.sends:
-            nbytes = send.nbytes * self.comm_factor
-            if cluster.same_machine(device, send.peer):
-                resources = [("link", device, send.peer)]
-                bandwidth, latency = cluster.intra_bandwidth, cluster.intra_latency
-            else:
-                resources = [
-                    ("nic_out", cluster.machine_of(device)),
-                    ("nic_in", cluster.machine_of(send.peer)),
-                ]
-                bandwidth, latency = cluster.inter_bandwidth, cluster.inter_latency
-            start = max([now] + [self.resource_free.get(r, 0.0) for r in resources])
-            end = start + nbytes / bandwidth
-            for resource in resources:
-                self.resource_free[resource] = end
-            arrival = end + latency
-            self.arrivals[(device, send.peer, send.tag)] = arrival
-            self.comm_intervals.setdefault(device, []).append((start, arrival))
-            self.comm_intervals.setdefault(send.peer, []).append((start, arrival))
-            kb = send.nbytes / 1024.0
-            self.comm_events.setdefault(device, []).append(
-                (f"send {kb:.0f}KB -> dev{send.peer}", "comm", start, arrival)
-            )
-            self.comm_events.setdefault(send.peer, []).append(
-                (f"recv {kb:.0f}KB <- dev{device}", "comm", start, arrival)
-            )
-        if instruction.recvs:
-            self.recv_specs[(device, instruction.op_id)] = [
-                (recv.peer, recv.tag) for recv in instruction.recvs
-            ]
-
-    def wait_time(self, device: int, op_id: int) -> Optional[float]:
-        specs = self.recv_specs.get((device, op_id), [])
-        arrival = 0.0
-        for peer, tag in specs:
-            key = (peer, device, tag)
-            if key not in self.arrivals:
-                return None
-            arrival = max(arrival, self.arrivals[key])
-        return arrival
-
-    # -- computation ---------------------------------------------------------
-
-    def attention_time(self, instruction) -> float:
-        flops = 0
-        for tile in instruction.tiles:
-            pairs = self.block_set.tile_pairs(
-                tile.seq_index, tile.q_block, tile.kv_block
-            )
-            flops += self.block_set.attention.tile_flops(pairs)
-        flops *= self.flops_factor
-        if instruction.kind == "attention_backward":
-            # Recompute + dQ/dK/dV: ~2.5x the forward tile FLOPs.
-            flops *= _BW_FLOPS_FACTOR
-        return (
-            self.cluster.kernel_overhead
-            + len(instruction.tiles) * self.cluster.tile_overhead
-            + self.cluster.compute_time(flops)
-        )
-
-    def memory_op_time(self, instruction) -> float:
-        attention = self.block_set.attention
-        block_bytes = attention.o_block_bytes(self.block_set.block_size) * 2
-        if isinstance(instruction, BlockwiseReduction):
-            ops = len(instruction.merges) + len(instruction.finalizes)
-        elif isinstance(instruction, BlockwiseGradReduce):
-            ops = len(instruction.adds)
-        else:
-            ops = len(instruction.copies)
-        return (
-            self.cluster.kernel_overhead
-            + ops * block_bytes / self.cluster.hbm_bandwidth
-        )
+    return streams, expected
 
 
 def simulate_plan(
@@ -339,34 +237,50 @@ def simulate_plan(
     Flash-style distributed attention backward.
     """
     cluster = cluster or plan.cluster
-    sim = _TimingSim(
-        plan,
+    streams, expected = _streams(plan)
+    trace: List[tuple] = []
+    totals = replay(
+        streams,
+        expected,
         cluster,
         flops_factor=_BW_FLOPS_FACTOR if backward else 1.0,
         comm_factor=_BW_COMM_FACTOR if backward else 1.0,
+        trace=trace,
     )
-    runners = [
-        _TimingRunner(device, device_plan, sim)
-        for device, device_plan in sorted(plan.device_plans.items())
-    ]
-    while True:
-        if all(runner.done for runner in runners):
-            break
-        progressed = False
-        for runner in runners:
-            if not runner.done and runner.step():
-                progressed = True
-        if not progressed:
-            stuck = [r.device for r in runners if not r.done]
-            raise RuntimeError(f"timing deadlock on devices {stuck}")
-    devices = {}
-    for runner in runners:
-        runner.timing.comm_intervals = sim.comm_intervals.get(runner.device, [])
-        runner.timing.events.extend(sim.comm_events.get(runner.device, []))
-        runner.timing.events.sort(key=lambda e: (e[2], e[3]))
-        runner.timing.total = max(
-            runner.timing.total,
-            max((end for _, end in runner.timing.comm_intervals), default=0.0),
-        )
-        devices[runner.device] = runner.timing
+    devices = {
+        device: DeviceTiming(device=device, total=totals[device])
+        for device in sorted(plan.device_plans)
+    }
+    for device, at, start, end, index in trace:
+        if index is not None:
+            continue
+        timing = devices[device]
+        instruction = plan.device_plans[device].instructions[at]
+        if isinstance(instruction, CommWait):
+            timing.stall += end - start
+            timing.events.append(
+                (f"wait op{instruction.op_id}", "stall", start, end)
+            )
+        else:
+            name = instruction.kind
+            if isinstance(
+                instruction, (BlockwiseAttention, BlockwiseAttentionBackward)
+            ):
+                name = f"{name}[{len(instruction.tiles)} tiles]"
+            timing.compute_intervals.append((start, end))
+            timing.events.append((name, "compute", start, end))
+    # Transfers follow every device's own events, in launch order.
+    for device, at, start, arrival, index in trace:
+        if index is None:
+            continue
+        send = plan.device_plans[device].instructions[at].sends[index]
+        kb = send.nbytes / 1024.0
+        for owner, label in (
+            (device, f"send {kb:.0f}KB -> dev{send.peer}"),
+            (send.peer, f"recv {kb:.0f}KB <- dev{device}"),
+        ):
+            devices[owner].comm_intervals.append((start, arrival))
+            devices[owner].events.append((label, "comm", start, arrival))
+    for timing in devices.values():
+        timing.events.sort(key=lambda e: (e[2], e[3]))
     return TimingResult(devices=devices)

@@ -21,7 +21,7 @@ from repro.runtime import (
     tile_backward,
 )
 from repro.scheduling import (
-    build_schedule,
+    fill_divisions,
     serialize_backward_schedule,
     validate_plan,
 )
@@ -37,7 +37,7 @@ def make_schedule(seqlens, mask, machines=2, devices=2, num_divisions=4,
     cluster = ClusterSpec(num_machines=machines, devices_per_machine=devices)
     placement = place_blocks(block_set, cluster,
                              PlacementConfig(seed=seed, restarts=1))
-    return build_schedule(block_set, placement, num_divisions)
+    return fill_divisions(block_set, placement, num_divisions)
 
 
 class TestTileBackward:

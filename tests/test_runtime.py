@@ -17,7 +17,7 @@ from repro.runtime import (
     reference_batch_outputs,
     tile_attention,
 )
-from repro.scheduling import build_schedule, serialize_schedule
+from repro.scheduling import fill_divisions, serialize_schedule
 from repro.sim import ClusterSpec
 
 
@@ -118,7 +118,7 @@ def run_dcp(seqlens, mask, block_size=16, machines=2, devices=2,
     placement = place_blocks(block_set, cluster,
                              PlacementConfig(seed=seed, restarts=1))
     plan = serialize_schedule(
-        build_schedule(block_set, placement, num_divisions)
+        fill_divisions(block_set, placement, num_divisions)
     )
     executor = SimExecutor(plan)
     inputs = BatchInputs.random(block_set, seed=seed + 100)

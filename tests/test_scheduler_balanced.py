@@ -8,7 +8,7 @@ from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, LambdaMask
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
-from repro.scheduling import build_schedule, serialize_schedule, validate_plan
+from repro.scheduling import fill_divisions, serialize_schedule, validate_plan
 from repro.sim import simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -21,7 +21,7 @@ def _schedule(strategy, seqlens=(256, 128, 64), mask=None, divisions=4):
     placement = place_blocks(
         block_set, CLUSTER, PlacementConfig(seed=0, restarts=1)
     )
-    return build_schedule(
+    return fill_divisions(
         block_set, placement, num_divisions=divisions, strategy=strategy
     )
 
