@@ -39,11 +39,11 @@ SMOKE_BLOCK_SIZES = (256,)
 #: Wall-clock budget for the smoke configuration's total planning time,
 #: recorded in the tracked BENCH_planner.json and enforced by
 #: benchmarks/check_bench_floors.py.  The smoke point measures
-#: 0.035-0.06 s with the incremental gain tables and measured
-#: 0.135-0.23 s before them: the budget leaves ~3x headroom for a
-#: shared runner and sits at the edge of what per-move numpy gain
-#: evaluation could meet.
-SMOKE_TOTAL_S_MAX = 0.15
+#: 0.015-0.018 s since the search stops where it cannot pay (it
+#: measured 0.037-0.057 s before that, 0.135-0.23 s before the
+#: incremental gain tables): the budget is 1.5x the measured value, so
+#: a planner half as fast again fails it.
+SMOKE_TOTAL_S_MAX = 0.024
 
 #: Deterministic work counts of the smoke point, pinned next to the
 #: budget: they are machine-independent, and any change to the search

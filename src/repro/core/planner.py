@@ -31,7 +31,8 @@ class PlanningStats:
 
     Besides the per-stage timings, per-stage work counters make perf
     regressions visible in the fig18/fig22 benchmark output: the size
-    of the placement hypergraph and how many moves refinement made /
+    of the placement hypergraph and how many moves refinement made
+    (``refine_rolled_back`` of them tentative FM moves undone again) /
     gains it consulted on it (counted per planning thread), and the
     division count the scheduler chose (``DCPConfig.num_divisions`` is
     its upper bound).
@@ -43,6 +44,7 @@ class PlanningStats:
     num_vertices: int = 0
     num_edges: int = 0
     refine_moves: int = 0
+    refine_rolled_back: int = 0
     gain_evals: int = 0
     num_divisions: int = 0
 
@@ -59,6 +61,7 @@ class PlanningStats:
             "num_vertices": self.num_vertices,
             "num_edges": self.num_edges,
             "refine_moves": self.refine_moves,
+            "refine_rolled_back": self.refine_rolled_back,
             "gain_evals": self.gain_evals,
             "num_divisions": self.num_divisions,
         }
@@ -154,6 +157,7 @@ class DCPPlanner:
         stats.num_vertices = placement.num_vertices
         stats.num_edges = placement.num_edges
         stats.refine_moves = _REFINE_COUNTERS.moves
+        stats.refine_rolled_back = _REFINE_COUNTERS.rolled_back
         stats.gain_evals = _REFINE_COUNTERS.gain_evals
 
         start = time.perf_counter()
@@ -187,6 +191,9 @@ class DCPPlanner:
         metrics.histogram("planner.scheduling_s").observe(stats.scheduling)
         metrics.histogram("planner.num_divisions").observe(stats.num_divisions)
         metrics.counter("planner.refine_moves").inc(stats.refine_moves)
+        metrics.counter("planner.refine_rolled_back").inc(
+            stats.refine_rolled_back
+        )
         metrics.counter("planner.gain_evals").inc(stats.gain_evals)
         self.last_stats = stats
         self.last_placement = placement

@@ -12,9 +12,7 @@ a search is interpreter and numpy *call* overhead, not arithmetic.
 beside the pin counts: a gain or an adjacency test is a table read, and
 a move applies delta updates only where a pin count crosses 0, 1 or 2.
 The tables are built once per state in one vectorized pass; after that
-no numpy call sits on the per-move path.  A per-vertex staleness stamp
-still lets FM trust heap entries whose incident pin counts are
-untouched since the push.
+no numpy call sits on the per-move path.
 
 Move-acceptance semantics — the whole search trajectory, not only its
 result — are identical to the scalar reference in
@@ -39,13 +37,9 @@ __all__ = [
     "COUNTERS",
     "greedy_refine",
     "fm_refine",
+    "fruitless_move_limit",
     "rebalance",
 ]
-
-#: FM refreshes the heap entries of a moved vertex's neighbours only
-#: along edges of at most this many pins (larger edges contribute
-#: little per pin and would flood the heap).
-_MAX_REFRESH_PINS = 64
 
 
 class RefineCounters(threading.local):
@@ -57,15 +51,15 @@ class RefineCounters(threading.local):
     """
 
     def __init__(self) -> None:
-        self.gain_evals = 0
-        self.moves = 0
+        self.reset()
 
     def reset(self) -> None:
         self.gain_evals = 0
-        self.moves = 0
+        self.moves = 0  # every applied move, FM's undo moves included
+        self.rolled_back = 0  # tentative FM moves undone at pass end
 
     def snapshot(self) -> dict:
-        return {"gain_evals": self.gain_evals, "moves": self.moves}
+        return dict(vars(self))
 
 
 #: Module-level counters; the planner resets them per planning run.
@@ -293,13 +287,23 @@ def greedy_refine(
     return moves
 
 
+def fruitless_move_limit(num_vertices: int) -> int:
+    """Tentative FM moves without a new best cost that end a pass.
+
+    Scales with the graph (a fifth of its vertices, at least 8) so the
+    stop can fire on the ~60-vertex machine-local graphs that make up
+    most calls; the ceiling of 128 keeps paper-scale graphs of a few
+    thousand vertices searching exactly as far as a fixed bound did.
+    """
+    return min(128, max(8, num_vertices // 5))
+
+
 def fm_refine(
     state: RefinementState,
     caps: np.ndarray,
     rng: np.random.Generator,
     max_passes: int = 3,
     move_cap: Optional[int] = None,
-    patience: int = 128,
 ) -> int:
     """Fiduccia–Mattheyses refinement with rollback.
 
@@ -307,13 +311,11 @@ def fm_refine(
     negative-gain moves (each vertex at most once per pass) and rolls
     back to the best prefix, which lets the cut slide across plateaus —
     essential for chain-like hypergraphs such as causal attention.
-    ``patience`` bounds how far a plateau is explored: a pass stops
-    once that many consecutive tentative moves fail to produce a new
-    best cost (they would all be rolled back unless a later
-    improvement showed up).  This is a deliberate deviation from the
-    unbounded historic traversal — improvements hiding behind a longer
-    plateau are forfeited for a large constant-factor speedup; raise
-    ``patience`` (up to ``move_cap``) to trade time for quality.
+    A pass stops after :func:`fruitless_move_limit` consecutive
+    tentative moves without a new best cost: they would all be rolled
+    back unless a later improvement showed up, and improvements behind
+    a longer plateau are forfeited.  A candidate whose target is full
+    is retried once a move takes weight out of that target.
 
     Returns the number of net (kept) moves.
     """
@@ -321,6 +323,7 @@ def fm_refine(
     k = state.k
     if move_cap is None:
         move_cap = min(num_vertices, 4000)
+    patience = fruitless_move_limit(num_vertices)
     counter = itertools.count()
     kept_moves = 0
     caps_list = caps.tolist()
@@ -328,20 +331,18 @@ def fm_refine(
     labels, leave, join, present = (
         state._labels, state.leave, state.join, state.present
     )
-    incidence, pins = state._incidence, state._pins
+    counts, incidence, pins = state._counts, state._incidence, state._pins
     heappush, heappop = heapq.heappush, heapq.heappop
 
     for _ in range(max_passes):
         heap: list = []
-        # vertex_stamp[v] = index of the last move that touched a pin
-        # count v's gains depend on; entries carry the stamp at push
-        # time, so a pop whose stamp is still current needs no gain
-        # re-read.  version[v*k+t] identifies the newest push of each
-        # (vertex, target) candidate: older duplicates are discarded on
-        # pop without any gain or feasibility work.
-        vertex_stamp = [0] * num_vertices
-        version = [0] * (num_vertices * k)
-        move_index = 0
+        # version[v] identifies the newest push of v's candidates.  Every
+        # move re-pushes exactly the vertices whose gains it changed, so
+        # an entry whose version is current carries its exact gain.
+        version = [0] * num_vertices
+        # Entries popped while their target was over cap, per target;
+        # they go back on the heap when a move takes weight out of it.
+        blocked: List[list] = [[] for _ in parts]
         gain_evals = 0
 
         def push(vertex: int) -> None:
@@ -349,21 +350,11 @@ def fm_refine(
             source = labels[vertex]
             vertex_leave = leave[vertex]
             vertex_join = join[vertex]
+            version[vertex] = newest = version[vertex] + 1
             for target in parts:
                 if adjacent[target] and target != source:
-                    key = vertex * k + target
-                    version[key] = entry_version = version[key] + 1
-                    heappush(
-                        heap,
-                        (
-                            vertex_join[target] - vertex_leave,
-                            next(counter),
-                            vertex,
-                            target,
-                            move_index,
-                            entry_version,
-                        ),
-                    )
+                    loss = vertex_join[target] - vertex_leave
+                    heappush(heap, (loss, next(counter), vertex, target, newest))
 
         # Boundary vertices: at least one part besides their own is
         # present on an incident edge.
@@ -378,67 +369,56 @@ def fm_refine(
 
         moved = [False] * num_vertices
         history = []  # (vertex, source_part)
-        current_cost = state.cost()
-        best_cost = current_cost
+        best_cost = current_cost = state.cost()
         best_length = 0
 
         while heap and len(history) < move_cap:
             if len(history) - best_length >= patience:
                 break
-            neg_gain, _, vertex, target, stamp, entry_version = heappop(heap)
-            if (
-                version[vertex * k + target] != entry_version
-                or moved[vertex]
-                or target == labels[vertex]
-            ):
+            entry = heappop(heap)
+            neg_gain, _, vertex, target, entry_version = entry
+            if version[vertex] != entry_version or moved[vertex]:
                 continue
-            if vertex_stamp[vertex] <= stamp:
-                actual = -neg_gain  # untouched since push: still exact
-            else:
-                gain_evals += 1
-                actual = leave[vertex] - join[vertex][target]
-                if actual < -neg_gain:  # stale entry: requeue, real gain
-                    key = vertex * k + target
-                    version[key] = entry_version = version[key] + 1
-                    heappush(
-                        heap,
-                        (
-                            -actual,
-                            next(counter),
-                            vertex,
-                            target,
-                            move_index,
-                            entry_version,
-                        ),
-                    )
-                    continue
             if not state.fits(vertex, target, caps_list):
+                blocked[target].append(entry)
                 continue
-            history.append((vertex, labels[vertex]))
+            source = labels[vertex]
+            history.append((vertex, source))
             state.move(vertex, target)
             moved[vertex] = True
-            current_cost -= actual
+            current_cost += neg_gain
             if current_cost < best_cost:
                 best_cost = current_cost
                 best_length = len(history)
-            move_index += 1
-            # Everything sharing an edge with the moved vertex now sees
-            # different pin counts; along small edges its candidates
-            # are pushed afresh (once per shared edge, in edge then pin
-            # order — the newest entry is the live one).
+            # A pin's gains changed only where the move took a part out
+            # of an edge's span or into it (every pin of the edge), or
+            # left / joined a single pin of its part on the edge (that
+            # pin).  Those are pushed afresh, in ascending order.
+            changed: set = set()
             for edge in incidence[vertex]:
-                edge_pins = pins[edge]
-                refresh = len(edge_pins) <= _MAX_REFRESH_PINS
-                for pin in edge_pins:
-                    vertex_stamp[pin] = move_index
-                    if refresh and not moved[pin]:
-                        gain_evals += k
-                        push(pin)
+                left, arrived = counts[edge][source], counts[edge][target]
+                if left == 0 or arrived == 1:
+                    changed.update(pins[edge])
+                elif left == 1 or arrived == 2:
+                    lone = (
+                        source if left == 1 else -1,
+                        target if arrived == 2 else -1,
+                    )
+                    changed.update(p for p in pins[edge] if labels[p] in lone)
+            for pin in sorted(changed):
+                if not moved[pin]:
+                    gain_evals += k
+                    push(pin)
+            retry, blocked[source] = blocked[source], []
+            for entry in retry:
+                if version[entry[2]] == entry[4] and not moved[entry[2]]:
+                    heappush(heap, entry)
 
         for vertex, source in reversed(history[best_length:]):
             state.move(vertex, source)
         kept_moves += best_length
         state.counters.gain_evals += gain_evals
+        state.counters.rolled_back += len(history) - best_length
         if best_length == 0:
             break
     return kept_moves

@@ -9,7 +9,7 @@ onto devices (LPT), no CP communication at all.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ def zigzag_chunk_device(index: int, total: int, k: int) -> int:
 
 def _grouped_slices(
     bhg: BlockHypergraph, subset: Optional[Sequence[int]]
-) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
-    """Group slice vertex ids by sequence; also map vertex -> local pos.
+) -> Dict[int, List[int]]:
+    """Group slice vertex ids by sequence, in block order.
 
     ``subset`` (original vertex ids) restricts the view for machine-local
     warm starts; None means the whole graph.
@@ -50,7 +50,7 @@ def _grouped_slices(
         by_seq.setdefault(token_slice.seq_index, []).append(vertex)
     for vertices in by_seq.values():
         vertices.sort(key=lambda v: bhg.block_set.token_slices[v].block_index)
-    return by_seq, {}
+    return by_seq
 
 
 def _finalize(
@@ -109,7 +109,7 @@ def zigzag_labels(
     bhg: BlockHypergraph, k: int, subset: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Zigzag warm start: static CP's causal-balanced placement."""
-    by_seq, _ = _grouped_slices(bhg, subset)
+    by_seq = _grouped_slices(bhg, subset)
     slice_label: Dict[int, int] = {}
     for vertices in by_seq.values():
         total = len(vertices)
@@ -122,7 +122,7 @@ def dp_pack_labels(
     bhg: BlockHypergraph, k: int, subset: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Data-parallel warm start: whole sequences LPT-packed by tokens."""
-    by_seq, _ = _grouped_slices(bhg, subset)
+    by_seq = _grouped_slices(bhg, subset)
     loads = np.zeros(k, dtype=np.int64)
     slice_label: Dict[int, int] = {}
     seq_tokens = {

@@ -15,8 +15,11 @@ both sides deliberately share these changes (disclosed in CHANGES.md):
 * candidate target parts are visited in ascending order (the old code
   iterated Python sets, whose order for small ints is ascending in
   CPython anyway), so tie-breaking is well-defined;
-* FM keeps only the newest heap entry per (vertex, target) and stops a
-  pass after ``patience`` tentative moves without a new best cost;
+* FM keeps only the newest push of a vertex's candidates, re-pushes
+  after a move exactly the vertices whose gains it changed, retries a
+  candidate dropped for lack of room when its target loses weight, and
+  stops a pass after ``min(128, max(8, a fifth of the vertices))``
+  tentative moves without a new best cost;
 * rebalance drains a scored eviction sample per scan (caps re-checked
   before every move) and gives up once the total overload stagnates
   for three consecutive scans instead of thrashing to ``max_moves``.
@@ -143,33 +146,42 @@ def _adjacent_parts(state: ScalarRefinementState, vertex: int) -> list:
     return sorted(parts)
 
 
+def _gain_vector(state: ScalarRefinementState, vertex: int) -> list:
+    return [state.gain(vertex, target) for target in range(state.k)]
+
+
 def scalar_fm_refine(
     state: ScalarRefinementState,
     caps: np.ndarray,
     rng: np.random.Generator,
     max_passes: int = 3,
     move_cap: Optional[int] = None,
-    patience: int = 128,
 ) -> int:
-    """The original FM pass; see :func:`repro.hypergraph.refine.fm_refine`."""
+    """The FM pass; see :func:`repro.hypergraph.refine.fm_refine`.
+
+    Where the table implementation reads which pin counts a move took
+    across 0, 1 or 2, this one compares every neighbour's recomputed
+    gains before and after the move.
+    """
     graph = state.graph
     if move_cap is None:
         move_cap = min(graph.num_vertices, 4000)
+    patience = min(128, max(8, graph.num_vertices // 5))
     incidence = graph.incidence()
     counter = itertools.count()
     kept_moves = 0
 
     for _ in range(max_passes):
         heap: list = []
-        # Only the newest pushed entry per (vertex, target) is live;
-        # older duplicates are discarded on pop (mirrors refine.py).
+        # Only the newest push of a vertex's candidates is live.
         version: dict = {}
+        # Entries popped while their target was over cap, per target.
+        blocked: dict = {part: [] for part in range(state.k)}
 
         def push(vertex: int) -> None:
+            version[vertex] = entry_version = version.get(vertex, 0) + 1
             for target in _adjacent_parts(state, vertex):
                 gain = state.gain(vertex, target)
-                key = (int(vertex), int(target))
-                version[key] = entry_version = version.get(key, 0) + 1
                 heapq.heappush(
                     heap,
                     (-gain, next(counter), int(vertex), int(target),
@@ -181,7 +193,7 @@ def scalar_fm_refine(
             dtype=np.int64,
         )
         rng.shuffle(boundary)
-        for vertex in boundary:
+        for vertex in boundary.tolist():
             push(vertex)
 
         moved = set()
@@ -193,39 +205,38 @@ def scalar_fm_refine(
         while heap and len(history) < move_cap:
             if len(history) - best_length >= patience:
                 break
-            neg_gain, _, vertex, target, entry_version = heapq.heappop(heap)
-            if (
-                version.get((vertex, target)) != entry_version
-                or vertex in moved
-                or target == state.labels[vertex]
-            ):
+            entry = heapq.heappop(heap)
+            neg_gain, _, vertex, target, entry_version = entry
+            if version[vertex] != entry_version or vertex in moved:
                 continue
-            actual = state.gain(vertex, target)
-            if actual < -neg_gain:  # stale entry: requeue with real gain
-                key = (vertex, target)
-                version[key] = entry_version = version[key] + 1
-                heapq.heappush(
-                    heap,
-                    (-actual, next(counter), vertex, target, entry_version),
-                )
-                continue
+            assert state.gain(vertex, target) == -neg_gain  # live => exact
             if not state.fits(vertex, target, caps):
+                blocked[target].append(entry)
                 continue
             source = int(state.labels[vertex])
+            neighbours = sorted(
+                {
+                    pin
+                    for edge_index in incidence[vertex]
+                    for pin in graph.pins[edge_index].tolist()
+                    if pin not in moved and pin != vertex
+                }
+            )
+            before = {pin: _gain_vector(state, pin) for pin in neighbours}
             state.move(vertex, target)
             moved.add(vertex)
             history.append((vertex, source))
-            current_cost -= actual
+            current_cost += neg_gain
             if current_cost < best_cost:
                 best_cost = current_cost
                 best_length = len(history)
-            for edge_index in incidence[vertex]:
-                pin = graph.pins[edge_index]
-                if len(pin) > 64:
-                    continue
-                for neighbour in pin.tolist():
-                    if neighbour not in moved:
-                        push(neighbour)
+            for pin in neighbours:
+                if _gain_vector(state, pin) != before[pin]:
+                    push(pin)
+            retry, blocked[source] = blocked[source], []
+            for entry in retry:
+                if version[entry[2]] == entry[4] and entry[2] not in moved:
+                    heapq.heappush(heap, entry)
 
         for vertex, source in reversed(history[best_length:]):
             state.move(vertex, source)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hypergraph import (
+    COUNTERS,
     BalanceConstraint,
     Hypergraph,
     RefinementState,
@@ -189,14 +190,18 @@ class TestPartition:
         assert result.cost <= g.connectivity_cost(warm, 2)
 
     def test_invalid_warm_start_rejected(self):
+        COUNTERS.reset()
         with pytest.raises(ValueError):
             partition_hypergraph(
                 simple_graph(), 2, warm_starts=[np.array([0, 1])]
             )
+        valid = np.array([0, 0, 0, 1, 1, 1])
         with pytest.raises(ValueError):
             partition_hypergraph(
-                simple_graph(), 2, warm_starts=[np.full(6, 7)]
+                simple_graph(), 2, warm_starts=[valid, np.full(6, 7)]
             )
+        # Rejected before any candidate ran, not after a full search.
+        assert COUNTERS.moves == 0 and COUNTERS.gain_evals == 0
 
     def test_balance_respected_on_random_graph(self):
         rng = np.random.default_rng(5)
