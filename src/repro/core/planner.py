@@ -33,9 +33,11 @@ class PlanningStats:
     regressions visible in the fig18/fig22 benchmark output: the size
     of the placement hypergraph and how many moves refinement made
     (``refine_rolled_back`` of them tentative FM moves undone again) /
-    gains it consulted on it (counted per planning thread), and the
-    division count the scheduler chose (``DCPConfig.num_divisions`` is
-    its upper bound).
+    gains it consulted on it (counted per planning thread), how many
+    partition calls ended outside the balance caps, the division count
+    the scheduler chose (``DCPConfig.num_divisions`` is its upper bound)
+    and whose placement it chose (``"partitioned"``, or the static
+    ``"zigzag"`` / ``"dp_pack"`` one that priced cheaper).
     """
 
     block_generation: float = 0.0
@@ -46,7 +48,9 @@ class PlanningStats:
     refine_moves: int = 0
     refine_rolled_back: int = 0
     gain_evals: int = 0
+    infeasible_partitions: int = 0
     num_divisions: int = 0
+    placement_source: str = ""
 
     @property
     def total(self) -> float:
@@ -63,7 +67,9 @@ class PlanningStats:
             "refine_moves": self.refine_moves,
             "refine_rolled_back": self.refine_rolled_back,
             "gain_evals": self.gain_evals,
+            "infeasible_partitions": self.infeasible_partitions,
             "num_divisions": self.num_divisions,
+            "placement_source": self.placement_source,
         }
 
 
@@ -159,6 +165,7 @@ class DCPPlanner:
         stats.refine_moves = _REFINE_COUNTERS.moves
         stats.refine_rolled_back = _REFINE_COUNTERS.rolled_back
         stats.gain_evals = _REFINE_COUNTERS.gain_evals
+        stats.infeasible_partitions = placement.infeasible_partitions
 
         start = time.perf_counter()
         with _span("scheduling", "planner"):
@@ -171,12 +178,18 @@ class DCPPlanner:
             plan = serialize_schedule(schedule)
         stats.scheduling = time.perf_counter() - start
         stats.num_divisions = schedule.num_divisions
+        # The schedule's placement is the one it chose (``placement`` or
+        # one of its static alternatives).
+        placement = schedule.placement
+        stats.placement_source = placement.source
 
         plan.meta["planning_stats"] = stats
-        # The placement labels ride with the plan so a later delta
-        # re-plan (after a cluster event) can warm-start from them —
-        # they are a few KB of int64 next to megabytes of instruction
-        # streams, and plan_fingerprint ignores meta entirely.
+        plan.meta["placement_source"] = placement.source
+        plan.meta["placement_prices"] = dict(schedule.placement_prices)
+        # The chosen placement's labels ride with the plan so a later
+        # delta re-plan (after a cluster event) can warm-start from —
+        # or adopt — them: they are a few KB of int64 next to megabytes
+        # of instruction streams, and plan_fingerprint ignores meta.
         plan.meta["placement"] = (
             placement.slice_device,
             placement.comp_device,
@@ -195,6 +208,10 @@ class DCPPlanner:
             stats.refine_rolled_back
         )
         metrics.counter("planner.gain_evals").inc(stats.gain_evals)
+        metrics.counter("planner.infeasible_partitions").inc(
+            stats.infeasible_partitions
+        )
+        metrics.counter(f"planner.placement_source.{placement.source}").inc()
         self.last_stats = stats
         self.last_placement = placement
         return plan

@@ -184,6 +184,28 @@ class MultiRanges:
         return prefix[self.indptr[1:]] - prefix[self.indptr[:-1]]
 
 
+def _history_and_window(
+    window_start: np.ndarray, period: int, width: int
+) -> MultiRanges:
+    """Row ``i``: ``[a, min(a + width, w))`` for every anchor
+    ``a = 0, period, 2 * period, ... < w``, then the causal window
+    ``[w, i + 1)``, where ``w = window_start[i]`` — built for all rows at
+    once."""
+    window_start = np.asarray(window_start, dtype=np.int64)
+    seqlen = len(window_start)
+    anchors = -(-window_start // period)  # ceil(w / period)
+    indptr = np.zeros(seqlen + 1, dtype=np.int64)
+    np.cumsum(anchors + 1, out=indptr[1:])
+    row = np.repeat(np.arange(seqlen, dtype=np.int64), anchors + 1)
+    position = np.arange(indptr[-1], dtype=np.int64) - indptr[row]
+    history = position < anchors[row]
+    starts = np.where(history, position * period, window_start[row])
+    ends = np.where(
+        history, np.minimum(starts + width, window_start[row]), row + 1
+    )
+    return MultiRanges(indptr=indptr, starts=starts, ends=ends)
+
+
 class MultiRangeMask(MaskSpec):
     """Base class for masks whose ``ranges`` returns :class:`MultiRanges`."""
 
@@ -216,18 +238,10 @@ class DilatedBlockMask(MultiRangeMask):
         self.window = window
 
     def ranges(self, seqlen: int) -> MultiRanges:
-        rows = []
-        period = self.block * self.stride
-        for i in range(seqlen):
-            window_start = max(0, i - self.window + 1)
-            row = []
-            for anchor in range(0, window_start, period):
-                end = min(anchor + self.block, window_start)
-                if end > anchor:
-                    row.append((anchor, end))
-            row.append((window_start, i + 1))
-            rows.append(row)
-        return MultiRanges.from_rows(rows)
+        window_start = np.maximum(np.arange(seqlen) - self.window + 1, 0)
+        return _history_and_window(
+            window_start, self.block * self.stride, self.block
+        )
 
     def describe(self) -> str:
         return (
@@ -254,19 +268,14 @@ class GlobalTokenMask(MultiRangeMask):
         self.window = window
 
     def ranges(self, seqlen: int) -> MultiRanges:
-        rows = []
-        for i in range(seqlen):
-            if i % self.every == 0:
-                rows.append([(0, i + 1)])
-                continue
-            window_start = max(0, i - self.window + 1)
-            row = [
-                (g, g + 1)
-                for g in range(0, window_start, self.every)
-            ]
-            row.append((window_start, i + 1))
-            rows.append(row)
-        return MultiRanges.from_rows(rows)
+        # A global row attends to its whole prefix: a window from 0.
+        rows = np.arange(seqlen)
+        window_start = np.where(
+            rows % self.every == 0,
+            0,
+            np.maximum(rows - self.window + 1, 0),
+        )
+        return _history_and_window(window_start, self.every, 1)
 
     def describe(self) -> str:
         return f"global_token(every={self.every}, window={self.window})"

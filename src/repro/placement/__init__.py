@@ -2,7 +2,13 @@
 
 from .build import BlockHypergraph, build_block_hypergraph
 from .heuristics import dp_pack_labels, zigzag_chunk_device, zigzag_labels
-from .hierarchical import Placement, PlacementConfig, place_blocks
+from .hierarchical import (
+    STATIC_HEURISTICS,
+    Placement,
+    PlacementConfig,
+    place_blocks,
+    static_placement,
+)
 from .volume import CommReport, Transfer, communication_report
 
 __all__ = [
@@ -14,6 +20,8 @@ __all__ = [
     "Placement",
     "PlacementConfig",
     "place_blocks",
+    "STATIC_HEURISTICS",
+    "static_placement",
     "CommReport",
     "Transfer",
     "communication_report",

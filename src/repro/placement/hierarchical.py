@@ -5,13 +5,23 @@ under a loose computation-balance tolerance (the paper uses
 ``eps = 0.4`` between nodes); level 2 places each machine's blocks onto
 its devices under a tight tolerance (``eps = 0.1``).  Both levels run
 the multilevel hypergraph partitioner with zigzag and DP-packing warm
-starts, so the result communicates no more than static CP or pure DP
-would.
+starts, so each level's cut is no worse than static CP's or pure DP's.
+
+The cut is not the time, though: with a handful of blocks per device
+the balance caps often cannot be met and the partitioned result can
+price slower than the static placement it started from.  So every
+placement :func:`place_blocks` computes also carries, as
+``alternatives``, the static placements of the same blocks over all
+devices (:func:`static_placement`, zigzag and DP packing) that dominate
+it on what the attention price cannot see — no more tokens on the
+busiest device (the token-parallel layers of a step wait for it) and
+no more bytes moved.  :func:`~repro.scheduling.build_schedule` prices
+them beside it and keeps the cheapest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -23,7 +33,18 @@ from .build import BlockHypergraph, build_block_hypergraph
 from .heuristics import dp_pack_labels, zigzag_labels
 from .volume import CommReport, communication_report
 
-__all__ = ["PlacementConfig", "Placement", "place_blocks"]
+__all__ = [
+    "PlacementConfig",
+    "Placement",
+    "STATIC_HEURISTICS",
+    "static_placement",
+    "place_blocks",
+]
+
+#: Static CP's and pure DP's placements by source name, in tie-break
+#: order: the partitioner's warm starts, and what every computed
+#: placement is weighed against.
+STATIC_HEURISTICS = {"zigzag": zigzag_labels, "dp_pack": dp_pack_labels}
 
 
 @dataclass(frozen=True)
@@ -50,6 +71,14 @@ class Placement:
     #: Size of the placement hypergraph (surfaced in PlanningStats).
     num_vertices: int = 0
     num_edges: int = 0
+    #: The :data:`STATIC_HEURISTICS` name, or ``"partitioned"`` for what
+    #: :func:`place_blocks` returns (an adopted warm placement included).
+    source: str = "partitioned"
+    #: Static placements of the same blocks that dominate this one;
+    #: ``build_schedule`` prices them beside it.
+    alternatives: List["Placement"] = field(default_factory=list)
+    #: Partition calls whose best candidate broke the balance caps.
+    infeasible_partitions: int = 0
 
     def device_of_slice(self, token_slice: TokenSlice) -> int:
         index = self.block_set.token_slices.index(token_slice)
@@ -84,12 +113,60 @@ class Placement:
         )
 
 
+def static_placement(
+    bhg: BlockHypergraph, cluster: ClusterSpec, source: str
+) -> Placement:
+    """The ``source`` heuristic of :data:`STATIC_HEURISTICS` over all of
+    ``cluster``'s devices: static CP's zigzag or pure DP's packing, no
+    partitioning."""
+    labels = STATIC_HEURISTICS[source](bhg, cluster.num_devices)
+    slice_device, comp_device = bhg.labels_to_devices(labels)
+    return Placement(
+        block_set=bhg.block_set,
+        cluster=cluster,
+        slice_device=slice_device.copy(),
+        comp_device=comp_device.copy(),
+        num_vertices=bhg.graph.num_vertices,
+        num_edges=bhg.graph.num_edges,
+        source=source,
+    )
+
+
+def _dominating_statics(
+    bhg: BlockHypergraph, placement: Placement
+) -> List[Placement]:
+    """The static placements no worse than ``placement`` on busiest-device
+    tokens and on bytes moved (the hypergraph's connectivity), and not
+    identical to it or to each other."""
+    k = placement.cluster.num_devices
+    graph = bhg.graph
+
+    def labels(p: Placement) -> np.ndarray:
+        return np.concatenate([p.slice_device, p.comp_device])
+
+    kept = [labels(placement)]
+    max_tokens = placement.tokens_per_device().max()
+    max_bytes = graph.connectivity_cost(kept[0], k)
+    admitted = []
+    for source in STATIC_HEURISTICS:
+        static = static_placement(bhg, placement.cluster, source)
+        vertex_labels = labels(static)
+        if (
+            static.tokens_per_device().max() <= max_tokens
+            and graph.connectivity_cost(vertex_labels, k) <= max_bytes
+            and not any(np.array_equal(vertex_labels, seen) for seen in kept)
+        ):
+            kept.append(vertex_labels)
+            admitted.append(static)
+    return admitted
+
+
 def _warm_starts(
     bhg: BlockHypergraph, k: int, subset=None, enabled: bool = True
 ) -> List[np.ndarray]:
     if not enabled or k < 2:
         return []
-    return [zigzag_labels(bhg, k, subset), dp_pack_labels(bhg, k, subset)]
+    return [labels(bhg, k, subset) for labels in STATIC_HEURISTICS.values()]
 
 
 def _warm_vector(
@@ -141,6 +218,9 @@ def place_blocks(
       levels — no multilevel runs, no heuristic warm starts, which is
       what makes an event re-plan several times cheaper than planning
       from scratch.
+
+    A computed placement (cold or repaired, never an adopted one)
+    carries the dominating static placements as ``alternatives``.
     """
     config = config or PlacementConfig()
     num_machines = cluster.num_machines
@@ -164,6 +244,7 @@ def place_blocks(
     bhg = build_block_hypergraph(block_set)
     num_vertices = bhg.graph.num_vertices
     warm_only = warm_labels is not None
+    infeasible = 0
 
     # -- level 1: machines ------------------------------------------------
     if num_machines == 1:
@@ -193,6 +274,7 @@ def place_blocks(
             refine_passes=config.refine_passes,
         )
         machine_labels = result.labels
+        infeasible += not result.feasible
 
     # -- level 2: devices within each machine -----------------------------
     device_labels = np.zeros(num_vertices, dtype=np.int64)
@@ -230,13 +312,17 @@ def place_blocks(
             refine_passes=config.refine_passes,
         )
         device_labels[original_ids] = first_device + result.labels
+        infeasible += not result.feasible
 
     slice_device, comp_device = bhg.labels_to_devices(device_labels)
-    return Placement(
+    placement = Placement(
         block_set=block_set,
         cluster=cluster,
         slice_device=slice_device.copy(),
         comp_device=comp_device.copy(),
         num_vertices=bhg.graph.num_vertices,
         num_edges=bhg.graph.num_edges,
+        infeasible_partitions=infeasible,
     )
+    placement.alternatives = _dominating_statics(bhg, placement)
+    return placement

@@ -146,6 +146,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"divisions: T={stats.num_divisions} chosen "
         f"(priced fw+bw ms: {prices})"
     )
+    prices = ", ".join(
+        f"{source} {1e3 * seconds:.3f}"
+        for source, seconds in plan.meta["placement_prices"].items()
+    )
+    print(
+        f"placement: {stats.placement_source} chosen "
+        f"(priced fw+bw ms: {prices})"
+    )
     dcp_time = _report("dcp", plan, cluster, args.gantt_width)
 
     if args.trace:

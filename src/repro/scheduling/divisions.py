@@ -20,10 +20,13 @@ The paper fixes ``T = 4`` (§7.1), which pays where a division's
 computation dwarfs the ~5 kernel launches it adds and loses elsewhere.
 :func:`fill_divisions` is that fixed-``T`` scheduler;
 :func:`build_schedule` runs it for ``T = 1, 2, 4, ...`` up to its
-``num_divisions``, prices each candidate with :mod:`.pricing` and keeps
-the cheapest.  Everything that does not depend on ``T`` — block homes,
-per-device block lists, remote inputs, bytes and FLOPs — is derived
-once per (block set, placement), on integer ids.
+``num_divisions`` on the placement and on each static placement it
+carries as ``alternatives``, prices every candidate with
+:mod:`.pricing` and keeps the cheapest — so a plan never prices slower
+than the admitted static CP / DP placement of the same blocks.
+Everything that does not depend on ``T`` — block homes, per-device
+block lists, remote inputs, bytes and FLOPs — is derived once per
+(block set, placement), on integer ids.
 """
 
 from __future__ import annotations
@@ -74,8 +77,12 @@ class Schedule:
     device_schedules: Dict[int, DeviceSchedule]
     num_divisions: int
     #: Priced forward + backward seconds of every division count
-    #: :func:`build_schedule` tried (empty for :func:`fill_divisions`).
+    #: :func:`build_schedule` tried on ``placement`` (empty for
+    #: :func:`fill_divisions`).
     division_prices: Dict[int, float] = field(default_factory=dict)
+    #: The cheapest price of every placement :func:`build_schedule`
+    #: weighed, by ``Placement.source``.
+    placement_prices: Dict[str, float] = field(default_factory=dict)
 
 
 class _Prep:
@@ -334,29 +341,39 @@ def build_schedule(
     num_divisions: int = 4,
     strategy: str = "paper",
 ) -> Schedule:
-    """The cheapest division schedule with at most ``num_divisions``.
+    """The cheapest division schedule with at most ``num_divisions``,
+    on ``placement`` or one of its ``alternatives``.
 
-    Fills ``T = 1, 2, 4, ...`` (powers of two below ``num_divisions``,
-    and ``num_divisions`` itself) as :func:`fill_divisions` would, prices
-    each from the placement's cluster parameters
-    (:func:`~repro.scheduling.pricing.price_divisions`: simulated forward
-    + backward seconds) and returns the cheapest, the smaller ``T`` on a
-    tie — a pure function of its arguments, so every route to a plan
-    agrees.  ``Schedule.division_prices`` records every candidate.
+    For each placement, fills ``T = 1, 2, 4, ...`` (powers of two below
+    ``num_divisions``, and ``num_divisions`` itself) as
+    :func:`fill_divisions` would and prices each from the cluster's
+    parameters (:func:`~repro.scheduling.pricing.price_divisions`:
+    simulated forward + backward seconds).  Returns the cheapest; a tie
+    goes to ``placement`` over its alternatives, then to the smaller
+    ``T`` — a pure function of its arguments, so every route to a plan
+    agrees.  ``Schedule.placement`` is the winner, ``division_prices``
+    its candidates and ``placement_prices`` each placement's best.
     """
     _check(num_divisions, strategy)
-    prep = _Prep(block_set, placement)
-    candidates: Dict[int, List[_DeviceFill]] = {}
-    count = 1
+    counts, count = [], 1
     while count < num_divisions:
-        candidates[count] = _fill(prep, count, strategy)
+        counts.append(count)
         count *= 2
-    candidates[num_divisions] = _fill(prep, num_divisions, strategy)
-    prices = {
-        count: price_divisions(prep, fills)
-        for count, fills in candidates.items()
-    }
-    best = min(prices, key=lambda count: (prices[count], count))
-    schedule = prep.materialise(candidates[best])
+    counts.append(num_divisions)
+    best = None
+    placement_prices: Dict[str, float] = {}
+    for candidate in [placement, *placement.alternatives]:
+        prep = _Prep(block_set, candidate)
+        fills = {count: _fill(prep, count, strategy) for count in counts}
+        prices = {
+            count: price_divisions(prep, fill) for count, fill in fills.items()
+        }
+        count = min(prices, key=lambda count: (prices[count], count))
+        placement_prices[candidate.source] = prices[count]
+        if best is None or prices[count] < best[0]:
+            best = (prices[count], prep, fills[count], prices)
+    _, prep, fills, prices = best
+    schedule = prep.materialise(fills)
     schedule.division_prices = prices
+    schedule.placement_prices = placement_prices
     return schedule

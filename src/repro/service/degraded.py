@@ -7,8 +7,9 @@ baseline-quality plan beats a training step stalled on a perfect one.
 
 The fallback reuses the repo's own cheap machinery end to end — block
 generation, the static-CP zigzag placement every baseline framework
-uses (:func:`repro.placement.zigzag_labels`, paper Fig. 4), and the
-normal division scheduler/serializer — so the result is a fully valid
+uses (:func:`repro.placement.static_placement`, paper Fig. 4 — the
+planner weighs every partitioned placement against the same one), and
+the normal division scheduler/serializer — so the result is a fully valid
 :class:`~repro.scheduling.instructions.ExecutionPlan` that executes on
 the same runtime, just with baseline communication volume.  No
 hypergraph partitioning, no refinement, no restarts: cost is dominated
@@ -19,6 +20,8 @@ Every degraded plan is tagged ``meta["degraded"] = True`` (and
 ``meta["degraded_source"] = "zigzag"``); the service serves it
 immediately and schedules a background upgrade that atomically swaps
 in the optimal plan through the cache's publication/epoch cursors.
+The upgrade is the planner's cheapest of the partitioned placement and
+the static ones that dominate it, so it can be this very zigzag plan.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 
 from ..blocks import BatchSpec, generate_blocks
 from ..obs.trace import span as _span
-from ..placement import Placement, build_block_hypergraph, zigzag_labels
+from ..placement import build_block_hypergraph, static_placement
 from ..scheduling import build_schedule, serialize_schedule
 
 __all__ = ["degraded_plan", "is_degraded"]
@@ -51,16 +54,8 @@ def degraded_plan(planner, batch: BatchSpec, cluster=None):
             attention=getattr(planner, "attention", None),
             block_size=config.block_size,
         )
-        bhg = build_block_hypergraph(block_set)
-        labels = zigzag_labels(bhg, cluster.num_devices)
-        slice_device, comp_device = bhg.labels_to_devices(labels)
-        placement = Placement(
-            block_set=block_set,
-            cluster=cluster,
-            slice_device=slice_device.copy(),
-            comp_device=comp_device.copy(),
-            num_vertices=bhg.graph.num_vertices,
-            num_edges=bhg.graph.num_edges,
+        placement = static_placement(
+            build_block_hypergraph(block_set), cluster, "zigzag"
         )
         schedule = build_schedule(
             block_set,

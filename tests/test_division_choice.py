@@ -143,7 +143,7 @@ class TestCandidates:
                 block_set, placement = placed(batch, cluster, block)
                 chosen = build_schedule(block_set, placement, 4, strategy)
                 fixed = fill_divisions(
-                    block_set, placement, chosen.num_divisions, strategy
+                    block_set, chosen.placement, chosen.num_divisions, strategy
                 )
                 assert same_schedule(chosen, fixed)
                 assert not fixed.division_prices
@@ -175,7 +175,7 @@ class TestPriceAgainstSimulator:
         oracle = {}
         for count, price in chosen.division_prices.items():
             oracle[count] = simulated(
-                fill_divisions(block_set, placement, count)
+                fill_divisions(block_set, chosen.placement, count)
             )
             assert price == pytest.approx(oracle[count], rel=1e-9)
         best = min(oracle, key=lambda count: (oracle[count], count))

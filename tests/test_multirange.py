@@ -41,6 +41,43 @@ def brute_global(seqlen, every, window):
     return mask
 
 
+def loop_dilated_ranges(seqlen, block, stride, window):
+    """The per-row loop ``DilatedBlockMask.ranges`` replaced (oracle)."""
+    rows = []
+    period = block * stride
+    for i in range(seqlen):
+        window_start = max(0, i - window + 1)
+        row = []
+        for anchor in range(0, window_start, period):
+            end = min(anchor + block, window_start)
+            if end > anchor:
+                row.append((anchor, end))
+        row.append((window_start, i + 1))
+        rows.append(row)
+    return MultiRanges.from_rows(rows)
+
+
+def loop_global_ranges(seqlen, every, window):
+    """The per-row loop ``GlobalTokenMask.ranges`` replaced (oracle)."""
+    rows = []
+    for i in range(seqlen):
+        if i % every == 0:
+            rows.append([(0, i + 1)])
+            continue
+        window_start = max(0, i - window + 1)
+        row = [(g, g + 1) for g in range(0, window_start, every)]
+        row.append((window_start, i + 1))
+        rows.append(row)
+    return MultiRanges.from_rows(rows)
+
+
+def assert_same_ranges(got, expected):
+    for name in ("indptr", "starts", "ends"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype == np.int64, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 # -- MultiRanges core ---------------------------------------------------------
 
 
@@ -154,6 +191,51 @@ class TestDilatedBlockMask:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             DilatedBlockMask(block=0)
+
+
+class TestVectorizedRangesMatchTheLoops:
+    """``ranges`` of the two periodic families is built for all rows at
+    once; the per-row loops it replaced stay here as the oracle."""
+
+    LENGTHS = (0, 1, 2, 7, 64, 257, 1000)
+
+    @pytest.mark.parametrize("seqlen", LENGTHS)
+    @pytest.mark.parametrize(
+        "block, stride, window",
+        [(1, 1, 1), (4, 2, 8), (3, 5, 7), (64, 4, 256), (16, 1, 2000)],
+    )
+    def test_dilated(self, seqlen, block, stride, window):
+        assert_same_ranges(
+            DilatedBlockMask(block, stride, window).ranges(seqlen),
+            loop_dilated_ranges(seqlen, block, stride, window),
+        )
+
+    @pytest.mark.parametrize("seqlen", LENGTHS)
+    @pytest.mark.parametrize(
+        "every, window", [(1, 1), (8, 4), (5, 13), (128, 256), (3, 2000)]
+    )
+    def test_global(self, seqlen, every, window):
+        assert_same_ranges(
+            GlobalTokenMask(every, window).ranges(seqlen),
+            loop_global_ranges(seqlen, every, window),
+        )
+
+    @given(
+        seqlen=st.integers(0, 300),
+        block=st.integers(1, 40),
+        stride=st.integers(1, 6),
+        window=st.integers(1, 400),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_parameters(self, seqlen, block, stride, window):
+        assert_same_ranges(
+            DilatedBlockMask(block, stride, window).ranges(seqlen),
+            loop_dilated_ranges(seqlen, block, stride, window),
+        )
+        assert_same_ranges(
+            GlobalTokenMask(block, window).ranges(seqlen),
+            loop_global_ranges(seqlen, block, window),
+        )
 
 
 class TestGlobalTokenMask:

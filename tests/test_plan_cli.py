@@ -25,6 +25,7 @@ class TestPlanCli:
         assert "tokens/device" in out
         assert "planning:" in out
         assert "busy" in out
+        assert "placement: " in out and "partitioned " in out
 
     def test_mask_selection(self, capsys):
         assert main(BASE + ["--mask", "lambda"]) == 0
