@@ -6,6 +6,7 @@
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 from conftest import run_once
@@ -35,7 +36,9 @@ def test_ablation_num_divisions(benchmark, results_dir):
     batches every division only adds kernel-launch overhead and T=1
     trivially wins.  The fixed-T rows come from ``fill_divisions``; the
     "chosen" row is ``build_schedule`` pricing T in {1, 2, 4, 8} per
-    plan, which may lose to no fixed row.
+    plan, which may lose to no fixed row.  Every row schedules the
+    partitioned placement (its static alternatives dropped), so the
+    table ablates T alone.
     """
     scale = BenchScale.sweep(num_batches=2)
 
@@ -53,7 +56,7 @@ def test_ablation_num_divisions(benchmark, results_dir):
                 block_set, scale.cluster,
                 PlacementConfig(seed=0, restarts=1),
             )
-            placed.append((block_set, placement))
+            placed.append((block_set, replace(placement, alternatives=[])))
         for num_divisions in (1, 2, 4, 8, "chosen"):
             times, exposed = [], []
             for block_set, placement in placed:

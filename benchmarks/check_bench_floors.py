@@ -434,17 +434,18 @@ def check_scenarios(gate: Gate, strict: bool) -> None:
         f"scenario matrix worst steady hidden fraction {worst:.3f} >= "
         f"floor {hidden_floor:.3f}",
     )
-    silent = sorted(
-        {row["mask_family"] for row in rows}
-        - {
-            row["mask_family"] for row in rows
-            if int(row.get("comm_bytes_total", 0)) > 0
-        }
-    )
+    # A cell whose every plan runs on DP packing keeps each sequence on
+    # one device and may move nothing; any other cell must communicate.
+    no_comm = [
+        row["scenario"] for row in rows
+        if int(row.get("comm_bytes_total", 0)) <= 0
+        and set(row.get("placement_sources") or {}) != {"dp_pack"}
+    ]
     gate.check(
-        not silent,
-        "every mask family moved data in some scenario cell"
-        + (f" (none: {', '.join(silent)})" if silent else ""),
+        not no_comm,
+        "every scenario cell not DP-packed throughout recorded "
+        "communication volume"
+        + (f" (empty: {', '.join(no_comm)})" if no_comm else ""),
     )
     unverified = [
         row["scenario"] for row in rows

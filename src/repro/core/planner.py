@@ -109,7 +109,7 @@ class DCPPlanner:
         the shape a mid-stream device add/remove event produced while
         the planner's configured :attr:`cluster` stays untouched.
         ``warm`` is a previous placement of the same batch —
-        ``(slice_device, comp_device)`` label arrays, typically a prior
+        ``(slice_device, comp_device[, source])``, typically a prior
         plan's ``meta["placement"]`` — handed to
         :func:`~repro.placement.place_blocks` so an event re-plan
         starts from (or outright adopts) the old placement instead of
@@ -186,13 +186,15 @@ class DCPPlanner:
         plan.meta["planning_stats"] = stats
         plan.meta["placement_source"] = placement.source
         plan.meta["placement_prices"] = dict(schedule.placement_prices)
-        # The chosen placement's labels ride with the plan so a later
-        # delta re-plan (after a cluster event) can warm-start from —
-        # or adopt — them: they are a few KB of int64 next to megabytes
-        # of instruction streams, and plan_fingerprint ignores meta.
+        # The chosen placement's labels (and source) ride with the plan
+        # so a later delta re-plan (after a cluster event) can
+        # warm-start from — or adopt — them: they are a few KB of int64
+        # next to megabytes of instruction streams, and plan_fingerprint
+        # ignores meta.
         plan.meta["placement"] = (
             placement.slice_device,
             placement.comp_device,
+            placement.source,
         )
         metrics = self.metrics
         metrics.counter("planner.plans").inc()

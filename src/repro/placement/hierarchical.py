@@ -72,7 +72,8 @@ class Placement:
     num_vertices: int = 0
     num_edges: int = 0
     #: The :data:`STATIC_HEURISTICS` name, or ``"partitioned"`` for what
-    #: :func:`place_blocks` returns (an adopted warm placement included).
+    #: :func:`place_blocks` computes; an adopted warm placement keeps the
+    #: source it was chosen under.
     source: str = "partitioned"
     #: Static placements of the same blocks that dominate this one;
     #: ``build_schedule`` prices them beside it.
@@ -169,9 +170,7 @@ def _warm_starts(
     return [labels(bhg, k, subset) for labels in STATIC_HEURISTICS.values()]
 
 
-def _warm_vector(
-    block_set: BlockSet, warm: Optional[Tuple[np.ndarray, np.ndarray]]
-) -> Optional[np.ndarray]:
+def _warm_vector(block_set: BlockSet, warm) -> Optional[np.ndarray]:
     """Validate a previous placement's labels against this block set.
 
     Returns the concatenated per-vertex device labels (slices first,
@@ -182,7 +181,7 @@ def _warm_vector(
     """
     if warm is None:
         return None
-    slice_prev, comp_prev = (np.asarray(w, dtype=np.int64) for w in warm)
+    slice_prev, comp_prev = (np.asarray(w, dtype=np.int64) for w in warm[:2])
     if slice_prev.shape != (len(block_set.token_slices),):
         return None
     if comp_prev.shape != (len(block_set.comp_blocks),):
@@ -194,12 +193,13 @@ def place_blocks(
     block_set: BlockSet,
     cluster: ClusterSpec,
     config: Optional[PlacementConfig] = None,
-    warm: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    warm: Optional[Tuple] = None,
 ) -> Placement:
     """Optimize block placement hierarchically for one batch.
 
     ``warm`` is a previous placement of the *same* block set —
-    ``(slice_device, comp_device)`` label arrays, e.g. recovered from
+    ``(slice_device, comp_device)`` label arrays, optionally followed by
+    the placement's ``source``, e.g. recovered from
     ``plan.meta["placement"]`` — targeting a cluster with the same
     ``devices_per_machine`` but possibly a different machine count.
     The labels are global device ids, so their machine assignment is
@@ -209,9 +209,9 @@ def place_blocks(
     deterministic:
 
     * every previous label names a device that still exists: the
-      placement is adopted verbatim (the delta re-planner's reuse
-      guarantee — a re-plan of an unaffected batch reproduces its plan
-      byte-for-byte);
+      placement is adopted verbatim, source included (the delta
+      re-planner's reuse guarantee — a re-plan of an unaffected batch
+      reproduces its plan byte-for-byte);
     * some labels reference vanished devices: the stranded vertices are
       repaired onto surviving devices (:func:`repair_labels`) and the
       result refined warm-only (``restarts=0``) at both hierarchy
@@ -239,6 +239,7 @@ def place_blocks(
             comp_device=warm_labels[num_slices:].copy(),
             num_vertices=len(warm_labels),
             num_edges=0,
+            source=warm[2] if len(warm) > 2 else "partitioned",
         )
 
     bhg = build_block_hypergraph(block_set)

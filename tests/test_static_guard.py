@@ -7,6 +7,7 @@ than the partitioned one, that the dominance rule is what admits a
 static placement, that the choice survives every route to a plan, and
 that it is not an artefact of the cost model's constants."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
-from repro.masks import CausalMask, LambdaMask
+from repro.masks import CausalMask, DilatedBlockMask, LambdaMask, make_mask
 from repro.pipeline import plan_fingerprint
 from repro.placement import (
     STATIC_HEURISTICS,
@@ -189,7 +190,13 @@ class TestEveryRoute:
             block_set, SERVICE, CONFIG, warm=plan.meta["placement"]
         )
         assert adopted.alternatives == []
-        assert adopted.source == "partitioned"
+        assert adopted.source == "zigzag"
+        # Bare labels (no source) adopt as a partitioned placement.
+        bare = place_blocks(
+            block_set, SERVICE, CONFIG, warm=plan.meta["placement"][:2]
+        )
+        assert bare.alternatives == []
+        assert bare.source == "partitioned"
 
     def test_repaired_warm_placement_carries_alternatives(self):
         """A warm start stranded on a lost machine is repaired and
@@ -230,7 +237,15 @@ class TestEveryRoute:
         plan = planner.plan_batch(batch)
         again = planner.plan_batch(batch, warm=plan.meta["placement"])
         assert plan_fingerprint(again) == plan_fingerprint(plan)
-        assert again.meta["placement_source"] == "partitioned"  # adopted
+        # The adopted placement keeps the source it was chosen under.
+        assert again.meta["placement_source"] == "zigzag"
+        assert again.meta["placement"][2] == "zigzag"
+        assert planner.metrics.counter(
+            "planner.placement_source.zigzag"
+        ).value == 2
+        assert planner.metrics.counter(
+            "planner.placement_source.partitioned"
+        ).value == 0
 
     def test_choice_is_observable(self):
         batch = self.zigzag_batch()
@@ -267,26 +282,106 @@ class TestEveryRoute:
         assert single.last_stats.infeasible_partitions == 0
 
 
+#: Four of the five ``sparse_mixed`` batches (16384 tokens of 20-38
+#: sequences, block 512, 2x4; seed 0) on which DP packing wins — the
+#: fifth carries per-sequence RLHF masks.  With launch overhead halved
+#: the first trails its partitioned alternative by 6.4 %.
+SPARSE_LAMBDA = LambdaMask(sink=512, window=2048)
+SPARSE_BATCHES = [
+    (
+        [2068, 1293, 896, 394, 44, 566, 117, 316, 328, 295, 260, 190, 1404,
+         476, 443, 682, 633, 344, 164, 714, 875, 268, 1774, 111, 876, 14,
+         590],
+        SPARSE_LAMBDA,
+    ),
+    (
+        [1138, 81, 124, 351, 282, 209, 290, 1028, 15, 243, 394, 118, 777,
+         1091, 402, 118, 82, 466, 206, 364, 1770, 72, 383, 802, 88, 436,
+         141, 102, 61, 57, 399, 1325, 698, 945, 294, 393, 125, 305],
+        DilatedBlockMask(block=512, stride=4, window=2048),
+    ),
+    (
+        [890, 124, 906, 165, 49, 1354, 328, 2006, 193, 1042, 1161, 1838,
+         386, 567, 1119, 640, 99, 320, 838, 1706],
+        make_mask(
+            "causal_blockwise", block=128, window_blocks=2, sink_blocks=1
+        ),
+    ),
+    (
+        [675, 309, 608, 328, 654, 258, 47, 207, 169, 94, 183, 568, 2014,
+         249, 944, 438, 289, 1189, 1019, 204, 102, 618, 171, 783, 125, 649,
+         510, 296, 428, 63, 548, 1324, 111],
+        SPARSE_LAMBDA,
+    ),
+]
+SENSITIVITY_GEOMETRIES = [*sorted(CLUSTERS), "sparse_2x4"]
+#: The one point where the 5 % criterion is not met (see the
+#: sensitivity table in ``docs/benchmarks.md``).
+SENSITIVITY_MISSES = {("sparse_2x4", "kernel_overhead", 0.5)}
+
+
+@functools.lru_cache(maxsize=None)
+def sensitivity_plans(geometry: str):
+    """(cluster, [(chosen plan, partitioned-only plan)]) at nominal
+    constants."""
+    if geometry == "sparse_2x4":
+        cluster = CLUSTERS["2x4"]
+        config = PlacementConfig(restarts=1)
+        attention, block = AttentionSpec(), 512
+        batches = [BatchSpec.build(*case) for case in SPARSE_BATCHES]
+    else:
+        cluster, config = CLUSTERS[geometry], CONFIG
+        attention, block = ATTENTION, BLOCK
+        batches = [service_batch(seed) for seed in range(8)]
+    pairs = []
+    for batch in batches:
+        block_set = generate_blocks(batch, attention, block_size=block)
+        placement = place_blocks(block_set, cluster, config)
+        pairs.append(
+            tuple(
+                serialize_schedule(build_schedule(block_set, p))
+                for p in (placement, partitioned_only(placement))
+            )
+        )
+    return cluster, pairs
+
+
 class TestSensitivity:
     """Plans are chosen at nominal constants; re-simulated with one
-    constant halved or doubled, the chosen plan may trail the
-    partitioned-only plan by at most 5 % (the table in
-    ``docs/benchmarks.md`` records by how much it does)."""
+    constant halved or doubled, the chosen plan should trail the
+    partitioned-only plan by at most 5 % (ROADMAP item 1).  It does at
+    service geometry, 1x4 and 2x4.  At ``sparse_mixed``'s geometry it
+    does not with launch overhead halved: one DP-packed plan trails by
+    6.4 %, an expected failure here and a row of the sensitivity table
+    in ``docs/benchmarks.md``."""
 
     @pytest.mark.parametrize(
-        "field", ["kernel_overhead", "intra_bandwidth", "inter_bandwidth"]
+        "geometry, field, factor",
+        [
+            pytest.param(
+                geometry, field, factor,
+                marks=[pytest.mark.xfail(
+                    strict=True,
+                    reason="the 5 % criterion is not met at this point",
+                )] if (geometry, field, factor) in SENSITIVITY_MISSES else [],
+            )
+            for geometry in SENSITIVITY_GEOMETRIES
+            for field in ("kernel_overhead", "intra_bandwidth",
+                          "inter_bandwidth")
+            for factor in (0.5, 2.0)
+        ],
     )
-    @pytest.mark.parametrize("factor", [0.5, 2.0])
-    @pytest.mark.parametrize("geometry", sorted(CLUSTERS))
     def test_chosen_never_trails_partitioned(self, geometry, field, factor):
-        cluster = CLUSTERS[geometry]
+        cluster, pairs = sensitivity_plans(geometry)
         perturbed = replace(cluster, **{field: getattr(cluster, field) * factor})
-        for seed in range(8):
-            block_set, placement = placed(service_batch(seed), cluster)
-            chosen = serialize_schedule(build_schedule(block_set, placement))
-            alone = serialize_schedule(
-                build_schedule(block_set, partitioned_only(placement))
-            )
-            assert simulated(chosen, perturbed) <= (
-                simulated(alone, perturbed) * 1.05
-            )
+        worst = max(
+            simulated(chosen, perturbed) / simulated(alone, perturbed)
+            for chosen, alone in pairs
+        )
+        assert worst <= 1.05, f"chosen trails partitioned by {worst - 1:.1%}"
+
+    def test_dp_packing_wins_the_sparse_batches(self):
+        """DP packing keeps every sequence on one device: no bytes."""
+        _, pairs = sensitivity_plans("sparse_2x4")
+        for chosen, alone in pairs:
+            assert chosen.total_comm_bytes() == 0 < alone.total_comm_bytes()
