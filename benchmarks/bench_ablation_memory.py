@@ -13,20 +13,29 @@ import os
 import numpy as np
 from conftest import run_once
 
-from repro.baselines import FlexSPPlanner, RingAttentionPlanner
+from repro.baselines import RingAttentionPlanner
 from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
 from repro.blocks import generate_blocks
 from repro.core import DCPPlanner
+from repro.placement import build_block_hypergraph, static_placement
+from repro.scheduling import build_schedule, serialize_schedule
 from repro.sim import plan_memory, simulate_plan
 
 
+def _dp_pack_plan(block_set, cluster):
+    """Pure DP (Fig. 5b): whole sequences packed onto devices."""
+    bhg = build_block_hypergraph(block_set)
+    placement = static_placement(bhg, cluster, "dp_pack")
+    return serialize_schedule(build_schedule(block_set, placement))
+
+
 def _systems(scale):
+    """Name -> ``plan(block_set, cluster)`` for each compared system."""
+    dcp = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
     return {
-        "rfa_zigzag": RingAttentionPlanner(zigzag=True),
-        "flexsp": FlexSPPlanner(),
-        "dcp": DCPPlanner(
-            scale.cluster, scale.attention, scale.dcp_config()
-        ),
+        "rfa_zigzag": RingAttentionPlanner(zigzag=True).plan,
+        "dp_pack": _dp_pack_plan,
+        "dcp": dcp.plan,
     }
 
 
@@ -48,13 +57,13 @@ def test_ablation_memory_balance(benchmark, results_dir):
         batches = make_batches(
             "longdatacollections", scale, PAPER_MASKS["causal"]()
         )
-        for name, planner in _systems(scale).items():
+        for name, plan_batch in _systems(scale).items():
             mem_max, mem_imb, comp_imb = [], [], []
             for batch in batches:
                 block_set = generate_blocks(
                     batch, scale.attention, scale.block_size
                 )
-                plan = planner.plan(block_set, scale.cluster)
+                plan = plan_batch(block_set, scale.cluster)
                 report = plan_memory(plan)
                 mem_max.append(report.max_bytes)
                 mem_imb.append(report.imbalance())

@@ -16,8 +16,8 @@ Top-level convenience re-exports; see subpackages for the full API:
 * :mod:`repro.sim` — cluster spec, timing simulation, model cost,
   memory accounting, timeline/trace export
 * :mod:`repro.parallel` — composing DCP with TP and PP (§6.2)
-* :mod:`repro.baselines` — RFA / LoongTrain / TransformerEngine /
-  Ulysses / FlexSP-style
+* :mod:`repro.baselines` — RingFlashAttention / LoongTrain /
+  TransformerEngine / Megatron-LM
 * :mod:`repro.data` — synthetic datasets, batching, packing strategies
 * :mod:`repro.model` — numpy GPT for the loss-curve experiment
 * :mod:`repro.obs` — unified telemetry: span tracer, metrics registry,

@@ -1,22 +1,18 @@
-"""Baseline context-parallel planners (RFA, LoongTrain, TE)."""
+"""The paper's baselines: RingFlashAttention (ring / zigzag), LoongTrain,
+TransformerEngine and the Megatron-LM end-to-end model."""
 
 from .common import (
     contiguous_slice_assignment,
     slices_by_assignment,
     zigzag_slice_assignment,
 )
-from .flexsp import FlexSPPlanner
 from .loongtrain import LoongTrainPlanner, pad_batch
 from .megatron import MegatronBaseline
 from .ring import RingAttentionPlanner
 from .ring_backward import plan_ring_backward, run_ring_forward_backward
 from .transformer_engine import TransformerEnginePlanner
-from .ulysses import UlyssesPlanner, run_ulysses_forward_backward
 
 __all__ = [
-    "FlexSPPlanner",
-    "UlyssesPlanner",
-    "run_ulysses_forward_backward",
     "RingAttentionPlanner",
     "plan_ring_backward",
     "run_ring_forward_backward",

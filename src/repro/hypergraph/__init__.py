@@ -2,7 +2,7 @@
 
 from .coarsen import coarsen, coarsen_once, contract
 from .graph import BalanceConstraint, Hypergraph, PartitionResult
-from .initial import greedy_initial, random_initial, repair_labels
+from .initial import greedy_initial, repair_labels
 from .partition import partition_hypergraph
 from .refine import (
     COUNTERS,
@@ -22,7 +22,6 @@ __all__ = [
     "coarsen_once",
     "contract",
     "greedy_initial",
-    "random_initial",
     "repair_labels",
     "RefinementState",
     "RefineCounters",

@@ -240,8 +240,11 @@ class BalanceConstraint:
     def caps(self, graph: Hypergraph, k: int) -> np.ndarray:
         """Maximum allowed part weight per dimension.
 
-        The cap is relaxed to the heaviest single vertex per dimension
-        so that a feasible assignment always exists.
+        The cap is relaxed to the heaviest single vertex per dimension,
+        so no vertex is too heavy for every part on its own.  That does
+        not make a feasible assignment exist: a few heavy vertices can
+        still fail to fit under ``k`` caps together, and the partitioner
+        reports such a result as infeasible.
         """
         total = graph.total_weight.astype(np.float64)
         if len(self.eps) != graph.weight_dims:

@@ -14,14 +14,7 @@ import numpy as np
 
 from .graph import Hypergraph, fits_under
 
-__all__ = ["greedy_initial", "random_initial", "repair_labels"]
-
-
-def random_initial(
-    graph: Hypergraph, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform random assignment (restart seed for refinement)."""
-    return rng.integers(0, k, size=graph.num_vertices, dtype=np.int64)
+__all__ = ["greedy_initial", "repair_labels"]
 
 
 def greedy_initial(

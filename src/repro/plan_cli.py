@@ -21,11 +21,9 @@ from typing import List, Optional
 
 
 from .baselines import (
-    FlexSPPlanner,
     LoongTrainPlanner,
     RingAttentionPlanner,
     TransformerEnginePlanner,
-    UlyssesPlanner,
 )
 from .blocks import AttentionSpec, BatchSpec, generate_blocks
 from .core import DCPConfig, DCPPlanner
@@ -45,8 +43,6 @@ _BASELINES = {
     "rfa_zigzag": lambda: RingAttentionPlanner(zigzag=True),
     "loongtrain": lambda: LoongTrainPlanner(),
     "te": lambda: TransformerEnginePlanner(),
-    "ulysses": lambda: UlyssesPlanner(),
-    "flexsp": lambda: FlexSPPlanner(),
 }
 
 

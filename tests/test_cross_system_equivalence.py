@@ -1,7 +1,7 @@
 """Randomized cross-system equivalence: every planner, same numbers.
 
 The repository's central invariant: whatever the planner (DCP with
-either scheduler, ring, zigzag, TE, Ulysses, FlexSP), whatever the mask
+either scheduler, ring, zigzag, TE), whatever the mask
 and sequence mix, the executed plan reproduces dense masked attention.
 Hypothesis drives the batch shapes.
 """
@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    FlexSPPlanner,
-    RingAttentionPlanner,
-    TransformerEnginePlanner,
-    UlyssesPlanner,
-)
+from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
@@ -81,8 +76,6 @@ def test_dcp_balanced_scheduler_random_batches(seqlens, mask, seed):
         RingAttentionPlanner(zigzag=False),
         RingAttentionPlanner(zigzag=True),
         TransformerEnginePlanner(),
-        UlyssesPlanner(),
-        FlexSPPlanner(),
     ],
     ids=lambda p: p.name,
 )

@@ -35,15 +35,12 @@ class TestPlanCli:
         assert main(BASE + ["--mask", "not-a-mask"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_baseline_comparison(self, capsys):
-        assert main(BASE + ["--baseline", "rfa_zigzag"]) == 0
+    @pytest.mark.parametrize("baseline", ["rfa_zigzag", "loongtrain", "te"])
+    def test_baseline_comparison(self, baseline, capsys):
+        assert main(BASE + ["--baseline", baseline]) == 0
         out = capsys.readouterr().out
-        assert "== rfa_zigzag ==" in out
+        assert f"== {baseline} ==" in out
         assert "speed-up" in out
-
-    def test_flexsp_baseline(self, capsys):
-        assert main(BASE + ["--baseline", "flexsp"]) == 0
-        assert "== flexsp ==" in capsys.readouterr().out
 
     def test_trace_output(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "t.json")

@@ -22,7 +22,6 @@ from repro.masks import CausalMask, LambdaMask, SharedQuestionMask, make_mask
 from repro.baselines import (
     RingAttentionPlanner,
     TransformerEnginePlanner,
-    UlyssesPlanner,
     plan_ring_backward,
 )
 from repro.pipeline import device_payload, plan_fingerprint
@@ -102,7 +101,6 @@ def all_plans():
     placement = place_blocks(block_set, CLUSTER,
                              PlacementConfig(seed=0, restarts=1))
     schedule = build_schedule(block_set, placement, 4)
-    small = ClusterSpec(num_machines=1, devices_per_machine=2)
     return {
         "dcp_backward": serialize_backward_schedule(schedule),
         "ring": RingAttentionPlanner().plan(block_set, CLUSTER),
@@ -111,8 +109,6 @@ def all_plans():
         ),
         "ring_backward": plan_ring_backward(block_set, CLUSTER),
         "te": TransformerEnginePlanner().plan(block_set, CLUSTER),
-        "ulysses": UlyssesPlanner().plan(block_set, small),
-        "ulysses_backward": UlyssesPlanner().plan_backward(block_set, small),
     }
 
 
