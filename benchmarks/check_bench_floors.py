@@ -434,17 +434,19 @@ def check_scenarios(gate: Gate, strict: bool) -> None:
         f"scenario matrix worst steady hidden fraction {worst:.3f} >= "
         f"floor {hidden_floor:.3f}",
     )
-    # A cell whose every plan runs on DP packing keeps each sequence on
-    # one device and may move nothing; any other cell must communicate.
-    no_comm = [
-        row["scenario"] for row in rows
-        if int(row.get("comm_bytes_total", 0)) <= 0
-        and set(row.get("placement_sources") or {}) != {"dp_pack"}
-    ]
+    # A cell whose every plan runs on DP packing or on an owner-computes
+    # projection may move nothing (bench_scenarios.NO_DATA_SOURCES); any
+    # other cell must communicate.
+    no_comm = []
+    for row in rows:
+        sources = set(row.get("placement_sources") or {})
+        exempt = bool(sources) and sources <= {"dp_pack", "owner"}
+        if int(row.get("comm_bytes_total", 0)) <= 0 and not exempt:
+            no_comm.append(row["scenario"])
     gate.check(
         not no_comm,
-        "every scenario cell not DP-packed throughout recorded "
-        "communication volume"
+        "every scenario cell not DP-packed or owner-computed throughout "
+        "recorded communication volume"
         + (f" (empty: {', '.join(no_comm)})" if no_comm else ""),
     )
     unverified = [

@@ -89,18 +89,31 @@ class BlockSet:
     token_slices: List[TokenSlice]
     comp_array: CompBlockArray
     seq_bounds: List[np.ndarray]
-    seq_ranges: List[AttendRanges]
     seq_workloads: List[np.ndarray] = field(default_factory=list)
 
     # -- lazy views ------------------------------------------------------
 
     _CACHE_ATTRS = (
         "_comp_blocks",
+        "_seq_ranges",
         "_slice_lookup",
         "_slice_tokens",
         "_seq_slice_offset",
         "_totals",
     )
+
+    @property
+    def seq_ranges(self) -> List[AttendRanges]:
+        """Every sequence's per-token attend ranges,
+        ``seq.mask.ranges(seq.seqlen)``: derived from :attr:`batch`, so
+        a pickled block set (a plan on the wire) ships without them."""
+        cached = self.__dict__.get("_seq_ranges")
+        if cached is None:
+            cached = [
+                seq.mask.ranges(seq.seqlen) for seq in self.batch.sequences
+            ]
+            self.__dict__["_seq_ranges"] = cached
+        return cached
 
     @property
     def comp_blocks(self) -> List[CompBlock]:
@@ -303,13 +316,14 @@ def generate_blocks(
         kv_block=_cat(col_kv),
         pairs=_cat(col_pairs),
     )
-    return BlockSet(
+    block_set = BlockSet(
         batch=batch,
         attention=attention,
         block_size=block_size,
         token_slices=token_slices,
         comp_array=comp_array,
         seq_bounds=seq_bounds,
-        seq_ranges=seq_ranges,
         seq_workloads=seq_workloads,
     )
+    block_set.__dict__["_seq_ranges"] = seq_ranges
+    return block_set

@@ -179,7 +179,7 @@ class DCPPlanner:
         stats.scheduling = time.perf_counter() - start
         stats.num_divisions = schedule.num_divisions
         # The schedule's placement is the one it chose (``placement`` or
-        # one of its static alternatives).
+        # one of its alternatives).
         placement = schedule.placement
         stats.placement_source = placement.source
 

@@ -9,14 +9,23 @@ starts, so each level's cut is no worse than static CP's or pure DP's.
 
 The cut is not the time, though: with a handful of blocks per device
 the balance caps often cannot be met and the partitioned result can
-price slower than the static placement it started from.  So every
-placement :func:`place_blocks` computes also carries, as
-``alternatives``, the static placements of the same blocks over all
-devices (:func:`static_placement`, zigzag and DP packing) that dominate
-it on what the attention price cannot see — no more tokens on the
-busiest device (the token-parallel layers of a step wait for it) and
-no more bytes moved.  :func:`~repro.scheduling.build_schedule` prices
-them beside it and keeps the cheapest.
+price slower than the static placement it started from, and a block
+computed away from its query slice puts a partial-output send and merge
+on the critical path.  So every placement :func:`place_blocks` computes
+also carries, as ``alternatives``, the candidates that dominate it on
+what the attention price cannot see — no more tokens on the busiest
+device (the token-parallel layers of a step wait for it) and no more
+bytes moved:
+
+* ``"owner"`` — its owner-computes projection: the same slices, every
+  computation block moved onto its query slice's device, so queries
+  stay put and only KV travels (Ring Attention's rule on the
+  partitioner's slices);
+* ``"zigzag"`` / ``"dp_pack"`` — the static placements of the same
+  blocks over all devices (:func:`static_placement`).
+
+:func:`~repro.scheduling.build_schedule` prices them beside it and
+keeps the cheapest.
 """
 
 from __future__ import annotations
@@ -71,12 +80,14 @@ class Placement:
     #: Size of the placement hypergraph (surfaced in PlanningStats).
     num_vertices: int = 0
     num_edges: int = 0
-    #: The :data:`STATIC_HEURISTICS` name, or ``"partitioned"`` for what
-    #: :func:`place_blocks` computes; an adopted warm placement keeps the
+    #: The :data:`STATIC_HEURISTICS` name, ``"partitioned"`` for what
+    #: :func:`place_blocks` computes, or ``"owner"`` for its
+    #: owner-computes projection; an adopted warm placement keeps the
     #: source it was chosen under.
     source: str = "partitioned"
-    #: Static placements of the same blocks that dominate this one;
-    #: ``build_schedule`` prices them beside it.
+    #: Owner-computes projection and static placements of the same
+    #: blocks that dominate this one; ``build_schedule`` prices them
+    #: beside it.
     alternatives: List["Placement"] = field(default_factory=list)
     #: Partition calls whose best candidate broke the balance caps.
     infeasible_partitions: int = 0
@@ -133,12 +144,31 @@ def static_placement(
     )
 
 
-def _dominating_statics(
+def _owner_projection(placement: Placement) -> Placement:
+    """``placement`` with every computation block on its query slice's
+    device: no partial output is sent back and merged, KV travels
+    instead."""
+    block_set = placement.block_set
+    comp = block_set.comp_array
+    q_slice = block_set.slice_indices(comp.seq_index, comp.q_block)
+    return Placement(
+        block_set=block_set,
+        cluster=placement.cluster,
+        slice_device=placement.slice_device,
+        comp_device=placement.slice_device[q_slice],
+        num_vertices=placement.num_vertices,
+        num_edges=placement.num_edges,
+        source="owner",
+    )
+
+
+def _dominating_alternatives(
     bhg: BlockHypergraph, placement: Placement
 ) -> List[Placement]:
-    """The static placements no worse than ``placement`` on busiest-device
-    tokens and on bytes moved (the hypergraph's connectivity), and not
-    identical to it or to each other."""
+    """``placement``'s owner-computes projection and the static
+    placements, each kept when no worse than ``placement`` on
+    busiest-device tokens and on bytes moved (the hypergraph's
+    connectivity), and not identical to it or to one kept before."""
     k = placement.cluster.num_devices
     graph = bhg.graph
 
@@ -149,16 +179,19 @@ def _dominating_statics(
     max_tokens = placement.tokens_per_device().max()
     max_bytes = graph.connectivity_cost(kept[0], k)
     admitted = []
-    for source in STATIC_HEURISTICS:
-        static = static_placement(bhg, placement.cluster, source)
-        vertex_labels = labels(static)
+    candidates = [_owner_projection(placement)] + [
+        static_placement(bhg, placement.cluster, source)
+        for source in STATIC_HEURISTICS
+    ]
+    for candidate in candidates:
+        vertex_labels = labels(candidate)
         if (
-            static.tokens_per_device().max() <= max_tokens
+            candidate.tokens_per_device().max() <= max_tokens
             and graph.connectivity_cost(vertex_labels, k) <= max_bytes
             and not any(np.array_equal(vertex_labels, seen) for seen in kept)
         ):
             kept.append(vertex_labels)
-            admitted.append(static)
+            admitted.append(candidate)
     return admitted
 
 
@@ -220,7 +253,8 @@ def place_blocks(
       from scratch.
 
     A computed placement (cold or repaired, never an adopted one)
-    carries the dominating static placements as ``alternatives``.
+    carries its dominating owner-computes projection and static
+    placements as ``alternatives``.
     """
     config = config or PlacementConfig()
     num_machines = cluster.num_machines
@@ -325,5 +359,5 @@ def place_blocks(
         num_edges=bhg.graph.num_edges,
         infeasible_partitions=infeasible,
     )
-    placement.alternatives = _dominating_statics(bhg, placement)
+    placement.alternatives = _dominating_alternatives(bhg, placement)
     return placement

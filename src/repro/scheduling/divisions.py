@@ -20,10 +20,10 @@ The paper fixes ``T = 4`` (§7.1), which pays where a division's
 computation dwarfs the ~5 kernel launches it adds and loses elsewhere.
 :func:`fill_divisions` is that fixed-``T`` scheduler;
 :func:`build_schedule` runs it for ``T = 1, 2, 4, ...`` up to its
-``num_divisions`` on the placement and on each static placement it
-carries as ``alternatives``, prices every candidate with
-:mod:`.pricing` and keeps the cheapest — so a plan never prices slower
-than the admitted static CP / DP placement of the same blocks.
+``num_divisions`` on the placement and on each candidate it carries as
+``alternatives`` (its owner-computes projection, the static CP / DP
+placements), prices every candidate with :mod:`.pricing` and keeps the
+cheapest — so a plan never prices slower than an admitted alternative.
 Everything that does not depend on ``T`` — block homes, per-device
 block lists, remote inputs, bytes and FLOPs — is derived once per
 (block set, placement), on integer ids.

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from repro.baselines import (
 )
 from repro.pipeline import device_payload, plan_fingerprint
 from repro.placement import PlacementConfig, place_blocks
+from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.scheduling import build_schedule, serialize_backward_schedule
 from repro.sim import ClusterSpec
 
@@ -118,6 +120,38 @@ def test_plan_families_roundtrip_columnar(name):
     assert_wire_identical(plan)
     for device, dp in plan.device_plans.items():
         assert device_payload(device, dp)[:4] == DEVICE_MAGIC
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [LambdaMask(sink=4, window=12),
+     SharedQuestionMask(num_answers=2, answer_fraction=0.3)],
+    ids=lambda m: m.name,
+)
+def test_decoded_plan_executes_without_shipped_ranges(mask):
+    """The per-token attend ranges are derived from the batch's masks,
+    so the wire leaves them out; the decoded plan re-derives them and
+    still executes exactly."""
+    planner = DCPPlanner(CLUSTER, attention=ATTENTION,
+                         config=DCPConfig(block_size=16))
+    plan = planner.plan_batch(BatchSpec.build([96, 48, 32], mask))
+    assert "_seq_ranges" in vars(plan.block_set)
+    context_block_set, _, _ = pickle.loads(encode_plan(plan).context)
+    assert "_seq_ranges" not in vars(context_block_set)
+    again = assert_wire_identical(plan)
+    for ranges, expected in zip(again.block_set.seq_ranges,
+                                plan.block_set.seq_ranges):
+        n = expected.seqlen
+        np.testing.assert_array_equal(
+            ranges.tile_mask(0, n, 0, n), expected.tile_mask(0, n, 0, n)
+        )
+    executor = SimExecutor(again)
+    inputs = BatchInputs.random(plan.block_set, seed=5)
+    executor.load_inputs(inputs)
+    executor.run()
+    reference = reference_batch_outputs(plan.block_set, inputs)
+    for out, ref in zip(executor.gather_outputs(), reference):
+        np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5)
 
 
 def test_meta_and_context_survive():

@@ -1,11 +1,12 @@
 """The never-lose guard: ``place_blocks`` attaches to every placement it
-computes the static zigzag / DP-packing placements of the same blocks
-that dominate it on busiest-device tokens and on bytes moved, and
-``build_schedule`` returns the cheapest priced (placement, T) pair.
-These tests pin that the chosen plan never prices or simulates slower
-than the partitioned one, that the dominance rule is what admits a
-static placement, that the choice survives every route to a plan, and
-that it is not an artefact of the cost model's constants."""
+computes its owner-computes projection and the static zigzag /
+DP-packing placements of the same blocks that dominate it on
+busiest-device tokens and on bytes moved, and ``build_schedule``
+returns the cheapest priced (placement, T) pair.  These tests pin that
+the chosen plan never prices or simulates slower than the partitioned
+one, that the dominance rule is what admits an alternative, that the
+choice survives every route to a plan, and that it is not an artefact
+of the cost model's constants."""
 
 import functools
 from dataclasses import replace
@@ -16,6 +17,7 @@ import pytest
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, DilatedBlockMask, LambdaMask, make_mask
+from repro.model.attention import attention_forward_backward
 from repro.pipeline import plan_fingerprint
 from repro.placement import (
     STATIC_HEURISTICS,
@@ -24,7 +26,9 @@ from repro.placement import (
     place_blocks,
     static_placement,
 )
+from repro.runtime import BatchInputs, run_forward_backward
 from repro.scheduling import build_schedule, serialize_schedule
+from repro.scheduling.instructions import CommLaunch
 from repro.sim import ClusterSpec, e2e_iteration_time, simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32)
@@ -48,13 +52,37 @@ def service_batch(seed: int, mask=None) -> BatchSpec:
     return BatchSpec.build(lengths, mask or CausalMask())
 
 
-def placed(batch, cluster, config=CONFIG):
-    block_set = generate_blocks(batch, ATTENTION, block_size=BLOCK)
+def causal_batch(seed: int) -> BatchSpec:
+    """8192 causal tokens in 1-6 sequences (the ``causal_long``
+    geometry of the ledger, planned with block 512 on 2x4)."""
+    rng = np.random.default_rng([seed, 0xCA])
+    parts = int(rng.integers(1, 7))
+    cuts = sorted(rng.choice(np.arange(1, 8192), parts - 1, replace=False))
+    lengths = [b - a for a, b in zip([0, *cuts], [*cuts, 8192])]
+    return BatchSpec.build(lengths, CausalMask())
+
+
+def placed(batch, cluster, config=CONFIG, attention=ATTENTION, block=BLOCK):
+    block_set = generate_blocks(batch, attention, block_size=block)
     return block_set, place_blocks(block_set, cluster, config)
 
 
 def partitioned_only(placement):
     return replace(placement, alternatives=[])
+
+
+def owner_projection(placement):
+    """Every computation block moved onto its query slice's device,
+    built here apart from the filter that admits it."""
+    block_set = placement.block_set
+    comp = block_set.comp_array
+    q_slice = block_set.slice_indices(comp.seq_index, comp.q_block)
+    return replace(
+        placement,
+        comp_device=placement.slice_device[q_slice],
+        source="owner",
+        alternatives=[],
+    )
 
 
 def simulated(plan, cluster=None) -> float:
@@ -108,11 +136,23 @@ class TestNeverLose:
         assert sum(source != "partitioned" for source in sources) >= 8
 
 
+def candidates(bhg, placement):
+    """Every alternative the filter weighs, by source."""
+    return {
+        "owner": owner_projection(placement),
+        **{
+            source: static_placement(bhg, placement.cluster, source)
+            for source in STATIC_HEURISTICS
+        },
+    }
+
+
 class TestDominance:
     @pytest.mark.parametrize("geometry", sorted(CLUSTERS))
-    def test_only_dominating_statics_are_admitted(self, geometry):
+    def test_only_dominating_alternatives_are_admitted(self, geometry):
         cluster = CLUSTERS[geometry]
         rejected_cheaper = 0
+        rejected = set()
         for seed in range(12):
             for mask in (CausalMask(), LambdaMask(sink=64, window=256)):
                 block_set, placement = placed(
@@ -123,34 +163,45 @@ class TestDominance:
                 tokens = placement.tokens_per_device().max()
                 nbytes = comm_bytes(placement)
                 chosen = build_schedule(block_set, placement)
-                for source in STATIC_HEURISTICS:
-                    static = static_placement(bhg, cluster, source)
+                for source, candidate in candidates(bhg, placement).items():
                     dominates = (
-                        static.tokens_per_device().max() <= tokens
-                        and comm_bytes(static) <= nbytes
+                        candidate.tokens_per_device().max() <= tokens
+                        and comm_bytes(candidate) <= nbytes
                     )
                     if source in admitted:
                         assert dominates
                         continue
                     if dominates:  # only a duplicate is left out
                         assert any(
-                            same_labels(static, other)
+                            same_labels(candidate, other)
                             for other in [placement, *placement.alternatives]
                         )
                         continue
+                    rejected.add(source)
                     assert chosen.placement.source != source
-                    price = cheapest(build_schedule(block_set, static))
+                    price = cheapest(build_schedule(block_set, candidate))
                     rejected_cheaper += price < cheapest(chosen)
         # The rule is load-bearing: some rejected placements were faster.
         assert rejected_cheaper > 0
+        if geometry == "2x4":
+            # Moving compute to its query can move more bytes: KV blocks
+            # wanted by several queries travel to each of their devices.
+            assert "owner" in rejected
 
-    @pytest.mark.parametrize("geometry", sorted(CLUSTERS))
+    @pytest.mark.parametrize("geometry", [*sorted(CLUSTERS), "causal_2x4"])
     def test_chosen_end_to_end_iteration_no_slower(self, geometry):
         """Attention no slower and the busiest device's tokens no more:
         the whole modelled training step cannot get slower."""
-        cluster = CLUSTERS[geometry]
         for seed in range(8):
-            block_set, placement = placed(service_batch(seed), cluster)
+            if geometry == "causal_2x4":
+                block_set, placement = placed(
+                    causal_batch(seed), CLUSTERS["2x4"],
+                    attention=AttentionSpec(), block=512,
+                )
+            else:
+                block_set, placement = placed(
+                    service_batch(seed), CLUSTERS[geometry]
+                )
             chosen = serialize_schedule(build_schedule(block_set, placement))
             alone = serialize_schedule(
                 build_schedule(block_set, partitioned_only(placement))
@@ -164,26 +215,27 @@ class TestDominance:
         for seed in range(6):
             block_set, placement = placed(service_batch(seed), SERVICE)
             bhg = build_block_hypergraph(block_set)
-            for source in STATIC_HEURISTICS:
-                static = static_placement(bhg, SERVICE, source)
-                plan = serialize_schedule(build_schedule(block_set, static))
-                assert plan.total_comm_bytes() == comm_bytes(static)
+            for candidate in candidates(bhg, placement).values():
+                plan = serialize_schedule(
+                    build_schedule(block_set, candidate)
+                )
+                assert plan.total_comm_bytes() == comm_bytes(candidate)
 
 
 class TestEveryRoute:
     def planner(self, cluster=SERVICE):
         return DCPPlanner(cluster, ATTENTION, DCPConfig(block_size=BLOCK))
 
-    def zigzag_batch(self):
+    def winning_batch(self, source):
         for seed in range(32):
             batch = service_batch(seed)
             schedule = build_schedule(*placed(batch, SERVICE))
-            if schedule.placement.source == "zigzag":
+            if schedule.placement.source == source:
                 return batch
-        raise AssertionError("no batch where zigzag wins")
+        raise AssertionError(f"no batch where {source} wins")
 
     def test_adopted_warm_placement_carries_no_alternatives(self):
-        batch = self.zigzag_batch()
+        batch = self.winning_batch("zigzag")
         plan = self.planner().plan_batch(batch)
         block_set = generate_blocks(batch, ATTENTION, block_size=BLOCK)
         adopted = place_blocks(
@@ -200,8 +252,9 @@ class TestEveryRoute:
 
     def test_repaired_warm_placement_carries_alternatives(self):
         """A warm start stranded on a lost machine is repaired and
-        refined, and the result is weighed against the statics too."""
-        batch = self.zigzag_batch()
+        refined, and the result is weighed against its owner-computes
+        projection and the statics too."""
+        batch = self.winning_batch("zigzag")
         block_set, on_grown = placed(batch, replace(SERVICE, num_machines=2))
         assert on_grown.slice_device.max() >= 4  # some labels are stranded
         repaired = place_blocks(
@@ -210,13 +263,14 @@ class TestEveryRoute:
             CONFIG,
             warm=(on_grown.slice_device, on_grown.comp_device),
         )
-        assert [p.source for p in repaired.alternatives] == ["zigzag"]
+        assert [p.source for p in repaired.alternatives] == ["owner", "zigzag"]
 
-    def test_decomposed_path_equals_plan_batch_where_zigzag_wins(self):
-        batch = self.zigzag_batch()
+    @pytest.mark.parametrize("source", ["zigzag", "owner"])
+    def test_decomposed_path_equals_plan_batch(self, source):
+        batch = self.winning_batch(source)
         planner = self.planner()
         plan = planner.plan_batch(batch)
-        assert plan.meta["placement_source"] == "zigzag"
+        assert plan.meta["placement_source"] == source
         block_set = generate_blocks(batch, ATTENTION, block_size=BLOCK)
         placement = place_blocks(
             block_set, SERVICE, planner.config.placement_config()
@@ -231,24 +285,25 @@ class TestEveryRoute:
             plan_fingerprint(plan)
         )
 
-    def test_delta_replan_adopts_the_winner_byte_for_byte(self):
-        batch = self.zigzag_batch()
+    @pytest.mark.parametrize("source", ["zigzag", "owner"])
+    def test_delta_replan_adopts_the_winner_byte_for_byte(self, source):
+        batch = self.winning_batch(source)
         planner = self.planner()
         plan = planner.plan_batch(batch)
         again = planner.plan_batch(batch, warm=plan.meta["placement"])
         assert plan_fingerprint(again) == plan_fingerprint(plan)
         # The adopted placement keeps the source it was chosen under.
-        assert again.meta["placement_source"] == "zigzag"
-        assert again.meta["placement"][2] == "zigzag"
+        assert again.meta["placement_source"] == source
+        assert again.meta["placement"][2] == source
         assert planner.metrics.counter(
-            "planner.placement_source.zigzag"
+            f"planner.placement_source.{source}"
         ).value == 2
         assert planner.metrics.counter(
             "planner.placement_source.partitioned"
         ).value == 0
 
     def test_choice_is_observable(self):
-        batch = self.zigzag_batch()
+        batch = self.winning_batch("zigzag")
         planner = self.planner()
         plan = planner.plan_batch(batch)
         stats = planner.last_stats
@@ -282,10 +337,79 @@ class TestEveryRoute:
         assert single.last_stats.infeasible_partitions == 0
 
 
+def owner_won(count: int):
+    """The first ``count`` service batches whose plan the owner-computes
+    projection wins: ``[(block_set, schedule)]``."""
+    won = []
+    for seed in range(64):
+        block_set, placement = placed(service_batch(seed), SERVICE)
+        schedule = build_schedule(block_set, placement)
+        if schedule.placement.source == "owner":
+            won.append((block_set, schedule))
+            if len(won) == count:
+                return won
+    raise AssertionError(f"owner wins fewer than {count} service batches")
+
+
+class TestOwnerProjection:
+    def test_projection_keeps_the_slices(self):
+        admitted = 0
+        for seed in range(16):
+            block_set, placement = placed(service_batch(seed), SERVICE)
+            for alternative in placement.alternatives:
+                if alternative.source != "owner":
+                    continue
+                admitted += 1
+                np.testing.assert_array_equal(
+                    alternative.slice_device, placement.slice_device
+                )
+                np.testing.assert_array_equal(
+                    alternative.tokens_per_device(),
+                    placement.tokens_per_device(),
+                )
+                assert same_labels(alternative, owner_projection(placement))
+        assert admitted > 0
+
+    def test_owner_won_plans_send_no_partial_outputs(self):
+        for _, schedule in owner_won(6):
+            plan = serialize_schedule(schedule)
+            assert plan.total_comm_bytes() > 0  # KV still travels
+            for device_plan in plan.device_plans.values():
+                for instruction in device_plan.instructions:
+                    if isinstance(instruction, CommLaunch):
+                        assert all(
+                            send.tag[0] != "out" for send in instruction.sends
+                        )
+
+    def test_owner_won_plan_matches_dense_attention(self):
+        ((block_set, schedule),) = owner_won(1)
+        inputs = BatchInputs.random(block_set, seed=21)
+        rng = np.random.default_rng(22)
+        grad_outputs = [
+            rng.standard_normal(q.shape).astype(np.float32) for q in inputs.q
+        ]
+        outputs, grads, _, _ = run_forward_backward(
+            schedule, inputs, grad_outputs
+        )
+        for seq, spec in enumerate(block_set.batch.sequences):
+            out_ref, dense = attention_forward_backward(
+                inputs.q[seq], inputs.k[seq], inputs.v[seq], spec.mask
+            )
+            np.testing.assert_allclose(outputs[seq], out_ref, rtol=2e-4,
+                                       atol=2e-5)
+            for grad, ref in zip(
+                (grads.dq, grads.dk, grads.dv), dense(grad_outputs[seq])
+            ):
+                np.testing.assert_allclose(grad[seq], ref, rtol=3e-3,
+                                           atol=3e-4)
+
+
 #: Four of the five ``sparse_mixed`` batches (16384 tokens of 20-38
-#: sequences, block 512, 2x4; seed 0) on which DP packing wins — the
-#: fifth carries per-sequence RLHF masks.  With launch overhead halved
-#: the first trails its partitioned alternative by 6.4 %.
+#: sequences, block 512, 2x4; seed 0) on which DP packing beats the
+#: partitioned placement — the fifth carries per-sequence RLHF masks.
+#: The owner-computes projection wins three of them (the first at DP
+#: packing's price, with no bytes moved either).  With launch overhead
+#: halved the first trails its partitioned alternative by 6.4 %.
 SPARSE_LAMBDA = LambdaMask(sink=512, window=2048)
 SPARSE_BATCHES = [
     (
@@ -351,9 +475,9 @@ class TestSensitivity:
     constant halved or doubled, the chosen plan should trail the
     partitioned-only plan by at most 5 % (ROADMAP item 1).  It does at
     service geometry, 1x4 and 2x4.  At ``sparse_mixed``'s geometry it
-    does not with launch overhead halved: one DP-packed plan trails by
-    6.4 %, an expected failure here and a row of the sensitivity table
-    in ``docs/benchmarks.md``."""
+    does not with launch overhead halved: one plan that moves no bytes
+    trails by 6.4 %, an expected failure here and a row of the
+    sensitivity table in ``docs/benchmarks.md``."""
 
     @pytest.mark.parametrize(
         "geometry, field, factor",
@@ -380,8 +504,21 @@ class TestSensitivity:
         )
         assert worst <= 1.05, f"chosen trails partitioned by {worst - 1:.1%}"
 
-    def test_dp_packing_wins_the_sparse_batches(self):
-        """DP packing keeps every sequence on one device: no bytes."""
-        _, pairs = sensitivity_plans("sparse_2x4")
+    def test_sparse_batches_no_slower_than_dp_packing(self):
+        """DP packing beats the partitioned placement on these batches;
+        the chosen plan is no slower than DP packing alone and moves no
+        more bytes than the partitioned placement alone."""
+        cluster, pairs = sensitivity_plans("sparse_2x4")
         for chosen, alone in pairs:
-            assert chosen.total_comm_bytes() == 0 < alone.total_comm_bytes()
+            block_set = chosen.block_set
+            dp_pack = serialize_schedule(
+                build_schedule(
+                    block_set,
+                    static_placement(
+                        build_block_hypergraph(block_set), cluster, "dp_pack"
+                    ),
+                )
+            )
+            assert simulated(dp_pack) < simulated(alone)
+            assert simulated(chosen) <= simulated(dp_pack) * (1 + 1e-9)
+            assert chosen.total_comm_bytes() <= alone.total_comm_bytes()
