@@ -28,10 +28,9 @@ cells).  ``--smoke`` runs a reduced grid (>= 12 cells) against tiny
 batches, writes a scratch report, and *gates*: per-cell steady hidden
 fraction must clear the ``smoke_hidden_floor`` recorded in the tracked
 ``BENCH_scenarios.json``, fixed cells must be fingerprint-identical to
-synchronous planning, event cells must re-plan, every cell must move
-communication volume unless all its plans run on DP packing or an
-owner-computes projection, and the grid must cover every mask family
-x packer pair.
+synchronous planning, event cells must re-plan, every plan that places
+a computation block away from its query or key/value slice must move
+data, and the grid must cover every mask family x packer pair.
 ``benchmarks/check_bench_floors.py:check_scenarios`` re-checks the
 same floors in CI.
 
@@ -291,12 +290,18 @@ def _measure_cell(
     fingerprints: List = []
     comm_bytes: List[int] = []
     sources: Dict[str, int] = {}
+    needing = missing = 0
 
     def execute(local_data, plan):
+        nonlocal needing, missing
         fingerprints.append(plan_fingerprint(plan))
-        comm_bytes.append(plan.total_comm_bytes())
+        nbytes = plan.total_comm_bytes()
+        comm_bytes.append(nbytes)
         source = plan.meta.get("placement_source", "unknown")
         sources[source] = sources.get(source, 0) + 1
+        if needs_comm(plan):
+            needing += 1
+            missing += nbytes <= 0
         return inner_execute(local_data, plan)
 
     runner = PipelineRunner(
@@ -325,6 +330,8 @@ def _measure_cell(
         ),
         "comm_bytes_total": int(sum(comm_bytes)),
         "placement_sources": dict(sorted(sources.items())),
+        "plans_needing_comm": needing,
+        "plans_missing_comm": missing,
         "replans": stats.replans,
         "partial_replans": stats.partial_replans,
         "replan_jobs_reused": stats.replan_jobs_reused,
@@ -454,19 +461,29 @@ def _tracked_floor(key: str, default):
         return default
 
 
-#: Placements that may legitimately move no data: DP packing keeps each
-#: sequence on one device, and an owner-computes projection moves data
-#: only when a query needs a key/value block held on another device
-#: (at the smoke geometry every ``length_grouped`` sequence fits one
-#: block, so none does).
-NO_DATA_SOURCES = frozenset({"dp_pack", "owner"})
+def needs_comm(plan) -> bool:
+    """Whether some computation block of ``plan`` runs on another device
+    than its query or key/value slice, so the plan cannot run without
+    moving data.  Read from the placement labels
+    (``plan.meta["placement"]``), not from the sends, so it holds
+    whichever placement won: DP packing, or an owner projection of
+    sequences that fit one block, need none."""
+    slice_device, comp_device = plan.meta["placement"][:2]
+    block_set = plan.block_set
+    comp = block_set.comp_array
+    q_device = slice_device[
+        block_set.slice_indices(comp.seq_index, comp.q_block)
+    ]
+    kv_device = slice_device[
+        block_set.slice_indices(comp.seq_index, comp.kv_block)
+    ]
+    return bool(((q_device != comp_device) | (kv_device != comp_device)).any())
 
 
-def may_move_no_data(row: Dict) -> bool:
-    """Every plan of the cell runs on DP packing or on an owner-computes
-    projection — the one reason a cell may move no data at all."""
-    sources = set(row.get("placement_sources") or {})
-    return bool(sources) and sources <= NO_DATA_SOURCES
+def missing_comm(row: Dict) -> bool:
+    """Some plan of the cell needs data moved (:func:`needs_comm`) yet
+    sent none.  A row without the count fails too."""
+    return int(row.get("plans_missing_comm", 1)) > 0
 
 
 def gate_failures(report: Dict, hidden_floor: float,
@@ -494,8 +511,11 @@ def gate_failures(report: Dict, hidden_floor: float,
                 f"{row['steady_hidden_fraction']:.3f} below the floor "
                 f"{hidden_floor:.3f}"
             )
-        if row["comm_bytes_total"] <= 0 and not may_move_no_data(row):
-            failures.append(f"{name}: no communication volume recorded")
+        if missing_comm(row):
+            failures.append(
+                f"{name}: {row.get('plans_missing_comm')} plans that place "
+                f"a block away from its slices moved no data"
+            )
         if row["stream"] == "fixed" and not row.get("fingerprints_identical"):
             failures.append(
                 f"{name}: plans are not fingerprint-identical to "

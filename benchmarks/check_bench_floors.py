@@ -46,8 +46,9 @@ Checked metrics:
 * scenario matrix — the smoke grid covers every mask family x packer
   pair with at least ``BENCH_scenarios.json["min_cells"]`` cells; every
   cell's steady hidden fraction clears
-  ``BENCH_scenarios.json["smoke_hidden_floor"]`` and records
-  communication volume; fixed-stream cells are fingerprint-identical
+  ``BENCH_scenarios.json["smoke_hidden_floor"]``, and every plan that
+  places a computation block away from its slices moved data
+  (``bench_scenarios.missing_comm``); fixed-stream cells are fingerprint-identical
   to synchronous planning and event cells observed at least one
   re-plan;
 * observability — the *tracked* ``BENCH_obs.json`` overhead ratios hold
@@ -72,6 +73,8 @@ import json
 import os
 import sys
 from typing import List, Optional, Sequence
+
+from bench_scenarios import missing_comm
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -434,20 +437,12 @@ def check_scenarios(gate: Gate, strict: bool) -> None:
         f"scenario matrix worst steady hidden fraction {worst:.3f} >= "
         f"floor {hidden_floor:.3f}",
     )
-    # A cell whose every plan runs on DP packing or on an owner-computes
-    # projection may move nothing (bench_scenarios.NO_DATA_SOURCES); any
-    # other cell must communicate.
-    no_comm = []
-    for row in rows:
-        sources = set(row.get("placement_sources") or {})
-        exempt = bool(sources) and sources <= {"dp_pack", "owner"}
-        if int(row.get("comm_bytes_total", 0)) <= 0 and not exempt:
-            no_comm.append(row["scenario"])
+    no_comm = [row["scenario"] for row in rows if missing_comm(row)]
     gate.check(
         not no_comm,
-        "every scenario cell not DP-packed or owner-computed throughout "
-        "recorded communication volume"
-        + (f" (empty: {', '.join(no_comm)})" if no_comm else ""),
+        "every scenario plan that places a block away from its slices "
+        "moved data"
+        + (f" (silent: {', '.join(no_comm)})" if no_comm else ""),
     )
     unverified = [
         row["scenario"] for row in rows
