@@ -1,14 +1,14 @@
 """The paper's baselines: RingFlashAttention (ring / zigzag), LoongTrain,
-TransformerEngine and the Megatron-LM end-to-end model."""
+TransformerEngine and the Megatron-LM end-to-end model.
 
-from .common import (
-    contiguous_slice_assignment,
-    slices_by_assignment,
-    zigzag_slice_assignment,
-)
+All four attention baselines lower through the one static ring of
+:mod:`.ring`: RingFlashAttention with one head row, TransformerEngine
+(and LoongTrain / Megatron on top of it) with one head row per KV group.
+"""
+
 from .loongtrain import LoongTrainPlanner, pad_batch
 from .megatron import MegatronBaseline
-from .ring import RingAttentionPlanner
+from .ring import RingAttentionPlanner, slice_positions
 from .ring_backward import plan_ring_backward, run_ring_forward_backward
 from .transformer_engine import TransformerEnginePlanner
 
@@ -20,7 +20,5 @@ __all__ = [
     "LoongTrainPlanner",
     "MegatronBaseline",
     "pad_batch",
-    "contiguous_slice_assignment",
-    "zigzag_slice_assignment",
-    "slices_by_assignment",
+    "slice_positions",
 ]

@@ -12,9 +12,8 @@ highlights:
   In our link-level simulator, any cyclic ring order with positions
   laid out contiguously across machines already crosses machine
   boundaries the minimum number of times, so inner-ring sizes are
-  near-equivalent; `plan()` uses the contiguous order and reports the
-  inner-ring size only as metadata (the paper likewise reports the best
-  size of {1, 2, 4, 8}).
+  near-equivalent and `plan()` models the one contiguous ring (the
+  paper likewise reports only the best size of {1, 2, 4, 8}).
 
 Plans built here are *timing-faithful* but not numerics-comparable to
 the unpadded batch (the padded tail computes garbage, exactly as real
@@ -38,12 +37,7 @@ def pad_batch(batch: BatchSpec) -> BatchSpec:
 
 
 class LoongTrainPlanner:
-    """Head + ring CP on padded inputs (double-ring metadata only)."""
-
-    def __init__(self, head_parallel: int = 0, inner_ring: int = 8) -> None:
-        self.head_parallel = head_parallel
-        self.inner_ring = inner_ring
-        self._inner = TransformerEnginePlanner(head_parallel=head_parallel)
+    """Head + ring CP on padded inputs."""
 
     name = "loongtrain"
 
@@ -54,9 +48,8 @@ class LoongTrainPlanner:
             attention=block_set.attention,
             block_size=block_set.block_size,
         )
-        plan = self._inner.plan(padded_blocks, cluster)
+        plan = TransformerEnginePlanner().plan(padded_blocks, cluster)
         plan.meta["planner"] = self.name
-        plan.meta["inner_ring"] = self.inner_ring
         plan.meta["padded_tokens"] = padded_blocks.batch.total_tokens
         plan.meta["real_tokens"] = block_set.batch.total_tokens
         return plan

@@ -30,13 +30,12 @@ class MegatronBaseline:
         attention: Optional[AttentionSpec] = None,
         model: Optional[ModelSpec] = None,
         block_size: int = 2048,
-        head_parallel: int = 0,
     ) -> None:
         self.cluster = cluster
         self.attention = attention or AttentionSpec()
         self.model = model or GPT_8B
         self.block_size = block_size
-        self._planner = TransformerEnginePlanner(head_parallel=head_parallel)
+        self._planner = TransformerEnginePlanner()
 
     def plan(self, block_set: BlockSet, cluster: Optional[ClusterSpec] = None):
         """Attention plan only (planner-protocol compatibility)."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-
 from ..blocks import BlockKind, BlockSet, DataBlockId
 from ..scheduling.buffers import BufferManager
 from ..scheduling.instructions import (
@@ -27,11 +26,7 @@ from ..scheduling.instructions import (
     SendArg,
 )
 from ..sim.cluster import ClusterSpec
-from .common import (
-    contiguous_slice_assignment,
-    slices_by_assignment,
-    zigzag_slice_assignment,
-)
+from .ring import RingAttentionPlanner, ring_layout
 
 __all__ = ["plan_ring_backward", "run_ring_forward_backward"]
 
@@ -49,7 +44,6 @@ def run_ring_forward_backward(
     like :func:`repro.runtime.run_plans_forward_backward`.
     """
     from ..runtime.backward import run_plans_forward_backward
-    from .ring import RingAttentionPlanner
 
     forward_plan = RingAttentionPlanner(zigzag=zigzag).plan(block_set, cluster)
     backward_plan = plan_ring_backward(block_set, cluster, zigzag=zigzag)
@@ -63,93 +57,49 @@ def plan_ring_backward(
 ) -> ExecutionPlan:
     """Build the ring backward plan (matches the RFA forward placement)."""
     num_devices = cluster.num_devices
-    attention = block_set.attention
-    assign = (
-        zigzag_slice_assignment(block_set, num_devices)
-        if zigzag
-        else contiguous_slice_assignment(block_set, num_devices)
-    )
-    device_slices = slices_by_assignment(block_set, assign, num_devices)
-
-    chunks: List[List[DataBlockId]] = []
-    for device in range(num_devices):
-        chunk = []
-        for slice_index in device_slices[device]:
-            token_slice = block_set.token_slices[slice_index]
-            for head_group in range(attention.head_groups):
-                chunk.append(
-                    DataBlockId(
-                        BlockKind.KV,
-                        token_slice.seq_index,
-                        token_slice.block_index,
-                        head_group,
-                    )
-                )
-        chunks.append(chunk)
-
-    slice_of = {
-        (ts.seq_index, ts.block_index): i
-        for i, ts in enumerate(block_set.token_slices)
-    }
-    tiles_by: Dict[Tuple[int, int], List] = {}
-    for comp in block_set.comp_blocks:
-        owner = int(assign[slice_of[(comp.seq_index, comp.q_block)]])
-        source = int(assign[slice_of[(comp.seq_index, comp.kv_block)]])
-        step = (owner - source) % num_devices
-        tiles_by.setdefault((owner, step), []).append(comp)
-
-    def dkv_bytes(block: DataBlockId) -> int:
-        return block_set.block_bytes(block)  # dK+dV mirror K+V
-
+    layout = ring_layout(block_set, num_devices, hp=1, zigzag=zigzag)
     device_plans: Dict[int, DevicePlan] = {}
     for device in range(num_devices):
         buffers = BufferManager()
         instructions: List = []
-        q_slots: Dict[Tuple[int, int, int], int] = {}
-        kv_slots: Dict[Tuple[int, int, int], int] = {}
-        do_slots: Dict[Tuple[int, int, int], int] = {}
-        dq_slots: Dict[Tuple[int, int, int], int] = {}
-        dkv_slots: Dict[Tuple[int, int, int], int] = {}
+        slots: Dict[str, Dict[Tuple[int, int, int], int]] = {
+            buffer: {} for buffer in ("q", "kv", "do", "dq", "dkv")
+        }
         local_slices = [
-            block_set.token_slices[i] for i in device_slices[device]
+            block_set.token_slices[i] for i in layout.position_slices[device]
         ]
         for token_slice in local_slices:
-            for head_group in range(attention.head_groups):
-                key = (token_slice.seq_index, token_slice.block_index,
-                       head_group)
-                q_slots[key] = buffers.alloc("q")
-                kv_slots[key] = buffers.alloc("kv")
-                do_slots[key] = buffers.alloc("do")
-                dq_slots[key] = buffers.alloc("dq")
-                dkv_slots[key] = buffers.alloc("dkv")
+            for head_group in range(block_set.attention.head_groups):
+                key = (token_slice.seq_index, token_slice.block_index, head_group)
+                for buffer, slot_map in slots.items():
+                    slot_map[key] = buffers.alloc(buffer)
 
-        # Current circulating slots of (kv, dkv) per block on this device.
-        kv_current: Dict[DataBlockId, int] = {
-            DataBlockId(BlockKind.KV, k[0], k[1], k[2]): slot
-            for k, slot in kv_slots.items()
-        }
-        dkv_current: Dict[DataBlockId, int] = {
-            DataBlockId(BlockKind.KV, k[0], k[1], k[2]): slot
-            for k, slot in dkv_slots.items()
+        # Current circulating slots of the kv and dkv payload per block.
+        current: Dict[str, Dict[DataBlockId, int]] = {
+            buffer: {
+                DataBlockId(BlockKind.KV, *key): slot
+                for key, slot in slots[buffer].items()
+            }
+            for buffer in ("kv", "dkv")
         }
         next_peer = (device + 1) % num_devices
         prev_peer = (device - 1) % num_devices
         op_base = device * 1_000_000
 
         for step in range(num_devices):
-            held = (device - step) % num_devices
-            incoming = (device - step - 1) % num_devices
+            held = layout.chunks[((device - step) % num_devices, 0)]
+            incoming = layout.chunks[((device - step - 1) % num_devices, 0)]
 
             tiles = []
-            for comp in tiles_by.get((device, step), []):
+            for comp in layout.tiles.get((device, step), []):
                 q_key = (comp.seq_index, comp.q_block, comp.head_group)
                 tiles.append(
                     BackwardTile(
-                        q_slot=q_slots[q_key],
-                        kv_slot=kv_current[comp.kv_input],
-                        do_slot=do_slots[q_key],
-                        dq_slot=dq_slots[q_key],
-                        dkv_slot=dkv_current[comp.kv_input],
+                        q_slot=slots["q"][q_key],
+                        kv_slot=current["kv"][comp.kv_input],
+                        do_slot=slots["do"][q_key],
+                        dq_slot=slots["dq"][q_key],
+                        dkv_slot=current["dkv"][comp.kv_input],
                         seq_index=comp.seq_index,
                         head_group=comp.head_group,
                         q_block=comp.q_block,
@@ -160,48 +110,32 @@ def plan_ring_backward(
                 instructions.append(BlockwiseAttentionBackward(tuple(tiles)))
 
             if step < num_devices - 1:
-                # Forward the held chunk (kv + dkv) after computing on it.
+                # Forward the held chunk (kv + dkv) after computing on it;
+                # dK+dV mirror K+V in size.
                 op_id = op_base + step
                 sends = []
-                for block in chunks[held]:
-                    sends.append(
-                        SendArg(
-                            peer=next_peer, buffer="kv",
-                            slot=kv_current[block],
-                            tag=("bwring", "kv", step, block),
-                            nbytes=block_set.block_bytes(block),
-                        )
-                    )
-                    sends.append(
-                        SendArg(
-                            peer=next_peer, buffer="dkv",
-                            slot=dkv_current[block],
-                            tag=("bwring", "dkv", step, block),
-                            nbytes=dkv_bytes(block),
-                        )
-                    )
                 recvs = []
-                kv_next: Dict[DataBlockId, int] = {}
-                dkv_next: Dict[DataBlockId, int] = {}
-                for block in chunks[incoming]:
-                    kv_slot = buffers.alloc("kv")
-                    dkv_slot = buffers.alloc("dkv")
-                    kv_next[block] = kv_slot
-                    dkv_next[block] = dkv_slot
-                    recvs.append(
-                        RecvArg(
-                            peer=prev_peer, buffer="kv", slot=kv_slot,
-                            tag=("bwring", "kv", step, block),
-                            nbytes=block_set.block_bytes(block),
+                arriving: Dict[str, Dict[DataBlockId, int]] = {"kv": {}, "dkv": {}}
+                for block in held:
+                    for buffer, now in current.items():
+                        sends.append(
+                            SendArg(
+                                peer=next_peer, buffer=buffer, slot=now[block],
+                                tag=("bwring", buffer, step, block),
+                                nbytes=block_set.block_bytes(block),
+                            )
                         )
-                    )
-                    recvs.append(
-                        RecvArg(
-                            peer=prev_peer, buffer="dkv", slot=dkv_slot,
-                            tag=("bwring", "dkv", step, block),
-                            nbytes=dkv_bytes(block),
+                for block in incoming:
+                    for buffer, slot_map in arriving.items():
+                        slot_map[block] = buffers.alloc(buffer)
+                        recvs.append(
+                            RecvArg(
+                                peer=prev_peer, buffer=buffer,
+                                slot=slot_map[block],
+                                tag=("bwring", buffer, step, block),
+                                nbytes=block_set.block_bytes(block),
+                            )
                         )
-                    )
                 if sends or recvs:
                     instructions.append(
                         CommLaunch(op_id=op_id, sends=tuple(sends),
@@ -210,58 +144,54 @@ def plan_ring_backward(
                     instructions.append(CommWait(op_id=op_id))
                 # Retire the forwarded slots (payloads were snapshotted at
                 # launch) and adopt the incoming chunk.
-                for block in chunks[held]:
-                    if step > 0:
-                        buffers.free("kv", kv_current.pop(block))
-                        buffers.free("dkv", dkv_current.pop(block))
-                    else:
-                        kv_current.pop(block)
-                        dkv_current.pop(block)
-                kv_current.update(kv_next)
-                dkv_current.update(dkv_next)
+                for buffer, now in current.items():
+                    for block in held:
+                        slot = now.pop(block)
+                        if step > 0:
+                            buffers.free(buffer, slot)
+                    now.update(arriving[buffer])
 
         # Final hop: the chunk held after the last step belongs to the
         # next device; its accumulator is complete — send it home.
-        final_held = (device + 1) % num_devices
-        op_id = op_base + num_devices
-        sends = tuple(
-            SendArg(
-                peer=next_peer, buffer="dkv",
-                slot=dkv_current[block],
-                tag=("bwring", "final", block),
-                nbytes=dkv_bytes(block),
-            )
-            for block in chunks[final_held]
-        ) if num_devices > 1 else ()
-        recvs = tuple(
-            RecvArg(
-                peer=prev_peer, buffer="dkv",
-                slot=dkv_slots[(block.seq_index, block.block_index,
-                                block.head_group)],
-                tag=("bwring", "final", block),
-                nbytes=dkv_bytes(block),
-            )
-            for block in chunks[device]
-        ) if num_devices > 1 else ()
+        sends, recvs = [], []
+        if num_devices > 1:
+            sends = [
+                SendArg(
+                    peer=next_peer, buffer="dkv",
+                    slot=current["dkv"][block],
+                    tag=("bwring", "final", block),
+                    nbytes=block_set.block_bytes(block),
+                )
+                for block in layout.chunks[((device + 1) % num_devices, 0)]
+            ]
+            recvs = [
+                RecvArg(
+                    peer=prev_peer, buffer="dkv",
+                    slot=slots["dkv"][(block.seq_index, block.block_index,
+                                       block.head_group)],
+                    tag=("bwring", "final", block),
+                    nbytes=block_set.block_bytes(block),
+                )
+                for block in layout.chunks[(device, 0)]
+            ]
         if sends or recvs:
+            op_id = op_base + num_devices
             instructions.append(
-                CommLaunch(op_id=op_id, sends=sends, recvs=recvs)
+                CommLaunch(op_id=op_id, sends=tuple(sends), recvs=tuple(recvs))
             )
             instructions.append(CommWait(op_id=op_id))
 
-        plan = DevicePlan(
+        device_plans[device] = DevicePlan(
             device=device,
             instructions=instructions,
             buffer_sizes=buffers.sizes(),
             local_slices=local_slices,
-            o_slots={},
-            q_slots=q_slots,
-            kv_slots=kv_slots,
+            q_slots=slots["q"],
+            kv_slots=slots["kv"],
+            do_slots=slots["do"],
+            dq_slots=slots["dq"],
+            dkv_slots=slots["dkv"],
         )
-        plan.do_slots = do_slots
-        plan.dq_slots = dq_slots
-        plan.dkv_slots = dkv_slots
-        device_plans[device] = plan
 
     return ExecutionPlan(
         block_set=block_set,

@@ -1,21 +1,12 @@
 """TransformerEngine-style baseline (paper baseline (iii), [30]).
 
 Parallelizes attention along both the head and the sequence dimension:
-with head-parallel degree ``hp`` (= number of KV groups, minimizing its
-communication, exactly as the paper configures it) the ``R`` devices
-form a grid of ``sr = R / hp`` ring positions x ``hp`` head rows.
-Token slices are zigzag-assigned to ring positions; inside a position,
-slice homes alternate between the ``hp`` sibling devices.
-
-Execution per device ``(p, h)``:
-
-1. *prologue* (the all-to-all in real TE): fetch the head-group-``h``
-   Q/KV blocks of position ``p`` that are homed on sibling devices;
-2. ``sr`` ring steps circulating the head-row's KV chunks — statically,
-   every step, regardless of mask sparsity (the baseline inefficiency
-   DCP removes);
-3. *epilogue*: ship partial outputs back to their home devices, merge,
-   finalize.
+the static ring of :mod:`.ring` with one head row per KV group (the
+head-parallel degree that minimizes its communication, exactly as the
+paper configures it) and zigzag-assigned ring positions.  The ``R``
+devices form ``R / hp`` ring positions x ``hp`` head rows; the prologue
+all-to-all gathers each row's heads, the ring circulates KV every step,
+and the epilogue returns partial outputs home.
 
 Following §7.1, this is the paper's own "enhanced TE": variable-length
 inputs are supported and arbitrary masks are applied inside each local
@@ -25,27 +16,10 @@ communication schedule never changes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import numpy as np
-
-from ..blocks import BlockKind, BlockSet, DataBlockId
-from ..scheduling.buffers import BufferManager
-from ..scheduling.instructions import (
-    BlockwiseAttention,
-    BlockwiseReduction,
-    CommLaunch,
-    CommWait,
-    DevicePlan,
-    ExecutionPlan,
-    FinalizeArg,
-    MergeArg,
-    RecvArg,
-    SendArg,
-    Tile,
-)
+from ..blocks import BlockSet
+from ..scheduling.instructions import ExecutionPlan
 from ..sim.cluster import ClusterSpec
-from .common import slices_by_assignment, zigzag_slice_assignment
+from .ring import static_ring_plan
 
 __all__ = ["TransformerEnginePlanner"]
 
@@ -53,372 +27,8 @@ __all__ = ["TransformerEnginePlanner"]
 class TransformerEnginePlanner:
     """Head + sequence hybrid CP with static zigzag placement."""
 
-    def __init__(self, head_parallel: int = 0) -> None:
-        # 0 means "use the attention spec's head-group count".
-        self.head_parallel = head_parallel
-
     name = "te"
 
     def plan(self, block_set: BlockSet, cluster: ClusterSpec) -> ExecutionPlan:
-        attention = block_set.attention
-        hp = self.head_parallel or attention.head_groups
-        if attention.head_groups % hp != 0:
-            raise ValueError("head-parallel degree must divide head groups")
-        num_devices = cluster.num_devices
-        if num_devices % hp != 0:
-            raise ValueError("cluster size must be divisible by head parallel")
-        sr = num_devices // hp  # ring length
-
-        position_of_slice = zigzag_slice_assignment(block_set, sr)
-        slices_per_position = slices_by_assignment(block_set, position_of_slice, sr)
-
-        def device_of(position: int, head_row: int) -> int:
-            return position * hp + head_row
-
-        # Slice homes alternate between the position's sibling devices.
-        slice_home = np.zeros(len(block_set.token_slices), dtype=np.int64)
-        for position in range(sr):
-            for order, slice_index in enumerate(slices_per_position[position]):
-                slice_home[slice_index] = device_of(position, order % hp)
-
-        def head_row_of(head_group: int) -> int:
-            return head_group % hp
-
-        # KV chunk of (position, head_row): blocks this row's ring moves.
-        chunks: Dict[Tuple[int, int], List[DataBlockId]] = {
-            (p, h): [] for p in range(sr) for h in range(hp)
-        }
-        groups_of_row: Dict[int, List[int]] = {h: [] for h in range(hp)}
-        for head_group in range(attention.head_groups):
-            groups_of_row[head_row_of(head_group)].append(head_group)
-        for position in range(sr):
-            for slice_index in slices_per_position[position]:
-                token_slice = block_set.token_slices[slice_index]
-                for head_group in range(attention.head_groups):
-                    chunks[(position, head_row_of(head_group))].append(
-                        DataBlockId(
-                            BlockKind.KV,
-                            token_slice.seq_index,
-                            token_slice.block_index,
-                            head_group,
-                        )
-                    )
-
-        # Computation tiles grouped by (device, ring step).
-        slice_of = {
-            (ts.seq_index, ts.block_index): i
-            for i, ts in enumerate(block_set.token_slices)
-        }
-        tiles_by: Dict[Tuple[int, int], List] = {}
-        produced: set = set()
-        for comp in block_set.comp_blocks:
-            q_position = int(
-                position_of_slice[slice_of[(comp.seq_index, comp.q_block)]]
-            )
-            kv_position = int(
-                position_of_slice[slice_of[(comp.seq_index, comp.kv_block)]]
-            )
-            owner = device_of(q_position, head_row_of(comp.head_group))
-            step = (q_position - kv_position) % sr
-            tiles_by.setdefault((owner, step), []).append(comp)
-            produced.add((owner, (comp.seq_index, comp.q_block, comp.head_group)))
-
-        device_plans: Dict[int, DevicePlan] = {}
-        for position in range(sr):
-            for head_row in range(hp):
-                device = device_of(position, head_row)
-                device_plans[device] = self._device_plan(
-                    device,
-                    position,
-                    head_row,
-                    hp,
-                    sr,
-                    block_set,
-                    slice_home,
-                    slices_per_position,
-                    chunks,
-                    tiles_by,
-                    groups_of_row[head_row],
-                    produced,
-                )
-        return ExecutionPlan(
-            block_set=block_set,
-            cluster=cluster,
-            device_plans=device_plans,
-            meta={"planner": self.name, "head_parallel": hp, "ring": sr},
-        )
-
-    def _device_plan(
-        self,
-        device: int,
-        position: int,
-        head_row: int,
-        hp: int,
-        sr: int,
-        block_set: BlockSet,
-        slice_home: np.ndarray,
-        slices_per_position: List[List[int]],
-        chunks: Dict[Tuple[int, int], List[DataBlockId]],
-        tiles_by: Dict[Tuple[int, int], List],
-        my_head_groups: List[int],
-        produced: set,
-    ) -> DevicePlan:
-        attention = block_set.attention
-        buffers = BufferManager()
-        instructions: List = []
-        q_slots: Dict[Tuple[int, int, int], int] = {}
-        kv_slots: Dict[Tuple[int, int, int], int] = {}
-        o_slots: Dict[Tuple[int, int, int], int] = {}
-        acc_slots: Dict[Tuple[int, int, int], int] = {}
-        remote_q: Dict[DataBlockId, int] = {}
-
-        local_slices = [
-            block_set.token_slices[i]
-            for i in range(len(block_set.token_slices))
-            if int(slice_home[i]) == device
-        ]
-        for token_slice in local_slices:
-            for head_group in range(attention.head_groups):
-                key = (token_slice.seq_index, token_slice.block_index, head_group)
-                q_slots[key] = buffers.alloc("q")
-                kv_slots[key] = buffers.alloc("kv")
-                o_slots[key] = buffers.alloc("o")
-
-        def acc_for(key: Tuple[int, int, int]) -> int:
-            if key not in acc_slots:
-                acc_slots[key] = buffers.alloc("acc")
-            return acc_slots[key]
-
-        slice_of = {
-            (ts.seq_index, ts.block_index): i
-            for i, ts in enumerate(block_set.token_slices)
-        }
-
-        # -- prologue: gather my head groups' Q and KV of my position ----
-        current: Dict[DataBlockId, int] = {}
-        prologue_recvs: List[RecvArg] = []
-        for slice_index in slices_per_position[position]:
-            token_slice = block_set.token_slices[slice_index]
-            home = int(slice_home[slice_index])
-            for head_group in my_head_groups:
-                kv_block = DataBlockId(
-                    BlockKind.KV,
-                    token_slice.seq_index,
-                    token_slice.block_index,
-                    head_group,
-                )
-                q_block = DataBlockId(
-                    BlockKind.Q,
-                    token_slice.seq_index,
-                    token_slice.block_index,
-                    head_group,
-                )
-                key = (token_slice.seq_index, token_slice.block_index, head_group)
-                if home == device:
-                    current[kv_block] = kv_slots[key]
-                    continue
-                for block, buffer in ((q_block, "q"), (kv_block, "kv")):
-                    slot = buffers.alloc(buffer)
-                    if buffer == "q":
-                        remote_q[block] = slot
-                    else:
-                        current[kv_block] = slot
-                    prologue_recvs.append(
-                        RecvArg(
-                            peer=home,
-                            buffer=buffer,
-                            slot=slot,
-                            tag=("a2a", block),
-                            nbytes=block_set.block_bytes(block),
-                        )
-                    )
-        # Matching prologue sends: blocks homed here that siblings need.
-        prologue_sends: List[SendArg] = []
-        for token_slice in local_slices:
-            for head_group in range(attention.head_groups):
-                row = head_group % hp
-                if row == head_row:
-                    continue
-                sibling = position * hp + row
-                key = (token_slice.seq_index, token_slice.block_index, head_group)
-                for kind, buffer, slot in (
-                    (BlockKind.Q, "q", q_slots[key]),
-                    (BlockKind.KV, "kv", kv_slots[key]),
-                ):
-                    block = DataBlockId(
-                        kind,
-                        token_slice.seq_index,
-                        token_slice.block_index,
-                        head_group,
-                    )
-                    prologue_sends.append(
-                        SendArg(
-                            peer=sibling,
-                            buffer=buffer,
-                            slot=slot,
-                            tag=("a2a", block),
-                            nbytes=block_set.block_bytes(block),
-                        )
-                    )
-        op_base = device * 1_000_000
-        if prologue_sends or prologue_recvs:
-            instructions.append(
-                CommLaunch(
-                    op_id=op_base,
-                    sends=tuple(prologue_sends),
-                    recvs=tuple(prologue_recvs),
-                )
-            )
-            instructions.append(CommWait(op_id=op_base))
-
-        def q_slot_of(comp) -> int:
-            key = (comp.seq_index, comp.q_block, comp.head_group)
-            if key in q_slots:
-                return q_slots[key]
-            return remote_q[comp.q_input]
-
-        # -- ring steps over positions (head row fixed) --------------------
-        next_peer = ((position + 1) % sr) * hp + head_row
-        prev_peer = ((position - 1) % sr) * hp + head_row
-        for step in range(sr):
-            held = (position - step) % sr
-            incoming = (position - step - 1) % sr
-            op_id = op_base + 1 + step
-            recv_slots: Dict[DataBlockId, int] = {}
-            if step < sr - 1:
-                sends = tuple(
-                    SendArg(
-                        peer=next_peer,
-                        buffer="kv",
-                        slot=current[block],
-                        tag=("ring", head_row, step, block),
-                        nbytes=block_set.block_bytes(block),
-                    )
-                    for block in chunks[(held, head_row)]
-                )
-                recvs = []
-                for block in chunks[(incoming, head_row)]:
-                    slot = buffers.alloc("kv")
-                    recv_slots[block] = slot
-                    recvs.append(
-                        RecvArg(
-                            peer=prev_peer,
-                            buffer="kv",
-                            slot=slot,
-                            tag=("ring", head_row, step, block),
-                            nbytes=block_set.block_bytes(block),
-                        )
-                    )
-                if sends or recvs:
-                    instructions.append(
-                        CommLaunch(op_id=op_id, sends=sends, recvs=tuple(recvs))
-                    )
-
-            tiles = []
-            for comp in tiles_by.get((device, step), []):
-                key = (comp.seq_index, comp.q_block, comp.head_group)
-                tiles.append(
-                    Tile(
-                        q_slot=q_slot_of(comp),
-                        kv_slot=current[comp.kv_input],
-                        acc_slot=acc_for(key),
-                        seq_index=comp.seq_index,
-                        head_group=comp.head_group,
-                        q_block=comp.q_block,
-                        kv_block=comp.kv_block,
-                    )
-                )
-            if tiles:
-                instructions.append(BlockwiseAttention(tuple(tiles)))
-
-            if step < sr - 1:
-                if any(
-                    isinstance(ins, CommLaunch) and ins.op_id == op_id
-                    for ins in instructions
-                ):
-                    instructions.append(CommWait(op_id=op_id))
-                retiring = chunks[(held, head_row)]
-                for block in retiring:
-                    slot = current.pop(block)
-                    if step > 0 or int(
-                        slice_home[slice_of[(block.seq_index, block.block_index)]]
-                    ) != device:
-                        buffers.free("kv", slot)
-                current.update(recv_slots)
-
-        # -- epilogue: return partial outputs to their home devices --------
-        out_sends: List[SendArg] = []
-        for key in sorted(acc_slots):
-            seq_index, q_block, head_group = key
-            home = int(slice_home[slice_of[(seq_index, q_block)]])
-            if home == device:
-                continue
-            block = DataBlockId(BlockKind.O, seq_index, q_block, head_group)
-            out_sends.append(
-                SendArg(
-                    peer=home,
-                    buffer="acc",
-                    slot=acc_slots[key],
-                    tag=("out", block, device),
-                    nbytes=block_set.block_bytes(block),
-                )
-            )
-        out_recvs: List[RecvArg] = []
-        staging: List[Tuple[Tuple[int, int, int], int]] = []
-        for token_slice in local_slices:
-            for head_group in range(attention.head_groups):
-                row = head_group % hp
-                if row == head_row:
-                    continue  # computed locally
-                producer = position * hp + row
-                key = (token_slice.seq_index, token_slice.block_index, head_group)
-                if (producer, key) not in produced:
-                    continue  # fully masked output row: nothing to merge
-                block = DataBlockId(
-                    BlockKind.O,
-                    token_slice.seq_index,
-                    token_slice.block_index,
-                    head_group,
-                )
-                slot = buffers.alloc("acc")
-                staging.append((key, slot))
-                out_recvs.append(
-                    RecvArg(
-                        peer=producer,
-                        buffer="acc",
-                        slot=slot,
-                        tag=("out", block, producer),
-                        nbytes=block_set.block_bytes(block),
-                    )
-                )
-        if out_sends or out_recvs:
-            op_id = op_base + sr + 1
-            instructions.append(
-                CommLaunch(
-                    op_id=op_id, sends=tuple(out_sends), recvs=tuple(out_recvs)
-                )
-            )
-            instructions.append(CommWait(op_id=op_id))
-
-        merges = tuple(
-            MergeArg(src_acc_slot=slot, dst_acc_slot=acc_for(key))
-            for key, slot in staging
-        )
-        finalizes = tuple(
-            FinalizeArg(acc_slot=acc_for(key), o_slot=o_slot)
-            for key, o_slot in o_slots.items()
-        )
-        if merges or finalizes:
-            instructions.append(
-                BlockwiseReduction(merges=merges, finalizes=finalizes)
-            )
-
-        return DevicePlan(
-            device=device,
-            instructions=instructions,
-            buffer_sizes=buffers.sizes(),
-            local_slices=local_slices,
-            o_slots=o_slots,
-            q_slots=q_slots,
-            kv_slots=kv_slots,
-        )
+        hp = block_set.attention.head_groups
+        return static_ring_plan(block_set, cluster, self.name, hp, zigzag=True)

@@ -11,7 +11,7 @@ independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -87,19 +87,7 @@ def plan_with_groups(
     if cluster.num_machines % num_groups != 0:
         raise ValueError("machines must divide evenly into groups")
     machines_per_group = cluster.num_machines // num_groups
-    group_cluster = ClusterSpec(
-        num_machines=machines_per_group,
-        devices_per_machine=cluster.devices_per_machine,
-        peak_flops=cluster.peak_flops,
-        flops_efficiency=cluster.flops_efficiency,
-        intra_bandwidth=cluster.intra_bandwidth,
-        intra_latency=cluster.intra_latency,
-        inter_bandwidth=cluster.inter_bandwidth,
-        inter_latency=cluster.inter_latency,
-        kernel_overhead=cluster.kernel_overhead,
-        tile_overhead=cluster.tile_overhead,
-        hbm_bandwidth=cluster.hbm_bandwidth,
-    )
+    group_cluster = replace(cluster, num_machines=machines_per_group)
     group_batches = split_batch_by_workload(batch, num_groups)
     group_plans: List[Optional[object]] = []
     for group_batch in group_batches:

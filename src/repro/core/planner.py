@@ -36,8 +36,9 @@ class PlanningStats:
     gains it consulted on it (counted per planning thread), how many
     partition calls ended outside the balance caps, the division count
     the scheduler chose (``DCPConfig.num_divisions`` is its upper bound)
-    and whose placement it chose (``"partitioned"``, or the static
-    ``"zigzag"`` / ``"dp_pack"`` one that priced cheaper).
+    and whose placement it chose (``"partitioned"``, or the alternative
+    that priced cheaper: its ``"owner"``-computes projection or the
+    static ``"zigzag"`` / ``"dp_pack"`` one).
     """
 
     block_generation: float = 0.0

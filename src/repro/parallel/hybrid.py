@@ -18,7 +18,7 @@ all-reduces, activation p2p and gradient sync are analytic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -85,19 +85,7 @@ def _stage_cluster(cluster: ClusterSpec, topology: RankTopology) -> ClusterSpec:
             f"pp degree {topology.pp} must divide machines "
             f"{cluster.num_machines}"
         )
-    per_stage = ClusterSpec(
-        num_machines=cluster.num_machines // topology.pp,
-        devices_per_machine=cluster.devices_per_machine,
-        peak_flops=cluster.peak_flops,
-        flops_efficiency=cluster.flops_efficiency,
-        intra_bandwidth=cluster.intra_bandwidth,
-        intra_latency=cluster.intra_latency,
-        inter_bandwidth=cluster.inter_bandwidth,
-        inter_latency=cluster.inter_latency,
-        kernel_overhead=cluster.kernel_overhead,
-        tile_overhead=cluster.tile_overhead,
-        hbm_bandwidth=cluster.hbm_bandwidth,
-    )
+    per_stage = replace(cluster, num_machines=cluster.num_machines // topology.pp)
     return dcp_view_cluster(per_stage, topology.tp)
 
 

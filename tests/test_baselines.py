@@ -7,9 +7,8 @@ from repro.baselines import (
     LoongTrainPlanner,
     RingAttentionPlanner,
     TransformerEnginePlanner,
-    contiguous_slice_assignment,
     pad_batch,
-    zigzag_slice_assignment,
+    slice_positions,
 )
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
@@ -29,17 +28,17 @@ CLUSTER = ClusterSpec(num_machines=2, devices_per_machine=2)
 class TestAssignments:
     def test_contiguous_splits_in_order(self):
         block_set = build(seqlens=(128,), block_size=16)  # 8 slices
-        assign = contiguous_slice_assignment(block_set, 4)
+        assign = slice_positions(block_set, 4, zigzag=False)
         assert assign.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_zigzag_mirrors(self):
         block_set = build(seqlens=(128,), block_size=16)
-        assign = zigzag_slice_assignment(block_set, 4)
+        assign = slice_positions(block_set, 4, zigzag=True)
         assert assign.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
 
     def test_short_sequence_covers_prefix_devices(self):
         block_set = build(seqlens=(32,), block_size=16)  # 2 slices, k=4
-        assign = contiguous_slice_assignment(block_set, 4)
+        assign = slice_positions(block_set, 4, zigzag=False)
         assert set(assign.tolist()) <= {0, 1, 2, 3}
 
 
@@ -69,6 +68,50 @@ def test_baseline_numerics(planner, mask):
     references = reference_batch_outputs(block_set, inputs)
     for out, ref in zip(outputs, references):
         np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5)
+
+
+PIN_BATCHES = {
+    "causal_2x2": (
+        dict(seqlens=(96, 48, 32)),
+        ClusterSpec(num_machines=2, devices_per_machine=2),
+    ),
+    "sparse_2x4": (
+        dict(seqlens=(160, 96, 64, 32),
+             mask=SharedQuestionMask(num_answers=2, answer_fraction=0.3)),
+        ClusterSpec(num_machines=2, devices_per_machine=4),
+    ),
+}
+
+# Simulated forward + backward ms and total comm bytes of each baseline:
+# the denominators of every DCP speedup.  A refactor of the static ring
+# must reproduce them exactly.
+BASELINE_PINS = {
+    ("rfa_ring", "causal_2x2"): (0.364041703931624, 67584),
+    ("rfa_zigzag", "causal_2x2"): (0.39203390358974355, 67584),
+    ("te", "causal_2x2"): (0.32912936752136757, 56320),
+    ("loongtrain", "causal_2x2"): (0.38021981538461547, 92160),
+    ("rfa_ring", "sparse_2x4"): (0.6840897832478632, 315392),
+    ("rfa_zigzag", "sparse_2x4"): (0.7240331049572649, 315392),
+    ("te", "sparse_2x4"): (0.6402135384615383, 202752),
+    ("loongtrain", "sparse_2x4"): (0.7194997880341878, 368640),
+}
+PIN_PLANNERS = {
+    "rfa_ring": RingAttentionPlanner(zigzag=False),
+    "rfa_zigzag": RingAttentionPlanner(zigzag=True),
+    "te": TransformerEnginePlanner(),
+    "loongtrain": LoongTrainPlanner(),
+}
+
+
+@pytest.mark.parametrize("planner_name,batch_name", sorted(BASELINE_PINS))
+def test_baseline_denominators_pinned(planner_name, batch_name):
+    build_kwargs, cluster = PIN_BATCHES[batch_name]
+    plan = PIN_PLANNERS[planner_name].plan(build(**build_kwargs), cluster)
+    ms = 1e3 * (
+        simulate_plan(plan).iteration_time
+        + simulate_plan(plan, backward=True).iteration_time
+    )
+    assert (ms, plan.total_comm_bytes()) == BASELINE_PINS[(planner_name, batch_name)]
 
 
 class TestRingProperties:
@@ -110,10 +153,11 @@ class TestTEProperties:
         te = TransformerEnginePlanner().plan(block_set, CLUSTER)
         assert te.total_comm_bytes() < rfa.total_comm_bytes()
 
-    def test_rejects_bad_head_parallel(self):
-        block_set = build()
+    def test_rejects_cluster_head_groups_do_not_divide(self):
+        block_set = build()  # 2 KV groups
+        cluster = ClusterSpec(num_machines=1, devices_per_machine=3)
         with pytest.raises(ValueError):
-            TransformerEnginePlanner(head_parallel=3).plan(block_set, CLUSTER)
+            TransformerEnginePlanner().plan(block_set, cluster)
 
     def test_head_rows_split_work(self):
         block_set = build(seqlens=(128,))
