@@ -11,15 +11,12 @@ The accounting matters for the planner-overlap analysis: serialized
 plans are megabytes, and shipping them must not erase the benefit of
 parallel planning.
 
-Long-running multi-tenant serving (:mod:`repro.service`) adds two
-requirements the original store did not have: *bounded residency* and
-*honest miss accounting*.  ``max_bytes`` turns the store into an LRU
-over payload bytes (reads refresh recency; eviction never touches a
-key that a blocked :meth:`KVStore.get` is waiting on), ``ttl_s``
-reclaims entries idle longer than the deadline at write time or via
-:meth:`KVStore.expire`, and every lookup — including a
-:meth:`KVStore.try_get` miss and a timed-out blocking get — lands in
-``kv.gets``/``kv.get_s`` with misses broken out in ``kv.get_misses``.
+Every lookup — including a :meth:`KVStore.try_get` miss and a
+timed-out blocking get — lands in ``kv.gets``/``kv.get_s`` with misses
+broken out in ``kv.get_misses``, so the cache-miss-heavy traffic of
+multi-tenant serving (:mod:`repro.service`) is accounted honestly.
+Residency is the caller's to bound: ``KVPlannerBackend`` deletes the
+iterations that fall out of its fetch window.
 
 Values are encoded once, on ``put``: arbitrary objects are pickled —
 exactly what crossing a process boundary would require, so stored
@@ -36,11 +33,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
-import random
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
@@ -54,8 +49,6 @@ class _Entry:
     payload: bytes
     version: int
     raw: bool = False
-    #: Monotonic stamp of the last write, for TTL reclamation.
-    stamp: float = field(default=0.0, compare=False)
 
     def value(self) -> Any:
         return self.payload if self.raw else pickle.loads(self.payload)
@@ -69,44 +62,20 @@ def _encode(value: Any) -> Tuple[bytes, bool]:
 
 
 class KVStore:
-    """Thread-safe blocking key-value store with versioned writes.
-
-    ``max_bytes`` bounds the resident payload bytes: every write
-    evicts least-recently-used entries (reads refresh recency) until
-    the store fits again.  ``ttl_s`` additionally reclaims entries
-    whose last write is older than the deadline — checked on every
-    write and on explicit :meth:`expire` calls, so a long-running
-    multi-tenant service cannot grow the host machine without bound.
-    Neither policy ever evicts a key that a blocked :meth:`get` /
-    :meth:`get_unless` is currently waiting on: the waiter registered
-    before the value arrived, and snatching the payload back between
-    the publishing ``put`` and the waiter's wake-up would turn a
-    guaranteed delivery into a timeout.
-    """
+    """Thread-safe blocking key-value store with versioned writes."""
 
     def __init__(
         self,
         host_machine: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        max_bytes: Optional[int] = None,
-        ttl_s: Optional[float] = None,
     ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
         self.host_machine = host_machine
-        self.max_bytes = max_bytes
-        self.ttl_s = ttl_s
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: Dict[str, _Entry] = {}
         self._size = 0
         #: Store-wide write counter: a version is never reused, so a
-        #: cursor taken before a key was deleted or evicted cannot match
-        #: whatever is written under that key afterwards.
+        #: cursor taken before a key was deleted cannot match whatever
+        #: is written under that key afterwards.
         self._versions = itertools.count(1)
-        #: Keys with a blocked ``get``/``get_unless`` registered on
-        #: them (key -> waiter count); eviction skips these.
-        self._waiters: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         #: Byte accounting and op-latency histograms (``kv.*``) live in
@@ -119,12 +88,10 @@ class KVStore:
         self._puts = self.metrics.counter("kv.puts")
         self._gets = self.metrics.counter("kv.gets")
         self._get_misses = self.metrics.counter("kv.get_misses")
-        self._evictions = self.metrics.counter("kv.evictions")
-        self._evicted_bytes = self.metrics.counter("kv.evicted_bytes")
         self._put_s = self.metrics.histogram("kv.put_s")
         self._get_s = self.metrics.histogram("kv.get_s")
 
-    # -- bounded-residency machinery (lock held for all of these) --------
+    # -- resident-size bookkeeping (lock held) ---------------------------
 
     def _insert(self, key: str, entry: _Entry) -> None:
         previous = self._entries.pop(key, None)
@@ -138,60 +105,6 @@ class KVStore:
         if entry is not None:
             self._size -= len(entry.payload)
         return entry
-
-    def _evictable(self, key: str) -> bool:
-        return key not in self._waiters
-
-    def _enforce_limits(self, protect: Optional[str] = None) -> None:
-        """Apply TTL then LRU-by-bytes, skipping blocked-reader keys.
-
-        ``protect`` (the key a put just wrote) is never evicted by its
-        own write: a store too small for one payload should still serve
-        that payload to the consumer the write was for.
-        """
-        evicted = evicted_bytes = 0
-        if self.ttl_s is not None:
-            deadline = time.monotonic() - self.ttl_s
-            stale = [
-                key for key, entry in self._entries.items()
-                if entry.stamp < deadline
-                and key != protect and self._evictable(key)
-            ]
-            for key in stale:
-                entry = self._drop(key)
-                evicted += 1
-                evicted_bytes += len(entry.payload)
-        if self.max_bytes is not None and self._size > self.max_bytes:
-            for key in list(self._entries):
-                if self._size <= self.max_bytes:
-                    break
-                if key == protect or not self._evictable(key):
-                    continue
-                entry = self._drop(key)
-                evicted += 1
-                evicted_bytes += len(entry.payload)
-        if evicted:
-            self._evictions.inc(evicted)
-            self._evicted_bytes.inc(evicted_bytes)
-
-    def expire(self) -> int:
-        """Reclaim TTL-stale entries now; returns the count evicted."""
-        if self.ttl_s is None:
-            return 0
-        before = self._evictions.value
-        with self._lock:
-            self._enforce_limits()
-        return self._evictions.value - before
-
-    def _register_waiter(self, key: str) -> None:
-        self._waiters[key] = self._waiters.get(key, 0) + 1
-
-    def _unregister_waiter(self, key: str) -> None:
-        count = self._waiters.get(key, 0) - 1
-        if count > 0:
-            self._waiters[key] = count
-        else:
-            self._waiters.pop(key, None)
 
     # -- primitives -----------------------------------------------------
     #
@@ -207,9 +120,8 @@ class KVStore:
             with self._changed:
                 version = next(self._versions)
                 self._insert(key, _Entry(payload=payload, version=version,
-                                         raw=raw, stamp=time.monotonic()))
+                                         raw=raw))
                 self._bytes_in.inc(len(payload))
-                self._enforce_limits(protect=key)
                 self._changed.notify_all()
         self._puts.inc()
         self._put_s.observe(time.perf_counter() - start)
@@ -237,20 +149,13 @@ class KVStore:
             with self._changed:
                 previous = self._entries.get(key)
                 if previous is not None and previous.payload == payload:
-                    # Unchanged republish: still activity — refresh the
-                    # TTL stamp and LRU recency so a hot entry is not
-                    # reclaimed from under its republisher.
-                    previous.stamp = time.monotonic()
-                    self._entries.move_to_end(key)
                     result = previous.version, False, len(payload)
                 else:
                     version = next(self._versions)
                     self._insert(key, _Entry(
                         payload=payload, version=version, raw=raw,
-                        stamp=time.monotonic(),
                     ))
                     self._bytes_in.inc(len(payload))
-                    self._enforce_limits(protect=key)
                     self._changed.notify_all()
                     result = version, True, len(payload)
         self._puts.inc()
@@ -272,22 +177,14 @@ class KVStore:
         start = time.perf_counter()
         with _span("kv.get", "kv", key=key):
             with self._changed:
-                # Registering the waiter before blocking pins the key
-                # against eviction for the whole wait: the publishing
-                # put must reach this reader, not the LRU reaper.
-                self._register_waiter(key)
-                try:
-                    if not self._changed.wait_for(
-                        lambda: key in self._entries, timeout=timeout
-                    ):
-                        self._record_get(start, miss=True)
-                        raise KeyError(key)
-                    entry = self._entries[key]
-                    self._entries.move_to_end(key)
-                    self._bytes_out.inc(len(entry.payload))
-                    result = entry.value(), len(entry.payload)
-                finally:
-                    self._unregister_waiter(key)
+                if not self._changed.wait_for(
+                    lambda: key in self._entries, timeout=timeout
+                ):
+                    self._record_get(start, miss=True)
+                    raise KeyError(key)
+                entry = self._entries[key]
+                self._bytes_out.inc(len(entry.payload))
+                result = entry.value(), len(entry.payload)
         self._record_get(start)
         return result
 
@@ -326,27 +223,22 @@ class KVStore:
         start = time.perf_counter()
         with _span("kv.get_unless", "kv", key=key):
             with self._changed:
-                self._register_waiter(key)
-                try:
-                    if not self._changed.wait_for(
-                        lambda: key in self._entries, timeout=timeout
-                    ):
-                        self._record_get(start, miss=True)
-                        raise KeyError(key)
-                    entry = self._entries[key]
-                    self._entries.move_to_end(key)
-                    if version is not None and entry.version == version:
-                        result = None, entry.version, False, 0
-                    else:
-                        self._bytes_out.inc(len(entry.payload))
-                        result = (
-                            entry.value(),
-                            entry.version,
-                            True,
-                            len(entry.payload),
-                        )
-                finally:
-                    self._unregister_waiter(key)
+                if not self._changed.wait_for(
+                    lambda: key in self._entries, timeout=timeout
+                ):
+                    self._record_get(start, miss=True)
+                    raise KeyError(key)
+                entry = self._entries[key]
+                if version is not None and entry.version == version:
+                    result = None, entry.version, False, 0
+                else:
+                    self._bytes_out.inc(len(entry.payload))
+                    result = (
+                        entry.value(),
+                        entry.version,
+                        True,
+                        len(entry.payload),
+                    )
         self._record_get(start)
         return result
 
@@ -376,7 +268,6 @@ class KVStore:
             if entry is None:
                 self._record_get(start, miss=True)
                 return None
-            self._entries.move_to_end(key)
             self._bytes_out.inc(len(entry.payload))
             value = entry.value()
         self._record_get(start)
@@ -425,78 +316,33 @@ class KVClient:
     they charge is the payload the store actually encoded — the bytes
     a Redis client would put on the socket — not a second
     serialization of the value.
-
-    ``max_retries`` > 0 makes every operation retry *transient*
-    failures with jittered exponential backoff (base doubling per
-    attempt, capped, scaled by a uniform jitter factor so a fleet of
-    clients retrying the same outage doesn't re-stampede in phase).
-    Transience is duck-typed — any exception carrying a truthy
-    ``retryable`` attribute qualifies (the convention of
-    :mod:`repro.service.errors`, which this layer must not import) —
-    so a dead shard or an injected drop is retried while a genuine
-    bug (``TypeError``, ``KeyError``) surfaces on the first throw.
-    The default ``max_retries=0`` preserves fail-fast behavior.
     """
 
     store: KVStore
     machine: int
     bytes_sent: int = 0
     bytes_received: int = 0
-    max_retries: int = 0
-    backoff_base_s: float = 0.005
-    backoff_cap_s: float = 0.25
-    backoff_jitter: float = 0.5
-    retries: int = 0
-    #: Injectable randomness/sleep for deterministic tests.
-    rng: Any = None
-    sleep: Any = time.sleep
 
     @property
     def is_local(self) -> bool:
         return self.machine == self.store.host_machine
 
-    def _backoff_s(self, attempt: int) -> float:
-        delay = min(self.backoff_cap_s,
-                    self.backoff_base_s * (2 ** attempt))
-        if self.backoff_jitter > 0:
-            rng = self.rng if self.rng is not None else random
-            delay *= 1.0 - self.backoff_jitter * rng.random()
-        return delay
-
-    def _with_retry(self, op):
-        """Run ``op`` with bounded retry on duck-typed transient errors."""
-        attempt = 0
-        while True:
-            try:
-                return op()
-            except Exception as exc:
-                if (not getattr(exc, "retryable", False)
-                        or attempt >= self.max_retries):
-                    raise
-                self.retries += 1
-                self.sleep(self._backoff_s(attempt))
-                attempt += 1
-
     def put(self, key: str, value: Any) -> int:
-        version, nbytes = self._with_retry(
-            lambda: self.store.put_entry(key, value)
-        )
+        version, nbytes = self.store.put_entry(key, value)
         if not self.is_local:
             self.bytes_sent += nbytes
         return version
 
     def get(self, key: str, timeout: Optional[float] = None) -> Any:
-        value, nbytes = self._with_retry(
-            lambda: self.store.get_entry(key, timeout=timeout)
-        )
+        value, nbytes = self.store.get_entry(key, timeout=timeout)
         if not self.is_local:
             self.bytes_received += nbytes
         return value
 
     def put_if_changed(self, key: str, value: Any) -> Tuple[int, bool]:
         """Conditional write; only a changed payload moves over the wire."""
-        version, changed, nbytes = self._with_retry(
-            lambda: self.store.put_if_changed_entry(key, value)
+        version, changed, nbytes = self.store.put_if_changed_entry(
+            key, value
         )
         if changed and not self.is_local:
             self.bytes_sent += nbytes
@@ -509,10 +355,8 @@ class KVClient:
         timeout: Optional[float] = None,
     ) -> Tuple[Optional[Any], int, bool]:
         """Conditional fetch; an unchanged entry moves no payload."""
-        value, new_version, fetched, nbytes = self._with_retry(
-            lambda: self.store.get_unless_entry(
-                key, version=version, timeout=timeout
-            )
+        value, new_version, fetched, nbytes = self.store.get_unless_entry(
+            key, version=version, timeout=timeout
         )
         if fetched and not self.is_local:
             self.bytes_received += nbytes

@@ -18,17 +18,16 @@ tests, benchmarks, and the CI chaos gate all speak the same language:
   (:func:`~repro.faults.schedule.parse_schedule`) and applied either
   in wall-clock time (:class:`~repro.faults.schedule.ScheduleRunner`)
   or stepped deterministically (``apply_through``).
-* :class:`~repro.faults.kvfault.FaultyKVStore` — a KV-store proxy
-  that realizes injector state as typed store failures, for driving
-  the retry/backoff and replication paths without a real dead host.
 
-``benchmarks/bench_chaos.py`` consumes all three to measure
-availability, recovery time, and degraded-serve fraction under a
-scripted failure sequence, CI-gated via ``BENCH_chaos.json``.
+The replicated plan store (:mod:`repro.service.sharding`) and the
+plan service's workers consult the injector at their own fault
+points.  ``benchmarks/bench_chaos.py`` drives a
+:class:`~repro.faults.schedule.ScheduleRunner` against such a service
+to measure availability, recovery time, and degraded-serve fraction
+under a scripted failure sequence, CI-gated via ``BENCH_chaos.json``.
 """
 
 from .injector import FaultInjector
-from .kvfault import FaultyKVStore
 from .schedule import (
     FaultEvent,
     FaultSchedule,
@@ -38,7 +37,6 @@ from .schedule import (
 
 __all__ = [
     "FaultInjector",
-    "FaultyKVStore",
     "FaultEvent",
     "FaultSchedule",
     "ScheduleRunner",

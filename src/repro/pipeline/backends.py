@@ -446,8 +446,9 @@ class KVPlannerBackend:
     #: and nothing older is ever pulled again.
     MAX_FETCH_CURSORS = 8
 
-    #: How long a consumer waits for a published entry.  Only reached
-    #: when the store reclaimed it (``max_bytes``/TTL) under the pull.
+    #: How long a consumer waits for a published entry.  The job
+    #: publishes before it pulls, so only a store that lost the entry
+    #: under the pull (a foreign delete) ever waits this out.
     FETCH_TIMEOUT_S = 60.0
 
     def __init__(

@@ -6,9 +6,8 @@ tenants — training jobs, eval sweeps, autoscalers probing hypothetical
 cluster shapes — from shared infrastructure:
 
 * :class:`~repro.service.sharding.ShardedPlanStore` — a
-  consistent-hash ring of per-shard KV stores (per-shard locks,
-  per-shard residency budgets) holding encoded plans beyond the hot
-  cache's LRU horizon, with live rebalance on node add.
+  consistent-hash ring of per-shard KV stores (per-shard locks)
+  holding encoded plans beyond the hot cache's LRU horizon.
 * :class:`~repro.service.admission.FairScheduler` +
   :class:`~repro.service.admission.AdmissionController` — weighted
   deficit round-robin over per-tenant queues plus typed load shedding
@@ -25,14 +24,12 @@ cluster shapes — from shared infrastructure:
 Robustness (PR 9) adds the failure-handling layer:
 
 * :mod:`~repro.service.errors` — one typed failure hierarchy with a
-  retryable/non-retryable split (duck-typed so lower layers can
-  classify without importing this package).
+  retryable/non-retryable split (:func:`is_retryable`).
 * :mod:`~repro.service.health` — circuit breakers + heartbeat
   liveness (:class:`~repro.service.health.ShardHealth`), so requests
   route around dead shards instead of timing out into them.
 * R-way replication in the sharded store (writes to R successors,
-  replica-fallback reads, write-repair + anti-entropy healing) and
-  hedged fetches with a p99-derived hedge delay.
+  replica-fallback reads, write-repair + anti-entropy healing).
 * :mod:`~repro.service.degraded` — deterministic zigzag fallback
   plans (tagged ``meta["degraded"]``) served on deadline miss, with
   background upgrade to the optimal plan.

@@ -9,12 +9,9 @@ need to know:
 * **what** failed (the class), and
 * **whether retrying can help** (the ``retryable`` flag).
 
-Retryability is carried as a plain class attribute rather than through
-``isinstance`` checks so that layers *below* the service (e.g.
-:class:`repro.core.kvstore.KVClient`, which must not import this
-package — the service imports core) can classify errors duck-typed:
-``getattr(exc, "retryable", False)``.  :func:`is_retryable` wraps that
-idiom for everyone else.
+Retryability is carried as a plain class attribute:
+:func:`is_retryable` reads ``getattr(exc, "retryable", False)``, so an
+exception from outside the hierarchy classifies as non-retryable.
 
 Classes
 -------

@@ -27,15 +27,16 @@ columnar encoding (:mod:`repro.core.planwire`).
 Fault tolerance (the exception to that identity) is explicit and
 tagged.  A fetch may carry a **deadline**; when the optimal plan
 cannot be produced in time — planner pool saturated (admission shed
-the dispatch), a worker hung, the warm store's primary dead — the
+the dispatch), a worker hung, every warm-store replica dead — the
 service synthesizes a deterministic *degraded* plan (cheap zigzag
 placement, :mod:`repro.service.degraded`), tags it
 ``meta["degraded"] = True``, serves it immediately, and schedules a
 **background upgrade**: the optimal plan is still computed and then
 atomically swapped into the hot cache through the publication epoch
 cursors, so the *next* fetch of the signature is optimal again.
-Deadline-bearing store reads are **hedged** (see
-:meth:`~repro.service.sharding.ShardedPlanStore.try_get`), and planner
+Deadline-bearing store reads go replica by replica like every other
+read (:meth:`~repro.service.sharding.ShardedPlanStore.try_get`): a
+killed or breaker-open owner fails fast and costs no budget.  Planner
 workers survive failing jobs and heartbeat into the shard-health
 tracker, so a hung worker is visible, not silent.
 """
@@ -94,7 +95,7 @@ class PlanService:
         Planner worker threads draining the fair scheduler.
     cache_capacity:
         Hot-cache entries (decoded plans, LRU).
-    shards / replication / max_bytes_per_shard / ttl_s:
+    shards / replication:
         Warm-store geometry; see :class:`ShardedPlanStore`.
         ``replication`` > 1 survives shard loss with no lost plans.
     admission:
@@ -105,7 +106,7 @@ class PlanService:
         arrival epoch rolls and the top-``prewarm_top_k`` predicted
         signatures are pre-warmed.  ``epoch_requests=None`` disables
         auto-rolling (call :meth:`roll_epoch` yourself).
-    fault_injector / hedge_after_s / anti_entropy_interval_s:
+    fault_injector / anti_entropy_interval_s:
         Chaos/robustness wiring, passed to the store (and, for the
         injector, consulted by planner workers under ``worker:<i>``
         targets — an injected hang stalls the worker like a real one).
@@ -118,8 +119,6 @@ class PlanService:
         cache_capacity: int = 64,
         shards: int = 4,
         replication: int = 1,
-        max_bytes_per_shard: Optional[int] = None,
-        ttl_s: Optional[float] = None,
         admission: Optional[AdmissionController] = None,
         quantum: float = 1.0,
         prewarm_top_k: int = 8,
@@ -127,7 +126,6 @@ class PlanService:
         prewarm_weight: float = 0.5,
         upgrade_weight: float = 0.5,
         fault_injector=None,
-        hedge_after_s: Optional[float] = None,
         anti_entropy_interval_s: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -146,11 +144,8 @@ class PlanService:
         self.store = ShardedPlanStore(
             shards=shards,
             replication=replication,
-            max_bytes_per_shard=max_bytes_per_shard,
-            ttl_s=ttl_s,
             metrics=self.metrics,
             fault_injector=fault_injector,
-            hedge_after_s=hedge_after_s,
             anti_entropy_interval_s=anti_entropy_interval_s,
         )
         self.scheduler = FairScheduler(
@@ -317,11 +312,10 @@ class PlanService:
         errors (:class:`PlanTimeout`, :class:`PlanRejected`).
 
         ``deadline`` (seconds) changes the contract from *fail* to
-        *degrade*: the fetch hedges its warm-store read, and if no
-        optimal plan materializes inside the budget — planner
-        saturated, worker hung, store primary dead — a deterministic
-        degraded plan (``meta["degraded"] = True``) is served
-        immediately and the optimal plan is upgraded in the
+        *degrade*: if no optimal plan materializes inside the budget —
+        planner saturated, worker hung, every store replica down — a
+        deterministic degraded plan (``meta["degraded"] = True``) is
+        served immediately and the optimal plan is upgraded in the
         background.  A deadline-bearing fetch only raises when even
         the fallback cannot be built.
         """
@@ -396,12 +390,7 @@ class PlanService:
                     epoch: int, timeout: Optional[float],
                     deadline_at: Optional[float]):
         """Owner path: store lookup first, else a fair-queued dispatch."""
-        hedge = deadline_at is not None and self.store.replication > 1
-        blob = self.store.try_get(
-            signature_key(signature),
-            hedge=hedge,
-            timeout_s=self._remaining(deadline_at),
-        )
+        blob = self.store.try_get(signature_key(signature))
         if blob is not None:
             plan = decode_plan(blob)
             self._store_hits.inc()
@@ -633,12 +622,6 @@ class PlanService:
             "pending_upgrades": self.pending_upgrades(),
             "worker_job_errors": self._job_errors.value,
             "store_put_failures": self._store_put_failures.value,
-            "hedged_fetches": self.metrics.counter(
-                "service.hedged_fetches"
-            ).value,
-            "hedge_wins": self.metrics.counter(
-                "service.hedge_wins"
-            ).value,
             "read_repairs": self.metrics.counter(
                 "service.read_repairs"
             ).value,

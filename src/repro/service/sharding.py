@@ -2,14 +2,14 @@
 
 One coarse :class:`~repro.core.kvstore.KVStore` lock serializes every
 tenant of a multi-tenant plan service; sharding the keyspace over a
-ring of independent stores gives each shard its own lock (and its own
-``max_bytes``/TTL budget), so unrelated signatures never contend.
+ring of independent stores gives each shard its own lock, so
+unrelated signatures never contend.
 
 :class:`HashRing` is the textbook construction: each node projects
 ``replicas`` virtual points onto a 64-bit circle (blake2b of
 ``"node#i"``), and a key belongs to the first node point at or after
-the key's own hash.  Adding a node moves only the keys that land on
-the new node's points — O(moved/total) ≈ 1/nodes.
+the key's own hash.  The store builds its ring once; it never grows
+or shrinks afterwards.
 
 Replication (Dynamo-style) makes the store survive shard loss:
 
@@ -21,14 +21,9 @@ Replication (Dynamo-style) makes the store survive shard loss:
   shards whose circuit breaker is open (no timeout paid per dead
   shard), and **write-repair** any reachable owner found missing the
   key;
-* a restarted (or newly added) shard is healed by that read repair
-  plus **anti-entropy** (:meth:`ShardedPlanStore.sync`): scan every
-  reachable shard, re-copy each key to any owner missing it;
-* **hedged reads**: with replication > 1 a read may arm a hedge — if
-  the primary has not answered within a p99-derived delay (from the
-  live ``kv.get_s`` histogram), the next replica is queried in
-  parallel and the first non-miss wins (the loser's result is
-  discarded).
+* a restarted shard is healed by that read repair plus
+  **anti-entropy** (:meth:`ShardedPlanStore.sync`): scan every
+  reachable shard, re-copy each key to any owner missing it.
 
 Failure *detection* is health-based, not timeout-based: every shard
 operation reports success/failure into a
@@ -44,7 +39,6 @@ which is exactly what replication must survive.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from bisect import bisect_right
@@ -52,7 +46,7 @@ from hashlib import blake2b
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.kvstore import KVStore
-from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
 from .errors import KVOpDropped, ShardUnavailable, TransientServiceError
 from .health import ShardHealth
@@ -121,27 +115,19 @@ class HashRing:
 class ShardedPlanStore:
     """A replicated ring of per-shard :class:`KVStore` nodes.
 
-    Every shard is a full store — versioned writes, blocking gets,
-    bounded residency (``max_bytes``/``ttl_s`` apply *per shard*) — but
-    each holds its own lock, so the coarse serialization of one shared
-    store disappears for keys that hash apart.  All shards feed the
-    same metrics registry: ``kv.*`` counters aggregate across shards,
-    ``service.*`` gauges/counters track the ring, replication, and
-    repair machinery.
+    Every shard is a full store — versioned writes, blocking gets —
+    but each holds its own lock, so the coarse serialization of one
+    shared store disappears for keys that hash apart.  All shards feed
+    the same metrics registry: ``kv.*`` counters aggregate across
+    shards, ``service.*`` gauges/counters track the ring, replication,
+    and repair machinery.
 
     With ``replication`` R > 1 the store tolerates R-1 simultaneous
     shard losses with no lost keys (see the module docstring for the
     write/read/repair protocol).  ``fault_injector`` wires the chaos
     harness in; ``anti_entropy_interval_s`` starts a background healer
-    thread (otherwise call :meth:`sync` explicitly after topology or
-    failure events).
-
-    :meth:`add_node` rebalances live: every key's owner set is
-    recomputed against the grown ring, copies land on new owners
-    payload-intact (raw stored bytes move, no re-encode) and leave
-    non-owners, under a store-wide rebalance lock so concurrent
-    readers either find the old location or the new one, never
-    neither.
+    thread (otherwise call :meth:`sync` explicitly after failure
+    events).
     """
 
     def __init__(
@@ -149,43 +135,34 @@ class ShardedPlanStore:
         shards: int = 4,
         replicas: int = 64,
         replication: int = 1,
-        max_bytes_per_shard: Optional[int] = None,
-        ttl_s: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector=None,
         health: Optional[ShardHealth] = None,
         breaker_failures: int = 3,
         breaker_reset_s: float = 0.25,
-        hedge_after_s: Optional[float] = None,
         anti_entropy_interval_s: Optional[float] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
         if replication < 1:
             raise ValueError("replication must be positive")
-        if hedge_after_s is not None and hedge_after_s < 0:
-            raise ValueError("hedge_after_s must be non-negative")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_bytes_per_shard = max_bytes_per_shard
-        self.ttl_s = ttl_s
         self.replication = min(replication, shards)
-        self.hedge_after_s = hedge_after_s
         self._injector = fault_injector
         self.health = health if health is not None else ShardHealth(
             failure_threshold=breaker_failures,
             reset_after_s=breaker_reset_s,
             metrics=self.metrics,
         )
-        self._rebalance_lock = threading.RLock()
-        self._stores: Dict[str, KVStore] = {}
+        #: Guards the restart check-and-swap of a shard's backing store.
+        self._restart_lock = threading.Lock()
         self._seen_restarts: Dict[str, int] = {}
         names = [f"shard{i}" for i in range(shards)]
         self.ring = HashRing(names, replicas=replicas)
-        for name in names:
-            self._stores[name] = self._make_store()
-        self._shards_gauge = self.metrics.gauge("service.store_shards")
-        self._shards_gauge.set(shards)
-        self._rebalanced = self.metrics.counter("service.rebalanced_keys")
+        self._stores: Dict[str, KVStore] = {
+            name: KVStore(metrics=self.metrics) for name in names
+        }
+        self.metrics.gauge("service.store_shards").set(shards)
         self._write_failures = self.metrics.counter(
             "service.replica_write_failures"
         )
@@ -196,8 +173,6 @@ class ShardedPlanStore:
         self._restarts_seen = self.metrics.counter(
             "service.shard_restarts_seen"
         )
-        self._hedged = self.metrics.counter("service.hedged_fetches")
-        self._hedge_wins = self.metrics.counter("service.hedge_wins")
         self._closed = threading.Event()
         self._ae_thread: Optional[threading.Thread] = None
         if anti_entropy_interval_s is not None:
@@ -211,34 +186,16 @@ class ShardedPlanStore:
             )
             self._ae_thread.start()
 
-    def _make_store(self) -> KVStore:
-        return KVStore(
-            metrics=self.metrics,
-            max_bytes=self.max_bytes_per_shard,
-            ttl_s=self.ttl_s,
-        )
-
     @property
     def num_shards(self) -> int:
-        with self._rebalance_lock:
-            return len(self._stores)
-
-    @property
-    def rebalanced_keys(self) -> int:
-        return self._rebalanced.value
-
-    def shard_for(self, key: str) -> str:
-        with self._rebalance_lock:
-            return self.ring.node_for(key)
+        return len(self._stores)
 
     def owners_for(self, key: str) -> List[str]:
         """Owner shard names in preference order (primary first)."""
-        with self._rebalance_lock:
-            return self.ring.nodes_for(key, self.replication)
+        return self.ring.nodes_for(key, self.replication)
 
     def store(self, name: str) -> KVStore:
-        with self._rebalance_lock:
-            return self._stores[name]
+        return self._stores[name]
 
     # -- guarded shard access -------------------------------------------
     #
@@ -259,11 +216,11 @@ class ShardedPlanStore:
         if self._injector is None:
             return
         count = self._injector.restart_count(f"shard:{name}")
-        with self._rebalance_lock:
+        with self._restart_lock:
             if self._seen_restarts.get(name, 0) == count:
                 return
             self._seen_restarts[name] = count
-            self._stores[name] = self._make_store()
+            self._stores[name] = KVStore(metrics=self.metrics)
         self._restarts_seen.inc()
         self.health.record_success(name)
 
@@ -282,10 +239,8 @@ class ShardedPlanStore:
             if self._injector.should_drop(target, op):
                 self.health.record_failure(name)
                 raise KVOpDropped(target, op)
-        with self._rebalance_lock:
-            store = self._stores[name]
         try:
-            result = fn(store)
+            result = fn(self._stores[name])
         except TransientServiceError:
             self.health.record_failure(name)
             raise
@@ -295,8 +250,7 @@ class ShardedPlanStore:
     # -- keyed operations ------------------------------------------------
 
     def _resolve(self, key: str) -> KVStore:
-        with self._rebalance_lock:
-            return self._stores[self.ring.node_for(key)]
+        return self._stores[self.ring.node_for(key)]
 
     def put(self, key: str, value: Any) -> int:
         """Write ``key`` to every reachable owner replica.
@@ -336,19 +290,10 @@ class ShardedPlanStore:
             except TransientServiceError:
                 pass
 
-    def try_get(self, key: str, hedge: bool = False,
-                timeout_s: Optional[float] = None) -> Optional[Any]:
-        """Replica-by-replica fetch; ``None`` only if no owner holds it.
-
-        ``hedge=True`` (and replication > 1) arms the hedged path: the
-        primary read races a delayed replica read, first hit wins (see
-        :meth:`hedge_delay_s`).  ``timeout_s`` bounds the hedged wait.
-        """
-        owners = self.owners_for(key)
-        if hedge and len(owners) > 1:
-            return self._try_get_hedged(key, owners, timeout_s)
+    def try_get(self, key: str) -> Optional[Any]:
+        """Replica-by-replica fetch; ``None`` only if no owner holds it."""
         absent: List[str] = []
-        for name in owners:
+        for name in self.owners_for(key):
             try:
                 value = self._read_owner(key, name)
             except TransientServiceError:
@@ -358,100 +303,6 @@ class ShardedPlanStore:
                     self._repair(key, value, absent)
                 return value
             absent.append(name)
-        return None
-
-    def hedge_delay_s(self) -> float:
-        """How long to give the primary before hedging to a replica.
-
-        ``hedge_after_s`` when configured; otherwise derived from the
-        live ``kv.get_s`` latency histogram (p99, clamped to
-        [0.5 ms, 100 ms]) once enough samples exist, with a 10 ms
-        cold-start default.
-        """
-        if self.hedge_after_s is not None:
-            return self.hedge_after_s
-        hist = self.metrics.get("kv.get_s")
-        if isinstance(hist, Histogram) and hist.count >= 50:
-            p99 = hist.quantile(0.99)
-            if math.isfinite(p99):
-                return min(max(p99, 5e-4), 0.1)
-        return 0.01
-
-    def _try_get_hedged(self, key: str, owners: List[str],
-                        timeout_s: Optional[float]) -> Optional[Any]:
-        """Race the primary against a delayed replica read.
-
-        The primary read runs in a helper thread; if it has not
-        produced a hit within :meth:`hedge_delay_s`, the next replica
-        is queried concurrently.  The first non-miss wins and the
-        loser's (eventual) result is discarded — a slow or hung
-        primary costs one hedge delay instead of a full stall.
-        """
-        done = threading.Condition()
-        results: List[Optional[Any]] = []
-        finished = [0]
-
-        def fetch(name: str, is_hedge: bool) -> None:
-            try:
-                value = self._read_owner(key, name)
-            except TransientServiceError:
-                value = None
-            with done:
-                finished[0] += 1
-                if value is not None:
-                    results.append((value, is_hedge))
-                done.notify_all()
-
-        primary = threading.Thread(
-            target=fetch, args=(owners[0], False), daemon=True
-        )
-        primary.start()
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-        with done:
-            done.wait_for(
-                lambda: bool(results) or finished[0] >= 1,
-                timeout=self.hedge_delay_s(),
-            )
-            if results:
-                return results[0][0]
-            primary_done = finished[0] >= 1
-        if primary_done:
-            # The primary answered quickly — it just doesn't hold the
-            # key.  That is the ordinary replica-fallback case (with
-            # write-repair of the reachable-but-absent primary), not a
-            # hedge: the hedge counters stay untouched.
-            for name in owners[1:]:
-                try:
-                    value = self._read_owner(key, name)
-                except TransientServiceError:
-                    continue
-                if value is not None:
-                    self._repair(key, value, [owners[0]])
-                    return value
-            return None
-        # Primary is genuinely slow: hedge to the fallback replicas
-        # while it keeps running; first non-miss wins.
-        self._hedged.inc()
-        hedge = threading.Thread(
-            target=lambda: [fetch(name, True) for name in owners[1:]],
-            daemon=True,
-        )
-        hedge.start()
-        with done:
-            done.wait_for(
-                lambda: bool(results) or finished[0] >= len(owners),
-                timeout=(
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                ),
-            )
-            if results:
-                value, from_hedge = results[0]
-                if from_hedge:
-                    self._hedge_wins.inc()
-                return value
         return None
 
     def get(self, key: str, timeout: Optional[float] = None) -> Any:
@@ -499,10 +350,8 @@ class ShardedPlanStore:
 
     def keys(self) -> List[str]:
         """Union of keys over reachable shards (replicas deduplicated)."""
-        with self._rebalance_lock:
-            names = list(self._stores)
         out: set = set()
-        for name in names:
+        for name in list(self._stores):
             try:
                 out.update(
                     self._shard_op(name, "keys", lambda s: s.keys())
@@ -512,17 +361,14 @@ class ShardedPlanStore:
         return sorted(out)
 
     def size_bytes(self) -> int:
-        with self._rebalance_lock:
-            stores = list(self._stores.values())
-        return sum(store.size_bytes() for store in stores)
+        return sum(self.shard_sizes().values())
 
     def shard_sizes(self) -> Dict[str, int]:
         """Resident bytes per shard — the balance the ring is for."""
-        with self._rebalance_lock:
-            return {
-                name: store.size_bytes()
-                for name, store in self._stores.items()
-            }
+        return {
+            name: store.size_bytes()
+            for name, store in list(self._stores.items())
+        }
 
     # -- healing ---------------------------------------------------------
 
@@ -531,14 +377,11 @@ class ShardedPlanStore:
 
         Scans reachable shards for the full key population, then
         re-copies each key (payload-intact) to any owner replica
-        missing it — how a restarted/wiped or freshly added shard
-        converges back to full replication.  Returns the number of
-        copies created.
+        missing it — how a restarted (wiped) shard converges back to
+        full replication.  Returns the number of copies created.
         """
-        with self._rebalance_lock:
-            names = list(self._stores)
         holders: Dict[str, str] = {}
-        for name in names:
+        for name in list(self._stores):
             try:
                 for key in self._shard_op(name, "keys",
                                           lambda s: s.keys()):
@@ -604,53 +447,3 @@ class ShardedPlanStore:
         if self._ae_thread is not None:
             self._ae_thread.join(timeout=5.0)
             self._ae_thread = None
-
-    # -- topology --------------------------------------------------------
-
-    def add_node(self, name: Optional[str] = None) -> Tuple[str, int]:
-        """Grow the ring by one shard, migrating displaced copies.
-
-        Returns ``(shard_name, moved_keys)`` where ``moved_keys``
-        counts copies created on the new shard.  Every key's owner set
-        is recomputed against the grown ring: copies land on new
-        owners payload-intact (raw stored bytes move, no re-encode)
-        and leave shards that stopped owning them, so a reader after
-        the move fetches exactly what it would have before.
-        """
-        with self._rebalance_lock:
-            if name is None:
-                index = len(self._stores)
-                while f"shard{index}" in self._stores:
-                    index += 1
-                name = f"shard{index}"
-            if name in self._stores:
-                raise ValueError(f"shard {name!r} already exists")
-            with _span("service.rebalance", "service", shard=name):
-                self.ring.add(name)
-                fresh = self._make_store()
-                self._stores[name] = fresh
-                moved = 0
-                holders: Dict[str, List[str]] = {}
-                for shard, store in self._stores.items():
-                    for key in store.keys():
-                        holders.setdefault(key, []).append(shard)
-                for key, holding in holders.items():
-                    owners = self.ring.nodes_for(key, self.replication)
-                    value = None
-                    for source in holding:
-                        value = self._stores[source].try_get(key)
-                        if value is not None:
-                            break
-                    if value is None:  # raced with eviction/TTL
-                        continue
-                    for owner in owners:
-                        if owner not in holding:
-                            self._stores[owner].put(key, value)
-                            if owner == name:
-                                moved += 1
-                    for shard in holding:
-                        if shard not in owners:
-                            self._stores[shard].delete(key)
-                self._shards_gauge.set(len(self._stores))
-                self._rebalanced.inc(moved)
-        return name, moved

@@ -39,15 +39,15 @@ def test_live_names_resolve():
 
 def test_deleted_keywords_are_flagged():
     text = (
-        "`KVPlannerBackend(planner, KVStore(max_bytes=1), monolithic=True)`"
-        " and `repro.core.KVStore(retain=2, ttl_s=1.0)`; "
+        "`KVPlannerBackend(planner, KVStore(host_machine=1), monolithic=True)`"
+        " and `repro.core.KVStore(retain=2, host_machine=1)`; "
         "`PlanService.fetch_plan(tenant, batch, dead_line=0.3)`."
     )
     assert check_docs.stale_keywords(text) == [
-        ("KVPlannerBackend(planner, KVStore(max_bytes=1), monolithic=True)",
+        ("KVPlannerBackend(planner, KVStore(host_machine=1), monolithic=True)",
          "monolithic"),
         ("PlanService.fetch_plan(tenant, batch, dead_line=0.3)", "dead_line"),
-        ("repro.core.KVStore(retain=2, ttl_s=1.0)", "retain"),
+        ("repro.core.KVStore(retain=2, host_machine=1)", "retain"),
     ]
 
 

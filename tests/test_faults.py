@@ -1,17 +1,18 @@
 """Tests for the chaos harness (repro.faults) and failure detection."""
 
+import time
+
 import pytest
 
-from repro.core.kvstore import KVStore
 from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    FaultyKVStore,
     ScheduleRunner,
     parse_schedule,
 )
-from repro.service.errors import KVOpDropped, ShardUnavailable
+from repro.service import ShardedPlanStore
+from repro.service.errors import ShardUnavailable
 from repro.service.health import (
     CLOSED,
     HALF_OPEN,
@@ -146,45 +147,68 @@ class TestFaultSchedule:
         assert len(runner.applied) == 2
 
 
-# -- faulty store proxy -------------------------------------------------------
+# -- injection at the sharded store -------------------------------------------
 
 
-class TestFaultyKVStore:
-    def test_kill_and_restart(self):
+def single_owner_store(injector):
+    """One shard, one copy: every op lands on ``shard0``."""
+    return ShardedPlanStore(shards=1, replication=1,
+                            fault_injector=injector,
+                            breaker_reset_s=0.01)
+
+
+class TestShardFaultInjection:
+    def test_kill_fails_ops_and_restart_wipes(self):
         injector = FaultInjector()
-        store = FaultyKVStore(KVStore(), injector, "shard:a")
+        store = single_owner_store(injector)
         store.put("k", b"v")
-        injector.kill("shard:a")
-        with pytest.raises(ShardUnavailable):
-            store.try_get("k")
+        injector.kill("shard:shard0")
         with pytest.raises(ShardUnavailable):
             store.put("k2", b"v2")
-        injector.restart("shard:a")
-        assert store.try_get("k") == b"v"  # proxy models no data loss
+        assert store.try_get("k") is None
+        assert not store.contains("k")
+        injector.restart("shard:shard0")
+        time.sleep(0.02)  # let the breaker's reset window elapse
+        # A restart loses host memory: the old key is gone, and the
+        # shard takes writes again.
+        assert store.try_get("k") is None
+        store.put("k2", b"v2")
+        assert store.try_get("k2") == b"v2"
 
     def test_drop_raises_without_applying(self):
         injector = FaultInjector()
-        store = FaultyKVStore(KVStore(), injector, "shard:a")
-        injector.drop("shard:a", 1.0)
-        with pytest.raises(KVOpDropped):
+        store = single_owner_store(injector)
+        injector.drop("shard:shard0", 1.0)
+        with pytest.raises(ShardUnavailable, match="all_replicas_down"):
             store.put("k", b"v")
-        injector.clear("shard:a")
-        assert store.try_get("k") is None  # the put never landed
+        assert store.metrics.counter(
+            "service.replica_write_failures"
+        ).value == 1
+        injector.clear("shard:shard0")
+        assert store.store("shard0").try_get("k") is None  # never landed
 
-    def test_slow_sleeps_injected_delay(self):
-        slept = []
+    def test_slow_stalls_every_op(self):
         injector = FaultInjector()
-        store = FaultyKVStore(KVStore(), injector, "shard:a",
-                              sleep=slept.append)
-        injector.slow("shard:a", 0.02)
+        store = single_owner_store(injector)
+        injector.slow("shard:shard0", 0.03)
+        start = time.monotonic()
         store.put("k", b"v")
-        assert slept == [pytest.approx(0.02)]
+        assert store.try_get("k") == b"v"
+        assert time.monotonic() - start >= 0.06  # two ops, two stalls
 
-    def test_passthrough_surface(self):
-        inner = KVStore()
-        store = FaultyKVStore(inner, FaultInjector(), "shard:a")
-        assert store.store is inner
-        assert store.host_machine == inner.host_machine
+    def test_faults_stay_on_their_target(self):
+        injector = FaultInjector()
+        store = ShardedPlanStore(shards=2, fault_injector=injector)
+        keys = {f"sig/{i:04x}": store.owners_for(f"sig/{i:04x}")[0]
+                for i in range(32)}
+        assert set(keys.values()) == {"shard0", "shard1"}
+        for key in keys:
+            store.put(key, key.encode())
+        injector.kill("shard:shard1")
+        for key, owner in keys.items():
+            expected = key.encode() if owner == "shard0" else None
+            assert store.try_get(key) == expected
+        assert store.health.allow("shard0")
 
 
 # -- circuit breakers + health ------------------------------------------------

@@ -98,26 +98,55 @@ class TestShardedPlanStore:
         assert len(sizes) == 4
         assert sum(1 for size in sizes.values() if size > 0) >= 2
 
-    def test_add_node_rebalances_and_keeps_every_key(self):
-        store = ShardedPlanStore(shards=3)
-        payloads = {f"sig/{i:04x}": bytes([i % 251]) * 16 for i in range(96)}
+    def test_ring_is_fixed_at_construction(self):
+        first = ShardedPlanStore(shards=3, replication=2)
+        second = ShardedPlanStore(shards=3, replication=2)
+        assert first.ring.nodes == ["shard0", "shard1", "shard2"]
+        assert first.num_shards == 3
+        keys = [f"sig/{i:04x}" for i in range(64)]
+        # Placement is a pure function of the key and the shard names.
+        assert [first.owners_for(k) for k in keys] == \
+            [second.owners_for(k) for k in keys]
+        for key in keys:
+            first.put(key, b"v")
+        assert [first.owners_for(k) for k in keys] == \
+            [second.owners_for(k) for k in keys]
+
+    def test_shard_sizes_count_every_replica(self):
+        store = ShardedPlanStore(shards=3, replication=2)
+        payloads = {f"sig/{i:04x}": b"x" * (i + 1) for i in range(32)}
         for key, value in payloads.items():
             store.put(key, value)
-        name, moved = store.add_node()
-        assert name == "shard3"
-        assert moved > 0
-        assert store.rebalanced_keys == moved
-        # Every key still readable, byte-identical, from its new owner.
-        for key, value in payloads.items():
-            assert store.try_get(key) == value
-        # The new shard actually took residency.
-        assert store.shard_sizes()[name] > 0
+        resident = 2 * sum(len(value) for value in payloads.values())
+        assert store.size_bytes() == sum(store.shard_sizes().values())
+        assert store.size_bytes() == resident
+        assert store.keys() == sorted(payloads)  # replicas deduplicated
 
-    def test_per_shard_residency_budget(self):
-        store = ShardedPlanStore(shards=2, max_bytes_per_shard=64)
-        for i in range(32):
-            store.put(f"sig/{i:04x}", b"x" * 30)
-        assert all(size <= 64 for size in store.shard_sizes().values())
+    def test_delete_clears_every_replica(self):
+        store = ShardedPlanStore(shards=3, replication=2)
+        store.put("sig/0001", b"payload")
+        assert store.contains("sig/0001")
+        assert store.delete("sig/0001")
+        assert not store.delete("sig/0001")
+        assert not store.contains("sig/0001")
+        assert store.size_bytes() == 0
+
+    def test_blocking_get_waits_for_a_late_put(self):
+        store = ShardedPlanStore(shards=2)
+        timer = threading.Timer(0.05, store.put, args=("sig/late", b"v"))
+        timer.start()
+        try:
+            assert store.get("sig/late", timeout=5.0) == b"v"
+        finally:
+            timer.join()
+        with pytest.raises(KeyError):
+            store.get("sig/never", timeout=0.01)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ShardedPlanStore(shards=0)
+        with pytest.raises(ValueError):
+            ShardedPlanStore(anti_entropy_interval_s=0.0)
 
 
 # -- admission + fair queueing ------------------------------------------------

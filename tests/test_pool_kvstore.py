@@ -3,7 +3,6 @@
 import re
 import sys
 import threading
-import time
 from concurrent.futures import CancelledError
 
 import numpy as np
@@ -132,14 +131,63 @@ class TestKVStore:
         value, _version, fetched = store.get_unless("k", version=cursor)
         assert (value, fetched) == (b"new", True)
 
-    def test_version_not_reused_after_eviction(self):
-        store = KVStore(max_bytes=150)
+    def test_conditional_republish_after_delete_is_a_new_version(self):
+        """An identical payload written back after a delete is a change:
+        the old cursor must not report it as still current."""
+        store = KVStore()
         cursor, _changed = store.put_if_changed("k", b"a" * 100)
-        store.put("filler", b"f" * 100)  # evicts k (the LRU entry)
-        assert not store.contains("k")
-        store.put_if_changed("k", b"b" * 100)
+        store.delete("k")
+        version, changed = store.put_if_changed("k", b"a" * 100)
+        assert changed and version != cursor
         value, _version, fetched = store.get_unless("k", version=cursor)
-        assert (value, fetched) == (b"b" * 100, True)
+        assert (value, fetched) == (b"a" * 100, True)
+
+    def test_residency_is_the_callers_to_bound(self):
+        store = KVStore()
+        for i in range(64):
+            store.put(f"k{i}", b"x" * 100)
+        assert len(store.keys()) == 64  # nothing reclaimed behind its back
+        assert store.size_bytes() == 64 * 100
+
+    def test_overwrite_and_delete_keep_size_exact(self):
+        store = KVStore()
+        store.put("k", b"x" * 100)
+        store.put("k", b"x" * 10)
+        assert store.size_bytes() == 10
+        assert store.entry_bytes("k") == 10
+        store.delete("k")
+        assert store.size_bytes() == 0
+        assert store.entry_bytes("k") is None
+
+    def test_raw_bytes_skip_pickle(self):
+        store = KVStore()
+        store.put("raw", bytearray(b"abc"))
+        store.put("obj", [1, 2, 3])
+        assert store.get("raw") == b"abc"
+        assert isinstance(store.get("raw"), bytes)
+        assert store.entry_bytes("raw") == 3
+        assert store.entry_bytes("obj") > 3  # pickle framing
+
+    def test_blocked_reader_wakes_on_publish(self):
+        store = KVStore()
+        timer = threading.Timer(0.05, store.put, args=("awaited", b"a"))
+        timer.start()
+        try:
+            assert store.get("awaited", timeout=5.0) == b"a"
+        finally:
+            timer.join()
+
+    def test_timed_out_blocking_gets_count_as_misses(self):
+        store = KVStore()
+        with pytest.raises(KeyError):
+            store.get("missing", timeout=0.01)
+        with pytest.raises(KeyError):
+            store.get_unless("missing", version=1, timeout=0.01)
+        assert _count(store, "kv.gets") == 2
+        assert _count(store, "kv.get_misses") == 2
+        # The latency a stalled reader experienced is recorded too.
+        assert store.metrics.histogram("kv.get_s").count == 2
+        assert _count(store, "kv.bytes_out") == 0
 
 
 class TestKVClient:
@@ -490,84 +538,6 @@ class TestPlanningOverlap:
             assert timeline.exec_start[i] >= timeline.exec_end[i - 1] - 1e-9
             # A plan is always complete before its execution starts.
             assert timeline.plan_end[i] <= timeline.exec_start[i] + 1e-9
-
-
-# -- bounded residency (max_bytes / TTL eviction) -----------------------------
-
-
-class TestKVStoreEviction:
-    def test_max_bytes_evicts_lru(self):
-        store = KVStore(max_bytes=220)
-        for key in ("a", "b", "c"):
-            store.put(key, b"x" * 100)
-        # a (the least recently used) was reclaimed to fit c.
-        assert not store.contains("a")
-        assert store.contains("b") and store.contains("c")
-        assert store.size_bytes() <= 220
-        assert _count(store, "kv.evictions") == 1
-        assert _count(store, "kv.evicted_bytes") == 100
-
-    def test_reads_refresh_recency(self):
-        store = KVStore(max_bytes=220)
-        store.put("a", b"x" * 100)
-        store.put("b", b"x" * 100)
-        assert store.try_get("a") is not None  # a is now most recent
-        store.put("c", b"x" * 100)
-        assert store.contains("a") and not store.contains("b")
-
-    def test_oversized_payload_still_served_to_its_writer(self):
-        store = KVStore(max_bytes=10)
-        store.put("big", b"x" * 100)
-        # The write's own key is protected from its own enforcement
-        # pass; the store is over budget until the next write.
-        assert store.try_get("big") == b"x" * 100
-
-    def test_ttl_reclaims_idle_entries(self):
-        store = KVStore(ttl_s=0.05)
-        store.put("stale", b"x" * 10)
-        time.sleep(0.1)
-        assert store.expire() == 1
-        assert not store.contains("stale")
-        assert _count(store, "kv.evicted_bytes") == 10
-
-    def test_write_activity_refreshes_ttl(self):
-        store = KVStore(ttl_s=0.2)
-        store.put("hot", b"x")
-        time.sleep(0.1)
-        store.put_if_changed("hot", b"x")  # unchanged republish = activity
-        time.sleep(0.12)
-        assert store.expire() == 0
-        assert store.contains("hot")
-
-    def test_eviction_never_takes_blocked_reader_key(self):
-        """A key a blocked get() waits on is pinned against eviction:
-        the publishing put must reach the waiter, even though writing
-        it pushes the store past max_bytes and *something* else (here:
-        filler) is reclaimed instead."""
-        store = KVStore(max_bytes=150)
-        store.put("filler", b"f" * 100)
-        got = {}
-
-        def reader():
-            got["value"] = store.get("awaited", timeout=5.0)
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        # Wait until the reader registered its waiter.
-        deadline = time.time() + 2.0
-        while not store._waiters and time.time() < deadline:
-            time.sleep(0.005)
-        assert "awaited" in store._waiters
-        store.put("awaited", b"a" * 100)  # now over budget
-        thread.join(timeout=5.0)
-        assert got["value"] == b"a" * 100
-        assert not store.contains("filler")  # the evictable key paid
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KVStore(max_bytes=0)
-        with pytest.raises(ValueError):
-            KVStore(ttl_s=0.0)
 
 
 class TestKVRetention:

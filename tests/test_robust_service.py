@@ -1,6 +1,6 @@
 """Tests for failure handling in the plan service: typed errors,
-degraded-mode serving with background upgrade, retrying KV clients,
-and shm leak reclamation."""
+degraded-mode serving with background upgrade, KV clients that
+surface store errors, and shm leak reclamation."""
 
 import threading
 import time
@@ -27,6 +27,7 @@ from repro.service import (
     PlanService,
     degraded_plan,
     is_degraded,
+    signature_key,
 )
 from repro.service.errors import (
     KVOpDropped,
@@ -115,22 +116,23 @@ class TestErrorHierarchy:
         assert exc.retry_after_s == pytest.approx(0.05)
 
 
-# -- KVClient bounded retry ---------------------------------------------------
+# -- KVClient surfaces store errors -------------------------------------------
 
 
-class FlakyStore:
-    """Store whose next ``fails`` entry-ops raise a transient error."""
+class FailingStore:
+    """Store whose next ``fails`` entry-ops raise ``exc`` unapplied."""
 
     def __init__(self, fails, exc=None):
         self.store = KVStore()
         self.remaining = fails
-        self.exc = exc
+        self.exc = exc if exc is not None else ShardUnavailable("flaky")
+        self.calls = 0
 
     def _maybe_fail(self):
+        self.calls += 1
         if self.remaining > 0:
             self.remaining -= 1
-            raise self.exc if self.exc is not None \
-                else ShardUnavailable("flaky")
+            raise self.exc
 
     def put_entry(self, key, value):
         self._maybe_fail()
@@ -140,51 +142,69 @@ class FlakyStore:
         self._maybe_fail()
         return self.store.get_entry(key, timeout=timeout)
 
+    def put_if_changed_entry(self, key, value):
+        self._maybe_fail()
+        return self.store.put_if_changed_entry(key, value)
+
+    def get_unless_entry(self, key, version=None, timeout=None):
+        self._maybe_fail()
+        return self.store.get_unless_entry(key, version=version,
+                                           timeout=timeout)
+
     def __getattr__(self, name):
         return getattr(self.store, name)
 
 
-class TestKVClientRetry:
-    def test_transient_errors_retried_with_backoff(self):
-        slept = []
-        client = KVClient(FlakyStore(fails=2), machine=1, max_retries=3,
-                          backoff_base_s=0.01, backoff_jitter=0.0,
-                          sleep=slept.append)
-        assert client.put("k", b"v") == 1
-        assert client.retries == 2
-        assert slept == [pytest.approx(0.01), pytest.approx(0.02)]
+class TestKVClientErrors:
+    def test_put_error_surfaces_on_first_attempt(self):
+        store = FailingStore(fails=1)
+        client = KVClient(store, machine=0)
+        with pytest.raises(ShardUnavailable):
+            client.put("k", b"v")
+        assert store.calls == 1  # no hidden retry
+        assert client.put("k", b"v") == 1  # the failed put left nothing
         assert client.get("k") == b"v"
 
-    def test_backoff_is_capped_and_jittered(self):
-        class FixedRng:
-            def random(self):
-                return 1.0
+    def test_get_error_surfaces(self):
+        store = FailingStore(fails=0)
+        client = KVClient(store, machine=0)
+        client.put("k", b"v")
+        store.remaining = 1
+        store.exc = KVOpDropped("shard:shard0", "get")
+        with pytest.raises(KVOpDropped):
+            client.get("k")
+        assert client.get("k") == b"v"
 
-        client = KVClient(KVStore(), machine=0, max_retries=8,
-                          backoff_base_s=0.1, backoff_cap_s=0.2,
-                          backoff_jitter=0.5, rng=FixedRng())
-        # attempt 5: base * 2^5 = 3.2 -> capped 0.2 -> jitter halves it.
-        assert client._backoff_s(5) == pytest.approx(0.1)
+    def test_non_retryable_error_surfaces_unchanged(self):
+        bug = ValueError("bug")
+        client = KVClient(FailingStore(fails=1, exc=bug), machine=0)
+        with pytest.raises(ValueError) as info:
+            client.put("k", b"v")
+        assert info.value is bug
 
-    def test_retries_exhausted_reraises(self):
-        client = KVClient(FlakyStore(fails=5), machine=0, max_retries=2,
-                          backoff_base_s=0.0, sleep=lambda _s: None)
+    def test_failed_remote_ops_charge_no_wire_bytes(self):
+        store = FailingStore(fails=2)
+        client = KVClient(store, machine=1)
         with pytest.raises(ShardUnavailable):
-            client.put("k", b"v")
-        assert client.retries == 2
-
-    def test_non_retryable_fails_fast(self):
-        slept = []
-        client = KVClient(FlakyStore(fails=1, exc=ValueError("bug")),
-                          machine=0, max_retries=5, sleep=slept.append)
-        with pytest.raises(ValueError):
-            client.put("k", b"v")
-        assert slept == [] and client.retries == 0
-
-    def test_default_is_fail_fast(self):
-        client = KVClient(FlakyStore(fails=1), machine=0)
+            client.put("k", b"x" * 100)
         with pytest.raises(ShardUnavailable):
-            client.put("k", b"v")
+            client.get("k", timeout=0.01)
+        assert client.wire_bytes() == 0
+        client.put("k", b"x" * 100)
+        assert client.bytes_sent == 100
+
+    def test_conditional_ops_surface_errors(self):
+        store = FailingStore(fails=0)
+        client = KVClient(store, machine=1)
+        version, _changed = client.put_if_changed("k", b"v")
+        store.remaining = 2
+        with pytest.raises(ShardUnavailable):
+            client.put_if_changed("k", b"w")
+        with pytest.raises(ShardUnavailable):
+            client.get_unless("k", version=version)
+        # The failed write never landed: the cursor is still current.
+        value, _version, fetched = client.get_unless("k", version=version)
+        assert (value, fetched) == (None, False)
 
 
 # -- degraded plans -----------------------------------------------------------
@@ -326,6 +346,28 @@ class TestDeadlineDegradedServing:
             plan = service.fetch_plan("t", spec, deadline=30.0)
             assert not is_degraded(plan)
             assert service.stats()["degraded_served"] == 0
+
+    def test_deadline_store_read_passes_a_killed_primary(self):
+        """A deadline fetch whose plan lives only in the warm store
+        reads past its killed primary to the replica: a store hit, the
+        optimal plan, nothing degraded."""
+        injector = FaultInjector()
+        planner = make_planner()
+        with PlanService(planner, workers=1, replication=2,
+                         fault_injector=injector) as service:
+            spec = batch([64, 48])
+            service.fetch_plan("t", spec, timeout=30.0)
+            service.cache.invalidate()
+            key = signature_key(batch_signature(spec))
+            injector.kill(f"shard:{service.store.owners_for(key)[0]}")
+            store_hits = service.stats()["store_hits"]
+            plan = service.fetch_plan("t", spec, deadline=0.5)
+            assert not is_degraded(plan)
+            assert plan_fingerprint(plan) == \
+                plan_fingerprint(planner.plan_batch(spec))
+            stats = service.stats()
+            assert stats["store_hits"] == store_hits + 1
+            assert stats["degraded_served"] == 0
 
     def test_timeout_without_deadline_raises_typed(self):
         planner = GatedPlanner()
