@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify + perf smokes (planner hot path, planning overlap,
-# streaming overlap) + pipeline coverage gate.
+# Tier-1 verify + ledger smoke + perf smokes (planner hot path,
+# planning overlap, streaming overlap) + pipeline coverage gate.
 #
 #   ./benchmarks/run_tier1.sh            # tests + smoke benchmarks
 #   ./benchmarks/run_tier1.sh --full     # tests + full benchmark sweeps
@@ -23,6 +23,12 @@ else
     echo "== pipeline coverage gate (settrace fallback) =="
     python benchmarks/pipeline_coverage.py --fail-under 85
 fi
+
+echo "== ledger smoke (end-to-end output checks) =="
+# Every workload at seconds-sized geometry (~8 s); exits non-zero on any
+# failed validate, wire, fingerprint or executor-vs-reference check.
+# Results go to the gitignored benchmarks/ledger/out/.
+python3 benchmarks/ledger/run.py --smoke
 
 echo "== planner hot-path smoke =="
 if [[ "${1:-}" == "--full" ]]; then

@@ -14,12 +14,13 @@ Execution per device ``(p, h)``:
    every step, regardless of mask sparsity (the baseline inefficiency
    DCP removes, paper Fig. 7);
 3. *epilogue*: ship partial outputs back to their home devices, merge,
-   finalize.
+   finalize (:func:`~repro.scheduling.serialize.finish_outputs`).
 
 With ``hp = 1`` there is no prologue or epilogue traffic: that is
 RingFlashAttention (paper baseline (i), [49]), which parallelizes only
 along the sequence — ``Ring`` with contiguous chunks, ``ZigZag`` with the
-causal-balancing zigzag.  TransformerEngine is the same ring with one
+causal-balancing zigzag.  Nothing is merged, so each device finalizes in
+its last attention kernel.  TransformerEngine is the same ring with one
 head row per KV group (:mod:`.transformer_engine`).
 """
 
@@ -36,7 +37,6 @@ from ..placement.heuristics import zigzag_chunk_device
 from ..scheduling.buffers import BufferManager
 from ..scheduling.instructions import (
     BlockwiseAttention,
-    BlockwiseReduction,
     CommLaunch,
     CommWait,
     DevicePlan,
@@ -47,6 +47,7 @@ from ..scheduling.instructions import (
     SendArg,
     Tile,
 )
+from ..scheduling.serialize import finish_outputs
 from ..sim.cluster import ClusterSpec
 
 __all__ = ["RingAttentionPlanner", "ring_layout", "slice_positions", "static_ring_plan"]
@@ -367,8 +368,7 @@ def _device_plan(device: int, block_set: BlockSet, layout: RingLayout) -> Device
         FinalizeArg(acc_slot=acc_for(key), o_slot=o_slot)
         for key, o_slot in o_slots.items()
     )
-    if merges or finalizes:
-        instructions.append(BlockwiseReduction(merges=merges, finalizes=finalizes))
+    finish_outputs(instructions, merges, finalizes)
 
     return DevicePlan(
         device=device,

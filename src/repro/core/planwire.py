@@ -203,10 +203,12 @@ def _encode_columnar(device: int, device_plan) -> bytes:
 
     for ins in device_plan.instructions:
         if isinstance(ins, BlockwiseAttention):
-            push((_OP_ATTENTION, len(ins.tiles)))
+            push((_OP_ATTENTION, len(ins.tiles), len(ins.finalizes)))
             for t in ins.tiles:
                 push((t.q_slot, t.kv_slot, t.acc_slot, t.seq_index,
                       t.head_group, t.q_block, t.kv_block))
+            for f in ins.finalizes:
+                push((f.acc_slot, f.o_slot))
         elif isinstance(ins, BlockwiseAttentionBackward):
             push((_OP_ATTENTION_BWD, len(ins.tiles)))
             for t in ins.tiles:
@@ -423,9 +425,13 @@ def decode_device_payload(payload) -> Tuple[int, DevicePlan]:
     for _ in range(one()):
         op = one()
         if op == _OP_ATTENTION:
-            instructions.append(BlockwiseAttention(tiles=tuple(
-                Tile(*take(7)) for _ in range(one())
-            )))
+            n_tiles, n_finalizes = one(), one()
+            instructions.append(BlockwiseAttention(
+                tiles=tuple(Tile(*take(7)) for _ in range(n_tiles)),
+                finalizes=tuple(
+                    FinalizeArg(*take(2)) for _ in range(n_finalizes)
+                ),
+            ))
         elif op == _OP_ATTENTION_BWD:
             instructions.append(BlockwiseAttentionBackward(tiles=tuple(
                 BackwardTile(*take(9)) for _ in range(one())

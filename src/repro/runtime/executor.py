@@ -66,6 +66,16 @@ class BatchInputs:
         return BatchInputs(q, k, v)
 
 
+def _finalize(buffers: DeviceBuffers, finalizes) -> None:
+    """Normalize each partial into its output slot (a reduction's
+    finalizes, or an attention kernel's epilogue)."""
+    for fin in finalizes:
+        state = buffers.acc.get(fin.acc_slot)
+        if state is None:
+            continue  # output block never touched; stays zero
+        buffers.store_o(fin.o_slot, finalize(state))
+
+
 class _DeviceRunner:
     """Instruction interpreter state for one device."""
 
@@ -170,6 +180,7 @@ class _DeviceRunner:
             mask = executor.tile_mask(tile.seq_index, tile.q_block, tile.kv_block)
             state = buffers.acc_state(tile.acc_slot, q.shape[1])
             merge_partials(state, tile_attention(q, k, v, mask, scale))
+        _finalize(buffers, instruction.finalizes)
 
     def _attention_backward(self, instruction: BlockwiseAttentionBackward) -> None:
         executor = self.executor
@@ -206,11 +217,7 @@ class _DeviceRunner:
             src = buffers.acc[merge.src_acc_slot]
             dst = buffers.acc_state(merge.dst_acc_slot, src.acc.shape[1])
             merge_partials(dst, src)
-        for fin in instruction.finalizes:
-            state = buffers.acc.get(fin.acc_slot)
-            if state is None:
-                continue  # output block never touched; stays zero
-            buffers.store_o(fin.o_slot, finalize(state))
+        _finalize(buffers, instruction.finalizes)
 
     def _copy(self, instruction: BlockwiseCopy) -> None:
         buffers = self.executor.buffers[self.plan.device]

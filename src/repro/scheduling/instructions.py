@@ -4,13 +4,21 @@ An execution plan is a per-device list of instructions:
 
 * :class:`BlockwiseAttention` — fused masked attention over a list of
   tiles, accumulating into (acc, lse) partials (FlashAttention-style
-  online softmax).
+  online softmax), optionally followed by a finalize epilogue that
+  normalizes and writes output blocks once the tiles are done.
 * :class:`BlockwiseReduction` — fused merge of partial outputs, with
   optional finalization (normalize and write the output block).
 * :class:`BlockwiseCopy` — fused buffer-to-buffer copies on one device.
 * :class:`CommLaunch` — asynchronously post sends/receives of blocks.
 * :class:`CommWait` — block until a previously launched operation is
   complete.
+
+A device that merges no partial outputs finalizes its own rows in the
+epilogue of its last attention kernel (FlashAttention-2's
+normalize-on-exit); only a device that merges partials, or runs no
+attention at all, ends with a :class:`BlockwiseReduction`
+(:func:`fuses_finalize` is that one rule;
+:func:`repro.scheduling.serialize.finish_outputs` applies it).
 
 Instructions reference buffer *slots* (integers per buffer kind); the
 executor owns the actual storage.  Byte counts carried by communication
@@ -41,6 +49,7 @@ __all__ = [
     "CommWait",
     "DevicePlan",
     "ExecutionPlan",
+    "fuses_finalize",
 ]
 
 
@@ -65,10 +74,20 @@ class Tile:
 @dataclass(frozen=True)
 class BlockwiseAttention:
     tiles: Tuple[Tile, ...]
+    #: Epilogue: finalized after every tile of this kernel has run.
+    finalizes: Tuple[FinalizeArg, ...] = ()
 
     @property
     def kind(self) -> str:
         return "attention"
+
+
+def fuses_finalize(merges: int, has_attention: bool) -> bool:
+    """Whether a device that merges ``merges`` partial outputs finalizes
+    its rows in its last attention kernel's epilogue rather than in a
+    trailing :class:`BlockwiseReduction` — the one rule the serializers
+    and the pricer share."""
+    return not merges and has_attention
 
 
 @dataclass(frozen=True)

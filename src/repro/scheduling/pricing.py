@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from .instructions import fuses_finalize
+
 __all__ = [
     "BACKWARD_FLOPS_FACTOR",
     "BACKWARD_COMM_FACTOR",
@@ -105,22 +107,26 @@ def _streams(prep, fills) -> Tuple[List[list], List[int]]:
                 steps.append((LAUNCH, sends[device][division]))
             return expected[device * width + division] > 0
 
+        last = None  # the device's last COMPUTE step
         if launch(0):
             steps.append((WAIT, device * width))
         for division, comps in enumerate(fill.divisions):
             wait = division + 2 < width and launch(division + 1)
             if comps:
                 flops = sum(prep.flops[comp] for comp in comps)
-                steps.append((COMPUTE, (len(comps), flops)))
+                last = len(steps)
+                steps.append((COMPUTE, (len(comps), flops, 0)))
             if wait:
                 steps.append((WAIT, device * width + division + 1))
         if launch(width - 1):
             steps.append((WAIT, device * width + width - 1))
         merges = expected[device * width + width - 1]
-        if merges or prep.finalizes[device]:
-            steps.append(
-                (REDUCE, (merges + prep.finalizes[device]) * reduce_bytes)
-            )
+        finalizes = prep.finalizes[device]
+        if finalizes and fuses_finalize(merges, last is not None):
+            tiles, flops, _ = steps[last][1]
+            steps[last] = (COMPUTE, (tiles, flops, finalizes * reduce_bytes))
+        elif merges or finalizes:
+            steps.append((REDUCE, (merges + finalizes) * reduce_bytes))
         streams.append(steps)
     return streams, expected
 
@@ -135,12 +141,13 @@ def replay(
     ``(LAUNCH, [(peer, nbytes, group), ...])`` costs one kernel launch
     and starts the transfers at the sender's clock; ``(WAIT, group)``
     stalls until the ``expected[group]`` transfers feeding ``group``
-    have arrived; ``(COMPUTE, (tiles, flops))`` is one fused attention
-    kernel; ``(REDUCE, nbytes)`` one memory-bound kernel.  Devices
-    advance in index order, each as far as it can, until all are done —
-    the order transfers queue on shared links.  ``trace``, a list,
-    receives ``(device, step index, start, end, send index)`` per
-    kernel, stall (send index ``None``) and transfer.
+    have arrived; ``(COMPUTE, (tiles, flops, nbytes))`` is one fused
+    attention kernel whose epilogue moves ``nbytes`` of HBM (its
+    finalizes; 0 without); ``(REDUCE, nbytes)`` one memory-bound
+    kernel.  Devices advance in index order, each as far as it can,
+    until all are done — the order transfers queue on shared links.
+    ``trace``, a list, receives ``(device, step index, start, end, send
+    index)`` per kernel, stall (send index ``None``) and transfer.
     """
     overhead, tile_overhead = cluster.kernel_overhead, cluster.tile_overhead
     links = Links(cluster)
@@ -182,11 +189,12 @@ def replay(
                             trace.append((device, at, begin, arrived, index))
                 else:
                     if kind == COMPUTE:
-                        tiles, flops = payload
+                        tiles, flops, nbytes = payload
                         now += (
                             overhead
                             + tiles * tile_overhead
                             + cluster.compute_time(flops * flops_factor)
+                            + nbytes / cluster.hbm_bandwidth
                         )
                     else:
                         now += overhead + payload / cluster.hbm_bandwidth

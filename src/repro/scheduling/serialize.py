@@ -8,7 +8,9 @@ Per-device stream layout, for divisions ``0 .. T-1``:
   communication launched for division ``t`` itself;
 * compute division ``t`` (one fused BlockwiseAttention);
 * after the last division: ship partial outputs to their home devices,
-  merge all partials (local and remote) and finalize output blocks.
+  merge all partials (local and remote) and finalize output blocks —
+  in the last attention kernel's epilogue when nothing is merged
+  (:func:`finish_outputs`).
 
 Buffer slots: local Q/KV/O blocks get stable slots; remote fetches get
 transient slots that are freed once the last division using them has
@@ -18,7 +20,7 @@ executed (the paper's buffer-reuse design).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..blocks import BlockKind, BlockSet, DataBlockId
 from .buffers import BufferManager
@@ -35,10 +37,12 @@ from .instructions import (
     RecvArg,
     SendArg,
     Tile,
+    fuses_finalize,
 )
 
 __all__ = [
     "serialize_schedule",
+    "finish_outputs",
     "empty_device_plan",
     "plan_compatible",
     "rebind_plan",
@@ -49,6 +53,37 @@ _INPUT_BUFFER = {BlockKind.Q: "q", BlockKind.KV: "kv"}
 
 def _block_key(block: DataBlockId) -> Tuple[int, int, int]:
     return (block.seq_index, block.block_index, block.head_group)
+
+
+def finish_outputs(
+    instructions: List,
+    merges: Sequence[MergeArg],
+    finalizes: Sequence[FinalizeArg],
+) -> None:
+    """End a device's forward stream with its output reduction.
+
+    Under :func:`~.instructions.fuses_finalize` (nothing merged, some
+    attention run) the rows are finalized in the epilogue of the last
+    :class:`BlockwiseAttention` — no extra kernel launch; otherwise a
+    :class:`BlockwiseReduction` is appended.  The pricer applies the
+    same rule (:mod:`.pricing`).
+    """
+    last = next(
+        (
+            index
+            for index in range(len(instructions) - 1, -1, -1)
+            if isinstance(instructions[index], BlockwiseAttention)
+        ),
+        None,
+    )
+    if finalizes and fuses_finalize(len(merges), last is not None):
+        instructions[last] = replace(
+            instructions[last], finalizes=tuple(finalizes)
+        )
+    elif merges or finalizes:
+        instructions.append(
+            BlockwiseReduction(merges=tuple(merges), finalizes=tuple(finalizes))
+        )
 
 
 class _DeviceSerializer:
@@ -326,12 +361,7 @@ def serialize_schedule(schedule: Schedule) -> ExecutionPlan:
                     DataBlockId(BlockKind.O, key[0], key[1], key[2])
                 )
             finalizes.append(FinalizeArg(acc_slot=acc_slot, o_slot=o_slot))
-        if merges or finalizes:
-            serializer.instructions.append(
-                BlockwiseReduction(
-                    merges=tuple(merges), finalizes=tuple(finalizes)
-                )
-            )
+        finish_outputs(serializer.instructions, merges, finalizes)
 
     device_plans = {
         device: DevicePlan(

@@ -2,8 +2,11 @@
 
 Catches planner/serializer bugs before execution: slot references
 outside buffer bounds, waits without launches, unmatched sends/receives
-across devices, and attention tiles whose blocks do not exist in the
-batch.  Used by the test suite and available to planner authors.
+across devices, attention tiles whose blocks do not exist in the
+batch, and finalize order — every homed output slot finalized exactly
+once (by a reduction or an attention epilogue), and no tile or merge
+into an accumulator after it was finalized.  Used by the test suite
+and available to planner authors.
 """
 
 from __future__ import annotations
@@ -46,8 +49,31 @@ def validate_plan(plan: ExecutionPlan) -> None:
         needs_wait: Set[int] = set()
         waited: Set[int] = set()
 
+        finalized_acc: Set[int] = set()
+        finalized_o: Set[int] = set()
+
         def slot_ok(buffer: str, slot: int) -> bool:
             return 0 <= slot < sizes.get(buffer, 0)
+
+        def accumulate(acc_slot: int, what: str) -> None:
+            _check(
+                acc_slot not in finalized_acc,
+                f"{what} into acc[{acc_slot}] after it was finalized "
+                f"on device {device}",
+            )
+
+        def finalize(finalizes) -> None:
+            for fin in finalizes:
+                _check(
+                    slot_ok("acc", fin.acc_slot) and slot_ok("o", fin.o_slot),
+                    f"finalize slot out of range on device {device}",
+                )
+                _check(
+                    fin.o_slot not in finalized_o,
+                    f"o[{fin.o_slot}] finalized twice on device {device}",
+                )
+                finalized_o.add(fin.o_slot)
+                finalized_acc.add(fin.acc_slot)
 
         for instruction in device_plan.instructions:
             if isinstance(instruction, CommLaunch):
@@ -105,6 +131,8 @@ def validate_plan(plan: ExecutionPlan) -> None:
                         and 0 <= tile.kv_block < len(bounds) - 1,
                         "tile references block outside sequence",
                     )
+                    accumulate(tile.acc_slot, "tile")
+                finalize(instruction.finalizes)
             elif isinstance(instruction, BlockwiseAttentionBackward):
                 for tile in instruction.tiles:
                     _check(
@@ -130,12 +158,8 @@ def validate_plan(plan: ExecutionPlan) -> None:
                         and slot_ok("acc", merge.dst_acc_slot),
                         f"reduction slot out of range on device {device}",
                     )
-                for fin in instruction.finalizes:
-                    _check(
-                        slot_ok("acc", fin.acc_slot)
-                        and slot_ok("o", fin.o_slot),
-                        f"finalize slot out of range on device {device}",
-                    )
+                    accumulate(merge.dst_acc_slot, "merge")
+                finalize(instruction.finalizes)
             elif isinstance(instruction, BlockwiseCopy):
                 for copy in instruction.copies:
                     _check(
@@ -153,6 +177,11 @@ def validate_plan(plan: ExecutionPlan) -> None:
             not missing,
             f"device {device} never waits for receives of ops "
             f"{sorted(missing)} (buffers would be read before arrival)",
+        )
+        unfinalized = set(device_plan.o_slots.values()) - finalized_o
+        _check(
+            not unfinalized,
+            f"device {device} never finalizes o slots {sorted(unfinalized)}",
         )
 
     _check(

@@ -6,7 +6,8 @@ clocks (:func:`repro.scheduling.pricing.replay`, the model the
 scheduler prices division counts with), modelling
 
 * computation as ``flops / effective_flops`` plus per-kernel and
-  per-tile overheads,
+  per-tile overheads, plus the HBM bytes of an attention kernel's
+  finalize epilogue,
 * communication with an alpha-beta link model, serialized over shared
   resources (NVSwitch point-to-point links intra-machine, a per-machine
   NIC in each direction inter-machine),
@@ -211,7 +212,13 @@ def _streams(plan: ExecutionPlan):
                 if instruction.kind == "attention_backward":
                     # Recompute + dQ/dK/dV: ~2.5x the forward tile FLOPs.
                     flops *= _BW_FLOPS_FACTOR
-                steps.append((COMPUTE, (len(instruction.tiles), flops)))
+                    epilogue = 0
+                else:
+                    # The finalize epilogue's HBM traffic, no extra launch.
+                    epilogue = len(instruction.finalizes) * memory_bytes
+                steps.append(
+                    (COMPUTE, (len(instruction.tiles), flops, epilogue))
+                )
             elif isinstance(instruction, BlockwiseReduction):
                 ops = len(instruction.merges) + len(instruction.finalizes)
                 steps.append((REDUCE, ops * memory_bytes))

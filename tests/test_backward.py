@@ -23,8 +23,10 @@ from repro.runtime import (
 from repro.scheduling import (
     fill_divisions,
     serialize_backward_schedule,
+    serialize_schedule,
     validate_plan,
 )
+from repro.scheduling.instructions import BlockwiseAttention
 from repro.sim import simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -153,14 +155,46 @@ class TestBackwardPlan:
         if forward.fabric.total_bytes > 0:
             assert backward.fabric.total_bytes > forward.fabric.total_bytes
 
-    def test_backward_plan_is_timeable(self):
-        schedule = make_schedule((96, 64), make_mask("causal"))
-        plan = serialize_backward_schedule(schedule)
-        timing = simulate_plan(plan)
-        forward_timing = simulate_plan(
-            __import__(
-                "repro.scheduling", fromlist=["serialize_schedule"]
-            ).serialize_schedule(schedule)
+    @staticmethod
+    def _timings(seqlens, block_size):
+        schedule = make_schedule(seqlens, make_mask("causal"),
+                                 block_size=block_size)
+        forward_plan = serialize_schedule(schedule)
+        return (
+            forward_plan,
+            simulate_plan(forward_plan),
+            simulate_plan(serialize_backward_schedule(schedule)),
         )
-        # Executed backward costs more than forward (2.5x tile FLOPs).
-        assert timing.iteration_time > forward_timing.iteration_time
+
+    @staticmethod
+    def _kernel_time(result):
+        return sum(d.compute_time for d in result.devices.values())
+
+    def test_backward_plan_is_timeable(self):
+        forward_plan, forward, backward = self._timings((96, 64), 16)
+        # Executed backward runs more kernel time than forward (2.5x
+        # tile FLOPs).
+        assert self._kernel_time(backward) > self._kernel_time(forward)
+        # End to end these shapes are launch-bound, and the finish line
+        # is set by when partial outputs arrive.  A sender that merges
+        # nothing finalizes in its last attention kernel, ahead of the
+        # CommLaunch that ships its partials, so the forward may finish
+        # up to one epilogue's HBM time later than the backward (3.0 ns
+        # here, against a 5.1 ns epilogue) — but no more.
+        cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
+        memory_bytes = ATTENTION.o_block_bytes(16) * 2
+        epilogue = max(
+            len(instruction.finalizes) * memory_bytes
+            for device_plan in forward_plan.device_plans.values()
+            for instruction in device_plan.instructions
+            if isinstance(instruction, BlockwiseAttention)
+        ) / cluster.hbm_bandwidth
+        assert epilogue > 0
+        assert (backward.iteration_time
+                >= forward.iteration_time - epilogue)
+
+    def test_backward_outlasts_forward_when_flops_matter(self):
+        # Long enough that the 2.5x tile FLOPs outweigh launches.
+        _, forward, backward = self._timings((1024, 512), 64)
+        assert backward.iteration_time > forward.iteration_time
+        assert self._kernel_time(backward) > self._kernel_time(forward)

@@ -14,13 +14,22 @@ from repro.bench import BenchScale, make_batches
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import (
+    AttendRanges,
     CausalMask,
     DilatedBlockMask,
     LambdaMask,
+    MaskSpec,
     PackedDocumentMask,
 )
 from repro.pipeline import plan_fingerprint
-from repro.placement import PlacementConfig, place_blocks
+from repro.placement import (
+    STATIC_HEURISTICS,
+    Placement,
+    PlacementConfig,
+    build_block_hypergraph,
+    place_blocks,
+    static_placement,
+)
 from repro.scheduling import (
     build_schedule,
     fill_divisions,
@@ -28,6 +37,7 @@ from repro.scheduling import (
     rebind_plan,
     serialize_schedule,
 )
+from repro.scheduling.instructions import fuses_finalize
 from repro.sim import ClusterSpec, simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32)
@@ -100,6 +110,94 @@ def same_schedule(a, b) -> bool:
             for d in a.device_schedules
         )
     )
+
+
+def with_source(block_set, placement, source: str):
+    """``placement`` itself (``"partitioned"``), its owner-computes
+    projection, or a static placement of the same blocks — alone, with
+    no alternatives to choose from."""
+    if source == "partitioned":
+        return replace(placement, alternatives=[])
+    if source == "owner":
+        comp = block_set.comp_array
+        q_slice = block_set.slice_indices(comp.seq_index, comp.q_block)
+        return replace(
+            placement,
+            comp_device=placement.slice_device[q_slice],
+            source="owner",
+            alternatives=[],
+        )
+    return static_placement(
+        build_block_hypergraph(block_set), placement.cluster, source
+    )
+
+
+class HalfMasked(MaskSpec):
+    """Causal over the first half of the rows; the second half attends
+    to nothing, so its output rows are fully masked."""
+
+    name = "half_masked"
+
+    def ranges(self, seqlen: int) -> AttendRanges:
+        rows = np.arange(seqlen)
+        none = np.zeros(seqlen, dtype=np.int64)
+        end = np.where(rows < seqlen // 2, rows + 1, 0)
+        return AttendRanges(none, end, none, none)
+
+
+#: One machine of two devices, one 512-token sequence in 128-token
+#: slices: device 0 homes slices 0-1, device 1 slices 2-3.
+PAIR = ClusterSpec(num_machines=1, devices_per_machine=2)
+
+
+def hand_placed(mask, move=None):
+    """Every computation block on its query slice's device, except the
+    blocks of ``move = (q_block, kv_block, device)``."""
+    block_set = generate_blocks(
+        BatchSpec.build([512], mask), ATTENTION, block_size=128
+    )
+    comp = block_set.comp_array
+    slice_device = np.array([0, 0, 1, 1])
+    comp_device = slice_device[
+        block_set.slice_indices(comp.seq_index, comp.q_block)
+    ].copy()
+    if move is not None:
+        q_block, kv_block, device = move
+        comp_device[(comp.q_block == q_block) & (comp.kv_block == kv_block)] = (
+            device
+        )
+    return block_set, Placement(block_set, PAIR, slice_device, comp_device)
+
+
+def sends_partials_receives_none():
+    """Device 0 computes row 2 (homed on device 1) against KV 0: it
+    ships that partial home and merges nothing itself."""
+    return hand_placed(CausalMask(), move=(2, 0, 0))
+
+
+def only_fully_masked_rows():
+    """Device 1 homes only fully masked rows: no attention kernel."""
+    return hand_placed(HalfMasked())
+
+
+def assert_one_rule(plan) -> None:
+    """A device ends on a ``BlockwiseReduction`` exactly when
+    ``fuses_finalize`` says no (it merges partials or runs no
+    attention); otherwise its last attention kernel finalizes every row
+    it homes."""
+    for device_plan in plan.device_plans.values():
+        kernels = [i for i in device_plan.instructions if i.kind == "attention"]
+        reductions = [
+            i for i in device_plan.instructions if i.kind == "reduction"
+        ]
+        assert not any(k.finalizes for k in kernels[:-1])
+        merges = sum(len(r.merges) for r in reductions)
+        if not fuses_finalize(merges, bool(kernels)):
+            assert not (kernels and kernels[-1].finalizes)
+            assert len(reductions) == int(bool(merges or device_plan.o_slots))
+        else:
+            assert not reductions
+            assert len(kernels[-1].finalizes) == len(device_plan.o_slots)
 
 
 def cases():
@@ -182,6 +280,55 @@ class TestPriceAgainstSimulator:
         assert oracle[chosen.num_divisions] <= oracle[best] * (1 + 1e-9)
         # Never more than 5 % behind the paper's fixed T (here: never).
         assert oracle[chosen.num_divisions] <= oracle[4] * 1.05
+
+    @staticmethod
+    def assert_priced_as_simulated(block_set, placement) -> None:
+        """Each T in {1, 2, 4} prices at the simulated forward + backward
+        time of the plan it serializes to, finalize epilogues included."""
+        prices = build_schedule(block_set, placement, 4).division_prices
+        assert sorted(prices) == [1, 2, 4]
+        for count, price in prices.items():
+            plan = serialize_schedule(fill_divisions(block_set, placement, count))
+            assert_one_rule(plan)
+            assert price == pytest.approx(
+                sum(
+                    simulate_plan(plan, backward=backward).iteration_time
+                    for backward in (False, True)
+                ),
+                rel=1e-9,
+            )
+
+    @pytest.mark.parametrize("source", ["partitioned", "owner", *STATIC_HEURISTICS])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("mask_name", ["causal", "packed_documents"])
+    def test_every_placement_source_prices_as_simulated(
+        self, source, geometry, mask_name
+    ):
+        cluster, budget, block = GEOMETRIES[geometry]
+        block_set, placement = placed(
+            seeded_batch(0, budget, block, mask_name), cluster, block
+        )
+        self.assert_priced_as_simulated(
+            block_set, with_source(block_set, placement, source)
+        )
+
+    def test_device_that_sends_partials_but_receives_none(self):
+        block_set, placement = sends_partials_receives_none()
+        self.assert_priced_as_simulated(block_set, placement)
+        plan = serialize_schedule(fill_divisions(block_set, placement, 1))
+        sender = plan.device_plans[0].instructions
+        assert sender[-1].kind == "comm_wait"
+        assert sender[-2].kind == "comm_launch" and sender[-2].sends
+        assert sender[-3].kind == "attention" and sender[-3].finalizes
+        assert plan.device_plans[1].instructions[-1].merges
+
+    def test_device_with_only_fully_masked_rows_keeps_a_reduction(self):
+        block_set, placement = only_fully_masked_rows()
+        self.assert_priced_as_simulated(block_set, placement)
+        plan = serialize_schedule(fill_divisions(block_set, placement, 1))
+        idle = plan.device_plans[1]
+        assert [i.kind for i in idle.instructions] == ["reduction"]
+        assert len(idle.instructions[0].finalizes) == len(idle.o_slots) > 0
 
     def test_choice_varies_between_batches_of_one_geometry(self):
         """The candidates are not decoration: more than one count wins."""
