@@ -30,6 +30,15 @@ echo "== ledger smoke (end-to-end output checks) =="
 # Results go to the gitignored benchmarks/ledger/out/.
 python3 benchmarks/ledger/run.py --smoke
 
+echo "== examples (each must exit 0) =="
+# Five examples assert their results, and distributed_backward.py is
+# the one end-to-end backward run outside pytest (~22 s in all on two
+# CPUs, most of it quickstart.py).
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
+
 echo "== planner hot-path smoke =="
 if [[ "${1:-}" == "--full" ]]; then
     python benchmarks/bench_planner_hotpath.py

@@ -36,12 +36,8 @@ the encoding is canonical; instruction order is preserved exactly.
 Communication tags use three encodings: the planner's hot ``("in",
 block)`` / ``("out", block, producer)`` tags go columnar (4 and 5 ints)
 while anything else — backward-pass and baseline tags — is pickled once
-into the deduplicated tag table and referenced by index.
-
-A payload whose plan contains instruction types this module does not
-know is framed as a plain pickle under magic ``PWDP`` instead; decode
-handles both frames, so exotic plans lose the compaction but keep
-working.
+into the deduplicated tag table and referenced by index.  An
+instruction type this module does not know is a :class:`PlanWireError`.
 
 Whole plans travel as a :class:`PlanWire`: a pickled context
 (``block_set``, ``cluster``, ``meta``) plus the concatenated per-device
@@ -65,12 +61,10 @@ from ..scheduling.instructions import (
     BackwardTile,
     BlockwiseAttention,
     BlockwiseAttentionBackward,
-    BlockwiseCopy,
     BlockwiseGradReduce,
     BlockwiseReduction,
     CommLaunch,
     CommWait,
-    CopyArg,
     DevicePlan,
     ExecutionPlan,
     FinalizeArg,
@@ -91,15 +85,13 @@ __all__ = [
 ]
 
 DEVICE_MAGIC = b"PWD1"
-PICKLE_MAGIC = b"PWDP"
 PLAN_MAGIC = b"PWIR"
 
 _OP_ATTENTION = 0
 _OP_ATTENTION_BWD = 1
 _OP_GRAD_REDUCE = 2
 _OP_REDUCTION = 3
-_OP_COPY = 4
-_OP_COMM_LAUNCH = 5
+_OP_COMM_LAUNCH = 5  # opcodes are wire format: 4 stays unused
 _OP_COMM_WAIT = 6
 
 _TAG_INTERNED = 0
@@ -172,8 +164,6 @@ def _collect_tables(device_plan) -> Tuple[List[str], List[bytes]]:
     for ins in device_plan.instructions:
         if isinstance(ins, BlockwiseGradReduce):
             names.update(add.buffer for add in ins.adds)
-        elif isinstance(ins, BlockwiseCopy):
-            names.update(copy.buffer for copy in ins.copies)
         elif isinstance(ins, CommLaunch):
             for arg in (*ins.sends, *ins.recvs):
                 names.add(arg.buffer)
@@ -185,7 +175,9 @@ def _collect_tables(device_plan) -> Tuple[List[str], List[bytes]]:
     return sorted(names), sorted(tag_blobs)
 
 
-def _encode_columnar(device: int, device_plan) -> bytes:
+def encode_device_payload(device: int, device_plan) -> bytes:
+    """Canonical wire bytes of one device's executable stream; raises
+    :class:`PlanWireError` on an instruction type outside the DCP set."""
     names, tag_blobs = _collect_tables(device_plan)
     name_idx = {name: i for i, name in enumerate(names)}
     tag_idx = {blob: i for i, blob in enumerate(tag_blobs)}
@@ -224,10 +216,6 @@ def _encode_columnar(device: int, device_plan) -> bytes:
                 push((m.src_acc_slot, m.dst_acc_slot))
             for f in ins.finalizes:
                 push((f.acc_slot, f.o_slot))
-        elif isinstance(ins, BlockwiseCopy):
-            push((_OP_COPY, len(ins.copies)))
-            for c in ins.copies:
-                push((name_idx[c.buffer], c.src_slot, c.dst_slot))
         elif isinstance(ins, CommLaunch):
             push((_OP_COMM_LAUNCH, ins.op_id, len(ins.sends), len(ins.recvs)))
             for arg in ins.sends:
@@ -296,29 +284,6 @@ def _slot_maps(device_plan) -> Tuple[Dict, ...]:
     )
 
 
-def encode_device_payload(device: int, device_plan) -> bytes:
-    """Canonical wire bytes of one device's executable stream.
-
-    Columnar when the plan uses only the known instruction set (all
-    plan builders in this repository do); a pickle-framed fallback
-    otherwise, so third-party instruction types degrade to the old
-    behavior instead of failing.
-    """
-    try:
-        return _encode_columnar(device, device_plan)
-    except PlanWireError:
-        return PICKLE_MAGIC + pickle.dumps(
-            (
-                device,
-                device_plan.instructions,
-                sorted(device_plan.buffer_sizes.items()),
-                device_plan.local_slices,
-                *(sorted(m.items()) for m in _slot_maps(device_plan)),
-            ),
-            protocol=4,
-        )
-
-
 # -- decoding -----------------------------------------------------------------
 
 
@@ -352,19 +317,6 @@ def decode_device_payload(payload) -> Tuple[int, DevicePlan]:
     """
     reader = _Reader(payload)
     magic = bytes(reader.take(4))
-    if magic == PICKLE_MAGIC:
-        (device, instructions, sizes, local_slices, *maps) = pickle.loads(
-            reader.view[reader.pos:]
-        )
-        o, q, kv, acc, do, dq, dkv = (dict(m) for m in maps)
-        return device, DevicePlan(
-            device=device,
-            instructions=instructions,
-            buffer_sizes=dict(sizes),
-            local_slices=local_slices,
-            o_slots=o, q_slots=q, kv_slots=kv, acc_slots=acc,
-            do_slots=do, dq_slots=dq, dkv_slots=dkv,
-        )
     if magic != DEVICE_MAGIC:
         raise PlanWireError(f"bad device payload magic {magic!r}")
 
@@ -450,10 +402,6 @@ def decode_device_payload(payload) -> Tuple[int, DevicePlan]:
                     FinalizeArg(*take(2)) for _ in range(n_finalizes)
                 ),
             ))
-        elif op == _OP_COPY:
-            instructions.append(BlockwiseCopy(copies=tuple(
-                CopyArg(names[one()], one(), one()) for _ in range(one())
-            )))
         elif op == _OP_COMM_LAUNCH:
             op_id, n_sends, n_recvs = one(), one(), one()
             sends = tuple(read_comm_arg(SendArg) for _ in range(n_sends))

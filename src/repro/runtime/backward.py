@@ -4,11 +4,13 @@ Orchestrates a complete attention autograd step from one division
 schedule: run the forward plan (saving per-block log-sum-exp like
 FlashAttention), build the output-gradient packages at each output
 block's home, run the backward plan, and gather dQ/dK/dV — all through
-the same five-instruction executor and fabric.
+the same executor and fabric.
 
-Baselines keep the paper's analytic backward cost model; this module
-exists for DCP plans, where the backward pass shares the forward
-placement and divisions (see :mod:`repro.scheduling.backward`).
+DCP's backward plan shares the forward's placement and divisions (one
+lowering emits both, :mod:`repro.scheduling.serialize`).  The static
+ring baselines run their own plan pair through
+:func:`run_plans_forward_backward` too
+(:func:`repro.baselines.run_ring_forward_backward`).
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..scheduling.backward import serialize_backward_schedule
 from ..scheduling.divisions import Schedule
-from ..scheduling.serialize import serialize_schedule
+from ..scheduling.serialize import (
+    serialize_backward_schedule,
+    serialize_schedule,
+)
 from .executor import BatchInputs, SimExecutor
 from .kernels import finalize_with_lse
 

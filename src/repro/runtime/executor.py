@@ -1,7 +1,7 @@
 """Cooperative multi-device executor for DCP execution plans.
 
 This is the repository's substitute for the paper's GPU executor: it
-interprets the same five instructions over numpy buffers, with real
+interprets the same instructions over numpy buffers, with real
 tag-matched message passing between simulated devices.  Devices run
 round-robin, each progressing until it blocks on a :class:`CommWait`
 whose messages have not arrived; a full cycle without progress is a
@@ -25,7 +25,6 @@ from ..blocks import BlockSet
 from ..scheduling.instructions import (
     BlockwiseAttention,
     BlockwiseAttentionBackward,
-    BlockwiseCopy,
     BlockwiseGradReduce,
     BlockwiseReduction,
     CommLaunch,
@@ -107,8 +106,6 @@ class _DeviceRunner:
                 self._reduction(instruction)
             elif isinstance(instruction, BlockwiseGradReduce):
                 self._grad_reduce(instruction)
-            elif isinstance(instruction, BlockwiseCopy):
-                self._copy(instruction)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown instruction {instruction!r}")
             self.pc += 1
@@ -218,22 +215,6 @@ class _DeviceRunner:
             dst = buffers.acc_state(merge.dst_acc_slot, src.acc.shape[1])
             merge_partials(dst, src)
         _finalize(buffers, instruction.finalizes)
-
-    def _copy(self, instruction: BlockwiseCopy) -> None:
-        buffers = self.executor.buffers[self.plan.device]
-        for copy in instruction.copies:
-            if copy.buffer == "q":
-                buffers.q[copy.dst_slot] = buffers.q[copy.src_slot]
-                buffers.q_tokens[copy.dst_slot] = buffers.q_tokens[copy.src_slot]
-            elif copy.buffer == "kv":
-                buffers.kv[copy.dst_slot] = buffers.kv[copy.src_slot]
-                buffers.kv_tokens[copy.dst_slot] = buffers.kv_tokens[copy.src_slot]
-            elif copy.buffer == "o":
-                buffers.o[copy.dst_slot] = buffers.o[copy.src_slot]
-            elif copy.buffer == "acc":
-                buffers.acc[copy.dst_slot] = buffers.acc[copy.src_slot].copy()
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"cannot copy buffer {copy.buffer!r}")
 
 
 class SimExecutor:

@@ -9,11 +9,9 @@ from .divisions import (
 )
 from .instructions import (
     BlockwiseAttention,
-    BlockwiseCopy,
     BlockwiseReduction,
     CommLaunch,
     CommWait,
-    CopyArg,
     DevicePlan,
     ExecutionPlan,
     FinalizeArg,
@@ -22,11 +20,11 @@ from .instructions import (
     SendArg,
     Tile,
 )
-from .backward import serialize_backward_schedule
 from .serialize import (
     empty_device_plan,
     plan_compatible,
     rebind_plan,
+    serialize_backward_schedule,
     serialize_schedule,
 )
 from .validate import PlanValidationError, validate_plan
@@ -38,11 +36,9 @@ __all__ = [
     "build_schedule",
     "fill_divisions",
     "BlockwiseAttention",
-    "BlockwiseCopy",
     "BlockwiseReduction",
     "CommLaunch",
     "CommWait",
-    "CopyArg",
     "DevicePlan",
     "ExecutionPlan",
     "FinalizeArg",

@@ -1,4 +1,4 @@
-"""The five DCP instructions and the execution plan (paper §5).
+"""The DCP instructions and the execution plan (paper §5).
 
 An execution plan is a per-device list of instructions:
 
@@ -8,10 +8,13 @@ An execution plan is a per-device list of instructions:
   normalizes and writes output blocks once the tiles are done.
 * :class:`BlockwiseReduction` — fused merge of partial outputs, with
   optional finalization (normalize and write the output block).
-* :class:`BlockwiseCopy` — fused buffer-to-buffer copies on one device.
 * :class:`CommLaunch` — asynchronously post sends/receives of blocks.
 * :class:`CommWait` — block until a previously launched operation is
   complete.
+
+The backward pass replaces the two compute instructions with
+:class:`BlockwiseAttentionBackward` (tiles that accumulate dQ and dKV
+partials) and :class:`BlockwiseGradReduce` (sums of gradient partials).
 
 A device that merges no partial outputs finalizes its own rows in the
 epilogue of its last attention kernel (FlashAttention-2's
@@ -41,8 +44,6 @@ __all__ = [
     "MergeArg",
     "FinalizeArg",
     "BlockwiseReduction",
-    "CopyArg",
-    "BlockwiseCopy",
     "SendArg",
     "RecvArg",
     "CommLaunch",
@@ -162,22 +163,6 @@ class BlockwiseReduction:
     @property
     def kind(self) -> str:
         return "reduction"
-
-
-@dataclass(frozen=True)
-class CopyArg:
-    buffer: str
-    src_slot: int
-    dst_slot: int
-
-
-@dataclass(frozen=True)
-class BlockwiseCopy:
-    copies: Tuple[CopyArg, ...]
-
-    @property
-    def kind(self) -> str:
-        return "copy"
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,36 @@
-"""Serialize a division schedule into DCP instruction streams (§4.3/§5).
+"""Lower a division schedule into DCP instruction streams (§4.3/§5).
 
-Per-device stream layout, for divisions ``0 .. T-1``:
+One lowering serves both passes: the backward pass reuses the forward
+placement and divisions, and every forward tile has a backward twin
+that recomputes the tile's probabilities (FlashAttention style) and
+accumulates gradient partials.  Per-device stream layout, for divisions
+``0 .. T-1``:
 
 * before computing division ``t``: launch receives for division ``t+1``'s
-  fetches and the matching sends of blocks this device owns (so the
+  fetches and the matching sends of blocks this device homes (so the
   transfer overlaps with division ``t``'s computation), then wait for the
   communication launched for division ``t`` itself;
-* compute division ``t`` (one fused BlockwiseAttention);
-* after the last division: ship partial outputs to their home devices,
-  merge all partials (local and remote) and finalize output blocks —
-  in the last attention kernel's epilogue when nothing is merged
-  (:func:`finish_outputs`).
+* compute division ``t`` (one fused attention kernel);
+* after the last division: ship every partial computed away from home
+  to its home device, in block-key order, and reduce it there.
 
-Buffer slots: local Q/KV/O blocks get stable slots; remote fetches get
+The passes differ only in data and a few hooks (:class:`_Forward`,
+:class:`_Backward`):
+
+* each (slice, head group) a device homes gets ``q``, ``kv`` and ``o``
+  slots forward; ``q``, ``kv`` and ``do`` (the output-gradient package:
+  dO, lse, delta) backward;
+* a fetched block brings its buffer; backward, a fetched Q block also
+  brings its ``do`` package (dO routes with Q);
+* a forward tile accumulates the (acc, lse) partial of its Q rows, a
+  backward tile the ``dq`` partial of its Q rows and the ``dkv`` partial
+  of its KV rows;
+* the final reduction: forward merges (acc, lse) partials and finalizes
+  output blocks — in the last attention kernel's epilogue when nothing
+  is merged (:func:`finish_outputs`); backward sums gradient partials
+  (:class:`BlockwiseGradReduce`).
+
+Buffer slots: homed blocks get stable slots; remote fetches get
 transient slots that are freed once the last division using them has
 executed (the paper's buffer-reuse design).
 """
@@ -20,19 +38,23 @@ executed (the paper's buffer-reuse design).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..blocks import BlockKind, BlockSet, DataBlockId
+from ..blocks import BlockKind, DataBlockId
 from .buffers import BufferManager
 from .divisions import Schedule
 from .instructions import (
+    BackwardTile,
     BlockwiseAttention,
+    BlockwiseAttentionBackward,
+    BlockwiseGradReduce,
     BlockwiseReduction,
     CommLaunch,
     CommWait,
     DevicePlan,
     ExecutionPlan,
     FinalizeArg,
+    GradAdd,
     MergeArg,
     RecvArg,
     SendArg,
@@ -42,17 +64,20 @@ from .instructions import (
 
 __all__ = [
     "serialize_schedule",
+    "serialize_backward_schedule",
     "finish_outputs",
     "empty_device_plan",
     "plan_compatible",
     "rebind_plan",
 ]
 
-_INPUT_BUFFER = {BlockKind.Q: "q", BlockKind.KV: "kv"}
+#: A block's key: (sequence, slice, head group).
+_Key = Tuple[int, int, int]
 
-
-def _block_key(block: DataBlockId) -> Tuple[int, int, int]:
-    return (block.seq_index, block.block_index, block.head_group)
+#: Which of a tile's two blocks a buffer belongs to: its Q rows (O, dO
+#: and dQ share their shape) or its KV rows (dKV shares theirs).
+_Q, _KV = 0, 1
+_SIDE = {BlockKind.Q: _Q, BlockKind.KV: _KV}
 
 
 def finish_outputs(
@@ -86,304 +111,318 @@ def finish_outputs(
         )
 
 
-class _DeviceSerializer:
-    """Builds one device's instruction stream."""
+class _Forward:
+    """The forward pass: (acc, lse) partials, merged and finalized home."""
 
-    def __init__(self, device: int, schedule: Schedule) -> None:
+    homed = ("q", "kv", "o")
+    #: (buffer, side) of every slot a tile reads, in tile-field order; a
+    #: fetched block brings every buffer of its side.
+    reads = (("q", _Q), ("kv", _KV))
+    #: (buffer, side) of every partial a tile accumulates into.
+    accumulates = (("acc", _Q),)
+    tile, kernel = Tile, BlockwiseAttention
+
+    @staticmethod
+    def in_tag(buffer: str, block: DataBlockId) -> Tuple:
+        return ("in", block)
+
+    @staticmethod
+    def out_tag(buffer: str, key: _Key, producer: int) -> Tuple:
+        return ("out", DataBlockId(BlockKind.O, *key), producer)
+
+    @staticmethod
+    def reduce(device: "_Device", staged) -> None:
+        merges = [
+            MergeArg(src, device.accumulator(buffer, key))
+            for buffer, key, src in staged
+        ]
+        # A homed row may be fully masked (no tile at all): its empty
+        # accumulator finalizes to zeros.
+        finalizes = [
+            FinalizeArg(device.accumulator("acc", key), o_slot)
+            for key, o_slot in device.slots["o"].items()
+        ]
+        finish_outputs(device.instructions, merges, finalizes)
+
+
+class _Backward:
+    """The backward pass: dQ and dKV partials, summed home."""
+
+    homed = ("q", "kv", "do")
+    reads = (("q", _Q), ("kv", _KV), ("do", _Q))
+    accumulates = (("dq", _Q), ("dkv", _KV))
+    tile, kernel = BackwardTile, BlockwiseAttentionBackward
+
+    @staticmethod
+    def in_tag(buffer: str, block: DataBlockId) -> Tuple:
+        return ("bw", buffer, block)
+
+    @staticmethod
+    def out_tag(buffer: str, key: _Key, producer: int) -> Tuple:
+        return ("bwout", buffer, key, producer)
+
+    @staticmethod
+    def reduce(device: "_Device", staged) -> None:
+        adds = tuple(
+            GradAdd(buffer, src, device.accumulator(buffer, key))
+            for buffer, key, src in staged
+        )
+        if adds:
+            device.instructions.append(BlockwiseGradReduce(adds=adds))
+
+
+class _Device:
+    """One device's stream, slot maps and buffers while it is lowered."""
+
+    def __init__(self, device: int, lowering) -> None:
         self.device = device
-        self.schedule = schedule
-        self.block_set: BlockSet = schedule.block_set
         self.buffers = BufferManager()
         self.instructions: List = []
-        self.q_slots: Dict[Tuple[int, int, int], int] = {}
-        self.kv_slots: Dict[Tuple[int, int, int], int] = {}
-        self.o_slots: Dict[Tuple[int, int, int], int] = {}
-        self.acc_slots: Dict[Tuple[int, int, int], int] = {}
-        self.remote_slots: Dict[DataBlockId, int] = {}
         self.local_slices: List = []
-        self._next_op = device * 1_000_000  # device-unique op ids
+        #: Buffer -> key -> slot: homed blocks and every partial.
+        self.slots: Dict[str, Dict[_Key, int]] = {
+            buffer: {}
+            for buffer in (
+                *lowering.homed,
+                *(buffer for buffer, _ in lowering.accumulates),
+            )
+        }
+        #: (buffer, key) -> transient slot of a fetched block.
+        self.remote: Dict[Tuple[str, _Key], int] = {}
+        self.pending: List[int] = []  # launches the next wait covers
+        self._op = device * 1_000_000  # device-unique op ids
 
-    def new_op(self) -> int:
-        self._next_op += 1
-        return self._next_op
+    def read(self, buffer: str, key: _Key) -> int:
+        slot = self.slots[buffer].get(key)
+        return self.remote[buffer, key] if slot is None else slot
 
-    # -- local layout -----------------------------------------------------
+    def accumulator(self, buffer: str, key: _Key) -> int:
+        slots = self.slots[buffer]
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = self.buffers.alloc(buffer)
+        return slot
 
-    def allocate_locals(self, slice_device) -> None:
-        attention = self.block_set.attention
-        for index, token_slice in enumerate(self.block_set.token_slices):
-            if int(slice_device[index]) != self.device:
-                continue
-            self.local_slices.append(token_slice)
-            for head_group in range(attention.head_groups):
-                key = (token_slice.seq_index, token_slice.block_index, head_group)
-                self.q_slots[key] = self.buffers.alloc("q")
-                self.kv_slots[key] = self.buffers.alloc("kv")
-                self.o_slots[key] = self.buffers.alloc("o")
+    def launch(self, sends: List, recvs: List) -> Optional[int]:
+        if not (sends or recvs):
+            return None
+        self._op += 1
+        self.instructions.append(
+            CommLaunch(op_id=self._op, sends=tuple(sends), recvs=tuple(recvs))
+        )
+        return self._op
 
-    def input_slot(self, block: DataBlockId) -> int:
-        key = _block_key(block)
-        if block.kind == BlockKind.Q and key in self.q_slots:
-            return self.q_slots[key]
-        if block.kind == BlockKind.KV and key in self.kv_slots:
-            return self.kv_slots[key]
-        return self.remote_slots[block]
-
-    def acc_slot_for(self, output: DataBlockId) -> int:
-        key = _block_key(output)
-        if key not in self.acc_slots:
-            self.acc_slots[key] = self.buffers.alloc("acc")
-        return self.acc_slots[key]
-
-    # -- fetch lifetime ----------------------------------------------------
-
-    def fetch_lifetimes(self, device_schedule) -> Dict[DataBlockId, int]:
-        """Last division index in which each remote fetched block is used."""
-        last_use: Dict[DataBlockId, int] = {}
-        for division_index, division in enumerate(device_schedule.divisions):
-            for comp in division:
-                for block in comp.inputs:
-                    if block in self.remote_needs:
-                        last_use[block] = division_index
-        return last_use
+    def wait(self) -> None:
+        self.instructions.extend(CommWait(op_id=op) for op in self.pending)
+        self.pending.clear()
 
 
-def serialize_schedule(schedule: Schedule) -> ExecutionPlan:
-    """Produce the executable plan for every device."""
+def _keys(comp) -> Tuple[_Key, _Key]:
+    """The (Q, KV) block keys of a computation block, by side."""
+    return (
+        (comp.seq_index, comp.q_block, comp.head_group),
+        (comp.seq_index, comp.kv_block, comp.head_group),
+    )
+
+
+def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
+    """Every device's plan for one pass (``_Forward`` / ``_Backward``)."""
     block_set = schedule.block_set
     placement = schedule.placement
-    cluster = placement.cluster
+    attention = block_set.attention
+    num_devices = placement.cluster.num_devices
     num_divisions = schedule.num_divisions
+    schedules = [schedule.device_schedules.get(d) for d in range(num_devices)]
+    devices = [_Device(d, lowering) for d in range(num_devices)]
 
-    slice_index = {
-        (ts.seq_index, ts.block_index): i
-        for i, ts in enumerate(block_set.token_slices)
+    # Home device and tokens of every slice, by ``key[:2]``.
+    home: Dict[Tuple[int, int], int] = {}
+    tokens: Dict[Tuple[int, int], int] = {}
+    for token_slice, device in zip(
+        block_set.token_slices, map(int, placement.slice_device)
+    ):
+        where = (token_slice.seq_index, token_slice.block_index)
+        home[where] = device
+        tokens[where] = token_slice.tokens
+        owner = devices[device]
+        owner.local_slices.append(token_slice)
+        for head_group in range(attention.head_groups):
+            key = (*where, head_group)
+            for buffer in lowering.homed:
+                owner.slots[buffer][key] = owner.buffers.alloc(buffer)
+
+    block_bytes = (attention.q_block_bytes, attention.kv_block_bytes)
+
+    def nbytes(side: int, key: _Key) -> int:
+        return block_bytes[side](tokens[key[:2]])
+
+    brings = {
+        side: [buffer for buffer, of in lowering.reads if of == side]
+        for side in (_Q, _KV)
     }
 
-    def home_of(block: DataBlockId) -> int:
-        return int(
-            placement.slice_device[
-                slice_index[(block.seq_index, block.block_index)]
-            ]
-        )
+    # -- fetch routing and slot lifetimes ------------------------------------
+    # recv_of[d][t]: (block, side, key) device d fetches for division t;
+    # send_of[h][t]: ((block, side, key), receiver) home h sends for it.
+    recv_of = [[[] for _ in range(num_divisions)] for _ in devices]
+    send_of = [[[] for _ in range(num_divisions)] for _ in devices]
+    frees = [[[] for _ in range(num_divisions)] for _ in devices]
+    for device, device_schedule in enumerate(schedules):
+        if device_schedule is None:
+            continue
+        fetched = set()
+        for division, fetch in enumerate(device_schedule.fetches):
+            for block in fetch:
+                key = (block.seq_index, block.block_index, block.head_group)
+                item = (block, _SIDE[block.kind], key)
+                recv_of[device][division].append(item)
+                send_of[home[key[:2]]][division].append((item, device))
+                fetched.update((buffer, key) for buffer in brings[item[1]])
+        if not fetched:
+            continue
+        last_use: Dict[Tuple[str, _Key], int] = {}
+        for division, comps in enumerate(device_schedule.divisions):
+            for comp in comps:
+                keys = _keys(comp)
+                for buffer, side in lowering.reads:
+                    if (buffer, keys[side]) in fetched:
+                        last_use[buffer, keys[side]] = division
+        for used, division in last_use.items():
+            frees[device][division].append(used)
 
-    serializers = {
-        device: _DeviceSerializer(device, schedule)
-        for device in range(cluster.num_devices)
-    }
-    for serializer in serializers.values():
-        serializer.allocate_locals(placement.slice_device)
-        serializer.remote_needs = set()
-
-    # Record which remote blocks each device fetches (for lifetimes).
-    for device, device_schedule in schedule.device_schedules.items():
-        serializer = serializers[device]
-        for fetch_list in device_schedule.fetches:
-            serializer.remote_needs.update(fetch_list)
-
-    # Pre-compute per-division incoming fetches and matching outgoing
-    # sends for every device, so streams can be emitted in one pass.
-    recv_of: Dict[int, List[List[DataBlockId]]] = {
-        device: [list(fl) for fl in schedule.device_schedules[device].fetches]
-        if device in schedule.device_schedules
-        else [[] for _ in range(num_divisions)]
-        for device in range(cluster.num_devices)
-    }
-    send_of: Dict[int, List[List[Tuple[DataBlockId, int]]]] = {
-        device: [[] for _ in range(num_divisions)]
-        for device in range(cluster.num_devices)
-    }
-    for device, fetch_lists in recv_of.items():
-        for division_index, fetch_list in enumerate(fetch_lists):
-            for block in fetch_list:
-                send_of[home_of(block)][division_index].append((block, device))
-
-    last_use: Dict[int, Dict[DataBlockId, int]] = {}
-    for device, device_schedule in schedule.device_schedules.items():
-        last_use[device] = serializers[device].fetch_lifetimes(device_schedule)
-
-    pending_wait: Dict[int, List[int]] = {
-        device: [] for device in range(cluster.num_devices)
-    }
-    frees: Dict[int, List[List[DataBlockId]]] = {
-        device: [[] for _ in range(num_divisions)]
-        for device in range(cluster.num_devices)
-    }
-    for device, uses in last_use.items():
-        for block, division_index in uses.items():
-            frees[device][division_index].append(block)
-
-    def emit_comm(device: int, division_index: int) -> None:
-        """Launch comm whose data is consumed in ``division_index``."""
-        serializer = serializers[device]
+    def launch(device: _Device, division: int) -> None:
+        """Launch the transfers whose data division ``division`` reads."""
         recvs = []
-        for block in recv_of[device][division_index]:
-            slot = serializer.buffers.alloc(_INPUT_BUFFER[block.kind])
-            serializer.remote_slots[block] = slot
-            recvs.append(
-                RecvArg(
-                    peer=home_of(block),
-                    buffer=_INPUT_BUFFER[block.kind],
-                    slot=slot,
-                    tag=("in", block),
-                    nbytes=block_set.block_bytes(block),
-                )
+        for block, side, key in recv_of[device.device][division]:
+            for buffer in brings[side]:
+                slot = device.buffers.alloc(buffer)
+                device.remote[buffer, key] = slot
+                recvs.append(RecvArg(
+                    peer=home[key[:2]], buffer=buffer, slot=slot,
+                    tag=lowering.in_tag(buffer, block),
+                    nbytes=nbytes(side, key),
+                ))
+        outbound = send_of[device.device][division]
+        sends = [
+            SendArg(
+                peer=receiver, buffer=buffer, slot=device.slots[buffer][key],
+                tag=lowering.in_tag(buffer, block), nbytes=nbytes(side, key),
             )
-        sends = []
-        for block, receiver in send_of[device][division_index]:
-            sends.append(
-                SendArg(
-                    peer=receiver,
-                    buffer=_INPUT_BUFFER[block.kind],
-                    slot=serializer.input_slot(block),
-                    tag=("in", block),
-                    nbytes=block_set.block_bytes(block),
-                )
-            )
-        if recvs or sends:
-            op = serializer.new_op()
-            serializer.instructions.append(
-                CommLaunch(op_id=op, sends=tuple(sends), recvs=tuple(recvs))
-            )
-            if recvs:
-                pending_wait[device].append(op)
+            for (block, side, key), receiver in outbound
+            for buffer in brings[side]
+        ]
+        op = device.launch(sends, recvs)
+        if recvs:
+            device.pending.append(op)
 
-    # -- main division loop: launch(d+1) / compute(d) / wait(d+1) ------------
-    for device in range(cluster.num_devices):
-        serializer = serializers[device]
-        device_schedule = schedule.device_schedules.get(device)
+    # -- main division loop: launch(t+1) / compute(t) / wait(t+1) ------------
+    for device, device_schedule in zip(devices, schedules):
         divisions = (
             device_schedule.divisions
             if device_schedule
             else [[] for _ in range(num_divisions)]
         )
-
-        # Prologue: communication needed by division 0 (empty for DCP's
-        # own scheduler, used by baseline planners).
-        emit_comm(device, 0)
-        if pending_wait[device]:
-            for op in pending_wait[device]:
-                serializer.instructions.append(CommWait(op_id=op))
-            pending_wait[device].clear()
-
-        for division_index in range(num_divisions):
-            # Launch next division's communication first so it overlaps
-            # with this division's computation.
-            if division_index + 1 < num_divisions:
-                emit_comm(device, division_index + 1)
-
+        # Prologue: communication division 0 reads (empty for DCP's own
+        # scheduler, which keeps division 0 communication-free).
+        launch(device, 0)
+        device.wait()
+        for division in range(num_divisions):
+            if division + 1 < num_divisions:
+                launch(device, division + 1)
             tiles = []
-            for comp in divisions[division_index]:
-                tiles.append(
-                    Tile(
-                        q_slot=serializer.input_slot(comp.q_input),
-                        kv_slot=serializer.input_slot(comp.kv_input),
-                        acc_slot=serializer.acc_slot_for(comp.output),
-                        seq_index=comp.seq_index,
-                        head_group=comp.head_group,
-                        q_block=comp.q_block,
-                        kv_block=comp.kv_block,
-                    )
-                )
+            for comp in divisions[division]:
+                keys = _keys(comp)
+                tiles.append(lowering.tile(
+                    *[device.read(buffer, keys[side])
+                      for buffer, side in lowering.reads],
+                    *[device.accumulator(buffer, keys[side])
+                      for buffer, side in lowering.accumulates],
+                    comp.seq_index, comp.head_group,
+                    comp.q_block, comp.kv_block,
+                ))
             if tiles:
-                serializer.instructions.append(BlockwiseAttention(tuple(tiles)))
+                device.instructions.append(lowering.kernel(tuple(tiles)))
+            for buffer, key in frees[device.device][division]:
+                device.buffers.free(buffer, device.remote[buffer, key])
+            device.wait()
 
-            # Release remote input slots whose last use has passed.
-            for block in frees[device][division_index]:
-                slot = serializer.remote_slots[block]
-                serializer.buffers.free(_INPUT_BUFFER[block.kind], slot)
+    # -- partials home, then the pass's reduction -----------------------------
+    incoming: List[List[Tuple[str, int, _Key, int]]] = [[] for _ in devices]
+    outgoing = []
+    for device in devices:
+        partials = [
+            (buffer, side, key)
+            for buffer, side in lowering.accumulates
+            for key in sorted(device.slots[buffer])
+            if home[key[:2]] != device.device
+        ]
+        outgoing.append(partials)
+        for buffer, side, key in partials:
+            incoming[home[key[:2]]].append((buffer, side, key, device.device))
 
-            # Wait for the next division's data before computing it.
-            if pending_wait[device]:
-                for op in pending_wait[device]:
-                    serializer.instructions.append(CommWait(op_id=op))
-                pending_wait[device].clear()
-
-    # -- output reduction and transfers --------------------------------------
-    # Partial outputs computed away from home travel as (acc, lse) blocks.
-    partial_receivers: Dict[int, List[Tuple[DataBlockId, int]]] = {
-        device: [] for device in range(cluster.num_devices)
-    }
-    for device, device_schedule in schedule.device_schedules.items():
-        for block in device_schedule.output_sends:
-            partial_receivers[home_of(block)].append((block, device))
-
-    for device in range(cluster.num_devices):
-        serializer = serializers[device]
-        device_schedule = schedule.device_schedules.get(device)
-
-        sends = []
-        if device_schedule:
-            for block in device_schedule.output_sends:
-                sends.append(
-                    SendArg(
-                        peer=home_of(block),
-                        buffer="acc",
-                        slot=serializer.acc_slots[_block_key(block)],
-                        tag=("out", block, device),
-                        nbytes=block_set.block_bytes(block),
-                    )
-                )
-        recvs = []
-        staging: List[Tuple[DataBlockId, int]] = []
-        for block, producer in partial_receivers[device]:
-            slot = serializer.buffers.alloc("acc")
-            staging.append((block, slot))
-            recvs.append(
-                RecvArg(
-                    peer=producer,
-                    buffer="acc",
-                    slot=slot,
-                    tag=("out", block, producer),
-                    nbytes=block_set.block_bytes(block),
-                )
+    for device, partials in zip(devices, outgoing):
+        sends = [
+            SendArg(
+                peer=home[key[:2]], buffer=buffer,
+                slot=device.slots[buffer][key],
+                tag=lowering.out_tag(buffer, key, device.device),
+                nbytes=nbytes(side, key),
             )
-        if sends or recvs:
-            op = serializer.new_op()
-            serializer.instructions.append(
-                CommLaunch(op_id=op, sends=tuple(sends), recvs=tuple(recvs))
-            )
-            serializer.instructions.append(CommWait(op_id=op))
+            for buffer, side, key in partials
+        ]
+        recvs, staged = [], []
+        for buffer, side, key, producer in incoming[device.device]:
+            slot = device.buffers.alloc(buffer)
+            staged.append((buffer, key, slot))
+            recvs.append(RecvArg(
+                peer=producer, buffer=buffer, slot=slot,
+                tag=lowering.out_tag(buffer, key, producer),
+                nbytes=nbytes(side, key),
+            ))
+        op = device.launch(sends, recvs)
+        if op is not None:
+            device.instructions.append(CommWait(op_id=op))
+        lowering.reduce(device, staged)
 
-        merges = []
-        for block, slot in staging:
-            dst = serializer.acc_slot_for(block)
-            merges.append(MergeArg(src_acc_slot=slot, dst_acc_slot=dst))
-
-        finalizes = []
-        for key, o_slot in serializer.o_slots.items():
-            acc_slot = serializer.acc_slots.get(key)
-            if acc_slot is None:
-                # Output rows may be fully masked out (no computation at
-                # all); allocate an empty accumulator so finalize writes
-                # zeros.
-                acc_slot = serializer.acc_slot_for(
-                    DataBlockId(BlockKind.O, key[0], key[1], key[2])
-                )
-            finalizes.append(FinalizeArg(acc_slot=acc_slot, o_slot=o_slot))
-        finish_outputs(serializer.instructions, merges, finalizes)
-
-    device_plans = {
-        device: DevicePlan(
-            device=device,
-            instructions=serializer.instructions,
-            buffer_sizes=serializer.buffers.sizes(),
-            local_slices=serializer.local_slices,
-            o_slots=dict(serializer.o_slots),
-            q_slots=dict(serializer.q_slots),
-            kv_slots=dict(serializer.kv_slots),
-            acc_slots=dict(serializer.acc_slots),
+    return {
+        device.device: DevicePlan(
+            device=device.device,
+            instructions=device.instructions,
+            buffer_sizes=device.buffers.sizes(),
+            local_slices=device.local_slices,
+            # q_slots, kv_slots, then o_slots / acc_slots forward and
+            # do_slots / dq_slots / dkv_slots backward.
+            **{f"{name}_slots": slots for name, slots in device.slots.items()},
         )
-        for device, serializer in serializers.items()
+        for device in devices
     }
+
+
+def serialize_schedule(schedule: Schedule) -> ExecutionPlan:
+    """The forward execution plan for every device."""
     return ExecutionPlan(
-        block_set=block_set,
-        cluster=cluster,
-        device_plans=device_plans,
+        block_set=schedule.block_set,
+        cluster=schedule.placement.cluster,
+        device_plans=_lower(schedule, _Forward),
         meta={
-            "num_divisions": num_divisions,
+            "num_divisions": schedule.num_divisions,
             "division_prices": dict(schedule.division_prices),
             "planner": "dcp",
+        },
+    )
+
+
+def serialize_backward_schedule(schedule: Schedule) -> ExecutionPlan:
+    """The backward execution plan for every device: the forward's
+    placement and divisions, gradient partials shipped home."""
+    return ExecutionPlan(
+        block_set=schedule.block_set,
+        cluster=schedule.placement.cluster,
+        device_plans=_lower(schedule, _Backward),
+        meta={
+            "num_divisions": schedule.num_divisions,
+            "planner": "dcp",
+            "phase": "backward",
         },
     )
 

@@ -16,7 +16,6 @@ from typing import Set, Tuple
 from .instructions import (
     BlockwiseAttention,
     BlockwiseAttentionBackward,
-    BlockwiseCopy,
     BlockwiseGradReduce,
     BlockwiseReduction,
     CommLaunch,
@@ -54,6 +53,18 @@ def validate_plan(plan: ExecutionPlan) -> None:
 
         def slot_ok(buffer: str, slot: int) -> bool:
             return 0 <= slot < sizes.get(buffer, 0)
+
+        def in_batch(tile) -> None:
+            _check(
+                0 <= tile.seq_index < len(block_set.batch.sequences),
+                "tile references unknown sequence",
+            )
+            bounds = block_set.seq_bounds[tile.seq_index]
+            _check(
+                0 <= tile.q_block < len(bounds) - 1
+                and 0 <= tile.kv_block < len(bounds) - 1,
+                "tile references block outside sequence",
+            )
 
         def accumulate(acc_slot: int, what: str) -> None:
             _check(
@@ -121,16 +132,7 @@ def validate_plan(plan: ExecutionPlan) -> None:
                         and slot_ok("acc", tile.acc_slot),
                         f"tile references invalid slot on device {device}",
                     )
-                    _check(
-                        0 <= tile.seq_index < len(block_set.batch.sequences),
-                        "tile references unknown sequence",
-                    )
-                    bounds = block_set.seq_bounds[tile.seq_index]
-                    _check(
-                        0 <= tile.q_block < len(bounds) - 1
-                        and 0 <= tile.kv_block < len(bounds) - 1,
-                        "tile references block outside sequence",
-                    )
+                    in_batch(tile)
                     accumulate(tile.acc_slot, "tile")
                 finalize(instruction.finalizes)
             elif isinstance(instruction, BlockwiseAttentionBackward):
@@ -144,6 +146,7 @@ def validate_plan(plan: ExecutionPlan) -> None:
                         f"backward tile references invalid slot "
                         f"on device {device}",
                     )
+                    in_batch(tile)
             elif isinstance(instruction, BlockwiseGradReduce):
                 for add in instruction.adds:
                     _check(
@@ -160,13 +163,6 @@ def validate_plan(plan: ExecutionPlan) -> None:
                     )
                     accumulate(merge.dst_acc_slot, "merge")
                 finalize(instruction.finalizes)
-            elif isinstance(instruction, BlockwiseCopy):
-                for copy in instruction.copies:
-                    _check(
-                        slot_ok(copy.buffer, copy.src_slot)
-                        and slot_ok(copy.buffer, copy.dst_slot),
-                        f"copy slot out of range on device {device}",
-                    )
             else:
                 raise PlanValidationError(
                     f"unknown instruction {instruction!r} on device {device}"

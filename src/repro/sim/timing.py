@@ -31,7 +31,6 @@ import numpy as np
 from ..scheduling.instructions import (
     BlockwiseAttention,
     BlockwiseAttentionBackward,
-    BlockwiseCopy,
     BlockwiseGradReduce,
     BlockwiseReduction,
     CommLaunch,
@@ -224,8 +223,6 @@ def _streams(plan: ExecutionPlan):
                 steps.append((REDUCE, ops * memory_bytes))
             elif isinstance(instruction, BlockwiseGradReduce):
                 steps.append((REDUCE, len(instruction.adds) * memory_bytes))
-            elif isinstance(instruction, BlockwiseCopy):
-                steps.append((REDUCE, len(instruction.copies) * memory_bytes))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown instruction {instruction!r}")
     return streams, expected

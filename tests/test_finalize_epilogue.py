@@ -3,7 +3,9 @@ normalizes its own rows in its last attention kernel instead of a
 separate reduction kernel.  Fused plans of every kind must execute
 exactly (forward, and forward + backward), cross the wire columnar and
 unchanged, and the validator must reject finalizes that are missing,
-repeated or followed by more accumulation."""
+repeated or followed by more accumulation.  The backward plan of every
+schedule receives what its forward plan receives, in the same
+divisions, plus one dO package per fetched Q block."""
 
 from dataclasses import replace
 
@@ -59,7 +61,7 @@ def build(mask, seqlens=(96, 48, 32)):
 
 def schedules():
     """(label, block set, schedule): every placement source on two
-    masks, T = 1 and 4, and the two hand-built edge cases."""
+    masks, T = 1, 2 and 4, and the two hand-built edge cases."""
     for mask in MASKS:
         block_set = build(mask)
         placement = place_blocks(
@@ -67,7 +69,7 @@ def schedules():
         )
         for source in SOURCES:
             alone = with_source(block_set, placement, source)
-            for count in (1, 4):
+            for count in (1, 2, 4):
                 schedule = build_schedule(block_set, alone, count)
                 yield f"{source}-{mask.name}-T{count}", block_set, schedule
     for name, make in (
@@ -170,6 +172,56 @@ def test_ring_flash_attention_fuses_every_device(name):
     assert_grads_exact(block_set, inputs, grad_outputs, outputs, grads)
 
 
+# -- one lowering, two passes -------------------------------------------------
+
+
+def outline(device_plan):
+    """A device's division loop as the passes share it: per kernel the
+    blocks of its tiles, per launch that fetches inputs the (buffer,
+    block, home) of every receive.  Partials shipped home are left out."""
+    steps = []
+    for instruction in device_plan.instructions:
+        if instruction.kind in ("attention", "attention_backward"):
+            steps.append(("kernel", tuple(
+                (t.seq_index, t.head_group, t.q_block, t.kv_block)
+                for t in instruction.tiles
+            )))
+        elif instruction.kind == "comm_launch":
+            recvs = tuple(
+                (recv.buffer, recv.tag[-1], recv.peer)
+                for recv in instruction.recvs
+                if recv.tag[0] in ("in", "bw")
+            )
+            if recvs:
+                steps.append(("recv", recvs))
+    return steps
+
+
+def without_do(step):
+    kind, body = step
+    if kind == "recv":
+        body = tuple(recv for recv in body if recv[0] != "do")
+    return kind, body
+
+
+def of_buffer(recvs, buffer):
+    return [(block, home) for name, block, home in recvs if name == buffer]
+
+
+@pytest.mark.parametrize("label", sorted(SCHEDULES))
+def test_backward_fetches_the_forward_blocks_plus_one_do_per_q(label):
+    _, schedule = SCHEDULES[label]
+    forward = serialize_schedule(schedule)
+    backward = serialize_backward_schedule(schedule)
+    for device, device_plan in forward.device_plans.items():
+        forward_steps = outline(device_plan)
+        backward_steps = outline(backward.device_plans[device])
+        assert list(map(without_do, backward_steps)) == forward_steps
+        for kind, body in backward_steps:
+            if kind == "recv":
+                assert of_buffer(body, "do") == of_buffer(body, "q")
+
+
 # -- wire ----------------------------------------------------------------------
 
 
@@ -184,7 +236,7 @@ def wire_plans():
 def test_device_plans_roundtrip_columnar_and_equal(label, plan):
     for device, device_plan in plan.device_plans.items():
         payload = encode_device_payload(device, device_plan)
-        assert payload[:4] == DEVICE_MAGIC  # never the pickle fallback
+        assert payload[:4] == DEVICE_MAGIC
         assert decode_device_payload(payload) == (device, device_plan)
 
 

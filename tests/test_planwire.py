@@ -11,7 +11,6 @@ from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.core.planwire import (
     DEVICE_MAGIC,
-    PICKLE_MAGIC,
     PlanWire,
     PlanWireError,
     decode_device_payload,
@@ -230,28 +229,26 @@ def test_device_bytes_match_device_payload():
         assert bytes(wire.device_bytes(device)) == device_payload(device, dp)
 
 
-# -- fallback + error paths --------------------------------------------------
+# -- error paths --------------------------------------------------------------
 
 
 class _AlienInstruction:
     kind = "alien"
 
 
-def test_unknown_instruction_falls_back_to_pickle_frame():
+def test_unknown_instruction_is_rejected():
     plan = all_plans()["ring"]
     device, dp = next(iter(plan.device_plans.items()))
     dp.instructions.append(_AlienInstruction())
-    blob = encode_device_payload(device, dp)
-    assert blob[:4] == PICKLE_MAGIC
-    decoded_device, decoded = decode_device_payload(blob)
-    assert decoded_device == device
-    assert decoded.buffer_sizes == dp.buffer_sizes
-    assert decoded.instructions[-1].kind == "alien"
+    with pytest.raises(PlanWireError, match="unknown instruction type"):
+        encode_device_payload(device, dp)
 
 
 def test_bad_magic_rejected():
     with pytest.raises(PlanWireError):
         decode_device_payload(b"XXXX....")
+    with pytest.raises(PlanWireError):  # the retired pickle frame
+        decode_device_payload(b"PWDP" + pickle.dumps((0, [])))
     with pytest.raises(PlanWireError):
         decode_plan(b"YYYYbad")
 

@@ -1,5 +1,7 @@
 """Tests for plan validation, memory accounting and group-wise scaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,15 @@ from repro import (
 )
 from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.core import plan_with_groups, split_batch_by_workload
+from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
-from repro.scheduling import PlanValidationError, validate_plan
+from repro.scheduling import (
+    PlanValidationError,
+    build_schedule,
+    serialize_backward_schedule,
+    serialize_schedule,
+    validate_plan,
+)
 from repro.scheduling.instructions import CommWait
 from repro.sim import plan_memory
 
@@ -43,6 +52,39 @@ class TestValidatePlan:
         for planner in (RingAttentionPlanner(), RingAttentionPlanner(True),
                         TransformerEnginePlanner()):
             validate_plan(planner.plan(block_set, CLUSTER))
+
+    @pytest.mark.parametrize(
+        "serialize",
+        [serialize_schedule, serialize_backward_schedule],
+        ids=["forward", "backward"],
+    )
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seq_index", 7, "unknown sequence"),
+            ("q_block", 99, "outside sequence"),
+            ("kv_block", 99, "outside sequence"),
+        ],
+    )
+    def test_detects_tile_outside_batch(self, serialize, field, value, message):
+        batch = BatchSpec.build([96, 64, 32], make_mask("causal"))
+        block_set = generate_blocks(batch, ATTENTION, block_size=16)
+        placement = place_blocks(
+            block_set, CLUSTER, PlacementConfig(seed=0, restarts=1)
+        )
+        plan = serialize(build_schedule(block_set, placement))
+        validate_plan(plan)
+        instructions, index = next(
+            (device_plan.instructions, index)
+            for device_plan in plan.device_plans.values()
+            for index, instruction in enumerate(device_plan.instructions)
+            if instruction.kind in ("attention", "attention_backward")
+        )
+        kernel = instructions[index]
+        tile = replace(kernel.tiles[0], **{field: value})
+        instructions[index] = replace(kernel, tiles=(tile, *kernel.tiles[1:]))
+        with pytest.raises(PlanValidationError, match=message):
+            validate_plan(plan)
 
     def test_detects_wait_without_launch(self):
         plan, _ = dcp_plan()
