@@ -12,7 +12,8 @@ Execution per device ``(p, h)``:
    head-row-``h`` Q/KV blocks of position ``p`` homed on sibling devices;
 2. ``sr`` ring steps circulating the head row's KV chunks — statically,
    every step, regardless of mask sparsity (the baseline inefficiency
-   DCP removes, paper Fig. 7);
+   DCP removes, paper Fig. 7); each step is one kernel with one tile per
+   Q row, as DCP's (:func:`~repro.scheduling.serialize.forward_tiles`);
 3. *epilogue*: ship partial outputs back to their home devices, merge,
    finalize (:func:`~repro.scheduling.serialize.finish_outputs`).
 
@@ -45,9 +46,8 @@ from ..scheduling.instructions import (
     MergeArg,
     RecvArg,
     SendArg,
-    Tile,
 )
-from ..scheduling.serialize import finish_outputs
+from ..scheduling.serialize import finish_outputs, forward_tiles
 from ..sim.cluster import ClusterSpec
 
 __all__ = ["RingAttentionPlanner", "ring_layout", "slice_positions", "static_ring_plan"]
@@ -246,11 +246,15 @@ def _device_plan(device: int, block_set: BlockSet, layout: RingLayout) -> Device
         )
         instructions.append(CommWait(op_id=op_base))
 
-    def q_slot_of(comp) -> int:
-        key = (comp.seq_index, comp.q_block, comp.head_group)
+    def read(buffer: str, key: Tuple[int, int, int]) -> int:
+        if buffer == "kv":
+            return current[DataBlockId(BlockKind.KV, *key)]
         if key in q_slots:
             return q_slots[key]
-        return remote_q[comp.q_input]
+        return remote_q[DataBlockId(BlockKind.Q, *key)]
+
+    def accumulate(buffer: str, key: Tuple[int, int, int]) -> int:
+        return acc_for(key)
 
     # -- ring steps over positions (head row fixed) ----------------------
     next_peer = layout.device((position + 1) % sr, head_row)
@@ -291,17 +295,8 @@ def _device_plan(device: int, block_set: BlockSet, layout: RingLayout) -> Device
                 )
                 launched = True
 
-        tiles = tuple(
-            Tile(
-                q_slot=q_slot_of(comp),
-                kv_slot=current[comp.kv_input],
-                acc_slot=acc_for((comp.seq_index, comp.q_block, comp.head_group)),
-                seq_index=comp.seq_index,
-                head_group=comp.head_group,
-                q_block=comp.q_block,
-                kv_block=comp.kv_block,
-            )
-            for comp in layout.tiles.get((device, step), [])
+        tiles = forward_tiles(
+            layout.tiles.get((device, step), []), read, accumulate
         )
         if tiles:
             instructions.append(BlockwiseAttention(tiles))

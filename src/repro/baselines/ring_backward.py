@@ -7,6 +7,8 @@ passes through; after the last step, every accumulator takes one final
 hop to the KV chunk's home device.  dQ accumulates locally (Q never
 moves), and the dO/lse/delta packages are local too — exactly the
 communication doubling the paper's analytic backward model assumes.
+Each step is one kernel with one tile per KV column, as DCP's
+(:func:`~repro.scheduling.serialize.backward_tiles`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Dict, List, Tuple
 from ..blocks import BlockKind, BlockSet, DataBlockId
 from ..scheduling.buffers import BufferManager
 from ..scheduling.instructions import (
-    BackwardTile,
     BlockwiseAttentionBackward,
     CommLaunch,
     CommWait,
@@ -25,6 +26,7 @@ from ..scheduling.instructions import (
     RecvArg,
     SendArg,
 )
+from ..scheduling.serialize import backward_tiles
 from ..sim.cluster import ClusterSpec
 from .ring import RingAttentionPlanner, ring_layout
 
@@ -86,28 +88,21 @@ def plan_ring_backward(
         prev_peer = (device - 1) % num_devices
         op_base = device * 1_000_000
 
+        def slot_of(buffer: str, key: Tuple[int, int, int]) -> int:
+            """kv and dkv circulate; q, do and dq stay at home."""
+            if buffer in current:
+                return current[buffer][DataBlockId(BlockKind.KV, *key)]
+            return slots[buffer][key]
+
         for step in range(num_devices):
             held = layout.chunks[((device - step) % num_devices, 0)]
             incoming = layout.chunks[((device - step - 1) % num_devices, 0)]
 
-            tiles = []
-            for comp in layout.tiles.get((device, step), []):
-                q_key = (comp.seq_index, comp.q_block, comp.head_group)
-                tiles.append(
-                    BackwardTile(
-                        q_slot=slots["q"][q_key],
-                        kv_slot=current["kv"][comp.kv_input],
-                        do_slot=slots["do"][q_key],
-                        dq_slot=slots["dq"][q_key],
-                        dkv_slot=current["dkv"][comp.kv_input],
-                        seq_index=comp.seq_index,
-                        head_group=comp.head_group,
-                        q_block=comp.q_block,
-                        kv_block=comp.kv_block,
-                    )
-                )
+            tiles = backward_tiles(
+                layout.tiles.get((device, step), []), slot_of, slot_of
+            )
             if tiles:
-                instructions.append(BlockwiseAttentionBackward(tuple(tiles)))
+                instructions.append(BlockwiseAttentionBackward(tiles))
 
             if step < num_devices - 1:
                 # Forward the held chunk (kv + dkv) after computing on it;

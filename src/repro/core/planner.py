@@ -38,7 +38,9 @@ class PlanningStats:
     the scheduler chose (``DCPConfig.num_divisions`` is its upper bound)
     and whose placement it chose (``"partitioned"``, or the alternative
     that priced cheaper: its ``"owner"``-computes projection or the
-    static ``"zigzag"`` / ``"dp_pack"`` one).
+    static ``"zigzag"`` / ``"dp_pack"`` one), and the chosen forward
+    plan's attention tiles (one per Q row per kernel) and the block
+    pairs they compute.
     """
 
     block_generation: float = 0.0
@@ -52,6 +54,8 @@ class PlanningStats:
     infeasible_partitions: int = 0
     num_divisions: int = 0
     placement_source: str = ""
+    attention_tiles: int = 0
+    tile_pairs: int = 0
 
     @property
     def total(self) -> float:
@@ -71,6 +75,8 @@ class PlanningStats:
             "infeasible_partitions": self.infeasible_partitions,
             "num_divisions": self.num_divisions,
             "placement_source": self.placement_source,
+            "attention_tiles": self.attention_tiles,
+            "tile_pairs": self.tile_pairs,
         }
 
 
@@ -179,6 +185,7 @@ class DCPPlanner:
             plan = serialize_schedule(schedule)
         stats.scheduling = time.perf_counter() - start
         stats.num_divisions = schedule.num_divisions
+        stats.attention_tiles, stats.tile_pairs = plan.tile_counts()
         # The schedule's placement is the one it chose (``placement`` or
         # one of its alternatives).
         placement = schedule.placement
@@ -215,6 +222,8 @@ class DCPPlanner:
             stats.infeasible_partitions
         )
         metrics.counter(f"planner.placement_source.{placement.source}").inc()
+        metrics.counter("planner.attention_tiles").inc(stats.attention_tiles)
+        metrics.counter("planner.tile_pairs").inc(stats.tile_pairs)
         self.last_stats = stats
         self.last_placement = placement
         return plan

@@ -2,7 +2,8 @@
 
 The hot plan structures have been structure-of-arrays since PR 1 —
 instruction streams are flat tuples of small frozen records whose
-fields are all integers, buffer-name strings, or block identities.
+fields are all integers (or tuples of them), buffer-name strings, or
+block identities.
 This module encodes them as exactly that: a tiny self-describing
 header, two string/tag tables, and one contiguous integer lane, so a
 plan crosses a process or KV boundary as buffer bytes instead of a
@@ -31,8 +32,10 @@ Per-device payload layout (magic ``PWD1``, little-endian)::
 
 The integer lane carries, in order: device id, the instruction stream
 (opcode + body per instruction), buffer sizes, local token slices, and
-the seven slot maps.  Dict-shaped fields are stored sorted by key so
-the encoding is canonical; instruction order is preserved exactly.
+the seven slot maps.  An attention tile is its five scalar fields, the
+number ``n`` of blocks it walks, then ``n`` ints per walked field.
+Dict-shaped fields are stored sorted by key so the encoding is
+canonical; instruction order is preserved exactly.
 Communication tags use three encodings: the planner's hot ``("in",
 block)`` / ``("out", block, producer)`` tags go columnar (4 and 5 ints)
 while anything else — backward-pass and baseline tags — is pickled once
@@ -87,12 +90,15 @@ __all__ = [
 DEVICE_MAGIC = b"PWD1"
 PLAN_MAGIC = b"PWIR"
 
-_OP_ATTENTION = 0
-_OP_ATTENTION_BWD = 1
+# Opcodes are wire format: 0 and 1 (per-pair attention tiles) and 4 are
+# retired and stay unused, so a payload of a retired layout fails to
+# decode instead of decoding wrongly.
 _OP_GRAD_REDUCE = 2
 _OP_REDUCTION = 3
-_OP_COMM_LAUNCH = 5  # opcodes are wire format: 4 stays unused
+_OP_COMM_LAUNCH = 5
 _OP_COMM_WAIT = 6
+_OP_ATTENTION = 7
+_OP_ATTENTION_BWD = 8
 
 _TAG_INTERNED = 0
 _TAG_IN = 1
@@ -197,15 +203,21 @@ def encode_device_payload(device: int, device_plan) -> bytes:
         if isinstance(ins, BlockwiseAttention):
             push((_OP_ATTENTION, len(ins.tiles), len(ins.finalizes)))
             for t in ins.tiles:
-                push((t.q_slot, t.kv_slot, t.acc_slot, t.seq_index,
-                      t.head_group, t.q_block, t.kv_block))
+                push((t.q_slot, t.acc_slot, t.seq_index, t.head_group,
+                      t.q_block, len(t.kv_blocks)))
+                push(t.kv_slots)
+                push(t.kv_blocks)
             for f in ins.finalizes:
                 push((f.acc_slot, f.o_slot))
         elif isinstance(ins, BlockwiseAttentionBackward):
             push((_OP_ATTENTION_BWD, len(ins.tiles)))
             for t in ins.tiles:
-                push((t.q_slot, t.kv_slot, t.do_slot, t.dq_slot, t.dkv_slot,
-                      t.seq_index, t.head_group, t.q_block, t.kv_block))
+                push((t.kv_slot, t.dkv_slot, t.seq_index, t.head_group,
+                      t.kv_block, len(t.q_blocks)))
+                push(t.q_slots)
+                push(t.do_slots)
+                push(t.dq_slots)
+                push(t.q_blocks)
         elif isinstance(ins, BlockwiseGradReduce):
             push((_OP_GRAD_REDUCE, len(ins.adds)))
             for add in ins.adds:
@@ -363,6 +375,13 @@ def decode_device_payload(payload) -> Tuple[int, DevicePlan]:
             return ("out", block, one())
         raise PlanWireError(f"bad tag code {code}")
 
+    def read_tile(cls, walked: int):
+        """Five scalar fields, the walk length ``n``, then ``walked``
+        runs of ``n`` ints (one per walked field)."""
+        fixed = take(5)
+        n = one()
+        return cls(*fixed, *(tuple(take(n)) for _ in range(walked)))
+
     def read_comm_arg(cls):
         peer = one()
         buffer = names[one()]
@@ -379,14 +398,14 @@ def decode_device_payload(payload) -> Tuple[int, DevicePlan]:
         if op == _OP_ATTENTION:
             n_tiles, n_finalizes = one(), one()
             instructions.append(BlockwiseAttention(
-                tiles=tuple(Tile(*take(7)) for _ in range(n_tiles)),
+                tiles=tuple(read_tile(Tile, 2) for _ in range(n_tiles)),
                 finalizes=tuple(
                     FinalizeArg(*take(2)) for _ in range(n_finalizes)
                 ),
             ))
         elif op == _OP_ATTENTION_BWD:
             instructions.append(BlockwiseAttentionBackward(tiles=tuple(
-                BackwardTile(*take(9)) for _ in range(one())
+                read_tile(BackwardTile, 4) for _ in range(one())
             )))
         elif op == _OP_GRAD_REDUCE:
             instructions.append(BlockwiseGradReduce(adds=tuple(

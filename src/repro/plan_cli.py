@@ -150,6 +150,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"placement: {stats.placement_source} chosen "
         f"(priced fw+bw ms: {prices})"
     )
+    print(f"tiles: {stats.attention_tiles} rows over "
+          f"{stats.tile_pairs} block pairs")
     dcp_time = _report("dcp", plan, cluster, args.gantt_width)
 
     if args.trace:

@@ -172,11 +172,13 @@ class _DeviceRunner:
         buffers = executor.buffers[self.plan.device]
         scale = 1.0 / np.sqrt(executor.block_set.attention.head_dim)
         for tile in instruction.tiles:
+            # One query row: its partial stays put while the KV blocks pass.
             q = buffers.q_view(tile.q_slot)
-            k, v = buffers.kv_view(tile.kv_slot)
-            mask = executor.tile_mask(tile.seq_index, tile.q_block, tile.kv_block)
             state = buffers.acc_state(tile.acc_slot, q.shape[1])
-            merge_partials(state, tile_attention(q, k, v, mask, scale))
+            for kv_slot, kv_block in zip(tile.kv_slots, tile.kv_blocks):
+                k, v = buffers.kv_view(kv_slot)
+                mask = executor.tile_mask(tile.seq_index, tile.q_block, kv_block)
+                merge_partials(state, tile_attention(q, k, v, mask, scale))
         _finalize(buffers, instruction.finalizes)
 
     def _attention_backward(self, instruction: BlockwiseAttentionBackward) -> None:
@@ -184,18 +186,21 @@ class _DeviceRunner:
         buffers = executor.buffers[self.plan.device]
         scale = 1.0 / np.sqrt(executor.block_set.attention.head_dim)
         for tile in instruction.tiles:
-            q = buffers.q_view(tile.q_slot)
+            # One KV column: its dKV partial stays put while the Q blocks pass.
             k, v = buffers.kv_view(tile.kv_slot)
-            grad_out, lse, delta = buffers.do[tile.do_slot]
-            mask = executor.tile_mask(tile.seq_index, tile.q_block,
-                                      tile.kv_block)
-            dq_tile, dk_tile, dv_tile = tile_backward(
-                q, k, v, grad_out, lse, delta, mask, scale
-            )
-            buffers.dq_state(tile.dq_slot, q.shape[1])[...] += dq_tile
             dkv = buffers.dkv_state(tile.dkv_slot, k.shape[0])
-            dkv[0] += dk_tile
-            dkv[1] += dv_tile
+            for q_slot, do_slot, dq_slot, q_block in zip(
+                tile.q_slots, tile.do_slots, tile.dq_slots, tile.q_blocks
+            ):
+                q = buffers.q_view(q_slot)
+                grad_out, lse, delta = buffers.do[do_slot]
+                mask = executor.tile_mask(tile.seq_index, q_block, tile.kv_block)
+                dq_tile, dk_tile, dv_tile = tile_backward(
+                    q, k, v, grad_out, lse, delta, mask, scale
+                )
+                buffers.dq_state(dq_slot, q.shape[1])[...] += dq_tile
+                dkv[0] += dk_tile
+                dkv[1] += dv_tile
 
     def _grad_reduce(self, instruction: BlockwiseGradReduce) -> None:
         buffers = self.executor.buffers[self.plan.device]

@@ -3,7 +3,8 @@
 An execution plan is a per-device list of instructions:
 
 * :class:`BlockwiseAttention` — fused masked attention over a list of
-  tiles, accumulating into (acc, lse) partials (FlashAttention-style
+  tiles, one per query row: each keeps its Q block's (acc, lse) partial
+  on chip while it walks the row's KV blocks (FlashAttention-style
   online softmax), optionally followed by a finalize epilogue that
   normalizes and writes output blocks once the tiles are done.
 * :class:`BlockwiseReduction` — fused merge of partial outputs, with
@@ -13,8 +14,11 @@ An execution plan is a per-device list of instructions:
   complete.
 
 The backward pass replaces the two compute instructions with
-:class:`BlockwiseAttentionBackward` (tiles that accumulate dQ and dKV
-partials) and :class:`BlockwiseGradReduce` (sums of gradient partials).
+:class:`BlockwiseAttentionBackward` (tiles, one per KV column, that
+accumulate dQ and dKV partials) and :class:`BlockwiseGradReduce` (sums
+of gradient partials).  A kernel holds at most one tile per accumulator
+(:func:`repro.scheduling.validate_plan` enforces it), so a tile's setup
+is paid once per row, not once per block pair.
 
 A device that merges no partial outputs finalizes its own rows in the
 epilogue of its last attention kernel (FlashAttention-2's
@@ -56,20 +60,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tile:
-    """One Q-tile x KV-tile attention computation.
+    """One query row of a forward kernel: the Q block's (acc, lse)
+    partial stays on chip while the tile walks its KV blocks in order
+    (FlashAttention-2's forward loop).
 
-    The mask is not materialized here: the executor reconstructs it from
-    the sequence's :class:`~repro.masks.AttendRanges` using the global
-    token coordinates carried by the tile.
+    The masks are not materialized here: the executor reconstructs each
+    block pair's from the sequence's :class:`~repro.masks.AttendRanges`
+    using the global token coordinates carried by the tile.
     """
 
     q_slot: int
-    kv_slot: int
     acc_slot: int
     seq_index: int
     head_group: int
     q_block: int
-    kv_block: int
+    #: The KV blocks walked, in order: their slots and block indices.
+    kv_slots: Tuple[int, ...]
+    kv_blocks: Tuple[int, ...]
+
+    @property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The (Q block, KV block) pairs computed, in walk order."""
+        return tuple((self.q_block, kv_block) for kv_block in self.kv_blocks)
 
 
 @dataclass(frozen=True)
@@ -93,23 +105,32 @@ def fuses_finalize(merges: int, has_attention: bool) -> bool:
 
 @dataclass(frozen=True)
 class BackwardTile:
-    """One tile of the attention backward pass.
+    """One KV column of a backward kernel: the KV block's dKV partial
+    stays on chip while the tile walks its Q blocks in order
+    (FlashAttention-2's backward loop).
 
-    Reads the Q and KV blocks plus the output-gradient package
-    (``dO``, ``lse``, ``delta``) of the Q rows; accumulates into the
-    running dQ partial of the Q block and the running dKV partial of
-    the KV block (plain sums — gradients are linear).
+    Each walked Q block brings its output-gradient package (``dO``,
+    ``lse``, ``delta``) and the running dQ partial it adds to; the
+    column accumulates the dKV partial (plain sums — gradients are
+    linear).
     """
 
-    q_slot: int
     kv_slot: int
-    do_slot: int
-    dq_slot: int
     dkv_slot: int
     seq_index: int
     head_group: int
-    q_block: int
     kv_block: int
+    #: The Q blocks walked, in order: their Q, dO and dQ slots and block
+    #: indices.
+    q_slots: Tuple[int, ...]
+    do_slots: Tuple[int, ...]
+    dq_slots: Tuple[int, ...]
+    q_blocks: Tuple[int, ...]
+
+    @property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The (Q block, KV block) pairs computed, in walk order."""
+        return tuple((q_block, self.kv_block) for q_block in self.q_blocks)
 
 
 @dataclass(frozen=True)
@@ -263,3 +284,14 @@ class ExecutionPlan:
             for ins in plan.instructions
             if ins.kind == "comm_launch"
         )
+
+    def tile_counts(self) -> Tuple[int, int]:
+        """(tiles, block pairs they compute) over every attention kernel."""
+        tiles = [
+            tile
+            for plan in self.device_plans.values()
+            for ins in plan.instructions
+            if ins.kind in ("attention", "attention_backward")
+            for tile in ins.tiles
+        ]
+        return len(tiles), sum(len(tile.pairs) for tile in tiles)

@@ -113,9 +113,10 @@ def _streams(prep, fills) -> Tuple[List[list], List[int]]:
         for division, comps in enumerate(fill.divisions):
             wait = division + 2 < width and launch(division + 1)
             if comps:
+                # One tile per Q row, as serialization emits it.
                 flops = sum(prep.flops[comp] for comp in comps)
                 last = len(steps)
-                steps.append((COMPUTE, (len(comps), flops, 0)))
+                steps.append((COMPUTE, (len(fill.rows[division]), flops, 0)))
             if wait:
                 steps.append((WAIT, device * width + division + 1))
         if launch(width - 1):
@@ -215,7 +216,8 @@ def replay(
 def price_divisions(prep, fills) -> float:
     """Simulated forward + backward seconds of ``fills`` on
     ``prep.cluster`` (``fills``: one per device, each with integer
-    ``divisions`` and ``fetches`` of (block id, bytes, home))."""
+    ``divisions``, their Q ``rows`` and ``fetches`` of (block id, bytes,
+    home))."""
     streams, expected = _streams(prep, fills)
     return sum(
         max(replay(streams, expected, prep.cluster, *factors))

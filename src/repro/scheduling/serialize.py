@@ -14,6 +14,11 @@ accumulates gradient partials.  Per-device stream layout, for divisions
 * after the last division: ship every partial computed away from home
   to its home device, in block-key order, and reduce it there.
 
+A kernel takes one tile per row of its division's computation blocks
+(:func:`forward_tiles` / :func:`backward_tiles`, which the static-ring
+baselines share): the rows appear in the order of their first block,
+and a tile walks its row's blocks in their division order.
+
 The passes differ only in data and a few hooks (:class:`_Forward`,
 :class:`_Backward`):
 
@@ -22,9 +27,10 @@ The passes differ only in data and a few hooks (:class:`_Forward`,
   dO, lse, delta) backward;
 * a fetched block brings its buffer; backward, a fetched Q block also
   brings its ``do`` package (dO routes with Q);
-* a forward tile accumulates the (acc, lse) partial of its Q rows, a
-  backward tile the ``dq`` partial of its Q rows and the ``dkv`` partial
-  of its KV rows;
+* a forward tile is a Q row: it accumulates the row's (acc, lse)
+  partial over the KV blocks it walks; a backward tile is a KV column:
+  it accumulates the column's ``dkv`` partial and, per Q block it
+  walks, that block's ``dq`` partial;
 * the final reduction: forward merges (acc, lse) partials and finalizes
   output blocks — in the last attention kernel's epilogue when nothing
   is merged (:func:`finish_outputs`); backward sums gradient partials
@@ -65,6 +71,8 @@ from .instructions import (
 __all__ = [
     "serialize_schedule",
     "serialize_backward_schedule",
+    "forward_tiles",
+    "backward_tiles",
     "finish_outputs",
     "empty_device_plan",
     "plan_compatible",
@@ -120,6 +128,8 @@ class _Forward:
     reads = (("q", _Q), ("kv", _KV))
     #: (buffer, side) of every partial a tile accumulates into.
     accumulates = (("acc", _Q),)
+    #: The side a tile stands on; it walks the other side's blocks.
+    row = _Q
     tile, kernel = Tile, BlockwiseAttention
 
     @staticmethod
@@ -151,6 +161,7 @@ class _Backward:
     homed = ("q", "kv", "do")
     reads = (("q", _Q), ("kv", _KV), ("do", _Q))
     accumulates = (("dq", _Q), ("dkv", _KV))
+    row = _KV
     tile, kernel = BackwardTile, BlockwiseAttentionBackward
 
     @staticmethod
@@ -223,6 +234,54 @@ def _keys(comp) -> Tuple[_Key, _Key]:
         (comp.seq_index, comp.q_block, comp.head_group),
         (comp.seq_index, comp.kv_block, comp.head_group),
     )
+
+
+def _tiles(lowering, comps, read, accumulate) -> Tuple:
+    """One ``lowering.tile`` per row of ``comps``.
+
+    ``read(buffer, key)`` / ``accumulate(buffer, key)`` give the slot of
+    a block the tile reads / a partial it adds to; both are called per
+    computation block in ``comps`` order, so slots are allocated in that
+    order.  A tile's fields: its row's slots, (sequence, head group, row
+    block), then one tuple per walked buffer and the walked blocks.
+    """
+    fields = [
+        (slot_of, buffer, side)
+        for slot_of, pairs in ((read, lowering.reads),
+                               (accumulate, lowering.accumulates))
+        for buffer, side in pairs
+    ]
+    row = lowering.row
+    on_row = [side == row for _, _, side in fields]
+    rows: Dict[_Key, List] = {}
+    for comp in comps:
+        keys = _keys(comp)
+        rows.setdefault(keys[row], []).append((
+            keys[1 - row][1],
+            [slot_of(buffer, keys[side]) for slot_of, buffer, side in fields],
+        ))
+    tiles = []
+    for (seq_index, block, head_group), walked in rows.items():
+        blocks, slots = zip(*walked)
+        columns = list(zip(*slots))
+        tiles.append(lowering.tile(
+            *[column[0] for column, mine in zip(columns, on_row) if mine],
+            seq_index, head_group, block,
+            *[column for column, mine in zip(columns, on_row) if not mine],
+            blocks,
+        ))
+    return tuple(tiles)
+
+
+def forward_tiles(comps, read, accumulate) -> Tuple[Tile, ...]:
+    """A forward kernel's tiles for ``comps``: one per Q row (see
+    :func:`_tiles` for ``read`` and ``accumulate``)."""
+    return _tiles(_Forward, comps, read, accumulate)
+
+
+def backward_tiles(comps, read, accumulate) -> Tuple[BackwardTile, ...]:
+    """A backward kernel's tiles for ``comps``: one per KV column."""
+    return _tiles(_Backward, comps, read, accumulate)
 
 
 def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
@@ -329,19 +388,11 @@ def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
         for division in range(num_divisions):
             if division + 1 < num_divisions:
                 launch(device, division + 1)
-            tiles = []
-            for comp in divisions[division]:
-                keys = _keys(comp)
-                tiles.append(lowering.tile(
-                    *[device.read(buffer, keys[side])
-                      for buffer, side in lowering.reads],
-                    *[device.accumulator(buffer, keys[side])
-                      for buffer, side in lowering.accumulates],
-                    comp.seq_index, comp.head_group,
-                    comp.q_block, comp.kv_block,
-                ))
+            tiles = _tiles(
+                lowering, divisions[division], device.read, device.accumulator
+            )
             if tiles:
-                device.instructions.append(lowering.kernel(tuple(tiles)))
+                device.instructions.append(lowering.kernel(tiles))
             for buffer, key in frees[device.device][division]:
                 device.buffers.free(buffer, device.remote[buffer, key])
             device.wait()

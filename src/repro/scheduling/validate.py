@@ -3,7 +3,9 @@
 Catches planner/serializer bugs before execution: slot references
 outside buffer bounds, waits without launches, unmatched sends/receives
 across devices, attention tiles whose blocks do not exist in the
-batch, and finalize order — every homed output slot finalized exactly
+batch, a row split over two tiles of one kernel (one tile per
+accumulator: a Q row forward, a KV column backward) or walking a block
+twice, and finalize order — every homed output slot finalized exactly
 once (by a reduction or an attention epilogue), and no tile or merge
 into an accumulator after it was finalized.  Used by the test suite
 and available to planner authors.
@@ -54,17 +56,47 @@ def validate_plan(plan: ExecutionPlan) -> None:
         def slot_ok(buffer: str, slot: int) -> bool:
             return 0 <= slot < sizes.get(buffer, 0)
 
-        def in_batch(tile) -> None:
-            _check(
-                0 <= tile.seq_index < len(block_set.batch.sequences),
-                "tile references unknown sequence",
-            )
-            bounds = block_set.seq_bounds[tile.seq_index]
-            _check(
-                0 <= tile.q_block < len(bounds) - 1
-                and 0 <= tile.kv_block < len(bounds) - 1,
-                "tile references block outside sequence",
-            )
+        def check_tiles(kernel, accumulator: str, walked: str, slots) -> None:
+            """At most one tile per ``accumulator`` slot in ``kernel``,
+            each walking in-batch ``walked`` blocks once.  ``slots`` maps
+            every slot field to its buffer; a tuple field holds one slot
+            per walked block."""
+            rows: Set[int] = set()
+            for tile in kernel.tiles:
+                _check(
+                    0 <= tile.seq_index < len(block_set.batch.sequences),
+                    "tile references unknown sequence",
+                )
+                blocks = len(block_set.seq_bounds[tile.seq_index]) - 1
+                _check(
+                    all(
+                        0 <= block < blocks
+                        for pair in tile.pairs
+                        for block in pair
+                    ),
+                    "tile references block outside sequence",
+                )
+                path = getattr(tile, walked)
+                _check(
+                    len(set(path)) == len(path),
+                    f"tile walks a block twice on device {device}",
+                )
+                for field, buffer in slots.items():
+                    value = getattr(tile, field)
+                    walks = isinstance(value, tuple)
+                    _check(
+                        all(slot_ok(buffer, slot)
+                            for slot in (value if walks else (value,)))
+                        and (not walks or len(value) == len(path)),
+                        f"tile references invalid slot on device {device}",
+                    )
+                row = getattr(tile, accumulator)
+                _check(
+                    row not in rows,
+                    f"two tiles of one kernel accumulate into "
+                    f"{slots[accumulator]}[{row}] on device {device}",
+                )
+                rows.add(row)
 
         def accumulate(acc_slot: int, what: str) -> None:
             _check(
@@ -125,28 +157,17 @@ def validate_plan(plan: ExecutionPlan) -> None:
                 )
                 waited.add(instruction.op_id)
             elif isinstance(instruction, BlockwiseAttention):
+                check_tiles(instruction, "acc_slot", "kv_blocks", {
+                    "q_slot": "q", "acc_slot": "acc", "kv_slots": "kv",
+                })
                 for tile in instruction.tiles:
-                    _check(
-                        slot_ok("q", tile.q_slot)
-                        and slot_ok("kv", tile.kv_slot)
-                        and slot_ok("acc", tile.acc_slot),
-                        f"tile references invalid slot on device {device}",
-                    )
-                    in_batch(tile)
                     accumulate(tile.acc_slot, "tile")
                 finalize(instruction.finalizes)
             elif isinstance(instruction, BlockwiseAttentionBackward):
-                for tile in instruction.tiles:
-                    _check(
-                        slot_ok("q", tile.q_slot)
-                        and slot_ok("kv", tile.kv_slot)
-                        and slot_ok("do", tile.do_slot)
-                        and slot_ok("dq", tile.dq_slot)
-                        and slot_ok("dkv", tile.dkv_slot),
-                        f"backward tile references invalid slot "
-                        f"on device {device}",
-                    )
-                    in_batch(tile)
+                check_tiles(instruction, "dkv_slot", "q_blocks", {
+                    "kv_slot": "kv", "dkv_slot": "dkv", "q_slots": "q",
+                    "do_slots": "do", "dq_slots": "dq",
+                })
             elif isinstance(instruction, BlockwiseGradReduce):
                 for add in instruction.adds:
                     _check(

@@ -46,7 +46,9 @@ class ClusterSpec:
     # Fixed overhead per launched kernel / instruction.
     kernel_overhead: float = 20e-6
     # Per-tile fixed cost inside a fused attention kernel (block setup,
-    # block-table reads); dominates for tiny sparse tiles.
+    # block-table reads).  A tile is one query row forward and one KV
+    # column backward: it pays this once, and the blocks it walks cost
+    # their FLOPs.  Dominates for short, sparse rows.
     tile_overhead: float = 1.5e-6
     # HBM bandwidth, used to cost reductions and copies.
     hbm_bandwidth: float = 1.6e12

@@ -6,8 +6,9 @@ clocks (:func:`repro.scheduling.pricing.replay`, the model the
 scheduler prices division counts with), modelling
 
 * computation as ``flops / effective_flops`` plus per-kernel and
-  per-tile overheads, plus the HBM bytes of an attention kernel's
-  finalize epilogue,
+  per-tile overheads (a tile is one query row forward, one KV column
+  backward, and its FLOPs are those of every block pair it walks), plus
+  the HBM bytes of an attention kernel's finalize epilogue,
 * communication with an alpha-beta link model, serialized over shared
   resources (NVSwitch point-to-point links intra-machine, a per-machine
   NIC in each direction inter-machine),
@@ -200,13 +201,13 @@ def _streams(plan: ExecutionPlan):
             elif isinstance(
                 instruction, (BlockwiseAttention, BlockwiseAttentionBackward)
             ):
+                # A tile costs one setup; the blocks it walks, their FLOPs.
                 flops = sum(
                     attention.tile_flops(
-                        block_set.tile_pairs(
-                            tile.seq_index, tile.q_block, tile.kv_block
-                        )
+                        block_set.tile_pairs(tile.seq_index, q_block, kv_block)
                     )
                     for tile in instruction.tiles
+                    for q_block, kv_block in tile.pairs
                 )
                 if instruction.kind == "attention_backward":
                     # Recompute + dQ/dK/dV: ~2.5x the forward tile FLOPs.

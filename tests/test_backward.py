@@ -194,7 +194,14 @@ class TestBackwardPlan:
                 >= forward.iteration_time - epilogue)
 
     def test_backward_outlasts_forward_when_flops_matter(self):
-        # Long enough that the 2.5x tile FLOPs outweigh launches.
-        _, forward, backward = self._timings((1024, 512), 64)
+        """Forward tiles are Q rows, backward tiles KV columns: on this
+        placement the same 344 block pairs make 126 rows but 112
+        columns.  At (1024, 512), block 64, the forward's FLOPs cost
+        1.3 us against 189 us of tile setup, so the backward's 14 fewer
+        tiles outweigh its 2.5x FLOPs (0.572 ms of kernels against
+        0.591 ms).  Here the forward's FLOPs cost 0.33 ms: backward
+        0.562 ms against forward 0.359 ms end to end, kernels 1.39 ms
+        against 0.92 ms."""
+        _, forward, backward = self._timings((16384, 8192), 1024)
         assert backward.iteration_time > forward.iteration_time
         assert self._kernel_time(backward) > self._kernel_time(forward)

@@ -177,15 +177,17 @@ def test_ring_flash_attention_fuses_every_device(name):
 
 def outline(device_plan):
     """A device's division loop as the passes share it: per kernel the
-    blocks of its tiles, per launch that fetches inputs the (buffer,
+    block pairs of its tiles (sorted: forward tiles are Q rows, backward
+    tiles KV columns), per launch that fetches inputs the (buffer,
     block, home) of every receive.  Partials shipped home are left out."""
     steps = []
     for instruction in device_plan.instructions:
         if instruction.kind in ("attention", "attention_backward"):
-            steps.append(("kernel", tuple(
-                (t.seq_index, t.head_group, t.q_block, t.kv_block)
+            steps.append(("kernel", tuple(sorted(
+                (t.seq_index, t.head_group, *pair)
                 for t in instruction.tiles
-            )))
+                for pair in t.pairs
+            ))))
         elif instruction.kind == "comm_launch":
             recvs = tuple(
                 (recv.buffer, recv.tag[-1], recv.peer)

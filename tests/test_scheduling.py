@@ -169,8 +169,10 @@ class TestSerialization:
                     continue
                 for tile in instruction.tiles:
                     assert 0 <= tile.q_slot < sizes.get("q", 0)
-                    assert 0 <= tile.kv_slot < sizes.get("kv", 0)
                     assert 0 <= tile.acc_slot < sizes.get("acc", 0)
+                    assert len(tile.kv_slots) == len(tile.kv_blocks) > 0
+                    for kv_slot in tile.kv_slots:
+                        assert 0 <= kv_slot < sizes.get("kv", 0)
 
     def test_o_slots_cover_local_outputs(self):
         block_set, placement, schedule = planned()

@@ -81,7 +81,12 @@ class TestValidatePlan:
             if instruction.kind in ("attention", "attention_backward")
         )
         kernel = instructions[index]
-        tile = replace(kernel.tiles[0], **{field: value})
+        tile = kernel.tiles[0]
+        if hasattr(tile, field):
+            tile = replace(tile, **{field: value})
+        else:  # the side the tile walks: its first block
+            walked = getattr(tile, field + "s")
+            tile = replace(tile, **{field + "s": (value, *walked[1:])})
         instructions[index] = replace(kernel, tiles=(tile, *kernel.tiles[1:]))
         with pytest.raises(PlanValidationError, match=message):
             validate_plan(plan)
