@@ -1,6 +1,6 @@
 """CI gate: the docs tree must track the code and benchmark surface.
 
-Five checks, all cheap and dependency-free:
+Six checks, all cheap and dependency-free:
 
 * every *tracked* benchmark report at the repo root (``BENCH_*.json``,
   excluding ``*.smoke.json`` scratch outputs) is mentioned somewhere
@@ -20,7 +20,12 @@ Five checks, all cheap and dependency-free:
 * every keyword in a backticked call — ``Name(…, kw=…)`` whose callee
   resolves to a ``repro`` callable without ``**kwargs`` — is a
   parameter that callable accepts, so a deleted option cannot linger
-  either.
+  either;
+* every backticked ``*.py`` path resolves under the repo root,
+  ``src/repro/``, ``benchmarks/``, ``tests/`` or ``examples/``, and
+  every backticked ``path.py:name`` names a ``def``, ``class`` or
+  assignment in that file, so a deleted file or function cannot
+  linger in the docs.
 
 Usage::
 
@@ -29,6 +34,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import glob
 import importlib
 import inspect
@@ -57,6 +63,12 @@ CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+(?:\.\w+)*$")
 CALL_RE = re.compile(r"^([\w.]+)\((.*)\)$")
 NESTED_CALL_RE = re.compile(r"\([^()]*\)")
 KEYWORD_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
+#: A ``.py`` path inside a backticked span (a span may be a command),
+#: with an optional ``:name``; a pytest ``::node`` suffix names no
+#: symbol.
+PY_PATH_RE = re.compile(r"(?<![\w./*-])([\w./-]+\.py)\b(?::(\w+))?")
+#: Where a docs-relative ``.py`` path may live.
+PY_ROOTS = ("", "src/repro", "benchmarks", "tests", "examples")
 
 
 def _doc_files() -> List[str]:
@@ -234,6 +246,49 @@ def stale_keywords(text: str, names: Optional[Dict[str, object]] = None):
     return stale
 
 
+def _py_file(path: str) -> Optional[str]:
+    for root in PY_ROOTS:
+        candidate = os.path.join(REPO_ROOT, root, path)
+        if os.path.isfile(candidate):
+            return candidate
+    return None
+
+
+def _defined_names(path: str) -> set:
+    """Every name a ``def``, ``class`` or assignment binds in ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            for target in targets:
+                names.update(
+                    name.id for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                )
+    return names
+
+
+def stale_py_paths(text: str) -> List[str]:
+    """Backticked ``*.py`` paths and ``path.py:name`` references in
+    ``text`` whose file or name does not exist."""
+    stale: List[str] = []
+    for span in sorted(set(CODE_SPAN_RE.findall(text))):
+        for path, name in PY_PATH_RE.findall(span):
+            found = _py_file(path)
+            if found is None:
+                stale.append(f"{path}: no such file")
+            elif name and name not in _defined_names(found):
+                stale.append(f"{path}:{name}: not defined there")
+    return stale
+
+
 def stale_symbol_references() -> List[str]:
     """Stale symbols and call keywords per file across docs/ and
     README.md."""
@@ -254,6 +309,10 @@ def stale_symbol_references() -> List[str]:
             failures.append(
                 f"{rel}: `{span}` passes `{keyword}=`, which its callee "
                 f"does not accept (deleted or renamed option?)"
+            )
+        for reference in stale_py_paths(text):
+            failures.append(
+                f"{rel}: `{reference}` (deleted or renamed file or name?)"
             )
     return failures
 
@@ -287,7 +346,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"docs ok: {len(tracked_bench_files())} tracked benchmark files "
         f"and {len(repro_packages())} repro packages documented, all "
-        f"relative links, symbol references and call keywords resolve"
+        f"relative links, symbol references, call keywords and .py "
+        f"paths resolve"
     )
     return 0
 

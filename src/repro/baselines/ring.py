@@ -1,4 +1,4 @@
-"""The static-ring lowering shared by every baseline, and RingFlashAttention.
+"""The one static-ring lowering every baseline shares, for either pass.
 
 The ``R`` devices form a grid of ``sr = R / hp`` ring positions x ``hp``
 head rows; device ``(p, h)`` is ``p * hp + h`` and computes head groups
@@ -6,23 +6,34 @@ head rows; device ``(p, h)`` is ``p * hp + h`` and computes head groups
 contiguous or zigzag (paper Fig. 4) assignment; inside a position, slice
 homes alternate between the ``hp`` sibling devices.
 
-Execution per device ``(p, h)``:
+:func:`lower_ring` lowers a pass on the serializer's own pass objects
+(:class:`~repro.scheduling.serialize.Forward` /
+:class:`~repro.scheduling.serialize.Backward`).  A pass's KV-side
+buffers circulate: ``kv`` forward, ``kv`` with its ``dkv`` accumulator
+backward (Ring Attention's backward: each device adds its gradient as
+the pair passes through; dQ and the dO packages stay home).  Per device
+``(p, h)``:
 
 1. *prologue* (the all-to-all of head parallelism): fetch the
-   head-row-``h`` Q/KV blocks of position ``p`` homed on sibling devices;
-2. ``sr`` ring steps circulating the head row's KV chunks — statically,
-   every step, regardless of mask sparsity (the baseline inefficiency
-   DCP removes, paper Fig. 7); each step is one kernel with one tile per
-   Q row, as DCP's (:func:`~repro.scheduling.serialize.forward_tiles`);
-3. *epilogue*: ship partial outputs back to their home devices, merge,
-   finalize (:func:`~repro.scheduling.serialize.finish_outputs`).
+   head-row-``h`` blocks of position ``p`` homed on sibling devices;
+2. ``sr`` ring steps circulating the head row's KV-side buffers —
+   statically, every step, regardless of mask sparsity (the baseline
+   inefficiency DCP removes, paper Fig. 7); each step is one kernel
+   with one tile per row, as DCP's
+   (:func:`~repro.scheduling.serialize.row_tiles`).  A pass whose
+   partial circulates (backward) launches each hop after its kernel,
+   the forward before it;
+3. *epilogue*: a circulating partial takes one last hop, to its KV
+   chunk's home; otherwise partials go home and the pass reduces them
+   (the forward merges and finalizes).
 
-With ``hp = 1`` there is no prologue or epilogue traffic: that is
-RingFlashAttention (paper baseline (i), [49]), which parallelizes only
-along the sequence — ``Ring`` with contiguous chunks, ``ZigZag`` with the
-causal-balancing zigzag.  Nothing is merged, so each device finalizes in
-its last attention kernel.  TransformerEngine is the same ring with one
-head row per KV group (:mod:`.transformer_engine`).
+With ``hp = 1`` there is no prologue traffic and nothing is merged:
+that is RingFlashAttention (paper baseline (i), [49]), which
+parallelizes only along the sequence — ``Ring`` with contiguous chunks,
+``ZigZag`` with the causal-balancing zigzag — and each device finalizes
+in its last attention kernel.  TransformerEngine is the same forward
+ring with head rows (:mod:`.transformer_engine`); the backward ring has
+one head row only.
 """
 
 from __future__ import annotations
@@ -33,24 +44,21 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from ..blocks import BlockKind, BlockSet, DataBlockId
+from ..blocks import BlockSet
 from ..placement.heuristics import zigzag_chunk_device
-from ..scheduling.buffers import BufferManager
-from ..scheduling.instructions import (
-    BlockwiseAttention,
-    CommLaunch,
-    CommWait,
-    DevicePlan,
-    ExecutionPlan,
-    FinalizeArg,
-    MergeArg,
-    RecvArg,
-    SendArg,
-)
-from ..scheduling.serialize import finish_outputs, forward_tiles
+from ..scheduling.instructions import DevicePlan, ExecutionPlan, RecvArg, SendArg
+from ..scheduling.serialize import KV_SIDE, Backward, DeviceStream, Forward, row_tiles
 from ..sim.cluster import ClusterSpec
 
-__all__ = ["RingAttentionPlanner", "ring_layout", "slice_positions", "static_ring_plan"]
+__all__ = [
+    "RingAttentionPlanner",
+    "lower_ring",
+    "plan_ring_backward",
+    "ring_layout",
+    "run_ring_forward_backward",
+    "slice_positions",
+    "static_ring_plan",
+]
 
 
 def slice_positions(block_set: BlockSet, k: int, zigzag: bool) -> np.ndarray:
@@ -82,7 +90,8 @@ class RingLayout:
     position_slices: List[List[int]]  # token slice indices, (seq, block) order
     home: np.ndarray  # device each token slice is homed on
     slice_of: Dict[Tuple[int, int], int]  # (seq, block) -> token slice index
-    chunks: Dict[Tuple[int, int], List[DataBlockId]]  # (position, head row)
+    chunks: Dict[Tuple[int, int], List[Tuple[int, int, int]]]  # KV keys of
+    # (position, head row)
     tiles: Dict[Tuple[int, int], List]  # (device, ring step) -> comp blocks
     produced: Set[Tuple[int, Tuple[int, int, int]]]  # (device, output row)
 
@@ -108,7 +117,7 @@ def ring_layout(
         position_slices[int(position_of_slice[index])].append(index)
 
     home = np.zeros(len(token_slices), dtype=np.int64)
-    chunks: Dict[Tuple[int, int], List[DataBlockId]] = {
+    chunks: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {
         (p, h): [] for p in range(sr) for h in range(hp)
     }
     for position, slice_ids in enumerate(position_slices):
@@ -117,12 +126,7 @@ def ring_layout(
             token_slice = token_slices[slice_index]
             for head_group in range(head_groups):
                 chunks[(position, head_group % hp)].append(
-                    DataBlockId(
-                        BlockKind.KV,
-                        token_slice.seq_index,
-                        token_slice.block_index,
-                        head_group,
-                    )
+                    (token_slice.seq_index, token_slice.block_index, head_group)
                 )
 
     slice_of = {(ts.seq_index, ts.block_index): i for i, ts in enumerate(token_slices)}
@@ -140,241 +144,253 @@ def ring_layout(
 def static_ring_plan(
     block_set: BlockSet, cluster: ClusterSpec, planner: str, hp: int, zigzag: bool
 ) -> ExecutionPlan:
-    """Lower ``block_set`` onto the static ring with ``hp`` head rows."""
+    """The forward plan of ``block_set`` on the static ring with ``hp``
+    head rows."""
     layout = ring_layout(block_set, cluster.num_devices, hp, zigzag)
-    device_plans = {
-        device: _device_plan(device, block_set, layout)
-        for device in range(cluster.num_devices)
-    }
     return ExecutionPlan(
         block_set=block_set,
         cluster=cluster,
-        device_plans=device_plans,
+        device_plans=lower_ring(block_set, layout, Forward),
         meta={"planner": planner, "head_parallel": hp, "ring": layout.sr},
     )
 
 
-def _device_plan(device: int, block_set: BlockSet, layout: RingLayout) -> DevicePlan:
-    hp, sr = layout.hp, layout.sr
-    position, head_row = divmod(device, hp)
-    head_groups = block_set.attention.head_groups
-    my_head_groups = [g for g in range(head_groups) if g % hp == head_row]
-    buffers = BufferManager()
-    instructions: List = []
-    q_slots: Dict[Tuple[int, int, int], int] = {}
-    kv_slots: Dict[Tuple[int, int, int], int] = {}
-    o_slots: Dict[Tuple[int, int, int], int] = {}
-    acc_slots: Dict[Tuple[int, int, int], int] = {}
-    remote_q: Dict[DataBlockId, int] = {}
+def plan_ring_backward(
+    block_set: BlockSet, cluster: ClusterSpec, zigzag: bool = False
+) -> ExecutionPlan:
+    """The RFA backward plan: the forward's ring, KV and dKV circulating."""
+    layout = ring_layout(block_set, cluster.num_devices, 1, zigzag)
+    return ExecutionPlan(
+        block_set=block_set,
+        cluster=cluster,
+        device_plans=lower_ring(block_set, layout, Backward),
+        meta={
+            "planner": "rfa_zigzag" if zigzag else "rfa_ring",
+            "phase": "backward",
+        },
+    )
 
-    local_slices = [
+
+def run_ring_forward_backward(
+    block_set: BlockSet,
+    cluster: ClusterSpec,
+    inputs,
+    grad_outputs,
+    zigzag: bool = False,
+):
+    """Forward + backward through the RFA ring on the simulated cluster.
+
+    Returns ``(outputs, grads, forward_executor, backward_executor)``
+    like :func:`repro.runtime.run_plans_forward_backward`.
+    """
+    from ..runtime.backward import run_plans_forward_backward
+
+    return run_plans_forward_backward(
+        RingAttentionPlanner(zigzag=zigzag).plan(block_set, cluster),
+        plan_ring_backward(block_set, cluster, zigzag=zigzag),
+        inputs,
+        grad_outputs,
+    )
+
+
+def lower_ring(
+    block_set: BlockSet, layout: RingLayout, lowering
+) -> Dict[int, DevicePlan]:
+    """Every device's plan for one pass (``Forward`` / ``Backward``) on
+    the ring ``layout``."""
+    if layout.hp > 1 and any(side == KV_SIDE for _, side in lowering.accumulates):
+        raise ValueError(
+            f"a circulating partial needs one head row, not {layout.hp}"
+        )
+    return {
+        device: _lower_device(device, block_set, layout, lowering)
+        for device in range(layout.sr * layout.hp)
+    }
+
+
+def _lower_device(
+    device_id: int, block_set: BlockSet, layout: RingLayout, lowering
+) -> DevicePlan:
+    hp, sr = layout.hp, layout.sr
+    position, head_row = divmod(device_id, hp)
+    device = DeviceStream(device_id, lowering)
+    attention = block_set.attention
+    block_bytes = (attention.q_block_bytes, attention.kv_block_bytes)
+    # The KV-side buffers circulate; of them, the partials are carried.
+    carried = [buffer for buffer, side in lowering.accumulates if side == KV_SIDE]
+    circulating = [
+        buffer for buffer, side in lowering.reads if side == KV_SIDE
+    ] + carried
+
+    def home_of(key: Tuple[int, int, int]) -> int:
+        return int(layout.home[layout.slice_of[key[:2]]])
+
+    def nbytes(side: int, key: Tuple[int, int, int]) -> int:
+        token_slice = block_set.token_slices[layout.slice_of[key[:2]]]
+        return block_bytes[side](token_slice.tokens)
+
+    def hop(sends: List, recvs: List) -> None:
+        op = device.launch(sends, recvs)
+        if op is not None:
+            device.pending.append(op)
+
+    device.local_slices = [
         block_set.token_slices[i]
         for i in layout.position_slices[position]
-        if int(layout.home[i]) == device
+        if int(layout.home[i]) == device_id
     ]
-    for token_slice in local_slices:
-        for head_group in range(head_groups):
-            key = (token_slice.seq_index, token_slice.block_index, head_group)
-            q_slots[key] = buffers.alloc("q")
-            kv_slots[key] = buffers.alloc("kv")
-            o_slots[key] = buffers.alloc("o")
+    homed = [
+        (token_slice.seq_index, token_slice.block_index, head_group)
+        for token_slice in device.local_slices
+        for head_group in range(attention.head_groups)
+    ]
+    for key in homed:
+        for buffer in (*lowering.homed, *carried):
+            device.slots[buffer][key] = device.buffers.alloc(buffer)
 
-    def acc_for(key: Tuple[int, int, int]) -> int:
-        if key not in acc_slots:
-            acc_slots[key] = buffers.alloc("acc")
-        return acc_slots[key]
-
-    def home_of(seq_index: int, block_index: int) -> int:
-        return int(layout.home[layout.slice_of[(seq_index, block_index)]])
-
-    # -- prologue: gather my head groups' Q and KV of my position --------
-    current: Dict[DataBlockId, int] = {}
-    prologue_recvs: List[RecvArg] = []
-    for slice_index in layout.position_slices[position]:
-        token_slice = block_set.token_slices[slice_index]
-        home = int(layout.home[slice_index])
-        for head_group in my_head_groups:
-            key = (token_slice.seq_index, token_slice.block_index, head_group)
-            kv_block = DataBlockId(BlockKind.KV, *key)
-            if home == device:
-                current[kv_block] = kv_slots[key]
-                continue
-            q_block = DataBlockId(BlockKind.Q, *key)
-            for block, buffer, slots in (
-                (q_block, "q", remote_q),
-                (kv_block, "kv", current),
-            ):
-                slot = slots[block] = buffers.alloc(buffer)
-                prologue_recvs.append(
-                    RecvArg(
-                        peer=home,
-                        buffer=buffer,
-                        slot=slot,
-                        tag=("a2a", block),
-                        nbytes=block_set.block_bytes(block),
-                    )
-                )
-    # Matching prologue sends: blocks homed here that siblings need.
-    prologue_sends: List[SendArg] = []
-    for token_slice in local_slices:
-        for head_group in range(head_groups):
-            if head_group % hp == head_row:
-                continue
-            key = (token_slice.seq_index, token_slice.block_index, head_group)
-            for kind, buffer, slot in (
-                (BlockKind.Q, "q", q_slots[key]),
-                (BlockKind.KV, "kv", kv_slots[key]),
-            ):
-                block = DataBlockId(kind, *key)
-                prologue_sends.append(
-                    SendArg(
-                        peer=layout.device(position, head_group % hp),
-                        buffer=buffer,
-                        slot=slot,
-                        tag=("a2a", block),
-                        nbytes=block_set.block_bytes(block),
-                    )
-                )
-    op_base = device * 1_000_000
-    if prologue_sends or prologue_recvs:
-        instructions.append(
-            CommLaunch(
-                op_id=op_base,
-                sends=tuple(prologue_sends),
-                recvs=tuple(prologue_recvs),
+    # -- prologue: gather my head row's blocks of my position ------------
+    # ``device.remote`` holds the fetched blocks and, per circulating
+    # buffer, the slot of the chunk held now.
+    recvs = []
+    for key in layout.chunks[(position, head_row)]:
+        home = home_of(key)
+        if home == device_id:
+            for buffer in circulating:
+                device.remote[buffer, key] = device.slots[buffer][key]
+            continue
+        for buffer, side in lowering.reads:
+            slot = device.remote[buffer, key] = device.buffers.alloc(buffer)
+            recvs.append(RecvArg(
+                peer=home, buffer=buffer, slot=slot,
+                tag=("a2a", buffer, key), nbytes=nbytes(side, key),
+            ))
+    # Matching sends: blocks homed here that siblings compute on.
+    hop(
+        [
+            SendArg(
+                peer=layout.device(position, key[2] % hp), buffer=buffer,
+                slot=device.slots[buffer][key],
+                tag=("a2a", buffer, key), nbytes=nbytes(side, key),
             )
-        )
-        instructions.append(CommWait(op_id=op_base))
-
-    def read(buffer: str, key: Tuple[int, int, int]) -> int:
-        if buffer == "kv":
-            return current[DataBlockId(BlockKind.KV, *key)]
-        if key in q_slots:
-            return q_slots[key]
-        return remote_q[DataBlockId(BlockKind.Q, *key)]
+            for key in homed
+            if key[2] % hp != head_row
+            for buffer, side in lowering.reads
+        ],
+        recvs,
+    )
+    device.wait()
 
     def accumulate(buffer: str, key: Tuple[int, int, int]) -> int:
-        return acc_for(key)
+        if buffer in carried:
+            return device.remote[buffer, key]
+        return device.accumulator(buffer, key)
 
     # -- ring steps over positions (head row fixed) ----------------------
     next_peer = layout.device((position + 1) % sr, head_row)
     prev_peer = layout.device((position - 1) % sr, head_row)
-    for step in range(sr):
-        held = layout.chunks[((position - step) % sr, head_row)]
-        incoming = layout.chunks[((position - step - 1) % sr, head_row)]
-        op_id = op_base + 1 + step
-        recv_slots: Dict[DataBlockId, int] = {}
-        launched = False
-        if step < sr - 1:
-            sends = tuple(
-                SendArg(
-                    peer=next_peer,
-                    buffer="kv",
-                    slot=current[block],
-                    tag=("ring", head_row, step, block),
-                    nbytes=block_set.block_bytes(block),
-                )
-                for block in held
-            )
-            recvs = []
-            for block in incoming:
-                slot = buffers.alloc("kv")
-                recv_slots[block] = slot
-                recvs.append(
-                    RecvArg(
-                        peer=prev_peer,
-                        buffer="kv",
-                        slot=slot,
-                        tag=("ring", head_row, step, block),
-                        nbytes=block_set.block_bytes(block),
-                    )
-                )
-            if sends or recvs:
-                instructions.append(
-                    CommLaunch(op_id=op_id, sends=sends, recvs=tuple(recvs))
-                )
-                launched = True
 
-        tiles = forward_tiles(
-            layout.tiles.get((device, step), []), read, accumulate
+    def chunk(step: int) -> List[Tuple[int, int, int]]:
+        """The chunk this device holds at ring step ``step``."""
+        return layout.chunks[((position - step) % sr, head_row)]
+
+    for step in range(sr):
+        held, arriving = chunk(step), {}
+        if step < sr - 1:
+            sends = [
+                SendArg(
+                    peer=next_peer, buffer=buffer,
+                    slot=device.remote[buffer, key],
+                    tag=("ring", step, buffer, key),
+                    nbytes=nbytes(KV_SIDE, key),
+                )
+                for key in held
+                for buffer in circulating
+            ]
+            recvs = []
+            for key in chunk(step + 1):
+                for buffer in circulating:
+                    slot = arriving[buffer, key] = device.buffers.alloc(buffer)
+                    recvs.append(RecvArg(
+                        peer=prev_peer, buffer=buffer, slot=slot,
+                        tag=("ring", step, buffer, key),
+                        nbytes=nbytes(KV_SIDE, key),
+                    ))
+            if not carried:
+                hop(sends, recvs)
+        tiles = row_tiles(
+            lowering, layout.tiles.get((device_id, step), []),
+            device.read, accumulate,
         )
         if tiles:
-            instructions.append(BlockwiseAttention(tiles))
-
+            device.instructions.append(lowering.kernel(tiles))
         if step < sr - 1:
-            if launched:
-                instructions.append(CommWait(op_id=op_id))
+            if carried:
+                hop(sends, recvs)
+            device.wait()
             # Retire the chunk just used, unless it is data homed here.
-            for block in held:
-                slot = current.pop(block)
-                if step > 0 or home_of(block.seq_index, block.block_index) != device:
-                    buffers.free("kv", slot)
-            current.update(recv_slots)
+            for key in held:
+                for buffer in circulating:
+                    slot = device.remote.pop((buffer, key))
+                    if step > 0 or home_of(key) != device_id:
+                        device.buffers.free(buffer, slot)
+            device.remote.update(arriving)
 
-    # -- epilogue: return partial outputs to their home devices ----------
-    out_sends: List[SendArg] = []
-    for key in sorted(acc_slots):
-        home = home_of(key[0], key[1])
-        if home == device:
-            continue
-        block = DataBlockId(BlockKind.O, *key)
-        out_sends.append(
-            SendArg(
-                peer=home,
-                buffer="acc",
-                slot=acc_slots[key],
-                tag=("out", block, device),
-                nbytes=block_set.block_bytes(block),
+    # -- epilogue ----------------------------------------------------------
+    if carried:
+        # The chunk held after the last step is the next device's: its
+        # partials are complete, and take one last hop home.
+        if sr > 1:
+            hop(
+                [
+                    SendArg(
+                        peer=next_peer, buffer=buffer,
+                        slot=device.remote[buffer, key],
+                        tag=("home", buffer, key), nbytes=nbytes(KV_SIDE, key),
+                    )
+                    for key in chunk(sr - 1)
+                    for buffer in carried
+                ],
+                [
+                    RecvArg(
+                        peer=prev_peer, buffer=buffer,
+                        slot=device.slots[buffer][key],
+                        tag=("home", buffer, key), nbytes=nbytes(KV_SIDE, key),
+                    )
+                    for key in chunk(0)
+                    for buffer in carried
+                ],
             )
-        )
-    out_recvs: List[RecvArg] = []
-    staging: List[Tuple[Tuple[int, int, int], int]] = []
-    for token_slice in local_slices:
-        for head_group in range(head_groups):
-            if head_group % hp == head_row:
-                continue  # computed locally
-            producer = layout.device(position, head_group % hp)
-            key = (token_slice.seq_index, token_slice.block_index, head_group)
-            if (producer, key) not in layout.produced:
-                continue  # fully masked output row: nothing to merge
-            block = DataBlockId(BlockKind.O, *key)
-            slot = buffers.alloc("acc")
-            staging.append((key, slot))
-            out_recvs.append(
-                RecvArg(
-                    peer=producer,
-                    buffer="acc",
-                    slot=slot,
-                    tag=("out", block, producer),
-                    nbytes=block_set.block_bytes(block),
-                )
-            )
-    if out_sends or out_recvs:
-        op_id = op_base + sr + 1
-        instructions.append(
-            CommLaunch(op_id=op_id, sends=tuple(out_sends), recvs=tuple(out_recvs))
-        )
-        instructions.append(CommWait(op_id=op_id))
+            device.wait()
+        return device.plan()
 
-    merges = tuple(
-        MergeArg(src_acc_slot=slot, dst_acc_slot=acc_for(key)) for key, slot in staging
-    )
-    finalizes = tuple(
-        FinalizeArg(acc_slot=acc_for(key), o_slot=o_slot)
-        for key, o_slot in o_slots.items()
-    )
-    finish_outputs(instructions, merges, finalizes)
-
-    return DevicePlan(
-        device=device,
-        instructions=instructions,
-        buffer_sizes=buffers.sizes(),
-        local_slices=local_slices,
-        o_slots=o_slots,
-        q_slots=q_slots,
-        kv_slots=kv_slots,
-        acc_slots=dict(acc_slots),
-    )
+    # Partials computed for sibling-homed rows go home, then reduce.
+    sends = [
+        SendArg(
+            peer=home_of(key), buffer=buffer, slot=device.slots[buffer][key],
+            tag=lowering.out_tag(buffer, key, device_id),
+            nbytes=nbytes(side, key),
+        )
+        for buffer, side in lowering.accumulates
+        for key in sorted(device.slots[buffer])
+        if home_of(key) != device_id
+    ]
+    recvs, staged = [], []
+    for key in homed:
+        producer = layout.device(position, key[2] % hp)
+        if producer == device_id or (producer, key) not in layout.produced:
+            continue  # computed here, or a fully masked row: no partial
+        for buffer, side in lowering.accumulates:
+            slot = device.buffers.alloc(buffer)
+            staged.append((buffer, key, slot))
+            recvs.append(RecvArg(
+                peer=producer, buffer=buffer, slot=slot,
+                tag=lowering.out_tag(buffer, key, producer),
+                nbytes=nbytes(side, key),
+            ))
+    hop(sends, recvs)
+    device.wait()
+    lowering.reduce(device, staged)
+    return device.plan()
 
 
 class RingAttentionPlanner:

@@ -1,12 +1,14 @@
 """TransformerEngine-style baseline (paper baseline (iii), [30]).
 
 Parallelizes attention along both the head and the sequence dimension:
-the static ring of :mod:`.ring` with one head row per KV group (the
-head-parallel degree that minimizes its communication, exactly as the
-paper configures it) and zigzag-assigned ring positions.  The ``R``
-devices form ``R / hp`` ring positions x ``hp`` head rows; the prologue
-all-to-all gathers each row's heads, the ring circulates KV every step,
-and the epilogue returns partial outputs home.
+the static ring of :mod:`.ring` with zigzag-assigned ring positions and
+``hp = gcd(G, R)`` head rows for ``G`` KV groups on ``R`` devices.  That
+is one head row per KV group (the head-parallel degree that minimizes
+its communication, exactly as the paper configures it) whenever the
+devices split into ``G`` rows, else the largest degree that splits both
+evenly.  The devices form ``R / hp`` ring positions x ``hp`` head rows;
+the prologue all-to-all gathers each row's heads, the ring circulates
+KV every step, and the epilogue returns partial outputs home.
 
 Following §7.1, this is the paper's own "enhanced TE": variable-length
 inputs are supported and arbitrary masks are applied inside each local
@@ -15,6 +17,8 @@ communication schedule never changes).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from ..blocks import BlockSet
 from ..scheduling.instructions import ExecutionPlan
@@ -30,5 +34,5 @@ class TransformerEnginePlanner:
     name = "te"
 
     def plan(self, block_set: BlockSet, cluster: ClusterSpec) -> ExecutionPlan:
-        hp = block_set.attention.head_groups
+        hp = gcd(block_set.attention.head_groups, cluster.num_devices)
         return static_ring_plan(block_set, cluster, self.name, hp, zigzag=True)

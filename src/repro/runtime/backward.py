@@ -49,15 +49,14 @@ def run_plans_forward_backward(
     backward_plan,
     inputs: BatchInputs,
     grad_outputs: List[np.ndarray],
-    init_dkv: bool = False,
 ) -> Tuple[List[np.ndarray], AttentionGrads, SimExecutor, SimExecutor]:
     """Execute a (forward, backward) plan pair and gather gradients.
 
     Works for any planner whose plans expose ``acc_slots`` (forward)
-    and ``do/dq/dkv`` slot maps (backward).  ``init_dkv=True``
-    pre-zeros every local dKV accumulator before running — required by
-    ring backward, where accumulators circulate even through devices
-    that contribute nothing to them.
+    and ``do/dq/dkv`` slot maps (backward).  Every dKV slot the
+    backward plan maps starts at zero: a ring's accumulators circulate
+    even through devices that add nothing to them, and for a plan whose
+    partials only add into it, zero plus a partial is that partial.
     """
     block_set = forward_plan.block_set
     attention = block_set.attention
@@ -96,10 +95,9 @@ def run_plans_forward_backward(
                 out_block, lse = finalize_with_lse(state)
             delta = (grad_block * out_block).sum(axis=2).astype(np.float32)
             buffers.load_do(do_slot, grad_block, lse, delta)
-        if init_dkv:
-            for key, dkv_slot in device_plan.dkv_slots.items():
-                tokens = block_set.slice_of(key[0], key[1]).tokens
-                buffers.dkv_state(dkv_slot, tokens)
+        for key, dkv_slot in device_plan.dkv_slots.items():
+            tokens = block_set.slice_of(key[0], key[1]).tokens
+            buffers.dkv_state(dkv_slot, tokens)
 
     # -- backward ------------------------------------------------------------
     backward.run()

@@ -24,8 +24,8 @@ A device that merges no partial outputs finalizes its own rows in the
 epilogue of its last attention kernel (FlashAttention-2's
 normalize-on-exit); only a device that merges partials, or runs no
 attention at all, ends with a :class:`BlockwiseReduction`
-(:func:`fuses_finalize` is that one rule;
-:func:`repro.scheduling.serialize.finish_outputs` applies it).
+(:func:`fuses_finalize` is that one rule; the serializer's forward
+reduction, which the static ring shares, applies it).
 
 Instructions reference buffer *slots* (integers per buffer kind); the
 executor owns the actual storage.  Byte counts carried by communication

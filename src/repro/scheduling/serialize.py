@@ -15,12 +15,13 @@ accumulates gradient partials.  Per-device stream layout, for divisions
   to its home device, in block-key order, and reduce it there.
 
 A kernel takes one tile per row of its division's computation blocks
-(:func:`forward_tiles` / :func:`backward_tiles`, which the static-ring
-baselines share): the rows appear in the order of their first block,
+(:func:`row_tiles`): the rows appear in the order of their first block,
 and a tile walks its row's blocks in their division order.
 
-The passes differ only in data and a few hooks (:class:`_Forward`,
-:class:`_Backward`):
+The passes differ only in data and a few hooks (:class:`Forward`,
+:class:`Backward`).  The static ring of :mod:`repro.baselines.ring`
+lowers both passes on the same pass objects, :class:`DeviceStream` and
+:func:`row_tiles`:
 
 * each (slice, head group) a device homes gets ``q``, ``kv`` and ``o``
   slots forward; ``q``, ``kv`` and ``do`` (the output-gradient package:
@@ -33,7 +34,7 @@ The passes differ only in data and a few hooks (:class:`_Forward`,
   walks, that block's ``dq`` partial;
 * the final reduction: forward merges (acc, lse) partials and finalizes
   output blocks — in the last attention kernel's epilogue when nothing
-  is merged (:func:`finish_outputs`); backward sums gradient partials
+  is merged (:func:`_finish_outputs`); backward sums gradient partials
   (:class:`BlockwiseGradReduce`).
 
 Buffer slots: homed blocks get stable slots; remote fetches get
@@ -71,9 +72,12 @@ from .instructions import (
 __all__ = [
     "serialize_schedule",
     "serialize_backward_schedule",
-    "forward_tiles",
-    "backward_tiles",
-    "finish_outputs",
+    "Forward",
+    "Backward",
+    "DeviceStream",
+    "row_tiles",
+    "Q_SIDE",
+    "KV_SIDE",
     "empty_device_plan",
     "plan_compatible",
     "rebind_plan",
@@ -84,11 +88,11 @@ _Key = Tuple[int, int, int]
 
 #: Which of a tile's two blocks a buffer belongs to: its Q rows (O, dO
 #: and dQ share their shape) or its KV rows (dKV shares theirs).
-_Q, _KV = 0, 1
-_SIDE = {BlockKind.Q: _Q, BlockKind.KV: _KV}
+Q_SIDE, KV_SIDE = 0, 1
+_SIDE = {BlockKind.Q: Q_SIDE, BlockKind.KV: KV_SIDE}
 
 
-def finish_outputs(
+def _finish_outputs(
     instructions: List,
     merges: Sequence[MergeArg],
     finalizes: Sequence[FinalizeArg],
@@ -119,17 +123,17 @@ def finish_outputs(
         )
 
 
-class _Forward:
+class Forward:
     """The forward pass: (acc, lse) partials, merged and finalized home."""
 
     homed = ("q", "kv", "o")
     #: (buffer, side) of every slot a tile reads, in tile-field order; a
     #: fetched block brings every buffer of its side.
-    reads = (("q", _Q), ("kv", _KV))
+    reads = (("q", Q_SIDE), ("kv", KV_SIDE))
     #: (buffer, side) of every partial a tile accumulates into.
-    accumulates = (("acc", _Q),)
+    accumulates = (("acc", Q_SIDE),)
     #: The side a tile stands on; it walks the other side's blocks.
-    row = _Q
+    row = Q_SIDE
     tile, kernel = Tile, BlockwiseAttention
 
     @staticmethod
@@ -141,7 +145,7 @@ class _Forward:
         return ("out", DataBlockId(BlockKind.O, *key), producer)
 
     @staticmethod
-    def reduce(device: "_Device", staged) -> None:
+    def reduce(device: "DeviceStream", staged) -> None:
         merges = [
             MergeArg(src, device.accumulator(buffer, key))
             for buffer, key, src in staged
@@ -152,16 +156,16 @@ class _Forward:
             FinalizeArg(device.accumulator("acc", key), o_slot)
             for key, o_slot in device.slots["o"].items()
         ]
-        finish_outputs(device.instructions, merges, finalizes)
+        _finish_outputs(device.instructions, merges, finalizes)
 
 
-class _Backward:
+class Backward:
     """The backward pass: dQ and dKV partials, summed home."""
 
     homed = ("q", "kv", "do")
-    reads = (("q", _Q), ("kv", _KV), ("do", _Q))
-    accumulates = (("dq", _Q), ("dkv", _KV))
-    row = _KV
+    reads = (("q", Q_SIDE), ("kv", KV_SIDE), ("do", Q_SIDE))
+    accumulates = (("dq", Q_SIDE), ("dkv", KV_SIDE))
+    row = KV_SIDE
     tile, kernel = BackwardTile, BlockwiseAttentionBackward
 
     @staticmethod
@@ -173,7 +177,7 @@ class _Backward:
         return ("bwout", buffer, key, producer)
 
     @staticmethod
-    def reduce(device: "_Device", staged) -> None:
+    def reduce(device: "DeviceStream", staged) -> None:
         adds = tuple(
             GradAdd(buffer, src, device.accumulator(buffer, key))
             for buffer, key, src in staged
@@ -182,7 +186,7 @@ class _Backward:
             device.instructions.append(BlockwiseGradReduce(adds=adds))
 
 
-class _Device:
+class DeviceStream:
     """One device's stream, slot maps and buffers while it is lowered."""
 
     def __init__(self, device: int, lowering) -> None:
@@ -227,6 +231,17 @@ class _Device:
         self.instructions.extend(CommWait(op_id=op) for op in self.pending)
         self.pending.clear()
 
+    def plan(self) -> DevicePlan:
+        return DevicePlan(
+            device=self.device,
+            instructions=self.instructions,
+            buffer_sizes=self.buffers.sizes(),
+            local_slices=self.local_slices,
+            # q_slots, kv_slots, then o_slots / acc_slots forward and
+            # do_slots / dq_slots / dkv_slots backward.
+            **{f"{name}_slots": slots for name, slots in self.slots.items()},
+        )
+
 
 def _keys(comp) -> Tuple[_Key, _Key]:
     """The (Q, KV) block keys of a computation block, by side."""
@@ -236,7 +251,7 @@ def _keys(comp) -> Tuple[_Key, _Key]:
     )
 
 
-def _tiles(lowering, comps, read, accumulate) -> Tuple:
+def row_tiles(lowering, comps, read, accumulate) -> Tuple:
     """One ``lowering.tile`` per row of ``comps``.
 
     ``read(buffer, key)`` / ``accumulate(buffer, key)`` give the slot of
@@ -273,26 +288,15 @@ def _tiles(lowering, comps, read, accumulate) -> Tuple:
     return tuple(tiles)
 
 
-def forward_tiles(comps, read, accumulate) -> Tuple[Tile, ...]:
-    """A forward kernel's tiles for ``comps``: one per Q row (see
-    :func:`_tiles` for ``read`` and ``accumulate``)."""
-    return _tiles(_Forward, comps, read, accumulate)
-
-
-def backward_tiles(comps, read, accumulate) -> Tuple[BackwardTile, ...]:
-    """A backward kernel's tiles for ``comps``: one per KV column."""
-    return _tiles(_Backward, comps, read, accumulate)
-
-
 def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
-    """Every device's plan for one pass (``_Forward`` / ``_Backward``)."""
+    """Every device's plan for one pass (``Forward`` / ``Backward``)."""
     block_set = schedule.block_set
     placement = schedule.placement
     attention = block_set.attention
     num_devices = placement.cluster.num_devices
     num_divisions = schedule.num_divisions
     schedules = [schedule.device_schedules.get(d) for d in range(num_devices)]
-    devices = [_Device(d, lowering) for d in range(num_devices)]
+    devices = [DeviceStream(d, lowering) for d in range(num_devices)]
 
     # Home device and tokens of every slice, by ``key[:2]``.
     home: Dict[Tuple[int, int], int] = {}
@@ -317,7 +321,7 @@ def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
 
     brings = {
         side: [buffer for buffer, of in lowering.reads if of == side]
-        for side in (_Q, _KV)
+        for side in (Q_SIDE, KV_SIDE)
     }
 
     # -- fetch routing and slot lifetimes ------------------------------------
@@ -349,7 +353,7 @@ def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
         for used, division in last_use.items():
             frees[device][division].append(used)
 
-    def launch(device: _Device, division: int) -> None:
+    def launch(device: DeviceStream, division: int) -> None:
         """Launch the transfers whose data division ``division`` reads."""
         recvs = []
         for block, side, key in recv_of[device.device][division]:
@@ -388,7 +392,7 @@ def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
         for division in range(num_divisions):
             if division + 1 < num_divisions:
                 launch(device, division + 1)
-            tiles = _tiles(
+            tiles = row_tiles(
                 lowering, divisions[division], device.read, device.accumulator
             )
             if tiles:
@@ -435,18 +439,7 @@ def _lower(schedule: Schedule, lowering) -> Dict[int, DevicePlan]:
             device.instructions.append(CommWait(op_id=op))
         lowering.reduce(device, staged)
 
-    return {
-        device.device: DevicePlan(
-            device=device.device,
-            instructions=device.instructions,
-            buffer_sizes=device.buffers.sizes(),
-            local_slices=device.local_slices,
-            # q_slots, kv_slots, then o_slots / acc_slots forward and
-            # do_slots / dq_slots / dkv_slots backward.
-            **{f"{name}_slots": slots for name, slots in device.slots.items()},
-        )
-        for device in devices
-    }
+    return {device.device: device.plan() for device in devices}
 
 
 def serialize_schedule(schedule: Schedule) -> ExecutionPlan:
@@ -454,7 +447,7 @@ def serialize_schedule(schedule: Schedule) -> ExecutionPlan:
     return ExecutionPlan(
         block_set=schedule.block_set,
         cluster=schedule.placement.cluster,
-        device_plans=_lower(schedule, _Forward),
+        device_plans=_lower(schedule, Forward),
         meta={
             "num_divisions": schedule.num_divisions,
             "division_prices": dict(schedule.division_prices),
@@ -469,7 +462,7 @@ def serialize_backward_schedule(schedule: Schedule) -> ExecutionPlan:
     return ExecutionPlan(
         block_set=schedule.block_set,
         cluster=schedule.placement.cluster,
-        device_plans=_lower(schedule, _Backward),
+        device_plans=_lower(schedule, Backward),
         meta={
             "num_divisions": schedule.num_divisions,
             "planner": "dcp",

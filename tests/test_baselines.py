@@ -1,5 +1,7 @@
 """Tests for the baseline planners (RFA, TE, LoongTrain)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from repro.baselines import (
     RingAttentionPlanner,
     TransformerEnginePlanner,
     pad_batch,
+    plan_ring_backward,
     slice_positions,
 )
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
+from repro.scheduling import validate_plan
 from repro.sim import ClusterSpec, simulate_plan
 
 
@@ -119,6 +123,29 @@ def test_baseline_denominators_pinned(planner_name, batch_name):
     assert (ms, plan.total_comm_bytes()) == BASELINE_PINS[(planner_name, batch_name)]
 
 
+# Simulated ms and total comm bytes of the RFA backward plan: KV and its
+# dKV accumulator circulate, then every accumulator takes one hop home.
+# Recorded before the backward joined the forward's ring lowering.
+RING_BACKWARD_PINS = {
+    ("rfa_ring", "causal_2x2"): (0.2656184072283273, 157696),
+    ("rfa_zigzag", "causal_2x2"): (0.2534625551159952, 157696),
+    ("rfa_ring", "sparse_2x4"): (0.5030597411477405, 675840),
+    ("rfa_zigzag", "sparse_2x4"): (0.4788442744810741, 675840),
+}
+
+
+@pytest.mark.parametrize("planner_name,batch_name", sorted(RING_BACKWARD_PINS))
+def test_ring_backward_denominators_pinned(planner_name, batch_name):
+    build_kwargs, cluster = PIN_BATCHES[batch_name]
+    plan = plan_ring_backward(
+        build(**build_kwargs), cluster, zigzag=planner_name == "rfa_zigzag"
+    )
+    ms = 1e3 * simulate_plan(plan).iteration_time
+    assert (ms, plan.total_comm_bytes()) == RING_BACKWARD_PINS[
+        (planner_name, batch_name)
+    ]
+
+
 class TestRingProperties:
     def test_static_comm_independent_of_mask(self):
         """Ring forwards every KV block every step, mask or not."""
@@ -158,11 +185,27 @@ class TestTEProperties:
         te = TransformerEnginePlanner().plan(block_set, CLUSTER)
         assert te.total_comm_bytes() < rfa.total_comm_bytes()
 
-    def test_rejects_cluster_head_groups_do_not_divide(self):
-        block_set = build()  # 2 KV groups
-        cluster = ClusterSpec(num_machines=1, devices_per_machine=3)
-        with pytest.raises(ValueError):
-            TransformerEnginePlanner().plan(block_set, cluster)
+    @pytest.mark.parametrize(
+        "groups, devices", [(4, 1), (4, 2), (4, 6), (2, 3)]
+    )
+    def test_head_rows_divide_groups_and_devices(self, groups, devices):
+        """Devices that do not split into one head row per KV group get
+        ``gcd(groups, devices)`` head rows; the plan validates and
+        computes the reference attention."""
+        spec = AttentionSpec(num_q_heads=8, num_kv_groups=groups, head_dim=16)
+        batch = BatchSpec.build([96, 48, 32], CausalMask())
+        block_set = generate_blocks(batch, spec, block_size=16)
+        cluster = ClusterSpec(num_machines=1, devices_per_machine=devices)
+        plan = TransformerEnginePlanner().plan(block_set, cluster)
+        assert plan.meta["head_parallel"] == math.gcd(groups, devices)
+        validate_plan(plan)
+        executor = SimExecutor(plan)
+        inputs = BatchInputs.random(block_set, seed=9)
+        executor.load_inputs(inputs)
+        executor.run()
+        references = reference_batch_outputs(block_set, inputs)
+        for out, ref in zip(executor.gather_outputs(), references):
+            np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5)
 
     def test_head_rows_split_work(self):
         block_set = build(seqlens=(128,))

@@ -1,4 +1,4 @@
-"""The docs gate's stale-symbol and stale-keyword checks
+"""The docs gate's stale-symbol, stale-keyword and stale-path checks
 (benchmarks/check_docs.py)."""
 
 import importlib.util
@@ -64,3 +64,28 @@ def test_accepted_keywords_pass():
 
 def test_tracked_docs_have_no_stale_symbols():
     assert check_docs.stale_symbol_references() == []
+
+
+def test_stale_py_paths_are_flagged():
+    text = (
+        "`baselines/ring_backward.py` and `scheduling/serialize.py:_tiles`; "
+        "run `python benchmarks/bench_gone.py --smoke`."
+    )
+    assert check_docs.stale_py_paths(text) == [
+        "baselines/ring_backward.py: no such file",
+        "benchmarks/bench_gone.py: no such file",
+        "scheduling/serialize.py:_tiles: not defined there",
+    ]
+
+
+def test_live_py_paths_resolve():
+    text = (
+        "`baselines/ring.py:static_ring_plan` (a def), "
+        "`scheduling/serialize.py:Forward` (a class), "
+        "`ring.py` is not at a root but `baselines/ring.py` is; "
+        "`check_bench_floors.py:check_scenarios`, "
+        "`tests/test_static_guard.py::TestSensitivity` (a pytest node), "
+        "`benchmarks/check_docs.py:PY_ROOTS` (an assignment), "
+        "`python3 benchmarks/ledger/run.py --smoke`, `examples/quickstart.py`."
+    )
+    assert check_docs.stale_py_paths(text) == ["ring.py: no such file"]

@@ -15,9 +15,11 @@ from repro.baselines import (
     plan_ring_backward,
     run_ring_forward_backward,
 )
+from repro.baselines.ring import lower_ring, ring_layout
 from repro.model.attention import attention_forward_backward
 from repro.runtime import BatchInputs
 from repro.scheduling import validate_plan
+from repro.scheduling.serialize import Backward, Forward
 from repro.sim import simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -29,6 +31,12 @@ def build(seqlens=(96, 48, 20), mask=None):
     return generate_blocks(batch, ATTENTION, block_size=16)
 
 
+@pytest.mark.parametrize(
+    "cluster",
+    [CLUSTER, ClusterSpec(num_machines=1, devices_per_machine=4),
+     ClusterSpec(num_machines=2, devices_per_machine=4)],
+    ids=["2x2", "1x4", "2x4"],
+)
 @pytest.mark.parametrize("zigzag", [False, True], ids=["ring", "zigzag"])
 @pytest.mark.parametrize(
     "mask",
@@ -36,7 +44,7 @@ def build(seqlens=(96, 48, 20), mask=None):
      make_mask("shared_question", num_answers=2, answer_fraction=0.3)],
     ids=lambda m: m.name,
 )
-def test_ring_backward_matches_dense(zigzag, mask):
+def test_ring_backward_matches_dense(zigzag, mask, cluster):
     block_set = build(mask=mask)
     inputs = BatchInputs.random(block_set, seed=5)
     rng = np.random.default_rng(6)
@@ -44,7 +52,7 @@ def test_ring_backward_matches_dense(zigzag, mask):
         rng.standard_normal(q.shape).astype(np.float32) for q in inputs.q
     ]
     _, grads, _, _ = run_ring_forward_backward(
-        block_set, CLUSTER, inputs, grad_outputs, zigzag=zigzag
+        block_set, cluster, inputs, grad_outputs, zigzag=zigzag
     )
     for seq in range(len(inputs.q)):
         _, dense = attention_forward_backward(
@@ -63,6 +71,16 @@ def test_backward_plan_validates():
     block_set = build()
     validate_plan(plan_ring_backward(block_set, CLUSTER))
     validate_plan(plan_ring_backward(block_set, CLUSTER, zigzag=True))
+
+
+def test_backward_needs_one_head_row():
+    """dKV circulates with its KV chunk: the backward ring has no head
+    rows to return partials across."""
+    block_set = build()
+    layout = ring_layout(block_set, CLUSTER.num_devices, 2, zigzag=True)
+    with pytest.raises(ValueError, match="one head row"):
+        lower_ring(block_set, layout, Backward)
+    lower_ring(block_set, layout, Forward)
 
 
 def test_backward_doubles_ring_traffic():

@@ -210,12 +210,12 @@ def test_ring_forward_rows_match_pairs_bit_for_bit(planner, zigzag):
 # -- backward: within tolerance, dK and dV bit-identical ------------------------
 
 
-def gradients(forward_plan, backward_plan, init_dkv=False):
+def gradients(forward_plan, backward_plan):
     block_set = forward_plan.block_set
     inputs = BatchInputs.random(block_set, seed=23)
     grad_outputs = random_grads(inputs)
     outputs, grads, _, _ = run_plans_forward_backward(
-        forward_plan, backward_plan, inputs, grad_outputs, init_dkv=init_dkv
+        forward_plan, backward_plan, inputs, grad_outputs
     )
     assert_grads_exact(block_set, inputs, grad_outputs, outputs, grads)
     return outputs, grads
@@ -251,12 +251,8 @@ def test_ring_backward_columns_match_pairs():
     validate_plan(backward)
     kernels_of = ring_steps_of(forward, False)
     assert_columns_keep_dkv_order(
-        gradients(forward, backward, init_dkv=True),
-        gradients(
-            per_pair(forward, kernels_of),
-            per_pair(backward, kernels_of),
-            init_dkv=True,
-        ),
+        gradients(forward, backward),
+        gradients(per_pair(forward, kernels_of), per_pair(backward, kernels_of)),
     )
 
 
