@@ -19,17 +19,21 @@ packer emits, side by side with the list-fed (``fixed``) cell so the
 report records hidden fraction *parity* between the two feedings;
 three mid-stream device-removal
 cells comparing how the prefetch window re-plans (``scratch`` = whole
-window cold, the pre-delta behavior; ``delta`` = only affected jobs,
-warm-started — the report's ``replan_cost_ratio``, taken between the
-medians of three alternating scratch / delta runs, and the acceptance
-target ≤0.5; ``window`` = every job through the same warm primitive,
-proven ``plan_fingerprint``-identical to delta); a KV-backend run
+window cold; ``delta`` = the pipeline's own re-planning, only affected
+jobs, warm-started — the report's ``replan_cost_ratio``, taken between
+the medians of three alternating scratch / delta runs, and the
+acceptance target ≤0.5; ``window`` = every job through the same warm
+primitive, proven ``plan_fingerprint``-identical to delta); a
+remove-then-re-add pair (delta and window again), whose re-add the
+delta cell answers by reusing the settled window (``rebind_plan``),
+proven fingerprint-identical too; a KV-backend run
 whose consumer wire bytes (skeleton + own stream per device) are
 compared with every device pulling the whole pickled plan, priced on
 the same served plans; and a KV delta-replan cell measuring the
 conditional republish/re-fetch savings (``refetch_saved_bytes``).  The
 streaming report merges into ``BENCH_overlap.json`` under
-``"streaming"``.
+``"streaming"``.  The whole-window cells run the oracle pipeline of
+``tests/replan_oracles.py``.
 
 ``--transport`` measures plan transport instead: the same batches
 planned on the process backend once per route (``shm`` = columnar
@@ -76,6 +80,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import json
 import os
 import pickle
@@ -116,6 +122,9 @@ DEFAULT_REPLAN_RATIO_CEILING = 0.8
 
 #: Alternating scratch / delta re-plan runs behind ``replan_cost_ratio``.
 REPLAN_REPEATS = 3
+
+#: The whole-window re-plan oracles the delta cells are measured against.
+ORACLES_PATH = os.path.join(REPO_ROOT, "tests", "replan_oracles.py")
 
 #: Ceiling on (encode + move + decode) / planning seconds for the
 #: zero-copy (shm) transport at the full Fig. 18 sweep point — the
@@ -316,19 +325,36 @@ def _streaming_row(stats, kappa: int, workers: int, mode: str) -> Dict:
         "replans": stats.replans,
         "cluster_events": stats.cluster_events,
         "plan_retries": stats.plan_retries,
-        "partial_replans": stats.partial_replans,
         "replan_jobs_reused": stats.replan_jobs_reused,
         "replan_plan_s": round(stats.replan_plan_s, 4),
         "wall_s": round(stats.wall_s, 3),
     }
 
 
+def _replan_pipeline(replan: str):
+    """Pipeline class of a re-plan cell: ``"delta"`` is the pipeline
+    itself; ``"window"`` / ``"scratch"`` re-plan the whole window warm /
+    cold (the oracle of ``tests/replan_oracles.py``)."""
+    from repro.pipeline import StreamingOverlapPipeline
+
+    if replan == "delta":
+        return StreamingOverlapPipeline
+    spec = importlib.util.spec_from_file_location(
+        "replan_oracles", ORACLES_PATH
+    )
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return functools.partial(
+        oracles.WholeWindowPipeline, cold=replan == "scratch"
+    )
+
+
 def _settle_window(pipeline, timeout: float = 30.0) -> None:
     """Wait for every prefetch-window job to finish planning.
 
-    The replan cells fire their device-removal only after the window
-    settled, so every cell (delta / window / scratch) re-dispatches the
-    same fully-planned window — classification is deterministic and the
+    The replan cells fire their events only after the window settled,
+    so every cell (delta / window / scratch) re-dispatches the same
+    fully-planned window — classification is deterministic and the
     measured re-plan cost compares like with like.
     """
     import time as _time
@@ -351,8 +377,9 @@ def _measure_streaming_cell(
     time_scale: float,
     mode: str = "streaming",
     remove_machine_at: Optional[int] = None,
-    replan_mode: str = "scratch",
+    replan: str = "delta",
     fingerprints: Optional[List] = None,
+    readd_machine_at: Optional[int] = None,
     use_cache: bool = True,
 ) -> Dict:
     """One pipeline run, fed by a generator (no upfront length).
@@ -360,8 +387,10 @@ def _measure_streaming_cell(
     ``mode="fixed"`` feeds the same config a materialized list instead,
     for the parity comparison; ``remove_machine_at`` fires a
     device-removal event after that iteration's execution (the replan
-    cells), with ``replan_mode`` selecting how the window responds
-    (``"delta"`` / ``"window"`` / ``"scratch"``).  ``fingerprints``, if
+    cells) and ``readd_machine_at`` adds the machine back, with
+    ``replan`` selecting how the window responds (``"delta"`` /
+    ``"window"`` / ``"scratch"``, see :func:`_replan_pipeline`).
+    ``fingerprints``, if
     given, collects ``plan_fingerprint`` of every yielded plan so the
     delta and whole-window cells can be proven identical.  The replan
     cells run cache-less (``use_cache=False``) so every re-dispatched
@@ -371,7 +400,6 @@ def _measure_streaming_cell(
     from repro.core import DCPPlanner, PlanCache
     from repro.pipeline import (
         PipelineRunner,
-        StreamingOverlapPipeline,
         cost_model_executor,
         plan_fingerprint,
     )
@@ -382,17 +410,19 @@ def _measure_streaming_cell(
     events = None
     if remove_machine_at is not None:
         events = ClusterEventSource(scale.cluster)
-    pipeline = StreamingOverlapPipeline(
+    pipeline = _replan_pipeline(replan)(
         list(batches) if mode == "fixed" else (b for b in batches),
         planner, lookahead=kappa, max_workers=workers,
         backend="thread", cache=cache, events=events,
-        replan_mode=replan_mode,
     )
 
     def fire(index: int, _info: dict) -> None:
-        if events is not None and index == remove_machine_at:
+        if index == remove_machine_at:
             _settle_window(pipeline)
             events.remove_machines(1)
+        elif index == readd_machine_at:
+            _settle_window(pipeline)
+            events.add_machines(1)
 
     inner_execute = cost_model_executor(time_scale=time_scale)
 
@@ -417,7 +447,9 @@ def _measure_streaming_cell(
         row["plan_fetch"] = plan_fetch_summary(pipeline.metrics.snapshot())
     if remove_machine_at is not None:
         row["remove_machine_at"] = remove_machine_at
-        row["replan_mode"] = replan_mode
+        row["replan"] = replan
+    if readd_machine_at is not None:
+        row["readd_machine_at"] = readd_machine_at
     print(
         f"mode={mode:<13} kappa={kappa} workers={workers} "
         f"hidden={row['hidden_fraction']:.3f} "
@@ -550,7 +582,7 @@ def _measure_kv_replan_cell(
     events = ClusterEventSource(scale.cluster)
     pipeline = StreamingOverlapPipeline(
         (batch for batch in batches), planner, lookahead=kappa,
-        backend=backend, events=events, replan_mode="delta",
+        backend=backend, events=events,
     )
 
     def fire(index: int, _info: dict) -> None:
@@ -579,7 +611,6 @@ def _measure_kv_replan_cell(
         "kappa": kappa,
         "iterations": stats.iterations,
         "replans": stats.replans,
-        "partial_replans": stats.partial_replans,
         "replan_jobs_reused": stats.replan_jobs_reused,
         "consumer_wire_bytes": backend.consumer_wire_bytes,
         **pool,
@@ -638,9 +669,9 @@ def run_streaming_bench(
     mid = len(batches) // 2 - 1
     # Replan cost comparison, one device-removal each, windows settled
     # before the event so all three cells re-dispatch identical work:
-    # scratch = whole window cold (the pre-delta behavior), delta =
-    # only affected jobs, warm-started, window = every job through the
-    # same warm primitive (the correctness baseline delta must match).
+    # scratch = whole window cold, delta = only affected jobs,
+    # warm-started, window = every job through the same warm primitive
+    # (the correctness baseline delta must match).
     # Scratch and delta alternate REPLAN_REPEATS times and the cost
     # ratio is taken between their medians: one wall-clock pair is too
     # noisy to gate on.
@@ -650,21 +681,34 @@ def run_streaming_bench(
     for _ in range(REPLAN_REPEATS):
         scratch_runs.append(_measure_streaming_cell(
             scale, batches, kappa, workers, time_scale, mode="replan",
-            remove_machine_at=mid, replan_mode="scratch", use_cache=False,
+            remove_machine_at=mid, replan="scratch", use_cache=False,
         ))
         delta_prints.append([])
         delta_runs.append(_measure_streaming_cell(
             scale, batches, kappa, workers, time_scale, mode="replan_delta",
-            remove_machine_at=mid, replan_mode="delta",
+            remove_machine_at=mid, replan="delta",
             fingerprints=delta_prints[-1], use_cache=False,
         ))
     replan_scratch, replan_delta = scratch_runs[0], delta_runs[0]
     window_prints: List = []
     replan_window = _measure_streaming_cell(
         scale, batches, kappa, workers, time_scale, mode="replan_window",
-        remove_machine_at=mid, replan_mode="window",
+        remove_machine_at=mid, replan="window",
         fingerprints=window_prints, use_cache=False,
     )
+    # Remove, then re-add once the re-planned window settled: delta
+    # reuses the shrunk plans (rebind onto the grown shape), the
+    # window oracle re-plans them warm; both must yield the same plans.
+    readd_prints: Dict[str, List] = {"delta": [], "window": []}
+    readd_delta, readd_window = [
+        _measure_streaming_cell(
+            scale, batches, kappa, workers, time_scale,
+            mode=f"readd_{replan}", remove_machine_at=mid, replan=replan,
+            fingerprints=readd_prints[replan], use_cache=False,
+            readd_machine_at=mid + 1,
+        )
+        for replan in ("delta", "window")
+    ]
     kv_stream = batches[:kv_batches]
     kv_partial, kv_full = _measure_kv_consumer_bytes(
         scale, kv_stream, kappa, workers, time_scale
@@ -698,6 +742,9 @@ def run_streaming_bench(
     fingerprints_identical = bool(window_prints) and all(
         prints == window_prints for prints in delta_prints
     )
+    readd_identical = bool(readd_prints["window"]) and (
+        readd_prints["delta"] == readd_prints["window"]
+    )
     report = {
         "benchmark": "overlap_pipeline_streaming",
         "config": {
@@ -714,13 +761,15 @@ def run_streaming_bench(
         "git_revision": _git_revision(),
         "rows": [
             fixed, streaming, replan_scratch, replan_delta, replan_window,
-            kv_full, kv_partial, kv_replan,
+            readd_delta, readd_window, kv_full, kv_partial, kv_replan,
         ],
         "steady_hidden_parity": parity,
         "replans": replan_scratch["replans"],
         "replan_cost_ratio": replan_cost_ratio,
         "replan_cost_ratio_max": DEFAULT_REPLAN_RATIO_CEILING,
         "delta_window_fingerprints_identical": fingerprints_identical,
+        "readd_fingerprints_identical": readd_identical,
+        "readd_replan_jobs_reused": readd_delta["replan_jobs_reused"],
         "kv_consumer_wire_ratio": wire_ratio,
         "kv_refetch_saved_bytes": kv_replan["refetch_saved_bytes"],
         "plan_fetch": streaming["plan_fetch"],
@@ -729,6 +778,8 @@ def run_streaming_bench(
         f"parity={parity:.4f} replans={replan_scratch['replans']} "
         f"replan cost ratio={replan_cost_ratio} "
         f"delta==window: {fingerprints_identical} "
+        f"re-add delta==window: {readd_identical} "
+        f"(reused {readd_delta['replan_jobs_reused']}) "
         f"kv wire ratio={wire_ratio}"
     )
     return report
@@ -1248,6 +1299,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "to the whole-window re-plan"
             )
             failed = True
+        if not report["readd_fingerprints_identical"]:
+            print(
+                "FAIL: after a re-add, delta plans are not "
+                "fingerprint-identical to the whole-window re-plan"
+            )
+            failed = True
+        if report["readd_replan_jobs_reused"] < 1:
+            print("FAIL: the re-add delta cell reused no plan")
+            failed = True
         if failed:
             return 1
         print(
@@ -1255,7 +1315,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{floor:.3f}, parity {report['steady_hidden_parity']:.3f}, "
             f"replans {report['replans']}, "
             f"replan cost ratio {ratio:.3f} <= {ceiling:.3f} "
-            f"(delta==window fingerprints), "
+            f"(delta==window fingerprints, "
+            f"re-add reused {report['readd_replan_jobs_reused']}), "
             f"kv wire ratio {report['kv_consumer_wire_ratio']}"
         )
     return 0

@@ -276,7 +276,6 @@ def _measure_cell(
         backend="thread",
         cache=cache,
         events=events,
-        replan_mode="delta",
     )
 
     remove_at = max(len(specs) // 2 - 1, 0)
@@ -333,7 +332,6 @@ def _measure_cell(
         "plans_needing_comm": needing,
         "plans_missing_comm": missing,
         "replans": stats.replans,
-        "partial_replans": stats.partial_replans,
         "replan_jobs_reused": stats.replan_jobs_reused,
         "replan_plan_s": round(stats.replan_plan_s, 4),
         "workload_imbalance": round(balance["workload_imbalance"], 4),
@@ -345,7 +343,6 @@ def _measure_cell(
         )
     else:
         row["remove_machine_at"] = remove_at
-        row["replan_mode"] = "delta"
     print(
         f"{row['scenario']:<42} hidden={row['hidden_fraction']:.3f} "
         f"steady={row['steady_hidden_fraction']:.3f} "

@@ -19,7 +19,9 @@ Checked metrics:
 * streaming overlap — fixed and streaming smoke cells clear the same
   floor, the delta-vs-whole-window replan cost ratio stays under
   ``streaming.replan_cost_ratio_max``, delta and whole-window re-plans
-  are fingerprint-identical, and the KV per-device partial fetch keeps
+  are fingerprint-identical after a removal and after a re-add, the
+  re-add delta cell reused at least one settled plan (the
+  ``rebind_plan`` path), and the KV per-device partial fetch keeps
   its wire-byte ratio under ``streaming.kv_wire_ratio_max``;
 * plan transport — plans are fingerprint-identical across the pickle /
   columnar-wire / shared-memory transports, the shm cell actually moved
@@ -227,6 +229,17 @@ def check_overlap(gate: Gate, strict: bool) -> None:
     gate.check(
         bool(streaming.get("delta_window_fingerprints_identical")),
         "delta re-plans fingerprint-identical to whole-window re-plans",
+    )
+    gate.check(
+        bool(streaming.get("readd_fingerprints_identical")),
+        "after a re-add, delta plans fingerprint-identical to "
+        "whole-window re-plans",
+    )
+    readd = rows.get("readd_delta", {})
+    gate.check(
+        int(readd.get("replan_jobs_reused", 0)) >= 1,
+        "re-add delta cell reused "
+        f"{readd.get('replan_jobs_reused')} settled plans (>= 1)",
     )
 
     wire_ratio = streaming.get("kv_consumer_wire_ratio")

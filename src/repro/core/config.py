@@ -26,13 +26,13 @@ class DCPConfig:
         paper's fixed 4 (§7.1), which stays the best choice at its own
         geometry — 131072 tokens on 4x8 devices — and so must stay a
         candidate.
-    eps_inter, eps_intra:
+    eps_inter, eps_intra, eps_data:
         Computation-imbalance tolerance between machines / between
-        devices of one machine (paper: 0.4 and 0.1).
-    lookahead:
-        Planning look-ahead ``kappa`` of the dataloader (§6.1).
+        devices of one machine (paper: 0.4 and 0.1), and the partition's
+        data-imbalance tolerance at both levels.
     seed, restarts, refine_passes, use_warm_starts:
-        Partitioner knobs (see :mod:`repro.hypergraph`).
+        Partitioner knobs (see :mod:`repro.hypergraph`); ``restarts=0``
+        runs only the warm starts, so it needs ``use_warm_starts``.
     """
 
     block_size: int = 1024
@@ -40,7 +40,6 @@ class DCPConfig:
     eps_inter: float = 0.4
     eps_intra: float = 0.1
     eps_data: float = 0.08
-    lookahead: int = 2
     seed: int = 0
     restarts: int = 2
     refine_passes: int = 5
@@ -55,8 +54,12 @@ class DCPConfig:
             raise ValueError("block_size must be positive")
         if self.num_divisions < 1:
             raise ValueError("num_divisions must be positive")
-        if self.lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
+        if min(self.eps_inter, self.eps_intra, self.eps_data) < 0:
+            raise ValueError("imbalance tolerances must be non-negative")
+        if self.restarts < 0:
+            raise ValueError("restarts must be non-negative")
+        if self.restarts == 0 and not self.use_warm_starts:
+            raise ValueError("restarts=0 requires use_warm_starts")
         if self.scheduler not in ("paper", "balanced"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 

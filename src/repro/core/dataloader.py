@@ -9,10 +9,11 @@ model replica.
 
 Both dataloader names are the overlap pipeline
 (:class:`repro.pipeline.StreamingOverlapPipeline`), which owns the
-prefetch window, the worker backends, the plan-cache consult, online
-re-planning on :class:`~repro.sim.ClusterEventSource` events and the
-measured overlap accounting (``stats()``): :data:`DCPDataloader` *is*
-that class under the paper's name, so every pipeline keyword applies;
+prefetch window (its ``lookahead`` is the paper's kappa), the worker
+backends, the plan-cache consult, delta re-planning on
+:class:`~repro.sim.ClusterEventSource` events and the measured overlap
+accounting (``stats()``): :data:`DCPDataloader` *is* that class under
+the paper's name, so every pipeline keyword applies;
 :func:`DistributedDataloader` builds one whose plans travel through a
 :class:`~repro.pipeline.KVPlannerBackend`'s KV store.
 """
@@ -62,8 +63,7 @@ def DistributedDataloader(
     iterations ahead of execution and yields ``(local_data, plan)``
     like :data:`DCPDataloader`, but every plan travels through the
     backend's KV store — the full distribution path.  ``kwargs`` are
-    the pipeline's own (``events``, ``replan_mode``, ``cache``,
-    ``plan_timeout``, ...).
+    the pipeline's own (``events``, ``cache``, ``plan_timeout``, ...).
 
     ``lookahead == 0`` must still go through the store (the planner
     lives on a planning machine, not on the devices), so the window is

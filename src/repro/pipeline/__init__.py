@@ -11,13 +11,14 @@ model execution" claim from an analytic replay
   :class:`~repro.core.cache.PlanCache` (through exactly-one-owner
   reservations) before dispatching any worker, respawning workers that
   raise or hang, measuring per-iteration hidden vs exposed planning
-  time, and re-planning the prefetch window when a
+  time, and re-planning the prefetch window by delta (reuse what the
+  new shape can run, re-plan the rest warm) when a
   :class:`~repro.sim.ClusterEventSource` reports device add/remove
   events mid-stream (``events=None``: a cluster that never changes).
 * :mod:`~repro.pipeline.backends` — where planning runs: thread-pool,
-  process-pool, KV-store (:class:`KVPlannerBackend`: publish to a
+  process-pool or KV-store (:class:`KVPlannerBackend`: publish to a
   :class:`~repro.core.kvstore.KVStore`, every device pulls its own
-  slice) and plan-service workers.
+  slice).
   Process workers return plans one way: columnar wire bytes
   (:mod:`repro.core.planwire`) deposited in a shared-memory
   :class:`~repro.pipeline.shm.PlanRing`, the same bytes over the result
@@ -35,12 +36,10 @@ from .backends import (
     KVPlannerBackend,
     PlanTicket,
     ProcessPlannerBackend,
-    ServicePlannerBackend,
     ThreadPlannerBackend,
 )
 from .driver import OverlapReport, PipelineRunner, cost_model_executor
 from .pipeline import (
-    REPLAN_MODES,
     ClusterPinnedPlanner,
     IterationRecord,
     OverlapStats,
@@ -54,7 +53,6 @@ from .shm import PlanRing, ShmUnavailable, leaked_maps
 __all__ = [
     "StreamingOverlapPipeline",
     "ClusterPinnedPlanner",
-    "REPLAN_MODES",
     "OverlapStats",
     "IterationRecord",
     "plan_fingerprint",
@@ -64,7 +62,6 @@ __all__ = [
     "ThreadPlannerBackend",
     "ProcessPlannerBackend",
     "KVPlannerBackend",
-    "ServicePlannerBackend",
     "PlanRing",
     "ShmUnavailable",
     "leaked_maps",

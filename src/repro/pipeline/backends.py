@@ -60,7 +60,6 @@ __all__ = [
     "ThreadPlannerBackend",
     "ProcessPlannerBackend",
     "KVPlannerBackend",
-    "ServicePlannerBackend",
     "make_backend",
 ]
 
@@ -632,53 +631,6 @@ class KVPlannerBackend:
     def close(self) -> None:
         for executor in self._executors:
             executor.shutdown(wait=False, cancel_futures=True)
-
-
-class ServicePlannerBackend:
-    """Planning through a shared :class:`~repro.service.PlanService`.
-
-    The pipeline becomes one tenant of a multi-tenant plan server: each
-    job is a ``fetch_plan`` under this backend's ``tenant`` name, so
-    the pipeline's traffic is admission-controlled and fair-queued
-    against every other tenant, and it transparently benefits from the
-    service's hot cache, warm sharded store and pre-warming.
-
-    The reported plan interval brackets the whole fetch — queueing,
-    cache/store lookups, planning — because that *is* the latency this
-    consumer stalls on; a cache hit reports near-zero width, exactly
-    like :class:`CompletedTicket`.
-
-    A per-job ``planner`` override (the streaming pipeline's pinned
-    cluster shape) bypasses the service: a pinned shape is a private
-    what-if, not the shared workload, and publishing it would poison
-    other tenants' cache entries for the same signature.
-    """
-
-    def __init__(self, service, tenant: str = "pipeline",
-                 max_workers: int = 2) -> None:
-        if max_workers < 1:
-            raise ValueError("need at least one fetch worker")
-        self.service = service
-        self.tenant = tenant
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="dcp-svc-fetch"
-        )
-
-    def _job(self, batch, planner) -> Tuple:
-        if planner is not None:
-            return _timed_plan(planner, batch)
-        start = time.perf_counter()
-        plan = self.service.fetch_plan(self.tenant, batch)
-        return plan, start, time.perf_counter()
-
-    def submit(self, index: int, batch, planner=None) -> PlanTicket:
-        return PlanTicket(self._pool.submit(self._job, batch, planner))
-
-    def resubmit(self, index: int, batch, planner=None) -> PlanTicket:
-        return self.submit(index, batch, planner=planner)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 def make_backend(backend, planner, max_workers: int = 2):

@@ -67,8 +67,8 @@ With an event source:
   kept — a cache warmed through ``plan_batch`` keeps hitting.
 * Between iterations the pipeline observes the event source.  On a
   shape change it invalidates every cached entry (and releases every
-  in-flight reservation) for a stale shape and then responds according
-  to ``replan_mode`` (below).  Events are observed at iteration
+  in-flight reservation) for a stale shape and re-plans the prefetch
+  window by delta (below).  Events are observed at iteration
   granularity — the §6.1 pipeline only ever consumes plans between
   iterations, so that is exactly when a shape change can take effect.
 * Worker jobs (and inline fallbacks) ship a
@@ -79,12 +79,11 @@ With an event source:
   (:class:`~repro.core.planner.DCPPlanner` does); without an event
   source any ``plan_batch`` object works.
 
-Delta re-planning (``replan_mode``)
------------------------------------
-Re-dispatching the *whole* prefetch window on every cluster event — the
-original behavior, kept as ``replan_mode="scratch"`` — breaks the §6.1
-promise exactly when it matters: a device loss causes ``kappa + 1``
-cold plans in a burst.  The default ``"delta"`` mode instead classifies
+Delta re-planning
+-----------------
+Re-dispatching the *whole* prefetch window on every cluster event
+breaks the §6.1 promise exactly when it matters: a device loss causes
+``kappa + 1`` cold plans in a burst.  The pipeline instead classifies
 every window job against the new shape:
 
 * a job whose plan has already settled and is *compatible* with the
@@ -94,19 +93,16 @@ every window job against the new shape:
   (:func:`~repro.scheduling.rebind_plan`), its cache entry survives
   under the new-shape signature, and no planner runs at all
   (``OverlapStats.replan_jobs_reused``);
-* an affected job is re-dispatched **warm**: the previous placement
-  labels ride along (``plan.meta["placement"]``) and the placement
-  stage repairs + refines them instead of partitioning from scratch
-  (``OverlapStats.partial_replans``);
-* a job still in flight (no settled plan to classify or warm-start
-  from) is re-dispatched cold.
+* any other job is re-dispatched (``OverlapStats.replans``): **warm**
+  when its plan had settled — the previous placement labels ride along
+  (``plan.meta["placement"]``) and the placement stage repairs + refines
+  them instead of partitioning from scratch — and cold when it was
+  still in flight (no settled plan to warm-start from).
 
-``replan_mode="window"`` re-dispatches every window job through the
-same warm primitive — the brute-force baseline that the delta property
-tests compare against: delta and window runs must yield
-fingerprint-identical plans, proving the reuse shortcut sound.
-``"scratch"`` re-plans everything cold (pre-delta semantics; also the
-cost baseline the delta-vs-whole-window benchmark measures against).
+The test suite's whole-window oracles (``tests/replan_oracles.py``)
+re-dispatch every window job instead, warm or cold; delta runs must be
+fingerprint-identical to the warm one, proving the reuse shortcut
+sound, and the cold one is the cost baseline of the delta benchmark.
 """
 
 from __future__ import annotations
@@ -130,11 +126,9 @@ from ..scheduling import plan_compatible, rebind_plan
 from ..sim.cluster import ClusterEventSource, ClusterSpec
 from .backends import CompletedTicket, PlanTicket, SharedPlanTicket, make_backend
 
-__all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner", "REPLAN_MODES",
+__all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner",
            "OverlapStats", "IterationRecord",
            "plan_fingerprint", "plan_diff", "device_payload"]
-
-REPLAN_MODES = ("delta", "window", "scratch")
 
 #: Waits shorter than this (seconds) are queue bookkeeping, not stalls.
 #: Overridable for environments whose bookkeeping is artificially slow
@@ -196,18 +190,14 @@ class OverlapStats:
     always waits for its own plan from a cold pipeline — the paper's
     claim is about steady state.
 
-    ``replans`` counts prefetch-window jobs re-dispatched because a
-    cluster-shape event invalidated their target shape;
-    ``cluster_events`` counts the events themselves and
-    ``plan_retries`` the worker respawns after failures or hangs.
-
-    Delta re-planning splits the event response further:
-    ``partial_replans`` counts the re-dispatches the delta re-planner
-    issued (jobs whose plans the shape change actually touched),
-    ``replan_jobs_reused`` the window jobs whose plans survived the
-    event and were rebound without any planner work, and
+    A cluster-shape event splits the prefetch window in two:
+    ``replans`` counts the jobs re-dispatched because the event touched
+    their plans, ``replan_jobs_reused`` the jobs whose plans survived
+    it and were rebound without any planner work, and
     ``replan_plan_s`` the planner seconds spent on re-dispatched jobs —
     the quantity the delta-vs-whole-window benchmark compares.
+    ``cluster_events`` counts the events themselves and
+    ``plan_retries`` the worker respawns after failures or hangs.
     """
 
     iterations: int = 0
@@ -225,7 +215,6 @@ class OverlapStats:
     replans: int = 0
     cluster_events: int = 0
     plan_retries: int = 0
-    partial_replans: int = 0
     replan_jobs_reused: int = 0
     replan_plan_s: float = 0.0
     plan_cache: Optional[dict] = None
@@ -273,7 +262,6 @@ class OverlapStats:
             "replans": self.replans,
             "cluster_events": self.cluster_events,
             "plan_retries": self.plan_retries,
-            "partial_replans": self.partial_replans,
             "replan_jobs_reused": self.replan_jobs_reused,
             "replan_plan_s": self.replan_plan_s,
             "plan_cache": self.plan_cache,
@@ -357,17 +345,9 @@ class StreamingOverlapPipeline:
         Optional :class:`~repro.sim.ClusterEventSource`.  When given,
         the pipeline observes it between iterations; device add/remove
         events invalidate stale :class:`~repro.core.cache.PlanCache`
-        entries and re-plan the in-flight prefetch window against the
-        new shape.
-    replan_mode:
-        How the prefetch window responds to a shape change:
-        ``"delta"`` (default) re-dispatches only the jobs the event
-        actually affects, reusing compatible plans and warm-starting
-        the rest from their previous placement; ``"window"``
-        re-dispatches every window job through the same warm primitive
-        (the brute-force baseline delta must match fingerprint for
-        fingerprint); ``"scratch"`` re-plans the whole window cold (the
-        pre-delta behavior).
+        entries and re-plan the prefetch window against the new shape
+        by delta: compatible plans are reused, the rest re-dispatched
+        warm from their previous placement.
     plan_timeout:
         Seconds to wait on a single planning attempt before treating
         the worker as hung and respawning the job (``None``: wait
@@ -401,7 +381,6 @@ class StreamingOverlapPipeline:
         backend="thread",
         cache: Optional[PlanCache] = None,
         events: Optional[ClusterEventSource] = None,
-        replan_mode: str = "delta",
         plan_timeout: Optional[float] = None,
         max_plan_retries: int = 2,
         records_limit: Optional[int] = None,
@@ -414,16 +393,10 @@ class StreamingOverlapPipeline:
             raise ValueError("max_plan_retries must be non-negative")
         if records_limit is not None and records_limit < 1:
             raise ValueError("records_limit must be positive")
-        if replan_mode not in REPLAN_MODES:
-            raise ValueError(
-                f"unknown replan_mode {replan_mode!r}; use one of "
-                f"{REPLAN_MODES}"
-            )
         self.planner = planner
         self.lookahead = lookahead
         self.cache = cache
         self.events = events
-        self.replan_mode = replan_mode
         self.plan_timeout = plan_timeout
         self.max_plan_retries = max_plan_retries
         self._cluster: Optional[ClusterSpec] = (
@@ -446,7 +419,6 @@ class StreamingOverlapPipeline:
         self.replans = 0
         self.cluster_events = 0
         self.plan_retries = 0
-        self.partial_replans = 0
         self.replan_jobs_reused = 0
         self._replan_plan_s = 0.0
         self._wall_s = 0.0
@@ -663,26 +635,21 @@ class StreamingOverlapPipeline:
             return  # net no-op (e.g. an add immediately undone)
         self._cluster = current
         if self.cache is not None:
-            remap = (
-                self._remap_cache_entry
-                if self.replan_mode == "delta"
-                else None
+            self.cache.invalidate(
+                self._is_stale_key, remap=self._remap_cache_entry
             )
-            self.cache.invalidate(self._is_stale_key, remap=remap)
         for item in self._pending:
-            plan = (
-                None
-                if self.replan_mode == "scratch"
-                else self._settled_plan(item)
-            )
-            if (
-                self.replan_mode == "delta"
-                and plan is not None
-                and plan_compatible(plan, current)
-            ):
-                self._reuse(item, plan)
-            else:
-                self._redispatch(item, warm=self._warm_labels(plan))
+            self._retarget(item)
+
+    def _retarget(self, item: _Pending) -> None:
+        """Move one window job onto the new shape: reuse its settled
+        plan if the new shape can run it, else re-dispatch the job warm
+        from that plan's placement (cold when nothing settled)."""
+        plan = self._settled_plan(item)
+        if plan is not None and plan_compatible(plan, self._cluster):
+            self._reuse(item, plan)
+        else:
+            self._redispatch(item, warm=self._warm_labels(plan))
 
     def _is_stale_key(self, key) -> bool:
         """Cache keys carrying any cluster shape but the current one."""
@@ -701,8 +668,6 @@ class StreamingOverlapPipeline:
         entry compatible with the new shape is rebound and re-keyed
         instead of dropped, so post-event repeats still hit.
         """
-        if not self._is_stale_key(key):
-            return None
         if not plan_compatible(plan, self._cluster):
             return None
         return (self._cluster, key[1]), rebind_plan(plan, self._cluster)
@@ -712,7 +677,7 @@ class StreamingOverlapPipeline:
 
         Classification never blocks: an unfinished (or failed) job has
         nothing to classify or warm-start from and is re-dispatched
-        cold, exactly as the whole-window mode would.
+        cold.
         """
         ticket = item.ticket
         if ticket is None or not ticket.ready():
@@ -773,8 +738,6 @@ class StreamingOverlapPipeline:
         the new shape instead of partitioning from scratch.
         """
         self.replans += 1
-        if self.replan_mode == "delta":
-            self.partial_replans += 1
         fresh = self._submit(
             item.index,
             item.batch,
@@ -926,7 +889,6 @@ class StreamingOverlapPipeline:
         stats.replans = self.replans
         stats.cluster_events = self.cluster_events
         stats.plan_retries = self.plan_retries
-        stats.partial_replans = self.partial_replans
         stats.replan_jobs_reused = self.replan_jobs_reused
         stats.replan_plan_s = self._replan_plan_s
         return stats

@@ -41,10 +41,10 @@ def degraded_plan(planner, batch: BatchSpec, cluster=None):
 
     ``planner`` supplies the geometry (cluster, attention, block size,
     divisions) so a degraded plan targets exactly the shape the optimal
-    plan would have; only the placement quality differs.  Works with
-    any planner exposing ``cluster``/``attention``/``config`` (the
-    :class:`~repro.core.planner.DCPPlanner` surface); wrapped planners
-    without them fall back to defaults via ``getattr``.
+    plan would have; only the placement quality differs.  The planner
+    must expose ``cluster`` (unless ``cluster`` is given) and
+    ``config``, as :class:`~repro.core.planner.DCPPlanner` does; a
+    planner without ``attention`` gets the default ``AttentionSpec``.
     """
     cluster = cluster if cluster is not None else planner.cluster
     config = planner.config

@@ -91,6 +91,8 @@ class PlanService:
     ----------
     planner:
         Any ``plan_batch`` object; the single source of plan truth.
+        Deadline fetches that degrade also read its ``cluster`` and
+        ``config`` (see :func:`~repro.service.degraded.degraded_plan`).
     workers:
         Planner worker threads draining the fair scheduler.
     cache_capacity:
@@ -458,9 +460,16 @@ class PlanService:
         arrives later — from the still-queued demand dispatch
         (``upgrade_inflight``) or a fresh background upgrade job — and
         its epoch-checked publication replaces the cache entry
-        atomically.
+        atomically.  If the fallback cannot be built, a reservation no
+        dispatch owns is abandoned with the error before it propagates:
+        otherwise every later fetch of the signature would wait on it.
         """
-        plan = self._degrade(batch)
+        try:
+            plan = self._degrade(batch)
+        except BaseException as exc:
+            if not upgrade_inflight:
+                self.cache.abandon(signature, exc, epoch=epoch)
+            raise
         with self._lock:
             self._degraded[signature] = "pending"
         self.cache.publish(signature, plan, epoch)

@@ -28,8 +28,35 @@ class TestDCPConfig:
             DCPConfig(block_size=0)
         with pytest.raises(ValueError):
             DCPConfig(num_divisions=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"eps_inter": -0.1},
+            {"eps_intra": -0.1},
+            {"eps_data": -0.01},
+            {"restarts": -1},
+            {"restarts": 0, "use_warm_starts": False},
+        ],
+    )
+    def test_rejects_nonsense_partitioner_knobs(self, knobs):
         with pytest.raises(ValueError):
-            DCPConfig(lookahead=-1)
+            DCPConfig(**knobs)
+
+    def test_warm_starts_alone_are_a_valid_search(self):
+        planner = DCPPlanner(
+            ClusterSpec(num_machines=2, devices_per_machine=2),
+            AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16),
+            DCPConfig(block_size=16, restarts=0),
+        )
+        batch = BatchSpec.build([64, 32], make_mask("causal"))
+        assert planner.plan_batch(batch).num_devices == 4
+
+    def test_lookahead_is_the_pipelines_knob(self):
+        """kappa is the pipeline's ``lookahead``; the planner config has
+        no dead copy of it."""
+        with pytest.raises(TypeError):
+            DCPConfig(lookahead=2)
 
     def test_placement_config_propagates(self):
         placement = DCPConfig(eps_inter=0.7, seed=9).placement_config()

@@ -6,8 +6,9 @@ reports a shape change mid-stream, the delta re-planner re-dispatches
 compatible plans via :func:`~repro.scheduling.rebind_plan` and
 warm-starting affected re-plans from their previous placement — and the
 result is indistinguishable (``plan_fingerprint``-identical) from
-re-planning the whole window through the same primitive
-(``replan_mode="window"``), under arbitrary event timing.
+re-planning the whole window through the same primitive (the
+:class:`~replan_oracles.WholeWindowPipeline` oracle), under arbitrary
+event timing, on the thread and the KV backend.
 
 Also covers the building blocks: event affected-device metadata,
 plan compatibility/rebind, per-device ``plan_diff``, warm-start label
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replan_oracles import WholeWindowPipeline
 from repro import (
     AttentionSpec,
     BatchSpec,
@@ -272,17 +274,17 @@ class TestWarmPlanning:
 
 
 class TestDeltaPipeline:
-    def _run(self, mode, schedule, batches, kappa=2, workers=2, cache=None):
+    def _run(self, pipeline_class, schedule, batches, kappa=2, workers=2,
+             cache=None):
         planner = make_planner()
         events = ClusterEventSource(CLUSTER)
-        pipeline = StreamingOverlapPipeline(
+        pipeline = pipeline_class(
             iter(batches),
             planner,
             lookahead=kappa,
             max_workers=workers,
             events=events,
             cache=cache,
-            replan_mode=mode,
         )
         machines = CLUSTER.num_machines
         plans = []
@@ -302,9 +304,10 @@ class TestDeltaPipeline:
 
     def test_addition_reuses_the_whole_window(self):
         batches = make_batches(5)
-        plans, stats = self._run("delta", [(1, "add")], batches)
+        plans, stats = self._run(
+            StreamingOverlapPipeline, [(1, "add")], batches
+        )
         assert stats.replans == 0
-        assert stats.partial_replans == 0
         assert stats.replan_jobs_reused >= 1
         for plan in plans[2:]:
             assert plan.cluster.num_machines == 3
@@ -312,17 +315,23 @@ class TestDeltaPipeline:
 
     def test_removal_replans_only_affected_jobs_warm(self):
         batches = make_batches(5)
-        plans, stats = self._run("delta", [(1, "remove")], batches)
-        assert stats.partial_replans + stats.replan_jobs_reused >= 1
-        assert stats.replans == stats.partial_replans
+        plans, stats = self._run(
+            StreamingOverlapPipeline, [(1, "remove")], batches
+        )
+        # The settled window (jobs 2-4) splits into re-plans and reuses.
+        assert stats.replans + stats.replan_jobs_reused == 3
+        for record in stats.records[2:]:
+            assert record.replanned != record.reused
         for plan in plans[2:]:
             assert plan.cluster.num_machines == 1
             validate_plan(plan)
 
     def test_delta_equals_window_on_removal(self):
         batches = make_batches(5)
-        delta, ds = self._run("delta", [(1, "remove")], batches)
-        window, ws = self._run("window", [(1, "remove")], batches)
+        delta, ds = self._run(
+            StreamingOverlapPipeline, [(1, "remove")], batches
+        )
+        window, ws = self._run(WholeWindowPipeline, [(1, "remove")], batches)
         assert [plan_fingerprint(p) for p in delta] == [
             plan_fingerprint(p) for p in window
         ]
@@ -330,8 +339,8 @@ class TestDeltaPipeline:
 
     def test_delta_equals_window_on_addition(self):
         batches = make_batches(5)
-        delta, _ = self._run("delta", [(1, "add")], batches)
-        window, _ = self._run("window", [(1, "add")], batches)
+        delta, _ = self._run(StreamingOverlapPipeline, [(1, "add")], batches)
+        window, _ = self._run(WholeWindowPipeline, [(1, "add")], batches)
         assert [plan_fingerprint(p) for p in delta] == [
             plan_fingerprint(p) for p in window
         ]
@@ -344,7 +353,8 @@ class TestDeltaPipeline:
         mask = make_mask("causal")
         batches = [BatchSpec.build([48, 32], mask) for _ in range(6)]
         plans, stats = self._run(
-            "delta", [(1, "add")], batches, kappa=1, workers=1, cache=cache
+            StreamingOverlapPipeline, [(1, "add")], batches, kappa=1,
+            workers=1, cache=cache,
         )
         assert len(plans) == 6
         assert cache.stats()["remapped"] >= 1
@@ -383,12 +393,6 @@ class TestDeltaPipeline:
             assert plan.cluster == remapped
             assert plan_fingerprint(plan) == plan_fingerprint(
                 fresh.plan_batch(batch)
-            )
-
-    def test_unknown_replan_mode_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingOverlapPipeline(
-                [], make_planner(), replan_mode="yolo"
             )
 
     def test_delta_on_process_backend(self):
@@ -454,6 +458,17 @@ class TestDeltaPipeline:
             validate_plan(plan)
 
 
+def planner_backend(name, planner, workers):
+    """A planner backend by name: the pipeline's own thread pool, or the
+    KV route, whose resubmit supersedes the job it replaces."""
+    if name == "thread":
+        return "thread"
+    return KVPlannerBackend(
+        planner, KVStore(), num_machines=2, cores_per_machine=workers
+    )
+
+
+@pytest.mark.parametrize("backend", ["thread", "kv"])
 @given(
     seed=st.integers(0, 10_000),
     num_batches=st.integers(2, 5),
@@ -467,12 +482,12 @@ class TestDeltaPipeline:
 )
 @settings(max_examples=8, deadline=None)
 def test_delta_replan_fingerprint_identical_to_window_replan(
-    seed, num_batches, kappa, workers, schedule
+    backend, seed, num_batches, kappa, workers, schedule
 ):
     """Under random streams and random event timing/kinds, the delta
     re-planner's yielded plans are byte-identical to brute-force
     re-planning the whole window — the reuse shortcut never changes
-    what the pipeline produces."""
+    what the pipeline produces, on either backend."""
     rng = np.random.default_rng(seed)
     mask = make_mask("causal")
     batches = [
@@ -482,16 +497,16 @@ def test_delta_replan_fingerprint_identical_to_window_replan(
         for _ in range(num_batches)
     ]
 
-    def run(mode):
+    def run(pipeline_class):
         planner = make_planner()
         events = ClusterEventSource(CLUSTER)
-        pipeline = StreamingOverlapPipeline(
+        pipeline = pipeline_class(
             (b for b in batches),
             planner,
             lookahead=kappa,
             max_workers=workers,
+            backend=planner_backend(backend, planner, workers),
             events=events,
-            replan_mode=mode,
         )
         machines = CLUSTER.num_machines
         prints = []
@@ -509,4 +524,4 @@ def test_delta_replan_fingerprint_identical_to_window_replan(
                     machines += 1
         return prints
 
-    assert run("delta") == run("window")
+    assert run(StreamingOverlapPipeline) == run(WholeWindowPipeline)

@@ -14,7 +14,7 @@ from repro import (
     make_mask,
 )
 from repro.core import batch_signature
-from repro.pipeline import ServicePlannerBackend, plan_fingerprint
+from repro.pipeline import plan_fingerprint
 from repro.service import (
     AdmissionController,
     FairScheduler,
@@ -429,20 +429,3 @@ class TestPlanService:
         c = signature_key(batch_signature(batch([16, 32])))
         assert a == b and a != c and a.startswith("sig/")
 
-
-class TestServicePlannerBackend:
-    def test_pipeline_plans_through_the_service(self):
-        from repro.pipeline import StreamingOverlapPipeline
-
-        planner = CountingPlanner()
-        batches = [batch([64, 32]), batch([48, 16]), batch([64, 32])]
-        with PlanService(planner, workers=2) as service:
-            backend = ServicePlannerBackend(service, tenant="pipeline")
-            pipeline = StreamingOverlapPipeline(
-                batches, planner, lookahead=1, backend=backend
-            )
-            plans = [plan for _data, plan in pipeline]
-        assert len(plans) == 3
-        # The repeated signature was served from the service cache.
-        assert planner.calls == 2
-        assert plan_fingerprint(plans[0]) == plan_fingerprint(plans[2])

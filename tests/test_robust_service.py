@@ -278,6 +278,50 @@ class TestDeadlineDegradedServing:
             )
             assert service.stats()["plan_upgrades"] == 1
 
+    def test_failed_fallback_releases_its_reservation(self):
+        """A planner exposing only ``plan_batch`` cannot build the
+        degraded fallback.  A shed deadline fetch then raises, but it
+        must not leave its signature's reservation in flight: a later
+        fetch with every worker idle plans it instead of timing out."""
+
+        class BarePlanner:
+            def __init__(self):
+                self.inner = GatedPlanner()
+                self.gate = self.inner.gate
+
+            def plan_batch(self, spec):
+                return self.inner.plan_batch(spec)
+
+        planner = BarePlanner()
+        admission = AdmissionController(1, 1, 1)
+        with PlanService(planner, workers=1,
+                         admission=admission) as service:
+            filler = batch([32, 32])
+            hot = batch([64, 48])
+            # Two fetches in flight: one on the only worker, one queued.
+            fetchers = [
+                threading.Thread(
+                    target=lambda spec=spec: service.fetch_plan(
+                        "t", spec, timeout=30.0
+                    )
+                )
+                for spec in (filler, batch([96, 16]))
+            ]
+            fetchers[0].start()
+            assert wait_until(lambda: planner.inner.calls == 1)
+            fetchers[1].start()
+            assert wait_until(
+                lambda: service.scheduler.total_queued == 1
+            )
+            with pytest.raises(AttributeError):
+                service.fetch_plan("t", hot, deadline=5.0)
+            planner.gate.set()
+            for fetcher in fetchers:
+                fetcher.join(timeout=30.0)
+            plan = service.fetch_plan("t", hot, timeout=1.0)
+            assert plan_fingerprint(plan) == \
+                plan_fingerprint(make_planner().plan_batch(hot))
+
     def test_waiters_behind_reservation_get_degraded_too(self):
         planner = GatedPlanner()
         with PlanService(planner, workers=1) as service:

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from replan_oracles import WholeWindowPipeline
 from repro import (
     AttentionSpec,
     BatchSpec,
@@ -194,15 +195,15 @@ class TestStreamPacker:
 
 class TestClusterEvents:
     def test_removal_triggers_replan_and_new_shape(self):
-        """Whole-window cold mode: every re-plan is byte-identical to a
-        fresh planner targeting the new shape (delta's warm/reuse paths
-        have their own oracle in test_delta_replan.py)."""
+        """The cold whole-window oracle: every re-plan is byte-identical
+        to a fresh planner targeting the new shape (delta's warm/reuse
+        paths have their own oracle in test_delta_replan.py)."""
         planner = make_planner()
         events = ClusterEventSource(CLUSTER)
         batches = make_batches(5)
-        pipeline = StreamingOverlapPipeline(
+        pipeline = WholeWindowPipeline(
             iter(batches), planner, lookahead=2, max_workers=2,
-            events=events, replan_mode="scratch",
+            events=events, cold=True,
         )
         plans = []
         for i, (_, plan) in enumerate(pipeline):
