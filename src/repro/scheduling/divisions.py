@@ -105,7 +105,7 @@ class _Prep:
         self.pairs: List[int] = comps.pairs.tolist()
         self.flops: List[int] = attention.tile_flops(comps.pairs).tolist()
         #: The Q row of every computation block: a kernel takes one tile
-        #: per distinct row.
+        #: per distinct row (counted when a fill is priced).
         self.rows: List[int] = q_block.tolist()
         #: Remote inputs of every computation block (Q first, as
         #: ``CompBlock.inputs`` orders them).
@@ -193,12 +193,9 @@ class _DeviceFill:
     def __init__(self, prep: _Prep, device: int, num_divisions: int) -> None:
         self.needs = prep.needs
         self.pairs = prep.pairs
-        self.row_of = prep.rows
         self.remaining: List[int] = list(prep.blocks[device])  # block order
         self.fetched: set = set()
         self.divisions: List[List[int]] = [[] for _ in range(num_divisions)]
-        #: The Q rows of every division: its kernel's tiles.
-        self.rows: List[set] = [set() for _ in range(num_divisions)]
         self.fetches: List[List[_Need]] = [[] for _ in range(num_divisions)]
         self.comp_scheduled = 0  # total pairs scheduled so far
         self.div_comm = 0  # bytes charged to the division being built
@@ -212,7 +209,6 @@ class _DeviceFill:
                 self.fetches[division].append(need)
                 self.div_comm += need[1]
         self.divisions[division].append(comp)
-        self.rows[division].add(self.row_of[comp])
         self.comp_scheduled += self.pairs[comp]
 
     def take_rest(self) -> None:

@@ -97,6 +97,7 @@ def _streams(prep, fills) -> Tuple[List[list], List[int]]:
 
     attention = prep.block_set.attention
     reduce_bytes = attention.o_block_bytes(prep.block_set.block_size) * 2
+    rows = prep.rows
     streams = []
     for device, fill in enumerate(fills):
         steps: list = []
@@ -113,10 +114,11 @@ def _streams(prep, fills) -> Tuple[List[list], List[int]]:
         for division, comps in enumerate(fill.divisions):
             wait = division + 2 < width and launch(division + 1)
             if comps:
-                # One tile per Q row, as serialization emits it.
+                # One tile per distinct Q row, as serialization emits it.
+                tiles = len({rows[comp] for comp in comps})
                 flops = sum(prep.flops[comp] for comp in comps)
                 last = len(steps)
-                steps.append((COMPUTE, (len(fill.rows[division]), flops, 0)))
+                steps.append((COMPUTE, (tiles, flops, 0)))
             if wait:
                 steps.append((WAIT, device * width + division + 1))
         if launch(width - 1):
@@ -216,8 +218,7 @@ def replay(
 def price_divisions(prep, fills) -> float:
     """Simulated forward + backward seconds of ``fills`` on
     ``prep.cluster`` (``fills``: one per device, each with integer
-    ``divisions``, their Q ``rows`` and ``fetches`` of (block id, bytes,
-    home))."""
+    ``divisions`` and their ``fetches`` of (block id, bytes, home))."""
     streams, expected = _streams(prep, fills)
     return sum(
         max(replay(streams, expected, prep.cluster, *factors))
