@@ -48,15 +48,17 @@ SMOKE_TOTAL_S_MAX = 0.024
 #: Deterministic work counts of the smoke point, pinned next to the
 #: budget: they are machine-independent, and any change to the search
 #: trajectory moves the first three, any change to the scheduler's
-#: priced division choice the last two (the chosen count and the plan's
-#: simulated forward + backward attention).  A PR that changes either on
-#: purpose re-records them by regenerating BENCH_planner.json.
+#: priced choice the next two (the chosen count and the plan's simulated
+#: forward + backward attention), and any change to the price search's
+#: trajectory the moves it kept.  A PR that changes either on purpose
+#: re-records them by regenerating BENCH_planner.json.
 SMOKE_PINNED_COUNTS = (
     "refine_moves",
     "gain_evals",
     "comm_bytes",
     "num_divisions",
     "attn_ms",
+    "price_moves",
 )
 
 
@@ -129,6 +131,7 @@ def run_hotpath_bench(
                     "comm_bytes": int(comm),
                     "num_divisions": stats.num_divisions,
                     "attn_ms": round(1e3 * attn_s, 6),
+                    "price_moves": stats.price_moves,
                 }
             )
             print(
@@ -136,7 +139,8 @@ def run_hotpath_bench(
                 f"total={elapsed:.3f}s gen={stats.block_generation:.3f}s "
                 f"place={stats.placement:.3f}s sched={stats.scheduling:.3f}s "
                 f"moves={stats.refine_moves} comm={comm / 1e6:.1f}MB "
-                f"T={stats.num_divisions} attn={1e3 * attn_s:.3f}ms"
+                f"T={stats.num_divisions} attn={1e3 * attn_s:.3f}ms "
+                f"price_moves={stats.price_moves}"
             )
     return {
         "benchmark": "planner_hotpath",

@@ -153,6 +153,7 @@ PLANNER_PINNED_COUNTS = (
     "comm_bytes",
     "num_divisions",
     "attn_ms",
+    "price_moves",
 )
 
 

@@ -38,7 +38,9 @@ class PlanningStats:
     the scheduler chose (``DCPConfig.num_divisions`` is its upper bound)
     and whose placement it chose (``"partitioned"``, or the alternative
     that priced cheaper: its ``"owner"``-computes projection or the
-    static ``"zigzag"`` / ``"dp_pack"`` one), and the chosen forward
+    static ``"zigzag"`` / ``"dp_pack"`` one, or ``"refined"``: the
+    price search's neighbour of the cheapest owner-structured one), the
+    moves that search kept (``price_moves``), and the chosen forward
     plan's attention tiles (one per Q row per kernel) and the block
     pairs they compute.
     """
@@ -56,6 +58,7 @@ class PlanningStats:
     placement_source: str = ""
     attention_tiles: int = 0
     tile_pairs: int = 0
+    price_moves: int = 0
 
     @property
     def total(self) -> float:
@@ -77,6 +80,7 @@ class PlanningStats:
             "placement_source": self.placement_source,
             "attention_tiles": self.attention_tiles,
             "tile_pairs": self.tile_pairs,
+            "price_moves": self.price_moves,
         }
 
 
@@ -185,9 +189,10 @@ class DCPPlanner:
             plan = serialize_schedule(schedule)
         stats.scheduling = time.perf_counter() - start
         stats.num_divisions = schedule.num_divisions
+        stats.price_moves = schedule.price_moves
         stats.attention_tiles, stats.tile_pairs = plan.tile_counts()
-        # The schedule's placement is the one it chose (``placement`` or
-        # one of its alternatives).
+        # The schedule's placement is the one it chose (``placement``,
+        # one of its alternatives or their price-refined neighbour).
         placement = schedule.placement
         stats.placement_source = placement.source
 
@@ -224,6 +229,7 @@ class DCPPlanner:
         metrics.counter(f"planner.placement_source.{placement.source}").inc()
         metrics.counter("planner.attention_tiles").inc(stats.attention_tiles)
         metrics.counter("planner.tile_pairs").inc(stats.tile_pairs)
+        metrics.counter("planner.price_moves").inc(stats.price_moves)
         self.last_stats = stats
         self.last_placement = placement
         return plan

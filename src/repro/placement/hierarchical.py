@@ -24,8 +24,11 @@ bytes moved:
 * ``"zigzag"`` / ``"dp_pack"`` — the static placements of the same
   blocks over all devices (:func:`static_placement`).
 
-:func:`~repro.scheduling.build_schedule` prices them beside it and
-keeps the cheapest.
+:func:`~repro.scheduling.build_schedule` prices them beside it, refines
+the cheapest owner-structured one on the price inside the same box
+(tightened by bytes moved between machines), and keeps the cheapest.
+Only a computed placement carries alternatives, so an adopted warm
+placement is priced as it is.
 """
 
 from __future__ import annotations
@@ -81,13 +84,15 @@ class Placement:
     num_vertices: int = 0
     num_edges: int = 0
     #: The :data:`STATIC_HEURISTICS` name, ``"partitioned"`` for what
-    #: :func:`place_blocks` computes, or ``"owner"`` for its
-    #: owner-computes projection; an adopted warm placement keeps the
-    #: source it was chosen under.
+    #: :func:`place_blocks` computes, ``"owner"`` for its owner-computes
+    #: projection, or ``"refined"`` for the price search's neighbour of
+    #: one of them (``repro.scheduling.build_schedule``); an adopted
+    #: warm placement keeps the source it was chosen under.
     source: str = "partitioned"
     #: Owner-computes projection and static placements of the same
     #: blocks that dominate this one; ``build_schedule`` prices them
-    #: beside it.
+    #: beside it, and refines on the price only a placement that
+    #: carries them (a computed one, never an adopted one).
     alternatives: List["Placement"] = field(default_factory=list)
     #: Partition calls whose best candidate broke the balance caps.
     infeasible_partitions: int = 0

@@ -151,7 +151,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"(priced fw+bw ms: {prices})"
     )
     print(f"tiles: {stats.attention_tiles} rows over "
-          f"{stats.tile_pairs} block pairs")
+          f"{stats.tile_pairs} block pairs; "
+          f"price moves {stats.price_moves}")
     dcp_time = _report("dcp", plan, cluster, args.gantt_width)
 
     if args.trace:

@@ -24,20 +24,28 @@ computation dwarfs the ~5 kernel launches it adds and loses elsewhere.
 ``alternatives`` (its owner-computes projection, the static CP / DP
 placements), prices every candidate with :mod:`.pricing` and keeps the
 cheapest — so a plan never prices slower than an admitted alternative.
-Everything that does not depend on ``T`` — block homes, per-device
+On a placement :func:`~repro.placement.place_blocks` computed it also
+refines the cheapest owner-structured candidate on that price
+(:class:`_SliceSearch`), inside the partitioned placement's dominance
+box.  Everything that does not depend on ``T`` — block homes, per-device
 block lists, remote inputs, bytes and FLOPs — is derived once per
 (block set, placement), on integer ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..blocks import BlockKind, BlockSet, CompBlock, DataBlockId
-from .pricing import price_divisions
+from ..obs.trace import span as _span
+from .pricing import (
+    BACKWARD_COMM_FACTOR,
+    BACKWARD_FLOPS_FACTOR,
+    price_divisions,
+)
 
 __all__ = ["DeviceSchedule", "Schedule", "build_schedule", "fill_divisions"]
 
@@ -83,6 +91,8 @@ class Schedule:
     #: The cheapest price of every placement :func:`build_schedule`
     #: weighed, by ``Placement.source``.
     placement_prices: Dict[str, float] = field(default_factory=dict)
+    #: Moves the price search kept (0 when it did not run or found none).
+    price_moves: int = 0
 
 
 class _Prep:
@@ -143,6 +153,14 @@ class _Prep:
             + sum(need[1] for need in self.output_sends[device])
             for device in devices
         ]
+        #: Of those, the bytes that cross machines.
+        per_machine = cluster.devices_per_machine
+        self.inter_comm: int = sum(
+            need[1]
+            for device in devices
+            for need in (*remote[device], *self.output_sends[device])
+            if need[2] // per_machine != device // per_machine
+        )
         #: Output blocks every device finalizes: its slices x head groups.
         self.finalizes: List[int] = (
             np.bincount(slice_device, minlength=cluster.num_devices) * groups
@@ -338,6 +356,205 @@ def fill_divisions(
     return prep.materialise(_fill(prep, num_divisions, strategy))
 
 
+class _Priced:
+    """One placement filled and priced at every division count."""
+
+    def __init__(self, prep: _Prep, counts, strategy: str, known=None) -> None:
+        self.prep = prep
+        self.placement = prep.placement
+        #: count -> (fills, price, per-device seconds); ``known`` ones
+        #: are not filled again.
+        self.by_count = dict(known or {})
+        for count in counts:
+            if count not in self.by_count:
+                fills = _fill(prep, count, strategy)
+                self.by_count[count] = (fills, *price_divisions(prep, fills))
+        self.count = min(
+            self.by_count, key=lambda count: (self.by_count[count][1], count)
+        )
+        self.price = self.by_count[self.count][1]
+
+    @property
+    def prices(self) -> Dict[int, float]:
+        return {count: entry[1] for count, entry in self.by_count.items()}
+
+
+#: Neighbours the price search prices per plan at most.
+_SEARCH_BUDGET = 3
+
+
+class _SliceSearch:
+    """Bounded local search on the price over owner-structured
+    placements (every computation block on its Q slice's device).
+
+    A neighbour moves one whole query slice — its computation blocks
+    with it — off the device that finishes last, or swaps it with a
+    lighter slice of another device.  Neighbours outside the dominance
+    box (more busiest-device tokens, more bytes moved or more bytes
+    moved between machines than the partitioned placement) are dropped
+    before anything is built.  The rest are ranked by an estimate made
+    of the price's own terms: the per-device seconds of the step's
+    replays, with the moved slices' forward + backward compute shifted
+    between the two devices and every device's KV fetch seconds
+    re-counted.  The best is priced at the start's division count and
+    kept only if the price strictly falls; the search stops at the
+    first that does not, or after :data:`_SEARCH_BUDGET` prices.
+    """
+
+    def __init__(self, start: _Priced, box: _Prep, strategy: str) -> None:
+        prep = start.prep
+        block_set, cluster = prep.block_set, prep.cluster
+        attention = block_set.attention
+        comps = block_set.comp_array
+        slices = len(block_set.token_slices)
+        self.q_slice = q = block_set.slice_indices(comps.seq_index, comps.q_block)
+        kv = block_set.slice_indices(comps.seq_index, comps.kv_block)
+        # (reader, read) slice pairs: whose KV each slice's rows read.
+        reads = np.zeros((slices, slices), dtype=bool)
+        reads[q, kv] = True
+        self.reader, self.read = np.nonzero(reads)
+        self.tokens = block_set.slice_tokens
+        self.kv_bytes = attention.kv_block_bytes(self.tokens) * attention.head_groups
+        # Forward + backward compute seconds of every slice's rows.
+        flops = np.bincount(
+            q, weights=attention.tile_flops(comps.pairs), minlength=slices
+        )
+        self.work = (
+            cluster.compute_time(flops * (1 + BACKWARD_FLOPS_FACTOR))
+            + 2 * attention.head_groups * cluster.tile_overhead
+        )
+        self.devices = devices = cluster.num_devices
+        # Forward + backward seconds per KV byte, home -> reader.
+        self.machine = machine = np.arange(devices) // cluster.devices_per_machine
+        self.link = (1 + BACKWARD_COMM_FACTOR) * np.where(
+            machine[:, None] == machine[None, :],
+            1 / cluster.intra_bandwidth,
+            1 / cluster.inter_bandwidth,
+        )
+        np.fill_diagonal(self.link, 0.0)
+        # The box: the partitioned placement's busiest-device tokens,
+        # bytes moved and bytes moved between machines.
+        self.max_tokens = box.placement.tokens_per_device().max()
+        self.max_bytes, self.max_inter = sum(box.total_comm), box.inter_comm
+        self.strategy = strategy
+        self.start = start
+        self.count = start.count
+
+    def held(self, labels: np.ndarray) -> np.ndarray:
+        """(labelling, slice, device): whether the device holds the
+        slice's KV — at home or fetched for its rows — per labelling."""
+        count, slices = labels.shape
+        held = np.zeros((count, slices, self.devices), dtype=bool)
+        rows = np.arange(count)[:, None]
+        held[rows, self.read, labels[:, self.reader]] = True
+        held[rows, np.arange(slices), labels] = True
+        return held
+
+    def fetch_seconds(self, held: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """(labelling, device): forward + backward seconds of the KV the
+        device fetches."""
+        return np.einsum("nsk,s->nk", held * self.link[labels], self.kv_bytes)
+
+    def best_neighbour(self, labels: np.ndarray, seconds, fetch: np.ndarray):
+        """The best-estimated neighbour of ``labels`` inside the box, as
+        its labels and per-device fetch seconds, or ``None``
+        (``seconds``, ``fetch``: those of ``labels``)."""
+        devices, work = self.devices, self.work
+        last = int(np.argmax(seconds))
+        # Every slice of the last device moves to each other device, or
+        # swaps with each slice there: per device the move, then the
+        # swaps in slice order.
+        own = np.flatnonzero(labels == last)
+        elsewhere = np.flatnonzero(labels != last)
+        targets = np.delete(np.arange(devices), last)
+        dest = np.concatenate([targets, labels[elsewhere]])
+        partner = np.concatenate([np.full(len(targets), -1), elsewhere])
+        order = np.lexsort((partner, dest))
+        moved = np.repeat(own, len(order))
+        device = np.tile(dest[order], len(own))
+        other = np.tile(partner[order], len(own))
+        swap = other >= 0
+        # The last device must get lighter, and no device may end up with
+        # more tokens than the box allows.
+        shift = work[moved] - np.where(swap, work[other], 0.0)
+        tokens = self.tokens[moved] - np.where(swap, self.tokens[other], 0)
+        load = np.bincount(labels, weights=self.tokens, minlength=devices)
+        # The busiest device other than the last and the target.
+        ranked = np.argsort(np.where(np.arange(devices) == last, -1, load))
+        first, second = load[ranked[-1]], load[ranked[-2]] if devices > 2 else 0
+        rest = np.where(np.arange(devices) == ranked[-1], second, first)
+        keep = (shift > 0) & (
+            np.maximum.reduce(
+                [load[last] - tokens, load[device] + tokens, rest[device]]
+            )
+            <= self.max_tokens
+        )
+        moved, device, other, swap, shift = (
+            a[keep] for a in (moved, device, other, swap, shift)
+        )
+        count = len(moved)
+        rows = np.arange(count)
+        after = np.repeat(labels[None, :], count, axis=0)
+        after[rows, moved] = device
+        after[rows[swap], other[swap]] = last
+        held = self.held(after)
+        nbytes = (held.sum(axis=2) - 1) @ self.kv_bytes
+        far = self.machine[after][:, :, None] != self.machine
+        inter = (held & far).sum(axis=2) @ self.kv_bytes
+        fetches = self.fetch_seconds(held, after)
+        estimate = seconds + fetches - fetch
+        estimate[rows, last] -= shift
+        estimate[rows, device] += shift
+        # Lowest estimated last device, then fewest bytes, then order.
+        order = np.lexsort((rows, nbytes, estimate.max(axis=1)))
+        order = order[
+            (nbytes[order] <= self.max_bytes) & (inter[order] <= self.max_inter)
+        ]
+        if not len(order):
+            return None
+        return after[order[0]].copy(), fetches[order[0]]
+
+    def run(self):
+        """The cheapest placement the search reaches from the start, as
+        (prep, fills, price, seconds) at the start's count, and the
+        moves it kept (``None`` and 0 when no neighbour priced lower)."""
+        start = self.start
+        _, price, seconds = start.by_count[self.count]
+        labels = np.asarray(start.placement.slice_device, dtype=np.int64)
+        now = labels[None, :]
+        fetch = self.fetch_seconds(self.held(now), now)[0]
+        best, moves = None, 0
+        for _ in range(_SEARCH_BUDGET):
+            found = self.best_neighbour(labels, np.asarray(seconds), fetch)
+            if found is None:
+                break
+            after, after_fetch = found
+            prep = _Prep(
+                start.prep.block_set,
+                replace(
+                    start.placement,
+                    slice_device=after,
+                    comp_device=after[self.q_slice],
+                    source="refined",
+                    alternatives=[],
+                ),
+            )
+            fills = _fill(prep, self.count, self.strategy)
+            priced, seconds = price_divisions(prep, fills)
+            if priced >= price:
+                break
+            labels, price, fetch = after, priced, after_fetch
+            best = (prep, fills, price, seconds)
+            moves += 1
+        return best, moves
+
+
+def _owner_structured(placement, q_slice: np.ndarray) -> bool:
+    return bool(
+        np.array_equal(placement.comp_device, placement.slice_device[q_slice])
+    )
+
+
 def build_schedule(
     block_set: BlockSet,
     placement,
@@ -345,17 +562,27 @@ def build_schedule(
     strategy: str = "paper",
 ) -> Schedule:
     """The cheapest division schedule with at most ``num_divisions``,
-    on ``placement`` or one of its ``alternatives``.
+    on ``placement``, one of its ``alternatives`` or their price-refined
+    neighbour.
 
     For each placement, fills ``T = 1, 2, 4, ...`` (powers of two below
     ``num_divisions``, and ``num_divisions`` itself) as
     :func:`fill_divisions` would and prices each from the cluster's
     parameters (:func:`~repro.scheduling.pricing.price_divisions`:
-    simulated forward + backward seconds).  Returns the cheapest; a tie
-    goes to ``placement`` over its alternatives, then to the smaller
-    ``T`` — a pure function of its arguments, so every route to a plan
-    agrees.  ``Schedule.placement`` is the winner, ``division_prices``
-    its candidates and ``placement_prices`` each placement's best.
+    simulated forward + backward seconds).  A placement that carries
+    alternatives (one :func:`~repro.placement.place_blocks` computed,
+    never an adopted one) is also refined on the price: a bounded local
+    search (:class:`_SliceSearch`) moves and swaps whole query slices
+    off the device that finishes last, starting from the cheapest
+    owner-structured candidate and staying inside the partitioned
+    placement's dominance box — no more busiest-device tokens, no more
+    bytes moved, no more bytes moved between machines.  Its result (source ``"refined"``) is priced at every
+    ``T`` like the others.  Returns the cheapest; a tie goes to
+    ``placement`` over its alternatives, then to the smaller ``T`` — a
+    pure function of its arguments, so every route to a plan agrees.
+    ``Schedule.placement`` is the winner, ``division_prices`` its
+    candidates, ``placement_prices`` each placement's best and
+    ``price_moves`` the moves the search kept.
     """
     _check(num_divisions, strategy)
     counts, count = [], 1
@@ -363,20 +590,41 @@ def build_schedule(
         counts.append(count)
         count *= 2
     counts.append(num_divisions)
-    best = None
-    placement_prices: Dict[str, float] = {}
-    for candidate in [placement, *placement.alternatives]:
-        prep = _Prep(block_set, candidate)
-        fills = {count: _fill(prep, count, strategy) for count in counts}
-        prices = {
-            count: price_divisions(prep, fill) for count, fill in fills.items()
-        }
-        count = min(prices, key=lambda count: (prices[count], count))
-        placement_prices[candidate.source] = prices[count]
-        if best is None or prices[count] < best[0]:
-            best = (prices[count], prep, fills[count], prices)
-    _, prep, fills, prices = best
-    schedule = prep.materialise(fills)
-    schedule.division_prices = prices
-    schedule.placement_prices = placement_prices
+    candidates = [
+        _Priced(_Prep(block_set, candidate), counts, strategy)
+        for candidate in [placement, *placement.alternatives]
+    ]
+    best = min(candidates, key=lambda priced: priced.price)
+    moves = 0
+    if placement.alternatives:
+        q_slice = block_set.slice_indices(
+            block_set.comp_array.seq_index, block_set.comp_array.q_block
+        )
+        owned = [
+            priced
+            for priced in candidates
+            if _owner_structured(priced.placement, q_slice)
+        ]
+        if owned:
+            start = min(owned, key=lambda priced: priced.price)
+            with _span("price_refine", "scheduling"):
+                search = _SliceSearch(start, candidates[0].prep, strategy)
+                found, moves = search.run()
+                if found is not None:
+                    prep, fills, price, seconds = found
+                    refined = _Priced(
+                        prep,
+                        counts,
+                        strategy,
+                        known={search.count: (fills, price, seconds)},
+                    )
+                    candidates.append(refined)
+                    if refined.price < best.price:
+                        best = refined
+    schedule = best.prep.materialise(best.by_count[best.count][0])
+    schedule.division_prices = best.prices
+    schedule.placement_prices = {
+        priced.placement.source: priced.price for priced in candidates
+    }
+    schedule.price_moves = moves
     return schedule

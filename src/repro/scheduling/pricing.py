@@ -215,15 +215,18 @@ def replay(
     return list(map(max, clock, last_transfer))
 
 
-def price_divisions(prep, fills) -> float:
+def price_divisions(prep, fills) -> Tuple[float, List[float]]:
     """Simulated forward + backward seconds of ``fills`` on
     ``prep.cluster`` (``fills``: one per device, each with integer
-    ``divisions`` and their ``fetches`` of (block id, bytes, home))."""
+    ``divisions`` and their ``fetches`` of (block id, bytes, home)), and
+    every device's own forward + backward seconds off the same two
+    replays."""
     streams, expected = _streams(prep, fills)
-    return sum(
-        max(replay(streams, expected, prep.cluster, *factors))
+    forward, backward = (
+        replay(streams, expected, prep.cluster, *factors)
         for factors in (
             (1.0, 1.0),
             (BACKWARD_FLOPS_FACTOR, BACKWARD_COMM_FACTOR),
         )
     )
+    return max(forward) + max(backward), list(map(sum, zip(forward, backward)))

@@ -114,19 +114,24 @@ class TestExecutorDetection:
 
     def test_unknown_buffer_kind_rejected(self):
         plan = _plan()
-        device = _first_device_with(plan, "comm_launch")
-        device_plan = plan.device_plans[device]
-        for index, ins in enumerate(device_plan.instructions):
-            if ins.kind == "comm_launch" and ins.sends:
-                bad = dataclasses.replace(
-                    ins.sends[0], buffer="not-a-buffer"
-                )
-                device_plan.instructions[index] = dataclasses.replace(
-                    ins, sends=(bad,) + ins.sends[1:]
-                )
-                break
-        else:
+        # The first launch that sends, on any device (a device's first
+        # launch may only receive).
+        found = next(
+            (
+                (device_plan, index, ins)
+                for device_plan in plan.device_plans.values()
+                for index, ins in enumerate(device_plan.instructions)
+                if ins.kind == "comm_launch" and ins.sends
+            ),
+            None,
+        )
+        if found is None:
             pytest.skip("no sends to corrupt")
+        device_plan, index, ins = found
+        bad = dataclasses.replace(ins.sends[0], buffer="not-a-buffer")
+        device_plan.instructions[index] = dataclasses.replace(
+            ins, sends=(bad,) + ins.sends[1:]
+        )
         executor = SimExecutor(plan)
         executor.load_inputs(BatchInputs.random(plan.block_set, seed=0))
         with pytest.raises((ValueError, RuntimeError)):

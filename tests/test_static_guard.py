@@ -516,14 +516,6 @@ SENSITIVITY_GEOMETRIES = [
     *sorted(CLUSTERS), "service_trailing", "sparse_2x4", "sparse_trailing",
     "sparse_dilated", "sparse_rows",
 ]
-#: The points where the 5 % criterion is not met, with the measured
-#: worst plan (ROADMAP item 2(c) is the fix).
-SENSITIVITY_MISSES = {
-    ("sparse_dilated", "inter_bandwidth", 2.0): "trails by 14.2 %",
-    ("sparse_rows", "kernel_overhead", 0.5): "trails by 9.7 %",
-}
-
-
 @functools.lru_cache(maxsize=None)
 def sensitivity_plans(geometry: str):
     """(cluster, [(chosen plan, partitioned-only plan)]) at nominal
@@ -563,34 +555,23 @@ def sensitivity_plans(geometry: str):
 class TestSensitivity:
     """Plans are chosen at nominal constants; re-simulated with one
     constant halved or doubled, the chosen plan should trail the
-    partitioned-only plan by at most 5 % (ROADMAP item 2(c)).  It does
-    on service batches of seeds 0-7, 1x4 and 2x4.  The four points that
-    missed while every device ended on a standalone reduction kernel
-    pass with the finalize epilogue (seed 0): launch overhead halved,
-    ``sparse_2x4`` -3.5 % (was +6.4 %), the hot service batch -3.4 %
-    (+5.5 %), a blockwise ``sparse_mixed`` batch +3.4 % (+9.6 %);
-    inter-machine bandwidth doubled, a shared-question batch +0.3 %
-    (+6.7 %).  The epilogue moved the worst ``sparse_mixed`` plans onto
-    two dilated batches (``sparse_dilated``), which missed by 8.3 % with
-    launch overhead halved and by 22.8 % with inter-machine bandwidth
-    doubled.  With one tile per Q row the first reads +1.1 % and
-    passes; the second reads +14.2 %.  Row tiles moved the worst plans
-    at halved launch overhead onto two other owner-won batches
-    (``sparse_rows``: +9.7 % and +8.2 %).  The two misses are the
-    ``SENSITIVITY_MISSES`` points: strict expected failures here and
-    rows of the sensitivity table in ``docs/benchmarks.md``, so a fix
-    flips the test."""
+    partitioned-only plan by at most 5 % (ROADMAP item 4(b)).  It does
+    on service batches of seeds 0-7, 1x4 and 2x4, and at every point
+    below.  The four points that missed while every device ended on a
+    standalone reduction kernel passed with the finalize epilogue
+    (seed 0), which moved the worst ``sparse_mixed`` plans onto two
+    dilated batches (``sparse_dilated``); one tile per Q row moved the
+    worst plan at halved launch overhead onto two other owner-won
+    batches (``sparse_rows``).  Refining the winning placement on its
+    own price turned the last two misses, strict expected failures
+    until then, into passes: ``sparse_dilated`` with inter-machine
+    bandwidth doubled reads -6.8 % (was +14.2 %), ``sparse_rows`` with
+    launch overhead halved -8.6 % (was +9.7 %)."""
 
     @pytest.mark.parametrize(
         "geometry, field, factor",
         [
-            pytest.param(
-                geometry, field, factor,
-                marks=[pytest.mark.xfail(
-                    strict=True,
-                    reason=SENSITIVITY_MISSES[(geometry, field, factor)],
-                )] if (geometry, field, factor) in SENSITIVITY_MISSES else [],
-            )
+            (geometry, field, factor)
             for geometry in SENSITIVITY_GEOMETRIES
             for field in ("kernel_overhead", "intra_bandwidth",
                           "inter_bandwidth")
