@@ -34,6 +34,7 @@ block lists, remote inputs, bytes and FLOPs — is derived once per
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
@@ -100,23 +101,42 @@ class _Prep:
 
     def __init__(self, block_set: BlockSet, placement) -> None:
         self.block_set = block_set
-        self.placement = placement
-        self.cluster = cluster = placement.cluster
         attention = block_set.attention
         self.groups = groups = attention.head_groups
         comps = block_set.comp_array
-        slice_device = np.asarray(placement.slice_device, dtype=np.int64)
-        q_slice = block_set.slice_indices(comps.seq_index, comps.q_block)
-        kv_slice = block_set.slice_indices(comps.seq_index, comps.kv_block)
+        self.q_slice = block_set.slice_indices(comps.seq_index, comps.q_block)
+        self.kv_slice = block_set.slice_indices(comps.seq_index, comps.kv_block)
         tokens = block_set.slice_tokens
-        q_block = q_slice * groups + comps.head_group
-        kv_block = kv_slice * groups + comps.head_group
+        q_block = self.q_slice * groups + comps.head_group
+        kv_block = self.kv_slice * groups + comps.head_group
 
         self.pairs: List[int] = comps.pairs.tolist()
         self.flops: List[int] = attention.tile_flops(comps.pairs).tolist()
         #: The Q row of every computation block: a kernel takes one tile
         #: per distinct row (counted when a fill is priced).
         self.rows: List[int] = q_block.tolist()
+        # (block, bytes) of every computation block's Q and KV block.
+        self._q = list(
+            zip(self.rows, attention.q_block_bytes(tokens[self.q_slice]).tolist())
+        )
+        self._kv = list(
+            zip(
+                kv_block.tolist(),
+                attention.kv_block_bytes(tokens[self.kv_slice]).tolist(),
+            )
+        )
+        self._place(placement)
+
+    def moved(self, placement) -> "_Prep":
+        """The prep of the same block set on another placement."""
+        prep = copy.copy(self)
+        prep._place(placement)
+        return prep
+
+    def _place(self, placement) -> None:
+        self.placement = placement
+        self.cluster = cluster = placement.cluster
+        slice_device = np.asarray(placement.slice_device, dtype=np.int64)
         #: Remote inputs of every computation block (Q first, as
         #: ``CompBlock.inputs`` orders them).
         self.needs: List[Tuple[_Need, ...]] = []
@@ -124,15 +144,13 @@ class _Prep:
         self.blocks: List[List[int]] = [[] for _ in devices]
         remote: List[set] = [set() for _ in devices]
         outputs: List[set] = [set() for _ in devices]
-        for comp, (device, q, q_home, q_bytes, kv, kv_home, kv_bytes) in enumerate(
+        for comp, (device, (q, q_bytes), q_home, (kv, kv_bytes), kv_home) in enumerate(
             zip(
                 np.asarray(placement.comp_device, dtype=np.int64).tolist(),
-                q_block.tolist(),
-                slice_device[q_slice].tolist(),
-                attention.q_block_bytes(tokens[q_slice]).tolist(),
-                kv_block.tolist(),
-                slice_device[kv_slice].tolist(),
-                attention.kv_block_bytes(tokens[kv_slice]).tolist(),
+                self._q,
+                slice_device[self.q_slice].tolist(),
+                self._kv,
+                slice_device[self.kv_slice].tolist(),
             )
         ):
             needs: Tuple[_Need, ...] = ()
@@ -163,7 +181,8 @@ class _Prep:
         )
         #: Output blocks every device finalizes: its slices x head groups.
         self.finalizes: List[int] = (
-            np.bincount(slice_device, minlength=cluster.num_devices) * groups
+            np.bincount(slice_device, minlength=cluster.num_devices)
+            * self.groups
         ).tolist()
 
     def data_block(self, kind: str, block: int) -> DataBlockId:
@@ -407,8 +426,7 @@ class _SliceSearch:
         attention = block_set.attention
         comps = block_set.comp_array
         slices = len(block_set.token_slices)
-        self.q_slice = q = block_set.slice_indices(comps.seq_index, comps.q_block)
-        kv = block_set.slice_indices(comps.seq_index, comps.kv_block)
+        q, kv = prep.q_slice, prep.kv_slice
         # (reader, read) slice pairs: whose KV each slice's rows read.
         reads = np.zeros((slices, slices), dtype=bool)
         reads[q, kv] = True
@@ -529,15 +547,14 @@ class _SliceSearch:
             if found is None:
                 break
             after, after_fetch = found
-            prep = _Prep(
-                start.prep.block_set,
+            prep = start.prep.moved(
                 replace(
                     start.placement,
                     slice_device=after,
-                    comp_device=after[self.q_slice],
+                    comp_device=after[start.prep.q_slice],
                     source="refined",
                     alternatives=[],
-                ),
+                )
             )
             fills = _fill(prep, self.count, self.strategy)
             priced, seconds = price_divisions(prep, fills)
@@ -590,33 +607,27 @@ def build_schedule(
         counts.append(count)
         count *= 2
     counts.append(num_divisions)
-    candidates = [
-        _Priced(_Prep(block_set, candidate), counts, strategy)
-        for candidate in [placement, *placement.alternatives]
+    prep = _Prep(block_set, placement)
+    candidates = [_Priced(prep, counts, strategy)] + [
+        _Priced(prep.moved(alternative), counts, strategy)
+        for alternative in placement.alternatives
     ]
     best = min(candidates, key=lambda priced: priced.price)
     moves = 0
     if placement.alternatives:
-        q_slice = block_set.slice_indices(
-            block_set.comp_array.seq_index, block_set.comp_array.q_block
-        )
         owned = [
             priced
             for priced in candidates
-            if _owner_structured(priced.placement, q_slice)
+            if _owner_structured(priced.placement, prep.q_slice)
         ]
         if owned:
             start = min(owned, key=lambda priced: priced.price)
             with _span("price_refine", "scheduling"):
-                search = _SliceSearch(start, candidates[0].prep, strategy)
+                search = _SliceSearch(start, prep, strategy)
                 found, moves = search.run()
                 if found is not None:
-                    prep, fills, price, seconds = found
                     refined = _Priced(
-                        prep,
-                        counts,
-                        strategy,
-                        known={search.count: (fills, price, seconds)},
+                        found[0], counts, strategy, known={search.count: found[1:]}
                     )
                     candidates.append(refined)
                     if refined.price < best.price:

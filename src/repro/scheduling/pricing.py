@@ -153,7 +153,8 @@ def replay(
     index)`` per kernel, stall (send index ``None``) and transfer.
     """
     overhead, tile_overhead = cluster.kernel_overhead, cluster.tile_overhead
-    links = Links(cluster)
+    rate, hbm = cluster.effective_flops(), cluster.hbm_bandwidth
+    transfer = Links(cluster).transfer
     clock = [0.0] * len(streams)
     last_transfer = [0.0] * len(streams)
     position = [0] * len(streams)
@@ -179,28 +180,31 @@ def replay(
                 elif kind == LAUNCH:
                     now += overhead
                     for index, (peer, nbytes, group) in enumerate(payload):
-                        begin, arrived = links.transfer(
+                        begin, arrived = transfer(
                             device, peer, nbytes * comm_factor, now
                         )
                         missing[group] -= 1
-                        arrival[group] = max(arrival[group], arrived)
-                        last_transfer[device] = max(
-                            last_transfer[device], arrived
-                        )
-                        last_transfer[peer] = max(last_transfer[peer], arrived)
+                        # Running maxima, written as compares (hot loop).
+                        if arrived > arrival[group]:
+                            arrival[group] = arrived
+                        if arrived > last_transfer[device]:
+                            last_transfer[device] = arrived
+                        if arrived > last_transfer[peer]:
+                            last_transfer[peer] = arrived
                         if trace is not None:
                             trace.append((device, at, begin, arrived, index))
                 else:
                     if kind == COMPUTE:
                         tiles, flops, nbytes = payload
+                        # ``cluster.compute_time``, inlined.
                         now += (
                             overhead
                             + tiles * tile_overhead
-                            + cluster.compute_time(flops * flops_factor)
-                            + nbytes / cluster.hbm_bandwidth
+                            + flops * flops_factor / rate
+                            + nbytes / hbm
                         )
                     else:
-                        now += overhead + payload / cluster.hbm_bandwidth
+                        now += overhead + payload / hbm
                     if trace is not None:
                         trace.append((device, at, start, now, None))
                 at += 1
