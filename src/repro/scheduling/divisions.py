@@ -593,10 +593,11 @@ def build_schedule(
     off the device that finishes last, starting from the cheapest
     owner-structured candidate and staying inside the partitioned
     placement's dominance box — no more busiest-device tokens, no more
-    bytes moved, no more bytes moved between machines.  Its result (source ``"refined"``) is priced at every
-    ``T`` like the others.  Returns the cheapest; a tie goes to
-    ``placement`` over its alternatives, then to the smaller ``T`` — a
-    pure function of its arguments, so every route to a plan agrees.
+    bytes moved, no more bytes moved between machines.  Its result
+    (source ``"refined"``) is priced at every ``T`` like the others.
+    Returns the cheapest; a tie goes to ``placement`` over its
+    alternatives, then to the smaller ``T`` — a pure function of its
+    arguments, so every route to a plan agrees.
     ``Schedule.placement`` is the winner, ``division_prices`` its
     candidates, ``placement_prices`` each placement's best and
     ``price_moves`` the moves the search kept.
