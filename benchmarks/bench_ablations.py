@@ -14,7 +14,7 @@ from conftest import run_once
 from repro.bench import BenchScale, Table, make_batches, PAPER_MASKS
 from repro.blocks import generate_blocks
 from repro.core import DCPConfig, DCPPlanner
-from repro.placement import PlacementConfig, place_blocks
+from repro.placement import Placement, PlacementConfig, place_blocks
 from repro.scheduling import (
     build_schedule,
     fill_divisions,
@@ -102,10 +102,7 @@ def test_ablation_warm_starts(benchmark, results_dir):
                           use_warm_starts=warm),
             )
             for batch in batches:
-                planner.plan_batch(batch)
-                volumes.append(
-                    planner.last_placement.comm_report().total_bytes
-                )
+                volumes.append(planner.plan_batch(batch).total_comm_bytes())
                 times.append(planner.last_stats.total)
             table.add(str(warm), float(np.mean(volumes)) / 1e6,
                       float(np.mean(times)))
@@ -141,30 +138,22 @@ def test_ablation_hierarchical_vs_flat(benchmark, results_dir):
                 block_set = generate_blocks(
                     batch, scale.attention, scale.block_size
                 )
-                if mode == "hierarchical":
-                    placement = place_blocks(
-                        block_set, scale.cluster,
-                        PlacementConfig(seed=0, restarts=1),
-                    )
-                    report = placement.comm_report()
-                    inter.append(report.inter_machine_bytes)
-                    total.append(report.total_bytes)
-                else:
-                    # Flat: one-level partition over all devices, then
-                    # re-evaluated on the real 2-node topology.
-                    placement = place_blocks(
-                        block_set, flat_cluster,
-                        PlacementConfig(seed=0, restarts=1),
-                    )
-                    from repro.placement import communication_report
-
-                    report = communication_report(
-                        block_set, placement.slice_device,
-                        placement.comp_device,
-                        scale.cluster.num_devices, scale.cluster,
-                    )
-                    inter.append(report.inter_machine_bytes)
-                    total.append(report.total_bytes)
+                # Flat partitions over all devices in one level; both
+                # modes' labels are lowered on the real 2-node topology.
+                placement = place_blocks(
+                    block_set,
+                    scale.cluster if mode == "hierarchical" else flat_cluster,
+                    PlacementConfig(seed=0, restarts=1),
+                )
+                on_cluster = Placement(
+                    block_set, scale.cluster,
+                    placement.slice_device, placement.comp_device,
+                )
+                plan = serialize_schedule(
+                    fill_divisions(block_set, on_cluster, 1)
+                )
+                inter.append(plan.inter_machine_bytes())
+                total.append(plan.total_comm_bytes())
             table.add(mode, float(np.mean(inter)) / 1e6,
                       float(np.mean(total)) / 1e6)
         return table

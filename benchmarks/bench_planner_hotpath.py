@@ -110,7 +110,7 @@ def run_hotpath_bench(
                 if best is None or elapsed < best[0]:
                     best = (elapsed, planner.last_stats)
             elapsed, stats = best
-            comm = planner.last_placement.comm_report().total_bytes
+            comm = plan.total_comm_bytes()
             attn_s = sum(
                 simulate_plan(plan, backward=backward).iteration_time
                 for backward in (False, True)

@@ -1,6 +1,6 @@
 """CI gate: the docs tree must track the code and benchmark surface.
 
-Six checks, all cheap and dependency-free:
+Seven checks, all cheap and dependency-free:
 
 * every *tracked* benchmark report at the repo root (``BENCH_*.json``,
   excluding ``*.smoke.json`` scratch outputs) is mentioned somewhere
@@ -25,7 +25,11 @@ Six checks, all cheap and dependency-free:
   ``src/repro/``, ``benchmarks/``, ``tests/`` or ``examples/``, and
   every backticked ``path.py:name`` names a ``def``, ``class`` or
   assignment in that file, so a deleted file or function cannot
-  linger in the docs.
+  linger in the docs;
+* every Sphinx cross-reference to a ``repro.…`` name in the source
+  (``:func:``, ``:class:``, ``:mod:``, ``:meth:``, ``:data:``,
+  ``:attr:`` or ``:exc:``) resolves by import and attribute lookup, so
+  a deletion cannot leave a docstring pointing at nothing.
 
 Usage::
 
@@ -69,6 +73,11 @@ KEYWORD_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
 PY_PATH_RE = re.compile(r"(?<![\w./*-])([\w./-]+\.py)\b(?::(\w+))?")
 #: Where a docs-relative ``.py`` path may live.
 PY_ROOTS = ("", "src/repro", "benchmarks", "tests", "examples")
+#: A Sphinx cross-reference to a ``repro`` name, e.g.
+#: ``:func:`~repro.scheduling.build_schedule```.
+XREF_RE = re.compile(
+    r":(?:func|class|mod|meth|data|attr|exc):`[~!]?(repro(?:\.\w+)+)`"
+)
 
 
 def _doc_files() -> List[str]:
@@ -138,11 +147,15 @@ def broken_links() -> List[str]:
     return broken
 
 
-def _repro_names() -> Dict[str, object]:
-    """Every name bound at the top level of any ``repro`` module."""
+def _src_on_path() -> None:
     src = os.path.join(REPO_ROOT, "src")
     if src not in sys.path:
         sys.path.insert(0, src)
+
+
+def _repro_names() -> Dict[str, object]:
+    """Every name bound at the top level of any ``repro`` module."""
+    _src_on_path()
     import repro
 
     names: Dict[str, object] = {}
@@ -317,6 +330,33 @@ def stale_symbol_references() -> List[str]:
     return failures
 
 
+def stale_xrefs(text: str) -> List[str]:
+    """``repro.…`` targets of Sphinx cross-references in ``text`` that
+    no longer resolve."""
+    _src_on_path()
+    stale: List[str] = []
+    for target in sorted(set(XREF_RE.findall(text))):
+        found = _module_prefix(target.split("."))
+        if found is None or not _resolves(*found):
+            stale.append(target)
+    return stale
+
+
+def stale_source_xrefs() -> List[str]:
+    """Stale cross-references per file across ``src/repro``."""
+    failures: List[str] = []
+    pattern = os.path.join(REPO_ROOT, "src", "repro", "**", "*.py")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        rel = os.path.relpath(path, REPO_ROOT)
+        failures.extend(
+            f"{rel}: `{target}` does not resolve (deleted or renamed?)"
+            for target in stale_xrefs(text)
+        )
+    return failures
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = []
     if not os.path.isdir(DOCS_DIR) or not _doc_files():
@@ -337,6 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
     failures.extend(broken_links())
     failures.extend(stale_symbol_references())
+    failures.extend(stale_source_xrefs())
 
     if failures:
         print(f"{len(failures)} docs freshness check(s) FAILED:")
@@ -346,8 +387,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"docs ok: {len(tracked_bench_files())} tracked benchmark files "
         f"and {len(repro_packages())} repro packages documented, all "
-        f"relative links, symbol references, call keywords and .py "
-        f"paths resolve"
+        f"relative links, symbol references, call keywords, .py "
+        f"paths and source cross-references resolve"
     )
     return 0
 

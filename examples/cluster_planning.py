@@ -25,7 +25,6 @@ from repro.sim import simulate_plan
 def describe(planner: DCPPlanner, block_set, label: str) -> None:
     plan = planner.plan(block_set)
     placement = planner.last_placement
-    report = placement.comm_report()
     tokens = placement.tokens_per_device()
     flops = placement.flops_per_device()
     timing = simulate_plan(plan)
@@ -33,8 +32,8 @@ def describe(planner: DCPPlanner, block_set, label: str) -> None:
     print(f"  tokens/device : {tokens.tolist()}")
     relative = (flops / max(flops.mean(), 1)).round(2)
     print(f"  flops balance : {relative.tolist()}  (1.0 = perfect)")
-    print(f"  comm total    : {report.total_bytes / 1e6:8.2f} MB")
-    print(f"  comm inter-node: {report.inter_machine_bytes / 1e6:7.2f} MB")
+    print(f"  comm total    : {plan.total_comm_bytes() / 1e6:8.2f} MB")
+    print(f"  comm inter-node: {plan.inter_machine_bytes() / 1e6:7.2f} MB")
     print(f"  sim fw time   : {timing.iteration_time * 1e3:8.3f} ms")
     breakdown = timing.breakdown()
     print(f"  exposed comm  : {breakdown['non_ovlp_comm'] * 1e3:8.3f} ms "
@@ -74,11 +73,10 @@ def main() -> None:
             cluster, attention,
             DCPConfig(block_size=1024, eps_inter=eps, eps_intra=eps),
         )
-        planner.plan(causal_blocks)
-        report = planner.last_placement.comm_report()
+        plan = planner.plan(causal_blocks)
         flops = planner.last_placement.flops_per_device()
         print(f"  eps={eps:3.1f}: inter-node "
-              f"{report.inter_machine_bytes / 1e6:7.2f} MB, "
+              f"{plan.inter_machine_bytes() / 1e6:7.2f} MB, "
               f"flops max/mean {flops.max() / flops.mean():.2f}")
 
 

@@ -181,7 +181,7 @@ def run_ring_forward_backward(
     """Forward + backward through the RFA ring on the simulated cluster.
 
     Returns ``(outputs, grads, forward_executor, backward_executor)``
-    like :func:`repro.runtime.run_plans_forward_backward`.
+    like :func:`repro.runtime.backward.run_plans_forward_backward`.
     """
     from ..runtime.backward import run_plans_forward_backward
 

@@ -267,13 +267,9 @@ def fig17_comm_vs_blocksize(
             )
             for batch in batches:
                 block_set = generate_blocks(batch, scale.attention, block_size)
-                planner.plan(block_set)
-                report = planner.last_placement.comm_report()
-                dcp_vol.append(report.inter_machine_bytes)
+                dcp_vol.append(planner.plan(block_set).inter_machine_bytes())
                 mlm_plan = TransformerEnginePlanner().plan(block_set, scale.cluster)
-                from .harness import _inter_machine_bytes
-
-                mlm_vol.append(_inter_machine_bytes(mlm_plan, scale.cluster))
+                mlm_vol.append(mlm_plan.inter_machine_bytes())
             table.add(
                 block_size, mask_name,
                 float(np.mean(dcp_vol)) / 1e6, float(np.mean(mlm_vol)) / 1e6,
@@ -387,8 +383,7 @@ def fig19_comm_vs_sparsity(
         volumes, sparsities = [], []
         for batch in batches:
             block_set = generate_blocks(batch, scale.attention, scale.block_size)
-            planner.plan(block_set)
-            volumes.append(planner.last_placement.comm_report().inter_machine_bytes)
+            volumes.append(planner.plan(block_set).inter_machine_bytes())
             sparsities.append(_batch_sparsity(batch))
         table.add(name, float(np.mean(sparsities)), float(np.mean(volumes)) / 1e6)
     return table
@@ -421,10 +416,7 @@ def fig20_comm_vs_imbalance(
                 block_set = generate_blocks(
                     batch, scale.attention, scale.block_size
                 )
-                planner.plan(block_set)
-                volumes.append(
-                    planner.last_placement.comm_report().inter_machine_bytes
-                )
+                volumes.append(planner.plan(block_set).inter_machine_bytes())
             table.add(dataset, 1.0 + eps, float(np.mean(volumes)) / 1e6)
     return table
 

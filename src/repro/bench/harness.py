@@ -174,22 +174,10 @@ def attention_times(
         forward.append(fw.iteration_time)
         backward.append(bw.iteration_time)
         comm.append(plan.total_comm_bytes())
-        inter.append(_inter_machine_bytes(plan, scale.cluster))
+        inter.append(plan.inter_machine_bytes())
     return {
         "fw_ms": 1e3 * float(np.mean(forward)),
         "bw_ms": 1e3 * float(np.mean(backward)),
         "comm_mb": float(np.mean(comm)) / 1e6,
         "inter_mb": float(np.mean(inter)) / 1e6,
     }
-
-
-def _inter_machine_bytes(plan, cluster: ClusterSpec) -> int:
-    total = 0
-    for device, device_plan in plan.device_plans.items():
-        for instruction in device_plan.instructions:
-            if instruction.kind != "comm_launch":
-                continue
-            for send in instruction.sends:
-                if not cluster.same_machine(device, send.peer):
-                    total += send.nbytes
-    return total

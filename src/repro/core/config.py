@@ -30,7 +30,7 @@ class DCPConfig:
         Computation-imbalance tolerance between machines / between
         devices of one machine (paper: 0.4 and 0.1), and the partition's
         data-imbalance tolerance at both levels.
-    seed, restarts, refine_passes, use_warm_starts:
+    seed, restarts, use_warm_starts:
         Partitioner knobs (see :mod:`repro.hypergraph`); ``restarts=0``
         runs only the warm starts, so it needs ``use_warm_starts``.
     """
@@ -42,7 +42,6 @@ class DCPConfig:
     eps_data: float = 0.08
     seed: int = 0
     restarts: int = 2
-    refine_passes: int = 5
     use_warm_starts: bool = True
     #: Division heuristic: "paper" (Listing 3) or "balanced" (an
     #: extension spreading compute across divisions; see
@@ -70,6 +69,5 @@ class DCPConfig:
             eps_data=self.eps_data,
             seed=self.seed,
             restarts=self.restarts,
-            refine_passes=self.refine_passes,
             use_warm_starts=self.use_warm_starts,
         )

@@ -9,7 +9,6 @@ from .hierarchical import (
     place_blocks,
     static_placement,
 )
-from .volume import CommReport, Transfer, communication_report
 
 __all__ = [
     "BlockHypergraph",
@@ -22,7 +21,4 @@ __all__ = [
     "place_blocks",
     "STATIC_HEURISTICS",
     "static_placement",
-    "CommReport",
-    "Transfer",
-    "communication_report",
 ]

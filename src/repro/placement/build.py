@@ -23,15 +23,51 @@ with one lexsort — no per-block Python loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..blocks import BlockKind, BlockSet, CompBlock, DataBlockId, TokenSlice
+from ..blocks import BlockKind, BlockSet, DataBlockId
 from ..hypergraph import Hypergraph
-from .keys import KIND_RANK, RANK_KIND, BlockKeyCodec
 
 __all__ = ["BlockHypergraph", "build_block_hypergraph"]
+
+#: Integer ranks reproducing DataBlockId's lexicographic kind order
+#: (``"kv" < "o" < "q"``).
+_KIND_RANK = {BlockKind.KV: 0, BlockKind.O: 1, BlockKind.Q: 2}
+_RANK_KIND = {rank: kind for kind, rank in _KIND_RANK.items()}
+
+
+class _BlockKeyCodec:
+    """Pack a data block's ``(kind, seq_index, block_index, head_group)``
+    into one ``int64`` for one batch's shape, so ``np.unique`` groups
+    blocks in one pass.  Ascending keys follow :class:`DataBlockId`'s
+    lexicographic order."""
+
+    def __init__(self, block_set: BlockSet) -> None:
+        self.num_seqs = len(block_set.seq_bounds)
+        self.max_blocks = (
+            int(np.diff(block_set.seq_slice_offset).max())
+            if self.num_seqs
+            else 0
+        )
+        self.head_groups = block_set.attention.head_groups
+
+    def encode(self, kind: str, seq, block, group) -> np.ndarray:
+        """Scalar keys for (kind, seq, block, group) column arrays."""
+        return (
+            (_KIND_RANK[kind] * self.num_seqs + seq) * self.max_blocks + block
+        ) * self.head_groups + group
+
+    def decode(self, keys: np.ndarray):
+        """Inverse of :meth:`encode`: ``(rank, seq, block, group)`` arrays."""
+        group = keys % self.head_groups
+        rest = keys // self.head_groups
+        block = rest % self.max_blocks if self.max_blocks else rest
+        rest = rest // self.max_blocks if self.max_blocks else rest
+        seq = rest % self.num_seqs if self.num_seqs else rest
+        rank = rest // self.num_seqs if self.num_seqs else rest
+        return rank, seq, block, group
 
 
 @dataclass
@@ -45,28 +81,11 @@ class BlockHypergraph:
 
     graph: Hypergraph
     block_set: BlockSet
-    slice_vertex: Dict[Tuple[int, int], int]
     edge_blocks: List[DataBlockId]
 
     @property
     def num_slices(self) -> int:
         return len(self.block_set.token_slices)
-
-    @property
-    def comp_vertex(self) -> Dict[CompBlock, int]:
-        """Computation block -> vertex id (lazy; prefer array offsets)."""
-        cached = self.__dict__.get("_comp_vertex")
-        if cached is None:
-            offset = self.num_slices
-            cached = {
-                comp: offset + index
-                for index, comp in enumerate(self.block_set.comp_blocks)
-            }
-            self.__dict__["_comp_vertex"] = cached
-        return cached
-
-    def vertex_of_slice(self, token_slice: TokenSlice) -> int:
-        return self.slice_vertex[(token_slice.seq_index, token_slice.block_index)]
 
     def labels_to_devices(self, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Split a vertex label vector into (slice labels, comp labels)."""
@@ -118,15 +137,10 @@ def build_block_hypergraph(block_set: BlockSet) -> BlockHypergraph:
     weights[:num_slices, 1] = attention.slice_bytes(slice_tokens)
     weights[num_slices:, 0] = attention.tile_flops(comp.pairs)
 
-    slice_vertex: Dict[Tuple[int, int], int] = {
-        (ts.seq_index, ts.block_index): index
-        for index, ts in enumerate(slices)
-    }
-
     # Each computation block touches three data blocks; encode their
     # (kind, seq, block, head group) identities as scalar keys whose
     # ascending order equals DataBlockId's lexicographic order.
-    codec = BlockKeyCodec(block_set)
+    codec = _BlockKeyCodec(block_set)
     entry_keys = np.concatenate(
         [
             codec.encode(BlockKind.Q, comp.seq_index, comp.q_block, comp.head_group),
@@ -158,10 +172,10 @@ def build_block_hypergraph(block_set: BlockSet) -> BlockHypergraph:
     tokens = slice_tokens[home_vertex]
     q_bytes = attention.q_heads_per_group * tokens * attention.head_dim * attention.dtype_bytes
     kv_bytes = 2 * tokens * attention.head_dim * attention.dtype_bytes
-    edge_weights = np.where(rank == KIND_RANK[BlockKind.KV], kv_bytes, q_bytes)
+    edge_weights = np.where(rank == _KIND_RANK[BlockKind.KV], kv_bytes, q_bytes)
 
     edge_blocks = [
-        DataBlockId(RANK_KIND[r], s, b, g)
+        DataBlockId(_RANK_KIND[r], s, b, g)
         for r, s, b, g in zip(
             rank.tolist(), seq.tolist(), block.tolist(), group.tolist()
         )
@@ -171,6 +185,5 @@ def build_block_hypergraph(block_set: BlockSet) -> BlockHypergraph:
     return BlockHypergraph(
         graph=graph,
         block_set=block_set,
-        slice_vertex=slice_vertex,
         edge_blocks=edge_blocks,
     )

@@ -12,10 +12,7 @@ the balance caps often cannot be met and the partitioned result can
 price slower than the static placement it started from, and a block
 computed away from its query slice puts a partial-output send and merge
 on the critical path.  So every placement :func:`place_blocks` computes
-also carries, as ``alternatives``, the candidates that dominate it on
-what the attention price cannot see — no more tokens on the busiest
-device (the token-parallel layers of a step wait for it) and no more
-bytes moved:
+also carries, as ``alternatives``, the candidates it competes with:
 
 * ``"owner"`` — its owner-computes projection: the same slices, every
   computation block moved onto its query slice's device, so queries
@@ -24,7 +21,12 @@ bytes moved:
 * ``"zigzag"`` / ``"dp_pack"`` — the static placements of the same
   blocks over all devices (:func:`static_placement`).
 
-:func:`~repro.scheduling.build_schedule` prices them beside it, refines
+A candidate whose labels equal the partition's or an earlier
+candidate's is dropped; nothing else is filtered here.
+:func:`~repro.scheduling.build_schedule` admits the ones that dominate
+the partitioned placement on what the attention price cannot see — no
+more tokens on the busiest device (the token-parallel layers of a step
+wait for it) and no more bytes moved — prices them beside it, refines
 the cheapest owner-structured one on the price inside the same box
 (tightened by bytes moved between machines), and keeps the cheapest.
 Only a computed placement carries alternatives, so an adopted warm
@@ -38,12 +40,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..blocks import BlockSet, CompBlock, TokenSlice
+from ..blocks import BlockSet
 from ..hypergraph import BalanceConstraint, partition_hypergraph, repair_labels
 from ..sim.cluster import ClusterSpec
 from .build import BlockHypergraph, build_block_hypergraph
 from .heuristics import dp_pack_labels, zigzag_labels
-from .volume import CommReport, communication_report
 
 __all__ = [
     "PlacementConfig",
@@ -58,6 +59,9 @@ __all__ = [
 #: placement is weighed against.
 STATIC_HEURISTICS = {"zigzag": zigzag_labels, "dp_pack": dp_pack_labels}
 
+#: Refinement passes per partitioner run.
+_REFINE_PASSES = 5
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
@@ -68,7 +72,6 @@ class PlacementConfig:
     eps_data: float = 0.08
     seed: int = 0
     restarts: int = 2
-    refine_passes: int = 5
     use_warm_starts: bool = True
 
 
@@ -90,20 +93,12 @@ class Placement:
     #: warm placement keeps the source it was chosen under.
     source: str = "partitioned"
     #: Owner-computes projection and static placements of the same
-    #: blocks that dominate this one; ``build_schedule`` prices them
-    #: beside it, and refines on the price only a placement that
-    #: carries them (a computed one, never an adopted one).
+    #: blocks; ``build_schedule`` admits those that dominate this one,
+    #: prices them beside it, and refines on the price only a placement
+    #: that carries them (a computed one, never an adopted one).
     alternatives: List["Placement"] = field(default_factory=list)
     #: Partition calls whose best candidate broke the balance caps.
     infeasible_partitions: int = 0
-
-    def device_of_slice(self, token_slice: TokenSlice) -> int:
-        index = self.block_set.token_slices.index(token_slice)
-        return int(self.slice_device[index])
-
-    def device_of_comp(self, comp: CompBlock) -> int:
-        index = self.block_set.comp_blocks.index(comp)
-        return int(self.comp_device[index])
 
     def tokens_per_device(self) -> np.ndarray:
         out = np.zeros(self.cluster.num_devices, dtype=np.int64)
@@ -119,15 +114,6 @@ class Placement:
             self.block_set.attention.tile_flops(comp.pairs),
         )
         return out
-
-    def comm_report(self) -> CommReport:
-        return communication_report(
-            self.block_set,
-            self.slice_device,
-            self.comp_device,
-            self.cluster.num_devices,
-            self.cluster,
-        )
 
 
 def static_placement(
@@ -167,37 +153,25 @@ def _owner_projection(placement: Placement) -> Placement:
     )
 
 
-def _dominating_alternatives(
-    bhg: BlockHypergraph, placement: Placement
-) -> List[Placement]:
+def _alternatives(bhg: BlockHypergraph, placement: Placement) -> List[Placement]:
     """``placement``'s owner-computes projection and the static
-    placements, each kept when no worse than ``placement`` on
-    busiest-device tokens and on bytes moved (the hypergraph's
-    connectivity), and not identical to it or to one kept before."""
-    k = placement.cluster.num_devices
-    graph = bhg.graph
+    placements, each kept unless its labels equal ``placement``'s or an
+    earlier candidate's."""
 
     def labels(p: Placement) -> np.ndarray:
         return np.concatenate([p.slice_device, p.comp_device])
 
-    kept = [labels(placement)]
-    max_tokens = placement.tokens_per_device().max()
-    max_bytes = graph.connectivity_cost(kept[0], k)
-    admitted = []
-    candidates = [_owner_projection(placement)] + [
+    seen = [labels(placement)]
+    kept = []
+    for candidate in [_owner_projection(placement)] + [
         static_placement(bhg, placement.cluster, source)
         for source in STATIC_HEURISTICS
-    ]
-    for candidate in candidates:
+    ]:
         vertex_labels = labels(candidate)
-        if (
-            candidate.tokens_per_device().max() <= max_tokens
-            and graph.connectivity_cost(vertex_labels, k) <= max_bytes
-            and not any(np.array_equal(vertex_labels, seen) for seen in kept)
-        ):
-            kept.append(vertex_labels)
-            admitted.append(candidate)
-    return admitted
+        if not any(np.array_equal(vertex_labels, other) for other in seen):
+            seen.append(vertex_labels)
+            kept.append(candidate)
+    return kept
 
 
 def _warm_starts(
@@ -258,8 +232,8 @@ def place_blocks(
       from scratch.
 
     A computed placement (cold or repaired, never an adopted one)
-    carries its dominating owner-computes projection and static
-    placements as ``alternatives``.
+    carries its owner-computes projection and the static placements as
+    ``alternatives``.
     """
     config = config or PlacementConfig()
     num_machines = cluster.num_machines
@@ -311,7 +285,7 @@ def place_blocks(
             seed=config.seed,
             restarts=restarts,
             warm_starts=level1_warm,
-            refine_passes=config.refine_passes,
+            refine_passes=_REFINE_PASSES,
         )
         machine_labels = result.labels
         infeasible += not result.feasible
@@ -349,7 +323,7 @@ def place_blocks(
             seed=config.seed + machine + 1,
             restarts=restarts,
             warm_starts=level2_warm,
-            refine_passes=config.refine_passes,
+            refine_passes=_REFINE_PASSES,
         )
         device_labels[original_ids] = first_device + result.labels
         infeasible += not result.feasible
@@ -364,5 +338,5 @@ def place_blocks(
         num_edges=bhg.graph.num_edges,
         infeasible_partitions=infeasible,
     )
-    placement.alternatives = _dominating_alternatives(bhg, placement)
+    placement.alternatives = _alternatives(bhg, placement)
     return placement

@@ -74,24 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(name: str, plan, cluster: ClusterSpec, width: int) -> float:
+def _report(name: str, plan, width: int) -> float:
     timing = simulate_plan(plan)
     memory = plan_memory(plan)
     tokens = {
         device: sum(ts.tokens for ts in dp.local_slices)
         for device, dp in sorted(plan.device_plans.items())
     }
-    inter = 0
-    for device, dp in plan.device_plans.items():
-        for ins in dp.instructions:
-            if ins.kind == "comm_launch":
-                for send in ins.sends:
-                    if not cluster.same_machine(device, send.peer):
-                        inter += send.nbytes
     print(f"\n== {name} ==")
     print(f"tokens/device : {list(tokens.values())}")
     print(f"comm          : {plan.total_comm_bytes() / 1e6:.2f} MB total, "
-          f"{inter / 1e6:.2f} MB inter-node")
+          f"{plan.inter_machine_bytes() / 1e6:.2f} MB inter-node")
     print(f"memory        : {memory.max_bytes / 1e6:.1f} MB peak/device, "
           f"imbalance {memory.imbalance():.2f}")
     print(f"attention fw  : {timing.iteration_time * 1e3:.3f} ms simulated")
@@ -101,31 +94,30 @@ def _report(name: str, plan, cluster: ClusterSpec, width: int) -> float:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    cluster = ClusterSpec(
-        num_machines=args.machines, devices_per_machine=args.devices
-    )
-    attention = AttentionSpec(
-        num_q_heads=args.q_heads,
-        num_kv_groups=args.kv_groups,
-        head_dim=args.head_dim,
-    )
+    # Bad input ends in one line on stderr, not a traceback.
     try:
-        mask = make_mask(args.mask)
+        cluster = ClusterSpec(
+            num_machines=args.machines, devices_per_machine=args.devices
+        )
+        attention = AttentionSpec(
+            num_q_heads=args.q_heads,
+            num_kv_groups=args.kv_groups,
+            head_dim=args.head_dim,
+        )
+        config = DCPConfig(
+            block_size=args.block_size, num_divisions=args.divisions
+        )
+        batch = BatchSpec.build(args.seqlens, make_mask(args.mask))
+        block_set = generate_blocks(batch, attention, args.block_size)
     except (KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    batch = BatchSpec.build(args.seqlens, mask)
-    block_set = generate_blocks(batch, attention, args.block_size)
     print(
         f"batch: {len(args.seqlens)} sequences, {batch.total_tokens} tokens,"
         f" mask {args.mask}; {block_set.summary()}"
     )
 
-    planner = DCPPlanner(
-        cluster, attention,
-        DCPConfig(block_size=args.block_size,
-                  num_divisions=args.divisions),
-    )
+    planner = DCPPlanner(cluster, attention, config)
     plan = planner.plan_batch(batch)
     stats = planner.last_stats
     print(
@@ -153,7 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"tiles: {stats.attention_tiles} rows over "
           f"{stats.tile_pairs} block pairs; "
           f"price moves {stats.price_moves}")
-    dcp_time = _report("dcp", plan, cluster, args.gantt_width)
+    dcp_time = _report("dcp", plan, args.gantt_width)
 
     if args.trace:
         write_chrome_trace(simulate_plan(plan), args.trace)
@@ -162,9 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.baseline:
         baseline = _BASELINES[args.baseline]()
         base_plan = baseline.plan(block_set, cluster)
-        base_time = _report(
-            args.baseline, base_plan, cluster, args.gantt_width
-        )
+        base_time = _report(args.baseline, base_plan, args.gantt_width)
         print(
             f"\nspeed-up (attention fw): {base_time / dcp_time:.2f}x "
             f"over {args.baseline}"

@@ -22,14 +22,16 @@ computation dwarfs the ~5 kernel launches it adds and loses elsewhere.
 :func:`build_schedule` runs it for ``T = 1, 2, 4, ...`` up to its
 ``num_divisions`` on the placement and on each candidate it carries as
 ``alternatives`` (its owner-computes projection, the static CP / DP
-placements), prices every candidate with :mod:`.pricing` and keeps the
-cheapest — so a plan never prices slower than an admitted alternative.
-On a placement :func:`~repro.placement.place_blocks` computed it also
-refines the cheapest owner-structured candidate on that price
-(:class:`_SliceSearch`), inside the partitioned placement's dominance
-box.  Everything that does not depend on ``T`` — block homes, per-device
-block lists, remote inputs, bytes and FLOPs — is derived once per
-(block set, placement), on integer ids.
+placements) that fits the placement's :class:`_Box` — no more
+busiest-device tokens, no more bytes moved — prices every admitted
+candidate with :mod:`.pricing` and keeps the cheapest, so a plan never
+prices slower than an admitted alternative.  On a placement
+:func:`~repro.placement.place_blocks` computed it also refines the
+cheapest owner-structured candidate on that price
+(:class:`_SliceSearch`), inside the same box.  Everything that does not
+depend on ``T`` — block homes, per-device block lists, remote inputs,
+bytes and FLOPs — is derived once per (block set, placement), on
+integer ids, and the bytes a placement moves are counted there.
 """
 
 from __future__ import annotations
@@ -398,6 +400,26 @@ class _Priced:
         return {count: entry[1] for count, entry in self.by_count.items()}
 
 
+class _Box:
+    """What a candidate placement may not exceed: the partitioned
+    placement's busiest-device tokens, bytes moved and bytes moved
+    between machines.  Alternatives are admitted on the first two; the
+    price search holds its neighbours to all three."""
+
+    def __init__(self, prep: _Prep) -> None:
+        self.max_tokens = prep.placement.tokens_per_device().max()
+        self.max_bytes = sum(prep.total_comm)
+        self.max_inter = prep.inter_comm
+
+    def admitted(self, prep: _Prep, placement):
+        """``prep`` moved onto ``placement`` if the placement fits the
+        box on tokens and bytes, else ``None``."""
+        if placement.tokens_per_device().max() > self.max_tokens:
+            return None
+        moved = prep.moved(placement)
+        return moved if sum(moved.total_comm) <= self.max_bytes else None
+
+
 #: Neighbours the price search prices per plan at most.
 _SEARCH_BUDGET = 3
 
@@ -408,19 +430,19 @@ class _SliceSearch:
 
     A neighbour moves one whole query slice — its computation blocks
     with it — off the device that finishes last, or swaps it with a
-    lighter slice of another device.  Neighbours outside the dominance
-    box (more busiest-device tokens, more bytes moved or more bytes
-    moved between machines than the partitioned placement) are dropped
-    before anything is built.  The rest are ranked by an estimate made
-    of the price's own terms: the per-device seconds of the step's
-    replays, with the moved slices' forward + backward compute shifted
-    between the two devices and every device's KV fetch seconds
-    re-counted.  The best is priced at the start's division count and
+    lighter slice of another device.  Neighbours outside the
+    :class:`_Box` (more busiest-device tokens, more bytes moved or more
+    bytes moved between machines than the partitioned placement) are
+    dropped before anything is built.  The rest are ranked by an
+    estimate made of the price's own terms: the per-device seconds of
+    the step's replays, with the moved slices' forward + backward
+    compute shifted between the two devices and every device's KV fetch
+    seconds re-counted.  The best is priced at the start's division count and
     kept only if the price strictly falls; the search stops at the
     first that does not, or after :data:`_SEARCH_BUDGET` prices.
     """
 
-    def __init__(self, start: _Priced, box: _Prep, strategy: str) -> None:
+    def __init__(self, start: _Priced, box: _Box, strategy: str) -> None:
         prep = start.prep
         block_set, cluster = prep.block_set, prep.cluster
         attention = block_set.attention
@@ -450,10 +472,7 @@ class _SliceSearch:
             1 / cluster.inter_bandwidth,
         )
         np.fill_diagonal(self.link, 0.0)
-        # The box: the partitioned placement's busiest-device tokens,
-        # bytes moved and bytes moved between machines.
-        self.max_tokens = box.placement.tokens_per_device().max()
-        self.max_bytes, self.max_inter = sum(box.total_comm), box.inter_comm
+        self.box = box
         self.strategy = strategy
         self.start = start
         self.count = start.count
@@ -477,7 +496,7 @@ class _SliceSearch:
         """The best-estimated neighbour of ``labels`` inside the box, as
         its labels and per-device fetch seconds, or ``None``
         (``seconds``, ``fetch``: those of ``labels``)."""
-        devices, work = self.devices, self.work
+        devices, work, box = self.devices, self.work, self.box
         last = int(np.argmax(seconds))
         # Every slice of the last device moves to each other device, or
         # swaps with each slice there: per device the move, then the
@@ -505,7 +524,7 @@ class _SliceSearch:
             np.maximum.reduce(
                 [load[last] - tokens, load[device] + tokens, rest[device]]
             )
-            <= self.max_tokens
+            <= box.max_tokens
         )
         moved, device, other, swap, shift = (
             a[keep] for a in (moved, device, other, swap, shift)
@@ -526,7 +545,7 @@ class _SliceSearch:
         # Lowest estimated last device, then fewest bytes, then order.
         order = np.lexsort((rows, nbytes, estimate.max(axis=1)))
         order = order[
-            (nbytes[order] <= self.max_bytes) & (inter[order] <= self.max_inter)
+            (nbytes[order] <= box.max_bytes) & (inter[order] <= box.max_inter)
         ]
         if not len(order):
             return None
@@ -586,14 +605,15 @@ def build_schedule(
     ``num_divisions``, and ``num_divisions`` itself) as
     :func:`fill_divisions` would and prices each from the cluster's
     parameters (:func:`~repro.scheduling.pricing.price_divisions`:
-    simulated forward + backward seconds).  A placement that carries
-    alternatives (one :func:`~repro.placement.place_blocks` computed,
-    never an adopted one) is also refined on the price: a bounded local
-    search (:class:`_SliceSearch`) moves and swaps whole query slices
-    off the device that finishes last, starting from the cheapest
-    owner-structured candidate and staying inside the partitioned
-    placement's dominance box — no more busiest-device tokens, no more
-    bytes moved, no more bytes moved between machines.  Its result
+    simulated forward + backward seconds).  An alternative is admitted
+    only inside ``placement``'s :class:`_Box`: no more busiest-device
+    tokens, no more bytes moved.  When one is, the placement (one
+    :func:`~repro.placement.place_blocks` computed, never an adopted
+    one) is also refined on the price: a bounded local search
+    (:class:`_SliceSearch`) moves and swaps whole query slices off the
+    device that finishes last, starting from the cheapest
+    owner-structured candidate and staying inside the box, held to
+    bytes moved between machines too.  Its result
     (source ``"refined"``) is priced at every ``T`` like the others.
     Returns the cheapest; a tie goes to ``placement`` over its
     alternatives, then to the smaller ``T`` — a pure function of its
@@ -609,13 +629,15 @@ def build_schedule(
         count *= 2
     counts.append(num_divisions)
     prep = _Prep(block_set, placement)
-    candidates = [_Priced(prep, counts, strategy)] + [
-        _Priced(prep.moved(alternative), counts, strategy)
-        for alternative in placement.alternatives
-    ]
+    box = _Box(prep)
+    candidates = [_Priced(prep, counts, strategy)]
+    for alternative in placement.alternatives:
+        moved = box.admitted(prep, alternative)
+        if moved is not None:
+            candidates.append(_Priced(moved, counts, strategy))
     best = min(candidates, key=lambda priced: priced.price)
     moves = 0
-    if placement.alternatives:
+    if len(candidates) > 1:
         owned = [
             priced
             for priced in candidates
@@ -624,7 +646,7 @@ def build_schedule(
         if owned:
             start = min(owned, key=lambda priced: priced.price)
             with _span("price_refine", "scheduling"):
-                search = _SliceSearch(start, prep, strategy)
+                search = _SliceSearch(start, box, strategy)
                 found, moves = search.run()
                 if found is not None:
                     refined = _Priced(

@@ -285,6 +285,17 @@ class ExecutionPlan:
             if ins.kind == "comm_launch"
         )
 
+    def inter_machine_bytes(self) -> int:
+        """Of :meth:`total_comm_bytes`, the bytes sent between machines."""
+        return sum(
+            send.nbytes
+            for device, plan in self.device_plans.items()
+            for ins in plan.instructions
+            if ins.kind == "comm_launch"
+            for send in ins.sends
+            if not self.cluster.same_machine(device, send.peer)
+        )
+
     def tile_counts(self) -> Tuple[int, int]:
         """(tiles, block pairs they compute) over every attention kernel."""
         tiles = [

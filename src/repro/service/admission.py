@@ -11,8 +11,8 @@ that:
   the reason and a retry-after hint) instead of silently queueing into
   a latency cliff.
 * :class:`FairScheduler` — weighted deficit round-robin over per-tenant
-  queues.  Each tenant accumulates credit (``quantum * weight``) when
-  its turn comes around; a job is served when the tenant's deficit
+  queues.  Each tenant accumulates credit (its weight) when its turn
+  comes around; a job is served when the tenant's deficit
   covers its cost.  Heavier weights drain proportionally faster, light
   tenants are never starved, and a tenant's burst can only consume its
   own queue depth — the isolation the per-tenant caps promise.
@@ -84,8 +84,8 @@ class FairScheduler:
     ``submit`` enqueues (or sheds, via the admission policy) a
     ``(job, cost)`` for a tenant; ``pop`` serves the next job in WDRR
     order.  Deficit counters follow the classic scheme: when a tenant
-    reaches the head of the active list its deficit grows by
-    ``quantum * weight``; its head job is served once the deficit
+    reaches the head of the active list its deficit grows by its
+    weight (default 1); its head job is served once the deficit
     covers the job's cost, and the deficit resets when the tenant's
     queue empties (credit must not accumulate while idle — that would
     let a sleeping tenant burst past everyone on wake-up).
@@ -94,21 +94,17 @@ class FairScheduler:
     def __init__(
         self,
         admission: Optional[AdmissionController] = None,
-        quantum: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
         self.admission = admission if admission is not None \
             else AdmissionController()
-        self.quantum = quantum
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._queues: Dict[str, deque] = {}
         self._weights: Dict[str, float] = {}
         self._deficit: Dict[str, float] = {}
-        #: Tenants already granted their once-per-visit quantum.
+        #: Tenants already granted their once-per-visit credit.
         self._topped: set = set()
         self._inflight: Dict[str, int] = {}
         self._active: deque = deque()  # tenants with queued jobs
@@ -190,21 +186,19 @@ class FairScheduler:
                 if not self._ready.wait(timeout=timeout):
                     return None
             # WDRR round: the head tenant's deficit is topped up by
-            # quantum * weight exactly once per visit; it keeps serving
+            # its weight exactly once per visit; it keeps serving
             # (staying at the head across pops) while the credit covers
             # its head job, then yields the head to the next tenant.
             # Heavier weights drain proportionally more jobs per round;
             # progress is guaranteed because every full rotation grants
-            # each queued tenant quantum * weight > 0.
+            # each queued tenant its weight > 0.
             while True:
                 tenant = self._active[0]
                 queue = self._queues[tenant]
                 job, cost = queue[0]
                 if tenant not in self._topped:
                     self._topped.add(tenant)
-                    self._deficit[tenant] += (
-                        self.quantum * self._weights.get(tenant, 1.0)
-                    )
+                    self._deficit[tenant] += self._weights.get(tenant, 1.0)
                 if self._deficit[tenant] >= cost:
                     queue.popleft()
                     self._deficit[tenant] -= cost
@@ -222,7 +216,7 @@ class FairScheduler:
                     )
                     self._served.inc()
                     return tenant, job
-                # Visit over: spend-down exhausted the quantum.
+                # Visit over: spend-down exhausted the credit.
                 self._topped.discard(tenant)
                 self._active.rotate(-1)
 

@@ -68,14 +68,16 @@ __all__ = ["PlanService"]
 
 #: Tenant name pre-warm jobs run under: a real scheduler tenant (its
 #: jobs are admission-controlled and fair-queued like anyone's) with a
-#: light default weight, so speculation never crowds out demand.
+#: light weight, so speculation never crowds out demand.
 PREWARM_TENANT = "__prewarm__"
+PREWARM_WEIGHT = 0.5
 
 #: Tenant name background degraded-plan upgrades run under.  Like
 #: pre-warm it is a real fair-queued tenant with a light weight: an
 #: upgrade improves a plan someone already holds, so it must never
 #: crowd out a tenant still waiting for its first plan.
 UPGRADE_TENANT = "__upgrade__"
+UPGRADE_WEIGHT = 0.5
 
 
 def signature_key(signature) -> str:
@@ -122,11 +124,8 @@ class PlanService:
         shards: int = 4,
         replication: int = 1,
         admission: Optional[AdmissionController] = None,
-        quantum: float = 1.0,
         prewarm_top_k: int = 8,
         epoch_requests: Optional[int] = None,
-        prewarm_weight: float = 0.5,
-        upgrade_weight: float = 0.5,
         fault_injector=None,
         anti_entropy_interval_s: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -150,11 +149,9 @@ class PlanService:
             fault_injector=fault_injector,
             anti_entropy_interval_s=anti_entropy_interval_s,
         )
-        self.scheduler = FairScheduler(
-            admission=admission, quantum=quantum, metrics=self.metrics
-        )
-        self.scheduler.set_weight(PREWARM_TENANT, prewarm_weight)
-        self.scheduler.set_weight(UPGRADE_TENANT, upgrade_weight)
+        self.scheduler = FairScheduler(admission=admission, metrics=self.metrics)
+        self.scheduler.set_weight(PREWARM_TENANT, PREWARM_WEIGHT)
+        self.scheduler.set_weight(UPGRADE_TENANT, UPGRADE_WEIGHT)
         self.forecast = WorkloadForecast(metrics=self.metrics)
         self.prewarm_top_k = prewarm_top_k
         self.epoch_requests = epoch_requests

@@ -1,5 +1,5 @@
-"""The docs gate's stale-symbol, stale-keyword and stale-path checks
-(benchmarks/check_docs.py)."""
+"""The docs gate's stale-symbol, stale-keyword, stale-path and
+stale-cross-reference checks (benchmarks/check_docs.py)."""
 
 import importlib.util
 import os
@@ -89,3 +89,22 @@ def test_live_py_paths_resolve():
         "`python3 benchmarks/ledger/run.py --smoke`, `examples/quickstart.py`."
     )
     assert check_docs.stale_py_paths(text) == ["ring.py: no such file"]
+
+
+def test_stale_xrefs_are_flagged():
+    text = (
+        "Run by :func:`~repro.runtime.backward.run_plans_forward_backward`,"
+        " not :func:`repro.runtime.run_plans_forward_backward`; see "
+        ":mod:`repro.placement.volume`, :class:`repro.placement.Placement`,"
+        " :meth:`~repro.placement.Placement.comm_report` and "
+        ":attr:`repro.scheduling.Schedule.placement_prices`."
+    )
+    assert check_docs.stale_xrefs(text) == [
+        "repro.placement.Placement.comm_report",
+        "repro.placement.volume",
+        "repro.runtime.run_plans_forward_backward",
+    ]
+
+
+def test_source_has_no_stale_xrefs():
+    assert check_docs.stale_source_xrefs() == []

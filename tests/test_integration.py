@@ -74,8 +74,7 @@ def test_dcp_communicates_no_more_than_static_cp():
         cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
         planner = DCPPlanner(cluster, ATTENTION,
                              DCPConfig(block_size=16, restarts=1, seed=seed))
-        planner.plan(block_set)
-        dcp_bytes = planner.last_placement.comm_report().total_bytes
+        dcp_bytes = planner.plan(block_set).total_comm_bytes()
         bhg = build_block_hypergraph(block_set)
         zz = zigzag_labels(bhg, cluster.num_devices)
         zz_bytes = bhg.graph.connectivity_cost(zz, cluster.num_devices)
@@ -95,8 +94,7 @@ def test_sparse_mask_reduces_dcp_communication():
         block_set = generate_blocks(batch, ATTENTION, block_size=16)
         planner = DCPPlanner(cluster, ATTENTION,
                              DCPConfig(block_size=16, restarts=1))
-        planner.plan(block_set)
-        volumes[name] = planner.last_placement.comm_report().total_bytes
+        volumes[name] = planner.plan(block_set).total_comm_bytes()
     assert volumes["lambda"] <= volumes["causal"]
 
 

@@ -6,14 +6,15 @@ import pytest
 from repro.blocks import AttentionSpec, BatchSpec, BlockKind, generate_blocks
 from repro.masks import CausalMask, SharedQuestionMask
 from repro.placement import (
+    Placement,
     PlacementConfig,
     build_block_hypergraph,
-    communication_report,
     dp_pack_labels,
     place_blocks,
     zigzag_chunk_device,
     zigzag_labels,
 )
+from repro.scheduling import fill_divisions, serialize_schedule
 from repro.sim import ClusterSpec
 
 
@@ -21,6 +22,12 @@ def small_block_set(seqlens=(64, 32), block_size=16, mask=None):
     batch = BatchSpec.build(list(seqlens), mask or CausalMask())
     spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return generate_blocks(batch, spec, block_size=block_size)
+
+
+def lowered(block_set, cluster, slice_device, comp_device):
+    """The one-division plan of a hand-made placement."""
+    placement = Placement(block_set, cluster, slice_device, comp_device)
+    return serialize_schedule(fill_divisions(block_set, placement, 1))
 
 
 class TestBuildHypergraph:
@@ -54,8 +61,11 @@ class TestBuildHypergraph:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, bhg.graph.num_vertices)
         slice_device, comp_device = bhg.labels_to_devices(labels)
-        report = communication_report(block_set, slice_device, comp_device, 4)
-        assert bhg.graph.connectivity_cost(labels, 4) == report.total_bytes
+        plan = lowered(
+            block_set, ClusterSpec(num_machines=2, devices_per_machine=2),
+            slice_device, comp_device,
+        )
+        assert bhg.graph.connectivity_cost(labels, 4) == plan.total_comm_bytes()
 
     def test_induced_subgraph(self):
         block_set = small_block_set()
@@ -121,41 +131,59 @@ class TestHeuristics:
         assert bhg.graph.connectivity_cost(labels, 2) == 0
 
 
-class TestCommunicationReport:
+class TestPlanBytes:
     def test_hand_built_transfers(self):
         block_set = small_block_set(seqlens=(32,), block_size=16)
         # 2 slices; place slice 0 on dev 0, slice 1 on dev 1; all comps on 0.
         slice_device = np.array([0, 1])
         comp_device = np.zeros(len(block_set.comp_blocks), dtype=np.int64)
-        report = communication_report(block_set, slice_device, comp_device, 2)
+        plan = lowered(
+            block_set, ClusterSpec(num_machines=1, devices_per_machine=2),
+            slice_device, comp_device,
+        )
         spec = block_set.attention
         # Device 0 fetches slice 1's Q and KV, returns its O: per head group.
         expected = spec.head_groups * (
             spec.q_block_bytes(16) + spec.kv_block_bytes(16)
             + spec.o_block_bytes(16)
         )
-        assert report.total_bytes == expected
-        kinds = {t.block.kind for t in report.transfers}
-        assert kinds == {BlockKind.Q, BlockKind.KV, BlockKind.O}
-        for transfer in report.transfers:
-            if transfer.block.kind == BlockKind.O:
-                assert (transfer.src, transfer.dst) == (0, 1)
-            else:
-                assert (transfer.src, transfer.dst) == (1, 0)
+        assert plan.total_comm_bytes() == expected
+        assert plan.inter_machine_bytes() == 0
+        sent = {
+            device: {
+                (send.tag[1].kind, send.peer)
+                for ins in device_plan.instructions
+                if ins.kind == "comm_launch"
+                for send in ins.sends
+            }
+            for device, device_plan in plan.device_plans.items()
+        }
+        # Q and KV go from their home to the computing device, the
+        # partial output back.
+        assert sent == {
+            0: {(BlockKind.O, 1)},
+            1: {(BlockKind.Q, 0), (BlockKind.KV, 0)},
+        }
 
-    def test_max_device_bytes(self):
-        block_set = small_block_set(seqlens=(32,), block_size=16)
-        slice_device = np.array([0, 1])
-        comp_device = np.zeros(len(block_set.comp_blocks), dtype=np.int64)
-        report = communication_report(block_set, slice_device, comp_device, 2)
-        sent, received = report.per_device_bytes()
-        assert sent.sum() == received.sum() == report.total_bytes
-        assert report.max_device_bytes() == (sent + received).max()
-
-    def test_shape_validation(self):
-        block_set = small_block_set()
-        with pytest.raises(ValueError):
-            communication_report(block_set, np.zeros(1), np.zeros(1), 2)
+    def test_inter_machine_bytes(self):
+        block_set = small_block_set(seqlens=(48, 32), block_size=16)
+        rng = np.random.default_rng(1)
+        slice_device = rng.integers(0, 4, len(block_set.token_slices))
+        comp_device = rng.integers(0, 4, len(block_set.comp_blocks))
+        per_machine = {
+            machines: lowered(
+                block_set,
+                ClusterSpec(num_machines=machines,
+                            devices_per_machine=4 // machines),
+                slice_device, comp_device,
+            )
+            for machines in (1, 2, 4)
+        }
+        total = per_machine[1].total_comm_bytes()
+        assert total > 0
+        assert per_machine[1].inter_machine_bytes() == 0
+        assert 0 < per_machine[2].inter_machine_bytes() < total
+        assert per_machine[4].inter_machine_bytes() == total
 
 
 class TestPlaceBlocks:
@@ -181,13 +209,19 @@ class TestPlaceBlocks:
         bhg = build_block_hypergraph(block_set)
         zz = zigzag_labels(bhg, cluster.num_devices)
         zz_cost = bhg.graph.connectivity_cost(zz, cluster.num_devices)
-        assert placement.comm_report().total_bytes <= zz_cost
+        plan = lowered(
+            block_set, cluster, placement.slice_device, placement.comp_device
+        )
+        assert plan.total_comm_bytes() <= zz_cost
 
     def test_single_device_no_comm(self):
         block_set = small_block_set()
         cluster = ClusterSpec(num_machines=1, devices_per_machine=1)
         placement = place_blocks(block_set, cluster)
-        assert placement.comm_report().total_bytes == 0
+        plan = lowered(
+            block_set, cluster, placement.slice_device, placement.comp_device
+        )
+        assert plan.total_comm_bytes() == 0
 
     def test_masked_batch_discards_masked_work(self):
         mask = SharedQuestionMask(num_answers=2, answer_fraction=0.25)

@@ -35,6 +35,23 @@ class TestPlanCli:
         assert main(BASE + ["--mask", "not-a-mask"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seqlens", "0"],
+            ["--devices", "0"],
+            ["--machines", "0"],
+            ["--divisions", "0"],
+            ["--block-size", "0"],
+            ["--q-heads", "5", "--kv-groups", "2"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_numbers_fail_cleanly(self, flags, capsys):
+        assert main(BASE + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("baseline", ["rfa_zigzag", "loongtrain", "te"])
     def test_baseline_comparison(self, baseline, capsys):
         assert main(BASE + ["--baseline", baseline]) == 0

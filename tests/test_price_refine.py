@@ -27,7 +27,6 @@ from repro.placement import (
 )
 from repro.runtime import BatchInputs, reference_batch_outputs, run_forward_backward
 from repro.scheduling import (
-    CommLaunch,
     build_schedule,
     fill_divisions,
     plan_compatible,
@@ -86,19 +85,6 @@ def simulated(plan, cluster=None) -> float:
     return sum(
         simulate_plan(plan, cluster, backward=backward).iteration_time
         for backward in (False, True)
-    )
-
-
-def inter_machine_bytes(plan) -> int:
-    """Bytes the plan's transfers carry between machines."""
-    per_machine = plan.cluster.devices_per_machine
-    return sum(
-        send.nbytes
-        for device, device_plan in plan.device_plans.items()
-        for instruction in device_plan.instructions
-        if isinstance(instruction, CommLaunch)
-        for send in instruction.sends
-        if send.peer // per_machine != device // per_machine
     )
 
 
@@ -170,7 +156,7 @@ class TestPrice:
             )
             plan = serialize_schedule(chosen)
             assert plan.total_comm_bytes() <= alone.total_comm_bytes()
-            assert inter_machine_bytes(plan) <= inter_machine_bytes(alone)
+            assert plan.inter_machine_bytes() <= alone.inter_machine_bytes()
             comp = block_set.comp_array
             q_slice = block_set.slice_indices(comp.seq_index, comp.q_block)
             assert np.array_equal(

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
+from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask, make_mask
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import (
@@ -156,12 +158,31 @@ class TestExecutor:
         for out, ref in zip(outputs, references):
             np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5)
 
-    def test_fabric_traffic_matches_placement_report(self):
-        executor, _, _, placement = run_dcp((96, 48, 24), CausalMask(),
-                                            seed=3)
-        report = placement.comm_report()
-        assert executor.fabric.total_bytes == report.total_bytes
-        assert executor.fabric.inter_machine_bytes == report.inter_machine_bytes
+    @pytest.mark.parametrize("planner", ["dcp", "te", "rfa_zigzag"])
+    @pytest.mark.parametrize("devices", [2, 4], ids=lambda d: f"2x{d}")
+    def test_fabric_traffic_matches_plan_bytes(self, planner, devices):
+        """What the plan says it moves is what execution moves."""
+        batch = BatchSpec.build([96, 48, 24], CausalMask())
+        spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
+        block_set = generate_blocks(batch, spec, block_size=16)
+        cluster = ClusterSpec(num_machines=2, devices_per_machine=devices)
+        if planner == "dcp":
+            plan = DCPPlanner(
+                cluster, spec, DCPConfig(block_size=16, restarts=1, seed=3)
+            ).plan(block_set)
+        else:
+            baseline = (
+                TransformerEnginePlanner()
+                if planner == "te"
+                else RingAttentionPlanner(zigzag=True)
+            )
+            plan = baseline.plan(block_set, cluster)
+        executor = SimExecutor(plan)
+        executor.load_inputs(BatchInputs.random(block_set, seed=103))
+        executor.run()
+        assert plan.total_comm_bytes() > 0
+        assert executor.fabric.total_bytes == plan.total_comm_bytes()
+        assert executor.fabric.inter_machine_bytes == plan.inter_machine_bytes()
 
     def test_ragged_tail_blocks(self):
         executor, block_set, inputs, _ = run_dcp((50, 23), CausalMask())

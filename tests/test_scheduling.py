@@ -1,10 +1,11 @@
 """Tests for division scheduling, buffers and plan serialization."""
 
+import numpy as np
 import pytest
 
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.masks import CausalMask
-from repro.placement import PlacementConfig, place_blocks
+from repro.placement import PlacementConfig, build_block_hypergraph, place_blocks
 from repro.scheduling import (
     BlockwiseAttention,
     BufferManager,
@@ -186,10 +187,15 @@ class TestSerialization:
             }
             assert set(device_plan.o_slots) == expected
 
-    def test_comm_bytes_match_placement_report(self):
+    def test_comm_bytes_match_connectivity(self):
+        """The lowered plan moves exactly the partitioner's objective."""
         block_set, placement, schedule = planned(seqlens=(128, 48, 32))
         plan = serialize_schedule(schedule)
-        assert plan.total_comm_bytes() == placement.comm_report().total_bytes
+        labels = np.concatenate([placement.slice_device, placement.comp_device])
+        graph = build_block_hypergraph(block_set).graph
+        assert plan.total_comm_bytes() == graph.connectivity_cost(
+            labels, placement.cluster.num_devices
+        )
 
     def test_division_count_in_meta(self):
         _, _, schedule = planned(num_divisions=3)

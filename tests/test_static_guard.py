@@ -1,8 +1,8 @@
 """The never-lose guard: ``place_blocks`` attaches to every placement it
 computes its owner-computes projection and the static zigzag /
-DP-packing placements of the same blocks that dominate it on
-busiest-device tokens and on bytes moved, and ``build_schedule``
-returns the cheapest priced (placement, T) pair.  These tests pin that
+DP-packing placements of the same blocks, ``build_schedule`` admits
+those that dominate it on busiest-device tokens and on bytes moved,
+and returns the cheapest priced (placement, T) pair.  These tests pin that
 the chosen plan never prices or simulates slower than the partitioned
 one, that the dominance rule is what admits an alternative, that the
 choice survives every route to a plan, and that it is not an artefact
@@ -94,7 +94,15 @@ def simulated(plan, cluster=None) -> float:
 
 
 def comm_bytes(placement) -> int:
-    return placement.comm_report().total_bytes
+    """Bytes the placement's lowered plan moves."""
+    return serialize_schedule(
+        build_schedule(placement.block_set, replace(placement, alternatives=[]))
+    ).total_comm_bytes()
+
+
+def admitted(schedule):
+    """The sources ``build_schedule`` priced beside the placement."""
+    return set(schedule.placement_prices) - {"partitioned", "refined"}
 
 
 def cheapest(schedule) -> float:
@@ -118,7 +126,8 @@ class TestNeverLose:
         alone = build_schedule(block_set, partitioned_only(placement))
         assert price <= cheapest(alone)
         for static in placement.alternatives:
-            assert price <= cheapest(build_schedule(block_set, static))
+            if static.source in admitted(chosen):
+                assert price <= cheapest(build_schedule(block_set, static))
         # The price is the simulated time of the delivered plan.
         plan = serialize_schedule(chosen)
         assert simulated(plan) == pytest.approx(price, rel=1e-9)
@@ -160,7 +169,6 @@ class TestDominance:
                     service_batch(seed, mask), cluster
                 )
                 bhg = build_block_hypergraph(block_set)
-                admitted = {p.source for p in placement.alternatives}
                 tokens = placement.tokens_per_device().max()
                 nbytes = comm_bytes(placement)
                 chosen = build_schedule(block_set, placement)
@@ -169,13 +177,14 @@ class TestDominance:
                         candidate.tokens_per_device().max() <= tokens
                         and comm_bytes(candidate) <= nbytes
                     )
-                    if source in admitted:
+                    if source in admitted(chosen):
                         assert dominates
                         continue
                     if dominates:  # only a duplicate is left out
                         assert any(
                             same_labels(candidate, other)
                             for other in [placement, *placement.alternatives]
+                            if other.source != source
                         )
                         continue
                     rejected.add(source)
@@ -188,6 +197,21 @@ class TestDominance:
             # Moving compute to its query can move more bytes: KV blocks
             # wanted by several queries travel to each of their devices.
             assert "owner" in rejected
+
+    def test_no_price_search_without_an_admitted_alternative(self):
+        """A computed placement whose alternatives all leave the box is
+        priced as it is, even where the search would find a move."""
+        cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
+        alone = 0
+        for seed in range(24):
+            block_set, placement = placed(service_batch(seed), cluster)
+            schedule = build_schedule(block_set, placement)
+            if admitted(schedule):
+                continue
+            alone += bool(placement.alternatives)
+            assert set(schedule.placement_prices) == {"partitioned"}
+            assert schedule.price_moves == 0
+        assert alone > 0
 
     @pytest.mark.parametrize("geometry", [*sorted(CLUSTERS), "causal_2x4"])
     def test_chosen_end_to_end_iteration_no_slower(self, geometry):
@@ -264,7 +288,12 @@ class TestEveryRoute:
             CONFIG,
             warm=(on_grown.slice_device, on_grown.comp_device),
         )
-        assert [p.source for p in repaired.alternatives] == ["owner", "zigzag"]
+        assert [p.source for p in repaired.alternatives] == [
+            "owner", "zigzag", "dp_pack"
+        ]
+        assert admitted(build_schedule(block_set, repaired)) == {
+            "owner", "zigzag"
+        }
 
     @pytest.mark.parametrize("source", ["zigzag", "owner"])
     def test_decomposed_path_equals_plan_batch(self, source):
