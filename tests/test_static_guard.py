@@ -29,6 +29,7 @@ from repro.placement import (
 )
 from repro.runtime import BatchInputs, run_forward_backward
 from repro.scheduling import build_schedule, serialize_schedule
+from repro.scheduling.divisions import _Prep
 from repro.scheduling.instructions import CommLaunch
 from repro.sim import ClusterSpec, e2e_iteration_time, simulate_plan
 
@@ -94,10 +95,12 @@ def simulated(plan, cluster=None) -> float:
 
 
 def comm_bytes(placement) -> int:
-    """Bytes the placement's lowered plan moves."""
-    return serialize_schedule(
-        build_schedule(placement.block_set, replace(placement, alternatives=[]))
-    ).total_comm_bytes()
+    """Bytes the placement moves, as the partitioner's objective: the
+    connectivity of its labels on the block hypergraph."""
+    labels = np.concatenate([placement.slice_device, placement.comp_device])
+    return build_block_hypergraph(placement.block_set).graph.connectivity_cost(
+        labels, placement.cluster.num_devices
+    )
 
 
 def admitted(schedule):
@@ -236,15 +239,22 @@ class TestDominance:
             )
             assert chosen.total_comm_bytes() <= alone.total_comm_bytes()
 
-    def test_comm_bytes_rule_is_what_the_plan_moves(self):
+    @pytest.mark.parametrize("geometry", sorted(CLUSTERS))
+    def test_comm_bytes_rule_is_what_the_plan_moves(self, geometry):
         for seed in range(6):
-            block_set, placement = placed(service_batch(seed), SERVICE)
+            block_set, placement = placed(
+                service_batch(seed), CLUSTERS[geometry]
+            )
             bhg = build_block_hypergraph(block_set)
-            for candidate in candidates(bhg, placement).values():
+            for candidate in [placement, *candidates(bhg, placement).values()]:
                 plan = serialize_schedule(
-                    build_schedule(block_set, candidate)
+                    build_schedule(block_set, partitioned_only(candidate))
                 )
                 assert plan.total_comm_bytes() == comm_bytes(candidate)
+                # The counts the scheduler's box admits and searches on.
+                prep = _Prep(block_set, candidate)
+                assert sum(prep.total_comm) == comm_bytes(candidate)
+                assert prep.inter_comm == plan.inter_machine_bytes()
 
 
 class TestEveryRoute:
