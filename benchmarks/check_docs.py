@@ -1,6 +1,6 @@
 """CI gate: the docs tree must track the code and benchmark surface.
 
-Seven checks, all cheap and dependency-free:
+Eight checks, all cheap and dependency-free:
 
 * every *tracked* benchmark report at the repo root (``BENCH_*.json``,
   excluding ``*.smoke.json`` scratch outputs) is mentioned somewhere
@@ -29,7 +29,9 @@ Seven checks, all cheap and dependency-free:
 * every Sphinx cross-reference to a ``repro.…`` name in the source
   (``:func:``, ``:class:``, ``:mod:``, ``:meth:``, ``:data:``,
   ``:attr:`` or ``:exc:``) resolves by import and attribute lookup, so
-  a deletion cannot leave a docstring pointing at nothing.
+  a deletion cannot leave a docstring pointing at nothing;
+* every name in a ``repro`` module's ``__all__`` is bound in that
+  module, so a deletion cannot leave an export pointing at nothing.
 
 Usage::
 
@@ -46,6 +48,7 @@ import os
 import pkgutil
 import re
 import sys
+from types import ModuleType
 from typing import Dict, List, Optional, Sequence
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -153,18 +156,39 @@ def _src_on_path() -> None:
         sys.path.insert(0, src)
 
 
-def _repro_names() -> Dict[str, object]:
-    """Every name bound at the top level of any ``repro`` module."""
+def _repro_modules() -> List[ModuleType]:
+    """The ``repro`` package and every module under it."""
     _src_on_path()
     import repro
 
+    return [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")  # entry points run on import
+    ]
+
+
+def _repro_names() -> Dict[str, object]:
+    """Every name bound at the top level of any ``repro`` module."""
     names: Dict[str, object] = {}
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.endswith("__main__"):
-            continue  # entry points run on import
-        for name, value in vars(importlib.import_module(info.name)).items():
+    for module in _repro_modules():
+        for name, value in vars(module).items():
             names.setdefault(name, value)
     return names
+
+
+def stale_all_entries(
+    modules: Optional[Sequence[ModuleType]] = None,
+) -> List[str]:
+    """``module: name`` for every ``__all__`` name its module lacks."""
+    if modules is None:
+        modules = _repro_modules()
+    return [
+        f"{module.__name__}: {name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
 
 
 def _resolves(obj, parts: Sequence[str]) -> bool:
@@ -378,6 +402,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures.extend(broken_links())
     failures.extend(stale_symbol_references())
     failures.extend(stale_source_xrefs())
+    failures.extend(
+        f"{entry} is in __all__ but not defined (deleted or renamed?)"
+        for entry in stale_all_entries()
+    )
 
     if failures:
         print(f"{len(failures)} docs freshness check(s) FAILED:")
@@ -388,7 +416,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"docs ok: {len(tracked_bench_files())} tracked benchmark files "
         f"and {len(repro_packages())} repro packages documented, all "
         f"relative links, symbol references, call keywords, .py "
-        f"paths and source cross-references resolve"
+        f"paths, source cross-references and __all__ entries resolve"
     )
     return 0
 

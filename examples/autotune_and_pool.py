@@ -9,15 +9,8 @@ the in-memory KV store, exactly the paper's Redis pipeline.
 Run:  python examples/autotune_and_pool.py
 """
 
-from repro import (
-    AttentionSpec,
-    ClusterSpec,
-    DCPConfig,
-    DCPPlanner,
-    autotune_block_size,
-    make_mask,
-)
-from repro.core import DistributedDataloader, KVStore
+from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner, make_mask
+from repro.core import DistributedDataloader, KVStore, autotune_block_size
 from repro.data import batches_to_specs, pack_batches, sample_lengths
 from repro.pipeline import KVPlannerBackend
 from repro.sim import simulate_plan

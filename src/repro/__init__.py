@@ -3,7 +3,7 @@
 Top-level convenience re-exports; see subpackages for the full API:
 
 * :mod:`repro.core` — DCPConfig, DCPPlanner, DCPDataloader, KV store,
-  plan cache, block-size autotuner
+  plan cache, block-size autotuner (``repro.core.autotune_block_size``)
 * :mod:`repro.masks` — attention-mask specifications (2-range paper
   masks plus arbitrary multi-range masks)
 * :mod:`repro.blocks` — data/computation block representation
@@ -25,12 +25,7 @@ Top-level convenience re-exports; see subpackages for the full API:
 """
 
 from .blocks import AttentionSpec, BatchSpec, SequenceSpec, generate_blocks
-from .core import (
-    DCPConfig,
-    DCPDataloader,
-    DCPPlanner,
-    autotune_block_size,
-)
+from .core import DCPConfig, DCPDataloader, DCPPlanner
 from .masks import make_mask
 from .obs import MetricsRegistry, enable_tracing, get_tracer, span
 from .pipeline import OverlapStats, PipelineRunner
@@ -46,7 +41,6 @@ __all__ = [
     "DCPConfig",
     "DCPDataloader",
     "DCPPlanner",
-    "autotune_block_size",
     "make_mask",
     "MetricsRegistry",
     "enable_tracing",

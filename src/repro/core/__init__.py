@@ -5,7 +5,7 @@ from .cache import PlanAbandoned, PlanCache, batch_signature
 from .config import DCPConfig
 from .dataloader import DCPDataloader, DistributedDataloader, LocalData
 from .groups import GroupedPlan, plan_with_groups, split_batch_by_workload
-from .kvstore import KVClient, KVStore
+from .kvstore import KVStore
 from .planner import DCPPlanner, PlanningStats
 from .planwire import (
     PlanWire,
@@ -37,7 +37,6 @@ __all__ = [
     "PlanAbandoned",
     "batch_signature",
     "KVStore",
-    "KVClient",
     "PlanWire",
     "PlanWireError",
     "encode_plan",

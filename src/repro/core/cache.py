@@ -7,18 +7,19 @@ cluster).  The cache is safe because all of those are immutable.
 
 All bookkeeping is guarded by a lock so the cache can sit in front of
 the overlap pipeline's concurrent planner workers
-(:mod:`repro.pipeline`): lookups, insertions and stats may race freely
-from any number of threads.  Planning itself is *not* serialized — a
-miss releases the lock while the planner runs.
+(:mod:`repro.pipeline`) and the plan service's tenants
+(:mod:`repro.service`).  Planning itself is *not* serialized — an owner
+plans with the lock released.
 
-Duplicated planning work is avoided through *reservations*
-(:meth:`PlanCache.reserve`): under one lock acquisition a caller learns
-whether the signature is cached (``"hit"``), already being planned by
-someone else (``"wait"``, with a future resolving to the plan), or its
-own to plan (``"own"``).  Exactly one caller per signature owns the
-dispatch, no matter how many threads or pipelines race on it; owners
-publish through :meth:`PlanCache.publish` or release waiters with
-:meth:`PlanCache.abandon`.  Streaming pipelines additionally
+The cache has one protocol, *reservations* (:meth:`PlanCache.reserve`):
+under one lock acquisition a caller learns whether the signature is
+cached (``"hit"``), already being planned by someone else (``"wait"``,
+with a future resolving to the plan), or its own to plan (``"own"``).
+Exactly one caller per signature owns the dispatch, no matter how many
+threads or pipelines race on it; owners publish through
+:meth:`PlanCache.publish` or release waiters with
+:meth:`PlanCache.abandon`.  :meth:`PlanCache.plan_batch` is that
+protocol run synchronously, and streaming pipelines additionally
 :meth:`PlanCache.invalidate` entries whose cluster shape went stale.
 """
 
@@ -78,21 +79,6 @@ class PlanCache:
         with self._lock:
             return self._epoch
 
-    def get(self, key: Tuple):
-        """Cached plan under ``key`` or ``None``, counting hit/miss.
-
-        The building block the overlap pipeline consults *before*
-        dispatching a planner worker; a hit refreshes LRU recency.
-        """
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._hits.inc()
-                return cached
-            self._misses.inc()
-            return None
-
     def peek(self, key: Tuple):
         """Cached plan under ``key`` or ``None`` — no accounting.
 
@@ -111,11 +97,6 @@ class PlanCache:
         self._entries.move_to_end(key)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def put(self, key: Tuple, plan) -> None:
-        """Insert ``plan`` under ``key``, evicting the LRU tail."""
-        with self._lock:
-            self._insert(key, plan)
 
     def reserve(self, key: Tuple, count: bool = True) -> Tuple[str, object, int]:
         """Atomically claim or join planning of ``key``.
@@ -287,21 +268,38 @@ class PlanCache:
         return dropped
 
     def plan_batch(self, batch: BatchSpec):
+        """The cached plan for ``batch``, planning it on a miss.
+
+        Goes through :meth:`reserve` like every other caller, so
+        concurrent misses on one signature plan once: the owner plans
+        (outside the lock) and publishes, the rest wait on its future.
+        A waiter whose reservation was invalidated before it published
+        claims the signature again; an owner's planning error abandons
+        the reservation and reaches its waiters too.
+        """
         key = batch_signature(batch)
-        cached = self.get(key)
-        if cached is not None:
-            cached.meta["plan_cache"] = self.stats()
-            return cached
-        plan = self.planner.plan_batch(batch)  # outside the lock: slow
-        self.put(key, plan)
-        plan.meta["plan_cache"] = self.stats()
-        return plan
+        while True:
+            status, payload, epoch = self.reserve(key)
+            if status == "hit":
+                return payload
+            if status == "wait":
+                try:
+                    return payload.result()
+                except PlanAbandoned:
+                    continue
+            try:
+                plan = self.planner.plan_batch(batch)
+            except BaseException as exc:
+                self.abandon(key, exc, epoch=epoch)
+                raise
+            self.publish(key, plan, epoch)
+            return plan
 
     def stats(self) -> dict:
         """Cache effectiveness counters for benchmark reports.
 
-        Included in every returned plan's ``meta["plan_cache"]`` so the
-        planner-overlap and e2e benchmarks can report hit rates.
+        The streaming pipeline reports them as
+        ``OverlapStats.plan_cache``.
         """
         with self._lock:
             hits = self._hits.value

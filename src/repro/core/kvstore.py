@@ -4,8 +4,14 @@ DCP distributes execution plans from planning machines to all devices
 "via a distributed key-value store (e.g., Redis) which is located in
 host memory in one of the machines" (§6.1).  No network is available
 here, so this module provides the smallest faithful equivalent: a
-thread-safe blocking KV store plus a client view that accounts the
-bytes each machine would move to/from the store's host.
+thread-safe blocking KV store with versioned writes.  It shares
+``put`` / ``get`` / ``try_get`` / ``contains`` / ``delete`` / ``keys``
+/ ``size_bytes`` with the service's
+:class:`~repro.service.sharding.ShardedPlanStore` and adds one
+conditional pair, :meth:`KVStore.put_if_changed` /
+:meth:`KVStore.get_unless`, which the §6.1 distribution route
+(:class:`~repro.pipeline.backends.KVPlannerBackend`) uses to republish
+and re-pull only the per-device slices a re-plan touched.
 
 The accounting matters for the planner-overlap analysis: serialized
 plans are megabytes, and shipping them must not erase the benefit of
@@ -24,9 +30,9 @@ plans are true snapshots, not shared mutable objects — while
 bytes-like values (e.g. columnar plan payloads from
 :mod:`repro.core.planwire`) are stored raw and come back as ``bytes``,
 paying no pickle framing.  The stored payload is the single source of
-truth for all byte accounting: :class:`KVClient` counters and
-:meth:`KVStore.entry_bytes` price exactly the bytes the store holds,
-never a re-serialization.
+truth for the ``kv.bytes_in`` / ``kv.bytes_out`` counters, and a raw
+value read back is exactly the bytes a Redis client would take off the
+socket, so a consumer prices a read by ``len`` of what it got.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
 
-__all__ = ["KVStore", "KVClient"]
+__all__ = ["KVStore"]
 
 
 @dataclass
@@ -107,13 +113,9 @@ class KVStore:
         return entry
 
     # -- primitives -----------------------------------------------------
-    #
-    # The public methods wrap ``*_entry`` variants that also report the
-    # stored payload size of the touched entry — what :class:`KVClient`
-    # charges to its wire counters, with no re-serialization anywhere.
 
-    def put_entry(self, key: str, value: Any) -> Tuple[int, int]:
-        """Store ``value``; returns ``(version, payload_bytes)``."""
+    def put(self, key: str, value: Any) -> int:
+        """Store ``value`` under ``key``; returns the new version."""
         start = time.perf_counter()
         with _span("kv.put", "kv", key=key):
             payload, raw = _encode(value)
@@ -125,23 +127,17 @@ class KVStore:
                 self._changed.notify_all()
         self._puts.inc()
         self._put_s.observe(time.perf_counter() - start)
-        return version, len(payload)
+        return version
 
-    def put(self, key: str, value: Any) -> int:
-        """Store ``value`` under ``key``; returns the new version."""
-        return self.put_entry(key, value)[0]
+    def put_if_changed(self, key: str, value: Any) -> Tuple[int, bool]:
+        """Store ``value`` unless the current payload is byte-identical.
 
-    def put_if_changed_entry(
-        self, key: str, value: Any
-    ) -> Tuple[int, bool, int]:
-        """Conditional :meth:`put_entry`: ``(version, changed, bytes)``.
-
-        An unchanged write keeps the existing entry — same version, no
-        bytes moved (the reported size is the payload that *would* have
-        moved) — which is what lets a re-planned plan republish only
-        the per-device slices the re-plan actually touched: consumers
-        holding the old version cursor see the unchanged slices as
-        still-fresh (:meth:`get_unless`).
+        Returns ``(version, changed)``.  An unchanged write keeps the
+        existing entry — same version, no bytes moved — which is what
+        lets a re-planned plan republish only the per-device slices the
+        re-plan actually touched: consumers holding the old version
+        cursor see the unchanged slices as still-fresh
+        (:meth:`get_unless`).
         """
         start = time.perf_counter()
         with _span("kv.put_if_changed", "kv", key=key):
@@ -149,7 +145,7 @@ class KVStore:
             with self._changed:
                 previous = self._entries.get(key)
                 if previous is not None and previous.payload == payload:
-                    result = previous.version, False, len(payload)
+                    result = previous.version, False
                 else:
                     version = next(self._versions)
                     self._insert(key, _Entry(
@@ -157,36 +153,17 @@ class KVStore:
                     ))
                     self._bytes_in.inc(len(payload))
                     self._changed.notify_all()
-                    result = version, True, len(payload)
+                    result = version, True
         self._puts.inc()
         self._put_s.observe(time.perf_counter() - start)
         return result
 
-    def put_if_changed(self, key: str, value: Any) -> Tuple[int, bool]:
-        """Store ``value`` unless the current payload is byte-identical."""
-        version, changed, _nbytes = self.put_if_changed_entry(key, value)
-        return version, changed
-
-    def get_entry(
-        self, key: str, timeout: Optional[float] = None
-    ) -> Tuple[Any, int]:
-        """Blocking fetch: ``(value, payload_bytes)``.
+    def get(self, key: str, timeout: Optional[float] = None) -> Any:
+        """Fetch ``key``, blocking until it exists.
 
         Raises ``KeyError`` if the timeout expires first.
         """
-        start = time.perf_counter()
-        with _span("kv.get", "kv", key=key):
-            with self._changed:
-                if not self._changed.wait_for(
-                    lambda: key in self._entries, timeout=timeout
-                ):
-                    self._record_get(start, miss=True)
-                    raise KeyError(key)
-                entry = self._entries[key]
-                self._bytes_out.inc(len(entry.payload))
-                result = entry.value(), len(entry.payload)
-        self._record_get(start)
-        return result
+        return self.get_unless(key, timeout=timeout)[0]
 
     def _record_get(self, start: float, miss: bool = False) -> None:
         """Every lookup — hit, miss or timeout — lands in the metrics.
@@ -200,28 +177,25 @@ class KVStore:
         self._gets.inc()
         self._get_s.observe(time.perf_counter() - start)
 
-    def get(self, key: str, timeout: Optional[float] = None) -> Any:
-        """Fetch ``key``, blocking until it exists."""
-        return self.get_entry(key, timeout=timeout)[0]
-
-    def get_unless_entry(
+    def get_unless(
         self,
         key: str,
         version: Optional[int] = None,
         timeout: Optional[float] = None,
-    ) -> Tuple[Optional[Any], int, bool, int]:
-        """Conditional fetch: ``(value, version, fetched, payload_bytes)``.
+    ) -> Tuple[Optional[Any], int, bool]:
+        """Conditional fetch: ``(value, version, fetched)``.
 
         Blocks until ``key`` exists (``KeyError`` on timeout), then —
         if the stored version equals the caller's cursor — returns
-        ``(None, version, False, 0)`` without moving the payload: the
+        ``(None, version, False)`` without moving the payload: the
         caller's copy is still current.  Otherwise returns the value
         and its version, charging the payload like :meth:`get`.  The
         version cursor is what a re-fetching consumer sends instead of
         re-reading a slice that a partial republish left untouched.
         """
         start = time.perf_counter()
-        with _span("kv.get_unless", "kv", key=key):
+        with _span("kv.get_unless" if version is not None else "kv.get",
+                   "kv", key=key):
             with self._changed:
                 if not self._changed.wait_for(
                     lambda: key in self._entries, timeout=timeout
@@ -230,29 +204,12 @@ class KVStore:
                     raise KeyError(key)
                 entry = self._entries[key]
                 if version is not None and entry.version == version:
-                    result = None, entry.version, False, 0
+                    result = None, entry.version, False
                 else:
                     self._bytes_out.inc(len(entry.payload))
-                    result = (
-                        entry.value(),
-                        entry.version,
-                        True,
-                        len(entry.payload),
-                    )
+                    result = entry.value(), entry.version, True
         self._record_get(start)
         return result
-
-    def get_unless(
-        self,
-        key: str,
-        version: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> Tuple[Optional[Any], int, bool]:
-        """Conditional fetch: ``(value, version, fetched)``."""
-        value, new_version, fetched, _nbytes = self.get_unless_entry(
-            key, version=version, timeout=timeout
-        )
-        return value, new_version, fetched
 
     def try_get(self, key: str) -> Optional[Any]:
         """Fetch ``key`` if present, else ``None`` (non-blocking).
@@ -289,78 +246,8 @@ class KVStore:
                 return sorted(self._entries)
             return sorted(k for k in self._entries if k.startswith(prefix))
 
-    def entry_bytes(self, key: str) -> Optional[int]:
-        """Serialized payload size of ``key`` (``None`` if absent).
-
-        The §6.1 wire accounting prices consumer fetches by payload
-        size; per-device partial plans expose how the full-plan payload
-        splits into a shared skeleton plus per-device streams.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else len(entry.payload)
-
     def size_bytes(self) -> int:
         """Resident bytes on the host machine."""
         with self._lock:
             return self._size
 
-
-@dataclass
-class KVClient:
-    """One machine's view of the store, with transfer accounting.
-
-    Reads and writes from the host machine itself are local (no NIC
-    traffic); remote machines pay the payload over the wire.  The
-    per-client counters let experiments price plan distribution.  What
-    they charge is the payload the store actually encoded — the bytes
-    a Redis client would put on the socket — not a second
-    serialization of the value.
-    """
-
-    store: KVStore
-    machine: int
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-    @property
-    def is_local(self) -> bool:
-        return self.machine == self.store.host_machine
-
-    def put(self, key: str, value: Any) -> int:
-        version, nbytes = self.store.put_entry(key, value)
-        if not self.is_local:
-            self.bytes_sent += nbytes
-        return version
-
-    def get(self, key: str, timeout: Optional[float] = None) -> Any:
-        value, nbytes = self.store.get_entry(key, timeout=timeout)
-        if not self.is_local:
-            self.bytes_received += nbytes
-        return value
-
-    def put_if_changed(self, key: str, value: Any) -> Tuple[int, bool]:
-        """Conditional write; only a changed payload moves over the wire."""
-        version, changed, nbytes = self.store.put_if_changed_entry(
-            key, value
-        )
-        if changed and not self.is_local:
-            self.bytes_sent += nbytes
-        return version, changed
-
-    def get_unless(
-        self,
-        key: str,
-        version: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> Tuple[Optional[Any], int, bool]:
-        """Conditional fetch; an unchanged entry moves no payload."""
-        value, new_version, fetched, nbytes = self.store.get_unless_entry(
-            key, version=version, timeout=timeout
-        )
-        if fetched and not self.is_local:
-            self.bytes_received += nbytes
-        return value, new_version, fetched
-
-    def wire_bytes(self) -> int:
-        return self.bytes_sent + self.bytes_received

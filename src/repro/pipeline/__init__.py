@@ -44,7 +44,6 @@ from .pipeline import (
     IterationRecord,
     OverlapStats,
     StreamingOverlapPipeline,
-    device_payload,
     plan_diff,
     plan_fingerprint,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "IterationRecord",
     "plan_fingerprint",
     "plan_diff",
-    "device_payload",
     "PlanTicket",
     "ThreadPlannerBackend",
     "ProcessPlannerBackend",

@@ -46,7 +46,6 @@ from concurrent.futures import (
 )
 from typing import Callable, Dict, Optional, Tuple
 
-from ..core.kvstore import KVClient
 from ..core.planwire import PlanWire, decode_plan, encode_plan
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import add_span as _add_span
@@ -418,10 +417,10 @@ class KVPlannerBackend:
     byte-compare identity-exact.
 
     **Fetch.**  Each device, from its own machine, reads the skeleton
-    and its own entry.  Reads from the store's host machine are local
-    and free (the :class:`~repro.core.kvstore.KVClient` convention);
-    the rest accumulate in :attr:`consumer_wire_bytes`.  The pull of a
-    re-dispatched iteration presents the previous pull's version
+    and its own entry.  Reads by a device on the store's host machine
+    are local and free; every other read charges ``len`` of the bytes
+    it returned (raw columnar bytes: the stored payload exactly) to
+    :attr:`consumer_wire_bytes`.  The pull of a re-dispatched iteration presents the previous pull's version
     cursors, so streams the re-plan left untouched do not move again
     (``pool.refetch_saved_bytes``).
 
@@ -463,9 +462,6 @@ class KVPlannerBackend:
         self.planner = planner
         self.store = store
         self.num_machines = num_machines
-        self._clients = [
-            KVClient(store=store, machine=m) for m in range(num_machines)
-        ]
         self._executors = [
             ThreadPoolExecutor(
                 max_workers=cores_per_machine,
@@ -530,7 +526,7 @@ class KVPlannerBackend:
                 with self._lock:
                     if self._generation.get(index) != generation:
                         raise CancelledError()
-                self._publish(self._clients[machine], index, plan)
+                self._publish(index, plan)
             served, wire_bytes, cursors = self._pull(index, plan.cluster)
             with self._lock:
                 if self._generation.get(index) != generation:
@@ -548,15 +544,15 @@ class KVPlannerBackend:
                 if self._generation.get(index) == generation:
                     del self._generation[index]
 
-    def _publish(self, client: KVClient, index: int, plan) -> None:
+    def _publish(self, index: int, plan) -> None:
         wire = encode_plan(plan)
-        client.put(
+        self.store.put(
             skeleton_key(index),
             PlanWire(wire.context, wire.spans, b"").to_bytes(),
         )
         written = 0
         for device in wire.spans:
-            _version, changed = client.put_if_changed(
+            _version, changed = self.store.put_if_changed(
                 device_key(index, device), wire.device_bytes(device)
             )
             written += changed
@@ -576,28 +572,27 @@ class KVPlannerBackend:
         with self._lock:
             known = self._cursors.get(index, {})
         # Uncharged probe for the device list; every device below
-        # re-reads the skeleton through its own accounted client.
+        # re-reads the skeleton from its own machine.
         skeleton = PlanWire.from_bytes(
             self.store.get(skeleton_key(index), timeout=timeout)
         )
-        consumers: Dict[int, KVClient] = {}
         cursors: Dict[int, Tuple[int, bytes]] = {}
         spans: Dict[int, Tuple[int, int]] = {}
-        offset = saved = 0
+        offset = saved = wire_bytes = 0
         for device in sorted(skeleton.spans):
-            machine = cluster.machine_of(device)
-            if machine not in consumers:
-                consumers[machine] = KVClient(store=self.store, machine=machine)
-            client = consumers[machine]
-            client.get(skeleton_key(index), timeout=timeout)
+            own_skeleton = self.store.get(skeleton_key(index), timeout=timeout)
             version, payload = known.get(device, (None, None))
-            value, version, fetched = client.get_unless(
+            value, version, fetched = self.store.get_unless(
                 device_key(index, device), version=version, timeout=timeout
             )
             if fetched:
                 payload = value
-            elif not client.is_local:
-                saved += len(payload)
+            if cluster.machine_of(device) != self.store.host_machine:
+                wire_bytes += len(own_skeleton)
+                if fetched:
+                    wire_bytes += len(payload)
+                else:
+                    saved += len(payload)
             cursors[device] = (version, payload)
             spans[device] = (offset, len(payload))
             offset += len(payload)
@@ -607,7 +602,6 @@ class KVPlannerBackend:
             spans,
             b"".join(payload for _version, payload in cursors.values()),
         ))
-        wire_bytes = sum(c.wire_bytes() for c in consumers.values())
         return plan, wire_bytes, cursors
 
     def _reclaim(self) -> None:

@@ -50,9 +50,8 @@ model produces, so measurement and model plot on one axis.
 
 Cached plans are shared objects: when the same plan is yielded for
 several iterations (cache hits, deduplicated signatures), its
-``meta["overlap"]`` reflects the *latest* of those iterations — the
-same latest-wins convention ``meta["plan_cache"]`` already follows.
-The authoritative per-iteration history is
+``meta["overlap"]`` reflects the *latest* of those iterations.  The
+authoritative per-iteration history is
 :attr:`StreamingOverlapPipeline.records` /
 :meth:`StreamingOverlapPipeline.stats`, which record every iteration
 regardless of plan identity.
@@ -128,7 +127,7 @@ from .backends import CompletedTicket, PlanTicket, SharedPlanTicket, make_backen
 
 __all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner",
            "OverlapStats", "IterationRecord",
-           "plan_fingerprint", "plan_diff", "device_payload"]
+           "plan_fingerprint", "plan_diff"]
 
 #: Waits shorter than this (seconds) are queue bookkeeping, not stalls.
 #: Overridable for environments whose bookkeeping is artificially slow
@@ -636,7 +635,7 @@ class StreamingOverlapPipeline:
         self._cluster = current
         if self.cache is not None:
             self.cache.invalidate(
-                self._is_stale_key, remap=self._remap_cache_entry
+                self._is_stale_key, remap=self._remap_cached_plan
             )
         for item in self._pending:
             self._retarget(item)
@@ -660,7 +659,7 @@ class StreamingOverlapPipeline:
             and key[0] != self._cluster
         )
 
-    def _remap_cache_entry(self, key, plan):
+    def _remap_cached_plan(self, key, plan):
         """Rescue a stale-shape cache entry whose plan survives the event.
 
         Recurring batch signatures are the cache's whole value; delta
@@ -937,21 +936,6 @@ class StreamingOverlapPipeline:
         self.close()
 
 
-def device_payload(device: int, device_plan) -> bytes:
-    """Canonical byte serialization of one device's executable stream.
-
-    Everything the executor consumes for this device — instructions,
-    buffer sizes, slot maps, local slices — encoded in the columnar
-    wire format (:mod:`repro.core.planwire`), independently of the
-    other devices and of object sharing *within* the plan: the bytes
-    depend only on field values, so a plan decoded from the wire
-    re-encodes to the identical payload.  The unit of identity for
-    :func:`plan_fingerprint` and :func:`plan_diff` alike, and exactly
-    what the KV store holds per device in partial-plan mode.
-    """
-    return encode_device_payload(device, device_plan)
-
-
 def plan_fingerprint(plan) -> bytes:
     """Byte identity of a plan's executable content.
 
@@ -964,7 +948,7 @@ def plan_fingerprint(plan) -> bytes:
     prove a delta re-plan equals a whole-window re-plan.
     """
     payload = [
-        device_payload(device, dp)
+        encode_device_payload(device, dp)
         for device, dp in sorted(plan.device_plans.items())
     ]
     return pickle.dumps(payload, protocol=4)
@@ -973,9 +957,10 @@ def plan_fingerprint(plan) -> bytes:
 def plan_diff(old_plan, new_plan) -> Tuple[int, ...]:
     """Devices whose executable content differs between two plans.
 
-    Compares per-device :func:`device_payload` bytes; a device present
-    in only one plan counts as changed.  An empty result means the
-    plans are :func:`plan_fingerprint`-equal.  This is the *observer's*
+    Compares per-device
+    :func:`~repro.core.planwire.encode_device_payload` bytes; a device
+    present in only one plan counts as changed.  An empty result means
+    the plans are :func:`plan_fingerprint`-equal.  This is the *observer's*
     view of delta re-planning — tests and benchmarks use it to assert
     which devices an event re-plan actually touched; the enforcement on
     the wire is independent (the KV store's
@@ -990,6 +975,7 @@ def plan_diff(old_plan, new_plan) -> Tuple[int, ...]:
         new = new_plan.device_plans.get(device)
         if old is None or new is None:
             changed.append(device)
-        elif device_payload(device, old) != device_payload(device, new):
+        elif (encode_device_payload(device, old)
+              != encode_device_payload(device, new)):
             changed.append(device)
     return tuple(changed)

@@ -38,5 +38,5 @@ class WholeWindowPipeline(StreamingOverlapPipeline):
         plan = None if self.cold else self._settled_plan(item)
         self._redispatch(item, warm=self._warm_labels(plan))
 
-    def _remap_cache_entry(self, key, plan):
+    def _remap_cached_plan(self, key, plan):
         return None

@@ -1,8 +1,10 @@
 """The docs gate's stale-symbol, stale-keyword, stale-path and
-stale-cross-reference checks (benchmarks/check_docs.py)."""
+stale-cross-reference and stale-``__all__`` checks
+(benchmarks/check_docs.py)."""
 
 import importlib.util
 import os
+import types
 
 _PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -108,3 +110,18 @@ def test_stale_xrefs_are_flagged():
 
 def test_source_has_no_stale_xrefs():
     assert check_docs.stale_source_xrefs() == []
+
+
+def test_stale_all_entries_are_flagged():
+    module = types.ModuleType("fixture")
+    module.__all__ = ["kept", "device_payload", "KVClient"]
+    module.kept = object()
+    bare = types.ModuleType("bare")  # no __all__: nothing to check
+    assert check_docs.stale_all_entries([module, bare]) == [
+        "fixture: device_payload",
+        "fixture: KVClient",
+    ]
+
+
+def test_source_has_no_stale_all_entries():
+    assert check_docs.stale_all_entries() == []

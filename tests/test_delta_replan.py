@@ -170,12 +170,12 @@ class TestPlanCompatibility:
         grown_replan = planner.plan_batch(
             batch, cluster=GROWN, warm=plan.meta["placement"]
         )
-        from repro.pipeline import device_payload
+        from repro.core.planwire import encode_device_payload
 
         for device in (4, 5):
-            assert device_payload(
+            assert encode_device_payload(
                 device, grown_replan.device_plans[device]
-            ) == device_payload(device, empty_device_plan(device))
+            ) == encode_device_payload(device, empty_device_plan(device))
 
 
 class TestPlanDiff:

@@ -193,7 +193,7 @@ class TestThreadSafety:
         assert stub.dispatches == 1
         assert len(results) == 12
         assert all(plan is stub.plan for plan in results)
-        assert cache.get(key) is stub.plan
+        assert cache.peek(key) is stub.plan
 
     def test_reserve_stress_many_rounds_and_keys(self):
         """Repeated contention rounds: one dispatch per (round, key)."""
@@ -283,7 +283,7 @@ class TestThreadSafety:
             lambda key: key in (go_key, pending_key)
         )
         assert dropped == 1  # one cached entry; the reservation is extra
-        assert cache.get(batch_signature(stay)) is not None
+        assert cache.peek(batch_signature(stay)) is not None
         assert batch_signature(go) not in cache
         with pytest.raises(PlanAbandoned):
             future.result(timeout=1)
@@ -325,7 +325,7 @@ class TestThreadSafety:
         plan = cache.planner.plan_batch(spec)
         assert cache.publish(key, plan, epoch)
         assert future.result(timeout=1) is plan
-        assert cache.get(key) is plan
+        assert cache.peek(key) is plan
 
     def test_publish_honors_surviving_reservation_across_epochs(self):
         """An invalidation that does not target a key must not strand
@@ -389,32 +389,64 @@ class TestThreadSafety:
         assert not cache.publish(key, plan, epoch)
         assert key not in cache
 
-    def test_concurrent_get_put_consistency(self):
+
+class TestPlanBatch:
+    """``plan_batch`` runs the reservation protocol synchronously."""
+
+    def test_concurrent_misses_plan_once(self):
+        """8 threads miss on one signature; the planner runs once."""
         import threading
+        import time
 
-        from repro.core import batch_signature
+        planner = make_cache().planner
+        release = threading.Event()
 
-        cache = make_cache(capacity=16)
+        class CountingPlanner:
+            def __init__(self):
+                self.calls = 0
+                self._lock = threading.Lock()
+
+            def plan_batch(self, spec):
+                with self._lock:
+                    self.calls += 1
+                assert release.wait(timeout=30)
+                return planner.plan_batch(spec)
+
+        counting = CountingPlanner()
+        cache = PlanCache(counting, capacity=4)
         spec = batch([48, 32])
-        key = batch_signature(spec)
-        plan = cache.plan_batch(spec)
-        seen = []
+        results = []
 
-        def reader():
-            for _ in range(200):
-                got = cache.get(key)
-                if got is not None:
-                    seen.append(got)
+        def worker():
+            results.append(cache.plan_batch(spec))
 
-        def writer():
-            for _ in range(200):
-                cache.put(key, plan)
-
-        threads = [threading.Thread(target=reader) for _ in range(4)] + [
-            threading.Thread(target=writer) for _ in range(2)
-        ]
+        threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
             thread.start()
+        # Every thread has looked the signature up (and missed) before
+        # the planner may return.
+        deadline = time.monotonic() + 30
+        while cache.stats()["misses"] < 8 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
         for thread in threads:
-            thread.join()
-        assert seen and all(got is plan for got in seen)
+            thread.join(timeout=30)
+        assert counting.calls == 1
+        assert len(results) == 8
+        assert all(plan is results[0] for plan in results)
+        assert cache.peek(batch_signature(spec)) is results[0]
+
+    def test_planner_error_abandons_the_reservation(self):
+        class FailingPlanner:
+            def plan_batch(self, spec):
+                raise RuntimeError("boom")
+
+        cache = PlanCache(FailingPlanner())
+        spec = batch([48, 32])
+        with pytest.raises(RuntimeError):
+            cache.plan_batch(spec)
+        key = batch_signature(spec)
+        assert key not in cache
+        status, _future, _epoch = cache.reserve(key)
+        assert status == "own"  # nothing left in flight
+        cache.abandon(key)

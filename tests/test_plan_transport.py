@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.blocks import BatchSpec
-from repro.core import DCPConfig, DCPPlanner, KVClient, KVStore
+from repro.core import DCPConfig, DCPPlanner, KVStore
 from repro.masks import make_mask
 from repro.pipeline import (
+    KVPlannerBackend,
     ProcessPlannerBackend,
     StreamingOverlapPipeline,
     plan_fingerprint,
@@ -381,7 +382,7 @@ class TestJobPayload:
             backend.close()
 
 
-# -- satellite: KVClient accounting without double pickling ------------------
+# -- KV accounting without double pickling -----------------------------------
 
 
 class _CountingValue:
@@ -397,64 +398,76 @@ class _CountingValue:
         return (_CountingValue, (self.blob,))
 
 
+def _kv(store, name):
+    return store.metrics.counter(f"kv.{name}").value
+
+
 class TestKVAccounting:
     def test_put_pickles_exactly_once(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
+        store = KVStore()
         _CountingValue.pickles = 0
-        client.put("k", _CountingValue(b"x" * 100))
+        store.put("k", _CountingValue(b"x" * 100))
         assert _CountingValue.pickles == 1
 
     def test_put_if_changed_pickles_exactly_once(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
+        store = KVStore()
         _CountingValue.pickles = 0
-        client.put_if_changed("k", _CountingValue(b"x" * 100))
+        store.put_if_changed("k", _CountingValue(b"x" * 100))
         assert _CountingValue.pickles == 1
 
     def test_get_does_not_reserialize(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
-        client.put("k", _CountingValue(b"x" * 100))
+        store = KVStore()
+        store.put("k", _CountingValue(b"x" * 100))
         _CountingValue.pickles = 0
-        client.get("k")
+        store.get("k")
         assert _CountingValue.pickles == 0
-        assert client.bytes_received == client.bytes_sent
+        assert _kv(store, "bytes_out") == _kv(store, "bytes_in")
 
-    def test_counters_match_entry_bytes(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
+    def test_counters_match_stored_payload(self):
+        store = KVStore()
         value = {"payload": list(range(500))}
-        client.put("k", value)
-        assert client.bytes_sent == store.entry_bytes("k")
-        client.get("k")
-        assert client.bytes_received == store.entry_bytes("k")
+        store.put("k", value)
+        assert _kv(store, "bytes_in") == store.size_bytes()
+        assert store.size_bytes() == len(pickle.dumps(value))
+        store.get("k")
+        assert _kv(store, "bytes_out") == store.size_bytes()
 
     def test_raw_bytes_path_has_no_pickle_framing(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
+        store = KVStore()
         payload = b"\x00" * 1000
-        client.put("k", payload)
-        assert store.entry_bytes("k") == len(payload)
-        assert store.entry_bytes("k") < len(pickle.dumps(payload))
-        assert client.get("k") == payload
-        assert client.bytes_sent == len(payload)
+        store.put("k", payload)
+        assert store.size_bytes() == len(payload)
+        assert store.size_bytes() < len(pickle.dumps(payload))
+        assert store.get("k") == payload
+        assert _kv(store, "bytes_in") == len(payload)
 
     def test_raw_bytes_roundtrip_via_get_unless(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
-        client.put("k", b"columnar")
-        value, version, fetched = client.get_unless("k")
+        store = KVStore()
+        store.put("k", b"columnar")
+        value, version, fetched = store.get_unless("k")
         assert (value, fetched) == (b"columnar", True)
-        received = client.bytes_received
-        value, _, fetched = client.get_unless("k", version=version)
+        moved = _kv(store, "bytes_out")
+        value, _, fetched = store.get_unless("k", version=version)
         assert (value, fetched) == (None, False)
-        assert client.bytes_received == received
+        assert _kv(store, "bytes_out") == moved
 
     def test_memoryview_values_stored_as_bytes(self):
-        store = KVStore(host_machine=0)
+        store = KVStore()
         store.put("k", memoryview(b"viewed"))
         assert store.get("k") == b"viewed"
+
+    def test_kv_route_stores_raw_payloads(self):
+        """The KV route publishes raw columnar bytes, so the payload a
+        remote device is charged for carries no pickle framing."""
+        store = KVStore()
+        backend = KVPlannerBackend(make_planner(), store, num_machines=2)
+        try:
+            backend.submit(0, make_batches(1)[0]).result(timeout=60.0)
+        finally:
+            backend.close()
+        entries = [store.get(key) for key in store.keys()]
+        assert all(isinstance(blob, bytes) for blob in entries)
+        assert store.size_bytes() == sum(map(len, entries))
 
 
 class TestLeakAccounting:

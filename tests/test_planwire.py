@@ -24,7 +24,7 @@ from repro.baselines import (
     TransformerEnginePlanner,
     plan_ring_backward,
 )
-from repro.pipeline import device_payload, plan_fingerprint
+from repro.pipeline import plan_fingerprint
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.scheduling import build_schedule, serialize_backward_schedule
@@ -118,7 +118,7 @@ def test_plan_families_roundtrip_columnar(name):
     plan = all_plans()[name]
     assert_wire_identical(plan)
     for device, dp in plan.device_plans.items():
-        assert device_payload(device, dp)[:4] == DEVICE_MAGIC
+        assert encode_device_payload(device, dp)[:4] == DEVICE_MAGIC
 
 
 @pytest.mark.parametrize(
@@ -204,7 +204,7 @@ def test_wire_beats_pickle_on_dcp_plans():
         BatchSpec.build([4096, 2048], [make_mask("causal")] * 2)
     )
     for device, dp in plan.device_plans.items():
-        assert len(device_payload(device, dp)) < len(pickle.dumps(dp))
+        assert len(encode_device_payload(device, dp)) < len(pickle.dumps(dp))
 
 
 # -- per-device slicing ------------------------------------------------------
@@ -226,7 +226,9 @@ def test_device_bytes_match_device_payload():
     plan = all_plans()["ring"]
     wire = encode_plan(plan)
     for device, dp in plan.device_plans.items():
-        assert bytes(wire.device_bytes(device)) == device_payload(device, dp)
+        assert bytes(wire.device_bytes(device)) == encode_device_payload(
+            device, dp
+        )
 
 
 # -- error paths --------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.core import (
     DCPConfig,
     DCPPlanner,
     DistributedDataloader,
-    KVClient,
     KVStore,
     min_cores_to_hide_planning,
     simulate_planning_overlap,
@@ -154,10 +153,9 @@ class TestKVStore:
         store.put("k", b"x" * 100)
         store.put("k", b"x" * 10)
         assert store.size_bytes() == 10
-        assert store.entry_bytes("k") == 10
         store.delete("k")
         assert store.size_bytes() == 0
-        assert store.entry_bytes("k") is None
+        assert not store.contains("k")
 
     def test_raw_bytes_skip_pickle(self):
         store = KVStore()
@@ -165,8 +163,9 @@ class TestKVStore:
         store.put("obj", [1, 2, 3])
         assert store.get("raw") == b"abc"
         assert isinstance(store.get("raw"), bytes)
-        assert store.entry_bytes("raw") == 3
-        assert store.entry_bytes("obj") > 3  # pickle framing
+        assert store.size_bytes() > 3 + 3  # the list pays pickle framing
+        store.delete("obj")
+        assert store.size_bytes() == 3
 
     def test_blocked_reader_wakes_on_publish(self):
         store = KVStore()
@@ -188,39 +187,6 @@ class TestKVStore:
         # The latency a stalled reader experienced is recorded too.
         assert store.metrics.histogram("kv.get_s").count == 2
         assert _count(store, "kv.bytes_out") == 0
-
-
-class TestKVClient:
-    def test_local_client_free(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=0)
-        client.put("k", [1] * 100)
-        client.get("k")
-        assert client.wire_bytes() == 0
-
-    def test_remote_client_pays_wire(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
-        client.put("k", [1] * 100)
-        assert client.bytes_sent > 0
-        client.get("k")
-        assert client.bytes_received > 0
-
-    def test_conditional_ops_charge_only_moved_payloads(self):
-        store = KVStore(host_machine=0)
-        client = KVClient(store=store, machine=1)
-        _version, changed = client.put_if_changed("k", [1] * 100)
-        assert changed
-        sent = client.bytes_sent
-        _version, changed = client.put_if_changed("k", [1] * 100)
-        assert not changed
-        assert client.bytes_sent == sent
-        _value, version, fetched = client.get_unless("k")
-        assert fetched
-        received = client.bytes_received
-        value, _version, fetched = client.get_unless("k", version=version)
-        assert not fetched and value is None
-        assert client.bytes_received == received
 
 
 # -- KVPlannerBackend / DistributedDataloader ---------------------------------
@@ -277,6 +243,28 @@ class TestKVPlannerBackend:
             "plan/0/device/0", "plan/0/device/1", "plan/0/skeleton",
         ]
 
+    def test_host_machine_reads_are_free(self, make_backend):
+        backend = make_backend()  # one machine: the store's host
+        _plan(backend.submit(0, _batches(1)[0]))
+        assert backend.consumer_wire_bytes == 0
+
+    @pytest.mark.parametrize("host", [0, 1])
+    def test_remote_reads_charge_the_bytes_they_returned(
+        self, make_backend, host
+    ):
+        """Each device off the host reads the skeleton and its own
+        entry; the pull charges exactly those stored payloads."""
+        cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
+        store = KVStore(host_machine=host)
+        backend = make_backend(_planner(cluster), store)
+        plan = _plan(backend.submit(0, _batches(1)[0]))
+        skeleton = len(store.get("plan/0/skeleton"))
+        assert backend.consumer_wire_bytes == sum(
+            skeleton + len(store.get(f"plan/0/device/{device}"))
+            for device in plan.device_plans
+            if cluster.machine_of(device) != host
+        )
+
     def test_rejects_zero_machines(self):
         with pytest.raises(ValueError):
             KVPlannerBackend(_planner(), KVStore(), num_machines=0)
@@ -323,7 +311,7 @@ class TestKVPlannerBackend:
         # The re-pull moved the skeleton only: what it did not move is
         # exactly what the first pull paid for the remote stream.
         saved = _count(backend, "pool.refetch_saved_bytes")
-        assert saved > 0
+        assert saved == len(backend.store.get("plan/0/device/1"))
         assert backend.consumer_wire_bytes == 2 * first_pull - saved
         assert plan_fingerprint(replan) == plan_fingerprint(plan)
 

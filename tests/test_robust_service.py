@@ -1,6 +1,6 @@
 """Tests for failure handling in the plan service: typed errors,
-degraded-mode serving with background upgrade, KV clients that
-surface store errors, and shm leak reclamation."""
+degraded-mode serving with background upgrade, a KV distribution
+route that surfaces store errors, and shm leak reclamation."""
 
 import threading
 import time
@@ -16,9 +16,13 @@ from repro import (
     make_mask,
 )
 from repro.core import batch_signature
-from repro.core.kvstore import KVClient, KVStore
+from repro.core.kvstore import KVStore
 from repro.faults import FaultInjector
-from repro.pipeline import plan_fingerprint
+from repro.pipeline import (
+    KVPlannerBackend,
+    StreamingOverlapPipeline,
+    plan_fingerprint,
+)
 from repro.pipeline import shm as shm_mod
 from repro.pipeline.shm import PlanRing, ShmUnavailable
 from repro.service import (
@@ -116,95 +120,162 @@ class TestErrorHierarchy:
         assert exc.retry_after_s == pytest.approx(0.05)
 
 
-# -- KVClient surfaces store errors -------------------------------------------
+# -- the KV route surfaces store errors ---------------------------------------
 
 
 class FailingStore:
-    """Store whose next ``fails`` entry-ops raise ``exc`` unapplied."""
+    """KV store whose matching public ops raise ``exc`` unapplied.
 
-    def __init__(self, fails, exc=None):
+    The first ``after`` calls to an op in ``ops`` go through; the next
+    ``fails`` raise.  Everything else reaches the wrapped store.
+    """
+
+    def __init__(self, fails, exc=None,
+                 ops=("put", "put_if_changed", "get", "get_unless"),
+                 after=0):
         self.store = KVStore()
         self.remaining = fails
         self.exc = exc if exc is not None else ShardUnavailable("flaky")
+        self.ops = ops
+        self.after = after
         self.calls = 0
 
-    def _maybe_fail(self):
-        self.calls += 1
-        if self.remaining > 0:
-            self.remaining -= 1
-            raise self.exc
+    def _call(self, op, *args, **kwargs):
+        if op in self.ops:
+            self.calls += 1
+            if self.calls > self.after and self.remaining > 0:
+                self.remaining -= 1
+                raise self.exc
+        return getattr(self.store, op)(*args, **kwargs)
 
-    def put_entry(self, key, value):
-        self._maybe_fail()
-        return self.store.put_entry(key, value)
+    def put(self, key, value):
+        return self._call("put", key, value)
 
-    def get_entry(self, key, timeout=None):
-        self._maybe_fail()
-        return self.store.get_entry(key, timeout=timeout)
+    def put_if_changed(self, key, value):
+        return self._call("put_if_changed", key, value)
 
-    def put_if_changed_entry(self, key, value):
-        self._maybe_fail()
-        return self.store.put_if_changed_entry(key, value)
+    def get(self, key, timeout=None):
+        return self._call("get", key, timeout=timeout)
 
-    def get_unless_entry(self, key, version=None, timeout=None):
-        self._maybe_fail()
-        return self.store.get_unless_entry(key, version=version,
-                                           timeout=timeout)
+    def get_unless(self, key, version=None, timeout=None):
+        return self._call("get_unless", key, version=version, timeout=timeout)
 
     def __getattr__(self, name):
         return getattr(self.store, name)
 
 
-class TestKVClientErrors:
-    def test_put_error_surfaces_on_first_attempt(self):
+def remote_planner():
+    """Device 1 sits off the store's host machine, so its reads cost."""
+    cluster = ClusterSpec(num_machines=2, devices_per_machine=1)
+    attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
+    return DCPPlanner(cluster, attention,
+                      DCPConfig(block_size=16, restarts=1))
+
+
+@pytest.fixture
+def kv_backend():
+    """``KVPlannerBackend`` over a store; closes what it built."""
+    built = []
+
+    def factory(store, planner=None):
+        backend = KVPlannerBackend(
+            planner if planner is not None else remote_planner(), store
+        )
+        built.append(backend)
+        return backend
+
+    yield factory
+    for backend in built:
+        backend.close()
+
+
+def served(ticket):
+    plan, _start, _end = ticket.result(timeout=30.0)
+    return plan
+
+
+def written(backend):
+    return backend.metrics.counter("pool.device_entries_written").value
+
+
+class TestKVBackendStoreErrors:
+    def test_put_error_fails_the_ticket_on_first_attempt(self, kv_backend):
         store = FailingStore(fails=1)
-        client = KVClient(store, machine=0)
+        backend = kv_backend(store)
+        spec = batch([48, 32])
         with pytest.raises(ShardUnavailable):
-            client.put("k", b"v")
+            served(backend.submit(0, spec))
         assert store.calls == 1  # no hidden retry
-        assert client.put("k", b"v") == 1  # the failed put left nothing
-        assert client.get("k") == b"v"
+        assert backend.consumer_wire_bytes == 0
+        assert store.keys() == []  # the failed put left nothing
+        plan = served(backend.resubmit(0, spec))
+        assert plan_fingerprint(plan) == plan_fingerprint(
+            remote_planner().plan_batch(spec)
+        )
+        assert backend.consumer_wire_bytes > 0
 
-    def test_get_error_surfaces(self):
-        store = FailingStore(fails=0)
-        client = KVClient(store, machine=0)
-        client.put("k", b"v")
-        store.remaining = 1
-        store.exc = KVOpDropped("shard:shard0", "get")
+    def test_get_error_fails_the_ticket(self, kv_backend):
+        store = FailingStore(fails=1, ops=("get",),
+                             exc=KVOpDropped("shard:shard0", "get"))
+        backend = kv_backend(store)
+        spec = batch([48, 32])
         with pytest.raises(KVOpDropped):
-            client.get("k")
-        assert client.get("k") == b"v"
+            served(backend.submit(0, spec))
+        assert backend.consumer_wire_bytes == 0
+        assert written(backend) == 2  # the publish landed
+        plan = served(backend.resubmit(0, spec))
+        assert written(backend) == 2  # republished unchanged
+        assert plan_fingerprint(plan) == plan_fingerprint(
+            remote_planner().plan_batch(spec)
+        )
 
-    def test_non_retryable_error_surfaces_unchanged(self):
+    def test_non_retryable_error_surfaces_unchanged(self, kv_backend):
         bug = ValueError("bug")
-        client = KVClient(FailingStore(fails=1, exc=bug), machine=0)
+        backend = kv_backend(FailingStore(fails=1, exc=bug))
         with pytest.raises(ValueError) as info:
-            client.put("k", b"v")
+            served(backend.submit(0, batch([48, 32])))
         assert info.value is bug
 
-    def test_failed_remote_ops_charge_no_wire_bytes(self):
-        store = FailingStore(fails=2)
-        client = KVClient(store, machine=1)
+    def test_mid_pull_error_charges_no_wire_bytes(self, kv_backend):
+        """Device 0's reads went through before device 1's failed: the
+        job accounts nothing, and the retry charges one whole pull."""
+        store = FailingStore(fails=1, ops=("get_unless",), after=1)
+        backend = kv_backend(store)
+        spec = batch([48, 32])
         with pytest.raises(ShardUnavailable):
-            client.put("k", b"x" * 100)
-        with pytest.raises(ShardUnavailable):
-            client.get("k", timeout=0.01)
-        assert client.wire_bytes() == 0
-        client.put("k", b"x" * 100)
-        assert client.bytes_sent == 100
+            served(backend.submit(0, spec))
+        assert backend.consumer_wire_bytes == 0
+        assert backend._cursors == {}
+        served(backend.resubmit(0, spec))
+        remote = (len(store.get("plan/0/skeleton"))
+                  + len(store.get("plan/0/device/1")))
+        assert backend.consumer_wire_bytes == remote
 
-    def test_conditional_ops_surface_errors(self):
-        store = FailingStore(fails=0)
-        client = KVClient(store, machine=1)
-        version, _changed = client.put_if_changed("k", b"v")
-        store.remaining = 2
+    def test_conditional_write_error_fails_the_ticket(self, kv_backend):
+        store = FailingStore(fails=1, ops=("put_if_changed",))
+        backend = kv_backend(store)
+        spec = batch([48, 32])
         with pytest.raises(ShardUnavailable):
-            client.put_if_changed("k", b"w")
-        with pytest.raises(ShardUnavailable):
-            client.get_unless("k", version=version)
-        # The failed write never landed: the cursor is still current.
-        value, _version, fetched = client.get_unless("k", version=version)
-        assert (value, fetched) == (None, False)
+            served(backend.submit(0, spec))
+        assert store.calls == 1
+        assert backend.consumer_wire_bytes == 0
+        served(backend.resubmit(0, spec))
+        assert written(backend) == 2
+
+    def test_pipeline_retry_serves_the_plan(self):
+        planner = remote_planner()
+        specs = [batch([48, 32]), batch([64, 16])]
+        store = FailingStore(fails=1)
+        pipeline = StreamingOverlapPipeline(
+            iter(specs), planner, lookahead=1,
+            backend=KVPlannerBackend(planner, store),
+        )
+        with pipeline:
+            plans = [plan for _, plan in pipeline]
+        assert [plan_fingerprint(p) for p in plans] == [
+            plan_fingerprint(planner.plan_batch(spec)) for spec in specs
+        ]
+        assert pipeline.stats().plan_retries == 1
 
 
 # -- degraded plans -----------------------------------------------------------

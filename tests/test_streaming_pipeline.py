@@ -510,11 +510,10 @@ class TestPerDevicePartialFetch:
         assert store.keys("plan/0/skeleton") == ["plan/0/skeleton"]
         device_keys = store.keys("plan/0/device/")
         assert len(device_keys) == plans[0].num_devices
-        skeleton_bytes = store.entry_bytes("plan/0/skeleton")
-        assert skeleton_bytes and skeleton_bytes > 0
+        assert len(store.get("plan/0/skeleton")) > 0
         for key in device_keys:
-            assert store.entry_bytes(key) > 0
-        assert store.entry_bytes("plan/0") is None  # no monolithic copy
+            assert len(store.get(key)) > 0
+        assert not store.contains("plan/0")  # no monolithic copy
 
     def test_partial_fetch_cuts_consumer_wire_bytes(self):
         """Skeleton + own stream per device moves fewer bytes than every
