@@ -50,8 +50,9 @@ SMOKE_TOTAL_S_MAX = 0.024
 #: trajectory moves the first three, any change to the scheduler's
 #: priced choice the next two (the chosen count and the plan's simulated
 #: forward + backward attention), and any change to the price search's
-#: trajectory the moves it kept.  A PR that changes either on purpose
-#: re-records them by regenerating BENCH_planner.json.
+#: trajectory the moves it kept (its price phase, then its byte phase).
+#: A PR that changes either on purpose re-records them by regenerating
+#: BENCH_planner.json.
 SMOKE_PINNED_COUNTS = (
     "refine_moves",
     "gain_evals",
@@ -59,6 +60,7 @@ SMOKE_PINNED_COUNTS = (
     "num_divisions",
     "attn_ms",
     "price_moves",
+    "byte_moves",
 )
 
 
@@ -132,6 +134,7 @@ def run_hotpath_bench(
                     "num_divisions": stats.num_divisions,
                     "attn_ms": round(1e3 * attn_s, 6),
                     "price_moves": stats.price_moves,
+                    "byte_moves": stats.byte_moves,
                 }
             )
             print(
@@ -140,7 +143,8 @@ def run_hotpath_bench(
                 f"place={stats.placement:.3f}s sched={stats.scheduling:.3f}s "
                 f"moves={stats.refine_moves} comm={comm / 1e6:.1f}MB "
                 f"T={stats.num_divisions} attn={1e3 * attn_s:.3f}ms "
-                f"price_moves={stats.price_moves}"
+                f"price_moves={stats.price_moves} "
+                f"byte_moves={stats.byte_moves}"
             )
     return {
         "benchmark": "planner_hotpath",

@@ -154,6 +154,7 @@ PLANNER_PINNED_COUNTS = (
     "num_divisions",
     "attn_ms",
     "price_moves",
+    "byte_moves",
 )
 
 

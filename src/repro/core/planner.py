@@ -40,7 +40,9 @@ class PlanningStats:
     that priced cheaper: its ``"owner"``-computes projection or the
     static ``"zigzag"`` / ``"dp_pack"`` one, or ``"refined"``: the
     price search's neighbour of the cheapest owner-structured one), the
-    moves that search kept (``price_moves``), and the chosen forward
+    moves that search kept on the price (``price_moves``) and the swaps
+    it then kept to move fewer bytes at no higher price
+    (``byte_moves``), and the chosen forward
     plan's attention tiles (one per Q row per kernel) and the block
     pairs they compute.
     """
@@ -59,6 +61,7 @@ class PlanningStats:
     attention_tiles: int = 0
     tile_pairs: int = 0
     price_moves: int = 0
+    byte_moves: int = 0
 
     @property
     def total(self) -> float:
@@ -81,6 +84,7 @@ class PlanningStats:
             "attention_tiles": self.attention_tiles,
             "tile_pairs": self.tile_pairs,
             "price_moves": self.price_moves,
+            "byte_moves": self.byte_moves,
         }
 
 
@@ -190,6 +194,7 @@ class DCPPlanner:
         stats.scheduling = time.perf_counter() - start
         stats.num_divisions = schedule.num_divisions
         stats.price_moves = schedule.price_moves
+        stats.byte_moves = schedule.byte_moves
         stats.attention_tiles, stats.tile_pairs = plan.tile_counts()
         # The schedule's placement is the one it chose (``placement``,
         # one of its alternatives or their price-refined neighbour).
@@ -230,6 +235,7 @@ class DCPPlanner:
         metrics.counter("planner.attention_tiles").inc(stats.attention_tiles)
         metrics.counter("planner.tile_pairs").inc(stats.tile_pairs)
         metrics.counter("planner.price_moves").inc(stats.price_moves)
+        metrics.counter("planner.byte_moves").inc(stats.byte_moves)
         self.last_stats = stats
         self.last_placement = placement
         return plan

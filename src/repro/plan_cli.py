@@ -144,7 +144,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     print(f"tiles: {stats.attention_tiles} rows over "
           f"{stats.tile_pairs} block pairs; "
-          f"price moves {stats.price_moves}")
+          f"price moves {stats.price_moves}, "
+          f"byte moves {stats.byte_moves}")
     dcp_time = _report("dcp", plan, args.gantt_width)
 
     if args.trace:

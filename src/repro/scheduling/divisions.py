@@ -24,14 +24,16 @@ computation dwarfs the ~5 kernel launches it adds and loses elsewhere.
 ``alternatives`` (its owner-computes projection, the static CP / DP
 placements) that fits the placement's :class:`_Box` — no more
 busiest-device tokens, no more bytes moved — prices every admitted
-candidate with :mod:`.pricing` and keeps the cheapest, so a plan never
-prices slower than an admitted alternative.  On a placement
+candidate with :mod:`.pricing` and keeps the cheapest (at an equal
+price the one moving fewer bytes), so a plan never prices slower than
+an admitted alternative.  On a placement
 :func:`~repro.placement.place_blocks` computed it also refines the
-cheapest owner-structured candidate on that price
-(:class:`_SliceSearch`), inside the same box.  Everything that does not
-depend on ``T`` — block homes, per-device block lists, remote inputs,
-bytes and FLOPs — is derived once per (block set, placement), on
-integer ids, and the bytes a placement moves are counted there.
+cheapest owner-structured candidate on that price, then on the bytes it
+moves at no higher price (:class:`_SliceSearch`), inside the same box.
+Everything that does not depend on ``T`` — block homes, per-device
+block lists, remote inputs, bytes and FLOPs — is derived once per
+(block set, placement), on integer ids, and the bytes a placement moves
+are counted there.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class Schedule:
     placement_prices: Dict[str, float] = field(default_factory=dict)
     #: Moves the price search kept (0 when it did not run or found none).
     price_moves: int = 0
+    #: Swaps its byte phase kept (0 when it did not run or found none).
+    byte_moves: int = 0
 
 
 class _Prep:
@@ -394,6 +398,7 @@ class _Priced:
             self.by_count, key=lambda count: (self.by_count[count][1], count)
         )
         self.price = self.by_count[self.count][1]
+        self.bytes = sum(prep.total_comm)
 
     @property
     def prices(self) -> Dict[int, float]:
@@ -422,24 +427,37 @@ class _Box:
 
 #: Neighbours the price search prices per plan at most.
 _SEARCH_BUDGET = 3
+#: Byte-cutting swaps the byte phase weighs per step, and prices per
+#: plan at most.
+_BYTE_WIDTH = 8
+_BYTE_BUDGET = 8
 
 
 class _SliceSearch:
     """Bounded local search on the price over owner-structured
-    placements (every computation block on its Q slice's device).
+    placements (every computation block on its Q slice's device), then
+    on the bytes moved at that price.
 
-    A neighbour moves one whole query slice — its computation blocks
-    with it — off the device that finishes last, or swaps it with a
-    lighter slice of another device.  Neighbours outside the
-    :class:`_Box` (more busiest-device tokens, more bytes moved or more
-    bytes moved between machines than the partitioned placement) are
-    dropped before anything is built.  The rest are ranked by an
+    Price phase: a neighbour moves one whole query slice — its
+    computation blocks with it — off the device that finishes last, or
+    swaps it with a lighter slice of another device.  Neighbours outside
+    the :class:`_Box` (more busiest-device tokens, more bytes moved or
+    more bytes moved between machines than the partitioned placement)
+    are dropped before anything is built.  The rest are ranked by an
     estimate made of the price's own terms: the per-device seconds of
     the step's replays, with the moved slices' forward + backward
     compute shifted between the two devices and every device's KV fetch
-    seconds re-counted.  The best is priced at the start's division count and
-    kept only if the price strictly falls; the search stops at the
-    first that does not, or after :data:`_SEARCH_BUDGET` prices.
+    seconds re-counted.  The best is priced at the start's division
+    count and kept only if the price strictly falls; the phase stops at
+    the first that does not, or after :data:`_SEARCH_BUDGET` prices.
+
+    Byte phase: a neighbour swaps two query slices on different devices.
+    Of the swaps inside the box, the :data:`_BYTE_WIDTH` that cut the
+    most bytes (exactly, :meth:`byte_change`) are estimated as above; those
+    whose estimate exceeds the device that finishes last are dropped and
+    the rest priced in order of bytes cut.  The first whose price does
+    not rise is kept and the step repeats from it; the phase stops at a
+    step that keeps none, or after :data:`_BYTE_BUDGET` prices.
     """
 
     def __init__(self, start: _Priced, box: _Box, strategy: str) -> None:
@@ -453,8 +471,16 @@ class _SliceSearch:
         reads = np.zeros((slices, slices), dtype=bool)
         reads[q, kv] = True
         self.reader, self.read = np.nonzero(reads)
+        # The byte phase's tables: reads as 0 / 1 weights, which slices
+        # read their own KV, and every unordered pair of slices.
+        self.reads = reads * 1.0
+        self.self_read = reads.diagonal()
+        self.slices = np.arange(slices)
+        self.pairs = np.triu_indices(slices, k=1)
         self.tokens = block_set.slice_tokens
-        self.kv_bytes = attention.kv_block_bytes(self.tokens) * attention.head_groups
+        self.kv_bytes = (
+            attention.kv_block_bytes(self.tokens) * attention.head_groups * 1.0
+        )
         # Forward + backward compute seconds of every slice's rows.
         flops = np.bincount(
             q, weights=attention.tile_flops(comps.pairs), minlength=slices
@@ -472,6 +498,8 @@ class _SliceSearch:
             1 / cluster.inter_bandwidth,
         )
         np.fill_diagonal(self.link, 0.0)
+        self.far = machine[:, None] != machine[None, :]
+        self.far_weight = self.far * 1.0
         self.box = box
         self.strategy = strategy
         self.start = start
@@ -551,38 +579,146 @@ class _SliceSearch:
             return None
         return after[order[0]].copy(), fetches[order[0]]
 
+    def byte_change(self, labels: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """The exact change in bytes moved and in bytes moved between
+        machines when slices ``a[i]`` and ``b[i]``, on different devices
+        under ``labels``, swap devices (a pair on one device gets a
+        meaningless value).
+
+        A slice costs its KV bytes on every device other than its home
+        where one of its readers sits.  A swap changes what is read on
+        its two devices and the homes of its two slices.  Both halves
+        are one table: ``change[k, y, x]`` is the change on ``x``'s
+        device when ``x`` leaves it for ``y``'s device and ``y`` joins
+        (``k`` = 0 bytes, 1 bytes between machines), with ``x``'s KV
+        re-routed to its readers elsewhere; a swap is two entries.
+        Building the table costs O(slices^3), a swap O(1)."""
+        reads, far, kv, slices = self.reads, self.far, self.kv_bytes, self.slices
+        devices = np.arange(self.devices)
+        count = (labels == devices[:, None]) @ reads
+        present = count > 0
+        # What each slice costs on each device where it is read, on the
+        # current homes: any bytes (the first ``devices`` columns), and
+        # bytes between machines (the rest).
+        cost = kv[:, None] * np.hstack([labels[:, None] != devices, far[labels]])
+        at = labels + np.array([[0], [self.devices]])
+        # stays[x, s]: ``s`` is still read on ``x``'s device without
+        # ``x``, where it costs ``own[k, x, s]``; ``y`` adds what it
+        # reads there.
+        stays = count[labels] - reads > 0
+        own = stays * cost.T[at]
+        change = (
+            (own.sum(axis=2) - (present @ cost)[labels, at])[:, None, :]
+            + (reads @ cost)[:, at].transpose(1, 0, 2)
+            - reads @ own.transpose(0, 2, 1)
+        )
+        # ``x`` now costs where it is still read on the device it left,
+        # and ``y`` no longer where it is read on the one it joined ...
+        rehomed = kv * (stays[slices, slices] | (reads > 0)) - kv[:, None] * (
+            stays.T | self.self_read[:, None]
+        )
+        change[0] += rehomed
+        change[1] += rehomed * far[labels[:, None], labels]
+        # ... and ``x``'s readers on the other devices fetch it from
+        # ``y``'s machine instead of its old one.
+        reach = kv[:, None] * (present.T @ self.far_weight)
+        read_at_home = present[labels, slices, None]
+        moved = (
+            reach
+            - reach[slices, labels, None]
+            - far[labels] * kv[:, None] * (read_at_home - 1.0 * present.T)
+        )
+        change[1] += moved[:, labels].T
+        nbytes, inter = change[:, b, a] + change[:, a, b]
+        # Byte counts are integers far below 2**53: the float sums are
+        # exact, and so is the cast.
+        return nbytes.astype(np.int64), inter.astype(np.int64)
+
+    def byte_swaps(self, labels: np.ndarray, seconds, fetch: np.ndarray, inter):
+        """The swaps worth pricing from ``labels``, in order of bytes
+        cut, as their labels and per-device fetch seconds (``seconds``,
+        ``fetch``, ``inter``: those of ``labels``, ``inter`` its bytes
+        moved between machines)."""
+        box, (a, b) = self.box, self.pairs
+        da, db = labels[a], labels[b]
+        nbytes, inter_change = self.byte_change(labels, a, b)
+        load = np.bincount(labels, weights=self.tokens, minlength=self.devices)
+        shift = self.tokens[a] - self.tokens[b]
+        # Two devices, fewer bytes, and inside the box.
+        (fit,) = np.nonzero(
+            (da != db)
+            & (nbytes < 0)
+            & (inter + inter_change <= box.max_inter)
+            & (np.maximum(load[da] - shift, load[db] + shift) <= box.max_tokens)
+        )
+        # Most bytes cut first, then pair order.
+        order = fit[np.argsort(nbytes[fit], kind="stable")[:_BYTE_WIDTH]]
+        a, b, da, db = a[order], b[order], da[order], db[order]
+        rows = np.arange(len(order))
+        after = np.repeat(labels[None, :], len(order), axis=0)
+        after[rows, a], after[rows, b] = db, da
+        fetches = self.fetch_seconds(self.held(after), after)
+        estimate = seconds + fetches - fetch
+        work = self.work[a] - self.work[b]
+        estimate[rows, da] -= work
+        estimate[rows, db] += work
+        fit = estimate.max(axis=1) <= seconds.max()
+        return [(after[row], fetches[row]) for row in np.flatnonzero(fit)]
+
+    def priced(self, labels: np.ndarray):
+        """(prep, fills, price, per-device seconds) of the owner-structured
+        placement ``labels`` at the start's count."""
+        start = self.start
+        prep = start.prep.moved(
+            replace(
+                start.placement,
+                slice_device=labels,
+                comp_device=labels[start.prep.q_slice],
+                source="refined",
+                alternatives=[],
+            )
+        )
+        fills = _fill(prep, self.count, self.strategy)
+        return (prep, fills, *price_divisions(prep, fills))
+
     def run(self):
         """The cheapest placement the search reaches from the start, as
-        (prep, fills, price, seconds) at the start's count, and the
-        moves it kept (``None`` and 0 when no neighbour priced lower)."""
+        (prep, fills, price, seconds) at the start's count, and the moves
+        each phase kept (``None``, 0 and 0 when neither kept one).
+        ``kept`` lists every neighbour kept, in order."""
         start = self.start
-        _, price, seconds = start.by_count[self.count]
+        fills, price, seconds = start.by_count[self.count]
+        current = (start.prep, fills, price, seconds)
         labels = np.asarray(start.placement.slice_device, dtype=np.int64)
         now = labels[None, :]
         fetch = self.fetch_seconds(self.held(now), now)[0]
-        best, moves = None, 0
+        self.kept: List[tuple] = []
         for _ in range(_SEARCH_BUDGET):
-            found = self.best_neighbour(labels, np.asarray(seconds), fetch)
+            found = self.best_neighbour(labels, np.asarray(current[3]), fetch)
             if found is None:
                 break
             after, after_fetch = found
-            prep = start.prep.moved(
-                replace(
-                    start.placement,
-                    slice_device=after,
-                    comp_device=after[start.prep.q_slice],
-                    source="refined",
-                    alternatives=[],
-                )
-            )
-            fills = _fill(prep, self.count, self.strategy)
-            priced, seconds = price_divisions(prep, fills)
-            if priced >= price:
+            neighbour = self.priced(after)
+            if neighbour[2] >= current[2]:
                 break
-            labels, price, fetch = after, priced, after_fetch
-            best = (prep, fills, price, seconds)
-            moves += 1
-        return best, moves
+            labels, fetch, current = after, after_fetch, neighbour
+            self.kept.append(current)
+        moves, budget = len(self.kept), _BYTE_BUDGET
+        while budget:
+            swaps = self.byte_swaps(
+                labels, np.asarray(current[3]), fetch, current[0].inter_comm
+            )
+            for after, after_fetch in swaps[:budget]:
+                budget -= 1
+                neighbour = self.priced(after)
+                if neighbour[2] <= current[2]:
+                    labels, fetch, current = after, after_fetch, neighbour
+                    self.kept.append(current)
+                    break
+            else:
+                break
+        best = self.kept[-1] if self.kept else None
+        return best, moves, len(self.kept) - moves
 
 
 def _owner_structured(placement, q_slice: np.ndarray) -> bool:
@@ -609,18 +745,20 @@ def build_schedule(
     only inside ``placement``'s :class:`_Box`: no more busiest-device
     tokens, no more bytes moved.  When one is, the placement (one
     :func:`~repro.placement.place_blocks` computed, never an adopted
-    one) is also refined on the price: a bounded local search
-    (:class:`_SliceSearch`) moves and swaps whole query slices off the
-    device that finishes last, starting from the cheapest
+    one) is also refined: a bounded local search (:class:`_SliceSearch`)
+    moves and swaps whole query slices off the device that finishes
+    last while the price falls, then swaps query slices to move fewer
+    bytes while the price does not rise, starting from the cheapest
     owner-structured candidate and staying inside the box, held to
-    bytes moved between machines too.  Its result
-    (source ``"refined"``) is priced at every ``T`` like the others.
-    Returns the cheapest; a tie goes to ``placement`` over its
-    alternatives, then to the smaller ``T`` — a pure function of its
-    arguments, so every route to a plan agrees.
-    ``Schedule.placement`` is the winner, ``division_prices`` its
-    candidates, ``placement_prices`` each placement's best and
-    ``price_moves`` the moves the search kept.
+    bytes moved between machines too.  Its result (source
+    ``"refined"``) is priced at every ``T`` like the others.  Returns
+    the cheapest; a tie goes to the candidate moving fewer bytes, then
+    to ``placement`` over its alternatives over the refined one, then
+    to the smaller ``T`` — a pure function of its arguments, so every
+    route to a plan agrees.  ``Schedule.placement`` is the winner,
+    ``division_prices`` its candidates, ``placement_prices`` each
+    placement's best, and ``price_moves`` / ``byte_moves`` the moves
+    each phase of the search kept.
     """
     _check(num_divisions, strategy)
     counts, count = [], 1
@@ -635,8 +773,7 @@ def build_schedule(
         moved = box.admitted(prep, alternative)
         if moved is not None:
             candidates.append(_Priced(moved, counts, strategy))
-    best = min(candidates, key=lambda priced: priced.price)
-    moves = 0
+    moves = byte_moves = 0
     if len(candidates) > 1:
         owned = [
             priced
@@ -647,18 +784,23 @@ def build_schedule(
             start = min(owned, key=lambda priced: priced.price)
             with _span("price_refine", "scheduling"):
                 search = _SliceSearch(start, box, strategy)
-                found, moves = search.run()
+                found, moves, byte_moves = search.run()
                 if found is not None:
-                    refined = _Priced(
-                        found[0], counts, strategy, known={search.count: found[1:]}
+                    candidates.append(
+                        _Priced(
+                            found[0],
+                            counts,
+                            strategy,
+                            known={search.count: found[1:]},
+                        )
                     )
-                    candidates.append(refined)
-                    if refined.price < best.price:
-                        best = refined
+    # Cheapest, then fewest bytes, then candidate order.
+    best = min(candidates, key=lambda priced: (priced.price, priced.bytes))
     schedule = best.prep.materialise(best.by_count[best.count][0])
     schedule.division_prices = best.prices
     schedule.placement_prices = {
         priced.placement.source: priced.price for priced in candidates
     }
     schedule.price_moves = moves
+    schedule.byte_moves = byte_moves
     return schedule

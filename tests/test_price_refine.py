@@ -2,10 +2,12 @@
 cheapest owner-structured candidate by moving and swapping whole query
 slices off the device that finishes last, keeping a neighbour only when
 its price strictly falls inside the partitioned placement's dominance
-box.  These tests pin the refined plan's price to the simulator at
-every division count, the box, the never-lose order against the
-unrefined choice, determinism, byte-for-byte adoption by a warm
-re-plan, and the refined plan's numerics."""
+box; then it swaps query slices to move fewer bytes, keeping a swap
+only when its bytes strictly fall and its price does not rise.  These
+tests pin the refined plan's price to the simulator at every division
+count, the exact byte change of every swap, the box, the never-lose
+order against the unrefined choice, determinism, byte-for-byte adoption
+by a warm re-plan, and the refined plan's numerics."""
 
 import functools
 from dataclasses import replace
@@ -33,6 +35,7 @@ from repro.scheduling import (
     rebind_plan,
     serialize_schedule,
 )
+from repro.scheduling import divisions
 from repro.sim import ClusterSpec, simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32)
@@ -81,6 +84,13 @@ def refined_cases(geometry: str, mask_name: str):
     ]
 
 
+def moved_bytes(block_set, placement) -> int:
+    """Bytes a placement moves (the same at every division count)."""
+    return serialize_schedule(
+        fill_divisions(block_set, placement, 1)
+    ).total_comm_bytes()
+
+
 def simulated(plan, cluster=None) -> float:
     return sum(
         simulate_plan(plan, cluster, backward=backward).iteration_time
@@ -109,12 +119,26 @@ PINNED_MOVES = {
 }
 
 
+#: Swaps the byte phase keeps on the same batches.
+PINNED_BYTE_MOVES = {
+    ("2x4", "causal"): [4, 0, 6, 0, 0, 2, 0, 0],
+    ("2x4", "lambda"): [5, 4, 2, 2, 3, 2, 2, 0],
+    ("1x4", "causal"): [1, 1, 0, 0, 0, 1, 0, 0],
+    ("1x4", "lambda"): [0, 0, 0, 1, 1, 0, 1, 0],
+    ("2x2", "causal"): [0, 0, 0, 0, 2, 0, 0, 3],
+    ("2x2", "lambda"): [0, 0, 0, 0, 0, 0, 0, 3],
+}
+
+
 @pytest.mark.parametrize("geometry, mask_name", sorted(PINNED_MOVES))
 def test_trajectory_is_pinned(geometry, mask_name):
-    moves = [
-        planned(geometry, mask_name, seed)[2].price_moves for seed in range(8)
-    ]
-    assert moves == PINNED_MOVES[(geometry, mask_name)]
+    schedules = [planned(geometry, mask_name, seed)[2] for seed in range(8)]
+    assert [s.price_moves for s in schedules] == (
+        PINNED_MOVES[(geometry, mask_name)]
+    )
+    assert [s.byte_moves for s in schedules] == (
+        PINNED_BYTE_MOVES[(geometry, mask_name)]
+    )
     # A plan that kept a move is refined unless the partition beats it.
     assert len(refined_cases(geometry, mask_name)) >= 2
 
@@ -134,12 +158,18 @@ class TestPrice:
             )
 
     def test_never_above_the_unrefined_choice(self):
-        for _, _, chosen in all_cases():
+        """At most every other candidate's price, and at an equal price
+        fewer bytes moved."""
+        for block_set, placement, chosen in all_cases():
             prices = dict(chosen.placement_prices)
             refined = prices.pop("refined")
             assert refined == min(chosen.division_prices.values())
-            assert refined < min(prices.values())
-            assert chosen.price_moves >= 1
+            assert refined <= min(prices.values())
+            assert chosen.price_moves + chosen.byte_moves >= 1
+            nbytes = moved_bytes(block_set, chosen.placement)
+            for candidate in (placement, *placement.alternatives):
+                if prices.get(candidate.source) == refined:
+                    assert nbytes < moved_bytes(block_set, candidate)
 
     def test_inside_the_dominance_box(self):
         """No more busiest-device tokens, no more bytes moved and no more
@@ -189,8 +219,103 @@ class TestWhereItRuns:
         ):
             schedule = build_schedule(block_set, alone)
             assert schedule.placement is alone
-            assert schedule.price_moves == 0
+            assert schedule.price_moves == schedule.byte_moves == 0
             assert "refined" not in schedule.placement_prices
+
+
+def owner_projection(block_set, placement):
+    """The owner-computes projection of ``placement``."""
+    comp = block_set.comp_array
+    q_slice = block_set.slice_indices(comp.seq_index, comp.q_block)
+    return replace(
+        placement,
+        comp_device=placement.slice_device[q_slice],
+        alternatives=[],
+    )
+
+
+def searched(monkeypatch, block_set, placement):
+    """The chosen schedule and the search ``build_schedule`` ran, if it
+    ran one."""
+    searches = []
+    run = divisions._SliceSearch.run
+
+    def recording(search):
+        searches.append(search)
+        return run(search)
+
+    monkeypatch.setattr(divisions._SliceSearch, "run", recording)
+    chosen = build_schedule(block_set, placement)
+    monkeypatch.undo()
+    assert len(searches) <= 1
+    return chosen, (searches or [None])[0]
+
+
+class TestBytePhase:
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_byte_change_of_every_swap_is_exact(self, geometry):
+        """The table's change equals the bytes ``_Prep`` counts on the
+        swapped placement, in total and between machines."""
+        cluster, budget = GEOMETRIES[geometry]
+        swaps = 0
+        for mask in MASKS.values():
+            for seed in range(4):
+                block_set, placement = placed(
+                    seeded_batch(seed, budget, mask), cluster
+                )
+                owner = owner_projection(block_set, placement)
+                prep = divisions._Prep(block_set, owner)
+                search = divisions._SliceSearch(
+                    divisions._Priced(prep, [1], "paper"),
+                    divisions._Box(prep),
+                    "paper",
+                )
+                labels = np.asarray(owner.slice_device, dtype=np.int64)
+                a, b = search.pairs
+                apart = labels[a] != labels[b]
+                a, b = a[apart], b[apart]
+                nbytes, inter = search.byte_change(labels, a, b)
+                for x, y, change, inter_change in zip(a, b, nbytes, inter):
+                    after = labels.copy()
+                    after[x], after[y] = labels[y], labels[x]
+                    moved = prep.moved(
+                        replace(owner, slice_device=after, comp_device=after[prep.q_slice])
+                    )
+                    assert sum(moved.total_comm) - sum(prep.total_comm) == change
+                    assert moved.inter_comm - prep.inter_comm == inter_change
+                swaps += len(a)
+        assert swaps > 500
+
+    def test_kept_swaps_cut_bytes_at_no_higher_price_inside_the_box(
+        self, monkeypatch
+    ):
+        kept = 0
+        for geometry in GEOMETRIES:
+            for mask_name in MASKS:
+                for seed in range(8):
+                    block_set, placement, _ = planned(geometry, mask_name, seed)
+                    chosen, search = searched(monkeypatch, block_set, placement)
+                    if search is None:
+                        assert chosen.price_moves == chosen.byte_moves == 0
+                        continue
+                    box, start = search.box, search.start
+                    states = [
+                        (start.prep, *start.by_count[search.count]),
+                        *search.kept,
+                    ][chosen.price_moves:]
+                    assert len(states) == chosen.byte_moves + 1
+                    for before, after in zip(states, states[1:]):
+                        prep, price = after[0], after[2]
+                        assert sum(prep.total_comm) < sum(before[0].total_comm)
+                        assert price <= before[2]
+                        assert (
+                            prep.placement.tokens_per_device().max()
+                            <= box.max_tokens
+                        )
+                        assert sum(prep.total_comm) <= box.max_bytes
+                        assert prep.inter_comm <= box.max_inter
+                        kept += 1
+        assert kept >= 40
 
 
 def planner(cluster):
@@ -214,12 +339,13 @@ class TestAdoption:
         dcp = planner(cluster)
         plan = dcp.plan_batch(batch)
         assert dcp.last_stats.price_moves >= 1
+        assert dcp.last_stats.byte_moves >= 1
         again = dcp.plan_batch(batch, warm=plan.meta["placement"])
         assert plan_fingerprint(again) == plan_fingerprint(plan)
         assert again.meta["placement_source"] == "refined"
         assert again.meta["division_prices"] == plan.meta["division_prices"]
         # An adopted placement is not searched again.
-        assert dcp.last_stats.price_moves == 0
+        assert dcp.last_stats.price_moves == dcp.last_stats.byte_moves == 0
         assert list(again.meta["placement_prices"]) == ["refined"]
 
     def test_losing_an_idle_machine_keeps_the_refined_choice(self):
@@ -264,11 +390,28 @@ class TestObservable:
         assert dcp.metrics.counter("planner.price_moves").value == (
             stats.price_moves
         )
+        assert stats.as_dict()["byte_moves"] == stats.byte_moves >= 1
+        assert dcp.metrics.counter("planner.byte_moves").value == (
+            stats.byte_moves
+        )
         assert names.count("price_refine") == 1
 
 
 def test_refined_plan_executes_forward_and_backward():
     block_set, _, chosen = refined_cases("2x2", "causal")[0]
+    assert chosen.price_moves >= 1
+    matches_dense_attention(block_set, chosen)
+
+
+def test_byte_refined_plan_executes_forward_and_backward():
+    block_set, _, chosen = next(
+        case for case in refined_cases("2x2", "causal")
+        if case[2].byte_moves >= 1
+    )
+    matches_dense_attention(block_set, chosen)
+
+
+def matches_dense_attention(block_set, chosen):
     inputs = BatchInputs.random(block_set, seed=31)
     rng = np.random.default_rng(32)
     grad_outputs = [
