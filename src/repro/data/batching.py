@@ -7,31 +7,26 @@ allowed sequence length").
 
 This module owns the **single authoritative streaming-packing loop**,
 :func:`stream_pack_select`: a bounded reordering buffer of pending
-sequences plus a pluggable *selection* callable that decides which
-buffered sequence joins the open batch next.  Every packer in
-:mod:`repro.data.packing` — sequential, workload-balanced,
-length-grouped, streaming or materialized — is a thin wrapper over
-this one loop, so ``pack_*``/``stream_pack_*`` consistency holds by
+sequences plus a :class:`PackingPolicy` that makes one pick per
+sequence directly on that buffer, kept in whatever shape makes its
+pick cheap (arrival order for a scan, a heap for the shortest).  Every
+streaming packer in :mod:`repro.data.packing` is this loop with a
+policy, so ``pack_*``/``stream_pack_*`` consistency holds by
 construction rather than by parallel implementations.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..blocks import BatchSpec
 from ..masks import MaskSpec
 
 __all__ = [
     "PackState",
+    "PackingPolicy",
+    "SequentialPolicy",
     "pack_batches",
     "stream_pack",
     "stream_pack_select",
@@ -52,14 +47,12 @@ class PackState:
     used:
         Tokens already placed in the open batch.
     batch_work:
-        Quadratic attention workload ``sum(l**2)`` of the open batch —
-        maintained incrementally so workload-aware policies are O(1)
-        per selection.
+        Quadratic attention workload ``sum(l**2)`` of the open batch.
     tokens_entered / work_entered:
-        Totals over every sequence that ever entered the buffer
-        (placed, pending, or in the open batch), with lengths capped at
-        the budget exactly as they will be placed.  Policies use these
-        to estimate per-batch targets without seeing the future.
+        Totals over every sequence that ever entered the buffer, with
+        lengths capped at the budget, summed in admission order.
+        Policies use these to estimate per-batch targets without
+        seeing the future.
     """
 
     __slots__ = (
@@ -95,34 +88,58 @@ class PackState:
         batches = max(self.tokens_entered / self.token_budget, 1.0)
         return self.work_entered / batches
 
-    def _place(self, length: int) -> None:
-        capped = min(length, self.token_budget)
-        self.batch.append(capped)
-        self.used += capped
-        self.batch_work += float(capped) ** 2
 
-    def _close(self) -> List[int]:
-        closed = self.batch
-        self.batch = []
-        self.used = 0
-        self.batch_work = 0.0
-        return closed
+class PackingPolicy:
+    """How :func:`stream_pack_select` keeps and picks from its buffer.
 
-    def _admit(self, length: int) -> None:
-        capped = min(length, self.token_budget)
-        self.tokens_entered += capped
-        self.work_entered += float(capped) ** 2
+    The loop creates the pending list per stream and all running state
+    lives in the :class:`PackState`, so one policy instance can drive
+    many streams.
+    """
+
+    #: Registry key and display name of the policy.
+    name = "abstract"
+
+    def admit(self, pending: list, length: int, work: float) -> None:
+        """Add one admitted length (capped at the budget) and its
+        workload ``float(length * length)`` to ``pending``."""
+        pending.append(length)
+
+    def take(self, pending: list, state: PackState) -> Optional[int]:
+        """Remove and return the length that joins the open batch, or
+        ``None`` when no pending length fits ``state.room`` (``pending``
+        is never empty, and every length fits an empty batch)."""
+        raise NotImplementedError
 
 
-#: A selection policy: given the running :class:`PackState` and the
-#: *fitting* buffered candidate lengths (arrival order preserved),
-#: return the index of the candidate to place next.
-SelectFn = Callable[[PackState, Sequence[int]], int]
+class SequentialPolicy(PackingPolicy):
+    """First fit in the window: place the oldest pending sequence that
+    fits the open batch.
+
+    At ``buffer=1`` this is :func:`stream_pack`.  At a larger buffer
+    the window is *not* inert: a sequence too long for the room waits
+    while younger ones that fit fill the batch — with ``[5, 8, 3, 9,
+    2, 7]`` at budget 10 and buffer 16 the first batch is ``[5, 3,
+    2]``, where :func:`stream_pack` closes ``[5]``.  Costs one scan of
+    the window per sequence.
+    """
+
+    name = "sequential"
+
+    def take(self, pending: list, state: PackState) -> Optional[int]:
+        """Pop the oldest pending length that fits the room."""
+        room = state.token_budget - state.used
+        if pending[0] <= room:  # the common case, without a scan
+            return pending.pop(0)
+        for index, length in enumerate(pending):
+            if length <= room:
+                return pending.pop(index)
+        return None
 
 
 def stream_pack_select(
     lengths: Iterable[int],
-    select: Optional[SelectFn] = None,
+    policy: Optional[PackingPolicy] = None,
     token_budget: int = 131072,
     max_seqlen: Optional[int] = None,
     buffer: Optional[int] = 1,
@@ -131,11 +148,10 @@ def stream_pack_select(
 
     Consumes ``lengths`` lazily into a pending buffer of at most
     ``buffer`` sequences (``None``: unbounded — the whole stream may be
-    reordered, the offline limit).  Each step, ``select`` picks which
-    *fitting* buffered sequence joins the open batch; when nothing
-    pending fits the remaining room, the batch closes and is yielded.
-    ``select=None`` always takes the oldest pending sequence, which
-    makes the loop the classic greedy packer regardless of buffer size.
+    reordered, the offline limit).  Once the buffer is full (or the
+    stream ends), each step asks ``policy`` for one pending sequence
+    that fits the open batch; when nothing fits, the batch closes and
+    is yielded.  ``policy=None`` is :class:`SequentialPolicy`.
 
     Two structural properties every policy inherits:
 
@@ -147,50 +163,45 @@ def stream_pack_select(
 
     Sequences are cleaned as in :func:`stream_pack`: truncated to
     ``max_seqlen``, dropped if shorter than one token, and capped at
-    the budget when placed.
+    the budget.  Capping on admission changes no decision: a length
+    over the budget fits only an empty batch either way, and fills it.
     """
     if token_budget < 1:
         raise ValueError("token budget must be positive")
     if buffer is not None and buffer < 1:
         raise ValueError("reordering buffer must hold at least one sequence")
-    source = iter(lengths)
-    pending: List[int] = []
+    policy = policy or SequentialPolicy()
+    admit, take = policy.admit, policy.take
     state = PackState(token_budget)
-    exhausted = False
-    while True:
-        while not exhausted and (buffer is None or len(pending) < buffer):
-            try:
-                raw = next(source)
-            except StopIteration:
-                exhausted = True
-                break
+    pending: list = []
+    end = object()  # after the last length: drain the buffer
+    for raw in chain(lengths, repeat(end)):
+        if raw is not end:
             length = int(raw)
-            if max_seqlen is not None:
-                length = min(length, max_seqlen)
+            if max_seqlen is not None and length > max_seqlen:
+                length = max_seqlen
             if length < 1:
                 continue
-            pending.append(length)
-            state._admit(length)
-        if not pending:
-            break
-        if state.batch:
-            fitting = [
-                i for i, length in enumerate(pending)
-                if state.used + length <= token_budget
-            ]
-            if not fitting:
-                yield state._close()
+            if length > token_budget:
+                length = token_budget
+            work = float(length * length)
+            state.tokens_entered += length
+            state.work_entered += work
+            admit(pending, length, work)
+            if buffer is None or len(pending) < buffer:
                 continue
-        else:
-            fitting = list(range(len(pending)))
-        if select is None or len(fitting) == 1:
-            position = fitting[0]
-        else:
-            candidates = [pending[i] for i in fitting]
-            position = fitting[select(state, candidates)]
-        state._place(pending.pop(position))
+        elif not pending:
+            break
+        length = take(pending, state)
+        if length is None:
+            yield state.batch
+            state.batch, state.used, state.batch_work = [], 0, 0.0
+            length = take(pending, state)
+        state.batch.append(length)
+        state.used += length
+        state.batch_work += float(length * length)
     if state.batch:
-        yield state._close()
+        yield state.batch
 
 
 def stream_pack(

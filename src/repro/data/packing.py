@@ -9,25 +9,32 @@ DCP's placement-side dynamism still pays:
 
 * :func:`pack_sequential` — the baseline greedy packer (dataset order);
 * :func:`pack_first_fit_decreasing` — classic FFD bin packing on
-  tokens, minimizing the number of batches;
+  tokens, minimizing the number of batches (a max-tree over the free
+  room finds the first batch that fits: O(n log n));
 * :func:`pack_workload_balanced` — WLB-style: balance *attention
   FLOPs* (quadratic in length) across a fixed number of batches, so no
-  batch is compute-dominated by one long sequence;
+  batch is compute-dominated by one long sequence (heaps of the
+  lightest and of the too-full batches: O(n log n));
 * :func:`pack_length_grouped` — HBP-style: group similar lengths so
-  static CP degrees fit each batch well.
+  static CP degrees fit each batch well (sort, then pack in order).
 
 Every offline packer above also has a **streaming variant** built on
 :class:`StreamPacker` — a bounded reordering buffer over the single
-authoritative loop in :func:`~repro.data.batching.stream_pack_select`:
+authoritative loop in :func:`~repro.data.batching.stream_pack_select`,
+which asks a :class:`PackingPolicy` for one pick per sequence on its
+pending buffer:
 
 * :func:`stream_pack` — sequential, re-exported from
   :mod:`repro.data.batching` (any policy at ``buffer=1``);
+  :class:`SequentialPolicy` at a larger buffer is first fit in the
+  window, one scan of it per sequence;
 * :func:`stream_pack_workload_balanced` —
   :class:`WorkloadBalancedPolicy`, packs each batch toward the running
-  balanced-workload target;
+  balanced-workload target, one scan of the window per sequence;
 * :func:`stream_pack_length_grouped` — :class:`LengthGroupedPolicy`,
-  always places the shortest buffered sequence; at unbounded buffer it
-  reproduces :func:`pack_length_grouped` exactly.
+  always places the shortest buffered sequence from a heap, O(log
+  buffer) per sequence; at unbounded buffer it reproduces
+  :func:`pack_length_grouped` exactly.
 
 All packers return ``List[List[int]]`` like
 :func:`~repro.data.batching.pack_batches` (streaming variants yield
@@ -39,12 +46,15 @@ the same batches lazily) and compose with
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .batching import (
+    PackingPolicy,
     PackState,
+    SequentialPolicy,
     batches_to_specs,
     pack_batches,
     stream_pack,
@@ -75,15 +85,16 @@ __all__ = [
 DEFAULT_BUFFER = 16
 
 
-def _clean(lengths: Sequence[int], max_seqlen: Optional[int]) -> List[int]:
-    out = []
-    for raw in lengths:
-        length = int(raw)
-        if max_seqlen is not None:
-            length = min(length, max_seqlen)
-        if length >= 1:
-            out.append(length)
-    return out
+def _clean(
+    lengths: Sequence[int], token_budget: int, max_seqlen: Optional[int]
+) -> List[int]:
+    """Lengths truncated to ``max_seqlen`` and capped at the budget, as
+    placed; those shorter than one token are dropped."""
+    if token_budget < 1:
+        raise ValueError("token budget must be positive")
+    cap = token_budget if max_seqlen is None else min(max_seqlen, token_budget)
+    capped = (min(int(raw), cap) for raw in lengths)
+    return [length for length in capped if length >= 1]
 
 
 def pack_sequential(
@@ -105,22 +116,35 @@ def pack_first_fit_decreasing(
     Minimizes batch count (within the classic 11/9 OPT guarantee), so
     fewer iterations process the same data — but ignores attention
     workload, so batches can mix one huge sequence with many tiny ones.
+    A max-tree over the batches' free room finds the first batch with
+    room in O(log n); leaves not yet opened hold a full budget, so the
+    first of them is where a new batch opens.
     """
-    if token_budget < 1:
-        raise ValueError("token budget must be positive")
-    cleaned = sorted(_clean(lengths, max_seqlen), reverse=True)
+    cleaned = sorted(_clean(lengths, token_budget, max_seqlen), reverse=True)
+    leaves = 1
+    while leaves < len(cleaned):
+        leaves *= 2
+    room = [token_budget] * (2 * leaves)
     batches: List[List[int]] = []
-    room: List[int] = []
     for length in cleaned:
-        length = min(length, token_budget)
-        for index, free in enumerate(room):
-            if length <= free:
-                batches[index].append(length)
-                room[index] -= length
-                break
-        else:
+        node = 1
+        while node < leaves:
+            node *= 2
+            if room[node] < length:
+                node += 1
+        index = node - leaves
+        if index == len(batches):
             batches.append([length])
-            room.append(token_budget - length)
+        else:
+            batches[index].append(length)
+        free = room[node] - length
+        room[node] = free
+        while node > 1:  # up to the first ancestor whose max holds
+            free = max(free, room[node ^ 1])
+            node //= 2
+            if room[node] == free:
+                break
+            room[node] = free
     return batches
 
 
@@ -133,78 +157,43 @@ def pack_workload_balanced(
 
     The batch count is fixed to what sequential packing needs (same
     iteration count), then sequences are LPT-assigned by quadratic
-    workload subject to the token budget; overflow opens a new batch.
-    This is the offline balance reference the streaming variant
+    workload subject to the token budget: longest first, each to the
+    lightest batch it fits (lowest index on ties); a sequence no batch
+    fits opens a batch of its own.  This is the offline balance
+    reference the streaming variant
     (:func:`stream_pack_workload_balanced`) approaches as its buffer
     grows.
+
+    A heap of ``(work, index)`` finds the lightest batch.  A batch too
+    full for one sequence is parked in a heap of ``(tokens, index)``
+    until the sequences get short enough to fit it again — lengths only
+    fall and a parked batch does not change — so the packer runs in
+    O(n log n).
     """
-    if token_budget < 1:
-        raise ValueError("token budget must be positive")
-    cleaned = [
-        min(length, token_budget) for length in _clean(lengths, max_seqlen)
-    ]
-    if not cleaned:
-        return []
-    num_batches = max(len(pack_batches(cleaned, token_budget)), 1)
-    order = sorted(range(len(cleaned)), key=lambda i: cleaned[i],
-                   reverse=True)
+    cleaned = _clean(lengths, token_budget, max_seqlen)
+    num_batches = len(pack_batches(cleaned, token_budget))
     batches: List[List[int]] = [[] for _ in range(num_batches)]
-    tokens = np.zeros(num_batches, dtype=np.int64)
-    work = np.zeros(num_batches, dtype=np.float64)
-    for index in order:
-        length = cleaned[index]
-        candidates = [
-            b for b in range(num_batches)
-            if tokens[b] + length <= token_budget
-        ]
-        if not candidates:
-            batches.append([])
-            tokens = np.append(tokens, 0)
-            work = np.append(work, 0.0)
-            candidates = [len(batches) - 1]
-        target = min(candidates, key=lambda b: work[b])
-        batches[target].append(length)
-        tokens[target] += length
-        work[target] += float(length) ** 2
-    return [batch for batch in batches if batch]
-
-
-class PackingPolicy:
-    """Scoring policy for :class:`StreamPacker` selection.
-
-    Subclasses implement :meth:`select`, choosing which of the fitting
-    buffered sequences joins the open batch next.  Policies are
-    stateless between :class:`StreamPacker` runs — all running state
-    lives in the :class:`~repro.data.batching.PackState` the loop
-    passes in — so one policy instance can drive many streams.
-    """
-
-    #: Registry key and display name of the policy.
-    name = "abstract"
-
-    def select(self, state: PackState, candidates: Sequence[int]) -> int:
-        """Return the index of the candidate to place next.
-
-        ``candidates`` holds the fitting buffered lengths in arrival
-        order and is never empty; implementations must be
-        deterministic functions of ``(state, candidates)``.
-        """
-        raise NotImplementedError
-
-
-class SequentialPolicy(PackingPolicy):
-    """FIFO selection: always place the oldest buffered sequence.
-
-    With this policy the reordering buffer is inert — the packer is
-    :func:`stream_pack` at every buffer size, which makes it the
-    control row of the scenario matrix.
-    """
-
-    name = "sequential"
-
-    def select(self, state: PackState, candidates: Sequence[int]) -> int:
-        """Pick the oldest (first-arrived) fitting candidate."""
-        return 0
+    tokens = [0] * num_batches
+    work = [0.0] * num_batches
+    lightest = [(0.0, b) for b in range(num_batches)]
+    parked: List[tuple] = []
+    for length in sorted(cleaned, reverse=True):
+        limit = token_budget - length
+        while parked and parked[0][0] <= limit:
+            b = heapq.heappop(parked)[1]
+            heapq.heappush(lightest, (work[b], b))
+        while lightest and tokens[lightest[0][1]] > limit:
+            b = heapq.heappop(lightest)[1]
+            heapq.heappush(parked, (tokens[b], b))
+        if not lightest:
+            batches.append([length])
+            continue
+        b = lightest[0][1]
+        batches[b].append(length)
+        tokens[b] += length
+        work[b] += float(length) ** 2
+        heapq.heapreplace(lightest, (work[b], b))
+    return batches
 
 
 class WorkloadBalancedPolicy(PackingPolicy):
@@ -222,21 +211,30 @@ class WorkloadBalancedPolicy(PackingPolicy):
 
     name = "workload_balanced"
 
-    def select(self, state: PackState, candidates: Sequence[int]) -> int:
-        """Pick the candidate that best tracks the workload target."""
+    def admit(self, pending: list, length: int, work: float) -> None:
+        """Keep the length with its workload, in arrival order."""
+        pending.append((length, work))
+
+    def take(self, pending: list, state: PackState) -> Optional[int]:
+        """Pop the fitting length that best tracks the workload target:
+        one scan of the window per sequence."""
+        room = state.room
+        base = state.batch_work
         target = state.target_work()
-        best = 0
-        best_key = None
-        for index, length in enumerate(candidates):
-            capped = min(length, state.token_budget)
-            projected = state.batch_work + float(capped) ** 2
+        under = over = -1
+        longest = 0
+        overshoot = 0.0
+        for index, (length, work) in enumerate(pending):
+            if length > room:
+                continue
+            projected = base + work
             if projected <= target:
-                key = (0, -capped)
-            else:
-                key = (1, projected - target)
-            if best_key is None or key < best_key:
-                best, best_key = index, key
-        return best
+                if length > longest:
+                    under, longest = index, length
+            elif over < 0 or projected - target < overshoot:
+                over, overshoot = index, projected - target
+        pick = under if under >= 0 else over
+        return None if pick < 0 else pending.pop(pick)[0]
 
 
 class LengthGroupedPolicy(PackingPolicy):
@@ -246,32 +244,34 @@ class LengthGroupedPolicy(PackingPolicy):
     ones wait in the buffer for company of their own size.  At
     unbounded buffer the emitted order is exactly the sorted stream, so
     the packer reproduces :func:`pack_length_grouped` batch for batch.
+    The buffer is a heap of lengths (equal ones are interchangeable, so
+    no arrival order breaks ties): a pick is O(log buffer).
     """
 
     name = "length_grouped"
 
-    def select(self, state: PackState, candidates: Sequence[int]) -> int:
-        """Pick the shortest fitting candidate (oldest on ties)."""
-        return min(range(len(candidates)), key=lambda i: candidates[i])
+    def admit(self, pending: list, length: int, work: float) -> None:
+        """Push the length onto the heap."""
+        heapq.heappush(pending, length)
+
+    def take(self, pending: list, state: PackState) -> Optional[int]:
+        """Pop the shortest pending length if it fits the room."""
+        if pending[0] > state.room:
+            return None
+        return heapq.heappop(pending)
 
 
 class StreamPacker:
     """Bounded-reordering-buffer streaming packer.
 
-    Wraps the single authoritative loop
-    (:func:`~repro.data.batching.stream_pack_select`) with a
-    :class:`PackingPolicy` and a buffer size.  Two properties hold for
-    *every* policy by construction:
-
-    * ``buffer=1`` is exactly :func:`stream_pack` — with one pending
-      sequence there is nothing to choose;
-    * batches stream out as they close, so an unbounded source runs in
-      O(buffer) memory and composes with
-      :class:`~repro.pipeline.StreamingOverlapPipeline`.
-
-    As ``buffer`` grows the policy sees more of the stream and the
-    packing approaches the corresponding offline packer's balance
-    (exactly, for :class:`LengthGroupedPolicy` at unbounded buffer).
+    Binds the single authoritative loop
+    (:func:`~repro.data.batching.stream_pack_select`, whose properties
+    every policy inherits: ``buffer=1`` is exactly :func:`stream_pack`,
+    and batches stream out as they close, in O(buffer) memory) to a
+    :class:`PackingPolicy` and a buffer size.  As ``buffer`` grows the
+    policy sees more of the stream and the packing approaches the
+    corresponding offline packer's balance (exactly, for
+    :class:`LengthGroupedPolicy` at unbounded buffer).
     """
 
     def __init__(
@@ -299,7 +299,7 @@ class StreamPacker:
         """Lazily pack ``lengths``, yielding each batch as it closes."""
         return stream_pack_select(
             lengths,
-            self.policy.select,
+            self.policy,
             token_budget=self.token_budget,
             max_seqlen=self.max_seqlen,
             buffer=self.buffer,
@@ -324,10 +324,9 @@ def stream_pack_workload_balanced(
     ``buffer=1``; within ε of the offline packer's workload balance as
     the buffer grows (see ``tests/test_streaming_packers.py``).
     """
-    packer = StreamPacker(
+    return StreamPacker(
         WorkloadBalancedPolicy(), token_budget, max_seqlen, buffer
-    )
-    return packer.stream(lengths)
+    ).stream(lengths)
 
 
 def stream_pack_length_grouped(
@@ -343,10 +342,9 @@ def stream_pack_length_grouped(
     Equivalent to :func:`stream_pack` at ``buffer=1``; *exactly* the
     offline packer at unbounded buffer (``buffer=None``).
     """
-    packer = StreamPacker(
+    return StreamPacker(
         LengthGroupedPolicy(), token_budget, max_seqlen, buffer
-    )
-    return packer.stream(lengths)
+    ).stream(lengths)
 
 
 def pack_length_grouped(
@@ -358,15 +356,12 @@ def pack_length_grouped(
 
     Homogeneous batches let a static CP degree fit every sequence in
     the batch; the cost is inter-batch workload variance (long-sequence
-    batches are far heavier than short-sequence ones).  Implemented as
-    the unbounded-buffer streaming packer, materialized — picking the
-    shortest pending sequence from an unbounded buffer emits exactly
-    the sorted stream.
+    batches are far heavier than short-sequence ones).  Equal to the
+    unbounded-buffer streaming packer — picking the shortest pending
+    sequence from an unbounded buffer emits exactly the sorted stream.
     """
-    return list(
-        stream_pack_length_grouped(
-            lengths, token_budget, max_seqlen, buffer=None
-        )
+    return pack_batches(
+        sorted(_clean(lengths, token_budget, max_seqlen)), token_budget
     )
 
 
@@ -387,12 +382,8 @@ def stream_packed_specs(
     keyword arguments); default is sequential :func:`stream_pack`.
     """
     if packer is None:
-        batches = stream_pack(
-            lengths, token_budget=token_budget, max_seqlen=max_seqlen
-        )
-    else:
-        batches = packer.stream(lengths)
-    for batch in batches:
+        packer = StreamPacker(SequentialPolicy(), token_budget, max_seqlen, 1)
+    for batch in packer.stream(lengths):
         yield batches_to_specs([batch], mask)[0]
 
 
@@ -434,21 +425,17 @@ PACKERS = {
     "length_grouped": pack_length_grouped,
 }
 
+def _stream_packer(policy_type: type):
+    def make(token_budget=131072, max_seqlen=None, buffer=DEFAULT_BUFFER):
+        return StreamPacker(policy_type(), token_budget, max_seqlen, buffer)
+    return make
+
+
 #: Streaming-packer factories: ``name -> (token_budget, max_seqlen,
 #: buffer) -> StreamPacker``.  The scenario matrix iterates this.
 STREAM_PACKERS = {
-    "sequential": (
-        lambda token_budget=131072, max_seqlen=None, buffer=DEFAULT_BUFFER:
-        StreamPacker(SequentialPolicy(), token_budget, max_seqlen, buffer)
-    ),
-    "workload_balanced": (
-        lambda token_budget=131072, max_seqlen=None, buffer=DEFAULT_BUFFER:
-        StreamPacker(
-            WorkloadBalancedPolicy(), token_budget, max_seqlen, buffer
-        )
-    ),
-    "length_grouped": (
-        lambda token_budget=131072, max_seqlen=None, buffer=DEFAULT_BUFFER:
-        StreamPacker(LengthGroupedPolicy(), token_budget, max_seqlen, buffer)
-    ),
+    policy.name: _stream_packer(policy)
+    for policy in (
+        SequentialPolicy, WorkloadBalancedPolicy, LengthGroupedPolicy
+    )
 }

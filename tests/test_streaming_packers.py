@@ -62,6 +62,20 @@ class TestBufferOneEquivalence:
         packer = STREAM_PACKERS[name](BUDGET, 4096, buffer=1)
         assert packer.pack(lengths) == list(stream_pack(lengths, BUDGET, 4096))
 
+    def test_sequential_window_is_first_fit(self):
+        """The sequential policy's window is not inert above buffer=1:
+        a length too long for the room waits while younger ones that
+        fit fill the batch."""
+        lengths = [5, 8, 3, 9, 2, 7]
+        assert list(stream_pack(lengths, 10)) == [[5], [8], [3], [9], [2, 7]]
+        sequential = STREAM_PACKERS["sequential"]
+        assert sequential(10, buffer=1).pack(lengths) == list(
+            stream_pack(lengths, 10)
+        )
+        assert sequential(10, buffer=16).pack(lengths) == [
+            [5, 3, 2], [8], [9], [7]
+        ]
+
     @given(
         lengths=st.lists(st.integers(min_value=-5, max_value=3000),
                          max_size=60),
