@@ -13,8 +13,9 @@ import os
 
 import numpy as np
 from conftest import run_once
+from figures import Table
 
-from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
+from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.blocks import generate_blocks
 from repro.placement import PlacementConfig, place_blocks
 from repro.scheduling import (

@@ -15,8 +15,9 @@ prescription:
 import os
 
 from conftest import run_once
+from figures import Table
 
-from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
+from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.core import DCPConfig
 from repro.parallel import HybridConfig, RankTopology, hybrid_iteration_time
 from repro.sim import ClusterSpec

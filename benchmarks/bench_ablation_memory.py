@@ -12,9 +12,10 @@ import os
 
 import numpy as np
 from conftest import run_once
+from figures import Table
 
 from repro.baselines import RingAttentionPlanner
-from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
+from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.blocks import generate_blocks
 from repro.core import DCPPlanner
 from repro.placement import build_block_hypergraph, static_placement

@@ -12,8 +12,9 @@ import os
 
 import numpy as np
 from conftest import run_once
+from figures import Table
 
-from repro.bench import BenchScale, Table, make_batches
+from repro.bench import BenchScale, make_batches
 from repro.blocks import generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, DilatedBlockMask, GlobalTokenMask

@@ -13,12 +13,14 @@ import os
 
 import numpy as np
 from conftest import run_once
+from figures import Table
+from offline_packers import PACKERS
 
 from repro.baselines import TransformerEnginePlanner
-from repro.bench import BenchScale, PAPER_MASKS, Table
+from repro.bench import BenchScale, PAPER_MASKS
 from repro.blocks import generate_blocks
 from repro.core import DCPPlanner
-from repro.data import PACKERS, batches_to_specs, sample_lengths
+from repro.data import batches_to_specs, sample_lengths
 from repro.sim import simulate_plan
 
 

@@ -10,19 +10,16 @@ length stream (§6.1 reuse).
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 from conftest import run_once
+from figures import smoke_scale, Table
 
-from repro.bench import BenchScale, PAPER_MASKS, Table, make_batches
+from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.blocks import BatchSpec
-from repro.core import (
-    DCPConfig,
-    DCPPlanner,
-    PlanCache,
-    batch_signature,
-    plan_with_groups,
-)
+from repro.core import DCPConfig, DCPPlanner, PlanCache, batch_signature
+from repro.parallel import split_batch_by_workload
 from repro.sim import ClusterSpec
 
 
@@ -86,11 +83,16 @@ def test_ablation_grouping_scales_batch_size(benchmark, results_dir):
             table.add(factor, "monolithic", time.perf_counter() - start)
 
             start = time.perf_counter()
-            plan_with_groups(
-                batch, cluster, num_groups=factor,
-                attention=scale.attention,
-                config=DCPConfig(block_size=scale.block_size, restarts=1),
+            group_cluster = replace(
+                cluster, num_machines=cluster.num_machines // factor
             )
+            group_planner = DCPPlanner(
+                group_cluster, scale.attention,
+                DCPConfig(block_size=scale.block_size, restarts=1),
+            )
+            for group in split_batch_by_workload(batch, factor):
+                if group is not None:
+                    group_planner.plan_batch(group)
             # Groups plan independently; the paper runs them on separate
             # CPU cores, so charge the slowest group, not the sum.
             elapsed = (time.perf_counter() - start) / factor
@@ -117,7 +119,7 @@ def test_ablation_grouping_scales_batch_size(benchmark, results_dir):
 
 def test_ablation_plan_cache_hits(benchmark, results_dir):
     """Repeating length signatures are served from the plan cache."""
-    scale = BenchScale.smoke()
+    scale = smoke_scale()
 
     def run():
         batches = make_batches(
@@ -135,9 +137,12 @@ def test_ablation_plan_cache_hits(benchmark, results_dir):
         hits = misses = 0
         cold_s = warm_s = 0.0
         for batch in stream:
-            known = batch_signature(batch) in cache
+            key = batch_signature(batch)
+            known = cache.peek(key) is not None
             start = time.perf_counter()
-            cache.plan_batch(batch)
+            status, _plan, epoch = cache.reserve(key)
+            if status == "own":
+                cache.publish(key, planner.plan_batch(batch), epoch)
             elapsed = time.perf_counter() - start
             if known:
                 hits += 1

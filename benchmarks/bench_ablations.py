@@ -10,8 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 from conftest import run_once
+from figures import Table
 
-from repro.bench import BenchScale, Table, make_batches, PAPER_MASKS
+from repro.bench import BenchScale, make_batches, PAPER_MASKS
 from repro.blocks import generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.placement import Placement, PlacementConfig, place_blocks

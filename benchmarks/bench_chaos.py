@@ -198,7 +198,7 @@ def _run_scenario(spec: Dict, universe: Sequence, refs: Dict,
     from repro.pipeline import plan_fingerprint
     from repro.service import PlanService, is_degraded
 
-    injector = FaultInjector(seed=seed)
+    injector = FaultInjector()
     schedule = parse_schedule(spec["schedule"])
     service = PlanService(
         _make_planner(),

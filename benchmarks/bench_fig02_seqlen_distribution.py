@@ -3,8 +3,7 @@
 import os
 
 from conftest import run_once
-
-from repro.bench import fig02_distribution
+from figures import fig02_distribution
 
 
 def test_fig02_distribution(benchmark, results_dir):

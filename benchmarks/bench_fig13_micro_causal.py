@@ -10,12 +10,11 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
-
-from repro.bench import BenchScale, fig13_micro_causal
+from figures import fig13_micro_causal, micro_scale
 
 
 def test_fig13_micro_causal(benchmark, results_dir):
-    scale = BenchScale.micro(num_batches=2)
+    scale = micro_scale(num_batches=2)
     table = run_once(benchmark, lambda: fig13_micro_causal(scale))
     table.save(os.path.join(results_dir, "fig13_micro_causal.md"))
     table.show()

@@ -9,12 +9,11 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
-
-from repro.bench import BenchScale, fig14_micro_masks
+from figures import fig14_micro_masks, micro_scale
 
 
 def test_fig14_micro_masks(benchmark, results_dir):
-    scale = BenchScale.micro(num_batches=2)
+    scale = micro_scale(num_batches=2)
     table = run_once(benchmark, lambda: fig14_micro_masks(scale))
     table.save(os.path.join(results_dir, "fig14_micro_masks.md"))
     table.show()

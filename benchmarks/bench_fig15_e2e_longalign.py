@@ -10,12 +10,11 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
-
-from repro.bench import BenchScale, fig15_e2e
+from figures import e2e_scale, fig15_e2e
 
 
 def test_fig15_e2e_longalign(benchmark, results_dir):
-    scale = BenchScale.e2e(num_batches=2)
+    scale = e2e_scale(num_batches=2)
     table = run_once(benchmark, lambda: fig15_e2e("longalign", scale))
     table.save(os.path.join(results_dir, "fig15_e2e_longalign.md"))
     table.show()

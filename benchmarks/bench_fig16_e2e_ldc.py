@@ -8,12 +8,11 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
-
-from repro.bench import BenchScale, fig15_e2e
+from figures import e2e_scale, fig15_e2e
 
 
 def test_fig16_e2e_ldc(benchmark, results_dir):
-    scale = BenchScale.e2e(num_batches=2)
+    scale = e2e_scale(num_batches=2)
     table = run_once(benchmark, lambda: fig15_e2e("longdatacollections", scale))
     table.save(os.path.join(results_dir, "fig16_e2e_ldc.md"))
     table.show()

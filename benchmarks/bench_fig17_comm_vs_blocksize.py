@@ -8,8 +8,9 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
+from figures import fig17_comm_vs_blocksize
 
-from repro.bench import BenchScale, fig17_comm_vs_blocksize
+from repro.bench import BenchScale
 
 
 def test_fig17_comm_vs_blocksize(benchmark, results_dir):

@@ -8,8 +8,9 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
+from figures import fig18_planning_time
 
-from repro.bench import BenchScale, fig18_planning_time
+from repro.bench import BenchScale
 
 
 def test_fig18_planning_time(benchmark, results_dir):

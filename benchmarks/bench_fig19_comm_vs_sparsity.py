@@ -9,8 +9,9 @@ import os
 
 import numpy as np
 from conftest import run_once
+from figures import fig19_comm_vs_sparsity
 
-from repro.bench import BenchScale, fig19_comm_vs_sparsity
+from repro.bench import BenchScale
 
 
 def test_fig19_comm_vs_sparsity(benchmark, results_dir):

@@ -9,8 +9,9 @@ import os
 from collections import defaultdict
 
 from conftest import run_once
+from figures import fig20_comm_vs_imbalance
 
-from repro.bench import BenchScale, fig20_comm_vs_imbalance
+from repro.bench import BenchScale
 
 
 def test_fig20_comm_vs_imbalance(benchmark, results_dir):

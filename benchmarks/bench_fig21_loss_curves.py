@@ -9,8 +9,7 @@ through DCP plans on the simulated cluster, under all four masks.
 import os
 
 from conftest import run_once
-
-from repro.bench import fig21_loss_curves
+from figures import fig21_loss_curves
 
 
 def test_fig21_loss_curves(benchmark, results_dir):

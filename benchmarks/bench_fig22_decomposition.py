@@ -7,12 +7,11 @@ time (overlap + exposed) vs MLM; attention compute also shrinks.
 import os
 
 from conftest import run_once
-
-from repro.bench import BenchScale, fig22_decomposition
+from figures import e2e_scale, fig22_decomposition
 
 
 def test_fig22_decomposition(benchmark, results_dir):
-    scale = BenchScale.e2e(num_batches=2)
+    scale = e2e_scale(num_batches=2)
     table = run_once(benchmark, lambda: fig22_decomposition(scale))
     table.save(os.path.join(results_dir, "fig22_decomposition.md"))
     table.show()

@@ -1,6 +1,6 @@
 """CI gate: the docs tree must track the code and benchmark surface.
 
-Eight checks, all cheap and dependency-free:
+Nine checks, all cheap and dependency-free:
 
 * every *tracked* benchmark report at the repo root (``BENCH_*.json``,
   excluding ``*.smoke.json`` scratch outputs) is mentioned somewhere
@@ -31,7 +31,10 @@ Eight checks, all cheap and dependency-free:
   ``:attr:`` or ``:exc:``) resolves by import and attribute lookup, so
   a deletion cannot leave a docstring pointing at nothing;
 * every name in a ``repro`` module's ``__all__`` is bound in that
-  module, so a deletion cannot leave an export pointing at nothing.
+  module, so a deletion cannot leave an export pointing at nothing;
+* every entry of ``benchmarks/reachability_kept.txt`` names a function
+  that still exists under ``src/repro`` with one of
+  ``reachability.REASONS``, so the kept-list cannot outlive its code.
 
 Usage::
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 import ast
 import glob
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -381,6 +385,29 @@ def stale_source_xrefs() -> List[str]:
     return failures
 
 
+def stale_kept_entries(path: Optional[str] = None) -> List[str]:
+    """Entries of the reachability kept-list that name no function."""
+    spec = importlib.util.spec_from_file_location(
+        "reachability", os.path.join(REPO_ROOT, "benchmarks", "reachability.py")
+    )
+    reach = importlib.util.module_from_spec(spec)
+    sys.modules["reachability"] = reach
+    spec.loader.exec_module(reach)
+    path = path or reach.KEPT_PATH
+    rel = os.path.relpath(path, REPO_ROOT)
+    try:
+        kept = reach.load_kept(path)
+    except ValueError as exc:
+        return [str(exc)]
+    names = {func.key for func in reach.functions(reach.PACKAGE_DIR)}
+    return [
+        f"{rel}: {key} names no function under src/repro "
+        f"(deleted or renamed?)"
+        for key in kept
+        if key not in names
+    ]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = []
     if not os.path.isdir(DOCS_DIR) or not _doc_files():
@@ -406,6 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{entry} is in __all__ but not defined (deleted or renamed?)"
         for entry in stale_all_entries()
     )
+    failures.extend(stale_kept_entries())
 
     if failures:
         print(f"{len(failures)} docs freshness check(s) FAILED:")
@@ -416,7 +444,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"docs ok: {len(tracked_bench_files())} tracked benchmark files "
         f"and {len(repro_packages())} repro packages documented, all "
         f"relative links, symbol references, call keywords, .py "
-        f"paths, source cross-references and __all__ entries resolve"
+        f"paths, source cross-references, __all__ entries and kept-list "
+        f"entries resolve"
     )
     return 0
 

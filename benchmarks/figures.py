@@ -2,49 +2,154 @@
 
 Each driver builds the paper's workload, runs every system through the
 shared planning + timing-simulation pipeline, and returns a
-:class:`~repro.bench.harness.Table` whose rows mirror the figure's data
-series.  The benchmark files under ``benchmarks/`` are thin wrappers
-that execute these drivers and assert the paper's qualitative claims.
+:class:`Table` whose rows mirror the figure's data series.  The
+``bench_fig*.py`` / ``bench_ablation*.py`` files beside this one are
+thin pytest wrappers that execute these drivers and assert the paper's
+qualitative claims; ``tests/test_bench_drivers.py`` runs each driver at
+``smoke_scale()``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import os
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines import (
+from repro.baselines import (
     LoongTrainPlanner,
     RingAttentionPlanner,
     TransformerEnginePlanner,
 )
-from ..blocks import BatchSpec, generate_blocks
-from ..core import DCPConfig, DCPPlanner
-from ..data import sample_lengths
-from ..masks import make_mask
-from ..model import (
+from repro.bench import PAPER_MASKS, BenchScale, make_batches
+from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
+from repro.core import DCPConfig, DCPPlanner
+from repro.data import sample_lengths
+from repro.masks import make_mask
+from repro.model import (
     GPTConfig,
     TinyGPT,
     generate_corpus,
     make_distributed_forward,
     train,
 )
-from ..sim import e2e_iteration_time
-from .harness import PAPER_MASKS, BenchScale, Table, attention_times, make_batches
+from repro.sim import ClusterSpec, e2e_iteration_time, simulate_plan
 
-__all__ = [
-    "fig01_comm_overhead",
-    "fig02_distribution",
-    "fig13_micro_causal",
-    "fig14_micro_masks",
-    "fig15_e2e",
-    "fig17_comm_vs_blocksize",
-    "fig18_planning_time",
-    "fig19_comm_vs_sparsity",
-    "fig20_comm_vs_imbalance",
-    "fig21_loss_curves",
-    "fig22_decomposition",
-]
+
+def e2e_breakdown(result) -> Dict[str, float]:
+    """Fig. 22-style stacked decomposition of an
+    :class:`~repro.sim.modelcost.E2EResult` (seconds)."""
+    fw = result.attention_forward.breakdown()
+    bw = result.attention_backward.breakdown()
+    layers = result.num_layers
+    return {
+        "others": result.others_time + result.grad_sync_time,
+        "non_ovlp_attn": layers * (fw["non_ovlp_attn"] + bw["non_ovlp_attn"]),
+        "overlap": layers * (fw["overlap"] + bw["overlap"]),
+        "non_ovlp_comm": layers * (fw["non_ovlp_comm"] + bw["non_ovlp_comm"]),
+        "total": result.iteration_time,
+    }
+
+
+def micro_scale(**overrides) -> BenchScale:
+    """Paper §7.1 micro-benchmark: 131072-token batches, 4 nodes x 8 GPUs."""
+    scale = BenchScale(cluster=ClusterSpec(num_machines=4, devices_per_machine=8))
+    return replace(scale, **overrides)
+
+
+def e2e_scale(**overrides) -> BenchScale:
+    """Paper §7.2 end-to-end: 8 nodes, TP4 => 16 CP ranks."""
+    from repro.sim.cluster import E2E_CLUSTER
+
+    return replace(BenchScale(cluster=E2E_CLUSTER), **overrides)
+
+
+def smoke_scale(**overrides) -> BenchScale:
+    """Tiny configuration for tests."""
+    scale = BenchScale(
+        token_budget=2048,
+        max_seqlen=2048,
+        block_size=128,
+        num_batches=1,
+        cluster=ClusterSpec(num_machines=2, devices_per_machine=2),
+        attention=AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32),
+    )
+    return replace(scale, **overrides)
+
+
+class Table:
+    """A printable/markdown-dumpable result table."""
+
+    def __init__(self, title: str, headers: Sequence[str]) -> None:
+        self.title = title
+        self.headers = list(headers)
+        self.rows: List[List] = []
+
+    def add(self, *row) -> None:
+        if len(row) != len(self.headers):
+            raise ValueError("row width does not match headers")
+        self.rows.append(list(row))
+
+    @staticmethod
+    def _fmt(value) -> str:
+        if isinstance(value, float):
+            return f"{value:.3f}"
+        return str(value)
+
+    def to_markdown(self) -> str:
+        lines = [f"### {self.title}", ""]
+        lines.append("| " + " | ".join(self.headers) + " |")
+        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
+        for row in self.rows:
+            lines.append("| " + " | ".join(self._fmt(v) for v in row) + " |")
+        return "\n".join(lines) + "\n"
+
+    def show(self) -> None:
+        print(self.to_markdown())
+
+    def save(self, path: str) -> None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as handle:
+            handle.write(self.to_markdown())
+
+    def column(self, name: str) -> List:
+        index = self.headers.index(name)
+        return [row[index] for row in self.rows]
+
+
+def attention_times(
+    planner,
+    batches: Iterable[BatchSpec],
+    scale: BenchScale,
+) -> Dict[str, float]:
+    """Mean simulated forward/backward attention time over batches.
+
+    Also reports total and max-device communication volume (bytes) of
+    the plans, averaged over batches.
+    """
+    forward, backward, comm, inter = [], [], [], []
+    for batch in batches:
+        block_set = generate_blocks(
+            batch, attention=scale.attention, block_size=scale.block_size
+        )
+        plan = (
+            planner.plan(block_set, scale.cluster)
+            if not isinstance(planner, DCPPlanner)
+            else planner.plan(block_set)
+        )
+        fw = simulate_plan(plan, scale.cluster, backward=False)
+        bw = simulate_plan(plan, scale.cluster, backward=True)
+        forward.append(fw.iteration_time)
+        backward.append(bw.iteration_time)
+        comm.append(plan.total_comm_bytes())
+        inter.append(plan.inter_machine_bytes())
+    return {
+        "fw_ms": 1e3 * float(np.mean(forward)),
+        "bw_ms": 1e3 * float(np.mean(backward)),
+        "comm_mb": float(np.mean(comm)) / 1e6,
+        "inter_mb": float(np.mean(inter)) / 1e6,
+    }
 
 
 def _dcp(scale: BenchScale, **config_overrides) -> DCPPlanner:
@@ -69,9 +174,9 @@ def _micro_planners(scale: BenchScale) -> Dict[str, object]:
 
 def fig01_comm_overhead(scale: Optional[BenchScale] = None) -> Table:
     """Static CP (MLM/TE) communication overhead across setups (Fig. 1)."""
-    from ..sim.cluster import ClusterSpec
+    from repro.sim.cluster import ClusterSpec
 
-    base = scale or BenchScale.e2e()
+    base = scale or e2e_scale()
     setups = [
         ("4 nodes, max 65536", ClusterSpec(4, 2, peak_flops=4 * 312e12), 65536),
         ("8 nodes, max 65536", ClusterSpec(8, 2, peak_flops=4 * 312e12), 65536),
@@ -97,7 +202,9 @@ def fig01_comm_overhead(scale: Optional[BenchScale] = None) -> Table:
         for batch in batches:
             block_set = generate_blocks(batch, sub.attention, sub.block_size)
             plan = TransformerEnginePlanner().plan(block_set, cluster)
-            results.append(e2e_iteration_time(plan, cluster=cluster).breakdown())
+            results.append(
+                e2e_breakdown(e2e_iteration_time(plan, cluster=cluster))
+            )
         mean = {k: float(np.mean([r[k] for r in results])) for k in results[0]}
         comm_pct = 100.0 * (mean["non_ovlp_comm"] + mean["overlap"]) / mean["total"]
         table.add(
@@ -140,7 +247,7 @@ def fig13_micro_causal(
     length_scales: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
 ) -> Table:
     """FW/BW attention time of all five systems (Fig. 13)."""
-    scale = scale or BenchScale.micro()
+    scale = scale or micro_scale()
     table = Table(
         "Fig. 13: micro-benchmark attention time, causal mask",
         ["len_scale", "system", "fw_ms", "bw_ms", "comm_mb", "inter_mb"],
@@ -169,7 +276,7 @@ def fig14_micro_masks(
                                  "shared_question"),
 ) -> Table:
     """TE vs DCP across masks and length scales (Fig. 14)."""
-    scale = scale or BenchScale.micro()
+    scale = scale or micro_scale()
     table = Table(
         "Fig. 14: micro-benchmark attention time under attention masks",
         ["len_scale", "mask", "system", "fw_ms", "bw_ms", "speedup_fwbw"],
@@ -204,7 +311,7 @@ def fig15_e2e(
                                  "shared_question"),
 ) -> Table:
     """End-to-end iteration time, MLM vs DCP (Figs. 15 and 16)."""
-    scale = scale or BenchScale.e2e()
+    scale = scale or e2e_scale()
     table = Table(
         f"Figs. 15/16: end-to-end iteration time on {dataset}",
         ["max_seqlen", "mask", "mlm_s", "dcp_s", "speedup"],
@@ -435,8 +542,8 @@ def fig21_loss_curves(
 
     Returns the summary table and the raw loss curves per mask.
     """
-    from ..blocks import AttentionSpec
-    from ..sim import ClusterSpec
+    from repro.blocks import AttentionSpec
+    from repro.sim import ClusterSpec
 
     mask_params = {
         "causal": make_mask("causal"),
@@ -487,7 +594,7 @@ def fig22_decomposition(
                                  "shared_question"),
 ) -> Table:
     """End-to-end decomposition, DCP vs MLM (Fig. 22)."""
-    scale = scale or BenchScale.e2e()
+    scale = scale or e2e_scale()
     table = Table(
         "Fig. 22: decomposition of end-to-end iteration time (LongAlign)",
         ["mask", "system", "others_s", "non_ovlp_attn_s", "overlap_s",
@@ -511,7 +618,9 @@ def fig22_decomposition(
                     plan_times.append(plan_stats.total)
                     plan_moves.append(plan_stats.refine_moves)
                 results.append(
-                    e2e_iteration_time(plan, cluster=scale.cluster).breakdown()
+                    e2e_breakdown(
+                        e2e_iteration_time(plan, cluster=scale.cluster)
+                    )
                 )
             mean = {k: float(np.mean([r[k] for r in results])) for k in results[0]}
             table.add(

@@ -14,9 +14,10 @@ events — the same definition coverage.py uses.  Lines marked
 ``# pragma: no cover`` are excluded, matching the conventional escape
 hatch.  Worker threads are traced too (``threading.settrace`` is
 installed before any pool spawns); code running in worker *processes*
-is out of scope, which only affects lines that exclusively run in
-children — the pipeline package has none (``_timed_plan`` also runs on
-the thread backend in-process).
+is not, so the lines that run only in the process backend's children
+(``_plan_worker_init``, ``_transport_plan``) count as missed here.
+``benchmarks/reachability.py`` does follow those children, with the
+same tracer (:class:`reachability.Tracer`).
 
 Usage::
 
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
-import threading
-from typing import Dict, Set
+from typing import Set
+
+from reachability import Tracer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro", "pipeline")
@@ -77,36 +78,6 @@ def _traceable_lines(path: str) -> Set[int]:
     return lines - pragma_lines
 
 
-class _Tracer:
-    """Global trace hook recording line events under the package dir."""
-
-    def __init__(self) -> None:
-        self.executed: Dict[str, Set[int]] = {}
-        self._lock = threading.Lock()
-
-    def _local(self, frame, event, _arg):
-        if event == "line":
-            path = frame.f_code.co_filename
-            with self._lock:
-                self.executed.setdefault(path, set()).add(frame.f_lineno)
-        return self._local
-
-    def __call__(self, frame, event, arg):
-        if event != "call":
-            return None
-        if not frame.f_code.co_filename.startswith(PACKAGE_DIR):
-            return None
-        return self._local(frame, event, arg)
-
-    def install(self) -> None:
-        threading.settrace(self)
-        sys.settrace(self)
-
-    def uninstall(self) -> None:
-        sys.settrace(None)
-        threading.settrace(None)  # type: ignore[arg-type]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fail-under", type=float, default=85.0,
@@ -126,7 +97,7 @@ def main(argv=None) -> int:
     # but far below any injected stall (tests use >= 12 ms plans).
     os.environ.setdefault("REPRO_STALL_EPS", "2e-3")
 
-    tracer = _Tracer()
+    tracer = Tracer(root=PACKAGE_DIR)
     tracer.install()
     try:
         import pytest

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify + ledger smoke + perf smokes (planner hot path,
-# planning overlap, streaming overlap) + pipeline coverage gate.
+# planning overlap, streaming overlap) + pipeline coverage gate +
+# reachability check.
 #
 #   ./benchmarks/run_tier1.sh            # tests + smoke benchmarks
 #   ./benchmarks/run_tier1.sh --full     # tests + full benchmark sweeps
@@ -146,3 +147,10 @@ echo "== docs freshness =="
 # documented under docs/, and every relative link and backticked repro
 # symbol in docs/ and README.md must resolve.
 python benchmarks/check_docs.py
+
+echo "== reachability (no unreached function without a reason) =="
+# Re-runs the entry points above (ledger smoke, examples, python -m
+# repro.plan, the smoke benchmarks) under a function-entry tracer and
+# fails on a src/repro function none of them enters unless
+# benchmarks/reachability_kept.txt keeps it for a stated reason (~2 min).
+python benchmarks/reachability.py

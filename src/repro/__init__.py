@@ -1,6 +1,8 @@
 """repro — reproduction of DCP: Dynamic Context Parallelism (SOSP 2025).
 
-Top-level convenience re-exports; see subpackages for the full API:
+The top level re-exports what planning one batch needs (specs,
+``DCPConfig`` / ``DCPPlanner`` / ``DCPDataloader``, ``make_mask``,
+``generate_blocks``); the subpackages hold the rest:
 
 * :mod:`repro.core` — DCPConfig, DCPPlanner, DCPDataloader, KV store,
   plan cache, block-size autotuner (``repro.core.autotune_block_size``)
@@ -17,18 +19,22 @@ Top-level convenience re-exports; see subpackages for the full API:
   memory accounting, timeline/trace export
 * :mod:`repro.parallel` — composing DCP with TP and PP (§6.2)
 * :mod:`repro.baselines` — RingFlashAttention / LoongTrain /
-  TransformerEngine / Megatron-LM
-* :mod:`repro.data` — synthetic datasets, batching, packing strategies
+  TransformerEngine
+* :mod:`repro.data` — synthetic datasets, batching, streaming packers
 * :mod:`repro.model` — numpy GPT for the loss-curve experiment
 * :mod:`repro.obs` — unified telemetry: span tracer, metrics registry,
-  latency histograms, obs CLI (``python -m repro.obs``)
+  latency histograms
+* :mod:`repro.bench` — the problem scales and batch sampling shared by
+  ``benchmarks/`` and the ledger
+* :mod:`repro.service` / :mod:`repro.faults` — multi-tenant plan
+  service over a replicated store, and its fault injection
+
+``python -m repro.plan`` plans one batch from the command line.
 """
 
-from .blocks import AttentionSpec, BatchSpec, SequenceSpec, generate_blocks
+from .blocks import AttentionSpec, BatchSpec, generate_blocks
 from .core import DCPConfig, DCPDataloader, DCPPlanner
 from .masks import make_mask
-from .obs import MetricsRegistry, enable_tracing, get_tracer, span
-from .pipeline import OverlapStats, PipelineRunner
 from .sim import ClusterSpec
 
 __version__ = "1.2.0"
@@ -36,18 +42,11 @@ __version__ = "1.2.0"
 __all__ = [
     "AttentionSpec",
     "BatchSpec",
-    "SequenceSpec",
     "generate_blocks",
     "DCPConfig",
     "DCPDataloader",
     "DCPPlanner",
     "make_mask",
-    "MetricsRegistry",
-    "enable_tracing",
-    "get_tracer",
-    "span",
     "ClusterSpec",
-    "OverlapStats",
-    "PipelineRunner",
     "__version__",
 ]

@@ -53,9 +53,7 @@ from ..sim.cluster import ClusterSpec
 __all__ = [
     "RingAttentionPlanner",
     "lower_ring",
-    "plan_ring_backward",
     "ring_layout",
-    "run_ring_forward_backward",
     "slice_positions",
     "static_ring_plan",
 ]
@@ -152,44 +150,6 @@ def static_ring_plan(
         cluster=cluster,
         device_plans=lower_ring(block_set, layout, Forward),
         meta={"planner": planner, "head_parallel": hp, "ring": layout.sr},
-    )
-
-
-def plan_ring_backward(
-    block_set: BlockSet, cluster: ClusterSpec, zigzag: bool = False
-) -> ExecutionPlan:
-    """The RFA backward plan: the forward's ring, KV and dKV circulating."""
-    layout = ring_layout(block_set, cluster.num_devices, 1, zigzag)
-    return ExecutionPlan(
-        block_set=block_set,
-        cluster=cluster,
-        device_plans=lower_ring(block_set, layout, Backward),
-        meta={
-            "planner": "rfa_zigzag" if zigzag else "rfa_ring",
-            "phase": "backward",
-        },
-    )
-
-
-def run_ring_forward_backward(
-    block_set: BlockSet,
-    cluster: ClusterSpec,
-    inputs,
-    grad_outputs,
-    zigzag: bool = False,
-):
-    """Forward + backward through the RFA ring on the simulated cluster.
-
-    Returns ``(outputs, grads, forward_executor, backward_executor)``
-    like :func:`repro.runtime.backward.run_plans_forward_backward`.
-    """
-    from ..runtime.backward import run_plans_forward_backward
-
-    return run_plans_forward_backward(
-        RingAttentionPlanner(zigzag=zigzag).plan(block_set, cluster),
-        plan_ring_backward(block_set, cluster, zigzag=zigzag),
-        inputs,
-        grad_outputs,
     )
 
 

@@ -1,35 +1,11 @@
-"""Benchmark harness and per-figure experiment drivers."""
+"""Benchmark harness shared by ``benchmarks/`` and the ledger.
 
-from .harness import BenchScale, PAPER_MASKS, Table, attention_times, make_batches
-from .figures import (
-    fig01_comm_overhead,
-    fig02_distribution,
-    fig13_micro_causal,
-    fig14_micro_masks,
-    fig15_e2e,
-    fig17_comm_vs_blocksize,
-    fig18_planning_time,
-    fig19_comm_vs_sparsity,
-    fig20_comm_vs_imbalance,
-    fig21_loss_curves,
-    fig22_decomposition,
-)
+:class:`BenchScale` (a problem size), :data:`PAPER_MASKS` (the four
+masks of the paper's evaluation) and :func:`make_batches` (sample,
+scale and pack a dataset into batches).  The per-figure drivers live
+beside their benchmarks, in ``benchmarks/figures.py``.
+"""
 
-__all__ = [
-    "BenchScale",
-    "PAPER_MASKS",
-    "Table",
-    "attention_times",
-    "make_batches",
-    "fig01_comm_overhead",
-    "fig02_distribution",
-    "fig13_micro_causal",
-    "fig14_micro_masks",
-    "fig15_e2e",
-    "fig17_comm_vs_blocksize",
-    "fig18_planning_time",
-    "fig19_comm_vs_sparsity",
-    "fig20_comm_vs_imbalance",
-    "fig21_loss_curves",
-    "fig22_decomposition",
-]
+from .harness import PAPER_MASKS, BenchScale, make_batches
+
+__all__ = ["BenchScale", "PAPER_MASKS", "make_batches"]

@@ -9,7 +9,7 @@ unmasked (query, key) pair inside the tile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -88,18 +88,6 @@ class CompBlockArray:
     def __len__(self) -> int:
         return len(self.seq_index)
 
-    def __getitem__(self, index: int) -> CompBlock:
-        return CompBlock(
-            seq_index=int(self.seq_index[index]),
-            head_group=int(self.head_group[index]),
-            q_block=int(self.q_block[index]),
-            kv_block=int(self.kv_block[index]),
-            pairs=int(self.pairs[index]),
-        )
-
-    def __iter__(self) -> Iterator[CompBlock]:
-        return iter(self.to_blocks())
-
     def to_blocks(self) -> List[CompBlock]:
         """Materialize the object view (one CompBlock per row)."""
         return [
@@ -112,19 +100,3 @@ class CompBlockArray:
                 self.pairs.tolist(),
             )
         ]
-
-    @staticmethod
-    def from_blocks(blocks: Sequence[CompBlock]) -> "CompBlockArray":
-        """Build the columnar form from an object list."""
-        n = len(blocks)
-        return CompBlockArray(
-            seq_index=np.fromiter((b.seq_index for b in blocks), np.int64, n),
-            head_group=np.fromiter((b.head_group for b in blocks), np.int64, n),
-            q_block=np.fromiter((b.q_block for b in blocks), np.int64, n),
-            kv_block=np.fromiter((b.kv_block for b in blocks), np.int64, n),
-            pairs=np.fromiter((b.pairs for b in blocks), np.int64, n),
-        )
-
-    @property
-    def total_pairs(self) -> int:
-        return int(self.pairs.sum())

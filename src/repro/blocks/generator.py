@@ -190,12 +190,6 @@ class BlockSet:
         tokens = self.slice_for_block(block).tokens
         return self.attention.block_bytes(block.kind, tokens)
 
-    def slice_bytes(self, token_slice: TokenSlice) -> int:
-        return self.attention.slice_bytes(token_slice.tokens)
-
-    def comp_flops(self, comp: CompBlock) -> int:
-        return self.attention.tile_flops(comp.pairs)
-
     def tile_pairs(self, seq_index: int, q_block: int, kv_block: int) -> int:
         """Unmasked pairs of one tile (zero for fully masked tiles)."""
         return int(self.seq_workloads[seq_index][q_block, kv_block])
@@ -223,13 +217,6 @@ class BlockSet:
     @property
     def total_bytes(self) -> int:
         return self._aggregate()[2]
-
-    def comp_blocks_of_output(self) -> Dict[DataBlockId, List[CompBlock]]:
-        """Map each output block to the computation blocks feeding it."""
-        out: Dict[DataBlockId, List[CompBlock]] = {}
-        for comp in self.comp_blocks:
-            out.setdefault(comp.output, []).append(comp)
-        return out
 
     def summary(self) -> str:
         return (

@@ -4,7 +4,6 @@ from .autotune import AutotuneResult, BlockSizeScore, autotune_block_size
 from .cache import PlanAbandoned, PlanCache, batch_signature
 from .config import DCPConfig
 from .dataloader import DCPDataloader, DistributedDataloader, LocalData
-from .groups import GroupedPlan, plan_with_groups, split_batch_by_workload
 from .kvstore import KVStore
 from .planner import DCPPlanner, PlanningStats
 from .planwire import (
@@ -15,11 +14,7 @@ from .planwire import (
     encode_device_payload,
     encode_plan,
 )
-from .pool import (
-    PlanningTimeline,
-    min_cores_to_hide_planning,
-    simulate_planning_overlap,
-)
+from .pool import PlanningTimeline, simulate_planning_overlap
 
 __all__ = [
     "DCPConfig",
@@ -30,9 +25,6 @@ __all__ = [
     "LocalData",
     "DCPPlanner",
     "PlanningStats",
-    "GroupedPlan",
-    "plan_with_groups",
-    "split_batch_by_workload",
     "PlanCache",
     "PlanAbandoned",
     "batch_signature",
@@ -46,5 +38,4 @@ __all__ = [
     "DistributedDataloader",
     "PlanningTimeline",
     "simulate_planning_overlap",
-    "min_cores_to_hide_planning",
 ]

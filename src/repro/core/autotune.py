@@ -49,12 +49,6 @@ class AutotuneResult:
     scores: List[BlockSizeScore]
     planning_weight: float
 
-    def score_of(self, block_size: int) -> BlockSizeScore:
-        for score in self.scores:
-            if score.block_size == block_size:
-                return score
-        raise KeyError(block_size)
-
     def table(self) -> str:
         lines = [
             f"{'block':>6} {'attn_ms':>9} {'plan_s':>8} {'comm_mb':>9}"

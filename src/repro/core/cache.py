@@ -18,8 +18,7 @@ with a future resolving to the plan), or its own to plan (``"own"``).
 Exactly one caller per signature owns the dispatch, no matter how many
 threads or pipelines race on it; owners publish through
 :meth:`PlanCache.publish` or release waiters with
-:meth:`PlanCache.abandon`.  :meth:`PlanCache.plan_batch` is that
-protocol run synchronously, and streaming pipelines additionally
+:meth:`PlanCache.abandon`, and streaming pipelines additionally
 :meth:`PlanCache.invalidate` entries whose cluster shape went stale.
 """
 
@@ -267,34 +266,6 @@ class PlanCache:
                 )
         return dropped
 
-    def plan_batch(self, batch: BatchSpec):
-        """The cached plan for ``batch``, planning it on a miss.
-
-        Goes through :meth:`reserve` like every other caller, so
-        concurrent misses on one signature plan once: the owner plans
-        (outside the lock) and publishes, the rest wait on its future.
-        A waiter whose reservation was invalidated before it published
-        claims the signature again; an owner's planning error abandons
-        the reservation and reaches its waiters too.
-        """
-        key = batch_signature(batch)
-        while True:
-            status, payload, epoch = self.reserve(key)
-            if status == "hit":
-                return payload
-            if status == "wait":
-                try:
-                    return payload.result()
-                except PlanAbandoned:
-                    continue
-            try:
-                plan = self.planner.plan_batch(batch)
-            except BaseException as exc:
-                self.abandon(key, exc, epoch=epoch)
-                raise
-            self.publish(key, plan, epoch)
-            return plan
-
     def stats(self) -> dict:
         """Cache effectiveness counters for benchmark reports.
 
@@ -314,27 +285,3 @@ class PlanCache:
                 "invalidations": self._invalidations.value,
                 "remapped": self._remapped.value,
             }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            inflight = list(self._inflight.items())
-            self._inflight.clear()
-            self._hits.reset()
-            self._misses.reset()
-            self._invalidations.reset()
-            self._remapped.reset()
-            self._reserve_wait.reset()
-            self._reserve_own.reset()
-            self._epoch += 1
-        for key, (future, _created) in inflight:
-            if not future.done():
-                future.set_exception(PlanAbandoned(f"plan {key!r} cleared"))

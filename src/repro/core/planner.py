@@ -67,26 +67,6 @@ class PlanningStats:
     def total(self) -> float:
         return self.block_generation + self.placement + self.scheduling
 
-    def as_dict(self) -> dict:
-        return {
-            "block_generation_s": self.block_generation,
-            "placement_s": self.placement,
-            "scheduling_s": self.scheduling,
-            "total_s": self.total,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "refine_moves": self.refine_moves,
-            "refine_rolled_back": self.refine_rolled_back,
-            "gain_evals": self.gain_evals,
-            "infeasible_partitions": self.infeasible_partitions,
-            "num_divisions": self.num_divisions,
-            "placement_source": self.placement_source,
-            "attention_tiles": self.attention_tiles,
-            "tile_pairs": self.tile_pairs,
-            "price_moves": self.price_moves,
-            "byte_moves": self.byte_moves,
-        }
-
 
 class DCPPlanner:
     """Produces a fresh parallelization configuration per batch."""

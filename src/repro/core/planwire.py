@@ -57,7 +57,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..blocks.data_blocks import BlockKind, DataBlockId, TokenSlice
 from ..scheduling.instructions import (
@@ -151,13 +151,6 @@ def _columnar_tag(tag) -> Tuple[int, Tuple[int, ...]]:
                 tag[2],
             )
     return _TAG_INTERNED, ()
-
-
-def _iter_comm_args(device_plan) -> Iterator:
-    for ins in device_plan.instructions:
-        if isinstance(ins, CommLaunch):
-            yield from ins.sends
-            yield from ins.recvs
 
 
 # -- encoding -----------------------------------------------------------------
@@ -466,10 +459,6 @@ class PlanWire:
     context: bytes
     spans: Dict[int, Tuple[int, int]]
     payload: Union[bytes, memoryview]
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.context) + len(self.payload)
 
     def device_bytes(self, device: int) -> memoryview:
         offset, length = self.spans[device]

@@ -14,15 +14,10 @@ the replay is :class:`repro.pipeline.StreamingOverlapPipeline`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-__all__ = [
-    "PlanningTimeline",
-    "simulate_planning_overlap",
-    "min_cores_to_hide_planning",
-]
+__all__ = ["PlanningTimeline", "simulate_planning_overlap"]
 
 
 @dataclass
@@ -40,28 +35,11 @@ class PlanningTimeline:
         return sum(self.stalls)
 
     @property
-    def total_time(self) -> float:
-        return self.exec_end[-1] if self.exec_end else 0.0
-
-    @property
     def stall_fraction(self) -> float:
         if not self.exec_end:
             return 0.0
         busy = sum(e - s for s, e in zip(self.exec_start, self.exec_end))
         return self.total_stall / (self.total_stall + busy)
-
-    def planning_hidden(self, tolerance: float = 1e-9,
-                        warmup: int = 1) -> bool:
-        """True if no execution stall beyond the first ``warmup``
-        iterations.
-
-        Iteration 0 always waits for its own plan, and a cold planner
-        pool takes several iterations to fill its pipeline; the paper's
-        claim is about steady state.  ``warmup`` controls how much
-        ramp-up to forgive (at least 1).
-        """
-        warmup = max(warmup, 1)
-        return all(stall <= tolerance for stall in self.stalls[warmup:])
 
 
 def simulate_planning_overlap(
@@ -134,36 +112,3 @@ def simulate_planning_overlap(
         plan_end=plan_end,
         stalls=stalls,
     )
-
-
-def min_cores_to_hide_planning(
-    plan_times: Sequence[float],
-    exec_times: Sequence[float],
-    num_machines: int = 1,
-    lookahead: int = 2,
-    max_cores: int = 128,
-    warmup: Optional[int] = None,
-) -> Optional[int]:
-    """Smallest cores-per-machine hiding all steady-state planning.
-
-    ``warmup`` iterations of ramp-up stall are forgiven (default:
-    ``2 * (lookahead + 1)``, enough for the pipeline to fill from a
-    cold start).  Returns ``None`` if even ``max_cores`` cannot hide it
-    (planning of a single batch longer than ``lookahead`` iterations of
-    execution can never be hidden, no matter the parallelism).
-    """
-    if warmup is None:
-        warmup = 2 * (lookahead + 1)
-    for cores in itertools.takewhile(
-        lambda c: c <= max_cores, itertools.count(1)
-    ):
-        timeline = simulate_planning_overlap(
-            plan_times,
-            exec_times,
-            num_machines=num_machines,
-            cores_per_machine=cores,
-            lookahead=lookahead,
-        )
-        if timeline.planning_hidden(warmup=warmup):
-            return cores
-    return None

@@ -2,24 +2,16 @@
 
 from .batching import batches_to_specs, pack_batches, stream_pack_select
 from .packing import (
-    PACKERS,
     STREAM_PACKERS,
     LengthGroupedPolicy,
     PackingPolicy,
     SequentialPolicy,
     StreamPacker,
     WorkloadBalancedPolicy,
-    pack_first_fit_decreasing,
-    pack_length_grouped,
-    pack_sequential,
-    pack_workload_balanced,
     packing_stats,
     stream_pack,
-    stream_pack_length_grouped,
-    stream_pack_workload_balanced,
-    stream_packed_specs,
 )
-from .rlhf import RlhfSample, sample_rlhf_batches
+from .rlhf import RlhfSample
 from .datasets import (
     LONGALIGN,
     LONG_DATA_COLLECTIONS,
@@ -32,23 +24,15 @@ from .datasets import (
 __all__ = [
     "batches_to_specs",
     "pack_batches",
-    "PACKERS",
-    "pack_sequential",
-    "pack_first_fit_decreasing",
-    "pack_workload_balanced",
-    "pack_length_grouped",
     "packing_stats",
     "stream_pack",
     "stream_pack_select",
-    "stream_pack_workload_balanced",
-    "stream_pack_length_grouped",
     "StreamPacker",
     "PackingPolicy",
     "SequentialPolicy",
     "WorkloadBalancedPolicy",
     "LengthGroupedPolicy",
     "STREAM_PACKERS",
-    "stream_packed_specs",
     "LONGALIGN",
     "LONG_DATA_COLLECTIONS",
     "LengthDistribution",
@@ -56,5 +40,4 @@ __all__ = [
     "sample_lengths",
     "scale_lengths",
     "RlhfSample",
-    "sample_rlhf_batches",
 ]

@@ -48,34 +48,6 @@ class LengthDistribution:
         lengths = rng.lognormal(self.log_mean, self.log_sigma, size=n)
         return np.clip(lengths.astype(np.int64), self.min_len, self.cap)
 
-    def mean_length(self, n: int = 20000, seed: int = 0) -> float:
-        return float(self.sample(n, seed).mean())
-
-    @staticmethod
-    def fit(lengths, name: str = "fitted", min_len: int = 32,
-            cap: int = MAX_SEQLEN) -> "LengthDistribution":
-        """Fit a capped lognormal to observed sequence lengths.
-
-        Lets users model *their* dataset's dynamism: pass real lengths,
-        get a distribution pluggable everywhere the synthetic ones are
-        consumed.  Maximum likelihood in log space; capped values are
-        included as-is (mild bias, matching the paper's capped
-        histograms in Fig. 2).
-        """
-        values = np.asarray(list(lengths), dtype=np.float64)
-        if values.size == 0:
-            raise ValueError("need at least one length to fit")
-        if np.any(values < 1):
-            raise ValueError("lengths must be positive")
-        logs = np.log(values)
-        return LengthDistribution(
-            name=name,
-            log_mean=float(logs.mean()),
-            log_sigma=max(float(logs.std()), 1e-6),
-            min_len=min_len,
-            cap=cap,
-        )
-
 
 #: LongAlign-like: longer average, fewer short sequences (Fig. 2).
 LONGALIGN = LengthDistribution(

@@ -1,24 +1,21 @@
-"""RLHF/DPO-style dataset generation with per-sequence masks.
+"""RLHF/DPO-style samples with per-sequence masks.
 
 The paper stresses that for shared-question and causal-blockwise masks
 "the shape of the attention mask is determined not only by the model
 design, but also by the input data" (§2.4) — every sequence carries its
-own mask.  This module generates such data: each sample is a question
-paired with a variable number of candidate answers of variable lengths,
-and its mask is built from those lengths (the paper's ``mask_fn``).
+own mask.  A sample is a question paired with a variable number of
+candidate answers of variable lengths, and its mask is built from those
+lengths (the paper's ``mask_fn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from ..blocks import BatchSpec, SequenceSpec
 from ..masks import SharedQuestionMask
 
-__all__ = ["RlhfSample", "sample_rlhf_batches"]
+__all__ = ["RlhfSample"]
 
 
 @dataclass(frozen=True)
@@ -46,42 +43,3 @@ class RlhfSample:
         return SharedQuestionMask(
             num_answers=num_answers, answer_fraction=fraction
         )
-
-
-def sample_rlhf_batches(
-    num_batches: int,
-    token_budget: int = 131072,
-    mean_question: int = 2048,
-    mean_answer: int = 1024,
-    max_answers: int = 6,
-    seed: int = 0,
-) -> List[BatchSpec]:
-    """Generate batches of RLHF samples, each with its own mask.
-
-    Question and answer lengths are lognormal; the number of candidate
-    answers per question is uniform in ``[2, max_answers]``.
-    """
-    if num_batches < 1 or token_budget < 8:
-        raise ValueError("need at least one batch and a sane budget")
-    rng = np.random.default_rng(seed)
-    batches: List[BatchSpec] = []
-    while len(batches) < num_batches:
-        sequences: List[SequenceSpec] = []
-        used = 0
-        while True:
-            num_answers = int(rng.integers(2, max_answers + 1))
-            question = max(int(rng.lognormal(np.log(mean_question), 0.6)), 8)
-            answers = tuple(
-                max(int(rng.lognormal(np.log(mean_answer), 0.6)), 4)
-                for _ in range(num_answers)
-            )
-            sample = RlhfSample(question_len=question, answer_lens=answers)
-            length = min(sample.total_len, token_budget)
-            if sequences and used + length > token_budget:
-                break
-            sequences.append(SequenceSpec(length, sample.mask()))
-            used += length
-            if used >= token_budget:
-                break
-        batches.append(BatchSpec(tuple(sequences)))
-    return batches

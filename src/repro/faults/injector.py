@@ -1,16 +1,13 @@
-"""Per-target fault state with deterministic, seeded decisions.
+"""Per-target fault state, changed only by explicit calls.
 
 The injector is pure state — it never raises and never sleeps on its
-own.  Instrumented components ask three questions at their fault
+own.  Instrumented components ask two questions at their fault
 points and act on the answers:
 
 * :meth:`FaultInjector.is_killed` — is this target dead right now?
   (The component raises its typed unavailable error.)
 * :meth:`FaultInjector.delay_s` — how long must this operation stall?
-  (The component sleeps; models slow I/O and hung workers.)
-* :meth:`FaultInjector.should_drop` — is this specific operation lost?
-  (Deterministic: target ``t`` with drop rate ``r`` and seed ``s``
-  drops the same op indices on every run.)
+  (The component sleeps; models slow I/O.)
 
 Kill/restart carries a *generation*: :meth:`restart_count` increments
 on every restart, which lets a stateful component (a KV shard) detect
@@ -20,30 +17,19 @@ restart implies — the injector itself holds no component state.
 
 from __future__ import annotations
 
-import random
 import threading
-from hashlib import blake2b
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["FaultInjector"]
 
 
 class _TargetState:
-    __slots__ = ("killed", "restarts", "delay_s", "hang_s", "drop_rate",
-                 "ops", "rng")
+    __slots__ = ("killed", "restarts", "delay_s")
 
-    def __init__(self, seed_material: bytes) -> None:
+    def __init__(self) -> None:
         self.killed = False
         self.restarts = 0
         self.delay_s = 0.0
-        #: One-shot stall consumed by the next ``delay_s`` call.
-        self.hang_s = 0.0
-        self.drop_rate = 0.0
-        self.ops = 0
-        self.rng = random.Random(
-            int.from_bytes(blake2b(seed_material, digest_size=8).digest(),
-                           "big")
-        )
 
 
 class FaultInjector:
@@ -55,8 +41,7 @@ class FaultInjector:
     call from a schedule-runner thread while the service is serving.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._targets: Dict[str, _TargetState] = {}
         #: Applied-event log (action, target) in application order —
@@ -66,7 +51,7 @@ class FaultInjector:
     def _state(self, target: str) -> _TargetState:
         state = self._targets.get(target)
         if state is None:
-            state = _TargetState(f"{self.seed}/{target}".encode())
+            state = _TargetState()
             self._targets[target] = state
         return state
 
@@ -94,27 +79,10 @@ class FaultInjector:
             self._state(target).delay_s = max(0.0, float(delay_s))
             self._record("slow", target)
 
-    def hang(self, target: str, seconds: float) -> None:
-        """The *next* operation at ``target`` stalls once for ``seconds``."""
-        with self._lock:
-            self._state(target).hang_s = max(0.0, float(seconds))
-            self._record("hang", target)
-
-    def drop(self, target: str, rate: float) -> None:
-        """Drop a ``rate`` fraction of operations at ``target``."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("drop rate must be in [0, 1]")
-        with self._lock:
-            self._state(target).drop_rate = float(rate)
-            self._record("drop", target)
-
     def clear(self, target: str) -> None:
-        """Lift slow/hang/drop at ``target`` (kill state untouched)."""
+        """Lift slow at ``target`` (kill state untouched)."""
         with self._lock:
-            state = self._state(target)
-            state.delay_s = 0.0
-            state.hang_s = 0.0
-            state.drop_rate = 0.0
+            self._state(target).delay_s = 0.0
             self._record("clear", target)
 
     # -- queries (component side) ---------------------------------------
@@ -130,44 +98,7 @@ class FaultInjector:
             return state.restarts if state is not None else 0
 
     def delay_s(self, target: str) -> float:
-        """Stall for this operation: sustained slow plus any one-shot
-        hang (consumed)."""
+        """Stall for this operation (sustained until cleared)."""
         with self._lock:
             state = self._targets.get(target)
-            if state is None:
-                return 0.0
-            delay = state.delay_s
-            if state.hang_s:
-                delay += state.hang_s
-                state.hang_s = 0.0
-            return delay
-
-    def should_drop(self, target: str, op: Optional[str] = None) -> bool:
-        """Deterministic per-op drop decision (op counter + seeded RNG).
-
-        ``op`` is informational only; determinism keys on the target's
-        operation *index*, so a run that performs the same operation
-        sequence sees the same drops.
-        """
-        with self._lock:
-            state = self._targets.get(target)
-            if state is None:
-                return False
-            state.ops += 1
-            if state.drop_rate <= 0.0:
-                return False
-            return state.rng.random() < state.drop_rate
-
-    def snapshot(self) -> Dict[str, dict]:
-        """Current fault state per target (for reports/debugging)."""
-        with self._lock:
-            return {
-                target: {
-                    "killed": state.killed,
-                    "restarts": state.restarts,
-                    "delay_s": state.delay_s,
-                    "drop_rate": state.drop_rate,
-                    "ops": state.ops,
-                }
-                for target, state in sorted(self._targets.items())
-            }
+            return state.delay_s if state is not None else 0.0

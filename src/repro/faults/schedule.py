@@ -4,9 +4,8 @@ A chaos experiment is a *schedule* — "at t=0.2 kill shard1, at t=1.0
 restart it, meanwhile slow shard2" — applied to a
 :class:`~repro.faults.injector.FaultInjector` while a workload runs.
 The schedule is data (parseable, diffable, recordable into a bench
-report), not test code, so the same script drives unit tests
-deterministically (``apply_through``) and the chaos benchmark in wall
-time (:class:`ScheduleRunner`).
+report), not test code: unit tests apply its events in order, and the
+chaos benchmark runs it in wall time (:class:`ScheduleRunner`).
 
 DSL
 ---
@@ -14,13 +13,11 @@ One event per line (``#`` comments and blank lines ignored)::
 
     0.20 kill    shard:shard1
     0.40 slow    shard:shard2 0.01
-    0.60 hang    worker:0 0.3
-    0.70 drop    shard:shard2 0.5
     0.90 clear   shard:shard2
     1.00 restart shard:shard1
 
 Columns: time (seconds from schedule start), action, target, optional
-numeric argument (required for ``slow``/``hang``/``drop``).
+numeric argument (required for ``slow``).
 """
 
 from __future__ import annotations
@@ -41,15 +38,13 @@ _ACTIONS = {
     "restart": False,
     "clear": False,
     "slow": True,
-    "hang": True,
-    "drop": True,
 }
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One scripted fault: ``at_s`` seconds in, do ``action`` to
-    ``target`` (with ``arg`` for slow/hang/drop)."""
+    ``target`` (with ``arg`` for slow)."""
 
     at_s: float
     action: str
@@ -73,10 +68,6 @@ class FaultEvent:
             injector.clear(self.target)
         elif self.action == "slow":
             injector.slow(self.target, float(self.arg))
-        elif self.action == "hang":
-            injector.hang(self.target, float(self.arg))
-        elif self.action == "drop":
-            injector.drop(self.target, float(self.arg))
 
 
 @dataclass
@@ -87,37 +78,6 @@ class FaultSchedule:
 
     def __post_init__(self) -> None:
         self.events = sorted(self.events, key=lambda e: e.at_s)
-        self._applied = 0
-
-    @property
-    def duration_s(self) -> float:
-        return self.events[-1].at_s if self.events else 0.0
-
-    def apply_through(self, t_s: float, injector: FaultInjector) -> int:
-        """Apply every not-yet-applied event with ``at_s <= t_s``.
-
-        The deterministic driver for tests: step logical time forward,
-        no threads, no sleeps.  Returns the number of events applied.
-        """
-        applied = 0
-        while (self._applied < len(self.events)
-               and self.events[self._applied].at_s <= t_s):
-            self.events[self._applied].apply(injector)
-            self._applied += 1
-            applied += 1
-        return applied
-
-    def reset(self) -> None:
-        self._applied = 0
-
-    def to_text(self) -> str:
-        lines = []
-        for event in self.events:
-            arg = "" if event.arg is None else f" {event.arg:g}"
-            lines.append(
-                f"{event.at_s:g} {event.action} {event.target}{arg}"
-            )
-        return "\n".join(lines)
 
 
 def parse_schedule(text: str) -> FaultSchedule:
@@ -189,11 +149,6 @@ class ScheduleRunner:
         )
         self._thread.start()
         return self
-
-    def elapsed_s(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        return time.monotonic() - self.started_at
 
     def join(self, timeout: Optional[float] = None) -> None:
         if self._thread is not None:

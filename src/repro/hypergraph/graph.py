@@ -53,34 +53,6 @@ def _csr_lists(indptr: np.ndarray, data: np.ndarray) -> List[List[int]]:
 class Hypergraph:
     """Immutable hypergraph with weighted vertices and hyperedges."""
 
-    def __init__(
-        self,
-        weights: np.ndarray,
-        pins: Sequence[Sequence[int]],
-        edge_weights: Sequence[float],
-    ) -> None:
-        weights = np.asarray(weights, dtype=np.int64)
-        if weights.ndim != 2:
-            raise ValueError("vertex weights must be 2-D: [n, dims]")
-        num_vertices = weights.shape[0]
-        unique_pins: List[np.ndarray] = []
-        for pin in pins:
-            arr = np.unique(np.asarray(pin, dtype=np.int64))
-            if len(arr) and (arr[0] < 0 or arr[-1] >= num_vertices):
-                raise ValueError("pin refers to a vertex outside the graph")
-            unique_pins.append(arr)
-        sizes = np.fromiter(
-            (len(p) for p in unique_pins), dtype=np.int64, count=len(unique_pins)
-        )
-        edge_indptr = np.zeros(len(unique_pins) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=edge_indptr[1:])
-        edge_pins = (
-            np.concatenate(unique_pins)
-            if unique_pins
-            else np.zeros(0, dtype=np.int64)
-        )
-        self._init_csr(weights, edge_indptr, edge_pins, edge_weights)
-
     @classmethod
     def from_csr(
         cls,
@@ -91,11 +63,9 @@ class Hypergraph:
     ) -> "Hypergraph":
         """Build from a pre-deduplicated CSR edge->pin structure.
 
-        ``edge_pins`` must hold each edge's pins sorted and unique (the
-        invariant the list constructor establishes); vectorized builders
-        (block-hypergraph construction, contraction, subgraph
-        extraction) produce this directly and skip the per-edge
-        normalization loop.
+        ``edge_pins`` must hold each edge's pins sorted and unique; the
+        builders (block-hypergraph construction, contraction, subgraph
+        extraction) produce this directly.
         """
         graph = cls.__new__(cls)
         weights = np.asarray(weights, dtype=np.int64)
@@ -131,7 +101,6 @@ class Hypergraph:
         self.pin_edge_ids = np.repeat(
             np.arange(self.num_edges, dtype=np.int64), self.edge_sizes
         )
-        self._pins: Optional[List[np.ndarray]] = None
         self._incidence: Optional[List[List[int]]] = None
         self._pin_lists: Optional[List[List[int]]] = None
         self._vertex_indptr: Optional[np.ndarray] = None
@@ -161,16 +130,6 @@ class Hypergraph:
     def total_weight(self) -> np.ndarray:
         return self.weights.sum(axis=0)
 
-    @property
-    def pins(self) -> List[np.ndarray]:
-        """Per-edge pin arrays (views into the CSR storage)."""
-        if self._pins is None:
-            self._pins = [
-                self.edge_pins[self.edge_indptr[e] : self.edge_indptr[e + 1]]
-                for e in range(self.num_edges)
-            ]
-        return self._pins
-
     def vertex_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Vertex -> edge CSR ``(indptr, edge ids)`` (lazy, cached)."""
         if self._vertex_indptr is None:
@@ -181,11 +140,6 @@ class Hypergraph:
             np.cumsum(counts, out=indptr[1:])
             self._vertex_indptr = indptr
         return self._vertex_indptr, self._vertex_edges
-
-    def incident_edges(self, vertex: int) -> np.ndarray:
-        """Edges incident to one vertex (CSR slice, sorted by edge id)."""
-        indptr, edges = self.vertex_csr()
-        return edges[indptr[vertex] : indptr[vertex + 1]]
 
     def incidence(self) -> List[List[int]]:
         """Edges incident to each vertex, ascending, as Python lists.

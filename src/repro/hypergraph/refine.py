@@ -130,49 +130,8 @@ class RefinementState:
         return np.array(self._labels, dtype=np.int64)
 
     @property
-    def pin_counts(self) -> np.ndarray:
-        return np.array(self._counts, dtype=np.int64).reshape(-1, self.k)
-
-    @property
     def part_weights(self) -> np.ndarray:
         return np.array(self._part_weights, dtype=np.int64)
-
-    def gain(self, vertex: int, target: int) -> int:
-        """Connectivity reduction if ``vertex`` moves to ``target``."""
-        if self._labels[vertex] == target:
-            return 0
-        self.counters.gain_evals += 1
-        return self.leave[vertex] - self.join[vertex][target]
-
-    def gain_vector(self, vertex: int) -> np.ndarray:
-        """Gains of moving ``vertex`` to every part at once (0 at source)."""
-        gains = self.leave[vertex] - np.array(self.join[vertex], dtype=np.int64)
-        gains[self._labels[vertex]] = 0
-        self.counters.gain_evals += self.k
-        return gains
-
-    def batch_gains(self, vertices: Sequence[int]):
-        """Gains and adjacency of a batch of vertices, as arrays.
-
-        Returns ``(gains, adjacent)`` of shape ``[len(vertices), k]``:
-        ``gains[i, t]`` is the connectivity reduction of moving
-        ``vertices[i]`` to part ``t`` and ``adjacent[i, t]`` marks parts
-        reachable through incident edges (source part excluded).
-        Duplicates in ``vertices`` are evaluated independently.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        n, k = len(vertices), self.k
-        self.counters.gain_evals += n * k
-        rows = np.arange(n)
-        sources = self.labels[vertices]
-        leave = np.array(self.leave, dtype=np.int64)[vertices]
-        join = np.array(self.join, dtype=np.int64).reshape(-1, k)[vertices]
-        present = np.array(self.present, dtype=np.int64).reshape(-1, k)
-        gains = leave[:, None] - join
-        adjacent = present[vertices] > 0
-        gains[rows, sources] = 0
-        adjacent[rows, sources] = False
-        return gains, adjacent
 
     def move(self, vertex: int, target: int) -> None:
         labels = self._labels

@@ -4,22 +4,19 @@ from .spec import AttendRanges, MaskSpec
 from .library import (
     CausalBlockwiseMask,
     CausalMask,
-    FullMask,
     LambdaMask,
     MASK_LIBRARY,
     PackedDocumentMask,
-    PrefixLMMask,
     SharedQuestionMask,
     make_mask,
 )
 from .multirange import (
-    DenseMask,
     DilatedBlockMask,
     GlobalTokenMask,
     MultiRangeMask,
     MultiRanges,
 )
-from .workload import block_bounds, mask_workload_matrix, tile_workload_matrix
+from .workload import block_bounds, tile_workload_matrix
 
 __all__ = [
     "AttendRanges",
@@ -28,17 +25,13 @@ __all__ = [
     "MultiRangeMask",
     "DilatedBlockMask",
     "GlobalTokenMask",
-    "DenseMask",
-    "FullMask",
     "CausalMask",
     "LambdaMask",
     "CausalBlockwiseMask",
     "SharedQuestionMask",
     "PackedDocumentMask",
-    "PrefixLMMask",
     "MASK_LIBRARY",
     "make_mask",
     "block_bounds",
     "tile_workload_matrix",
-    "mask_workload_matrix",
 ]

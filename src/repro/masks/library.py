@@ -14,13 +14,11 @@ import numpy as np
 from .spec import AttendRanges, MaskSpec
 
 __all__ = [
-    "FullMask",
     "CausalMask",
     "LambdaMask",
     "CausalBlockwiseMask",
     "SharedQuestionMask",
     "PackedDocumentMask",
-    "PrefixLMMask",
     "MASK_LIBRARY",
     "make_mask",
 ]
@@ -28,22 +26,6 @@ __all__ = [
 
 def _empty(seqlen: int) -> np.ndarray:
     return np.zeros(seqlen, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class FullMask(MaskSpec):
-    """Bidirectional attention: every token attends to every token."""
-
-    name = "full"
-
-    def ranges(self, seqlen: int) -> AttendRanges:
-        """Attendable key ranges per query row (see base class)."""
-        return AttendRanges(
-            a_start=_empty(seqlen),
-            a_end=np.full(seqlen, seqlen, dtype=np.int64),
-            b_start=_empty(seqlen),
-            b_end=_empty(seqlen),
-        )
 
 
 @dataclass(frozen=True)
@@ -100,10 +82,6 @@ class LambdaMask(MaskSpec):
             b_start=b_start,
             b_end=b_end,
         )
-
-    def describe(self) -> str:
-        """Human-readable mask name with parameters."""
-        return f"lambda(sink={self.sink}, window={self.window})"
 
 
 @dataclass(frozen=True)
@@ -162,13 +140,6 @@ class CausalBlockwiseMask(MaskSpec):
             a_end=a_end,
             b_start=b_start,
             b_end=b_end,
-        )
-
-    def describe(self) -> str:
-        """Human-readable mask name with parameters."""
-        return (
-            f"causal_blockwise(block={self.block}, "
-            f"window={self.window_blocks}, sink={self.sink_blocks})"
         )
 
 
@@ -232,13 +203,6 @@ class SharedQuestionMask(MaskSpec):
             b_end=b_end,
         )
 
-    def describe(self) -> str:
-        """Human-readable mask name with parameters."""
-        return (
-            f"shared_question(answers={self.num_answers}, "
-            f"fraction={self.answer_fraction})"
-        )
-
 
 @dataclass(frozen=True)
 class PackedDocumentMask(MaskSpec):
@@ -279,61 +243,21 @@ class PackedDocumentMask(MaskSpec):
             b_end=_empty(seqlen),
         )
 
-    def describe(self) -> str:
-        """Human-readable mask name with parameters."""
-        return f"packed_documents(docs={len(self.doc_lens)})"
-
-
-@dataclass(frozen=True)
-class PrefixLMMask(MaskSpec):
-    """Prefix-LM mask: bidirectional prefix, causal continuation.
-
-    The first ``prefix`` tokens attend to the whole prefix (encoder
-    style); later tokens attend causally to everything before them.
-    """
-
-    prefix: int
-    name = "prefix_lm"
-
-    def __post_init__(self) -> None:
-        """Validate parameters at construction."""
-        if self.prefix < 0:
-            raise ValueError("prefix must be non-negative")
-
-    def ranges(self, seqlen: int) -> AttendRanges:
-        """Attendable key ranges per query row (see base class)."""
-        rows = np.arange(seqlen, dtype=np.int64)
-        causal_end = rows + 1
-        prefix = min(self.prefix, seqlen)
-        a_end = np.where(rows < prefix, prefix, causal_end)
-        return AttendRanges(
-            a_start=_empty(seqlen),
-            a_end=a_end,
-            b_start=_empty(seqlen),
-            b_end=_empty(seqlen),
-        )
-
-    def describe(self) -> str:
-        """Human-readable mask name with parameters."""
-        return f"prefix_lm(prefix={self.prefix})"
-
 
 MASK_LIBRARY = {
-    "full": FullMask,
     "causal": CausalMask,
     "lambda": LambdaMask,
     "causal_blockwise": CausalBlockwiseMask,
     "shared_question": SharedQuestionMask,
     "packed_documents": PackedDocumentMask,
-    "prefix_lm": PrefixLMMask,
 }
 
 
 def make_mask(name: str, **kwargs) -> MaskSpec:
     """Instantiate a mask from the library by name.
 
-    >>> make_mask("lambda", sink=16, window=128).describe()
-    'lambda(sink=16, window=128)'
+    >>> make_mask("lambda", sink=16, window=128)
+    LambdaMask(sink=16, window=128)
     """
     try:
         cls = MASK_LIBRARY[name]

@@ -6,7 +6,7 @@ for richer masks (§5).  This module lifts that limitation on the
 reproduction's side: :class:`MultiRanges` stores a CSR-style list of
 ``[start, end)`` ranges per query row and implements the same protocol
 as :class:`~repro.masks.AttendRanges` (``overlap_with``, ``tile_mask``,
-``dense``, ``row_count``, ``total_pairs``, ``validate``), so block
+``dense``, ``row_count``, ``total_pairs``), so block
 generation, planning, execution and the timing simulator all work
 unchanged with many-range masks.
 
@@ -15,9 +15,7 @@ Shipped mask families that genuinely need more than two ranges:
 * :class:`DilatedBlockMask` — LongNet-style dilated block attention
   (a causal sliding window plus every ``stride``-th block of history);
 * :class:`GlobalTokenMask` — Longformer-style global tokens (periodic
-  anchor tokens everyone attends to, plus a causal local window);
-* :class:`DenseMask` — any explicit boolean matrix, converted to
-  row-ranges (the fully general escape hatch).
+  anchor tokens everyone attends to, plus a causal local window).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "MultiRangeMask",
     "DilatedBlockMask",
     "GlobalTokenMask",
-    "DenseMask",
 ]
 
 
@@ -59,15 +56,6 @@ class MultiRanges:
     @property
     def seqlen(self) -> int:
         return len(self.indptr) - 1
-
-    @property
-    def num_ranges(self) -> int:
-        return len(self.starts)
-
-    def ranges_of_row(self, row: int):
-        """``(starts, ends)`` arrays of one query row."""
-        lo, hi = int(self.indptr[row]), int(self.indptr[row + 1])
-        return self.starts[lo:hi], self.ends[lo:hi]
 
     def max_ranges_per_row(self) -> int:
         return int(np.diff(self.indptr).max()) if self.seqlen else 0
@@ -119,63 +107,7 @@ class MultiRanges:
         """Materialize the boolean mask (tests / small sequences only)."""
         return self.tile_mask(0, self.seqlen, 0, self.seqlen)
 
-    def validate(self) -> None:
-        """Check CSR invariants; raise ``ValueError`` on breach."""
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if np.any(self.starts > self.ends):
-            raise ValueError("range start exceeds end")
-        length = self.seqlen
-        if self.num_ranges and (
-            np.any(self.starts < 0) or np.any(self.ends > length)
-        ):
-            raise ValueError("range bound outside [0, L]")
-        if self.num_ranges > 1:
-            row_of = np.repeat(np.arange(length), np.diff(self.indptr))
-            same_row = row_of[1:] == row_of[:-1]
-            ordered = self.starts[1:] >= self.ends[:-1]
-            if np.any(same_row & ~ordered):
-                raise ValueError("ranges of a row overlap or are unsorted")
-
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_rows(rows) -> "MultiRanges":
-        """Build from ``rows[i] = [(start, end), ...]`` per query row."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        starts, ends = [], []
-        for i, row in enumerate(rows):
-            indptr[i + 1] = indptr[i] + len(row)
-            for start, end in row:
-                starts.append(start)
-                ends.append(end)
-        return MultiRanges(
-            indptr=indptr,
-            starts=np.asarray(starts, dtype=np.int64),
-            ends=np.asarray(ends, dtype=np.int64),
-        )
-
-    @staticmethod
-    def from_dense(mask: np.ndarray) -> "MultiRanges":
-        """Convert a boolean ``[L, L]`` matrix to row ranges."""
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise ValueError("mask must be a square boolean matrix")
-        length = mask.shape[0]
-        edges = np.diff(
-            mask.astype(np.int8), axis=1, prepend=0, append=0
-        )
-        rise_rows, rise_cols = np.nonzero(edges == 1)
-        fall_rows, fall_cols = np.nonzero(edges == -1)
-        # Rises and falls alternate within each row, so the nonzero scans
-        # (row-major) pair them up positionally.
-        assert np.array_equal(rise_rows, fall_rows)
-        indptr = np.zeros(length + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rise_rows, minlength=length), out=indptr[1:])
-        return MultiRanges(
-            indptr=indptr,
-            starts=rise_cols.astype(np.int64),
-            ends=fall_cols.astype(np.int64),
-        )
 
     def _row_sums(self, values: np.ndarray) -> np.ndarray:
         prefix = np.concatenate(
@@ -243,12 +175,6 @@ class DilatedBlockMask(MultiRangeMask):
             window_start, self.block * self.stride, self.block
         )
 
-    def describe(self) -> str:
-        return (
-            f"dilated_block(block={self.block}, stride={self.stride}, "
-            f"window={self.window})"
-        )
-
 
 class GlobalTokenMask(MultiRangeMask):
     """Longformer-style periodic global tokens with a causal local window.
@@ -276,33 +202,3 @@ class GlobalTokenMask(MultiRangeMask):
             np.maximum(rows - self.window + 1, 0),
         )
         return _history_and_window(window_start, self.every, 1)
-
-    def describe(self) -> str:
-        return f"global_token(every={self.every}, window={self.window})"
-
-
-class DenseMask(MultiRangeMask):
-    """An arbitrary explicit boolean mask (the general escape hatch).
-
-    The matrix fixes the sequence length; requesting ranges for any
-    other length is an error rather than a silent crop.
-    """
-
-    name = "dense"
-
-    def __init__(self, mask: np.ndarray) -> None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise ValueError("mask must be a square boolean matrix")
-        self.mask = mask
-        self._ranges = MultiRanges.from_dense(mask)
-
-    def ranges(self, seqlen: int) -> MultiRanges:
-        if seqlen != self.mask.shape[0]:
-            raise ValueError(
-                f"mask is {self.mask.shape[0]} tokens, requested {seqlen}"
-            )
-        return self._ranges
-
-    def describe(self) -> str:
-        return f"dense(L={self.mask.shape[0]})"

@@ -99,18 +99,6 @@ class AttendRanges:
         )
         return in_a | in_b
 
-    def validate(self) -> None:
-        """Check representation invariants; raise ``ValueError`` on breach."""
-        if np.any(self.a_start > self.a_end) or np.any(self.b_start > self.b_end):
-            raise ValueError("range start exceeds end")
-        both = (self.a_end > self.a_start) & (self.b_end > self.b_start)
-        if np.any(both & (self.b_start < self.a_end)):
-            raise ValueError("ranges overlap or are out of order")
-        length = self.seqlen
-        for arr in (self.a_start, self.a_end, self.b_start, self.b_end):
-            if np.any(arr < 0) or np.any(arr > length):
-                raise ValueError("range bound outside [0, L]")
-
 
 class MaskSpec:
     """Base class for attention-mask specifications.
@@ -136,9 +124,3 @@ class MaskSpec:
         """FLOP ratio of this mask relative to the causal mask (paper §7.3)."""
         causal_pairs = seqlen * (seqlen + 1) // 2
         return self.total_pairs(seqlen) / causal_pairs
-
-    def describe(self) -> str:
-        return self.name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.describe()}>"

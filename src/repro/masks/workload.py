@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import AttendRanges, MaskSpec
+from .spec import AttendRanges
 
-__all__ = ["block_bounds", "tile_workload_matrix", "mask_workload_matrix"]
+__all__ = ["block_bounds", "tile_workload_matrix"]
 
 
 def block_bounds(seqlen: int, block_size: int) -> np.ndarray:
@@ -62,11 +62,3 @@ def tile_workload_matrix(ranges: AttendRanges, bounds: np.ndarray) -> np.ndarray
         row_overlap = ranges.overlap_with(int(bounds[ki]), int(bounds[ki + 1]))
         workload[:, ki] = np.add.reduceat(row_overlap, starts)
     return workload
-
-
-def mask_workload_matrix(
-    mask: MaskSpec, seqlen: int, block_size: int
-) -> np.ndarray:
-    """Convenience wrapper: workload matrix straight from a mask spec."""
-    bounds = block_bounds(seqlen, block_size)
-    return tile_workload_matrix(mask.ranges(seqlen), bounds)

@@ -2,7 +2,6 @@
 
 from .attention import (
     attention_forward_backward,
-    dense_attention_forward,
     make_distributed_forward,
 )
 from .gpt import GPTConfig, TinyGPT
@@ -10,7 +9,6 @@ from .train import generate_corpus, train
 
 __all__ = [
     "attention_forward_backward",
-    "dense_attention_forward",
     "make_distributed_forward",
     "GPTConfig",
     "TinyGPT",

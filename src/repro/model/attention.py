@@ -20,7 +20,6 @@ from ..masks import MaskSpec
 from ..runtime import BatchInputs, SimExecutor
 
 __all__ = [
-    "dense_attention_forward",
     "make_distributed_forward",
     "attention_forward_backward",
 ]
@@ -28,20 +27,6 @@ __all__ = [
 #: Signature of a pluggable attention forward:
 #: (q [H, L, D], k [G, L, D], v [G, L, D], mask_spec) -> O [H, L, D]
 AttentionForward = Callable[[np.ndarray, np.ndarray, np.ndarray, MaskSpec], np.ndarray]
-
-
-def dense_attention_forward(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: MaskSpec
-) -> np.ndarray:
-    """Single-device masked GQA attention (the MLM baseline forward)."""
-    from ..runtime.reference import reference_attention
-
-    num_heads = q.shape[0]
-    num_groups = k.shape[0]
-    seqlen = q.shape[1]
-    return reference_attention(
-        q, k, v, mask.dense(seqlen), num_heads // num_groups
-    )
 
 
 def make_distributed_forward(

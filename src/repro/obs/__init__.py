@@ -1,4 +1,4 @@
-"""Unified observability: span tracer, metrics registry, obs CLI.
+"""Unified observability: span tracer and metrics registry.
 
 The telemetry subsystem behind every timing claim in the repo:
 
@@ -9,19 +9,18 @@ The telemetry subsystem behind every timing claim in the repo:
   simulator's execution lanes via
   :func:`repro.sim.trace.merge_chrome_traces`).
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  latency histograms (p50/p95/p99) in a snapshot/diff/mergeable
+  latency histograms (p50/p95/p99) in a
   :class:`~repro.obs.metrics.MetricsRegistry`; the transport stats,
   cache hit/miss counters, and pool savings counters are views over
   it.
-* ``python -m repro.obs report`` — renders a registry snapshot as a
-  terminal table; ``python -m repro.obs bench`` measures tracer
-  overhead and writes ``BENCH_obs.json`` (CI-gated by
+* :mod:`repro.obs.bench` — tracer and metrics overhead and the
+  telemetry check behind ``benchmarks/bench_overlap_pipeline.py
+  --obs``, which writes ``BENCH_obs.json`` (CI-gated by
   ``benchmarks/check_bench_floors.py``).
 
-This package is intentionally dependency-free (stdlib only in
-``trace``/``metrics``) so every layer of the repo can import it
-without cycles; ``report``/``bench`` import the rest of ``repro``
-lazily.
+``trace`` and ``metrics`` are stdlib only, so every layer of the repo
+can import them without cycles; ``bench`` imports the rest of
+``repro`` lazily.
 """
 
 from .metrics import (
@@ -32,7 +31,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    merge_snapshots,
 )
 from .trace import (
     Tracer,
@@ -41,7 +39,6 @@ from .trace import (
     enable_tracing,
     get_tracer,
     span,
-    traced,
     tracing_enabled,
 )
 
@@ -53,12 +50,10 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
-    "merge_snapshots",
     "Tracer",
     "get_tracer",
     "span",
     "add_span",
-    "traced",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",

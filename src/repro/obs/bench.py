@@ -1,7 +1,7 @@
 """Tracer/metrics overhead benchmark and combined-trace builder.
 
-Two jobs, both behind ``python -m repro.obs bench`` (and the
-``--obs`` mode of ``benchmarks/bench_overlap_pipeline.py``):
+Two jobs, both behind the ``--obs`` mode of
+``benchmarks/bench_overlap_pipeline.py``:
 
 **Overhead.**  The observability layer claims its disabled path is
 free: ``span(...)`` reads one bool, metric handles are no-ops when a
@@ -127,18 +127,6 @@ def _smoke_scale(num_batches: int = 4):
         token_budget=2048,
         max_seqlen=2048,
         block_size=256,
-    )
-
-
-def _sweep_scale(num_batches: int = 4, token_budget: int = 32768,
-                 block_size: int = 512):
-    from repro.bench import BenchScale
-
-    return BenchScale.sweep(
-        num_batches=num_batches,
-        token_budget=int(token_budget),
-        max_seqlen=int(token_budget),
-        block_size=int(block_size),
     )
 
 
@@ -281,9 +269,9 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
         batches = _smoke_batches(num_batches)
         time_scale = 3.0
     else:
-        from repro.bench import PAPER_MASKS, make_batches
+        from repro.bench import PAPER_MASKS, BenchScale, make_batches
 
-        scale = _sweep_scale(num_batches)
+        scale = BenchScale.sweep(num_batches=num_batches, block_size=512)
         batches = make_batches(
             "longdatacollections", scale, PAPER_MASKS["causal"]()
         )[:num_batches]

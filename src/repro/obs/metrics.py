@@ -15,10 +15,7 @@ Design constraints (mirrors the tracer in :mod:`repro.obs.trace`):
   registry lock);
 * picklable — locks are dropped on ``__getstate__`` and recreated on
   ``__setstate__`` so registries can ride along with planners shipped
-  to fork-server workers;
-* JSON-stable — :meth:`MetricsRegistry.to_json` sorts keys, snapshots
-  contain only plain scalars/lists, and two registries with the same
-  observations serialize identically.
+  to planner processes.
 
 Histograms use fixed exponential buckets
 (:data:`DEFAULT_LATENCY_BUCKETS`: 1µs .. ~67s, powers of two) and
@@ -26,20 +23,14 @@ report p50/p95/p99 via linear interpolation inside the containing
 bucket, clamped to the observed ``[min, max]`` — accurate to roughly
 one bucket width (verified against ``numpy.percentile`` in
 ``tests/test_obs.py``).
-
-Cross-process merging is snapshot-based: a worker sends
-``registry.snapshot()`` through any existing transport (pickle pipe,
-shm ring, KV store) and the parent folds it in with
-:func:`merge_snapshots` or :meth:`MetricsRegistry.merge_snapshot`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 __all__ = [
     "Counter",
@@ -49,7 +40,6 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
-    "merge_snapshots",
 ]
 
 #: Exponential latency buckets: upper bounds in seconds, 1µs · 2**i.
@@ -77,10 +67,6 @@ class Counter:
     def value(self) -> Number:
         return self._value
 
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
-
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self._value}
 
@@ -92,8 +78,6 @@ class Counter:
         self._value = state["value"]
         self._lock = threading.Lock()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self._value})"
 
 
 class Gauge:
@@ -112,20 +96,6 @@ class Gauge:
             self._value = value
             self._updates += 1
 
-    def inc(self, amount: Number = 1) -> None:
-        with self._lock:
-            self._value += amount
-            self._updates += 1
-
-    @property
-    def value(self) -> Number:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
-            self._updates = 0
-
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value, "updates": self._updates}
 
@@ -138,8 +108,6 @@ class Gauge:
         self._updates = state["updates"]
         self._lock = threading.Lock()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self._value})"
 
 
 def _bucket_quantile(
@@ -210,51 +178,6 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def quantile(self, q: float) -> float:
-        """Estimate quantile ``q`` in [0, 1]; NaN when empty."""
-        with self._lock:
-            return _bucket_quantile(
-                self.bounds, self._counts, self._count, self._min, self._max, q
-            )
-
-    def percentiles(self) -> Dict[str, float]:
-        with self._lock:
-            counts = list(self._counts)
-            count, lo, hi = self._count, self._min, self._max
-        return {
-            key: _bucket_quantile(self.bounds, counts, count, lo, hi, q)
-            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-        }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._count = 0
-            self._sum = 0.0
-            self._min = math.inf
-            self._max = -math.inf
-
-    def _merge_counts(
-        self, counts: Sequence[int], count: int, total: float, lo: float, hi: float
-    ) -> None:
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._count += count
-            self._sum += total
-            if lo < self._min:
-                self._min = lo
-            if hi > self._max:
-                self._max = hi
-
     def snapshot(self) -> dict:
         with self._lock:
             counts = list(self._counts)
@@ -298,15 +221,12 @@ class Histogram:
         self._max = state["max"]
         self._lock = threading.Lock()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name}, count={self._count})"
-
 
 Metric = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Named metrics with get-or-create access, snapshot/diff/merge."""
+    """Named metrics with get-or-create access and a snapshot."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
@@ -337,97 +257,11 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(name, Histogram, bounds)
 
-    def get(self, name: str) -> Optional[Metric]:
-        with self._lock:
-            return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    # -- snapshot / diff / merge ------------------------------------------
     def snapshot(self) -> Dict[str, dict]:
         """Plain-dict snapshot of every metric (JSON-ready)."""
         with self._lock:
             metrics = list(self._metrics.items())
         return {name: metric.snapshot() for name, metric in sorted(metrics)}
-
-    def diff(self, before: Mapping[str, dict]) -> Dict[str, dict]:
-        """Delta between the live registry and an earlier snapshot.
-
-        Counters and histogram counts subtract; gauges report their
-        current value (a level, not a rate).  Histogram min/max and
-        quantiles are recomputed from the *differenced* bucket counts,
-        so the result describes only the observations made since
-        ``before`` (window extrema are approximated by bucket edges).
-        """
-        now = self.snapshot()
-        out: Dict[str, dict] = {}
-        for name, snap in now.items():
-            prev = before.get(name)
-            if prev is None or prev.get("type") != snap["type"]:
-                out[name] = snap
-                continue
-            if snap["type"] == "counter":
-                out[name] = {"type": "counter", "value": snap["value"] - prev["value"]}
-            elif snap["type"] == "gauge":
-                out[name] = dict(snap)
-            else:
-                counts = [a - b for a, b in zip(snap["counts"], prev["counts"])]
-                count = snap["count"] - prev["count"]
-                total = snap["sum"] - prev["sum"]
-                bounds = snap["bounds"]
-                lo, hi = _window_extrema(bounds, counts, snap)
-                out[name] = _histogram_snapshot(bounds, counts, count, total, lo, hi)
-        return out
-
-    def merge_snapshot(self, snap: Mapping[str, dict]) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry."""
-        for name, entry in snap.items():
-            kind = entry.get("type")
-            if kind == "counter":
-                self.counter(name).inc(entry["value"])
-            elif kind == "gauge":
-                gauge = self.gauge(name)
-                if entry.get("updates", 0) > 0:
-                    gauge.set(entry["value"])
-            elif kind == "histogram":
-                hist = self.histogram(name, entry["bounds"])
-                if tuple(hist.bounds) != tuple(entry["bounds"]):
-                    raise ValueError(
-                        f"histogram {name!r}: incompatible bucket bounds"
-                    )
-                if entry["count"]:
-                    hist._merge_counts(
-                        entry["counts"],
-                        entry["count"],
-                        entry["sum"],
-                        entry["min"],
-                        entry["max"],
-                    )
-            else:
-                raise ValueError(f"unknown metric type {kind!r} for {name!r}")
-
-    def reset(self) -> None:
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            metric.reset()
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Stable JSON: sorted keys, snapshot scalars only."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> Dict[str, dict]:
-        return json.loads(text)
 
     # -- pickling (locks dropped, recreated) ------------------------------
     def __getstate__(self):
@@ -436,50 +270,6 @@ class MetricsRegistry:
     def __setstate__(self, state):
         self._metrics = state["metrics"]
         self._lock = threading.Lock()
-
-
-def _window_extrema(bounds, counts, snap):
-    """Approximate extrema of a differenced histogram window."""
-    occupied = [i for i, c in enumerate(counts) if c > 0]
-    if not occupied:
-        return math.inf, -math.inf
-    first, last = occupied[0], occupied[-1]
-    lo = bounds[first - 1] if first > 0 else (snap["min"] or 0.0)
-    hi = bounds[last] if last < len(bounds) else (snap["max"] or bounds[-1])
-    return lo, hi
-
-
-def _histogram_snapshot(bounds, counts, count, total, lo, hi):
-    quantiles = {
-        key: _bucket_quantile(bounds, counts, count, lo, hi, q)
-        for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-    }
-    return {
-        "type": "histogram",
-        "count": count,
-        "sum": total,
-        "min": lo if count else None,
-        "max": hi if count else None,
-        "bounds": list(bounds),
-        "counts": list(counts),
-        "p50": None if count == 0 else quantiles["p50"],
-        "p95": None if count == 0 else quantiles["p95"],
-        "p99": None if count == 0 else quantiles["p99"],
-    }
-
-
-def merge_snapshots(snapshots: Iterable[Mapping[str, dict]]) -> Dict[str, dict]:
-    """Merge snapshots from several registries/processes into one.
-
-    Counters and histogram buckets add; a gauge takes the value of the
-    last snapshot that ever set it.  Histograms must share bucket
-    bounds (all instrumentation uses :data:`DEFAULT_LATENCY_BUCKETS`
-    unless a caller overrides them consistently).
-    """
-    merged = MetricsRegistry()
-    for snap in snapshots:
-        merged.merge_snapshot(snap)
-    return merged.snapshot()
 
 
 class _NullMetric:
@@ -495,26 +285,6 @@ class _NullMetric:
 
     def observe(self, value: Number) -> None:
         pass
-
-    def reset(self) -> None:
-        pass
-
-    @property
-    def value(self) -> Number:
-        return 0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    def quantile(self, q: float) -> float:
-        return math.nan
-
-    def percentiles(self) -> Dict[str, float]:
-        return {"p50": math.nan, "p95": math.nan, "p99": math.nan}
-
-    def snapshot(self) -> dict:
-        return {"type": "counter", "value": 0}
 
 
 _NULL_METRIC = _NullMetric()
@@ -534,40 +304,10 @@ class NullRegistry:
     def counter(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
-    def gauge(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
     ) -> _NullMetric:
         return _NULL_METRIC
-
-    def get(self, name: str) -> None:
-        return None
-
-    def names(self) -> List[str]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {}
-
-    def diff(self, before: Mapping[str, dict]) -> Dict[str, dict]:
-        return {}
-
-    def merge_snapshot(self, snap: Mapping[str, dict]) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return "{}"
 
 
 NULL_REGISTRY = NullRegistry()

@@ -32,16 +32,14 @@ Usage::
     obs_trace.enable_tracing()
     with obs_trace.span("placement", "planner", batch=3):
         ...
-    obs_trace.get_tracer().write_chrome_trace("TRACE.json")
+    trace = obs_trace.get_tracer().to_chrome_trace()
 
 Set ``REPRO_TRACE=1`` to enable tracing at import time.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import os
 import threading
 import time
@@ -52,7 +50,6 @@ __all__ = [
     "get_tracer",
     "span",
     "add_span",
-    "traced",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
@@ -156,11 +153,6 @@ class Tracer:
         return (os.getpid() << _PID_SHIFT) | next(self._ids)
 
     # -- recording ---------------------------------------------------------
-    def span(self, name: str, cat: str = "", **args):
-        """Context manager timing a code region (no-op when disabled)."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, name, cat, args)
 
     def add_span(
         self,
@@ -276,10 +268,6 @@ class Tracer:
             "clockOrigin": self.origin,
         }
 
-    def write_chrome_trace(self, path, time_scale: float = 1e6) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_chrome_trace(time_scale), handle)
-
 
 _TRACER = Tracer(enabled=os.environ.get("REPRO_TRACE", "") not in ("", "0"))
 
@@ -312,25 +300,6 @@ def add_span(
     if not tracer.enabled:
         return
     tracer.add_span(name, cat, start, end, args=args, pid=pid, tid=tid)
-
-
-def traced(name: Optional[str] = None, cat: str = ""):
-    """Decorator form: trace every call of the wrapped function."""
-
-    def decorate(fn):
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = _TRACER
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            with _Span(tracer, label, cat, {}):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def enable_tracing() -> None:

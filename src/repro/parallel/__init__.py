@@ -4,8 +4,8 @@ The paper argues TP and PP are orthogonal to DCP and prescribes the
 ``TP-CP-DP-PP`` rank order, with DCP occupying the CP and DP ranks.
 This subpackage makes the composition concrete:
 
-* :mod:`~repro.parallel.topology` — rank <-> (tp, dcp, pp) mapping and
-  communication groups;
+* :mod:`~repro.parallel.topology` — the (tp, dcp, pp) degrees and their
+  fit to a cluster;
 * :mod:`~repro.parallel.tp` — head sharding, TP all-reduce pricing, the
   DCP-visible cluster when TP groups act as single ranks;
 * :mod:`~repro.parallel.pp` — layer splitting and a 1F1B pipeline
@@ -15,18 +15,20 @@ This subpackage makes the composition concrete:
   TP x DCP x PP configuration around real execution plans.
 """
 
-from .hybrid import HybridConfig, HybridResult, hybrid_iteration_time
+from .hybrid import (
+    HybridConfig,
+    HybridResult,
+    hybrid_iteration_time,
+    split_batch_by_workload,
+)
 from .pp import (
     PipelineTiming,
     StageCost,
-    gpipe_order,
     one_f_one_b_order,
-    simulate_1f1b,
     simulate_1f1b_varied,
-    simulate_pipeline,
     split_layers,
 )
-from .topology import RankCoords, RankTopology
+from .topology import RankTopology
 from .tp import (
     allreduce_time,
     dcp_view_cluster,
@@ -35,7 +37,6 @@ from .tp import (
 )
 
 __all__ = [
-    "RankCoords",
     "RankTopology",
     "shard_attention",
     "dcp_view_cluster",
@@ -45,11 +46,9 @@ __all__ = [
     "PipelineTiming",
     "split_layers",
     "one_f_one_b_order",
-    "gpipe_order",
-    "simulate_1f1b",
-    "simulate_pipeline",
     "simulate_1f1b_varied",
     "HybridConfig",
     "HybridResult",
     "hybrid_iteration_time",
+    "split_batch_by_workload",
 ]

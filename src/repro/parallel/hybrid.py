@@ -19,13 +19,12 @@ all-reduces, activation p2p and gradient sync are analytic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..blocks import AttentionSpec, BatchSpec, generate_blocks
+from ..blocks import AttentionSpec, BatchSpec, SequenceSpec, generate_blocks
 from ..core.config import DCPConfig
-from ..core.groups import split_batch_by_workload
 from ..core.planner import DCPPlanner
 from ..sim.cluster import ClusterSpec
 from ..sim.modelcost import ModelSpec
@@ -34,7 +33,12 @@ from .pp import PipelineTiming, StageCost, simulate_1f1b_varied, split_layers
 from .topology import RankTopology
 from .tp import dcp_view_cluster, shard_attention, tp_layer_comm_time
 
-__all__ = ["HybridConfig", "HybridResult", "hybrid_iteration_time"]
+__all__ = [
+    "HybridConfig",
+    "HybridResult",
+    "hybrid_iteration_time",
+    "split_batch_by_workload",
+]
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,35 @@ class HybridResult:
     grad_sync_time: float
     microbatch_plans: List[object]
 
-    def breakdown(self) -> Dict[str, float]:
-        return {
-            "attention": self.attention_time,
-            "tp_comm": self.tp_comm_time,
-            "others": self.others_time,
-            "grad_sync": self.grad_sync_time,
-            "pipeline_bubble": self.pipeline.bubble_fraction,
-            "total": self.iteration_time,
-        }
+
+def split_batch_by_workload(
+    batch: BatchSpec, num_groups: int
+) -> List[Optional[BatchSpec]]:
+    """LPT-pack sequences into groups by attention FLOPs.
+
+    Memory (tokens) is kept as a tiebreaker so the byte footprint stays
+    reasonable too.  Returns ``None`` for groups that receive nothing
+    (more groups than sequences).
+    """
+    if num_groups < 1:
+        raise ValueError("need at least one group")
+    work = [
+        (seq.mask.total_pairs(seq.seqlen), seq.seqlen, index)
+        for index, seq in enumerate(batch.sequences)
+    ]
+    work.sort(reverse=True)
+    loads = np.zeros(num_groups, dtype=np.float64)
+    token_loads = np.zeros(num_groups, dtype=np.float64)
+    members: List[List[SequenceSpec]] = [[] for _ in range(num_groups)]
+    for pairs, seqlen, index in work:
+        candidates = np.nonzero(loads == loads.min())[0]
+        group = int(candidates[np.argmin(token_loads[candidates])])
+        loads[group] += pairs
+        token_loads[group] += seqlen
+        members[group].append(batch.sequences[index])
+    return [
+        BatchSpec(tuple(group)) if group else None for group in members
+    ]
 
 
 def _stage_cluster(cluster: ClusterSpec, topology: RankTopology) -> ClusterSpec:

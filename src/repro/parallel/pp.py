@@ -25,10 +25,7 @@ __all__ = [
     "PipelineTiming",
     "split_layers",
     "one_f_one_b_order",
-    "gpipe_order",
-    "simulate_1f1b",
     "simulate_1f1b_varied",
-    "simulate_pipeline",
 ]
 
 
@@ -52,9 +49,6 @@ class PipelineTiming:
     stage_busy: List[float]
     num_stages: int
     num_microbatches: int
-    # Peak microbatch activations simultaneously held per stage (a
-    # forward stashes one; its backward releases it).
-    peak_activations: List[int] = None
 
     @property
     def bubble_fraction(self) -> float:
@@ -63,15 +57,6 @@ class PipelineTiming:
             return 0.0
         capacity = self.total * self.num_stages
         return 1.0 - sum(self.stage_busy) / capacity
-
-    @property
-    def max_peak_activations(self) -> int:
-        """Worst per-stage activation residency — the memory axis on
-        which GPipe and 1F1B differ."""
-        if not self.peak_activations:
-            return 0
-        return max(self.peak_activations)
-
 
 def split_layers(num_layers: int, num_stages: int) -> List[int]:
     """Layers per stage, near-even, earlier stages take the remainder.
@@ -110,50 +95,6 @@ def one_f_one_b_order(
     return order
 
 
-def gpipe_order(
-    stage: int, num_stages: int, num_microbatches: int
-) -> List[Tuple[str, int]]:
-    """Task order of one stage under GPipe: all forwards, then all
-    backwards (backwards drain in reverse microbatch order).
-
-    GPipe's bubble matches 1F1B's, but every stage must hold all ``M``
-    forward activations before the first backward frees one — the
-    memory cost 1F1B was designed to avoid.
-    """
-    order: List[Tuple[str, int]] = [
-        ("F", m) for m in range(num_microbatches)
-    ]
-    order.extend(("B", m) for m in reversed(range(num_microbatches)))
-    return order
-
-
-def simulate_1f1b(
-    stage_costs: List[StageCost],
-    num_microbatches: int,
-    p2p_time: float = 0.0,
-) -> PipelineTiming:
-    """Simulate the 1F1B schedule with uniform microbatches.
-
-    Parameters
-    ----------
-    stage_costs:
-        Per-stage, per-microbatch forward/backward times (stage 0 is
-        the first pipeline stage).
-    num_microbatches:
-        Microbatches per iteration; must be at least 1.
-    p2p_time:
-        Activation (and activation-gradient) transfer time between
-        adjacent stages, paid on every cross-stage dependency.
-
-    For uniform stages with zero ``p2p_time`` the result matches the
-    classic closed form ``(M + S - 1) * (f + b)``.
-    """
-    if num_microbatches < 1:
-        raise ValueError("need at least one microbatch")
-    costs = [[cost] * num_microbatches for cost in stage_costs]
-    return simulate_1f1b_varied(costs, p2p_time)
-
-
 def simulate_1f1b_varied(
     costs: List[List[StageCost]],
     p2p_time: float = 0.0,
@@ -163,22 +104,10 @@ def simulate_1f1b_varied(
     ``costs[stage][microbatch]`` gives each unit of work its own time —
     the situation DCP creates, where every microbatch carries different
     sequence lengths and masks and thus different attention time.
-    """
-    return simulate_pipeline(costs, p2p_time=p2p_time, schedule="1f1b")
-
-
-def simulate_pipeline(
-    costs: List[List[StageCost]],
-    p2p_time: float = 0.0,
-    schedule: str = "1f1b",
-) -> PipelineTiming:
-    """Simulate a pipeline schedule with per-(stage, microbatch) costs.
-
-    ``schedule`` selects the per-stage task order: ``"1f1b"``
-    (Megatron's default) or ``"gpipe"`` (all forwards, then all
-    backwards).  Both share the cross-stage dependency structure; they
-    differ in bubble placement and activation residency, which the
-    result's ``peak_activations`` records.
+    ``p2p_time`` is the activation (and activation-gradient) transfer
+    time between adjacent stages, paid on every cross-stage dependency.
+    For uniform stages with zero ``p2p_time`` the result matches the
+    classic closed form ``(M + S - 1) * (f + b)``.
     """
     if not costs:
         raise ValueError("need at least one stage")
@@ -188,15 +117,8 @@ def simulate_pipeline(
         raise ValueError("need at least one microbatch")
     if any(len(row) != num_microbatches for row in costs):
         raise ValueError("all stages must cost the same microbatch count")
-    if schedule == "1f1b":
-        order_fn = one_f_one_b_order
-    elif schedule == "gpipe":
-        order_fn = gpipe_order
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
-
     orders = [
-        order_fn(s, num_stages, num_microbatches)
+        one_f_one_b_order(s, num_stages, num_microbatches)
         for s in range(num_stages)
     ]
     finish: Dict[Tuple[str, int, int], float] = {}
@@ -213,8 +135,6 @@ def simulate_pipeline(
         # per-stage ordering already guarantees; no cross-stage edge.
         return None
 
-    live = [0] * num_stages  # stashed forward activations
-    peak = [0] * num_stages
     remaining = sum(len(order) for order in orders)
     while remaining:
         progressed = False
@@ -233,11 +153,6 @@ def simulate_pipeline(
                 finish[(kind, stage, microbatch)] = end
                 clock[stage] = end
                 busy[stage] += duration
-                if kind == "F":
-                    live[stage] += 1
-                    peak[stage] = max(peak[stage], live[stage])
-                else:
-                    live[stage] -= 1
                 pointer[stage] += 1
                 remaining -= 1
                 progressed = True
@@ -249,5 +164,4 @@ def simulate_pipeline(
         stage_busy=busy,
         num_stages=num_stages,
         num_microbatches=num_microbatches,
-        peak_activations=peak,
     )

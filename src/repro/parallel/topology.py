@@ -7,9 +7,8 @@ ranks traditionally assigned to CP *and* DP (DCP subsumes data
 parallelism as one of its configurations), and pipeline parallelism
 spans the most distant ranks (least communication).
 
-:class:`RankTopology` maps global ranks to ``(tp, dcp, pp)`` coordinates
-and enumerates the communication groups each parallelism operates over.
-Because DCP absorbs the CP and DP dimensions, the topology has three
+:class:`RankTopology` holds the ``(tp, dcp, pp)`` degrees and checks
+that they fit a cluster.  Because DCP absorbs the CP and DP dimensions, the topology has three
 axes rather than Megatron's four; :attr:`RankTopology.dcp` equals the
 product of what Megatron would call the CP and DP degrees.
 """
@@ -17,20 +16,10 @@ product of what Megatron would call the CP and DP degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..sim.cluster import ClusterSpec
 
-__all__ = ["RankCoords", "RankTopology"]
-
-
-@dataclass(frozen=True, order=True)
-class RankCoords:
-    """Coordinates of one global rank along the parallelism axes."""
-
-    tp: int
-    dcp: int
-    pp: int
+__all__ = ["RankTopology"]
 
 
 @dataclass(frozen=True)
@@ -65,77 +54,6 @@ class RankTopology:
     def world_size(self) -> int:
         return self.tp * self.dcp * self.pp
 
-    # -- rank <-> coordinate mapping --------------------------------------
-
-    def coords(self, rank: int) -> RankCoords:
-        """Decompose a global rank into ``(tp, dcp, pp)`` coordinates."""
-        self._check_rank(rank)
-        tp = rank % self.tp
-        dcp = (rank // self.tp) % self.dcp
-        pp = rank // (self.tp * self.dcp)
-        return RankCoords(tp=tp, dcp=dcp, pp=pp)
-
-    def rank_of(self, coords: RankCoords) -> int:
-        """Inverse of :meth:`coords`."""
-        if not 0 <= coords.tp < self.tp:
-            raise ValueError(f"tp coordinate {coords.tp} outside [0, {self.tp})")
-        if not 0 <= coords.dcp < self.dcp:
-            raise ValueError(f"dcp coordinate {coords.dcp} outside [0, {self.dcp})")
-        if not 0 <= coords.pp < self.pp:
-            raise ValueError(f"pp coordinate {coords.pp} outside [0, {self.pp})")
-        return coords.tp + self.tp * (coords.dcp + self.dcp * coords.pp)
-
-    # -- communication groups ----------------------------------------------
-
-    def tp_group(self, rank: int) -> List[int]:
-        """Ranks sharing this rank's weight shards (consecutive ranks)."""
-        base = self.coords(rank)
-        return [
-            self.rank_of(RankCoords(tp=t, dcp=base.dcp, pp=base.pp))
-            for t in range(self.tp)
-        ]
-
-    def dcp_group(self, rank: int) -> List[int]:
-        """Ranks this rank plans DCP configurations with."""
-        base = self.coords(rank)
-        return [
-            self.rank_of(RankCoords(tp=base.tp, dcp=d, pp=base.pp))
-            for d in range(self.dcp)
-        ]
-
-    def pp_group(self, rank: int) -> List[int]:
-        """This rank's pipeline: one rank per stage, same (tp, dcp)."""
-        base = self.coords(rank)
-        return [
-            self.rank_of(RankCoords(tp=base.tp, dcp=base.dcp, pp=p))
-            for p in range(self.pp)
-        ]
-
-    def all_tp_groups(self) -> List[List[int]]:
-        return [
-            self.tp_group(self.rank_of(RankCoords(tp=0, dcp=d, pp=p)))
-            for p in range(self.pp)
-            for d in range(self.dcp)
-        ]
-
-    def all_dcp_groups(self) -> List[List[int]]:
-        return [
-            self.dcp_group(self.rank_of(RankCoords(tp=t, dcp=0, pp=p)))
-            for p in range(self.pp)
-            for t in range(self.tp)
-        ]
-
-    def all_pp_groups(self) -> List[List[int]]:
-        return [
-            self.pp_group(self.rank_of(RankCoords(tp=t, dcp=d, pp=0)))
-            for d in range(self.dcp)
-            for t in range(self.tp)
-        ]
-
-    def stage_of(self, rank: int) -> int:
-        """Pipeline stage index of a rank."""
-        return self.coords(rank).pp
-
     # -- cluster validation --------------------------------------------------
 
     def validate_against(self, cluster: ClusterSpec) -> None:
@@ -157,10 +75,6 @@ class RankTopology:
             )
         if cluster.devices_per_machine % self.tp != 0:
             raise ValueError("tp degree must divide devices per machine")
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.world_size:
-            raise ValueError(f"rank {rank} outside world of {self.world_size}")
 
     def describe(self) -> str:
         return f"tp={self.tp} dcp={self.dcp} pp={self.pp}"

@@ -24,8 +24,9 @@ model execution" claim from an analytic replay
   :class:`~repro.pipeline.shm.PlanRing`, the same bytes over the result
   pipe when a plan cannot take the ring.
 * :class:`~repro.pipeline.driver.PipelineRunner` — drains a pipeline
-  through :class:`~repro.runtime.SimExecutor` (or a cost-model stand-in)
-  and reports the measured :class:`OverlapStats` + timeline.
+  through an execute callback (the cost-model stand-in
+  :func:`~repro.pipeline.driver.cost_model_executor`, say) and reports
+  the measured :class:`OverlapStats` + timeline.
 
 ``repro.core.DCPDataloader`` is this package's pipeline class under the
 paper's name, and ``repro.core.DistributedDataloader`` builds one over
@@ -44,7 +45,6 @@ from .pipeline import (
     IterationRecord,
     OverlapStats,
     StreamingOverlapPipeline,
-    plan_diff,
     plan_fingerprint,
 )
 from .shm import PlanRing, ShmUnavailable, leaked_maps
@@ -55,7 +55,6 @@ __all__ = [
     "OverlapStats",
     "IterationRecord",
     "plan_fingerprint",
-    "plan_diff",
     "PlanTicket",
     "ThreadPlannerBackend",
     "ProcessPlannerBackend",

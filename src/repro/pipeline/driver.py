@@ -3,12 +3,11 @@
 The pipeline measures execution as "time the consumer spends between
 yields"; this module supplies the consumers:
 
-* :class:`PipelineRunner` — executes every plan on
-  :class:`~repro.runtime.SimExecutor` (the numerically exact simulated
-  cluster), so the per-iteration timeline records *measured* execution
+* :class:`PipelineRunner` — drains the pipeline through an execute
+  callback, so the per-iteration timeline records *measured* execution
   wall time against *measured* planning wall time — the §6.1 figure as
   an experiment rather than a simulation.
-* :func:`cost_model_executor` — an execute callback that prices the
+* :func:`cost_model_executor` — the execute callback that prices the
   plan with :func:`~repro.sim.e2e_iteration_time` and occupies exactly
   the (scaled) simulated iteration time.  This is how the overlap
   benchmark plays an 8B-GPT training loop in seconds instead of hours:
@@ -35,12 +34,9 @@ class OverlapReport:
     timeline: PlanningTimeline
     executions: List[dict] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {"stats": self.stats.as_dict(), "executions": self.executions}
-
 
 class PipelineRunner:
-    """Run every planned batch on the simulated cluster.
+    """Run every planned batch through an execute callback.
 
     Parameters
     ----------
@@ -48,11 +44,7 @@ class PipelineRunner:
         The :class:`StreamingOverlapPipeline` to drain.
     execute:
         ``execute(local_data, plan) -> dict`` callback doing the
-        iteration's work; defaults to a full
-        :class:`~repro.runtime.SimExecutor` pass (load random inputs,
-        interpret every instruction, gather outputs).
-    seed:
-        Input seed for the default executor.
+        iteration's work (e.g. :func:`cost_model_executor`).
     on_iteration:
         Optional ``on_iteration(index, info)`` callback invoked after
         each executed iteration — the hook through which streaming
@@ -65,28 +57,12 @@ class PipelineRunner:
     def __init__(
         self,
         pipeline: StreamingOverlapPipeline,
-        execute: Optional[Callable] = None,
-        seed: int = 0,
+        execute: Callable,
         on_iteration: Optional[Callable[[int, dict], None]] = None,
     ) -> None:
         self.pipeline = pipeline
-        self.execute = execute or self._sim_execute
-        self.seed = seed
+        self.execute = execute
         self.on_iteration = on_iteration
-
-    def _sim_execute(self, local_data, plan) -> dict:
-        from ..runtime import BatchInputs, SimExecutor
-
-        executor = SimExecutor(plan)
-        inputs = BatchInputs.random(plan.block_set, seed=self.seed)
-        executor.load_inputs(inputs)
-        elapsed = executor.run()
-        outputs = executor.gather_outputs()
-        return {
-            "executor_wall_s": elapsed,
-            "num_outputs": len(outputs),
-            "tokens": sum(data.tokens for data in local_data.values()),
-        }
 
     def run(self, max_iterations: Optional[int] = None) -> OverlapReport:
         executions: List[dict] = []

@@ -6,10 +6,9 @@ an analytic model, it actually plans batch ``i + kappa`` on background
 planner workers while batch ``i`` executes, and records what fraction
 of planning time was genuinely hidden behind execution.  It is the one
 pipeline: the batch source is any iterable — a materialized list is a
-finite stream, a packer still emitting
-(:func:`repro.data.stream_packed_specs`, optionally driven by one of
-the bounded-reordering-buffer streaming packers in
-:data:`repro.data.STREAM_PACKERS`) an unbounded one — and the cluster
+finite stream, a generator of specs off one of the
+bounded-reordering-buffer streaming packers in
+:data:`repro.data.STREAM_PACKERS` an unbounded one — and the cluster
 shape is either fixed (``events=None``) or a live feed of device
 add/remove events (:class:`~repro.sim.ClusterEventSource`).
 
@@ -127,7 +126,7 @@ from .backends import CompletedTicket, PlanTicket, SharedPlanTicket, make_backen
 
 __all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner",
            "OverlapStats", "IterationRecord",
-           "plan_fingerprint", "plan_diff"]
+           "plan_fingerprint"]
 
 #: Waits shorter than this (seconds) are queue bookkeeping, not stalls.
 #: Overridable for environments whose bookkeeping is artificially slow
@@ -952,30 +951,3 @@ def plan_fingerprint(plan) -> bytes:
         for device, dp in sorted(plan.device_plans.items())
     ]
     return pickle.dumps(payload, protocol=4)
-
-
-def plan_diff(old_plan, new_plan) -> Tuple[int, ...]:
-    """Devices whose executable content differs between two plans.
-
-    Compares per-device
-    :func:`~repro.core.planwire.encode_device_payload` bytes; a device
-    present in only one plan counts as changed.  An empty result means
-    the plans are :func:`plan_fingerprint`-equal.  This is the *observer's*
-    view of delta re-planning — tests and benchmarks use it to assert
-    which devices an event re-plan actually touched; the enforcement on
-    the wire is independent (the KV store's
-    :meth:`~repro.core.kvstore.KVStore.put_if_changed` byte-compares
-    each republished slice against what it already holds), so the two
-    agree by construction on serialized content.
-    """
-    devices = sorted(set(old_plan.device_plans) | set(new_plan.device_plans))
-    changed = []
-    for device in devices:
-        old = old_plan.device_plans.get(device)
-        new = new_plan.device_plans.get(device)
-        if old is None or new is None:
-            changed.append(device)
-        elif (encode_device_payload(device, old)
-              != encode_device_payload(device, new)):
-            changed.append(device)
-    return tuple(changed)

@@ -273,13 +273,6 @@ class PlanRing:
             if state != _FREE:
                 self._set_header(slot, _FREE, seq, 0)
 
-    def free_slots(self) -> int:
-        with self._lock:
-            return sum(
-                1 for slot in range(self.slots)
-                if self._header(slot)[0] == _FREE
-            )
-
     # -- worker side ----------------------------------------------------
 
     def write(self, slot: int, payload) -> bool:

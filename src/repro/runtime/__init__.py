@@ -6,7 +6,6 @@ from .executor import BatchInputs, SimExecutor
 from .fabric import Fabric, Message
 from .kernels import (
     AttnPartial,
-    accumulate_tile,
     empty_partial,
     finalize,
     finalize_with_lse,
@@ -27,7 +26,6 @@ __all__ = [
     "Fabric",
     "Message",
     "AttnPartial",
-    "accumulate_tile",
     "empty_partial",
     "finalize",
     "merge_partials",

@@ -8,9 +8,8 @@ the same executor and fabric.
 
 DCP's backward plan shares the forward's placement and divisions (one
 lowering emits both, :mod:`repro.scheduling.serialize`).  The static
-ring baselines run their own plan pair through
-:func:`run_plans_forward_backward` too
-(:func:`repro.baselines.run_ring_forward_backward`).
+ring's plan pair (``lower_ring`` with ``Forward`` / ``Backward``) runs
+through :func:`run_plans_forward_backward` too.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ __all__ = [
     "empty_partial",
     "tile_attention",
     "merge_partials",
-    "accumulate_tile",
     "finalize",
     "finalize_with_lse",
     "tile_backward",
@@ -101,18 +100,6 @@ def merge_partials(dst: AttnPartial, src: AttnPartial) -> None:
     dst.l *= dst_scale
     dst.l += src.l * src_scale
     dst.m = m_new
-
-
-def accumulate_tile(
-    state: AttnPartial,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray,
-    scale: float,
-) -> None:
-    """Compute one tile and fold it into ``state``."""
-    merge_partials(state, tile_attention(q, k, v, mask, scale))
 
 
 def finalize(state: AttnPartial) -> np.ndarray:

@@ -39,11 +39,5 @@ class BufferManager:
         live.remove(slot)
         self._free[buffer].append(slot)
 
-    def high_water(self, buffer: str) -> int:
-        return self._next.get(buffer, 0)
-
     def sizes(self) -> Dict[str, int]:
         return dict(self._next)
-
-    def live_count(self, buffer: str) -> int:
-        return len(self._live.get(buffer, ()))

@@ -73,13 +73,6 @@ class DeviceSchedule:
     # Partial outputs this device must ship to their home afterwards.
     output_sends: List[DataBlockId]
 
-    @property
-    def num_divisions(self) -> int:
-        return len(self.divisions)
-
-    def all_blocks(self) -> List[CompBlock]:
-        return [comp for division in self.divisions for comp in division]
-
 
 @dataclass
 class Schedule:

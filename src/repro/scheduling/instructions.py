@@ -222,10 +222,6 @@ class CommLaunch:
     def send_bytes(self) -> int:
         return sum(s.nbytes for s in self.sends)
 
-    @property
-    def recv_bytes(self) -> int:
-        return sum(r.nbytes for r in self.recvs)
-
 
 @dataclass(frozen=True)
 class CommWait:
@@ -257,9 +253,6 @@ class DevicePlan:
     dq_slots: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     dkv_slots: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
 
-    def count(self, kind: str) -> int:
-        return sum(1 for ins in self.instructions if ins.kind == kind)
-
 
 @dataclass
 class ExecutionPlan:
@@ -269,9 +262,6 @@ class ExecutionPlan:
     cluster: object  # ClusterSpec
     device_plans: Dict[int, DevicePlan]
     meta: Dict = field(default_factory=dict)
-
-    def plan_for(self, device: int) -> DevicePlan:
-        return self.device_plans[device]
 
     @property
     def num_devices(self) -> int:

@@ -25,8 +25,8 @@ Robustness (PR 9) adds the failure-handling layer:
 
 * :mod:`~repro.service.errors` — one typed failure hierarchy with a
   retryable/non-retryable split (:func:`is_retryable`).
-* :mod:`~repro.service.health` — circuit breakers + heartbeat
-  liveness (:class:`~repro.service.health.ShardHealth`), so requests
+* :mod:`~repro.service.health` — circuit breakers
+  (:class:`~repro.service.health.ShardHealth`), so requests
   route around dead shards instead of timing out into them.
 * R-way replication in the sharded store (writes to R successors,
   replica-fallback reads, write-repair + anti-entropy healing).
@@ -38,7 +38,6 @@ Robustness (PR 9) adds the failure-handling layer:
 from .admission import AdmissionController, FairScheduler
 from .degraded import degraded_plan, is_degraded
 from .errors import (
-    KVOpDropped,
     PlannerUnavailable,
     PlanRejected,
     PlanTimeout,
@@ -67,7 +66,6 @@ __all__ = [
     "ServiceError",
     "TransientServiceError",
     "ShardUnavailable",
-    "KVOpDropped",
     "PlanTimeout",
     "PlannerUnavailable",
     "is_retryable",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..obs.metrics import MetricsRegistry
 from .errors import PlanRejected
@@ -125,21 +125,6 @@ class FairScheduler:
             raise ValueError("tenant weight must be positive")
         with self._lock:
             self._weights[tenant] = float(weight)
-
-    def tenants(self) -> Dict[str, Tuple[int, int]]:
-        """Occupancy snapshot: tenant -> (queued, inflight)."""
-        with self._lock:
-            names = set(self._queues) | set(self._inflight)
-            return {
-                name: (len(self._queues.get(name, ())),
-                       self._inflight.get(name, 0))
-                for name in names
-            }
-
-    @property
-    def total_queued(self) -> int:
-        with self._lock:
-            return self._total_queued
 
     def submit(self, tenant: str, job, cost: float = 1.0) -> None:
         """Enqueue ``job`` for ``tenant`` or raise :class:`PlanRejected`."""

@@ -25,9 +25,6 @@ Classes
 ``ShardUnavailable``
     A KV shard is down, circuit-broken, or mid-restart.  Retryable —
     replicas or the healed shard can serve the next attempt.
-``KVOpDropped``
-    A fault injector (or lossy transport) dropped one KV operation.
-    Retryable — the op was never applied.
 ``PlanTimeout``
     A plan fetch missed its deadline.  Retryable, though the service
     normally converts it into a degraded-mode serve instead of
@@ -44,7 +41,6 @@ __all__ = [
     "TransientServiceError",
     "PlanRejected",
     "ShardUnavailable",
-    "KVOpDropped",
     "PlanTimeout",
     "PlannerUnavailable",
     "is_retryable",
@@ -91,15 +87,6 @@ class ShardUnavailable(TransientServiceError):
         super().__init__(f"shard {shard!r} unavailable: {reason}")
         self.shard = shard
         self.reason = reason
-
-
-class KVOpDropped(TransientServiceError):
-    """A single KV operation was dropped before it was applied."""
-
-    def __init__(self, target: str, op: str) -> None:
-        super().__init__(f"kv op {op!r} on {target!r} dropped")
-        self.target = target
-        self.op = op
 
 
 class PlanTimeout(TransientServiceError):

@@ -1,4 +1,4 @@
-"""Failure detection for plan serving: heartbeats + circuit breakers.
+"""Failure detection for plan serving: circuit breakers.
 
 A dead shard that every request still probes turns one failure into a
 fleet-wide latency cliff: each fetch pays the full timeout before
@@ -7,12 +7,8 @@ after ``failure_threshold`` consecutive failures the breaker opens and
 callers fail over instantly; after ``reset_after_s`` it half-opens and
 admits exactly one probe, whose outcome closes or re-opens it.
 
-:class:`ShardHealth` aggregates breakers per target (shards, planner
-workers) and adds heartbeat bookkeeping: long-running components call
-:meth:`ShardHealth.heartbeat` on every loop iteration, and anything
-silent longer than ``heartbeat_timeout_s`` is reported dead even if it
-never returned an error — the hung-worker case, which produces no
-failures at all, only silence.
+:class:`ShardHealth` aggregates breakers per target (the store's
+shards) and counts breaker openings and fast fails.
 
 Both classes take an injectable ``clock`` (default
 ``time.monotonic``) so tests and the chaos harness can drive breaker
@@ -23,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry
 
@@ -118,44 +114,27 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 self.opened_count += 1
 
-    def trip(self) -> None:
-        """Force-open (failure detection outside the call path,
-        e.g. a missed heartbeat or an explicit kill notification)."""
-        with self._lock:
-            if self._state != OPEN:
-                self._state = OPEN
-                self.opened_count += 1
-            self._opened_at = self._clock()
-            self._probing = False
-
 
 class ShardHealth:
-    """Per-target breakers + heartbeat liveness for the service.
+    """Per-target breakers for the service.
 
-    Targets are plain strings (``"shard0"``, ``"worker:1"``).  The
-    service consults :meth:`allow` before routing an operation at a
-    target and reports outcomes back; loop-structured components
-    additionally :meth:`heartbeat`, letting :meth:`is_alive` detect
-    silent hangs.
+    Targets are plain strings (``"shard0"``).  The store consults
+    :meth:`allow` before routing an operation at a target and reports
+    outcomes back.
     """
 
     def __init__(
         self,
         failure_threshold: int = 3,
         reset_after_s: float = 0.25,
-        heartbeat_timeout_s: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat_timeout_s must be positive")
         self.failure_threshold = failure_threshold
         self.reset_after_s = reset_after_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._heartbeats: Dict[str, float] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._opened = self.metrics.counter("health.breaker_opened")
         self._fast_fails = self.metrics.counter("health.fast_fails")
@@ -172,8 +151,6 @@ class ShardHealth:
                 self._breakers[target] = breaker
             return breaker
 
-    # -- call-path API ---------------------------------------------------
-
     def allow(self, target: str) -> bool:
         allowed = self.breaker(target).allow()
         if not allowed:
@@ -182,7 +159,6 @@ class ShardHealth:
 
     def record_success(self, target: str) -> None:
         self.breaker(target).record_success()
-        self.heartbeat(target)
 
     def record_failure(self, target: str) -> None:
         breaker = self.breaker(target)
@@ -190,42 +166,3 @@ class ShardHealth:
         breaker.record_failure()
         if breaker.opened_count > before:
             self._opened.inc()
-
-    def trip(self, target: str) -> None:
-        breaker = self.breaker(target)
-        before = breaker.opened_count
-        breaker.trip()
-        if breaker.opened_count > before:
-            self._opened.inc()
-
-    # -- heartbeat API ---------------------------------------------------
-
-    def heartbeat(self, target: str) -> None:
-        with self._lock:
-            self._heartbeats[target] = self._clock()
-
-    def last_heartbeat(self, target: str) -> Optional[float]:
-        with self._lock:
-            return self._heartbeats.get(target)
-
-    def is_alive(self, target: str) -> bool:
-        """Heartbeat recency: has ``target`` checked in lately?
-
-        A target that never heartbeat is presumed alive (it may simply
-        not be loop-structured); one that did and then went silent past
-        ``heartbeat_timeout_s`` is dead — the hung-worker signature.
-        """
-        with self._lock:
-            stamp = self._heartbeats.get(target)
-        if stamp is None:
-            return True
-        return self._clock() - stamp < self.heartbeat_timeout_s
-
-    def alive(self, targets: List[str]) -> List[str]:
-        return [t for t in targets if self.is_alive(t)]
-
-    def snapshot(self) -> Dict[str, str]:
-        """Target -> breaker state (for stats()/debugging)."""
-        with self._lock:
-            breakers = dict(self._breakers)
-        return {target: b.state for target, b in sorted(breakers.items())}

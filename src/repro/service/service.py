@@ -37,8 +37,7 @@ cursors, so the *next* fetch of the signature is optimal again.
 Deadline-bearing store reads go replica by replica like every other
 read (:meth:`~repro.service.sharding.ShardedPlanStore.try_get`): a
 killed or breaker-open owner fails fast and costs no budget.  Planner
-workers survive failing jobs and heartbeat into the shard-health
-tracker, so a hung worker is visible, not silent.
+workers survive failing jobs.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ class PlanService:
     fault_injector / anti_entropy_interval_s:
         Chaos/robustness wiring, passed to the store (and, for the
         injector, consulted by planner workers under ``worker:<i>``
-        targets — an injected hang stalls the worker like a real one).
+        targets — an injected ``slow`` stalls the worker).
     """
 
     def __init__(
@@ -221,14 +220,11 @@ class PlanService:
         A raising job has already released its reservation waiters
         (see :meth:`_plan_job`), so the worker records the error and
         moves on — one poisoned batch must not decommission a planner
-        thread for the life of the service.  Each iteration heartbeats
-        into the shard-health tracker under ``worker:<index>`` and
-        honors injected hangs, so a stalled worker is *observably*
-        stalled (its heartbeat goes silent) rather than silently gone.
+        thread for the life of the service.  Each iteration honors an
+        injected ``slow`` on ``worker:<index>``.
         """
         target = f"worker:{index}"
         while True:
-            self.store.health.heartbeat(target)
             if self._injector is not None:
                 delay = self._injector.delay_s(target)
                 if delay > 0:

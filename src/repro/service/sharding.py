@@ -6,7 +6,7 @@ ring of independent stores gives each shard its own lock, so
 unrelated signatures never contend.
 
 :class:`HashRing` is the textbook construction: each node projects
-``replicas`` virtual points onto a 64-bit circle (blake2b of
+``HashRing.REPLICAS`` virtual points onto a 64-bit circle (blake2b of
 ``"node#i"``), and a key belongs to the first node point at or after
 the key's own hash.  The store builds its ring once; it never grows
 or shrinks afterwards.
@@ -32,7 +32,7 @@ fails repeatedly is skipped instantly until its reset window elapses
 (half-open probe).  Fault *injection* — the chaos harness — plugs in
 as an optional :class:`~repro.faults.injector.FaultInjector`: killed
 shards raise :class:`~repro.service.errors.ShardUnavailable`, slow
-shards stall, lossy shards drop ops, and a kill→restart cycle wipes
+shards stall, and a kill→restart cycle wipes
 the shard's contents (a real process restart loses host memory),
 which is exactly what replication must survive.
 """
@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.kvstore import KVStore
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
-from .errors import KVOpDropped, ShardUnavailable, TransientServiceError
+from .errors import ShardUnavailable, TransientServiceError
 from .health import ShardHealth
 
 __all__ = ["HashRing", "ShardedPlanStore"]
@@ -62,10 +62,10 @@ def _point(label: str) -> int:
 class HashRing:
     """Consistent-hash ring mapping string keys to named nodes."""
 
-    def __init__(self, nodes: Sequence[str], replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+    #: Virtual nodes per node: enough points that keys spread evenly.
+    REPLICAS = 64
+
+    def __init__(self, nodes: Sequence[str]) -> None:
         self._points: List[Tuple[int, str]] = []
         self._nodes: List[str] = []
         for node in nodes:
@@ -77,13 +77,9 @@ class HashRing:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on the ring")
         self._nodes.append(node)
-        for replica in range(self.replicas):
+        for replica in range(self.REPLICAS):
             self._points.append((_point(f"{node}#{replica}"), node))
         self._points.sort()
-
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._nodes)
 
     def nodes_for(self, key: str, count: int = 1) -> List[str]:
         """First ``count`` *distinct* nodes clockwise from ``key``.
@@ -108,9 +104,6 @@ class HashRing:
                     break
         return out
 
-    def node_for(self, key: str) -> str:
-        return self.nodes_for(key, 1)[0]
-
 
 class ShardedPlanStore:
     """A replicated ring of per-shard :class:`KVStore` nodes.
@@ -133,11 +126,9 @@ class ShardedPlanStore:
     def __init__(
         self,
         shards: int = 4,
-        replicas: int = 64,
         replication: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector=None,
-        health: Optional[ShardHealth] = None,
         breaker_failures: int = 3,
         breaker_reset_s: float = 0.25,
         anti_entropy_interval_s: Optional[float] = None,
@@ -149,7 +140,7 @@ class ShardedPlanStore:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.replication = min(replication, shards)
         self._injector = fault_injector
-        self.health = health if health is not None else ShardHealth(
+        self.health = ShardHealth(
             failure_threshold=breaker_failures,
             reset_after_s=breaker_reset_s,
             metrics=self.metrics,
@@ -158,7 +149,7 @@ class ShardedPlanStore:
         self._restart_lock = threading.Lock()
         self._seen_restarts: Dict[str, int] = {}
         names = [f"shard{i}" for i in range(shards)]
-        self.ring = HashRing(names, replicas=replicas)
+        self.ring = HashRing(names)
         self._stores: Dict[str, KVStore] = {
             name: KVStore(metrics=self.metrics) for name in names
         }
@@ -194,14 +185,11 @@ class ShardedPlanStore:
         """Owner shard names in preference order (primary first)."""
         return self.ring.nodes_for(key, self.replication)
 
-    def store(self, name: str) -> KVStore:
-        return self._stores[name]
-
     # -- guarded shard access -------------------------------------------
     #
     # Every keyed operation flows through _shard_op: circuit-breaker
     # fail-fast first (no timeout paid on a known-dead shard), then
-    # fault injection (delay, kill, drop), then the real store call,
+    # fault injection (delay, kill), then the real store call,
     # with the outcome reported back into the breaker.
 
     def _check_restart(self, name: str) -> None:
@@ -224,7 +212,7 @@ class ShardedPlanStore:
         self._restarts_seen.inc()
         self.health.record_success(name)
 
-    def _shard_op(self, name: str, op: str, fn):
+    def _shard_op(self, name: str, fn):
         if not self.health.allow(name):
             raise ShardUnavailable(name, reason="circuit_open")
         self._check_restart(name)
@@ -236,9 +224,6 @@ class ShardedPlanStore:
             if self._injector.is_killed(target):
                 self.health.record_failure(name)
                 raise ShardUnavailable(name, reason="killed")
-            if self._injector.should_drop(target, op):
-                self.health.record_failure(name)
-                raise KVOpDropped(target, op)
         try:
             result = fn(self._stores[name])
         except TransientServiceError:
@@ -248,9 +233,6 @@ class ShardedPlanStore:
         return result
 
     # -- keyed operations ------------------------------------------------
-
-    def _resolve(self, key: str) -> KVStore:
-        return self._stores[self.ring.node_for(key)]
 
     def put(self, key: str, value: Any) -> int:
         """Write ``key`` to every reachable owner replica.
@@ -264,8 +246,7 @@ class ShardedPlanStore:
         version: Optional[int] = None
         for name in owners:
             try:
-                wrote = self._shard_op(
-                    name, "put", lambda s: s.put(key, value)
+                wrote = self._shard_op(name, lambda s: s.put(key, value)
                 )
             except TransientServiceError:
                 self._write_failures.inc()
@@ -278,14 +259,14 @@ class ShardedPlanStore:
         return version
 
     def _read_owner(self, key: str, name: str) -> Optional[Any]:
-        return self._shard_op(name, "get", lambda s: s.try_get(key))
+        return self._shard_op(name, lambda s: s.try_get(key))
 
     def _repair(self, key: str, value: Any, absent: List[str]) -> None:
         """Write-repair: re-copy ``key`` onto reachable owners that
         missed it (an earlier failed write, a wiped restart)."""
         for name in absent:
             try:
-                self._shard_op(name, "put", lambda s: s.put(key, value))
+                self._shard_op(name, lambda s: s.put(key, value))
                 self._read_repairs.inc()
             except TransientServiceError:
                 pass
@@ -313,7 +294,8 @@ class ShardedPlanStore:
         polled so a killed primary cannot absorb the whole timeout.
         """
         if self.replication == 1 and self._injector is None:
-            return self._resolve(key).get(key, timeout=timeout)
+            primary = self.owners_for(key)[0]
+            return self._stores[primary].get(key, timeout=timeout)
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
@@ -327,48 +309,17 @@ class ShardedPlanStore:
             time.sleep(interval)
             interval = min(interval * 2, 0.02)
 
-    def contains(self, key: str) -> bool:
-        for name in self.owners_for(key):
-            try:
-                if self._shard_op(name, "contains",
-                                  lambda s: s.contains(key)):
-                    return True
-            except TransientServiceError:
-                continue
-        return False
-
-    def delete(self, key: str) -> bool:
-        existed = False
-        for name in self.owners_for(key):
-            try:
-                existed |= self._shard_op(
-                    name, "delete", lambda s: s.delete(key)
-                )
-            except TransientServiceError:
-                continue
-        return existed
-
     def keys(self) -> List[str]:
         """Union of keys over reachable shards (replicas deduplicated)."""
         out: set = set()
         for name in list(self._stores):
             try:
                 out.update(
-                    self._shard_op(name, "keys", lambda s: s.keys())
+                    self._shard_op(name, lambda s: s.keys())
                 )
             except TransientServiceError:
                 continue
         return sorted(out)
-
-    def size_bytes(self) -> int:
-        return sum(self.shard_sizes().values())
-
-    def shard_sizes(self) -> Dict[str, int]:
-        """Resident bytes per shard — the balance the ring is for."""
-        return {
-            name: store.size_bytes()
-            for name, store in list(self._stores.items())
-        }
 
     # -- healing ---------------------------------------------------------
 
@@ -383,8 +334,7 @@ class ShardedPlanStore:
         holders: Dict[str, str] = {}
         for name in list(self._stores):
             try:
-                for key in self._shard_op(name, "keys",
-                                          lambda s: s.keys()):
+                for key in self._shard_op(name, lambda s: s.keys()):
                     holders.setdefault(key, name)
             except TransientServiceError:
                 continue
@@ -407,13 +357,10 @@ class ShardedPlanStore:
                     continue
                 for name in owners:
                     try:
-                        present = self._shard_op(
-                            name, "contains", lambda s: s.contains(key)
+                        present = self._shard_op(name, lambda s: s.contains(key)
                         )
                         if not present:
-                            self._shard_op(
-                                name, "put",
-                                lambda s: s.put(key, value),
+                            self._shard_op(name, lambda s: s.put(key, value),
                             )
                             repaired += 1
                     except TransientServiceError:
@@ -435,8 +382,7 @@ class ShardedPlanStore:
         for key in self.keys():
             for name in self.owners_for(key):
                 try:
-                    if not self._shard_op(name, "contains",
-                                          lambda s: s.contains(key)):
+                    if not self._shard_op(name, lambda s: s.contains(key)):
                         missing += 1
                 except TransientServiceError:
                     missing += 1

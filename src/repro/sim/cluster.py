@@ -11,9 +11,8 @@ in the same regime as the paper's measurements.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, List, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "ClusterSpec",
@@ -66,23 +65,11 @@ class ClusterSpec:
             raise ValueError(f"device {device} outside cluster")
         return device // self.devices_per_machine
 
-    def devices_of_machine(self, machine: int) -> range:
-        if not 0 <= machine < self.num_machines:
-            raise ValueError(f"machine {machine} outside cluster")
-        start = machine * self.devices_per_machine
-        return range(start, start + self.devices_per_machine)
-
     def same_machine(self, a: int, b: int) -> bool:
         return self.machine_of(a) == self.machine_of(b)
 
     def effective_flops(self) -> float:
         return self.peak_flops * self.flops_efficiency
-
-    def link_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Alpha-beta transfer time for one message."""
-        if self.same_machine(src, dst):
-            return self.intra_latency + nbytes / self.intra_bandwidth
-        return self.inter_latency + nbytes / self.inter_bandwidth
 
     def compute_time(self, flops: float) -> float:
         return flops / self.effective_flops()
@@ -130,22 +117,15 @@ class ClusterEventSource:
     The serving-shaped pipeline cannot assume a fixed cluster: machines
     join and leave mid-stream.  Whoever observes the change (an operator
     thread, a health monitor, a test) calls :meth:`add_machines` /
-    :meth:`remove_machines` / :meth:`resize`; the streaming pipeline
-    drains :meth:`poll` between iterations and re-plans its prefetch
-    window against :attr:`current`.
+    :meth:`remove_machines` / :meth:`resize`, each returning the
+    :class:`ClusterEvent` it committed.  Consumers observe
+    :attr:`version` and :attr:`current`: the streaming pipeline compares
+    ``version`` with the last one it saw between iterations and
+    re-plans its prefetch window against ``current``.
     """
-
-    #: Retained event history for :meth:`poll`; bounded so an unbounded
-    #: serving stream with periodic events stays O(1) memory (the
-    #: pipelines observe via :attr:`version`/:attr:`current`, which
-    #: never miss a change regardless of this buffer).
-    MAX_BUFFERED_EVENTS = 256
 
     def __init__(self, cluster: ClusterSpec) -> None:
         self._cluster = cluster
-        self._events: Deque[ClusterEvent] = deque(
-            maxlen=self.MAX_BUFFERED_EVENTS
-        )
         self._version = 0
         self._lock = threading.Lock()
 
@@ -158,10 +138,8 @@ class ClusterEventSource:
     def version(self) -> int:
         """Total events ever emitted — a monotonic observation cursor.
 
-        Consumers that must not race each other (several pipelines
-        sharing one source) observe via ``version``/``current`` rather
-        than the destructive :meth:`poll`: each keeps its own last-seen
-        version, so every consumer sees every shape change.
+        Each consumer keeps its own last-seen version, so several
+        pipelines sharing one source each see every shape change.
         """
         with self._lock:
             return self._version
@@ -180,14 +158,8 @@ class ClusterEventSource:
             affected_devices=self._cluster.affected_devices(cluster),
         )
         self._cluster = cluster
-        self._events.append(event)
         self._version += 1
         return event
-
-    def emit(self, cluster: ClusterSpec, kind: str = "resize") -> ClusterEvent:
-        """Record an externally constructed shape change."""
-        with self._lock:
-            return self._commit(cluster, kind)
 
     def add_machines(self, count: int = 1) -> ClusterEvent:
         with self._lock:
@@ -208,21 +180,6 @@ class ClusterEventSource:
         with self._lock:
             cluster = replace(self._cluster, **changes)
             return self._commit(cluster, kind="resize")
-
-    def poll(self) -> List[ClusterEvent]:
-        """Drain and return events accumulated since the last poll.
-
-        Destructive and therefore single-consumer; concurrent pipeline
-        consumers use :attr:`version`/:attr:`current` instead.
-        """
-        with self._lock:
-            events = list(self._events)
-            self._events.clear()
-            return events
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._events)
 
 
 #: The paper's micro-benchmark testbed: 4 p4de nodes, 32 GPUs (§7.1).

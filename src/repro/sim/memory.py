@@ -30,10 +30,6 @@ class MemoryReport:
     def max_bytes(self) -> int:
         return max(self.per_device.values(), default=0)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.per_device.values())
-
     def imbalance(self) -> float:
         """max / mean - 1 across devices (0 = perfectly balanced)."""
         values = np.array(list(self.per_device.values()), dtype=np.float64)

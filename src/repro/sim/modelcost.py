@@ -16,7 +16,7 @@ tensor parallelism inside a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -73,21 +73,6 @@ class E2EResult:
     others_time: float
     grad_sync_time: float
     num_layers: int
-
-    def breakdown(self) -> Dict[str, float]:
-        """Fig. 22-style stacked decomposition (seconds)."""
-        fw = self.attention_forward.breakdown()
-        bw = self.attention_backward.breakdown()
-        layers = self.num_layers
-        return {
-            "others": self.others_time + self.grad_sync_time,
-            "non_ovlp_attn": layers
-            * (fw["non_ovlp_attn"] + bw["non_ovlp_attn"]),
-            "overlap": layers * (fw["overlap"] + bw["overlap"]),
-            "non_ovlp_comm": layers
-            * (fw["non_ovlp_comm"] + bw["non_ovlp_comm"]),
-            "total": self.iteration_time,
-        }
 
 
 def _others_time(

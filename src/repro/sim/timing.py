@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..scheduling.instructions import (
     BlockwiseAttention,
     BlockwiseAttentionBackward,
@@ -122,10 +120,6 @@ class DeviceTiming:
     def exposed_comm(self) -> float:
         return self.comm_time - self.overlap_time
 
-    @property
-    def exposed_compute(self) -> float:
-        return self.compute_time - self.overlap_time
-
 
 @dataclass
 class TimingResult:
@@ -155,9 +149,6 @@ class TimingResult:
             "non_ovlp_comm": non_ovlp_comm,
             "total": dev.total,
         }
-
-    def mean_compute(self) -> float:
-        return float(np.mean([d.compute_time for d in self.devices.values()]))
 
 
 def _streams(plan: ExecutionPlan):

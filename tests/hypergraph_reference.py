@@ -39,10 +39,37 @@ from repro.hypergraph import Hypergraph
 
 __all__ = [
     "ScalarRefinementState",
+    "from_pins",
+    "table_gain",
     "scalar_greedy_refine",
     "scalar_fm_refine",
     "scalar_rebalance",
 ]
+
+
+def from_pins(weights, pins, edge_weights) -> Hypergraph:
+    """A hypergraph from per-edge pin lists (duplicate pins dropped).
+
+    The planner builds its hypergraphs in CSR form
+    (:meth:`Hypergraph.from_csr`, which checks the pins); tests write
+    small ones by hand.
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    unique = [np.unique(np.asarray(pin, dtype=np.int64)) for pin in pins]
+    indptr = np.zeros(len(unique) + 1, dtype=np.int64)
+    np.cumsum([len(pin) for pin in unique], out=indptr[1:])
+    edge_pins = (
+        np.concatenate(unique) if unique else np.zeros(0, dtype=np.int64)
+    )
+    return Hypergraph.from_csr(weights, indptr, edge_pins, edge_weights)
+
+
+def table_gain(state, vertex: int, target: int) -> int:
+    """Connectivity reduction of moving ``vertex`` to ``target``, read
+    from a :class:`~repro.hypergraph.RefinementState`'s gain tables."""
+    if state.labels[vertex] == target:
+        return 0
+    return state.leave[vertex] - state.join[vertex][target]
 
 
 class ScalarRefinementState:
@@ -60,7 +87,7 @@ class ScalarRefinementState:
         graph: Hypergraph, labels: np.ndarray, k: int
     ) -> np.ndarray:
         counts = np.zeros((graph.num_edges, k), dtype=np.int64)
-        for edge_index, pin in enumerate(graph.pins):
+        for edge_index, pin in enumerate(graph.pin_lists()):
             parts, occur = np.unique(labels[pin], return_counts=True)
             counts[edge_index, parts] = occur
         return counts
@@ -218,7 +245,7 @@ def scalar_fm_refine(
                 {
                     pin
                     for edge_index in incidence[vertex]
-                    for pin in graph.pins[edge_index].tolist()
+                    for pin in graph.pin_lists()[edge_index]
                     if pin not in moved and pin != vertex
                 }
             )

@@ -31,6 +31,14 @@ def batch(seqlens):
     return BatchSpec.build(list(seqlens), make_mask("causal"))
 
 
+def occupancy(scheduler, tenant):
+    """``(queued, inflight)`` of one tenant of a fair scheduler."""
+    return (
+        len(scheduler._queues.get(tenant, ())),
+        scheduler._inflight.get(tenant, 0),
+    )
+
+
 class TestWeightEdges:
     def test_zero_and_negative_weights_rejected(self):
         scheduler = FairScheduler()
@@ -76,7 +84,7 @@ class TestAllTenantsShedding:
             scheduler.task_done(tenant)
         for tenant in tenants:
             scheduler.submit(tenant, "again")
-        assert scheduler.total_queued == len(tenants)
+        assert scheduler._total_queued == len(tenants)
 
     def test_global_saturation_rejects_any_tenant(self):
         scheduler = FairScheduler(
@@ -116,7 +124,7 @@ class TestConcurrentRejectionAccounting:
         admitted = scheduler.metrics.counter("service.admitted").value
         rejected = scheduler.metrics.counter("service.rejected").value
         assert admitted + rejected == threads * per_thread
-        assert scheduler.total_queued == admitted
+        assert scheduler._total_queued == admitted
         by_reason = sum(
             scheduler.metrics.counter(f"service.rejected_{reason}").value
             for reason in ("tenant_queue_full", "tenant_inflight",
@@ -163,7 +171,7 @@ class TestTenantDiesMidDrain:
             assert stats["worker_job_errors"] == 3
             # In-flight accounting drained: nothing stuck against the
             # dying tenant's caps.
-            assert service.scheduler.tenants().get("dying", (0, 0)) \
+            assert occupancy(service.scheduler, "dying") \
                 == (0, 0)
             service.fetch_plan("dying", batch([64, 32]), timeout=30.0)
 
@@ -174,4 +182,4 @@ class TestTenantDiesMidDrain:
         assert scheduler.pop(timeout=1.0) == ("t", "job")
         scheduler.task_done("t")
         scheduler.task_done("t")  # double-done must not go negative
-        assert scheduler.tenants().get("t", (0, 0)) == (0, 0)
+        assert occupancy(scheduler, "t") == (0, 0)

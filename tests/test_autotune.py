@@ -56,7 +56,11 @@ class TestAutotune:
             candidates=(64, 128, 256),
             probe_batches=2,
         )
-        best_objective = result.score_of(result.best).objective()
+        best_objective = next(
+            score.objective()
+            for score in result.scores
+            if score.block_size == result.best
+        )
         for score in result.scores:
             assert best_objective <= score.objective() + 1e-12
 
@@ -97,18 +101,6 @@ class TestAutotune:
         table = result.table()
         assert "*" in table
         assert str(result.best) in table
-
-    def test_score_of_unknown_raises(self):
-        result = autotune_block_size(
-            _batches(),
-            CLUSTER,
-            attention=ATTENTION,
-            config=DCPConfig(restarts=1),
-            candidates=(128,),
-            probe_batches=1,
-        )
-        with pytest.raises(KeyError):
-            result.score_of(999)
 
     def test_rejects_empty_candidates(self):
         with pytest.raises(ValueError):

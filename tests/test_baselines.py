@@ -9,15 +9,15 @@ from repro.baselines import (
     LoongTrainPlanner,
     RingAttentionPlanner,
     TransformerEnginePlanner,
-    pad_batch,
-    plan_ring_backward,
     slice_positions,
 )
+from repro.baselines.loongtrain import pad_batch
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.scheduling import validate_plan
 from repro.sim import ClusterSpec, simulate_plan
+from ring_oracles import plan_ring_backward
 
 
 def build(seqlens=(96, 48, 32), mask=None, block_size=16):

@@ -1,20 +1,35 @@
 """Smoke tests for the figure drivers (tiny problem sizes)."""
 
+import importlib.util
+import os
+
 import pytest
 
-from repro.bench import (
-    BenchScale,
-    PAPER_MASKS,
-    Table,
-    attention_times,
-    fig02_distribution,
-    fig13_micro_causal,
-    fig14_micro_masks,
-    fig17_comm_vs_blocksize,
-    fig18_planning_time,
-    fig20_comm_vs_imbalance,
-    make_batches,
+from repro.bench import PAPER_MASKS, make_batches
+
+_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "figures.py",
 )
+_spec = importlib.util.spec_from_file_location("figures", _PATH)
+figures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(figures)
+attention_times = figures.attention_times
+e2e_scale = figures.e2e_scale
+fig01_comm_overhead = figures.fig01_comm_overhead
+fig02_distribution = figures.fig02_distribution
+fig13_micro_causal = figures.fig13_micro_causal
+fig14_micro_masks = figures.fig14_micro_masks
+fig15_e2e = figures.fig15_e2e
+fig17_comm_vs_blocksize = figures.fig17_comm_vs_blocksize
+fig18_planning_time = figures.fig18_planning_time
+fig19_comm_vs_sparsity = figures.fig19_comm_vs_sparsity
+fig20_comm_vs_imbalance = figures.fig20_comm_vs_imbalance
+fig21_loss_curves = figures.fig21_loss_curves
+fig22_decomposition = figures.fig22_decomposition
+micro_scale = figures.micro_scale
+smoke_scale = figures.smoke_scale
+Table = figures.Table
 
 
 class TestHarness:
@@ -35,7 +50,7 @@ class TestHarness:
             table.add(1, 2)
 
     def test_make_batches_budget(self):
-        scale = BenchScale.smoke()
+        scale = smoke_scale()
         batches = make_batches("longalign", scale, PAPER_MASKS["causal"]())
         assert 1 <= len(batches) <= scale.num_batches
         for batch in batches:
@@ -44,16 +59,34 @@ class TestHarness:
     def test_attention_times_keys(self):
         from repro.baselines import TransformerEnginePlanner
 
-        scale = BenchScale.smoke()
+        scale = smoke_scale()
         batches = make_batches("longalign", scale, PAPER_MASKS["causal"]())
         stats = attention_times(TransformerEnginePlanner(), batches, scale)
         assert set(stats) == {"fw_ms", "bw_ms", "comm_mb", "inter_mb"}
         assert stats["bw_ms"] > stats["fw_ms"] > 0
 
+    def test_e2e_breakdown_keys(self):
+        from repro.baselines import TransformerEnginePlanner
+        from repro.blocks import generate_blocks
+        from repro.sim import e2e_iteration_time
+
+        scale = smoke_scale()
+        batch = make_batches("longalign", scale, PAPER_MASKS["causal"]())[0]
+        block_set = generate_blocks(
+            batch, attention=scale.attention, block_size=scale.block_size
+        )
+        plan = TransformerEnginePlanner().plan(block_set, scale.cluster)
+        breakdown = figures.e2e_breakdown(
+            e2e_iteration_time(plan, cluster=scale.cluster)
+        )
+        assert set(breakdown) == {
+            "others", "non_ovlp_attn", "overlap", "non_ovlp_comm", "total",
+        }
+
     def test_scales(self):
-        assert BenchScale.micro().cluster.num_devices == 32
-        assert BenchScale.e2e().cluster.num_devices == 16
-        assert BenchScale.smoke(num_batches=3).num_batches == 3
+        assert micro_scale().cluster.num_devices == 32
+        assert e2e_scale().cluster.num_devices == 16
+        assert smoke_scale(num_batches=3).num_batches == 3
 
 
 class TestDrivers:
@@ -62,7 +95,7 @@ class TestDrivers:
         assert len(table.rows) == 2
 
     def test_fig13_smoke(self):
-        table = fig13_micro_causal(BenchScale.smoke(), length_scales=(1.0,))
+        table = fig13_micro_causal(smoke_scale(), length_scales=(1.0,))
         systems = set(table.column("system"))
         assert systems == {"rfa_ring", "rfa_zigzag", "lt", "te", "dcp"}
         dcp_comm = [r for r in table.rows if r[1] == "dcp"][0][4]
@@ -71,14 +104,14 @@ class TestDrivers:
 
     def test_fig14_smoke(self):
         table = fig14_micro_masks(
-            BenchScale.smoke(), length_scales=(1.0,),
+            smoke_scale(), length_scales=(1.0,),
             mask_names=("causal", "lambda"),
         )
         assert len(table.rows) == 4
 
     def test_fig17_smoke(self):
         table = fig17_comm_vs_blocksize(
-            "longdatacollections", BenchScale.smoke(),
+            "longdatacollections", smoke_scale(),
             block_sizes=(128, 256), mask_names=("causal",),
         )
         for _, _, dcp_mb, mlm_mb in table.rows:
@@ -86,14 +119,48 @@ class TestDrivers:
 
     def test_fig18_smoke(self):
         table = fig18_planning_time(
-            "longalign", BenchScale.smoke(), block_sizes=(128, 256),
+            "longalign", smoke_scale(), block_sizes=(128, 256),
             mask_names=("causal",),
         )
         assert all(row[2] > 0 for row in table.rows)
 
     def test_fig20_smoke(self):
         table = fig20_comm_vs_imbalance(
-            BenchScale.smoke(), eps_values=(0.2, 1.0),
+            smoke_scale(), eps_values=(0.2, 1.0),
             datasets=("longalign",),
         )
         assert len(table.rows) == 2
+
+    def test_fig01_smoke(self):
+        table = fig01_comm_overhead(smoke_scale())
+        assert len(table.rows) == 3
+        for row in table.rows:
+            assert 0.0 < row[-1] < 100.0  # communication share, percent
+
+    def test_fig15_smoke(self):
+        table = fig15_e2e(
+            "longalign", smoke_scale(), max_seqlens=(2048,),
+            mask_names=("causal", "lambda"),
+        )
+        assert [row[1] for row in table.rows] == ["causal", "lambda"]
+        assert all(row[2] > 0 and row[3] > 0 for row in table.rows)
+
+    def test_fig19_smoke(self):
+        table = fig19_comm_vs_sparsity(scale=smoke_scale(), length_scale=1.0)
+        sparsity = dict(zip(table.column("variant"), table.column("sparsity")))
+        assert sparsity["causal"] == pytest.approx(1.0)
+        assert all(0.0 < value <= 1.0 for value in sparsity.values())
+
+    def test_fig21_dcp_trains_like_mlm(self):
+        table, curves = fig21_loss_curves(
+            iterations=3, seqlen=32, mask_names=("causal",)
+        )
+        assert len(curves["causal"]["dcp"]) == 3
+        assert table.column("max_abs_diff")[0] < 1e-6
+
+    def test_fig22_smoke(self):
+        table = fig22_decomposition(smoke_scale(), mask_names=("causal",))
+        assert table.column("system") == ["dcp", "mlm"]
+        for row in table.rows:
+            parts = row[2] + row[3] + row[4] + row[5]
+            assert 0.0 < parts <= row[6] * (1 + 1e-9)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mask_oracles import mask_workload_matrix
 from repro.blocks import (
     AttentionSpec,
     BatchSpec,
@@ -11,7 +12,7 @@ from repro.blocks import (
     TokenSlice,
     generate_blocks,
 )
-from repro.masks import CausalMask, LambdaMask, mask_workload_matrix
+from repro.masks import CausalMask, LambdaMask
 
 
 class TestAttentionSpec:
@@ -128,15 +129,6 @@ class TestGenerateBlocks:
         assert blocks.tile_pairs(0, 0, 0) == 16 * 17 // 2
         assert blocks.tile_pairs(0, 1, 0) == 16 * 16
         assert blocks.tile_pairs(0, 0, 1) == 0
-
-    def test_comp_blocks_of_output(self):
-        batch = BatchSpec.build([32], CausalMask())
-        blocks = generate_blocks(batch, AttentionSpec(num_q_heads=2,
-                                                      num_kv_groups=1),
-                                 block_size=16)
-        by_output = blocks.comp_blocks_of_output()
-        second_row = DataBlockId(BlockKind.O, 0, 1, 0)
-        assert len(by_output[second_row]) == 2  # diagonal + first column
 
     def test_block_bytes_for_ragged_tail(self):
         batch = BatchSpec.build([20], CausalMask())

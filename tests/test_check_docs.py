@@ -125,3 +125,25 @@ def test_stale_all_entries_are_flagged():
 
 def test_source_has_no_stale_all_entries():
     assert check_docs.stale_all_entries() == []
+
+
+def test_stale_kept_entries_are_flagged(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text(
+        "# comment\n"
+        "repro/core/cache.py::PlanCache.abandon  safety  waiters\n"
+        "repro/core/cache.py::PlanCache.gone  oracle  deleted long ago\n"
+    )
+    [failure] = check_docs.stale_kept_entries(str(kept))
+    assert "repro/core/cache.py::PlanCache.gone" in failure
+
+
+def test_kept_entry_needs_a_known_reason(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("repro/core/cache.py::PlanCache.abandon  tidy  why not\n")
+    [failure] = check_docs.stale_kept_entries(str(kept))
+    assert "tag from" in failure
+
+
+def test_tracked_kept_list_has_no_stale_entries():
+    assert check_docs.stale_kept_entries() == []

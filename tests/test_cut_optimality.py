@@ -23,6 +23,7 @@ pytest.importorskip("scipy.optimize")
 from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
 from scipy.sparse import coo_matrix  # noqa: E402
 
+from hypergraph_reference import from_pins  # noqa: E402
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks  # noqa: E402
 from repro.hypergraph import BalanceConstraint, Hypergraph  # noqa: E402
 from repro.masks import CausalMask  # noqa: E402
@@ -82,8 +83,8 @@ def exact_min_cut(graph: Hypergraph, k: int, caps: np.ndarray):
 
     for v in range(n):  # every vertex in exactly one part
         add_row([(v * k + p, 1) for p in range(k)], 1, 1)
-    for e, pins in enumerate(graph.pins):  # y[e, p] >= x[v, p]
-        for v in pins.tolist():
+    for e, pins in enumerate(graph.pin_lists()):  # y[e, p] >= x[v, p]
+        for v in pins:
             for p in range(k):
                 add_row([(num_x + e * k + p, 1), (v * k + p, -1)], 0, np.inf)
     for p in range(k):  # balance caps
@@ -164,7 +165,7 @@ def test_solver_reports_infeasible_caps():
 def test_solver_finds_a_known_optimum():
     # Two triangles joined by one light edge: cutting it costs 1.
     pins = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]]
-    graph = Hypergraph(np.ones((6, 2), dtype=np.int64), pins, [5] * 6 + [1])
+    graph = from_pins(np.ones((6, 2), dtype=np.int64), pins, [5] * 6 + [1])
     cut, labels = exact_min_cut(graph, 2, np.array([3, 3]))
     assert cut == 1
     assert labels[:3].tolist() == [0, 0, 0] and labels[3:].tolist() == [1, 1, 1]

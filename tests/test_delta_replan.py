@@ -11,7 +11,7 @@ re-planning the whole window through the same primitive (the
 event timing, on the thread and the KV backend.
 
 Also covers the building blocks: event affected-device metadata,
-plan compatibility/rebind, per-device ``plan_diff``, warm-start label
+plan compatibility/rebind, warm-start label
 repair, and the planner's warm adopt/repair paths.
 """
 
@@ -36,7 +36,6 @@ from repro.hypergraph import BalanceConstraint, repair_labels
 from repro.pipeline import (
     KVPlannerBackend,
     StreamingOverlapPipeline,
-    plan_diff,
     plan_fingerprint,
 )
 from repro.placement import build_block_hypergraph
@@ -176,33 +175,6 @@ class TestPlanCompatibility:
             assert encode_device_payload(
                 device, grown_replan.device_plans[device]
             ) == encode_device_payload(device, empty_device_plan(device))
-
-
-class TestPlanDiff:
-    def test_identical_plans_diff_empty(self):
-        planner = make_planner()
-        batch = make_batches(1)[0]
-        a = planner.plan_batch(batch)
-        b = planner.plan_batch(batch)
-        assert plan_diff(a, b) == ()
-
-    def test_changed_device_named(self):
-        planner = make_planner()
-        batch = make_batches(1)[0]
-        a = planner.plan_batch(batch)
-        b = planner.plan_batch(batch)
-        victim = next(
-            d for d, dp in sorted(b.device_plans.items()) if dp.instructions
-        )
-        b.device_plans[victim].instructions = (
-            b.device_plans[victim].instructions[:-1]
-        )
-        assert plan_diff(a, b) == (victim,)
-
-    def test_missing_device_counts_as_changed(self):
-        plan = make_planner().plan_batch(make_batches(1)[0])
-        grown = rebind_plan(plan, GROWN)
-        assert plan_diff(plan, grown) == (4, 5)
 
 
 class TestRepairLabels:

@@ -50,53 +50,28 @@ class TestFaultInjector:
         injector.restart("shard:a")
         assert injector.restart_count("shard:a") == 1
 
-    def test_slow_is_sustained_hang_is_one_shot(self):
+    def test_slow_is_sustained_until_cleared(self):
         injector = FaultInjector()
         injector.slow("shard:a", 0.01)
         assert injector.delay_s("shard:a") == pytest.approx(0.01)
         assert injector.delay_s("shard:a") == pytest.approx(0.01)
-        injector.hang("shard:a", 0.5)
-        assert injector.delay_s("shard:a") == pytest.approx(0.51)
-        assert injector.delay_s("shard:a") == pytest.approx(0.01)
+        injector.kill("shard:a")
         injector.clear("shard:a")
         assert injector.delay_s("shard:a") == 0.0
-
-    def test_drop_decisions_are_seed_deterministic(self):
-        def decisions(seed):
-            injector = FaultInjector(seed=seed)
-            injector.drop("shard:a", 0.5)
-            return [injector.should_drop("shard:a") for _ in range(200)]
-
-        first = decisions(7)
-        assert first == decisions(7)
-        assert any(first) and not all(first)
-        assert first != decisions(8)
-
-    def test_drop_rate_validated_and_clear_keeps_kill(self):
-        injector = FaultInjector()
-        with pytest.raises(ValueError):
-            injector.drop("shard:a", 1.5)
-        injector.kill("shard:a")
-        injector.drop("shard:a", 1.0)
-        injector.clear("shard:a")
-        assert not injector.should_drop("shard:a")
         assert injector.is_killed("shard:a")  # clear lifts faults, not kill
 
-    def test_log_and_snapshot(self):
+    def test_log(self):
         injector = FaultInjector()
         injector.kill("shard:a")
         injector.slow("shard:b", 0.02)
-        assert ("kill", "shard:a") in injector.log
-        snap = injector.snapshot()
-        assert snap["shard:a"]["killed"]
-        assert snap["shard:b"]["delay_s"] == pytest.approx(0.02)
+        assert injector.log == [("kill", "shard:a"), ("slow", "shard:b")]
 
 
 # -- schedule DSL -------------------------------------------------------------
 
 
 class TestFaultSchedule:
-    def test_parse_round_trip(self):
+    def test_parse(self):
         text = """
         # warm-up, then kill the primary
         0.2 kill shard:shard1
@@ -104,11 +79,11 @@ class TestFaultSchedule:
         1.0 restart shard:shard1
         """
         schedule = parse_schedule(text)
-        assert [e.action for e in schedule.events] == \
-            ["kill", "slow", "restart"]
-        assert schedule.duration_s == pytest.approx(1.0)
-        reparsed = parse_schedule(schedule.to_text())
-        assert reparsed.events == schedule.events
+        assert schedule.events == [
+            FaultEvent(0.2, "kill", "shard:shard1"),
+            FaultEvent(0.4, "slow", "shard:shard2", 0.01),
+            FaultEvent(1.0, "restart", "shard:shard1"),
+        ]
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -120,20 +95,17 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match="unknown fault action"):
             parse_schedule("0.1 explode shard:a")
 
-    def test_apply_through_is_deterministic_stepping(self):
+    def test_events_apply_in_time_order(self):
         schedule = FaultSchedule([
-            FaultEvent(0.2, "kill", "shard:a"),
             FaultEvent(0.5, "restart", "shard:a"),
+            FaultEvent(0.2, "kill", "shard:a"),
         ])
         injector = FaultInjector()
-        assert schedule.apply_through(0.1, injector) == 0
-        assert schedule.apply_through(0.3, injector) == 1
+        schedule.events[0].apply(injector)
         assert injector.is_killed("shard:a")
-        assert schedule.apply_through(0.3, injector) == 0  # no re-apply
-        assert schedule.apply_through(1.0, injector) == 1
+        schedule.events[1].apply(injector)
         assert not injector.is_killed("shard:a")
-        schedule.reset()
-        assert schedule.apply_through(1.0, FaultInjector()) == 2
+        assert injector.restart_count("shard:a") == 1
 
     def test_runner_applies_in_wall_time(self):
         schedule = parse_schedule(
@@ -166,7 +138,6 @@ class TestShardFaultInjection:
         with pytest.raises(ShardUnavailable):
             store.put("k2", b"v2")
         assert store.try_get("k") is None
-        assert not store.contains("k")
         injector.restart("shard:shard0")
         time.sleep(0.02)  # let the breaker's reset window elapse
         # A restart loses host memory: the old key is gone, and the
@@ -174,18 +145,6 @@ class TestShardFaultInjection:
         assert store.try_get("k") is None
         store.put("k2", b"v2")
         assert store.try_get("k2") == b"v2"
-
-    def test_drop_raises_without_applying(self):
-        injector = FaultInjector()
-        store = single_owner_store(injector)
-        injector.drop("shard:shard0", 1.0)
-        with pytest.raises(ShardUnavailable, match="all_replicas_down"):
-            store.put("k", b"v")
-        assert store.metrics.counter(
-            "service.replica_write_failures"
-        ).value == 1
-        injector.clear("shard:shard0")
-        assert store.store("shard0").try_get("k") is None  # never landed
 
     def test_slow_stalls_every_op(self):
         injector = FaultInjector()
@@ -253,12 +212,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == CLOSED  # never 2 consecutive
 
-    def test_trip_forces_open(self):
-        breaker = CircuitBreaker()
-        breaker.trip()
-        assert breaker.state == OPEN
-        assert breaker.opened_count == 1
-
 
 class TestShardHealth:
     def test_routes_and_counts_fast_fails(self):
@@ -271,15 +224,4 @@ class TestShardHealth:
         assert not health.allow("shard0")
         assert health.metrics.counter("health.fast_fails").value == 1
         assert health.metrics.counter("health.breaker_opened").value == 1
-        assert health.snapshot()["shard0"] == OPEN
-
-    def test_heartbeat_liveness(self):
-        clock = FakeClock()
-        health = ShardHealth(heartbeat_timeout_s=1.0, clock=clock)
-        assert health.is_alive("worker:0")  # never heartbeat: presumed up
-        health.heartbeat("worker:0")
-        clock.advance(0.5)
-        assert health.is_alive("worker:0")
-        clock.advance(1.0)
-        assert not health.is_alive("worker:0")  # silent too long: hung
-        assert health.alive(["worker:0", "worker:1"]) == ["worker:1"]
+        assert health.breaker("shard0").state == OPEN

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mask_oracles import check_ranges
 from repro import (
     AttentionSpec,
     BatchSpec,
@@ -12,7 +13,7 @@ from repro import (
     generate_blocks,
     make_mask,
 )
-from repro.masks import PackedDocumentMask, PrefixLMMask
+from repro.masks import PackedDocumentMask
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 
 
@@ -35,7 +36,7 @@ class TestPackedDocumentMask:
     def test_ranges_valid_various_lengths(self):
         mask = PackedDocumentMask(doc_lens=(5, 2, 9))
         for seqlen in (1, 4, 16, 30):
-            mask.ranges(seqlen).validate()
+            check_ranges(mask.ranges(seqlen))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -48,34 +49,10 @@ class TestPackedDocumentMask:
         assert mask.sparsity_vs_causal(32) < 0.4
 
 
-class TestPrefixLMMask:
-    def test_prefix_is_bidirectional(self):
-        mask = PrefixLMMask(prefix=4)
-        dense = mask.dense(8)
-        assert dense[0, 3], "prefix rows see the whole prefix"
-        assert not dense[0, 4], "prefix rows do not see the suffix"
-        assert dense[6, 0] and dense[6, 6] and not dense[6, 7]
-
-    def test_zero_prefix_is_causal(self):
-        mask = PrefixLMMask(prefix=0)
-        assert np.array_equal(mask.dense(12),
-                              make_mask("causal").dense(12))
-
-    def test_prefix_longer_than_sequence(self):
-        mask = PrefixLMMask(prefix=100)
-        dense = mask.dense(6)
-        assert dense.all(), "everything inside the prefix is bidirectional"
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PrefixLMMask(prefix=-1)
-
-
 @pytest.mark.parametrize(
     "mask",
     [
         PackedDocumentMask(doc_lens=(30, 25, 25)),
-        PrefixLMMask(prefix=24),
     ],
     ids=lambda m: m.name,
 )
@@ -101,4 +78,3 @@ def test_factory_knows_extended_masks():
     assert make_mask("packed_documents", doc_lens=(4, 4)).name == (
         "packed_documents"
     )
-    assert make_mask("prefix_lm", prefix=8).prefix == 8

@@ -3,45 +3,46 @@
 import numpy as np
 import pytest
 
+from mask_oracles import check_ranges, mask_id
 from repro.masks import (
     CausalBlockwiseMask,
     CausalMask,
-    FullMask,
+    DilatedBlockMask,
+    GlobalTokenMask,
     LambdaMask,
+    PackedDocumentMask,
     SharedQuestionMask,
     make_mask,
 )
 
 ALL_MASKS = [
     CausalMask(),
-    FullMask(),
     LambdaMask(sink=4, window=8),
     LambdaMask(sink=0, window=3),
     CausalBlockwiseMask(block=8, window_blocks=2, sink_blocks=1),
     CausalBlockwiseMask(block=4, window_blocks=1, sink_blocks=0),
     SharedQuestionMask(num_answers=4, answer_fraction=0.2),
     SharedQuestionMask(num_answers=2, answer_fraction=0.3),
+    PackedDocumentMask(doc_lens=(10, 17, 23)),
+    DilatedBlockMask(block=4, stride=2, window=8),
+    GlobalTokenMask(every=8, window=4),
 ]
 
 
-@pytest.mark.parametrize("mask", ALL_MASKS, ids=lambda m: m.describe())
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=mask_id)
 @pytest.mark.parametrize("seqlen", [1, 2, 7, 33, 64, 100])
 def test_ranges_are_valid(mask, seqlen):
     ranges = mask.ranges(seqlen)
-    ranges.validate()
+    check_ranges(ranges)
 
 
-@pytest.mark.parametrize("mask", ALL_MASKS, ids=lambda m: m.describe())
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=mask_id)
 def test_every_token_attends_to_itself(mask):
     dense = mask.dense(50)
     assert np.all(np.diag(dense)), "self-attention must never be masked"
 
 
-@pytest.mark.parametrize(
-    "mask",
-    [m for m in ALL_MASKS if not isinstance(m, FullMask)],
-    ids=lambda m: m.describe(),
-)
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=mask_id)
 def test_masks_are_causal(mask):
     dense = mask.dense(40)
     assert not np.any(np.triu(dense, k=1)), "no token may attend forward"
@@ -107,7 +108,7 @@ class TestCausalBlockwise:
         mask = CausalBlockwiseMask(block=4, window_blocks=2, sink_blocks=10)
         for seqlen in (3, 17, 41):
             ranges = mask.ranges(seqlen)
-            ranges.validate()
+            check_ranges(ranges)
             assert np.array_equal(mask.dense(seqlen)[:40, :40],
                                   CausalMask().dense(seqlen)[:40, :40])
 

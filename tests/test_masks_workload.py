@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from mask_oracles import mask_id, mask_workload_matrix
 from repro.masks import (
     CausalBlockwiseMask,
     CausalMask,
+    DilatedBlockMask,
+    GlobalTokenMask,
     LambdaMask,
+    PackedDocumentMask,
     SharedQuestionMask,
     block_bounds,
-    mask_workload_matrix,
 )
 
 
@@ -37,10 +40,15 @@ class TestBlockBounds:
         LambdaMask(sink=3, window=7),
         CausalBlockwiseMask(block=8, window_blocks=2, sink_blocks=1),
         SharedQuestionMask(num_answers=3, answer_fraction=0.2),
+        PackedDocumentMask(doc_lens=(7, 30, 13)),
+        DilatedBlockMask(block=4, stride=2, window=8),
+        GlobalTokenMask(every=8, window=4),
     ],
-    ids=lambda m: m.describe(),
+    ids=mask_id,
 )
-@pytest.mark.parametrize("seqlen,block", [(50, 7), (64, 16), (33, 33), (20, 1)])
+@pytest.mark.parametrize(
+    "seqlen,block", [(50, 7), (64, 16), (33, 33), (20, 1), (100, 9)]
+)
 def test_workload_matches_dense(mask, seqlen, block):
     workload = mask_workload_matrix(mask, seqlen, block)
     dense = mask.dense(seqlen)

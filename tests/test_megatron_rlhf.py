@@ -1,39 +1,7 @@
-"""Tests for the Megatron baseline facade and RLHF data generation."""
+"""Tests for the RLHF sample's per-sequence shared-question mask."""
 
-import numpy as np
-import pytest
-
-from repro import AttentionSpec, BatchSpec, ClusterSpec, make_mask
-from repro.baselines import MegatronBaseline
-from repro.data import RlhfSample, sample_rlhf_batches
+from repro.data import RlhfSample
 from repro.masks import SharedQuestionMask
-from repro.sim import ModelSpec
-
-
-class TestMegatronBaseline:
-    def test_iteration_costing(self):
-        cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
-        attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
-        baseline = MegatronBaseline(
-            cluster, attention, model=ModelSpec(num_layers=2),
-            block_size=32,
-        )
-        batch = BatchSpec.build([256, 128], make_mask("causal"))
-        result = baseline.iteration(batch)
-        assert result.iteration_time > 0
-        breakdown = result.breakdown()
-        assert breakdown["total"] == pytest.approx(result.iteration_time)
-
-    def test_plan_protocol(self):
-        from repro.blocks import generate_blocks
-
-        cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
-        attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
-        baseline = MegatronBaseline(cluster, attention, block_size=32)
-        batch = BatchSpec.build([128, 64], make_mask("causal"))
-        block_set = generate_blocks(batch, attention, block_size=32)
-        plan = baseline.plan(block_set)
-        assert plan.meta["planner"] == "te"
 
 
 class TestRlhfData:
@@ -43,56 +11,3 @@ class TestRlhfData:
         assert isinstance(mask, SharedQuestionMask)
         assert mask.num_answers == 3
         assert 0 < mask.answer_fraction * 3 < 1
-
-    def test_batches_respect_budget(self):
-        batches = sample_rlhf_batches(3, token_budget=8192, seed=1)
-        assert len(batches) == 3
-        for batch in batches:
-            assert batch.total_tokens <= 8192
-            for seq in batch.sequences:
-                assert isinstance(seq.mask, SharedQuestionMask)
-
-    def test_masks_vary_per_sequence(self):
-        """The paper's point: masks are input-dependent."""
-        batches = sample_rlhf_batches(2, token_budget=16384, seed=0)
-        masks = {
-            (seq.mask.num_answers, round(seq.mask.answer_fraction, 6))
-            for batch in batches
-            for seq in batch.sequences
-        }
-        assert len(masks) > 1
-
-    def test_deterministic(self):
-        a = sample_rlhf_batches(2, token_budget=4096, seed=5)
-        b = sample_rlhf_batches(2, token_budget=4096, seed=5)
-        assert [s.seqlen for x in a for s in x.sequences] == [
-            s.seqlen for x in b for s in x.sequences
-        ]
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            sample_rlhf_batches(0)
-
-    def test_rlhf_batches_plan_and_execute(self):
-        from repro import DCPConfig, DCPPlanner
-        from repro.runtime import (
-            BatchInputs,
-            SimExecutor,
-            reference_batch_outputs,
-        )
-
-        batches = sample_rlhf_batches(
-            1, token_budget=512, mean_question=64, mean_answer=32, seed=2
-        )
-        attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
-        cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
-        planner = DCPPlanner(cluster, attention,
-                             DCPConfig(block_size=16, restarts=1))
-        plan = planner.plan_batch(batches[0])
-        executor = SimExecutor(plan)
-        inputs = BatchInputs.random(plan.block_set, seed=3)
-        executor.load_inputs(inputs)
-        executor.run()
-        for out, ref in zip(executor.gather_outputs(),
-                            reference_batch_outputs(plan.block_set, inputs)):
-            np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5)

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mask_oracles import (
+    DenseMask,
+    check_ranges,
+    multi_ranges_from_dense,
+    multi_ranges_from_rows,
+    row_ranges,
+)
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import (
     CausalMask,
-    DenseMask,
     DilatedBlockMask,
     GlobalTokenMask,
     MultiRanges,
@@ -54,7 +60,7 @@ def loop_dilated_ranges(seqlen, block, stride, window):
                 row.append((anchor, end))
         row.append((window_start, i + 1))
         rows.append(row)
-    return MultiRanges.from_rows(rows)
+    return multi_ranges_from_rows(rows)
 
 
 def loop_global_ranges(seqlen, every, window):
@@ -68,7 +74,7 @@ def loop_global_ranges(seqlen, every, window):
         row = [(g, g + 1) for g in range(0, window_start, every)]
         row.append((window_start, i + 1))
         rows.append(row)
-    return MultiRanges.from_rows(rows)
+    return multi_ranges_from_rows(rows)
 
 
 def assert_same_ranges(got, expected):
@@ -83,27 +89,27 @@ def assert_same_ranges(got, expected):
 
 class TestMultiRanges:
     def test_from_rows_round_trip(self):
-        ranges = MultiRanges.from_rows([[(0, 1)], [(0, 1), (3, 4)], []])
+        ranges = multi_ranges_from_rows([[(0, 1)], [(0, 1), (3, 4)], []])
         assert ranges.seqlen == 3
-        assert ranges.num_ranges == 3
-        starts, ends = ranges.ranges_of_row(1)
+        assert len(ranges.starts) == 3
+        starts, ends = row_ranges(ranges, 1)
         assert starts.tolist() == [0, 3]
         assert ends.tolist() == [1, 4]
 
     def test_row_count(self):
-        ranges = MultiRanges.from_rows([[(0, 2)], [(0, 1), (2, 5)], []])
+        ranges = multi_ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], []])
         assert ranges.row_count().tolist() == [2, 4, 0]
 
     def test_total_pairs(self):
-        ranges = MultiRanges.from_rows([[(0, 2)], [(0, 1), (2, 5)], []])
+        ranges = multi_ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], []])
         assert ranges.total_pairs() == 6
 
     def test_overlap_with(self):
-        ranges = MultiRanges.from_rows([[(0, 4)], [(0, 2), (6, 8)]])
+        ranges = multi_ranges_from_rows([[(0, 4)], [(0, 2), (6, 8)]])
         assert ranges.overlap_with(1, 7).tolist() == [3, 2]
 
     def test_dense_matches_rows(self):
-        ranges = MultiRanges.from_rows(
+        ranges = multi_ranges_from_rows(
             [[(0, 1)], [(0, 1), (2, 3)], [(1, 3)]]
         )
         expected = np.array(
@@ -117,14 +123,14 @@ class TestMultiRanges:
 
     def test_tile_mask_is_dense_slice(self):
         mask = brute_global(32, every=8, window=4)
-        ranges = MultiRanges.from_dense(mask)
+        ranges = multi_ranges_from_dense(mask)
         tile = ranges.tile_mask(8, 16, 4, 20)
         np.testing.assert_array_equal(tile, mask[8:16, 4:20])
 
     def test_from_dense_round_trip(self):
         mask = brute_dilated(48, block=4, stride=2, window=8)
         np.testing.assert_array_equal(
-            MultiRanges.from_dense(mask).dense(), mask
+            multi_ranges_from_dense(mask).dense(), mask
         )
 
     @given(seed=st.integers(0, 1000))
@@ -132,19 +138,19 @@ class TestMultiRanges:
     def test_from_dense_round_trip_random(self, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((17, 17)) < 0.35
-        ranges = MultiRanges.from_dense(mask)
-        ranges.validate()
+        ranges = multi_ranges_from_dense(mask)
+        check_ranges(ranges)
         np.testing.assert_array_equal(ranges.dense(), mask)
 
     def test_validate_rejects_overlap(self):
-        ranges = MultiRanges.from_rows([[(0, 3), (2, 5)], [], [], [], []])
+        ranges = multi_ranges_from_rows([[(0, 3), (2, 5)], [], [], [], []])
         with pytest.raises(ValueError, match="overlap"):
-            ranges.validate()
+            check_ranges(ranges)
 
     def test_validate_rejects_out_of_bounds(self):
-        ranges = MultiRanges.from_rows([[(0, 5)]])
+        ranges = multi_ranges_from_rows([[(0, 5)]])
         with pytest.raises(ValueError, match="outside"):
-            ranges.validate()
+            check_ranges(ranges)
 
     def test_validate_rejects_inverted(self):
         ranges = MultiRanges(
@@ -153,7 +159,7 @@ class TestMultiRanges:
             ends=np.array([1]),
         )
         with pytest.raises(ValueError, match="start exceeds"):
-            ranges.validate()
+            check_ranges(ranges)
 
     def test_bad_indptr_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +170,7 @@ class TestMultiRanges:
             )
 
     def test_max_ranges_per_row(self):
-        ranges = MultiRanges.from_rows([[(0, 1)], [(0, 1), (2, 3), (4, 5)]])
+        ranges = multi_ranges_from_rows([[(0, 1)], [(0, 1), (2, 3), (4, 5)]])
         assert ranges.max_ranges_per_row() == 3
 
 
@@ -186,7 +192,7 @@ class TestDilatedBlockMask:
         assert mask.sparsity_vs_causal(256) < 0.5
 
     def test_ranges_validate(self):
-        DilatedBlockMask(block=4, stride=2, window=8).ranges(100).validate()
+        check_ranges(DilatedBlockMask(block=4, stride=2, window=8).ranges(100))
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -252,7 +258,7 @@ class TestGlobalTokenMask:
         assert GlobalTokenMask(every=8, window=4).max_ranges_per_row(128) > 2
 
     def test_ranges_validate(self):
-        GlobalTokenMask(every=8, window=4).ranges(100).validate()
+        check_ranges(GlobalTokenMask(every=8, window=4).ranges(100))
 
 
 class TestDenseMask:
@@ -345,7 +351,7 @@ def test_tile_mask_consistent_with_overlap(seed, q_lo, q_span, k_lo, k_span):
     """Counting true cells in a tile equals the overlap arithmetic."""
     rng = np.random.default_rng(seed)
     mask = rng.random((20, 20)) < 0.4
-    ranges = MultiRanges.from_dense(mask)
+    ranges = multi_ranges_from_dense(mask)
     q_hi = min(q_lo + q_span, 20)
     k_hi = min(k_lo + k_span, 20)
     tile = ranges.tile_mask(q_lo, q_hi, k_lo, k_hi)

@@ -1,19 +1,27 @@
-"""Tests for the packing-strategy module (repro.data.packing)."""
+"""Tests for the packing ablation's offline packers
+(benchmarks/offline_packers.py) and ``packing_stats``."""
+
+import importlib.util
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import (
-    PACKERS,
-    pack_batches,
-    pack_first_fit_decreasing,
-    pack_length_grouped,
-    pack_sequential,
-    pack_workload_balanced,
-    packing_stats,
-    sample_lengths,
+from repro.data import pack_batches, packing_stats, sample_lengths
+
+_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "offline_packers.py",
 )
+_spec = importlib.util.spec_from_file_location("offline_packers", _PATH)
+offline_packers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(offline_packers)
+PACKERS = offline_packers.PACKERS
+pack_first_fit_decreasing = offline_packers.pack_first_fit_decreasing
+pack_length_grouped = offline_packers.pack_length_grouped
+pack_sequential = pack_batches
+pack_workload_balanced = offline_packers.pack_workload_balanced
 
 LENGTHS = [9000, 200, 4100, 700, 7800, 300, 2500, 1200, 6200, 150]
 BUDGET = 10000

@@ -9,7 +9,9 @@ below one token and above the budget, and the ledger's own packing
 recipes.
 """
 
+import importlib.util
 import itertools
+import os
 import time
 
 import pytest
@@ -17,7 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packing_oracles as oracle
-from repro.data import PACKERS, STREAM_PACKERS, sample_lengths, scale_lengths
+from repro.data import STREAM_PACKERS, sample_lengths, scale_lengths
+
+_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "offline_packers.py",
+)
+_spec = importlib.util.spec_from_file_location("offline_packers", _PATH)
+offline_packers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(offline_packers)
+PACKERS = offline_packers.PACKERS
 
 BUDGET = 8192
 BUFFERS = [1, 2, 16, None]
@@ -49,7 +60,7 @@ class TestStreamParity:
     def test_seeded_streams(self, name, buffer, cap):
         for lengths in seeded_streams():
             packer = STREAM_PACKERS[name](BUDGET, cap, buffer=buffer)
-            assert packer.pack(lengths) == stream_reference(
+            assert list(packer.stream(lengths)) == stream_reference(
                 name, lengths, BUDGET, cap, buffer
             )
 
@@ -65,7 +76,7 @@ class TestStreamParity:
         cap = {"none": None, "budget": budget, "third": budget // 3}[cap]
         for name in STREAM_PACKERS:
             packer = STREAM_PACKERS[name](budget, cap, buffer=buffer)
-            assert packer.pack(lengths) == stream_reference(
+            assert list(packer.stream(lengths)) == stream_reference(
                 name, lengths, budget, cap, buffer
             )
 
@@ -137,6 +148,8 @@ def test_no_packer_is_quadratic():
     for packer in PACKERS.values():
         assert packer(lengths, BUDGET)
     for factory in STREAM_PACKERS.values():
-        assert factory(BUDGET).pack(lengths)
-    assert STREAM_PACKERS["length_grouped"](BUDGET, buffer=None).pack(lengths)
+        assert list(factory(BUDGET).stream(lengths))
+    assert list(
+        STREAM_PACKERS["length_grouped"](BUDGET, buffer=None).stream(lengths)
+    )
     assert time.perf_counter() - start < 10.0

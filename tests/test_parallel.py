@@ -9,23 +9,26 @@ from repro.core.config import DCPConfig
 from repro.masks import CausalMask
 from repro.parallel import (
     HybridConfig,
-    RankCoords,
     RankTopology,
     StageCost,
     allreduce_time,
     dcp_view_cluster,
-    gpipe_order,
     hybrid_iteration_time,
     one_f_one_b_order,
     shard_attention,
-    simulate_1f1b,
     simulate_1f1b_varied,
-    simulate_pipeline,
     split_layers,
     tp_layer_comm_time,
 )
 from repro.sim.cluster import ClusterSpec
 from repro.sim.modelcost import ModelSpec
+
+
+def simulate_1f1b(stage_costs, num_microbatches, p2p_time=0.0):
+    """1F1B with every microbatch costing the same on a stage."""
+    return simulate_1f1b_varied(
+        [[cost] * num_microbatches for cost in stage_costs], p2p_time
+    )
 
 
 # -- RankTopology ----------------------------------------------------------
@@ -38,74 +41,6 @@ class TestRankTopology:
     def test_degrees_must_be_positive(self):
         with pytest.raises(ValueError):
             RankTopology(tp=0)
-
-    def test_coords_of_rank_zero(self):
-        topo = RankTopology(tp=2, dcp=3, pp=2)
-        assert topo.coords(0) == RankCoords(tp=0, dcp=0, pp=0)
-
-    def test_tp_varies_fastest(self):
-        topo = RankTopology(tp=4, dcp=2, pp=2)
-        assert [topo.coords(r).tp for r in range(4)] == [0, 1, 2, 3]
-        assert all(topo.coords(r).dcp == 0 for r in range(4))
-
-    def test_pp_varies_slowest(self):
-        topo = RankTopology(tp=2, dcp=2, pp=2)
-        assert topo.coords(topo.world_size - 1).pp == topo.pp - 1
-
-    def test_rank_out_of_range(self):
-        topo = RankTopology(tp=2, dcp=2)
-        with pytest.raises(ValueError):
-            topo.coords(4)
-        with pytest.raises(ValueError):
-            topo.coords(-1)
-
-    def test_rank_of_rejects_bad_coords(self):
-        topo = RankTopology(tp=2, dcp=2)
-        with pytest.raises(ValueError):
-            topo.rank_of(RankCoords(tp=2, dcp=0, pp=0))
-        with pytest.raises(ValueError):
-            topo.rank_of(RankCoords(tp=0, dcp=0, pp=1))
-
-    @given(
-        tp=st.integers(1, 4),
-        dcp=st.integers(1, 4),
-        pp=st.integers(1, 4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_coords_round_trip(self, tp, dcp, pp):
-        topo = RankTopology(tp=tp, dcp=dcp, pp=pp)
-        for rank in range(topo.world_size):
-            assert topo.rank_of(topo.coords(rank)) == rank
-
-    def test_tp_group_is_consecutive(self):
-        topo = RankTopology(tp=4, dcp=2, pp=2)
-        for rank in range(topo.world_size):
-            group = topo.tp_group(rank)
-            assert group == list(range(group[0], group[0] + 4))
-            assert rank in group
-
-    def test_groups_partition_world(self):
-        topo = RankTopology(tp=2, dcp=4, pp=2)
-        for groups in (
-            topo.all_tp_groups(),
-            topo.all_dcp_groups(),
-            topo.all_pp_groups(),
-        ):
-            seen = sorted(r for g in groups for r in g)
-            assert seen == list(range(topo.world_size))
-
-    def test_dcp_group_strides_by_tp(self):
-        topo = RankTopology(tp=4, dcp=4, pp=1)
-        assert topo.dcp_group(0) == [0, 4, 8, 12]
-
-    def test_pp_group_strides_by_tp_times_dcp(self):
-        topo = RankTopology(tp=2, dcp=2, pp=4)
-        assert topo.pp_group(0) == [0, 4, 8, 12]
-
-    def test_stage_of(self):
-        topo = RankTopology(tp=2, dcp=2, pp=2)
-        assert topo.stage_of(0) == 0
-        assert topo.stage_of(topo.world_size - 1) == 1
 
     def test_validate_against_matching_cluster(self):
         topo = RankTopology(tp=4, dcp=8, pp=1)
@@ -356,69 +291,6 @@ class TestSimulate1F1B:
         assert all(b == pytest.approx(per_stage) for b in timing.stage_busy)
 
 
-class TestGPipe:
-    def test_order_all_forwards_first(self):
-        order = gpipe_order(0, 4, 3)
-        assert order == [
-            ("F", 0), ("F", 1), ("F", 2), ("B", 2), ("B", 1), ("B", 0),
-        ]
-
-    def test_same_total_as_1f1b_for_uniform(self):
-        costs = [[StageCost(1.0, 2.0)] * 8 for _ in range(4)]
-        gpipe = simulate_pipeline(costs, schedule="gpipe")
-        one_f = simulate_pipeline(costs, schedule="1f1b")
-        assert gpipe.total == pytest.approx(one_f.total)
-
-    def test_gpipe_holds_all_activations(self):
-        costs = [[StageCost(1.0, 1.0)] * 8 for _ in range(4)]
-        timing = simulate_pipeline(costs, schedule="gpipe")
-        assert timing.max_peak_activations == 8
-
-    def test_1f1b_bounds_activations_by_depth(self):
-        # Stage s of S holds at most min(M, S - s) activations.
-        stages, microbatches = 4, 16
-        costs = [[StageCost(1.0, 1.0)] * microbatches for _ in range(stages)]
-        timing = simulate_pipeline(costs, schedule="1f1b")
-        assert timing.max_peak_activations == stages
-        for stage, peak in enumerate(timing.peak_activations):
-            assert peak <= min(microbatches, stages - stage)
-
-    def test_memory_advantage_grows_with_microbatches(self):
-        stages = 4
-        for microbatches in (8, 16, 32):
-            costs = [
-                [StageCost(1.0, 1.0)] * microbatches for _ in range(stages)
-            ]
-            gpipe = simulate_pipeline(costs, schedule="gpipe")
-            one_f = simulate_pipeline(costs, schedule="1f1b")
-            assert gpipe.max_peak_activations == microbatches
-            assert one_f.max_peak_activations == stages
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            simulate_pipeline([[StageCost(1.0, 1.0)]], schedule="zb-h1")
-
-    def test_gpipe_order_covers_all_tasks(self):
-        order = gpipe_order(1, 4, 6)
-        assert sorted(order) == sorted(
-            [("F", m) for m in range(6)] + [("B", m) for m in range(6)]
-        )
-
-    @given(
-        stages=st.integers(1, 4),
-        microbatches=st.integers(1, 8),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_activations_return_to_zero(self, stages, microbatches):
-        costs = [
-            [StageCost(1.0, 1.0)] * microbatches for _ in range(stages)
-        ]
-        for schedule in ("1f1b", "gpipe"):
-            timing = simulate_pipeline(costs, schedule=schedule)
-            # Peak is at least 1 and never exceeds the microbatch count.
-            assert 1 <= timing.max_peak_activations <= microbatches
-
-
 # -- hybrid composition ------------------------------------------------------
 
 
@@ -468,19 +340,6 @@ class TestHybrid:
         assert result.tp_comm_time == 0.0
         assert result.grad_sync_time > 0
         assert result.pipeline.bubble_fraction == pytest.approx(0.0)
-
-    def test_breakdown_keys(self):
-        cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
-        config = HybridConfig(
-            topology=RankTopology(tp=1, dcp=2, pp=1),
-            dcp_config=DCPConfig(block_size=256, restarts=1),
-        )
-        result = hybrid_iteration_time(
-            _batch(), cluster, config, model=_small_model()
-        )
-        breakdown = result.breakdown()
-        for key in ("attention", "tp_comm", "others", "grad_sync", "total"):
-            assert key in breakdown
 
     def test_pp_must_divide_machines(self):
         cluster = ClusterSpec(num_machines=3, devices_per_machine=2)

@@ -74,7 +74,7 @@ class TestBuildHypergraph:
         sub, ids = bhg.induced_subgraph(vertices)
         assert sub.num_vertices == len(vertices)
         assert np.array_equal(ids, np.asarray(sorted(vertices)))
-        for pin in sub.pins:
+        for pin in sub.pin_lists():
             assert len(pin) >= 2
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cache_client import plan_batch
 from repro import (
     AttentionSpec,
     BatchSpec,
@@ -45,37 +46,30 @@ class TestSignature:
 class TestPlanCache:
     def test_hit_returns_same_plan(self):
         cache = make_cache()
-        first = cache.plan_batch(batch([48, 32]))
-        second = cache.plan_batch(batch([48, 32]))
+        first = plan_batch(cache, batch([48, 32]))
+        second = plan_batch(cache, batch([48, 32]))
         assert first is second
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_different_batches_miss(self):
         cache = make_cache()
-        cache.plan_batch(batch([48, 32]))
-        cache.plan_batch(batch([48, 16]))
+        plan_batch(cache, batch([48, 32]))
+        plan_batch(cache, batch([48, 16]))
         stats = cache.stats()
         assert stats["misses"] == 2 and stats["hits"] == 0
 
     def test_lru_eviction(self):
         cache = make_cache(capacity=2)
         a, b, c = batch([16]), batch([32]), batch([48])
-        cache.plan_batch(a)
-        cache.plan_batch(b)
-        cache.plan_batch(a)  # refresh a; b is now least recent
-        cache.plan_batch(c)  # evicts b
-        assert len(cache) == 2
+        plan_batch(cache, a)
+        plan_batch(cache, b)
+        plan_batch(cache, a)  # refresh a; b is now least recent
+        plan_batch(cache, c)  # evicts b
+        assert cache.stats()["size"] == 2
         misses_before = cache.stats()["misses"]
-        cache.plan_batch(b)
+        plan_batch(cache, b)
         assert cache.stats()["misses"] == misses_before + 1
-
-    def test_clear(self):
-        cache = make_cache()
-        cache.plan_batch(batch([16]))
-        cache.clear()
-        stats = cache.stats()
-        assert len(cache) == 0 and stats["hits"] == 0 and stats["misses"] == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -91,8 +85,8 @@ class TestPlanCache:
         )
 
         cache = make_cache()
-        plan = cache.plan_batch(batch([64, 32]))
-        plan = cache.plan_batch(batch([64, 32]))  # from cache
+        plan = plan_batch(cache, batch([64, 32]))
+        plan = plan_batch(cache, batch([64, 32]))  # from cache
         executor = SimExecutor(plan)
         inputs = BatchInputs.random(plan.block_set, seed=0)
         executor.load_inputs(inputs)
@@ -116,11 +110,11 @@ class TestThreadSafety:
         def worker(seed):
             try:
                 for i in range(lookups_per_thread):
-                    plan = cache.plan_batch(batches[(seed + i) % len(batches)])
+                    plan = plan_batch(cache, batches[(seed + i) % len(batches)])
                     assert plan.num_devices == 2
                     if i % 7 == 0:
                         cache.stats()
-                        len(cache)
+                        cache.stats()["size"]
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -134,7 +128,7 @@ class TestThreadSafety:
         assert not errors
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 8 * lookups_per_thread
-        assert len(cache) <= cache.capacity
+        assert cache.stats()["size"] <= cache.capacity
 
     def test_reserve_exactly_one_dispatch_under_contention(self):
         """N threads reserving one signature => one planner dispatch.
@@ -272,8 +266,8 @@ class TestThreadSafety:
 
         cache = make_cache(capacity=8)
         stay, go = batch([16]), batch([32])
-        cache.plan_batch(stay)
-        cache.plan_batch(go)
+        plan_batch(cache, stay)
+        plan_batch(cache, go)
         go_key = batch_signature(go)
         pending = batch([48])
         pending_key = batch_signature(pending)
@@ -284,17 +278,17 @@ class TestThreadSafety:
         )
         assert dropped == 1  # one cached entry; the reservation is extra
         assert cache.peek(batch_signature(stay)) is not None
-        assert batch_signature(go) not in cache
+        assert cache.peek(batch_signature(go)) is None
         with pytest.raises(PlanAbandoned):
             future.result(timeout=1)
         assert cache.stats()["invalidations"] == 1
 
     def test_invalidate_all(self):
         cache = make_cache()
-        cache.plan_batch(batch([16]))
-        cache.plan_batch(batch([32]))
+        plan_batch(cache, batch([16]))
+        plan_batch(cache, batch([32]))
         assert cache.invalidate() == 2
-        assert len(cache) == 0
+        assert cache.stats()["size"] == 0
 
     def test_publish_rejected_after_invalidation_epoch(self):
         """A plan computed across an invalidation (the pipeline's retry
@@ -310,7 +304,7 @@ class TestThreadSafety:
         plan = cache.planner.plan_batch(spec)
         cache.invalidate()  # bumps the epoch, drops the reservation
         assert not cache.publish(key, plan, epoch)
-        assert key not in cache
+        assert cache.peek(key) is None
 
     def test_publish_with_current_epoch_fulfills_waiters(self):
         from repro.core import batch_signature
@@ -341,7 +335,7 @@ class TestThreadSafety:
         assert cache.reserve(keep_key)[0] == "own"
         status, future, _epoch = cache.reserve(keep_key)
         assert status == "wait"
-        cache.plan_batch(drop_spec)
+        plan_batch(cache, drop_spec)
         cache.invalidate(lambda key: key == drop_key)  # bumps the epoch
         plan = cache.planner.plan_batch(keep_spec)
         assert cache.publish(keep_key, plan, epoch)  # reservation survived
@@ -366,7 +360,7 @@ class TestThreadSafety:
         assert status == "wait"
         # The old cohort's late publication is refused outright...
         assert not cache.publish(key, stale_plan, old_epoch)
-        assert key not in cache
+        assert cache.peek(key) is None
         assert not waiter.done()
         # ...and its late failure cannot shoot the new claim down.
         cache.abandon(key, RuntimeError("old crash"), epoch=old_epoch)
@@ -387,7 +381,7 @@ class TestThreadSafety:
         plan = cache.planner.plan_batch(batch([48, 32]))
         cache.invalidate(lambda k: k == key)
         assert not cache.publish(key, plan, epoch)
-        assert key not in cache
+        assert cache.peek(key) is None
 
 
 class TestPlanBatch:
@@ -418,7 +412,7 @@ class TestPlanBatch:
         results = []
 
         def worker():
-            results.append(cache.plan_batch(spec))
+            results.append(plan_batch(cache, spec))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
@@ -444,9 +438,9 @@ class TestPlanBatch:
         cache = PlanCache(FailingPlanner())
         spec = batch([48, 32])
         with pytest.raises(RuntimeError):
-            cache.plan_batch(spec)
+            plan_batch(cache, spec)
         key = batch_signature(spec)
-        assert key not in cache
+        assert cache.peek(key) is None
         status, _future, _epoch = cache.reserve(key)
         assert status == "own"  # nothing left in flight
         cache.abandon(key)

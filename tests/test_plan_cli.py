@@ -1,12 +1,10 @@
-"""Tests for the ``python -m repro.plan`` CLI and distribution fitting."""
+"""Tests for the ``python -m repro.plan`` CLI."""
 
 import json
 import os
 
-import numpy as np
 import pytest
 
-from repro.data import LengthDistribution, sample_lengths
 from repro.plan_cli import main
 
 BASE = [
@@ -68,37 +66,3 @@ class TestPlanCli:
 
     def test_divisions_flag(self, capsys):
         assert main(BASE + ["--divisions", "2"]) == 0
-
-
-class TestLengthDistributionFit:
-    def test_fit_recovers_parameters(self):
-        source = LengthDistribution(
-            name="src", log_mean=np.log(4000.0), log_sigma=0.8,
-            min_len=1, cap=10**9,
-        )
-        sample = source.sample(20000, seed=0)
-        fitted = LengthDistribution.fit(sample, cap=10**9)
-        assert fitted.log_mean == pytest.approx(source.log_mean, abs=0.05)
-        assert fitted.log_sigma == pytest.approx(source.log_sigma, abs=0.05)
-
-    def test_fitted_distribution_samples(self):
-        lengths = sample_lengths("longdatacollections", 500, seed=1)
-        fitted = LengthDistribution.fit(lengths, name="mine")
-        out = fitted.sample(100, seed=2)
-        assert out.min() >= fitted.min_len
-        assert out.max() <= fitted.cap
-        assert fitted.name == "mine"
-
-    def test_constant_lengths(self):
-        fitted = LengthDistribution.fit([1000] * 50)
-        assert fitted.log_sigma > 0  # floored, not zero
-        sample = fitted.sample(10, seed=0)
-        assert np.allclose(sample, 1000, rtol=0.01)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            LengthDistribution.fit([])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            LengthDistribution.fit([100, 0])

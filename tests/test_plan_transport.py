@@ -17,6 +17,7 @@ from repro.pipeline import (
     StreamingOverlapPipeline,
     plan_fingerprint,
 )
+from repro.pipeline import shm as shm_mod
 from repro.pipeline.shm import PlanRing, ShmUnavailable
 from repro.sim import ClusterSpec
 
@@ -37,6 +38,14 @@ def make_batches(n=3, base=1024):
 # -- shm ring ----------------------------------------------------------------
 
 
+def free_slots(ring) -> int:
+    """Slots of ``ring`` no writer holds."""
+    return sum(
+        1 for slot in range(ring.slots)
+        if ring._header(slot)[0] == shm_mod._FREE
+    )
+
+
 class TestPlanRing:
     def test_roundtrip(self):
         with PlanRing.create(slots=2, slot_bytes=1024) as ring:
@@ -47,7 +56,7 @@ class TestPlanRing:
             assert bytes(view) == b"hello plan"
             view.release()
             ring.free(slot)
-            assert ring.free_slots() == 2
+            assert free_slots(ring) == 2
 
     def test_reserve_exhaustion_and_free(self):
         with PlanRing.create(slots=2, slot_bytes=64) as ring:
@@ -90,7 +99,7 @@ class TestPlanRing:
                 assert bytes(view) == payload
                 view.release()
                 ring.free(slot)
-            assert ring.free_slots() == 3
+            assert free_slots(ring) == 3
 
     def test_attach_sees_writes(self):
         with PlanRing.create(slots=2, slot_bytes=128) as ring:
@@ -308,7 +317,7 @@ class TestProcessTransport:
             stats = transport_counters(backend)
             assert stats["shm_plans"] == ring_slots
             assert stats["wire_plans"] == 0
-            assert backend._ring.free_slots() == ring_slots
+            assert free_slots(backend._ring) == ring_slots
         finally:
             backend.close()
 
@@ -322,7 +331,7 @@ class TestProcessTransport:
             backend._pool.shutdown(wait=True)
             with pytest.raises(RuntimeError):
                 backend.submit(0, make_batches(1)[0])
-            assert backend._ring.free_slots() == 2
+            assert free_slots(backend._ring) == 2
         finally:
             backend.close()
 

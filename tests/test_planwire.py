@@ -19,16 +19,13 @@ from repro.core.planwire import (
     encode_plan,
 )
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask, make_mask
-from repro.baselines import (
-    RingAttentionPlanner,
-    TransformerEnginePlanner,
-    plan_ring_backward,
-)
+from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.pipeline import plan_fingerprint
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.scheduling import build_schedule, serialize_backward_schedule
 from repro.sim import ClusterSpec
+from ring_oracles import plan_ring_backward
 
 settings.register_profile(
     "repro", deadline=None, suppress_health_check=[HealthCheck.too_slow]

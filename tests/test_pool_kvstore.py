@@ -16,7 +16,6 @@ from repro.core import (
     DCPPlanner,
     DistributedDataloader,
     KVStore,
-    min_cores_to_hide_planning,
     simulate_planning_overlap,
 )
 from repro.masks import CausalMask
@@ -185,7 +184,7 @@ class TestKVStore:
         assert _count(store, "kv.gets") == 2
         assert _count(store, "kv.get_misses") == 2
         # The latency a stalled reader experienced is recorded too.
-        assert store.metrics.histogram("kv.get_s").count == 2
+        assert store.metrics.snapshot()["kv.get_s"]["count"] == 2
         assert _count(store, "kv.bytes_out") == 0
 
 
@@ -430,24 +429,30 @@ class TestDistributedDataloader:
 # -- analytic overlap model ---------------------------------------------------
 
 
+def planning_hidden(timeline, tolerance=1e-9):
+    """No execution stall after iteration 0 (which always waits for its
+    own plan)."""
+    return all(stall <= tolerance for stall in timeline.stalls[1:])
+
+
 class TestPlanningOverlap:
     def test_zero_plan_time_never_stalls(self):
         timeline = simulate_planning_overlap([0.0] * 5, [1.0] * 5)
         assert timeline.total_stall == 0.0
-        assert timeline.planning_hidden()
+        assert planning_hidden(timeline)
 
     def test_cold_start_stall_only(self):
         timeline = simulate_planning_overlap(
             [0.5] * 5, [1.0] * 5, cores_per_machine=2
         )
         assert timeline.stalls[0] == pytest.approx(0.5)
-        assert timeline.planning_hidden()
+        assert planning_hidden(timeline)
 
     def test_serial_slow_planning_stalls(self):
         timeline = simulate_planning_overlap(
             [2.0] * 6, [1.0] * 6, cores_per_machine=1, lookahead=2
         )
-        assert not timeline.planning_hidden()
+        assert not planning_hidden(timeline)
         assert timeline.total_stall > 0
 
     def test_paper_claim_ten_cores_hide_ten_seconds(self):
@@ -457,11 +462,11 @@ class TestPlanningOverlap:
         hidden = simulate_planning_overlap(
             plan_times, exec_times, cores_per_machine=12, lookahead=12
         )
-        assert hidden.planning_hidden()
+        assert planning_hidden(hidden)
         starved = simulate_planning_overlap(
             plan_times, exec_times, cores_per_machine=5, lookahead=12
         )
-        assert not starved.planning_hidden()
+        assert not planning_hidden(starved)
 
     def test_machines_multiply_capacity(self):
         plan_times = [4.0] * 20
@@ -476,29 +481,13 @@ class TestPlanningOverlap:
         )
         assert four.total_stall <= one.total_stall
 
-    def test_min_cores_matches_throughput_bound(self):
-        cores = min_cores_to_hide_planning(
-            [10.0] * 40, [1.0] * 40, lookahead=12
-        )
-        assert cores is not None
-        assert 10 <= cores <= 12
-
-    def test_min_cores_none_when_latency_bound(self):
-        # With lookahead 0, a 10x plan time can never hide.
-        assert (
-            min_cores_to_hide_planning(
-                [10.0] * 10, [1.0] * 10, lookahead=0, max_cores=8
-            )
-            is None
-        )
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             simulate_planning_overlap([1.0], [1.0, 2.0])
 
     def test_empty_timeline(self):
         timeline = simulate_planning_overlap([], [])
-        assert timeline.total_time == 0.0
+        assert timeline.exec_end == []
         assert timeline.stall_fraction == 0.0
 
     def test_stall_fraction_bounded(self):

@@ -386,11 +386,11 @@ class TestObservable:
             get_tracer().clear()
         stats = dcp.last_stats
         assert stats.placement_source == "refined"
-        assert stats.as_dict()["price_moves"] == stats.price_moves >= 1
+        assert stats.price_moves >= 1
         assert dcp.metrics.counter("planner.price_moves").value == (
             stats.price_moves
         )
-        assert stats.as_dict()["byte_moves"] == stats.byte_moves >= 1
+        assert stats.byte_moves >= 1
         assert dcp.metrics.counter("planner.byte_moves").value == (
             stats.byte_moves
         )

@@ -13,8 +13,7 @@ from repro.service.health import OPEN
 def holders(store, key):
     """Shard names whose *backing store* holds ``key`` (ground truth)."""
     return [
-        name for name in store.ring.nodes
-        if store.store(name).contains(key)
+        name for name, shard in store._stores.items() if shard.contains(key)
     ]
 
 
@@ -32,7 +31,7 @@ class TestRingReplicaSets:
             key = f"key{i}"
             owners = ring.nodes_for(key, 3)
             assert len(owners) == len(set(owners)) == 3
-            assert owners[0] == ring.node_for(key)
+            assert owners[0] == ring.nodes_for(key)[0]
             assert ring.nodes_for(key, 2) == owners[:2]
 
     def test_count_clamped_to_population(self):
@@ -97,7 +96,7 @@ class TestReplicatedReads:
         injector.restart("shard:shard1")  # restart wipes the shard
         time.sleep(0.02)  # let the breaker's reset window elapse
         assert store.try_get(key) == b"payload"
-        assert store.store("shard1").contains(key)  # repaired in place
+        assert store._stores["shard1"].contains(key)  # repaired in place
         assert store.metrics.counter("service.read_repairs").value >= 1
 
     def test_restart_realizes_data_loss(self):
@@ -126,7 +125,7 @@ class TestReplicatedReads:
         injector.kill("shard:shard0")
         for key, value in payloads.items():
             assert store.try_get(key) == value
-        assert store.health.snapshot()["shard0"] == OPEN
+        assert store.health.breaker("shard0").state == OPEN
         assert store.metrics.counter("health.fast_fails").value > 0
 
     def test_blocking_get_polls_across_replicas(self):
@@ -161,7 +160,8 @@ class TestReplicaOrderReads:
         store.put(key, b"payload")
         primary = store.owners_for(key)[0]
         injector.slow(f"shard:{primary}", 1.0)
-        store.health.trip(primary)
+        for _ in range(store.health.failure_threshold):
+            store.health.record_failure(primary)
         start = time.monotonic()
         assert store.try_get(key) == b"payload"
         assert time.monotonic() - start < 0.5  # the stall was never paid
@@ -171,9 +171,9 @@ class TestReplicaOrderReads:
         store = make_store()
         key = "sig/abcd"
         primary, replica = store.owners_for(key)
-        store.store(replica).put(key, b"payload")
+        store._stores[replica].put(key, b"payload")
         assert store.try_get(key) == b"payload"
-        assert store.store(primary).try_get(key) == b"payload"
+        assert store._stores[primary].try_get(key) == b"payload"
         assert store.metrics.counter("service.read_repairs").value == 1
 
     def test_miss_asks_every_owner_once(self):

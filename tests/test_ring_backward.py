@@ -10,17 +10,14 @@ from repro import (
     generate_blocks,
     make_mask,
 )
-from repro.baselines import (
-    RingAttentionPlanner,
-    plan_ring_backward,
-    run_ring_forward_backward,
-)
+from repro.baselines import RingAttentionPlanner
 from repro.baselines.ring import lower_ring, ring_layout
 from repro.model.attention import attention_forward_backward
 from repro.runtime import BatchInputs
 from repro.scheduling import validate_plan
 from repro.scheduling.serialize import Backward, Forward
 from repro.sim import simulate_plan
+from ring_oracles import plan_ring_backward, run_ring_forward_backward
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
 CLUSTER = ClusterSpec(num_machines=2, devices_per_machine=2)

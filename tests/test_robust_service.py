@@ -34,7 +34,6 @@ from repro.service import (
     signature_key,
 )
 from repro.service.errors import (
-    KVOpDropped,
     PlannerUnavailable,
     PlanTimeout,
     ServiceError,
@@ -99,14 +98,13 @@ class TestErrorHierarchy:
     def test_retryable_classification(self):
         assert is_retryable(PlanRejected("t", "tenant_queue_full"))
         assert is_retryable(ShardUnavailable("shard0"))
-        assert is_retryable(KVOpDropped("shard:shard0", "put"))
         assert is_retryable(PlanTimeout(0.1))
         assert not is_retryable(PlannerUnavailable("pool dead"))
         assert not is_retryable(ValueError("not a service error"))
 
     def test_one_hierarchy(self):
         for exc in (PlanRejected("t", "r"), ShardUnavailable("s"),
-                    KVOpDropped("s", "put"), PlanTimeout(0.1)):
+                    PlanTimeout(0.1)):
             assert isinstance(exc, TransientServiceError)
             assert isinstance(exc, ServiceError)
             assert isinstance(exc, RuntimeError)
@@ -216,10 +214,10 @@ class TestKVBackendStoreErrors:
 
     def test_get_error_fails_the_ticket(self, kv_backend):
         store = FailingStore(fails=1, ops=("get",),
-                             exc=KVOpDropped("shard:shard0", "get"))
+                             exc=ShardUnavailable("shard0"))
         backend = kv_backend(store)
         spec = batch([48, 32])
-        with pytest.raises(KVOpDropped):
+        with pytest.raises(ShardUnavailable):
             served(backend.submit(0, spec))
         assert backend.consumer_wire_bytes == 0
         assert written(backend) == 2  # the publish landed
@@ -382,7 +380,7 @@ class TestDeadlineDegradedServing:
             assert wait_until(lambda: planner.inner.calls == 1)
             fetchers[1].start()
             assert wait_until(
-                lambda: service.scheduler.total_queued == 1
+                lambda: service.scheduler._total_queued == 1
             )
             with pytest.raises(AttributeError):
                 service.fetch_plan("t", hot, deadline=5.0)

@@ -13,11 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    RingAttentionPlanner,
-    TransformerEnginePlanner,
-    plan_ring_backward,
-)
+from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.baselines.ring import ring_layout
 from repro.core.planwire import (
     DEVICE_MAGIC,
@@ -42,6 +38,7 @@ from repro.scheduling.instructions import (
     DevicePlan,
     Tile,
 )
+from ring_oracles import plan_ring_backward
 from test_division_choice import (
     only_fully_masked_rows,
     sends_partials_receives_none,

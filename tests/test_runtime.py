@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
+from mask_oracles import mask_id
 from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
-from repro.masks import CausalMask, LambdaMask, SharedQuestionMask, make_mask
+from repro.masks import (
+    CausalMask,
+    DilatedBlockMask,
+    GlobalTokenMask,
+    LambdaMask,
+    PackedDocumentMask,
+    SharedQuestionMask,
+    make_mask,
+)
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import (
     BatchInputs,
@@ -138,8 +147,11 @@ class TestExecutor:
             SharedQuestionMask(num_answers=2, answer_fraction=0.3),
             make_mask("causal_blockwise", block=8, window_blocks=2,
                       sink_blocks=1),
+            PackedDocumentMask(doc_lens=(20, 30, 14)),
+            DilatedBlockMask(block=8, stride=2, window=16),
+            GlobalTokenMask(every=16, window=8),
         ],
-        ids=lambda m: m.describe(),
+        ids=mask_id,
     )
     def test_numerics_match_reference(self, mask):
         executor, block_set, inputs, _ = run_dcp((80, 48, 20), mask)

@@ -41,7 +41,7 @@ class TestBalancedScheduler:
             scheduled = [
                 comp
                 for ds in schedule.device_schedules.values()
-                for comp in ds.all_blocks()
+                for comp in [c for d in ds.divisions for c in d]
             ]
             assert len(scheduled) == len(schedule.block_set.comp_blocks)
             assert len(set(map(id, scheduled))) == len(scheduled)
@@ -117,4 +117,4 @@ class TestBalancedScheduler:
     def test_single_division_everything_in_last(self):
         schedule = _schedule("balanced", divisions=1)
         for ds in schedule.device_schedules.values():
-            assert ds.num_divisions == 1
+            assert len(ds.divisions) == 1

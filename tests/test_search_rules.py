@@ -14,12 +14,15 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypergraph_reference import ScalarRefinementState, scalar_fm_refine
+from hypergraph_reference import (
+    ScalarRefinementState,
+    from_pins,
+    scalar_fm_refine,
+)
 
 from repro.hypergraph import (
     COUNTERS,
     BalanceConstraint,
-    Hypergraph,
     RefinementState,
     fm_refine,
     partition_hypergraph,
@@ -51,7 +54,7 @@ def names(spans):
 def two_islands():
     """Two triangles with nothing between them: the optimal cut is 0."""
     pins = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
-    return Hypergraph(np.ones((6, 2), dtype=np.int64), pins, [5] * 6)
+    return from_pins(np.ones((6, 2), dtype=np.int64), pins, [5] * 6)
 
 
 def random_graph(seed, n=120, edges=300):
@@ -60,12 +63,12 @@ def random_graph(seed, n=120, edges=300):
     pins = [
         rng.choice(n, size=rng.integers(2, 5), replace=False) for _ in range(edges)
     ]
-    return Hypergraph(weights, pins, rng.integers(1, 20, edges))
+    return from_pins(weights, pins, rng.integers(1, 20, edges))
 
 
 def chain(n):
     pins = [[i, i + 1] for i in range(n - 1)]
-    return Hypergraph(np.ones((n, 2), dtype=np.int64), pins, [3] * (n - 1))
+    return from_pins(np.ones((n, 2), dtype=np.int64), pins, [3] * (n - 1))
 
 
 def rank(result):
@@ -111,7 +114,7 @@ class TestCandidateOrder:
         # Three vertices of weight 5 cannot be split under a cap of 9,
         # so no candidate is ever feasible; the warm start's cut of 0
         # must not pass for the optimum.
-        graph = Hypergraph(np.full((3, 2), 5), [[0, 1]], [1])
+        graph = from_pins(np.full((3, 2), 5), [[0, 1]], [1])
         with traced_spans() as spans:
             result = partition_hypergraph(
                 graph, 2, restarts=2, warm_starts=[np.array([0, 0, 1])]
@@ -221,7 +224,7 @@ class TestFmBookkeeping:
         # by making room.  Vertex 3 never fits into part 0 (second
         # dimension), which rules out the mirrored solution.
         weights = np.array([[1, 1], [1, 3], [1, 1], [1, 3], [1, 1]])
-        graph = Hypergraph(weights, [[0, 3], [2, 1]], [10, 3])
+        graph = from_pins(weights, [[0, 3], [2, 1]], [10, 3])
         labels = np.array([0, 0, 1, 1, 1])
         caps = np.array([3, 6])
         state = RefinementState(graph, labels, 2)

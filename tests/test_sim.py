@@ -22,7 +22,6 @@ class TestClusterSpec:
         assert cluster.num_devices == 12
         assert cluster.machine_of(0) == 0
         assert cluster.machine_of(11) == 2
-        assert list(cluster.devices_of_machine(1)) == [4, 5, 6, 7]
         assert cluster.same_machine(4, 7)
         assert not cluster.same_machine(3, 4)
 
@@ -30,13 +29,6 @@ class TestClusterSpec:
         cluster = ClusterSpec(2, 2)
         with pytest.raises(ValueError):
             cluster.machine_of(4)
-        with pytest.raises(ValueError):
-            cluster.devices_of_machine(2)
-
-    def test_link_time_hierarchy(self):
-        cluster = ClusterSpec(2, 2)
-        nbytes = 10 * 1024 * 1024
-        assert cluster.link_time(0, 1, nbytes) < cluster.link_time(0, 2, nbytes)
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -127,13 +119,6 @@ class TestModelCost:
             + result.grad_sync_time
         )
         assert result.iteration_time == pytest.approx(expected)
-
-    def test_breakdown_keys(self):
-        plan, cluster = make_plan()
-        breakdown = e2e_iteration_time(plan, cluster=cluster).breakdown()
-        assert set(breakdown) == {
-            "others", "non_ovlp_attn", "overlap", "non_ovlp_comm", "total",
-        }
 
     def test_more_tokens_cost_more(self):
         small = ModelSpec(num_layers=2)

@@ -349,7 +349,7 @@ class TestEveryRoute:
         stats = planner.last_stats
         prices = plan.meta["placement_prices"]
         assert stats.placement_source == "zigzag"
-        assert stats.as_dict()["placement_source"] == "zigzag"
+        assert stats.placement_source == "zigzag"
         assert set(prices) >= {"partitioned", "zigzag"}
         assert prices["zigzag"] == min(prices.values())
         assert prices["zigzag"] == min(plan.meta["division_prices"].values())
@@ -362,7 +362,7 @@ class TestEveryRoute:
         assert metrics.counter("planner.infeasible_partitions").value == (
             stats.infeasible_partitions
         )
-        assert stats.as_dict()["infeasible_partitions"] == (
+        assert stats.infeasible_partitions == (
             stats.infeasible_partitions
         )
 

@@ -17,24 +17,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import packing_oracles as oracle
 from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner, make_mask
 from repro.data import (
     STREAM_PACKERS,
     StreamPacker,
+    batches_to_specs,
     pack_batches,
-    pack_length_grouped,
-    pack_workload_balanced,
     packing_stats,
     sample_lengths,
     stream_pack,
-    stream_pack_length_grouped,
-    stream_pack_workload_balanced,
-    stream_packed_specs,
 )
 from repro.pipeline import StreamingOverlapPipeline, plan_fingerprint
 
 BUDGET = 8192
-STREAMING = [stream_pack_workload_balanced, stream_pack_length_grouped]
+
+
+def _streaming(name):
+    def pack(lengths, token_budget, max_seqlen=None, buffer=16):
+        packer = STREAM_PACKERS[name](token_budget, max_seqlen, buffer)
+        return packer.stream(lengths)
+
+    pack.__name__ = f"stream_pack_{name}"
+    return pack
+
+
+stream_pack_sequential = _streaming("sequential")
+stream_pack_workload_balanced = _streaming("workload_balanced")
+stream_pack_length_grouped = _streaming("length_grouped")
+STREAMING = [
+    stream_pack_sequential,
+    stream_pack_workload_balanced,
+    stream_pack_length_grouped,
+]
+
+
+def stream_packed_specs(lengths, mask, packer):
+    """Specs straight off ``packer``, each built as its batch closes."""
+    for batch in packer.stream(lengths):
+        yield batches_to_specs([batch], mask)[0]
 
 
 def seeded_streams():
@@ -60,7 +81,7 @@ class TestBufferOneEquivalence:
     def test_registry_factories(self, name):
         lengths = seeded_streams()[0]
         packer = STREAM_PACKERS[name](BUDGET, 4096, buffer=1)
-        assert packer.pack(lengths) == list(stream_pack(lengths, BUDGET, 4096))
+        assert list(packer.stream(lengths)) == list(stream_pack(lengths, BUDGET, 4096))
 
     def test_sequential_window_is_first_fit(self):
         """The sequential policy's window is not inert above buffer=1:
@@ -69,10 +90,10 @@ class TestBufferOneEquivalence:
         lengths = [5, 8, 3, 9, 2, 7]
         assert list(stream_pack(lengths, 10)) == [[5], [8], [3], [9], [2, 7]]
         sequential = STREAM_PACKERS["sequential"]
-        assert sequential(10, buffer=1).pack(lengths) == list(
+        assert list(sequential(10, buffer=1).stream(lengths)) == list(
             stream_pack(lengths, 10)
         )
-        assert sequential(10, buffer=16).pack(lengths) == [
+        assert list(sequential(10, buffer=16).stream(lengths)) == [
             [5, 3, 2], [8], [9], [7]
         ]
 
@@ -91,20 +112,20 @@ class TestBufferOneEquivalence:
 class TestOfflineLimit:
     def test_length_grouped_unbounded_is_offline(self):
         """Picking the global shortest from an unbounded buffer emits
-        the sorted stream, i.e. exactly ``pack_length_grouped``."""
+        the sorted stream, i.e. exactly the offline length-grouped packer."""
         for lengths in seeded_streams():
             assert (
                 list(stream_pack_length_grouped(
                     lengths, BUDGET, 4096, buffer=None
                 ))
-                == pack_length_grouped(lengths, BUDGET, 4096)
+                == oracle.pack_length_grouped(lengths, BUDGET, 4096)
             )
 
     def test_workload_balance_within_eps_of_offline(self):
         """Large-buffer streaming balance is within ε of offline LPT."""
         for lengths in seeded_streams():
             offline = packing_stats(
-                pack_workload_balanced(lengths, BUDGET)
+                oracle.pack_workload_balanced(lengths, BUDGET)
             )["workload_imbalance"]
             streamed = packing_stats(list(
                 stream_pack_workload_balanced(lengths, BUDGET, buffer=256)

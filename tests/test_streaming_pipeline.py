@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from cache_client import plan_batch
 from replan_oracles import WholeWindowPipeline
 from repro import (
     AttentionSpec,
@@ -31,7 +32,7 @@ from repro.core import (
     PlanCache,
     batch_signature,
 )
-from repro.data import pack_batches, stream_pack, stream_packed_specs
+from repro.data import batches_to_specs, pack_batches, stream_pack
 from repro.pipeline import (
     KVPlannerBackend,
     PipelineRunner,
@@ -70,18 +71,13 @@ class TestEventSource:
         resized = events.resize(devices_per_machine=4)
         assert resized.kind == "resize"
         assert events.current.devices_per_machine == 4
-        assert events.pending() == 3
-        drained = events.poll()
-        assert [e.kind for e in drained] == [
-            "device_add", "device_remove", "resize"
-        ]
-        assert events.poll() == []
+        assert events.version == 3
 
     def test_cannot_remove_last_machine(self):
         events = ClusterEventSource(ClusterSpec(num_machines=1))
         with pytest.raises(ValueError):
             events.remove_machines(1)
-        assert events.pending() == 0
+        assert events.version == 0
 
     def test_events_are_values(self):
         event = ClusterEvent(kind="resize", cluster=CLUSTER)
@@ -109,7 +105,7 @@ class TestEventSource:
             thread.join()
         assert not errors
         assert events.current.num_machines == CLUSTER.num_machines + 40
-        assert len(events.poll()) == 40
+        assert events.version == 40
 
 
 class TestGeneratorStream:
@@ -146,12 +142,15 @@ class TestGeneratorStream:
         pipeline.close()
 
     def test_packer_feeds_pipeline_directly(self):
-        """stream_packed_specs -> pipeline without materializing."""
+        """A packer's stream -> pipeline without materializing."""
         planner = make_planner()
         mask = make_mask("causal")
         lengths = [40, 56, 32, 64, 48, 40, 32]
-        stream = stream_packed_specs(
-            iter(lengths), mask, token_budget=96, max_seqlen=64
+        stream = (
+            batches_to_specs([batch], mask)[0]
+            for batch in stream_pack(
+                iter(lengths), token_budget=96, max_seqlen=64
+            )
         )
         pipeline = StreamingOverlapPipeline(
             stream, planner, lookahead=2, max_workers=2
@@ -364,14 +363,6 @@ class TestClusterEvents:
         assert resident == set(backend._cursors)
         assert len(resident) <= window
 
-    def test_event_buffer_is_bounded(self):
-        events = ClusterEventSource(CLUSTER)
-        for _ in range(ClusterEventSource.MAX_BUFFERED_EVENTS + 50):
-            events.add_machines(1)
-        assert events.version == ClusterEventSource.MAX_BUFFERED_EVENTS + 50
-        drained = events.poll()
-        assert len(drained) == ClusterEventSource.MAX_BUFFERED_EVENTS
-
     def test_signatures_carry_cluster_shape(self):
         planner = make_planner()
         events = ClusterEventSource(CLUSTER)
@@ -391,7 +382,7 @@ class TestClusterEvents:
         cache = PlanCache(planner, capacity=8)
         mask = make_mask("causal")
         batch = BatchSpec.build([48, 32], mask)
-        warm = cache.plan_batch(batch)  # keyed by batch_signature
+        warm = plan_batch(cache, batch)  # keyed by batch_signature
         pipeline = StreamingOverlapPipeline(
             [BatchSpec.build([48, 32], mask)], planner,
             lookahead=1, cache=cache,
