@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.obs.trace as obs_trace
 from cache_client import plan_batch
 from repro.blocks import AttentionSpec, BatchSpec
 from repro.core import DCPConfig, DCPPlanner, KVStore, PlanCache
 from repro.masks import CausalMask
-import repro.obs.trace as obs_trace
 from repro.obs import MetricsRegistry, NullRegistry, Tracer, span
 from repro.obs.bench import plan_fetch_summary
 from repro.obs.metrics import _bucket_quantile
