@@ -11,9 +11,14 @@ reach and is left out.
 Entry points (``ENTRY_POINTS``): the ledger smoke over all four
 workloads (each run untraced and traced, in its own subprocess), every
 ``examples/*.py``, ``python -m repro.plan`` with each ``--baseline``,
-and every smoke benchmark ``run_tier1.sh`` runs.  ``check_bench_floors.py`` is left out: it reads
-the smoke outputs and calls nothing under ``src/repro``.  The ``--full``
-sweeps run the same code paths on larger inputs and are left out too.
+and every smoke benchmark ``run_tier1.sh`` runs.  ``--full`` adds the
+``run_tier1.sh --full`` sweeps (``FULL_ENTRY_POINTS``, ~7 min traced
+on 2 CPUs), which CI's check leaves out, and notes every function only
+they reach: the smoke check flags it, yet deleting it breaks a sweep.
+``NOT_ENTRY_POINTS`` names the scripts of ``run_tier1.sh`` that are no
+entry point.  An entry point that raises fails the check; one that
+exits non-zero because its own gate failed does not (tracing slows its
+timed gates, and ``run_tier1.sh`` runs them untraced).
 
 Every Python process an entry point starts is traced, not only the
 entry point itself: a ``sitecustomize`` on ``PYTHONPATH`` installs the
@@ -36,6 +41,8 @@ Usage::
     PYTHONPATH=src python benchmarks/reachability.py         # check
     PYTHONPATH=src python benchmarks/reachability.py --list  # + every
                                                              #   unreached
+    PYTHONPATH=src python benchmarks/reachability.py --full  # + the full
+                                                             #   sweeps
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from __future__ import annotations
 import argparse
 import ast
 import atexit
+import functools
 import glob
 import os
 import shutil
@@ -105,6 +113,31 @@ ENTRY_POINTS: List[List[str]] = [
      "--output", "{out}/obs.json"],
     ["benchmarks/check_docs.py"],
 ]
+
+#: The ``run_tier1.sh --full`` sweeps.  Each rewrites a tracked
+#: ``BENCH_*.json`` (the obs sweep ``TRACE_obs.json`` too), so ``--full``
+#: runs every entry point in a copy of the tree.
+FULL_ENTRY_POINTS: List[List[str]] = [
+    ["benchmarks/bench_planner_hotpath.py"],
+    ["benchmarks/bench_overlap_pipeline.py"],
+    ["benchmarks/bench_overlap_pipeline.py", "--streaming"],
+    ["benchmarks/bench_overlap_pipeline.py", "--transport"],
+    ["benchmarks/bench_plan_service.py"],
+    ["benchmarks/bench_chaos.py"],
+    ["benchmarks/bench_scenarios.py"],
+    ["benchmarks/bench_overlap_pipeline.py", "--obs"],
+]
+
+#: Scripts ``run_tier1.sh`` runs that are not entry points, and why.
+#: ``tests/test_reachability.py`` checks that every other benchmark
+#: invocation of ``run_tier1.sh`` is in ``ENTRY_POINTS`` or
+#: ``FULL_ENTRY_POINTS`` and that each of those is in ``run_tier1.sh``.
+NOT_ENTRY_POINTS = {
+    "benchmarks/pipeline_coverage.py": "runs the test suite",
+    "benchmarks/check_bench_floors.py": "reads the smoke outputs and "
+    "calls nothing under src/repro",
+    "benchmarks/reachability.py": "this check, which re-runs the others",
+}
 
 
 class Tracer:
@@ -205,10 +238,11 @@ def run_entry_points(
     root: str,
     cwd: str = REPO_ROOT,
     pythonpath: Sequence[str] = (os.path.join(REPO_ROOT, "src"),),
-) -> Tuple[Set[Tuple[str, int]], List[Tuple[str, int, float]]]:
+) -> Tuple[Set[Tuple[str, int]], List[Tuple[str, int, float, bool]]]:
     """Run each entry point traced; return what they entered and how each ran.
 
-    The second value is ``(command, exit code, seconds)`` per entry point.
+    The second value is ``(command, exit code, seconds, raised)`` per entry
+    point; ``raised`` is true when it ended on an uncaught exception.
     """
     scratch = tempfile.mkdtemp(prefix="reachability-")
     boot_dir = os.path.join(scratch, "boot")
@@ -229,16 +263,17 @@ def run_entry_points(
             start = time.perf_counter()
             done = subprocess.run(
                 [sys.executable, *argv], cwd=cwd, env=env,
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             )
             command = " ".join(argv).replace(scratch, "<out>")
+            raised = "Traceback (most recent call last)" in done.stdout
             runs.append((command, done.returncode,
-                         time.perf_counter() - start))
+                         time.perf_counter() - start, raised))
             if done.returncode:
-                sys.stderr.write(done.stderr[-2000:])
+                sys.stderr.write(done.stdout[-2000:])
             if len(os.listdir(out_dir)) == traced:
                 raise RuntimeError(f"{command} was not traced: "
-                                   f"{done.stderr[-2000:]}")
+                                   f"{done.stdout[-2000:]}")
         reached = set()
         for name in os.listdir(out_dir):
             with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
@@ -357,14 +392,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--list", action="store_true",
                         help="print every unreached function, kept or not")
+    parser.add_argument("--full", action="store_true",
+                        help="also run FULL_ENTRY_POINTS, in a copy of the "
+                        "tree (~9 min)")
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    universe = functions(PACKAGE_DIR)
     kept = load_kept()
-    reached, runs = run_entry_points(ENTRY_POINTS, PACKAGE_DIR)
-    for command, code, seconds in runs:
+    tree = REPO_ROOT
+    if args.full:
+        tree = tempfile.mkdtemp(prefix="reachability-tree-")
+        shutil.copytree(REPO_ROOT, tree, dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__"))
+    package_dir = os.path.join(tree, "src", "repro")
+    run = functools.partial(run_entry_points, root=package_dir, cwd=tree,
+                            pythonpath=(os.path.join(tree, "src"),))
+    try:
+        universe = functions(package_dir)
+        reached, runs = run(ENTRY_POINTS)
+        full_reached, full_runs = set(), []
+        if args.full:
+            full_reached, full_runs = run(FULL_ENTRY_POINTS)
+    finally:
+        if args.full:
+            shutil.rmtree(tree, ignore_errors=True)
+    runs += full_runs
+    for command, code, seconds, raised in runs:
         status = "" if code == 0 else f"  (exit {code})"
+        if raised:
+            status += "  (raised)"
         print(f"{seconds:7.1f} s  {command}{status}")
     missed = unreached(universe, reached)
 
@@ -383,11 +439,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     missed_keys = {func.key for func in missed}
     for key in sorted(set(kept) - missed_keys):
         print(f"note: kept but reached: {key}")
+    for func in missed:
+        if (func.path, func.first) in full_reached:
+            print(f"note: reached only by a --full sweep: {func.key}")
     failures = [func for func in missed if func.key not in kept]
     for func in failures:
         print(f"FAIL: unreached and not kept: {func.key} "
-              f"({os.path.relpath(func.path, REPO_ROOT)}:{func.first})")
+              f"({os.path.relpath(func.path, tree)}:{func.first})")
+    crashed = [command for command, _code, _seconds, raised in runs
+               if raised]
+    for command in crashed:
+        print(f"FAIL: entry point raised: {command}")
     print(f"reachability: {time.perf_counter() - start:.0f} s")
+    if crashed:
+        return 1
     if failures:
         print(f"{len(failures)} unreached function(s): delete them, move "
               f"them beside their only caller, or list them in "

@@ -153,4 +153,10 @@ echo "== reachability (no unreached function without a reason) =="
 # repro.plan, the smoke benchmarks) under a function-entry tracer and
 # fails on a src/repro function none of them enters unless
 # benchmarks/reachability_kept.txt keeps it for a stated reason (~2 min).
-python benchmarks/reachability.py
+# With --full it also runs the full sweeps, in a copy of the tree, and
+# names every function only they reach (~9 min).
+if [[ "${1:-}" == "--full" ]]; then
+    python benchmarks/reachability.py --full
+else
+    python benchmarks/reachability.py
+fi

@@ -79,8 +79,8 @@ class RefinementState:
     * ``present[v][p]`` — number of incident edges with a pin in ``p``,
 
     so ``gain(v, t) = leave[v] - join[v][t]`` and "``t`` is adjacent to
-    ``v``" is ``present[v][t] > 0``.  ``labels``, ``pin_counts`` and
-    ``part_weights`` are numpy snapshots built on demand.
+    ``v``" is ``present[v][t] > 0``.  ``labels`` and ``part_weights``
+    are numpy snapshots built on demand.
 
     ``counters`` defaults to the module-level :data:`COUNTERS`, which is
     thread-local: a state counts into the stats of the thread that

@@ -63,12 +63,6 @@ class CircuitBreaker:
         self._probing = False
         self.opened_count = 0
 
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._maybe_half_open()
-            return self._state
-
     def _maybe_half_open(self) -> None:
         """Open -> half-open once the reset timer elapses (lock held)."""
         if (self._state == OPEN

@@ -246,8 +246,7 @@ class ShardedPlanStore:
         version: Optional[int] = None
         for name in owners:
             try:
-                wrote = self._shard_op(name, lambda s: s.put(key, value)
-                )
+                wrote = self._shard_op(name, lambda s: s.put(key, value))
             except TransientServiceError:
                 self._write_failures.inc()
                 continue
@@ -314,9 +313,7 @@ class ShardedPlanStore:
         out: set = set()
         for name in list(self._stores):
             try:
-                out.update(
-                    self._shard_op(name, lambda s: s.keys())
-                )
+                out.update(self._shard_op(name, lambda s: s.keys()))
             except TransientServiceError:
                 continue
         return sorted(out)
@@ -357,11 +354,9 @@ class ShardedPlanStore:
                     continue
                 for name in owners:
                     try:
-                        present = self._shard_op(name, lambda s: s.contains(key)
-                        )
-                        if not present:
-                            self._shard_op(name, lambda s: s.put(key, value),
-                            )
+                        if not self._shard_op(name,
+                                              lambda s: s.contains(key)):
+                            self._shard_op(name, lambda s: s.put(key, value))
                             repaired += 1
                     except TransientServiceError:
                         continue

@@ -422,7 +422,6 @@ class TestObservable:
         assert sorted(prices) == [1, 2, 4]
         assert prices[chosen] == min(prices.values())
         assert planner.last_stats.num_divisions == chosen
-        assert planner.last_stats.num_divisions == chosen
         histogram = planner.metrics.snapshot()["planner.num_divisions"]
         assert histogram["count"] == 1 and histogram["max"] == chosen
 

@@ -173,23 +173,30 @@ class TestShardFaultInjection:
 # -- circuit breakers + health ------------------------------------------------
 
 
+def state_of(breaker: CircuitBreaker) -> str:
+    """The breaker's state as its next caller sees it."""
+    with breaker._lock:
+        breaker._maybe_half_open()
+        return breaker._state
+
+
 class TestCircuitBreaker:
     def test_threshold_opens_and_reset_half_opens(self):
         clock = FakeClock()
         breaker = CircuitBreaker(failure_threshold=3, reset_after_s=1.0,
                                  clock=clock)
-        assert breaker.state == CLOSED
+        assert state_of(breaker) == CLOSED
         for _ in range(3):
             assert breaker.allow()
             breaker.record_failure()
-        assert breaker.state == OPEN
+        assert state_of(breaker) == OPEN
         assert not breaker.allow()
         clock.advance(1.0)
-        assert breaker.state == HALF_OPEN
+        assert state_of(breaker) == HALF_OPEN
         assert breaker.allow()       # the single probe
         assert not breaker.allow()   # concurrent callers still blocked
         breaker.record_success()
-        assert breaker.state == CLOSED
+        assert state_of(breaker) == CLOSED
 
     def test_failed_probe_reopens_with_fresh_timer(self):
         clock = FakeClock()
@@ -199,7 +206,7 @@ class TestCircuitBreaker:
         clock.advance(1.0)
         assert breaker.allow()
         breaker.record_failure()
-        assert breaker.state == OPEN
+        assert state_of(breaker) == OPEN
         clock.advance(0.5)
         assert not breaker.allow()  # timer restarted at probe failure
         clock.advance(0.5)
@@ -210,7 +217,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
-        assert breaker.state == CLOSED  # never 2 consecutive
+        assert state_of(breaker) == CLOSED  # never 2 consecutive
 
 
 class TestShardHealth:
@@ -224,4 +231,4 @@ class TestShardHealth:
         assert not health.allow("shard0")
         assert health.metrics.counter("health.fast_fails").value == 1
         assert health.metrics.counter("health.breaker_opened").value == 1
-        assert health.breaker("shard0").state == OPEN
+        assert state_of(health.breaker("shard0")) == OPEN

@@ -4,9 +4,10 @@ Two invariants:
 
 * after any sequence of moves — single moves, a whole ``fm_refine``
   with its rollback, a ``rebalance`` — ``leave`` / ``join`` /
-  ``present`` / ``pin_counts`` / ``part_weights`` equal those of a state
-  built from scratch on the same labels, and every ``gain(v, t)`` equals
-  the scalar reference's recomputation from the pin counts;
+  ``present`` / the pin counts / ``part_weights`` equal those of a state
+  built from scratch on the same labels, and every gain
+  ``leave[v] - join[v][t]`` equals the scalar reference's recomputation
+  from the pin counts;
 * the refinement counters are per thread, so plans made concurrently
   report the stats they report when made one after another.
 """
@@ -46,12 +47,15 @@ def assert_tables_fresh(state: RefinementState) -> None:
     assert state.leave == fresh.leave
     assert state.join == fresh.join
     assert state.present == fresh.present
+    counts = np.array(state._counts, dtype=np.int64).reshape(-1, k)
+    assert np.array_equal(counts, graph.pin_part_counts(state.labels, k))
     assert np.array_equal(state.part_weights, fresh.part_weights)
     assert state.cost() == graph.connectivity_cost(state.labels, k)
     reference = ScalarRefinementState(graph, state.labels, k)
     for vertex in range(graph.num_vertices):
         for target in range(k):
-            assert table_gain(state, vertex, target) == reference.gain(vertex, target)
+            gain = reference.gain(vertex, target)
+            assert table_gain(state, vertex, target) == gain
 
 
 @st.composite
@@ -197,7 +201,9 @@ class TestCountersArePerThread:
         def count_then_read():
             COUNTERS.reset()
             state = RefinementState(graph, np.array([0, 1, 1]), 2)
-            state.move(0, 1)
+            # Vertex 0 is the only boundary vertex on this permutation.
+            rng = np.random.default_rng(0)
+            greedy_refine(state, np.array([3, 3]), rng, max_passes=1)
             counted.set()
             if was_reset.wait(JOIN_TIMEOUT_S):
                 seen["counting"] = COUNTERS.snapshot()
@@ -217,7 +223,7 @@ class TestCountersArePerThread:
         for thread in threads:
             thread.join(JOIN_TIMEOUT_S)
             assert not thread.is_alive()
-        assert seen["counting"] == {"gain_evals": 0, "moves": 1, "rolled_back": 0}
+        assert seen["counting"] == {"gain_evals": 2, "moves": 1, "rolled_back": 0}
         assert seen["resetting"] == {"gain_evals": 0, "moves": 0, "rolled_back": 0}
 
     def test_concurrent_plans_report_synchronous_stats(self):

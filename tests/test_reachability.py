@@ -8,16 +8,15 @@ and in a forked worker process.
 
 import importlib.util
 import os
+import shlex
 import sys
 import textwrap
 import threading
 
 import pytest
 
-_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks", "reachability.py",
-)
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PATH = os.path.join(_REPO, "benchmarks", "reachability.py")
 _spec = importlib.util.spec_from_file_location("reachability", _PATH)
 reachability = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("reachability", reachability)
@@ -122,8 +121,8 @@ def toy(tmp_path_factory):
 
 def test_entry_point_ran(toy):
     _root, _package, _reached, runs = toy
-    [(command, code, _seconds)] = runs
-    assert command == "main.py" and code == 0
+    [(command, code, _seconds, raised)] = runs
+    assert command == "main.py" and code == 0 and not raised
 
 
 def test_unreached_functions_are_flagged(toy):
@@ -168,6 +167,19 @@ def test_an_untraced_entry_point_is_an_error(toy):
             [["-S", "main.py"]], str(package), cwd=str(root),
             pythonpath=[str(root)],
         )
+
+
+def test_a_raising_entry_point_is_told_from_a_failed_gate(toy):
+    root, package, _reached, _runs = toy
+    (root / "raises.py").write_text("import toypkg.mod\nraise KeyError(1)\n")
+    (root / "gate.py").write_text("import sys\nsys.exit('below floor')\n")
+    _reached, runs = reachability.run_entry_points(
+        [["raises.py"], ["gate.py"]], str(package), cwd=str(root),
+        pythonpath=[str(root)],
+    )
+    assert [(code, raised) for _c, code, _s, raised in runs] == [
+        (1, True), (1, False)
+    ]
 
 
 def test_kept_list_rejects_unknown_tags(tmp_path):
@@ -216,3 +228,36 @@ def test_start_up_hook_is_inert_without_its_variable(monkeypatch):
     before = sys.gettrace()
     reachability.trace_this_process()
     assert sys.gettrace() is before
+
+
+def invocation(argv):
+    """An invocation's script and flags, without its output paths."""
+    script, *rest = argv
+    flags = []
+    while rest:
+        word = rest.pop(0)
+        if word in ("--output", "--out"):
+            rest.pop(0)
+        else:
+            flags.append(word)
+    return script, tuple(sorted(flags))
+
+
+def test_entry_points_are_the_benchmarks_tier1_runs():
+    """Every benchmark run_tier1.sh runs is an entry point, and back."""
+    with open(os.path.join(_REPO, "benchmarks", "run_tier1.sh")) as handle:
+        script = handle.read().replace("\\\n", " ")
+    runs = set()
+    for line in script.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] in (["python"], ["python3"]) and len(words) > 1:
+            if words[1].startswith("benchmarks/"):
+                runs.add(invocation(words[1:]))
+    assert "for example in examples/*.py" in script
+    traced = {
+        invocation(argv)
+        for argv in reachability.ENTRY_POINTS + reachability.FULL_ENTRY_POINTS
+        if argv[0].startswith("benchmarks/")
+    }
+    assert {run for run in runs
+            if run[0] not in reachability.NOT_ENTRY_POINTS} == traced

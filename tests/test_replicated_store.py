@@ -125,7 +125,7 @@ class TestReplicatedReads:
         injector.kill("shard:shard0")
         for key, value in payloads.items():
             assert store.try_get(key) == value
-        assert store.health.breaker("shard0").state == OPEN
+        assert store.health.breaker("shard0")._state == OPEN
         assert store.metrics.counter("health.fast_fails").value > 0
 
     def test_blocking_get_polls_across_replicas(self):
