@@ -4,10 +4,10 @@ Drives :class:`repro.pipeline.StreamingOverlapPipeline` over the Fig.
 18 sweep configuration (32768 tokens, 512-token blocks, causal mask, 2x4
 devices) and *measures* — with real planner workers racing real wall
 time — the fraction of planning hidden behind execution for lookahead
-``kappa`` in {1, 2, 4} and several worker counts, on both thread and
-process backends.  Execution occupies the 8B-GPT cost-model iteration
-time (:func:`repro.pipeline.cost_model_executor`), so the plan/exec
-ratio is the paper's, not an artifact of this machine.
+``kappa`` in {1, 2, 4} and several worker counts.  Execution occupies
+the 8B-GPT cost-model iteration time
+(:func:`repro.pipeline.cost_model_executor`), so the plan/exec ratio
+is the paper's, not an artifact of this machine.
 
 Each cell also replays the measured per-iteration plan/exec times
 through the analytic model (:func:`simulate_planning_overlap`) so the
@@ -35,26 +35,13 @@ streaming report merges into ``BENCH_overlap.json`` under
 ``"streaming"``.  The whole-window cells run the oracle pipeline of
 ``tests/replan_oracles.py``.
 
-``--transport`` measures plan transport instead: the same batches
-planned on the process backend once per route (``shm`` = columnar
-bytes through the shared-memory plan ring; ``wire`` = the same bytes
-over the result pipe, forced by a ring slot no plan fits), plus a
-``pickle`` baseline row — the object-graph round trip the columnar
-format replaced, measured parent-side on the delivered plans —
-recording per-row payload bytes and encode/move/decode seconds, the
-wire-vs-pickle compaction ratio, and the headline
-``overhead_ratio`` — (encode + move + decode) / planning time on the
-zero-copy path, the §6.1 "shipping plans must not erase parallel
-planning" bound (acceptance: ≤ 0.05 at the Fig. 18 sweep point).  The
-full run merges into ``BENCH_overlap.json`` under ``"transport"``.
-
 ``--obs`` runs the observability benchmark instead
 (:mod:`repro.obs.bench`): tracer/metrics overhead ratios measured on
 the smoke workload, the traced telemetry workload across every
 instrumented surface, and the merged Perfetto trace (planner stages,
-pipeline iterations, transport spans, simulated execution on one
-epoch).  The full run writes ``BENCH_obs.json`` + ``TRACE_obs.json``
-(trace at the Fig. 18 sweep point); ``--obs --smoke`` writes scratch
+pipeline iterations, KV ops, simulated execution on one epoch).  The
+full run writes ``BENCH_obs.json`` + ``TRACE_obs.json`` (trace at the
+Fig. 18 sweep point); ``--obs --smoke`` writes scratch
 files and *gates* on the overhead ceilings recorded in the tracked
 ``BENCH_obs.json`` plus required-metric presence.
 
@@ -71,8 +58,6 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --smoke      # gate
     PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --streaming  # online
     PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --streaming --smoke
-    PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --transport  # plan wire
-    PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --transport --smoke
     PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --obs        # telemetry
     PYTHONPATH=src python benchmarks/bench_overlap_pipeline.py --obs --smoke
 """
@@ -96,9 +81,6 @@ OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_overlap.json")
 SMOKE_OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_overlap.smoke.json")
 STREAMING_SMOKE_OUTPUT_PATH = os.path.join(
     REPO_ROOT, "BENCH_overlap.streaming.smoke.json"
-)
-TRANSPORT_SMOKE_OUTPUT_PATH = os.path.join(
-    REPO_ROOT, "BENCH_overlap.transport.smoke.json"
 )
 OBS_OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_obs.json")
 OBS_SMOKE_OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_obs.smoke.json")
@@ -126,20 +108,6 @@ REPLAN_REPEATS = 3
 #: The whole-window re-plan oracles the delta cells are measured against.
 ORACLES_PATH = os.path.join(REPO_ROOT, "tests", "replan_oracles.py")
 
-#: Ceiling on (encode + move + decode) / planning seconds for the
-#: zero-copy (shm) transport at the full Fig. 18 sweep point — the
-#: acceptance bound: shipping a plan out of its worker must cost at
-#: most 5% of planning it.
-DEFAULT_TRANSPORT_OVERHEAD_CEILING = 0.05
-
-#: The smoke transport cells plan tiny batches, so fixed per-plan costs
-#: weigh more than at the sweep point and shared CI runners add noise;
-#: the measured smoke ratio is ~0.03, so 0.15 leaves ~4x headroom while
-#: still catching a regressed transport (an accidental per-device
-#: re-encode or double serialization lands well above it).  Overridable
-#: via the tracked BENCH_overlap.json["transport"]["smoke_overhead_ratio_max"].
-DEFAULT_TRANSPORT_SMOKE_CEILING = 0.15
-
 FULL_KAPPAS = (1, 2, 4)
 FULL_WORKERS = (2, 4)
 
@@ -163,10 +131,9 @@ def _measure_cell(
     batches,
     kappa: int,
     workers: int,
-    backend: str,
     time_scale: float,
 ) -> Dict:
-    """One (kappa, workers, backend) pipeline run, fresh planner+cache."""
+    """One (kappa, workers) pipeline run, fresh planner+cache."""
     from repro.core import DCPPlanner, PlanCache, simulate_planning_overlap
     from repro.pipeline import (
         PipelineRunner,
@@ -181,7 +148,6 @@ def _measure_cell(
         planner,
         lookahead=kappa,
         max_workers=workers,
-        backend=backend,
         cache=cache,
     )
     runner = PipelineRunner(
@@ -204,7 +170,6 @@ def _measure_cell(
     row = {
         "kappa": kappa,
         "workers": workers,
-        "backend": backend,
         "iterations": stats.iterations,
         "hidden_fraction": round(stats.hidden_fraction, 4),
         "steady_hidden_fraction": round(stats.steady_hidden_fraction, 4),
@@ -226,7 +191,7 @@ def _measure_cell(
         "predicted_stall_fraction": round(predicted.stall_fraction, 4),
     }
     print(
-        f"kappa={kappa} workers={workers} backend={backend:<7} "
+        f"kappa={kappa} workers={workers} "
         f"hidden={row['hidden_fraction']:.3f} "
         f"steady={row['steady_hidden_fraction']:.3f} "
         f"stalls={row['stall_count']} wall={row['wall_s']:.1f}s "
@@ -243,7 +208,6 @@ def run_overlap_bench(
     cycles: int = 2,
     kappas: Sequence[int] = FULL_KAPPAS,
     worker_counts: Sequence[int] = FULL_WORKERS,
-    process_backend: bool = True,
     time_scale: float = 1.0,
     batches=None,
 ) -> Dict:
@@ -275,16 +239,7 @@ def run_overlap_bench(
     for kappa in kappas:
         for workers in worker_counts:
             rows.append(
-                _measure_cell(
-                    scale, batches, kappa, workers, "thread", time_scale
-                )
-            )
-    if process_backend:
-        for workers in worker_counts:
-            rows.append(
-                _measure_cell(
-                    scale, batches, 2, workers, "process", time_scale
-                )
+                _measure_cell(scale, batches, kappa, workers, time_scale)
             )
 
     return {
@@ -357,16 +312,14 @@ def _settle_window(pipeline, timeout: float = 30.0) -> None:
     fully-planned window — classification is deterministic and the
     measured re-plan cost compares like with like.
     """
-    import time as _time
-
-    deadline = _time.monotonic() + timeout
-    while _time.monotonic() < deadline:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
         if all(
             item.ticket is None or item.ticket.ready()
             for item in pipeline._pending
         ):
             return
-        _time.sleep(0.005)
+        time.sleep(0.005)
 
 
 def _measure_streaming_cell(
@@ -413,7 +366,7 @@ def _measure_streaming_cell(
     pipeline = _replan_pipeline(replan)(
         list(batches) if mode == "fixed" else (b for b in batches),
         planner, lookahead=kappa, max_workers=workers,
-        backend="thread", cache=cache, events=events,
+        cache=cache, events=events,
     )
 
     def fire(index: int, _info: dict) -> None:
@@ -785,194 +738,6 @@ def run_streaming_bench(
     return report
 
 
-#: Ring slot size of the ``wire`` transport cell: smaller than any
-#: encoded plan, so every plan takes the backend's result-pipe fallback.
-WIRE_CELL_SLOT_BYTES = 1024
-
-
-def _measure_transport_cell(scale, batches, workers: int,
-                            transport: str) -> tuple:
-    """Plan ``batches`` on the process backend over one route.
-
-    ``transport="shm"`` is the backend as shipped; ``"wire"`` shrinks
-    the ring's slots below any plan so every plan takes the pipe
-    fallback.  Plans are submitted all at once (the pipeline's dispatch
-    pattern) and every result is consumed, so the backend's
-    ``transport.*`` counters cover exactly these plans.  ``plan_s`` sums
-    the workers' pure planning intervals; ``move_s`` is everything
-    transport adds on top (columnar encode + ring write in the worker,
-    decode in the parent).
-
-    Returns ``(row, pickle_row)``: each delivered plan also takes one
-    parent-side ``pickle.dumps`` + ``loads`` round trip — the
-    serialization a process pool's result pipe performs on an object
-    graph — which is the ``pickle`` baseline row's payload, ``move_s``
-    and fingerprints.
-    """
-    from repro.core import DCPPlanner
-    from repro.pipeline import ProcessPlannerBackend, plan_fingerprint
-
-    planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
-    ring = {"slot_bytes": WIRE_CELL_SLOT_BYTES} if transport == "wire" else {}
-    backend = ProcessPlannerBackend(planner, max_workers=workers, **ring)
-    try:
-        tickets = [
-            backend.submit(index, batch)
-            for index, batch in enumerate(batches)
-        ]
-        plan_s = 0.0
-        pickle_bytes = 0
-        pickle_move_s = 0.0
-        fingerprints = []
-        pickle_fingerprints = []
-        for ticket in tickets:
-            plan, start, end = ticket.result()
-            plan_s += end - start
-            fingerprints.append(plan_fingerprint(plan))
-            stamp = time.perf_counter()
-            blob = pickle.dumps(plan)
-            unpickled = pickle.loads(blob)
-            pickle_move_s += time.perf_counter() - stamp
-            pickle_bytes += len(blob)
-            pickle_fingerprints.append(plan_fingerprint(unpickled))
-        snapshot = backend.metrics.snapshot()
-        stats = {
-            key: snapshot[f"transport.{key}"]["value"]
-            for key in ("plans", "shm_plans", "wire_plans", "payload_bytes",
-                        "encode_s", "write_s", "decode_s")
-        }
-        job_payload_bytes = backend.last_job_payload_bytes
-        planner_payload_bytes = backend.planner_payload_bytes
-    finally:
-        backend.close()
-
-    move_s = stats["encode_s"] + stats["write_s"] + stats["decode_s"]
-    row = {
-        "transport": transport,
-        "effective_transport": "shm" if stats["shm_plans"] else "wire",
-        "plans": stats["plans"],
-        "shm_plans": stats["shm_plans"],
-        "wire_plans": stats["wire_plans"],
-        "pickle_plans": 0,
-        "payload_bytes": stats["payload_bytes"],
-        "pickle_bytes": pickle_bytes,
-        "plan_s": round(plan_s, 4),
-        "encode_s": round(stats["encode_s"], 4),
-        "write_s": round(stats["write_s"], 4),
-        "decode_s": round(stats["decode_s"], 4),
-        "move_s": round(move_s, 4),
-        "overhead_ratio": round(move_s / plan_s, 4) if plan_s else None,
-        "job_payload_bytes": job_payload_bytes,
-        "planner_payload_bytes": planner_payload_bytes,
-        "fingerprints": fingerprints,
-    }
-    pickle_row = {
-        **row,
-        "transport": "pickle",
-        "effective_transport": "pickle",
-        "shm_plans": 0,
-        "wire_plans": 0,
-        "pickle_plans": stats["plans"],
-        "payload_bytes": pickle_bytes,
-        "encode_s": 0.0,
-        "write_s": 0.0,
-        "decode_s": 0.0,
-        "move_s": round(pickle_move_s, 4),
-        "overhead_ratio": (
-            round(pickle_move_s / plan_s, 4) if plan_s else None
-        ),
-        "fingerprints": pickle_fingerprints,
-    }
-    return row, pickle_row
-
-
-def run_transport_bench(
-    token_budget: int = 32768,
-    block_size: int = 512,
-    mask_name: str = "causal",
-    num_batches: int = 4,
-    workers: int = 4,
-    batches=None,
-) -> Dict:
-    """Shared-memory ring vs pipe fallback vs the pickle baseline.
-
-    The same batch list is planned through the process backend twice —
-    once with the default ring, once with a slot no plan fits — and the
-    plans are checked ``plan_fingerprint``-identical across both routes
-    and the pickled round trip: the route may only change how bytes
-    move, never what arrives.
-    """
-    from repro.bench import BenchScale, PAPER_MASKS, make_batches
-
-    scale = BenchScale.sweep(
-        num_batches=num_batches,
-        token_budget=int(token_budget),
-        max_seqlen=int(token_budget),
-        block_size=int(block_size),
-    )
-    if batches is None:
-        batches = make_batches(
-            "longdatacollections", scale, PAPER_MASKS[mask_name]()
-        )[:num_batches]
-    batches = list(batches)
-
-    wire_row, pickle_row = _measure_transport_cell(
-        scale, batches, workers, "wire"
-    )
-    shm_row, _ = _measure_transport_cell(scale, batches, workers, "shm")
-    rows = [pickle_row, wire_row, shm_row]
-    for row in rows:
-        print(
-            f"transport={row['transport']:<7} plans={row['plans']} "
-            f"payload={row['payload_bytes']} plan_s={row['plan_s']:.2f} "
-            f"move_s={row['move_s']:.4f} overhead={row['overhead_ratio']}"
-        )
-    prints = [row.pop("fingerprints") for row in rows]
-    fingerprints_identical = all(p == prints[0] for p in prints[1:])
-    wire_vs_pickle = (
-        round(wire_row["payload_bytes"] / pickle_row["payload_bytes"], 4)
-        if pickle_row["payload_bytes"]
-        else None
-    )
-    report = {
-        "benchmark": "plan_transport",
-        "config": {
-            "token_budget": int(token_budget),
-            "block_size": int(block_size),
-            "mask": mask_name,
-            "cluster": "2x4 (sweep)",
-            "num_batches": len(batches),
-            "workers": workers,
-        },
-        "git_revision": _git_revision(),
-        "rows": rows,
-        "fingerprints_identical": fingerprints_identical,
-        "wire_vs_pickle_bytes_ratio": wire_vs_pickle,
-        "overhead_ratio": shm_row["overhead_ratio"],
-        "overhead_ratio_max": DEFAULT_TRANSPORT_OVERHEAD_CEILING,
-        "smoke_overhead_ratio_max": DEFAULT_TRANSPORT_SMOKE_CEILING,
-    }
-    print(
-        f"shm overhead ratio={report['overhead_ratio']} "
-        f"wire/pickle bytes={wire_vs_pickle} "
-        f"fingerprints identical: {fingerprints_identical}"
-    )
-    return report
-
-
-def run_transport_smoke() -> Dict:
-    """Small, fast transport comparison for CI gating."""
-    report = run_transport_bench(
-        token_budget=2048,
-        block_size=256,
-        num_batches=4,
-        workers=2,
-        batches=_smoke_batches(4),
-    )
-    report["benchmark"] = "plan_transport_smoke"
-    return report
-
-
 def run_streaming_smoke(time_scale: float = 3.0) -> Dict:
     """Small, fast streaming comparison for CI gating."""
     report = run_streaming_bench(
@@ -1018,7 +783,6 @@ def run_smoke(time_scale: float = 3.0) -> Dict:
         cycles=2,
         kappas=(2,),
         worker_counts=(2,),
-        process_backend=False,
         time_scale=time_scale,
         batches=_smoke_batches(4),
     )
@@ -1041,15 +805,6 @@ def _replan_ratio_ceiling() -> float:
         return float(tracked["streaming"]["replan_cost_ratio_max"])
     except (OSError, KeyError, ValueError, TypeError):
         return DEFAULT_REPLAN_RATIO_CEILING
-
-
-def _transport_smoke_ceiling() -> float:
-    try:
-        with open(OUTPUT_PATH) as handle:
-            tracked = json.load(handle)
-        return float(tracked["transport"]["smoke_overhead_ratio_max"])
-    except (OSError, KeyError, ValueError, TypeError):
-        return DEFAULT_TRANSPORT_SMOKE_CEILING
 
 
 def _obs_smoke_ceilings():
@@ -1143,14 +898,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "full run merges into BENCH_overlap.json under 'streaming'",
     )
     parser.add_argument(
-        "--transport",
-        action="store_true",
-        help="measure plan transport (shared-memory ring vs pipe "
-        "fallback vs a pickle baseline) on the process backend; the "
-        "full run merges into "
-        "BENCH_overlap.json under 'transport'",
-    )
-    parser.add_argument(
         "--obs",
         action="store_true",
         help="run the observability benchmark (tracer/metrics overhead "
@@ -1174,13 +921,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.obs:
         return _run_obs(args.smoke, args.output)
-    if args.transport and args.smoke:
-        report = run_transport_smoke()
-        output = args.output or TRANSPORT_SMOKE_OUTPUT_PATH
-    elif args.transport:
-        report = run_transport_bench()
-        output = args.output or OUTPUT_PATH
-    elif args.streaming and args.smoke:
+    if args.streaming and args.smoke:
         report = run_streaming_smoke(
             time_scale=3.0 if args.time_scale is None else args.time_scale
         )
@@ -1203,52 +944,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.streaming and not args.smoke and output == OUTPUT_PATH:
         _merge_section_into_tracked("streaming", report)
-    elif args.transport and not args.smoke and output == OUTPUT_PATH:
-        _merge_section_into_tracked("transport", report)
     else:
         with open(output, "w") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(f"wrote {output}")
 
-    if args.smoke and args.transport:
-        # Gate the zero-copy path: plans identical across transports,
-        # the shm cell genuinely on shared memory, and its measured
-        # (encode + move + decode) / plan-time ratio under the ceiling.
-        failed = False
-        if not report["fingerprints_identical"]:
-            print(
-                "FAIL: plans are not fingerprint-identical across "
-                "transports"
-            )
-            failed = True
-        shm_row = report["rows"][-1]
-        if shm_row["shm_plans"] < 1:
-            print(
-                "FAIL: shm transport cell moved no plan through shared "
-                f"memory (effective={shm_row['effective_transport']})"
-            )
-            failed = True
-        ratio = report["overhead_ratio"]
-        ceiling = _transport_smoke_ceiling()
-        if ratio is None:
-            print("FAIL: transport cells measured no planning time")
-            failed = True
-        elif ratio > ceiling:
-            print(
-                f"FAIL: shm transport overhead ratio {ratio:.3f} above "
-                f"the smoke ceiling {ceiling:.3f}"
-            )
-            failed = True
-        if failed:
-            return 1
-        print(
-            f"ok: shm transport overhead ratio {ratio:.3f} <= "
-            f"{ceiling:.3f}, wire/pickle bytes "
-            f"{report['wire_vs_pickle_bytes_ratio']}, fingerprints "
-            "identical across transports"
-        )
-        return 0
     if args.smoke and not args.streaming:
         floor = _smoke_floor()
         measured = report["rows"][0]["steady_hidden_fraction"]

@@ -273,7 +273,6 @@ def _measure_cell(
         planner,
         lookahead=kappa,
         max_workers=workers,
-        backend="thread",
         cache=cache,
         events=events,
     )
@@ -296,7 +295,7 @@ def _measure_cell(
         fingerprints.append(plan_fingerprint(plan))
         nbytes = plan.total_comm_bytes()
         comm_bytes.append(nbytes)
-        source = plan.meta.get("placement_source", "unknown")
+        source = plan.meta["placement"][2]
         sources[source] = sources.get(source, 0) + 1
         if needs_comm(plan):
             needing += 1

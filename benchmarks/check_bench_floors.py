@@ -23,11 +23,6 @@ Checked metrics:
   re-add delta cell reused at least one settled plan (the
   ``rebind_plan`` path), and the KV per-device partial fetch keeps
   its wire-byte ratio under ``streaming.kv_wire_ratio_max``;
-* plan transport — plans are fingerprint-identical across the pickle /
-  columnar-wire / shared-memory transports, the shm cell actually moved
-  plans through shared memory, and its (encode + move + decode) /
-  plan-time overhead stays under
-  ``transport.smoke_overhead_ratio_max``;
 * plan service — the smoke Zipf stream ran against >= 1000 synthetic
   tenants, plan-fetch p99 stays under
   ``BENCH_service.json["smoke"]["p99_fetch_s_max"]``, the cache hit
@@ -57,10 +52,10 @@ Checked metrics:
   the acceptance ceilings (disabled ≤ 1.01, enabled ≤ 1.05 vs the
   uninstrumented smoke workload), the smoke rerun stays under the
   looser CI ceilings recorded in the tracked file, every required
-  metric (planner stage latencies, plan-fetch split, cache/KV/transport
+  metric (planner stage latencies, plan-fetch split, cache/KV
   counters) is present in the smoke telemetry snapshot, and the merged
   smoke trace is a structurally valid Chrome trace carrying planner,
-  pipeline, transport, and simulated-execution lanes.
+  pipeline, and simulated-execution lanes.
 
 Usage::
 
@@ -85,7 +80,6 @@ DEFAULT_PLANNER_SMOKE_BUDGET_S = 1.0
 DEFAULT_HIDDEN_FLOOR = 0.5
 DEFAULT_REPLAN_RATIO_MAX = 0.8
 DEFAULT_KV_WIRE_RATIO_MAX = 0.95
-DEFAULT_TRANSPORT_SMOKE_RATIO_MAX = 0.15
 DEFAULT_SERVICE_P99_MAX_S = 2.5
 DEFAULT_SERVICE_HIT_RATE_MIN = 0.6
 DEFAULT_SERVICE_PREWARM_MIN = 0.0005
@@ -114,12 +108,11 @@ OBS_REQUIRED_METRICS = (
     "cache.misses",
     "kv.put_s",
     "kv.get_s",
-    "transport.plans",
 )
 
 #: Chrome-trace categories the merged smoke trace must carry — one
 #: lane per instrumented layer plus the simulator's execution lane.
-OBS_REQUIRED_TRACE_CATS = ("planner", "pipeline", "transport", "compute")
+OBS_REQUIRED_TRACE_CATS = ("planner", "pipeline", "compute")
 
 
 def _load(path: str) -> Optional[dict]:
@@ -258,37 +251,6 @@ def check_overlap(gate: Gate, strict: bool) -> None:
         int(streaming.get("kv_refetch_saved_bytes", 0)) > 0,
         "KV delta re-fetch saved wire bytes "
         f"({streaming.get('kv_refetch_saved_bytes')})",
-    )
-
-
-def check_transport(gate: Gate, strict: bool) -> None:
-    tracked = _load("BENCH_overlap.json") or {}
-    smoke = _load("BENCH_overlap.transport.smoke.json")
-    if smoke is None:
-        gate.check(not strict, "transport smoke output missing")
-        return
-    tracked_transport = tracked.get("transport") or {}
-
-    gate.check(
-        bool(smoke.get("fingerprints_identical")),
-        "plans fingerprint-identical across transports",
-    )
-    rows = {row["transport"]: row for row in smoke["rows"]}
-    shm_row = rows.get("shm", {})
-    gate.check(
-        int(shm_row.get("shm_plans", 0)) >= 1,
-        f"shm transport cell moved {shm_row.get('shm_plans')} plans "
-        "through shared memory",
-    )
-    ratio = smoke.get("overhead_ratio")
-    ratio_max = float(
-        tracked_transport.get(
-            "smoke_overhead_ratio_max", DEFAULT_TRANSPORT_SMOKE_RATIO_MAX
-        )
-    )
-    gate.check(
-        ratio is not None and float(ratio) <= ratio_max,
-        f"shm transport overhead ratio {ratio} <= {ratio_max}",
     )
 
 
@@ -572,8 +534,7 @@ def check_obs(gate: Gate, strict: bool) -> None:
     ]
     gate.check(
         not missing_cats,
-        "obs smoke trace carries planner/pipeline/transport/execution "
-        "lanes"
+        "obs smoke trace carries planner/pipeline/execution lanes"
         + (f" (missing: {', '.join(missing_cats)})" if missing_cats else ""),
     )
 
@@ -591,7 +552,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gate = Gate()
     check_planner(gate, strict=args.strict)
     check_overlap(gate, strict=args.strict)
-    check_transport(gate, strict=args.strict)
     check_service(gate, strict=args.strict)
     check_chaos(gate, strict=args.strict)
     check_scenarios(gate, strict=args.strict)

@@ -13,11 +13,9 @@ object), so it is exactly the set of lines that *can* emit trace
 events — the same definition coverage.py uses.  Lines marked
 ``# pragma: no cover`` are excluded, matching the conventional escape
 hatch.  Worker threads are traced too (``threading.settrace`` is
-installed before any pool spawns); code running in worker *processes*
-is not, so the lines that run only in the process backend's children
-(``_plan_worker_init``, ``_transport_plan``) count as missed here.
-``benchmarks/reachability.py`` does follow those children, with the
-same tracer (:class:`reachability.Tracer`).
+installed before any pool spawns).  The tracer is
+:class:`reachability.Tracer`, the one ``benchmarks/reachability.py``
+runs.
 
 Usage::
 
@@ -91,16 +89,19 @@ def main(argv=None) -> int:
     ]
     universe = {path: _traceable_lines(path) for path in _package_files()}
 
-    # Tracing makes the pipeline's own bookkeeping ~10x slower, which
-    # pushes queue waits past the default stall threshold and flips
-    # timing assertions.  Raise the threshold well above tracer noise
-    # but far below any injected stall (tests use >= 12 ms plans).
-    os.environ.setdefault("REPRO_STALL_EPS", "2e-3")
-
     tracer = Tracer(root=PACKAGE_DIR)
     tracer.install()
     try:
         import pytest
+
+        import repro.pipeline.pipeline
+
+        # Tracing makes the pipeline's own bookkeeping ~10x slower,
+        # which pushes queue waits past the default stall threshold and
+        # flips timing assertions.  Raise the threshold well above
+        # tracer noise but far below any injected stall (tests use
+        # >= 12 ms plans).
+        repro.pipeline.pipeline.STALL_EPS = 2e-3
 
         exit_code = pytest.main(["-q", "-p", "no:cacheprovider", *targets])
     finally:

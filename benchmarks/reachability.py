@@ -22,9 +22,8 @@ timed gates, and ``run_tier1.sh`` runs them untraced).
 
 Every Python process an entry point starts is traced, not only the
 entry point itself: a ``sitecustomize`` on ``PYTHONPATH`` installs the
-hook at interpreter start-up, and a forked child (the process planner
-backend's workers) writes what it entered when it leaves through
-``os._exit``.
+hook at interpreter start-up, and a forked child writes what it
+entered when it leaves through ``os._exit``.
 
 An unreached function stays in ``src/repro`` only if ``KEPT_PATH``
 lists it with one of the reasons in ``REASONS``; the check fails on any
@@ -72,8 +71,6 @@ REASONS = {
     "outside input",
     "oracle": "tests compare against it as a reference implementation",
     "ledger": "the frozen ledger imports it",
-    "child": "runs only in a planner child process the traced entry "
-    "points do not start",
 }
 
 #: Where a traced process writes what it entered (set for children).
@@ -102,8 +99,6 @@ ENTRY_POINTS: List[List[str]] = [
      "--output", "{out}/overlap.json"],
     ["benchmarks/bench_overlap_pipeline.py", "--streaming", "--smoke",
      "--output", "{out}/streaming.json"],
-    ["benchmarks/bench_overlap_pipeline.py", "--transport", "--smoke",
-     "--output", "{out}/transport.json"],
     ["benchmarks/bench_plan_service.py", "--smoke",
      "--output", "{out}/service.json"],
     ["benchmarks/bench_chaos.py", "--smoke", "--output", "{out}/chaos.json"],
@@ -121,7 +116,6 @@ FULL_ENTRY_POINTS: List[List[str]] = [
     ["benchmarks/bench_planner_hotpath.py"],
     ["benchmarks/bench_overlap_pipeline.py"],
     ["benchmarks/bench_overlap_pipeline.py", "--streaming"],
-    ["benchmarks/bench_overlap_pipeline.py", "--transport"],
     ["benchmarks/bench_plan_service.py"],
     ["benchmarks/bench_chaos.py"],
     ["benchmarks/bench_scenarios.py"],

@@ -72,17 +72,6 @@ else
         --output "$REPO_ROOT/BENCH_overlap.streaming.smoke.json"
 fi
 
-echo "== plan transport smoke =="
-if [[ "${1:-}" == "--full" ]]; then
-    # Rewrites the "transport" section of BENCH_overlap.json.
-    python benchmarks/bench_overlap_pipeline.py --transport
-else
-    # Gates cross-transport plan identity, real shared-memory use, and
-    # the (encode + move + decode) / plan-time overhead ceiling.
-    python benchmarks/bench_overlap_pipeline.py --transport --smoke \
-        --output "$REPO_ROOT/BENCH_overlap.transport.smoke.json"
-fi
-
 echo "== plan service smoke =="
 if [[ "${1:-}" == "--full" ]]; then
     # Rewrites BENCH_service.json (client-count sweep + CI floors).

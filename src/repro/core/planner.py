@@ -182,7 +182,6 @@ class DCPPlanner:
         stats.placement_source = placement.source
 
         plan.meta["planning_stats"] = stats
-        plan.meta["placement_source"] = placement.source
         plan.meta["placement_prices"] = dict(schedule.placement_prices)
         # The chosen placement's labels (and source) ride with the plan
         # so a later delta re-plan (after a cluster event) can

@@ -1,4 +1,4 @@
-"""Columnar wire format for execution plans (zero-copy plan transport).
+"""Columnar wire format for execution plans.
 
 The hot plan structures have been structure-of-arrays since PR 1 —
 instruction streams are flat tuples of small frozen records whose
@@ -6,10 +6,10 @@ fields are all integers (or tuples of them), buffer-name strings, or
 block identities.
 This module encodes them as exactly that: a tiny self-describing
 header, two string/tag tables, and one contiguous integer lane, so a
-plan crosses a process or KV boundary as buffer bytes instead of a
-pickled object graph.
+plan crosses a KV boundary as buffer bytes instead of a pickled object
+graph.
 
-Why not pickle?  Two reasons the transport layer cares about:
+Why not pickle?  Two reasons plan delivery cares about:
 
 * **Canonical bytes.**  Pickle memoizes shared sub-objects, so the
   bytes of a device plan depend on object identity *across* the
@@ -17,7 +17,7 @@ Why not pickle?  Two reasons the transport layer cares about:
   different code paths serialize differently.  The columnar encoding
   depends only on field values, which is what lets
   :func:`repro.pipeline.plan_fingerprint` compare plans across the
-  synchronous path, the process boundary, and the KV store.
+  synchronous path and the KV store.
 * **Cost.**  The integer lane is packed with :mod:`array` into int32
   (int64 only when a value overflows), roughly halving the wire size
   of a plan and making the decode a bulk ``frombytes`` rather than a
@@ -46,8 +46,7 @@ Whole plans travel as a :class:`PlanWire`: a pickled context
 (``block_set``, ``cluster``, ``meta``) plus the concatenated per-device
 payloads and a span table, so a consumer can slice one device's bytes
 out of a single contiguous buffer (``device_bytes``) without touching
-the rest — the zero-copy half of the shm ring in
-:mod:`repro.pipeline.shm`.
+the rest.
 """
 
 from __future__ import annotations

@@ -4,15 +4,13 @@ The telemetry subsystem behind every timing claim in the repo:
 
 * :mod:`repro.obs.trace` — zero-dependency span tracer with a
   lock-free disabled fast path and Chrome-trace export; planner
-  stages, pipeline iterations, transport encode/write/decode, shm-ring
-  reads, and KV ops all land on one Perfetto timeline (merge with the
-  simulator's execution lanes via
-  :func:`repro.sim.trace.merge_chrome_traces`).
+  stages, pipeline iterations, plan-ring probes, and KV ops all land
+  on one Perfetto timeline (merge with the simulator's execution lanes
+  via :func:`repro.sim.trace.merge_chrome_traces`).
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
   latency histograms (p50/p95/p99) in a
-  :class:`~repro.obs.metrics.MetricsRegistry`; the transport stats,
-  cache hit/miss counters, and pool savings counters are views over
-  it.
+  :class:`~repro.obs.metrics.MetricsRegistry`; the cache hit/miss
+  counters and pool savings counters are views over it.
 * :mod:`repro.obs.bench` — tracer and metrics overhead and the
   telemetry check behind ``benchmarks/bench_overlap_pipeline.py
   --obs``, which writes ``BENCH_obs.json`` (CI-gated by

@@ -25,15 +25,14 @@ A direct per-span micro-benchmark (ns per ``span()`` enter/exit,
 disabled and enabled) is recorded alongside.
 
 **Telemetry + trace.**  With tracing enabled, one pipeline run (cache
-hits and planner dispatches), one process-backend plan batch (shm
-transport), KV round-trips, and one simulated execution are driven
-through a *shared* registry; the resulting snapshot (including the
-plan-fetch hit/dispatch latency split) lands in the report, and the
-tracer spans, the pipeline's overlap timeline, and the simulator's
-execution lanes are merged onto one epoch
-(:func:`repro.sim.merge_chrome_traces`) into a Perfetto-loadable
-``TRACE_obs.json`` — planner stages, pipeline iterations, transport
-spans, and simulated execution on a shared clock.
+hits and planner dispatches), KV round-trips of its plans, and one
+simulated execution are driven through a *shared* registry; the
+resulting snapshot (including the plan-fetch hit/dispatch latency
+split) lands in the report, and the tracer spans, the pipeline's
+overlap timeline, and the simulator's execution lanes are merged onto
+one epoch (:func:`repro.sim.merge_chrome_traces`) into a
+Perfetto-loadable ``TRACE_obs.json`` — planner stages, pipeline
+iterations, KV ops, and simulated execution on a shared clock.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ REQUIRED_METRICS = (
     "cache.misses",
     "kv.put_s",
     "kv.get_s",
-    "transport.plans",
 )
 
 
@@ -240,20 +238,18 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
     """One traced workload across every instrumented surface.
 
     Runs, with tracing enabled and a single shared registry: a
-    thread-backend pipeline (cycle 2 serves from the plan cache, so
-    both plan-fetch paths populate), one process-backend plan batch
-    over the shm transport, KV round-trips of the resulting plans, and
-    one simulated execution.  Returns the registry snapshot, span
+    pipeline (cycle 2 serves from the plan cache, so both plan-fetch
+    paths populate), KV round-trips of its cached plans, and one
+    simulated execution.  Returns the registry snapshot, span
     count, and the merged Chrome trace (tracer spans + overlap
     timeline + execution lanes on one epoch).
 
     ``smoke=False`` uses the Fig. 18 sweep point (32768 tokens,
     512-token blocks) instead of the smoke configuration.
     """
-    from repro.core import DCPPlanner, KVStore, PlanCache
+    from repro.core import DCPPlanner, KVStore, PlanCache, batch_signature
     from repro.pipeline import (
         PipelineRunner,
-        ProcessPlannerBackend,
         StreamingOverlapPipeline,
         cost_model_executor,
     )
@@ -290,7 +286,7 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
         cache = PlanCache(planner, capacity=64, metrics=registry)
         pipeline = StreamingOverlapPipeline(
             list(batches) * max(cycles, 1), planner, lookahead=2,
-            max_workers=2, backend="thread", cache=cache, metrics=registry,
+            max_workers=2, cache=cache, metrics=registry,
         )
         runner = PipelineRunner(
             pipeline, execute=cost_model_executor(time_scale=time_scale)
@@ -300,17 +296,7 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
             stats.timeline(), clock_origin=pipeline.clock_origin
         )
 
-        backend = ProcessPlannerBackend(
-            planner, max_workers=2, metrics=registry
-        )
-        try:
-            tickets = [
-                backend.submit(index, batch)
-                for index, batch in enumerate(batches)
-            ]
-            plans = [ticket.result()[0] for ticket in tickets]
-        finally:
-            backend.close()
+        plans = [cache.peek(batch_signature(batch)) for batch in batches]
 
         store = KVStore(metrics=registry)
         for index, plan in enumerate(plans):

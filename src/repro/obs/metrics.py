@@ -1,21 +1,20 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
 The unified accounting layer for the repo's timing claims.  Every
-component that used to keep a bespoke stats dict (transport stats,
-cache hit/miss counters, pool refetch savings) now increments metrics
+component that used to keep a bespoke stats dict (cache hit/miss
+counters, pool refetch savings) now increments metrics
 in a :class:`MetricsRegistry` and exposes its old public attribute as
-a *view* over the registry — one accounting truth, queryable and
-mergeable across worker processes.
+a *view* over the registry — one accounting truth, queryable in one
+place.
 
 Design constraints (mirrors the tracer in :mod:`repro.obs.trace`):
 
 * stdlib only — importable from every layer without cycles;
 * thread-safe — metrics carry their own locks (plain ``int``/``float``
   arithmetic under a `threading.Lock`; registry get-or-create under a
-  registry lock);
-* picklable — locks are dropped on ``__getstate__`` and recreated on
-  ``__setstate__`` so registries can ride along with planners shipped
-  to planner processes.
+  registry lock).  Every planner runs on a thread of the process that
+  owns its registry, so nothing pickles one; ship a
+  :meth:`MetricsRegistry.snapshot` instead.
 
 Histograms use fixed exponential buckets
 (:data:`DEFAULT_LATENCY_BUCKETS`: 1µs .. ~67s, powers of two) and
@@ -70,18 +69,9 @@ class Counter:
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self._value}
 
-    def __getstate__(self):
-        return {"name": self.name, "value": self._value}
-
-    def __setstate__(self, state):
-        self.name = state["name"]
-        self._value = state["value"]
-        self._lock = threading.Lock()
-
-
 
 class Gauge:
-    """Last-value metric (e.g. queue depth, ring slots in use)."""
+    """Last-value metric (e.g. queue depth)."""
 
     __slots__ = ("name", "_value", "_updates", "_lock")
 
@@ -98,16 +88,6 @@ class Gauge:
 
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value, "updates": self._updates}
-
-    def __getstate__(self):
-        return {"name": self.name, "value": self._value, "updates": self._updates}
-
-    def __setstate__(self, state):
-        self.name = state["name"]
-        self._value = state["value"]
-        self._updates = state["updates"]
-        self._lock = threading.Lock()
-
 
 
 def _bucket_quantile(
@@ -200,27 +180,6 @@ class Histogram:
             "p99": None if count == 0 else quantiles["p99"],
         }
 
-    def __getstate__(self):
-        return {
-            "name": self.name,
-            "bounds": self.bounds,
-            "counts": list(self._counts),
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    def __setstate__(self, state):
-        self.name = state["name"]
-        self.bounds = tuple(state["bounds"])
-        self._counts = list(state["counts"])
-        self._count = state["count"]
-        self._sum = state["sum"]
-        self._min = state["min"]
-        self._max = state["max"]
-        self._lock = threading.Lock()
-
 
 Metric = Union[Counter, Gauge, Histogram]
 
@@ -262,14 +221,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = list(self._metrics.items())
         return {name: metric.snapshot() for name, metric in sorted(metrics)}
-
-    # -- pickling (locks dropped, recreated) ------------------------------
-    def __getstate__(self):
-        return {"metrics": self._metrics}
-
-    def __setstate__(self, state):
-        self._metrics = state["metrics"]
-        self._lock = threading.Lock()
 
 
 class _NullMetric:

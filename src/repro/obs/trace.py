@@ -2,8 +2,8 @@
 
 One global tracer (:func:`get_tracer`) collects ``(name, cat, pid,
 tid, span_id, parent_id, start, end, args)`` spans from every
-instrumented surface — planner stages, pipeline iterations, transport
-encode/write/decode, shm-ring reads, KV ops — and exports them in the
+instrumented surface — planner stages, pipeline iterations, plan-ring
+probes, KV ops — and exports them in the
 Chrome trace-event format, so they load into Perfetto /
 ``chrome://tracing`` on the same timeline as the execution lanes
 produced by :mod:`repro.sim.trace` (merge the files with
@@ -15,15 +15,13 @@ a shared no-op singleton, so instrumentation can stay inline on hot
 paths (the obs benchmark gates the disabled-mode overhead ratio at
 ≤ 1.01 of the uninstrumented time; see ``BENCH_obs.json``).
 
-Identity is thread- and process-aware: span ids embed ``os.getpid()``
-(fork-server planner workers allocate from disjoint ranges), the
-thread id is recorded per span, and parent links come from a
+Identity is thread- and process-aware: span ids embed ``os.getpid()``,
+the thread id is recorded per span, and parent links come from a
 per-thread stack so nesting is correct under concurrent planning.
 
-Timestamps are ``time.perf_counter()`` — on Linux a process-shared
-monotonic clock (the transport layer already relies on this for its
-cross-process latency stamps), so spans synthesized from worker-side
-durations via :meth:`Tracer.add_span` land at the right wall offset.
+Timestamps are ``time.perf_counter()``, so spans synthesized from
+measured stamps via :meth:`Tracer.add_span` land at the right wall
+offset.
 
 Usage::
 
@@ -168,9 +166,8 @@ class Tracer:
         """Record an externally measured interval.
 
         ``start``/``end`` are absolute ``time.perf_counter()`` stamps —
-        used for intervals measured elsewhere (worker-side encode/write
-        durations relayed by the transport, pipeline execution windows
-        reconstructed from iteration records).
+        used for intervals measured elsewhere (pipeline execution
+        windows reconstructed from iteration records).
         """
         if not self.enabled:
             return

@@ -15,14 +15,14 @@ model execution" claim from an analytic replay
   new shape can run, re-plan the rest warm) when a
   :class:`~repro.sim.ClusterEventSource` reports device add/remove
   events mid-stream (``events=None``: a cluster that never changes).
-* :mod:`~repro.pipeline.backends` — where planning runs: thread-pool,
-  process-pool or KV-store (:class:`KVPlannerBackend`: publish to a
+* :mod:`~repro.pipeline.backends` — where planning runs: a thread
+  pool in this process (the default), or the KV store
+  (:class:`KVPlannerBackend`: publish to a
   :class:`~repro.core.kvstore.KVStore`, every device pulls its own
   slice).
-  Process workers return plans one way: columnar wire bytes
-  (:mod:`repro.core.planwire`) deposited in a shared-memory
-  :class:`~repro.pipeline.shm.PlanRing`, the same bytes over the result
-  pipe when a plan cannot take the ring.
+* :class:`~repro.pipeline.shm.PlanRing` — a shared-memory plan ring no
+  backend uses; it stays for the ledger's ``pipeline.ring_roundtrip_s``
+  probe.
 * :class:`~repro.pipeline.driver.PipelineRunner` — drains a pipeline
   through an execute callback (the cost-model stand-in
   :func:`~repro.pipeline.driver.cost_model_executor`, say) and reports
@@ -36,7 +36,6 @@ the KV backend.
 from .backends import (
     KVPlannerBackend,
     PlanTicket,
-    ProcessPlannerBackend,
     ThreadPlannerBackend,
 )
 from .driver import OverlapReport, PipelineRunner, cost_model_executor
@@ -57,7 +56,6 @@ __all__ = [
     "plan_fingerprint",
     "PlanTicket",
     "ThreadPlannerBackend",
-    "ProcessPlannerBackend",
     "KVPlannerBackend",
     "PlanRing",
     "ShmUnavailable",

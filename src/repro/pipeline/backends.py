@@ -3,21 +3,12 @@
 A backend turns ``(iteration index, batch)`` into a :class:`PlanTicket`
 whose :meth:`~PlanTicket.result` eventually yields ``(plan, start,
 end)`` — the plan plus the wall-clock interval the planner actually
-spent on it (``time.perf_counter`` stamps; on Linux the monotonic clock
-is shared across processes, so process-worker stamps compose with the
-parent's).  Three implementations:
+spent on it (``time.perf_counter`` stamps).  Two implementations:
 
 * :class:`ThreadPlannerBackend` — planner workers on a thread pool in
   this process.  The planner releases the GIL inside numpy, so real
   overlap with (simulated) execution is achieved in practice; this is
   the default.
-* :class:`ProcessPlannerBackend` — planner workers in separate
-  processes, the paper's "parallelized with more than 10 CPU cores"
-  configuration.  The planner ships to each worker once (fork
-  inheritance or the pool initializer), never per job, and finished
-  plans return through a zero-copy shared-memory ring in the columnar
-  wire format (:mod:`repro.core.planwire`), falling back per plan to
-  the same bytes over the result pipe.
 * :class:`KVPlannerBackend` — the paper's full §6.1 distribution
   route: jobs fan out round-robin across (simulated) machines, each
   plan is published to a :class:`~repro.core.kvstore.KVStore` as a
@@ -25,7 +16,11 @@ parent's).  Three implementations:
   its own slice back; the wire bytes the consumers would move
   accumulate in ``consumer_wire_bytes``.
 
-All backends accept a per-job ``planner`` override on
+Both run their planners on threads of this process, so every
+``plan_batch`` span and planner counter lands in this process's tracer
+and registry.
+
+Both backends accept a per-job ``planner`` override on
 :meth:`submit`/:meth:`resubmit` — the streaming pipeline pins a cluster
 shape onto re-planned jobs this way — and ``resubmit`` is the
 retry/respawn entry point for jobs whose worker raised or hung.
@@ -34,32 +29,20 @@ retry/respawn entry point for jobs whose worker raised or hung.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import pickle
 import threading
 import time
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.planwire import PlanWire, decode_plan, encode_plan
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import add_span as _add_span
-from ..obs.trace import tracing_enabled as _tracing
-from .shm import DEFAULT_SLOT_BYTES, PlanRing, ShmUnavailable
 
 __all__ = [
     "PlanTicket",
     "CompletedTicket",
     "SharedPlanTicket",
     "ThreadPlannerBackend",
-    "ProcessPlannerBackend",
     "KVPlannerBackend",
-    "make_backend",
 ]
 
 
@@ -163,222 +146,6 @@ class ThreadPlannerBackend:
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-#: Per-worker state installed by :func:`_plan_worker_init`: the planner
-#: (shipped once per worker, never per job) and the attached plan ring
-#: (``None`` when shared memory is unavailable).
-_WORKER_STATE: dict = {}
-
-
-def _plan_worker_init(planner, ring_spec) -> None:
-    _WORKER_STATE["planner"] = planner
-    ring = None
-    if ring_spec is not None:
-        try:
-            ring = PlanRing.attach(ring_spec)
-        except Exception:
-            ring = None  # ring gone or unmappable: pipe fallback
-    _WORKER_STATE["ring"] = ring
-
-
-def _transport_plan(batch, slot, override=None) -> Tuple:
-    """Worker-side job: plan, encode, move the bytes by the cheapest path.
-
-    Returns ``(kind, payload, start, end, encode_s, write_s, nbytes)``
-    where ``kind`` is ``"shm"`` (the bytes sit in ring slot ``slot``;
-    payload is ``None``) or ``"wire"`` (payload = the columnar bytes,
-    travelling over the result pipe).  ``start``/``end`` bracket pure
-    planning time only, so plan intervals stay comparable across both
-    routes.
-    """
-    planner = override if override is not None else _WORKER_STATE["planner"]
-    start = time.perf_counter()
-    plan = planner.plan_batch(batch)
-    end = time.perf_counter()
-    blob = encode_plan(plan).to_bytes()
-    encode_s = time.perf_counter() - end
-    ring = _WORKER_STATE.get("ring")
-    if slot is not None and ring is not None:
-        stamp = time.perf_counter()
-        if ring.write(slot, blob):
-            write_s = time.perf_counter() - stamp
-            return "shm", None, start, end, encode_s, write_s, len(blob)
-    return "wire", blob, start, end, encode_s, 0.0, len(blob)
-
-
-class ProcessPlannerBackend:
-    """Planner workers in separate processes (no GIL sharing at all).
-
-    The planner ships to each worker exactly once — inherited by
-    ``fork`` where the platform has it (planners defined anywhere, in
-    tests or scripts, keep working), pickled through the pool
-    initializer under ``spawn`` otherwise — so a job carries only its
-    batch (plus a slot index); :attr:`last_job_payload_bytes` tracks
-    that and the regression tests pin it.
-
-    Finished plans come back one way: columnar wire bytes
-    (:mod:`repro.core.planwire`) deposited in a
-    :class:`~repro.pipeline.shm.PlanRing` slot reserved by the parent
-    at submit time; the parent decodes straight out of shared memory.
-    The same bytes travel over the result pipe instead (one extra copy)
-    when shared memory is unavailable, the ring is full at submit time,
-    or a plan outgrows its slot.
-
-    Per-plan payload bytes and encode/write/decode seconds accumulate
-    in ``transport.*`` registry counters (:attr:`metrics`:
-    ``plans``, ``shm_plans``, ``wire_plans``, ``payload_bytes``,
-    ``encode_s``, ``write_s``, ``decode_s``) — the transport-overhead
-    numbers the ``--transport`` benchmark cell and its floor gate.
-    With tracing enabled the encode/write/decode intervals also land on
-    the Perfetto timeline: decode is measured in the parent,
-    encode/write are synthesized from the worker-reported durations
-    anchored at the plan-end stamp (``perf_counter`` is process-shared
-    on Linux, which the transport's latency stamps already rely on).
-    """
-
-    def __init__(
-        self,
-        planner,
-        max_workers: int = 2,
-        ring_slots: Optional[int] = None,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError("need at least one planner worker")
-        self.planner = planner
-        self._ring: Optional[PlanRing] = None
-        try:
-            self._ring = PlanRing.create(
-                slots=ring_slots or max(2 * max_workers + 2, 4),
-                slot_bytes=slot_bytes,
-            )
-        except ShmUnavailable:
-            pass  # every plan takes the pipe route
-        try:
-            #: One-time cost of shipping the planner (what the old
-            #: backend paid per job; ``fork`` does not even pay it once).
-            self.planner_payload_bytes = len(pickle.dumps(planner))
-        except Exception:
-            self.planner_payload_bytes = 0
-        #: Pickled size of the most recent job's arguments — the bytes
-        #: that actually cross the pipe per job now that the planner
-        #: does not.
-        self.last_job_payload_bytes = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._transport_counters = {
-            key: self.metrics.counter(f"transport.{key}")
-            for key in (
-                "plans",
-                "shm_plans",
-                "wire_plans",
-                "payload_bytes",
-                "encode_s",
-                "write_s",
-                "decode_s",
-            )
-        }
-        methods = multiprocessing.get_all_start_methods()
-        self._pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            ),
-            initializer=_plan_worker_init,
-            initargs=(
-                planner,
-                self._ring.spec() if self._ring is not None else None,
-            ),
-        )
-
-    def _account_submit(self, batch, slot, override) -> None:
-        try:
-            self.last_job_payload_bytes = len(
-                pickle.dumps((batch, slot, override), protocol=4)
-            )
-        except Exception:
-            self.last_job_payload_bytes = 0
-
-    def _wrap(self, inner: Future, slot: Optional[int]) -> Future:
-        """Decode the worker's transport result into ``(plan, t0, t1)``."""
-        wrapper: Future = Future()
-
-        def relay(done: Future) -> None:
-            try:
-                kind, payload, start, end, encode_s, write_s, nbytes = (
-                    done.result()
-                )
-                decode_start = time.perf_counter()
-                if kind == "shm":
-                    view = self._ring.read(slot)
-                    try:
-                        plan = decode_plan(view)
-                    finally:
-                        view.release()
-                else:
-                    plan = decode_plan(payload)
-                decode_s = time.perf_counter() - decode_start
-            except BaseException as exc:
-                wrapper.set_exception(exc)
-                return
-            finally:
-                # Whatever happened — worker raised, torn read, decode
-                # error — the slot goes back, or it is lost for the life
-                # of the backend.
-                if slot is not None:
-                    self._ring.free(slot)
-            counters = self._transport_counters
-            counters["plans"].inc()
-            counters[f"{kind}_plans"].inc()
-            counters["payload_bytes"].inc(nbytes)
-            counters["encode_s"].inc(encode_s)
-            counters["write_s"].inc(write_s)
-            counters["decode_s"].inc(decode_s)
-            if _tracing():
-                # Worker-side encode/write happen back-to-back right
-                # after planning ends; synthesize their spans from the
-                # relayed durations anchored at the plan-end stamp.
-                if encode_s > 0.0:
-                    _add_span(
-                        "transport.encode", "transport", end,
-                        end + encode_s, args={"bytes": nbytes},
-                    )
-                if write_s > 0.0:
-                    _add_span(
-                        "transport.write", "transport", end + encode_s,
-                        end + encode_s + write_s, args={"bytes": nbytes},
-                    )
-                if decode_s > 0.0:
-                    _add_span(
-                        "transport.decode", "transport", decode_start,
-                        decode_start + decode_s,
-                        args={"bytes": nbytes, "kind": kind},
-                    )
-            wrapper.set_result((plan, start, end))
-
-        inner.add_done_callback(relay)
-        return wrapper
-
-    def submit(self, index: int, batch, planner=None) -> PlanTicket:
-        slot = self._ring.reserve() if self._ring is not None else None
-        try:
-            inner = self._pool.submit(_transport_plan, batch, slot, planner)
-        except BaseException:
-            if slot is not None:
-                self._ring.free(slot)  # broken/closed pool: no job owns it
-            raise
-        self._account_submit(batch, slot, planner)
-        return PlanTicket(self._wrap(inner, slot))
-
-    def resubmit(self, index: int, batch, planner=None) -> PlanTicket:
-        """Respawn a job whose previous worker raised or hung."""
-        return self.submit(index, batch, planner=planner)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        if self._ring is not None:
-            self._ring.close()
 
 
 def skeleton_key(iteration: int) -> str:
@@ -626,16 +393,3 @@ class KVPlannerBackend:
         for executor in self._executors:
             executor.shutdown(wait=False, cancel_futures=True)
 
-
-def make_backend(backend, planner, max_workers: int = 2):
-    """Resolve a backend spec: a name, a backend object, or ``None``."""
-    if backend is None or not isinstance(backend, str):
-        return backend
-    if backend == "thread":
-        return ThreadPlannerBackend(planner, max_workers=max_workers)
-    if backend == "process":
-        return ProcessPlannerBackend(planner, max_workers=max_workers)
-    raise ValueError(
-        f"unknown backend {backend!r}; use 'thread', 'process', or a "
-        "backend object (e.g. KVPlannerBackend)"
-    )

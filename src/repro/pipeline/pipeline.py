@@ -105,7 +105,6 @@ sound, and the cold one is the cost baseline of the delta benchmark.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from collections import deque
@@ -122,17 +121,19 @@ from ..obs.trace import add_span as _add_span
 from ..obs.trace import tracing_enabled as _tracing
 from ..scheduling import plan_compatible, rebind_plan
 from ..sim.cluster import ClusterEventSource, ClusterSpec
-from .backends import CompletedTicket, PlanTicket, SharedPlanTicket, make_backend
+from .backends import (
+    CompletedTicket,
+    PlanTicket,
+    SharedPlanTicket,
+    ThreadPlannerBackend,
+)
 
 __all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner",
            "OverlapStats", "IterationRecord",
            "plan_fingerprint"]
 
 #: Waits shorter than this (seconds) are queue bookkeeping, not stalls.
-#: Overridable for environments whose bookkeeping is artificially slow
-#: (the dep-free coverage gate traces every pipeline line, inflating
-#: queue waits past the default threshold).
-STALL_EPS = float(os.environ.get("REPRO_STALL_EPS", "1e-4"))
+STALL_EPS = 1e-4
 
 
 @dataclass
@@ -292,9 +293,9 @@ class _Pending:
 class ClusterPinnedPlanner:
     """Planner façade that targets one specific cluster shape.
 
-    Shipped with worker jobs (it pickles, so the process backend works)
-    so that plans dispatched after a cluster event target the event's
-    shape while the wrapped planner keeps its own configured cluster.
+    Shipped with worker jobs so that plans dispatched after a cluster
+    event target the event's shape while the wrapped planner keeps its
+    own configured cluster.
     ``warm`` optionally carries the previous placement's
     ``(slice_device, comp_device)`` labels: re-planned jobs start from
     the placement they had before the event instead of partitioning
@@ -331,10 +332,12 @@ class StreamingOverlapPipeline:
         synchronously; values larger than the batch count simply leave
         the window partially filled.
     max_workers:
-        Planner parallelism of the ``"thread"``/``"process"`` backends.
+        Planner threads of the default backend.
     backend:
-        ``"thread"`` (default), ``"process"``, or a backend object such
-        as :class:`~repro.pipeline.backends.KVPlannerBackend`.
+        ``None`` (default): a
+        :class:`~repro.pipeline.backends.ThreadPlannerBackend` of
+        ``max_workers`` threads; or a backend object such as
+        :class:`~repro.pipeline.backends.KVPlannerBackend`.
     cache:
         Optional :class:`~repro.core.cache.PlanCache` consulted before
         any worker is dispatched; planned misses are inserted back.
@@ -376,7 +379,7 @@ class StreamingOverlapPipeline:
         *,
         lookahead: int = 2,
         max_workers: int = 2,
-        backend="thread",
+        backend=None,
         cache: Optional[PlanCache] = None,
         events: Optional[ClusterEventSource] = None,
         plan_timeout: Optional[float] = None,
@@ -402,11 +405,17 @@ class StreamingOverlapPipeline:
         )
         self._events_seen = events.version if events is not None else 0
         self._batches = iter(batches)
-        self._backend = (
-            make_backend(backend, planner, max_workers=max_workers)
-            if lookahead > 0
-            else None
-        )
+        if backend is not None and not hasattr(backend, "submit"):
+            raise ValueError(
+                f"backend {backend!r} is not a planner backend; pass None "
+                "(a thread pool) or a backend object such as "
+                "KVPlannerBackend"
+            )
+        if lookahead == 0:
+            backend = None
+        elif backend is None:
+            backend = ThreadPlannerBackend(planner, max_workers=max_workers)
+        self._backend = backend
         self._pending: Deque[_Pending] = deque()
         self._exhausted = False
         self._started = False

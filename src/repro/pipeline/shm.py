@@ -1,10 +1,10 @@
-"""Shared-memory plan ring: the zero-copy half of plan transport.
+"""Shared-memory plan ring: fixed-size slots for encoded plans.
 
-Planner workers encode plans into the columnar wire format
-(:mod:`repro.core.planwire`) and deposit the bytes into a ring of
-POSIX shared-memory slots; the parent maps the slot and decodes the
-plan straight out of shared memory — the only per-byte copy on the
-whole path is the worker's single write into the slot.
+No planner backend uses this ring.  It stays only because the frozen
+ledger (``benchmarks/ledger/ledger_checks.py``) imports
+:class:`PlanRing` and :class:`ShmUnavailable` and probes one encoded
+plan's write + read as ``pipeline.ring_roundtrip_s``; it goes when the
+ledger drops that probe.
 
 Protocol
 --------
@@ -13,25 +13,19 @@ of fixed-size slots.  Each header is three little-endian ``u64`` words
 ``[state, seq, length]`` with states ``FREE -> RESERVED -> READY ->
 FREE``:
 
-* The **parent** owns allocation: :meth:`reserve` claims a ``FREE``
-  slot (``RESERVED``) *before* dispatching the job and ships the slot
-  index with it, so writers never race for slots and no cross-process
-  lock exists anywhere in the protocol.
-* The **worker** owns its reserved slot until the job's result is
-  consumed: :meth:`write` bumps ``seq`` to odd (write in progress),
+* :meth:`~PlanRing.reserve` claims a ``FREE`` slot (``RESERVED``).
+* :meth:`~PlanRing.write` bumps ``seq`` to odd (write in progress),
   copies the payload, stores the length, bumps ``seq`` to even and
   flips the state to ``READY`` — a seqlock-style header, so a reader
   can verify it observed a quiescent slot.
-* The parent maps the payload with :meth:`read` (a ``memoryview``, no
-  copy), decodes, releases the view, and :meth:`free`\\ s the slot.
+* :meth:`~PlanRing.read` maps the payload (a ``memoryview``, no copy);
+  the caller releases the view and :meth:`~PlanRing.free`\\ s the slot.
 
-Fallbacks are the caller's job and transparent by construction: when
-:meth:`~PlanRing.create` raises :class:`ShmUnavailable` (no
-``/dev/shm``, no ``multiprocessing.shared_memory``), when the ring is
-momentarily full (:meth:`reserve` returns ``None``), or when a payload
-outgrows its slot (:meth:`write` returns ``False``), the encoded plan
-simply travels over the process-pool result pipe instead — same bytes,
-one extra copy.
+:meth:`~PlanRing.create` raises :class:`ShmUnavailable` when there is
+no ``/dev/shm`` or no ``multiprocessing.shared_memory``;
+:meth:`~PlanRing.reserve` returns ``None`` when the ring is full and
+:meth:`~PlanRing.write` returns ``False`` when a payload outgrows its
+slot.
 """
 
 from __future__ import annotations
@@ -77,16 +71,14 @@ def leaked_maps() -> int:
     return _LEAKED_MAPS.value
 
 
-def _leak(segment, unlinked: bool) -> None:
+def _leak(segment) -> None:
     _LEAKED_MAPS.inc()
     with _LEAK_LOCK:
         _LEAKED_SEGMENTS.append(segment)
     _log.warning(
         "plan ring segment %s leaked its mapping (exported buffer still "
-        "alive at close%s)",
+        "alive at close; segment unlinked regardless)",
         getattr(segment, "name", "<unknown>"),
-        "; segment unlinked regardless" if unlinked else
-        "; /dev/shm segment may persist",
     )
 
 
@@ -123,56 +115,25 @@ _READY = 2
 _HEADER = struct.Struct("<QQQ")
 
 #: Default slot capacity.  The Fig. 18 sweep point's plan encodes to a
-#: few MB; 32 MB per slot keeps even large sweeps on the zero-copy path
-#: while a full default ring stays well under /dev/shm allowances
-#: (pages are allocated lazily, so unused capacity costs nothing).
+#: few MB; pages are allocated lazily, so unused capacity costs nothing.
 DEFAULT_SLOT_BYTES = 32 * 1024 * 1024
 
 
 class ShmUnavailable(RuntimeError):
-    """Shared memory cannot be used on this host; fall back to pipes."""
-
-
-class _untracked:
-    """Suppress resource-tracker registration while attaching.
-
-    Before Python 3.13 (``SharedMemory(track=False)``) every attach
-    registers the segment with a resource tracker; a pool worker's
-    tracker would then unlink the parent-owned segment when the worker
-    exits (or, sharing the parent's tracker under ``fork``, corrupt the
-    parent's registration).  Only the creating process may track the
-    ring, so attachments register nothing.
-    """
-
-    def __enter__(self) -> None:
-        from multiprocessing import resource_tracker
-
-        self._module = resource_tracker
-        self._register = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
-
-    def __exit__(self, *exc) -> None:
-        self._module.register = self._register
+    """Shared memory cannot be used on this host."""
 
 
 class PlanRing:
     """A ring of shared-memory plan slots (see module docstring)."""
 
-    def __init__(self, control, data, slots: int, slot_bytes: int,
-                 owner: bool) -> None:
+    def __init__(self, control, data, slots: int, slot_bytes: int) -> None:
         self._control = control
         self._data = data
         self.slots = slots
         self.slot_bytes = slot_bytes
-        self._owner = owner
-        self._lock = threading.Lock()  # parent-side reserve/free
+        self._lock = threading.Lock()  # reserve/free
         self._next = 0
-        if owner:
-            self._finalizer = weakref.finalize(
-                self, _destroy, control, data
-            )
-        else:
-            self._finalizer = None
+        self._finalizer = weakref.finalize(self, _destroy, control, data)
 
     # -- construction ---------------------------------------------------
 
@@ -204,23 +165,7 @@ class PlanRing:
                     segment.unlink()
             raise ShmUnavailable(str(exc)) from exc
         control.buf[:] = bytes(len(control.buf))
-        return cls(control, data, slots, slot_bytes, owner=True)
-
-    def spec(self) -> Tuple[str, str, int, int]:
-        """What a worker needs to :meth:`attach`: names and geometry."""
-        return (self._control.name, self._data.name, self.slots,
-                self.slot_bytes)
-
-    @classmethod
-    def attach(cls, spec: Tuple[str, str, int, int]) -> "PlanRing":
-        """Map an existing ring from its :meth:`spec` (worker side)."""
-        from multiprocessing import shared_memory
-
-        control_name, data_name, slots, slot_bytes = spec
-        with _untracked():
-            control = shared_memory.SharedMemory(name=control_name)
-            data = shared_memory.SharedMemory(name=data_name)
-        return cls(control, data, slots, slot_bytes, owner=False)
+        return cls(control, data, slots, slot_bytes)
 
     # -- header access --------------------------------------------------
 
@@ -232,10 +177,10 @@ class PlanRing:
         _HEADER.pack_into(self._control.buf, slot * _HEADER.size,
                           state, seq, length)
 
-    # -- parent side ----------------------------------------------------
+    # -- slots ------------------------------------------------------------
 
     def reserve(self) -> Optional[int]:
-        """Claim a free slot for one job; ``None`` when the ring is full."""
+        """Claim a free slot; ``None`` when the ring is full."""
         reclaim_leaked()
         with self._lock:
             for probe in range(self.slots):
@@ -273,13 +218,10 @@ class PlanRing:
             if state != _FREE:
                 self._set_header(slot, _FREE, seq, 0)
 
-    # -- worker side ----------------------------------------------------
-
     def write(self, slot: int, payload) -> bool:
         """Deposit ``payload`` into a reserved slot.
 
-        Returns ``False`` (slot untouched, caller falls back to the
-        pipe) when the payload does not fit.
+        Returns ``False`` (slot untouched) when the payload does not fit.
         """
         with _span("ring.write", "transport", slot=slot):
             payload = memoryview(payload)
@@ -300,16 +242,8 @@ class PlanRing:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Unmap; the owner also unlinks the segments."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-            return
-        for segment in (self._control, self._data):
-            try:
-                segment.close()
-            except BufferError:  # a stray exported view; leak the map
-                _leak(segment, unlinked=False)
+        """Unmap and unlink the segments (once; later calls do nothing)."""
+        self._finalizer()
 
     def __enter__(self) -> "PlanRing":
         return self
@@ -323,7 +257,7 @@ def _destroy(control, data) -> None:
         try:
             segment.close()
         except BufferError:  # a stray exported view; unlink regardless
-            _leak(segment, unlinked=True)
+            _leak(segment)
         try:
             segment.unlink()
         except FileNotFoundError:

@@ -1,7 +1,7 @@
-"""``python -m repro.plan`` — see :mod:`repro.plan_cli`."""
+"""``python -m repro.plan`` — see :mod:`repro.plan`."""
 
 import sys
 
-from ..plan_cli import main
+from . import main
 
 sys.exit(main())

@@ -32,7 +32,7 @@ def test_live_names_resolve():
     text = (
         "`StreamingOverlapPipeline.stats()`, `PlanService(workers=2)`, "
         "`OverlapStats.plan_cache` (a field whose default is None), "
-        "`ProcessPlannerBackend.metrics` (set in __init__), "
+        "`KVPlannerBackend.metrics` (set in __init__), "
         "`repro.core.planwire`, `repro.pipeline.shm.PlanRing`; "
         "not symbols: `BENCH_overlap.json`, `lookahead + 1`, `shm`."
     )

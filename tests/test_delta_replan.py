@@ -367,31 +367,6 @@ class TestDeltaPipeline:
                 fresh.plan_batch(batch)
             )
 
-    def test_delta_on_process_backend(self):
-        """ClusterPinnedPlanner with warm labels must pickle: the warm
-        re-dispatch crosses a process boundary."""
-        batches = make_batches(4)
-        planner = make_planner()
-        events = ClusterEventSource(CLUSTER)
-        pipeline = StreamingOverlapPipeline(
-            iter(batches),
-            planner,
-            lookahead=1,
-            max_workers=2,
-            backend="process",
-            events=events,
-        )
-        plans = []
-        for index, (_, plan) in enumerate(pipeline):
-            plans.append(plan)
-            if index == 0:
-                settle(pipeline)
-                events.remove_machines(1)
-        assert len(plans) == 4
-        for plan in plans[1:]:
-            assert plan.cluster.num_machines == 1
-            validate_plan(plan)
-
     def test_delta_on_kv_backend(self):
         """A link degradation re-plans the settled window warm; the
         streams come out byte-identical, so the KV route rewrites no
@@ -431,10 +406,11 @@ class TestDeltaPipeline:
 
 
 def planner_backend(name, planner, workers):
-    """A planner backend by name: the pipeline's own thread pool, or the
-    KV route, whose resubmit supersedes the job it replaces."""
+    """A planner backend by name: the pipeline's own thread pool
+    (``None``), or the KV route, whose resubmit supersedes the job it
+    replaces."""
     if name == "thread":
-        return "thread"
+        return None
     return KVPlannerBackend(
         planner, KVStore(), num_machines=2, cores_per_machine=workers
     )

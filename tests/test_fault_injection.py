@@ -8,13 +8,12 @@ distributed attention runtime deadlocks or corrupts on.
 
 The pipeline half of the battery injects faults *upstream* of the
 plans: planner workers that raise or hang mid-plan must be
-retried/respawned on all three backends without deadlocking the
+retried/respawned on both backends without deadlocking the
 prefetch window, and a mid-stream device-removal event must produce a
 valid re-plan rather than a stale-cache hit.
 """
 
 import dataclasses
-import multiprocessing
 import threading
 import time
 
@@ -199,20 +198,19 @@ class CrashingPlanner:
 
 
 class WorkerOnlyCrashPlanner:
-    """Raises in worker *processes*, plans fine in the main process.
+    """Raises on planner worker threads, plans fine on the main thread.
 
-    Process workers cannot share a call counter with the parent, so the
-    injected fault keys off the process identity instead: every
-    dispatch to the process pool dies, and only the pipeline's inline
-    last-resort path (which runs in the main process) can succeed.
+    Every dispatch and every respawn dies, so only the pipeline's
+    inline last-resort path (which runs on the consumer's thread) can
+    succeed.
     """
 
     def __init__(self, planner):
         self.planner = planner
 
     def plan_batch(self, batch):
-        if multiprocessing.current_process().name != "MainProcess":
-            raise RuntimeError("injected worker-process crash")
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("injected worker-thread crash")
         return self.planner.plan_batch(batch)
 
 
@@ -290,18 +288,6 @@ class TestPlannerWorkerFaults:
         # the claim is "did not wait out the hang", not a latency SLO.
         assert elapsed < 4.0
 
-    def test_process_worker_crash_falls_back_inline(self):
-        reference = _pipeline_planner()
-        flaky = WorkerOnlyCrashPlanner(_pipeline_planner())
-        batches = _pipeline_batches(3)
-        pipeline = StreamingOverlapPipeline(
-            batches, flaky, lookahead=1, max_workers=2,
-            backend="process", max_plan_retries=1,
-        )
-        stats = self._check_all_plans(pipeline, batches, reference)
-        # Every batch: one dispatch + one respawn fail before inline.
-        assert stats.plan_retries >= len(batches)
-
     def test_kv_worker_crash_respawned(self):
         reference = _pipeline_planner()
         flaky = CrashingPlanner(_pipeline_planner(), failures=2)
@@ -324,6 +310,42 @@ class TestPlannerWorkerFaults:
         )
         stats = self._check_all_plans(pipeline, batches, reference)
         assert stats.plan_retries >= 1
+
+    @pytest.mark.parametrize("kind", ["thread", "kv"])
+    def test_worker_crash_falls_back_inline(self, kind):
+        reference = _pipeline_planner()
+        flaky = WorkerOnlyCrashPlanner(_pipeline_planner())
+        backend = (
+            KVPlannerBackend(flaky, KVStore()) if kind == "kv" else None
+        )
+        batches = _pipeline_batches(3)
+        pipeline = StreamingOverlapPipeline(
+            batches, flaky, lookahead=1, max_workers=2,
+            backend=backend, max_plan_retries=1,
+        )
+        stats = self._check_all_plans(pipeline, batches, reference)
+        # Every batch: one dispatch + one respawn fail before inline.
+        assert stats.plan_retries >= len(batches)
+
+    @pytest.mark.parametrize("kind", ["thread", "kv"])
+    def test_close_does_not_wait_out_a_hung_worker(self, kind):
+        """``close()`` returns while a worker still sleeps in its plan:
+        a hung worker costs the consumer ``plan_timeout``, never the
+        length of the hang."""
+        hangy = HangingPlanner(_pipeline_planner(), hangs=1, delay=5.0)
+        backend = (
+            KVPlannerBackend(hangy, KVStore()) if kind == "kv" else None
+        )
+        pipeline = StreamingOverlapPipeline(
+            _pipeline_batches(3), hangy, lookahead=1, backend=backend,
+            plan_timeout=0.1,
+        )
+        served = iter(pipeline)
+        next(served)  # served by a respawn; the hang goes on
+        begin = time.monotonic()
+        pipeline.close()
+        assert time.monotonic() - begin < 1.0
+        served.close()
 
     def test_crash_with_cache_releases_reservation(self):
         """A failed owner must not leave waiters stuck on its signature."""

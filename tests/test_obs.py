@@ -10,7 +10,6 @@ staying shape-identical to their pre-registry forms.
 
 import contextlib
 import json
-import pickle
 import threading
 import time
 
@@ -199,12 +198,12 @@ class TestMetrics:
             assert 0.010 <= estimate <= 0.012
 
     def test_cross_process_roundtrip_via_pickle_and_kv(self):
-        """Snapshots survive the repo's own transports bit-identically."""
+        """Snapshots survive the KV store (which pickles them)
+        bit-identically."""
         registry = MetricsRegistry()
         registry.counter("c").inc(9)
         registry.histogram("h_s").observe(0.25)
         snap = registry.snapshot()
-        assert pickle.loads(pickle.dumps(registry)).snapshot() == snap
         store = KVStore()
         store.put("snap", snap)
         assert store.get("snap") == snap
@@ -283,8 +282,7 @@ class TestInstrumentation:
             BatchSpec.build([192, 64], CausalMask()),
         ]
         pipeline = StreamingOverlapPipeline(
-            batches * 2, planner, lookahead=1, max_workers=1,
-            backend="thread", cache=cache,
+            batches * 2, planner, lookahead=1, max_workers=1, cache=cache,
         )
         runner = PipelineRunner(pipeline, execute=lambda local, plan: None)
         runner.run()
@@ -306,6 +304,25 @@ class TestInstrumentation:
         assert "planner.plan_s" in names
         assert "cache.misses" in names
         assert "kv.puts" in names
+
+    def test_telemetry_round_trips_the_pipelines_plans(self):
+        """The telemetry workload ships the plans its pipeline cached
+        through the KV store: one put and one hit per batch, every
+        surface on one registry, and no metric from a transport that
+        no longer exists."""
+        from repro.obs.bench import REQUIRED_METRICS, collect_telemetry
+
+        report = collect_telemetry(smoke=True, num_batches=3, cycles=2)
+        snap = report["snapshot"]
+        assert report["iterations"] == 6
+        assert snap["kv.puts"]["value"] == 3
+        assert snap["kv.gets"]["value"] == 3
+        assert snap["kv.get_misses"]["value"] == 0
+        assert snap["kv.bytes_in"]["value"] > 0
+        assert set(REQUIRED_METRICS) <= set(snap)
+        assert not [name for name in snap if name.startswith("transport.")]
+        assert report["plan_fetch"]["hit"]["count"] == 3
+        assert report["trace"]["traceEvents"]
 
 
 # -- chrome-trace merge ---------------------------------------------------

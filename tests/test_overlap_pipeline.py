@@ -81,6 +81,24 @@ class TestDeterminism:
         for fast, slow in zip(overlapped, synchronous):
             assert plan_fingerprint(fast) == plan_fingerprint(slow)
 
+    @FEEDS
+    def test_backend_object_plans_byte_identical(self, feed):
+        """A backend handed in as an object is the one the pipeline
+        plans on, and it yields the synchronous planner's plans."""
+        planner = make_planner()
+        batches = make_batches(3)
+        backend = ThreadPlannerBackend(planner, max_workers=2)
+        pipeline = StreamingOverlapPipeline(
+            feed(batches), planner, lookahead=2, backend=backend
+        )
+        assert pipeline._backend is backend
+        plans = [plan for _, plan in pipeline]
+        assert len(plans) == len(batches)
+        for plan, batch in zip(plans, batches):
+            assert plan_fingerprint(plan) == plan_fingerprint(
+                planner.plan_batch(batch)
+            )
+
     def test_dataloader_wrapper_matches_pipeline(self):
         planner = make_planner()
         batches = make_batches(3)
@@ -88,20 +106,6 @@ class TestDeterminism:
         direct = [planner.plan_batch(batch) for batch in batches]
         for a, b in zip(loader_plans, direct):
             assert plan_fingerprint(a) == plan_fingerprint(b)
-
-    @FEEDS
-    def test_process_backend_plans_byte_identical(self, feed):
-        planner = make_planner()
-        batches = make_batches(3)
-        pipeline = StreamingOverlapPipeline(
-            feed(batches), planner, lookahead=2, max_workers=2,
-            backend="process",
-        )
-        plans = [plan for _, plan in pipeline]
-        for plan, batch in zip(plans, batches):
-            assert plan_fingerprint(plan) == plan_fingerprint(
-                planner.plan_batch(batch)
-            )
 
     def _kv_round_trip(self, feed, **pipeline_kwargs):
         planner = make_planner()
@@ -182,6 +186,33 @@ class TestLookaheadEdgeCases:
                 [], make_planner(), lookahead=1, backend="gpu"
             )
 
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_backend_names_rejected(self, name):
+        """The pipeline takes a backend object or ``None``, never a
+        name — not even the names it once took."""
+        with pytest.raises(ValueError, match="not a planner backend"):
+            StreamingOverlapPipeline(
+                [], make_planner(), lookahead=1, backend=name
+            )
+
+    def test_pipeline_closes_the_backend_it_was_given(self):
+        planner = make_planner()
+
+        class ClosingBackend(ThreadPlannerBackend):
+            closed = 0
+
+            def close(self):
+                ClosingBackend.closed += 1
+                super().close()
+
+        pipeline = StreamingOverlapPipeline(
+            make_batches(2), planner, lookahead=1,
+            backend=ClosingBackend(planner, max_workers=1),
+        )
+        assert len([plan for _, plan in pipeline]) == 2
+        pipeline.close()
+        assert ClosingBackend.closed == 1
+
     @FEEDS
     def test_iterator_is_single_use(self, feed):
         planner = make_planner()
@@ -209,6 +240,24 @@ class TestOverlapMeasurement:
         assert stats.steady_stall_count >= 2
         assert stats.hidden_fraction < 0.9
         assert stats.total_stall_s > 0.0
+
+    def test_stall_threshold_is_read_at_run_time(self, monkeypatch):
+        """``STALL_EPS`` is looked up per iteration, so raising it (as
+        the pipeline coverage gate does under its tracer) takes effect
+        without a re-import."""
+        import repro.pipeline.pipeline as pipeline_mod
+
+        monkeypatch.setattr(pipeline_mod, "STALL_EPS", 10.0)
+        planner = SlowPlanner(make_planner(), delay=0.05)
+        pipeline = StreamingOverlapPipeline(
+            make_batches(3), planner, lookahead=1, max_workers=1
+        )
+        for _, _plan in pipeline:
+            pass
+        stats = pipeline.stats()
+        assert stats.total_stall_s > 0.0  # the waits happened...
+        assert stats.stall_count == 0  # ...but none reached the threshold
+        assert pipeline.metrics.snapshot()["pipeline.stalls"]["value"] == 0
 
     def test_slow_execution_hides_planning(self):
         planner = SlowPlanner(make_planner(), delay=0.02)
@@ -354,6 +403,57 @@ class TestThreadBackend:
         for ticket in tickets:
             ticket.result(timeout=10)
         backend.close()
+
+
+    def test_max_workers_validated(self):
+        with pytest.raises(ValueError):
+            ThreadPlannerBackend(make_planner(), max_workers=0)
+
+    def test_resubmit_escapes_a_wedged_pool(self):
+        """With every pool worker blocked, a respawn still plans: it
+        runs on its own thread, not behind the wedged pool."""
+        gated = self.GatedPlanner(make_planner())
+        backend = ThreadPlannerBackend(gated, max_workers=1)
+        batch = make_batches(1)[0]
+        stuck = backend.submit(0, batch)
+        assert self._wait_for(lambda: len(gated.entered) == 1)
+        respawn = backend.resubmit(0, batch, planner=make_planner())
+        plan, start, end = respawn.result(timeout=10)
+        assert not stuck.ready()
+        assert plan_fingerprint(plan) == plan_fingerprint(
+            make_planner().plan_batch(batch)
+        )
+        assert start <= end
+        gated.release.set()
+        stuck.result(timeout=10)
+        backend.close()
+
+    @pytest.mark.parametrize("kind", ["thread", "kv"])
+    def test_per_job_planner_override(self, kind):
+        """A job's ``planner`` overrides the backend's own, on first
+        submit and on respawn alike."""
+        planner = make_planner(devices=2)
+        wider = make_planner(devices=4)
+        backend = (
+            ThreadPlannerBackend(planner, max_workers=1)
+            if kind == "thread"
+            else KVPlannerBackend(planner, KVStore())
+        )
+        batch = make_batches(1)[0]
+        try:
+            own = backend.submit(0, batch).result(timeout=30)[0]
+            first = backend.submit(1, batch, planner=wider).result(
+                timeout=30
+            )[0]
+            again = backend.resubmit(1, batch, planner=wider).result(
+                timeout=30
+            )[0]
+        finally:
+            backend.close()
+        assert own.num_devices == 2
+        expected = plan_fingerprint(wider.plan_batch(batch))
+        assert first.num_devices == again.num_devices == 4
+        assert plan_fingerprint(first) == plan_fingerprint(again) == expected
 
 
 class TestWorkerRetries:

@@ -2,10 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.plan_cli import main
+from repro.plan import main
 
 BASE = [
     "--seqlens", "512", "256",
@@ -56,6 +58,27 @@ class TestPlanCli:
         out = capsys.readouterr().out
         assert f"== {baseline} ==" in out
         assert "speed-up" in out
+
+    def test_module_entry_point(self):
+        """``python -m repro.plan`` runs ``main`` and exits with its
+        code."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        ok = subprocess.run(
+            [sys.executable, "-m", "repro.plan", *BASE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert ok.returncode == 0, ok.stderr
+        assert "== dcp ==" in ok.stdout
+        bad = subprocess.run(
+            [sys.executable, "-m", "repro.plan", *BASE, "--devices", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("error: ")
 
     def test_trace_output(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "t.json")

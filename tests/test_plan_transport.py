@@ -1,4 +1,4 @@
-"""Zero-copy plan transport: shm ring, process backend, KV accounting."""
+"""Plan byte transport: the shm ring and the KV store's accounting."""
 
 import hashlib
 import os
@@ -11,12 +11,7 @@ import pytest
 from repro.blocks import BatchSpec
 from repro.core import DCPConfig, DCPPlanner, KVStore
 from repro.masks import make_mask
-from repro.pipeline import (
-    KVPlannerBackend,
-    ProcessPlannerBackend,
-    StreamingOverlapPipeline,
-    plan_fingerprint,
-)
+from repro.pipeline import KVPlannerBackend
 from repro.pipeline import shm as shm_mod
 from repro.pipeline.shm import PlanRing, ShmUnavailable
 from repro.sim import ClusterSpec
@@ -101,18 +96,6 @@ class TestPlanRing:
                 ring.free(slot)
             assert free_slots(ring) == 3
 
-    def test_attach_sees_writes(self):
-        with PlanRing.create(slots=2, slot_bytes=128) as ring:
-            writer = PlanRing.attach(ring.spec())
-            try:
-                slot = ring.reserve()
-                assert writer.write(slot, b"via attachment")
-                view = ring.read(slot)
-                assert bytes(view) == b"via attachment"
-                view.release()
-            finally:
-                writer.close()
-
     def test_concurrent_producers_stress(self):
         """Many writer threads, wraparound, checksummed payloads."""
         ring = PlanRing.create(slots=4, slot_bytes=4096)
@@ -180,218 +163,6 @@ class TestPlanRing:
             PlanRing.create(slots=0)
         with pytest.raises(ValueError):
             PlanRing.create(slots=1, slot_bytes=0)
-
-
-# -- process backend transport -----------------------------------------------
-
-
-def transport_counters(backend):
-    """The backend's ``transport.*`` registry counters, by short name."""
-    return {
-        name.split(".", 1)[1]: entry["value"]
-        for name, entry in backend.metrics.snapshot().items()
-        if name.startswith("transport.")
-    }
-
-
-class TestProcessTransport:
-    @pytest.mark.parametrize(
-        "route, slot_bytes", [("shm", 32 << 20), ("wire", 1024)]
-    )
-    def test_plans_identical_to_synchronous(self, route, slot_bytes):
-        """Ring route and pipe fallback (a slot no plan fits) both
-        deliver exactly the synchronous planner's plans."""
-        planner = make_planner()
-        batches = make_batches()
-        expected = [plan_fingerprint(planner.plan_batch(b)) for b in batches]
-        backend = ProcessPlannerBackend(
-            planner, max_workers=2, slot_bytes=slot_bytes
-        )
-        try:
-            tickets = [backend.submit(i, b) for i, b in enumerate(batches)]
-            got = [
-                plan_fingerprint(t.result(timeout=120)[0]) for t in tickets
-            ]
-            assert got == expected
-            stats = transport_counters(backend)
-            assert stats["plans"] == len(batches)
-            assert stats[f"{route}_plans"] == len(batches)
-        finally:
-            backend.close()
-
-    def test_shm_transport_accounts_payloads(self):
-        backend = ProcessPlannerBackend(make_planner(), max_workers=2)
-        try:
-            tickets = [
-                backend.submit(i, b) for i, b in enumerate(make_batches(2))
-            ]
-            for t in tickets:
-                t.result(timeout=120)
-            stats = transport_counters(backend)
-            assert stats["shm_plans"] == 2
-            assert stats["payload_bytes"] > 0
-            assert stats["encode_s"] >= 0.0
-            assert stats["decode_s"] >= 0.0
-        finally:
-            backend.close()
-
-    def test_shm_unavailable_falls_back_to_wire(self, monkeypatch):
-        import repro.pipeline.backends as backends
-
-        def refuse(*args, **kwargs):
-            raise ShmUnavailable("test: no shm")
-
-        monkeypatch.setattr(backends.PlanRing, "create", refuse)
-        backend = ProcessPlannerBackend(make_planner(), max_workers=1)
-        try:
-            plan, _, _ = backend.submit(0, make_batches(1)[0]).result(
-                timeout=120
-            )
-            assert plan.num_devices == CLUSTER.num_devices
-            assert transport_counters(backend)["wire_plans"] == 1
-        finally:
-            backend.close()
-
-    def test_oversized_plan_falls_back_to_pipe(self):
-        backend = ProcessPlannerBackend(
-            make_planner(), max_workers=1, slot_bytes=1024
-        )
-        try:
-            plan, _, _ = backend.submit(0, make_batches(1)[0]).result(
-                timeout=120
-            )
-            assert plan.num_devices == CLUSTER.num_devices
-            # The plan cannot fit a 1 KB slot: per-plan pipe fallback.
-            stats = transport_counters(backend)
-            assert stats["wire_plans"] == 1
-            assert stats["shm_plans"] == 0
-        finally:
-            backend.close()
-
-    def test_ring_exhaustion_falls_back_per_plan(self):
-        backend = ProcessPlannerBackend(
-            make_planner(), max_workers=2, ring_slots=1
-        )
-        try:
-            batches = make_batches(3)
-            tickets = [backend.submit(i, b) for i, b in enumerate(batches)]
-            fps = [
-                plan_fingerprint(t.result(timeout=120)[0]) for t in tickets
-            ]
-            assert len(fps) == 3
-            stats = transport_counters(backend)
-            assert stats["shm_plans"] + stats["wire_plans"] == 3
-            # Only one slot exists, so at least two jobs were dispatched
-            # slotless and came back over the pipe.
-            assert stats["wire_plans"] >= 2
-        finally:
-            backend.close()
-
-    def test_decode_failure_returns_the_slot(self, monkeypatch):
-        """A plan that fails to decode must not take its ring slot with
-        it: after one forced decode error, ``ring_slots`` further plans
-        all still travel through shared memory."""
-        import repro.pipeline.backends as backends
-
-        real_decode = backends.decode_plan
-        failures = [ValueError("test: corrupt plan bytes")]
-
-        def decode_once_broken(payload):
-            if failures:
-                raise failures.pop()
-            return real_decode(payload)
-
-        monkeypatch.setattr(backends, "decode_plan", decode_once_broken)
-        ring_slots = 2
-        backend = ProcessPlannerBackend(
-            make_planner(), max_workers=1, ring_slots=ring_slots
-        )
-        try:
-            batch = make_batches(1)[0]
-            with pytest.raises(ValueError, match="corrupt plan bytes"):
-                backend.submit(0, batch).result(timeout=120)
-            # One at a time, so ring exhaustion cannot explain a pipe
-            # fallback — only a leaked slot can.
-            for index in range(ring_slots):
-                backend.submit(index + 1, batch).result(timeout=120)
-            stats = transport_counters(backend)
-            assert stats["shm_plans"] == ring_slots
-            assert stats["wire_plans"] == 0
-            assert free_slots(backend._ring) == ring_slots
-        finally:
-            backend.close()
-
-    def test_failed_submit_returns_the_slot(self):
-        """A pool that refuses the job (broken or shut down) never runs
-        it, so nobody else would free the slot reserved for it."""
-        backend = ProcessPlannerBackend(
-            make_planner(), max_workers=1, ring_slots=2
-        )
-        try:
-            backend._pool.shutdown(wait=True)
-            with pytest.raises(RuntimeError):
-                backend.submit(0, make_batches(1)[0])
-            assert free_slots(backend._ring) == 2
-        finally:
-            backend.close()
-
-    def test_backend_close_releases_shm(self):
-        backend = ProcessPlannerBackend(make_planner(), max_workers=1)
-        backend.submit(0, make_batches(1)[0]).result(timeout=120)
-        backend.close()
-        leftovers = [n for n in os.listdir("/dev/shm")
-                     if n.startswith("planring-")]
-        assert not leftovers
-
-    def test_pipeline_identity_on_shm_transport(self):
-        planner = make_planner()
-        batches = make_batches(4)
-        expected = [plan_fingerprint(planner.plan_batch(b)) for b in batches]
-        backend = ProcessPlannerBackend(planner, max_workers=2)
-        with StreamingOverlapPipeline(batches, planner, lookahead=2,
-                                      backend=backend) as pipeline:
-            got = [plan_fingerprint(plan) for _data, plan in pipeline]
-        assert got == expected
-
-
-# -- satellite: the planner ships once, never per job ------------------------
-
-
-class TestJobPayload:
-    def test_job_payload_excludes_planner(self):
-        planner = make_planner()
-        # Inflate the planner the way real runs do: planning leaves a
-        # multi-megabyte placement on it.  Per-job payloads must not
-        # carry any of it.
-        planner.last_placement = np.zeros(1_000_000, dtype=np.int64)
-        backend = ProcessPlannerBackend(planner, max_workers=1)
-        try:
-            batch = make_batches(1)[0]
-            ticket = backend.submit(0, batch)
-            ticket.result(timeout=120)
-            assert backend.planner_payload_bytes > 5_000_000
-            assert backend.last_job_payload_bytes < 100_000
-            assert (
-                backend.last_job_payload_bytes
-                < backend.planner_payload_bytes / 50
-            )
-        finally:
-            backend.close()
-
-    def test_override_planner_ships_with_the_job(self):
-        planner = make_planner()
-        backend = ProcessPlannerBackend(planner, max_workers=1)
-        try:
-            batch = make_batches(1)[0]
-            backend.submit(0, batch)
-            baseline = backend.last_job_payload_bytes
-            backend.resubmit(0, batch, planner=make_planner())
-            assert backend.last_job_payload_bytes > baseline
-        finally:
-            backend.close()
-
-
-# -- KV accounting without double pickling -----------------------------------
 
 
 class _CountingValue:

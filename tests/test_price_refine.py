@@ -327,7 +327,7 @@ def refined_batch(geometry="2x4"):
     for seed in range(8):
         batch = seeded_batch(seed, budget, CausalMask())
         plan = planner(cluster).plan_batch(batch)
-        if plan.meta["placement_source"] == "refined":
+        if plan.meta["placement"][2] == "refined":
             return batch
     raise AssertionError("no batch where the refined placement wins")
 
@@ -342,7 +342,7 @@ class TestAdoption:
         assert dcp.last_stats.byte_moves >= 1
         again = dcp.plan_batch(batch, warm=plan.meta["placement"])
         assert plan_fingerprint(again) == plan_fingerprint(plan)
-        assert again.meta["placement_source"] == "refined"
+        assert again.meta["placement"][2] == "refined"
         assert again.meta["division_prices"] == plan.meta["division_prices"]
         # An adopted placement is not searched again.
         assert dcp.last_stats.price_moves == dcp.last_stats.byte_moves == 0

@@ -310,7 +310,7 @@ class TestEveryRoute:
         batch = self.winning_batch(source)
         planner = self.planner()
         plan = planner.plan_batch(batch)
-        assert plan.meta["placement_source"] == source
+        assert plan.meta["placement"][2] == source
         block_set = generate_blocks(batch, ATTENTION, block_size=BLOCK)
         placement = place_blocks(
             block_set, SERVICE, planner.config.placement_config()
@@ -333,7 +333,6 @@ class TestEveryRoute:
         again = planner.plan_batch(batch, warm=plan.meta["placement"])
         assert plan_fingerprint(again) == plan_fingerprint(plan)
         # The adopted placement keeps the source it was chosen under.
-        assert again.meta["placement_source"] == source
         assert again.meta["placement"][2] == source
         assert planner.metrics.counter(
             f"planner.placement_source.{source}"
@@ -342,6 +341,18 @@ class TestEveryRoute:
             "planner.placement_source.partitioned"
         ).value == 0
 
+    @pytest.mark.parametrize("source", ["partitioned", "zigzag", "owner"])
+    def test_plan_names_its_source_once(self, source):
+        """The chosen source rides in ``meta["placement"]`` (where a
+        warm re-plan reads it) and in the planning stats, nowhere
+        else."""
+        batch = self.winning_batch(source)
+        planner = self.planner()
+        plan = planner.plan_batch(batch)
+        assert plan.meta["placement"][2] == source
+        assert plan.meta["planning_stats"].placement_source == source
+        assert "placement_source" not in plan.meta
+
     def test_choice_is_observable(self):
         batch = self.winning_batch("zigzag")
         planner = self.planner()
@@ -349,7 +360,7 @@ class TestEveryRoute:
         stats = planner.last_stats
         prices = plan.meta["placement_prices"]
         assert stats.placement_source == "zigzag"
-        assert stats.placement_source == "zigzag"
+        assert plan.meta["placement"][2] == "zigzag"
         assert set(prices) >= {"partitioned", "zigzag"}
         assert prices["zigzag"] == min(prices.values())
         assert prices["zigzag"] == min(plan.meta["division_prices"].values())
