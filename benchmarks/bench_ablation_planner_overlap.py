@@ -58,7 +58,7 @@ def _measure(scale, num_batches=4):
     plan_times, exec_times = [], []
     for batch in batches:
         plan = planner.plan_batch(batch)
-        plan_times.append(planner.last_stats.total)
+        plan_times.append(plan.meta["planning_stats"].total)
         exec_times.append(e2e_iteration_time(plan).iteration_time)
     return plan_times, exec_times
 

@@ -43,8 +43,8 @@ def test_ablation_planning_vs_cluster_size(benchmark, results_dir):
             )
             times = []
             for batch in batches:
-                planner.plan_batch(batch)
-                times.append(planner.last_stats.total)
+                plan = planner.plan_batch(batch)
+                times.append(plan.meta["planning_stats"].total)
             mean = float(np.mean(times))
             table.add(cluster.num_devices, mean,
                       1e3 * mean / cluster.num_devices)

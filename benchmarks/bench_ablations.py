@@ -103,8 +103,9 @@ def test_ablation_warm_starts(benchmark, results_dir):
                           use_warm_starts=warm),
             )
             for batch in batches:
-                volumes.append(planner.plan_batch(batch).total_comm_bytes())
-                times.append(planner.last_stats.total)
+                plan = planner.plan_batch(batch)
+                volumes.append(plan.total_comm_bytes())
+                times.append(plan.meta["planning_stats"].total)
             table.add(str(warm), float(np.mean(volumes)) / 1e6,
                       float(np.mean(times)))
         return table

@@ -110,7 +110,7 @@ def run_hotpath_bench(
                     plan = planner.plan_batch(batch)
                 elapsed = time.perf_counter() - start
                 if best is None or elapsed < best[0]:
-                    best = (elapsed, planner.last_stats)
+                    best = (elapsed, plan.meta["planning_stats"])
             elapsed, stats = best
             comm = plan.total_comm_bytes()
             attn_s = sum(

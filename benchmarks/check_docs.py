@@ -32,9 +32,10 @@ Nine checks, all cheap and dependency-free:
   a deletion cannot leave a docstring pointing at nothing;
 * every name in a ``repro`` module's ``__all__`` is bound in that
   module, so a deletion cannot leave an export pointing at nothing;
-* every entry of ``benchmarks/reachability_kept.txt`` names a function
-  that still exists under ``src/repro`` with one of
-  ``reachability.REASONS``, so the kept-list cannot outlive its code.
+* every entry of ``benchmarks/reachability_kept.txt`` names a function,
+  or a defaulted parameter of one, that still exists under
+  ``src/repro`` with one of ``reachability.REASONS``, so the kept-list
+  cannot outlive its code.
 
 Usage::
 
@@ -386,7 +387,8 @@ def stale_source_xrefs() -> List[str]:
 
 
 def stale_kept_entries(path: Optional[str] = None) -> List[str]:
-    """Entries of the reachability kept-list that name no function."""
+    """Entries of the reachability kept-list that name no function, or a
+    parameter its function no longer has (or no longer defaults)."""
     spec = importlib.util.spec_from_file_location(
         "reachability", os.path.join(REPO_ROOT, "benchmarks", "reachability.py")
     )
@@ -399,10 +401,13 @@ def stale_kept_entries(path: Optional[str] = None) -> List[str]:
         kept = reach.load_kept(path)
     except ValueError as exc:
         return [str(exc)]
-    names = {func.key for func in reach.functions(reach.PACKAGE_DIR)}
+    names = set()
+    for func in reach.functions(reach.PACKAGE_DIR):
+        names.add(func.key)
+        names.update(func.option_key(param) for param in func.options)
     return [
-        f"{rel}: {key} names no function under src/repro "
-        f"(deleted or renamed?)"
+        f"{rel}: {key} names no function or defaulted parameter under "
+        f"src/repro (deleted or renamed?)"
         for key in kept
         if key not in names
     ]

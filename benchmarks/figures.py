@@ -412,8 +412,7 @@ def fig18_planning_time(
             totals, gens, places, scheds = [], [], [], []
             vertices, edges, moves, gain_evals = [], [], [], []
             for batch in batches:
-                planner.plan_batch(batch)
-                stats = planner.last_stats
+                stats = planner.plan_batch(batch).meta["planning_stats"]
                 totals.append(stats.total)
                 gens.append(stats.block_generation)
                 places.append(stats.placement)

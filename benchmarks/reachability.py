@@ -22,12 +22,23 @@ timed gates, and ``run_tier1.sh`` runs them untraced).
 
 Every Python process an entry point starts is traced, not only the
 entry point itself: a ``sitecustomize`` on ``PYTHONPATH`` installs the
-hook at interpreter start-up, and a forked child writes what it
-entered when it leaves through ``os._exit``.
+hook at interpreter start-up.
 
-An unreached function stays in ``src/repro`` only if ``KEPT_PATH``
-lists it with one of the reasons in ``REASONS``; the check fails on any
-other.  A kept function that some entry point did reach is reported,
+The same pass builds the options table.  At every entry into a reached
+public function (no ``_``-prefixed part in its qualified name, an
+``__init__`` counting as its class) the hook records which defaulted
+parameters the caller set to something other than the default: not
+``is`` the default, or for a ``None`` / ``bool`` / ``int`` / ``float``
+/ ``str`` / ``bytes`` default (or a tuple of them) not ``==`` it.  A
+parameter that some call under ``benchmarks/`` passes by keyword or by
+position counts as varied too (``static_options``): the frozen ledger
+and the figure benchmarks that CI does not run set options that way.  A
+parameter no entry point varies is *unvaried*: its default is the code.
+
+An unreached function, or an unvaried parameter, stays in
+``src/repro`` only if ``KEPT_PATH`` lists it with one of the reasons in
+``REASONS``; the check fails on any other.  A kept function that some
+entry point did reach, or a kept parameter one did vary, is reported,
 so the list can shrink, but does not fail the check: error paths are
 reached or not depending on thread timing.
 
@@ -65,12 +76,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro")
 KEPT_PATH = os.path.join(REPO_ROOT, "benchmarks", "reachability_kept.txt")
 
-#: Why an unreached function may stay, by the tag the kept-list uses.
+#: Why an unreached function or an unvaried parameter may stay, by the
+#: tag the kept-list uses.
 REASONS = {
     "safety": "error or recovery handling, a fault path, a check on "
     "outside input",
     "oracle": "tests compare against it as a reference implementation",
-    "ledger": "the frozen ledger imports it",
+    "ledger": "the frozen ledger imports it, or passes the parameter in "
+    "a form the static scan of benchmarks/ cannot see",
+    "fake": "a test hands a fake through the parameter",
 }
 
 #: Where a traced process writes what it entered (set for children).
@@ -139,15 +153,26 @@ class Tracer:
 
     With ``root=None`` it records only which code objects were entered
     and turns off line tracing in every frame, which keeps the cost to
-    one call per Python function call.  Threads started after
-    ``install`` are traced too; ``uninstall`` puts back the hooks that
-    were there before (a coverage tool's, say).
+    one call per Python function call.  With *options* (a package
+    directory) it also records, per entry into a public function under
+    it, the defaulted parameters the caller set to something other than
+    the default (``varied``: ``(path, first line, parameter)``); a
+    parameter is checked only until it is first seen varied.  Threads
+    started after ``install`` are traced too; ``uninstall`` puts back
+    the hooks that were there before (a coverage tool's, say).
     """
 
-    def __init__(self, root: Optional[str] = None) -> None:
+    def __init__(self, root: Optional[str] = None,
+                 options: Optional[str] = None) -> None:
         self.root = root
         self.entered: Set[object] = set()
         self.executed: Dict[str, Set[int]] = {}
+        self.options = (None if options is None
+                        else os.path.realpath(options) + os.sep)
+        self.varied: Set[Tuple[str, int, str]] = set()
+        # code -> {parameter: default} still unvaried, or None
+        self._watch: Dict[object, Optional[Dict[str, object]]] = {}
+        self._files: Dict[str, Dict[int, "Function"]] = {}
 
     def _local(self, frame, event, _arg):
         if event == "line":
@@ -161,9 +186,49 @@ class Tracer:
             return None
         code = frame.f_code
         self.entered.add(code)
+        if self.options is not None:
+            watch = self._watch.get(code, self)
+            if watch is self:
+                watch = self._watch[code] = self._defaults(frame)
+            if watch:
+                self._check(frame, code, watch)
         if self.root is None or not code.co_filename.startswith(self.root):
             return None
         return self._local(frame, event, arg)
+
+    def _defaults(self, frame) -> Optional[Dict[str, object]]:
+        """``{parameter: default}`` of the public function *frame* runs."""
+        code = frame.f_code
+        path = os.path.realpath(code.co_filename)
+        if not path.startswith(self.options):
+            return None
+        if path not in self._files:
+            base = os.path.dirname(os.path.dirname(self.options))
+            self._files[path] = {
+                func.first: func for func in _file_functions(path, base)
+            }
+        func = self._files[path].get(code.co_firstlineno)
+        if func is None or not func.public or not func.options:
+            return None
+        function = _resolve(frame.f_globals, func.qualname.split("."), code)
+        if function is None:
+            return None
+        positional = code.co_varnames[:code.co_argcount]
+        defaults = function.__defaults__ or ()
+        watch = dict(zip(positional[len(positional) - len(defaults):],
+                         defaults))
+        watch.update(function.__kwdefaults__ or {})
+        return watch or None
+
+    def _check(self, frame, code, watch: Dict[str, object]) -> None:
+        passed = frame.f_locals
+        for name, default in list(watch.items()):
+            if not _same(passed.get(name, default), default):
+                watch.pop(name, None)
+                self.varied.add((os.path.realpath(code.co_filename),
+                                 code.co_firstlineno, name))
+        if not watch:
+            self._watch[code] = None
 
     def install(self) -> None:
         self._previous = (sys.gettrace(), threading.gettrace())
@@ -186,18 +251,54 @@ class Tracer:
         return found
 
 
+#: Defaults compared with ``==`` rather than ``is``.
+_VALUES = (type(None), bool, int, float, str, bytes)
+
+
+def _is_value(default: object) -> bool:
+    if isinstance(default, tuple):
+        return all(_is_value(item) for item in default)
+    return isinstance(default, _VALUES)
+
+
+def _same(passed: object, default: object) -> bool:
+    """Whether *passed* is the default, by the options table's rule."""
+    if passed is default:
+        return True
+    if not _is_value(default):
+        return False
+    try:
+        return bool(passed == default)
+    except Exception:  # an array against a scalar default, say
+        return False
+
+
+def _resolve(namespace: Dict[str, object], parts: Sequence[str], code):
+    """The function object whose code is *code*, by qualified name."""
+    found: object = namespace.get(parts[0])
+    for part in parts[1:]:
+        found = vars(found).get(part) if isinstance(found, type) else None
+    while found is not None:
+        if isinstance(found, (staticmethod, classmethod)):
+            found = found.__func__
+        if getattr(found, "__code__", None) is code:
+            return found
+        found = getattr(found, "__wrapped__", None)
+    return None
+
+
 def trace_this_process() -> None:
     """Trace this process when ``OUT_ENV`` names a directory (start-up hook).
 
     Writes ``path<TAB>line`` per entered code object under the root the
-    environment names to a new file in that directory at exit, and from
-    a forked child when it leaves through ``os._exit``.
+    environment names, and ``path<TAB>line<TAB>parameter`` per varied
+    parameter, to a new file in that directory at exit.
     """
     spec = os.environ.get(OUT_ENV)
     if not spec:
         return
     out_dir, root = spec.split(os.pathsep, 1)
-    tracer = Tracer()
+    tracer = Tracer(options=root)
 
     def dump() -> None:
         fd, _path = tempfile.mkstemp(dir=out_dir, prefix=f"{os.getpid()}-")
@@ -205,15 +306,12 @@ def trace_this_process() -> None:
             handle.writelines(
                 f"{file}\t{line}\n" for file, line in tracer.entries(root)
             )
-
-    real_exit = os._exit
-
-    def exit_after_dump(code):
-        dump()
-        real_exit(code)
+            handle.writelines(
+                f"{file}\t{line}\t{name}\n"
+                for file, line, name in list(tracer.varied)
+            )
 
     atexit.register(dump)
-    os._exit = exit_after_dump
     tracer.install()
 
 
@@ -232,11 +330,15 @@ def run_entry_points(
     root: str,
     cwd: str = REPO_ROOT,
     pythonpath: Sequence[str] = (os.path.join(REPO_ROOT, "src"),),
-) -> Tuple[Set[Tuple[str, int]], List[Tuple[str, int, float, bool]]]:
-    """Run each entry point traced; return what they entered and how each ran.
+) -> Tuple[Set[Tuple[str, int]], Set[Tuple[str, int, str]],
+           List[Tuple[str, int, float, bool]]]:
+    """Run each entry point traced; return what they entered and set, and
+    how each ran.
 
-    The second value is ``(command, exit code, seconds, raised)`` per entry
-    point; ``raised`` is true when it ended on an uncaught exception.
+    The values are the ``(path, first line)`` of every entered function,
+    the ``(path, first line, parameter)`` of every varied parameter, and
+    ``(command, exit code, seconds, raised)`` per entry point; ``raised``
+    is true when it ended on an uncaught exception.
     """
     scratch = tempfile.mkdtemp(prefix="reachability-")
     boot_dir = os.path.join(scratch, "boot")
@@ -268,15 +370,18 @@ def run_entry_points(
             if len(os.listdir(out_dir)) == traced:
                 raise RuntimeError(f"{command} was not traced: "
                                    f"{done.stdout[-2000:]}")
-        reached = set()
+        reached, varied = set(), set()
         for name in os.listdir(out_dir):
             with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
                 for row in handle:
-                    path, line = row.rstrip("\n").split("\t")
-                    reached.add((path, int(line)))
+                    path, line, *param = row.rstrip("\n").split("\t")
+                    if param:
+                        varied.add((path, int(line), param[0]))
+                    else:
+                        reached.add((path, int(line)))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    return reached, runs
+    return reached, varied, runs
 
 
 @dataclass(frozen=True)
@@ -285,6 +390,23 @@ class Function:
     path: str  # real path of the file
     first: int  # first line: the first decorator's, else the def's
     lines: int
+    options: Tuple[str, ...] = ()  # the defaulted parameters
+    positional: Tuple[str, ...] = ()  # positional parameters a call fills
+
+    @property
+    def qualname(self) -> str:
+        return self.key.split("::", 1)[1]
+
+    @property
+    def public(self) -> bool:
+        """No ``_``-prefixed part; an ``__init__`` counts as its class."""
+        *outer, name = self.qualname.split(".")
+        return not any(part.startswith("_") for part in outer) and (
+            name == "__init__" or not name.startswith("_")
+        )
+
+    def option_key(self, param: str) -> str:
+        return f"{self.key}({param})"
 
 
 def _is_stub(node: ast.AST) -> bool:
@@ -308,18 +430,50 @@ def _is_stub(node: ast.AST) -> bool:
     return True
 
 
-def _defs(body: Iterable[ast.stmt], prefix: str):
+def _signature(node: ast.AST, method: bool):
+    """``(defaulted, positional)`` parameter names of a ``def``.
+
+    *positional* leaves out the ``self`` / ``cls`` a method call binds.
+    """
+    args = node.args
+    positional = [arg.arg for arg in (*args.posonlyargs, *args.args)]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [arg.arg for arg, default in zip(args.kwonlyargs,
+                                                  args.kw_defaults)
+                  if default is not None]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    return tuple(defaulted), tuple(positional)
+
+
+def _defs(body: Iterable[ast.stmt], prefix: str, method: bool = False):
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not _is_stub(node):
-                yield prefix + node.name, node
+                yield prefix + node.name, node, method
         elif isinstance(node, ast.ClassDef):
-            yield from _defs(node.body, f"{prefix}{node.name}.")
+            yield from _defs(node.body, f"{prefix}{node.name}.", True)
         elif isinstance(node, (ast.If, ast.Try)):
             nested = [*node.body, *node.orelse]
             for handler in getattr(node, "handlers", ()):
                 nested.extend(handler.body)
-            yield from _defs(nested, prefix)
+            yield from _defs(nested, prefix, method)
+
+
+def _file_functions(path: str, base: str) -> List[Function]:
+    """Every function of the module at real *path*, keyed relative to *base*."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    rel = os.path.relpath(path, base).replace(os.sep, "/")
+    found = []
+    for qualname, node, method in _defs(tree.body, ""):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        found.append(Function(f"{rel}::{qualname}", path, first,
+                              node.end_lineno - first + 1,
+                              *_signature(node, method)))
+    return found
 
 
 def functions(root: str) -> List[Function]:
@@ -328,22 +482,97 @@ def functions(root: str) -> List[Function]:
     found = []
     for path in sorted(glob.glob(os.path.join(root, "**", "*.py"),
                                  recursive=True)):
-        path = os.path.realpath(path)
+        found.extend(_file_functions(os.path.realpath(path), base))
+    return found
+
+
+def static_options(universe: Sequence[Function], scripts: str) -> Set[str]:
+    """Option keys that a call under *scripts* passes by keyword or position.
+
+    Calls are matched by name only (``f(...)`` and ``x.f(...)`` both
+    match every function ``f``; a class name matches its ``__init__``),
+    except that nothing matches ``m.f(...)`` on a module ``m`` the script
+    imports from outside ``repro`` (``subprocess.run``, say) or ``f(...)``
+    of an ``f`` the script itself defines or assigns; and ``*args`` /
+    ``**kwargs`` count as passing every parameter they could fill, so
+    the scan errs towards varied.
+    """
+    calls: Dict[str, List[ast.Call]] = {}
+    for path in glob.glob(os.path.join(scripts, "**", "*.py"),
+                          recursive=True):
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), path)
-        rel = os.path.relpath(path, base).replace(os.sep, "/")
-        for qualname, node in _defs(tree.body, ""):
-            first = min([node.lineno]
-                        + [d.lineno for d in node.decorator_list])
-            found.append(Function(f"{rel}::{qualname}", path, first,
-                                  node.end_lineno - first + 1))
-    return found
+        foreign = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if not alias.name.startswith("repro")
+        }
+        local = {
+            node.name if hasattr(node, "name") else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and not (
+                getattr(node.func, "id", None) in local
+                or isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) in foreign
+            ):
+                name = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    varied = set()
+    for func in universe:
+        *outer, name = func.qualname.split(".")
+        if name == "__init__" and outer:
+            name = outer[-1]
+        for call in calls.get(name, ()) if func.options else ():
+            keywords = {keyword.arg for keyword in call.keywords}
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            for param in func.options:
+                index = (func.positional.index(param)
+                         if param in func.positional else None)
+                if param in keywords or None in keywords or (
+                    index is not None and (starred or index < len(call.args))
+                ):
+                    varied.add(func.option_key(param))
+    return varied
+
+
+def options(
+    universe: Sequence[Function], reached: Set[Tuple[str, int]]
+) -> List[Tuple[Function, str]]:
+    """Every defaulted parameter of a reached public function."""
+    return [
+        (func, param)
+        for func in universe
+        if func.public and (func.path, func.first) in reached
+        for param in func.options
+    ]
+
+
+def unvaried(
+    universe: Sequence[Function],
+    reached: Set[Tuple[str, int]],
+    varied: Set[Tuple[str, int, str]],
+    static: Set[str],
+) -> List[str]:
+    """Option keys of reached public functions that nothing ever set."""
+    return [
+        func.option_key(param)
+        for func, param in options(universe, reached)
+        if (func.path, func.first, param) not in varied
+        and func.option_key(param) not in static
+    ]
 
 
 def load_kept(path: str = KEPT_PATH) -> Dict[str, Tuple[str, str]]:
     """``key -> (reason tag, reason)`` from a kept-list file.
 
-    One function a line: ``<key> <tag> <reason>``; ``#`` starts a comment.
+    One function or parameter a line: ``<key> <tag> <reason>``, where a
+    parameter's key is its function's followed by ``(<parameter>)``;
+    ``#`` starts a comment.
     Raises ``ValueError`` on an unknown tag, a missing reason or a key
     listed twice.
     """
@@ -371,13 +600,43 @@ def unreached(
     return [f for f in universe if (f.path, f.first) not in reached]
 
 
+def problems(
+    universe: Sequence[Function],
+    reached: Set[Tuple[str, int]],
+    varied: Set[Tuple[str, int, str]],
+    static: Set[str],
+    kept: Dict[str, Tuple[str, str]],
+) -> List[str]:
+    """What fails the check: every unreached function and every unvaried
+    parameter that *kept* does not keep."""
+    return [
+        f"unreached and not kept: {func.key} (line {func.first})"
+        for func in unreached(universe, reached) if func.key not in kept
+    ] + [
+        f"unvaried and not kept: {key}"
+        for key in unvaried(universe, reached, varied, static)
+        if key not in kept
+    ]
+
+
+def _package(key: str) -> str:
+    parts = key.split("::")[0].split("/")
+    return "/".join(parts[:2]) if len(parts) > 2 else parts[0]
+
+
 def _by_package(funcs: Iterable[Function]) -> Dict[str, int]:
     lines: Dict[str, int] = {}
     for func in funcs:
-        parts = func.key.split("::")[0].split("/")
-        package = "/".join(parts[:2]) if len(parts) > 2 else parts[0]
+        package = _package(func.key)
         lines[package] = lines.get(package, 0) + func.lines
     return lines
+
+
+def _count_by_package(keys: Iterable[str]) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for key in keys:
+        counts[_package(key)] = counts.get(_package(key), 0) + 1
+    return counts
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -403,10 +662,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             pythonpath=(os.path.join(tree, "src"),))
     try:
         universe = functions(package_dir)
-        reached, runs = run(ENTRY_POINTS)
-        full_reached, full_runs = set(), []
+        static = static_options(universe, os.path.join(tree, "benchmarks"))
+        reached, varied, runs = run(ENTRY_POINTS)
+        full_reached, full_varied, full_runs = set(), set(), []
         if args.full:
-            full_reached, full_runs = run(FULL_ENTRY_POINTS)
+            full_reached, full_varied, full_runs = run(FULL_ENTRY_POINTS)
     finally:
         if args.full:
             shutil.rmtree(tree, ignore_errors=True)
@@ -417,6 +677,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status += "  (raised)"
         print(f"{seconds:7.1f} s  {command}{status}")
     missed = unreached(universe, reached)
+    unset = unvaried(universe, reached, varied, static)
 
     total = _by_package(universe)
     dead = _by_package(missed)
@@ -426,20 +687,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"{'TOTAL':<22} {sum(dead.values()):>9} {sum(total.values()):>6}"
           f"  ({len(missed)} of {len(universe)} functions unreached)")
 
+    table = _count_by_package(func.option_key(param)
+                              for func, param in options(universe, reached))
+    never = _count_by_package(unset)
+    print(f"\n{'package':<22} {'unvaried':>9} {'options':>7}")
+    for package in sorted(table):
+        print(f"{package:<22} {never.get(package, 0):>9} "
+              f"{table[package]:>7}")
+    print(f"{'TOTAL':<22} {len(unset):>9} {sum(table.values()):>7}"
+          f"  (defaulted parameters of reached public functions)")
+    for key in unset:
+        print(f"  {kept.get(key, ('-', ''))[0]:<7} {key}")
+
     if args.list:
+        print()
         for func in missed:
             tag = kept.get(func.key, ("-", ""))[0]
             print(f"{func.lines:5} {tag:<7} {func.key}")
-    missed_keys = {func.key for func in missed}
+    missed_keys = {func.key for func in missed} | set(unset)
     for key in sorted(set(kept) - missed_keys):
-        print(f"note: kept but reached: {key}")
+        print(f"note: kept but reached or varied: {key}")
     for func in missed:
         if (func.path, func.first) in full_reached:
             print(f"note: reached only by a --full sweep: {func.key}")
-    failures = [func for func in missed if func.key not in kept]
-    for func in failures:
-        print(f"FAIL: unreached and not kept: {func.key} "
-              f"({os.path.relpath(func.path, tree)}:{func.first})")
+    with_full = set(unvaried(universe, reached, varied | full_varied,
+                             static))
+    for key in unset:
+        if key not in with_full:
+            print(f"note: varied only by a --full sweep: {key}")
+    failures = problems(universe, reached, varied, static, kept)
+    for failure in failures:
+        print(f"FAIL: {failure}")
     crashed = [command for command, _code, _seconds, raised in runs
                if raised]
     for command in crashed:
@@ -448,11 +726,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if crashed:
         return 1
     if failures:
-        print(f"{len(failures)} unreached function(s): delete them, move "
-              f"them beside their only caller, or list them in "
-              f"{os.path.relpath(KEPT_PATH, REPO_ROOT)} with a reason")
+        print(f"{len(failures)} unreached function(s) or unvaried "
+              f"parameter(s): delete them (a parameter's default becomes "
+              f"the code), move a function beside its only caller, or list "
+              f"them in {os.path.relpath(KEPT_PATH, REPO_ROOT)} with a "
+              f"reason")
         return 1
-    print("ok: every unreached function is kept for a stated reason")
+    print("ok: every unreached function and unvaried parameter is kept "
+          "for a stated reason")
     return 0
 
 

@@ -137,11 +137,13 @@ echo "== docs freshness =="
 # symbol in docs/ and README.md must resolve.
 python benchmarks/check_docs.py
 
-echo "== reachability (no unreached function without a reason) =="
+echo "== reachability (no unreached function or unset option without a reason) =="
 # Re-runs the entry points above (ledger smoke, examples, python -m
 # repro.plan, the smoke benchmarks) under a function-entry tracer and
-# fails on a src/repro function none of them enters unless
-# benchmarks/reachability_kept.txt keeps it for a stated reason (~2 min).
+# fails on a src/repro function none of them enters, or a defaulted
+# parameter of a public one that none of them (nor any call under
+# benchmarks/) sets, unless benchmarks/reachability_kept.txt keeps it
+# for a stated reason (~2.5 min).
 # With --full it also runs the full sweeps, in a copy of the tree, and
 # names every function only they reach (~9 min).
 if [[ "${1:-}" == "--full" ]]; then

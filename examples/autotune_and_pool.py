@@ -31,8 +31,6 @@ def main() -> None:
         cluster,
         attention=attention,
         config=DCPConfig(restarts=1),
-        candidates=(512, 1024, 2048, 4096),
-        probe_batches=2,
     )
     print("block-size search (attn = simulated fw+bw per batch):")
     print(result.table())
@@ -42,7 +40,7 @@ def main() -> None:
     planner = DCPPlanner(
         cluster, attention, DCPConfig(block_size=result.best, restarts=1)
     )
-    store = KVStore(host_machine=0)
+    store = KVStore()
     backend = KVPlannerBackend(
         planner, store, num_machines=2, cores_per_machine=2
     )

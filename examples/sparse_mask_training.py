@@ -31,8 +31,7 @@ def main() -> None:
 
     # Baseline: dense single-device attention ("MLM").
     dense_model = TinyGPT(config, seed=11)
-    dense_losses = train(dense_model, corpus, iterations, mask=mask,
-                         learning_rate=0.3)
+    dense_losses = train(dense_model, corpus, iterations, mask=mask)
 
     # DCP: attention executed through per-batch plans on 4 simulated
     # devices across 2 machines.
@@ -42,7 +41,7 @@ def main() -> None:
     forward = make_distributed_forward(planner, attention, block_size=16)
     dcp_model = TinyGPT(config, seed=11)
     dcp_losses = train(dcp_model, corpus, iterations, mask=mask,
-                       attention_forward=forward, learning_rate=0.3)
+                       attention_forward=forward)
 
     deviation = max(abs(a - b) for a, b in zip(dense_losses, dcp_losses))
     print(f"lambda mask, {iterations} iterations")

@@ -6,8 +6,9 @@ best performance."  Block size trades placement flexibility (smaller
 blocks -> less communication, Fig. 17) against planning time (Fig. 18)
 and per-tile kernel overheads.  This module automates the search
 against the timing simulator: probe a few batches per candidate,
-score by simulated attention time (optionally budgeting planning
-time), and return the winner with the full score table.
+score by simulated attention time, and return the winner with the full
+score table.  Planning time is reported, not scored: the paper's
+methodology hides it behind execution (§6.1).
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ from .planner import DCPPlanner
 
 __all__ = ["BlockSizeScore", "AutotuneResult", "autotune_block_size"]
 
-#: The paper's candidate set.
+#: The paper's candidate set (read at run time).
 PAPER_CANDIDATES = (512, 1024, 2048, 4096)
+
+#: Batches planned per candidate, from the front of the stream (read at
+#: run time).
+PROBE_BATCHES = 2
 
 
 @dataclass
@@ -37,9 +42,6 @@ class BlockSizeScore:
     planning_s: float  # mean planning wall-clock per batch
     comm_bytes: float  # mean communication volume per batch
 
-    def objective(self, planning_weight: float = 0.0) -> float:
-        return self.attention_s + planning_weight * self.planning_s
-
 
 @dataclass
 class AutotuneResult:
@@ -47,7 +49,6 @@ class AutotuneResult:
 
     best: int
     scores: List[BlockSizeScore]
-    planning_weight: float
 
     def table(self) -> str:
         lines = [
@@ -68,47 +69,36 @@ def autotune_block_size(
     cluster: ClusterSpec,
     attention: Optional[AttentionSpec] = None,
     config: Optional[DCPConfig] = None,
-    candidates: Sequence[int] = PAPER_CANDIDATES,
-    probe_batches: int = 2,
-    planning_weight: float = 0.0,
 ) -> AutotuneResult:
-    """Search candidate block sizes on a prefix of the batch stream.
+    """Search :data:`PAPER_CANDIDATES` on a prefix of the batch stream.
 
     Parameters
     ----------
     batches:
-        The training stream; only the first ``probe_batches`` are
+        The training stream; only the first :data:`PROBE_BATCHES` are
         planned per candidate (the paper reports averages over batches
-    	with a fixed block size).
-    planning_weight:
-        How much one second of planning costs relative to one second of
-        attention.  The default 0 reproduces the paper's methodology
-        (planning overlaps execution when enough cores exist, §6.1);
-        raise it when planning cannot be hidden.
+        with a fixed block size).
 
     Returns
     -------
     AutotuneResult
-        Winner plus per-candidate scores.  Ties break toward larger
-        blocks (cheaper planning).
+        The candidate with the least mean simulated attention time,
+        plus per-candidate scores.  Ties break toward larger blocks
+        (cheaper planning).
     """
-    if not candidates:
-        raise ValueError("need at least one candidate block size")
-    if probe_batches < 1:
-        raise ValueError("need at least one probe batch")
-    probes = list(batches)[:probe_batches]
+    probes = list(batches)[:PROBE_BATCHES]
     if not probes:
         raise ValueError("need at least one batch to probe")
     config = config or DCPConfig()
 
     scores: List[BlockSizeScore] = []
-    for block_size in sorted(set(int(c) for c in candidates)):
+    for block_size in PAPER_CANDIDATES:
         tuned = replace(config, block_size=block_size)
         planner = DCPPlanner(cluster, attention, tuned)
         attn, plan_wall, comm = [], [], []
         for batch in probes:
             plan = planner.plan_batch(batch)
-            plan_wall.append(planner.last_stats.total)
+            plan_wall.append(plan.meta["planning_stats"].total)
             # The scheduler's price of its choice is the simulated
             # forward + backward time of this plan.
             attn.append(min(plan.meta["division_prices"].values()))
@@ -122,10 +112,5 @@ def autotune_block_size(
             )
         )
 
-    best = min(
-        scores,
-        key=lambda s: (s.objective(planning_weight), -s.block_size),
-    )
-    return AutotuneResult(
-        best=best.block_size, scores=scores, planning_weight=planning_weight
-    )
+    best = min(scores, key=lambda s: (s.attention_s, -s.block_size))
+    return AutotuneResult(best=best.block_size, scores=scores)

@@ -55,7 +55,7 @@ DCPDataloader = StreamingOverlapPipeline
 
 
 def DistributedDataloader(
-    batches, backend, lookahead: int = 2, **kwargs
+    batches, backend, **kwargs
 ) -> StreamingOverlapPipeline:
     """§6.1 dataloader on a :class:`~repro.pipeline.KVPlannerBackend`.
 
@@ -63,19 +63,16 @@ def DistributedDataloader(
     iterations ahead of execution and yields ``(local_data, plan)``
     like :data:`DCPDataloader`, but every plan travels through the
     backend's KV store — the full distribution path.  ``kwargs`` are
-    the pipeline's own (``events``, ``cache``, ``plan_timeout``, ...).
+    the pipeline's own (``lookahead``, ``events``, ``cache``,
+    ``plan_timeout``, ...).
 
-    ``lookahead == 0`` must still go through the store (the planner
-    lives on a planning machine, not on the devices), so the window is
-    pinned to at least one in-flight KV job; the returned pipeline's
+    ``lookahead=0`` must still go through the store (the planner lives
+    on a planning machine, not on the devices), so the window is
+    pinned to one in-flight KV job; the returned pipeline's
     ``lookahead`` reports the effective kappa.
     """
-    if lookahead < 0:
-        raise ValueError("lookahead must be non-negative")
+    if kwargs.get("lookahead") == 0:
+        kwargs["lookahead"] = 1
     return StreamingOverlapPipeline(
-        batches,
-        backend.planner,
-        lookahead=max(lookahead, 1),
-        backend=backend,
-        **kwargs,
+        batches, backend.planner, backend=backend, **kwargs
     )

@@ -70,12 +70,11 @@ def _encode(value: Any) -> Tuple[bytes, bool]:
 class KVStore:
     """Thread-safe blocking key-value store with versioned writes."""
 
-    def __init__(
-        self,
-        host_machine: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.host_machine = host_machine
+    #: The machine the store runs on: a read by a device on another
+    #: machine crosses the network.
+    host_machine = 0
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._entries: Dict[str, _Entry] = {}
         self._size = 0
         #: Store-wide write counter: a version is never reused, so a

@@ -83,7 +83,6 @@ class DCPPlanner:
         self.cluster = cluster
         self.attention = attention or AttentionSpec()
         self.config = config or DCPConfig()
-        self.last_stats: Optional[PlanningStats] = None
         self.last_placement: Optional[Placement] = None
         #: Per-stage latency histograms and work counters
         #: (``planner.plan_s``, ``planner.placement_s``, ...) accumulate
@@ -128,7 +127,6 @@ class DCPPlanner:
         self,
         block_set: BlockSet,
         cluster: Optional[ClusterSpec] = None,
-        warm=None,
     ):
         """Planner-protocol entry point (shared with the baselines).
 
@@ -136,9 +134,7 @@ class DCPPlanner:
         persisting it: a shared planner instance keeps its configured
         :attr:`cluster` untouched across calls.
         """
-        return self._plan_blocks(
-            block_set, PlanningStats(), cluster=cluster, warm=warm
-        )
+        return self._plan_blocks(block_set, PlanningStats(), cluster=cluster)
 
     def _plan_blocks(
         self,
@@ -215,6 +211,5 @@ class DCPPlanner:
         metrics.counter("planner.tile_pairs").inc(stats.tile_pairs)
         metrics.counter("planner.price_moves").inc(stats.price_moves)
         metrics.counter("planner.byte_moves").inc(stats.byte_moves)
-        self.last_stats = stats
         self.last_placement = placement
         return plan

@@ -4,7 +4,7 @@
 that planning of up to 10 s per batch "can perfectly overlap model
 execution time (> 1 second per iteration) ... if planning is
 parallelized with more than 10 CPU cores".  Given per-iteration
-planning and execution times, machine count and cores per machine, it
+planning and execution times and the planning machine's cores, it
 replays the §6.1 pipeline and reports the execution stalls caused by
 late plans.  The working plumbing it models — planner instances on
 every machine publishing plans through a key-value store — is
@@ -45,14 +45,13 @@ class PlanningTimeline:
 def simulate_planning_overlap(
     plan_times: Sequence[float],
     exec_times: Sequence[float],
-    num_machines: int = 1,
     cores_per_machine: int = 1,
     lookahead: int = 2,
 ) -> PlanningTimeline:
     """Replay the look-ahead planning pipeline against execution.
 
-    Planning of iteration ``i`` runs on machine ``i % num_machines``,
-    which processes at most ``cores_per_machine`` plans concurrently.
+    One planning machine processes at most ``cores_per_machine`` plans
+    concurrently.
     Planning for an iteration may begin once the window allows it (the
     dataloader prefetches ``lookahead`` iterations beyond the one
     currently executing, so job ``i`` becomes available when iteration
@@ -63,8 +62,8 @@ def simulate_planning_overlap(
     """
     if len(plan_times) != len(exec_times):
         raise ValueError("need matching plan and exec time lists")
-    if num_machines < 1 or cores_per_machine < 1:
-        raise ValueError("need at least one machine and one core")
+    if cores_per_machine < 1:
+        raise ValueError("need at least one core")
     if lookahead < 0:
         raise ValueError("lookahead must be non-negative")
     n = len(plan_times)
@@ -77,17 +76,13 @@ def simulate_planning_overlap(
     exec_start = [0.0] * n
     exec_end = [0.0] * n
     stalls = [0.0] * n
-    # Per-machine core free times.
-    cores: List[List[float]] = [
-        [0.0] * cores_per_machine for _ in range(num_machines)
-    ]
+    cores = [0.0] * cores_per_machine  # when each core is free
 
     def run_plan(i: int) -> None:
-        machine = cores[i % num_machines]
-        core = min(range(len(machine)), key=machine.__getitem__)
-        plan_start[i] = max(machine[core], available[i])
+        core = min(range(len(cores)), key=cores.__getitem__)
+        plan_start[i] = max(cores[core], available[i])
         plan_end[i] = plan_start[i] + plan_times[i]
-        machine[core] = plan_end[i]
+        cores[core] = plan_end[i]
 
     for i in range(min(lookahead + 1, n)):
         available[i] = 0.0

@@ -155,24 +155,21 @@ def coarsen(
     graph: Hypergraph,
     k: int,
     rng: np.random.Generator,
-    min_vertices: Optional[int] = None,
-    max_levels: int = 25,
 ) -> List[Tuple[Hypergraph, np.ndarray]]:
     """Full coarsening hierarchy.
 
     Returns a list of ``(coarse_graph, mapping_from_previous_level)``
     pairs, finest first.  Contraction stops when the graph is small
-    enough (``min_vertices``, default ``max(60, 12 * k)``) or stops
-    shrinking (< 5% reduction).
+    enough (``max(60, 12 * k)`` vertices), stops shrinking (< 5%
+    reduction) or has 25 levels.
     """
-    if min_vertices is None:
-        min_vertices = max(60, 12 * k)
+    min_vertices = max(60, 12 * k)
     # Cap coarse vertex weight so balanced k-way partitions stay
     # representable: no cluster may exceed ~half a part.
     cap = np.maximum(graph.total_weight // max(2 * k, 1), 1)
     levels: List[Tuple[Hypergraph, np.ndarray]] = []
     current = graph
-    for _ in range(max_levels):
+    for _ in range(25):
         if current.num_vertices <= min_vertices:
             break
         step = coarsen_once(current, cap, rng)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class RefineCounters(threading.local):
 #: Module-level counters; the planner resets them per planning run.
 COUNTERS = RefineCounters()
 
+#: Most tentative moves one FM pass tries (read at run time).
+MOVE_CAP = 4000
+
 
 class RefinementState:
     """Incremental bookkeeping for move-based refinement.
@@ -82,7 +85,7 @@ class RefinementState:
     ``v``" is ``present[v][t] > 0``.  ``labels`` and ``part_weights``
     are numpy snapshots built on demand.
 
-    ``counters`` defaults to the module-level :data:`COUNTERS`, which is
+    Work is counted into the module-level :data:`COUNTERS`, which is
     thread-local: a state counts into the stats of the thread that
     drives it.
     """
@@ -92,11 +95,9 @@ class RefinementState:
         graph: Hypergraph,
         labels: np.ndarray,
         k: int,
-        counters: Optional[RefineCounters] = None,
     ) -> None:
         self.graph = graph
         self.k = k
-        self.counters = COUNTERS if counters is None else counters
         labels = np.asarray(labels, dtype=np.int64)
         counts = graph.pin_part_counts(labels, k)
         vindptr, vedges = graph.vertex_csr()
@@ -173,7 +174,7 @@ class RefinementState:
         for dim, weight in enumerate(self._weights[vertex]):
             source_weight[dim] -= weight
             target_weight[dim] += weight
-        self.counters.moves += 1
+        COUNTERS.moves += 1
 
     def fits(self, vertex: int, target: int, caps: Sequence[int]) -> bool:
         return fits_under(
@@ -240,7 +241,7 @@ def greedy_refine(
                 state.move(vertex, best_target)
                 moves += 1
                 improved = True
-        state.counters.gain_evals += gain_evals
+        COUNTERS.gain_evals += gain_evals
         if not improved:
             break
     return moves
@@ -262,7 +263,6 @@ def fm_refine(
     caps: np.ndarray,
     rng: np.random.Generator,
     max_passes: int = 3,
-    move_cap: Optional[int] = None,
 ) -> int:
     """Fiduccia–Mattheyses refinement with rollback.
 
@@ -276,12 +276,13 @@ def fm_refine(
     a longer plateau are forfeited.  A candidate whose target is full
     is retried once a move takes weight out of that target.
 
+    A pass tries at most ``min(num_vertices, MOVE_CAP)`` moves.
+
     Returns the number of net (kept) moves.
     """
     num_vertices = state.graph.num_vertices
     k = state.k
-    if move_cap is None:
-        move_cap = min(num_vertices, 4000)
+    move_cap = min(num_vertices, MOVE_CAP)
     patience = fruitless_move_limit(num_vertices)
     counter = itertools.count()
     kept_moves = 0
@@ -376,8 +377,8 @@ def fm_refine(
         for vertex, source in reversed(history[best_length:]):
             state.move(vertex, source)
         kept_moves += best_length
-        state.counters.gain_evals += gain_evals
-        state.counters.rolled_back += len(history) - best_length
+        COUNTERS.gain_evals += gain_evals
+        COUNTERS.rolled_back += len(history) - best_length
         if best_length == 0:
             break
     return kept_moves
@@ -387,7 +388,6 @@ def rebalance(
     state: RefinementState,
     caps: np.ndarray,
     rng: np.random.Generator,
-    max_moves: Optional[int] = None,
 ) -> bool:
     """Repair balance violations; returns True when feasible afterwards.
 
@@ -402,12 +402,11 @@ def rebalance(
     Infeasible instances (integral weights can make the caps plainly
     unsatisfiable) are detected by stagnation: when three consecutive
     scans fail to reduce the total overload, the pass gives up instead
-    of thrashing vertices until ``max_moves``.
+    of thrashing vertices until it has made ``4 * num_vertices`` moves.
     """
     graph = state.graph
     k = state.k
-    if max_moves is None:
-        max_moves = 4 * graph.num_vertices
+    max_moves = 4 * graph.num_vertices
     caps_list = caps.tolist()
     leave, join = state.leave, state.join
 
@@ -435,7 +434,7 @@ def rebalance(
         # Prefer evicting small vertices with the least connectivity loss.
         sample = rng.permutation(movable)[: min(len(movable), 64)].tolist()
 
-        state.counters.gain_evals += len(sample) * k
+        COUNTERS.gain_evals += len(sample) * k
         entries = sorted(
             (join[vertex][target] - leave[vertex], row, target)
             for row, vertex in enumerate(sample)

@@ -12,6 +12,9 @@ from .gpt import TinyGPT
 
 __all__ = ["generate_corpus", "train"]
 
+#: SGD step size (read at run time).
+LEARNING_RATE = 0.3
+
 
 def generate_corpus(
     vocab: int, seqlen: int, num_sequences: int, seed: int = 0
@@ -42,7 +45,6 @@ def train(
     iterations: int,
     mask: Optional[MaskSpec] = None,
     attention_forward: Optional[AttentionForward] = None,
-    learning_rate: float = 0.3,
 ) -> List[float]:
     """Plain SGD over the corpus; returns the per-iteration losses."""
     mask = mask or CausalMask()
@@ -54,6 +56,6 @@ def train(
             tokens, mask=mask, attention_forward=attention_forward
         )
         for name, grad in grads.items():
-            model.params[name] -= learning_rate * grad
+            model.params[name] -= LEARNING_RATE * grad
         losses.append(loss)
     return losses

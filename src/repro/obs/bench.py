@@ -102,7 +102,11 @@ def _git_revision() -> Optional[str]:
         return None
 
 
-def _smoke_batches(num_batches: int = 4):
+#: Batches the overhead and telemetry workloads plan.
+NUM_BATCHES = 4
+
+
+def _smoke_batches():
     """Distinct small batches (~2048 tokens, varied lengths) — the same
     shape the overlap smoke cell plans."""
     from repro.blocks import BatchSpec
@@ -113,15 +117,15 @@ def _smoke_batches(num_batches: int = 4):
         BatchSpec.build(
             [512 + 128 * i, 384, 256 + 64 * i, 896 - 192 * i], mask
         )
-        for i in range(num_batches)
+        for i in range(NUM_BATCHES)
     ]
 
 
-def _smoke_scale(num_batches: int = 4):
+def _smoke_scale():
     from repro.bench import BenchScale
 
     return BenchScale.sweep(
-        num_batches=num_batches,
+        num_batches=NUM_BATCHES,
         token_budget=2048,
         max_seqlen=2048,
         block_size=256,
@@ -153,7 +157,7 @@ def _span_overhead_ns(iters: int = 50000) -> Dict[str, float]:
     return {key: round(value, 1) for key, value in out.items()}
 
 
-def measure_overhead(repeats: int = 5, num_batches: int = 4) -> Dict:
+def measure_overhead(repeats: int = 5) -> Dict:
     """Plan the smoke workload under the three instrumentation modes.
 
     Returns min-of-``repeats`` seconds per mode plus the headline
@@ -162,8 +166,8 @@ def measure_overhead(repeats: int = 5, num_batches: int = 4) -> Dict:
     """
     from repro.core import DCPPlanner
 
-    scale = _smoke_scale(num_batches)
-    batches = _smoke_batches(num_batches)
+    scale = _smoke_scale()
+    batches = _smoke_batches()
     planners = {
         "uninstrumented": DCPPlanner(
             scale.cluster, scale.attention, scale.dcp_config(),
@@ -201,7 +205,7 @@ def measure_overhead(repeats: int = 5, num_batches: int = 4) -> Dict:
         "workload": {
             "token_budget": 2048,
             "block_size": 256,
-            "num_batches": num_batches,
+            "num_batches": NUM_BATCHES,
             "repeats": repeats,
         },
         "uninstrumented_s": round(base, 6),
@@ -233,13 +237,13 @@ def plan_fetch_summary(snapshot: Dict[str, dict]) -> Dict:
     }
 
 
-def collect_telemetry(smoke: bool = True, num_batches: int = 4,
-                      cycles: int = 2) -> Dict:
+def collect_telemetry(smoke: bool) -> Dict:
     """One traced workload across every instrumented surface.
 
     Runs, with tracing enabled and a single shared registry: a
-    pipeline (cycle 2 serves from the plan cache, so both plan-fetch
-    paths populate), KV round-trips of its cached plans, and one
+    pipeline over the batches twice (the second cycle serves from the
+    plan cache, so both plan-fetch paths populate), KV round-trips of
+    its cached plans, and one
     simulated execution.  Returns the registry snapshot, span
     count, and the merged Chrome trace (tracer spans + overlap
     timeline + execution lanes on one epoch).
@@ -261,16 +265,16 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
     )
 
     if smoke:
-        scale = _smoke_scale(num_batches)
-        batches = _smoke_batches(num_batches)
+        scale = _smoke_scale()
+        batches = _smoke_batches()
         time_scale = 3.0
     else:
         from repro.bench import PAPER_MASKS, BenchScale, make_batches
 
-        scale = BenchScale.sweep(num_batches=num_batches, block_size=512)
+        scale = BenchScale.sweep(num_batches=NUM_BATCHES, block_size=512)
         batches = make_batches(
             "longdatacollections", scale, PAPER_MASKS["causal"]()
-        )[:num_batches]
+        )[:NUM_BATCHES]
         time_scale = 1.0
 
     registry = MetricsRegistry()
@@ -285,7 +289,7 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
         )
         cache = PlanCache(planner, capacity=64, metrics=registry)
         pipeline = StreamingOverlapPipeline(
-            list(batches) * max(cycles, 1), planner, lookahead=2,
+            list(batches) * 2, planner, lookahead=2,
             max_workers=2, cache=cache, metrics=registry,
         )
         runner = PipelineRunner(
@@ -330,18 +334,16 @@ def collect_telemetry(smoke: bool = True, num_batches: int = 4,
 
 def run_obs_bench(
     smoke: bool = False,
-    repeats: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> Dict:
     """Overhead measurement + telemetry workload; one report dict.
 
+    The overhead is the best of 3 rounds at smoke size, else of 7.
     Writes the merged Chrome trace to ``trace_path`` when given (the
     caller owns file placement; the benchmarks wrapper points this at
     ``TRACE_obs.json`` / ``TRACE_obs.smoke.json``).
     """
-    if repeats is None:
-        repeats = 3 if smoke else 7
-    overhead = measure_overhead(repeats=repeats)
+    overhead = measure_overhead(repeats=3 if smoke else 7)
     telemetry = collect_telemetry(smoke=smoke)
     report = {
         "benchmark": "obs_overhead_smoke" if smoke else "obs_overhead",

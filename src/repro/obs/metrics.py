@@ -125,21 +125,15 @@ def _bucket_quantile(
 
 
 class Histogram:
-    """Fixed-bucket histogram with p50/p95/p99 quantile estimates."""
+    """Histogram over :data:`DEFAULT_LATENCY_BUCKETS` with p50/p95/p99
+    quantile estimates."""
 
     __slots__ = ("name", "bounds", "_counts", "_count", "_sum", "_min", "_max", "_lock")
 
-    def __init__(
-        self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> None:
-        bounds = tuple(float(b) for b in bounds)
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError("histogram bounds must be strictly increasing")
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)
+        self.bounds = DEFAULT_LATENCY_BUCKETS
+        self._counts = [0] * (len(self.bounds) + 1)
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -192,11 +186,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     # -- get-or-create ----------------------------------------------------
-    def _get_or_create(self, name: str, kind, *args) -> Metric:
+    def _get_or_create(self, name: str, kind) -> Metric:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = kind(name, *args)
+                metric = kind(name)
                 self._metrics[name] = metric
             elif not isinstance(metric, kind):
                 raise TypeError(
@@ -211,10 +205,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> Histogram:
-        return self._get_or_create(name, Histogram, bounds)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     def snapshot(self) -> Dict[str, dict]:
         """Plain-dict snapshot of every metric (JSON-ready)."""
@@ -255,9 +247,7 @@ class NullRegistry:
     def counter(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> _NullMetric:
+    def histogram(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
 

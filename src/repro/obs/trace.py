@@ -31,8 +31,6 @@ Usage::
     with obs_trace.span("placement", "planner", batch=3):
         ...
     trace = obs_trace.get_tracer().to_chrome_trace()
-
-Set ``REPRO_TRACE=1`` to enable tracing at import time.
 """
 
 from __future__ import annotations
@@ -133,8 +131,8 @@ class Tracer:
     threads trace without contention.
     """
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
+        self.enabled = False
         self.origin = time.perf_counter()
         self._spans: List[SpanTuple] = []
         self._ids = itertools.count(1)
@@ -160,8 +158,6 @@ class Tracer:
         end: float,
         *,
         args: Optional[dict] = None,
-        pid: Optional[int] = None,
-        tid: Optional[int] = None,
     ) -> None:
         """Record an externally measured interval.
 
@@ -175,8 +171,8 @@ class Tracer:
             (
                 name,
                 cat,
-                os.getpid() if pid is None else pid,
-                threading.get_ident() if tid is None else tid,
+                os.getpid(),
+                threading.get_ident(),
                 self._next_id(),
                 0,
                 start,
@@ -205,15 +201,14 @@ class Tracer:
         return len(self._spans)
 
     # -- export ------------------------------------------------------------
-    def to_chrome_trace(self, time_scale: float = 1e6) -> dict:
+    def to_chrome_trace(self) -> dict:
         """Chrome trace-event dict (Perfetto-loadable).
 
-        Timestamps are rebased to :attr:`origin` and scaled by
-        ``time_scale`` (default: seconds → microseconds, the format's
-        native unit).  The returned dict carries ``clockOrigin`` — the
-        ``perf_counter`` value of trace-local t=0 — which
-        :func:`repro.sim.trace.merge_chrome_traces` uses to align this
-        trace with others from the same clock.
+        Timestamps are rebased to :attr:`origin` and in microseconds,
+        the format's native unit.  The returned dict carries
+        ``clockOrigin`` — the ``perf_counter`` value of trace-local t=0 —
+        which :func:`repro.sim.trace.merge_chrome_traces` uses to align
+        this trace with others from the same clock.
         """
         events: List[dict] = []
         thread_index: Dict[Tuple[int, int], int] = {}
@@ -254,8 +249,8 @@ class Tracer:
                     "ph": "X",
                     "pid": pid,
                     "tid": index,
-                    "ts": (start - self.origin) * time_scale,
-                    "dur": max(end - start, 0.0) * time_scale,
+                    "ts": (start - self.origin) * 1e6,
+                    "dur": max(end - start, 0.0) * 1e6,
                     "args": event_args,
                 }
             )
@@ -266,7 +261,7 @@ class Tracer:
         }
 
 
-_TRACER = Tracer(enabled=os.environ.get("REPRO_TRACE", "") not in ("", "0"))
+_TRACER = Tracer()
 
 
 def get_tracer() -> Tracer:
@@ -289,14 +284,12 @@ def add_span(
     end: float,
     *,
     args: Optional[dict] = None,
-    pid: Optional[int] = None,
-    tid: Optional[int] = None,
 ) -> None:
     """Record an externally measured interval on the global tracer."""
     tracer = _TRACER
     if not tracer.enabled:
         return
-    tracer.add_span(name, cat, start, end, args=args, pid=pid, tid=tid)
+    tracer.add_span(name, cat, start, end, args=args)
 
 
 def enable_tracing() -> None:

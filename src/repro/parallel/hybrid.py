@@ -4,9 +4,7 @@ This module composes the pieces the paper says are orthogonal to DCP:
 
 * tensor parallelism on consecutive in-node ranks (head sharding,
   all-reduce cost, plan sharing — :mod:`repro.parallel.tp`);
-* DCP over the ranks Megatron would give to CP and DP (plans come from
-  any planner following the planner protocol, so baselines compose the
-  same way);
+* DCP over the ranks Megatron would give to CP and DP;
 * pipeline parallelism over machine groups, priced with the 1F1B
   simulator (:mod:`repro.parallel.pp`).
 
@@ -145,7 +143,6 @@ def hybrid_iteration_time(
     cluster: ClusterSpec,
     config: HybridConfig,
     model: Optional[ModelSpec] = None,
-    planner: Optional[object] = None,
 ) -> HybridResult:
     """Estimate one training iteration under a hybrid configuration.
 
@@ -161,19 +158,16 @@ def hybrid_iteration_time(
         Topology and microbatching.
     model:
         Transformer shape; defaults to the paper's 8B GPT.
-    planner:
-        Any planner following the planner protocol
-        (``plan(block_set, cluster)``); defaults to a fresh
-        :class:`~repro.core.planner.DCPPlanner`, so baselines can be
-        dropped in for comparison.
+
+    Each microbatch is planned by a :class:`~repro.core.planner.DCPPlanner`
+    on one pipeline stage's cluster.
     """
     model = model or ModelSpec()
     topology = config.topology
     topology.validate_against(cluster)
     stage_cluster = _stage_cluster(cluster, topology)
     attention = _attention_spec(model, topology.tp)
-    if planner is None:
-        planner = DCPPlanner(stage_cluster, attention, config.dcp_config)
+    planner = DCPPlanner(stage_cluster, attention, config.dcp_config)
 
     microbatches = [
         mb

@@ -107,7 +107,7 @@ def _timed_plan(planner, batch) -> Tuple:
 class ThreadPlannerBackend:
     """Planner workers on an in-process thread pool."""
 
-    def __init__(self, planner, max_workers: int = 2) -> None:
+    def __init__(self, planner, max_workers: int) -> None:
         if max_workers < 1:
             raise ValueError("need at least one planner worker")
         self.planner = planner
@@ -222,7 +222,6 @@ class KVPlannerBackend:
         store,
         num_machines: int = 1,
         cores_per_machine: int = 2,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_machines < 1 or cores_per_machine < 1:
             raise ValueError("need at least one machine and one core")
@@ -250,7 +249,7 @@ class KVPlannerBackend:
         #: exactly the iterations resident in the store.
         self._cursors: Dict[int, Dict[int, Tuple[int, bytes]]] = {}
         self._lock = threading.Lock()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._entries_written = self.metrics.counter(
             "pool.device_entries_written"
         )

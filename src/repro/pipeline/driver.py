@@ -64,25 +64,20 @@ class PipelineRunner:
         self.execute = execute
         self.on_iteration = on_iteration
 
-    def run(self, max_iterations: Optional[int] = None) -> OverlapReport:
+    def run(self) -> OverlapReport:
         executions: List[dict] = []
         for local_data, plan in self.pipeline:
             info = self.execute(local_data, plan)
             executions.append(info or {})
             if self.on_iteration is not None:
                 self.on_iteration(len(executions) - 1, executions[-1])
-            if max_iterations is not None and len(executions) >= max_iterations:
-                break
         stats = self.pipeline.stats()
         return OverlapReport(
             stats=stats, timeline=stats.timeline(), executions=executions
         )
 
 
-def cost_model_executor(
-    time_scale: float = 1.0,
-    model=None,
-) -> Callable:
+def cost_model_executor(time_scale: float = 1.0) -> Callable:
     """Execute callback that occupies the modelled iteration time.
 
     Prices each plan with :func:`~repro.sim.e2e_iteration_time` (itself
@@ -97,7 +92,7 @@ def cost_model_executor(
         from ..sim import e2e_iteration_time
 
         start = time.perf_counter()
-        result = e2e_iteration_time(plan, model=model)
+        result = e2e_iteration_time(plan)
         budget = result.iteration_time * time_scale
         remaining = budget - (time.perf_counter() - start)
         if remaining > 0:

@@ -36,7 +36,7 @@ computed synchronously at request time — the unoverlapped baseline.
 
 Planner workers are not trusted to succeed: a job whose worker raises
 (or, with ``plan_timeout`` set, hangs past the timeout) is respawned on
-the backend up to ``max_plan_retries`` times and then planned inline as
+the backend up to ``MAX_PLAN_RETRIES`` times and then planned inline as
 a last resort, so a flaky worker costs a stall, never a deadlocked
 prefetch window.  Retries are counted in ``OverlapStats.plan_retries``.
 
@@ -134,6 +134,10 @@ __all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner",
 
 #: Waits shorter than this (seconds) are queue bookkeeping, not stalls.
 STALL_EPS = 1e-4
+
+#: Worker respawns per planning job before the pipeline gives up on the
+#: backend and plans the batch inline (read at run time).
+MAX_PLAN_RETRIES = 2
 
 
 @dataclass
@@ -352,18 +356,9 @@ class StreamingOverlapPipeline:
     plan_timeout:
         Seconds to wait on a single planning attempt before treating
         the worker as hung and respawning the job (``None``: wait
-        forever, the historical behavior).
-    max_plan_retries:
-        Worker respawns per job before the pipeline gives up on the
-        backend and plans the batch inline.
-    records_limit:
-        Keep only the most recent N :class:`IterationRecord` objects
-        (``None``: keep all).  Aggregate statistics stay exact either
-        way — they are maintained incrementally — so an unbounded
-        serving stream can run forever in O(1) memory while
-        :meth:`stats` still reports true totals; only the per-record
-        history (and hence ``stats().timeline()``) is truncated to the
-        retained tail.
+        forever, the historical behavior).  After ``MAX_PLAN_RETRIES``
+        respawns the pipeline gives up on the backend and plans the
+        batch inline.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         the pipeline's plan-fetch latency histograms
@@ -383,23 +378,16 @@ class StreamingOverlapPipeline:
         cache: Optional[PlanCache] = None,
         events: Optional[ClusterEventSource] = None,
         plan_timeout: Optional[float] = None,
-        max_plan_retries: int = 2,
-        records_limit: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         """See the class docstring for every parameter."""
         if lookahead < 0:
             raise ValueError("lookahead must be non-negative")
-        if max_plan_retries < 0:
-            raise ValueError("max_plan_retries must be non-negative")
-        if records_limit is not None and records_limit < 1:
-            raise ValueError("records_limit must be positive")
         self.planner = planner
         self.lookahead = lookahead
         self.cache = cache
         self.events = events
         self.plan_timeout = plan_timeout
-        self.max_plan_retries = max_plan_retries
         self._cluster: Optional[ClusterSpec] = (
             events.current if events is not None else None
         )
@@ -421,16 +409,15 @@ class StreamingOverlapPipeline:
         self._started = False
         self._closed = False
         self._origin: Optional[float] = None
-        self.records_limit = records_limit
-        self.records: Deque[IterationRecord] = deque(maxlen=records_limit)
+        self.records: List[IterationRecord] = []
         self.replans = 0
         self.cluster_events = 0
         self.plan_retries = 0
         self.replan_jobs_reused = 0
         self._replan_plan_s = 0.0
         self._wall_s = 0.0
-        # Running aggregates, updated as records are created/finalized;
-        # exact regardless of how much record history is retained.
+        # Running aggregates, updated as records are created/finalized,
+        # so a running summary costs no pass over the records.
         self._iterations = 0
         self._plan_s = 0.0
         self._exec_s = 0.0
@@ -592,7 +579,7 @@ class StreamingOverlapPipeline:
                 # infrastructure) — or, with plan_timeout set, hung.
                 attempts += 1
                 self.plan_retries += 1
-                if attempts <= self.max_plan_retries and self._backend is not None:
+                if attempts <= MAX_PLAN_RETRIES and self._backend is not None:
                     item.ticket = self._backend.resubmit(
                         item.index, item.batch, planner=self._pinned()
                     )
@@ -906,11 +893,7 @@ class StreamingOverlapPipeline:
         The returned object is a snapshot: records are copied, so a
         stats object captured mid-run keeps its values when later
         iterations update the live records (the trailing record's
-        ``exec_end`` is finalized by the *next* request).  Totals come
-        from incrementally maintained counters and are exact even when
-        ``records_limit`` bounds the retained history; ``records`` (and
-        the derived :meth:`OverlapStats.timeline`) cover the retained
-        tail.
+        ``exec_end`` is finalized by the *next* request).
         """
         stats = self._summary()
         stats.records = [replace(record) for record in self.records]

@@ -118,7 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     planner = DCPPlanner(cluster, attention, config)
     plan = planner.plan_batch(batch)
-    stats = planner.last_stats
+    stats = plan.meta["planning_stats"]
     print(
         f"planning: {stats.total:.3f} s "
         f"(blocks {stats.block_generation:.3f}, "

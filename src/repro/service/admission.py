@@ -41,12 +41,14 @@ class AdmissionController:
     the occupancy snapshot under its lock and this object decides.
     """
 
+    #: Backoff hint (seconds) a shed request carries.
+    RETRY_AFTER_S = 0.02
+
     def __init__(
         self,
         max_queued_per_tenant: int = 8,
         max_inflight_per_tenant: int = 4,
         max_queued_total: Optional[int] = None,
-        retry_after_s: float = 0.02,
     ) -> None:
         if max_queued_per_tenant < 1 or max_inflight_per_tenant < 1:
             raise ValueError("per-tenant bounds must be positive")
@@ -55,7 +57,6 @@ class AdmissionController:
         self.max_queued_per_tenant = max_queued_per_tenant
         self.max_inflight_per_tenant = max_inflight_per_tenant
         self.max_queued_total = max_queued_total
-        self.retry_after_s = retry_after_s
 
     def reject_reason(self, queued: int, inflight: int,
                       total_queued: int) -> Optional[str]:
@@ -81,12 +82,12 @@ class AdmissionController:
 class FairScheduler:
     """Weighted deficit round-robin over per-tenant job queues.
 
-    ``submit`` enqueues (or sheds, via the admission policy) a
-    ``(job, cost)`` for a tenant; ``pop`` serves the next job in WDRR
-    order.  Deficit counters follow the classic scheme: when a tenant
-    reaches the head of the active list its deficit grows by its
-    weight (default 1); its head job is served once the deficit
-    covers the job's cost, and the deficit resets when the tenant's
+    ``submit`` enqueues (or sheds, via the admission policy) a job for
+    a tenant; ``pop`` serves the next job in WDRR order.  Deficit
+    counters follow the classic scheme: when a tenant reaches the head
+    of the active list its deficit grows by its weight (default 1);
+    its head job is served once the deficit covers the job's cost of
+    1, and the deficit resets when the tenant's
     queue empties (credit must not accumulate while idle — that would
     let a sleeping tenant burst past everyone on wake-up).
     """
@@ -126,10 +127,8 @@ class FairScheduler:
         with self._lock:
             self._weights[tenant] = float(weight)
 
-    def submit(self, tenant: str, job, cost: float = 1.0) -> None:
+    def submit(self, tenant: str, job) -> None:
         """Enqueue ``job`` for ``tenant`` or raise :class:`PlanRejected`."""
-        if cost <= 0:
-            raise ValueError("job cost must be positive")
         with self._ready:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
@@ -143,14 +142,14 @@ class FairScheduler:
                 self._rejected_by[reason].inc()
                 raise PlanRejected(
                     tenant, reason,
-                    retry_after_s=self.admission.retry_after_s,
+                    retry_after_s=self.admission.RETRY_AFTER_S,
                 )
             if queue is None:
                 queue = self._queues[tenant] = deque()
             if not queue:
                 self._active.append(tenant)
                 self._deficit.setdefault(tenant, 0.0)
-            queue.append((job, float(cost)))
+            queue.append(job)
             self._total_queued += 1
             self._admitted.inc()
             self._depth_gauge.set(self._total_queued)
@@ -180,13 +179,12 @@ class FairScheduler:
             while True:
                 tenant = self._active[0]
                 queue = self._queues[tenant]
-                job, cost = queue[0]
                 if tenant not in self._topped:
                     self._topped.add(tenant)
                     self._deficit[tenant] += self._weights.get(tenant, 1.0)
-                if self._deficit[tenant] >= cost:
-                    queue.popleft()
-                    self._deficit[tenant] -= cost
+                if self._deficit[tenant] >= 1.0:
+                    job = queue.popleft()
+                    self._deficit[tenant] -= 1.0
                     self._total_queued -= 1
                     self._depth_gauge.set(self._total_queued)
                     if not queue:

@@ -36,17 +36,17 @@ from ..scheduling import build_schedule, serialize_schedule
 __all__ = ["degraded_plan", "is_degraded"]
 
 
-def degraded_plan(planner, batch: BatchSpec, cluster=None):
+def degraded_plan(planner, batch: BatchSpec):
     """Deterministic zigzag-placement fallback plan for ``batch``.
 
     ``planner`` supplies the geometry (cluster, attention, block size,
     divisions) so a degraded plan targets exactly the shape the optimal
     plan would have; only the placement quality differs.  The planner
-    must expose ``cluster`` (unless ``cluster`` is given) and
-    ``config``, as :class:`~repro.core.planner.DCPPlanner` does; a
-    planner without ``attention`` gets the default ``AttentionSpec``.
+    must expose ``cluster`` and ``config``, as
+    :class:`~repro.core.planner.DCPPlanner` does; a planner without
+    ``attention`` gets the default ``AttentionSpec``.
     """
-    cluster = cluster if cluster is not None else planner.cluster
+    cluster = planner.cluster
     config = planner.config
     with _span("degraded_plan", "planner"):
         block_set = generate_blocks(

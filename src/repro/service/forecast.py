@@ -29,28 +29,19 @@ __all__ = ["WorkloadForecast"]
 class WorkloadForecast:
     """Per-epoch arrival counts per signature, with hot-set prediction.
 
-    ``history`` bounds how many completed epochs are retained;
-    ``decay`` is the per-epoch weight multiplier when scoring (most
-    recent epoch weighs 1, the one before ``decay``, then ``decay**2``
-    ...).  Thread-safe: the service records arrivals from every client
-    thread.
+    Thread-safe: the service records arrivals from every client thread.
     """
 
-    def __init__(
-        self,
-        history: int = 4,
-        decay: float = 0.5,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if history < 1:
-            raise ValueError("history must be positive")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.history = history
-        self.decay = decay
+    #: Completed epochs retained.
+    HISTORY = 4
+    #: Per-epoch weight multiplier when scoring: the most recent epoch
+    #: weighs 1, the one before ``DECAY``, then ``DECAY**2`` ...
+    DECAY = 0.5
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
-        self._epochs: deque = deque(maxlen=history)
+        self._epochs: deque = deque(maxlen=self.HISTORY)
         self._current: TallyCounter = TallyCounter()
         self._epoch = 0
         self._epoch_gauge = self.metrics.gauge("service.forecast_epoch")
@@ -62,11 +53,11 @@ class WorkloadForecast:
         with self._lock:
             return self._epoch
 
-    def record(self, signature: Hashable, count: int = 1) -> None:
-        """One (or ``count``) demand arrivals of ``signature``."""
+    def record(self, signature: Hashable) -> None:
+        """One demand arrival of ``signature``."""
         with self._lock:
-            self._current[signature] += count
-        self._arrivals.inc(count)
+            self._current[signature] += 1
+        self._arrivals.inc()
 
     def roll_epoch(self) -> Dict[Hashable, int]:
         """Close the current epoch; returns its arrival counts."""
@@ -87,7 +78,7 @@ class WorkloadForecast:
         for counts in reversed(epochs):  # newest first
             for signature, count in counts.items():
                 scored[signature] = scored.get(signature, 0.0) + weight * count
-            weight *= self.decay
+            weight *= self.DECAY
         return scored
 
     def predict(self, top_k: int = 16) -> List[Hashable]:

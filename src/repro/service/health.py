@@ -3,9 +3,10 @@
 A dead shard that every request still probes turns one failure into a
 fleet-wide latency cliff: each fetch pays the full timeout before
 falling back.  The standard fix is a per-target *circuit breaker* —
-after ``failure_threshold`` consecutive failures the breaker opens and
-callers fail over instantly; after ``reset_after_s`` it half-opens and
-admits exactly one probe, whose outcome closes or re-opens it.
+after :data:`FAILURE_THRESHOLD` consecutive failures the breaker opens
+and callers fail over instantly; after :data:`RESET_AFTER_S` it
+half-opens and admits exactly one probe, whose outcome closes or
+re-opens it.
 
 :class:`ShardHealth` aggregates breakers per target (the store's
 shards) and counts breaker openings and fast fails.
@@ -30,31 +31,27 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive failures that open a breaker (read at run time).
+FAILURE_THRESHOLD = 3
+
+#: Seconds an open breaker waits before it admits one probe (read at
+#: run time).
+RESET_AFTER_S = 0.25
+
 
 class CircuitBreaker:
     """Classic three-state breaker over consecutive failures.
 
-    * ``closed`` — traffic flows; ``failure_threshold`` consecutive
-      failures open it.
-    * ``open`` — :meth:`allow` is False until ``reset_after_s`` has
-      elapsed since opening.
+    * ``closed`` — traffic flows; :data:`FAILURE_THRESHOLD`
+      consecutive failures open it.
+    * ``open`` — :meth:`allow` is False until :data:`RESET_AFTER_S`
+      has elapsed since opening.
     * ``half_open`` — exactly one caller is admitted as a probe; its
       :meth:`record_success` closes the breaker, its
       :meth:`record_failure` re-opens it (and restarts the timer).
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_after_s: float = 0.25,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be positive")
-        if reset_after_s <= 0:
-            raise ValueError("reset_after_s must be positive")
-        self.failure_threshold = failure_threshold
-        self.reset_after_s = reset_after_s
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
@@ -66,7 +63,7 @@ class CircuitBreaker:
     def _maybe_half_open(self) -> None:
         """Open -> half-open once the reset timer elapses (lock held)."""
         if (self._state == OPEN
-                and self._clock() - self._opened_at >= self.reset_after_s):
+                and self._clock() - self._opened_at >= RESET_AFTER_S):
             self._state = HALF_OPEN
             self._probing = False
 
@@ -102,8 +99,7 @@ class CircuitBreaker:
                 self.opened_count += 1
                 return
             self._failures += 1
-            if self._state == CLOSED and \
-                    self._failures >= self.failure_threshold:
+            if self._state == CLOSED and self._failures >= FAILURE_THRESHOLD:
                 self._state = OPEN
                 self._opened_at = self._clock()
                 self.opened_count += 1
@@ -119,13 +115,9 @@ class ShardHealth:
 
     def __init__(
         self,
-        failure_threshold: int = 3,
-        reset_after_s: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.failure_threshold = failure_threshold
-        self.reset_after_s = reset_after_s
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -137,11 +129,7 @@ class ShardHealth:
         with self._lock:
             breaker = self._breakers.get(target)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.failure_threshold,
-                    reset_after_s=self.reset_after_s,
-                    clock=self._clock,
-                )
+                breaker = CircuitBreaker(clock=self._clock)
                 self._breakers[target] = breaker
             return breaker
 

@@ -42,6 +42,7 @@ workers survive failing jobs.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -127,7 +128,6 @@ class PlanService:
         epoch_requests: Optional[int] = None,
         fault_injector=None,
         anti_entropy_interval_s: Optional[float] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one planner worker")
@@ -136,7 +136,7 @@ class PlanService:
         if epoch_requests is not None and epoch_requests < 1:
             raise ValueError("epoch_requests must be positive")
         self.planner = planner
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._injector = fault_injector
         self.cache = PlanCache(
             planner, capacity=cache_capacity, metrics=self.metrics
@@ -247,30 +247,40 @@ class PlanService:
     def _plan_job(self, signature, batch: BatchSpec, epoch: int,
                   prewarm: bool):
         """The unit of work a planner worker runs for one signature."""
+        return functools.partial(
+            self._plan_and_publish, signature, batch, epoch, prewarm,
+            "service.plan", {"prewarm": int(prewarm)}, reserved=True,
+        )
 
-        def job() -> None:
-            try:
-                with _span("service.plan", "service",
-                           prewarm=int(prewarm)):
-                    start = time.perf_counter()
-                    plan = self.planner.plan_batch(batch)
-                    self._plan_s.observe(time.perf_counter() - start)
-            except BaseException as exc:
+    def _plan_and_publish(self, signature, batch: BatchSpec, epoch: int,
+                          prewarm: bool, span: str, span_args: dict,
+                          reserved: bool) -> None:
+        """Plan *batch* under *span*, then store, publish and count it.
+
+        With *reserved* the job owns the signature's cache reservation:
+        a planning failure abandons it, releasing its waiters with the
+        error.
+        """
+        try:
+            with _span(span, "service", **span_args):
+                start = time.perf_counter()
+                plan = self.planner.plan_batch(batch)
+                self._plan_s.observe(time.perf_counter() - start)
+        except BaseException as exc:
+            if reserved:
                 self.cache.abandon(signature, exc, epoch=epoch)
-                raise
-            # The plan exists: a warm-store outage must not turn it
-            # into a failed fetch.  Serve from cache, heal the store
-            # via read-repair/anti-entropy once it returns.
-            try:
-                self.store.put(
-                    signature_key(signature), encode_plan(plan).to_bytes()
-                )
-            except TransientServiceError:
-                self._store_put_failures.inc()
-            self._publish(signature, plan, epoch, prewarm=prewarm)
-            self._planned.inc()
-
-        return job
+            raise
+        # The plan exists: a warm-store outage must not turn it into a
+        # failed fetch.  Serve from cache, heal the store via
+        # read-repair/anti-entropy once it returns.
+        try:
+            self.store.put(
+                signature_key(signature), encode_plan(plan).to_bytes()
+            )
+        except TransientServiceError:
+            self._store_put_failures.inc()
+        self._publish(signature, plan, epoch, prewarm=prewarm)
+        self._planned.inc()
 
     def _publish(self, signature, plan, epoch: int, prewarm: bool) -> None:
         """Insert into the hot cache + mark the entry's provenance.
@@ -486,20 +496,9 @@ class PlanService:
 
         def job() -> None:
             try:
-                epoch = self.cache.epoch
-                with _span("service.upgrade", "service"):
-                    start = time.perf_counter()
-                    plan = self.planner.plan_batch(batch)
-                    self._plan_s.observe(time.perf_counter() - start)
-                try:
-                    self.store.put(
-                        signature_key(signature),
-                        encode_plan(plan).to_bytes(),
-                    )
-                except TransientServiceError:
-                    self._store_put_failures.inc()
-                self._publish(signature, plan, epoch, prewarm=False)
-                self._planned.inc()
+                self._plan_and_publish(signature, batch, self.cache.epoch,
+                                       False, "service.upgrade", {},
+                                       reserved=False)
             finally:
                 with self._lock:
                     self._upgrading.discard(signature)

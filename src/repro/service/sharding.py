@@ -129,8 +129,6 @@ class ShardedPlanStore:
         replication: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector=None,
-        breaker_failures: int = 3,
-        breaker_reset_s: float = 0.25,
         anti_entropy_interval_s: Optional[float] = None,
     ) -> None:
         if shards < 1:
@@ -140,11 +138,7 @@ class ShardedPlanStore:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.replication = min(replication, shards)
         self._injector = fault_injector
-        self.health = ShardHealth(
-            failure_threshold=breaker_failures,
-            reset_after_s=breaker_reset_s,
-            metrics=self.metrics,
-        )
+        self.health = ShardHealth(metrics=self.metrics)
         #: Guards the restart check-and-swap of a shard's backing store.
         self._restart_lock = threading.Lock()
         self._seen_restarts: Dict[str, int] = {}

@@ -107,25 +107,22 @@ def _grad_sync_time(model: ModelSpec, cluster: ClusterSpec) -> float:
 
 
 def e2e_iteration_time(
-    plan,
-    model: Optional[ModelSpec] = None,
-    cluster: Optional[ClusterSpec] = None,
-    tokens_per_device: Optional[np.ndarray] = None,
+    plan, cluster: Optional[ClusterSpec] = None
 ) -> E2EResult:
-    """Price one full training iteration around an attention plan.
+    """Price one full training iteration of :data:`GPT_8B` around a plan.
 
     The attention plan covers one layer; the iteration runs
-    ``model.num_layers`` of them forward and backward, plus
-    context-independent work and gradient sync.
+    ``num_layers`` of them forward and backward, plus
+    context-independent work over each device's planned tokens and
+    gradient sync.
     """
-    model = model or GPT_8B
+    model = GPT_8B
     cluster = cluster or plan.cluster
-
-    if tokens_per_device is None:
-        counts = np.zeros(cluster.num_devices, dtype=np.int64)
-        for device, device_plan in plan.device_plans.items():
-            counts[device] = sum(ts.tokens for ts in device_plan.local_slices)
-        tokens_per_device = counts
+    tokens_per_device = np.zeros(cluster.num_devices, dtype=np.int64)
+    for device, device_plan in plan.device_plans.items():
+        tokens_per_device[device] = sum(
+            ts.tokens for ts in device_plan.local_slices
+        )
 
     forward = simulate_plan(plan, cluster, backward=False)
     backward = simulate_plan(plan, cluster, backward=True)

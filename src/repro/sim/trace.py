@@ -41,13 +41,15 @@ _LANES = ("compute", "comm", "stall")
 _LANE_CHAR = {"compute": "#", "comm": "=", "stall": "-"}
 _OVERLAP_CHAR = "X"
 
+#: Seconds to the microseconds the trace format expects.
+_US = 1e6
 
-def to_chrome_trace(result: TimingResult, time_scale: float = 1e6) -> Dict:
+
+def to_chrome_trace(result: TimingResult) -> Dict:
     """Convert a :class:`TimingResult` into Chrome trace-event JSON.
 
     One process per device; one thread per lane (compute / comm /
-    stall).  ``time_scale`` converts simulated seconds into the
-    microseconds the trace format expects.
+    stall); simulated seconds become microseconds.
     """
     events: List[Dict] = []
     for device, timing in sorted(result.devices.items()):
@@ -77,22 +79,21 @@ def to_chrome_trace(result: TimingResult, time_scale: float = 1e6) -> Dict:
                     "ph": "X",
                     "pid": device,
                     "tid": _LANES.index(lane),
-                    "ts": start * time_scale,
-                    "dur": max(end - start, 0.0) * time_scale,
+                    "ts": start * _US,
+                    "dur": max(end - start, 0.0) * _US,
                 }
             )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(result: TimingResult, path: str,
-                       time_scale: float = 1e6) -> None:
+def write_chrome_trace(result: TimingResult, path: str) -> None:
     """Write the Chrome trace of ``result`` to ``path`` (JSON)."""
     with open(path, "w") as handle:
-        json.dump(to_chrome_trace(result, time_scale=time_scale), handle)
+        json.dump(to_chrome_trace(result), handle)
 
 
 def overlap_chrome_trace(
-    timeline, time_scale: float = 1e6, clock_origin: Optional[float] = None
+    timeline, clock_origin: Optional[float] = None
 ) -> Dict:
     """Chrome trace of a planning/execution overlap timeline.
 
@@ -135,8 +136,8 @@ def overlap_chrome_trace(
                 "ph": "X",
                 "pid": 0,
                 "tid": tid,
-                "ts": start * time_scale,
-                "dur": max(end - start, 0.0) * time_scale,
+                "ts": start * _US,
+                "dur": max(end - start, 0.0) * _US,
             }
         )
 
@@ -159,7 +160,6 @@ def overlap_chrome_trace(
 def merge_chrome_traces(
     traces,
     labels: Optional[List[Optional[str]]] = None,
-    time_scale: float = 1e6,
 ) -> Dict:
     """Merge several Chrome traces onto one shared epoch.
 
@@ -170,8 +170,8 @@ def merge_chrome_traces(
     t=0) are rebased onto the earliest such origin, so *measured*
     traces from the same process tree align exactly; traces without
     one (e.g. simulated executions, whose clock is simulated seconds)
-    keep their own t=0 at the shared epoch.  ``time_scale`` must match
-    the scale the inputs were exported with.
+    keep their own t=0 at the shared epoch.  Every input is in
+    microseconds, as every exporter here writes.
 
     Process ids are re-namespaced to disjoint ranges (the simulator
     uses ``pid = device``, the overlap lane ``pid = 0`` — merged
@@ -188,7 +188,7 @@ def merge_chrome_traces(
     pid_base = 0
     for index, trace in enumerate(traces):
         origin = origins[index]
-        shift = (origin - epoch) * time_scale if origin is not None else 0.0
+        shift = (origin - epoch) * _US if origin is not None else 0.0
         label = labels[index] if labels else None
         events = trace.get("traceEvents", [])
         pid_map: Dict[int, int] = {}
@@ -227,8 +227,7 @@ def _paint(
             line[i] = _OVERLAP_CHAR
 
 
-def ascii_gantt(result: TimingResult, width: int = 72,
-                max_devices: Optional[int] = None) -> str:
+def ascii_gantt(result: TimingResult, width: int = 72) -> str:
     """Render per-device timelines as an ASCII Gantt chart.
 
     ``#`` computation, ``=`` communication, ``-`` stall, ``X``
@@ -241,10 +240,7 @@ def ascii_gantt(result: TimingResult, width: int = 72,
         f"iteration {total * 1e3:.3f} ms  "
         f"(# compute, = comm, X overlap, - stall, . idle)"
     ]
-    devices = sorted(result.devices)
-    if max_devices is not None:
-        devices = devices[:max_devices]
-    for device in devices:
+    for device in sorted(result.devices):
         timing = result.devices[device]
         line = ["."] * width
         for start, end in timing.compute_intervals:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.blocks import AttentionSpec, BatchSpec
-from repro.core import DCPConfig, autotune_block_size
-from repro.core.autotune import BlockSizeScore
+from repro.core import DCPConfig, autotune, autotune_block_size
 from repro.masks import CausalMask
 from repro.sim import ClusterSpec
 
@@ -19,114 +18,58 @@ def _batches(count=3):
     ]
 
 
-class TestAutotune:
-    def test_returns_a_candidate(self):
-        result = autotune_block_size(
-            _batches(),
+@pytest.fixture
+def search(monkeypatch):
+    """Search the given candidates on the first ``probes`` batches:
+    block sizes that suit these small batches."""
+
+    def run(candidates, probes=1, batches=None):
+        monkeypatch.setattr(autotune, "PAPER_CANDIDATES", candidates)
+        monkeypatch.setattr(autotune, "PROBE_BATCHES", probes)
+        return autotune_block_size(
+            _batches() if batches is None else batches,
             CLUSTER,
             attention=ATTENTION,
             config=DCPConfig(restarts=1),
-            candidates=(64, 128, 256),
-            probe_batches=1,
         )
+
+    return run
+
+
+class TestAutotune:
+    def test_returns_a_candidate(self, search):
+        result = search((64, 128, 256))
         assert result.best in (64, 128, 256)
         assert len(result.scores) == 3
 
-    def test_scores_cover_all_candidates(self):
-        result = autotune_block_size(
-            _batches(),
-            CLUSTER,
-            attention=ATTENTION,
-            config=DCPConfig(restarts=1),
-            candidates=(128, 256),
-            probe_batches=1,
-        )
+    def test_scores_cover_all_candidates(self, search):
+        result = search((128, 256))
         assert {s.block_size for s in result.scores} == {128, 256}
         for score in result.scores:
             assert score.attention_s > 0
             assert score.planning_s > 0
             assert score.comm_bytes >= 0
 
-    def test_best_minimizes_objective(self):
-        result = autotune_block_size(
-            _batches(),
-            CLUSTER,
-            attention=ATTENTION,
-            config=DCPConfig(restarts=1),
-            candidates=(64, 128, 256),
-            probe_batches=2,
-        )
-        best_objective = next(
-            score.objective()
+    def test_best_minimizes_objective(self, search):
+        result = search((64, 128, 256), probes=2)
+        best = next(
+            score.attention_s
             for score in result.scores
             if score.block_size == result.best
         )
         for score in result.scores:
-            assert best_objective <= score.objective() + 1e-12
+            assert best <= score.attention_s + 1e-12
 
-    def test_planning_weight_can_flip_choice(self):
-        """A huge planning penalty must select the cheapest planner."""
-        result = autotune_block_size(
-            _batches(),
-            CLUSTER,
-            attention=ATTENTION,
-            config=DCPConfig(restarts=1),
-            candidates=(32, 256),
-            probe_batches=1,
-            planning_weight=1e6,
-        )
-        # Fine blocks plan much slower; the penalty forces coarse blocks.
-        assert result.best == 256
-
-    def test_duplicate_candidates_deduped(self):
-        result = autotune_block_size(
-            _batches(),
-            CLUSTER,
-            attention=ATTENTION,
-            config=DCPConfig(restarts=1),
-            candidates=(128, 128, 256),
-            probe_batches=1,
-        )
-        assert len(result.scores) == 2
-
-    def test_table_marks_winner(self):
-        result = autotune_block_size(
-            _batches(),
-            CLUSTER,
-            attention=ATTENTION,
-            config=DCPConfig(restarts=1),
-            candidates=(128, 256),
-            probe_batches=1,
-        )
+    def test_table_marks_winner(self, search):
+        result = search((128, 256))
         table = result.table()
         assert "*" in table
         assert str(result.best) in table
 
-    def test_rejects_empty_candidates(self):
+    def test_rejects_empty_batches(self, search):
         with pytest.raises(ValueError):
-            autotune_block_size(
-                _batches(), CLUSTER, attention=ATTENTION, candidates=()
-            )
+            search((128,), batches=[])
 
-    def test_rejects_empty_batches(self):
+    def test_rejects_zero_probes(self, search):
         with pytest.raises(ValueError):
-            autotune_block_size(
-                [], CLUSTER, attention=ATTENTION, candidates=(128,)
-            )
-
-    def test_rejects_zero_probes(self):
-        with pytest.raises(ValueError):
-            autotune_block_size(
-                _batches(),
-                CLUSTER,
-                attention=ATTENTION,
-                candidates=(128,),
-                probe_batches=0,
-            )
-
-    def test_objective_helper(self):
-        score = BlockSizeScore(
-            block_size=128, attention_s=1.0, planning_s=2.0, comm_bytes=0.0
-        )
-        assert score.objective() == pytest.approx(1.0)
-        assert score.objective(0.5) == pytest.approx(2.0)
+            search((128,), probes=0)

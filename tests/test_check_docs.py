@@ -41,15 +41,16 @@ def test_live_names_resolve():
 
 def test_deleted_keywords_are_flagged():
     text = (
-        "`KVPlannerBackend(planner, KVStore(host_machine=1), monolithic=True)`"
+        "`KVPlannerBackend(planner, KVStore(metrics=registry), monolithic=True)`"
         " and `repro.core.KVStore(retain=2, host_machine=1)`; "
         "`PlanService.fetch_plan(tenant, batch, dead_line=0.3)`."
     )
     assert check_docs.stale_keywords(text) == [
-        ("KVPlannerBackend(planner, KVStore(host_machine=1), monolithic=True)",
+        ("KVPlannerBackend(planner, KVStore(metrics=registry), monolithic=True)",
          "monolithic"),
         ("PlanService.fetch_plan(tenant, batch, dead_line=0.3)", "dead_line"),
         ("repro.core.KVStore(retain=2, host_machine=1)", "retain"),
+        ("repro.core.KVStore(retain=2, host_machine=1)", "host_machine"),
     ]
 
 
@@ -133,9 +134,12 @@ def test_stale_kept_entries_are_flagged(tmp_path):
         "# comment\n"
         "repro/core/cache.py::PlanCache.abandon  safety  waiters\n"
         "repro/core/cache.py::PlanCache.gone  oracle  deleted long ago\n"
+        "repro/plan/__init__.py::main(argv)  fake  tests pass argv\n"
+        "repro/plan/__init__.py::main(gone)  fake  deleted long ago\n"
     )
-    [failure] = check_docs.stale_kept_entries(str(kept))
-    assert "repro/core/cache.py::PlanCache.gone" in failure
+    gone, gone_param = check_docs.stale_kept_entries(str(kept))
+    assert "repro/core/cache.py::PlanCache.gone" in gone
+    assert "repro/plan/__init__.py::main(gone)" in gone_param
 
 
 def test_kept_entry_needs_a_known_reason(tmp_path):

@@ -76,7 +76,7 @@ class TestDCPPlanner:
         planner = self.make()
         batch = BatchSpec.build([64, 32], make_mask("causal"))
         plan = planner.plan_batch(batch)
-        stats = planner.last_stats
+        stats = plan.meta["planning_stats"]
         assert stats.total > 0
         assert stats.placement > 0
         assert plan.meta["planner"] == "dcp"

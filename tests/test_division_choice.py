@@ -421,7 +421,7 @@ class TestObservable:
         chosen = plan.meta["num_divisions"]
         assert sorted(prices) == [1, 2, 4]
         assert prices[chosen] == min(prices.values())
-        assert planner.last_stats.num_divisions == chosen
+        assert plan.meta["planning_stats"].num_divisions == chosen
         histogram = planner.metrics.snapshot()["planner.num_divisions"]
         assert histogram["count"] == 1 and histogram["max"] == chosen
 

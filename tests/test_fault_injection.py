@@ -312,7 +312,10 @@ class TestPlannerWorkerFaults:
         assert stats.plan_retries >= 1
 
     @pytest.mark.parametrize("kind", ["thread", "kv"])
-    def test_worker_crash_falls_back_inline(self, kind):
+    def test_worker_crash_falls_back_inline(self, kind, monkeypatch):
+        import repro.pipeline.pipeline as pipeline_mod
+
+        monkeypatch.setattr(pipeline_mod, "MAX_PLAN_RETRIES", 1)
         reference = _pipeline_planner()
         flaky = WorkerOnlyCrashPlanner(_pipeline_planner())
         backend = (
@@ -321,7 +324,7 @@ class TestPlannerWorkerFaults:
         batches = _pipeline_batches(3)
         pipeline = StreamingOverlapPipeline(
             batches, flaky, lookahead=1, max_workers=2,
-            backend=backend, max_plan_retries=1,
+            backend=backend,
         )
         stats = self._check_all_plans(pipeline, batches, reference)
         # Every batch: one dispatch + one respawn fail before inline.

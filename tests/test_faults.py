@@ -11,7 +11,7 @@ from repro.faults import (
     ScheduleRunner,
     parse_schedule,
 )
-from repro.service import ShardedPlanStore
+from repro.service import ShardedPlanStore, health
 from repro.service.errors import ShardUnavailable
 from repro.service.health import (
     CLOSED,
@@ -31,6 +31,18 @@ class FakeClock:
 
     def advance(self, dt):
         self.now += dt
+
+
+@pytest.fixture
+def breakers(monkeypatch):
+    """Set the breaker constants for the breakers a test builds next."""
+
+    def configure(failures=health.FAILURE_THRESHOLD,
+                  reset_s=health.RESET_AFTER_S):
+        monkeypatch.setattr(health, "FAILURE_THRESHOLD", failures)
+        monkeypatch.setattr(health, "RESET_AFTER_S", reset_s)
+
+    return configure
 
 
 # -- injector -----------------------------------------------------------------
@@ -125,11 +137,14 @@ class TestFaultSchedule:
 def single_owner_store(injector):
     """One shard, one copy: every op lands on ``shard0``."""
     return ShardedPlanStore(shards=1, replication=1,
-                            fault_injector=injector,
-                            breaker_reset_s=0.01)
+                            fault_injector=injector)
 
 
 class TestShardFaultInjection:
+    @pytest.fixture(autouse=True)
+    def fast_breakers(self, breakers):
+        breakers(reset_s=0.01)
+
     def test_kill_fails_ops_and_restart_wipes(self):
         injector = FaultInjector()
         store = single_owner_store(injector)
@@ -181,10 +196,10 @@ def state_of(breaker: CircuitBreaker) -> str:
 
 
 class TestCircuitBreaker:
-    def test_threshold_opens_and_reset_half_opens(self):
+    def test_threshold_opens_and_reset_half_opens(self, breakers):
+        breakers(failures=3, reset_s=1.0)
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_after_s=1.0,
-                                 clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         assert state_of(breaker) == CLOSED
         for _ in range(3):
             assert breaker.allow()
@@ -198,10 +213,10 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert state_of(breaker) == CLOSED
 
-    def test_failed_probe_reopens_with_fresh_timer(self):
+    def test_failed_probe_reopens_with_fresh_timer(self, breakers):
+        breakers(failures=1, reset_s=1.0)
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=1.0,
-                                 clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         clock.advance(1.0)
         assert breaker.allow()
@@ -212,8 +227,9 @@ class TestCircuitBreaker:
         clock.advance(0.5)
         assert breaker.allow()
 
-    def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
+    def test_success_resets_consecutive_count(self, breakers):
+        breakers(failures=2)
+        breaker = CircuitBreaker()
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
@@ -221,14 +237,14 @@ class TestCircuitBreaker:
 
 
 class TestShardHealth:
-    def test_routes_and_counts_fast_fails(self):
+    def test_routes_and_counts_fast_fails(self, breakers):
+        breakers(failures=2, reset_s=1.0)
         clock = FakeClock()
-        health = ShardHealth(failure_threshold=2, reset_after_s=1.0,
-                             clock=clock)
-        assert health.allow("shard0")
-        health.record_failure("shard0")
-        health.record_failure("shard0")
-        assert not health.allow("shard0")
-        assert health.metrics.counter("health.fast_fails").value == 1
-        assert health.metrics.counter("health.breaker_opened").value == 1
-        assert state_of(health.breaker("shard0")) == OPEN
+        shard_health = ShardHealth(clock=clock)
+        assert shard_health.allow("shard0")
+        shard_health.record_failure("shard0")
+        shard_health.record_failure("shard0")
+        assert not shard_health.allow("shard0")
+        assert shard_health.metrics.counter("health.fast_fails").value == 1
+        assert shard_health.metrics.counter("health.breaker_opened").value == 1
+        assert state_of(shard_health.breaker("shard0")) == OPEN

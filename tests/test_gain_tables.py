@@ -34,6 +34,7 @@ from repro.hypergraph import (
     fm_refine,
     greedy_refine,
     rebalance,
+    refine,
 )
 from repro.masks import CausalMask
 
@@ -158,7 +159,7 @@ class TestTablesStayExact:
         assert COUNTERS.moves >= kept > 0
         assert_tables_fresh(state)
 
-    def test_neighbour_reached_through_two_edges(self):
+    def test_neighbour_reached_through_two_edges(self, monkeypatch):
         # Vertices 0 and 1 share two small edges; one move of vertex 0
         # changes vertex 1's gains through both and still pushes it once,
         # like vertex 2.  Vertex 0 -> part 1 is the top gain by a margin.
@@ -172,7 +173,8 @@ class TestTablesStayExact:
         state = RefinementState(graph, labels, 2)
         COUNTERS.reset()
         rng = np.random.default_rng(0)
-        assert fm_refine(state, caps, rng, max_passes=1, move_cap=1) == 1
+        monkeypatch.setattr(refine, "MOVE_CAP", 1)
+        assert fm_refine(state, caps, rng, max_passes=1) == 1
         assert state.labels.tolist() == [1, 1, 1, 0, 1]
         # Five boundary vertices, then two refreshes, k = 2 gains each.
         assert COUNTERS.snapshot() == {

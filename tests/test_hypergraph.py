@@ -106,13 +106,14 @@ class TestCoarsen:
         assert mapping.max() == coarse.num_vertices - 1
 
     def test_hierarchy_respects_min_vertices(self):
+        # k = 2 stops contracting at max(60, 12 * k) = 60 vertices.
         rng = np.random.default_rng(0)
         n = 200
         pins = [[i, i + 1] for i in range(n - 1)]
         g = from_pins(np.ones((n, 2)), pins, [1] * (n - 1))
-        levels = coarsen(g, 2, rng, min_vertices=20)
+        levels = coarsen(g, 2, rng)
         assert levels
-        assert levels[-1][0].num_vertices >= 10
+        assert 30 <= levels[-1][0].num_vertices <= 60
 
 
 class TestRefinement:

@@ -1,5 +1,7 @@
 """Tests for the numpy GPT: layers, gradients, training equivalence."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from repro.model.layers import (
     linear_forward,
     softmax_cross_entropy,
 )
+
+# The package's ``train`` is the function; this is its module.
+train_mod = importlib.import_module("repro.model.train")
 
 
 def numerical_grad(fn, x, eps=1e-3):
@@ -146,12 +151,13 @@ class TestTinyGPT:
                     1.0, abs(numeric)
                 ), name
 
-    def test_training_reduces_loss(self):
+    def test_training_reduces_loss(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "LEARNING_RATE", 0.5)
         config = GPTConfig(vocab=32, d_model=32, num_layers=2, num_heads=4,
                            num_kv_groups=2, head_dim=8, d_ff=64, max_len=64)
         model = TinyGPT(config, seed=1)
         corpus = generate_corpus(32, 48, 8, seed=2)
-        losses = train(model, corpus, 60, learning_rate=0.5)
+        losses = train(model, corpus, 60)
         assert losses[-1] < losses[0] - 0.5
 
     def test_sparse_mask_training_runs(self):
@@ -162,8 +168,9 @@ class TestTinyGPT:
         losses = train(model, corpus, 10, mask=LambdaMask(sink=2, window=8))
         assert len(losses) == 10
 
-    def test_distributed_forward_equals_dense(self):
+    def test_distributed_forward_equals_dense(self, monkeypatch):
         """The Fig. 21 claim: DCP does not change training numerics."""
+        monkeypatch.setattr(train_mod, "LEARNING_RATE", 0.5)
         from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner
 
         config = GPTConfig(vocab=32, d_model=32, num_layers=2, num_heads=4,
@@ -177,8 +184,7 @@ class TestTinyGPT:
 
         dense_model = TinyGPT(config, seed=3)
         dcp_model = TinyGPT(config, seed=3)
-        dense_losses = train(dense_model, corpus, 8, learning_rate=0.5)
-        dcp_losses = train(dcp_model, corpus, 8, learning_rate=0.5,
-                           attention_forward=forward)
+        dense_losses = train(dense_model, corpus, 8)
+        dcp_losses = train(dcp_model, corpus, 8, attention_forward=forward)
         for a, b in zip(dense_losses, dcp_losses):
             assert abs(a - b) < 1e-3

@@ -53,15 +53,21 @@ def recording_to(tracer):
         obs_trace._TRACER = old
 
 
+def enabled_tracer() -> Tracer:
+    tracer = Tracer()
+    tracer.enable()
+    return tracer
+
+
 class TestTracer:
     def test_disabled_records_nothing(self):
-        with recording_to(Tracer(enabled=False)) as tracer:
+        with recording_to(Tracer()) as tracer:
             with span("noop", "test"):
                 pass
         assert len(tracer) == 0
 
     def test_span_nesting_parent_links(self):
-        with recording_to(Tracer(enabled=True)) as tracer:
+        with recording_to(enabled_tracer()) as tracer:
             with span("outer", "test"):
                 with span("inner", "test"):
                     pass
@@ -73,7 +79,7 @@ class TestTracer:
         assert outer[6] <= inner[6] <= inner[7] <= outer[7]
 
     def test_thread_safety_and_per_thread_stacks(self):
-        tracer = Tracer(enabled=True)
+        tracer = enabled_tracer()
         spans_per_thread = 50
 
         def work():
@@ -130,7 +136,7 @@ class TestTracer:
         assert per_call < 2e-6
 
     def test_chrome_trace_export(self):
-        with recording_to(Tracer(enabled=True)) as tracer:
+        with recording_to(enabled_tracer()) as tracer:
             with span("work", "test", key="value"):
                 pass
         tracer.add_span("measured", "test", tracer.origin, tracer.origin + 0.5)
@@ -305,14 +311,16 @@ class TestInstrumentation:
         assert "cache.misses" in names
         assert "kv.puts" in names
 
-    def test_telemetry_round_trips_the_pipelines_plans(self):
+    def test_telemetry_round_trips_the_pipelines_plans(self, monkeypatch):
         """The telemetry workload ships the plans its pipeline cached
         through the KV store: one put and one hit per batch, every
         surface on one registry, and no metric from a transport that
         no longer exists."""
+        from repro.obs import bench
         from repro.obs.bench import REQUIRED_METRICS, collect_telemetry
 
-        report = collect_telemetry(smoke=True, num_batches=3, cycles=2)
+        monkeypatch.setattr(bench, "NUM_BATCHES", 3)
+        report = collect_telemetry(smoke=True)
         snap = report["snapshot"]
         assert report["iterations"] == 6
         assert snap["kv.puts"]["value"] == 3
@@ -330,8 +338,8 @@ class TestInstrumentation:
 
 class TestMergeChromeTraces:
     def test_shared_epoch_rebase_and_pid_namespacing(self):
-        early = Tracer(enabled=True)
-        late = Tracer(enabled=True)
+        early = enabled_tracer()
+        late = enabled_tracer()
         late.origin = early.origin + 2.0  # late trace starts 2s in
         late.add_span("b", "test", late.origin, late.origin + 0.5)
         early.add_span("a", "test", early.origin, early.origin + 0.5)
@@ -356,7 +364,7 @@ class TestMergeChromeTraces:
         assert any(name.startswith("late:") for name in labels)
 
     def test_origin_free_trace_lands_at_epoch(self):
-        tracer = Tracer(enabled=True)
+        tracer = enabled_tracer()
         tracer.add_span("a", "test", tracer.origin + 1.0, tracer.origin + 2.0)
         sim_trace = {
             "traceEvents": [

@@ -484,14 +484,16 @@ class TestWorkerRetries:
         assert stats.plan_retries == 1
         assert stats.as_dict()["plan_retries"] == 1
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingOverlapPipeline([], make_planner(), max_plan_retries=-1)
-
-    def test_joined_item_inline_fallback_records_real_interval(self):
+    def test_joined_item_inline_fallback_records_real_interval(
+        self, monkeypatch
+    ):
         """A joined item forced to the inline fallback did real blocking
         planning work: its interval must not be zeroed as 'free'."""
         import threading
+
+        import repro.pipeline.pipeline as pipeline_mod
+
+        monkeypatch.setattr(pipeline_mod, "MAX_PLAN_RETRIES", 0)
 
         class AlwaysCrashInWorkers:
             def __init__(self, planner):
@@ -510,7 +512,7 @@ class TestWorkerRetries:
         batches = [BatchSpec.build([48, 32], mask) for _ in range(2)]
         pipeline = StreamingOverlapPipeline(
             batches, flaky, lookahead=1, max_workers=1,
-            cache=cache, max_plan_retries=0,
+            cache=cache,
         )
         plans = [plan for _, plan in pipeline]
         assert len(plans) == 2
@@ -588,26 +590,6 @@ class TestEarlyExit:
 
 
 class TestBoundedRecords:
-    def test_records_limit_keeps_totals_exact(self):
-        planner = make_planner()
-        pipeline = StreamingOverlapPipeline(
-            make_batches(5), planner, lookahead=1, records_limit=2
-        )
-        plans = [plan for _, plan in pipeline]
-        assert len(plans) == 5
-        stats = pipeline.stats()
-        assert stats.iterations == 5  # totals ignore the truncation
-        assert len(stats.records) == 2  # history is the retained tail
-        assert [r.index for r in stats.records] == [3, 4]
-        assert stats.total_plan_s > 0.0
-        assert 0.0 <= stats.hidden_fraction <= 1.0
-        # The last plan's running meta reflects all five iterations.
-        assert plans[-1].meta["overlap"]["running"]["iterations"] == 5
-
-    def test_records_limit_validated(self):
-        with pytest.raises(ValueError):
-            StreamingOverlapPipeline([], make_planner(), records_limit=0)
-
     def test_unbounded_default_keeps_everything(self):
         planner = make_planner()
         pipeline = StreamingOverlapPipeline(

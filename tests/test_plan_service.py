@@ -174,8 +174,7 @@ class TestFairScheduler:
 
     def test_rejects_on_tenant_queue_depth(self):
         scheduler = FairScheduler(
-            admission=AdmissionController(max_queued_per_tenant=2,
-                                          retry_after_s=0.03)
+            admission=AdmissionController(max_queued_per_tenant=2)
         )
         scheduler.submit("t", 1)
         scheduler.submit("t", 2)
@@ -183,7 +182,7 @@ class TestFairScheduler:
             scheduler.submit("t", 3)
         assert info.value.reason == "tenant_queue_full"
         assert info.value.tenant == "t"
-        assert info.value.retry_after_s == pytest.approx(0.03)
+        assert info.value.retry_after_s == AdmissionController.RETRY_AFTER_S
         # Another tenant is unaffected: caps are per-tenant.
         scheduler.submit("other", 1)
 
@@ -200,8 +199,7 @@ class TestFairScheduler:
 
     def test_backoff_retry_succeeds_after_drain(self):
         scheduler = FairScheduler(
-            admission=AdmissionController(max_queued_per_tenant=1,
-                                          retry_after_s=0.01)
+            admission=AdmissionController(max_queued_per_tenant=1)
         )
         scheduler.submit("t", "first")
         deadline = time.time() + 5.0
@@ -260,20 +258,23 @@ class TestWorkloadForecast:
         assert forecast.predict(top_k=2) == ["hot", "warm"]
 
     def test_decay_prefers_recent_epochs(self):
-        forecast = WorkloadForecast(decay=0.5)
-        forecast.record("old", count=3)
+        forecast = WorkloadForecast()
+        assert forecast.DECAY == 0.5
+        for _ in range(3):
+            forecast.record("old")
         forecast.roll_epoch()
-        forecast.record("new", count=2)
+        for _ in range(2):
+            forecast.record("new")
         forecast.roll_epoch()
         # new scores 2.0, old scores 3 * 0.5 = 1.5.
         assert forecast.predict(top_k=2) == ["new", "old"]
 
     def test_history_bound(self):
-        forecast = WorkloadForecast(history=2)
-        forecast.record("ancient", count=100)
-        forecast.roll_epoch()
-        forecast.roll_epoch()
-        forecast.roll_epoch()  # ancient's epoch fell out of the window
+        forecast = WorkloadForecast()
+        for _ in range(100):
+            forecast.record("ancient")
+        for _ in range(forecast.HISTORY + 1):
+            forecast.roll_epoch()  # ancient's epoch fell out of the window
         assert forecast.scores() == {}
 
 
@@ -338,8 +339,7 @@ class TestPlanService:
             planner,
             workers=1,
             admission=AdmissionController(max_queued_per_tenant=1,
-                                          max_inflight_per_tenant=1,
-                                          retry_after_s=0.01),
+                                          max_inflight_per_tenant=1),
         ) as service:
             fetches = []
 

@@ -338,14 +338,16 @@ class TestAdoption:
         batch = refined_batch()
         dcp = planner(cluster)
         plan = dcp.plan_batch(batch)
-        assert dcp.last_stats.price_moves >= 1
-        assert dcp.last_stats.byte_moves >= 1
+        stats = plan.meta["planning_stats"]
+        assert stats.price_moves >= 1
+        assert stats.byte_moves >= 1
         again = dcp.plan_batch(batch, warm=plan.meta["placement"])
         assert plan_fingerprint(again) == plan_fingerprint(plan)
         assert again.meta["placement"][2] == "refined"
         assert again.meta["division_prices"] == plan.meta["division_prices"]
         # An adopted placement is not searched again.
-        assert dcp.last_stats.price_moves == dcp.last_stats.byte_moves == 0
+        again_stats = again.meta["planning_stats"]
+        assert again_stats.price_moves == again_stats.byte_moves == 0
         assert list(again.meta["placement_prices"]) == ["refined"]
 
     def test_losing_an_idle_machine_keeps_the_refined_choice(self):
@@ -379,12 +381,12 @@ class TestObservable:
         dcp = planner(cluster)
         enable_tracing()
         try:
-            dcp.plan_batch(batch)
+            plan = dcp.plan_batch(batch)
             names = [span[0] for span in get_tracer().spans()]
         finally:
             disable_tracing()
             get_tracer().clear()
-        stats = dcp.last_stats
+        stats = plan.meta["planning_stats"]
         assert stats.placement_source == "refined"
         assert stats.price_moves >= 1
         assert dcp.metrics.counter("planner.price_moves").value == (

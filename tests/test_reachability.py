@@ -1,9 +1,9 @@
 """The reachability check (benchmarks/reachability.py) on a toy package.
 
 One subprocess runs a toy entry point under the start-up tracer; the
-check must flag the functions it never calls, must not flag a function
-the kept-list names, and must see what the entry point ran in a thread
-and in a forked worker process.
+check must flag the functions it never calls and the parameters no call
+sets, must not flag a function or parameter the kept-list names, and
+must see what the entry point ran in a thread.
 """
 
 import importlib.util
@@ -65,8 +65,17 @@ def in_thread():
     return 7
 
 
-def in_child():
-    return 8
+def tuned(varied=1, default_only=(2, None), scripted=3, kept_option=4):
+    return varied
+
+
+class Knob:
+    def __init__(self, level=1, shared=[]):
+        self.level = level
+
+
+def _private(option=1):
+    return option
 
 
 if True:
@@ -81,11 +90,11 @@ class Outer:
 '''
 
 MAIN = '''
-import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
 
-from toypkg.mod import Box, Outer, cached, conditional, in_child, in_thread, used
+from toypkg.mod import (
+    Box, Knob, Outer, _private, cached, conditional, in_thread, tuned, used,
+)
 
 used()
 Box().size
@@ -95,10 +104,25 @@ Outer.Inner().method()
 thread = threading.Thread(target=in_thread)
 thread.start()
 thread.join()
-context = multiprocessing.get_context("fork")
-with ProcessPoolExecutor(1, mp_context=context) as pool:
-    assert pool.submit(in_child).result() == 8
+tuned()
+tuned(varied=5, default_only=(2, None))
+Knob(2, shared=[])
+_private()
 '''
+
+#: A script under the toy's ``benchmarks/``: it passes ``scripted`` by
+#: keyword, which no traced call does.
+SCRIPT = '''
+from toypkg.mod import tuned
+
+tuned(scripted=7)
+'''
+
+KEPT = (
+    "# one kept function and one kept parameter\n"
+    "toypkg/mod.py::kept  oracle  tests compare against it\n"
+    "toypkg/mod.py::tuned(kept_option)  fake  a test hands a fake through it\n"
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,24 +133,23 @@ def toy(tmp_path_factory):
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text(textwrap.dedent(TOY))
     (root / "main.py").write_text(textwrap.dedent(MAIN))
-    (root / "kept.txt").write_text(
-        "# one kept function\n"
-        "toypkg/mod.py::kept  oracle  tests compare against it\n"
-    )
-    reached, runs = reachability.run_entry_points(
+    (root / "benchmarks").mkdir()
+    (root / "benchmarks" / "drive.py").write_text(textwrap.dedent(SCRIPT))
+    (root / "kept.txt").write_text(KEPT)
+    reached, varied, runs = reachability.run_entry_points(
         [["main.py"]], str(package), cwd=str(root), pythonpath=[str(root)]
     )
-    return root, package, reached, runs
+    return root, package, reached, varied, runs
 
 
 def test_entry_point_ran(toy):
-    _root, _package, _reached, runs = toy
+    *_, runs = toy
     [(command, code, _seconds, raised)] = runs
     assert command == "main.py" and code == 0 and not raised
 
 
 def test_unreached_functions_are_flagged(toy):
-    root, package, reached, _runs = toy
+    root, package, reached, _varied, _runs = toy
     universe = reachability.functions(str(package))
     keys = {func.key for func in universe}
     assert "toypkg/mod.py::Box.stub" not in keys  # a stub has no behaviour
@@ -140,8 +163,137 @@ def test_unreached_functions_are_flagged(toy):
     assert "toypkg/mod.py::kept" in {func.key for func in missed}
 
 
+def option_check(toy, kept_text):
+    """The toy's options table and the check's parameter failures."""
+    root, package, reached, varied, _runs = toy
+    universe = reachability.functions(str(package))
+    static = reachability.static_options(universe, str(root / "benchmarks"))
+    (root / "kept_now.txt").write_text(kept_text)
+    kept = reachability.load_kept(str(root / "kept_now.txt"))
+    table = reachability.unvaried(universe, reached, varied, static)
+    failed = [problem.split(": ", 1)[1]
+              for problem in reachability.problems(
+                  universe, reached, varied, static, kept)
+              if problem.startswith("unvaried")]
+    return table, failed
+
+
+def test_unvaried_parameters_are_flagged(toy):
+    """Varied by a call, by a benchmarks/ script or kept: not flagged."""
+    table, failed = option_check(toy, KEPT)
+    assert table == [
+        "toypkg/mod.py::tuned(default_only)",  # passed, but == the default
+        "toypkg/mod.py::tuned(kept_option)",
+    ]
+    assert failed == ["toypkg/mod.py::tuned(default_only)"]
+
+
+def test_an_unkept_unvaried_parameter_fails_the_check(toy):
+    table, failed = option_check(toy, KEPT.replace(
+        "toypkg/mod.py::tuned(kept_option)", "# "))
+    assert failed == table
+
+
+def test_static_scan_skips_foreign_modules_and_local_names(toy, tmp_path):
+    """``m.tuned(...)`` on a non-``repro`` module and the script's own
+    ``tuned`` pass nothing to toypkg's; ``x.tuned(...)`` on anything
+    else does.  The script is only parsed."""
+    _root, package, *_ = toy
+    (tmp_path / "script.py").write_text(
+        "import textwrap\n"
+        "def tuned(default_only=None):\n"
+        "    return default_only\n"
+        "tuned(default_only=1)\n"
+        "textwrap.tuned(default_only=1)\n"
+        "pipeline.tuned(kept_option=2)\n"
+    )
+    universe = reachability.functions(str(package))
+    assert reachability.static_options(universe, str(tmp_path)) == {
+        "toypkg/mod.py::tuned(kept_option)"
+    }
+
+
+def test_options_of_classes_and_private_functions(toy):
+    """``Knob(2, shared=[])``: positional counts, an equal list is not
+    its default; a private function has no options in the table."""
+    _root, package, reached, varied, _runs = toy
+    universe = reachability.functions(str(package))
+    keys = {key for func, param in reachability.options(universe, reached)
+            for key in [func.option_key(param)]}
+    assert {"toypkg/mod.py::Knob.__init__(level)",
+            "toypkg/mod.py::Knob.__init__(shared)"} <= keys
+    assert not any("_private" in key for key in keys)
+    table = reachability.unvaried(universe, reached, varied, set())
+    assert not any("Knob" in key for key in table)
+
+
+
+class _NoCompare:
+    def __eq__(self, other):
+        raise TypeError("an array against a scalar default, say")
+
+
+_SENTINEL = object()
+
+
+@pytest.mark.parametrize("passed, default, same", [
+    pytest.param(3, 3, True, id="equal-int"),
+    pytest.param(3.0, 3, True, id="equal-float-for-int"),
+    pytest.param(tuple([2, None]), (2, None), True, id="equal-value-tuple"),
+    pytest.param("b", "a", False, id="other-str"),
+    pytest.param([], [], False, id="equal-list-is-not-the-default"),
+    pytest.param(_SENTINEL, _SENTINEL, True, id="the-default-object"),
+    pytest.param(_NoCompare(), 1, False, id="uncomparable"),
+])
+def test_the_default_rule(passed, default, same):
+    """Value defaults (and tuples of them) compare with ``==``, any
+    other default by identity; a failing ``==`` counts as varied."""
+    assert reachability._same(passed, default) is same
+
+
+@pytest.mark.parametrize("qualname, public", [
+    ("Box.size", True),
+    ("Box.__init__", True),  # counts as its class
+    ("Box.__repr__", False),
+    ("_Inner.method", False),
+])
+def test_the_public_rule(qualname, public):
+    func = reachability.Function(
+        key=f"toypkg/mod.py::{qualname}", path="mod.py", first=1, lines=1
+    )
+    assert func.public is public
+
+
+def test_tracer_records_varied_parameters_in_process(tmp_path):
+    """The options mode without a subprocess: only a parameter some call
+    sets away from its default is recorded, and a private function's
+    parameters are not watched."""
+    package = tmp_path / "optpkg"
+    package.mkdir()
+    module = package / "opts.py"
+    module.write_text(
+        "def tuned(a, b=1, c=(2, None), *, d='x'):\n"
+        "    return a\n"
+        "\n"
+        "def _private(e=1):\n"
+        "    return e\n"
+    )
+    spec = importlib.util.spec_from_file_location("optpkg_opts", module)
+    opts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(opts)
+    tracer = reachability.Tracer(options=str(package))
+    tracer.install()
+    try:
+        opts.tuned(0)
+        opts.tuned(0, 1, (2, None), d="x")
+        opts.tuned(0, d="y")
+        opts._private(5)
+    finally:
+        tracer.uninstall()
+    assert tracer.varied == {(os.path.realpath(module), 1, "d")}
+
 def reached_keys(toy):
-    _root, package, reached, _runs = toy
+    _root, package, reached, _varied, _runs = toy
     universe = reachability.functions(str(package))
     missed = {func.key for func in reachability.unreached(universe, reached)}
     return {func.key for func in universe} - missed
@@ -149,7 +301,6 @@ def reached_keys(toy):
 
 @pytest.mark.parametrize("name", [
     "in_thread",  # a thread started after the hook
-    "in_child",  # a forked worker, which leaves through os._exit
     "cached",  # a decorated function: its code starts at the decorator
     "conditional",  # a def under a module-level if
     "Outer.Inner.method",  # a method of a nested class
@@ -160,7 +311,7 @@ def test_entries_the_entry_point_made_are_seen(toy, name):
 
 
 def test_an_untraced_entry_point_is_an_error(toy):
-    root, package, _reached, _runs = toy
+    root, package, *_ = toy
     # -S skips site, and with it the sitecustomize that installs the hook.
     with pytest.raises(RuntimeError, match="was not traced"):
         reachability.run_entry_points(
@@ -170,10 +321,10 @@ def test_an_untraced_entry_point_is_an_error(toy):
 
 
 def test_a_raising_entry_point_is_told_from_a_failed_gate(toy):
-    root, package, _reached, _runs = toy
+    root, package, *_ = toy
     (root / "raises.py").write_text("import toypkg.mod\nraise KeyError(1)\n")
     (root / "gate.py").write_text("import sys\nsys.exit('below floor')\n")
-    _reached, runs = reachability.run_entry_points(
+    *_, runs = reachability.run_entry_points(
         [["raises.py"], ["gate.py"]], str(package), cwd=str(root),
         pythonpath=[str(root)],
     )

@@ -5,9 +5,15 @@ import time
 import pytest
 
 from repro.faults import FaultInjector
-from repro.service import HashRing, ShardedPlanStore
+from repro.service import HashRing, ShardedPlanStore, health
 from repro.service.errors import ShardUnavailable
 from repro.service.health import OPEN
+
+
+@pytest.fixture(autouse=True)
+def fast_breakers(monkeypatch):
+    """Open breakers half-open after 10 ms unless a test says otherwise."""
+    monkeypatch.setattr(health, "RESET_AFTER_S", 0.01)
 
 
 def holders(store, key):
@@ -20,7 +26,6 @@ def holders(store, key):
 def make_store(**kwargs):
     kwargs.setdefault("shards", 3)
     kwargs.setdefault("replication", 2)
-    kwargs.setdefault("breaker_reset_s", 0.01)
     return ShardedPlanStore(**kwargs)
 
 
@@ -115,10 +120,11 @@ class TestReplicatedReads:
             "service.shard_restarts_seen"
         ).value == 1
 
-    def test_circuit_breaker_fast_fails_dead_shard(self):
+    def test_circuit_breaker_fast_fails_dead_shard(self, monkeypatch):
+        monkeypatch.setattr(health, "FAILURE_THRESHOLD", 2)
+        monkeypatch.setattr(health, "RESET_AFTER_S", 30.0)
         injector = FaultInjector()
-        store = make_store(shards=4, breaker_failures=2,
-                           breaker_reset_s=30.0, fault_injector=injector)
+        store = make_store(shards=4, fault_injector=injector)
         payloads = {f"sig/{i:04x}": b"x" * 8 for i in range(32)}
         for key, value in payloads.items():
             store.put(key, value)
@@ -153,14 +159,15 @@ class TestReplicaOrderReads:
         assert time.monotonic() - start >= 0.05
         assert store.metrics.counter("service.read_repairs").value == 0
 
-    def test_breaker_open_primary_costs_no_delay(self):
+    def test_breaker_open_primary_costs_no_delay(self, monkeypatch):
+        monkeypatch.setattr(health, "RESET_AFTER_S", 30.0)
         injector = FaultInjector()
-        store = make_store(fault_injector=injector, breaker_reset_s=30.0)
+        store = make_store(fault_injector=injector)
         key = "sig/abcd"
         store.put(key, b"payload")
         primary = store.owners_for(key)[0]
         injector.slow(f"shard:{primary}", 1.0)
-        for _ in range(store.health.failure_threshold):
+        for _ in range(health.FAILURE_THRESHOLD):
             store.health.record_failure(primary)
         start = time.monotonic()
         assert store.try_get(key) == b"payload"

@@ -444,7 +444,8 @@ class TestDeadlineDegradedServing:
             fetcher.start()
             assert entered.wait(timeout=30.0)  # the fetch now waits
             for hot in (batch([32, 32]), batch([96, 16])):
-                service.forecast.record(batch_signature(hot), count=5)
+                for _ in range(5):
+                    service.forecast.record(batch_signature(hot))
             service.roll_epoch()
             assert batch_signature(cold) not in service._exemplars
             fetcher.join(timeout=30.0)

@@ -121,14 +121,10 @@ class TestModelCost:
         assert result.iteration_time == pytest.approx(expected)
 
     def test_more_tokens_cost_more(self):
+        from repro.sim.modelcost import _others_time
+
         small = ModelSpec(num_layers=2)
-        plan, cluster = make_plan()
-        few = e2e_iteration_time(
-            plan, model=small, cluster=cluster,
-            tokens_per_device=np.array([1000] * 4),
-        )
-        many = e2e_iteration_time(
-            plan, model=small, cluster=cluster,
-            tokens_per_device=np.array([100000] * 4),
-        )
-        assert many.others_time > few.others_time
+        _plan, cluster = make_plan()
+        few = _others_time(small, np.array([1000] * 4), cluster)
+        many = _others_time(small, np.array([100000] * 4), cluster)
+        assert many > few

@@ -357,7 +357,7 @@ class TestEveryRoute:
         batch = self.winning_batch("zigzag")
         planner = self.planner()
         plan = planner.plan_batch(batch)
-        stats = planner.last_stats
+        stats = plan.meta["planning_stats"]
         prices = plan.meta["placement_prices"]
         assert stats.placement_source == "zigzag"
         assert plan.meta["placement"][2] == "zigzag"
@@ -380,12 +380,12 @@ class TestEveryRoute:
     def test_infeasible_partitions_are_counted(self):
         # Five equal slices cannot spread over four devices within 8 %.
         planner = self.planner()
-        planner.plan_batch(BatchSpec.build([5 * BLOCK], CausalMask()))
-        assert planner.last_stats.infeasible_partitions == 1
+        plan = planner.plan_batch(BatchSpec.build([5 * BLOCK], CausalMask()))
+        assert plan.meta["planning_stats"].infeasible_partitions == 1
         # One device per machine: no partition call, nothing to count.
         single = self.planner(ClusterSpec(num_machines=1, devices_per_machine=1))
-        single.plan_batch(BatchSpec.build([5 * BLOCK], CausalMask()))
-        assert single.last_stats.infeasible_partitions == 0
+        plan = single.plan_batch(BatchSpec.build([5 * BLOCK], CausalMask()))
+        assert plan.meta["planning_stats"].infeasible_partitions == 0
 
 
 def owner_won(count: int):

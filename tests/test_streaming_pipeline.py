@@ -400,10 +400,7 @@ class TestDataloaderRouting:
 
         planner = make_planner()
         registry = MetricsRegistry()
-        tuning = dict(
-            plan_timeout=7.5, max_plan_retries=5, records_limit=2,
-            metrics=registry,
-        )
+        tuning = dict(plan_timeout=7.5, metrics=registry)
         loaders = [
             DCPDataloader(make_batches(3), planner, **tuning),
             DistributedDataloader(
@@ -414,10 +411,9 @@ class TestDataloaderRouting:
         for loader in loaders:
             assert isinstance(loader, StreamingOverlapPipeline)
             assert loader.plan_timeout == 7.5
-            assert loader.max_plan_retries == 5
             assert loader.metrics is registry
             assert len(list(loader)) == 3
-            assert len(loader.stats().records) == 2  # records_limit
+            assert len(loader.stats().records) == 3
         snapshot = registry.snapshot()
         assert snapshot["pipeline.iterations"]["value"] == 6
 

@@ -283,8 +283,8 @@ class TestPlannerSatellites:
     def test_planning_stats_counters_populated(self):
         planner = self._planner()
         batch = BatchSpec.build([96, 64], CausalMask())
-        planner.plan_batch(batch)
-        stats = planner.last_stats
+        plan = planner.plan_batch(batch)
+        stats = plan.meta["planning_stats"]
         assert stats.num_vertices > 0
         assert stats.num_edges > 0
         assert stats.gain_evals > 0
