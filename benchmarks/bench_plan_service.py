@@ -200,6 +200,7 @@ def _run_cell(clients: int, requests: int, seed: int) -> Dict:
         "store_hits": stats["store_hits"],
         "planned": stats["planned"],
         "prewarm_submitted": stats["prewarm_submitted"],
+        "prewarm_promoted": stats["prewarm_promoted"],
         "prewarm_hits": stats["prewarm_hits"],
         "prewarm_hit_fraction": round(stats["prewarm_hit_fraction"], 5),
         "rejected": int(sum(rejections)),

@@ -84,7 +84,7 @@ DEFAULT_SERVICE_P99_MAX_S = 2.5
 DEFAULT_SERVICE_HIT_RATE_MIN = 0.6
 DEFAULT_SERVICE_PREWARM_MIN = 0.0005
 DEFAULT_CHAOS_AVAILABILITY_MIN = 0.999
-DEFAULT_CHAOS_RECOVERY_S_MAX = 10.0
+DEFAULT_CHAOS_RECOVERY_S_MAX = 0.2
 DEFAULT_CHAOS_VIOLATIONS_MAX = 0
 DEFAULT_CHAOS_DEGRADED_MIN = 1
 DEFAULT_SCENARIO_HIDDEN_FLOOR = 0.3

@@ -9,8 +9,8 @@ cluster shapes — from shared infrastructure:
   consistent-hash ring of per-shard KV stores (per-shard locks)
   holding encoded plans beyond the hot cache's LRU horizon.
 * :class:`~repro.service.admission.FairScheduler` +
-  :class:`~repro.service.admission.AdmissionController` — weighted
-  deficit round-robin over per-tenant queues plus typed load shedding
+  :class:`~repro.service.admission.AdmissionController` — round-robin
+  over per-tenant queues plus typed load shedding
   (:class:`~repro.service.admission.PlanRejected`).
 * :class:`~repro.service.forecast.WorkloadForecast` — BRAD-style
   per-epoch arrival counts per signature, predicting the next epoch's
@@ -25,11 +25,9 @@ Robustness (PR 9) adds the failure-handling layer:
 
 * :mod:`~repro.service.errors` — one typed failure hierarchy with a
   retryable/non-retryable split (:func:`is_retryable`).
-* :mod:`~repro.service.health` — circuit breakers
-  (:class:`~repro.service.health.ShardHealth`), so requests
-  route around dead shards instead of timing out into them.
 * R-way replication in the sharded store (writes to R successors,
-  replica-fallback reads, write-repair + anti-entropy healing).
+  replica-fallback reads that skip a dead shard at once, write-repair
+  + anti-entropy healing).
 * :mod:`~repro.service.degraded` — deterministic zigzag fallback
   plans (tagged ``meta["degraded"]``) served on deadline miss, with
   background upgrade to the optimal plan.
@@ -47,7 +45,6 @@ from .errors import (
     is_retryable,
 )
 from .forecast import WorkloadForecast
-from .health import CircuitBreaker, ShardHealth
 from .service import PREWARM_TENANT, UPGRADE_TENANT, PlanService, \
     signature_key
 from .sharding import HashRing, ShardedPlanStore
@@ -69,8 +66,6 @@ __all__ = [
     "PlanTimeout",
     "PlannerUnavailable",
     "is_retryable",
-    "CircuitBreaker",
-    "ShardHealth",
     "degraded_plan",
     "is_degraded",
 ]

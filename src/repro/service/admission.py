@@ -1,4 +1,4 @@
-"""Admission control + weighted fair queueing for plan serving.
+"""Admission control + fair queueing for plan serving.
 
 A multi-tenant planner is a classic shared-bottleneck: planning a
 batch costs tens of milliseconds of CPU, and one chatty tenant can
@@ -10,12 +10,11 @@ that:
   over any limit is rejected *typed* (:class:`PlanRejected`, carrying
   the reason and a retry-after hint) instead of silently queueing into
   a latency cliff.
-* :class:`FairScheduler` — weighted deficit round-robin over per-tenant
-  queues.  Each tenant accumulates credit (its weight) when its turn
-  comes around; a job is served when the tenant's deficit
-  covers its cost.  Heavier weights drain proportionally faster, light
-  tenants are never starved, and a tenant's burst can only consume its
-  own queue depth — the isolation the per-tenant caps promise.
+* :class:`FairScheduler` — round-robin over per-tenant queues: each
+  tenant with queued jobs gets one job per round, so a tenant's burst
+  delays another tenant's job by at most one turn, and the burst can
+  only consume its own queue depth — the isolation the per-tenant caps
+  promise.
 
 The scheduler is the only queue in the service: planner workers
 ``pop()`` from it, so fairness is enforced at dequeue time — exactly
@@ -29,7 +28,7 @@ from collections import deque
 from typing import Dict, Optional
 
 from ..obs.metrics import MetricsRegistry
-from .errors import PlanRejected
+from .errors import PlannerUnavailable, PlanRejected
 
 __all__ = ["PlanRejected", "AdmissionController", "FairScheduler"]
 
@@ -80,16 +79,12 @@ class AdmissionController:
 
 
 class FairScheduler:
-    """Weighted deficit round-robin over per-tenant job queues.
+    """Round-robin over per-tenant job queues.
 
     ``submit`` enqueues (or sheds, via the admission policy) a job for
-    a tenant; ``pop`` serves the next job in WDRR order.  Deficit
-    counters follow the classic scheme: when a tenant reaches the head
-    of the active list its deficit grows by its weight (default 1);
-    its head job is served once the deficit covers the job's cost of
-    1, and the deficit resets when the tenant's
-    queue empties (credit must not accumulate while idle — that would
-    let a sleeping tenant burst past everyone on wake-up).
+    a tenant; ``pop`` serves the head job of the first tenant in the
+    round and sends that tenant to the back if it has jobs left.  Every
+    job costs one turn, so each queued tenant is served once per round.
     """
 
     def __init__(
@@ -103,12 +98,8 @@ class FairScheduler:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._queues: Dict[str, deque] = {}
-        self._weights: Dict[str, float] = {}
-        self._deficit: Dict[str, float] = {}
-        #: Tenants already granted their once-per-visit credit.
-        self._topped: set = set()
         self._inflight: Dict[str, int] = {}
-        self._active: deque = deque()  # tenants with queued jobs
+        self._active: deque = deque()  # tenants with queued jobs, in turn
         self._total_queued = 0
         self._closed = False
         self._admitted = self.metrics.counter("service.admitted")
@@ -121,17 +112,15 @@ class FairScheduler:
         self._depth_gauge = self.metrics.gauge("service.queue_depth")
         self._served = self.metrics.counter("service.served")
 
-    def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError("tenant weight must be positive")
-        with self._lock:
-            self._weights[tenant] = float(weight)
-
     def submit(self, tenant: str, job) -> None:
-        """Enqueue ``job`` for ``tenant`` or raise :class:`PlanRejected`."""
+        """Enqueue ``job`` for ``tenant``.
+
+        Raises :class:`PlanRejected` when the admission policy sheds it
+        and :class:`PlannerUnavailable` once the scheduler is closed.
+        """
         with self._ready:
             if self._closed:
-                raise RuntimeError("scheduler is closed")
+                raise PlannerUnavailable("scheduler is closed")
             queue = self._queues.get(tenant)
             queued = len(queue) if queue is not None else 0
             reason = self.admission.reject_reason(
@@ -146,9 +135,7 @@ class FairScheduler:
                 )
             if queue is None:
                 queue = self._queues[tenant] = deque()
-            if not queue:
                 self._active.append(tenant)
-                self._deficit.setdefault(tenant, 0.0)
             queue.append(job)
             self._total_queued += 1
             self._admitted.inc()
@@ -156,52 +143,29 @@ class FairScheduler:
             self._ready.notify()
 
     def pop(self, timeout: Optional[float] = None):
-        """Next ``(tenant, job)`` in WDRR order; ``None`` on close/timeout.
+        """Next ``(tenant, job)`` in turn; ``None`` on close/timeout.
 
         The caller (a planner worker) owns the job until it calls
         :meth:`task_done` — the interval the in-flight cap counts.
         """
         with self._ready:
-            while True:
-                if self._total_queued:
-                    break
+            while not self._total_queued:
                 if self._closed:
                     return None
                 if not self._ready.wait(timeout=timeout):
                     return None
-            # WDRR round: the head tenant's deficit is topped up by
-            # its weight exactly once per visit; it keeps serving
-            # (staying at the head across pops) while the credit covers
-            # its head job, then yields the head to the next tenant.
-            # Heavier weights drain proportionally more jobs per round;
-            # progress is guaranteed because every full rotation grants
-            # each queued tenant its weight > 0.
-            while True:
-                tenant = self._active[0]
-                queue = self._queues[tenant]
-                if tenant not in self._topped:
-                    self._topped.add(tenant)
-                    self._deficit[tenant] += self._weights.get(tenant, 1.0)
-                if self._deficit[tenant] >= 1.0:
-                    job = queue.popleft()
-                    self._deficit[tenant] -= 1.0
-                    self._total_queued -= 1
-                    self._depth_gauge.set(self._total_queued)
-                    if not queue:
-                        self._active.popleft()
-                        del self._queues[tenant]
-                        # Idle tenants hold no credit into their next
-                        # burst, and a fresh burst earns a fresh visit.
-                        self._deficit.pop(tenant, None)
-                        self._topped.discard(tenant)
-                    self._inflight[tenant] = (
-                        self._inflight.get(tenant, 0) + 1
-                    )
-                    self._served.inc()
-                    return tenant, job
-                # Visit over: spend-down exhausted the credit.
-                self._topped.discard(tenant)
-                self._active.rotate(-1)
+            tenant = self._active.popleft()
+            queue = self._queues[tenant]
+            job = queue.popleft()
+            if queue:
+                self._active.append(tenant)
+            else:
+                del self._queues[tenant]
+            self._total_queued -= 1
+            self._depth_gauge.set(self._total_queued)
+            self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
+            self._served.inc()
+            return tenant, job
 
     def task_done(self, tenant: str) -> None:
         with self._lock:

@@ -23,8 +23,9 @@ Classes
     Admission control shed the request (carries ``reason`` and a
     ``retry_after_s`` backoff hint).  Retryable by definition.
 ``ShardUnavailable``
-    A KV shard is down, circuit-broken, or mid-restart.  Retryable —
-    replicas or the healed shard can serve the next attempt.
+    A KV shard is down, or every owner replica of a key is.
+    Retryable — replicas or the restarted shard can serve the next
+    attempt.
 ``PlanTimeout``
     A plan fetch missed its deadline.  Retryable, though the service
     normally converts it into a degraded-mode serve instead of
@@ -81,7 +82,7 @@ class PlanRejected(TransientServiceError):
 
 
 class ShardUnavailable(TransientServiceError):
-    """A KV shard cannot serve: killed, circuit-open, or restarting."""
+    """A KV shard cannot serve: killed, or every owner replica down."""
 
     def __init__(self, shard: str, reason: str = "unavailable") -> None:
         super().__init__(f"shard {shard!r} unavailable: {reason}")

@@ -12,8 +12,8 @@ one long-running server:
   plans (columnar wire bytes) beyond the cache's LRU horizon, so a
   signature evicted from the hot cache is *decoded*, not re-planned,
   on its next request;
-* an :class:`~repro.service.admission.FairScheduler` (weighted deficit
-  round-robin + typed load shedding) decides which tenant's planning
+* an :class:`~repro.service.admission.FairScheduler` (round-robin
+  over tenants + typed load shedding) decides which tenant's planning
   job a worker runs next;
 * a :class:`~repro.service.forecast.WorkloadForecast` tallies demand
   arrivals per epoch and pre-warms the predicted hot set through the
@@ -36,8 +36,8 @@ atomically swapped into the hot cache through the publication epoch
 cursors, so the *next* fetch of the signature is optimal again.
 Deadline-bearing store reads go replica by replica like every other
 read (:meth:`~repro.service.sharding.ShardedPlanStore.try_get`): a
-killed or breaker-open owner fails fast and costs no budget.  Planner
-workers survive failing jobs.
+killed owner fails fast and costs no budget.  Planner workers survive
+failing jobs.
 """
 
 from __future__ import annotations
@@ -67,17 +67,15 @@ from .sharding import ShardedPlanStore
 __all__ = ["PlanService"]
 
 #: Tenant name pre-warm jobs run under: a real scheduler tenant (its
-#: jobs are admission-controlled and fair-queued like anyone's) with a
-#: light weight, so speculation never crowds out demand.
+#: jobs are admission-controlled and fair-queued like anyone's), so
+#: speculation takes one turn per round like any one demand tenant.
 PREWARM_TENANT = "__prewarm__"
-PREWARM_WEIGHT = 0.5
 
 #: Tenant name background degraded-plan upgrades run under.  Like
-#: pre-warm it is a real fair-queued tenant with a light weight: an
-#: upgrade improves a plan someone already holds, so it must never
-#: crowd out a tenant still waiting for its first plan.
+#: pre-warm it is a real fair-queued tenant: an upgrade improves a plan
+#: someone already holds, and waits its turn behind tenants still
+#: waiting for their first plan.
 UPGRADE_TENANT = "__upgrade__"
-UPGRADE_WEIGHT = 0.5
 
 
 def signature_key(signature) -> str:
@@ -149,8 +147,6 @@ class PlanService:
             anti_entropy_interval_s=anti_entropy_interval_s,
         )
         self.scheduler = FairScheduler(admission=admission, metrics=self.metrics)
-        self.scheduler.set_weight(PREWARM_TENANT, PREWARM_WEIGHT)
-        self.scheduler.set_weight(UPGRADE_TENANT, UPGRADE_WEIGHT)
         self.forecast = WorkloadForecast(metrics=self.metrics)
         self.prewarm_top_k = prewarm_top_k
         self.epoch_requests = epoch_requests
@@ -413,10 +409,12 @@ class PlanService:
                 tenant, self._plan_job(signature, batch, epoch,
                                        prewarm=False),
             )
-        except PlanRejected as exc:
+        except (PlanRejected, PlannerUnavailable) as exc:
+            # The scheduler shed the dispatch or closed after the
+            # liveness check above.
             if deadline_at is not None:
-                # Shed dispatch: serve the fallback now, queue the
-                # optimal under the (light-weight) upgrade tenant.
+                # Serve the fallback now, queue the optimal under the
+                # upgrade tenant.
                 return self._degrade_owned(signature, batch, epoch,
                                            upgrade_inflight=False)
             # Release anyone who joined this reservation with the same
@@ -505,7 +503,7 @@ class PlanService:
 
         try:
             self.scheduler.submit(UPGRADE_TENANT, job)
-        except (PlanRejected, RuntimeError):
+        except (PlanRejected, PlannerUnavailable):
             with self._lock:
                 self._upgrading.discard(signature)
             return False
@@ -560,6 +558,11 @@ class PlanService:
         (``service.prewarm_submitted``, the return value).  Pre-warm
         reservations do not count into cache hit/miss stats (they are
         speculation, not demand).
+
+        An exemplar exists only for a signature demand has fetched, and
+        demand stored its plan when it planned it, so in practice every
+        pre-warm is a promotion: a dispatch needs the store to have
+        lost the bytes (every owner replica wiped, or the put failed).
         """
         submitted = 0
         with _span("service.prewarm", "service", count=len(signatures)):
@@ -592,15 +595,23 @@ class PlanService:
                     )
                     submitted += 1
                     self._prewarm_submitted.inc()
-                except PlanRejected as exc:
-                    # Speculation never fights demand for capacity.
+                except (PlanRejected, PlannerUnavailable) as exc:
+                    # Speculation never fights demand for capacity,
+                    # and a closed scheduler runs no job.
                     self.cache.abandon(signature, exc, epoch=epoch)
         return submitted
 
     # -- reporting / lifecycle ------------------------------------------
 
     def stats(self) -> dict:
-        """Service effectiveness counters (see also ``metrics``)."""
+        """Service effectiveness counters (see also ``metrics``).
+
+        ``prewarm_hits`` counts demand cache hits on pre-warmed entries;
+        each such entry came from a store-to-cache promotion
+        (``prewarm_promoted``) or a planner dispatch
+        (``prewarm_submitted``), and :meth:`prewarm` explains why the
+        dispatch count normally reads 0.
+        """
         requests = self._requests.value
         cache_hits = self._cache_hits.value
         return {

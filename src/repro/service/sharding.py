@@ -17,24 +17,20 @@ Replication (Dynamo-style) makes the store survive shard loss:
   clockwise from its hash (:meth:`HashRing.nodes_for`); writes go to
   every owner, and one reachable owner is enough for the write to
   succeed (missed replicas are healed later);
-* reads fall back **replica by replica** in owner order, skipping
-  shards whose circuit breaker is open (no timeout paid per dead
-  shard), and **write-repair** any reachable owner found missing the
-  key;
+* reads fall back **replica by replica** in owner order, a killed
+  shard failing at once (no timeout paid per dead shard), and
+  **write-repair** any reachable owner found missing the key;
 * a restarted shard is healed by that read repair plus
   **anti-entropy** (:meth:`ShardedPlanStore.sync`): scan every
   reachable shard, re-copy each key to any owner missing it.
 
-Failure *detection* is health-based, not timeout-based: every shard
-operation reports success/failure into a
-:class:`~repro.service.health.ShardHealth` breaker; a shard that
-fails repeatedly is skipped instantly until its reset window elapses
-(half-open probe).  Fault *injection* — the chaos harness — plugs in
-as an optional :class:`~repro.faults.injector.FaultInjector`: killed
-shards raise :class:`~repro.service.errors.ShardUnavailable`, slow
-shards stall, and a kill→restart cycle wipes
-the shard's contents (a real process restart loses host memory),
-which is exactly what replication must survive.
+Fault *injection* — the chaos harness — plugs in as an optional
+:class:`~repro.faults.injector.FaultInjector`: a killed shard raises
+:class:`~repro.service.errors.ShardUnavailable` on every operation
+(no timeout is paid), a slow shard stalls, and a kill→restart cycle
+wipes the shard's contents (a real process restart loses host
+memory), which is exactly what replication must survive.  A restarted
+shard takes traffic again on its next operation.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from ..core.kvstore import KVStore
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
 from .errors import ShardUnavailable, TransientServiceError
-from .health import ShardHealth
 
 __all__ = ["HashRing", "ShardedPlanStore"]
 
@@ -138,7 +133,6 @@ class ShardedPlanStore:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.replication = min(replication, shards)
         self._injector = fault_injector
-        self.health = ShardHealth(metrics=self.metrics)
         #: Guards the restart check-and-swap of a shard's backing store.
         self._restart_lock = threading.Lock()
         self._seen_restarts: Dict[str, int] = {}
@@ -181,10 +175,9 @@ class ShardedPlanStore:
 
     # -- guarded shard access -------------------------------------------
     #
-    # Every keyed operation flows through _shard_op: circuit-breaker
-    # fail-fast first (no timeout paid on a known-dead shard), then
-    # fault injection (delay, kill), then the real store call,
-    # with the outcome reported back into the breaker.
+    # Every keyed operation flows through _shard_op: restart
+    # realization first, then fault injection (delay, kill), then the
+    # real store call.
 
     def _check_restart(self, name: str) -> None:
         """Realize the data loss of a kill→restart cycle, lazily.
@@ -192,8 +185,7 @@ class ShardedPlanStore:
         The injector only flips availability; host memory is ours to
         model.  On the first operation after a restart the shard's
         backing store is replaced with a fresh empty one — exactly
-        what a real process restart leaves behind — and the breaker is
-        given a clean slate so the healed shard takes traffic again.
+        what a real process restart leaves behind.
         """
         if self._injector is None:
             return
@@ -204,11 +196,8 @@ class ShardedPlanStore:
             self._seen_restarts[name] = count
             self._stores[name] = KVStore(metrics=self.metrics)
         self._restarts_seen.inc()
-        self.health.record_success(name)
 
     def _shard_op(self, name: str, fn):
-        if not self.health.allow(name):
-            raise ShardUnavailable(name, reason="circuit_open")
         self._check_restart(name)
         if self._injector is not None:
             target = f"shard:{name}"
@@ -216,15 +205,8 @@ class ShardedPlanStore:
             if delay > 0:
                 time.sleep(delay)
             if self._injector.is_killed(target):
-                self.health.record_failure(name)
                 raise ShardUnavailable(name, reason="killed")
-        try:
-            result = fn(self._stores[name])
-        except TransientServiceError:
-            self.health.record_failure(name)
-            raise
-        self.health.record_success(name)
-        return result
+        return fn(self._stores[name])
 
     # -- keyed operations ------------------------------------------------
 

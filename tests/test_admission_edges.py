@@ -39,29 +39,36 @@ def occupancy(scheduler, tenant):
     )
 
 
-class TestWeightEdges:
-    def test_zero_and_negative_weights_rejected(self):
-        scheduler = FairScheduler()
-        with pytest.raises(ValueError):
-            scheduler.set_weight("t", 0.0)
-        with pytest.raises(ValueError):
-            scheduler.set_weight("t", -1.0)
-        # The rejected weight left no partial state behind.
-        scheduler.submit("t", "job")
-        assert scheduler.pop(timeout=1.0) == ("t", "job")
-
-    def test_tiny_weight_tenant_still_progresses(self):
+class TestRoundRobinEdges:
+    def test_burst_delays_a_late_job_by_at_most_one_turn(self):
         scheduler = FairScheduler(
             admission=AdmissionController(max_queued_per_tenant=64)
         )
-        scheduler.set_weight("whale", 100.0)
-        scheduler.set_weight("minnow", 1e-6)
         for i in range(20):
             scheduler.submit("whale", ("w", i))
+        assert scheduler.pop(timeout=1.0) == ("whale", ("w", 0))
+        # The minnow arrives mid-burst, behind the whale's next turn.
         scheduler.submit("minnow", ("m", 0))
-        served = [scheduler.pop(timeout=1.0)[0] for _ in range(21)]
-        assert served.count("minnow") == 1  # starvation-free
+        assert scheduler.pop(timeout=1.0) == ("whale", ("w", 1))
+        assert scheduler.pop(timeout=1.0) == ("minnow", ("m", 0))
+        served = [scheduler.pop(timeout=1.0) for _ in range(18)]
+        assert served == [("whale", ("w", i)) for i in range(2, 20)]
 
+
+    def test_drained_tenant_rejoins_at_the_back(self):
+        scheduler = FairScheduler(
+            admission=AdmissionController(max_queued_per_tenant=64)
+        )
+        scheduler.submit("a", ("a", 0))
+        for i in range(3):
+            scheduler.submit("b", ("b", i))
+        assert scheduler.pop(timeout=1.0) == ("a", ("a", 0))
+        # a's queue drained, so it left the round; its next job queues
+        # behind b's turn rather than taking its old place.
+        scheduler.submit("a", ("a", 1))
+        served = [scheduler.pop(timeout=1.0) for _ in range(4)]
+        assert served == [("b", ("b", 0)), ("a", ("a", 1)),
+                          ("b", ("b", 1)), ("b", ("b", 2))]
 
 class TestAllTenantsShedding:
     def test_every_tenant_sheds_then_recovers(self):

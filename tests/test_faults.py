@@ -1,4 +1,5 @@
-"""Tests for the chaos harness (repro.faults) and failure detection."""
+"""Tests for the chaos harness (repro.faults) and its injection at the
+sharded plan store."""
 
 import time
 
@@ -11,38 +12,8 @@ from repro.faults import (
     ScheduleRunner,
     parse_schedule,
 )
-from repro.service import ShardedPlanStore, health
+from repro.service import ShardedPlanStore
 from repro.service.errors import ShardUnavailable
-from repro.service.health import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    ShardHealth,
-)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
-@pytest.fixture
-def breakers(monkeypatch):
-    """Set the breaker constants for the breakers a test builds next."""
-
-    def configure(failures=health.FAILURE_THRESHOLD,
-                  reset_s=health.RESET_AFTER_S):
-        monkeypatch.setattr(health, "FAILURE_THRESHOLD", failures)
-        monkeypatch.setattr(health, "RESET_AFTER_S", reset_s)
-
-    return configure
 
 
 # -- injector -----------------------------------------------------------------
@@ -141,10 +112,6 @@ def single_owner_store(injector):
 
 
 class TestShardFaultInjection:
-    @pytest.fixture(autouse=True)
-    def fast_breakers(self, breakers):
-        breakers(reset_s=0.01)
-
     def test_kill_fails_ops_and_restart_wipes(self):
         injector = FaultInjector()
         store = single_owner_store(injector)
@@ -154,7 +121,6 @@ class TestShardFaultInjection:
             store.put("k2", b"v2")
         assert store.try_get("k") is None
         injector.restart("shard:shard0")
-        time.sleep(0.02)  # let the breaker's reset window elapse
         # A restart loses host memory: the old key is gone, and the
         # shard takes writes again.
         assert store.try_get("k") is None
@@ -182,69 +148,4 @@ class TestShardFaultInjection:
         for key, owner in keys.items():
             expected = key.encode() if owner == "shard0" else None
             assert store.try_get(key) == expected
-        assert store.health.allow("shard0")
 
-
-# -- circuit breakers + health ------------------------------------------------
-
-
-def state_of(breaker: CircuitBreaker) -> str:
-    """The breaker's state as its next caller sees it."""
-    with breaker._lock:
-        breaker._maybe_half_open()
-        return breaker._state
-
-
-class TestCircuitBreaker:
-    def test_threshold_opens_and_reset_half_opens(self, breakers):
-        breakers(failures=3, reset_s=1.0)
-        clock = FakeClock()
-        breaker = CircuitBreaker(clock=clock)
-        assert state_of(breaker) == CLOSED
-        for _ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert state_of(breaker) == OPEN
-        assert not breaker.allow()
-        clock.advance(1.0)
-        assert state_of(breaker) == HALF_OPEN
-        assert breaker.allow()       # the single probe
-        assert not breaker.allow()   # concurrent callers still blocked
-        breaker.record_success()
-        assert state_of(breaker) == CLOSED
-
-    def test_failed_probe_reopens_with_fresh_timer(self, breakers):
-        breakers(failures=1, reset_s=1.0)
-        clock = FakeClock()
-        breaker = CircuitBreaker(clock=clock)
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert state_of(breaker) == OPEN
-        clock.advance(0.5)
-        assert not breaker.allow()  # timer restarted at probe failure
-        clock.advance(0.5)
-        assert breaker.allow()
-
-    def test_success_resets_consecutive_count(self, breakers):
-        breakers(failures=2)
-        breaker = CircuitBreaker()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert state_of(breaker) == CLOSED  # never 2 consecutive
-
-
-class TestShardHealth:
-    def test_routes_and_counts_fast_fails(self, breakers):
-        breakers(failures=2, reset_s=1.0)
-        clock = FakeClock()
-        shard_health = ShardHealth(clock=clock)
-        assert shard_health.allow("shard0")
-        shard_health.record_failure("shard0")
-        shard_health.record_failure("shard0")
-        assert not shard_health.allow("shard0")
-        assert shard_health.metrics.counter("health.fast_fails").value == 1
-        assert shard_health.metrics.counter("health.breaker_opened").value == 1
-        assert state_of(shard_health.breaker("shard0")) == OPEN

@@ -19,6 +19,7 @@ from repro.service import (
     AdmissionController,
     FairScheduler,
     HashRing,
+    PlannerUnavailable,
     PlanRejected,
     PlanService,
     ShardedPlanStore,
@@ -150,20 +151,20 @@ class TestShardedPlanStore:
 
 
 class TestFairScheduler:
-    def test_wdrr_serves_proportionally_to_weight(self):
+    def test_round_robin_serves_tenants_in_turn(self):
         scheduler = FairScheduler(
             admission=AdmissionController(max_queued_per_tenant=64)
         )
-        scheduler.set_weight("heavy", 4.0)
-        scheduler.set_weight("light", 1.0)
-        for i in range(40):
-            scheduler.submit("heavy", ("h", i))
-            scheduler.submit("light", ("l", i))
-        served = [scheduler.pop(timeout=1.0)[0] for _ in range(30)]
-        heavy = served.count("heavy")
-        light = served.count("light")
-        # 4:1 credit per round -> heavy drains ~4x light's jobs.
-        assert heavy == 24 and light == 6
+        for i in range(20):
+            scheduler.submit("burst", ("b", i))
+        scheduler.submit("single", ("s", 0))
+        scheduler.submit("pair", ("p", 0))
+        scheduler.submit("pair", ("p", 1))
+        served = [scheduler.pop(timeout=1.0)[0] for _ in range(8)]
+        # One turn each per round, in order of arrival; the single job
+        # waits behind exactly one job of the burst.
+        assert served == ["burst", "single", "pair", "burst", "pair",
+                          "burst", "burst", "burst"]
 
     def test_fifo_within_a_tenant(self):
         scheduler = FairScheduler()
@@ -228,6 +229,16 @@ class TestFairScheduler:
         scheduler.close()
         thread.join(timeout=5.0)
         assert results == [None]
+
+    def test_submit_after_close_is_typed_and_leaves_no_job(self):
+        scheduler = FairScheduler()
+        scheduler.close()
+        with pytest.raises(PlannerUnavailable):
+            scheduler.submit("t", "job")
+        assert scheduler.pop(timeout=0.05) is None
+        snapshot = scheduler.metrics.snapshot()
+        assert snapshot["service.admitted"]["value"] == 0
+        assert snapshot["service.rejected"]["value"] == 0
 
     def test_rejection_metrics(self):
         scheduler = FairScheduler(

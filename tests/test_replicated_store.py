@@ -5,15 +5,8 @@ import time
 import pytest
 
 from repro.faults import FaultInjector
-from repro.service import HashRing, ShardedPlanStore, health
+from repro.service import HashRing, ShardedPlanStore
 from repro.service.errors import ShardUnavailable
-from repro.service.health import OPEN
-
-
-@pytest.fixture(autouse=True)
-def fast_breakers(monkeypatch):
-    """Open breakers half-open after 10 ms unless a test says otherwise."""
-    monkeypatch.setattr(health, "RESET_AFTER_S", 0.01)
 
 
 def holders(store, key):
@@ -75,6 +68,25 @@ class TestReplicatedWrites:
         with pytest.raises(ShardUnavailable):
             store.put(key, b"payload")
 
+    def test_restarted_primary_takes_writes_at_once(self):
+        """A shard that failed repeatedly while dead serves again the
+        moment it restarts; nothing holds it out."""
+        injector = FaultInjector()
+        store = make_store(shards=4, fault_injector=injector)
+        key = next(
+            f"sig/{i:04x}" for i in range(4096)
+            if store.owners_for(f"sig/{i:04x}")[0] == "shard1"
+        )
+        injector.kill("shard:shard1")
+        for _ in range(3):
+            assert store.try_get(key) is None  # each read fails shard1
+        injector.restart("shard:shard1")
+        store.put(key, b"payload")
+        assert "shard1" in holders(store, key)
+        assert store.metrics.counter(
+            "service.replica_write_failures"
+        ).value == 0
+
 
 class TestReplicatedReads:
     def test_no_lost_keys_after_single_shard_kill(self):
@@ -99,7 +111,6 @@ class TestReplicatedReads:
         store.put(key, b"payload")
         injector.kill("shard:shard1")
         injector.restart("shard:shard1")  # restart wipes the shard
-        time.sleep(0.02)  # let the breaker's reset window elapse
         assert store.try_get(key) == b"payload"
         assert store._stores["shard1"].contains(key)  # repaired in place
         assert store.metrics.counter("service.read_repairs").value >= 1
@@ -112,27 +123,12 @@ class TestReplicatedReads:
         name = store.owners_for("sig/0001")[0]
         injector.kill(f"shard:{name}")
         injector.restart(f"shard:{name}")
-        time.sleep(0.02)
         # With replication=1 nothing can heal it: the key is gone, which
         # is exactly the failure replication exists to prevent.
         assert store.try_get("sig/0001") is None
         assert store.metrics.counter(
             "service.shard_restarts_seen"
         ).value == 1
-
-    def test_circuit_breaker_fast_fails_dead_shard(self, monkeypatch):
-        monkeypatch.setattr(health, "FAILURE_THRESHOLD", 2)
-        monkeypatch.setattr(health, "RESET_AFTER_S", 30.0)
-        injector = FaultInjector()
-        store = make_store(shards=4, fault_injector=injector)
-        payloads = {f"sig/{i:04x}": b"x" * 8 for i in range(32)}
-        for key, value in payloads.items():
-            store.put(key, value)
-        injector.kill("shard:shard0")
-        for key, value in payloads.items():
-            assert store.try_get(key) == value
-        assert store.health.breaker("shard0")._state == OPEN
-        assert store.metrics.counter("health.fast_fails").value > 0
 
     def test_blocking_get_polls_across_replicas(self):
         injector = FaultInjector()
@@ -145,8 +141,8 @@ class TestReplicatedReads:
 
 
 class TestReplicaOrderReads:
-    """Reads walk the owners in ring order, one at a time: a fast-failing
-    primary costs nothing, a slow one is waited out."""
+    """Reads walk the owners in ring order, one at a time: a killed
+    primary fails at once, a slow one is waited out."""
 
     def test_slow_primary_is_waited_out(self):
         injector = FaultInjector()
@@ -159,20 +155,18 @@ class TestReplicaOrderReads:
         assert time.monotonic() - start >= 0.05
         assert store.metrics.counter("service.read_repairs").value == 0
 
-    def test_breaker_open_primary_costs_no_delay(self, monkeypatch):
-        monkeypatch.setattr(health, "RESET_AFTER_S", 30.0)
+    def test_killed_primary_costs_no_delay(self):
         injector = FaultInjector()
         store = make_store(fault_injector=injector)
         key = "sig/abcd"
         store.put(key, b"payload")
-        primary = store.owners_for(key)[0]
-        injector.slow(f"shard:{primary}", 1.0)
-        for _ in range(health.FAILURE_THRESHOLD):
-            store.health.record_failure(primary)
+        injector.kill(f"shard:{store.owners_for(key)[0]}")
         start = time.monotonic()
-        assert store.try_get(key) == b"payload"
-        assert time.monotonic() - start < 0.5  # the stall was never paid
-        assert store.metrics.counter("health.fast_fails").value == 1
+        for _ in range(20):
+            assert store.try_get(key) == b"payload"
+        assert time.monotonic() - start < 0.5  # each refusal is immediate
+        # A dead primary is skipped, not counted absent: nothing to repair.
+        assert store.metrics.counter("service.read_repairs").value == 0
 
     def test_replica_hit_repairs_a_primary_that_missed_the_write(self):
         store = make_store()
@@ -199,7 +193,6 @@ class TestAntiEntropy:
             store.put(key, value)
         injector.kill("shard:shard2")
         injector.restart("shard:shard2")
-        time.sleep(0.02)
         store.try_get(next(iter(payloads)))  # realize the wipe
         assert store.missing_replicas() > 0
         repaired = store.sync()
@@ -208,6 +201,25 @@ class TestAntiEntropy:
         for key, value in payloads.items():
             assert sorted(holders(store, key)) == \
                 sorted(store.owners_for(key))
+
+    def test_sync_refills_a_restarted_shard_at_once(self):
+        """Failures while a shard is dead do not hold it out after its
+        restart: the first anti-entropy pass copies onto it."""
+        injector = FaultInjector()
+        store = make_store(shards=4, fault_injector=injector)
+        payloads = {f"sig/{i:04x}": bytes([i % 251]) * 8 for i in range(48)}
+        for key, value in payloads.items():
+            store.put(key, value)
+        injector.kill("shard:shard2")
+        for key, value in payloads.items():
+            assert store.try_get(key) == value  # shard2's owners fail it
+        assert store.sync() == 0  # nothing reachable is missing a copy
+        injector.restart("shard:shard2")
+        assert store.sync() > 0
+        assert store.missing_replicas() == 0
+        for key in payloads:
+            if "shard2" in store.owners_for(key):
+                assert store._stores["shard2"].contains(key)
 
     def test_background_anti_entropy_thread(self):
         injector = FaultInjector()

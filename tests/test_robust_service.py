@@ -528,6 +528,50 @@ class TestWorkerRobustness:
             assert service.stats()["store_put_failures"] == 1
 
 
+class TestClosedScheduler:
+    """A dispatch the closed scheduler refuses gives its signature's
+    reservation back: the next request of the signature owns it rather
+    than waiting on a job nobody will run."""
+
+    def test_demand_miss_raises_typed_then_degrades(self, monkeypatch):
+        service = PlanService(make_planner(), workers=1)
+        service.close()
+        # The scheduler closes between the liveness check and submit.
+        monkeypatch.setattr(service, "_planner_available", lambda: True)
+        spec = batch([64, 48])
+        with pytest.raises(PlannerUnavailable):
+            service.fetch_plan("t", spec, timeout=1.0)
+        start = time.monotonic()
+        plan = service.fetch_plan("t", spec, deadline=5.0)
+        assert is_degraded(plan)
+        assert time.monotonic() - start < 2.5  # served, not waited out
+
+    def test_deadline_miss_degrades_without_waiting(self, monkeypatch):
+        service = PlanService(make_planner(), workers=1)
+        service.close()
+        monkeypatch.setattr(service, "_planner_available", lambda: True)
+        spec = batch([64, 48])
+        start = time.monotonic()
+        plan = service.fetch_plan("t", spec, deadline=5.0)
+        assert is_degraded(plan)
+        # The fallback was published in place of the reservation, so the
+        # next fetch is a cache hit, not a wait on a job nobody runs.
+        assert is_degraded(service.fetch_plan("t", spec, deadline=5.0))
+        assert time.monotonic() - start < 2.5
+
+    def test_prewarm_abandons_its_reservation(self):
+        service = PlanService(make_planner(), workers=1)
+        service.close()
+        spec = batch([64, 48])
+        with pytest.raises(PlannerUnavailable):
+            service.fetch_plan("t", spec)  # records the exemplar
+        assert service.prewarm([batch_signature(spec)]) == 0
+        status, _payload, _epoch = service.cache.reserve(
+            batch_signature(spec)
+        )
+        assert status == "own"
+
+
 # -- shm leak reclamation -----------------------------------------------------
 
 
