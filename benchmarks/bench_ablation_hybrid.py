@@ -20,8 +20,8 @@ from figures import Table
 from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.core import DCPConfig
 from repro.parallel import HybridConfig, RankTopology, hybrid_iteration_time
+from repro.placement import PlacementConfig
 from repro.sim import ClusterSpec
-from repro.sim.modelcost import GPT_8B
 
 CLUSTER = ClusterSpec(num_machines=4, devices_per_machine=8)
 
@@ -49,11 +49,10 @@ def test_ablation_hybrid_topologies(benchmark, results_dir):
             config = HybridConfig(
                 topology=topology,
                 num_microbatches=max(2 * topology.pp, 2),
-                dcp_config=DCPConfig(block_size=scale.block_size, restarts=1),
+                dcp_config=DCPConfig(block_size=scale.block_size,
+                                     placement=PlacementConfig(restarts=1)),
             )
-            result = hybrid_iteration_time(
-                batch, CLUSTER, config, model=GPT_8B
-            )
+            result = hybrid_iteration_time(batch, CLUSTER, config)
             table.add(
                 topology.describe(),
                 result.iteration_time,
@@ -97,11 +96,10 @@ def test_ablation_microbatches_amortize_bubble(benchmark, results_dir):
             config = HybridConfig(
                 topology=topology,
                 num_microbatches=microbatches,
-                dcp_config=DCPConfig(block_size=scale.block_size, restarts=1),
+                dcp_config=DCPConfig(block_size=scale.block_size,
+                                     placement=PlacementConfig(restarts=1)),
             )
-            result = hybrid_iteration_time(
-                batch, CLUSTER, config, model=GPT_8B
-            )
+            result = hybrid_iteration_time(batch, CLUSTER, config)
             table.add(
                 microbatches,
                 result.iteration_time,

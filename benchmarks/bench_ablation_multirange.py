@@ -18,6 +18,7 @@ from repro.bench import BenchScale, make_batches
 from repro.blocks import generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, DilatedBlockMask, GlobalTokenMask
+from repro.placement import PlacementConfig
 from repro.sim import simulate_plan
 
 MASKS = {
@@ -43,7 +44,8 @@ def test_ablation_multirange_masks(benchmark, results_dir):
         )
         planner = DCPPlanner(
             scale.cluster, scale.attention,
-            DCPConfig(block_size=scale.block_size, restarts=1),
+            DCPConfig(block_size=scale.block_size,
+                      placement=PlacementConfig(restarts=1)),
         )
         probe_len = scale.max_seqlen // 2
         for name, factory in MASKS.items():

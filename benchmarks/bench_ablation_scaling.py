@@ -20,6 +20,7 @@ from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.blocks import BatchSpec
 from repro.core import DCPConfig, DCPPlanner, PlanCache, batch_signature
 from repro.parallel import split_batch_by_workload
+from repro.placement import PlacementConfig
 from repro.sim import ClusterSpec
 
 
@@ -39,7 +40,8 @@ def test_ablation_planning_vs_cluster_size(benchmark, results_dir):
             cluster = ClusterSpec(num_machines=machines, devices_per_machine=4)
             planner = DCPPlanner(
                 cluster, scale.attention,
-                DCPConfig(block_size=scale.block_size, restarts=1),
+                DCPConfig(block_size=scale.block_size,
+                          placement=PlacementConfig(restarts=1)),
             )
             times = []
             for batch in batches:
@@ -77,7 +79,8 @@ def test_ablation_grouping_scales_batch_size(benchmark, results_dir):
             start = time.perf_counter()
             planner = DCPPlanner(
                 cluster, scale.attention,
-                DCPConfig(block_size=scale.block_size, restarts=1),
+                DCPConfig(block_size=scale.block_size,
+                          placement=PlacementConfig(restarts=1)),
             )
             planner.plan_batch(batch)
             table.add(factor, "monolithic", time.perf_counter() - start)
@@ -88,7 +91,8 @@ def test_ablation_grouping_scales_batch_size(benchmark, results_dir):
             )
             group_planner = DCPPlanner(
                 group_cluster, scale.attention,
-                DCPConfig(block_size=scale.block_size, restarts=1),
+                DCPConfig(block_size=scale.block_size,
+                          placement=PlacementConfig(restarts=1)),
             )
             for group in split_batch_by_workload(batch, factor):
                 if group is not None:
@@ -131,7 +135,8 @@ def test_ablation_plan_cache_hits(benchmark, results_dir):
         stream = (batches * 6)[: len(batches) * 6]
         planner = DCPPlanner(
             scale.cluster, scale.attention,
-            DCPConfig(block_size=scale.block_size, restarts=1),
+            DCPConfig(block_size=scale.block_size,
+                      placement=PlacementConfig(restarts=1)),
         )
         cache = PlanCache(planner, capacity=32)
         hits = misses = 0

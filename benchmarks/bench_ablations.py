@@ -99,8 +99,11 @@ def test_ablation_warm_starts(benchmark, results_dir):
             volumes, times = [], []
             planner = DCPPlanner(
                 scale.cluster, scale.attention,
-                DCPConfig(block_size=scale.block_size, restarts=1,
-                          use_warm_starts=warm),
+                DCPConfig(
+                    block_size=scale.block_size,
+                    placement=PlacementConfig(restarts=1,
+                                              use_warm_starts=warm),
+                ),
             )
             for batch in batches:
                 plan = planner.plan_batch(batch)

@@ -42,12 +42,13 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+
+from revision import git_revision
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_chaos.json")
@@ -90,27 +91,15 @@ SMOKE_DEGRADED_SERVED_MIN = 1  # double_fault must exercise the path
 DRAIN_TIMEOUT_S = 30.0
 
 
-def _git_revision() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
 def _make_planner():
     from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner
+    from repro.placement import PlacementConfig
 
     cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(cluster, attention,
-                      DCPConfig(block_size=16, restarts=1))
+                      DCPConfig(block_size=16,
+                                placement=PlacementConfig(restarts=1)))
 
 
 def _make_universe(rng: np.random.Generator) -> List:
@@ -232,6 +221,7 @@ def _run_scenario(spec: Dict, universe: Sequence, refs: Dict,
     }
     latencies: List[List[float]] = [[] for _ in range(CLIENTS)]
     violations: List[str] = []
+    finished = [0.0] * CLIENTS
 
     def client_loop(who: int) -> None:
         rng = np.random.default_rng(seed * 1000 + who)
@@ -270,6 +260,7 @@ def _run_scenario(spec: Dict, universe: Sequence, refs: Dict,
             # so long that the fault-schedule thread applies its kills
             # hundreds of ms late, after the mid-fault probe.
             time.sleep(0)
+        finished[who] = time.perf_counter()
 
     threads = [
         threading.Thread(target=client_loop, args=(who,), daemon=True)
@@ -279,6 +270,11 @@ def _run_scenario(spec: Dict, universe: Sequence, refs: Dict,
     t0 = time.monotonic()
     for thread in threads:
         thread.start()
+    # The load ends with the schedule, healed or not: clients that kept
+    # running through the recovery wait would serve a store that never
+    # heals more requests and re-store its lost keys.
+    load_end = threading.Timer(spec["run_s"], stop.set)
+    load_end.start()
 
     unreadable_during_fault = 0
     recovery_s: Optional[float] = None
@@ -305,10 +301,10 @@ def _run_scenario(spec: Dict, universe: Sequence, refs: Dict,
             time.sleep(0.01)
         time.sleep(max(0.0, t0 + spec["run_s"] - time.monotonic()))
         runner.join(timeout=DRAIN_TIMEOUT_S)
-    stop.set()
+    load_end.join()
     for thread in threads:
         thread.join(timeout=10.0)
-    wall_s = time.perf_counter() - wall_start
+    wall_s = (max(finished) or time.perf_counter()) - wall_start
 
     # Every degraded serve owes a background upgrade: wait for the
     # ledger to drain so the scenario ends with optimal plans only.
@@ -380,7 +376,7 @@ def run_chaos_bench(smoke: bool = False) -> Dict:
     ]
     report: Dict = {
         "benchmark": "chaos",
-        "revision": _git_revision(),
+        "revision": git_revision(),
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "smoke_run": smoke,

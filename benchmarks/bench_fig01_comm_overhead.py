@@ -6,13 +6,14 @@ on CP communication.
 """
 
 import os
+from dataclasses import replace
 
 from conftest import run_once
 from figures import e2e_scale, fig01_comm_overhead
 
 
 def test_fig01_comm_overhead(benchmark, results_dir):
-    scale = e2e_scale(num_batches=2)
+    scale = replace(e2e_scale(), num_batches=2)
     table = run_once(benchmark, lambda: fig01_comm_overhead(scale))
     table.save(os.path.join(results_dir, "fig01_comm_overhead.md"))
     table.show()

@@ -8,13 +8,14 @@ best at scale 0.5 (up to 2.45x vs next best), RFA worst.
 
 import os
 from collections import defaultdict
+from dataclasses import replace
 
 from conftest import run_once
 from figures import fig13_micro_causal, micro_scale
 
 
 def test_fig13_micro_causal(benchmark, results_dir):
-    scale = micro_scale(num_batches=2)
+    scale = replace(micro_scale(), num_batches=2)
     table = run_once(benchmark, lambda: fig13_micro_causal(scale))
     table.save(os.path.join(results_dir, "fig13_micro_causal.md"))
     table.show()

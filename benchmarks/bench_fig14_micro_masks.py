@@ -7,13 +7,14 @@ sparser lambda / causal-blockwise masks than on shared-question.
 
 import os
 from collections import defaultdict
+from dataclasses import replace
 
 from conftest import run_once
 from figures import fig14_micro_masks, micro_scale
 
 
 def test_fig14_micro_masks(benchmark, results_dir):
-    scale = micro_scale(num_batches=2)
+    scale = replace(micro_scale(), num_batches=2)
     table = run_once(benchmark, lambda: fig14_micro_masks(scale))
     table.save(os.path.join(results_dir, "fig14_micro_masks.md"))
     table.show()

@@ -8,13 +8,14 @@ speed-ups at smaller max lengths.
 
 import os
 from collections import defaultdict
+from dataclasses import replace
 
 from conftest import run_once
 from figures import e2e_scale, fig15_e2e
 
 
 def test_fig15_e2e_longalign(benchmark, results_dir):
-    scale = e2e_scale(num_batches=2)
+    scale = replace(e2e_scale(), num_batches=2)
     table = run_once(benchmark, lambda: fig15_e2e("longalign", scale))
     table.save(os.path.join(results_dir, "fig15_e2e_longalign.md"))
     table.show()

@@ -6,13 +6,14 @@ here because LDC has more short sequences.
 
 import os
 from collections import defaultdict
+from dataclasses import replace
 
 from conftest import run_once
 from figures import e2e_scale, fig15_e2e
 
 
 def test_fig16_e2e_ldc(benchmark, results_dir):
-    scale = e2e_scale(num_batches=2)
+    scale = replace(e2e_scale(), num_batches=2)
     table = run_once(benchmark, lambda: fig15_e2e("longdatacollections", scale))
     table.save(os.path.join(results_dir, "fig16_e2e_ldc.md"))
     table.show()

@@ -5,13 +5,14 @@ time (overlap + exposed) vs MLM; attention compute also shrinks.
 """
 
 import os
+from dataclasses import replace
 
 from conftest import run_once
 from figures import e2e_scale, fig22_decomposition
 
 
 def test_fig22_decomposition(benchmark, results_dir):
-    scale = e2e_scale(num_batches=2)
+    scale = replace(e2e_scale(), num_batches=2)
     table = run_once(benchmark, lambda: fig22_decomposition(scale))
     table.save(os.path.join(results_dir, "fig22_decomposition.md"))
     table.show()

@@ -73,9 +73,10 @@ import os
 import pickle
 import platform
 import statistics
-import subprocess
 import time
 from typing import Dict, List, Optional, Sequence
+
+from revision import git_revision
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_overlap.json")
@@ -95,6 +96,10 @@ OBS_SMOKE_TRACE_PATH = os.path.join(REPO_ROOT, "TRACE_obs.smoke.json")
 #: serialized pipeline measures ~0.0).
 DEFAULT_SMOKE_FLOOR = 0.5
 
+#: Execution-time multiplier of the smoke cells: execution runs ~2x
+#: planning throughput, so a healthy pipeline hides its planning.
+SMOKE_TIME_SCALE = 3.0
+
 #: Ceiling on (delta replan cost) / (whole-window cold replan cost) the
 #: streaming smoke must stay under.  The full Fig. 18 sweep point
 #: targets <= 0.5; the smoke cells are tiny (planning is milliseconds,
@@ -111,20 +116,6 @@ ORACLES_PATH = os.path.join(REPO_ROOT, "tests", "replan_oracles.py")
 
 FULL_KAPPAS = (1, 2, 4)
 FULL_WORKERS = (2, 4)
-
-
-def _git_revision() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
 
 
 def _measure_cell(
@@ -254,7 +245,7 @@ def run_overlap_bench(
             "cycles": cycles,
             "time_scale": time_scale,
         },
-        "git_revision": _git_revision(),
+        "git_revision": git_revision(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "smoke_floor": DEFAULT_SMOKE_FLOOR,
@@ -739,7 +730,7 @@ def run_streaming_bench(
             "workers": workers,
             "time_scale": time_scale,
         },
-        "git_revision": _git_revision(),
+        "git_revision": git_revision(),
         "rows": [
             fixed, streaming, replan_scratch, replan_delta, replan_window,
             readd_delta, readd_window, kv_full, kv_partial, kv_replan,
@@ -766,7 +757,7 @@ def run_streaming_bench(
     return report
 
 
-def run_streaming_smoke(time_scale: float = 3.0) -> Dict:
+def run_streaming_smoke() -> Dict:
     """Small, fast streaming comparison for CI gating."""
     report = run_streaming_bench(
         token_budget=2048,
@@ -776,7 +767,7 @@ def run_streaming_smoke(time_scale: float = 3.0) -> Dict:
         kappa=2,
         workers=2,
         kv_batches=4,
-        time_scale=time_scale,
+        time_scale=SMOKE_TIME_SCALE,
         batches=_smoke_batches(4),
     )
     report["benchmark"] = "overlap_pipeline_streaming_smoke"
@@ -797,7 +788,7 @@ def _smoke_batches(num_batches: int = 4):
     ]
 
 
-def run_smoke(time_scale: float = 3.0) -> Dict:
+def run_smoke() -> Dict:
     """Small, fast cell used by CI to gate on the hidden fraction.
 
     Execution is scaled to ~2x planning throughput so a healthy
@@ -811,7 +802,7 @@ def run_smoke(time_scale: float = 3.0) -> Dict:
         cycles=2,
         kappas=(2,),
         worker_counts=(2,),
-        time_scale=time_scale,
+        time_scale=SMOKE_TIME_SCALE,
         batches=_smoke_batches(4),
     )
     report["benchmark"] = "overlap_pipeline_smoke"
@@ -873,6 +864,7 @@ def _run_obs(smoke: bool, output: Optional[str]) -> int:
         output = output or OBS_OUTPUT_PATH
         trace_path = OBS_TRACE_PATH
     report = run_obs_bench(smoke=smoke, trace_path=trace_path)
+    report["git_revision"] = git_revision()
     with open(output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
@@ -938,36 +930,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="where to write the JSON report (default: repo root; smoke "
         "runs default to a scratch file)",
     )
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=None,
-        help="execution time multiplier over the cost model "
-        "(default: 1.0 full, 3.0 smoke)",
-    )
     args = parser.parse_args(argv)
 
     if args.obs:
         return _run_obs(args.smoke, args.output)
     if args.streaming and args.smoke:
-        report = run_streaming_smoke(
-            time_scale=3.0 if args.time_scale is None else args.time_scale
-        )
+        report = run_streaming_smoke()
         output = args.output or STREAMING_SMOKE_OUTPUT_PATH
     elif args.streaming:
-        report = run_streaming_bench(
-            time_scale=1.0 if args.time_scale is None else args.time_scale
-        )
+        report = run_streaming_bench()
         output = args.output or OUTPUT_PATH
     elif args.smoke:
-        report = run_smoke(
-            time_scale=3.0 if args.time_scale is None else args.time_scale
-        )
+        report = run_smoke()
         output = args.output or SMOKE_OUTPUT_PATH
     else:
-        report = run_overlap_bench(
-            time_scale=1.0 if args.time_scale is None else args.time_scale
-        )
+        report = run_overlap_bench()
         output = args.output or OUTPUT_PATH
 
     if args.streaming and not args.smoke and output == OUTPUT_PATH:

@@ -33,12 +33,13 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+
+from revision import git_revision
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_service.json")
@@ -72,27 +73,15 @@ SMOKE_CACHE_HIT_RATE_MIN = 0.6
 SMOKE_PREWARM_HIT_FRACTION_MIN = 0.0005
 
 
-def _git_revision() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
 def _make_planner():
     from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner
+    from repro.placement import PlacementConfig
 
     cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(cluster, attention,
-                      DCPConfig(block_size=16, restarts=1))
+                      DCPConfig(block_size=16,
+                                placement=PlacementConfig(restarts=1)))
 
 
 def _make_universe(rng: np.random.Generator) -> List:
@@ -241,7 +230,7 @@ def run_service_bench(
     ]
     report: Dict = {
         "benchmark": "plan_service",
-        "revision": _git_revision(),
+        "revision": git_revision(),
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "smoke_run": smoke,

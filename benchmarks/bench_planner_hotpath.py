@@ -24,9 +24,10 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import time
 from typing import Dict, List, Optional, Sequence
+
+from revision import git_revision
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_planner.json")
@@ -35,6 +36,8 @@ DEFAULT_TOKEN_BUDGETS = (8192, 16384, 32768)
 DEFAULT_BLOCK_SIZES = (512, 1024)
 SMOKE_TOKEN_BUDGETS = (2048,)
 SMOKE_BLOCK_SIZES = (256,)
+#: The paper mask every point plans.
+MASK = "causal"
 
 #: Wall-clock budget for the smoke configuration's total planning time,
 #: recorded in the tracked BENCH_planner.json and enforced by
@@ -64,24 +67,9 @@ SMOKE_PINNED_COUNTS = (
 )
 
 
-def _git_revision() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
 def run_hotpath_bench(
     token_budgets: Sequence[int] = DEFAULT_TOKEN_BUDGETS,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-    mask_name: str = "causal",
     repeats: int = 2,
 ) -> Dict:
     """Time planner stages for every (token budget, block size) point."""
@@ -96,7 +84,7 @@ def run_hotpath_bench(
             token_budget=int(token_budget),
             max_seqlen=int(token_budget),
         )
-        batches = make_batches("longalign", scale, PAPER_MASKS[mask_name]())
+        batches = make_batches("longalign", scale, PAPER_MASKS[MASK]())
         for block_size in block_sizes:
             planner = DCPPlanner(
                 scale.cluster,
@@ -121,7 +109,7 @@ def run_hotpath_bench(
                 {
                     "token_budget": int(token_budget),
                     "block_size": int(block_size),
-                    "mask": mask_name,
+                    "mask": MASK,
                     "total_s": round(elapsed, 6),
                     "block_generation_s": round(stats.block_generation, 6),
                     "placement_s": round(stats.placement, 6),
@@ -148,8 +136,8 @@ def run_hotpath_bench(
             )
     return {
         "benchmark": "planner_hotpath",
-        "mask": mask_name,
-        "git_revision": _git_revision(),
+        "mask": MASK,
+        "git_revision": git_revision(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "smoke": {"total_s_max": SMOKE_TOTAL_S_MAX},
@@ -165,34 +153,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="tiny configuration for CI smoke runs",
     )
     parser.add_argument(
-        "--mask", default="causal", help="paper mask name (default: causal)"
-    )
-    parser.add_argument(
         "--output",
         default=OUTPUT_PATH,
         help="where to write the JSON report (default: repo root)",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=2, help="timing repeats per point"
-    )
     args = parser.parse_args(argv)
-
-    from repro.bench.harness import PAPER_MASKS
-
-    if args.mask not in PAPER_MASKS:
-        parser.error(
-            f"unknown mask {args.mask!r}; choose from "
-            f"{', '.join(sorted(PAPER_MASKS))}"
-        )
 
     if args.smoke:
         report = run_hotpath_bench(
-            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, args.mask, repeats=1
+            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, repeats=1
         )
     else:
-        report = run_hotpath_bench(mask_name=args.mask, repeats=args.repeats)
+        report = run_hotpath_bench()
         smoke_row = run_hotpath_bench(
-            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, args.mask, repeats=1
+            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, repeats=1
         )["rows"][0]
         report["smoke"].update(
             {key: smoke_row[key] for key in SMOKE_PINNED_COUNTS}

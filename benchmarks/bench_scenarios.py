@@ -47,9 +47,10 @@ import itertools
 import json
 import os
 import platform
-import subprocess
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
+
+from revision import git_revision
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_scenarios.json")
@@ -72,22 +73,11 @@ PACKER_NAMES = ("sequential", "workload_balanced", "length_grouped")
 #: scheduling noise, while a serialized pipeline (~0.0) still fails.
 DEFAULT_SMOKE_HIDDEN_FLOOR = 0.3
 
+#: Execution-time multiplier of the smoke cells (~3x the cost model).
+SMOKE_TIME_SCALE = 3.0
+
 #: Reordering-buffer depth the matrix runs the streaming packers at.
 MATRIX_BUFFER = 16
-
-
-def _git_revision() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +160,7 @@ def _scenario_lengths(scale, num_sequences: int = 600) -> List[int]:
     """The matrix's length stream: paper distribution scaled to budget."""
     from repro.data import sample_lengths, scale_lengths
 
-    lengths = sample_lengths(
-        "longdatacollections", num_sequences, seed=scale.seed
-    )
+    lengths = sample_lengths("longdatacollections", num_sequences)
     lengths = scale_lengths(
         lengths, scale.token_budget / 131072, cap=scale.max_seqlen
     )
@@ -419,7 +407,7 @@ def run_matrix(
             "mask_families": list(families),
             "packers": list(packers),
         },
-        "git_revision": _git_revision(),
+        "git_revision": git_revision(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "smoke_hidden_floor": DEFAULT_SMOKE_HIDDEN_FLOOR,
@@ -428,7 +416,7 @@ def run_matrix(
     }
 
 
-def run_smoke(time_scale: float = 3.0) -> Dict:
+def run_smoke() -> Dict:
     """Reduced grid for CI: every family x packer fixed cell (15) plus
     one events cell per packer on the causal family (3) — 18 cells."""
     report = run_matrix(
@@ -437,7 +425,7 @@ def run_smoke(time_scale: float = 3.0) -> Dict:
         num_batches=5,
         kappa=2,
         workers=2,
-        time_scale=time_scale,
+        time_scale=SMOKE_TIME_SCALE,
         event_cells=[("causal", packer) for packer in PACKER_NAMES],
     )
     report["benchmark"] = "scenario_matrix_smoke"
@@ -536,24 +524,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="where to write the JSON report (default: repo root; smoke "
         "runs default to a scratch file)",
     )
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=None,
-        help="execution time multiplier over the cost model "
-        "(default: 1.0 full, 3.0 smoke)",
-    )
     args = parser.parse_args(argv)
 
     if args.smoke:
-        report = run_smoke(
-            time_scale=3.0 if args.time_scale is None else args.time_scale
-        )
+        report = run_smoke()
         output = args.output or SMOKE_OUTPUT_PATH
     else:
-        report = run_matrix(
-            time_scale=1.0 if args.time_scale is None else args.time_scale
-        )
+        report = run_matrix()
         output = args.output or OUTPUT_PATH
 
     with open(output, "w") as handle:
@@ -595,7 +572,7 @@ def test_scenarios_smoke():
         num_batches=4,
         kappa=2,
         workers=2,
-        time_scale=3.0,
+        time_scale=SMOKE_TIME_SCALE,
         families=("shared_question",),
         packers=("workload_balanced",),
     )

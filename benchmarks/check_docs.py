@@ -34,8 +34,9 @@ Nine checks, all cheap and dependency-free:
   module, so a deletion cannot leave an export pointing at nothing;
 * every entry of ``benchmarks/reachability_kept.txt`` names a function,
   or a defaulted parameter of one, that still exists under
-  ``src/repro`` with one of ``reachability.REASONS``, so the kept-list
-  cannot outlive its code.
+  ``src/repro``, a defaulted field of a configuration class, or a flag
+  a benchmark script still defines, with one of
+  ``reachability.REASONS``, so the kept-list cannot outlive its code.
 
 Usage::
 
@@ -388,7 +389,9 @@ def stale_source_xrefs() -> List[str]:
 
 def stale_kept_entries(path: Optional[str] = None) -> List[str]:
     """Entries of the reachability kept-list that name no function, or a
-    parameter its function no longer has (or no longer defaults)."""
+    parameter its function no longer has (or no longer defaults), a
+    field its configuration class no longer has, or a flag its script no
+    longer defines."""
     spec = importlib.util.spec_from_file_location(
         "reachability", os.path.join(REPO_ROOT, "benchmarks", "reachability.py")
     )
@@ -405,9 +408,13 @@ def stale_kept_entries(path: Optional[str] = None) -> List[str]:
     for func in reach.functions(reach.PACKAGE_DIR):
         names.add(func.key)
         names.update(func.option_key(param) for param in func.options)
+    for config in reach.configs(reach.PACKAGE_DIR):
+        names.update(config.option_key(field) for field in config.options)
+    flags, _varied = reach.benchmark_flags()
+    names.update(flag.key for flag in flags)
     return [
-        f"{rel}: {key} names no function or defaulted parameter under "
-        f"src/repro (deleted or renamed?)"
+        f"{rel}: {key} names no function, defaulted parameter or field "
+        f"under src/repro, nor a benchmark flag (deleted or renamed?)"
         for key in kept
         if key not in names
     ]

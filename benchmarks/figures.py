@@ -34,6 +34,7 @@ from repro.model import (
     make_distributed_forward,
     train,
 )
+from repro.placement import PlacementConfig
 from repro.sim import ClusterSpec, e2e_iteration_time, simulate_plan
 
 
@@ -52,22 +53,21 @@ def e2e_breakdown(result) -> Dict[str, float]:
     }
 
 
-def micro_scale(**overrides) -> BenchScale:
+def micro_scale() -> BenchScale:
     """Paper §7.1 micro-benchmark: 131072-token batches, 4 nodes x 8 GPUs."""
-    scale = BenchScale(cluster=ClusterSpec(num_machines=4, devices_per_machine=8))
-    return replace(scale, **overrides)
+    return BenchScale(cluster=ClusterSpec(num_machines=4, devices_per_machine=8))
 
 
-def e2e_scale(**overrides) -> BenchScale:
+def e2e_scale() -> BenchScale:
     """Paper §7.2 end-to-end: 8 nodes, TP4 => 16 CP ranks."""
     from repro.sim.cluster import E2E_CLUSTER
 
-    return replace(BenchScale(cluster=E2E_CLUSTER), **overrides)
+    return BenchScale(cluster=E2E_CLUSTER)
 
 
-def smoke_scale(**overrides) -> BenchScale:
+def smoke_scale() -> BenchScale:
     """Tiny configuration for tests."""
-    scale = BenchScale(
+    return BenchScale(
         token_budget=2048,
         max_seqlen=2048,
         block_size=128,
@@ -75,7 +75,6 @@ def smoke_scale(**overrides) -> BenchScale:
         cluster=ClusterSpec(num_machines=2, devices_per_machine=2),
         attention=AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32),
     )
-    return replace(scale, **overrides)
 
 
 class Table:
@@ -152,10 +151,8 @@ def attention_times(
     }
 
 
-def _dcp(scale: BenchScale, **config_overrides) -> DCPPlanner:
-    return DCPPlanner(
-        scale.cluster, scale.attention, scale.dcp_config(**config_overrides)
-    )
+def _dcp(scale: BenchScale) -> DCPPlanner:
+    return DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
 
 
 def _micro_planners(scale: BenchScale) -> Dict[str, object]:
@@ -188,15 +185,7 @@ def fig01_comm_overhead(scale: Optional[BenchScale] = None) -> Table:
          "non_ovlp_comm_s", "comm_pct"],
     )
     for name, cluster, max_seqlen in setups:
-        sub = BenchScale(
-            token_budget=base.token_budget,
-            max_seqlen=max_seqlen,
-            block_size=base.block_size,
-            num_batches=base.num_batches,
-            cluster=cluster,
-            attention=base.attention,
-            seed=base.seed,
-        )
+        sub = replace(base, max_seqlen=max_seqlen, cluster=cluster)
         batches = make_batches("longalign", sub, PAPER_MASKS["causal"]())
         results = []
         for batch in batches:
@@ -318,16 +307,7 @@ def fig15_e2e(
     )
     for max_seqlen in max_seqlens:
         for mask_name in mask_names:
-            sub = BenchScale(
-                token_budget=scale.token_budget,
-                max_seqlen=max_seqlen,
-                block_size=scale.block_size,
-                num_batches=scale.num_batches,
-                cluster=scale.cluster,
-                attention=scale.attention,
-                restarts=scale.restarts,
-                seed=scale.seed,
-            )
+            sub = replace(scale, max_seqlen=max_seqlen)
             batches = make_batches(dataset, sub, PAPER_MASKS[mask_name]())
             mlm_times, dcp_times = [], []
             dcp_planner = _dcp(sub)
@@ -513,9 +493,11 @@ def fig20_comm_vs_imbalance(
     for dataset in datasets:
         batches = make_batches(dataset, scale, PAPER_MASKS["causal"]())
         for eps in eps_values:
+            config = scale.dcp_config()
             planner = DCPPlanner(
                 scale.cluster, scale.attention,
-                scale.dcp_config(eps_inter=eps, eps_intra=eps),
+                replace(config, placement=replace(
+                    config.placement, eps_inter=eps, eps_intra=eps)),
             )
             volumes = []
             for batch in batches:
@@ -571,7 +553,9 @@ def fig21_loss_curves(
         dcp_model = TinyGPT(config, seed=11)
         mlm_losses = train(mlm_model, corpus, iterations, mask=mask)
         planner = DCPPlanner(
-            cluster, attention, DCPConfig(block_size=16, restarts=1)
+            cluster, attention, DCPConfig(
+                block_size=16, placement=PlacementConfig(restarts=1)
+            )
         )
         forward = make_distributed_forward(planner, attention, block_size=16)
         dcp_losses = train(

@@ -19,7 +19,7 @@ runs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/pipeline_coverage.py --fail-under 85
+    PYTHONPATH=src python benchmarks/pipeline_coverage.py
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from reachability import Tracer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro", "pipeline")
+
+#: Minimum total line coverage percent (``run_tier1.sh``'s pytest-cov
+#: run gates on the same ``--cov-fail-under=85``).
+FAIL_UNDER = 85.0
 
 #: Test modules that exercise the pipeline package.
 TEST_MODULES = [
@@ -77,16 +81,9 @@ def _traceable_lines(path: str) -> Set[int]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fail-under", type=float, default=85.0,
-                        help="minimum total line coverage percent")
-    parser.add_argument("tests", nargs="*", default=None,
-                        help="test files to run (default: pipeline suite)")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
-    targets = [
-        os.path.join(REPO_ROOT, rel) for rel in (args.tests or TEST_MODULES)
-    ]
+    targets = [os.path.join(REPO_ROOT, rel) for rel in TEST_MODULES]
     universe = {path: _traceable_lines(path) for path in _package_files()}
 
     tracer = Tracer(root=PACKAGE_DIR)
@@ -123,14 +120,14 @@ def main(argv=None) -> int:
     total = 100.0 * total_hit / total_lines if total_lines else 100.0
     print(f"{'TOTAL':<52} {total_lines:>6} {total_hit:>6} {total:>6.1f}%")
 
-    if total < args.fail_under:
+    if total < FAIL_UNDER:
         print(
             f"FAIL: repro.pipeline line coverage {total:.1f}% is below "
-            f"--fail-under {args.fail_under:.1f}%"
+            f"{FAIL_UNDER:.1f}%"
         )
         return 1
     print(f"ok: repro.pipeline line coverage {total:.1f}% "
-          f">= {args.fail_under:.1f}%")
+          f">= {FAIL_UNDER:.1f}%")
     return 0
 
 

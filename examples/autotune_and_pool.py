@@ -13,6 +13,7 @@ from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner, make_mask
 from repro.core import DistributedDataloader, KVStore, autotune_block_size
 from repro.data import batches_to_specs, pack_batches, sample_lengths
 from repro.pipeline import KVPlannerBackend
+from repro.placement import PlacementConfig
 from repro.sim import simulate_plan
 
 
@@ -30,7 +31,7 @@ def main() -> None:
         batches,
         cluster,
         attention=attention,
-        config=DCPConfig(restarts=1),
+        config=DCPConfig(placement=PlacementConfig(restarts=1)),
     )
     print("block-size search (attn = simulated fw+bw per batch):")
     print(result.table())
@@ -38,7 +39,8 @@ def main() -> None:
 
     # -- distributed look-ahead planning through the KV store -------------
     planner = DCPPlanner(
-        cluster, attention, DCPConfig(block_size=result.best, restarts=1)
+        cluster, attention, DCPConfig(block_size=result.best,
+                                      placement=PlacementConfig(restarts=1))
     )
     store = KVStore()
     backend = KVPlannerBackend(

@@ -8,8 +8,6 @@ imbalance tolerance — the knobs studied in the paper's §7.3.
 Run:  python examples/cluster_planning.py
 """
 
-import numpy as np
-
 from repro import (
     AttentionSpec,
     BatchSpec,
@@ -19,6 +17,7 @@ from repro import (
     generate_blocks,
     make_mask,
 )
+from repro.placement import PlacementConfig
 from repro.sim import simulate_plan
 
 
@@ -71,7 +70,8 @@ def main() -> None:
     for eps in (0.1, 0.4, 1.0):
         planner = DCPPlanner(
             cluster, attention,
-            DCPConfig(block_size=1024, eps_inter=eps, eps_intra=eps),
+            DCPConfig(block_size=1024,
+                      placement=PlacementConfig(eps_inter=eps, eps_intra=eps)),
         )
         plan = planner.plan(causal_blocks)
         flops = planner.last_placement.flops_per_device()

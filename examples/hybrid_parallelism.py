@@ -13,7 +13,7 @@ from repro import ClusterSpec, DCPConfig, make_mask
 from repro.blocks import BatchSpec
 from repro.data import pack_batches, sample_lengths
 from repro.parallel import HybridConfig, RankTopology, hybrid_iteration_time
-from repro.sim.modelcost import GPT_8B
+from repro.placement import PlacementConfig
 
 
 def main() -> None:
@@ -39,9 +39,10 @@ def main() -> None:
         config = HybridConfig(
             topology=topology,
             num_microbatches=max(2 * topology.pp, 2),
-            dcp_config=DCPConfig(block_size=2048, restarts=1),
+            dcp_config=DCPConfig(block_size=2048,
+                                 placement=PlacementConfig(restarts=1)),
         )
-        result = hybrid_iteration_time(batch, cluster, config, model=GPT_8B)
+        result = hybrid_iteration_time(batch, cluster, config)
         print(
             f"{topology.describe():<22}"
             f"{result.iteration_time:>10.3f}"

@@ -9,6 +9,7 @@ from ..blocks import AttentionSpec, BatchSpec
 from ..core import DCPConfig
 from ..data import batches_to_specs, pack_batches, sample_lengths, scale_lengths
 from ..masks import MaskSpec, make_mask
+from ..placement import PlacementConfig
 from ..sim import ClusterSpec
 
 __all__ = ["BenchScale", "PAPER_MASKS", "make_batches"]
@@ -40,8 +41,6 @@ class BenchScale:
     num_batches: int = 2
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     attention: AttentionSpec = field(default_factory=AttentionSpec)
-    restarts: int = 1
-    seed: int = 0
 
     @staticmethod
     def sweep(**overrides) -> "BenchScale":
@@ -56,7 +55,8 @@ class BenchScale:
 
     def dcp_config(self, **overrides) -> DCPConfig:
         base = dict(
-            block_size=self.block_size, restarts=self.restarts, seed=self.seed
+            block_size=self.block_size,
+            placement=PlacementConfig(restarts=1),
         )
         base.update(overrides)
         return DCPConfig(**base)
@@ -70,7 +70,7 @@ def make_batches(
     num_sequences: int = 600,
 ) -> List[BatchSpec]:
     """Sample a dataset, scale lengths, pack into batches (paper §7.1)."""
-    lengths = sample_lengths(dataset, num_sequences, seed=scale.seed)
+    lengths = sample_lengths(dataset, num_sequences)
     lengths = scale_lengths(lengths, length_scale, cap=scale.max_seqlen)
     packed = pack_batches(
         lengths, token_budget=scale.token_budget, max_seqlen=scale.max_seqlen

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 __all__ = ["BlockKind", "TokenSlice", "DataBlockId", "AttentionSpec"]
 
+#: Bytes per activation element (bf16).
+DTYPE_BYTES = 2
+
 
 class BlockKind:
     """Tensor kinds a data block can belong to."""
@@ -68,13 +71,13 @@ class AttentionSpec:
 
     Defaults correspond to the paper's micro-benchmark: GQA with 8 query
     heads, 2 KV groups and head dimension 128 (i.e. a 32-head / 8-group
-    operator under 4-way tensor parallelism), bf16 activations.
+    operator under 4-way tensor parallelism); activations are
+    :data:`DTYPE_BYTES` wide.
     """
 
     num_q_heads: int = 8
     num_kv_groups: int = 2
     head_dim: int = 128
-    dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
         if self.num_q_heads % self.num_kv_groups != 0:
@@ -91,11 +94,11 @@ class AttentionSpec:
 
     def q_block_bytes(self, tokens: int) -> int:
         """Bytes of one Q block (all query heads of one group)."""
-        return self.q_heads_per_group * tokens * self.head_dim * self.dtype_bytes
+        return self.q_heads_per_group * tokens * self.head_dim * DTYPE_BYTES
 
     def kv_block_bytes(self, tokens: int) -> int:
         """Bytes of one KV block (K and V of one group)."""
-        return 2 * tokens * self.head_dim * self.dtype_bytes
+        return 2 * tokens * self.head_dim * DTYPE_BYTES
 
     def o_block_bytes(self, tokens: int) -> int:
         """Bytes of one output block (same shape as the Q block)."""

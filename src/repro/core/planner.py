@@ -148,7 +148,7 @@ class DCPPlanner:
         start = time.perf_counter()
         with _span("placement", "planner"):
             placement = place_blocks(
-                block_set, cluster, self.config.placement_config(), warm=warm
+                block_set, cluster, self.config.placement, warm=warm
             )
         stats.placement = time.perf_counter() - start
         stats.num_vertices = placement.num_vertices

@@ -31,22 +31,23 @@ __all__ = [
 
 #: Cap used throughout the paper (tokens).
 MAX_SEQLEN = 131072
+#: Shortest sampled sequence (tokens).
+MIN_LEN = 32
 
 
 @dataclass(frozen=True)
 class LengthDistribution:
-    """A capped lognormal sequence-length distribution."""
+    """A lognormal sequence-length distribution, clipped to
+    [:data:`MIN_LEN`, :data:`MAX_SEQLEN`]."""
 
     name: str
     log_mean: float
     log_sigma: float
-    min_len: int = 32
-    cap: int = MAX_SEQLEN
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         lengths = rng.lognormal(self.log_mean, self.log_sigma, size=n)
-        return np.clip(lengths.astype(np.int64), self.min_len, self.cap)
+        return np.clip(lengths.astype(np.int64), MIN_LEN, MAX_SEQLEN)
 
 
 #: LongAlign-like: longer average, fewer short sequences (Fig. 2).

@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 import platform
-import subprocess
 import time
 from typing import Dict, List, Optional
 
@@ -87,19 +86,6 @@ REQUIRED_METRICS = (
     "kv.put_s",
     "kv.get_s",
 )
-
-
-def _git_revision() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
 
 
 #: Batches the overhead and telemetry workloads plan.
@@ -336,7 +322,8 @@ def run_obs_bench(
     smoke: bool = False,
     trace_path: Optional[str] = None,
 ) -> Dict:
-    """Overhead measurement + telemetry workload; one report dict.
+    """Overhead measurement + telemetry workload; one report dict,
+    which the caller stamps with the revision it measured.
 
     The overhead is the best of 3 rounds at smoke size, else of 7.
     Writes the merged Chrome trace to ``trace_path`` when given (the
@@ -356,7 +343,6 @@ def run_obs_bench(
                 else "fig18-sweep (32768 tokens, 512 blocks)"
             ),
         },
-        "git_revision": _git_revision(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "overhead": overhead,

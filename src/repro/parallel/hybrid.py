@@ -22,10 +22,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..blocks import AttentionSpec, BatchSpec, SequenceSpec, generate_blocks
+from ..blocks.data_blocks import DTYPE_BYTES
 from ..core.config import DCPConfig
 from ..core.planner import DCPPlanner
+from ..sim import cluster as hardware
+from ..sim import modelcost
 from ..sim.cluster import ClusterSpec
-from ..sim.modelcost import ModelSpec
 from ..sim.timing import simulate_plan
 from .pp import PipelineTiming, StageCost, simulate_1f1b_varied, split_layers
 from .topology import RankTopology
@@ -111,29 +113,26 @@ def _stage_cluster(cluster: ClusterSpec, topology: RankTopology) -> ClusterSpec:
     return dcp_view_cluster(per_stage, topology.tp)
 
 
-def _attention_spec(model: ModelSpec, tp: int) -> AttentionSpec:
+def _attention_spec(tp: int) -> AttentionSpec:
     """Per-TP-shard attention operator of the model."""
     return shard_attention(
         AttentionSpec(
-            num_q_heads=model.num_q_heads,
-            num_kv_groups=model.num_kv_groups,
-            head_dim=model.head_dim,
-            dtype_bytes=model.dtype_bytes,
+            num_q_heads=modelcost.NUM_Q_HEADS,
+            num_kv_groups=modelcost.NUM_KV_GROUPS,
+            head_dim=modelcost.HEAD_DIM,
         ),
         tp,
     )
 
 
-def _grad_sync_time(
-    model: ModelSpec, topology: RankTopology, cluster: ClusterSpec
-) -> float:
+def _grad_sync_time(topology: RankTopology, cluster: ClusterSpec) -> float:
     """Exposed gradient all-reduce across one stage's DCP ranks."""
     ranks = topology.dcp
     if ranks <= 1:
         return 0.0
     exposure = 0.08
-    stage_params = model.parameter_count() / topology.pp
-    grad_bytes = stage_params * model.dtype_bytes / topology.tp
+    stage_params = modelcost.parameter_count() / topology.pp
+    grad_bytes = stage_params * DTYPE_BYTES / topology.tp
     ring = 2.0 * grad_bytes * (ranks - 1) / ranks / cluster.inter_bandwidth
     return exposure * ring
 
@@ -142,7 +141,6 @@ def hybrid_iteration_time(
     batch: BatchSpec,
     cluster: ClusterSpec,
     config: HybridConfig,
-    model: Optional[ModelSpec] = None,
 ) -> HybridResult:
     """Estimate one training iteration under a hybrid configuration.
 
@@ -156,17 +154,16 @@ def hybrid_iteration_time(
         derived from the topology).
     config:
         Topology and microbatching.
-    model:
-        Transformer shape; defaults to the paper's 8B GPT.
+
+    The model is the paper's 8B GPT (:mod:`repro.sim.modelcost`).
 
     Each microbatch is planned by a :class:`~repro.core.planner.DCPPlanner`
     on one pipeline stage's cluster.
     """
-    model = model or ModelSpec()
     topology = config.topology
     topology.validate_against(cluster)
     stage_cluster = _stage_cluster(cluster, topology)
-    attention = _attention_spec(model, topology.tp)
+    attention = _attention_spec(topology.tp)
     planner = DCPPlanner(stage_cluster, attention, config.dcp_config)
 
     microbatches = [
@@ -177,7 +174,7 @@ def hybrid_iteration_time(
     if not microbatches:
         raise ValueError("batch produced no microbatches")
 
-    layers_per_stage = split_layers(model.num_layers, topology.pp)
+    layers_per_stage = split_layers(modelcost.NUM_LAYERS, topology.pp)
     per_gpu_flops = cluster.effective_flops()
 
     plans = []
@@ -201,15 +198,14 @@ def hybrid_iteration_time(
         max_tokens = float(tokens.max()) if len(tokens) else 0.0
 
         linear_fw = (
-            max_tokens * model.linear_flops_per_token()
+            max_tokens * modelcost.linear_flops_per_token()
             / topology.tp / per_gpu_flops
         )
         head_fw = (
-            max_tokens * model.head_flops_per_token()
+            max_tokens * modelcost.head_flops_per_token()
             / topology.tp / per_gpu_flops
         )
-        tp_layer = tp_layer_comm_time(model, int(max_tokens), cluster,
-                                      topology.tp)
+        tp_layer = tp_layer_comm_time(int(max_tokens), topology.tp)
 
         for stage, num_layers in enumerate(layers_per_stage):
             fw = num_layers * (
@@ -240,15 +236,15 @@ def hybrid_iteration_time(
                 widest,
                 float(sum(ts.tokens for ts in device_plan.local_slices)),
             )
-    p2p_bytes = widest * model.hidden * model.dtype_bytes / topology.tp
+    p2p_bytes = widest * modelcost.HIDDEN * DTYPE_BYTES / topology.tp
     p2p_time = (
-        cluster.inter_latency + p2p_bytes / cluster.inter_bandwidth
+        hardware.INTER_LATENCY + p2p_bytes / cluster.inter_bandwidth
         if topology.pp > 1
         else 0.0
     )
 
     pipeline = simulate_1f1b_varied(stage_costs, p2p_time=p2p_time)
-    sync = _grad_sync_time(model, topology, cluster)
+    sync = _grad_sync_time(topology, cluster)
     return HybridResult(
         iteration_time=pipeline.total + sync,
         pipeline=pipeline,

@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..blocks import AttentionSpec
+from ..blocks.data_blocks import DTYPE_BYTES
+from ..sim import cluster as hardware
+from ..sim import modelcost
 from ..sim.cluster import ClusterSpec
-from ..sim.modelcost import ModelSpec
 
 __all__ = [
     "shard_attention",
@@ -74,18 +76,10 @@ def dcp_view_cluster(cluster: ClusterSpec, tp: int) -> ClusterSpec:
         raise ValueError("tp degree must divide devices per machine")
     if tp == 1:
         return cluster
-    return ClusterSpec(
-        num_machines=cluster.num_machines,
+    return replace(
+        cluster,
         devices_per_machine=cluster.devices_per_machine // tp,
         peak_flops=cluster.peak_flops * tp,
-        flops_efficiency=cluster.flops_efficiency,
-        intra_bandwidth=cluster.intra_bandwidth,
-        intra_latency=cluster.intra_latency,
-        inter_bandwidth=cluster.inter_bandwidth,
-        inter_latency=cluster.inter_latency,
-        kernel_overhead=cluster.kernel_overhead,
-        tile_overhead=cluster.tile_overhead,
-        hbm_bandwidth=cluster.hbm_bandwidth,
     )
 
 
@@ -100,12 +94,7 @@ def allreduce_time(nbytes: float, ranks: int, bandwidth: float,
     return steps * latency + steps / ranks * nbytes / bandwidth
 
 
-def tp_layer_comm_time(
-    model: ModelSpec,
-    tokens: int,
-    cluster: ClusterSpec,
-    tp: int,
-) -> float:
+def tp_layer_comm_time(tokens: int, tp: int) -> float:
     """TP all-reduce time of one transformer layer, forward + backward.
 
     Megatron's sequence of a layer has two all-reduces in the forward
@@ -115,8 +104,8 @@ def tp_layer_comm_time(
     """
     if tp <= 1:
         return 0.0
-    activation_bytes = float(tokens) * model.hidden * model.dtype_bytes
+    activation_bytes = float(tokens) * modelcost.HIDDEN * DTYPE_BYTES
     one = allreduce_time(
-        activation_bytes, tp, cluster.intra_bandwidth, cluster.intra_latency
+        activation_bytes, tp, hardware.INTRA_BANDWIDTH, hardware.INTRA_LATENCY
     )
     return 4.0 * one

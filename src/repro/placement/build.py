@@ -170,8 +170,8 @@ def build_block_hypergraph(block_set: BlockSet) -> BlockHypergraph:
 
     # Edge weights: the data block's bytes by kind.
     tokens = slice_tokens[home_vertex]
-    q_bytes = attention.q_heads_per_group * tokens * attention.head_dim * attention.dtype_bytes
-    kv_bytes = 2 * tokens * attention.head_dim * attention.dtype_bytes
+    q_bytes = attention.q_block_bytes(tokens)
+    kv_bytes = attention.kv_block_bytes(tokens)
     edge_weights = np.where(rank == _KIND_RANK[BlockKind.KV], kv_bytes, q_bytes)
 
     edge_blocks = [

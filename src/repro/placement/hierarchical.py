@@ -62,17 +62,35 @@ STATIC_HEURISTICS = {"zigzag": zigzag_labels, "dp_pack": dp_pack_labels}
 #: Refinement passes per partitioner run.
 _REFINE_PASSES = 5
 
+#: The partition's data-imbalance tolerance at both levels.
+EPS_DATA = 0.08
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Knobs of the placement optimizer (paper §7.1 hyper-parameters)."""
+    """Knobs of the placement optimizer (paper §7.1 hyper-parameters).
+
+    ``eps_inter`` / ``eps_intra`` are the computation-imbalance
+    tolerances between machines and between the devices of one machine
+    (paper: 0.4 and 0.1; the data tolerance is :data:`EPS_DATA`).
+    ``seed``, ``restarts`` and ``use_warm_starts`` drive the partitioner
+    (:mod:`repro.hypergraph`); ``restarts=0`` runs only the warm
+    starts, so it needs ``use_warm_starts``.
+    """
 
     eps_inter: float = 0.4
     eps_intra: float = 0.1
-    eps_data: float = 0.08
     seed: int = 0
     restarts: int = 2
     use_warm_starts: bool = True
+
+    def __post_init__(self) -> None:
+        if min(self.eps_inter, self.eps_intra) < 0:
+            raise ValueError("imbalance tolerances must be non-negative")
+        if self.restarts < 0:
+            raise ValueError("restarts must be non-negative")
+        if self.restarts == 0 and not self.use_warm_starts:
+            raise ValueError("restarts=0 requires use_warm_starts")
 
 
 @dataclass
@@ -264,7 +282,7 @@ def place_blocks(
     if num_machines == 1:
         machine_labels = np.zeros(num_vertices, dtype=np.int64)
     else:
-        balance = BalanceConstraint((config.eps_inter, config.eps_data))
+        balance = BalanceConstraint((config.eps_inter, EPS_DATA))
         if warm_only:
             warm_machines = repair_labels(
                 bhg.graph,
@@ -319,7 +337,7 @@ def place_blocks(
         result = partition_hypergraph(
             subgraph,
             devices_per_machine,
-            BalanceConstraint((config.eps_intra, config.eps_data)),
+            BalanceConstraint((config.eps_intra, EPS_DATA)),
             seed=config.seed + machine + 1,
             restarts=restarts,
             warm_starts=level2_warm,

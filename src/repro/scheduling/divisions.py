@@ -46,6 +46,7 @@ import numpy as np
 
 from ..blocks import BlockKind, BlockSet, CompBlock, DataBlockId
 from ..obs.trace import span as _span
+from ..sim import cluster as hardware
 from .pricing import (
     BACKWARD_COMM_FACTOR,
     BACKWARD_FLOPS_FACTOR,
@@ -480,14 +481,14 @@ class _SliceSearch:
         )
         self.work = (
             cluster.compute_time(flops * (1 + BACKWARD_FLOPS_FACTOR))
-            + 2 * attention.head_groups * cluster.tile_overhead
+            + 2 * attention.head_groups * hardware.TILE_OVERHEAD
         )
         self.devices = devices = cluster.num_devices
         # Forward + backward seconds per KV byte, home -> reader.
         self.machine = machine = np.arange(devices) // cluster.devices_per_machine
         self.link = (1 + BACKWARD_COMM_FACTOR) * np.where(
             machine[:, None] == machine[None, :],
-            1 / cluster.intra_bandwidth,
+            1 / hardware.INTRA_BANDWIDTH,
             1 / cluster.inter_bandwidth,
         )
         np.fill_diagonal(self.link, 0.0)

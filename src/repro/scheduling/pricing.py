@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..sim import cluster as hardware
 from .instructions import fuses_finalize
 
 __all__ = [
@@ -64,13 +65,13 @@ class Links:
         into = dst // cluster.devices_per_machine
         if out == into:
             start = max(now, self.link_free.get((src, dst), 0.0))
-            end = start + nbytes / cluster.intra_bandwidth
+            end = start + nbytes / hardware.INTRA_BANDWIDTH
             self.link_free[(src, dst)] = end
-            return start, end + cluster.intra_latency
+            return start, end + hardware.INTRA_LATENCY
         start = max(now, self.nic_out_free[out], self.nic_in_free[into])
         end = start + nbytes / cluster.inter_bandwidth
         self.nic_out_free[out] = self.nic_in_free[into] = end
-        return start, end + cluster.inter_latency
+        return start, end + hardware.INTER_LATENCY
 
 
 def _streams(prep, fills) -> Tuple[List[list], List[int]]:
@@ -152,8 +153,8 @@ def replay(
     ``trace``, a list, receives ``(device, step index, start, end, send
     index)`` per kernel, stall (send index ``None``) and transfer.
     """
-    overhead, tile_overhead = cluster.kernel_overhead, cluster.tile_overhead
-    rate, hbm = cluster.effective_flops(), cluster.hbm_bandwidth
+    overhead, tile_overhead = hardware.KERNEL_OVERHEAD, hardware.TILE_OVERHEAD
+    rate, hbm = cluster.effective_flops(), hardware.HBM_BANDWIDTH
     transfer = Links(cluster).transfer
     clock = [0.0] * len(streams)
     last_transfer = [0.0] * len(streams)

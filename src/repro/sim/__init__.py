@@ -8,7 +8,7 @@ from .cluster import (
     MICRO_BENCH_CLUSTER,
 )
 from .memory import MemoryReport, plan_memory
-from .modelcost import E2EResult, GPT_8B, ModelSpec, e2e_iteration_time
+from .modelcost import E2EResult, e2e_iteration_time
 from .timing import DeviceTiming, TimingResult, simulate_plan
 from .trace import (
     ascii_gantt,
@@ -29,8 +29,6 @@ __all__ = [
     "ClusterEventSource",
     "E2E_CLUSTER",
     "MICRO_BENCH_CLUSTER",
-    "ModelSpec",
-    "GPT_8B",
     "E2EResult",
     "e2e_iteration_time",
     "DeviceTiming",

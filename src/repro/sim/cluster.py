@@ -23,34 +23,39 @@ __all__ = [
 ]
 
 
+#: Achievable fraction of ``peak_flops`` for attention.
+FLOPS_EFFICIENCY = 0.42
+#: Intra-machine links (NVSwitch), per direction, per device.
+INTRA_BANDWIDTH = 300e9
+INTRA_LATENCY = 8e-6
+#: Latency of the inter-machine NIC.
+INTER_LATENCY = 25e-6
+#: Fixed overhead per launched kernel / instruction.
+KERNEL_OVERHEAD = 20e-6
+#: Per-tile fixed cost inside a fused attention kernel (block setup,
+#: block-table reads).  A tile is one query row forward and one KV
+#: column backward: it pays this once, and the blocks it walks cost
+#: their FLOPs.  Dominates for short, sparse rows.
+TILE_OVERHEAD = 1.5e-6
+#: HBM bandwidth, used to cost reductions and copies.
+HBM_BANDWIDTH = 1.6e12
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """A homogeneous multi-machine GPU cluster.
 
     Devices are numbered globally: device ``d`` lives on machine
-    ``d // devices_per_machine``.
+    ``d // devices_per_machine``.  The shape, a device's FLOPs and the
+    NIC's bandwidth vary per cluster; the other hardware parameters are
+    this module's constants.
     """
 
     num_machines: int = 4
     devices_per_machine: int = 8
-    # Computation.
     peak_flops: float = 312e12  # A100 BF16 tensor-core peak
-    flops_efficiency: float = 0.42  # achievable fraction for attention
-    # Intra-machine links (NVSwitch), per direction, per device.
-    intra_bandwidth: float = 300e9
-    intra_latency: float = 8e-6
     # Inter-machine NIC, per direction, shared by a machine's devices.
     inter_bandwidth: float = 50e9
-    inter_latency: float = 25e-6
-    # Fixed overhead per launched kernel / instruction.
-    kernel_overhead: float = 20e-6
-    # Per-tile fixed cost inside a fused attention kernel (block setup,
-    # block-table reads).  A tile is one query row forward and one KV
-    # column backward: it pays this once, and the blocks it walks cost
-    # their FLOPs.  Dominates for short, sparse rows.
-    tile_overhead: float = 1.5e-6
-    # HBM bandwidth, used to cost reductions and copies.
-    hbm_bandwidth: float = 1.6e12
 
     def __post_init__(self) -> None:
         if self.num_machines < 1 or self.devices_per_machine < 1:
@@ -69,7 +74,7 @@ class ClusterSpec:
         return self.machine_of(a) == self.machine_of(b)
 
     def effective_flops(self) -> float:
-        return self.peak_flops * self.flops_efficiency
+        return self.peak_flops * FLOPS_EFFICIENCY
 
     def compute_time(self, flops: float) -> float:
         return flops / self.effective_flops()
@@ -193,6 +198,4 @@ E2E_CLUSTER = ClusterSpec(
     devices_per_machine=2,
     # A CP rank = a TP group of 4 GPUs acting as one device.
     peak_flops=4 * 312e12,
-    intra_bandwidth=300e9,
-    inter_bandwidth=50e9,
 )

@@ -8,9 +8,9 @@ baseline".  This module prices (b) analytically from per-device token
 counts, and composes it with the attention timing simulator to produce
 full-iteration times and the Fig. 22 decomposition.
 
-Model defaults follow the paper's 8B GPT (Llama3-8B shape): 32 layers,
-hidden 4096, 32 heads, 8 KV groups, head dim 128, FFN 14336, with 4-way
-tensor parallelism inside a node.
+The model is the paper's 8B GPT (Llama3-8B shape), held in this
+module's constants: 32 layers, hidden 4096, 32 heads, 8 KV groups, head
+dim 128, FFN 14336, with 4-way tensor parallelism inside a node.
 """
 
 from __future__ import annotations
@@ -20,47 +20,41 @@ from typing import Optional
 
 import numpy as np
 
+from ..blocks.data_blocks import DTYPE_BYTES
 from .cluster import ClusterSpec
 from .timing import TimingResult, simulate_plan
 
-__all__ = ["ModelSpec", "GPT_8B", "e2e_iteration_time", "E2EResult"]
+__all__ = ["e2e_iteration_time", "E2EResult"]
+
+#: The paper's end-to-end model (§7.2 "Model Spec"), the shape every
+#: iteration estimate prices.
+NUM_LAYERS = 32
+HIDDEN = 4096
+NUM_Q_HEADS = 32
+NUM_KV_GROUPS = 8
+HEAD_DIM = 128
+FFN_HIDDEN = 14336
+VOCAB = 128256
+TENSOR_PARALLEL = 4
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Transformer shape for the analytic cost model."""
-
-    num_layers: int = 32
-    hidden: int = 4096
-    num_q_heads: int = 32
-    num_kv_groups: int = 8
-    head_dim: int = 128
-    ffn_hidden: int = 14336
-    vocab: int = 128256
-    tensor_parallel: int = 4
-    dtype_bytes: int = 2
-
-    def linear_flops_per_token(self) -> float:
-        """Forward FLOPs/token of context-independent ops, one layer."""
-        kv_dim = self.num_kv_groups * self.head_dim
-        qkv = 2 * self.hidden * (self.hidden + 2 * kv_dim)
-        out_proj = 2 * self.hidden * self.hidden
-        mlp = 3 * 2 * self.hidden * self.ffn_hidden  # SwiGLU: three mats
-        return float(qkv + out_proj + mlp)
-
-    def head_flops_per_token(self) -> float:
-        """Forward FLOPs/token of embedding + LM head."""
-        return float(2 * self.hidden * self.vocab)
-
-    def parameter_count(self) -> float:
-        per_layer = (
-            self.linear_flops_per_token() / 2.0
-        )  # FLOPs = 2 * params for matmuls
-        return per_layer * self.num_layers + self.hidden * self.vocab
+def linear_flops_per_token() -> float:
+    """Forward FLOPs/token of context-independent ops, one layer."""
+    kv_dim = NUM_KV_GROUPS * HEAD_DIM
+    qkv = 2 * HIDDEN * (HIDDEN + 2 * kv_dim)
+    out_proj = 2 * HIDDEN * HIDDEN
+    mlp = 3 * 2 * HIDDEN * FFN_HIDDEN  # SwiGLU: three mats
+    return float(qkv + out_proj + mlp)
 
 
-#: The paper's end-to-end model (§7.2 "Model Spec").
-GPT_8B = ModelSpec()
+def head_flops_per_token() -> float:
+    """Forward FLOPs/token of embedding + LM head."""
+    return float(2 * HIDDEN * VOCAB)
+
+
+def parameter_count() -> float:
+    per_layer = linear_flops_per_token() / 2.0  # FLOPs = 2 * params
+    return per_layer * NUM_LAYERS + HIDDEN * VOCAB
 
 
 @dataclass
@@ -75,22 +69,17 @@ class E2EResult:
     num_layers: int
 
 
-def _others_time(
-    model: ModelSpec,
-    tokens_per_device: np.ndarray,
-    cluster: ClusterSpec,
-) -> float:
+def _others_time(tokens_per_device: np.ndarray, cluster: ClusterSpec) -> float:
     """Forward+backward context-independent compute on the critical device."""
     max_tokens = float(tokens_per_device.max()) if len(tokens_per_device) else 0.0
     per_token = (
-        model.num_layers * model.linear_flops_per_token()
-        + model.head_flops_per_token()
-    ) / model.tensor_parallel
+        NUM_LAYERS * linear_flops_per_token() + head_flops_per_token()
+    ) / TENSOR_PARALLEL
     forward = max_tokens * per_token / cluster.effective_flops()
     return 3.0 * forward  # backward of linear layers costs ~2x forward
 
 
-def _grad_sync_time(model: ModelSpec, cluster: ClusterSpec) -> float:
+def _grad_sync_time(cluster: ClusterSpec) -> float:
     """Exposed (non-overlapped) gradient-synchronization time.
 
     Gradients are ring-allreduced across all CP ranks.  Megatron
@@ -101,7 +90,7 @@ def _grad_sync_time(model: ModelSpec, cluster: ClusterSpec) -> float:
     ranks = cluster.num_devices
     if ranks <= 1:
         return 0.0
-    grad_bytes = model.parameter_count() * model.dtype_bytes / model.tensor_parallel
+    grad_bytes = parameter_count() * DTYPE_BYTES / TENSOR_PARALLEL
     ring = 2.0 * grad_bytes * (ranks - 1) / ranks / cluster.inter_bandwidth
     return exposure * ring
 
@@ -109,14 +98,14 @@ def _grad_sync_time(model: ModelSpec, cluster: ClusterSpec) -> float:
 def e2e_iteration_time(
     plan, cluster: Optional[ClusterSpec] = None
 ) -> E2EResult:
-    """Price one full training iteration of :data:`GPT_8B` around a plan.
+    """Price one full training iteration of the paper's 8B model around
+    a plan.
 
     The attention plan covers one layer; the iteration runs
-    ``num_layers`` of them forward and backward, plus
+    :data:`NUM_LAYERS` of them forward and backward, plus
     context-independent work over each device's planned tokens and
     gradient sync.
     """
-    model = GPT_8B
     cluster = cluster or plan.cluster
     tokens_per_device = np.zeros(cluster.num_devices, dtype=np.int64)
     for device, device_plan in plan.device_plans.items():
@@ -126,16 +115,16 @@ def e2e_iteration_time(
 
     forward = simulate_plan(plan, cluster, backward=False)
     backward = simulate_plan(plan, cluster, backward=True)
-    attention_total = model.num_layers * (
+    attention_total = NUM_LAYERS * (
         forward.iteration_time + backward.iteration_time
     )
-    others = _others_time(model, tokens_per_device, cluster)
-    sync = _grad_sync_time(model, cluster)
+    others = _others_time(tokens_per_device, cluster)
+    sync = _grad_sync_time(cluster)
     return E2EResult(
         iteration_time=attention_total + others + sync,
         attention_forward=forward,
         attention_backward=backward,
         others_time=others,
         grad_sync_time=sync,
-        num_layers=model.num_layers,
+        num_layers=NUM_LAYERS,
     )

@@ -5,6 +5,7 @@ import pytest
 from repro.blocks import AttentionSpec, BatchSpec
 from repro.core import DCPConfig, autotune, autotune_block_size
 from repro.masks import CausalMask
+from repro.placement import PlacementConfig
 from repro.sim import ClusterSpec
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -30,7 +31,7 @@ def search(monkeypatch):
             _batches() if batches is None else batches,
             CLUSTER,
             attention=ATTENTION,
-            config=DCPConfig(restarts=1),
+            config=DCPConfig(placement=PlacementConfig(restarts=1)),
         )
 
     return run

@@ -27,6 +27,7 @@ from repro.scheduling import (
     validate_plan,
 )
 from repro.scheduling.instructions import BlockwiseAttention
+from repro.sim import cluster as hardware
 from repro.sim import simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -181,14 +182,13 @@ class TestBackwardPlan:
         # CommLaunch that ships its partials, so the forward may finish
         # up to one epilogue's HBM time later than the backward (3.0 ns
         # here, against a 5.1 ns epilogue) — but no more.
-        cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
         memory_bytes = ATTENTION.o_block_bytes(16) * 2
         epilogue = max(
             len(instruction.finalizes) * memory_bytes
             for device_plan in forward_plan.device_plans.values()
             for instruction in device_plan.instructions
             if isinstance(instruction, BlockwiseAttention)
-        ) / cluster.hbm_bandwidth
+        ) / hardware.HBM_BANDWIDTH
         assert epilogue > 0
         assert (backward.iteration_time
                 >= forward.iteration_time - epilogue)

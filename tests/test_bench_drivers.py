@@ -86,7 +86,7 @@ class TestHarness:
     def test_scales(self):
         assert micro_scale().cluster.num_devices == 32
         assert e2e_scale().cluster.num_devices == 16
-        assert smoke_scale(num_batches=3).num_batches == 3
+        assert smoke_scale().cluster.num_devices == 4
 
 
 class TestDrivers:

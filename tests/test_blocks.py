@@ -22,8 +22,7 @@ class TestAttentionSpec:
         assert spec.q_heads_per_group == 4
 
     def test_block_bytes(self):
-        spec = AttentionSpec(num_q_heads=8, num_kv_groups=2, head_dim=128,
-                             dtype_bytes=2)
+        spec = AttentionSpec(num_q_heads=8, num_kv_groups=2, head_dim=128)
         assert spec.q_block_bytes(1024) == 4 * 1024 * 128 * 2
         assert spec.kv_block_bytes(1024) == 2 * 1024 * 128 * 2
         assert spec.o_block_bytes(512) == spec.q_block_bytes(512)

@@ -142,6 +142,23 @@ def test_stale_kept_entries_are_flagged(tmp_path):
     assert "repro/plan/__init__.py::main(gone)" in gone_param
 
 
+def test_stale_kept_fields_and_flags_are_flagged(tmp_path):
+    """A kept field its configuration class no longer has, or a kept
+    flag its script no longer defines, is stale; live ones are not."""
+    kept = tmp_path / "kept.txt"
+    kept.write_text(
+        "repro/core/config.py::DCPConfig.scheduler  ledger  frozen ledger\n"
+        "repro/core/config.py::DCPConfig.eps_data  ledger  moved away\n"
+        "benchmarks/bench_chaos.py::--smoke  safety  passed by CI\n"
+        "benchmarks/bench_chaos.py::--gone  safety  deleted long ago\n"
+    )
+    stale = check_docs.stale_kept_entries(str(kept))
+    assert [entry.split(": ", 1)[1].split()[0] for entry in stale] == [
+        "repro/core/config.py::DCPConfig.eps_data",
+        "benchmarks/bench_chaos.py::--gone",
+    ]
+
+
 def test_kept_entry_needs_a_known_reason(tmp_path):
     kept = tmp_path / "kept.txt"
     kept.write_text("repro/core/cache.py::PlanCache.abandon  tidy  why not\n")

@@ -13,6 +13,7 @@ from repro import (
     make_mask,
 )
 from repro.core import LocalData
+from repro.placement import PlacementConfig
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 
 
@@ -20,8 +21,8 @@ class TestDCPConfig:
     def test_defaults_match_paper(self):
         config = DCPConfig()
         assert config.num_divisions == 4
-        assert config.eps_inter == pytest.approx(0.4)
-        assert config.eps_intra == pytest.approx(0.1)
+        assert config.placement.eps_inter == pytest.approx(0.4)
+        assert config.placement.eps_intra == pytest.approx(0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -34,20 +35,19 @@ class TestDCPConfig:
         [
             {"eps_inter": -0.1},
             {"eps_intra": -0.1},
-            {"eps_data": -0.01},
             {"restarts": -1},
             {"restarts": 0, "use_warm_starts": False},
         ],
     )
     def test_rejects_nonsense_partitioner_knobs(self, knobs):
         with pytest.raises(ValueError):
-            DCPConfig(**knobs)
+            PlacementConfig(**knobs)
 
     def test_warm_starts_alone_are_a_valid_search(self):
         planner = DCPPlanner(
             ClusterSpec(num_machines=2, devices_per_machine=2),
             AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16),
-            DCPConfig(block_size=16, restarts=0),
+            DCPConfig(block_size=16, placement=PlacementConfig(restarts=0)),
         )
         batch = BatchSpec.build([64, 32], make_mask("causal"))
         assert planner.plan_batch(batch).num_devices == 4
@@ -58,10 +58,11 @@ class TestDCPConfig:
         with pytest.raises(TypeError):
             DCPConfig(lookahead=2)
 
-    def test_placement_config_propagates(self):
-        placement = DCPConfig(eps_inter=0.7, seed=9).placement_config()
-        assert placement.eps_inter == pytest.approx(0.7)
-        assert placement.seed == 9
+    def test_placement_config_is_the_one_instance(self):
+        """The partitioner's knobs live once, in the config's
+        ``placement``; ``placement_config()`` hands that instance on."""
+        placement = PlacementConfig(eps_inter=0.7, seed=9)
+        assert DCPConfig(placement=placement).placement_config() is placement
 
 
 class TestDCPPlanner:
@@ -69,7 +70,9 @@ class TestDCPPlanner:
         cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
         attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
         return DCPPlanner(
-            cluster, attention, DCPConfig(block_size=16, restarts=1, **cfg)
+            cluster, attention, DCPConfig(
+                block_size=16, **cfg, placement=PlacementConfig(restarts=1)
+            )
         )
 
     def test_plan_batch_records_stats(self):
@@ -105,7 +108,9 @@ class TestDataloader:
         cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
         attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
         planner = DCPPlanner(
-            cluster, attention, DCPConfig(block_size=16, restarts=1)
+            cluster, attention, DCPConfig(
+                block_size=16, placement=PlacementConfig(restarts=1)
+            )
         )
         mask = make_mask("causal")
         batches = [

@@ -15,6 +15,7 @@ from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
+from repro.placement import PlacementConfig
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.sim import ClusterSpec
 
@@ -52,7 +53,8 @@ def test_dcp_random_batches(seqlens, mask, seed):
         BatchSpec.build(seqlens, mask), ATTENTION, block_size=16
     )
     planner = DCPPlanner(
-        CLUSTER, ATTENTION, DCPConfig(block_size=16, restarts=1)
+        CLUSTER, ATTENTION, DCPConfig(block_size=16,
+                                      placement=PlacementConfig(restarts=1))
     )
     _check(planner, block_set, seed)
 
@@ -65,7 +67,8 @@ def test_dcp_balanced_scheduler_random_batches(seqlens, mask, seed):
     )
     planner = DCPPlanner(
         CLUSTER, ATTENTION,
-        DCPConfig(block_size=16, restarts=1, scheduler="balanced"),
+        DCPConfig(block_size=16, scheduler="balanced",
+                  placement=PlacementConfig(restarts=1)),
     )
     _check(planner, block_set, seed)
 

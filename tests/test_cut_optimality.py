@@ -33,6 +33,7 @@ from repro.placement import (  # noqa: E402
     build_block_hypergraph,
     place_blocks,
 )
+from repro.placement.hierarchical import EPS_DATA  # noqa: E402
 from repro.scheduling import build_schedule  # noqa: E402
 from repro.sim import ClusterSpec  # noqa: E402
 
@@ -128,7 +129,7 @@ def solve_case(blocks, k):
     block_set = generate_blocks(spec, attention=ATTENTION, block_size=BLOCK)
     cluster = ClusterSpec(num_machines=1, devices_per_machine=k)
     bhg = build_block_hypergraph(block_set)
-    caps = BalanceConstraint((CONFIG.eps_intra, CONFIG.eps_data)).caps(bhg.graph, k)
+    caps = BalanceConstraint((CONFIG.eps_intra, EPS_DATA)).caps(bhg.graph, k)
     ours = place_blocks(block_set, cluster, CONFIG)
     solved = exact_min_cut(bhg.graph, k, caps)
     if solved == "timeout":
@@ -158,7 +159,7 @@ def test_solver_reports_infeasible_caps():
     spec = BatchSpec.build([5 * BLOCK], CausalMask())
     block_set = generate_blocks(spec, attention=ATTENTION, block_size=BLOCK)
     graph = build_block_hypergraph(block_set).graph
-    caps = BalanceConstraint((CONFIG.eps_intra, CONFIG.eps_data)).caps(graph, 4)
+    caps = BalanceConstraint((CONFIG.eps_intra, EPS_DATA)).caps(graph, 4)
     assert exact_min_cut(graph, 4, caps) is None
 
 

@@ -38,7 +38,7 @@ from repro.pipeline import (
     StreamingOverlapPipeline,
     plan_fingerprint,
 )
-from repro.placement import build_block_hypergraph
+from repro.placement import PlacementConfig, build_block_hypergraph
 from repro.scheduling import (
     empty_device_plan,
     plan_compatible,
@@ -55,7 +55,8 @@ ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
 
 def make_planner(cluster=CLUSTER):
     return DCPPlanner(
-        cluster, ATTENTION, DCPConfig(block_size=16, restarts=1)
+        cluster, ATTENTION, DCPConfig(block_size=16,
+                                      placement=PlacementConfig(restarts=1))
     )
 
 

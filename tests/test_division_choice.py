@@ -39,6 +39,7 @@ from repro.scheduling import (
 )
 from repro.scheduling.instructions import fuses_finalize
 from repro.sim import ClusterSpec, simulate_plan
+from repro.sim import cluster as hardware
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32)
 
@@ -378,6 +379,16 @@ class TestPriceAgainstSimulator:
         assert simulated(chosen) <= simulated(fixed) * (1 + 1e-9)
 
 
+def perturbed(cluster, field, factor, monkeypatch):
+    """*cluster* with one hardware parameter scaled by *factor*: a field
+    of the cluster, or else the module constant of that name."""
+    if hasattr(cluster, field):
+        return replace(cluster, **{field: getattr(cluster, field) * factor})
+    name = field.upper()
+    monkeypatch.setattr(hardware, name, getattr(hardware, name) * factor)
+    return cluster
+
+
 class TestSensitivity:
     """The cost model now decides, so the decision must not be an
     artefact of its constants: planner and simulator both get the
@@ -387,9 +398,9 @@ class TestSensitivity:
         "field", ["kernel_overhead", "intra_bandwidth", "inter_bandwidth"]
     )
     @pytest.mark.parametrize("factor", [0.5, 2.0])
-    def test_chosen_never_trails_fixed_four(self, field, factor):
+    def test_chosen_never_trails_fixed_four(self, field, factor, monkeypatch):
         base, budget, block = GEOMETRIES["2x4"]
-        cluster = replace(base, **{field: getattr(base, field) * factor})
+        cluster = perturbed(base, field, factor, monkeypatch)
         for mask_name in ("causal", "lambda"):
             for seed in range(3):
                 batch = seeded_batch(seed, budget, block, mask_name)
@@ -398,23 +409,26 @@ class TestSensitivity:
                 fixed = simulated(fill_divisions(block_set, placement, 4))
                 assert chosen <= fixed * 1.05
 
-    def test_cheaper_launches_move_the_choice_up(self):
+    def test_cheaper_launches_move_the_choice_up(self, monkeypatch):
         """Per-division launch overhead is what T = 1 saves: with free
         launches more divisions can only help overlap."""
         base, budget, block = GEOMETRIES["2x4"]
-        free = replace(base, kernel_overhead=0.0)
-        for seed in range(3):
-            batch = seeded_batch(seed, budget, block)
-            with_overhead = build_schedule(*placed(batch, base, block), 4)
-            without = build_schedule(*placed(batch, free, block), 4)
-            assert without.num_divisions >= with_overhead.num_divisions
+        batches = [seeded_batch(seed, budget, block) for seed in range(3)]
+        with_overhead = [build_schedule(*placed(batch, base, block), 4)
+                         for batch in batches]
+        monkeypatch.setattr(hardware, "KERNEL_OVERHEAD", 0.0)
+        for batch, chosen in zip(batches, with_overhead):
+            without = build_schedule(*placed(batch, base, block), 4)
+            assert without.num_divisions >= chosen.num_divisions
 
 
 class TestObservable:
     def test_plan_meta_stats_and_histogram(self):
         cluster, budget, block = GEOMETRIES["2x4"]
         planner = DCPPlanner(
-            cluster, ATTENTION, DCPConfig(block_size=block, restarts=1)
+            cluster, ATTENTION, DCPConfig(
+                block_size=block, placement=PlacementConfig(restarts=1)
+            )
         )
         plan = planner.plan_batch(seeded_batch(1, budget, block))
         prices = plan.meta["division_prices"]
@@ -431,7 +445,8 @@ class TestObservable:
         plans = [
             DCPPlanner(
                 cluster, ATTENTION,
-                DCPConfig(block_size=block, restarts=1, num_divisions=limit),
+                DCPConfig(block_size=block, num_divisions=limit,
+                          placement=PlacementConfig(restarts=1)),
             ).plan_batch(batch)
             for limit in (1, 4)
         ]
@@ -451,7 +466,8 @@ class TestRebindInvariance:
         small, budget, block = GEOMETRIES["2x4"]
         grown = replace(small, num_machines=3)
         planner = DCPPlanner(
-            small, ATTENTION, DCPConfig(block_size=block, restarts=1)
+            small, ATTENTION, DCPConfig(block_size=block,
+                                        placement=PlacementConfig(restarts=1))
         )
         batch = seeded_batch(seed, budget, block)
         original = planner.plan_batch(batch)

@@ -28,6 +28,7 @@ from repro.pipeline import (
     StreamingOverlapPipeline,
     plan_fingerprint,
 )
+from repro.placement import PlacementConfig
 from repro.runtime import BatchInputs, SimExecutor
 from repro.runtime.fabric import Fabric
 from repro.scheduling import PlanValidationError, validate_plan
@@ -42,7 +43,7 @@ def _plan(seqlens=(256, 64)):
     block_set = generate_blocks(batch, ATTENTION, block_size=32)
     planner = DCPPlanner(
         CLUSTER, attention=ATTENTION,
-        config=DCPConfig(block_size=32, restarts=1),
+        config=DCPConfig(block_size=32, placement=PlacementConfig(restarts=1)),
     )
     return planner.plan(block_set, CLUSTER)
 
@@ -168,7 +169,7 @@ class TestValidatorDetection:
 def _pipeline_planner(cluster=CLUSTER):
     return DCPPlanner(
         cluster, attention=ATTENTION,
-        config=DCPConfig(block_size=16, restarts=1),
+        config=DCPConfig(block_size=16, placement=PlacementConfig(restarts=1)),
     )
 
 

@@ -37,6 +37,7 @@ from repro.hypergraph import (
     refine,
 )
 from repro.masks import CausalMask
+from repro.placement import PlacementConfig
 
 JOIN_TIMEOUT_S = 60
 
@@ -232,7 +233,7 @@ class TestCountersArePerThread:
         planner = DCPPlanner(
             ClusterSpec(num_machines=2, devices_per_machine=2),
             AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16),
-            DCPConfig(block_size=64, restarts=1),
+            DCPConfig(block_size=64, placement=PlacementConfig(restarts=1)),
         )
         batches = [
             BatchSpec.build(seqlens, CausalMask())

@@ -13,7 +13,11 @@ from repro import (
     make_mask,
 )
 from repro.baselines import RingAttentionPlanner, TransformerEnginePlanner
-from repro.placement import build_block_hypergraph, zigzag_labels
+from repro.placement import (
+    PlacementConfig,
+    build_block_hypergraph,
+    zigzag_labels,
+)
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.sim import e2e_iteration_time, simulate_plan
 
@@ -44,7 +48,9 @@ def test_all_planners_agree_with_reference(scenario):
         RingAttentionPlanner(zigzag=False),
         RingAttentionPlanner(zigzag=True),
         TransformerEnginePlanner(),
-        DCPPlanner(cluster, ATTENTION, DCPConfig(block_size=16, restarts=1)),
+        DCPPlanner(cluster, ATTENTION, DCPConfig(
+            block_size=16, placement=PlacementConfig(restarts=1)
+        )),
     ]
     for planner in planners:
         plan = (
@@ -72,8 +78,10 @@ def test_dcp_communicates_no_more_than_static_cp():
         batch = BatchSpec.build(seqlens, mask)
         block_set = generate_blocks(batch, ATTENTION, block_size=16)
         cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
-        planner = DCPPlanner(cluster, ATTENTION,
-                             DCPConfig(block_size=16, restarts=1, seed=seed))
+        config = DCPConfig(
+            block_size=16, placement=PlacementConfig(restarts=1, seed=seed)
+        )
+        planner = DCPPlanner(cluster, ATTENTION, config)
         dcp_bytes = planner.plan(block_set).total_comm_bytes()
         bhg = build_block_hypergraph(block_set)
         zz = zigzag_labels(bhg, cluster.num_devices)
@@ -93,7 +101,8 @@ def test_sparse_mask_reduces_dcp_communication():
         batch = BatchSpec.build(seqlens, mask)
         block_set = generate_blocks(batch, ATTENTION, block_size=16)
         planner = DCPPlanner(cluster, ATTENTION,
-                             DCPConfig(block_size=16, restarts=1))
+                             DCPConfig(block_size=16,
+                                       placement=PlacementConfig(restarts=1)))
         volumes[name] = planner.plan(block_set).total_comm_bytes()
     assert volumes["lambda"] <= volumes["causal"]
 
@@ -103,7 +112,9 @@ def test_end_to_end_timing_pipeline():
     batch = BatchSpec.build([128, 96, 64], make_mask("causal"))
     block_set = generate_blocks(batch, ATTENTION, block_size=16)
     cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
-    dcp = DCPPlanner(cluster, ATTENTION, DCPConfig(block_size=16, restarts=1))
+    dcp = DCPPlanner(cluster, ATTENTION, DCPConfig(
+        block_size=16, placement=PlacementConfig(restarts=1)
+    ))
     for plan in (
         dcp.plan(block_set),
         TransformerEnginePlanner().plan(block_set, cluster),
@@ -119,7 +130,8 @@ def test_executor_is_deterministic():
     block_set = generate_blocks(batch, ATTENTION, block_size=16)
     cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
     planner = DCPPlanner(cluster, ATTENTION,
-                         DCPConfig(block_size=16, restarts=1))
+                         DCPConfig(block_size=16,
+                                   placement=PlacementConfig(restarts=1)))
     plan = planner.plan(block_set)
     results = []
     for _ in range(2):

@@ -14,6 +14,7 @@ from repro import (
     make_mask,
 )
 from repro.masks import PackedDocumentMask
+from repro.placement import PlacementConfig
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 
 
@@ -63,7 +64,8 @@ def test_dcp_numerics_on_extended_masks(mask):
     block_set = generate_blocks(batch, attention, block_size=16)
     cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
     planner = DCPPlanner(cluster, attention,
-                         DCPConfig(block_size=16, restarts=1))
+                         DCPConfig(block_size=16,
+                                   placement=PlacementConfig(restarts=1)))
     plan = planner.plan(block_set)
     executor = SimExecutor(plan)
     inputs = BatchInputs.random(block_set, seed=4)

@@ -23,6 +23,7 @@ from repro.model.layers import (
     linear_forward,
     softmax_cross_entropy,
 )
+from repro.placement import PlacementConfig
 
 # The package's ``train`` is the function; this is its module.
 train_mod = importlib.import_module("repro.model.train")
@@ -179,7 +180,8 @@ class TestTinyGPT:
         attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=8)
         cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
         planner = DCPPlanner(cluster, attention,
-                             DCPConfig(block_size=8, restarts=1))
+                             DCPConfig(block_size=8,
+                                       placement=PlacementConfig(restarts=1)))
         forward = make_distributed_forward(planner, attention, block_size=8)
 
         dense_model = TinyGPT(config, seed=3)

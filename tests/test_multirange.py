@@ -22,6 +22,7 @@ from repro.masks import (
     block_bounds,
     tile_workload_matrix,
 )
+from repro.placement import PlacementConfig
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
 from repro.sim import ClusterSpec, simulate_plan
 
@@ -306,7 +307,7 @@ def test_dcp_numerics_multirange(mask):
     planner = DCPPlanner(
         CLUSTER,
         attention=block_set.attention,
-        config=DCPConfig(block_size=16, restarts=1),
+        config=DCPConfig(block_size=16, placement=PlacementConfig(restarts=1)),
     )
     plan = planner.plan(block_set, CLUSTER)
     executor = SimExecutor(plan)
@@ -333,7 +334,7 @@ def test_multirange_timing_simulates():
     planner = DCPPlanner(
         CLUSTER,
         attention=block_set.attention,
-        config=DCPConfig(block_size=16, restarts=1),
+        config=DCPConfig(block_size=16, placement=PlacementConfig(restarts=1)),
     )
     plan = planner.plan(block_set, CLUSTER)
     assert simulate_plan(plan).iteration_time > 0

@@ -24,6 +24,7 @@ from repro.masks import CausalMask
 from repro.obs import MetricsRegistry, NullRegistry, Tracer, span
 from repro.obs.bench import plan_fetch_summary
 from repro.obs.metrics import _bucket_quantile
+from repro.placement import PlacementConfig
 from repro.sim import ClusterSpec, merge_chrome_traces
 
 CLUSTER = ClusterSpec(num_machines=2, devices_per_machine=2)
@@ -34,7 +35,7 @@ def make_planner(metrics=None):
     return DCPPlanner(
         CLUSTER,
         ATTENTION,
-        DCPConfig(block_size=64, restarts=1),
+        DCPConfig(block_size=64, placement=PlacementConfig(restarts=1)),
         metrics=metrics,
     )
 

@@ -27,6 +27,7 @@ from repro.pipeline import (
     cost_model_executor,
     plan_fingerprint,
 )
+from repro.placement import PlacementConfig
 from repro.sim import ClusterEventSource, overlap_chrome_trace
 
 
@@ -34,7 +35,8 @@ def make_planner(devices=2, block_size=16):
     cluster = ClusterSpec(num_machines=1, devices_per_machine=devices)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(
-        cluster, attention, DCPConfig(block_size=block_size, restarts=1)
+        cluster, attention, DCPConfig(block_size=block_size,
+                                      placement=PlacementConfig(restarts=1))
     )
 
 

@@ -1,10 +1,13 @@
 """Tests for repro.parallel: topology, TP sharding, 1F1B, hybrid."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocks import AttentionSpec, BatchSpec
+from repro.blocks.data_blocks import DTYPE_BYTES
 from repro.core.config import DCPConfig
 from repro.masks import CausalMask
 from repro.parallel import (
@@ -20,8 +23,10 @@ from repro.parallel import (
     split_layers,
     tp_layer_comm_time,
 )
+from repro.placement import PlacementConfig
+from repro.sim import cluster as hardware
+from repro.sim import modelcost
 from repro.sim.cluster import ClusterSpec
-from repro.sim.modelcost import ModelSpec
 
 
 def simulate_1f1b(stage_costs, num_microbatches, p2p_time=0.0):
@@ -112,6 +117,19 @@ class TestDcpViewCluster:
         assert view.peak_flops == pytest.approx(4 * cluster.peak_flops)
         assert view.inter_bandwidth == cluster.inter_bandwidth
 
+    def test_fields_tp_does_not_rescale_survive(self):
+        """TP rescales the per-machine device count and a device's
+        FLOPs; every other field of the cluster is carried over."""
+        cluster = ClusterSpec(num_machines=3, devices_per_machine=8,
+                              peak_flops=100e12, inter_bandwidth=10e9)
+        view = dcp_view_cluster(cluster, 2)
+        rescaled = {"devices_per_machine", "peak_flops"}
+        for field in dataclasses.fields(ClusterSpec):
+            if field.name not in rescaled:
+                assert getattr(view, field.name) == getattr(cluster,
+                                                            field.name)
+        assert (view.devices_per_machine, view.peak_flops) == (4, 200e12)
+
     def test_rejects_nondivisible(self):
         with pytest.raises(ValueError):
             dcp_view_cluster(ClusterSpec(devices_per_machine=8), 3)
@@ -137,25 +155,20 @@ class TestAllreduce:
 
 class TestTpLayerComm:
     def test_tp_one_free(self):
-        assert tp_layer_comm_time(ModelSpec(), 4096, ClusterSpec(), 1) == 0.0
+        assert tp_layer_comm_time(4096, 1) == 0.0
 
     def test_four_allreduces(self):
-        model = ModelSpec()
-        cluster = ClusterSpec()
-        t = tp_layer_comm_time(model, 4096, cluster, 4)
+        t = tp_layer_comm_time(4096, 4)
         one = allreduce_time(
-            4096 * model.hidden * model.dtype_bytes,
+            4096 * modelcost.HIDDEN * DTYPE_BYTES,
             4,
-            cluster.intra_bandwidth,
-            cluster.intra_latency,
+            hardware.INTRA_BANDWIDTH,
+            hardware.INTRA_LATENCY,
         )
         assert t == pytest.approx(4 * one)
 
     def test_scales_with_tokens(self):
-        model, cluster = ModelSpec(), ClusterSpec()
-        assert tp_layer_comm_time(model, 8192, cluster, 4) > tp_layer_comm_time(
-            model, 4096, cluster, 4
-        )
+        assert tp_layer_comm_time(8192, 4) > tp_layer_comm_time(4096, 4)
 
 
 # -- pipeline schedule -------------------------------------------------------
@@ -294,34 +307,30 @@ class TestSimulate1F1B:
 # -- hybrid composition ------------------------------------------------------
 
 
-def _small_model() -> ModelSpec:
-    return ModelSpec(
-        num_layers=4,
-        hidden=256,
-        num_q_heads=8,
-        num_kv_groups=4,
-        head_dim=32,
-        ffn_hidden=512,
-        vocab=1024,
-        tensor_parallel=1,
-    )
+@pytest.fixture
+def small_model(monkeypatch):
+    """The hybrid estimates price a small model, not the paper's 8B."""
+    for name, value in dict(NUM_LAYERS=4, HIDDEN=256, NUM_Q_HEADS=8,
+                            NUM_KV_GROUPS=4, HEAD_DIM=32, FFN_HIDDEN=512,
+                            VOCAB=1024, TENSOR_PARALLEL=1).items():
+        monkeypatch.setattr(modelcost, name, value)
 
 
 def _batch() -> BatchSpec:
     return BatchSpec.build([700, 300, 500], CausalMask())
 
 
+@pytest.mark.usefixtures("small_model")
 class TestHybrid:
     def test_smoke_tp_dcp_pp(self):
         cluster = ClusterSpec(num_machines=2, devices_per_machine=4)
         config = HybridConfig(
             topology=RankTopology(tp=2, dcp=2, pp=2),
             num_microbatches=2,
-            dcp_config=DCPConfig(block_size=256, restarts=1),
+            dcp_config=DCPConfig(block_size=256,
+                                 placement=PlacementConfig(restarts=1)),
         )
-        result = hybrid_iteration_time(
-            _batch(), cluster, config, model=_small_model()
-        )
+        result = hybrid_iteration_time(_batch(), cluster, config)
         assert result.iteration_time > 0
         assert result.pipeline.num_stages == 2
         assert len(result.microbatch_plans) == 2
@@ -332,11 +341,10 @@ class TestHybrid:
         cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
         config = HybridConfig(
             topology=RankTopology(tp=1, dcp=4, pp=1),
-            dcp_config=DCPConfig(block_size=256, restarts=1),
+            dcp_config=DCPConfig(block_size=256,
+                                 placement=PlacementConfig(restarts=1)),
         )
-        result = hybrid_iteration_time(
-            _batch(), cluster, config, model=_small_model()
-        )
+        result = hybrid_iteration_time(_batch(), cluster, config)
         assert result.tp_comm_time == 0.0
         assert result.grad_sync_time > 0
         assert result.pipeline.bubble_fraction == pytest.approx(0.0)
@@ -345,17 +353,13 @@ class TestHybrid:
         cluster = ClusterSpec(num_machines=3, devices_per_machine=2)
         config = HybridConfig(topology=RankTopology(tp=1, dcp=3, pp=2))
         with pytest.raises(ValueError, match="divide"):
-            hybrid_iteration_time(
-                _batch(), cluster, config, model=_small_model()
-            )
+            hybrid_iteration_time(_batch(), cluster, config)
 
     def test_topology_must_match_cluster(self):
         cluster = ClusterSpec(num_machines=1, devices_per_machine=4)
         config = HybridConfig(topology=RankTopology(tp=1, dcp=2, pp=1))
         with pytest.raises(ValueError, match="world"):
-            hybrid_iteration_time(
-                _batch(), cluster, config, model=_small_model()
-            )
+            hybrid_iteration_time(_batch(), cluster, config)
 
     def test_rejects_zero_microbatches(self):
         with pytest.raises(ValueError):
@@ -366,11 +370,10 @@ class TestHybrid:
         config = HybridConfig(
             topology=RankTopology(tp=1, dcp=2, pp=2),
             num_microbatches=3,
-            dcp_config=DCPConfig(block_size=256, restarts=1),
+            dcp_config=DCPConfig(block_size=256,
+                                 placement=PlacementConfig(restarts=1)),
         )
-        result = hybrid_iteration_time(
-            _batch(), cluster, config, model=_small_model()
-        )
+        result = hybrid_iteration_time(_batch(), cluster, config)
         planned_tokens = sum(
             sum(ts.tokens for dp in plan.device_plans.values()
                 for ts in dp.local_slices)

@@ -12,13 +12,15 @@ from repro import (
     make_mask,
 )
 from repro.core import PlanCache, batch_signature
+from repro.placement import PlacementConfig
 
 
 def make_cache(capacity=4):
     cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     planner = DCPPlanner(cluster, attention,
-                         DCPConfig(block_size=16, restarts=1))
+                         DCPConfig(block_size=16,
+                                   placement=PlacementConfig(restarts=1)))
     return PlanCache(planner, capacity=capacity)
 
 

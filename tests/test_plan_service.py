@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.core import batch_signature
 from repro.pipeline import plan_fingerprint
+from repro.placement import PlacementConfig
 from repro.service import (
     AdmissionController,
     FairScheduler,
@@ -32,7 +33,8 @@ def make_planner():
     cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(cluster, attention,
-                      DCPConfig(block_size=16, restarts=1))
+                      DCPConfig(block_size=16,
+                                placement=PlacementConfig(restarts=1)))
 
 
 def batch(seqlens):

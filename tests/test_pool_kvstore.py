@@ -24,6 +24,7 @@ from repro.pipeline import (
     KVPlannerBackend,
     plan_fingerprint,
 )
+from repro.placement import PlacementConfig
 from repro.sim import ClusterSpec
 
 
@@ -193,7 +194,9 @@ class TestKVStore:
 
 def _planner(cluster=ClusterSpec(num_machines=1, devices_per_machine=2)):
     spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
-    return DCPPlanner(cluster, spec, DCPConfig(block_size=32, restarts=1))
+    return DCPPlanner(cluster, spec, DCPConfig(
+        block_size=32, placement=PlacementConfig(restarts=1)
+    ))
 
 
 def _batches(count=3):

@@ -319,7 +319,9 @@ class TestBytePhase:
 
 
 def planner(cluster):
-    return DCPPlanner(cluster, ATTENTION, DCPConfig(block_size=BLOCK, restarts=1))
+    return DCPPlanner(cluster, ATTENTION, DCPConfig(
+        block_size=BLOCK, placement=PlacementConfig(restarts=1)
+    ))
 
 
 def refined_batch(geometry="2x4"):

@@ -16,6 +16,7 @@ from repro.masks import (
     SharedQuestionMask,
     block_bounds,
 )
+from repro.placement import PlacementConfig
 from repro.runtime import empty_partial, finalize, merge_partials, tile_attention
 from repro.scheduling import BufferManager
 
@@ -201,7 +202,8 @@ def _pipeline_planner():
     cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
     attention = AttentionSpec(num_q_heads=2, num_kv_groups=1, head_dim=8)
     return DCPPlanner(
-        cluster, attention, DCPConfig(block_size=16, restarts=1)
+        cluster, attention, DCPConfig(block_size=16,
+                                      placement=PlacementConfig(restarts=1))
     )
 
 

@@ -1,14 +1,14 @@
 """The reachability check (benchmarks/reachability.py) on a toy package.
 
 One subprocess runs a toy entry point under the start-up tracer; the
-check must flag the functions it never calls and the parameters no call
-sets, must not flag a function or parameter the kept-list names, and
-must see what the entry point ran in a thread.
+check must flag the functions it never calls and the parameters and
+configuration fields no call sets, must not flag a function, parameter
+or field the kept-list names, and must see what the entry point ran in
+a thread.  The flags table runs on a toy ``run_tier1.sh``.
 """
 
 import importlib.util
 import os
-import shlex
 import sys
 import textwrap
 import threading
@@ -24,6 +24,7 @@ _spec.loader.exec_module(reachability)
 
 TOY = '''
 import functools
+from dataclasses import dataclass, field
 
 
 def used():
@@ -87,13 +88,33 @@ class Outer:
     class Inner:
         def method(self):
             return 10
+
+
+@dataclass(frozen=True)
+class Part:
+    size: int = 1
+
+
+@dataclass(frozen=True)
+class Conf:
+    name: str
+    by_keyword: int = 1
+    by_position: int = 2
+    by_replace: int = 3
+    at_default: int = 4
+    kept_field: int = 5
+    part: Part = field(default_factory=Part)
+    scripted: int = 6
 '''
 
 MAIN = '''
 import threading
 
+from dataclasses import replace
+
 from toypkg.mod import (
-    Box, Knob, Outer, _private, cached, conditional, in_thread, tuned, used,
+    Box, Conf, Knob, Outer, Part, _private, cached, conditional, in_thread,
+    tuned, used,
 )
 
 used()
@@ -108,20 +129,29 @@ tuned()
 tuned(varied=5, default_only=(2, None))
 Knob(2, shared=[])
 _private()
+conf = Conf("a", by_keyword=10, at_default=4)
+Conf("b", 1, 20)
+replace(conf, by_replace=30)
+Conf("c", part=Part())
 '''
 
 #: A script under the toy's ``benchmarks/``: it passes ``scripted`` by
 #: keyword, which no traced call does.
 SCRIPT = '''
-from toypkg.mod import tuned
+from toypkg.mod import Conf, tuned
 
 tuned(scripted=7)
+Conf("d", scripted=8)
 '''
+
+#: The toy's configuration classes.
+CONFIGS = ("toypkg/mod.py::Conf",)
 
 KEPT = (
     "# one kept function and one kept parameter\n"
     "toypkg/mod.py::kept  oracle  tests compare against it\n"
     "toypkg/mod.py::tuned(kept_option)  fake  a test hands a fake through it\n"
+    "toypkg/mod.py::Conf.kept_field  ledger  the frozen ledger reads it\n"
 )
 
 
@@ -137,7 +167,8 @@ def toy(tmp_path_factory):
     (root / "benchmarks" / "drive.py").write_text(textwrap.dedent(SCRIPT))
     (root / "kept.txt").write_text(KEPT)
     reached, varied, runs = reachability.run_entry_points(
-        [["main.py"]], str(package), cwd=str(root), pythonpath=[str(root)]
+        [["main.py"]], str(package), cwd=str(root), pythonpath=[str(root)],
+        configs=CONFIGS,
     )
     return root, package, reached, varied, runs
 
@@ -192,6 +223,133 @@ def test_an_unkept_unvaried_parameter_fails_the_check(toy):
     table, failed = option_check(toy, KEPT.replace(
         "toypkg/mod.py::tuned(kept_option)", "# "))
     assert failed == table
+
+
+def field_check(toy, kept_text):
+    """The toy's unvaried fields and the check's failures on them."""
+    root, package, reached, varied, _runs = toy
+    universe = reachability.configs(str(package), CONFIGS)
+    static = reachability.static_options(universe, str(root / "benchmarks"))
+    (root / "kept_fields.txt").write_text(kept_text)
+    kept = reachability.load_kept(str(root / "kept_fields.txt"))
+    table = reachability.unvaried(universe, reached, varied, static)
+    failed = [problem.split(": ", 1)[1]
+              for problem in reachability.problems(
+                  universe, reached, varied, static, kept)]
+    return table, failed
+
+
+def test_unvaried_fields_are_flagged(toy):
+    """``Conf`` fields set by keyword, by position, through ``replace``
+    or by a benchmarks/ script are varied; one passed only at its
+    default, or equal to what its factory makes, is not, and fails the
+    check unless kept."""
+    table, failed = field_check(toy, KEPT)
+    assert table == [
+        "toypkg/mod.py::Conf.at_default",
+        "toypkg/mod.py::Conf.kept_field",
+        "toypkg/mod.py::Conf.part",
+    ]
+    assert failed == [
+        "toypkg/mod.py::Conf.at_default",
+        "toypkg/mod.py::Conf.part",
+    ]
+
+
+def test_a_field_whose_kept_line_goes_fails_the_check(toy):
+    _table, failed = field_check(toy, KEPT.replace(
+        "toypkg/mod.py::Conf.kept_field", "# "))
+    assert "toypkg/mod.py::Conf.kept_field" in failed
+
+
+def test_fields_of_a_config_class(toy):
+    root, package, *_ = toy
+    [conf] = reachability.configs(str(package), CONFIGS)
+    assert conf.options == ("by_keyword", "by_position", "by_replace",
+                            "at_default", "kept_field", "part", "scripted")
+    assert conf.positional[0] == "name"
+    assert conf.option_key("part") == "toypkg/mod.py::Conf.part"
+    with pytest.raises(ValueError, match="no such configuration class"):
+        reachability.configs(str(package), ("toypkg/mod.py::Gone",))
+
+
+def test_static_scan_follows_forwarders(toy, tmp_path):
+    """Keywords reach a config's fields through ``replace`` and through
+    a forwarder aimed at another class, which sets none of this one's;
+    a ``def`` that merely takes ``**kwargs`` forwards nothing."""
+    _root, package, *_ = toy
+    (tmp_path / "script.py").write_text(
+        "from dataclasses import replace\n"
+        "def scaled(**overrides):\n"
+        "    return BASE\n"
+        "replace(BASE, by_replace=1)\n"
+        "scaled(at_default=2)\n"
+        "BASE.dcp_config(kept_field=3)\n"
+    )
+    universe = reachability.configs(str(package), CONFIGS)
+    assert reachability.static_options(universe, str(tmp_path)) == {
+        "toypkg/mod.py::Conf.by_replace",
+    }
+
+
+TOOL = '''
+import argparse
+
+parser = argparse.ArgumentParser()
+parser.add_argument("--smoke", action="store_true")
+parser.add_argument("--rate", type=float, default=85.0)
+parser.add_argument("--never", default="x")
+parser.add_argument("--output", default=OUTPUT_PATH)
+parser.add_argument("tests", nargs="*", default=None)
+'''
+
+TIER1 = '''
+python benchmarks/tool.py --smoke --rate 85 \\
+    --output "$REPO_ROOT/out.json"
+if [[ "${1:-}" == "--full" ]]; then
+    python benchmarks/tool.py --rate=90
+fi
+python3 benchmarks/ledger/run.py --smoke
+'''
+
+
+def flag_check(tmp_path, tier1):
+    (tmp_path / "benchmarks").mkdir(exist_ok=True)
+    (tmp_path / "benchmarks" / "tool.py").write_text(TOOL)
+    (tmp_path / "run_tier1.sh").write_text(tier1)
+    flags, varied = reachability.benchmark_flags(
+        str(tmp_path), str(tmp_path / "run_tier1.sh"))
+    return [flag.key for flag in flags if flag.key not in varied]
+
+
+def test_flags_never_passed_or_passed_at_their_default_are_flagged(
+        tmp_path):
+    """The frozen ledger's command line is left out; a flag passed in
+    either mode with another value is varied."""
+    assert flag_check(tmp_path, TIER1) == [
+        "benchmarks/tool.py::--never",
+        "benchmarks/tool.py::tests",
+    ]
+    only_default = TIER1.replace("--rate=90", "--smoke")
+    assert flag_check(tmp_path, only_default) == [
+        "benchmarks/tool.py::--rate",
+        "benchmarks/tool.py::--never",
+        "benchmarks/tool.py::tests",
+    ]
+    assert flag_check(tmp_path, TIER1 + "python benchmarks/tool.py a\n") \
+        == ["benchmarks/tool.py::--never"]
+
+
+def test_an_unkept_unvaried_flag_fails_the_check(toy, tmp_path):
+    _root, package, reached, varied, _runs = toy
+    unset = flag_check(tmp_path, TIER1)
+    (tmp_path / "kept.txt").write_text(
+        "benchmarks/tool.py::tests  safety  a developer narrows the run\n")
+    kept = reachability.load_kept(str(tmp_path / "kept.txt"))
+    failed = [problem.split(": ", 1)[1]
+              for problem in reachability.problems(
+                  [], reached, varied, set(), kept, unset)]
+    assert failed == ["benchmarks/tool.py::--never"]
 
 
 def test_static_scan_skips_foreign_modules_and_local_names(toy, tmp_path):
@@ -396,15 +554,9 @@ def invocation(argv):
 
 def test_entry_points_are_the_benchmarks_tier1_runs():
     """Every benchmark run_tier1.sh runs is an entry point, and back."""
-    with open(os.path.join(_REPO, "benchmarks", "run_tier1.sh")) as handle:
-        script = handle.read().replace("\\\n", " ")
-    runs = set()
-    for line in script.splitlines():
-        words = shlex.split(line, comments=True)
-        if words[:1] in (["python"], ["python3"]) and len(words) > 1:
-            if words[1].startswith("benchmarks/"):
-                runs.add(invocation(words[1:]))
-    assert "for example in examples/*.py" in script
+    with open(reachability.TIER1_PATH) as handle:
+        assert "for example in examples/*.py" in handle.read()
+    runs = {invocation(argv) for argv in reachability.tier1_invocations()}
     traced = {
         invocation(argv)
         for argv in reachability.ENTRY_POINTS + reachability.FULL_ENTRY_POINTS

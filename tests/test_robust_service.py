@@ -25,6 +25,7 @@ from repro.pipeline import (
 )
 from repro.pipeline import shm as shm_mod
 from repro.pipeline.shm import PlanRing, ShmUnavailable
+from repro.placement import PlacementConfig
 from repro.service import (
     AdmissionController,
     PlanRejected,
@@ -47,7 +48,8 @@ def make_planner():
     cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(cluster, attention,
-                      DCPConfig(block_size=16, restarts=1))
+                      DCPConfig(block_size=16,
+                                placement=PlacementConfig(restarts=1)))
 
 
 def batch(seqlens):
@@ -167,7 +169,8 @@ def remote_planner():
     cluster = ClusterSpec(num_machines=2, devices_per_machine=1)
     attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     return DCPPlanner(cluster, attention,
-                      DCPConfig(block_size=16, restarts=1))
+                      DCPConfig(block_size=16,
+                                placement=PlacementConfig(restarts=1)))
 
 
 @pytest.fixture

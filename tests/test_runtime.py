@@ -180,7 +180,10 @@ class TestExecutor:
         cluster = ClusterSpec(num_machines=2, devices_per_machine=devices)
         if planner == "dcp":
             plan = DCPPlanner(
-                cluster, spec, DCPConfig(block_size=16, restarts=1, seed=3)
+                cluster, spec, DCPConfig(
+                    block_size=16,
+                    placement=PlacementConfig(restarts=1, seed=3),
+                )
             ).plan(block_set)
         else:
             baseline = (

@@ -108,7 +108,8 @@ class TestBalancedScheduler:
         block_set = generate_blocks(batch, ATTENTION, block_size=16)
         planner = DCPPlanner(
             CLUSTER, ATTENTION,
-            DCPConfig(block_size=16, restarts=1, scheduler="balanced"),
+            DCPConfig(block_size=16, scheduler="balanced",
+                      placement=PlacementConfig(restarts=1)),
         )
         plan = planner.plan(block_set, CLUSTER)
         validate_plan(plan)

@@ -6,13 +6,10 @@ import pytest
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask
-from repro.sim import (
-    ClusterSpec,
-    GPT_8B,
-    ModelSpec,
-    e2e_iteration_time,
-    simulate_plan,
-)
+from repro.placement import PlacementConfig
+from repro.sim import ClusterSpec, e2e_iteration_time, simulate_plan
+from repro.sim import cluster as hardware
+from repro.sim import modelcost
 from repro.sim.timing import _intersection_length, _union_length
 
 
@@ -56,7 +53,9 @@ def make_plan(seqlens=(96, 48), machines=2, devices=2, block=16):
     spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
     block_set = generate_blocks(batch, spec, block_size=block)
     cluster = ClusterSpec(machines, devices)
-    planner = DCPPlanner(cluster, spec, DCPConfig(block_size=block, restarts=1))
+    planner = DCPPlanner(cluster, spec, DCPConfig(
+        block_size=block, placement=PlacementConfig(restarts=1)
+    ))
     return planner.plan(block_set), cluster
 
 
@@ -89,21 +88,22 @@ class TestTiming:
             assert device.overlap_time <= device.compute_time + 1e-12
             assert device.overlap_time <= device.comm_time + 1e-12
 
-    def test_slower_network_increases_time(self):
+    def test_slower_network_increases_time(self, monkeypatch):
         plan, cluster = make_plan(seqlens=(128, 96))
         fast = simulate_plan(plan, cluster)
         slow_cluster = ClusterSpec(
             cluster.num_machines, cluster.devices_per_machine,
             inter_bandwidth=cluster.inter_bandwidth / 100,
-            intra_bandwidth=cluster.intra_bandwidth / 100,
         )
+        monkeypatch.setattr(hardware, "INTRA_BANDWIDTH",
+                            hardware.INTRA_BANDWIDTH / 100)
         slow = simulate_plan(plan, slow_cluster)
         assert slow.iteration_time >= fast.iteration_time
 
 
 class TestModelCost:
     def test_parameter_count_of_8b_model(self):
-        params = GPT_8B.parameter_count()
+        params = modelcost.parameter_count()
         assert 6e9 < params < 9e9  # Llama3-8B-shaped
 
     def test_e2e_composition(self):
@@ -120,11 +120,9 @@ class TestModelCost:
         )
         assert result.iteration_time == pytest.approx(expected)
 
-    def test_more_tokens_cost_more(self):
-        from repro.sim.modelcost import _others_time
-
-        small = ModelSpec(num_layers=2)
+    def test_more_tokens_cost_more(self, monkeypatch):
+        monkeypatch.setattr(modelcost, "NUM_LAYERS", 2)
         _plan, cluster = make_plan()
-        few = _others_time(small, np.array([1000] * 4), cluster)
-        many = _others_time(small, np.array([100000] * 4), cluster)
+        few = modelcost._others_time(np.array([1000] * 4), cluster)
+        many = modelcost._others_time(np.array([100000] * 4), cluster)
         assert many > few

@@ -32,6 +32,7 @@ from repro.scheduling import build_schedule, serialize_schedule
 from repro.scheduling.divisions import _Prep
 from repro.scheduling.instructions import CommLaunch
 from repro.sim import ClusterSpec, e2e_iteration_time, simulate_plan
+from test_division_choice import perturbed
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=32)
 BLOCK = 128
@@ -312,9 +313,7 @@ class TestEveryRoute:
         plan = planner.plan_batch(batch)
         assert plan.meta["placement"][2] == source
         block_set = generate_blocks(batch, ATTENTION, block_size=BLOCK)
-        placement = place_blocks(
-            block_set, SERVICE, planner.config.placement_config()
-        )
+        placement = place_blocks(block_set, SERVICE, planner.config.placement)
         schedule = build_schedule(
             block_set,
             placement,
@@ -631,11 +630,12 @@ class TestSensitivity:
             for factor in (0.5, 2.0)
         ],
     )
-    def test_chosen_never_trails_partitioned(self, geometry, field, factor):
+    def test_chosen_never_trails_partitioned(self, geometry, field, factor,
+                                             monkeypatch):
         cluster, pairs = sensitivity_plans(geometry)
-        perturbed = replace(cluster, **{field: getattr(cluster, field) * factor})
+        changed = perturbed(cluster, field, factor, monkeypatch)
         worst = max(
-            simulated(chosen, perturbed) / simulated(alone, perturbed)
+            simulated(chosen, changed) / simulated(alone, changed)
             for chosen, alone in pairs
         )
         assert worst <= 1.05, f"chosen trails partitioned by {worst - 1:.1%}"

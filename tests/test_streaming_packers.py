@@ -29,6 +29,7 @@ from repro.data import (
     stream_pack,
 )
 from repro.pipeline import StreamingOverlapPipeline, plan_fingerprint
+from repro.placement import PlacementConfig
 
 BUDGET = 8192
 
@@ -198,7 +199,7 @@ class TestPipelineFingerprints:
         planner = DCPPlanner(
             cluster,
             AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16),
-            DCPConfig(block_size=16, restarts=1),
+            DCPConfig(block_size=16, placement=PlacementConfig(restarts=1)),
         )
         lengths = list(sample_lengths("longdatacollections", 40, seed=3))
         packer = STREAM_PACKERS["workload_balanced"](256, 128, buffer=8)

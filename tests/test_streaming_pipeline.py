@@ -39,6 +39,7 @@ from repro.pipeline import (
     StreamingOverlapPipeline,
     plan_fingerprint,
 )
+from repro.placement import PlacementConfig
 from repro.sim import ClusterEvent, ClusterEventSource
 
 CLUSTER = ClusterSpec(num_machines=2, devices_per_machine=2)
@@ -47,7 +48,8 @@ ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
 
 def make_planner(cluster=CLUSTER, block_size=16):
     return DCPPlanner(
-        cluster, ATTENTION, DCPConfig(block_size=block_size, restarts=1)
+        cluster, ATTENTION, DCPConfig(block_size=block_size,
+                                      placement=PlacementConfig(restarts=1))
     )
 
 

@@ -9,6 +9,7 @@ from repro.baselines import RingAttentionPlanner
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask
+from repro.placement import PlacementConfig
 from repro.sim import (
     ClusterSpec,
     ascii_gantt,
@@ -128,7 +129,9 @@ class TestAsciiGantt:
         spec = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
         block_set = generate_blocks(batch, spec, block_size=32)
         planner = DCPPlanner(
-            CLUSTER, attention=spec, config=DCPConfig(block_size=32, restarts=1)
+            CLUSTER, attention=spec, config=DCPConfig(
+                block_size=32, placement=PlacementConfig(restarts=1)
+            )
         )
         plan = planner.plan(block_set, CLUSTER)
         chart = ascii_gantt(simulate_plan(plan))

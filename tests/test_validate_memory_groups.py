@@ -36,7 +36,10 @@ def dcp_plan(seqlens=(96, 64, 32), mask=None, seed=0):
     batch = BatchSpec.build(list(seqlens), mask or make_mask("causal"))
     block_set = generate_blocks(batch, ATTENTION, block_size=16)
     planner = DCPPlanner(CLUSTER, ATTENTION,
-                         DCPConfig(block_size=16, restarts=1, seed=seed))
+                         DCPConfig(
+                             block_size=16,
+                             placement=PlacementConfig(restarts=1, seed=seed),
+                         ))
     return planner.plan(block_set), block_set
 
 

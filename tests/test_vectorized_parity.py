@@ -43,6 +43,7 @@ from repro.hypergraph import (
     rebalance,
 )
 from repro.masks import CausalMask, LambdaMask, SharedQuestionMask
+from repro.placement import PlacementConfig
 
 
 def random_hypergraph(rng, num_vertices=60, num_edges=120):
@@ -263,7 +264,9 @@ class TestPlannerSatellites:
         cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
         attention = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
         return DCPPlanner(
-            cluster, attention, DCPConfig(block_size=16, restarts=1)
+            cluster, attention, DCPConfig(
+                block_size=16, placement=PlacementConfig(restarts=1)
+            )
         )
 
     def test_plan_does_not_mutate_cluster(self):
