@@ -74,6 +74,7 @@ import pickle
 import platform
 import statistics
 import time
+from concurrent.futures import wait
 from typing import Dict, List, Optional, Sequence
 
 from revision import git_revision
@@ -304,14 +305,7 @@ def _settle_window(pipeline, timeout: float = 30.0) -> None:
     fully-planned window — classification is deterministic and the
     measured re-plan cost compares like with like.
     """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if all(
-            item.ticket is None or item.ticket.ready()
-            for item in pipeline._pending
-        ):
-            return
-        time.sleep(0.005)
+    wait([item.future for item in pipeline._pending], timeout=timeout)
 
 
 class _CpuTimedPlanner:

@@ -47,7 +47,7 @@ import itertools
 import json
 import os
 import platform
-import time
+from concurrent.futures import wait
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from revision import git_revision
@@ -203,14 +203,7 @@ def _settle_window(pipeline, timeout: float = 30.0) -> None:
     """Wait for every prefetch-window job to finish planning, so the
     event cell's device removal re-dispatches a fully-planned window
     and the measured re-plan cost is deterministic."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if all(
-            item.ticket is None or item.ticket.ready()
-            for item in pipeline._pending
-        ):
-            return
-        time.sleep(0.005)
+    wait([item.future for item in pipeline._pending], timeout=timeout)
 
 
 def _measure_cell(

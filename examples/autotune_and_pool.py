@@ -2,7 +2,7 @@
 
 First runs the paper's block-size search (512..4096, automated against
 the timing simulator) on a stream of packed batches, then trains
-through a :class:`DistributedDataloader`: plans are produced by
+through a :class:`DCPDataloader` on the KV backend: plans are produced by
 planner instances spread over two "machines" and distributed through
 the in-memory KV store, exactly the paper's Redis pipeline.
 
@@ -10,7 +10,7 @@ Run:  python examples/autotune_and_pool.py
 """
 
 from repro import AttentionSpec, ClusterSpec, DCPConfig, DCPPlanner, make_mask
-from repro.core import DistributedDataloader, KVStore, autotune_block_size
+from repro.core import DCPDataloader, KVStore, autotune_block_size
 from repro.data import batches_to_specs, pack_batches, sample_lengths
 from repro.pipeline import KVPlannerBackend
 from repro.placement import PlacementConfig
@@ -46,7 +46,7 @@ def main() -> None:
     backend = KVPlannerBackend(
         planner, store, num_machines=2, cores_per_machine=2
     )
-    loader = DistributedDataloader(batches[:4], backend, lookahead=2)
+    loader = DCPDataloader(batches[:4], planner, backend=backend, lookahead=2)
     for iteration, (local_data, plan) in enumerate(loader):
         timing = simulate_plan(plan)
         tokens = [data.tokens for data in local_data.values()]

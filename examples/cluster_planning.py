@@ -17,13 +17,19 @@ from repro import (
     generate_blocks,
     make_mask,
 )
-from repro.placement import PlacementConfig
+from repro.placement import Placement, PlacementConfig
 from repro.sim import simulate_plan
+
+
+def placement_of(plan) -> Placement:
+    """The plan's own placement, rebuilt from its labels."""
+    slice_device, comp_device = plan.meta["placement"][:2]
+    return Placement(plan.block_set, plan.cluster, slice_device, comp_device)
 
 
 def describe(planner: DCPPlanner, block_set, label: str) -> None:
     plan = planner.plan(block_set)
-    placement = planner.last_placement
+    placement = placement_of(plan)
     tokens = placement.tokens_per_device()
     flops = placement.flops_per_device()
     timing = simulate_plan(plan)
@@ -74,7 +80,7 @@ def main() -> None:
                       placement=PlacementConfig(eps_inter=eps, eps_intra=eps)),
         )
         plan = planner.plan(causal_blocks)
-        flops = planner.last_placement.flops_per_device()
+        flops = placement_of(plan).flops_per_device()
         print(f"  eps={eps:3.1f}: inter-node "
               f"{plan.inter_machine_bytes() / 1e6:7.2f} MB, "
               f"flops max/mean {flops.max() / flops.mean():.2f}")

@@ -3,7 +3,7 @@
 from .autotune import AutotuneResult, BlockSizeScore, autotune_block_size
 from .cache import PlanAbandoned, PlanCache, batch_signature
 from .config import DCPConfig
-from .dataloader import DCPDataloader, DistributedDataloader, LocalData
+from .dataloader import DCPDataloader, LocalData
 from .kvstore import KVStore
 from .planner import DCPPlanner, PlanningStats
 from .planwire import (
@@ -35,7 +35,6 @@ __all__ = [
     "decode_plan",
     "encode_device_payload",
     "decode_device_payload",
-    "DistributedDataloader",
     "PlanningTimeline",
     "simulate_planning_overlap",
 ]

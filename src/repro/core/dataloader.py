@@ -7,15 +7,15 @@ planning overlaps with model execution.  Iterating yields
 ``local_data`` maps each device to the token slices it will feed its
 model replica.
 
-Both dataloader names are the overlap pipeline
-(:class:`repro.pipeline.StreamingOverlapPipeline`), which owns the
-prefetch window (its ``lookahead`` is the paper's kappa), the worker
-backends, the plan-cache consult, delta re-planning on
+:data:`DCPDataloader` *is* the overlap pipeline
+(:class:`repro.pipeline.StreamingOverlapPipeline`) under the paper's
+name, so every pipeline keyword applies: it owns the prefetch window
+(its ``lookahead`` is the paper's kappa, at least one), the worker
+backend, the plan-cache consult, delta re-planning on
 :class:`~repro.sim.ClusterEventSource` events and the measured overlap
-accounting (``stats()``): :data:`DCPDataloader` *is* that class under
-the paper's name, so every pipeline keyword applies;
-:func:`DistributedDataloader` builds one whose plans travel through a
-:class:`~repro.pipeline.KVPlannerBackend`'s KV store.
+accounting (``stats()``).  ``backend=KVPlannerBackend(planner, store)``
+sends every plan through the KV store — the full §6.1 distribution
+path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List
 
 from ..scheduling import ExecutionPlan
 
-__all__ = ["LocalData", "DCPDataloader", "DistributedDataloader"]
+__all__ = ["LocalData", "DCPDataloader"]
 
 
 @dataclass
@@ -52,27 +52,3 @@ def _local_data(plan: ExecutionPlan) -> Dict[int, LocalData]:
 from ..pipeline import StreamingOverlapPipeline  # noqa: E402
 
 DCPDataloader = StreamingOverlapPipeline
-
-
-def DistributedDataloader(
-    batches, backend, **kwargs
-) -> StreamingOverlapPipeline:
-    """§6.1 dataloader on a :class:`~repro.pipeline.KVPlannerBackend`.
-
-    The pipeline with the KV backend: it keeps planning ``lookahead``
-    iterations ahead of execution and yields ``(local_data, plan)``
-    like :data:`DCPDataloader`, but every plan travels through the
-    backend's KV store — the full distribution path.  ``kwargs`` are
-    the pipeline's own (``lookahead``, ``events``, ``cache``,
-    ``plan_timeout``, ...).
-
-    ``lookahead=0`` must still go through the store (the planner lives
-    on a planning machine, not on the devices), so the window is
-    pinned to one in-flight KV job; the returned pipeline's
-    ``lookahead`` reports the effective kappa.
-    """
-    if kwargs.get("lookahead") == 0:
-        kwargs["lookahead"] = 1
-    return StreamingOverlapPipeline(
-        batches, backend.planner, backend=backend, **kwargs
-    )

@@ -17,7 +17,7 @@ from ..blocks import AttentionSpec, BatchSpec, BlockSet, generate_blocks
 from ..hypergraph import COUNTERS as _REFINE_COUNTERS
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
-from ..placement import Placement, place_blocks
+from ..placement import place_blocks
 from ..scheduling import ExecutionPlan, build_schedule, serialize_schedule
 from ..sim.cluster import ClusterSpec
 from .config import DCPConfig
@@ -83,7 +83,6 @@ class DCPPlanner:
         self.cluster = cluster
         self.attention = attention or AttentionSpec()
         self.config = config or DCPConfig()
-        self.last_placement: Optional[Placement] = None
         #: Per-stage latency histograms and work counters
         #: (``planner.plan_s``, ``planner.placement_s``, ...) accumulate
         #: here; pass a shared registry to pool several planners onto
@@ -211,5 +210,4 @@ class DCPPlanner:
         metrics.counter("planner.tile_pairs").inc(stats.tile_pairs)
         metrics.counter("planner.price_moves").inc(stats.price_moves)
         metrics.counter("planner.byte_moves").inc(stats.byte_moves)
-        self.last_placement = placement
         return plan

@@ -422,7 +422,12 @@ def rebalance(
     stalled = 0
     while moves < max_moves:
         part_weights = state.part_weights
-        overload = part_weights.astype(np.float64) / caps[None, :]
+        # A zero cap (a dimension of total weight 0) is overloaded
+        # without bound by any weight and not at all by none.
+        overload = np.divide(
+            part_weights, caps,
+            out=np.where(part_weights > 0, np.inf, 0.0), where=caps > 0,
+        )
         worst_part = int(np.argmax(overload.max(axis=1)))
         if np.all(part_weights[worst_part] <= caps):
             return True

@@ -125,18 +125,6 @@ def _attention_spec(tp: int) -> AttentionSpec:
     )
 
 
-def _grad_sync_time(topology: RankTopology, cluster: ClusterSpec) -> float:
-    """Exposed gradient all-reduce across one stage's DCP ranks."""
-    ranks = topology.dcp
-    if ranks <= 1:
-        return 0.0
-    exposure = 0.08
-    stage_params = modelcost.parameter_count() / topology.pp
-    grad_bytes = stage_params * DTYPE_BYTES / topology.tp
-    ring = 2.0 * grad_bytes * (ranks - 1) / ranks / cluster.inter_bandwidth
-    return exposure * ring
-
-
 def hybrid_iteration_time(
     batch: BatchSpec,
     cluster: ClusterSpec,
@@ -244,7 +232,9 @@ def hybrid_iteration_time(
     )
 
     pipeline = simulate_1f1b_varied(stage_costs, p2p_time=p2p_time)
-    sync = _grad_sync_time(topology, cluster)
+    sync = modelcost.grad_sync_time(
+        topology.dcp, topology.tp, topology.pp, cluster
+    )
     return HybridResult(
         iteration_time=pipeline.total + sync,
         pipeline=pipeline,

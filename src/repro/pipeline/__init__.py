@@ -19,7 +19,8 @@ model execution" claim from an analytic replay
   pool in this process (the default), or the KV store
   (:class:`KVPlannerBackend`: publish to a
   :class:`~repro.core.kvstore.KVStore`, every device pulls its own
-  slice).
+  slice).  Either hands back a plain
+  :class:`~concurrent.futures.Future` of ``(plan, start, end)``.
 * :class:`~repro.pipeline.shm.PlanRing` — a shared-memory plan ring no
   backend uses; it stays for the ledger's ``pipeline.ring_roundtrip_s``
   probe.
@@ -29,15 +30,11 @@ model execution" claim from an analytic replay
   the measured :class:`OverlapStats` + timeline.
 
 ``repro.core.DCPDataloader`` is this package's pipeline class under the
-paper's name, and ``repro.core.DistributedDataloader`` builds one over
-the KV backend.
+paper's name; pass ``backend=KVPlannerBackend(...)`` to plan over the
+KV store.
 """
 
-from .backends import (
-    KVPlannerBackend,
-    PlanTicket,
-    ThreadPlannerBackend,
-)
+from .backends import KVPlannerBackend, ThreadPlannerBackend
 from .driver import OverlapReport, PipelineRunner, cost_model_executor
 from .pipeline import (
     ClusterPinnedPlanner,
@@ -54,7 +51,6 @@ __all__ = [
     "OverlapStats",
     "IterationRecord",
     "plan_fingerprint",
-    "PlanTicket",
     "ThreadPlannerBackend",
     "KVPlannerBackend",
     "PlanRing",

@@ -1,8 +1,8 @@
 """Planner-worker backends for the overlap pipeline.
 
-A backend turns ``(iteration index, batch)`` into a :class:`PlanTicket`
-whose :meth:`~PlanTicket.result` eventually yields ``(plan, start,
-end)`` — the plan plus the wall-clock interval the planner actually
+A backend turns ``(iteration index, batch)`` into a
+:class:`~concurrent.futures.Future` that eventually yields ``(plan,
+start, end)`` — the plan plus the wall-clock interval the planner actually
 spent on it (``time.perf_counter`` stamps).  Two implementations:
 
 * :class:`ThreadPlannerBackend` — planner workers on a thread pool in
@@ -32,70 +32,12 @@ import itertools
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.planwire import PlanWire, decode_plan, encode_plan
 from ..obs.metrics import MetricsRegistry
 
-__all__ = [
-    "PlanTicket",
-    "CompletedTicket",
-    "SharedPlanTicket",
-    "ThreadPlannerBackend",
-    "KVPlannerBackend",
-]
-
-
-class PlanTicket:
-    """Handle for one in-flight planning job."""
-
-    def __init__(self, future: Future) -> None:
-        self._future = future
-
-    def ready(self) -> bool:
-        return self._future.done()
-
-    def result(self, timeout: Optional[float] = None) -> Tuple:
-        """Block for ``(plan, plan_start, plan_end)``."""
-        return self._future.result(timeout=timeout)
-
-    def add_done_callback(self, fn: Callable[[Future], None]) -> None:
-        """Run ``fn(future)`` when the job completes (or is cancelled)."""
-        self._future.add_done_callback(fn)
-
-
-class CompletedTicket(PlanTicket):
-    """An already-available plan (cache hit): zero planning time."""
-
-    def __init__(self, plan, stamp: float) -> None:
-        self._payload = (plan, stamp, stamp)
-
-    def ready(self) -> bool:
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> Tuple:
-        return self._payload
-
-    def add_done_callback(self, fn) -> None:  # already done: nothing owed
-        pass
-
-
-class SharedPlanTicket(PlanTicket):
-    """Joins a plan someone else is computing (an in-flight signature).
-
-    Wraps a :class:`~repro.core.cache.PlanCache` reservation future that
-    resolves to the bare plan; the worker interval belongs to the
-    iteration that dispatched the job, so this ticket reports a
-    zero-width interval at resolution time.
-    """
-
-    def __init__(self, future: Future) -> None:
-        self._future = future
-
-    def result(self, timeout: Optional[float] = None) -> Tuple:
-        plan = self._future.result(timeout=timeout)
-        now = time.perf_counter()
-        return plan, now, now
+__all__ = ["ThreadPlannerBackend", "KVPlannerBackend"]
 
 
 def _timed_plan(planner, batch) -> Tuple:
@@ -115,11 +57,11 @@ class ThreadPlannerBackend:
             max_workers=max_workers, thread_name_prefix="dcp-plan"
         )
 
-    def submit(self, index: int, batch, planner=None) -> PlanTicket:
+    def submit(self, index: int, batch, planner=None) -> Future:
         job_planner = planner if planner is not None else self.planner
-        return PlanTicket(self._pool.submit(_timed_plan, job_planner, batch))
+        return self._pool.submit(_timed_plan, job_planner, batch)
 
-    def resubmit(self, index: int, batch, planner=None) -> PlanTicket:
+    def resubmit(self, index: int, batch, planner=None) -> Future:
         """Respawn a job whose previous worker raised or hung.
 
         Runs on a dedicated daemon thread rather than the pool: a hung
@@ -142,7 +84,7 @@ class ThreadPlannerBackend:
         threading.Thread(
             target=run, name="dcp-plan-respawn", daemon=True
         ).start()
-        return PlanTicket(future)
+        return future
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -194,7 +136,7 @@ class KVPlannerBackend:
     **Supersession.**  Every dispatch takes a fresh generation for its
     iteration.  A job whose generation is no longer current — a
     :meth:`resubmit` replaced it while its worker ran or hung — never
-    publishes over the replacement and accounts no pull; its ticket
+    publishes over the replacement and accounts no pull; its future
     (which nobody consumes) is cancelled.
 
     **Retention.**  Re-plans only ever target the live prefetch window,
@@ -259,7 +201,7 @@ class KVPlannerBackend:
         self._refetch_saved = self.metrics.counter("pool.refetch_saved_bytes")
         self._pruned = self.metrics.counter("pool.pruned_iterations")
 
-    def submit(self, index: int, batch, planner=None) -> PlanTicket:
+    def submit(self, index: int, batch, planner=None) -> Future:
         """Dispatch iteration ``index`` on its machine.
 
         The dispatch supersedes any earlier job for the iteration;
@@ -268,17 +210,15 @@ class KVPlannerBackend:
         with self._lock:
             generation = next(self._dispatches)
             self._generation[index] = generation
-        return PlanTicket(
-            self._executors[index % self.num_machines].submit(
-                self._job,
-                index,
-                batch,
-                planner if planner is not None else self.planner,
-                generation,
-            )
+        return self._executors[index % self.num_machines].submit(
+            self._job,
+            index,
+            batch,
+            planner if planner is not None else self.planner,
+            generation,
         )
 
-    def resubmit(self, index: int, batch, planner=None) -> PlanTicket:
+    def resubmit(self, index: int, batch, planner=None) -> Future:
         """Respawn: the new generation supersedes the old job."""
         return self.submit(index, batch, planner=planner)
 

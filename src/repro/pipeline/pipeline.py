@@ -31,8 +31,10 @@ Before any job is dispatched to a worker, the (thread-safe)
 *reservation* (:meth:`~repro.core.cache.PlanCache.reserve`): a hit
 bypasses the worker entirely, identical in-flight signatures — even
 across pipelines and threads — join one job, and exactly one owner
-dispatches.  With ``lookahead=0`` no workers run and every plan is
-computed synchronously at request time — the unoverlapped baseline.
+dispatches.  A window slot holds a plain
+:class:`~concurrent.futures.Future`: the backend's job, a resolved one
+for a hit, or a join's reservation (the bare plan).  ``lookahead`` is at
+least one; the unoverlapped route is ``DCPPlanner.plan_batch``.
 
 Planner workers are not trusted to succeed: a job whose worker raises
 (or, with ``plan_timeout`` set, hangs past the timeout) is respawned on
@@ -40,19 +42,19 @@ the backend up to ``MAX_PLAN_RETRIES`` times and then planned inline as
 a last resort, so a flaky worker costs a stall, never a deadlocked
 prefetch window.  Retries are counted in ``OverlapStats.plan_retries``.
 
-Every yielded plan carries ``plan.meta["overlap"]`` (the iteration's
-measured record plus running stats) and
-:meth:`StreamingOverlapPipeline.stats` returns the aggregate
-:class:`OverlapStats`; the per-iteration timeline is exposed as a
+The pipeline keeps one :class:`OverlapStats`, updated where each event
+happens.  Every yielded plan carries ``plan.meta["overlap"]`` (the
+iteration's record plus those aggregates under ``"running"``),
+:meth:`StreamingOverlapPipeline.stats` returns a copy carrying the
+records, and the per-iteration timeline is exposed as a
 :class:`~repro.core.pool.PlanningTimeline`, the same shape the analytic
 model produces, so measurement and model plot on one axis.
 
 Cached plans are shared objects: when the same plan is yielded for
 several iterations (cache hits, deduplicated signatures), its
 ``meta["overlap"]`` reflects the *latest* of those iterations.  The
-authoritative per-iteration history is
-:attr:`StreamingOverlapPipeline.records` /
-:meth:`StreamingOverlapPipeline.stats`, which record every iteration
+authoritative per-iteration history is the records of
+:meth:`StreamingOverlapPipeline.stats`, which hold every iteration
 regardless of plan identity.
 
 Cluster events
@@ -108,8 +110,8 @@ from __future__ import annotations
 import pickle
 import time
 from collections import deque
-from concurrent.futures import CancelledError
-from dataclasses import dataclass, field, replace
+from concurrent.futures import CancelledError, Future
+from dataclasses import dataclass, field, fields, replace
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.cache import PlanCache, batch_signature
@@ -121,12 +123,7 @@ from ..obs.trace import add_span as _add_span
 from ..obs.trace import tracing_enabled as _tracing
 from ..scheduling import plan_compatible, rebind_plan
 from ..sim.cluster import ClusterEventSource, ClusterSpec
-from .backends import (
-    CompletedTicket,
-    PlanTicket,
-    SharedPlanTicket,
-    ThreadPlannerBackend,
-)
+from .backends import ThreadPlannerBackend
 
 __all__ = ["StreamingOverlapPipeline", "ClusterPinnedPlanner",
            "OverlapStats", "IterationRecord",
@@ -248,26 +245,14 @@ class OverlapStats:
         )
 
     def as_dict(self) -> dict:
-        """JSON-ready aggregates (no per-iteration records)."""
+        """JSON-ready aggregates: no per-iteration records, and the
+        steady sums only through ``steady_hidden_fraction``."""
+        skip = ("records", "steady_plan_s", "steady_stall_s")
         return {
-            "iterations": self.iterations,
-            "total_plan_s": self.total_plan_s,
-            "total_exec_s": self.total_exec_s,
-            "total_stall_s": self.total_stall_s,
-            "stall_count": self.stall_count,
+            **{f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in skip},
             "hidden_fraction": self.hidden_fraction,
             "steady_hidden_fraction": self.steady_hidden_fraction,
-            "steady_stall_count": self.steady_stall_count,
-            "queue_depth_mean": self.queue_depth_mean,
-            "queue_depth_max": self.queue_depth_max,
-            "cache_hits": self.cache_hits,
-            "wall_s": self.wall_s,
-            "replans": self.replans,
-            "cluster_events": self.cluster_events,
-            "plan_retries": self.plan_retries,
-            "replan_jobs_reused": self.replan_jobs_reused,
-            "replan_plan_s": self.replan_plan_s,
-            "plan_cache": self.plan_cache,
         }
 
 
@@ -277,7 +262,10 @@ class _Pending:
 
     index: int
     batch: object
-    ticket: Optional[PlanTicket]  # None => plan synchronously on demand
+    #: Resolves to ``(plan, start, end)`` in absolute perf_counter
+    #: seconds; a joined item's is the reservation's, resolving to the
+    #: bare plan.
+    future: Future
     submit: float
     signature: Optional[Tuple]
     cache_hit: bool
@@ -291,6 +279,18 @@ class _Pending:
     #: Cache epoch captured before reserving; late publications (the
     #: retry path) are rejected if an invalidation bumped it since.
     epoch: int = 0
+    #: ``future``'s result when the plan was in hand at submission (a
+    #: hit, a rebound plan): taking the future's lock after an executed
+    #: iteration cost ~15 µs a hit, half the stream ledger's wait p50.
+    settled: Optional[Tuple] = None
+
+
+def _resolved(plan) -> Future:
+    """A settled job: ``plan`` with a zero-width interval stamped now."""
+    future: Future = Future()
+    stamp = time.perf_counter()
+    future.set_result((plan, stamp, stamp))
+    return future
 
 
 @dataclass(frozen=True)
@@ -332,9 +332,9 @@ class StreamingOverlapPipeline:
         Any object with ``plan_batch(batch) -> ExecutionPlan``.
     lookahead:
         The paper's ``kappa``: planning jobs kept in flight beyond the
-        executing batch.  0 disables the workers and plans
-        synchronously; values larger than the batch count simply leave
-        the window partially filled.
+        executing batch, at least one (the unoverlapped route is
+        ``DCPPlanner.plan_batch``); values larger than the batch count
+        simply leave the window partially filled.
     max_workers:
         Planner threads of the default backend.
     backend:
@@ -381,8 +381,11 @@ class StreamingOverlapPipeline:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         """See the class docstring for every parameter."""
-        if lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
+        if lookahead < 1:
+            raise ValueError(
+                f"lookahead must be at least 1, not {lookahead}; plan "
+                "without overlap through DCPPlanner.plan_batch"
+            )
         self.planner = planner
         self.lookahead = lookahead
         self.cache = cache
@@ -399,9 +402,7 @@ class StreamingOverlapPipeline:
                 "(a thread pool) or a backend object such as "
                 "KVPlannerBackend"
             )
-        if lookahead == 0:
-            backend = None
-        elif backend is None:
+        if backend is None:
             backend = ThreadPlannerBackend(planner, max_workers=max_workers)
         self._backend = backend
         self._pending: Deque[_Pending] = deque()
@@ -409,26 +410,9 @@ class StreamingOverlapPipeline:
         self._started = False
         self._closed = False
         self._origin: Optional[float] = None
-        self.records: List[IterationRecord] = []
-        self.replans = 0
-        self.cluster_events = 0
-        self.plan_retries = 0
-        self.replan_jobs_reused = 0
-        self._replan_plan_s = 0.0
-        self._wall_s = 0.0
-        # Running aggregates, updated as records are created/finalized,
-        # so a running summary costs no pass over the records.
-        self._iterations = 0
-        self._plan_s = 0.0
-        self._exec_s = 0.0
-        self._stall_s = 0.0
-        self._stall_count = 0
-        self._steady_plan_s = 0.0
-        self._steady_stall_s = 0.0
-        self._steady_stall_count = 0
-        self._cache_hits = 0
-        self._depth_sum = 0
-        self._depth_max = 0
+        #: The run's aggregates, updated in place as events happen, so
+        #: an iteration's running summary costs no pass over records.
+        self._stats = OverlapStats()
         #: Plan-fetch latency — how long the consumer blocked for the
         #: next plan — split by serving path: cache hit vs planner
         #: dispatch (joined/waited dispatches count as dispatch).  The
@@ -490,22 +474,16 @@ class StreamingOverlapPipeline:
             # claim, so this cohort's publish/abandon always matches.
             status, payload, epoch = self.cache.reserve(signature)
             if status == "hit":
-                # Tickets carry absolute perf_counter stamps (workers
+                # Futures carry absolute perf_counter stamps (workers
                 # can't see the pipeline origin); _resolve rebases them.
-                return _Pending(
-                    index, batch, CompletedTicket(payload, time.perf_counter()),
-                    now, signature, True, epoch=epoch,
-                )
+                future = _resolved(payload)
+                return _Pending(index, batch, future, now, signature, True,
+                                epoch=epoch, settled=future.result())
             if status == "wait":
-                return _Pending(
-                    index, batch, SharedPlanTicket(payload), now, signature,
-                    False, joined=True, epoch=epoch,
-                )
+                return _Pending(index, batch, payload, now, signature,
+                                False, joined=True, epoch=epoch)
             # "own": this pipeline dispatches; the reservation is
-            # published (or released) by the ticket's done callback.
-        if self._backend is None:
-            return _Pending(index, batch, None, now, signature, False,
-                            epoch=epoch)
+            # published (or released) by the job's done callback.
         # A re-dispatch must *supersede* the job the backend already
         # runs for this index (the KV backend publishes by iteration),
         # or the stale in-flight plan would be served right back.
@@ -513,14 +491,14 @@ class StreamingOverlapPipeline:
             self._backend.resubmit if redispatch else self._backend.submit
         )
         job_planner = planner if planner is not None else self._pinned()
-        ticket = dispatch(index, batch, planner=job_planner)
+        future = dispatch(index, batch, planner=job_planner)
         if signature is not None:
-            self._bridge_reservation(ticket, signature, epoch)
-        return _Pending(index, batch, ticket, now, signature, False,
+            self._bridge_reservation(future, signature, epoch)
+        return _Pending(index, batch, future, now, signature, False,
                         epoch=epoch)
 
     def _bridge_reservation(
-        self, ticket: PlanTicket, signature: Tuple, epoch: int
+        self, job: Future, signature: Tuple, epoch: int
     ) -> None:
         """Publish the owned cache reservation when the job settles.
 
@@ -539,7 +517,7 @@ class StreamingOverlapPipeline:
             else:
                 cache.publish(signature, plan, epoch)
 
-        ticket.add_done_callback(_done)
+        job.add_done_callback(_done)
 
     def _refill(self) -> None:
         window = self.lookahead + 1
@@ -554,22 +532,10 @@ class StreamingOverlapPipeline:
 
     def _resolve(self, item: _Pending) -> Tuple:
         """Block for the item's plan; returns (plan, start, end) rel. s."""
-        if item.ticket is None:  # synchronous path (lookahead == 0)
-            start_abs = time.perf_counter()
-            try:
-                plan = (self._pinned() or self.planner).plan_batch(item.batch)
-            except BaseException as exc:
-                if item.signature is not None:
-                    self.cache.abandon(item.signature, exc, epoch=item.epoch)
-                raise
-            end_abs = time.perf_counter()
-            if item.signature is not None:
-                self.cache.publish(item.signature, plan, item.epoch)
-            return plan, start_abs - self._origin, end_abs - self._origin
         attempts = 0
         while True:
             try:
-                plan, start, end = item.ticket.result(
+                result = item.settled or item.future.result(
                     timeout=self.plan_timeout
                 )
                 break
@@ -578,9 +544,9 @@ class StreamingOverlapPipeline:
                 # BaseException: e.g. another pipeline closing shared
                 # infrastructure) — or, with plan_timeout set, hung.
                 attempts += 1
-                self.plan_retries += 1
-                if attempts <= MAX_PLAN_RETRIES and self._backend is not None:
-                    item.ticket = self._backend.resubmit(
+                self._stats.plan_retries += 1
+                if attempts <= MAX_PLAN_RETRIES:
+                    item.future = self._backend.resubmit(
                         item.index, item.batch, planner=self._pinned()
                     )
                     item.joined = False
@@ -592,17 +558,21 @@ class StreamingOverlapPipeline:
                 item.joined = False
                 start = time.perf_counter()
                 plan = (self._pinned() or self.planner).plan_batch(item.batch)
-                end = time.perf_counter()
+                result = plan, start, time.perf_counter()
                 break
-        start -= self._origin
-        end -= self._origin
         if item.joined:
-            # The worker interval already belongs to the iteration
-            # that dispatched the job; this one got the plan free.
-            start = end
+            # The reservation's bare plan: the worker interval already
+            # belongs to the iteration that dispatched the job, so this
+            # one got the plan free.
+            plan, start = result, self._now()
+            end = start
+        else:
+            plan, start, end = result
+            start -= self._origin
+            end -= self._origin
         if item.signature is not None and not item.cache_hit:
             # Normally a no-op (the reservation's done callback already
-            # published); needed after retries, whose fresh tickets are
+            # published); needed after retries, whose fresh jobs are
             # not bridged to the original reservation.  Epoch-guarded:
             # waiters blocked on a reservation whose original worker is
             # still hung wake up now, but a plan that crossed an
@@ -622,7 +592,7 @@ class StreamingOverlapPipeline:
         version = self.events.version
         if version == self._events_seen:
             return
-        self.cluster_events += version - self._events_seen
+        self._stats.cluster_events += version - self._events_seen
         self._events_seen = version
         current = self.events.current
         if current == self._cluster:
@@ -673,14 +643,13 @@ class StreamingOverlapPipeline:
         nothing to classify or warm-start from and is re-dispatched
         cold.
         """
-        ticket = item.ticket
-        if ticket is None or not ticket.ready():
+        if not item.future.done():
             return None
         try:
-            plan, _start, _end = ticket.result(timeout=0)
+            result = item.future.result(timeout=0)
         except BaseException:
             return None
-        return plan
+        return result if item.joined else result[0]
 
     def _warm_labels(self, plan) -> Optional[Tuple]:
         """Previous placement labels to warm-start a re-plan from.
@@ -704,15 +673,14 @@ class StreamingOverlapPipeline:
     def _reuse(self, item: _Pending, plan) -> None:
         """Keep a window job's plan across the event: rebind, no planner.
 
-        The rebound plan is handed back through a
-        :class:`~repro.pipeline.backends.CompletedTicket` (zero-width
-        planning interval — no planner ran) and published under the
-        new-shape signature via the normal resolve path, so concurrent
-        pipelines sharing the cache see it immediately.
+        The rebound plan is handed back through a resolved future
+        (zero-width planning interval — no planner ran) and published
+        under the new-shape signature via the normal resolve path, so
+        concurrent pipelines sharing the cache see it immediately.
         """
-        self.replan_jobs_reused += 1
-        rebound = rebind_plan(plan, self._cluster)
-        item.ticket = CompletedTicket(rebound, time.perf_counter())
+        self._stats.replan_jobs_reused += 1
+        item.future = _resolved(rebind_plan(plan, self._cluster))
+        item.settled = item.future.result()
         item.joined = False
         item.cache_hit = False
         item.replanned = False
@@ -731,14 +699,15 @@ class StreamingOverlapPipeline:
         plan had settled — the re-plan then repairs that placement for
         the new shape instead of partitioning from scratch.
         """
-        self.replans += 1
+        self._stats.replans += 1
         fresh = self._submit(
             item.index,
             item.batch,
             redispatch=True,
             planner=self._pinned(warm=warm),
         )
-        item.ticket = fresh.ticket
+        item.future = fresh.future
+        item.settled = fresh.settled
         item.signature = fresh.signature
         item.cache_hit = fresh.cache_hit
         item.joined = fresh.joined
@@ -759,26 +728,31 @@ class StreamingOverlapPipeline:
         return self._run()
 
     def _account_record(self, record: IterationRecord) -> None:
-        """Fold a fresh record into the running aggregates (exec time
-        is folded separately, once its interval is finalized)."""
-        self._plan_s += record.plan_s
-        self._stall_s += record.stall
-        if record.replanned:
-            self._replan_plan_s += record.plan_s
+        """Fold a fresh record into the stats (exec time is folded
+        separately, once its interval is finalized)."""
+        stats = self._stats
         stalled = record.stall > STALL_EPS
-        self._stall_count += int(stalled)
-        if self._iterations > 0:  # not the first iteration ever
-            self._steady_plan_s += record.plan_s
-            self._steady_stall_s += record.stall
-            self._steady_stall_count += int(stalled)
-        self._iterations += 1
-        self._cache_hits += int(record.cache_hit)
-        self._depth_sum += record.queue_depth
-        self._depth_max = max(self._depth_max, record.queue_depth)
+        if stats.records:  # not the first iteration ever
+            stats.steady_plan_s += record.plan_s
+            stats.steady_stall_s += record.stall
+            stats.steady_stall_count += stalled
+        stats.records.append(record)
+        stats.iterations += 1
+        stats.total_plan_s += record.plan_s
+        stats.total_stall_s += record.stall
+        stats.stall_count += stalled
+        if record.replanned:
+            stats.replan_plan_s += record.plan_s
+        stats.cache_hits += record.cache_hit
+        stats.queue_depth_mean += (
+            record.queue_depth - stats.queue_depth_mean
+        ) / stats.iterations
+        stats.queue_depth_max = max(stats.queue_depth_max, record.queue_depth)
+        stats.wall_s = record.exec_start
 
     def _finalize_exec(self, record: IterationRecord, end: float) -> None:
         record.exec_end = end
-        self._exec_s += record.exec_s
+        self._stats.total_exec_s += record.exec_s
         if _tracing() and self._origin is not None:
             _add_span(
                 f"exec {record.index}",
@@ -799,12 +773,9 @@ class StreamingOverlapPipeline:
                 requested = self._now()
                 if previous is not None:
                     self._finalize_exec(previous, requested)
-                depth = (1 if item.ticket is not None and item.ticket.ready()
-                         else 0)
-                depth += sum(
-                    1
-                    for p in self._pending
-                    if p.ticket is not None and p.ticket.ready()
+                depth = sum(
+                    p.settled is not None or p.future.done()
+                    for p in (item, *self._pending)
                 )
                 plan, plan_start, plan_end = self._resolve(item)
                 ready = self._now()
@@ -838,7 +809,6 @@ class StreamingOverlapPipeline:
                     reused=item.reused,
                 )
                 self._account_record(record)
-                self.records.append(record)
                 previous = record
                 self._refill()
                 plan.meta["overlap"] = self._meta(record)
@@ -847,45 +817,15 @@ class StreamingOverlapPipeline:
             end = self._now()
             if previous is not None and previous.exec_end <= previous.exec_start:
                 self._finalize_exec(previous, end)
-            self._wall_s = end
+            self._stats.wall_s = end
             self.close()
 
     # -- reporting ---------------------------------------------------------
 
     def _meta(self, record: IterationRecord) -> dict:
-        summary = self._summary().as_dict()
-        summary.pop("plan_cache", None)
-        return {**record.as_dict(), "running": summary}
-
-    def _summary(self) -> OverlapStats:
-        """Aggregate stats from the O(1) running counters, no records.
-
-        This is what every iteration's ``meta["overlap"]["running"]``
-        uses, so per-iteration bookkeeping stays constant-time no
-        matter how long the (possibly unbounded) stream has run.
-        """
-        stats = OverlapStats()
-        stats.iterations = self._iterations
-        stats.total_plan_s = self._plan_s
-        stats.total_exec_s = self._exec_s
-        stats.total_stall_s = self._stall_s
-        stats.stall_count = self._stall_count
-        stats.steady_plan_s = self._steady_plan_s
-        stats.steady_stall_s = self._steady_stall_s
-        stats.steady_stall_count = self._steady_stall_count
-        stats.cache_hits = self._cache_hits
-        if self._iterations:
-            stats.queue_depth_mean = self._depth_sum / self._iterations
-            stats.queue_depth_max = self._depth_max
-        stats.wall_s = self._wall_s or (
-            self._now() if self._origin is not None else 0.0
-        )
-        stats.replans = self.replans
-        stats.cluster_events = self.cluster_events
-        stats.plan_retries = self.plan_retries
-        stats.replan_jobs_reused = self.replan_jobs_reused
-        stats.replan_plan_s = self._replan_plan_s
-        return stats
+        running = self._stats.as_dict()
+        del running["plan_cache"]
+        return {**record.as_dict(), "running": running}
 
     def stats(self) -> OverlapStats:
         """Aggregate :class:`OverlapStats` over the iterations so far.
@@ -895,28 +835,19 @@ class StreamingOverlapPipeline:
         iterations update the live records (the trailing record's
         ``exec_end`` is finalized by the *next* request).
         """
-        stats = self._summary()
-        stats.records = [replace(record) for record in self.records]
-        if self.cache is not None:
-            stats.plan_cache = self.cache.stats()
-        return stats
+        return replace(
+            self._stats,
+            records=[replace(record) for record in self._stats.records],
+            plan_cache=self.cache.stats() if self.cache is not None else None,
+        )
 
     def close(self) -> None:
-        """Release owned cache reservations and shut the backend down."""
+        """Shut the backend down; a queued job it cancels releases its
+        cache reservation through the job's done callback."""
         if self._closed:
             return
         self._closed = True
-        if self.cache is not None:
-            # Synchronous-path window items own reservations with no
-            # backend ticket bridged to them; if the consumer stopped
-            # early they would otherwise stay in flight forever and
-            # deadlock other pipelines waiting on the shared cache.
-            for item in self._pending:
-                if (item.ticket is None and item.signature is not None
-                        and not item.cache_hit):
-                    self.cache.abandon(item.signature, epoch=item.epoch)
-        if self._backend is not None:
-            self._backend.close()
+        self._backend.close()
 
     def __enter__(self) -> "StreamingOverlapPipeline":
         """Context manager: :meth:`close` on exit."""

@@ -36,6 +36,8 @@ HEAD_DIM = 128
 FFN_HIDDEN = 14336
 VOCAB = 128256
 TENSOR_PARALLEL = 4
+#: Share of the gradient all-reduce the backward pass does not hide.
+GRAD_SYNC_EXPOSURE = 0.08
 
 
 def linear_flops_per_token() -> float:
@@ -79,20 +81,21 @@ def _others_time(tokens_per_device: np.ndarray, cluster: ClusterSpec) -> float:
     return 3.0 * forward  # backward of linear layers costs ~2x forward
 
 
-def _grad_sync_time(cluster: ClusterSpec) -> float:
+def grad_sync_time(
+    ranks: int, tp: int, pp: int, cluster: ClusterSpec
+) -> float:
     """Exposed (non-overlapped) gradient-synchronization time.
 
-    Gradients are ring-allreduced across all CP ranks.  Megatron
-    overlaps almost all of this with the backward pass; the exposure
-    factor models the non-hidden tail.
+    Each of ``pp`` stages ring-allreduces its ``tp``-sharded gradients
+    across ``ranks`` data ranks over the inter-machine links.  Megatron
+    overlaps almost all of this with the backward pass;
+    :data:`GRAD_SYNC_EXPOSURE` models the non-hidden tail.
     """
-    exposure = 0.08
-    ranks = cluster.num_devices
     if ranks <= 1:
         return 0.0
-    grad_bytes = parameter_count() * DTYPE_BYTES / TENSOR_PARALLEL
+    grad_bytes = parameter_count() / pp * DTYPE_BYTES / tp
     ring = 2.0 * grad_bytes * (ranks - 1) / ranks / cluster.inter_bandwidth
-    return exposure * ring
+    return GRAD_SYNC_EXPOSURE * ring
 
 
 def e2e_iteration_time(
@@ -119,7 +122,7 @@ def e2e_iteration_time(
         forward.iteration_time + backward.iteration_time
     )
     others = _others_time(tokens_per_device, cluster)
-    sync = _grad_sync_time(cluster)
+    sync = grad_sync_time(cluster.num_devices, TENSOR_PARALLEL, 1, cluster)
     return E2EResult(
         iteration_time=attention_total + others + sync,
         attention_forward=forward,

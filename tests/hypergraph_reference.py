@@ -296,7 +296,11 @@ def scalar_rebalance(
     )
     stalled = 0
     while moves < max_moves:
-        overload = state.part_weights.astype(np.float64) / caps[None, :]
+        weights = state.part_weights
+        overload = np.divide(  # a zero cap: inf if it holds anything
+            weights, caps, out=np.where(weights > 0, np.inf, 0.0),
+            where=caps > 0,
+        )
         worst_part = int(np.argmax(overload.max(axis=1)))
         if np.all(state.part_weights[worst_part] <= caps):
             return True

@@ -59,7 +59,7 @@ def test_accepted_keywords_pass():
         "`KVPlannerBackend(planner, KVStore(), num_machines=2)`, "
         "`PlanService.fetch_plan(deadline=0.3)`, "
         # **kwargs callee: anything goes; not a repro callable; not a call.
-        "`DistributedDataloader(batches, backend, whatever=1)`, "
+        "`make_mask(\"lambda\", whatever=1)`, "
         "`dict(a=1)`, `lookahead = 2`, `a == b`."
     )
     assert check_docs.stale_keywords(text) == []

@@ -16,6 +16,7 @@ valid re-plan rather than a stale-cache hit.
 import dataclasses
 import threading
 import time
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -447,14 +448,7 @@ class TestClusterFaults:
             if i == 0:
                 # Let the window settle so the event classifies (and
                 # warm re-dispatches) real plans deterministically.
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    if all(
-                        item.ticket is not None and item.ticket.ready()
-                        for item in pipeline._pending
-                    ):
-                        break
-                    time.sleep(0.005)
+                wait([item.future for item in pipeline._pending], timeout=10.0)
                 events.remove_machines(1)
         stats = pipeline.stats()
         assert len(plans) == len(batches)

@@ -155,6 +155,19 @@ class TestRefinement:
         assert rebalance(state, caps, np.random.default_rng(0))
         assert state.is_feasible(caps)
 
+    def test_rebalance_with_a_zero_cap_evicts_the_overloaded_part(self):
+        """A dimension whose total weight is 0 gets cap 0.  Dividing by
+        it made every part's overload NaN, so argmax picked part 0,
+        which fits, and an overloaded part 1 was reported feasible."""
+        weights = np.zeros((6, 2), dtype=np.int64)
+        weights[:, 1] = 1
+        graph = from_pins(weights, [[0, 1], [2, 3], [4, 5]], [1, 1, 1])
+        state = RefinementState(graph, np.array([0, 1, 1, 1, 1, 1]), 2)
+        caps = np.array([0, 3])
+        assert rebalance(state, caps, np.random.default_rng(0))
+        assert state.is_feasible(caps)
+        assert state.part_weights.tolist() == [[0, 3], [0, 3]]
+
 
 class TestPartition:
     def test_two_triangles_split_cleanly(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.blocks import AttentionSpec, BatchSpec
 from repro.blocks.data_blocks import DTYPE_BYTES
+from repro.core import DCPPlanner
 from repro.core.config import DCPConfig
 from repro.masks import CausalMask
 from repro.parallel import (
@@ -25,7 +26,7 @@ from repro.parallel import (
 )
 from repro.placement import PlacementConfig
 from repro.sim import cluster as hardware
-from repro.sim import modelcost
+from repro.sim import e2e_iteration_time, modelcost
 from repro.sim.cluster import ClusterSpec
 
 
@@ -380,3 +381,37 @@ class TestHybrid:
             for plan in result.microbatch_plans
         )
         assert planned_tokens == _batch().total_tokens
+
+
+class TestGradSync:
+    """``e2e_iteration_time`` and ``hybrid_iteration_time`` price the
+    gradient all-reduce with one formula; these are its values from
+    when each had its own copy, bit for bit."""
+
+    CONFIG = DCPConfig(block_size=256, placement=PlacementConfig(restarts=1))
+
+    @pytest.mark.parametrize("machines,devices,expected", [
+        (1, 1, 0.0),
+        (1, 4, 0.0090055901184),
+        (2, 4, 0.0105065218048),
+        (4, 8, 0.011632220569600001),
+    ])
+    def test_e2e_pinned(self, machines, devices, expected):
+        cluster = ClusterSpec(num_machines=machines,
+                              devices_per_machine=devices)
+        attention = AttentionSpec(num_q_heads=8, num_kv_groups=4, head_dim=32)
+        plan = DCPPlanner(cluster, attention, self.CONFIG).plan_batch(_batch())
+        assert e2e_iteration_time(plan).grad_sync_time == expected
+
+    @pytest.mark.parametrize("machines,devices,tp,dcp,pp,expected", [
+        (2, 4, 4, 2, 1, 0.0060037267456),
+        (2, 4, 1, 4, 2, 0.0180111802368),
+        (4, 2, 2, 2, 2, 0.0060037267456),
+    ])
+    def test_hybrid_pinned(self, machines, devices, tp, dcp, pp, expected):
+        cluster = ClusterSpec(num_machines=machines,
+                              devices_per_machine=devices)
+        config = HybridConfig(topology=RankTopology(tp=tp, dcp=dcp, pp=pp),
+                              dcp_config=self.CONFIG)
+        result = hybrid_iteration_time(_batch(), cluster, config)
+        assert result.grad_sync_time == expected

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from repro.blocks import AttentionSpec, BatchSpec
 from repro.core import (
     DCPConfig,
+    DCPDataloader,
     DCPPlanner,
-    DistributedDataloader,
     KVStore,
+    encode_plan,
     simulate_planning_overlap,
 )
 from repro.masks import CausalMask
@@ -189,7 +190,7 @@ class TestKVStore:
         assert _count(store, "kv.bytes_out") == 0
 
 
-# -- KVPlannerBackend / DistributedDataloader ---------------------------------
+# -- KVPlannerBackend / the KV-backed dataloader ---------------------------------
 
 
 def _planner(cluster=ClusterSpec(num_machines=1, devices_per_machine=2)):
@@ -224,8 +225,8 @@ def make_backend():
         backend.close()
 
 
-def _plan(ticket):
-    plan, _start, _end = ticket.result(timeout=30.0)
+def _plan(future):
+    plan, _start, _end = future.result(timeout=30.0)
     return plan
 
 
@@ -380,13 +381,13 @@ class TestKVPlannerBackend:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            tickets = [
+            futures = [
                 backend.submit(0, batches[i % 3]) for i in range(24)
             ]
             outcomes = []
-            for ticket in tickets:
+            for future in futures:
                 try:
-                    outcomes.append(_plan(ticket))
+                    outcomes.append(_plan(future))
                 except CancelledError:
                     outcomes.append(None)
         finally:
@@ -403,31 +404,37 @@ class TestKVPlannerBackend:
         assert _count(backend, "pool.device_entries_written") == written
 
 
-class TestDistributedDataloader:
-    def test_yields_every_batch_in_order(self, make_backend):
+class TestKVDataloader:
+    def test_routes_every_plan_through_the_store(self, make_backend):
+        """``DCPDataloader(..., backend=KVPlannerBackend(...))`` yields
+        every batch in order, and each plan is the one its iteration
+        published to the store and every device pulled back."""
         batches = _batches(4)
-        loader = DistributedDataloader(
-            batches, make_backend(num_machines=2), lookahead=2
+        backend = make_backend(num_machines=2)
+        loader = DCPDataloader(
+            batches, backend.planner, backend=backend, lookahead=2
         )
-        plans = [plan for _, plan in loader]
-        assert len(plans) == 4
-        for batch, plan in zip(batches, plans):
-            planned_tokens = sum(
-                sum(ts.tokens for ts in dp.local_slices)
-                for dp in plan.device_plans.values()
+        yielded = list(loader)
+        assert len(yielded) == len(batches)
+        reference = _planner()
+        for index, (batch, (local_data, plan)) in enumerate(
+            zip(batches, yielded)
+        ):
+            assert set(local_data) == {0, 1}
+            assert sum(
+                data.tokens for data in local_data.values()
+            ) == batch.total_tokens
+            assert plan_fingerprint(plan) == plan_fingerprint(
+                reference.plan_batch(batch)
             )
-            assert planned_tokens == batch.total_tokens
-
-    def test_local_data_covers_devices(self, make_backend):
-        loader = DistributedDataloader(
-            _batches(1), make_backend(), lookahead=1
-        )
-        local_data, _ = next(iter(loader))
-        assert set(local_data) == {0, 1}
-
-    def test_rejects_negative_lookahead(self, make_backend):
-        with pytest.raises(ValueError):
-            DistributedDataloader([], make_backend(), lookahead=-1)
+            wire = encode_plan(plan)
+            for device in plan.device_plans:
+                assert backend.store.get(
+                    f"plan/{index}/device/{device}"
+                ) == wire.device_bytes(device)
+        assert _count(backend, "pool.device_entries_written") + _count(
+            backend, "pool.device_entries_unchanged"
+        ) == 2 * len(batches)
 
 
 # -- analytic overlap model ---------------------------------------------------

@@ -195,11 +195,12 @@ def test_generate_blocks_conserves_tokens_and_pairs(seqlens, block):
 
 # -- streaming overlap pipeline ---------------------------------------------------
 
-def _pipeline_planner():
+def _pipeline_planner(machines=1, devices_per_machine=2):
     from repro import ClusterSpec
     from repro.core import DCPConfig, DCPPlanner
 
-    cluster = ClusterSpec(num_machines=1, devices_per_machine=2)
+    cluster = ClusterSpec(num_machines=machines,
+                          devices_per_machine=devices_per_machine)
     attention = AttentionSpec(num_q_heads=2, num_kv_groups=1, head_dim=8)
     return DCPPlanner(
         cluster, attention, DCPConfig(block_size=16,
@@ -214,18 +215,18 @@ class _DelayedPlanner:
         self.planner = planner
         self.delay = delay
 
-    def plan_batch(self, batch):
+    def plan_batch(self, batch, **kwargs):
         if self.delay:
             import time
 
             time.sleep(self.delay)
-        return self.planner.plan_batch(batch)
+        return self.planner.plan_batch(batch, **kwargs)
 
 
 @given(
     seed=st.integers(0, 10_000),
     num_batches=st.integers(1, 5),
-    kappa=st.integers(0, 3),
+    kappa=st.integers(1, 3),
     workers=st.integers(1, 3),
     delay=st.sampled_from([0.0, 0.005, 0.02]),
 )
@@ -264,7 +265,7 @@ def test_streaming_plans_byte_identical_to_synchronous(
 @given(
     seed=st.integers(0, 10_000),
     num_batches=st.integers(1, 6),
-    kappa=st.integers(0, 3),
+    kappa=st.integers(1, 3),
     workers=st.integers(1, 3),
     delay=st.sampled_from([0.0, 0.01]),
     exec_s=st.sampled_from([0.0, 0.01]),
@@ -316,6 +317,97 @@ def test_overlap_stats_invariants(
         assert record.exec_s >= -1e-9
         assert record.stall >= 0.0
         assert record.exec_start <= record.exec_end + 1e-9
+
+
+def _total(values):
+    """Left fold of ``+`` from 0.0: the order the pipeline adds in."""
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    num_batches=st.integers(1, 6),
+    kappa=st.integers(1, 3),
+    delay=st.sampled_from([0.0, 0.005]),
+    exec_s=st.sampled_from([0.0, 0.005]),
+    cached=st.booleans(),
+    event=st.tuples(st.integers(0, 5), st.sampled_from(["add", "remove"])),
+)
+@settings(max_examples=12, deadline=None)
+def test_overlap_stats_are_a_fold_over_records(
+    seed, num_batches, kappa, delay, exec_s, cached, event
+):
+    """The pipeline keeps one OverlapStats and updates it where each
+    event happens; whatever the run (plan and execution delays, cache
+    on or off, a cluster event), ``stats()`` — and every iteration's
+    ``meta["overlap"]["running"]`` — equals a fold over the records."""
+    import time
+
+    import pytest
+
+    from repro.core import PlanCache
+    from repro.pipeline import StreamingOverlapPipeline
+    from repro.pipeline.pipeline import STALL_EPS
+    from repro.sim import ClusterEventSource
+
+    rng = np.random.default_rng(seed)
+    planner = _pipeline_planner(machines=2, devices_per_machine=1)
+    # Two signatures, so a cached run also hits and joins.
+    specs = [BatchSpec.build([n, 16], CausalMask()) for n in (32, 48)]
+    batches = [specs[int(rng.integers(2))] for _ in range(num_batches)]
+    events = ClusterEventSource(planner.cluster)
+    pipeline = StreamingOverlapPipeline(
+        iter(batches),
+        _DelayedPlanner(planner, delay),
+        lookahead=kappa,
+        cache=PlanCache(planner) if cached else None,
+        events=events,
+    )
+    at, kind = event
+    running = []
+    for index, (_, plan) in enumerate(pipeline):
+        running.append(dict(plan.meta["overlap"]["running"]))
+        if index == at:
+            if kind == "add":
+                events.add_machines(1)
+            else:
+                events.remove_machines(1)
+        if exec_s:
+            time.sleep(exec_s)
+    stats = pipeline.stats()
+    records = stats.records
+    stalled = [record.stall > STALL_EPS for record in records]
+    depths = [record.queue_depth for record in records]
+    assert stats.iterations == len(records) == num_batches
+    assert stats.total_plan_s == _total(r.plan_s for r in records)
+    assert stats.total_exec_s == _total(r.exec_s for r in records)
+    assert stats.total_stall_s == _total(r.stall for r in records)
+    assert stats.stall_count == sum(stalled)
+    assert stats.steady_plan_s == _total(r.plan_s for r in records[1:])
+    assert stats.steady_stall_s == _total(r.stall for r in records[1:])
+    assert stats.steady_stall_count == sum(stalled[1:])
+    assert stats.cache_hits == sum(r.cache_hit for r in records)
+    assert stats.queue_depth_max == max(depths)
+    assert stats.queue_depth_mean == pytest.approx(sum(depths) / len(depths))
+    assert stats.replan_plan_s == _total(
+        r.plan_s for r in records if r.replanned
+    )
+    # One event re-dispatches or reuses each window job at most once.
+    assert stats.replans == sum(r.replanned for r in records)
+    assert stats.replan_jobs_reused == sum(r.reused for r in records)
+    assert stats.cluster_events == int(at < num_batches - 1)
+    assert stats.wall_s == records[-1].exec_end
+    assert (stats.plan_cache is not None) == cached
+    for seen, upto in zip(running, range(1, num_batches + 1)):
+        head = records[:upto]
+        assert seen["iterations"] == upto
+        assert seen["total_plan_s"] == _total(r.plan_s for r in head)
+        assert seen["total_stall_s"] == _total(r.stall for r in head)
+        assert seen["cache_hits"] == sum(r.cache_hit for r in head)
+        assert "plan_cache" not in seen
 
 
 @given(

@@ -190,8 +190,8 @@ def kv_backend():
         backend.close()
 
 
-def served(ticket):
-    plan, _start, _end = ticket.result(timeout=30.0)
+def served(future):
+    plan, _start, _end = future.result(timeout=30.0)
     return plan
 
 

@@ -22,6 +22,7 @@ from repro.model.attention import attention_forward_backward
 from repro.pipeline import plan_fingerprint
 from repro.placement import (
     STATIC_HEURISTICS,
+    Placement,
     PlacementConfig,
     build_block_hypergraph,
     place_blocks,
@@ -363,10 +364,14 @@ class TestEveryRoute:
         assert set(prices) >= {"partitioned", "zigzag"}
         assert prices["zigzag"] == min(prices.values())
         assert prices["zigzag"] == min(plan.meta["division_prices"].values())
-        assert planner.last_placement.source == "zigzag"
-        assert np.array_equal(
-            planner.last_placement.slice_device, plan.meta["placement"][0]
-        )
+        # The labels are the winner's: rebuilt, they hold exactly the
+        # tokens each device's plan feeds its replica.
+        placement = Placement(plan.block_set, plan.cluster,
+                              *plan.meta["placement"][:2])
+        assert placement.tokens_per_device().tolist() == [
+            sum(ts.tokens for ts in plan.device_plans[d].local_slices)
+            for d in range(plan.num_devices)
+        ]
         metrics = planner.metrics
         assert metrics.counter("planner.placement_source.zigzag").value == 1
         assert metrics.counter("planner.infeasible_partitions").value == (
