@@ -53,9 +53,10 @@ Checked metrics:
   uninstrumented smoke workload), the smoke rerun stays under the
   looser CI ceilings recorded in the tracked file, every required
   metric (planner stage latencies, plan-fetch split, cache/KV
-  counters) is present in the smoke telemetry snapshot, and the merged
-  smoke trace is a structurally valid Chrome trace carrying planner,
-  pipeline, and simulated-execution lanes.
+  counters) is present in the smoke telemetry snapshot, and the smoke
+  trace is a structurally valid Chrome trace carrying planner,
+  pipeline, and simulated-execution lanes, in which every ``(pid,
+  tid)`` track nests (:func:`partial_overlaps` finds nothing).
 
 Usage::
 
@@ -69,7 +70,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from bench_scenarios import missing_comm
 
@@ -113,6 +114,38 @@ OBS_REQUIRED_METRICS = (
 #: Chrome-trace categories the merged smoke trace must carry — one
 #: lane per instrumented layer plus the simulator's execution lane.
 OBS_REQUIRED_TRACE_CATS = ("planner", "pipeline", "compute")
+
+#: Microseconds two slice edges may disagree by and still meet: the
+#: writer's ``ts + dur`` rounds a few ulps off the interval's end.
+NEST_TOLERANCE_US = 1e-6
+
+
+def partial_overlaps(events: Sequence[dict]) -> List[Tuple[dict, dict]]:
+    """``(enclosing, slice)`` pairs of complete events on one ``(pid,
+    tid)`` track that partially overlap: the slice starts inside the
+    enclosing one and ends after it.  Empty iff every track nests, as
+    the trace-event format requires of complete events on one thread.
+    """
+    tracks: Dict[Tuple, List[dict]] = {}
+    for event in events:
+        if event.get("ph") == "X":
+            tracks.setdefault((event["pid"], event["tid"]), []).append(event)
+    found = []
+    for slices in tracks.values():
+        slices.sort(key=lambda e: (e["ts"], -e["dur"]))
+        stack: List[dict] = []  # slices enclosing the current start
+        for event in slices:
+            start = event["ts"]
+            while stack and (
+                stack[-1]["ts"] + stack[-1]["dur"] <= start + NEST_TOLERANCE_US
+            ):
+                stack.pop()
+            if stack and start + event["dur"] > (
+                stack[-1]["ts"] + stack[-1]["dur"] + NEST_TOLERANCE_US
+            ):
+                found.append((stack[-1], event))
+            stack.append(event)
+    return found
 
 
 def _load(path: str) -> Optional[dict]:
@@ -536,6 +569,12 @@ def check_obs(gate: Gate, strict: bool) -> None:
         not missing_cats,
         "obs smoke trace carries planner/pipeline/execution lanes"
         + (f" (missing: {', '.join(missing_cats)})" if missing_cats else ""),
+    )
+    overlaps = partial_overlaps(events or [])
+    gate.check(
+        not overlaps,
+        "obs smoke trace: every (pid, tid) track nests"
+        + (f" ({len(overlaps)} partial overlaps)" if overlaps else ""),
     )
 
 

@@ -7,7 +7,9 @@ and prints the *measured* overlap: how much planning was hidden, where
 the stalls were, how often the plan cache short-circuited a worker.
 It then replays the measured per-iteration times through the analytic
 model (``simulate_planning_overlap``) to show measurement and model
-agreeing, and writes a Chrome/Perfetto trace of the pipeline timeline.
+agreeing, and writes the tracer's Chrome/Perfetto trace of the run:
+``fetch {i}`` / ``exec {i}`` on the consumer thread, every
+``plan_batch`` and its stages on the planner worker that ran it.
 
 Run:  python examples/overlapped_planning.py           # scaled-down, ~30 s
       python examples/overlapped_planning.py --full    # Fig. 18 sweep size
@@ -19,12 +21,12 @@ import os
 
 from repro.bench import BenchScale, PAPER_MASKS, make_batches
 from repro.core import DCPPlanner, PlanCache, simulate_planning_overlap
+from repro.obs import disable_tracing, enable_tracing, get_tracer
 from repro.pipeline import (
     PipelineRunner,
     StreamingOverlapPipeline,
     cost_model_executor,
 )
-from repro.sim import overlap_chrome_trace
 
 
 def main() -> None:
@@ -63,10 +65,13 @@ def main() -> None:
         f"planning {len(batches)} batches ({tokens} tokens, 2x4 devices) "
         f"with kappa={args.kappa}, {args.workers} thread workers ..."
     )
-    report = PipelineRunner(
-        pipeline, execute=cost_model_executor(time_scale=1.0)
-    ).run()
-    stats = report.stats
+    enable_tracing()
+    try:
+        stats = PipelineRunner(
+            pipeline, execute=cost_model_executor(time_scale=1.0)
+        ).run().stats
+    finally:
+        disable_tracing()
 
     print("\n== measured overlap ==")
     print(f"iterations            {stats.iterations}")
@@ -108,7 +113,7 @@ def main() -> None:
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "overlap_pipeline.json")
     with open(trace_path, "w") as handle:
-        json.dump(overlap_chrome_trace(report.timeline), handle)
+        json.dump(get_tracer().to_chrome_trace(), handle)
     print(f"wrote {trace_path} (open in chrome://tracing or Perfetto)")
 
 

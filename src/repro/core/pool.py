@@ -9,7 +9,10 @@ replays the §6.1 pipeline and reports the execution stalls caused by
 late plans.  The working plumbing it models — planner instances on
 every machine publishing plans through a key-value store — is
 :class:`repro.pipeline.KVPlannerBackend`; the measured counterpart of
-the replay is :class:`repro.pipeline.StreamingOverlapPipeline`.
+the replay is :class:`repro.pipeline.StreamingOverlapPipeline`, whose
+iteration records feed this model and whose timeline, with tracing on,
+is the tracer's ``fetch {i}`` / ``exec {i}`` / ``plan_batch`` spans.
+:class:`PlanningTimeline` is this model's result only.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ restart implies — the injector itself holds no component state.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict
 
 __all__ = ["FaultInjector"]
 
@@ -44,9 +44,6 @@ class FaultInjector:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._targets: Dict[str, _TargetState] = {}
-        #: Applied-event log (action, target) in application order —
-        #: what a bench report records as the realized failure script.
-        self.log: List[Tuple[str, str]] = []
 
     def _state(self, target: str) -> _TargetState:
         state = self._targets.get(target)
@@ -55,15 +52,11 @@ class FaultInjector:
             self._targets[target] = state
         return state
 
-    def _record(self, action: str, target: str) -> None:
-        self.log.append((action, target))
-
     # -- mutation (schedule side) ---------------------------------------
 
     def kill(self, target: str) -> None:
         with self._lock:
             self._state(target).killed = True
-            self._record("kill", target)
 
     def restart(self, target: str) -> None:
         with self._lock:
@@ -71,19 +64,16 @@ class FaultInjector:
             if state.killed:
                 state.killed = False
                 state.restarts += 1
-            self._record("restart", target)
 
     def slow(self, target: str, delay_s: float) -> None:
         """Every operation at ``target`` stalls ``delay_s`` until cleared."""
         with self._lock:
             self._state(target).delay_s = max(0.0, float(delay_s))
-            self._record("slow", target)
 
     def clear(self, target: str) -> None:
         """Lift slow at ``target`` (kill state untouched)."""
         with self._lock:
             self._state(target).delay_s = 0.0
-            self._record("clear", target)
 
     # -- queries (component side) ---------------------------------------
 

@@ -126,8 +126,6 @@ class ScheduleRunner:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.started_at: Optional[float] = None
-        #: (wall time relative to start, event) pairs actually applied.
-        self.applied: List[tuple] = []
 
     def _run(self) -> None:
         start = self.started_at
@@ -138,7 +136,6 @@ class ScheduleRunner:
             if self._stop.is_set():
                 return
             event.apply(self.injector)
-            self.applied.append((time.monotonic() - start, event))
 
     def start(self) -> "ScheduleRunner":
         if self._thread is not None:

@@ -3,10 +3,12 @@
 The telemetry subsystem behind every timing claim in the repo:
 
 * :mod:`repro.obs.trace` — zero-dependency span tracer with a
-  lock-free disabled fast path and Chrome-trace export; planner
-  stages, pipeline iterations, plan-ring probes, and KV ops all land
-  on one Perfetto timeline (merge with the simulator's execution lanes
-  via :func:`repro.sim.trace.merge_chrome_traces`).
+  lock-free disabled fast path, and the repo's one Chrome-trace
+  writer (:func:`~repro.obs.trace.chrome_trace`); planner stages,
+  pipeline iterations, plan-ring probes and KV ops land on one
+  Perfetto timeline, beside the simulator's execution lanes
+  (:func:`repro.sim.trace.device_lanes`) when written in the same
+  call.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
   latency histograms (p50/p95/p99) in a
   :class:`~repro.obs.metrics.MetricsRegistry`; the cache hit/miss

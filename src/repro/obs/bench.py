@@ -28,11 +28,11 @@ disabled and enabled) is recorded alongside.
 hits and planner dispatches), KV round-trips of its plans, and one
 simulated execution are driven through a *shared* registry; the
 resulting snapshot (including the plan-fetch hit/dispatch latency
-split) lands in the report, and the tracer spans, the pipeline's
-overlap timeline, and the simulator's execution lanes are merged onto
-one epoch (:func:`repro.sim.merge_chrome_traces`) into a
-Perfetto-loadable ``TRACE_obs.json`` — planner stages, pipeline
-iterations, KV ops, and simulated execution on a shared clock.
+split) lands in the report, and one
+:func:`~repro.obs.trace.chrome_trace` call writes the tracer's spans
+(planner stages on the worker threads, the pipeline's ``fetch {i}`` /
+``exec {i}`` on the consumer, KV ops) beside the simulator's execution
+lanes into a Perfetto-loadable ``TRACE_obs.json``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import time
 from typing import Dict, List, Optional
 
 from .metrics import NULL_REGISTRY, MetricsRegistry
-from .trace import get_tracer, span as _span
+from .trace import chrome_trace, get_tracer, span as _span
 
 __all__ = [
     "measure_overhead",
@@ -231,8 +231,8 @@ def collect_telemetry(smoke: bool) -> Dict:
     plan cache, so both plan-fetch paths populate), KV round-trips of
     its cached plans, and one
     simulated execution.  Returns the registry snapshot, span
-    count, and the merged Chrome trace (tracer spans + overlap
-    timeline + execution lanes on one epoch).
+    count, and the Chrome trace of the tracer's spans beside the
+    execution's device lanes.
 
     ``smoke=False`` uses the Fig. 18 sweep point (32768 tokens,
     512-token blocks) instead of the smoke configuration.
@@ -243,12 +243,7 @@ def collect_telemetry(smoke: bool) -> Dict:
         StreamingOverlapPipeline,
         cost_model_executor,
     )
-    from repro.sim import (
-        merge_chrome_traces,
-        overlap_chrome_trace,
-        simulate_plan,
-        to_chrome_trace,
-    )
+    from repro.sim import device_lanes, simulate_plan
 
     if smoke:
         scale = _smoke_scale()
@@ -267,7 +262,7 @@ def collect_telemetry(smoke: bool) -> Dict:
     tracer = get_tracer()
     was_enabled = tracer.enabled
     tracer.enable()
-    tracer.clear(reset_origin=True)
+    tracer.clear()
     try:
         planner = DCPPlanner(
             scale.cluster, scale.attention, scale.dcp_config(),
@@ -282,9 +277,6 @@ def collect_telemetry(smoke: bool) -> Dict:
             pipeline, execute=cost_model_executor(time_scale=time_scale)
         )
         stats = runner.run().stats
-        overlap_trace = overlap_chrome_trace(
-            stats.timeline(), clock_origin=pipeline.clock_origin
-        )
 
         plans = [cache.peek(batch_signature(batch)) for batch in batches]
 
@@ -295,18 +287,13 @@ def collect_telemetry(smoke: bool) -> Dict:
             store.get(f"plan/{index}")
 
         timing = simulate_plan(plans[0])
-        sim_trace = to_chrome_trace(timing)
 
         spans_recorded = len(tracer)
-        obs_trace = tracer.to_chrome_trace()
+        trace = chrome_trace([("obs", tracer.lanes()), *device_lanes(timing)])
         tracer.clear()
     finally:
         tracer.enabled = was_enabled
 
-    merged = merge_chrome_traces(
-        [obs_trace, overlap_trace, sim_trace],
-        labels=["obs", "pipeline", "sim"],
-    )
     snapshot = registry.snapshot()
     return {
         "snapshot": snapshot,
@@ -314,7 +301,7 @@ def collect_telemetry(smoke: bool) -> Dict:
         "spans_recorded": spans_recorded,
         "iterations": stats.iterations,
         "steady_hidden_fraction": round(stats.steady_hidden_fraction, 4),
-        "trace": merged,
+        "trace": trace,
     }
 
 
@@ -326,7 +313,7 @@ def run_obs_bench(
     which the caller stamps with the revision it measured.
 
     The overhead is the best of 3 rounds at smoke size, else of 7.
-    Writes the merged Chrome trace to ``trace_path`` when given (the
+    Writes the Chrome trace to ``trace_path`` when given (the
     caller owns file placement; the benchmarks wrapper points this at
     ``TRACE_obs.json`` / ``TRACE_obs.smoke.json``).
     """

@@ -1,13 +1,19 @@
-"""Zero-dependency span tracer with Chrome-trace export.
+"""Zero-dependency span tracer and the one Chrome-trace writer.
 
 One global tracer (:func:`get_tracer`) collects ``(name, cat, pid,
 tid, span_id, parent_id, start, end, args)`` spans from every
-instrumented surface — planner stages, pipeline iterations, plan-ring
-probes, KV ops — and exports them in the
-Chrome trace-event format, so they load into Perfetto /
-``chrome://tracing`` on the same timeline as the execution lanes
-produced by :mod:`repro.sim.trace` (merge the files with
-:func:`repro.sim.trace.merge_chrome_traces`).
+instrumented surface — planner stages, pipeline iterations (``fetch
+{i}`` and ``exec {i}`` on the consumer thread), plan-ring probes, KV
+ops.
+
+:func:`chrome_trace` is the only builder of Chrome trace-event dicts
+(Perfetto / ``chrome://tracing``).  It takes processes of lanes of
+``(name, cat, start_s, end_s, args)`` intervals from any source —
+:meth:`Tracer.lanes` (the spans, one lane per thread) or
+:func:`repro.sim.trace.device_lanes` (a simulated execution's compute /
+comm / stall lanes) — so a combined trace is one call.  Complete
+events on one track must nest; intervals that partially overlap on one
+lane go first-fit onto as many sub-tracks as they need.
 
 Tracing is **off by default** and the disabled path is deliberately
 free of locks and allocation: ``span(...)`` reads one bool and returns
@@ -15,9 +21,9 @@ a shared no-op singleton, so instrumentation can stay inline on hot
 paths (the obs benchmark gates the disabled-mode overhead ratio at
 ≤ 1.01 of the uninstrumented time; see ``BENCH_obs.json``).
 
-Identity is thread- and process-aware: span ids embed ``os.getpid()``,
-the thread id is recorded per span, and parent links come from a
-per-thread stack so nesting is correct under concurrent planning.
+Span ids are unique per tracer, the thread id is recorded per span,
+and parent links come from a per-thread stack so nesting is correct
+under concurrent planning.
 
 Timestamps are ``time.perf_counter()``, so spans synthesized from
 measured stamps via :meth:`Tracer.add_span` land at the right wall
@@ -39,9 +45,10 @@ import itertools
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "chrome_trace",
     "Tracer",
     "get_tracer",
     "span",
@@ -51,10 +58,76 @@ __all__ = [
     "tracing_enabled",
 ]
 
-#: Span-id layout: ``pid << _PID_SHIFT | per-process sequence number``.
-_PID_SHIFT = 24
-
 SpanTuple = Tuple[str, str, int, int, int, int, float, float, Optional[dict]]
+
+#: ``(name, cat, start_s, end_s, args)``: one slice of a trace lane.
+Interval = Tuple[str, str, float, float, Optional[dict]]
+#: ``(lane name, intervals)``.
+Lane = Tuple[str, Sequence[Interval]]
+
+
+def _tracks(intervals: Iterable[Interval]) -> List[List[Interval]]:
+    """First-fit ``intervals`` onto sub-tracks, on each of which every
+    two slices are disjoint or nested."""
+    tracks: List[List[Interval]] = []
+    open_ends: List[List[float]] = []  # per track: ends of open slices
+    for interval in sorted(intervals, key=lambda i: (i[2], -i[3])):
+        start, end = interval[2], max(interval[3], interval[2])
+        for track, ends in zip(tracks, open_ends):
+            while ends and ends[-1] <= start:
+                ends.pop()
+            if not ends or end <= ends[-1]:
+                break
+        else:
+            track, ends = [], []
+            tracks.append(track)
+            open_ends.append(ends)
+        track.append(interval)
+        ends.append(end)
+    return tracks
+
+
+def _name_event(kind: str, pid: int, tid: int, name: str) -> dict:
+    """A ``process_name`` / ``thread_name`` metadata event."""
+    return {
+        "name": kind,
+        "ph": "M",
+        "pid": pid,
+        "tid": tid,
+        "args": {"name": name},
+    }
+
+
+def chrome_trace(processes: Iterable[Tuple[str, Sequence[Lane]]]) -> dict:
+    """Chrome trace-event dict of ``(process name, lanes)`` pairs.
+
+    Process ``i`` gets ``pid`` ``i``; each lane one thread per sub-track
+    it needs (the second named ``"<lane> #2"``, …).  Seconds become
+    the format's microseconds.
+    """
+    events: List[dict] = []
+    for pid, (process, lanes) in enumerate(processes):
+        events.append(_name_event("process_name", pid, 0, process))
+        tid = 0
+        for lane, intervals in lanes:
+            for index, track in enumerate(_tracks(intervals)):
+                label = lane if index == 0 else f"{lane} #{index + 1}"
+                events.append(_name_event("thread_name", pid, tid, label))
+                for name, cat, start, end, args in track:
+                    event = {
+                        "name": name,
+                        "cat": cat,
+                        "ph": "X",
+                        "pid": pid,
+                        "tid": tid,
+                        "ts": start * 1e6,
+                        "dur": max(end - start, 0.0) * 1e6,
+                    }
+                    if args:
+                        event["args"] = args
+                    events.append(event)
+                tid += 1
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 class _NullSpan:
@@ -94,7 +167,7 @@ class _Span:
         tracer = self._tracer
         stack = tracer._stack()
         self.parent_id = stack[-1] if stack else 0
-        self.span_id = tracer._next_id()
+        self.span_id = next(tracer._ids)
         stack.append(self.span_id)
         self.start = time.perf_counter()
         return self
@@ -133,7 +206,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self.enabled = False
-        self.origin = time.perf_counter()
         self._spans: List[SpanTuple] = []
         self._ids = itertools.count(1)
         self._tls = threading.local()
@@ -144,9 +216,6 @@ class Tracer:
         if stack is None:
             stack = self._tls.stack = []
         return stack
-
-    def _next_id(self) -> int:
-        return (os.getpid() << _PID_SHIFT) | next(self._ids)
 
     # -- recording ---------------------------------------------------------
 
@@ -173,7 +242,7 @@ class Tracer:
                 cat,
                 os.getpid(),
                 threading.get_ident(),
-                self._next_id(),
+                next(self._ids),
                 0,
                 start,
                 end,
@@ -188,11 +257,9 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
-    def clear(self, reset_origin: bool = False) -> None:
-        """Drop recorded spans (optionally restart the clock origin)."""
+    def clear(self) -> None:
+        """Drop recorded spans."""
         self._spans = []
-        if reset_origin:
-            self.origin = time.perf_counter()
 
     def spans(self) -> List[SpanTuple]:
         return list(self._spans)
@@ -201,64 +268,29 @@ class Tracer:
         return len(self._spans)
 
     # -- export ------------------------------------------------------------
-    def to_chrome_trace(self) -> dict:
-        """Chrome trace-event dict (Perfetto-loadable).
-
-        Timestamps are rebased to :attr:`origin` and in microseconds,
-        the format's native unit.  The returned dict carries
-        ``clockOrigin`` — the ``perf_counter`` value of trace-local t=0 —
-        which :func:`repro.sim.trace.merge_chrome_traces` uses to align
-        this trace with others from the same clock.
-        """
-        events: List[dict] = []
-        thread_index: Dict[Tuple[int, int], int] = {}
-        for pid in sorted({s[2] for s in self._spans}):
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"obs pid {pid}"},
-                }
-            )
-        for name, cat, pid, tid, span_id, parent_id, start, end, args in self._spans:
-            key = (pid, tid)
-            index = thread_index.get(key)
-            if index is None:
-                index = sum(1 for (p, _t) in thread_index if p == pid)
-                thread_index[key] = index
-                events.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": index,
-                        "args": {"name": f"thread {index}"},
-                    }
-                )
+    def lanes(self) -> List[Lane]:
+        """The spans as one lane per thread, in seconds from the first
+        span's start; span and parent ids ride in each slice's args."""
+        spans = list(self._spans)
+        origin = min((s[6] for s in spans), default=0.0)
+        lanes: Dict[int, List[Interval]] = {}
+        for name, cat, _pid, tid, span_id, parent_id, start, end, args in spans:
             event_args = {"span_id": span_id}
             if parent_id:
                 event_args["parent_id"] = parent_id
             if args:
                 event_args.update(args)
-            events.append(
-                {
-                    "name": name,
-                    "cat": cat or "obs",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": index,
-                    "ts": (start - self.origin) * 1e6,
-                    "dur": max(end - start, 0.0) * 1e6,
-                    "args": event_args,
-                }
+            lanes.setdefault(tid, []).append(
+                (name, cat or "obs", start - origin, end - origin, event_args)
             )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "clockOrigin": self.origin,
-        }
+        return [
+            (f"thread {index}", intervals)
+            for index, intervals in enumerate(lanes.values())
+        ]
+
+    def to_chrome_trace(self) -> dict:
+        """Chrome trace-event dict of the spans (Perfetto-loadable)."""
+        return chrome_trace([("obs", self.lanes())])
 
 
 _TRACER = Tracer()

@@ -27,7 +27,11 @@ model execution" claim from an analytic replay
 * :class:`~repro.pipeline.driver.PipelineRunner` — drains a pipeline
   through an execute callback (the cost-model stand-in
   :func:`~repro.pipeline.driver.cost_model_executor`, say) and reports
-  the measured :class:`OverlapStats` + timeline.
+  the measured :class:`OverlapStats`.
+
+With tracing on (:func:`repro.obs.enable_tracing`) the run's timeline
+is the tracer's: ``fetch {i}`` and ``exec {i}`` spans on the consumer
+thread, ``plan_batch`` spans on the planner workers'.
 
 ``repro.core.DCPDataloader`` is this package's pipeline class under the
 paper's name; pass ``backend=KVPlannerBackend(...)`` to plan over the

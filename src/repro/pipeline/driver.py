@@ -4,9 +4,10 @@ The pipeline measures execution as "time the consumer spends between
 yields"; this module supplies the consumers:
 
 * :class:`PipelineRunner` — drains the pipeline through an execute
-  callback, so the per-iteration timeline records *measured* execution
-  wall time against *measured* planning wall time — the §6.1 figure as
-  an experiment rather than a simulation.
+  callback, so the iteration records hold *measured* execution wall
+  time against *measured* planning wall time — the §6.1 figure as an
+  experiment rather than a simulation (with tracing on, the same
+  intervals are the tracer's ``exec {i}`` / ``fetch {i}`` spans).
 * :func:`cost_model_executor` — the execute callback that prices the
   plan with :func:`~repro.sim.e2e_iteration_time` and occupies exactly
   the (scaled) simulated iteration time.  This is how the overlap
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from ..core.pool import PlanningTimeline
 from .pipeline import OverlapStats, StreamingOverlapPipeline
 
 __all__ = ["OverlapReport", "PipelineRunner", "cost_model_executor"]
@@ -31,7 +31,6 @@ class OverlapReport:
     """Everything one driven pipeline run measured."""
 
     stats: OverlapStats
-    timeline: PlanningTimeline
     executions: List[dict] = field(default_factory=list)
 
 
@@ -71,9 +70,8 @@ class PipelineRunner:
             executions.append(info or {})
             if self.on_iteration is not None:
                 self.on_iteration(len(executions) - 1, executions[-1])
-        stats = self.pipeline.stats()
         return OverlapReport(
-            stats=stats, timeline=stats.timeline(), executions=executions
+            stats=self.pipeline.stats(), executions=executions
         )
 
 

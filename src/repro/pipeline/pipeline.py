@@ -44,11 +44,14 @@ prefetch window.  Retries are counted in ``OverlapStats.plan_retries``.
 
 The pipeline keeps one :class:`OverlapStats`, updated where each event
 happens.  Every yielded plan carries ``plan.meta["overlap"]`` (the
-iteration's record plus those aggregates under ``"running"``),
+iteration's record plus those aggregates under ``"running"``), and
 :meth:`StreamingOverlapPipeline.stats` returns a copy carrying the
-records, and the per-iteration timeline is exposed as a
-:class:`~repro.core.pool.PlanningTimeline`, the same shape the analytic
-model produces, so measurement and model plot on one axis.
+records; their ``plan_s`` / ``exec_s`` feed the analytic model
+(:func:`~repro.core.pool.simulate_planning_overlap`) directly.  With
+tracing on, the timeline is the tracer's: each iteration's ``fetch
+{i}`` span (``[exec_start - stall, exec_start]``) and ``exec {i}`` span
+(``[exec_start, exec_end]``) on the consumer thread, every
+``plan_batch`` on the worker that ran it.
 
 Cached plans are shared objects: when the same plan is yielded for
 several iterations (cache hits, deduplicated signatures), its
@@ -117,7 +120,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 from ..core.cache import PlanCache, batch_signature
 from ..core.dataloader import LocalData, _local_data
 from ..core.planwire import encode_device_payload
-from ..core.pool import PlanningTimeline
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import add_span as _add_span
 from ..obs.trace import tracing_enabled as _tracing
@@ -233,16 +235,6 @@ class OverlapStats:
         if self.steady_plan_s <= 0.0:
             return 1.0
         return max(1.0 - self.steady_stall_s / self.steady_plan_s, 0.0)
-
-    def timeline(self) -> PlanningTimeline:
-        """The measured run in the analytic model's own terms."""
-        return PlanningTimeline(
-            exec_start=[r.exec_start for r in self.records],
-            exec_end=[r.exec_end for r in self.records],
-            plan_start=[r.plan_start for r in self.records],
-            plan_end=[r.plan_end for r in self.records],
-            stalls=[r.stall for r in self.records],
-        )
 
     def as_dict(self) -> dict:
         """JSON-ready aggregates: no per-iteration records, and the
@@ -424,14 +416,6 @@ class StreamingOverlapPipeline:
         )
         self._iter_count = self.metrics.counter("pipeline.iterations")
         self._stall_counter = self.metrics.counter("pipeline.stalls")
-
-    @property
-    def clock_origin(self) -> Optional[float]:
-        """``time.perf_counter()`` value of the run's t=0 (None before
-        iteration starts).  Lets :func:`repro.sim.overlap_chrome_trace`
-        output be merged with tracer spans from the same run on one
-        epoch (:func:`repro.sim.merge_chrome_traces`)."""
-        return self._origin
 
     # -- submission --------------------------------------------------------
 

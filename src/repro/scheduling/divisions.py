@@ -71,8 +71,6 @@ class DeviceSchedule:
     divisions: List[List[CompBlock]]
     # New remote input blocks first needed in each division.
     fetches: List[List[DataBlockId]]
-    # Partial outputs this device must ship to their home afterwards.
-    output_sends: List[DataBlockId]
 
 
 @dataclass
@@ -208,10 +206,6 @@ class _Prep:
                 fetches=[
                     [self.data_block(kinds[b % 2], b // 2) for b, _, _ in fetch]
                     for fetch in fill.fetches
-                ],
-                output_sends=[
-                    self.data_block(BlockKind.O, b)
-                    for b, _, _ in self.output_sends[device]
                 ],
             )
             for device, fill in enumerate(fills)

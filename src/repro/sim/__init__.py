@@ -1,4 +1,9 @@
-"""Cluster specification, timing simulation and model cost."""
+"""Cluster specification, timing simulation and model cost.
+
+A simulated execution exports as a Chrome trace (:func:`to_chrome_trace`)
+or as per-device lanes (:func:`device_lanes`) for
+:func:`repro.obs.trace.chrome_trace`, the repo's one trace writer.
+"""
 
 from .cluster import (
     ClusterEvent,
@@ -12,16 +17,14 @@ from .modelcost import E2EResult, e2e_iteration_time
 from .timing import DeviceTiming, TimingResult, simulate_plan
 from .trace import (
     ascii_gantt,
-    merge_chrome_traces,
-    overlap_chrome_trace,
+    device_lanes,
     to_chrome_trace,
     write_chrome_trace,
 )
 
 __all__ = [
     "ascii_gantt",
-    "merge_chrome_traces",
-    "overlap_chrome_trace",
+    "device_lanes",
     "to_chrome_trace",
     "write_chrome_trace",
     "ClusterSpec",

@@ -31,6 +31,7 @@ from repro.placement import (
     static_placement,
 )
 from repro.scheduling import (
+    CommLaunch,
     build_schedule,
     fill_divisions,
     plan_compatible,
@@ -102,14 +103,32 @@ def simulated(schedule, cluster=None) -> float:
     )
 
 
+def output_sends(schedule):
+    """Every partial-output send of the serialized plan, per device."""
+    plan = serialize_schedule(schedule)
+    return {
+        device: [
+            (send.tag[1], send.peer)
+            for op in device_plan.instructions
+            if isinstance(op, CommLaunch)
+            for send in op.sends
+            if send.tag[0] == "out"
+        ]
+        for device, device_plan in plan.device_plans.items()
+    }
+
+
 def same_schedule(a, b) -> bool:
-    return a.num_divisions == b.num_divisions and all(
-        (x.divisions, x.fetches, x.output_sends)
-        == (y.divisions, y.fetches, y.output_sends)
-        for x, y in (
-            (a.device_schedules[d], b.device_schedules[d])
-            for d in a.device_schedules
+    return (
+        a.num_divisions == b.num_divisions
+        and all(
+            (x.divisions, x.fetches) == (y.divisions, y.fetches)
+            for x, y in (
+                (a.device_schedules[d], b.device_schedules[d])
+                for d in a.device_schedules
+            )
         )
+        and output_sends(a) == output_sends(b)
     )
 
 

@@ -43,11 +43,16 @@ class TestFaultInjector:
         assert injector.delay_s("shard:a") == 0.0
         assert injector.is_killed("shard:a")  # clear lifts faults, not kill
 
-    def test_log(self):
+    def test_faults_are_per_target(self):
         injector = FaultInjector()
         injector.kill("shard:a")
         injector.slow("shard:b", 0.02)
-        assert injector.log == [("kill", "shard:a"), ("slow", "shard:b")]
+        assert injector.is_killed("shard:a")
+        assert injector.delay_s("shard:a") == 0.0
+        assert not injector.is_killed("shard:b")
+        assert injector.delay_s("shard:b") == pytest.approx(0.02)
+        assert injector.restart_count("shard:a") == 0
+        assert not injector.is_killed("shard:c")
 
 
 # -- schedule DSL -------------------------------------------------------------
@@ -97,9 +102,9 @@ class TestFaultSchedule:
         injector = FaultInjector()
         with ScheduleRunner(schedule, injector) as runner:
             runner.join(timeout=5.0)
+        # Both events applied: killed, then restarted.
         assert not injector.is_killed("shard:a")
         assert injector.restart_count("shard:a") == 1
-        assert len(runner.applied) == 2
 
 
 # -- injection at the sharded store -------------------------------------------

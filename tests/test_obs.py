@@ -3,7 +3,7 @@
 Covers the tentpole guarantees: span nesting and thread-safety of the
 tracer, histogram quantile accuracy against ``numpy.percentile``,
 snapshots surviving the repo's own transports, the disabled-path overhead bound, the
-Chrome-trace export + shared-epoch merge, and the migrated attribute
+Chrome-trace export, and the migrated attribute
 views (transport stats, cache stats, pool counters, KV traffic)
 staying shape-identical to their pre-registry forms.
 """
@@ -25,7 +25,8 @@ from repro.obs import MetricsRegistry, NullRegistry, Tracer, span
 from repro.obs.bench import plan_fetch_summary
 from repro.obs.metrics import _bucket_quantile
 from repro.placement import PlacementConfig
-from repro.sim import ClusterSpec, merge_chrome_traces
+from repro.sim import ClusterSpec
+from trace_oracles import assert_tracks_nest
 
 CLUSTER = ClusterSpec(num_machines=2, devices_per_machine=2)
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -137,18 +138,25 @@ class TestTracer:
         assert per_call < 2e-6
 
     def test_chrome_trace_export(self):
+        """Slices are in microseconds from the first span's start; the
+        measured interval spans the context-managed one, so the two
+        share a track."""
+        start = time.perf_counter()
         with recording_to(enabled_tracer()) as tracer:
             with span("work", "test", key="value"):
                 pass
-        tracer.add_span("measured", "test", tracer.origin, tracer.origin + 0.5)
+        tracer.add_span("measured", "test", start, start + 0.5)
         trace = tracer.to_chrome_trace()
-        assert trace["clockOrigin"] == tracer.origin
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in slices}
         assert names == {"work", "measured"}
         measured = next(e for e in slices if e["name"] == "measured")
-        assert measured["ts"] == pytest.approx(0.0, abs=1e-6)
+        work = next(e for e in slices if e["name"] == "work")
+        assert measured["ts"] == 0.0
         assert measured["dur"] == pytest.approx(5e5)
+        assert work["args"]["key"] == "value"
+        assert work["tid"] == measured["tid"]
+        assert_tracks_nest(trace)
         json.dumps(trace)  # serializable
 
 
@@ -332,54 +340,4 @@ class TestInstrumentation:
         assert not [name for name in snap if name.startswith("transport.")]
         assert report["plan_fetch"]["hit"]["count"] == 3
         assert report["trace"]["traceEvents"]
-
-
-# -- chrome-trace merge ---------------------------------------------------
-
-
-class TestMergeChromeTraces:
-    def test_shared_epoch_rebase_and_pid_namespacing(self):
-        early = enabled_tracer()
-        late = enabled_tracer()
-        late.origin = early.origin + 2.0  # late trace starts 2s in
-        late.add_span("b", "test", late.origin, late.origin + 0.5)
-        early.add_span("a", "test", early.origin, early.origin + 0.5)
-        merged = merge_chrome_traces(
-            [early.to_chrome_trace(), late.to_chrome_trace()],
-            labels=["early", "late"],
-        )
-        slices = {
-            e["name"]: e for e in merged["traceEvents"] if e["ph"] == "X"
-        }
-        # late's span lands 2s (2e6µs) after early's on the shared epoch
-        assert slices["b"]["ts"] - slices["a"]["ts"] == pytest.approx(
-            2e6, rel=1e-6
-        )
-        assert slices["a"]["pid"] != slices["b"]["pid"]
-        labels = {
-            e["args"]["name"]
-            for e in merged["traceEvents"]
-            if e.get("ph") == "M" and e.get("name") == "process_name"
-        }
-        assert any(name.startswith("early:") for name in labels)
-        assert any(name.startswith("late:") for name in labels)
-
-    def test_origin_free_trace_lands_at_epoch(self):
-        tracer = enabled_tracer()
-        tracer.add_span("a", "test", tracer.origin + 1.0, tracer.origin + 2.0)
-        sim_trace = {
-            "traceEvents": [
-                {"name": "sim", "ph": "X", "pid": 0, "tid": 0,
-                 "ts": 0.0, "dur": 10.0}
-            ]
-        }
-        merged = merge_chrome_traces([tracer.to_chrome_trace(), sim_trace])
-        slices = {
-            e["name"]: e for e in merged["traceEvents"] if e["ph"] == "X"
-        }
-        assert slices["sim"]["ts"] == 0.0
-        assert slices["a"]["ts"] == pytest.approx(1e6, rel=1e-6)
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            merge_chrome_traces([{"traceEvents": []}], labels=["a", "b"])
+        assert_tracks_nest(report["trace"])

@@ -5,6 +5,7 @@ tests run once per feeding (``feed``): a materialized list and a
 generator with no upfront length.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro import (
     make_mask,
 )
 from repro.core import DCPDataloader, KVStore, PlanCache
+from repro.obs import disable_tracing, enable_tracing, get_tracer
 from repro.pipeline import (
     KVPlannerBackend,
     PipelineRunner,
@@ -28,7 +30,8 @@ from repro.pipeline import (
     plan_fingerprint,
 )
 from repro.placement import PlacementConfig
-from repro.sim import ClusterEventSource, overlap_chrome_trace
+from repro.sim import ClusterEventSource
+from trace_oracles import assert_tracks_nest
 
 
 def make_planner(devices=2, block_size=16):
@@ -269,7 +272,7 @@ class TestOverlapMeasurement:
         # STALL_EPS threshold, not a hiding failure (seed-era flake).
         assert stats.steady_stall_s < 5e-3
         assert stats.steady_hidden_fraction > 0.5
-        assert all(stall <= 5e-3 for stall in stats.timeline().stalls[1:])
+        assert all(record.stall <= 5e-3 for record in stats.records[1:])
 
     def test_meta_carries_overlap_record(self):
         planner = make_planner()
@@ -284,21 +287,59 @@ class TestOverlapMeasurement:
             assert "running" in overlap
             assert 0.0 <= overlap["running"]["hidden_fraction"] <= 1.0
 
-    def test_timeline_matches_analytic_shape(self):
-        planner = make_planner()
+    def test_tracer_carries_the_timeline(self):
+        """With tracing on, each record's fetch and execution windows
+        are one ``fetch {i}`` and one ``exec {i}`` span on the consumer
+        thread, every dispatched plan a ``plan_batch`` span on a worker,
+        and the tracer's Chrome trace nests."""
+        planner = SlowPlanner(make_planner(), delay=0.02)
         pipeline = StreamingOverlapPipeline(
-            make_batches(3), planner, lookahead=1
+            make_batches(6), planner, lookahead=2, max_workers=2
         )
-        for _, _plan in pipeline:
-            time.sleep(0.01)
-        timeline = pipeline.stats().timeline()
-        assert len(timeline.exec_start) == 3
-        for i in range(1, 3):
-            assert timeline.exec_start[i] >= timeline.exec_end[i - 1] - 1e-9
-            assert timeline.plan_end[i] <= timeline.exec_start[i] + 1e-9
-        trace = overlap_chrome_trace(timeline)
-        slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert len(slices) >= 6  # 3 exec + 3 plan
+        tracer = get_tracer()
+        tracer.clear()
+        enable_tracing()
+        try:
+            for _, _plan in pipeline:
+                time.sleep(0.005)
+            spans = tracer.spans()
+            trace = tracer.to_chrome_trace()
+        finally:
+            disable_tracing()
+            tracer.clear()
+        records = pipeline.stats().records
+        workers = {thread.ident for thread in pipeline._backend._pool._threads}
+        consumer = threading.get_ident()
+
+        def named(prefix):
+            found = {}
+            for name, cat, _pid, tid, *_ids, start, end, _args in spans:
+                if name.startswith(prefix) and cat == "pipeline":
+                    assert tid == consumer
+                    index = int(name[len(prefix):])
+                    assert index not in found, f"two {name} spans"
+                    found[index] = (start, end)
+            return found
+
+        fetches, executions = named("fetch "), named("exec ")
+        assert sorted(fetches) == sorted(executions) == [
+            record.index for record in records
+        ]
+        first = records[0]
+        origin = fetches[first.index][0] - (first.exec_start - first.stall)
+        for record in records:
+            fetch = [t - origin for t in fetches[record.index]]
+            execution = [t - origin for t in executions[record.index]]
+            assert fetch == pytest.approx(
+                [record.exec_start - record.stall, record.exec_start], abs=1e-6
+            )
+            assert execution == pytest.approx(
+                [record.exec_start, record.exec_end], abs=1e-6
+            )
+        plan_threads = [span[3] for span in spans if span[0] == "plan_batch"]
+        assert consumer not in plan_threads
+        assert sum(tid in workers for tid in plan_threads) == len(records)
+        assert_tracks_nest(trace)
 
     def test_queue_depth_reported(self):
         planner = make_planner()
@@ -622,7 +663,7 @@ class TestPipelineRunner:
         assert len(report.executions) == 2
         assert len(outputs) == 2
         assert report.stats.total_exec_s > 0.0
-        assert len(report.timeline.exec_start) == 2
+        assert len(report.stats.records) == 2
 
     def test_cost_model_executor_occupies_time(self):
         planner = make_planner()

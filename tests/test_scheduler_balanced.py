@@ -8,7 +8,12 @@ from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask, LambdaMask
 from repro.placement import PlacementConfig, place_blocks
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
-from repro.scheduling import fill_divisions, serialize_schedule, validate_plan
+from repro.scheduling import (
+    CommLaunch,
+    fill_divisions,
+    serialize_schedule,
+    validate_plan,
+)
 from repro.sim import simulate_plan
 
 ATTENTION = AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16)
@@ -86,11 +91,19 @@ class TestBalancedScheduler:
 
     def test_balanced_respects_comm_budget_middle_divisions(self):
         schedule = _schedule("balanced")
+        plan = serialize_schedule(schedule)
         block_bytes = schedule.block_set.block_bytes
-        for ds in schedule.device_schedules.values():
+        for device, ds in schedule.device_schedules.items():
+            outputs = {
+                send.tag[1]
+                for op in plan.device_plans[device].instructions
+                if isinstance(op, CommLaunch)
+                for send in op.sends
+                if send.tag[0] == "out"
+            }
             total = sum(
                 block_bytes(b) for fetch in ds.fetches for b in fetch
-            ) + sum(block_bytes(b) for b in ds.output_sends)
+            ) + sum(block_bytes(b) for b in outputs)
             if total == 0:
                 continue
             limit = total / schedule.num_divisions

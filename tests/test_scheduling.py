@@ -106,7 +106,10 @@ class TestDivisions:
             assert len(flat) == len(set(flat)), "remote block fetched twice"
 
     def test_output_sends_match_placement(self):
+        """The serialized plan ships each partial output computed away
+        from its query slice to that slice's device, once."""
         block_set, placement, schedule = planned(seed=2)
+        plan = serialize_schedule(schedule)
         slice_idx = {
             (ts.seq_index, ts.block_index): i
             for i, ts in enumerate(block_set.token_slices)
@@ -120,8 +123,16 @@ class TestDivisions:
                     ]
                 )
                 if home != device:
-                    expected.add(comp.output)
-            assert set(device_schedule.output_sends) == expected
+                    expected.add((comp.output, home))
+            sent = [
+                (send.tag[1], send.peer)
+                for op in plan.device_plans[device].instructions
+                if isinstance(op, CommLaunch)
+                for send in op.sends
+                if send.tag[0] == "out"
+            ]
+            assert len(sent) == len(set(sent))
+            assert set(sent) == expected
 
     def test_single_division(self):
         _, _, schedule = planned(num_divisions=1)

@@ -1,4 +1,6 @@
-"""Tests for the timeline/trace export (repro.sim.trace)."""
+"""Tests for the timeline/trace export (repro.sim.trace) and the one
+Chrome-trace writer it shares with the tracer
+(repro.obs.trace.chrome_trace)."""
 
 import json
 import os
@@ -6,9 +8,11 @@ import os
 import pytest
 
 from repro.baselines import RingAttentionPlanner
+from repro.bench import PAPER_MASKS, BenchScale, make_batches
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner
 from repro.masks import CausalMask
+from repro.obs.trace import chrome_trace
 from repro.placement import PlacementConfig
 from repro.sim import (
     ClusterSpec,
@@ -17,6 +21,7 @@ from repro.sim import (
     to_chrome_trace,
     write_chrome_trace,
 )
+from trace_oracles import assert_tracks_nest, partial_overlaps
 
 CLUSTER = ClusterSpec(num_machines=2, devices_per_machine=2)
 
@@ -91,14 +96,17 @@ class TestChromeTrace:
                 assert event["dur"] >= 0.0
 
     def test_time_scale(self, result):
+        """Every simulated event is one slice of its device's process,
+        its seconds in microseconds."""
         slices = [e for e in to_chrome_trace(result)["traceEvents"]
                   if e["ph"] == "X"]
-        events = [event for _device, timing in sorted(result.devices.items())
-                  for event in timing.events]
-        assert len(slices) == len(events)
-        for event, (_name, _lane, start, end) in zip(slices, events):
-            assert event["ts"] == pytest.approx(start * 1e6)
-            assert event["dur"] == pytest.approx(max(end - start, 0.0) * 1e6)
+        assert sorted(
+            (e["pid"], e["name"], e["cat"], e["ts"], e["dur"]) for e in slices
+        ) == sorted(
+            (device, name, lane, start * 1e6, max(end - start, 0.0) * 1e6)
+            for device, timing in result.devices.items()
+            for name, lane, start, end in timing.events
+        )
 
     def test_write_round_trip(self, result, tmp_path):
         path = os.path.join(tmp_path, "trace.json")
@@ -106,6 +114,62 @@ class TestChromeTrace:
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded["traceEvents"]
+
+
+def dcp_causal_plans():
+    """The first three seed-0 LongAlign causal batches of 8192 tokens,
+    512-token blocks, planned on 2x4 devices."""
+    scale = BenchScale.sweep(token_budget=8192, block_size=512, num_batches=3)
+    planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
+    return [
+        planner.plan_batch(batch)
+        for batch in make_batches("longalign", scale, PAPER_MASKS["causal"]())
+    ]
+
+
+class TestTracksNest:
+    def test_helper_finds_a_partial_overlap(self):
+        def slice_(ts, dur, tid=0):
+            return {"name": "s", "ph": "X", "pid": 0, "tid": tid,
+                    "ts": ts, "dur": dur}
+
+        nested = [slice_(0, 10), slice_(2, 3), slice_(5, 5), slice_(10, 1)]
+        assert partial_overlaps(nested) == []
+        crossing = [slice_(0, 10), slice_(5, 10)]
+        assert len(partial_overlaps(crossing)) == 1
+        # Another thread's slices never conflict.
+        assert partial_overlaps([slice_(0, 10), slice_(5, 10, tid=1)]) == []
+
+    def test_writer_first_fits_partial_overlaps(self):
+        lane = [("a", "x", 0.0, 2.0, None), ("b", "x", 1.0, 3.0, None),
+                ("c", "x", 1.5, 1.8, None), ("d", "x", 2.5, 2.6, None)]
+        trace = chrome_trace([("p", [("lane", lane)])])
+        assert_tracks_nest(trace)
+        threads = {e["tid"]: e["args"]["name"] for e in trace["traceEvents"]
+                   if e["name"] == "thread_name"}
+        assert threads == {0: "lane", 1: "lane #2"}
+        tids = {e["name"]: e["tid"] for e in trace["traceEvents"]
+                if e["ph"] == "X"}
+        assert tids == {"a": 0, "c": 0, "d": 0, "b": 1}
+
+    def test_ring_plan_nests(self, result):
+        assert_tracks_nest(to_chrome_trace(result))
+
+    def test_dcp_plans_nest(self):
+        """Concurrent transfers of one device go onto extra comm
+        tracks; every one of the 200-odd transfers stays in the trace."""
+        for plan in dcp_causal_plans():
+            result = simulate_plan(plan)
+            trace = to_chrome_trace(result)
+            assert_tracks_nest(trace)
+            slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+            assert len(slices) == sum(
+                len(timing.events) for timing in result.devices.values()
+            )
+            comm_tracks = {
+                (e["pid"], e["tid"]) for e in slices if e["cat"] == "comm"
+            }
+            assert len(comm_tracks) > len(result.devices)
 
 
 class TestAsciiGantt:
