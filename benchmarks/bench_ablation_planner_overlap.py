@@ -8,9 +8,9 @@ with more than 10 CPU cores".  This ablation closes the loop with
 per-iteration execution times from the 8B-GPT cost model, replayed
 through the §6.1 look-ahead pipeline at varying core counts.
 
-This ablation replays the *analytic* pipeline model; the real thing —
-background planner workers measured against wall time — lives in
-:mod:`repro.pipeline` and ``bench_overlap_pipeline.py`` (which writes
+The replay is :class:`repro.pipeline.StreamingOverlapPipeline` itself on
+virtual time (:func:`repro.pipeline.replay`); the same pipeline measured
+against wall time is ``bench_overlap_pipeline.py`` (which writes
 ``BENCH_overlap.json``).
 """
 
@@ -22,14 +22,15 @@ from conftest import run_once
 from figures import Table
 
 from repro.bench import BenchScale, PAPER_MASKS, make_batches
-from repro.core import DCPPlanner, simulate_planning_overlap
+from repro.core import DCPPlanner
+from repro.pipeline import replay
 from repro.sim import e2e_iteration_time
 
 
-def _hidden(timeline, warmup: int) -> bool:
+def _hidden(stats, warmup: int) -> bool:
     """No execution stall after the first ``warmup`` iterations (the
     pipeline's ramp-up from a cold start)."""
-    return all(stall <= 1e-9 for stall in timeline.stalls[warmup:])
+    return all(record.stall <= 1e-9 for record in stats.records[warmup:])
 
 
 def min_cores_to_hide_planning(plan_times, exec_times, lookahead, warmup,
@@ -38,11 +39,7 @@ def min_cores_to_hide_planning(plan_times, exec_times, lookahead, warmup,
     ``None`` when even ``max_cores`` cannot (a batch planning longer
     than ``lookahead`` iterations of execution never hides)."""
     for cores in range(1, max_cores + 1):
-        timeline = simulate_planning_overlap(
-            plan_times, exec_times, cores_per_machine=cores,
-            lookahead=lookahead,
-        )
-        if _hidden(timeline, warmup):
+        if _hidden(replay(plan_times, exec_times, cores, lookahead), warmup):
             return cores
     return None
 
@@ -89,17 +86,8 @@ def test_ablation_planner_overlap(benchmark, results_dir):
             {1, 2, 4, max(1, int(ratio / 2)), int(ratio) + 1}
         )
         for cores in core_sweep:
-            timeline = simulate_planning_overlap(
-                plan_seq,
-                exec_seq,
-                cores_per_machine=cores,
-                lookahead=lookahead,
-            )
-            table.add(
-                cores,
-                timeline.stall_fraction,
-                str(_hidden(timeline, warmup)),
-            )
+            stats = replay(plan_seq, exec_seq, cores, lookahead)
+            table.add(cores, stats.stall_fraction, str(_hidden(stats, warmup)))
         min_cores = min_cores_to_hide_planning(
             plan_seq, exec_seq, lookahead=lookahead, warmup=warmup
         )

@@ -10,8 +10,8 @@ the 8B-GPT cost-model iteration time
 is the paper's, not an artifact of this machine.
 
 Each cell also replays the measured per-iteration plan/exec times
-through the analytic model (:func:`simulate_planning_overlap`) so the
-report shows measurement and model side by side.
+through the same pipeline on virtual time (:func:`repro.pipeline.replay`)
+so the report shows measurement and model side by side.
 
 ``--streaming`` measures the online mode instead: the same Fig. 18
 sweep point planned over a *generator* feeding the pipeline as the
@@ -127,11 +127,12 @@ def _measure_cell(
     time_scale: float,
 ) -> Dict:
     """One (kappa, workers) pipeline run, fresh planner+cache."""
-    from repro.core import DCPPlanner, PlanCache, simulate_planning_overlap
+    from repro.core import DCPPlanner, PlanCache
     from repro.pipeline import (
         PipelineRunner,
         StreamingOverlapPipeline,
         cost_model_executor,
+        replay,
     )
 
     planner = DCPPlanner(scale.cluster, scale.attention, scale.dcp_config())
@@ -149,15 +150,13 @@ def _measure_cell(
     report = runner.run()
     stats = report.stats
 
-    # Replay the measured profile through the analytic model: does the
-    # §6.1 simulation agree with what the real pipeline measured?
-    plan_times = [r.plan_s for r in stats.records]
-    exec_times = [r.exec_s for r in stats.records]
-    predicted = simulate_planning_overlap(
-        plan_times,
-        exec_times,
-        cores_per_machine=workers,
-        lookahead=kappa,
+    # Replay the measured profile through the pipeline on virtual time:
+    # does the §6.1 model agree with what the wall-clock run measured?
+    predicted = replay(
+        [r.plan_s for r in stats.records],
+        [r.exec_s for r in stats.records],
+        workers,
+        kappa,
     )
 
     row = {

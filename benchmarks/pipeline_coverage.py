@@ -96,8 +96,9 @@ def main(argv=None) -> int:
         # Tracing makes the pipeline's own bookkeeping ~10x slower,
         # which pushes queue waits past the default stall threshold and
         # flips timing assertions.  Raise the threshold well above
-        # tracer noise but far below any injected stall (tests use
-        # >= 12 ms plans).
+        # tracer noise but below any stall a test injects (wall-clock
+        # tests use >= 12 ms plans; virtual-time tests, which tracing
+        # cannot slow, count a 5 ms stall and not a 50 us wait).
         repro.pipeline.pipeline.STALL_EPS = 2e-3
 
         exit_code = pytest.main(["-q", "-p", "no:cacheprovider", *targets])

@@ -5,11 +5,12 @@ Drives :class:`repro.pipeline.StreamingOverlapPipeline` over the Fig.
 while batch ``i`` "executes" (the 8B-GPT cost-model iteration time) —
 and prints the *measured* overlap: how much planning was hidden, where
 the stalls were, how often the plan cache short-circuited a worker.
-It then replays the measured per-iteration times through the analytic
-model (``simulate_planning_overlap``) to show measurement and model
-agreeing, and writes the tracer's Chrome/Perfetto trace of the run:
-``fetch {i}`` / ``exec {i}`` on the consumer thread, every
-``plan_batch`` and its stages on the planner worker that ran it.
+It writes the tracer's Chrome/Perfetto trace of the run — ``fetch {i}``
+/ ``exec {i}`` on the consumer thread, every ``plan_batch`` and its
+stages on the planner worker that ran it — and then replays the
+measured per-iteration times through the same pipeline on virtual time
+(``repro.pipeline.replay``, the §6.1 model) to show measurement and
+model agreeing.
 
 Run:  python examples/overlapped_planning.py           # scaled-down, ~30 s
       python examples/overlapped_planning.py --full    # Fig. 18 sweep size
@@ -20,12 +21,13 @@ import json
 import os
 
 from repro.bench import BenchScale, PAPER_MASKS, make_batches
-from repro.core import DCPPlanner, PlanCache, simulate_planning_overlap
+from repro.core import DCPPlanner, PlanCache
 from repro.obs import disable_tracing, enable_tracing, get_tracer
 from repro.pipeline import (
     PipelineRunner,
     StreamingOverlapPipeline,
     cost_model_executor,
+    replay,
 )
 
 
@@ -95,26 +97,27 @@ def main() -> None:
             f"  {record.stall:7.3f}  {'hit' if record.cache_hit else '-'}"
         )
 
-    # The analytic §6.1 model fed with the measured per-iteration times
-    # should predict roughly the stalls the pipeline actually measured.
-    predicted = simulate_planning_overlap(
-        [r.plan_s for r in stats.records],
-        [r.exec_s for r in stats.records],
-        cores_per_machine=args.workers,
-        lookahead=args.kappa,
-    )
-    print(
-        f"\nanalytic model on the measured profile: stall fraction "
-        f"{predicted.stall_fraction:.3f} "
-        f"(measured {stats.total_stall_s / max(stats.wall_s, 1e-9):.3f})"
-    )
-
+    # The trace goes first: the replay below runs with tracing off.
     out_dir = os.path.join(os.path.dirname(__file__), "traces")
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "overlap_pipeline.json")
     with open(trace_path, "w") as handle:
         json.dump(get_tracer().to_chrome_trace(), handle)
-    print(f"wrote {trace_path} (open in chrome://tracing or Perfetto)")
+    print(f"\nwrote {trace_path} (open in chrome://tracing or Perfetto)")
+
+    # The pipeline on virtual time, fed the measured per-iteration
+    # times, should predict roughly the stalls it measured on wall time.
+    predicted = replay(
+        [r.plan_s for r in stats.records],
+        [r.exec_s for r in stats.records],
+        args.workers,
+        args.kappa,
+    )
+    print(
+        f"virtual-time replay of the measured profile: stall fraction "
+        f"{predicted.stall_fraction:.3f} "
+        f"(measured {stats.stall_fraction:.3f})"
+    )
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Public DCP API: config, planner, dataloader, distributed planning."""
+"""Public DCP API: config, planner, plan cache and wire, dataloader, KV store."""
 
 from .autotune import AutotuneResult, BlockSizeScore, autotune_block_size
 from .cache import PlanAbandoned, PlanCache, batch_signature
@@ -14,7 +14,6 @@ from .planwire import (
     encode_device_payload,
     encode_plan,
 )
-from .pool import PlanningTimeline, simulate_planning_overlap
 
 __all__ = [
     "DCPConfig",
@@ -35,6 +34,4 @@ __all__ = [
     "decode_plan",
     "encode_device_payload",
     "decode_device_payload",
-    "PlanningTimeline",
-    "simulate_planning_overlap",
 ]

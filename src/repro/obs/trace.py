@@ -209,12 +209,16 @@ class Tracer:
         self._spans: List[SpanTuple] = []
         self._ids = itertools.count(1)
         self._tls = threading.local()
+        #: Thread id -> thread name, recorded with the thread's stack.
+        self._names: Dict[int, str] = {}
 
     # -- internals ---------------------------------------------------------
     def _stack(self) -> List[int]:
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = self._tls.stack = []
+            thread = threading.current_thread()
+            self._names[thread.ident] = thread.name
         return stack
 
     # -- recording ---------------------------------------------------------
@@ -236,6 +240,7 @@ class Tracer:
         """
         if not self.enabled:
             return
+        self._stack()  # names this thread's lane
         self._spans.append(
             (
                 name,
@@ -269,8 +274,9 @@ class Tracer:
 
     # -- export ------------------------------------------------------------
     def lanes(self) -> List[Lane]:
-        """The spans as one lane per thread, in seconds from the first
-        span's start; span and parent ids ride in each slice's args."""
+        """The spans as one lane per thread, named after the thread, in
+        seconds from the first span's start; span and parent ids ride
+        in each slice's args."""
         spans = list(self._spans)
         origin = min((s[6] for s in spans), default=0.0)
         lanes: Dict[int, List[Interval]] = {}
@@ -284,8 +290,8 @@ class Tracer:
                 (name, cat or "obs", start - origin, end - origin, event_args)
             )
         return [
-            (f"thread {index}", intervals)
-            for index, intervals in enumerate(lanes.values())
+            (self._names[tid], intervals)
+            for tid, intervals in lanes.items()
         ]
 
     def to_chrome_trace(self) -> dict:

@@ -1,8 +1,8 @@
 """Overlap pipeline: background planning hidden behind execution (§6.1).
 
-The subsystem that turns the paper's "planning can perfectly overlap
-model execution" claim from an analytic replay
-(:func:`repro.core.pool.simulate_planning_overlap`) into a measurement:
+The subsystem behind the paper's "planning can perfectly overlap model
+execution" claim, measured on wall time or replayed on virtual time by
+the same code:
 
 * :class:`StreamingOverlapPipeline` — the one pipeline.  Plans batch
   ``i + kappa`` on background workers while batch ``i`` executes, over
@@ -16,18 +16,22 @@ model execution" claim from an analytic replay
   :class:`~repro.sim.ClusterEventSource` reports device add/remove
   events mid-stream (``events=None``: a cluster that never changes).
 * :mod:`~repro.pipeline.backends` — where planning runs: a thread
-  pool in this process (the default), or the KV store
+  pool in this process (the default), the KV store
   (:class:`KVPlannerBackend`: publish to a
   :class:`~repro.core.kvstore.KVStore`, every device pulls its own
-  slice).  Either hands back a plain
-  :class:`~concurrent.futures.Future` of ``(plan, start, end)``.
+  slice), or a virtual clock (:class:`VirtualPlannerBackend`: given
+  plan seconds per job, execution by ``advance``).  Each hands back a
+  plain :class:`~concurrent.futures.Future` of ``(plan, start, end)``
+  stamped by its ``clock``, the clock the pipeline reads.
 * :class:`~repro.pipeline.shm.PlanRing` — a shared-memory plan ring no
   backend uses; it stays for the ledger's ``pipeline.ring_roundtrip_s``
   probe.
 * :class:`~repro.pipeline.driver.PipelineRunner` — drains a pipeline
   through an execute callback (the cost-model stand-in
   :func:`~repro.pipeline.driver.cost_model_executor`, say) and reports
-  the measured :class:`OverlapStats`.
+  the measured :class:`OverlapStats`;
+  :func:`~repro.pipeline.driver.replay` runs a plan / execution
+  profile through the pipeline on virtual time — the §6.1 model.
 
 With tracing on (:func:`repro.obs.enable_tracing`) the run's timeline
 is the tracer's: ``fetch {i}`` and ``exec {i}`` spans on the consumer
@@ -38,8 +42,8 @@ paper's name; pass ``backend=KVPlannerBackend(...)`` to plan over the
 KV store.
 """
 
-from .backends import KVPlannerBackend, ThreadPlannerBackend
-from .driver import OverlapReport, PipelineRunner, cost_model_executor
+from .backends import KVPlannerBackend, ThreadPlannerBackend, VirtualPlannerBackend
+from .driver import OverlapReport, PipelineRunner, cost_model_executor, replay
 from .pipeline import (
     ClusterPinnedPlanner,
     IterationRecord,
@@ -57,10 +61,12 @@ __all__ = [
     "plan_fingerprint",
     "ThreadPlannerBackend",
     "KVPlannerBackend",
+    "VirtualPlannerBackend",
     "PlanRing",
     "ShmUnavailable",
     "leaked_maps",
     "OverlapReport",
     "PipelineRunner",
     "cost_model_executor",
+    "replay",
 ]

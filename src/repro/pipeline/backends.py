@@ -2,8 +2,9 @@
 
 A backend turns ``(iteration index, batch)`` into a
 :class:`~concurrent.futures.Future` that eventually yields ``(plan,
-start, end)`` — the plan plus the wall-clock interval the planner actually
-spent on it (``time.perf_counter`` stamps).  Two implementations:
+start, end)`` — the plan plus the interval the planner spent on it,
+stamped by the backend's ``clock``, which the pipeline reads too.
+Three implementations:
 
 * :class:`ThreadPlannerBackend` — planner workers on a thread pool in
   this process.  The planner releases the GIL inside numpy, so real
@@ -15,12 +16,18 @@ spent on it (``time.perf_counter`` stamps).  Two implementations:
   skeleton plus one columnar entry per device, and every device pulls
   its own slice back; the wire bytes the consumers would move
   accumulate in ``consumer_wire_bytes``.
+* :class:`VirtualPlannerBackend` — the same pipeline on a virtual
+  clock: job ``i`` takes a given ``plan_s[i]`` seconds on the
+  earliest-free of ``max_workers`` virtual workers, and the consumer
+  executes by :meth:`~VirtualPlannerBackend.advance`.  The run is
+  single-threaded and replays bit for bit; the §6.1 model is this
+  backend under the real pipeline (:func:`repro.pipeline.replay`).
 
-Both run their planners on threads of this process, so every
-``plan_batch`` span and planner counter lands in this process's tracer
-and registry.
+The thread and KV backends run their planners on threads of this
+process and stamp ``time.perf_counter``, so every ``plan_batch`` span
+and planner counter lands in this process's tracer and registry.
 
-Both backends accept a per-job ``planner`` override on
+Every backend accepts a per-job ``planner`` override on
 :meth:`submit`/:meth:`resubmit` — the streaming pipeline pins a cluster
 shape onto re-planned jobs this way — and ``resubmit`` is the
 retry/respawn entry point for jobs whose worker raised or hung.
@@ -28,16 +35,17 @@ retry/respawn entry point for jobs whose worker raised or hung.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.planwire import PlanWire, decode_plan, encode_plan
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["ThreadPlannerBackend", "KVPlannerBackend"]
+__all__ = ["ThreadPlannerBackend", "KVPlannerBackend", "VirtualPlannerBackend"]
 
 
 def _timed_plan(planner, batch) -> Tuple:
@@ -48,6 +56,8 @@ def _timed_plan(planner, batch) -> Tuple:
 
 class ThreadPlannerBackend:
     """Planner workers on an in-process thread pool."""
+
+    clock = staticmethod(time.perf_counter)
 
     def __init__(self, planner, max_workers: int) -> None:
         if max_workers < 1:
@@ -152,6 +162,8 @@ class KVPlannerBackend:
     #: prefetch window (``lookahead + 1``, typically 2-5 iterations)
     #: and nothing older is ever pulled again.
     MAX_FETCH_CURSORS = 8
+
+    clock = staticmethod(time.perf_counter)
 
     #: How long a consumer waits for a published entry.  The job
     #: publishes before it pulls, so only a store that lost the entry
@@ -332,3 +344,77 @@ class KVPlannerBackend:
         for executor in self._executors:
             executor.shutdown(wait=False, cancel_futures=True)
 
+
+
+class _VirtualFuture(Future):
+    """A virtual job: ``result()`` runs the clock up to its end."""
+
+    def __init__(self, backend: "VirtualPlannerBackend", end: float) -> None:
+        super().__init__()
+        self._backend, self._end = backend, end
+
+    def result(self, timeout=None):
+        if not self.done():
+            self._backend._run_until(max(self._backend.now, self._end))
+        return super().result(timeout)
+
+
+class VirtualPlannerBackend:
+    """Planner workers on a virtual clock.
+
+    Job ``i`` starts on the earliest-free of ``max_workers`` virtual
+    workers, no earlier than its submission, and ends ``plan_s[i]``
+    virtual seconds later (a resubmitted job takes ``plan_s[i]`` again).
+    The clock moves only through a job future's ``result()``, up to that
+    job's end, and :meth:`advance`, the consumer's execution.  A job's
+    planner runs when the clock passes its end, on the thread that moved
+    the clock; nothing runs concurrently, so a run replays bit for bit.
+    Tracing stamps ``perf_counter``, not this clock: leave it off.
+    """
+
+    def __init__(self, planner, max_workers: int,
+                 plan_s: Sequence[float]) -> None:
+        if max_workers < 1:
+            raise ValueError("need at least one planner worker")
+        self.planner, self.plan_s, self.now = planner, plan_s, 0.0
+        self._free = [0.0] * max_workers  # when each worker is free
+        #: ``(end, order, start, future, planner, batch)`` per queued job.
+        self._queue: List[Tuple] = []
+        self._order = itertools.count()
+
+    def clock(self) -> float:
+        """The virtual time, in seconds."""
+        return self.now
+
+    def submit(self, index: int, batch, planner) -> Future:
+        """Queue job ``index``; ``planner`` (``None``: the backend's own)
+        plans it when the clock reaches its end."""
+        worker = min(range(len(self._free)), key=self._free.__getitem__)
+        start = max(self._free[worker], self.now)
+        end = self._free[worker] = start + self.plan_s[index]
+        future = _VirtualFuture(self, end)
+        heapq.heappush(self._queue, (end, next(self._order), start, future,
+                                     planner or self.planner, batch))
+        return future
+
+    resubmit = submit
+
+    def advance(self, seconds: float) -> None:
+        """Execute for ``seconds``: jobs that end meanwhile complete."""
+        self._run_until(self.now + seconds)
+
+    def _run_until(self, until: float) -> None:
+        while self._queue and self._queue[0][0] <= until:
+            end, _, start, future, planner, batch = heapq.heappop(self._queue)
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result((planner.plan_batch(batch), start, end))
+                except Exception as exc:
+                    future.set_exception(exc)
+        self.now = until
+
+    def close(self) -> None:
+        """Cancel every queued job, as the thread pool's shutdown does."""
+        for job in self._queue:
+            job[3].cancel()
+        self._queue.clear()

@@ -13,17 +13,21 @@ yields"; this module supplies the consumers:
   the (scaled) simulated iteration time.  This is how the overlap
   benchmark plays an 8B-GPT training loop in seconds instead of hours:
   the planner threads race against genuine wall time either way.
+* :func:`replay` — the §6.1 model: the pipeline on virtual time over a
+  per-iteration profile of plan and execution seconds.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
+from ..scheduling import ExecutionPlan
+from .backends import VirtualPlannerBackend
 from .pipeline import OverlapStats, StreamingOverlapPipeline
 
-__all__ = ["OverlapReport", "PipelineRunner", "cost_model_executor"]
+__all__ = ["OverlapReport", "PipelineRunner", "cost_model_executor", "replay"]
 
 
 @dataclass
@@ -102,3 +106,33 @@ def cost_model_executor(time_scale: float = 1.0) -> Callable:
         }
 
     return execute
+
+
+class _EmptyPlanner:
+    """A replay's planner: its plans are empty, only their time counts."""
+
+    def plan_batch(self, batch) -> ExecutionPlan:
+        return ExecutionPlan(block_set=None, cluster=None, device_plans={})
+
+
+def replay(plan_s: Sequence[float], exec_s: Sequence[float],
+           max_workers: int, lookahead: int) -> OverlapStats:
+    """Run the pipeline on virtual time over a measured profile.
+
+    Job ``i`` plans for ``plan_s[i]`` seconds on ``max_workers`` virtual
+    workers and iteration ``i`` executes for ``exec_s[i]``.  There is no
+    cache, so a zero-second job (a measured cache hit, say) still waits
+    for a free worker.  Leave tracing off: spans stamp ``perf_counter``.
+    """
+    if len(plan_s) != len(exec_s):
+        raise ValueError(
+            f"{len(plan_s)} plan times but {len(exec_s)} execution times"
+        )
+    planner = _EmptyPlanner()
+    backend = VirtualPlannerBackend(planner, max_workers, plan_s)
+    pipeline = StreamingOverlapPipeline(
+        range(len(plan_s)), planner, lookahead=lookahead, backend=backend
+    )
+    for (_local_data, _plan), seconds in zip(pipeline, exec_s):
+        backend.advance(seconds)
+    return pipeline.stats()

@@ -1,12 +1,13 @@
 """Background planning pipeline that hides planner latency (§6.1).
 
-:class:`StreamingOverlapPipeline` is the measured counterpart of
-:func:`repro.core.pool.simulate_planning_overlap`: instead of replaying
-an analytic model, it actually plans batch ``i + kappa`` on background
-planner workers while batch ``i`` executes, and records what fraction
-of planning time was genuinely hidden behind execution.  It is the one
-pipeline: the batch source is any iterable — a materialized list is a
-finite stream, a generator of specs off one of the
+:class:`StreamingOverlapPipeline` plans batch ``i + kappa`` on
+background planner workers while batch ``i`` executes, and records what
+fraction of planning time was hidden behind execution.  It reads time
+from its backend's ``clock``: wall time on the thread and KV backends,
+virtual time on :class:`~repro.pipeline.backends.VirtualPlannerBackend`,
+where the same code is the §6.1 model (:func:`repro.pipeline.replay`).
+It is the one pipeline: the batch source is any iterable — a
+materialized list is a finite stream, a generator of specs off one of the
 bounded-reordering-buffer streaming packers in
 :data:`repro.data.STREAM_PACKERS` an unbounded one — and the cluster
 shape is either fixed (``events=None``) or a live feed of device
@@ -46,8 +47,8 @@ The pipeline keeps one :class:`OverlapStats`, updated where each event
 happens.  Every yielded plan carries ``plan.meta["overlap"]`` (the
 iteration's record plus those aggregates under ``"running"``), and
 :meth:`StreamingOverlapPipeline.stats` returns a copy carrying the
-records; their ``plan_s`` / ``exec_s`` feed the analytic model
-(:func:`~repro.core.pool.simulate_planning_overlap`) directly.  With
+records; their ``plan_s`` / ``exec_s`` feed a virtual-time replay
+(:func:`~repro.pipeline.driver.replay`) directly.  With
 tracing on, the timeline is the tracer's: each iteration's ``fetch
 {i}`` span (``[exec_start - stall, exec_start]``) and ``exec {i}`` span
 (``[exec_start, exec_end]``) on the consumer thread, every
@@ -111,7 +112,6 @@ sound, and the cold one is the cost baseline of the delta benchmark.
 from __future__ import annotations
 
 import pickle
-import time
 from collections import deque
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field, fields, replace
@@ -144,7 +144,6 @@ class IterationRecord:
     """Measured timeline of one pipeline iteration (seconds from start)."""
 
     index: int
-    submit: float
     plan_start: float
     plan_end: float
     exec_start: float
@@ -236,6 +235,12 @@ class OverlapStats:
             return 1.0
         return max(1.0 - self.steady_stall_s / self.steady_plan_s, 0.0)
 
+    @property
+    def stall_fraction(self) -> float:
+        """Share of the consumer's time spent stalled, not executing."""
+        busy = self.total_stall_s + self.total_exec_s
+        return self.total_stall_s / busy if busy > 0.0 else 0.0
+
     def as_dict(self) -> dict:
         """JSON-ready aggregates: no per-iteration records, and the
         steady sums only through ``steady_hidden_fraction``."""
@@ -254,11 +259,10 @@ class _Pending:
 
     index: int
     batch: object
-    #: Resolves to ``(plan, start, end)`` in absolute perf_counter
-    #: seconds; a joined item's is the reservation's, resolving to the
-    #: bare plan.
+    #: Resolves to ``(plan, start, end)`` in absolute seconds of the
+    #: backend's clock; a joined item's is the reservation's, resolving
+    #: to the bare plan.
     future: Future
-    submit: float
     signature: Optional[Tuple]
     cache_hit: bool
     #: Joined onto an identical in-flight job (no worker dispatched);
@@ -275,14 +279,6 @@ class _Pending:
     #: hit, a rebound plan): taking the future's lock after an executed
     #: iteration cost ~15 µs a hit, half the stream ledger's wait p50.
     settled: Optional[Tuple] = None
-
-
-def _resolved(plan) -> Future:
-    """A settled job: ``plan`` with a zero-width interval stamped now."""
-    future: Future = Future()
-    stamp = time.perf_counter()
-    future.set_result((plan, stamp, stamp))
-    return future
 
 
 @dataclass(frozen=True)
@@ -333,7 +329,9 @@ class StreamingOverlapPipeline:
         ``None`` (default): a
         :class:`~repro.pipeline.backends.ThreadPlannerBackend` of
         ``max_workers`` threads; or a backend object such as
-        :class:`~repro.pipeline.backends.KVPlannerBackend`.
+        :class:`~repro.pipeline.backends.KVPlannerBackend` or
+        :class:`~repro.pipeline.backends.VirtualPlannerBackend`.  The
+        pipeline stamps its records with the backend's ``clock``.
     cache:
         Optional :class:`~repro.core.cache.PlanCache` consulted before
         any worker is dispatched; planned misses are inserted back.
@@ -397,6 +395,7 @@ class StreamingOverlapPipeline:
         if backend is None:
             backend = ThreadPlannerBackend(planner, max_workers=max_workers)
         self._backend = backend
+        self._clock = backend.clock
         self._pending: Deque[_Pending] = deque()
         self._exhausted = False
         self._started = False
@@ -436,6 +435,13 @@ class StreamingOverlapPipeline:
             return None
         return ClusterPinnedPlanner(self.planner, self._cluster, warm=warm)
 
+    def _resolved(self, plan) -> Future:
+        """A settled job: ``plan`` with a zero-width interval now."""
+        future: Future = Future()
+        stamp = self._clock()
+        future.set_result((plan, stamp, stamp))
+        return future
+
     def _submit(
         self,
         index: int,
@@ -449,7 +455,6 @@ class StreamingOverlapPipeline:
         the delta re-planner ships re-dispatched jobs a cluster-pinned
         planner carrying the previous placement as a warm start.
         """
-        now = self._now()
         signature = None
         epoch = 0
         if self.cache is not None:
@@ -458,14 +463,14 @@ class StreamingOverlapPipeline:
             # claim, so this cohort's publish/abandon always matches.
             status, payload, epoch = self.cache.reserve(signature)
             if status == "hit":
-                # Futures carry absolute perf_counter stamps (workers
-                # can't see the pipeline origin); _resolve rebases them.
-                future = _resolved(payload)
-                return _Pending(index, batch, future, now, signature, True,
+                # Futures carry absolute clock stamps (workers can't
+                # see the pipeline origin); _resolve rebases them.
+                future = self._resolved(payload)
+                return _Pending(index, batch, future, signature, True,
                                 epoch=epoch, settled=future.result())
             if status == "wait":
-                return _Pending(index, batch, payload, now, signature,
-                                False, joined=True, epoch=epoch)
+                return _Pending(index, batch, payload, signature, False,
+                                joined=True, epoch=epoch)
             # "own": this pipeline dispatches; the reservation is
             # published (or released) by the job's done callback.
         # A re-dispatch must *supersede* the job the backend already
@@ -478,8 +483,7 @@ class StreamingOverlapPipeline:
         future = dispatch(index, batch, planner=job_planner)
         if signature is not None:
             self._bridge_reservation(future, signature, epoch)
-        return _Pending(index, batch, future, now, signature, False,
-                        epoch=epoch)
+        return _Pending(index, batch, future, signature, False, epoch=epoch)
 
     def _bridge_reservation(
         self, job: Future, signature: Tuple, epoch: int
@@ -540,9 +544,9 @@ class StreamingOverlapPipeline:
                 # interval below is real blocking work even if the item
                 # had joined someone else's (now failed) job.
                 item.joined = False
-                start = time.perf_counter()
+                start = self._clock()
                 plan = (self._pinned() or self.planner).plan_batch(item.batch)
-                result = plan, start, time.perf_counter()
+                result = plan, start, self._clock()
                 break
         if item.joined:
             # The reservation's bare plan: the worker interval already
@@ -663,7 +667,7 @@ class StreamingOverlapPipeline:
         concurrent pipelines sharing the cache see it immediately.
         """
         self._stats.replan_jobs_reused += 1
-        item.future = _resolved(rebind_plan(plan, self._cluster))
+        item.future = self._resolved(rebind_plan(plan, self._cluster))
         item.settled = item.future.result()
         item.joined = False
         item.cache_hit = False
@@ -702,7 +706,7 @@ class StreamingOverlapPipeline:
     # -- iteration ---------------------------------------------------------
 
     def _now(self) -> float:
-        return time.perf_counter() - self._origin
+        return self._clock() - self._origin
 
     def __iter__(self) -> Iterator[Tuple[Dict[int, LocalData], object]]:
         """Yield ``(local_data, plan)`` per batch, planning ahead."""
@@ -737,7 +741,7 @@ class StreamingOverlapPipeline:
     def _finalize_exec(self, record: IterationRecord, end: float) -> None:
         record.exec_end = end
         self._stats.total_exec_s += record.exec_s
-        if _tracing() and self._origin is not None:
+        if _tracing():
             _add_span(
                 f"exec {record.index}",
                 "pipeline",
@@ -746,7 +750,7 @@ class StreamingOverlapPipeline:
             )
 
     def _run(self) -> Iterator[Tuple[Dict[int, LocalData], object]]:
-        self._origin = time.perf_counter()
+        self._origin = self._clock()
         self._next_index = 0
         previous: Optional[IterationRecord] = None
         try:
@@ -781,12 +785,11 @@ class StreamingOverlapPipeline:
                     )
                 record = IterationRecord(
                     index=item.index,
-                    submit=item.submit,
                     plan_start=plan_start,
                     plan_end=plan_end,
                     exec_start=ready,
                     exec_end=ready,
-                    stall=max(ready - requested, 0.0),
+                    stall=fetch_s,
                     queue_depth=depth,
                     cache_hit=item.cache_hit,
                     replanned=item.replanned,

@@ -7,8 +7,6 @@ from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.blocks import AttentionSpec, BatchSpec
 from repro.core import (
@@ -17,7 +15,6 @@ from repro.core import (
     DCPPlanner,
     KVStore,
     encode_plan,
-    simulate_planning_overlap,
 )
 from repro.masks import CausalMask
 from repro.pipeline import (
@@ -435,84 +432,6 @@ class TestKVDataloader:
         assert _count(backend, "pool.device_entries_written") + _count(
             backend, "pool.device_entries_unchanged"
         ) == 2 * len(batches)
-
-
-# -- analytic overlap model ---------------------------------------------------
-
-
-def planning_hidden(timeline, tolerance=1e-9):
-    """No execution stall after iteration 0 (which always waits for its
-    own plan)."""
-    return all(stall <= tolerance for stall in timeline.stalls[1:])
-
-
-class TestPlanningOverlap:
-    def test_zero_plan_time_never_stalls(self):
-        timeline = simulate_planning_overlap([0.0] * 5, [1.0] * 5)
-        assert timeline.total_stall == 0.0
-        assert planning_hidden(timeline)
-
-    def test_cold_start_stall_only(self):
-        timeline = simulate_planning_overlap(
-            [0.5] * 5, [1.0] * 5, cores_per_machine=2
-        )
-        assert timeline.stalls[0] == pytest.approx(0.5)
-        assert planning_hidden(timeline)
-
-    def test_serial_slow_planning_stalls(self):
-        timeline = simulate_planning_overlap(
-            [2.0] * 6, [1.0] * 6, cores_per_machine=1, lookahead=2
-        )
-        assert not planning_hidden(timeline)
-        assert timeline.total_stall > 0
-
-    def test_paper_claim_ten_cores_hide_ten_seconds(self):
-        """Fig. 18: 10 s planning hides under 1 s iterations with ~10 cores."""
-        plan_times = [10.0] * 40
-        exec_times = [1.0] * 40
-        hidden = simulate_planning_overlap(
-            plan_times, exec_times, cores_per_machine=12, lookahead=12
-        )
-        assert planning_hidden(hidden)
-        starved = simulate_planning_overlap(
-            plan_times, exec_times, cores_per_machine=5, lookahead=12
-        )
-        assert not planning_hidden(starved)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_planning_overlap([1.0], [1.0, 2.0])
-
-    def test_empty_timeline(self):
-        timeline = simulate_planning_overlap([], [])
-        assert timeline.exec_end == []
-        assert timeline.stall_fraction == 0.0
-
-    def test_stall_fraction_bounded(self):
-        timeline = simulate_planning_overlap(
-            [3.0] * 8, [1.0] * 8, cores_per_machine=1, lookahead=1
-        )
-        assert 0.0 < timeline.stall_fraction < 1.0
-
-    @given(
-        plan=st.floats(0.0, 5.0),
-        execution=st.floats(0.1, 5.0),
-        cores=st.integers(1, 8),
-        lookahead=st.integers(0, 6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_execution_order_preserved(self, plan, execution, cores,
-                                       lookahead):
-        timeline = simulate_planning_overlap(
-            [plan] * 10,
-            [execution] * 10,
-            cores_per_machine=cores,
-            lookahead=lookahead,
-        )
-        for i in range(1, 10):
-            assert timeline.exec_start[i] >= timeline.exec_end[i - 1] - 1e-9
-            # A plan is always complete before its execution starts.
-            assert timeline.plan_end[i] <= timeline.exec_start[i] + 1e-9
 
 
 class TestKVRetention:

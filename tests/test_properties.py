@@ -276,10 +276,10 @@ def test_overlap_stats_invariants(
 ):
     """OverlapStats invariants: hidden fractions live in [0, 1], the
     totals are consistent sums of the records, and stalls + execution
-    intervals tile the measured wall clock."""
-    import time
+    intervals tile the run's (virtual) clock."""
+    import pytest
 
-    from repro.pipeline import StreamingOverlapPipeline
+    from repro.pipeline import StreamingOverlapPipeline, VirtualPlannerBackend
 
     rng = np.random.default_rng(seed)
     planner = _pipeline_planner()
@@ -287,15 +287,12 @@ def test_overlap_stats_invariants(
         BatchSpec.build([int(rng.integers(16, 64)), 16], CausalMask())
         for _ in range(num_batches)
     ]
+    backend = VirtualPlannerBackend(planner, workers, [delay] * num_batches)
     pipeline = StreamingOverlapPipeline(
-        iter(batches),
-        _DelayedPlanner(planner, delay),
-        lookahead=kappa,
-        max_workers=workers,
+        iter(batches), planner, lookahead=kappa, backend=backend
     )
     for _, _plan in pipeline:
-        if exec_s:
-            time.sleep(exec_s)
+        backend.advance(exec_s)
     stats = pipeline.stats()
     assert stats.iterations == num_batches
     assert 0.0 <= stats.hidden_fraction <= 1.0
@@ -306,11 +303,10 @@ def test_overlap_stats_invariants(
     assert stats.steady_stall_count <= max(stats.iterations - 1, 0)
     assert stats.replans == 0 and stats.cluster_events == 0
     # Records tile: each iteration contributes [requested, ready] stall
-    # then [ready, next request] execution, so stalls + exec intervals
-    # cover the wall clock up to the pre-first-request dispatch sliver.
+    # then [ready, next request] execution, and dispatch takes no
+    # virtual time, so stalls + exec intervals cover the whole clock.
     covered = stats.total_stall_s + stats.total_exec_s
-    assert covered <= stats.wall_s + 1e-6
-    assert stats.wall_s - covered <= 0.05
+    assert covered == pytest.approx(stats.wall_s, rel=1e-12, abs=1e-15)
     # Per-record sanity: non-negative intervals, orderly timeline.
     for record in stats.records:
         assert record.plan_s >= 0.0
@@ -344,12 +340,10 @@ def test_overlap_stats_are_a_fold_over_records(
     event happens; whatever the run (plan and execution delays, cache
     on or off, a cluster event), ``stats()`` — and every iteration's
     ``meta["overlap"]["running"]`` — equals a fold over the records."""
-    import time
-
     import pytest
 
     from repro.core import PlanCache
-    from repro.pipeline import StreamingOverlapPipeline
+    from repro.pipeline import StreamingOverlapPipeline, VirtualPlannerBackend
     from repro.pipeline.pipeline import STALL_EPS
     from repro.sim import ClusterEventSource
 
@@ -359,10 +353,12 @@ def test_overlap_stats_are_a_fold_over_records(
     specs = [BatchSpec.build([n, 16], CausalMask()) for n in (32, 48)]
     batches = [specs[int(rng.integers(2))] for _ in range(num_batches)]
     events = ClusterEventSource(planner.cluster)
+    backend = VirtualPlannerBackend(planner, 2, [delay] * num_batches)
     pipeline = StreamingOverlapPipeline(
         iter(batches),
-        _DelayedPlanner(planner, delay),
+        planner,
         lookahead=kappa,
+        backend=backend,
         cache=PlanCache(planner) if cached else None,
         events=events,
     )
@@ -375,8 +371,7 @@ def test_overlap_stats_are_a_fold_over_records(
                 events.add_machines(1)
             else:
                 events.remove_machines(1)
-        if exec_s:
-            time.sleep(exec_s)
+        backend.advance(exec_s)
     stats = pipeline.stats()
     records = stats.records
     stalled = [record.stall > STALL_EPS for record in records]
