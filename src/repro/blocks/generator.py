@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..masks import AttendRanges, MaskSpec, block_bounds, tile_workload_matrix
+from ..masks import MaskSpec, block_bounds, tile_workload_matrix
 from .comp_blocks import CompBlock, CompBlockArray
 from .data_blocks import AttentionSpec, DataBlockId, TokenSlice
 
@@ -81,6 +81,13 @@ class BlockSet:
     from here.  ``comp_blocks`` is a lazily-materialized object view of
     the columnar :attr:`comp_array`; aggregate totals are O(1) cached
     reductions over the flat columns.
+
+    Everything it holds is per block, never per token: the attend
+    ranges :func:`generate_blocks` reads from each mask to count a
+    tile's pairs are dropped once :attr:`seq_workloads` is built, so a
+    plan kept in a cache or a pipeline window weighs O(blocks).  The
+    executor, the one reader of per-token masks, derives them from
+    :attr:`batch` itself.
     """
 
     batch: BatchSpec
@@ -95,25 +102,11 @@ class BlockSet:
 
     _CACHE_ATTRS = (
         "_comp_blocks",
-        "_seq_ranges",
         "_slice_lookup",
         "_slice_tokens",
         "_seq_slice_offset",
         "_totals",
     )
-
-    @property
-    def seq_ranges(self) -> List[AttendRanges]:
-        """Every sequence's per-token attend ranges,
-        ``seq.mask.ranges(seq.seqlen)``: derived from :attr:`batch`, so
-        a pickled block set (a plan on the wire) ships without them."""
-        cached = self.__dict__.get("_seq_ranges")
-        if cached is None:
-            cached = [
-                seq.mask.ranges(seq.seqlen) for seq in self.batch.sequences
-            ]
-            self.__dict__["_seq_ranges"] = cached
-        return cached
 
     @property
     def comp_blocks(self) -> List[CompBlock]:
@@ -248,7 +241,6 @@ def generate_blocks(
     group_ids = np.arange(head_groups, dtype=np.int64)
     token_slices: List[TokenSlice] = []
     seq_bounds: List[np.ndarray] = []
-    seq_ranges: List[AttendRanges] = []
     seq_workloads: List[np.ndarray] = []
     col_seq: List[np.ndarray] = []
     col_group: List[np.ndarray] = []
@@ -261,7 +253,6 @@ def generate_blocks(
         ranges = seq.mask.ranges(seq.seqlen)
         workload = tile_workload_matrix(ranges, bounds)
         seq_bounds.append(bounds)
-        seq_ranges.append(ranges)
         seq_workloads.append(workload)
 
         starts = bounds[:-1]
@@ -303,7 +294,7 @@ def generate_blocks(
         kv_block=_cat(col_kv),
         pairs=_cat(col_pairs),
     )
-    block_set = BlockSet(
+    return BlockSet(
         batch=batch,
         attention=attention,
         block_size=block_size,
@@ -312,5 +303,3 @@ def generate_blocks(
         seq_bounds=seq_bounds,
         seq_workloads=seq_workloads,
     )
-    block_set.__dict__["_seq_ranges"] = seq_ranges
-    return block_set

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 from typing import List, Sequence
 
@@ -397,23 +398,25 @@ def rebalance(
     (losses and cap feasibility snapshotted at scan start), then drains
     it in ascending (loss, sample position, part) order — re-checking
     the caps before every move — until the overloaded part fits or the
-    sample is exhausted.
+    sample is exhausted.  A scan reads the state's lists; its one numpy
+    call is the sample's ``rng.permutation`` draw.
 
     Infeasible instances (integral weights can make the caps plainly
     unsatisfiable) are detected by stagnation: when three consecutive
     scans fail to reduce the total overload, the pass gives up instead
     of thrashing vertices until it has made ``4 * num_vertices`` moves.
     """
-    graph = state.graph
     k = state.k
-    max_moves = 4 * graph.num_vertices
+    max_moves = 4 * state.graph.num_vertices
     caps_list = caps.tolist()
     leave, join = state.leave, state.join
+    labels, weights = state._labels, state._weights
+    part_weights = state._part_weights
 
     def total_overload() -> int:
         return sum(
             max(held - cap, 0)
-            for part in state._part_weights
+            for part in part_weights
             for held, cap in zip(part, caps_list)
         )
 
@@ -421,40 +424,53 @@ def rebalance(
     best_overload = total_overload()
     stalled = 0
     while moves < max_moves:
-        part_weights = state.part_weights
-        # A zero cap (a dimension of total weight 0) is overloaded
-        # without bound by any weight and not at all by none.
-        overload = np.divide(
-            part_weights, caps,
-            out=np.where(part_weights > 0, np.inf, 0.0), where=caps > 0,
-        )
-        worst_part = int(np.argmax(overload.max(axis=1)))
-        if np.all(part_weights[worst_part] <= caps):
+        # The worst (part, dimension) by held / cap, first on ties.  A
+        # zero cap is overloaded without bound by any weight and not at
+        # all by none.
+        worst, worst_part, over_dim = -1.0, 0, 0
+        for part, held_row in enumerate(part_weights):
+            for dim, (held, cap) in enumerate(zip(held_row, caps_list)):
+                if cap > 0:
+                    ratio = held / cap
+                else:
+                    ratio = math.inf if held > 0 else 0.0
+                if ratio > worst:
+                    worst, worst_part, over_dim = ratio, part, dim
+        worst_weight = part_weights[worst_part]
+        if all(h <= cap for h, cap in zip(worst_weight, caps_list)):
             return True
-        over_dim = int(np.argmax(overload[worst_part]))
-        members = np.nonzero(state.labels == worst_part)[0]
-        movable = members[graph.weights[members, over_dim] > 0]
-        if len(movable) == 0:
+        movable = [
+            vertex
+            for vertex, label in enumerate(labels)
+            if label == worst_part and weights[vertex][over_dim] > 0
+        ]
+        if not movable:
             return False
         # Prefer evicting small vertices with the least connectivity loss.
-        sample = rng.permutation(movable)[: min(len(movable), 64)].tolist()
+        sample = rng.permutation(movable)[:64].tolist()
 
         COUNTERS.gain_evals += len(sample) * k
-        entries = sorted(
-            (join[vertex][target] - leave[vertex], row, target)
-            for row, vertex in enumerate(sample)
-            for target in range(k)
-            if target != worst_part and state.fits(vertex, target, caps_list)
-        )
+        entries = []
+        for row, vertex in enumerate(sample):
+            need, vertex_join, vertex_leave = (
+                weights[vertex], join[vertex], leave[vertex]
+            )
+            for target in range(k):
+                if target != worst_part and fits_under(
+                    part_weights[target], need, caps_list
+                ):
+                    entries.append(
+                        (vertex_join[target] - vertex_leave, row, target)
+                    )
+        entries.sort()
         taken = set()
-        worst_weight = state._part_weights[worst_part]
         for _, row, target in entries:
             if moves >= max_moves:
                 break
             if row in taken:
                 continue
             vertex = sample[row]
-            if not state.fits(vertex, target, caps_list):
+            if not fits_under(part_weights[target], weights[vertex], caps_list):
                 continue  # an earlier eviction filled this part up
             taken.add(row)
             state.move(vertex, target)
@@ -466,7 +482,7 @@ def rebalance(
             # No target has room for any sampled vertex: move one to the
             # globally least-loaded part anyway so progress continues
             # (the cap is re-checked at the end).
-            target = int(np.argmin(part_weights[:, over_dim]))
+            target = min(range(k), key=lambda p: part_weights[p][over_dim])
             if target == worst_part:
                 return False
             state.move(sample[0], target)

@@ -113,9 +113,9 @@ from __future__ import annotations
 
 import pickle
 from collections import deque
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError, Future, wait
 from dataclasses import dataclass, field, fields, replace
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.cache import PlanCache, batch_signature
 from ..core.dataloader import LocalData, _local_data
@@ -397,6 +397,9 @@ class StreamingOverlapPipeline:
         self._backend = backend
         self._clock = backend.clock
         self._pending: Deque[_Pending] = deque()
+        #: Backend jobs still running that the pipeline has not given
+        #: up on as hung; :meth:`close` joins them.
+        self._jobs: Set[Future] = set()
         self._exhausted = False
         self._started = False
         self._closed = False
@@ -480,10 +483,16 @@ class StreamingOverlapPipeline:
             self._backend.resubmit if redispatch else self._backend.submit
         )
         job_planner = planner if planner is not None else self._pinned()
-        future = dispatch(index, batch, planner=job_planner)
+        future = self._track(dispatch(index, batch, planner=job_planner))
         if signature is not None:
             self._bridge_reservation(future, signature, epoch)
         return _Pending(index, batch, future, signature, False, epoch=epoch)
+
+    def _track(self, job: Future) -> Future:
+        """Count ``job`` among the running jobs until it settles."""
+        self._jobs.add(job)
+        job.add_done_callback(self._jobs.discard)
+        return job
 
     def _bridge_reservation(
         self, job: Future, signature: Tuple, epoch: int
@@ -533,10 +542,12 @@ class StreamingOverlapPipeline:
                 # infrastructure) — or, with plan_timeout set, hung.
                 attempts += 1
                 self._stats.plan_retries += 1
+                # A hung job plans on unwatched: close() won't join it.
+                self._jobs.discard(item.future)
                 if attempts <= MAX_PLAN_RETRIES:
-                    item.future = self._backend.resubmit(
+                    item.future = self._track(self._backend.resubmit(
                         item.index, item.batch, planner=self._pinned()
-                    )
+                    ))
                     item.joined = False
                     continue
                 # Last resort: plan inline.  A failure here is genuine
@@ -681,8 +692,9 @@ class StreamingOverlapPipeline:
         """Replace a window entry's job with one targeting the new shape.
 
         The superseded job is left to finish in the background (workers
-        cannot be preempted); its reservation was already released by
-        the invalidation above, so nothing stale is ever published.
+        cannot be preempted; :meth:`close` joins it); its reservation
+        was already released by the invalidation above, so nothing
+        stale is ever published.
         ``warm`` carries the previous placement labels when the old
         plan had settled — the re-plan then repairs that placement for
         the new shape instead of partitioning from scratch.
@@ -829,12 +841,21 @@ class StreamingOverlapPipeline:
         )
 
     def close(self) -> None:
-        """Shut the backend down; a queued job it cancels releases its
-        cache reservation through the job's done callback."""
+        """Shut the backend down and join the jobs still planning.
+
+        A queued job the backend cancels releases its cache reservation
+        through the job's done callback.  A running one is waited for,
+        so no worker outlives the pipeline to plan (and record
+        ``plan_batch`` spans) during whatever runs next; superseded
+        jobs are joined too.  A job already given up as hung is not,
+        and ``plan_timeout`` bounds the wait, so a hung worker costs
+        ``close()`` at most that, never the length of the hang.
+        """
         if self._closed:
             return
         self._closed = True
         self._backend.close()
+        wait(self._jobs.copy(), timeout=self.plan_timeout)
 
     def __enter__(self) -> "StreamingOverlapPipeline":
         """Context manager: :meth:`close` on exit."""

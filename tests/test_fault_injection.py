@@ -21,6 +21,7 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
+from hanging_planner import HangingPlanner
 from repro import AttentionSpec, BatchSpec, ClusterSpec, generate_blocks
 from repro.core import DCPConfig, DCPPlanner, KVStore, PlanCache
 from repro.masks import CausalMask
@@ -216,25 +217,6 @@ class WorkerOnlyCrashPlanner:
         return self.planner.plan_batch(batch)
 
 
-class HangingPlanner:
-    """Sleeps out ``delay`` on the first ``hangs`` calls, then plans."""
-
-    def __init__(self, planner, hangs, delay=0.6):
-        self.planner = planner
-        self.hangs = hangs
-        self.delay = delay
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def plan_batch(self, batch):
-        with self._lock:
-            self.calls += 1
-            hang = self.calls <= self.hangs
-        if hang:
-            time.sleep(self.delay)
-        return self.planner.plan_batch(batch)
-
-
 class TestPlannerWorkerFaults:
     """Raising/hanging planner workers must not deadlock the window."""
 
@@ -259,12 +241,12 @@ class TestPlannerWorkerFaults:
 
     def test_thread_worker_hang_respawned(self):
         reference = _pipeline_planner()
-        hangy = HangingPlanner(_pipeline_planner(), hangs=1)
         batches = _pipeline_batches(4)
-        pipeline = StreamingOverlapPipeline(
-            batches, hangy, lookahead=1, max_workers=2, plan_timeout=0.1
-        )
-        stats = self._check_all_plans(pipeline, batches, reference)
+        with HangingPlanner(_pipeline_planner(), hangs=1) as hangy:
+            pipeline = StreamingOverlapPipeline(
+                batches, hangy, lookahead=1, max_workers=2, plan_timeout=0.1
+            )
+            stats = self._check_all_plans(pipeline, batches, reference)
         assert stats.plan_retries >= 1
 
     def test_hang_recovery_with_saturated_pool(self):
@@ -272,16 +254,14 @@ class TestPlannerWorkerFaults:
         must escape the pool (dedicated threads), or one hang would
         wedge background planning for the rest of the run."""
         reference = _pipeline_planner()
-        hangy = HangingPlanner(_pipeline_planner(), hangs=1, delay=5.0)
         batches = _pipeline_batches(4)
-        pipeline = StreamingOverlapPipeline(
-            batches, hangy, lookahead=1, max_workers=1, plan_timeout=0.15,
-        )
-        import time as _time
-
-        begin = _time.monotonic()
-        stats = self._check_all_plans(pipeline, batches, reference)
-        elapsed = _time.monotonic() - begin
+        with HangingPlanner(_pipeline_planner(), hangs=1, delay=5.0) as hangy:
+            pipeline = StreamingOverlapPipeline(
+                batches, hangy, lookahead=1, max_workers=1, plan_timeout=0.15,
+            )
+            begin = time.monotonic()
+            stats = self._check_all_plans(pipeline, batches, reference)
+            elapsed = time.monotonic() - begin
         # One escape-thread respawn per affected item, not the
         # retry-retry-inline spiral (two per item) that re-queueing
         # into the wedged pool would produce.
@@ -303,14 +283,14 @@ class TestPlannerWorkerFaults:
 
     def test_kv_worker_hang_respawned(self):
         reference = _pipeline_planner()
-        hangy = HangingPlanner(_pipeline_planner(), hangs=1)
         batches = _pipeline_batches(3)
-        pipeline = StreamingOverlapPipeline(
-            batches, hangy, lookahead=1,
-            backend=KVPlannerBackend(hangy, KVStore(), cores_per_machine=2),
-            plan_timeout=0.15,
-        )
-        stats = self._check_all_plans(pipeline, batches, reference)
+        with HangingPlanner(_pipeline_planner(), hangs=1) as hangy:
+            backend = KVPlannerBackend(hangy, KVStore(), cores_per_machine=2)
+            pipeline = StreamingOverlapPipeline(
+                batches, hangy, lookahead=1, backend=backend,
+                plan_timeout=0.15,
+            )
+            stats = self._check_all_plans(pipeline, batches, reference)
         assert stats.plan_retries >= 1
 
     @pytest.mark.parametrize("kind", ["thread", "kv"])
@@ -337,20 +317,20 @@ class TestPlannerWorkerFaults:
         """``close()`` returns while a worker still sleeps in its plan:
         a hung worker costs the consumer ``plan_timeout``, never the
         length of the hang."""
-        hangy = HangingPlanner(_pipeline_planner(), hangs=1, delay=5.0)
-        backend = (
-            KVPlannerBackend(hangy, KVStore()) if kind == "kv" else None
-        )
-        pipeline = StreamingOverlapPipeline(
-            _pipeline_batches(3), hangy, lookahead=1, backend=backend,
-            plan_timeout=0.1,
-        )
-        served = iter(pipeline)
-        next(served)  # served by a respawn; the hang goes on
-        begin = time.monotonic()
-        pipeline.close()
-        assert time.monotonic() - begin < 1.0
-        served.close()
+        with HangingPlanner(_pipeline_planner(), hangs=1, delay=5.0) as hangy:
+            backend = (
+                KVPlannerBackend(hangy, KVStore()) if kind == "kv" else None
+            )
+            pipeline = StreamingOverlapPipeline(
+                _pipeline_batches(3), hangy, lookahead=1, backend=backend,
+                plan_timeout=0.1,
+            )
+            served = iter(pipeline)
+            next(served)  # served by a respawn; the hang goes on
+            begin = time.monotonic()
+            pipeline.close()
+            assert time.monotonic() - begin < 1.0
+            served.close()
 
     def test_crash_with_cache_releases_reservation(self):
         """A failed owner must not leave waiters stuck on its signature."""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanging_planner import HangingPlanner
 from repro import (
     AttentionSpec,
     BatchSpec,
@@ -678,33 +679,16 @@ class TestWorkerRetries:
         """When the owner's hung worker is respawned successfully, the
         fulfilled plan must release waiters joined on the reservation —
         they must not burn their own timeout + duplicate dispatch."""
-        import threading
-
-        class HangFirst:
-            def __init__(self, planner, delay=1.0):
-                self.planner = planner
-                self.delay = delay
-                self.calls = 0
-                self._lock = threading.Lock()
-
-            def plan_batch(self, batch):
-                with self._lock:
-                    self.calls += 1
-                    hang = self.calls == 1
-                if hang:
-                    time.sleep(self.delay)
-                return self.planner.plan_batch(batch)
-
-        hangy = HangFirst(make_planner())
-        cache = PlanCache(hangy, capacity=8)
         mask = make_mask("causal")
         # Same signature: batch 1+ joins batch 0's reservation.
         batches = [BatchSpec.build([48, 32], mask) for _ in range(3)]
-        pipeline = StreamingOverlapPipeline(
-            batches, hangy, lookahead=2, max_workers=2,
-            cache=cache, plan_timeout=0.15,
-        )
-        plans = [plan for _, plan in pipeline]
+        with HangingPlanner(make_planner(), hangs=1, delay=1.0) as hangy:
+            cache = PlanCache(hangy, capacity=8)
+            pipeline = StreamingOverlapPipeline(
+                batches, hangy, lookahead=2, max_workers=2,
+                cache=cache, plan_timeout=0.15,
+            )
+            plans = [plan for _, plan in pipeline]
         assert len(plans) == 3
         # Exactly the owner's respawn: the joined items resolved off
         # the fulfilled reservation, not their own timeouts.

@@ -125,21 +125,22 @@ def test_plan_families_roundtrip_columnar(name):
     ids=lambda m: m.name,
 )
 def test_decoded_plan_executes_without_shipped_ranges(mask):
-    """The per-token attend ranges are derived from the batch's masks,
-    so the wire leaves them out; the decoded plan re-derives them and
-    still executes exactly."""
+    """No plan holds per-token attend ranges, in process or on the
+    wire: the executor derives them from the batch's masks, so the
+    decoded plan's masks match the original's and it executes exactly."""
     planner = DCPPlanner(CLUSTER, attention=ATTENTION,
                          config=DCPConfig(block_size=16))
     plan = planner.plan_batch(BatchSpec.build([96, 48, 32], mask))
-    assert "_seq_ranges" in vars(plan.block_set)
+    assert "_seq_ranges" not in vars(plan.block_set)
     context_block_set, _, _ = pickle.loads(encode_plan(plan).context)
     assert "_seq_ranges" not in vars(context_block_set)
     again = assert_wire_identical(plan)
-    for ranges, expected in zip(again.block_set.seq_ranges,
-                                plan.block_set.seq_ranges):
+    for seq, expected in zip(again.block_set.batch.sequences,
+                             plan.block_set.batch.sequences):
         n = expected.seqlen
         np.testing.assert_array_equal(
-            ranges.tile_mask(0, n, 0, n), expected.tile_mask(0, n, 0, n)
+            seq.mask.ranges(seq.seqlen).tile_mask(0, n, 0, n),
+            expected.mask.ranges(n).tile_mask(0, n, 0, n),
         )
     executor = SimExecutor(again)
     inputs = BatchInputs.random(plan.block_set, seed=5)

@@ -142,6 +142,37 @@ class TestGeneratorStream:
         assert len(taken) == 5
         pipeline.close()
 
+    @pytest.mark.parametrize("kind", ["thread", "kv"])
+    def test_close_joins_running_plans(self, kind):
+        """A consumer that stops early leaves look-ahead plans running;
+        closing the pipeline waits for them, so no worker plans on
+        (recording ``plan_batch`` spans) after the pipeline is gone."""
+        planner = make_planner()
+        running = []
+        lock = threading.Lock()
+
+        class SlowPlanner:
+            def plan_batch(self, batch):
+                with lock:
+                    running.append(batch)
+                try:
+                    threading.Event().wait(0.05)
+                    return planner.plan_batch(batch)
+                finally:
+                    with lock:
+                        running.remove(batch)
+
+        slow = SlowPlanner()
+        backend = KVPlannerBackend(slow, KVStore()) if kind == "kv" else None
+        pipeline = StreamingOverlapPipeline(
+            itertools.cycle(make_batches(3)), slow, lookahead=2,
+            max_workers=2, backend=backend,
+        )
+        served = iter(pipeline)
+        next(served)
+        served.close()  # the generator's exit closes the pipeline
+        assert running == []
+
     def test_packer_feeds_pipeline_directly(self):
         """A packer's stream -> pipeline without materializing."""
         planner = make_planner()
