@@ -1,4 +1,8 @@
-"""Attention-mask specifications and tile-workload computation."""
+"""Attention-mask specifications and tile-workload computation.
+
+Every mask yields one :class:`AttendRanges`: ``K`` ranges per row; the
+paper's masks need ``K ≤ 2`` (§5).
+"""
 
 from .spec import AttendRanges, MaskSpec
 from .library import (
@@ -10,19 +14,12 @@ from .library import (
     SharedQuestionMask,
     make_mask,
 )
-from .multirange import (
-    DilatedBlockMask,
-    GlobalTokenMask,
-    MultiRangeMask,
-    MultiRanges,
-)
+from .multirange import DilatedBlockMask, GlobalTokenMask
 from .workload import block_bounds, tile_workload_matrix
 
 __all__ = [
     "AttendRanges",
     "MaskSpec",
-    "MultiRanges",
-    "MultiRangeMask",
     "DilatedBlockMask",
     "GlobalTokenMask",
     "CausalMask",

@@ -1,8 +1,8 @@
 """Concrete attention masks evaluated in the DCP paper (Fig. 6).
 
-All masks are expressed as at-most-two attendable key ranges per query
-row (see :mod:`repro.masks.spec`).  Parameters default to the values the
-paper uses in its evaluation (§7.1 "Attention Masks").
+All masks are expressed as at most two attendable key ranges per query
+row (``K ≤ 2``, see :mod:`repro.masks.spec`).  Parameters default to
+the values the paper uses in its evaluation (§7.1 "Attention Masks").
 """
 
 from __future__ import annotations
@@ -24,8 +24,17 @@ __all__ = [
 ]
 
 
-def _empty(seqlen: int) -> np.ndarray:
-    return np.zeros(seqlen, dtype=np.int64)
+def _empty(shape) -> np.ndarray:
+    return np.zeros(shape, dtype=np.int64)
+
+
+def _two_ranges(first_end, second_start, second_end) -> AttendRanges:
+    """Row ``i`` attends ``[0, first_end[i])``, then
+    ``[second_start[i], second_end[i])``."""
+    return AttendRanges(
+        starts=np.array([np.zeros_like(first_end), second_start]),
+        ends=np.array([first_end, second_end]),
+    )
 
 
 @dataclass(frozen=True)
@@ -37,12 +46,7 @@ class CausalMask(MaskSpec):
     def ranges(self, seqlen: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
         rows = np.arange(seqlen, dtype=np.int64)
-        return AttendRanges(
-            a_start=_empty(seqlen),
-            a_end=rows + 1,
-            b_start=_empty(seqlen),
-            b_end=_empty(seqlen),
-        )
+        return AttendRanges(starts=_empty((1, seqlen)), ends=rows[None] + 1)
 
 
 @dataclass(frozen=True)
@@ -67,21 +71,16 @@ class LambdaMask(MaskSpec):
         """Attendable key ranges per query row (see base class)."""
         rows = np.arange(seqlen, dtype=np.int64)
         causal_end = rows + 1
-        a_end = np.minimum(self.sink, causal_end)
-        b_start = np.maximum(self.sink, rows - self.window + 1)
-        b_end = np.maximum(causal_end, b_start)
-        # Where the window is fully covered by the sink, the b range is
-        # empty; normalise empty ranges to [0, 0) so bounds stay in
+        first_end = np.minimum(self.sink, causal_end)
+        second_start = np.maximum(self.sink, rows - self.window + 1)
+        second_end = np.maximum(causal_end, second_start)
+        # Where the window is fully covered by the sink, the second range
+        # is empty; normalise empty ranges to [0, 0) so bounds stay in
         # [0, L] even for sequences shorter than the sink.
-        empty = b_end <= b_start
-        b_start = np.where(empty, 0, b_start)
-        b_end = np.where(empty, 0, b_end)
-        return AttendRanges(
-            a_start=_empty(seqlen),
-            a_end=a_end,
-            b_start=b_start,
-            b_end=b_end,
-        )
+        empty = second_end <= second_start
+        second_start = np.where(empty, 0, second_start)
+        second_end = np.where(empty, 0, second_end)
+        return _two_ranges(first_end, second_start, second_end)
 
 
 @dataclass(frozen=True)
@@ -121,26 +120,21 @@ class CausalBlockwiseMask(MaskSpec):
         )
         is_test = block_index == last_block
 
-        a_end = np.where(is_test, causal_end, sink_end)
-        b_start = np.where(is_test, 0, window_start)
-        b_end = np.where(is_test, 0, causal_end)
+        first_end = np.where(is_test, causal_end, sink_end)
+        second_start = np.where(is_test, 0, window_start)
+        second_end = np.where(is_test, 0, causal_end)
         # Clamp: if the window reaches back into the sink the two ranges
         # merge into a single causal prefix.
-        merged = b_start <= a_end
-        a_end = np.where(merged & ~is_test, b_end, a_end)
-        b_start = np.where(merged, 0, b_start)
-        b_end = np.where(merged, 0, b_end)
+        merged = second_start <= first_end
+        first_end = np.where(merged & ~is_test, second_end, first_end)
+        second_start = np.where(merged, 0, second_start)
+        second_end = np.where(merged, 0, second_end)
         # Normalise empty ranges to [0, 0) so bounds stay within [0, L]
         # (a large sink can push window_start past a short sequence).
-        empty = b_end <= b_start
-        b_start = np.where(empty, 0, b_start)
-        b_end = np.where(empty, 0, b_end)
-        return AttendRanges(
-            a_start=_empty(seqlen),
-            a_end=a_end,
-            b_start=b_start,
-            b_end=b_end,
-        )
+        empty = second_end <= second_start
+        second_start = np.where(empty, 0, second_start)
+        second_end = np.where(empty, 0, second_end)
+        return _two_ranges(first_end, second_start, second_end)
 
 
 @dataclass(frozen=True)
@@ -189,19 +183,14 @@ class SharedQuestionMask(MaskSpec):
         bounds = self.segment_bounds(seqlen)
         question_len = bounds[0][1]
 
-        a_end = np.minimum(causal_end, question_len)
-        b_start = _empty(seqlen)
-        b_end = _empty(seqlen)
+        first_end = np.minimum(causal_end, question_len)
+        second_start = _empty(seqlen)
+        second_end = _empty(seqlen)
         for start, stop in bounds[1:]:
             inside = (rows >= start) & (rows < stop)
-            b_start = np.where(inside, start, b_start)
-            b_end = np.where(inside, causal_end, b_end)
-        return AttendRanges(
-            a_start=_empty(seqlen),
-            a_end=a_end,
-            b_start=b_start,
-            b_end=b_end,
-        )
+            second_start = np.where(inside, start, second_start)
+            second_end = np.where(inside, causal_end, second_end)
+        return _two_ranges(first_end, second_start, second_end)
 
 
 @dataclass(frozen=True)
@@ -236,12 +225,7 @@ class PackedDocumentMask(MaskSpec):
             cursor = stop
         else:
             starts[cursor:] = cursor  # overflow joins the last document
-        return AttendRanges(
-            a_start=starts,
-            a_end=rows + 1,
-            b_start=_empty(seqlen),
-            b_end=_empty(seqlen),
-        )
+        return AttendRanges(starts=starts[None], ends=rows[None] + 1)
 
 
 MASK_LIBRARY = {

@@ -1,18 +1,20 @@
 """Attention-mask specifications.
 
 DCP never materializes a dense ``[L, L]`` boolean mask during planning.
-Instead, every mask is described by *at most two contiguous ranges of
-attendable key positions per query row* — the same restriction the
-paper's executor imposes ("arrays specifying the index ranges each token
-should attend to, with the limitation of at most two ranges for each
-token", §5).  All four masks evaluated in the paper (causal, lambda,
-causal blockwise, shared question) fit this representation.
+Instead, every mask is described by contiguous ranges of attendable key
+positions per query row: ``K`` ranges per row; the paper's masks need
+``K ≤ 2`` (§5: "arrays specifying the index ranges each token should
+attend to, with the limitation of at most two ranges for each token").
+All four masks evaluated in the paper (causal, lambda, causal
+blockwise, shared question) fit in two; the dilated-block and
+global-token masks of :mod:`repro.masks.multirange` need more.
 
-A :class:`MaskSpec` yields, for a sequence of length ``L``, four integer
-arrays ``(a_start, a_end, b_start, b_end)`` of shape ``[L]``: query row
-``i`` may attend to keys in ``[a_start[i], a_end[i]) ∪ [b_start[i],
-b_end[i])``.  Ranges are half-open, non-overlapping, ordered (``a``
-before ``b``), and an empty range has ``start == end``.
+A :class:`MaskSpec` yields, for a sequence of length ``L``, an
+:class:`AttendRanges` of two integer arrays ``starts`` and ``ends`` of
+shape ``[K, L]``: query row ``i`` may attend to keys in the union of
+``[starts[k, i], ends[k, i])`` over ``k``.  Ranges are half-open; the
+non-empty ranges of a row are ordered and non-overlapping, and an empty
+range has ``start == end``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ import numpy as np
 
 __all__ = ["AttendRanges", "MaskSpec"]
 
+#: Elements of the ``[K, L]`` arrays :meth:`AttendRanges.overlap_with`
+#: reads per column block, so its temporaries stay at 128 KiB.  With
+#: whole-array temporaries, tile workloads at 131072 tokens ran up to
+#: 4x slower (freshly faulted pages) than with blocks.
+_BLOCK_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class AttendRanges:
@@ -30,32 +38,50 @@ class AttendRanges:
 
     Attributes
     ----------
-    a_start, a_end:
-        First (earlier) range per query row, shape ``[L]``, half-open.
-    b_start, b_end:
-        Second (later) range per query row; empty where ``start == end``.
+    starts, ends:
+        ``[K, L]`` integer arrays: row ``i`` attends
+        ``[starts[k, i], ends[k, i])`` for each ``k``; a range with
+        ``start == end`` is empty (a row with fewer than ``K`` ranges
+        pads with empty ones).
     """
 
-    a_start: np.ndarray
-    a_end: np.ndarray
-    b_start: np.ndarray
-    b_end: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
 
     def __post_init__(self) -> None:
-        length = len(self.a_start)
-        for arr in (self.a_end, self.b_start, self.b_end):
-            if len(arr) != length:
-                raise ValueError("all range arrays must share one length")
+        starts, ends = self.starts, self.ends
+        if starts.ndim != 2 or starts.shape != ends.shape:
+            raise ValueError("starts and ends must share one [K, L] shape")
+        if not starts.size:
+            return
+        lengths = ends - starts
+        if lengths.min() < 0:
+            raise ValueError("range start exceeds end")
+        if starts.min() < 0 or ends.max() > self.seqlen:
+            raise ValueError("range bound outside [0, L]")
+        if len(starts) > 1:
+            # Each non-empty range must start at or after the end of the
+            # row's previous non-empty range.  A loop over K: numpy's
+            # accumulate along axis 0 runs a K-long inner loop per
+            # column, 7-25x slower.
+            nonempty = lengths > 0
+            reach = ends[0] * nonempty[0]
+            for k in range(1, len(starts)):
+                if (nonempty[k] & (starts[k] < reach)).any():
+                    raise ValueError("ranges of a row overlap or are unsorted")
+                reach = np.where(nonempty[k], ends[k], reach)
 
     @property
     def seqlen(self) -> int:
-        return len(self.a_start)
+        return self.starts.shape[1]
+
+    def max_ranges_per_row(self) -> int:
+        """``K``: the widest row's range count."""
+        return self.starts.shape[0]
 
     def row_count(self) -> np.ndarray:
         """Number of attendable keys per query row (shape ``[L]``)."""
-        first = np.maximum(self.a_end - self.a_start, 0)
-        second = np.maximum(self.b_end - self.b_start, 0)
-        return first + second
+        return (self.ends - self.starts).sum(axis=0)
 
     def total_pairs(self) -> int:
         """Total number of unmasked (query, key) pairs."""
@@ -67,17 +93,15 @@ class AttendRanges:
         Vectorized over all query rows; this is the primitive used to
         compute tile workloads for block generation.
         """
-        first = np.clip(
-            np.minimum(self.a_end, kv_stop) - np.maximum(self.a_start, kv_start),
-            0,
-            None,
-        )
-        second = np.clip(
-            np.minimum(self.b_end, kv_stop) - np.maximum(self.b_start, kv_start),
-            0,
-            None,
-        )
-        return first + second
+        counts = np.empty(self.seqlen, dtype=np.int64)
+        step = max(_BLOCK_ELEMENTS // max(len(self.starts), 1), 1)
+        for lo in range(0, self.seqlen, step):
+            cols = slice(lo, lo + step)
+            overlap = np.minimum(self.ends[:, cols], kv_stop)
+            overlap -= np.maximum(self.starts[:, cols], kv_start)
+            np.maximum(overlap, 0, out=overlap)
+            overlap.sum(axis=0, out=counts[cols])
+        return counts
 
     def dense(self) -> np.ndarray:
         """Materialize the boolean mask (tests / tiny sequences only)."""
@@ -88,16 +112,20 @@ class AttendRanges:
     ) -> np.ndarray:
         """Boolean mask of one tile: rows ``[q_start, q_stop)`` against
         keys ``[k_start, k_stop)``.  This is the method the executor uses
-        to reconstruct per-tile masks from global token coordinates."""
-        cols = np.arange(k_start, k_stop)[None, :]
-        rows = slice(q_start, q_stop)
-        in_a = (cols >= self.a_start[rows, None]) & (
-            cols < self.a_end[rows, None]
-        )
-        in_b = (cols >= self.b_start[rows, None]) & (
-            cols < self.b_end[rows, None]
-        )
-        return in_a | in_b
+        to reconstruct per-tile masks from global token coordinates.
+
+        One difference array: +1 where a clipped range starts, -1 where
+        it ends; a row's ranges never overlap, so no cell is counted
+        twice and the running sum is the mask.
+        """
+        starts = np.clip(self.starts[:, q_start:q_stop], k_start, k_stop)
+        ends = np.clip(self.ends[:, q_start:q_stop], k_start, k_stop)
+        keep = ends > starts
+        rows = np.nonzero(keep)[1]
+        edges = np.zeros((q_stop - q_start, k_stop - k_start + 1), np.int8)
+        edges[rows, starts[keep] - k_start] += 1
+        edges[rows, ends[keep] - k_start] -= 1
+        return edges[:, :-1].cumsum(axis=1, dtype=np.int8) > 0
 
 
 class MaskSpec:

@@ -250,9 +250,10 @@ class SimExecutor:
         """The boolean mask of one tile.
 
         A plan holds no per-token state, so the executor derives a
-        sequence's attend ranges from its mask the first time it masks
-        one of its tiles; both the ranges and the tiles live as long as
-        this executor, not the plan.
+        sequence's attend ranges (``K`` per query row, any ``K``) from
+        its mask the first time it masks one of its tiles; both the
+        ranges and the tiles live as long as this executor, not the
+        plan.
         """
         key = (seq_index, q_block, kv_block)
         cached = self._mask_cache.get(key)

@@ -66,7 +66,8 @@ class Tile:
 
     The masks are not materialized here: the executor reconstructs each
     block pair's from the sequence's :class:`~repro.masks.AttendRanges`
-    using the global token coordinates carried by the tile.
+    (``K`` ranges per query row, any ``K``) using the global token
+    coordinates carried by the tile.
     """
 
     q_slot: int

@@ -160,9 +160,8 @@ class HalfMasked(MaskSpec):
 
     def ranges(self, seqlen: int) -> AttendRanges:
         rows = np.arange(seqlen)
-        none = np.zeros(seqlen, dtype=np.int64)
         end = np.where(rows < seqlen // 2, rows + 1, 0)
-        return AttendRanges(none, end, none, none)
+        return AttendRanges(starts=np.zeros_like(end)[None], ends=end[None])
 
 
 #: One machine of two devices, one 512-token sequence in 128-token

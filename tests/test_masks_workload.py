@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mask_oracles import mask_id, mask_workload_matrix
+from mask_oracles import DenseMask, mask_id, mask_workload_matrix
 from repro.masks import (
     CausalBlockwiseMask,
     CausalMask,
@@ -47,11 +49,39 @@ class TestBlockBounds:
     ids=mask_id,
 )
 @pytest.mark.parametrize(
-    "seqlen,block", [(50, 7), (64, 16), (33, 33), (20, 1), (100, 9)]
+    "seqlen,block",
+    [(50, 7), (64, 16), (33, 33), (20, 1), (100, 9), (30, 64)],
 )
 def test_workload_matches_dense(mask, seqlen, block):
+    assert_workload_matches_dense(mask, seqlen, block, mask.dense(seqlen))
+
+
+@st.composite
+def dense_masks(draw):
+    """A boolean ``[L, L]`` matrix, 1 ≤ L ≤ 40, whose rows hold up to
+    six runs of attendable keys each (not necessarily causal)."""
+    length = draw(st.integers(1, 40))
+    mask = np.zeros((length, length), dtype=bool)
+    for row in mask:
+        cuts = sorted(
+            draw(st.sets(st.integers(0, length), max_size=12))
+        )
+        for start, end in zip(cuts[::2], cuts[1::2]):
+            row[start:end] = True
+    return mask
+
+
+@given(matrix=dense_masks(), block=st.integers(1, 48))
+@settings(max_examples=60, deadline=None)
+def test_workload_matches_dense_random(matrix, block):
+    """Arbitrary masks, read through ``ranges_from_dense``."""
+    mask = DenseMask(matrix)
+    assert mask.ranges(len(matrix)).max_ranges_per_row() <= 6
+    assert_workload_matches_dense(mask, len(matrix), block, matrix)
+
+
+def assert_workload_matches_dense(mask, seqlen, block, dense):
     workload = mask_workload_matrix(mask, seqlen, block)
-    dense = mask.dense(seqlen)
     bounds = block_bounds(seqlen, block)
     for qi in range(len(bounds) - 1):
         for ki in range(len(bounds) - 1):

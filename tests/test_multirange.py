@@ -5,25 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cache_client import plan_batch
 from mask_oracles import (
     DenseMask,
-    check_ranges,
-    multi_ranges_from_dense,
-    multi_ranges_from_rows,
+    ranges_from_dense,
+    ranges_from_rows,
     row_ranges,
 )
 from repro.blocks import AttentionSpec, BatchSpec, generate_blocks
-from repro.core import DCPConfig, DCPPlanner
+from repro.core import DCPConfig, DCPPlanner, PlanCache, batch_signature
 from repro.masks import (
+    AttendRanges,
     CausalMask,
     DilatedBlockMask,
     GlobalTokenMask,
-    MultiRanges,
     block_bounds,
     tile_workload_matrix,
 )
 from repro.placement import PlacementConfig
 from repro.runtime import BatchInputs, SimExecutor, reference_batch_outputs
+from repro.service import signature_key
 from repro.sim import ClusterSpec, simulate_plan
 
 
@@ -61,7 +62,7 @@ def loop_dilated_ranges(seqlen, block, stride, window):
                 row.append((anchor, end))
         row.append((window_start, i + 1))
         rows.append(row)
-    return multi_ranges_from_rows(rows)
+    return ranges_from_rows(rows)
 
 
 def loop_global_ranges(seqlen, every, window):
@@ -75,42 +76,50 @@ def loop_global_ranges(seqlen, every, window):
         row = [(g, g + 1) for g in range(0, window_start, every)]
         row.append((window_start, i + 1))
         rows.append(row)
-    return multi_ranges_from_rows(rows)
+    return ranges_from_rows(rows)
 
 
 def assert_same_ranges(got, expected):
-    for name in ("indptr", "starts", "ends"):
+    """Equal ``K`` and equal ranges; empty ranges compare as ``[0, 0)``."""
+    assert got.starts.shape == expected.starts.shape
+    for name in ("starts", "ends"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype == np.int64, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(
+            np.where(got.ends > got.starts, a, 0),
+            np.where(expected.ends > expected.starts, b, 0),
+            err_msg=name,
+        )
 
 
-# -- MultiRanges core ---------------------------------------------------------
+# -- rows of many ranges ------------------------------------------------------
 
 
-class TestMultiRanges:
+class TestManyRanges:
     def test_from_rows_round_trip(self):
-        ranges = multi_ranges_from_rows([[(0, 1)], [(0, 1), (3, 4)], []])
-        assert ranges.seqlen == 3
-        assert len(ranges.starts) == 3
+        ranges = ranges_from_rows([[(0, 1)], [(0, 1), (3, 4)], [], []])
+        assert ranges.seqlen == 4
+        assert ranges.starts.shape == (2, 4)
         starts, ends = row_ranges(ranges, 1)
         assert starts.tolist() == [0, 3]
         assert ends.tolist() == [1, 4]
 
     def test_row_count(self):
-        ranges = multi_ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], []])
-        assert ranges.row_count().tolist() == [2, 4, 0]
+        ranges = ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], [], [], []])
+        assert ranges.row_count().tolist() == [2, 4, 0, 0, 0]
 
     def test_total_pairs(self):
-        ranges = multi_ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], []])
+        ranges = ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], [], [], []])
         assert ranges.total_pairs() == 6
 
     def test_overlap_with(self):
-        ranges = multi_ranges_from_rows([[(0, 4)], [(0, 2), (6, 8)]])
-        assert ranges.overlap_with(1, 7).tolist() == [3, 2]
+        ranges = ranges_from_rows(
+            [[(0, 4)], [(0, 2), (6, 8)]] + [[]] * 6
+        )
+        assert ranges.overlap_with(1, 7).tolist()[:2] == [3, 2]
 
     def test_dense_matches_rows(self):
-        ranges = multi_ranges_from_rows(
+        ranges = ranges_from_rows(
             [[(0, 1)], [(0, 1), (2, 3)], [(1, 3)]]
         )
         expected = np.array(
@@ -124,54 +133,57 @@ class TestMultiRanges:
 
     def test_tile_mask_is_dense_slice(self):
         mask = brute_global(32, every=8, window=4)
-        ranges = multi_ranges_from_dense(mask)
+        ranges = ranges_from_dense(mask)
         tile = ranges.tile_mask(8, 16, 4, 20)
         np.testing.assert_array_equal(tile, mask[8:16, 4:20])
 
     def test_from_dense_round_trip(self):
         mask = brute_dilated(48, block=4, stride=2, window=8)
-        np.testing.assert_array_equal(
-            multi_ranges_from_dense(mask).dense(), mask
-        )
+        np.testing.assert_array_equal(ranges_from_dense(mask).dense(), mask)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_from_dense_round_trip_random(self, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((17, 17)) < 0.35
-        ranges = multi_ranges_from_dense(mask)
-        check_ranges(ranges)
+        ranges = ranges_from_dense(mask)  # validates on construction
         np.testing.assert_array_equal(ranges.dense(), mask)
 
     def test_validate_rejects_overlap(self):
-        ranges = multi_ranges_from_rows([[(0, 3), (2, 5)], [], [], [], []])
         with pytest.raises(ValueError, match="overlap"):
-            check_ranges(ranges)
-
-    def test_validate_rejects_out_of_bounds(self):
-        ranges = multi_ranges_from_rows([[(0, 5)]])
-        with pytest.raises(ValueError, match="outside"):
-            check_ranges(ranges)
-
-    def test_validate_rejects_inverted(self):
-        ranges = MultiRanges(
-            indptr=np.array([0, 1]),
-            starts=np.array([3]),
-            ends=np.array([1]),
-        )
-        with pytest.raises(ValueError, match="start exceeds"):
-            check_ranges(ranges)
-
-    def test_bad_indptr_rejected(self):
-        with pytest.raises(ValueError):
-            MultiRanges(
-                indptr=np.array([0, 2]),
-                starts=np.array([0]),
-                ends=np.array([1]),
+            ranges_from_rows([[(0, 3), (2, 5)], [], [], [], []])
+        # An overlapping and an out-of-order row: read without the
+        # check, row 2 counts 6 pairs where the dense mask has 4.
+        with pytest.raises(ValueError, match="overlap"):
+            ranges_from_rows(
+                [[(0, 1)], [(0, 2)], [(0, 3), (1, 4)], [(2, 4), (0, 1)]]
             )
 
+    def test_validate_ignores_empty_ranges(self):
+        ranges = AttendRanges(
+            starts=np.array([[0, 0, 0, 0], [3, 1, 0, 0], [2, 1, 0, 0]]),
+            ends=np.array([[2, 1, 1, 1], [3, 1, 0, 0], [3, 2, 0, 0]]),
+        )
+        assert ranges.row_count().tolist() == [3, 2, 1, 1]
+
+    def test_validate_rejects_out_of_bounds(self):
+        with pytest.raises(ValueError, match="outside"):
+            ranges_from_rows([[(0, 5)]])
+
+    def test_validate_rejects_inverted(self):
+        with pytest.raises(ValueError, match="start exceeds"):
+            AttendRanges(starts=np.array([[3]]), ends=np.array([[1]]))
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            AttendRanges(starts=np.zeros((1, 2)), ends=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            AttendRanges(starts=np.zeros(2), ends=np.zeros(2))
+
     def test_max_ranges_per_row(self):
-        ranges = multi_ranges_from_rows([[(0, 1)], [(0, 1), (2, 3), (4, 5)]])
+        ranges = ranges_from_rows(
+            [[(0, 1)], [(0, 1), (2, 3), (4, 5)]] + [[]] * 3
+        )
         assert ranges.max_ranges_per_row() == 3
 
 
@@ -186,14 +198,15 @@ class TestDilatedBlockMask:
 
     def test_needs_more_than_two_ranges(self):
         mask = DilatedBlockMask(block=4, stride=2, window=8)
-        assert mask.max_ranges_per_row(128) > 2
+        assert mask.ranges(128).max_ranges_per_row() > 2
 
     def test_sparser_than_causal(self):
         mask = DilatedBlockMask(block=4, stride=4, window=16)
         assert mask.sparsity_vs_causal(256) < 0.5
 
     def test_ranges_validate(self):
-        check_ranges(DilatedBlockMask(block=4, stride=2, window=8).ranges(100))
+        ranges = DilatedBlockMask(block=4, stride=2, window=8).ranges(100)
+        assert ranges.seqlen == 100  # validated on construction
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -256,10 +269,12 @@ class TestGlobalTokenMask:
         assert dense[16, :17].all()
 
     def test_needs_more_than_two_ranges(self):
-        assert GlobalTokenMask(every=8, window=4).max_ranges_per_row(128) > 2
+        mask = GlobalTokenMask(every=8, window=4)
+        assert mask.ranges(128).max_ranges_per_row() > 2
 
     def test_ranges_validate(self):
-        check_ranges(GlobalTokenMask(every=8, window=4).ranges(100))
+        ranges = GlobalTokenMask(every=8, window=4).ranges(100)
+        assert ranges.seqlen == 100  # validated on construction
 
 
 class TestDenseMask:
@@ -320,6 +335,35 @@ def test_dcp_numerics_multirange(mask):
         np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DilatedBlockMask(block=4, stride=2, window=12),
+        lambda: GlobalTokenMask(every=16, window=12),
+    ],
+    ids=["dilated_block", "global_token"],
+)
+def test_equal_masks_share_plans(make):
+    """Separately built, equal masks key one plan, in the cache and in
+    the store alike."""
+    first, second = (BatchSpec.build([96, 48], make()) for _ in range(2))
+    assert first.sequences[0].mask is not second.sequences[0].mask
+    assert batch_signature(first) == batch_signature(second)
+    assert signature_key(batch_signature(first)) == signature_key(
+        batch_signature(second)
+    )
+    assert "window=12" in repr(first.sequences[0].mask)
+    planner = DCPPlanner(
+        CLUSTER,
+        attention=AttentionSpec(num_q_heads=4, num_kv_groups=2, head_dim=16),
+        config=DCPConfig(block_size=16, placement=PlacementConfig(restarts=1)),
+    )
+    cache = PlanCache(planner)
+    plan = plan_batch(cache, first)
+    assert plan_batch(cache, second) is plan
+    assert cache.stats()["hits"] == 1
+
+
 def test_workload_matrix_counts_pairs():
     mask = GlobalTokenMask(every=16, window=12)
     ranges = mask.ranges(96)
@@ -349,15 +393,19 @@ def test_multirange_timing_simulates():
 )
 @settings(max_examples=40, deadline=None)
 def test_tile_mask_consistent_with_overlap(seed, q_lo, q_span, k_lo, k_span):
-    """Counting true cells in a tile equals the overlap arithmetic."""
+    """A tile's mask and its per-row overlap both read the dense slice."""
     rng = np.random.default_rng(seed)
     mask = rng.random((20, 20)) < 0.4
-    ranges = multi_ranges_from_dense(mask)
+    ranges = ranges_from_dense(mask)
     q_hi = min(q_lo + q_span, 20)
     k_hi = min(k_lo + k_span, 20)
-    tile = ranges.tile_mask(q_lo, q_hi, k_lo, k_hi)
-    per_row = ranges.overlap_with(k_lo, k_hi)[q_lo:q_hi]
-    np.testing.assert_array_equal(tile.sum(axis=1), per_row)
+    expected = mask[q_lo:q_hi, k_lo:k_hi]
+    np.testing.assert_array_equal(
+        ranges.tile_mask(q_lo, q_hi, k_lo, k_hi), expected
+    )
+    np.testing.assert_array_equal(
+        ranges.overlap_with(k_lo, k_hi)[q_lo:q_hi], expected.sum(axis=1)
+    )
 
 
 def test_sparse_multirange_plans_fewer_flops_than_causal():
