@@ -24,9 +24,11 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 from revision import git_revision
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,14 +41,19 @@ SMOKE_BLOCK_SIZES = (256,)
 #: The paper mask every point plans.
 MASK = "causal"
 
-#: Wall-clock budget for the smoke configuration's total planning time,
-#: recorded in the tracked BENCH_planner.json and enforced by
-#: benchmarks/check_bench_floors.py.  The smoke point measures
-#: 0.015-0.018 s since the search stops where it cannot pay (it
-#: measured 0.037-0.057 s before that, 0.135-0.23 s before the
-#: incremental gain tables): the budget is 1.5x the measured value, so
-#: a planner half as fast again fails it.
-SMOKE_TOTAL_S_MAX = 0.024
+#: Plans the smoke point times, each followed by one reference loop.
+SMOKE_PAIRS = 9
+#: Ceiling on the smoke point's ``plan_ref_ratio``, the median over its
+#: pairs of plan seconds / reference-loop seconds, recorded in the
+#: tracked BENCH_planner.json and enforced by
+#: benchmarks/check_bench_floors.py.  A fixed wall-clock budget followed
+#: the host: on a shared 2-CPU host the same tree's smoke plan read
+#: 0.021-0.039 s against a 0.024 s budget.  The ratio reads 0.78-0.90
+#: there, idle or beside two busy processes, and 1.33-1.50 when a busy
+#: loop doubles placement's time.
+SMOKE_RATIO_MAX = 1.1
+#: Steps of :func:`reference_loop`: about the smoke plan's time.
+REFERENCE_STEPS = 2000
 
 #: Deterministic work counts of the smoke point, pinned next to the
 #: budget: they are machine-independent, and any change to the search
@@ -65,6 +72,22 @@ SMOKE_PINNED_COUNTS = (
     "price_moves",
     "byte_moves",
 )
+
+
+def reference_loop(steps: int = REFERENCE_STEPS) -> int:
+    """Fixed work of the planner's kind — small numpy calls and dict
+    traffic — that imports nothing from ``repro``: timed right after a
+    plan, it measures how fast the host runs at that moment."""
+    rng = np.random.default_rng(0)
+    weights = rng.integers(1, 1 << 10, 256)
+    counts: Dict[int, int] = {}
+    for step in range(steps):
+        order = np.argsort(weights, kind="stable")
+        prefix = np.cumsum(weights[order])
+        key = int(prefix[step % len(prefix)]) % 997
+        counts[key] = counts.get(key, 0) + 1
+        weights[order[:4]] += 1
+    return len(counts)
 
 
 def run_hotpath_bench(
@@ -92,6 +115,7 @@ def run_hotpath_bench(
                 scale.dcp_config(block_size=int(block_size)),
             )
             best = None
+            ratios = []
             for _ in range(max(repeats, 1)):
                 start = time.perf_counter()
                 for batch in batches:
@@ -99,6 +123,9 @@ def run_hotpath_bench(
                 elapsed = time.perf_counter() - start
                 if best is None or elapsed < best[0]:
                     best = (elapsed, plan.meta["planning_stats"])
+                start = time.perf_counter()
+                reference_loop()
+                ratios.append(elapsed / (time.perf_counter() - start))
             elapsed, stats = best
             comm = plan.total_comm_bytes()
             attn_s = sum(
@@ -111,6 +138,7 @@ def run_hotpath_bench(
                     "block_size": int(block_size),
                     "mask": MASK,
                     "total_s": round(elapsed, 6),
+                    "plan_ref_ratio": round(statistics.median(ratios), 4),
                     "block_generation_s": round(stats.block_generation, 6),
                     "placement_s": round(stats.placement, 6),
                     "scheduling_s": round(stats.scheduling, 6),
@@ -140,7 +168,7 @@ def run_hotpath_bench(
         "git_revision": git_revision(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "smoke": {"total_s_max": SMOKE_TOTAL_S_MAX},
+        "smoke": {"plan_ref_ratio_max": SMOKE_RATIO_MAX},
         "rows": rows,
     }
 
@@ -161,12 +189,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.smoke:
         report = run_hotpath_bench(
-            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, repeats=1
+            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, repeats=SMOKE_PAIRS
         )
     else:
         report = run_hotpath_bench()
         smoke_row = run_hotpath_bench(
-            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, repeats=1
+            SMOKE_TOKEN_BUDGETS, SMOKE_BLOCK_SIZES, repeats=SMOKE_PAIRS
         )["rows"][0]
         report["smoke"].update(
             {key: smoke_row[key] for key in SMOKE_PINNED_COUNTS}

@@ -9,9 +9,10 @@ run one) still fails the workflow.
 
 Checked metrics:
 
-* planner hot path — smoke ``total_s`` must stay under the budget
-  recorded in ``BENCH_planner.json["smoke"]["total_s_max"]``, and the
-  smoke point's ``refine_moves`` / ``gain_evals`` / ``comm_bytes`` must
+* planner hot path — the smoke point's ``plan_ref_ratio`` (the median
+  of its plans' seconds over an interleaved, fixed reference loop's)
+  must stay under ``BENCH_planner.json["smoke"]["plan_ref_ratio_max"]``,
+  and its ``refine_moves`` / ``gain_evals`` / ``comm_bytes`` must
   equal the counts pinned beside it (the search trajectory is
   deterministic: a changed count is a changed search);
 * overlap pipeline — smoke steady-state hidden fraction must clear
@@ -77,7 +78,7 @@ from bench_scenarios import missing_comm
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Fallbacks when the tracked files predate a floor field.
-DEFAULT_PLANNER_SMOKE_BUDGET_S = 1.0
+DEFAULT_PLANNER_RATIO_MAX = 1.0
 DEFAULT_HIDDEN_FLOOR = 0.5
 DEFAULT_REPLAN_RATIO_MAX = 0.8
 DEFAULT_KV_WIRE_RATIO_MAX = 0.95
@@ -190,17 +191,15 @@ def check_planner(gate: Gate, strict: bool) -> None:
     if smoke is None:
         gate.check(not strict, "planner smoke output missing")
         return
-    budget = DEFAULT_PLANNER_SMOKE_BUDGET_S
-    if tracked:
-        budget = float(
-            tracked.get("smoke", {}).get(
-                "total_s_max", DEFAULT_PLANNER_SMOKE_BUDGET_S
-            )
-        )
-    total = max(float(row["total_s"]) for row in smoke["rows"])
+    ceiling = float(
+        (tracked or {})
+        .get("smoke", {})
+        .get("plan_ref_ratio_max", DEFAULT_PLANNER_RATIO_MAX)
+    )
+    ratio = max(float(row["plan_ref_ratio"]) for row in smoke["rows"])
     gate.check(
-        total <= budget,
-        f"planner smoke total {total:.3f}s <= budget {budget:.3f}s",
+        ratio <= ceiling,
+        f"planner smoke plan / reference {ratio:.3f} <= {ceiling:.3f}",
     )
     if tracked:
         pinned = tracked.get("smoke", {})

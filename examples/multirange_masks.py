@@ -4,8 +4,8 @@ The paper's kernels support at most two attendable ranges per token and
 defer richer masks to FlexAttention/FlashMask.  This reproduction's
 attend ranges hold ``K`` ranges per row: LongNet-style dilated block
 attention and Longformer-style global tokens plan, execute and verify
-end to end.  The ``ranges/row`` column is each mask's ``K`` at the
-longer sequence's length.
+end to end.  The ``ranges/row`` column is each mask's ``K`` in the
+longer sequence: the widest of its windows of one block of rows.
 
 Run:  python examples/multirange_masks.py
 """
@@ -32,7 +32,11 @@ def main() -> None:
     print(f"{'mask':<20}{'ranges/row':>11}{'sparsity':>10}"
           f"{'fw (ms)':>9}{'comm (MB)':>11}")
     for name, mask in masks.items():
-        max_ranges = mask.ranges(seqlens[0]).max_ranges_per_row()
+        max_ranges = max(
+            mask.ranges(seqlens[0], lo, min(lo + 128, seqlens[0]))
+            .max_ranges_per_row()
+            for lo in range(0, seqlens[0], 128)
+        )
         batch = BatchSpec.build(seqlens, mask)
         block_set = generate_blocks(batch, attention, block_size=128)
         planner = DCPPlanner(cluster, attention, DCPConfig(block_size=128))

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..masks import MaskSpec, block_bounds, tile_workload_matrix
+from ..masks import MaskSpec, batch_tile_workloads, block_bounds
 from .comp_blocks import CompBlock, CompBlockArray
 from .data_blocks import AttentionSpec, DataBlockId, TokenSlice
 
@@ -83,11 +83,11 @@ class BlockSet:
     reductions over the flat columns.
 
     Everything it holds is per block, never per token: the attend
-    ranges :func:`generate_blocks` reads from each mask to count a
-    tile's pairs are dropped once :attr:`seq_workloads` is built, so a
-    plan kept in a cache or a pipeline window weighs O(blocks).  The
-    executor, the one reader of per-token masks, derives them from
-    :attr:`batch` itself.
+    ranges :func:`generate_blocks` reads from each mask, one window of
+    rows at a time, to count a tile's pairs are dropped once
+    :attr:`seq_workloads` is built, so a plan kept in a cache or a
+    pipeline window weighs O(blocks).  The executor, the one reader of
+    per-token masks, derives them from :attr:`batch` itself.
     """
 
     batch: BatchSpec
@@ -240,59 +240,49 @@ def generate_blocks(
     head_groups = attention.head_groups
     group_ids = np.arange(head_groups, dtype=np.int64)
     token_slices: List[TokenSlice] = []
-    seq_bounds: List[np.ndarray] = []
-    seq_workloads: List[np.ndarray] = []
-    col_seq: List[np.ndarray] = []
-    col_group: List[np.ndarray] = []
-    col_q: List[np.ndarray] = []
-    col_kv: List[np.ndarray] = []
-    col_pairs: List[np.ndarray] = []
-
-    for seq_index, seq in enumerate(batch.sequences):
-        bounds = block_bounds(seq.seqlen, block_size)
-        ranges = seq.mask.ranges(seq.seqlen)
-        workload = tile_workload_matrix(ranges, bounds)
-        seq_bounds.append(bounds)
-        seq_workloads.append(workload)
-
-        starts = bounds[:-1]
-        stops = bounds[1:]
+    seq_bounds = [
+        block_bounds(seq.seqlen, block_size) for seq in batch.sequences
+    ]
+    # One row per Q tile of the batch, sequence-major; each sequence's
+    # matrix is a view of its rows.
+    workloads = batch_tile_workloads(
+        [
+            (seq.mask, seq.seqlen, bounds)
+            for seq, bounds in zip(batch.sequences, seq_bounds)
+        ]
+    )
+    tiles = np.array([len(bounds) - 1 for bounds in seq_bounds], np.int64)
+    first_row = np.cumsum(tiles) - tiles
+    seq_workloads = [
+        workloads[row : row + n, :n]
+        for row, n in zip(first_row.tolist(), tiles.tolist())
+    ]
+    for seq_index, bounds in enumerate(seq_bounds):
         for block_index, (start, stop) in enumerate(
-            zip(starts.tolist(), stops.tolist())
+            zip(bounds[:-1].tolist(), bounds[1:].tolist())
         ):
             token_slices.append(
                 TokenSlice(
                     seq_index=seq_index,
                     block_index=block_index,
-                    start=int(start),
-                    stop=int(stop),
+                    start=start,
+                    stop=stop,
                 )
             )
 
-        q_idx, kv_idx = np.nonzero(workload)
-        if len(q_idx) == 0:
-            continue
-        tiles = len(q_idx)
-        pairs = workload[q_idx, kv_idx].astype(np.int64)
-        # Broadcast the head-group dimension in the same (tile-major,
-        # group-minor) order the scalar loop used.
-        col_seq.append(np.full(tiles * head_groups, seq_index, dtype=np.int64))
-        col_group.append(np.tile(group_ids, tiles))
-        col_q.append(np.repeat(q_idx.astype(np.int64), head_groups))
-        col_kv.append(np.repeat(kv_idx.astype(np.int64), head_groups))
-        col_pairs.append(np.repeat(pairs, head_groups))
-
-    def _cat(parts: List[np.ndarray]) -> np.ndarray:
-        return (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        )
-
+    # Row-major nonzeros: sequence-major, then Q tile, then KV tile (a
+    # sequence's columns past its tiles are zero).  Broadcast the
+    # head-group dimension group-minor.
+    rows, kv_idx = np.nonzero(workloads)
+    pairs = workloads[rows, kv_idx]
+    seq_idx = np.repeat(np.arange(len(tiles), dtype=np.int64), tiles)[rows]
+    q_idx = rows - first_row[seq_idx]
     comp_array = CompBlockArray(
-        seq_index=_cat(col_seq),
-        head_group=_cat(col_group),
-        q_block=_cat(col_q),
-        kv_block=_cat(col_kv),
-        pairs=_cat(col_pairs),
+        seq_index=np.repeat(seq_idx, head_groups),
+        head_group=np.tile(group_ids, len(rows)),
+        q_block=np.repeat(q_idx, head_groups),
+        kv_block=np.repeat(kv_idx, head_groups),
+        pairs=np.repeat(pairs, head_groups),
     )
     return BlockSet(
         batch=batch,

@@ -1,7 +1,7 @@
 """Attention-mask specifications and tile-workload computation.
 
-Every mask yields one :class:`AttendRanges`: ``K`` ranges per row; the
-paper's masks need ``K ≤ 2`` (§5).
+Every mask yields one :class:`AttendRanges` per window of query rows:
+``K`` ranges per row; the paper's masks need ``K ≤ 2`` (§5).
 """
 
 from .spec import AttendRanges, MaskSpec
@@ -15,7 +15,7 @@ from .library import (
     make_mask,
 )
 from .multirange import DilatedBlockMask, GlobalTokenMask
-from .workload import block_bounds, tile_workload_matrix
+from .workload import batch_tile_workloads, block_bounds, tile_workload_matrix
 
 __all__ = [
     "AttendRanges",
@@ -29,6 +29,7 @@ __all__ = [
     "PackedDocumentMask",
     "MASK_LIBRARY",
     "make_mask",
+    "batch_tile_workloads",
     "block_bounds",
     "tile_workload_matrix",
 ]

@@ -1,7 +1,8 @@
 """Concrete attention masks evaluated in the DCP paper (Fig. 6).
 
 All masks are expressed as at most two attendable key ranges per query
-row (``K ≤ 2``, see :mod:`repro.masks.spec`).  Parameters default to
+row (``K ≤ 2``, see :mod:`repro.masks.spec`), computed for a window of
+query rows ``[lo, hi)`` from its row indices.  Parameters default to
 the values the paper uses in its evaluation (§7.1 "Attention Masks").
 """
 
@@ -24,16 +25,18 @@ __all__ = [
 ]
 
 
-def _empty(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.int64)
+def _rows(lo: int, hi: int) -> np.ndarray:
+    return np.arange(lo, hi, dtype=np.int64)
 
 
-def _two_ranges(first_end, second_start, second_end) -> AttendRanges:
-    """Row ``i`` attends ``[0, first_end[i])``, then
-    ``[second_start[i], second_end[i])``."""
+def _two_ranges(seqlen, lo, first_end, second_start, second_end) -> AttendRanges:
+    """Row ``lo + c`` attends ``[0, first_end[c])``, then
+    ``[second_start[c], second_end[c])``."""
     return AttendRanges(
         starts=np.array([np.zeros_like(first_end), second_start]),
         ends=np.array([first_end, second_end]),
+        lo=lo,
+        seqlen=seqlen,
     )
 
 
@@ -43,10 +46,10 @@ class CausalMask(MaskSpec):
 
     name = "causal"
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
-        rows = np.arange(seqlen, dtype=np.int64)
-        return AttendRanges(starts=_empty((1, seqlen)), ends=rows[None] + 1)
+        ends = _rows(lo, hi)[None] + 1
+        return AttendRanges(np.zeros(ends.shape, np.int64), ends, lo, seqlen)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,9 @@ class LambdaMask(MaskSpec):
         if self.sink < 0 or self.window < 1:
             raise ValueError("sink must be >= 0 and window >= 1")
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
-        rows = np.arange(seqlen, dtype=np.int64)
+        rows = _rows(lo, hi)
         causal_end = rows + 1
         first_end = np.minimum(self.sink, causal_end)
         second_start = np.maximum(self.sink, rows - self.window + 1)
@@ -80,7 +83,7 @@ class LambdaMask(MaskSpec):
         empty = second_end <= second_start
         second_start = np.where(empty, 0, second_start)
         second_end = np.where(empty, 0, second_end)
-        return _two_ranges(first_end, second_start, second_end)
+        return _two_ranges(seqlen, lo, first_end, second_start, second_end)
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,9 @@ class CausalBlockwiseMask(MaskSpec):
         if self.block < 1 or self.window_blocks < 1 or self.sink_blocks < 0:
             raise ValueError("invalid causal blockwise parameters")
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
-        rows = np.arange(seqlen, dtype=np.int64)
+        rows = _rows(lo, hi)
         causal_end = rows + 1
         block_index = rows // self.block
         num_blocks = (seqlen + self.block - 1) // self.block
@@ -134,7 +137,7 @@ class CausalBlockwiseMask(MaskSpec):
         empty = second_end <= second_start
         second_start = np.where(empty, 0, second_start)
         second_end = np.where(empty, 0, second_end)
-        return _two_ranges(first_end, second_start, second_end)
+        return _two_ranges(seqlen, lo, first_end, second_start, second_end)
 
 
 @dataclass(frozen=True)
@@ -176,21 +179,21 @@ class SharedQuestionMask(MaskSpec):
             cursor = stop
         return bounds
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
-        rows = np.arange(seqlen, dtype=np.int64)
+        rows = _rows(lo, hi)
         causal_end = rows + 1
         bounds = self.segment_bounds(seqlen)
         question_len = bounds[0][1]
 
         first_end = np.minimum(causal_end, question_len)
-        second_start = _empty(seqlen)
-        second_end = _empty(seqlen)
+        second_start = np.zeros_like(rows)
+        second_end = np.zeros_like(rows)
         for start, stop in bounds[1:]:
             inside = (rows >= start) & (rows < stop)
             second_start = np.where(inside, start, second_start)
             second_end = np.where(inside, causal_end, second_end)
-        return _two_ranges(first_end, second_start, second_end)
+        return _two_ranges(seqlen, lo, first_end, second_start, second_end)
 
 
 @dataclass(frozen=True)
@@ -212,20 +215,14 @@ class PackedDocumentMask(MaskSpec):
         if not self.doc_lens or any(n < 1 for n in self.doc_lens):
             raise ValueError("document lengths must be positive")
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
-        rows = np.arange(seqlen, dtype=np.int64)
-        starts = np.zeros(seqlen, dtype=np.int64)
-        cursor = 0
-        for length in self.doc_lens:
-            stop = min(cursor + length, seqlen)
-            starts[cursor:stop] = cursor
-            if stop >= seqlen:
-                break
-            cursor = stop
-        else:
-            starts[cursor:] = cursor  # overflow joins the last document
-        return AttendRanges(starts=starts[None], ends=rows[None] + 1)
+        rows = _rows(lo, hi)
+        # Document starts, the trailing overflow document's included: a
+        # row attends from the last start at or before it.
+        doc_starts = np.cumsum((0,) + self.doc_lens)
+        starts = doc_starts[np.searchsorted(doc_starts, rows, "right") - 1]
+        return AttendRanges(starts[None], rows[None] + 1, lo, seqlen)
 
 
 MASK_LIBRARY = {

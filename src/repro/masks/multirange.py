@@ -4,7 +4,10 @@ The paper's executor supports "at most two ranges for each token (for
 simplicity of implementation)" and points at FlexAttention/FlashMask
 for richer masks (§5).  :class:`~repro.masks.AttendRanges` holds ``K``
 ranges per row, so block generation, planning, execution and the
-timing simulator work unchanged with masks that need ``K > 2``.
+timing simulator work unchanged with masks that need ``K > 2``.  Here
+``K`` grows with the sequence, so block generation reads them in row
+windows (:mod:`repro.masks.workload`), each as wide as its own widest
+row.
 
 Shipped mask families that genuinely need more than two ranges:
 
@@ -26,16 +29,15 @@ __all__ = ["DilatedBlockMask", "GlobalTokenMask"]
 
 
 def _history_and_window(
-    window_start: np.ndarray, period: int, width: int
+    seqlen: int, lo: int, window_start: np.ndarray, period: int, width: int
 ) -> AttendRanges:
     """Row ``i``: ``[a, min(a + width, w))`` for every anchor
     ``a = 0, period, 2 * period, ... < w``, then the causal window
-    ``[w, i + 1)``, where ``w = window_start[i]`` — built for all rows at
-    once.  ``K`` is the widest row; narrower rows end in empty
+    ``[w, i + 1)``, where ``w = window_start[i - lo]`` — built at once for
+    the rows ``lo, lo + 1, ...`` that ``window_start`` covers.  ``K`` is
+    the widest of those rows; narrower rows end in empty
     ``[i + 1, i + 1)`` ranges."""
-    window_start = np.asarray(window_start, dtype=np.int64)
-    seqlen = len(window_start)
-    rows = np.arange(seqlen, dtype=np.int64)
+    rows = np.arange(lo, lo + len(window_start), dtype=np.int64)
     anchors = -(-window_start // period)  # ceil(w / period)
     widest = int(anchors.max(initial=-1)) + 1  # no rows, no ranges
     k = np.arange(widest, dtype=np.int64)[:, None]
@@ -47,7 +49,7 @@ def _history_and_window(
     ends = np.where(
         k < anchors, np.minimum(starts + width, window_start), rows + 1
     )
-    return AttendRanges(starts=starts, ends=ends)
+    return AttendRanges(starts, ends, lo, seqlen)
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ class DilatedBlockMask(MaskSpec):
         if self.block < 1 or self.stride < 1 or self.window < 1:
             raise ValueError("block, stride and window must be positive")
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
-        window_start = np.maximum(np.arange(seqlen) - self.window + 1, 0)
+        window_start = np.maximum(np.arange(lo, hi) - self.window + 1, 0)
         return _history_and_window(
-            window_start, self.block * self.stride, self.block
+            seqlen, lo, window_start, self.block * self.stride, self.block
         )
 
 
@@ -97,13 +99,13 @@ class GlobalTokenMask(MaskSpec):
         if self.every < 1 or self.window < 1:
             raise ValueError("every and window must be positive")
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         """Attendable key ranges per query row (see base class)."""
         # A global row attends to its whole prefix: a window from 0.
-        rows = np.arange(seqlen)
+        rows = np.arange(lo, hi)
         window_start = np.where(
             rows % self.every == 0,
             0,
             np.maximum(rows - self.window + 1, 0),
         )
-        return _history_and_window(window_start, self.every, 1)
+        return _history_and_window(seqlen, lo, window_start, self.every, 1)

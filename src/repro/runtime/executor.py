@@ -22,7 +22,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..blocks import BlockSet
-from ..masks import AttendRanges
 from ..scheduling.instructions import (
     BlockwiseAttention,
     BlockwiseAttentionBackward,
@@ -241,7 +240,6 @@ class SimExecutor:
             )
             for device, device_plan in plan.device_plans.items()
         }
-        self._ranges: Dict[int, AttendRanges] = {}
         self._mask_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
 
     # -- masks -------------------------------------------------------------
@@ -249,23 +247,20 @@ class SimExecutor:
     def tile_mask(self, seq_index: int, q_block: int, kv_block: int) -> np.ndarray:
         """The boolean mask of one tile.
 
-        A plan holds no per-token state, so the executor derives a
-        sequence's attend ranges (``K`` per query row, any ``K``) from
-        its mask the first time it masks one of its tiles; both the
-        ranges and the tiles live as long as this executor, not the
-        plan.
+        A plan holds no per-token state, so the executor reads the
+        tile's query rows' attend ranges (``K`` per query row, any
+        ``K``) from the sequence's mask; the tile lives as long as this
+        executor, not the plan.
         """
         key = (seq_index, q_block, kv_block)
         cached = self._mask_cache.get(key)
         if cached is not None:
             return cached
         bounds = self.block_set.seq_bounds[seq_index]
-        ranges = self._ranges.get(seq_index)
-        if ranges is None:
-            seq = self.block_set.batch.sequences[seq_index]
-            ranges = self._ranges[seq_index] = seq.mask.ranges(seq.seqlen)
+        seq = self.block_set.batch.sequences[seq_index]
         q_start, q_stop = int(bounds[q_block]), int(bounds[q_block + 1])
         k_start, k_stop = int(bounds[kv_block]), int(bounds[kv_block + 1])
+        ranges = seq.mask.ranges(seq.seqlen, q_start, q_stop)
         mask = ranges.tile_mask(q_start, q_stop, k_start, k_stop)
         self._mask_cache[key] = mask
         return mask

@@ -6,11 +6,15 @@ tests do both, through the helpers here:
 
 * :func:`ranges_from_rows` / :func:`ranges_from_dense` build
   :class:`~repro.masks.AttendRanges` from per-row lists or a matrix;
+* :func:`nonempty_ranges` lists a window's non-empty ranges row by row;
 * :class:`DenseMask` plans an arbitrary explicit boolean mask;
 * :func:`mask_workload_matrix` is block generation's tile workload
-  straight from a mask;
+  straight from a mask, and :func:`small_windows` makes it read a
+  sequence in windows of a few rows;
 * :func:`mask_id` names a mask in a parametrized test's id.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -20,17 +24,19 @@ from repro.masks import (
     block_bounds,
     tile_workload_matrix,
 )
+from repro.masks import workload as workload_module
 
 
 def ranges_from_rows(rows) -> AttendRanges:
-    """``AttendRanges`` from ``rows[i] = [(start, end), ...]`` per row;
-    rows shorter than the widest end in empty ``[0, 0)`` ranges."""
+    """``AttendRanges`` of a whole sequence from ``rows[i] = [(start,
+    end), ...]`` per row; rows shorter than the widest end in empty
+    ``[0, 0)`` ranges."""
     width = max((len(row) for row in rows), default=0)
     bounds = np.zeros((2, width, len(rows)), dtype=np.int64)
     for i, row in enumerate(rows):
         for k, (start, end) in enumerate(row):
             bounds[:, k, i] = start, end
-    return AttendRanges(starts=bounds[0], ends=bounds[1])
+    return AttendRanges(bounds[0], bounds[1], 0, len(rows))
 
 
 def ranges_from_dense(mask: np.ndarray) -> AttendRanges:
@@ -53,14 +59,43 @@ def ranges_from_dense(mask: np.ndarray) -> AttendRanges:
     ends = np.zeros((width, length), dtype=np.int64)
     starts[slot, rise_rows] = rise_cols
     ends[slot, rise_rows] = fall_cols
-    return AttendRanges(starts=starts, ends=ends)
+    return AttendRanges(starts, ends, 0, length)
 
 
 def row_ranges(ranges: AttendRanges, row: int):
-    """``(starts, ends)`` arrays of one query row's non-empty ranges."""
+    """``(starts, ends)`` arrays of one query row's non-empty ranges
+    (``row`` counts from the window's first row)."""
     starts, ends = ranges.starts[:, row], ranges.ends[:, row]
     keep = ends > starts
     return starts[keep], ends[keep]
+
+
+def nonempty_ranges(ranges: AttendRanges) -> np.ndarray:
+    """``[n, 3]`` rows ``(query row, start, end)`` of every non-empty
+    range, by query row (global), then in the row's order."""
+    keep = (ranges.ends > ranges.starts).T
+    rows, ks = np.nonzero(keep)
+    return np.stack(
+        [rows + ranges.lo, ranges.starts[ks, rows], ranges.ends[ks, rows]],
+        axis=1,
+    )
+
+
+@contextlib.contextmanager
+def small_windows(elements: int, first_rows: int):
+    """Block generation aims its row windows at ``elements`` range
+    elements (``K × rows``), and a sequence's first window at
+    ``first_rows`` rows, so a short sequence is read in windows that
+    split its tiles; its scatter folds every ``elements`` too."""
+    names = ("_BLOCK_ELEMENTS", "_FOLD_ELEMENTS", "_FIRST_ROWS")
+    saved = [getattr(workload_module, name) for name in names]
+    for name, value in zip(names, (elements, elements, first_rows)):
+        setattr(workload_module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in zip(names, saved):
+            setattr(workload_module, name, value)
 
 
 class DenseMask(MaskSpec):
@@ -79,18 +114,23 @@ class DenseMask(MaskSpec):
         self.mask = mask
         self._ranges = ranges_from_dense(mask)
 
-    def ranges(self, seqlen: int) -> AttendRanges:
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
         if seqlen != self.mask.shape[0]:
             raise ValueError(
                 f"mask is {self.mask.shape[0]} tokens, requested {seqlen}"
             )
-        return self._ranges
+        # Each row's ranges fill slots 0, 1, ...: the window's K is its
+        # widest row's count.
+        starts, ends = self._ranges.starts, self._ranges.ends
+        widest = int((ends[:, lo:hi] > starts[:, lo:hi]).sum(0).max(initial=0))
+        return AttendRanges(
+            starts[:widest, lo:hi], ends[:widest, lo:hi], lo, seqlen
+        )
 
 
 def mask_workload_matrix(mask, seqlen: int, block_size: int) -> np.ndarray:
     """Unmasked-pair counts per (Q tile, KV tile) of one sequence."""
-    bounds = block_bounds(seqlen, block_size)
-    return tile_workload_matrix(mask.ranges(seqlen), bounds)
+    return tile_workload_matrix(mask, seqlen, block_bounds(seqlen, block_size))
 
 
 def mask_id(mask) -> str:

@@ -158,10 +158,10 @@ class HalfMasked(MaskSpec):
 
     name = "half_masked"
 
-    def ranges(self, seqlen: int) -> AttendRanges:
-        rows = np.arange(seqlen)
+    def ranges(self, seqlen: int, lo: int, hi: int) -> AttendRanges:
+        rows = np.arange(lo, hi)
         end = np.where(rows < seqlen // 2, rows + 1, 0)
-        return AttendRanges(starts=np.zeros_like(end)[None], ends=end[None])
+        return AttendRanges(np.zeros_like(end)[None], end[None], lo, seqlen)
 
 
 #: One machine of two devices, one 512-token sequence in 128-token

@@ -36,7 +36,7 @@ class TestPackedDocumentMask:
     def test_ranges_valid_various_lengths(self):
         mask = PackedDocumentMask(doc_lens=(5, 2, 9))
         for seqlen in (1, 4, 16, 30):
-            assert mask.ranges(seqlen).seqlen == seqlen
+            assert mask.ranges(seqlen, 0, seqlen).seqlen == seqlen
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

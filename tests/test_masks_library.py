@@ -32,10 +32,10 @@ ALL_MASKS = [
 @pytest.mark.parametrize("mask", ALL_MASKS, ids=mask_id)
 @pytest.mark.parametrize("seqlen", [1, 2, 7, 33, 64, 100])
 def test_ranges_are_valid(mask, seqlen):
-    ranges = mask.ranges(seqlen)  # AttendRanges validates on construction
+    ranges = mask.ranges(seqlen, 0, seqlen)  # AttendRanges validates on construction
     assert ranges.starts.shape == (ranges.max_ranges_per_row(), seqlen)
     np.testing.assert_array_equal(
-        ranges.row_count(), ranges.dense().sum(axis=1)
+        (ranges.ends - ranges.starts).sum(axis=0), ranges.dense().sum(axis=1)
     )
 
 
@@ -110,7 +110,7 @@ class TestCausalBlockwise:
         # Regression: the sink region may extend past short sequences.
         mask = CausalBlockwiseMask(block=4, window_blocks=2, sink_blocks=10)
         for seqlen in (3, 17, 41):
-            mask.ranges(seqlen)  # bounds within [0, L]
+            mask.ranges(seqlen, 0, seqlen)  # bounds within [0, L]
             assert np.array_equal(mask.dense(seqlen)[:40, :40],
                                   CausalMask().dense(seqlen)[:40, :40])
 

@@ -106,17 +106,17 @@ class TestManyRanges:
 
     def test_row_count(self):
         ranges = ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], [], [], []])
-        assert ranges.row_count().tolist() == [2, 4, 0, 0, 0]
+        assert ranges.dense().sum(axis=1).tolist() == [2, 4, 0, 0, 0]
 
     def test_total_pairs(self):
         ranges = ranges_from_rows([[(0, 2)], [(0, 1), (2, 5)], [], [], []])
-        assert ranges.total_pairs() == 6
+        assert ranges.dense().sum() == 6
 
-    def test_overlap_with(self):
+    def test_tile_mask_counts(self):
         ranges = ranges_from_rows(
             [[(0, 4)], [(0, 2), (6, 8)]] + [[]] * 6
         )
-        assert ranges.overlap_with(1, 7).tolist()[:2] == [3, 2]
+        assert ranges.tile_mask(0, 2, 1, 7).sum(axis=1).tolist() == [3, 2]
 
     def test_dense_matches_rows(self):
         ranges = ranges_from_rows(
@@ -163,8 +163,10 @@ class TestManyRanges:
         ranges = AttendRanges(
             starts=np.array([[0, 0, 0, 0], [3, 1, 0, 0], [2, 1, 0, 0]]),
             ends=np.array([[2, 1, 1, 1], [3, 1, 0, 0], [3, 2, 0, 0]]),
+            lo=0,
+            seqlen=4,
         )
-        assert ranges.row_count().tolist() == [3, 2, 1, 1]
+        assert ranges.dense().sum(axis=1).tolist() == [3, 2, 1, 1]
 
     def test_validate_rejects_out_of_bounds(self):
         with pytest.raises(ValueError, match="outside"):
@@ -172,13 +174,13 @@ class TestManyRanges:
 
     def test_validate_rejects_inverted(self):
         with pytest.raises(ValueError, match="start exceeds"):
-            AttendRanges(starts=np.array([[3]]), ends=np.array([[1]]))
+            AttendRanges(np.array([[3]]), np.array([[1]]), 0, 4)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            AttendRanges(starts=np.zeros((1, 2)), ends=np.zeros((1, 3)))
+            AttendRanges(np.zeros((1, 2)), np.zeros((1, 3)), 0, 3)
         with pytest.raises(ValueError, match="shape"):
-            AttendRanges(starts=np.zeros(2), ends=np.zeros(2))
+            AttendRanges(np.zeros(2), np.zeros(2), 0, 2)
 
     def test_max_ranges_per_row(self):
         ranges = ranges_from_rows(
@@ -198,14 +200,15 @@ class TestDilatedBlockMask:
 
     def test_needs_more_than_two_ranges(self):
         mask = DilatedBlockMask(block=4, stride=2, window=8)
-        assert mask.ranges(128).max_ranges_per_row() > 2
+        assert mask.ranges(128, 0, 128).max_ranges_per_row() > 2
 
     def test_sparser_than_causal(self):
         mask = DilatedBlockMask(block=4, stride=4, window=16)
         assert mask.sparsity_vs_causal(256) < 0.5
 
     def test_ranges_validate(self):
-        ranges = DilatedBlockMask(block=4, stride=2, window=8).ranges(100)
+        mask = DilatedBlockMask(block=4, stride=2, window=8)
+        ranges = mask.ranges(100, 0, 100)
         assert ranges.seqlen == 100  # validated on construction
 
     def test_rejects_bad_params(self):
@@ -226,7 +229,7 @@ class TestVectorizedRangesMatchTheLoops:
     )
     def test_dilated(self, seqlen, block, stride, window):
         assert_same_ranges(
-            DilatedBlockMask(block, stride, window).ranges(seqlen),
+            DilatedBlockMask(block, stride, window).ranges(seqlen, 0, seqlen),
             loop_dilated_ranges(seqlen, block, stride, window),
         )
 
@@ -236,7 +239,7 @@ class TestVectorizedRangesMatchTheLoops:
     )
     def test_global(self, seqlen, every, window):
         assert_same_ranges(
-            GlobalTokenMask(every, window).ranges(seqlen),
+            GlobalTokenMask(every, window).ranges(seqlen, 0, seqlen),
             loop_global_ranges(seqlen, every, window),
         )
 
@@ -249,11 +252,11 @@ class TestVectorizedRangesMatchTheLoops:
     @settings(max_examples=40, deadline=None)
     def test_random_parameters(self, seqlen, block, stride, window):
         assert_same_ranges(
-            DilatedBlockMask(block, stride, window).ranges(seqlen),
+            DilatedBlockMask(block, stride, window).ranges(seqlen, 0, seqlen),
             loop_dilated_ranges(seqlen, block, stride, window),
         )
         assert_same_ranges(
-            GlobalTokenMask(block, window).ranges(seqlen),
+            GlobalTokenMask(block, window).ranges(seqlen, 0, seqlen),
             loop_global_ranges(seqlen, block, window),
         )
 
@@ -270,10 +273,10 @@ class TestGlobalTokenMask:
 
     def test_needs_more_than_two_ranges(self):
         mask = GlobalTokenMask(every=8, window=4)
-        assert mask.ranges(128).max_ranges_per_row() > 2
+        assert mask.ranges(128, 0, 128).max_ranges_per_row() > 2
 
     def test_ranges_validate(self):
-        ranges = GlobalTokenMask(every=8, window=4).ranges(100)
+        ranges = GlobalTokenMask(every=8, window=4).ranges(100, 0, 100)
         assert ranges.seqlen == 100  # validated on construction
 
 
@@ -286,7 +289,7 @@ class TestDenseMask:
     def test_rejects_other_lengths(self):
         mask = DenseMask(np.tril(np.ones((16, 16), dtype=bool)))
         with pytest.raises(ValueError, match="tokens"):
-            mask.ranges(8)
+            mask.ranges(8, 0, 8)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -366,10 +369,9 @@ def test_equal_masks_share_plans(make):
 
 def test_workload_matrix_counts_pairs():
     mask = GlobalTokenMask(every=16, window=12)
-    ranges = mask.ranges(96)
-    workload = tile_workload_matrix(ranges, block_bounds(96, 16))
-    assert workload.sum() == ranges.total_pairs()
+    workload = tile_workload_matrix(mask, 96, block_bounds(96, 16))
     dense = mask.dense(96)
+    assert workload.sum() == dense.sum() == mask.total_pairs(96)
     assert workload[3, 0] == dense[48:64, 0:16].sum()
 
 
@@ -392,20 +394,19 @@ def test_multirange_timing_simulates():
     k_span=st.integers(1, 10),
 )
 @settings(max_examples=40, deadline=None)
-def test_tile_mask_consistent_with_overlap(seed, q_lo, q_span, k_lo, k_span):
-    """A tile's mask and its per-row overlap both read the dense slice."""
+def test_tile_mask_is_dense_slice_random(seed, q_lo, q_span, k_lo, k_span):
+    """A tile's mask reads the dense slice, from the whole sequence's
+    ranges and from a window of the tile's rows alike."""
     rng = np.random.default_rng(seed)
     mask = rng.random((20, 20)) < 0.4
-    ranges = ranges_from_dense(mask)
     q_hi = min(q_lo + q_span, 20)
     k_hi = min(k_lo + k_span, 20)
     expected = mask[q_lo:q_hi, k_lo:k_hi]
-    np.testing.assert_array_equal(
-        ranges.tile_mask(q_lo, q_hi, k_lo, k_hi), expected
-    )
-    np.testing.assert_array_equal(
-        ranges.overlap_with(k_lo, k_hi)[q_lo:q_hi], expected.sum(axis=1)
-    )
+    window = DenseMask(mask).ranges(20, q_lo, q_hi)
+    for ranges in (ranges_from_dense(mask), window):
+        np.testing.assert_array_equal(
+            ranges.tile_mask(q_lo, q_hi, k_lo, k_hi), expected
+        )
 
 
 def test_sparse_multirange_plans_fewer_flops_than_causal():

@@ -139,8 +139,8 @@ def test_decoded_plan_executes_without_shipped_ranges(mask):
                              plan.block_set.batch.sequences):
         n = expected.seqlen
         np.testing.assert_array_equal(
-            seq.mask.ranges(seq.seqlen).tile_mask(0, n, 0, n),
-            expected.mask.ranges(n).tile_mask(0, n, 0, n),
+            seq.mask.ranges(seq.seqlen, 0, n).tile_mask(0, n, 0, n),
+            expected.mask.ranges(n, 0, n).tile_mask(0, n, 0, n),
         )
     executor = SimExecutor(again)
     inputs = BatchInputs.random(plan.block_set, seed=5)

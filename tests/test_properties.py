@@ -52,7 +52,7 @@ def mask_strategy():
 
 @given(mask=mask_strategy(), seqlen=st.integers(1, 120))
 def test_mask_ranges_always_valid(mask, seqlen):
-    ranges = mask.ranges(seqlen)  # AttendRanges validates on construction
+    ranges = mask.ranges(seqlen, 0, seqlen)  # AttendRanges validates on construction
     assert ranges.seqlen == seqlen
 
 

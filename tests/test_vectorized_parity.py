@@ -198,8 +198,7 @@ def scalar_generate_comp_blocks(batch, attention, block_size):
     comp_blocks = []
     for seq_index, seq in enumerate(batch.sequences):
         bounds = block_bounds(seq.seqlen, block_size)
-        ranges = seq.mask.ranges(seq.seqlen)
-        workload = tile_workload_matrix(ranges, bounds)
+        workload = tile_workload_matrix(seq.mask, seq.seqlen, bounds)
         q_idx, kv_idx = np.nonzero(workload)
         for qi, ki in zip(q_idx.tolist(), kv_idx.tolist()):
             pairs = int(workload[qi, ki])
