@@ -126,7 +126,7 @@ def batch_tile_workloads(
                 (ranges.ends + shift) // block,
                 ranges,
             )
-            lo, widest = hi, max(ranges.max_ranges_per_row(), 1)
+            lo, widest = hi, max(ranges.max_ranges_per_row(), widest)
         row += n
     counts, offsets = (
         terms.reshape(-1, width).cumsum(axis=1) for terms in scatter.fold()
